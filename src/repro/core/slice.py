@@ -10,6 +10,7 @@ file until the merge phase reads them.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import List, Optional, Sequence
 
 from ..lsm.keys import clamp_range, in_range
@@ -105,8 +106,11 @@ class Slice:
         self, lo: Optional[bytes], hi: Optional[bytes]
     ) -> Sequence[KVRecord]:
         """Records in the intersection of the slice with ``[lo, hi)``."""
-        clamped_lo, clamped_hi = clamp_range(self.lo, self.hi, lo, hi)
-        return self.source.records_in_range(clamped_lo, clamped_hi)
+        keys = self.source._keys
+        first, last = self._start, self._stop  # narrowed, never re-derived
+        start = first if lo is None else bisect_left(keys, lo, first, last)
+        stop = last if hi is None else bisect_left(keys, hi, start, last)
+        return RecordView(self.source._records, start, stop)
 
     # ------------------------------------------------------------------
     # I/O cost queries: a slice read touches only the source blocks that

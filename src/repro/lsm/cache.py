@@ -85,6 +85,21 @@ class BlockCache:
         self.registry.add("cache.misses")
         return False
 
+    def probe(self, file_id: int, block_index: int) -> bool:
+        """:meth:`lookup` minus the count; range reads report totals once."""
+        key = (file_id, block_index)
+        if key in self._entries:
+            self._entries.move_to_end(key)
+            return True
+        return False
+
+    def count_probes(self, hits: int, misses: int) -> None:
+        """Count a batch of :meth:`probe` outcomes (zeros create no counter)."""
+        if hits:
+            self.registry.add("cache.hits", hits)
+        if misses:
+            self.registry.add("cache.misses", misses)
+
     def insert(self, file_id: int, block_index: int, nbytes: int) -> None:
         """Install a block read from the device, evicting LRU as needed."""
         if nbytes > self.capacity_bytes:

@@ -28,7 +28,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 from .builder import SSTableBuilder
 from .cache import BlockCache
 from .config import LSMConfig
-from .iterators import merge_records
+from .iterators import level_cursor, merge_records, table_records
 from .keys import clamp_range, key_successor
 from .memtable import MemTable
 from .record import (
@@ -759,51 +759,74 @@ class DB:
     def scan(self, start_key: bytes, count: int) -> List[Tuple[bytes, bytes]]:
         """Return up to ``count`` live key-value pairs with key >= start.
 
-        Merges the memtable, every overlapping Level-0 file, the deeper
-        levels and (under LDC) all linked slices; tombstones shadow older
-        versions and are not returned.
+        Merges the memtable, every overlapping Level-0 (or tiered) file
+        and one lazy cursor per sorted level (:func:`~repro.lsm.iterators.
+        level_cursor`), each file read together with its linked slices;
+        tombstones shadow older versions and are not returned.
         """
         self._check_open()
         _check_key(start_key)
         if count <= 0:
             return []
         self.policy.on_operation(False)
-        start_time = self.clock.now()
-        self.engine_stats.scans += 1
+        clock = self.clock
+        start_time = clock.now()
+        self._count("engine.scans")
 
+        version = self.version
         sources: List = [self._memtable.iter_from(start_key)]
-        tables: List[SSTable] = []
-        slices: List = []
-        for level in range(self.version.num_levels):
-            for table in self.version.files(level):
-                if table.max_key >= start_key:
-                    tables.append(table)
-                    sources.append(iter(table.records_in_range(start_key, None)))
-                for piece in table.slice_links:
-                    if piece.hi is None or piece.hi > start_key:
-                        slices.append(piece)
-                        sources.append(iter(piece.records_in_range(start_key, None)))
+        # Per level, the files a source started reading — what the device
+        # is charged for below.
+        opened: List[List[SSTable]] = []
+        for level in range(version.num_levels):
+            files = version.files(level)
+            reached: List[SSTable] = []
+            opened.append(reached)
+            if level and version.sorted_levels:
+                if files:
+                    first = version.responsible_index(level, start_key)
+                    sources.append(level_cursor(files, first, start_key, reached))
+            else:
+                for table in files:
+                    if table.max_key >= start_key or table.slice_links:
+                        reached.append(table)
+                        sources.append(table_records(table, start_key))
 
+        # One float add per merged record, in merge order: the clock must
+        # stay bit-exact, so the charges are hoisted but not batched.
+        advance = clock.advance
+        per_record_us = self.config.costs.scan_per_record_us
         results: List[Tuple[bytes, bytes]] = []
+        push = results.append
         for record in merge_records(sources):
-            self.clock.advance(self.config.costs.scan_per_record_us)
-            if record.is_tombstone:
+            advance(per_record_us)
+            if record[2] == KIND_DELETE:
                 continue
-            results.append((record.key, record.value))
+            push((record[0], record[3]))
             if len(results) >= count:
                 break
-        self.engine_stats.scanned_records += len(results)
+        self._count("engine.scanned_records", len(results))
 
-        # Charge the device for the block ranges each source actually
+        # Charge the device for the block ranges each opened source
         # covered: from the scan start up to the last key returned (or the
-        # whole tail when the store was exhausted first).
+        # whole tail when the store was exhausted first).  Tables first,
+        # then slices, each in (level, file, link) order; a file no cursor
+        # reached holds only keys past ``end_hi``, i.e. no blocks to charge.
         end_hi = key_successor(results[-1][0]) if len(results) >= count else None
-        for table in tables:
-            self._charge_range_read(table, start_key, end_hi)
-        for piece in slices:
-            lo, hi = clamp_range(piece.lo, piece.hi, start_key, end_hi)
-            self._charge_range_read(piece.source, lo, hi)
-        self.engine_stats.charge_activity(ACT_SCAN, self.clock.now() - start_time)
+        charge = self._charge_range_read
+        for reached in opened:
+            for table in reached:
+                charge(table, start_key, end_hi)
+        source_count = 0
+        for reached in opened:
+            for table in reached:
+                links = table.slice_links
+                source_count += 1 + len(links)
+                for piece in links:
+                    lo, hi = clamp_range(piece.lo, piece.hi, start_key, end_hi)
+                    charge(piece.source, lo, hi)
+        self._count("engine.scan_sources", source_count)
+        self.engine_stats.charge_activity(ACT_SCAN, clock.now() - start_time)
         self._maintenance_step()
         return results
 
@@ -813,61 +836,51 @@ class DB:
         Without a cache this is one sequential device read of the covered
         blocks.  With a cache, resident blocks cost CPU only and
         contiguous runs of missing blocks coalesce into sequential reads.
+        A fault-injecting device has every read CRC-verified, and a run
+        enters the cache only *after* it passed: a corrupt run must not
+        become future cache hits.
         """
         blocks = table.blocks_in_range(lo, hi)
         if not blocks:
             return
         cache = self.block_cache
+        verify = self._faulty
         if cache is None:
             self.device.read(
                 sum(nbytes for _, nbytes in blocks), USER_SCAN, sequential=True
             )
-            if self._faulty:
+            if verify:
                 self._verify_block_read(table, [b for b, _ in blocks])
             return
-        if self._faulty:
-            self._charge_range_read_verified(table, blocks, cache)
-            return
-        run_bytes = 0
-        for block_index, nbytes in blocks:
-            if cache.lookup(table.file_id, block_index):
+        file_id = table.file_id
+        probe = cache.probe
+        insert = cache.insert
+        hit_us = self.config.costs.cache_hit_us
+        hits = misses = run_bytes = 0
+        run: List[Tuple[int, int]] = []  # the open run's blocks, if verifying
+        try:
+            for block in blocks + [None]:  # the sentinel closes the last run
+                if block is not None and not probe(file_id, block[0]):
+                    misses += 1
+                    run_bytes += block[1]
+                    if verify:
+                        run.append(block)
+                    else:
+                        insert(file_id, *block)
+                    continue
                 if run_bytes:
                     self.device.read(run_bytes, USER_SCAN, sequential=True)
                     run_bytes = 0
-                self.clock.advance(self.config.costs.cache_hit_us)
-            else:
-                run_bytes += nbytes
-                cache.insert(table.file_id, block_index, nbytes)
-        if run_bytes:
-            self.device.read(run_bytes, USER_SCAN, sequential=True)
-
-    def _charge_range_read_verified(self, table: SSTable, blocks, cache) -> None:
-        """Fault-aware variant of the cached range read.
-
-        Same coalescing as the fast path, but each run's blocks are only
-        installed in the cache *after* the device read passed CRC
-        verification — a corrupt run must not become future cache hits.
-        """
-        run_bytes = 0
-        run_blocks: List[Tuple[int, int]] = []
-        for block_index, nbytes in blocks:
-            if cache.lookup(table.file_id, block_index):
-                if run_bytes:
-                    self._read_verified_run(table, run_bytes, run_blocks, cache)
-                    run_bytes = 0
-                    run_blocks = []
-                self.clock.advance(self.config.costs.cache_hit_us)
-            else:
-                run_bytes += nbytes
-                run_blocks.append((block_index, nbytes))
-        if run_bytes:
-            self._read_verified_run(table, run_bytes, run_blocks, cache)
-
-    def _read_verified_run(self, table, run_bytes, run_blocks, cache) -> None:
-        self.device.read(run_bytes, USER_SCAN, sequential=True)
-        self._verify_block_read(table, [b for b, _ in run_blocks])
-        for block_index, nbytes in run_blocks:
-            cache.insert(table.file_id, block_index, nbytes)
+                    if verify:
+                        self._verify_block_read(table, [b for b, _ in run])
+                        for missing in run:
+                            insert(file_id, *missing)
+                        run = []
+                if block is not None:
+                    hits += 1
+                    self.clock.advance(hit_us)
+        finally:
+            cache.count_probes(hits, misses)
 
     # ------------------------------------------------------------------
     # Introspection and maintenance
@@ -893,11 +906,9 @@ class DB:
         """
         self._check_open()
         sources: List = [iter(list(self._memtable))]
-        for level in range(self.version.num_levels):
-            for table in self.version.files(level):
-                sources.append(iter(table.records))
-                for piece in table.slice_links:
-                    sources.append(iter(piece.records()))
+        sources.extend(
+            table_records(table, None) for table in self.version.all_tables()
+        )
         for record in merge_records(sources):
             if not record.is_tombstone:
                 yield record.key, record.value
@@ -1029,7 +1040,8 @@ class DB:
         (and at the end of integration tests) the store must satisfy
 
         * the version-set invariants — levels >= 1 sorted and
-          non-overlapping, byte counters consistent, no frozen file
+          non-overlapping, linked slices inside their carrier file's
+          responsibility range, byte counters consistent, no frozen file
           resident in a level;
         * every linked slice's source is frozen, and each frozen source's
           refcount equals its live slice fan-in;

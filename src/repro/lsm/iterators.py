@@ -1,22 +1,22 @@
-"""K-way merge machinery for scans and compactions.
+"""K-way merge machinery for range scans.
 
-Both range scans (merging the memtable, Level-0 files, deeper levels and —
-under LDC — linked slices) and compaction merges (Definition 2.4, LDC's
-merge phase) reduce to the same operation: merge several key-sorted record
-streams, keeping only the newest version of each user key.
+A scan merges key-sorted record streams — the memtable, every overlapping
+Level-0 (or tiered) file, one :func:`level_cursor` per sorted level —
+keeping the newest version of each user key; ``DB.logical_items`` uses the
+same merge.  Compaction does *not* run through here: it merges column
+windows (:func:`repro.lsm.compaction.columnar.merge_windows`).
 
-This is one of the simulator's hottest loops (see ``repro bench
-merge_throughput``), so the implementation trades a little clarity for
-speed: a single live source degenerates to plain iteration (no heap at
-all — the common case for scans over sparsely overlapping trees), and the
-multi-way path drives the heap through cached bound ``__next__`` methods
-with ``heapreplace`` (one sift) instead of push/pop pairs (two sifts).
+The per-record loop is a scan's hot path, so a single live source
+degenerates to plain iteration (no heap), and the multi-way path drives
+the heap through cached bound ``__next__`` methods with ``heapreplace``
+(one sift) instead of push/pop pairs (two).
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Iterator, List
+from itertools import chain, islice
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 from .record import KVRecord
 
@@ -70,6 +70,42 @@ def merge_records(sources: List[Iterable[KVRecord]]) -> Iterator[KVRecord]:
             else:
                 heapreplace(heap, (refill.key, -refill.seq, other, refill))
         yield record
+
+
+def table_records(table, lo: Optional[bytes]) -> Iterable[KVRecord]:
+    """``table``'s records from ``lo`` on, merged with its linked slices.
+
+    An unlinked file (any file under UDC) is just its own zero-copy view.
+    """
+    links = table.slice_links
+    if not links:
+        return table.records_in_range(lo, None)
+    sources = [table.records_in_range(lo, None)]
+    sources.extend(piece.records_in_range(lo, None) for piece in links)
+    return merge_records(sources)
+
+
+def level_cursor(
+    files: Sequence, first: int, lo: bytes, opened: List
+) -> Iterator[KVRecord]:
+    """One lazy source for a sorted level (LevelDB's concatenating iterator).
+
+    Starts at ``files[first]``, the file responsible for ``lo``.  The unit
+    of concatenation is a file plus its slice links: responsibility ranges
+    (Example 3.2) tile the key space and linked records stay inside their
+    carrier's range (``VersionSet.check_invariants``), so units are disjoint
+    and ordered.  Each unit the cursor starts reading is appended to
+    ``opened`` — exactly the files the device is charged for.
+    """
+
+    def units() -> Iterator[Iterable[KVRecord]]:
+        for table in islice(files, first, None):
+            opened.append(table)
+            yield table_records(table, lo)
+
+    # chain pulls the next unit only once the current one is exhausted,
+    # and hands records through without a Python frame per record.
+    return chain.from_iterable(units())
 
 
 def live_records(merged: Iterable[KVRecord]) -> Iterator[KVRecord]:

@@ -37,6 +37,7 @@ _INT_COUNTERS = (
     "get_hits",
     "scans",
     "scanned_records",
+    "scan_sources",  # files + linked slices the scans' merges opened
     "flush_count",
     "compaction_count",
     "trivial_moves",

@@ -242,6 +242,11 @@ class VersionSet:
             return files[index]
         return files[-1]
 
+    def responsible_index(self, level: int, key: bytes) -> int:
+        """Index of :meth:`find_responsible_file`'s answer (non-empty level)."""
+        max_keys = self._max_keys[level]
+        return min(bisect_left(max_keys, key), len(max_keys) - 1)
+
     # ------------------------------------------------------------------
     # Compaction scoring (shared by all policies)
     # ------------------------------------------------------------------
@@ -322,6 +327,23 @@ class VersionSet:
                         f"level {level} files {left.file_id}/{right.file_id} "
                         f"overlap or are unsorted"
                     )
+            # Slices linked on file j stay inside j's responsibility range
+            # (max_key(j-1), max_key(j)], open-ended at the level's two ends:
+            # get routes, and scan concatenates files, on the strength of it.
+            lower = b""
+            for table in files:
+                for piece in table.slice_links:
+                    records = piece.records()
+                    if piece.record_count and not (
+                        lower < records[0].key
+                        and (table is files[-1] or records[-1].key <= table.max_key)
+                    ):
+                        raise EngineError(
+                            f"level {level}: a slice of frozen file "
+                            f"{piece.source.file_id} linked on file {table.file_id} "
+                            f"leaves that file's responsibility range"
+                        )
+                lower = table.max_key
         for table in self.all_tables():
             if table.frozen:
                 raise EngineError(

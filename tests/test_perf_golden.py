@@ -140,6 +140,68 @@ GOLDEN_SCHED_END_TO_END = {
     },
 }
 
+#: SCN-WH goldens (Table III: 70% puts, 30% 100-record scans) with a
+#: 256 KB block cache, captured on the commit *before* ``DB.scan`` moved
+#: to lazy level cursors.  The scan path's contract is that only host
+#: work changed: the clock, the ``user_scan`` device counters and the
+#: block cache's hit/miss/eviction history must stay exactly these.
+GOLDEN_SCAN_OPS = 2500
+GOLDEN_SCAN_KEYS = 4000
+GOLDEN_SCAN_CACHE_BYTES = 256 * 1024
+
+GOLDEN_SCAN_END_TO_END = {
+    "UDC": {
+        "elapsed_us": 156865.27650011788,
+        "total_write_bytes": 17464005,
+        "total_read_bytes": 103890033,
+        "compaction_read_bytes": 14772537,
+        "compaction_write_bytes": 13754286,
+        "flush_count": 28,
+        "compaction_count": 33,
+        "link_count": 0,
+        "merge_count": 0,
+        "space_bytes": 5018598,
+        "user_bytes_written": 1852227,
+        "sstable_blocks_read": 0,
+        "bloom_negative_skips": 0,
+        "engine.scans": 741,
+        "engine.scanned_records": 73575,
+        "engine.activity.scan": 65369.248000118096,
+        "device.read.user_scan.ops": 3433,
+        "device.read.user_scan.bytes": 89117496,
+        "device.read.user_scan.time_us": 61723.74799999832,
+        "cache.hits": 1087,
+        "cache.misses": 21509,
+        "cache.evictions": 21274,
+        "cache.evicted_bytes": 88140312,
+    },
+    "LDC": {
+        "elapsed_us": 168301.48299974116,
+        "total_write_bytes": 12673908,
+        "total_read_bytes": 117403182,
+        "compaction_read_bytes": 10034037,
+        "compaction_write_bytes": 8964189,
+        "flush_count": 28,
+        "compaction_count": 67,
+        "link_count": 79,
+        "merge_count": 67,
+        "space_bytes": 6884514,
+        "user_bytes_written": 1852227,
+        "sstable_blocks_read": 0,
+        "bloom_negative_skips": 0,
+        "engine.scans": 741,
+        "engine.scanned_records": 73575,
+        "engine.activity.scan": 98228.0724997419,
+        "device.read.user_scan.ops": 7946,
+        "device.read.user_scan.bytes": 107369145,
+        "device.read.user_scan.time_us": 93414.5724999979,
+        "cache.hits": 1671,
+        "cache.misses": 25970,
+        "cache.evictions": 25766,
+        "cache.evicted_bytes": 106538328,
+    },
+}
+
 #: Fingerprints of a fixed batched-API run (``write_batch`` fast path +
 #: ``multi_get``) per policy × scheduler mode.  ``write_batch`` is *not*
 #: equivalent to per-op puts (one WAL acquisition per batch, by design),
@@ -197,6 +259,45 @@ def _sched_snapshot(result) -> dict:
     data["stall_time_us"] = result.stall_time_us
     data["device_wait_us"] = result.device_wait_us
     return data
+
+
+def _scan_snapshot(result) -> dict:
+    """The engine snapshot plus everything only a scan charges."""
+    counters = result.metrics.counters
+    data = _snapshot(result)
+    data.update(
+        {
+            key: counters.get(key, 0)
+            for key in (
+                "engine.scans",
+                "engine.scanned_records",
+                "engine.activity.scan",
+                "device.read.user_scan.ops",
+                "device.read.user_scan.bytes",
+                "device.read.user_scan.time_us",
+                "cache.hits",
+                "cache.misses",
+                "cache.evictions",
+                "cache.evicted_bytes",
+            )
+        }
+    )
+    return data
+
+
+def _run_scan(policy_name: str):
+    spec = workloads.scn_wh(
+        num_operations=GOLDEN_SCAN_OPS,
+        key_space=GOLDEN_SCAN_KEYS,
+        preload_keys=GOLDEN_SCAN_KEYS,
+    )
+    return experiments.run_workload(
+        spec,
+        _POLICIES[policy_name],
+        config=experiments.experiment_config(
+            block_cache_bytes=GOLDEN_SCAN_CACHE_BYTES
+        ),
+    )
 
 
 def _run(policy_name: str, bg_threads: int = 0):
@@ -320,6 +421,20 @@ class TestEndToEndGolden:
         assert result.device_wait_us == 0.0
 
 
+class TestScanGolden:
+    """SCN-WH is pinned byte-exact, like the RWB run above.
+
+    Regenerating these for a scan-path change defeats their purpose: a
+    scan optimisation may change which host objects it touches, never
+    what it charges.
+    """
+
+    @pytest.mark.parametrize("policy_name", ["UDC", "LDC"])
+    def test_scan_metrics_byte_identical(self, policy_name):
+        result = _run_scan(policy_name)
+        assert _scan_snapshot(result) == GOLDEN_SCAN_END_TO_END[policy_name]
+
+
 class TestSchedulerGolden:
     """The scheduler-on run is pinned just as tightly as the off run.
 
@@ -426,6 +541,11 @@ def _regen() -> None:  # pragma: no cover - maintenance helper
         print("base_hashes", key, _base_hashes(key))
     for policy_name in _POLICIES:
         print(policy_name, json.dumps(_snapshot(_run(policy_name)), indent=4))
+    for policy_name in _POLICIES:
+        print(
+            "scan", policy_name,
+            json.dumps(_scan_snapshot(_run_scan(policy_name)), indent=4),
+        )
     for policy_name in _POLICIES:
         print(
             "sched", policy_name,
