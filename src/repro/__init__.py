@@ -59,6 +59,7 @@ from .errors import (
     ConfigError,
     DeviceError,
     EngineError,
+    FlashFullError,
     QueueFullError,
     ReproError,
     UnknownPolicyError,
@@ -179,6 +180,7 @@ __all__ = [
     "BackpressureError",
     "ConfigError",
     "DeviceError",
+    "FlashFullError",
     "EngineError",
     "ClosedError",
     "CompactionError",

@@ -358,16 +358,23 @@ class LDCLinkMergeMovement(DataMovement):
         The ranges tile the whole key space, so every source key is
         assigned to exactly one target.
         """
-        files = self.db.version.files(target_level)
+        version = self.db.version
+        files = version.files(target_level)
         plan: List[Tuple[SSTable, Optional[bytes], Optional[bytes]]] = []
-        previous_hi: Optional[bytes] = None
-        for index, target in enumerate(files):
-            lo = previous_hi
+        if not files:
+            return plan
+        # Files left of the one responsible for the source's first key, or
+        # right of the one responsible for its last, own none of its keys.
+        first = version.responsible_index(target_level, source.min_key)
+        last = version.responsible_index(target_level, source.max_key)
+        lo = key_successor(files[first - 1].max_key) if first else None
+        for index in range(first, last + 1):
+            target = files[index]
             is_last = index == len(files) - 1
             hi = None if is_last else key_successor(target.max_key)
-            previous_hi = hi
             if source.count_in_range(lo, hi) > 0:
                 plan.append((target, lo, hi))
+            lo = hi
         return plan
 
     # ------------------------------------------------------------------

@@ -21,6 +21,30 @@ class DeviceError(ReproError):
     """The simulated storage device was used incorrectly."""
 
 
+class FlashFullError(DeviceError):
+    """The flash layer has no reclaimable space left for a write.
+
+    Raised by the FTL's allocator when garbage collection cannot free a
+    block because live data fills the physical array; surfaces unchanged
+    through ``DB.put``.  An under-sized :class:`~repro.ssd.flash.FlashSpec`
+    is the usual cause.
+
+    Attributes
+    ----------
+    live_pages:
+        Valid pages mapped when the allocation failed.
+    capacity_pages:
+        Physical pages in the geometry (reserve blocks included).
+    """
+
+    def __init__(self, message: str, live_pages: int, capacity_pages: int) -> None:
+        super().__init__(
+            f"{message} ({live_pages} live of {capacity_pages} physical pages)"
+        )
+        self.live_pages = live_pages
+        self.capacity_pages = capacity_pages
+
+
 class EngineError(ReproError):
     """An LSM engine invariant was violated or misused."""
 

@@ -12,12 +12,18 @@ deleted files can never be wrongly hit — but until evicted they still
 occupy capacity and squeeze live hot blocks, so the engine calls
 :meth:`BlockCache.evict_file` the moment a compaction permanently drops
 an SSTable instead of letting its dead blocks age out of the LRU.
+
+Eviction costs one dictionary pop per block the file *has*, not a pass
+over everything the cache *holds*: a file's blocks are numbered
+``0 .. num_blocks - 1``, so its possible keys are known without an index
+(and without the memory one would cost).  ``DB.check_invariants``
+verifies that no resident key lies outside its file's block count.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..errors import ConfigError
 from ..obs.registry import MetricsRegistry
@@ -124,29 +130,30 @@ class BlockCache:
             self.registry.add("cache.evictions", evicted_blocks)
             self.registry.add("cache.evicted_bytes", evicted_bytes)
 
-    def evict_file(self, file_id: int) -> int:
-        """Drop every resident block of ``file_id``; returns bytes freed.
+    def evict_file(self, file_id: int, num_blocks: int) -> int:
+        """Drop the resident blocks of a ``num_blocks``-block file; returns bytes freed.
 
         Called when a version permanently drops an SSTable (compaction
         inputs, merged LDC targets, recycled frozen files) so dead blocks
         release capacity immediately.  Not counted as LRU evictions or
         misses — the blocks were unreachable anyway.
         """
-        doomed = [key for key in self._entries if key[0] == file_id]
+        pop = self._entries.pop
         freed = 0
-        for key in doomed:
-            freed += self._entries.pop(key)
+        for block_index in range(num_blocks):
+            freed += pop((file_id, block_index), 0)
         self._used_bytes -= freed
         return freed
 
-    def cached_file_ids(self) -> set:
-        """File ids with at least one resident block.
+    def cached_blocks(self) -> List[_BlockKey]:
+        """The resident ``(file_id, block_index)`` keys, LRU first.
 
-        ``DB.check_invariants`` asserts this set is a subset of the live
-        file ids — a stale entry would mean ``evict_file`` was skipped
+        ``DB.check_invariants`` asserts each belongs to a live file and
+        lies inside that file's block count — a stale entry would mean
+        ``evict_file`` was skipped, or could not have reached the block,
         when a compaction dropped the file.
         """
-        return {key[0] for key in self._entries}
+        return list(self._entries)
 
     @property
     def used_bytes(self) -> int:

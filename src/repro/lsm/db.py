@@ -220,7 +220,7 @@ class DB:
         of relocating stale data (free on the plain device).
         """
         if self.block_cache is not None:
-            self.block_cache.evict_file(table.file_id)
+            self.block_cache.evict_file(table.file_id, table.num_blocks)
         self.device.trim(table.file_id)
 
     # ------------------------------------------------------------------
@@ -1047,21 +1047,22 @@ class DB:
           refcount equals its live slice fan-in;
         * the policy's own invariants (LDC checks its frozen region);
         * every cached block belongs to a live file (resident in a level
-          or a still-referenced frozen source).
+          or a still-referenced frozen source) and lies inside that
+          file's block count, which is all ``evict_file`` will pop.
         """
         self._check_open()
         self.version.check_invariants()
-        live_ids = set()
+        live: dict = {}
         fan_in: dict = {}
         sources: dict = {}
         for table in self.version.all_tables():
-            live_ids.add(table.file_id)
+            live[table.file_id] = table
             for piece in table.slice_links:
                 source = piece.source
                 sources[source.file_id] = source
                 fan_in[source.file_id] = fan_in.get(source.file_id, 0) + 1
         for file_id, source in sources.items():
-            live_ids.add(file_id)
+            live[file_id] = source
             if not source.frozen:
                 raise EngineError(
                     f"slice source {file_id} is linked but not frozen"
@@ -1078,11 +1079,18 @@ class DB:
         if flash is not None:
             flash.check_invariants()
         if self.block_cache is not None:
-            stale = self.block_cache.cached_file_ids() - live_ids
+            cached = self.block_cache.cached_blocks()
+            stale = {file_id for file_id, _ in cached} - live.keys()
             if stale:
                 raise EngineError(
                     f"block cache holds blocks of dead files {sorted(stale)}"
                 )
+            for file_id, block in cached:
+                if block >= live[file_id].num_blocks:
+                    raise EngineError(
+                        f"block cache holds block {block} of file {file_id}, "
+                        f"which has {live[file_id].num_blocks} blocks"
+                    )
 
     def close(self) -> None:
         """Flush outstanding writes and refuse further operations.

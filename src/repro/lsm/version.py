@@ -13,11 +13,10 @@ the lower level (§III-A), so scoring must see it there.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from typing import Dict, Iterable, List, Optional
 
 from .config import LSMConfig
-from .keys import key_successor, ranges_overlap
 from .sstable import SSTable
 from ..errors import EngineError
 
@@ -128,20 +127,16 @@ class VersionSet:
             self._level_bytes[level] += table.data_size
             self._level_linked_bytes[level] += table.linked_bytes
             return
+        # The first file ending at or after the newcomer's first key marks
+        # its slot; every file before ends too early to overlap, and if
+        # this one does not start too late it is the overlap.
         files = self.levels[level]
-        index = bisect_left([f.min_key for f in files], table.min_key)
-        for neighbour in (files[index - 1] if index > 0 else None,
-                          files[index] if index < len(files) else None):
-            if neighbour is not None and ranges_overlap(
-                table.min_key,
-                key_successor(table.max_key),
-                neighbour.min_key,
-                key_successor(neighbour.max_key),
-            ):
-                raise EngineError(
-                    f"file {table.file_id} overlaps file {neighbour.file_id} "
-                    f"in level {level}"
-                )
+        index = bisect_left(self._max_keys[level], table.min_key)
+        if index < len(files) and files[index].min_key <= table.max_key:
+            raise EngineError(
+                f"file {table.file_id} overlaps file {files[index].file_id} "
+                f"in level {level}"
+            )
         files.insert(index, table)
         self._max_keys[level].insert(index, table.max_key)
         self._level_of[table.file_id] = level
@@ -151,12 +146,18 @@ class VersionSet:
     def remove_file(self, level: int, table: SSTable) -> None:
         self._check_level(level)
         files = self.levels[level]
-        try:
-            index = files.index(table)
-        except ValueError:
+        if level == 0 or not self.sorted_levels:
+            index = next(
+                (i for i, resident in enumerate(files) if resident is table),
+                len(files),
+            )
+        else:
+            # Max keys strictly increase: only one slot can hold the file.
+            index = bisect_left(self._max_keys[level], table.max_key)
+        if index == len(files) or files[index] is not table:
             raise EngineError(
                 f"file {table.file_id} is not present in level {level}"
-            ) from None
+            )
         del files[index]
         del self._max_keys[level][index]
         del self._level_of[table.file_id]
@@ -192,16 +193,24 @@ class VersionSet:
         Level 0.
         """
         self._check_level(level)
-        result = [
-            table
-            for table in self.levels[level]
-            if ranges_overlap(
-                table.min_key, key_successor(table.max_key), lo, hi
-            )
-        ]
+        files = self.levels[level]
         if level == 0 or not self.sorted_levels:
+            result = [
+                table
+                for table in files
+                if (lo is None or table.max_key >= lo)
+                and (hi is None or table.min_key < hi)
+            ]
             result.sort(key=lambda table: table.file_id)
-        return result
+            return result
+        # Sorted level: the files ending at or after ``lo`` are a suffix,
+        # those starting before ``hi`` a prefix; the answer is where the
+        # two meet.
+        start = 0 if lo is None else bisect_left(self._max_keys[level], lo)
+        stop = start
+        while stop < len(files) and (hi is None or files[stop].min_key < hi):
+            stop += 1
+        return files[start:stop]
 
     def find_file(self, level: int, key: bytes) -> Optional[SSTable]:
         """The unique file in a sorted level whose range may contain ``key``.
@@ -306,9 +315,14 @@ class VersionSet:
             return min(files, key=lambda table: table.file_id)
         pointer = self.compact_pointer.get(level)
         if pointer is not None:
-            for table in files:
-                if table.max_key > pointer:
-                    return table
+            if self.sorted_levels:
+                index = bisect_right(self._max_keys[level], pointer)
+                if index < len(files):
+                    return files[index]
+            else:
+                for table in files:
+                    if table.max_key > pointer:
+                        return table
         return files[0]
 
     def advance_compact_pointer(self, level: int, table: SSTable) -> None:

@@ -285,15 +285,25 @@ class CompactionScheduler:
     # Capture
     # ------------------------------------------------------------------
     def _start_rounds(self, now_us: float) -> bool:
-        """Capture one round per currently-idle thread; True if any captured."""
+        """Capture one round per currently-idle thread; True if any captured.
+
+        Honours the policy's idle gate as ``DB._maintenance_step`` does:
+        after a no-work poll of an idle-stable policy nothing is captured
+        until a flush, seek exhaustion or an observed operation re-arms it.
+        """
         captured = False
+        policy = self.db.policy
         for thread in self.threads:
             if thread.task is not None or thread.free_at_us > now_us:
                 continue
             if self.queue:
                 self._assign_idle()
                 continue
+            if policy._maintenance_idle:
+                break
             if not self._capture_round(now_us):
+                if policy._idle_stable:
+                    policy._maintenance_idle = True
                 break
             captured = True
             self._assign_idle()

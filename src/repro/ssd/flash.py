@@ -59,7 +59,7 @@ from typing import Deque, Dict, Hashable, List, Optional, Tuple
 
 from .metrics import GC_READ, GC_WRITE
 from .profile import ENTERPRISE_PCIE, SSDProfile
-from ..errors import ConfigError, DeviceError
+from ..errors import ConfigError, DeviceError, FlashFullError
 
 # GC relocation traffic is charged under the GC_READ/GC_WRITE categories
 # (defined with the host categories in repro.ssd.metrics): relocations
@@ -232,6 +232,11 @@ class FlashTranslationLayer:
         self._gc_used = 0
         self._program_counter = 0
         self._stream_pending: Dict[Owner, int] = {}
+        #: Valid pages / unprogrammed stream-fill bytes: running totals of
+        #: ``owner_pages`` and ``_stream_pending``, moved wherever those
+        #: move (their gauges are republished on every write and trim).
+        self.live_pages = 0
+        self.stream_pending_bytes = 0
         #: Absolute programmed-byte total (never reset; the wear proxy
         #: behind ``device.wear_bytes`` — the registry counter of the
         #: same name is window-scoped).
@@ -263,13 +268,14 @@ class FlashTranslationLayer:
             owner = UNTAGGED_OWNER
         page_bytes = self.spec.page_bytes
         if stream:
-            pending = self._stream_pending.get(owner, 0) + nbytes
-            npages, remainder = divmod(pending, page_bytes)
+            pending = self._stream_pending.get(owner, 0)
+            npages, remainder = divmod(pending + nbytes, page_bytes)
             if npages:
                 self._program_owner(owner, npages)
             self._stream_pending[owner] = remainder
+            self.stream_pending_bytes += remainder - pending
             self.device.registry.set_gauge(
-                GAUGE_STREAM_PENDING, sum(self._stream_pending.values())
+                GAUGE_STREAM_PENDING, self.stream_pending_bytes
             )
         else:
             npages = -(-nbytes // page_bytes)
@@ -279,8 +285,9 @@ class FlashTranslationLayer:
         """Invalidate every page of ``owner`` (file delete / WAL reset)."""
         pending = self._stream_pending.pop(owner, None)
         if pending is not None:
+            self.stream_pending_bytes -= pending
             self.device.registry.set_gauge(
-                GAUGE_STREAM_PENDING, sum(self._stream_pending.values())
+                GAUGE_STREAM_PENDING, self.stream_pending_bytes
             )
         pages = self.owner_pages.pop(owner, None)
         if pages is None:
@@ -291,6 +298,7 @@ class FlashTranslationLayer:
         for ppn in pages:
             page_owner[ppn] = None
             valid[ppn // ppb] -= 1
+        self.live_pages -= len(pages)
         self.device.registry.set_gauge(GAUGE_LIVE_PAGES, self.live_pages)
 
     # ------------------------------------------------------------------
@@ -308,6 +316,9 @@ class FlashTranslationLayer:
             page_owner[ppn] = (owner, len(pages))
             pages.append(ppn)
             valid[ppn // ppb] += 1
+            # Page by page, not ``npages`` after the loop: a crash injected
+            # into a GC charge (or a full device) leaves the loop early.
+            self.live_pages += 1
         nbytes = npages * self.spec.page_bytes
         self.bytes_programmed += nbytes
         registry = self.device.registry
@@ -349,9 +360,10 @@ class FlashTranslationLayer:
             # GC may dip into the reserve; an empty pool here means the
             # geometry cannot make progress at all.
             if not free:
-                raise DeviceError(
+                raise FlashFullError(
                     "flash device full: GC needs a free block and the "
-                    "reserve is exhausted (live data exceeds capacity?)"
+                    "reserve is exhausted",
+                    self.live_pages, self.spec.total_pages,
                 )
         else:
             reserve = self.spec.gc_reserve_blocks
@@ -465,19 +477,15 @@ class FlashTranslationLayer:
                 best = block
                 best_score = score
         if best < 0:
-            raise DeviceError(
-                "flash device full: no block has invalid pages to reclaim "
-                "(live data exceeds physical capacity)"
+            raise FlashFullError(
+                "flash device full: no block has invalid pages to reclaim",
+                self.live_pages, self.spec.total_pages,
             )
         return best
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def live_pages(self) -> int:
-        return sum(len(pages) for pages in self.owner_pages.values())
-
     @property
     def free_blocks(self) -> int:
         return len(self._free)
@@ -486,16 +494,13 @@ class FlashTranslationLayer:
     def max_erase_count(self) -> int:
         return max(self.erase_counts)
 
-    @property
-    def stream_pending_bytes(self) -> int:
-        return sum(self._stream_pending.values())
-
     def check_invariants(self) -> None:
         """Verify the mapping table; raise :class:`DeviceError` on damage.
 
         Called by ``DB.check_invariants`` after crash recovery (and by
         the property suite directly): the forward and reverse maps must
-        agree page-for-page, per-block counters must match a recount,
+        agree page-for-page, per-block counters and the live-page and
+        stream-pending running totals must match a recount,
         valid + invalid + free pages must tile the geometry exactly, and
         the free pool must hold only fully-erased, unique blocks.
         """
@@ -512,6 +517,16 @@ class FlashTranslationLayer:
                         f"entry is {entry!r}"
                     )
             live_total += len(pages)
+        if live_total != self.live_pages:
+            raise DeviceError(
+                f"live-page counter {self.live_pages} != recount {live_total}"
+            )
+        pending_total = sum(self._stream_pending.values())
+        if pending_total != self.stream_pending_bytes:
+            raise DeviceError(
+                f"stream-pending counter {self.stream_pending_bytes} "
+                f"!= recount {pending_total}"
+            )
         reverse_live = sum(1 for entry in page_owner if entry is not None)
         if reverse_live != live_total:
             raise DeviceError(

@@ -8,6 +8,7 @@ from repro.errors import (
     ConfigError,
     DeviceError,
     EngineError,
+    FlashFullError,
     ReproError,
     WorkloadError,
 )
@@ -26,6 +27,12 @@ class TestHierarchy:
 
     def test_compaction_is_engine_error(self):
         assert issubclass(CompactionError, EngineError)
+
+    def test_flash_full_is_device_error_with_occupancy(self):
+        assert issubclass(FlashFullError, DeviceError)
+        error = FlashFullError("flash device full", 90, 96)
+        assert (error.live_pages, error.capacity_pages) == (90, 96)
+        assert str(error) == "flash device full (90 live of 96 physical pages)"
 
     def test_catch_all(self):
         """A caller can catch every library error with one except clause."""

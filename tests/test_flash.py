@@ -4,7 +4,9 @@ streams, trim, GC victim selection and wear accounting."""
 import pytest
 
 from repro import DeviceConfig, FlashSpec, SimulatedSSD
-from repro.errors import ConfigError, DeviceError
+from repro import DB
+from repro.errors import ConfigError, DeviceError, FlashFullError
+from repro.lsm.config import LSMConfig
 from repro.ssd.profile import ENTERPRISE_PCIE, SATA_SSD
 
 
@@ -103,6 +105,21 @@ class TestMapping:
         assert device.flash.live_pages == 0
         device.flash.check_invariants()
 
+    def test_running_totals_are_checked_against_a_recount(self):
+        device = flash_device()
+        device.write(600, "flush_write", owner=7)
+        device.write(100, "wal_write", owner="log", stream=True)
+        flash = device.flash
+        assert (flash.live_pages, flash.stream_pending_bytes) == (3, 100)
+        flash.check_invariants()
+        flash.live_pages += 1
+        with pytest.raises(DeviceError, match="live-page counter 4 != recount 3"):
+            flash.check_invariants()
+        flash.live_pages -= 1
+        flash.stream_pending_bytes -= 1
+        with pytest.raises(DeviceError, match="stream-pending counter 99"):
+            flash.check_invariants()
+
     def test_trim_unknown_owner_is_noop(self):
         device = flash_device()
         device.trim("ghost")
@@ -188,6 +205,35 @@ class TestGarbageCollection:
             # Far more live data than physical capacity, never trimmed.
             for index in range(100):
                 device.write(1024, "flush_write", owner=f"live-{index}")
+
+    def test_device_full_is_typed_and_reports_occupancy(self):
+        device = flash_device()
+        with pytest.raises(FlashFullError) as caught:
+            for index in range(100):
+                device.write(1024, "flush_write", owner=f"live-{index}")
+        flash = device.flash
+        assert caught.value.live_pages == flash.live_pages > 0
+        assert caught.value.capacity_pages == flash.spec.total_pages
+        assert "live of" in str(caught.value)
+        # The write that hit the wall stopped part-way; what it did map
+        # is still counted.
+        flash.check_invariants()
+
+    def test_flash_full_surfaces_through_db_put(self):
+        config = LSMConfig(
+            memtable_bytes=2048, sstable_target_bytes=2048, block_bytes=512,
+            fan_out=4, level1_capacity_bytes=4096, max_levels=6,
+        )
+        undersized = FlashSpec(
+            page_bytes=512, pages_per_block=8, logical_bytes=16 * 1024,
+            over_provisioning=0.1,
+        )
+        db = DB(config=config, policy="udc", profile=DeviceConfig(flash=undersized))
+        with pytest.raises(FlashFullError) as caught:
+            for index in range(5_000):
+                db.put(b"%012d" % index, b"v" * 64)
+        assert caught.value.capacity_pages == undersized.total_pages
+        assert 0 < caught.value.live_pages <= caught.value.capacity_pages
 
     def test_cost_benefit_prefers_stale_over_recent(self):
         device = flash_device(gc_policy="cost_benefit")

@@ -1,0 +1,201 @@
+"""Host cost per operation must not grow with the size of the store.
+
+These are counting tests, not timing tests: they count the files a level
+query reads keys from, and the Python calls cProfile sees, and compare a
+small store with one ten or a hundred times its size.  Counts repeat
+exactly, so nothing here depends on how fast the machine is.
+
+The bookkeeping they pin used to rescan a level (or every flash owner,
+or the whole block cache) per compaction round or per request; the
+bounds below fail on any return to that.
+"""
+
+import cProfile
+import math
+import random
+from itertools import count
+from types import SimpleNamespace
+
+from repro import DB, DeviceConfig, FlashSpec, SimulatedSSD
+from repro.core.primitives import LDCLinkMergeMovement
+from repro.lsm.config import LSMConfig
+from repro.lsm.keys import key_successor
+from repro.lsm.record import put_record
+from repro.lsm.sstable import SSTable
+from repro.lsm.version import VersionSet
+from repro.ssd.metrics import FLUSH_WRITE, WAL_WRITE
+
+CONFIG = LSMConfig(max_levels=4)
+LEVEL = 2
+FILES = 1_000
+
+_file_ids = count(1)
+
+
+def _spied(name):
+    slot = getattr(SSTable, name)
+
+    def read(self):
+        SpyTable.touched.add(self.file_id)
+        return slot.__get__(self)
+
+    return property(read, slot.__set__)
+
+
+class SpyTable(SSTable):
+    """An SSTable that notes which files had a boundary key read or were
+    compared (``list.index`` walks a level by ``==``)."""
+
+    touched = set()
+    min_key = _spied("min_key")
+    max_key = _spied("max_key")
+    __hash__ = SSTable.__hash__
+
+    def __eq__(self, other):
+        SpyTable.touched.add(self.file_id)
+        return self is other
+
+
+def key_of(number: int) -> bytes:
+    return b"%08d" % number
+
+
+def spy_table(numbers) -> SpyTable:
+    records = [put_record(key_of(n), b"v", n + 1) for n in numbers]
+    return SpyTable.from_records(next(_file_ids), records, CONFIG)
+
+
+def big_level() -> VersionSet:
+    """File ``i`` of ``FILES`` covers keys ``10i+2 .. 10i+6``."""
+    version = VersionSet(CONFIG)
+    for index in range(FILES):
+        version.add_file(LEVEL, spy_table([10 * index + 2, 10 * index + 6]))
+    return version
+
+
+def files_touched(call, answer_size: int = 0) -> int:
+    SpyTable.touched = set()
+    call()
+    touched = len(SpyTable.touched)
+    assert touched <= 2 * math.log2(FILES) + answer_size + 4, touched
+    return touched
+
+
+class TestLevelQueriesTouchFewFiles:
+    """One query against a 1 000-file sorted level reads O(log N + answer) files."""
+
+    def test_add_file(self):
+        version = big_level()
+        newcomer = spy_table([5007, 5009])  # the gap after file 500
+        files_touched(lambda: version.add_file(LEVEL, newcomer))
+        assert version.files(LEVEL)[501] is newcomer
+
+    def test_remove_file(self):
+        version = big_level()
+        table = version.files(LEVEL)[700]
+        files_touched(lambda: version.remove_file(LEVEL, table))
+        assert version.num_files(LEVEL) == FILES - 1
+
+    def test_overlapping(self):
+        version = big_level()
+        answer = []
+        files_touched(
+            lambda: answer.extend(
+                version.overlapping(LEVEL, key_of(3004), key_of(3100))
+            ),
+            answer_size=10,
+        )
+        assert answer == version.files(LEVEL)[300:310]
+
+    def test_pick_file_round_robin(self):
+        version = big_level()
+        version.compact_pointer[LEVEL] = key_of(8006)
+        picked = []
+        files_touched(
+            lambda: picked.append(version.pick_file_round_robin(LEVEL))
+        )
+        assert picked == [version.files(LEVEL)[801]]
+
+    def test_slice_plan(self):
+        version = big_level()
+        movement = LDCLinkMergeMovement()
+        movement.db = SimpleNamespace(version=version)
+        source = spy_table(range(4000, 4037, 3))  # owned by files 400..403
+        plan = []
+        files_touched(
+            lambda: plan.extend(movement._slice_plan(source, LEVEL)),
+            answer_size=4,
+        )
+        targets = version.files(LEVEL)
+        assert [target for target, _, _ in plan] == targets[400:404]
+        assert plan[0][1] == key_successor(targets[399].max_key)
+
+
+def total_calls(run) -> int:
+    profiler = cProfile.Profile()
+    profiler.enable()
+    run()
+    profiler.disable()
+    return sum(entry.callcount for entry in profiler.getstats())
+
+
+def calls_per_put(policy: str, keys: int, puts: int = 4_000) -> float:
+    """Profiled calls per overwrite on a store preloaded with ``keys`` 1 KB records."""
+    db = DB(config=LSMConfig(), policy=policy)
+    rng = random.Random(5)
+    order = list(range(keys))
+    rng.shuffle(order)
+    value = b"v" * 1024
+    for number in order:
+        db.put(key_of(number), value)
+    db.policy.maybe_compact()
+    stream = [key_of(rng.randrange(keys)) for _ in range(puts)]
+
+    def run():
+        for key in stream:
+            db.put(key, value)
+
+    calls = total_calls(run)
+    db.check_invariants()
+    return calls / puts
+
+
+class TestCallsPerPutVersusStoreSize:
+    def test_ldc_put_cost_is_nearly_flat_in_store_size(self):
+        """Ten times the keys (two more levels) costs under 1.5x the calls.
+
+        Measured 1.35x; the per-link and per-round level scans this
+        guards against made it 1.91x.  The same ratio for UDC went from
+        1.44x to 1.20x but is not gated: its scans were comprehensions,
+        whose iterations a call count does not see.
+        """
+        small = calls_per_put("ldc", 4_000)
+        large = calls_per_put("ldc", 40_000)
+        assert large <= 1.5 * small, (small, large)
+
+
+class TestFlashCostVersusOwners:
+    @staticmethod
+    def calls_with_owners(owners: int) -> int:
+        spec = FlashSpec(
+            page_bytes=256, pages_per_block=8, logical_bytes=1024 * 1024
+        )
+        device = SimulatedSSD(DeviceConfig(flash=spec))
+        for owner in range(owners):
+            device.write(300, FLUSH_WRITE, sequential=True, owner=owner)
+        device.write(100, WAL_WRITE, sequential=True, owner="log", stream=True)
+
+        def run():
+            device.write(700, FLUSH_WRITE, sequential=True, owner="new")
+            device.write(300, WAL_WRITE, sequential=True, owner="log", stream=True)
+            device.trim("new")
+            device.trim("log")
+
+        calls = total_calls(run)
+        device.flash.check_invariants()
+        return calls
+
+    def test_host_write_and_trim_do_not_visit_other_owners(self):
+        # Both counts leave the open block at the same fill (two pages per
+        # owner, eight per block), so block turnover is the same too.
+        assert self.calls_with_owners(800) == self.calls_with_owners(8)

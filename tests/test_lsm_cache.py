@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import DB, LDCPolicy, LeveledCompaction
-from repro.errors import ConfigError
+from repro.errors import ConfigError, EngineError
 from repro.lsm.cache import BlockCache
 from repro.lsm.config import LSMConfig
 
@@ -76,7 +76,7 @@ class TestBlockCacheUnit:
         cache.insert(1, 0, 100)
         cache.insert(1, 1, 100)
         cache.insert(2, 0, 100)
-        freed = cache.evict_file(1)
+        freed = cache.evict_file(1, 2)
         assert freed == 200
         assert cache.used_bytes == 100
         assert len(cache) == 1
@@ -86,14 +86,14 @@ class TestBlockCacheUnit:
     def test_evict_unknown_file_is_noop(self):
         cache = BlockCache(1000)
         cache.insert(1, 0, 100)
-        assert cache.evict_file(99) == 0
+        assert cache.evict_file(99, 4) == 0
         assert cache.used_bytes == 100
 
     def test_evict_does_not_count_as_miss(self):
         cache = BlockCache(1000)
         cache.insert(1, 0, 100)
         hits, misses = cache.hits, cache.misses
-        cache.evict_file(1)
+        cache.evict_file(1, 1)
         assert (cache.hits, cache.misses) == (hits, misses)
 
     @given(
@@ -131,7 +131,7 @@ class TestBlockCacheUnit:
                 _, file_id, block, nbytes = action
                 cache.insert(file_id, block, nbytes)
             else:
-                cache.evict_file(action[1])
+                cache.evict_file(action[1], 9)  # blocks are drawn from 0..8
             assert cache.used_bytes == sum(cache._entries.values())
             assert cache.used_bytes <= 2048
 
@@ -233,6 +233,25 @@ class TestCacheInEngine:
         cached = {file_id for file_id, _ in db.block_cache._entries}
         assert cached <= live | frozen
 
+    def test_invariants_reject_blocks_evict_file_cannot_reach(self):
+        """``evict_file`` pops blocks ``0 .. num_blocks - 1`` only, so a
+        resident key past a live file's block count would outlive it."""
+        db = DB(config=self._config(128 * 1024), policy=LDCPolicy())
+        for index in range(3000):
+            db.put(key_of(index % 500), b"v" * 40)
+        for index in range(0, 500, 5):
+            db.get(key_of(index))
+        db.check_invariants()
+        assert len(db.block_cache) > 0
+        table = next(iter(db.version.all_tables()))
+        db.block_cache.insert(table.file_id, table.num_blocks, 64)
+        with pytest.raises(EngineError, match=f"block {table.num_blocks} of file"):
+            db.check_invariants()
+        db.block_cache.evict_file(table.file_id, table.num_blocks + 1)
+        db.block_cache.insert(10**9, 0, 64)
+        with pytest.raises(EngineError, match="dead files"):
+            db.check_invariants()
+
     def test_scan_uses_cache(self):
         db = DB(config=self._config(128 * 1024), policy=LeveledCompaction())
         for index in range(2000):
@@ -273,7 +292,7 @@ class TestEvictionCounters:
         cache = BlockCache(1024)
         cache.insert(1, 0, 100)
         cache.insert(2, 0, 100)
-        cache.evict_file(1)
+        cache.evict_file(1, 1)
         assert "cache.evictions" not in cache.registry.counters()
         assert cache.evictions == 0
 

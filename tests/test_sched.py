@@ -168,6 +168,55 @@ class TestReplay:
         assert list(with_sched.logical_items()) == list(without.logical_items())
 
 
+class TestIdleGate:
+    """``_start_rounds`` honours the policy's idle gate like the inline path."""
+
+    @staticmethod
+    def settled_db(policy: str, **overrides):
+        """A loaded store with no round due and every thread idle *now*."""
+        db = DB(config=sched_config(**overrides), policy=policy)
+        write_some(db, 600)
+        polls = []
+        step = db.policy.step
+        db.policy.step = lambda: polls.append(step()) or polls[-1]
+        while not polls or polls[-1]:
+            db.get(key_of(0))
+            db.sched.drain()
+        return db, polls
+
+    def test_idle_read_phase_polls_the_policy_once(self):
+        db, polls = self.settled_db("udc")
+        assert not db.config.seek_compaction_enabled
+        db.policy._maintenance_idle = False
+        del polls[:]
+        for index in range(50):
+            db.get(key_of(index))
+        assert polls == [False]
+        assert db.policy._maintenance_idle
+
+    def test_flush_re_arms_the_poll(self):
+        db, polls = self.settled_db("udc")
+        assert db.policy._maintenance_idle
+        del polls[:]
+        db.put(key_of(1), b"v" * 64)  # stays in the memtable: still gated
+        db.get(key_of(1))
+        assert polls == []
+        db.flush()
+        assert not db.policy._maintenance_idle
+        db.get(key_of(2))
+        assert len(polls) == 1
+        db.check_invariants()
+
+    def test_adaptive_ldc_still_polls_every_operation(self):
+        db, polls = self.settled_db("ldc", adaptive_threshold=True)
+        del polls[:]
+        for index in range(50):
+            db.get(key_of(index))
+        # Each no-work poll sets the gate; the next operation's
+        # notification to the adaptive controller clears it again.
+        assert polls == [False] * 50
+
+
 class TestDiscard:
     def test_discard_clears_all_inflight_state(self):
         db = DB(config=sched_config(bg_threads=1))

@@ -12,6 +12,7 @@ import pytest
 
 from repro import BackpressureError, ConfigError, DB, QueueFullError
 from repro.errors import AdmissionError
+from repro.harness.latency import LatencyRecorder
 from repro.lsm.config import LSMConfig
 from repro.serve import (
     DiurnalProcess,
@@ -28,6 +29,7 @@ from repro.serve import (
     serve_workload,
     split_rate,
 )
+from repro.serve.server import RECORD_BATCH
 from repro.workload import rwb
 from repro.workload.ycsb import OP_GET, OP_PUT, Operation
 
@@ -424,6 +426,65 @@ class TestServeWorkload:
     def test_empty_tenants_tuple_rejected(self):
         with pytest.raises(ConfigError):
             ServeSpec(tenants=()).resolve_tenants()
+
+    @pytest.mark.parametrize(
+        "serve",
+        [
+            # Overload, priorities and a short queue: rejections, reordered
+            # completions, tenants of very different sizes.
+            ServeSpec(
+                arrival="poisson",
+                tenants=(
+                    Tenant("gold", 30_000.0, priority=0),
+                    Tenant("bulk", 30_000.0, priority=9),
+                    Tenant("rare", 300.0, priority=5),
+                ),
+                discipline="priority",
+                queue_depth=16,
+            ),
+            ServeSpec(arrival="closed"),
+        ],
+        ids=["open", "closed"],
+    )
+    def test_batched_recorders_equal_a_per_sample_replay(self, serve, monkeypatch):
+        """The loops buffer samples and record them a batch at a time; the
+        same run with every batch fed through per-sample ``record`` must
+        leave every recorder, fleet-wide and per tenant, in the same state."""
+
+        def recorder_state(recorder):
+            histogram = recorder.histogram
+            return (
+                list(recorder.values), len(recorder), recorder._sum,
+                recorder._min, recorder._max, recorder.is_sampled,
+                dict(histogram._buckets), histogram.count, histogram.total,
+                histogram._min, histogram._max,
+            )
+
+        def all_states(result):
+            recorders = [result.wait_latencies, result.service_latencies,
+                         result.total_latencies]
+            for stats in result.tenant_stats:
+                recorders += [stats.wait_latencies, stats.total_latencies]
+            return [recorder_state(recorder) for recorder in recorders]
+
+        def per_sample(recorder, latencies):
+            for latency in latencies:
+                recorder.record(latency)
+
+        batched = serve_workload(SPEC, "ldc", serve)
+        monkeypatch.setattr(LatencyRecorder, "record_many", per_sample)
+        replayed = serve_workload(SPEC, "ldc", serve)
+        monkeypatch.undo()
+
+        assert all_states(batched) == all_states(replayed)
+        assert batched.fingerprint() == replayed.fingerprint()
+        # Several full batches and a remainder, none left in the buffer.
+        assert batched.completed > 2 * RECORD_BATCH
+        assert batched.completed % RECORD_BATCH
+        assert len(batched.total_latencies) == batched.completed
+        for stats in batched.tenant_stats:
+            assert len(stats.wait_latencies) == stats.completed
+            assert len(stats.total_latencies) == stats.completed
 
 
 # ----------------------------------------------------------------------
