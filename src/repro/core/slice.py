@@ -120,12 +120,6 @@ class Slice:
         """Device bytes to load the whole slice during a merge."""
         return self.source.block_bytes_in_range(self.lo, self.hi)
 
-    def point_read_block_bytes(self, key: bytes) -> int:
-        """Device bytes to check ``key`` inside this slice (one block)."""
-        if not self.covers_key(key):
-            return 0
-        return self.source.block_bytes_for_key(key)
-
     def scan_block_bytes(self, lo: Optional[bytes], hi: Optional[bytes]) -> int:
         """Device bytes a scan over ``[lo, hi)`` reads from this slice."""
         clamped_lo, clamped_hi = clamp_range(self.lo, self.hi, lo, hi)

@@ -26,14 +26,9 @@ from __future__ import annotations
 
 import math
 import zlib
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
-
-_MASK64 = 0xFFFFFFFFFFFFFFFF
-
-_crc32 = zlib.crc32
-_adler32 = zlib.adler32
 
 #: Below this many keys the scalar build path wins over numpy call overhead.
 _VECTOR_BUILD_MIN = 8
@@ -42,7 +37,9 @@ _VECTOR_BUILD_MIN = 8
 #: recur across thousands of SSTable constructions during compaction (the
 #: hash pair is a pure function of the key bytes), so build paths consult
 #: this before recomputing.  Capped so unbounded key universes cannot grow
-#: it without limit; on overflow new keys are simply not memoised.
+#: it without limit; on overflow new keys are simply not memoised.  Only
+#: the build path writes it: a lookup reads it (:func:`key_hashes`) but a
+#: read of a never-written key must not leave an entry behind.
 _HASH_CACHE: dict = {}
 _HASH_CACHE_MAX = 1 << 20
 
@@ -54,6 +51,16 @@ def _base_hashes(key: bytes) -> tuple[int, int]:
     power-of-two modulus and never degenerates to a single position.
     """
     return zlib.crc32(key), (zlib.adler32(key) << 1) | 1
+
+
+def key_hashes(key: bytes) -> tuple[int, int]:
+    """The ``(h1, h2)`` pair for a lookup of ``key``, via the shared memo.
+
+    A point lookup calls this once and hands the pair to every filter it
+    probes (:meth:`BloomFilter.may_contain`).  The memo is read, never
+    written.
+    """
+    return _HASH_CACHE.get(key) or _base_hashes(key)
 
 
 def optimal_hash_count(bits_per_key: float) -> int:
@@ -74,19 +81,22 @@ class BloomFilter:
     (nothing was inserted, so nothing can be present).
     """
 
-    __slots__ = ("_bits", "_nbits", "_nhashes", "_empty", "bits_per_key")
+    __slots__ = ("_bits", "_nbits", "_rounds", "_empty", "bits_per_key")
 
     def __init__(self, keys: Sequence[bytes], bits_per_key: int) -> None:
         self.bits_per_key = bits_per_key
         if bits_per_key <= 0 or not keys:
             self._bits = bytearray()
             self._nbits = 0
-            self._nhashes = 0
+            self._rounds = range(0)
             self._empty = bits_per_key > 0
             return
         nbits = max(64, len(keys) * bits_per_key)
         self._nbits = nbits
-        self._nhashes = optimal_hash_count(bits_per_key)
+        # One round per hash function.  Kept as the probe loop's iterable,
+        # built once: a ``range()`` call per probe costs as much as two of
+        # the bit tests it drives.
+        self._rounds = range(optimal_hash_count(bits_per_key))
         self._empty = False
         if len(keys) >= _VECTOR_BUILD_MIN:
             self._bits = self._build_vectorized(keys, nbits)
@@ -128,7 +138,7 @@ class BloomFilter:
                 push2(pair[1])
         h1 = np.array(h1_list, dtype=np.int64)
         h2 = np.array(h2_list, dtype=np.int64)
-        steps = np.arange(self._nhashes, dtype=np.int64)
+        steps = np.arange(len(self._rounds), dtype=np.int64)
         positions = (h1[:, None] + h2[:, None] * steps[None, :]) % nbits
         flags = np.zeros(((nbits + 7) // 8) * 8, dtype=bool)
         flags[positions.ravel()] = True
@@ -138,30 +148,30 @@ class BloomFilter:
         h1, h2 = _base_hashes(key)
         bits = self._bits
         nbits = self._nbits
-        for _ in range(self._nhashes):
+        for _ in self._rounds:
             bit = h1 % nbits
             bits[bit >> 3] |= 1 << (bit & 7)
-            h1 = (h1 + h2) & _MASK64
+            h1 += h2
 
-    def may_contain(self, key: bytes) -> bool:
-        """Return False only if ``key`` was definitely not inserted."""
+    def may_contain(
+        self, key: bytes, hashes: Optional[tuple[int, int]] = None
+    ) -> bool:
+        """Return False only if ``key`` was definitely not inserted.
+
+        ``hashes`` is ``key_hashes(key)`` when the caller already has it:
+        a point lookup probes many filters with one key, and the pair
+        depends on the key alone.
+        """
         nbits = self._nbits
         if nbits == 0:
             return not self._empty
-        # Hottest call in the read path: reuse the shared hash memo (hot
-        # keys recur across probes) before falling back to the checksums.
-        pair = _HASH_CACHE.get(key)
-        if pair is None:
-            pair = (_crc32(key), (_adler32(key) << 1) | 1)
-            if len(_HASH_CACHE) < _HASH_CACHE_MAX:
-                _HASH_CACHE[key] = pair
-        h1, h2 = pair
+        h1, h2 = hashes if hashes is not None else key_hashes(key)
         bits = self._bits
-        for _ in range(self._nhashes):
+        for _ in self._rounds:
             bit = h1 % nbits
             if not bits[bit >> 3] & (1 << (bit & 7)):
                 return False
-            h1 = (h1 + h2) & _MASK64
+            h1 += h2  # < 2**40 (see _build_vectorized): never wraps
         return True
 
     @property
@@ -171,7 +181,7 @@ class BloomFilter:
 
     @property
     def hash_count(self) -> int:
-        return self._nhashes
+        return len(self._rounds)
 
     def false_positive_rate(self, probes: Iterable[bytes]) -> float:
         """Measure the empirical FPR against keys known to be absent."""

@@ -92,7 +92,8 @@ class BlockCache:
         return False
 
     def probe(self, file_id: int, block_index: int) -> bool:
-        """:meth:`lookup` minus the count; range reads report totals once."""
+        """:meth:`lookup` minus the count; the engine's reads report totals
+        once per point lookup or range read (:meth:`count_probes`)."""
         key = (file_id, block_index)
         if key in self._entries:
             self._entries.move_to_end(key)

@@ -23,8 +23,10 @@ files' Bloom filters) before the file (§III-B.3).
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_left
 from typing import Iterator, List, Optional, Sequence, Tuple
 
+from .bloom import key_hashes
 from .builder import SSTableBuilder
 from .cache import BlockCache
 from .config import LSMConfig
@@ -165,7 +167,7 @@ class DB:
         # Stall triggers, cached: _maybe_stall runs before every write.
         self._l0_stop = self.config.l0_stop_trigger
         self._l0_slowdown = self.config.l0_slowdown_trigger
-        # Fused user-read charging (see _charge_point_read): only the
+        # Fused user-read charging (see _read_block): only the
         # plain simulated device has a closed-form cost with no fault
         # hooks; anything else keeps the full device.read call.
         if type(self.device) is SimulatedSSD:
@@ -546,89 +548,85 @@ class DB:
     def multi_get(self, keys: Sequence[bytes]) -> List[Optional[bytes]]:
         """Point-lookup many keys; returns values aligned with ``keys``.
 
-        The batched-read fast path: per-key simulated effects (policy
-        notification, clock charges, maintenance step) are identical to
-        calling :meth:`get` once per key — only the Python dispatch
-        overhead is amortised, so metrics and virtual time stay
-        bit-identical to the per-op loop.
+        A loop over :meth:`get`: every per-key effect (policy
+        notification, clock charges, counters, maintenance step) is a
+        get's, so metrics and virtual time match the per-op loop by
+        construction.
         """
         self._check_open()
-        on_operation = self.policy.on_operation
-        now = self.clock.now
-        count = self._count
-        lookup = self._lookup
-        charge = self.engine_stats.charge_activity
-        maintenance = self._maintenance_step
-        results: List[Optional[bytes]] = []
-        push = results.append
-        for key in keys:
-            _check_key(key)
-            on_operation(False)
-            start = now()
-            count("engine.gets")
-            record = lookup(key)
-            charge(ACT_READ, now() - start)
-            maintenance()
-            if record is None or record[2] == KIND_DELETE:
-                push(None)
-            else:
-                count("engine.get_hits")
-                push(record[3])
-        return results
+        get = self.get
+        return [get(key) for key in keys]
 
     def _lookup(self, key: bytes) -> Optional[KVRecord]:
+        """The newest record stored under ``key`` (tombstones included).
+
+        What depends on the key alone is worked out here, once, and handed
+        to every probe: the Bloom hash pair, and a tally of filter skips
+        and cache hits/misses that reaches the registry when the lookup
+        ends.  The constant CPU charges are added to the clock in place,
+        one float add per charge in probe order — never summed, never
+        moved past a block read, because a device read behind a
+        :class:`~repro.ssd.clock.DeviceChannel` reads the clock.  That is
+        ``clock.advance`` only while no capture diverts charges, hence the
+        guard; costs are non-negative by ``CostModel`` validation.
+        """
+        clock = self.clock
+        if clock._capture is not None:
+            raise EngineError("a point lookup cannot run inside a clock capture")
         costs = self.config.costs
-        advance = self.clock.advance
-        advance(costs.memtable_lookup_us)
+        clock._now_us += costs.memtable_lookup_us
         record = self._memtable.get(key)
         if record is not None:
             return record
-        version = self.version
+        hashes = key_hashes(key)
+        tally = [0, 0, 0]  # Bloom-negative skips, cache hits, cache misses
         lookup_unit = self._lookup_unit
-        bloom_us = costs.bloom_check_us
-        count = self._count
-        # Level 0: overlapping files, newest first.  Files are installed
-        # by append with monotonically increasing ids, so reversed() gives
-        # newest-first without a per-lookup sort.
-        for table in reversed(version.files(0)):
-            if not table.min_key <= key <= table.max_key:
-                continue
-            record = lookup_unit(key, table, advance, bloom_us, count)
-            if record is not None:
-                return record
-        # Deeper levels.  Every sorted level charges its index probe even
-        # when empty — the golden virtual-time contract.
-        if version.sorted_levels:
-            index_us = costs.index_lookup_us
-            find_responsible = version.find_responsible_file
-            for level in range(1, version.num_levels):
-                advance(index_us)
-                # Route by responsibility range, not raw range: linked
-                # slices can hold keys outside their carrier file's own
-                # [min, max] (see VersionSet.find_responsible_file).
-                table = find_responsible(level, key)
-                if table is not None:
-                    record = lookup_unit(key, table, advance, bloom_us, count)
-                    if record is not None:
-                        return record
-        else:
-            for level in range(1, version.num_levels):
-                # Tiered levels are append-ordered like Level 0.
-                for table in reversed(version.files(level)):
+        version = self.version
+        levels = version.levels
+        # Overlapping levels — Level 0, and every level of a tiered tree —
+        # hold files in append order with increasing ids, so reversed()
+        # gives newest-first without a per-lookup sort.
+        overlapping = 1 if version.sorted_levels else len(levels)
+        try:
+            for level in range(overlapping):
+                for table in reversed(levels[level]):
                     if not table.min_key <= key <= table.max_key:
                         continue
-                    record = lookup_unit(key, table, advance, bloom_us, count)
+                    record = lookup_unit(key, hashes, table, tally)
                     if record is not None:
                         return record
-        return None
+            # Sorted levels.  Each charges its index probe even when empty
+            # — the golden virtual-time contract — and routes by
+            # responsibility range, not raw range: linked slices can hold
+            # keys outside their carrier file's own [min, max].  The bisect
+            # is VersionSet.find_responsible_file, inlined.
+            index_us = costs.index_lookup_us
+            max_keys = version._max_keys
+            for level in range(overlapping, len(levels)):
+                clock._now_us += index_us
+                files = levels[level]
+                if files:
+                    index = bisect_left(max_keys[level], key)
+                    table = files[index] if index < len(files) else files[-1]
+                    record = lookup_unit(key, hashes, table, tally)
+                    if record is not None:
+                        return record
+            return None
+        finally:
+            # Also on a CorruptionError: what was probed before it counts.
+            # Zeros create no counter (the registry's key set is hashed
+            # by the batched-API fingerprints).
+            skips, hits, misses = tally
+            if skips:
+                counters = self._counters
+                counters["engine.bloom_negative_skips"] = (
+                    counters.get("engine.bloom_negative_skips", 0) + skips
+                )
+            if hits or misses:
+                self.block_cache.count_probes(hits, misses)
 
     def _lookup_unit(
-        self,
-        key: bytes,
-        table: SSTable,
-        advance,
-        bloom_us: float,
-        count,
+        self, key: bytes, hashes: Tuple[int, int], table: SSTable, tally: List[int]
     ) -> Optional[KVRecord]:
         """Check one level-resident SSTable and its linked slices.
 
@@ -637,27 +635,33 @@ class DB:
         (they are checked via the frozen files' Bloom filters, the
         mechanism Figs. 12c/f and 13 study).
 
-        ``advance`` / ``bloom_us`` / ``count`` arrive pre-resolved from
-        :meth:`_lookup` — this runs several times per point lookup, and
-        the attribute chains dominate its cost otherwise.
+        ``hashes`` / ``tally`` are the per-lookup state of :meth:`_lookup`,
+        whose capture guard also covers the in-place clock charges here.
         """
-        best: Optional[KVRecord] = None
+        clock = self.clock
+        bloom_us = self.config.costs.bloom_check_us
         if table.slice_links:
-            for piece in table.links_newest_first():
-                if not piece.covers_key(key):
+            best: Optional[KVRecord] = None
+            # Direct slot reads skip the lazily-built ``links_newest_first``
+            # / ``bloom`` accessors on the hot path; they still build on
+            # first use.
+            links = table._links_newest
+            if links is None:
+                links = table.links_newest_first()
+            for piece in links:
+                lo = piece.lo
+                hi = piece.hi
+                if (lo is not None and key < lo) or (hi is not None and key >= hi):
                     continue
-                advance(bloom_us)
-                # Direct slot read skips the lazy-build ``bloom`` property
-                # on the hot path; the property still builds on first use.
+                clock._now_us += bloom_us
                 source = piece.source
                 bloom = source._bloom
                 if bloom is None:
                     bloom = source.bloom
-                if not bloom.may_contain(key):
-                    count("engine.bloom_negative_skips")
+                if not bloom.may_contain(key, hashes):
+                    tally[0] += 1
                     continue
-                self._charge_point_read(source, key)
-                record = piece.get(key)
+                record = self._read_block(source, key, tally)
                 if record is not None and (best is None or record[1] > best[1]):
                     best = record
             if best is not None:
@@ -666,15 +670,14 @@ class DB:
             # The key fell in this file's responsibility gap: only the
             # slices (checked above) could have held it.
             return None
-        advance(bloom_us)
+        clock._now_us += bloom_us
         bloom = table._bloom
         if bloom is None:
             bloom = table.bloom
-        if not bloom.may_contain(key):
-            count("engine.bloom_negative_skips")
+        if not bloom.may_contain(key, hashes):
+            tally[0] += 1
             return None
-        self._charge_point_read(table, key)
-        record = table.get(key)
+        record = self._read_block(table, key, tally)
         if record is None and self.config.seek_compaction_enabled:
             # LevelDB seek compaction: an unproductive probe (block read
             # that found nothing) spends the file's seek budget.
@@ -683,41 +686,49 @@ class DB:
                 self.policy.note_seek_exhausted(table)
         return record
 
-    def _charge_point_read(self, table: SSTable, key: bytes) -> None:
-        """Charge one data-block read, via the block cache when enabled.
+    def _read_block(
+        self, table: SSTable, key: bytes, tally: List[int]
+    ) -> Optional[KVRecord]:
+        """Read the one data block of ``table`` that could hold ``key``.
 
-        A cache hit costs a CPU constant; a miss reads the block from the
-        device and installs it.  Only device reads count toward the
-        Fig. 13 block-read statistic.
+        Returns the record found there (None when absent), charging the
+        block via the block cache when enabled: a cache hit costs a CPU
+        constant; a miss reads the block from the device and installs it.
+        Only device reads count toward the Fig. 13 block-read statistic.
+        A key outside the file's own range — reachable through a slice
+        wider than its source, on a Bloom false positive — has no block:
+        nothing is read and nothing charged.
         """
-        located = table.block_for_key(key)
+        located = table.locate(key)
         if located is None:
-            return
-        block_index, nbytes = located
+            return None
+        record, block_index, nbytes = located
         cache = self.block_cache
-        if cache is not None and cache.lookup(table.file_id, block_index):
-            self.clock.advance(self.config.costs.cache_hit_us)
-            self.tracer.emit(
-                EV_CACHE_HIT, file_id=table.file_id, block=block_index,
-                nbytes=nbytes,
-            )
-            return
+        tracer = self.tracer  # shared with the device (see __init__)
+        tracing = tracer.active
         if cache is not None:
-            self.tracer.emit(
-                EV_CACHE_MISS, file_id=table.file_id, block=block_index,
-                nbytes=nbytes,
-            )
+            if cache.probe(table.file_id, block_index):
+                tally[1] += 1
+                self.clock._now_us += self.config.costs.cache_hit_us
+                if tracing:
+                    tracer.emit(
+                        EV_CACHE_HIT, file_id=table.file_id, block=block_index,
+                        nbytes=nbytes,
+                    )
+                return record
+            tally[2] += 1
+            if tracing:
+                tracer.emit(
+                    EV_CACHE_MISS, file_id=table.file_id, block=block_index,
+                    nbytes=nbytes,
+                )
         stats = self._user_read_stats
         device = self.device
-        if (
-            stats is not None
-            and device.channel is None
-            and not device.tracer.active
-        ):
+        if stats is not None and device.channel is None and not tracing:
             # Fused plain-device block read: identical charge expression
             # and counter updates to SimulatedSSD.read, one call deep.
             elapsed = self._read_overhead + nbytes * self._read_per_byte
-            self.clock.advance_io(elapsed, nbytes)
+            self.clock._now_us += elapsed
             stats.record(nbytes, elapsed)
         else:
             device.read(nbytes, USER_READ)
@@ -731,6 +742,7 @@ class DB:
         )
         if cache is not None:
             cache.insert(table.file_id, block_index, nbytes)
+        return record
 
     def _verify_block_read(self, table: SSTable, block_indices) -> None:
         """Check a just-charged device read of ``table`` blocks for corruption.

@@ -341,23 +341,24 @@ class SSTable:
             return self._records[index]
         return None
 
-    def block_for_key(self, key: bytes) -> Optional[tuple[int, int]]:
-        """The ``(block_index, nbytes)`` a point lookup of ``key`` reads.
+    def locate(
+        self, key: bytes
+    ) -> Optional[tuple[Optional[KVRecord], int, int]]:
+        """What a point lookup of ``key`` reads: ``(record, block, nbytes)``.
 
-        Returns None when ``key`` falls outside this file's range.
+        One bisect of the key column answers both questions a lookup asks:
+        which data block it must read (index and device bytes) and which
+        record, if any, that block holds under ``key``.  Returns None when
+        ``key`` falls outside this file's ``[min_key, max_key]`` — there is
+        no block to read, so nothing to charge.
         """
-        if not self.covers_key(key):
+        if not self.min_key <= key <= self.max_key:
             return None
-        index = bisect_left(self._keys, key)
-        if index == len(self._keys):
-            index -= 1
+        keys = self._keys
+        index = bisect_left(keys, key)  # < len(keys): key <= max_key
         block = bisect_right(self._block_starts, index) - 1
-        return block, self._block_bytes[block]
-
-    def block_bytes_for_key(self, key: bytes) -> int:
-        """Device bytes a point lookup of ``key`` must read (one block)."""
-        located = self.block_for_key(key)
-        return 0 if located is None else located[1]
+        record = self._records[index] if keys[index] == key else None
+        return record, block, self._block_bytes[block]
 
     def blocks_in_range(
         self, lo: Optional[bytes], hi: Optional[bytes]

@@ -212,22 +212,6 @@ class VersionSet:
             stop += 1
         return files[start:stop]
 
-    def find_file(self, level: int, key: bytes) -> Optional[SSTable]:
-        """The unique file in a sorted level whose range may contain ``key``.
-
-        Runs once per level per point lookup; bounds checking is left to
-        the list indexing itself.
-        """
-        if level == 0 or not self.sorted_levels:
-            raise EngineError("find_file is undefined for overlapping levels")
-        files = self.levels[level]
-        if not files:
-            return None
-        index = bisect_left(self._max_keys[level], key)
-        if index < len(files) and files[index].min_key <= key:
-            return files[index]
-        return None
-
     def find_responsible_file(self, level: int, key: bytes) -> Optional[SSTable]:
         """The file whose *responsibility range* covers ``key``.
 
@@ -237,19 +221,15 @@ class VersionSet:
         attaches slices by responsibility, so a slice on file F may cover
         keys *outside* F's own ``[min, max]`` — lookups must therefore
         route by responsibility, not by raw range, or gap keys would skip
-        the slices holding their newest versions.
+        the slices holding their newest versions.  ``DB._lookup`` runs this
+        bisect inline, once per sorted level of every point lookup.
         """
         if level == 0 or not self.sorted_levels:
             raise EngineError(
                 "find_responsible_file is undefined for overlapping levels"
             )
         files = self.levels[level]
-        if not files:
-            return None
-        index = bisect_left(self._max_keys[level], key)
-        if index < len(files):
-            return files[index]
-        return files[-1]
+        return files[self.responsible_index(level, key)] if files else None
 
     def responsible_index(self, level: int, key: bytes) -> int:
         """Index of :meth:`find_responsible_file`'s answer (non-empty level)."""

@@ -81,10 +81,18 @@ class TestSlice:
         assert piece.size_bytes <= cost <= source.data_size
 
     def test_point_read_cost(self):
+        """A lookup reads one source block for a covered key, none otherwise."""
         source = frozen_table(0, 200)
         piece = Slice(source, b"000050", b"000060", link_seq=1)
-        assert piece.point_read_block_bytes(b"000055") > 0
-        assert piece.point_read_block_bytes(b"000070") == 0
+        assert piece.covers_key(b"000055")
+        record, _block, nbytes = source.locate(b"000055")
+        assert record is piece.get(b"000055") and nbytes > 0
+        # In the source but outside the slice: the lookup never asks.
+        assert not piece.covers_key(b"000070")
+        assert piece.get(b"000070") is None
+        # Covered by a slice wider than its source: no block, no charge.
+        wide = Slice(source, None, None, link_seq=2)
+        assert wide.covers_key(b"000900") and source.locate(b"000900") is None
 
     def test_scan_cost_zero_outside(self):
         source = frozen_table(0, 100)

@@ -7,23 +7,30 @@ exactly, so nothing here depends on how fast the machine is.
 
 The bookkeeping they pin used to rescan a level (or every flash owner,
 or the whole block cache) per compaction round or per request; the
-bounds below fail on any return to that.
+bounds below fail on any return to that.  The last class pins the point
+lookup the same way — what a get pays per Bloom probe — against the
+per-probe routine it replaced (``tests/_lookup_oracle.py``).
 """
 
 import cProfile
 import math
 import random
+from functools import partial
 from itertools import count
 from types import SimpleNamespace
 
 from repro import DB, DeviceConfig, FlashSpec, SimulatedSSD
 from repro.core.primitives import LDCLinkMergeMovement
+from repro.core.slice import Slice, attach_slice
+from repro.lsm import bloom as bloom_module
 from repro.lsm.config import LSMConfig
 from repro.lsm.keys import key_successor
 from repro.lsm.record import put_record
 from repro.lsm.sstable import SSTable
 from repro.lsm.version import VersionSet
 from repro.ssd.metrics import FLUSH_WRITE, WAL_WRITE
+
+from ._lookup_oracle import oracle_get
 
 CONFIG = LSMConfig(max_levels=4)
 LEVEL = 2
@@ -199,3 +206,156 @@ class TestFlashCostVersusOwners:
         # Both counts leave the open block at the same fill (two pages per
         # owner, eight per block), so block turnover is the same too.
         assert self.calls_with_owners(800) == self.calls_with_owners(8)
+
+
+def loaded_store(policy: str, keys: int) -> DB:
+    """``keys`` 1 KB records in random order, compacted, behind a small cache."""
+    db = DB(config=LSMConfig(block_cache_bytes=256 * 1024), policy=policy)
+    rng = random.Random(5)
+    order = list(range(keys))
+    rng.shuffle(order)
+    for number in order:
+        db.put(key_of(number), b"v" * 1024)
+    db.policy.maybe_compact()
+    return db
+
+
+def calls_per_get(get, stream) -> float:
+    """Profiled calls per ``get(key)`` over ``stream``, filters already built."""
+    for key in stream:
+        get(key)
+
+    def run():
+        for key in stream:
+            get(key)
+
+    return total_calls(run) / len(stream)
+
+
+def linked_target(links: int) -> DB:
+    """One Level-1 file carrying ``links`` slices, all covering every key.
+
+    The slices' sources hold other keys than the file, so a get of one
+    of the file's keys probes (and is turned away by) every slice filter
+    before it reads the file itself.
+    """
+    db = DB(config=CONFIG, policy="ldc")
+    target = SSTable.from_records(
+        db.next_file_id(),
+        [put_record(key_of(10 * n), b"v", n + 1) for n in range(100)],
+        CONFIG,
+    )
+    db.version.add_file(1, target)
+    for link in range(links):
+        source = SSTable.from_records(
+            db.next_file_id(),
+            [put_record(key_of(10 * n + link + 1), b"w", 1_000 + n) for n in range(100)],
+            CONFIG,
+        )
+        source.frozen = True
+        source.refcount = 1
+        piece = Slice(source, None, None, link_seq=link + 1)
+        attach_slice(target, piece)
+        db.version.note_linked_bytes(1, piece.size_bytes)
+    return db
+
+
+def turned_away_keys(db: DB) -> list:
+    """Keys of ``linked_target``'s file that every slice filter turns away
+    (no false positive in the way, so no block read of a source)."""
+    target = db.version.files(1)[0]
+    return [
+        key
+        for key in target._keys
+        if not any(p.source.bloom.may_contain(key) for p in target.slice_links)
+    ]
+
+
+class TestCallsPerGet:
+    """A get pays per lookup, not per probe — counted against the oracle.
+
+    ``tests/_lookup_oracle.oracle_get`` is the per-probe lookup this
+    replaced; both run on identically built stores, so the bounds do not
+    depend on the shape of the tree.  All four fail on the old routine.
+    """
+
+    @staticmethod
+    def ratio(policy: str, keys: int) -> float:
+        new, old = loaded_store(policy, keys), loaded_store(policy, keys)
+        rng = random.Random(9)
+        stream = [key_of(rng.randrange(keys)) for _ in range(1_000)]
+        if policy == "ldc":
+            links = [
+                len(table.slice_links)
+                for table in new.version.all_tables()
+                if table.slice_links
+            ]
+            assert sum(links) >= 4 * len(links) > 0, links
+        calls = calls_per_get(new.get, stream)
+        oracle_calls = calls_per_get(partial(oracle_get, old), stream)
+        assert new.metrics().counters == old.metrics().counters
+        return calls / oracle_calls
+
+    def test_ldc_get_costs_under_six_tenths_of_the_per_probe_lookup(self):
+        """Measured 0.45 on a store with 4.7 links per linked file."""
+        assert self.ratio("ldc", 8_000) <= 0.6
+
+    def test_udc_get_costs_under_eight_tenths_of_the_per_probe_lookup(self):
+        """Measured 0.60: three probes a get leave less per-probe cost to fold."""
+        assert self.ratio("udc", 4_000) <= 0.8
+
+    def test_one_more_covering_slice_costs_at_most_three_calls(self):
+        """The marginal probe is ``may_contain`` and nothing else.
+
+        The per-probe lookup paid seven: ``covers_key``, ``in_range``,
+        ``advance``, ``may_contain``, its memo ``dict.get``, and
+        ``registry.add`` with its ``dict.get``.
+        """
+        few, many = linked_target(4), linked_target(8)
+        stream = [
+            key for key in turned_away_keys(many) if key in turned_away_keys(few)
+        ]
+        assert len(stream) >= 50
+        marginal = (
+            calls_per_get(many.get, stream) - calls_per_get(few.get, stream)
+        ) / 4
+        assert many.engine_stats.bloom_negative_skips == 2 * 8 * len(stream)
+        assert marginal <= 3, marginal
+        few, many = linked_target(4), linked_target(8)
+        oracle_marginal = (
+            calls_per_get(partial(oracle_get, many), stream)
+            - calls_per_get(partial(oracle_get, few), stream)
+        ) / 4
+        assert oracle_marginal >= 7, oracle_marginal
+
+    def test_one_memo_read_per_get_however_many_filters(self, monkeypatch):
+        class CountingMemo(dict):
+            reads = 0
+
+            def get(self, key, default=None):
+                CountingMemo.reads += 1
+                return dict.get(self, key, default)
+
+        db = linked_target(8)
+        stream = turned_away_keys(db)
+        for key in stream:  # build every filter; builds read the memo too
+            db.get(key)
+        monkeypatch.setattr(
+            bloom_module, "_HASH_CACHE", CountingMemo(bloom_module._HASH_CACHE)
+        )
+        probes_before = db.engine_stats.bloom_negative_skips
+        absent = [key + b"x" for key in stream]  # not in the memo: computed
+        profiler = cProfile.Profile()
+        profiler.enable()
+        for key in stream + absent:
+            db.get(key)
+        profiler.disable()
+        gets = 2 * len(stream)
+        assert db.engine_stats.bloom_negative_skips - probes_before >= 8 * gets
+        assert CountingMemo.reads == gets
+        computed = sum(
+            entry.callcount
+            for entry in profiler.getstats()
+            if isinstance(entry.code, str) and "crc32" in entry.code
+        )
+        assert computed == len(absent)

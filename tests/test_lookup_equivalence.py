@@ -1,0 +1,382 @@
+"""``DB.get`` (per-lookup costs) against the per-probe oracle.
+
+Two stores are built identically and driven through the same puts,
+deletes and gets — one through ``DB.get`` / ``DB.multi_get``, the other
+through ``tests/_lookup_oracle.oracle_get`` (the pre-rework routines).
+After *every* get they must agree on the value and on everything the
+lookup touched: the virtual clock, every registry counter (same key set,
+same values), the block cache's residency *in LRU order*, every file's
+remaining seek budget, and the emitted trace events — i.e. the rework
+changes which host calls deliver a charge, never what is charged.
+"""
+
+import random
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro import DB, DeviceConfig, FlashSpec, RingBufferSink, Tracer
+from repro.errors import CorruptionError, EngineError
+from repro.faults.plan import FaultPlan
+from repro.lsm.bloom import BloomFilter
+from repro.lsm.config import LSMConfig
+
+from ._lookup_oracle import oracle_get
+
+POLICIES = ("udc", "ldc", "tiered", "delayed")
+#: 0 = no block cache; 4 KB = thirty-two 128-byte blocks, so gets evict;
+#: 1 MB holds the whole store.
+CACHE_BYTES = (0, 4096, 1 << 20)
+#: plain = the fused user-read charge; flash = FTL + one background thread,
+#: so block reads arbitrate for the device channel; faulty = CRC-verified
+#: reads through a (clean) fault-injecting device.
+DEVICES = ("plain", "flash", "faulty")
+
+#: Stored keys are the even indices; odd indices are gap keys.
+MAX_INDEX = 120
+
+#: Answers "maybe" to every probe: forces the block read behind a filter.
+ALWAYS_MAYBE = BloomFilter((), 0)
+
+
+def tiny(cache_bytes: int, device: str = "plain") -> LSMConfig:
+    return LSMConfig(
+        memtable_bytes=512,
+        sstable_target_bytes=512,
+        block_bytes=128,
+        fan_out=3,
+        level1_capacity_bytes=1024,
+        max_levels=5,
+        slicelink_threshold=3,
+        block_cache_bytes=cache_bytes,
+        bg_threads=1 if device == "flash" else 0,
+        # Unproductive block reads spend the file's seek budget.
+        seek_compaction_enabled=True,
+    )
+
+
+def make_key(index: int) -> bytes:
+    return str(index).zfill(6).encode()
+
+
+def build(policy: str, cache_bytes: int, device: str, traced: bool) -> DB:
+    profile = {}
+    if device == "flash":
+        profile["profile"] = DeviceConfig(
+            flash=FlashSpec(
+                page_bytes=512, pages_per_block=16, logical_bytes=256 * 1024
+            )
+        )
+    return DB(
+        config=tiny(cache_bytes, device),
+        policy=policy,
+        tracer=Tracer([RingBufferSink()]) if traced else None,
+        fault_plan=FaultPlan() if device == "faulty" else None,
+        **profile,
+    )
+
+
+def all_files(db: DB):
+    for table in db.version.all_tables():
+        yield table
+        for piece in table.slice_links:
+            yield piece.source
+
+
+def observable_state(db: DB) -> tuple:
+    """Everything a get may touch, as one comparable value."""
+    cache = db.block_cache
+    residency = list(cache._entries.items()) if cache is not None else None
+    seeks = {table.file_id: table.allowed_seeks for table in all_files(db)}
+    events = [
+        (event.kind, event.t_us, event.fields)
+        for sink in db.tracer._sinks
+        for event in sink.events
+    ]
+    return (
+        db.clock.now(),
+        db.registry.counters(),
+        db.registry.gauges(),
+        residency,
+        seeks,
+        events,
+    )
+
+
+class Pair:
+    """A store read through ``DB.get`` beside its oracle-read twin."""
+
+    def __init__(self, policy, cache_bytes=0, device="plain", traced=False):
+        self.new = build(policy, cache_bytes, device, traced)
+        self.old = build(policy, cache_bytes, device, traced)
+
+    def both(self):
+        return (self.new, self.old)
+
+    def put(self, key: bytes, value: bytes) -> None:
+        for db in self.both():
+            db.put(key, value)
+
+    def delete(self, key: bytes) -> None:
+        for db in self.both():
+            db.delete(key)
+
+    def load(self, seed: int, puts: int, rounds: int = 1) -> dict:
+        """Random overwrites of the even keys: a multi-level tree."""
+        rng = random.Random(seed)
+        model = {}
+        for _ in range(rounds):
+            for index in rng.choices(range(0, MAX_INDEX + 1, 2), k=puts):
+                model[make_key(index)] = b"seed-%03d" % index + b"s" * 25
+                self.put(make_key(index), model[make_key(index)])
+        return model
+
+    def get(self, key: bytes):
+        got = self.new.get(key)
+        assert got == oracle_get(self.old, key)
+        self.assert_same_state()
+        return got
+
+    def multi_get(self, keys):
+        got = self.new.multi_get(keys)
+        assert got == [oracle_get(self.old, key) for key in keys]
+        self.assert_same_state()
+        return got
+
+    def assert_same_state(self) -> None:
+        assert observable_state(self.new) == observable_state(self.old)
+
+
+stored_indices = st.integers(0, MAX_INDEX // 2).map(lambda index: 2 * index)
+#: Stored keys, gap keys and keys past the last one.
+any_indices = st.integers(0, MAX_INDEX + 4)
+operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("put"), stored_indices, st.binary(min_size=1, max_size=40)),
+        st.tuples(st.just("delete"), stored_indices, st.none()),
+        st.tuples(st.just("get"), any_indices, st.none()),
+        st.tuples(st.just("get"), any_indices, st.none()),
+        st.tuples(
+            st.just("multi_get"), st.lists(any_indices, max_size=6), st.none()
+        ),
+    ),
+    max_size=80,
+)
+
+
+@pytest.mark.parametrize("device", DEVICES)
+@pytest.mark.parametrize("cache_bytes", CACHE_BYTES)
+@pytest.mark.parametrize("policy", POLICIES)
+class TestAgainstPerProbeOracle:
+    @given(ops=operations, traced=st.booleans())
+    @settings(
+        max_examples=8,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_same_values_and_charges(self, policy, cache_bytes, device, ops, traced):
+        pair = Pair(policy, cache_bytes, device, traced)
+        # Start from a multi-level tree (with live links under LDC), so
+        # even a short drawn sequence probes more than a memtable.
+        model = pair.load(seed=5, puts=150)
+        for kind, index, arg in ops:
+            if kind == "multi_get":
+                keys = [make_key(i) for i in index]
+                assert pair.multi_get(keys) == [model.get(key) for key in keys]
+                continue
+            key = make_key(index)
+            if kind == "put":
+                pair.put(key, arg)
+                model[key] = arg
+            elif kind == "delete":
+                pair.delete(key)
+                model.pop(key, None)
+            else:
+                assert pair.get(key) == model.get(key)
+        for index in range(0, MAX_INDEX + 5, 7):
+            assert pair.get(make_key(index)) == model.get(make_key(index))
+        pair.new.check_invariants()
+
+
+def deep_pair(policy: str, cache_bytes: int = 4096, device: str = "plain",
+              traced: bool = True) -> tuple:
+    """A pair three overwrite rounds deep, drained to disk, and its model."""
+    pair = Pair(policy, cache_bytes, device, traced)
+    model = pair.load(seed=7, puts=120, rounds=3)
+    for db in pair.both():
+        db.flush()
+    return pair, model
+
+
+def linked_files(db: DB):
+    """``(level, position, table)`` of every file carrying slice links."""
+    return [
+        (level, position, table)
+        for level in range(1, db.version.num_levels)
+        for position, table in enumerate(db.version.files(level))
+        if table.slice_links
+    ]
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+class TestDirectedKeys:
+    def test_absent_gap_and_far_keys(self, policy):
+        pair, model = deep_pair(policy)
+        last = max(model)
+        cases = [
+            make_key(51),  # absent, between two stored keys
+            make_key(1),  # absent, left of most files
+            last,  # the last stored key
+            last + b"\x00",  # just past it: beyond the last file of a level
+            make_key(10_000),  # far past it
+            b"\x00",  # before every file
+        ]
+        for key in cases + cases:  # again, over a warm cache
+            assert pair.get(key) == model.get(key), key
+
+    def test_tombstones_shadow_older_versions(self, policy):
+        pair, model = deep_pair(policy)
+        doomed = sorted(model)[10:30]
+        for key in doomed:
+            pair.delete(key)
+            del model[key]
+        for key in doomed:  # tombstones still in the memtable / Level 0
+            assert pair.get(key) is None
+        for db in pair.both():
+            db.flush()
+        # Push the tombstones down the tree; some doomed keys come back.
+        model.update(pair.load(seed=9, puts=60))
+        assert any(key not in model for key in doomed)
+        for key in doomed:
+            assert pair.get(key) == model.get(key)
+
+
+class TestDirectedSlices:
+    """LDC-only shapes: what a lookup does with linked slices."""
+
+    def test_responsibility_gap_keys_reach_only_the_slices(self):
+        pair, model = deep_pair("ldc")
+        gaps = 0
+        for level, position, table in linked_files(pair.new):
+            files = pair.new.version.files(level)
+            if position == 0:
+                continue
+            # Odd (never stored) and even keys strictly between the
+            # previous file's max and this file's min: routed here by
+            # responsibility, outside the file's own range.
+            lower = int(files[position - 1].max_key)
+            upper = int(table.min_key)
+            for index in range(lower + 1, upper):
+                gaps += 1
+                assert pair.get(make_key(index)) == model.get(make_key(index))
+        assert gaps, "no responsibility gap in the tree; the test is vacuous"
+
+    def test_slice_wider_than_its_source_charges_nothing(self):
+        """A slice covers the key, its source's own range does not.
+
+        Reachable on a Bloom false positive (forced here): the lookup has
+        no block to read in the source, so it must charge nothing for it.
+        """
+        pair, model = deep_pair("ldc", cache_bytes=0)
+        found = [
+            (piece.source, make_key(index))
+            for _level, _position, table in linked_files(pair.new)
+            for piece in table.slice_links
+            for index in range(MAX_INDEX + 4)
+            if piece.covers_key(make_key(index))
+            and not piece.source.covers_key(make_key(index))
+        ]
+        assert found, "no slice wider than its source; the test is vacuous"
+        for db in pair.both():
+            for table in all_files(db):
+                if table.frozen:
+                    table._bloom = ALWAYS_MAYBE
+        before = observable_state(pair.new)
+        for source, key in found:
+            tally = [0, 0, 0]
+            assert pair.new._read_block(source, key, tally) is None
+            assert tally == [0, 0, 0]
+        assert observable_state(pair.new) == before
+        for _source, key in found:
+            assert pair.get(key) == model.get(key)
+
+    def test_slice_hit_shadows_its_carrier_table(self):
+        pair, model = deep_pair("ldc")
+        shadowed = 0
+        for _level, _position, table in linked_files(pair.new):
+            for piece in table.slice_links:
+                for record in piece.records():
+                    if table.get(record.key) is not None:
+                        shadowed += 1
+                        assert pair.get(record.key) == model.get(record.key)
+        assert shadowed, "no slice record shadows its carrier; vacuous"
+
+
+@pytest.mark.parametrize("policy", ("udc", "ldc"))
+class TestDirectedSeekBudget:
+    def test_exhaustion_fires_on_the_same_get(self, policy):
+        pair, model = deep_pair(policy)
+        fired = {id(db): [] for db in pair.both()}
+        gets = {id(db): 0 for db in pair.both()}
+        for db in pair.both():
+            deepest = db.version.deepest_nonempty_level()
+            table = db.version.files(deepest)[0]
+            # Every absent key inside the file's range now reads a block
+            # and finds nothing: an unproductive seek.
+            table._bloom = ALWAYS_MAYBE
+            table.allowed_seeks = 3
+            original = db.policy.note_seek_exhausted
+
+            def spy(exhausted, db=db, original=original):
+                fired[id(db)].append((gets[id(db)], exhausted.file_id))
+                original(exhausted)
+
+            db.policy.note_seek_exhausted = spy
+        table = pair.new.version.files(pair.new.version.deepest_nonempty_level())[0]
+        absent = [
+            make_key(index)
+            for index in range(int(table.min_key) + 1, int(table.max_key), 2)
+        ]
+        assert len(absent) >= 3
+        for key in absent[:6]:
+            for db in pair.both():
+                gets[id(db)] += 1
+            assert pair.get(key) is None
+        new_fired, old_fired = (fired[id(db)] for db in pair.both())
+        assert new_fired == old_fired
+        assert new_fired and new_fired[0][0] == 3
+
+
+@pytest.mark.parametrize("cache_bytes", (0, 4096))
+@pytest.mark.parametrize("policy", ("udc", "ldc"))
+class TestDirectedCorruption:
+    def test_corrupt_block_is_detected_and_never_cached(self, policy, cache_bytes):
+        pair, model = deep_pair(policy, cache_bytes, device="faulty")
+        key = sorted(model)[len(model) // 2]
+        for db in pair.both():
+            # The next device read delivers flipped bits.
+            db.device.plan.corrupt_read(db.device.read_count + 1)
+        residency = observable_state(pair.new)[3]
+        with pytest.raises(CorruptionError) as new_error:
+            pair.new.get(key)
+        with pytest.raises(CorruptionError) as old_error:
+            oracle_get(pair.old, key)
+        assert str(new_error.value) == str(old_error.value)
+        pair.assert_same_state()
+        assert pair.new.registry.counter("faults.corruptions_detected") == 1
+        assert observable_state(pair.new)[3] == residency  # nothing installed
+        # The store stays readable, and still agrees, after the fault.
+        assert pair.get(key) == model[key]
+
+
+class TestCaptureGuard:
+    def test_get_inside_a_clock_capture_is_a_typed_error(self):
+        db = DB(config=tiny(0), policy="ldc")
+        db.put(b"k", b"v")
+        db.clock.begin_capture()
+        try:
+            with pytest.raises(EngineError, match="clock capture"):
+                db.get(b"k")
+        finally:
+            db.clock.end_capture()
+        assert db.get(b"k") == b"v"

@@ -3,7 +3,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import DB
+from repro.lsm import bloom as bloom_module
 from repro.lsm.bloom import BloomFilter, optimal_hash_count, theoretical_fpr
+from repro.lsm.config import LSMConfig
 
 keys = st.binary(min_size=1, max_size=16)
 
@@ -122,3 +125,51 @@ class TestProperties:
     def test_no_false_negatives_any_size(self, key_set, bits):
         bloom = BloomFilter(sorted(key_set), bits_per_key=bits)
         assert all(bloom.may_contain(key) for key in key_set)
+
+    @given(st.sets(keys, min_size=8, max_size=100), st.lists(keys, max_size=50))
+    @settings(max_examples=30)
+    def test_handed_in_hashes_answer_as_the_key_does(self, key_set, probes):
+        """``may_contain(key, key_hashes(key))`` is ``may_contain(key)``."""
+        filt = BloomFilter(sorted(key_set), bits_per_key=10)
+        for key in list(key_set) + probes:
+            assert filt.may_contain(key, bloom_module.key_hashes(key)) == filt.may_contain(key)
+
+
+class TestHashMemo:
+    """The process-global ``(h1, h2)`` memo: builds write it, reads do not."""
+
+    def test_key_hashes_reads_the_memo_or_recomputes(self):
+        key = b"memo-test-key-never-built"
+        assert key not in bloom_module._HASH_CACHE
+        assert bloom_module.key_hashes(key) == bloom_module._base_hashes(key)
+        BloomFilter([key + b"%d" % i for i in range(8)], bits_per_key=10)
+        built = key + b"0"
+        assert bloom_module._HASH_CACHE[built] == bloom_module._base_hashes(built)
+        assert bloom_module.key_hashes(built) is bloom_module._HASH_CACHE[built]
+
+    def test_absent_key_reads_do_not_grow_the_memo(self):
+        """10 000 gets of never-written keys leave no entry behind.
+
+        The memo outlives every store (module-level, never released), so
+        a read-only workload over absent keys used to park one entry per
+        distinct key in it — well over 100 MB at the cap.
+        """
+        db = DB(config=LSMConfig(block_cache_bytes=64 * 1024), policy="ldc")
+        for index in range(3_000):
+            db.put(b"stored-%06d" % index, b"v" * 100)
+        db.flush()
+        # Build every filter first: the build path is allowed to write.
+        for index in range(0, 3_000, 10):
+            assert db.get(b"stored-%06d" % index) == b"v" * 100
+        before = len(bloom_module._HASH_CACHE)
+        for index in range(10_000):
+            # Distinct keys inside the files' ranges: each probes a filter.
+            assert db.get(b"stored-%06d-%d" % (index % 3_000, index)) is None
+        assert db.engine_stats.bloom_negative_skips > 9_000
+        assert len(bloom_module._HASH_CACHE) == before
+        filt = BloomFilter([b"a%d" % i for i in range(20)], bits_per_key=10)
+        before = len(bloom_module._HASH_CACHE)
+        assert not any(
+            filt.may_contain(b"direct-probe-%d" % i) for i in range(0, 1000, 200)
+        )
+        assert len(bloom_module._HASH_CACHE) == before

@@ -78,21 +78,42 @@ class TestPointLookup:
         assert table.covers_key(b"00000010")
         assert not table.covers_key(b"99999999")
 
+    def test_locate_hit_and_miss_inside_range(self):
+        """One answer for the charge and the fetch: (record, block, nbytes)."""
+        table = make_table(100)
+        record, block, nbytes = table.locate(b"00000050")
+        assert record is table.get(b"00000050") is not None
+        assert nbytes == table._block_bytes[block]
+        # An absent key reads the block its successor lives in.
+        assert table.locate(b"0000005x") == (None,) + table.locate(b"00000060")[1:]
+
     def test_block_bytes_for_key_inside(self):
         table = make_table(100)
-        nbytes = table.block_bytes_for_key(b"00000050")
+        _record, block, nbytes = table.locate(b"00000050")
         assert nbytes in table._block_bytes
+        assert (block, nbytes) in table.blocks_in_range(b"00000050", b"00000051")
 
     def test_block_bytes_for_key_outside_is_zero(self):
+        """Outside ``[min_key, max_key]`` there is no block: nothing to charge."""
         table = make_table(10)
-        assert table.block_bytes_for_key(b"zzzz") == 0
+        assert table.locate(b"zzzz") is None
+        assert table.locate(b"0") is None  # left of the first key
 
     def test_point_read_cost_is_one_block(self):
         """A point lookup never charges more than the largest block."""
         table = make_table(200)
         for index in range(0, 200, 13):
-            nbytes = table.block_bytes_for_key(str(index).zfill(8).encode())
+            key = str(index).zfill(8).encode()
+            record, _block, nbytes = table.locate(key)
+            assert record.key == key
             assert 0 < nbytes <= max(table._block_bytes)
+
+    def test_locate_boundary_keys(self):
+        table = make_table(200)
+        first = table.locate(table.min_key)
+        last = table.locate(table.max_key)
+        assert first[0].key == table.min_key and first[1] == 0
+        assert last[0].key == table.max_key and last[1] == table.num_blocks - 1
 
 
 class TestRangeQueries:

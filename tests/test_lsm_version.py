@@ -148,19 +148,25 @@ class TestOverlapQueries:
         result = version.overlapping(0, None, None)
         assert [t.file_id for t in result] == sorted(t.file_id for t in result)
 
-    def test_find_file(self, version):
+    def test_responsible_file_need_not_cover_the_key(self, version):
+        """Routing tiles the key space; the file's own range has gaps.
+
+        A lookup routed here by a gap key may only find it in the file's
+        linked slices — its own ``[min_key, max_key]`` excludes it.
+        """
         a = table_over(0, 10)
         b = table_over(20, 30)
         version.add_file(1, a)
         version.add_file(1, b)
-        assert version.find_file(1, b"000005") is a
-        assert version.find_file(1, b"000025") is b
-        assert version.find_file(1, b"000015") is None  # gap
-        assert version.find_file(1, b"999999") is None
 
-    def test_find_file_rejected_on_level0(self, version):
-        with pytest.raises(EngineError):
-            version.find_file(0, b"x")
+        def routed_and_covered(key):
+            table = version.find_responsible_file(1, key)
+            return table, table.covers_key(key)
+
+        assert routed_and_covered(b"000005") == (a, True)
+        assert routed_and_covered(b"000025") == (b, True)
+        assert routed_and_covered(b"000015") == (b, False)  # gap
+        assert routed_and_covered(b"999999") == (b, False)  # past the end
 
     def test_find_responsible_file_tiles_key_space(self, version):
         """Every key has a responsible file: gaps belong to the right
@@ -263,4 +269,4 @@ class TestInvariants:
         version.check_invariants()
         assert version.num_files(1) == 2
         with pytest.raises(EngineError):
-            version.find_file(1, b"000007")
+            version.find_responsible_file(1, b"000007")
