@@ -393,23 +393,20 @@ class LDCLinkMergeMovement(DataMovement):
         level = version.level_of(target)
 
         # Load the lower file in full and each slice's overlapping blocks.
-        if db._faulty:
-            # Per-read loop so CRC verification interleaves with the
-            # charges, aborting before later inputs are read.
-            db.device.read(target.data_size, COMPACTION_READ, sequential=True)
-            db._verify_block_read(target, range(target.num_blocks))
-            for piece in slices:
-                db.device.read(
-                    piece.read_block_bytes(), COMPACTION_READ, sequential=True
-                )
+        run_sizes = [target.data_size]
+        run_sizes.extend(piece.read_block_bytes() for piece in slices)
+        charged = db.device.read_runs(run_sizes, COMPACTION_READ, sequential=True)
+        if db.device.faults is not None:
+            # The batch ends at a read a corruption landed on: verifying
+            # the last run charged raises before later inputs are read.
+            if charged == 1:
+                db._verify_block_read(target, range(target.num_blocks))
+            else:
+                piece = slices[charged - 2]
                 db._verify_block_read(
                     piece.source,
                     [b for b, _ in piece.source.blocks_in_range(piece.lo, piece.hi)],
                 )
-        else:
-            run_sizes = [target.data_size]
-            run_sizes.extend(piece.read_block_bytes() for piece in slices)
-            db.device.read_runs(run_sizes, COMPACTION_READ, sequential=True)
 
         # The slices' cached index windows over their frozen sources *are*
         # the merge inputs — no re-bisect, no record materialisation.

@@ -2,9 +2,10 @@
 
 Two layers:
 
-* :class:`FaultPlan` / :class:`FaultyDevice` (this package's core) — a
-  pure-data fault schedule and the device decorator that executes it:
-  crash points, torn WAL tails, read corruption and transient I/O errors,
+* :class:`FaultPlan` / :class:`FaultStage` (this package's core) — a
+  pure-data fault schedule and the stage of the device's charge routine
+  that executes it (``SimulatedSSD(fault_plan=...)``): crash points,
+  torn WAL tails, read corruption and transient I/O errors,
   all counted under ``faults.*`` in the metrics registry and traced as
   ``fault_*`` events.
 * :mod:`repro.faults.crashtest` — the crash-point enumeration harness
@@ -17,12 +18,12 @@ layer, which itself imports this package, and keeping the heavy module
 out of ``repro.faults`` breaks that cycle.
 """
 
-from .device import FaultyDevice
+from .device import FaultStage
 from .plan import DEFAULT_CORRUPTION_MASK, CrashSpec, FaultPlan, RetryPolicy
 
 __all__ = [
     "FaultPlan",
-    "FaultyDevice",
+    "FaultStage",
     "CrashSpec",
     "RetryPolicy",
     "DEFAULT_CORRUPTION_MASK",

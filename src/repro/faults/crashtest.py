@@ -3,8 +3,8 @@
 The harness behind ``repro crashtest``.  One workload, three passes:
 
 1. **Reference run** — execute the workload on a fault-free store whose
-   device is wrapped in a :class:`~repro.faults.device.FaultyDevice` with
-   an empty plan, purely to count the charged I/Os (and to confirm the
+   device carries a :class:`~repro.faults.device.FaultStage` with an
+   empty plan, purely to count the charged I/Os (and to confirm the
    workload exercises flushes and, under LDC, links and merges).
 2. **Crash enumeration** — for every I/O index (or every ``stride``-th
    one), rebuild the store from scratch, arm a one-shot crash at that
@@ -61,11 +61,11 @@ TORN_CYCLE = (0.0, 0.5, 1.0)
 #: Deliberately tiny FTL geometry for flash-on crash testing: small pages
 #: and blocks over a capacity a few times the crashtest store's footprint,
 #: so the GC relocates pages within a few-thousand-op workload and crash
-#: points land *inside* relocations (the FaultyDevice is the flash layer's
-#: charger, so GC reads/writes count toward the crash index like any other
-#: charged I/O).  Crash-before-install ordering must then leave the
-#: mapping recoverable — ``DB.check_invariants`` runs the FTL's own
-#: invariant sweep after every recovery.
+#: points land *inside* relocations (GC re-enters the device's read/write,
+#: so its I/O counts toward the crash index like any other charged I/O).
+#: Crash-before-install ordering must then leave the mapping recoverable —
+#: ``DB.check_invariants`` runs the FTL's own invariant sweep after every
+#: recovery.
 CRASHTEST_FLASH_SPEC = FlashSpec(
     page_bytes=512,
     pages_per_block=16,
@@ -369,7 +369,7 @@ def run_reference(
         _execute(store, op)
     engines = store.shards if isinstance(store, ShardedDB) else [store]
     return ReferenceRun(
-        shard_ios=[device.io_count for device in _devices(store)],
+        shard_ios=[device.faults.io_count for device in _devices(store)],
         flushes=sum(engine.engine_stats.flush_count for engine in engines),
         links=sum(engine.engine_stats.link_count for engine in engines),
         merges=sum(engine.engine_stats.merge_count for engine in engines),
@@ -619,7 +619,7 @@ def run_corruption_test(
     probe = _build_store(policy_factory, config, seed, 1, [FaultPlan()])
     for op in operations:
         _execute(probe, op)
-    total_reads = probe.device.read_count
+    total_reads = probe.device.faults.read_count
     if total_reads == 0:
         raise ReproError("workload performed no reads; cannot seed corruption")
 

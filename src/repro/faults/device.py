@@ -1,20 +1,23 @@
-"""``FaultyDevice``: a fault-injecting decorator around ``SimulatedSSD``.
+"""``FaultStage``: the fault-injection stage of ``SimulatedSSD``.
 
-The engine never knows it is being tested: the decorator exposes the same
-``read``/``write``/cost-query surface as the plain device, counts every
-charged request (globally and per category), and consults its
-:class:`~repro.faults.plan.FaultPlan` before forwarding:
+A device built with a :class:`~repro.faults.plan.FaultPlan`
+(``SimulatedSSD(fault_plan=...)``, or ``DB(fault_plan=...)``) carries one
+of these as ``device.faults``; :meth:`~repro.ssd.device.SimulatedSSD.read`
+/ ``write`` / ``read_runs`` call its hooks around every charged request
+(docs/DEVICE.md shows where they sit among the other stages).  The stage
+counts every request (globally and per category) and consults the plan:
 
 * an armed **crash point** raises :class:`~repro.errors.SimulatedCrash`
-  *before* the inner charge — the crashed I/O never reaches the media,
-  except for an optional torn prefix recorded on the exception;
+  *before* the charge — the crashed I/O never reaches the media, except
+  for an optional torn prefix recorded on the exception;
 * a scheduled **transient error** fails the request ``k`` times, charging
   the retry policy's backoff to the virtual clock each time, then lets it
   through (or raises :class:`~repro.errors.PersistentIOError` once the
   attempt budget is spent);
-* a scheduled **read corruption** performs the read normally but parks an
-  XOR mask that the decode path picks up via
-  :meth:`consume_read_corruption` and checks against the block CRC.
+* a scheduled **read corruption** lets the read be charged normally but
+  parks an XOR mask that the decode path picks up via
+  :meth:`~repro.ssd.device.SimulatedSSD.consume_read_corruption` and
+  checks against the block CRC.
 
 Everything injected is observable: ``faults.*`` counters land in the
 shared metrics registry and each injection emits a trace event
@@ -22,6 +25,10 @@ shared metrics registry and each injection emits a trace event
 ``faults.corruptions_missed`` deserves a note — it counts masks that were
 *delivered but never consumed*, i.e. a decode path that read a corrupted
 block without verifying it.  The corruption tests assert it stays zero.
+
+An empty plan is transparent: the hooks only bump integer counters, so a
+run costs the same virtual time and leaves the same registry as one on a
+device without the stage.
 """
 
 from __future__ import annotations
@@ -31,7 +38,6 @@ from typing import Dict
 from .plan import FaultPlan
 from ..errors import PersistentIOError, SimulatedCrash, TransientIOError
 from ..obs.events import EV_FAULT_CORRUPTION, EV_FAULT_CRASH, EV_FAULT_TRANSIENT
-from ..ssd.device import SimulatedSSD
 
 # Registry keys for injected-fault accounting.
 CTR_CRASHES = "faults.crashes_injected"
@@ -44,25 +50,16 @@ CTR_CORRUPTED = "faults.corrupted_blocks"
 CTR_CORRUPTIONS_MISSED = "faults.corruptions_missed"
 
 
-class FaultyDevice:
-    """Wrap a :class:`~repro.ssd.device.SimulatedSSD`, injecting faults.
+class FaultStage:
+    """Fault-plan state and hooks for one device's charge routine.
 
-    The wrapper is transparent when the plan is empty: every request
-    forwards to the inner device with only integer counter bumps added,
-    so fault-free runs through a ``FaultyDevice`` cost the same virtual
-    time as runs on the bare device.
+    ``device`` supplies the clock, registry and tracer the injections are
+    charged to and reported through.
     """
 
-    injects_faults = True
-
-    def __init__(self, inner: SimulatedSSD, plan: FaultPlan) -> None:
-        self.inner = inner
+    def __init__(self, plan: FaultPlan, device) -> None:
         self.plan = plan
-        if inner.flash is not None:
-            # GC relocation I/O must pass through the fault hooks too,
-            # so crash points can land inside a GC relocation; the FTL
-            # charges through the outermost device object.
-            inner.flash.charger = self
+        self._device = device
         #: Total charged I/Os so far (reads + writes), 1-based at test time.
         self.io_count = 0
         #: Total charged reads so far.
@@ -70,125 +67,17 @@ class FaultyDevice:
         #: Per-category I/O counts.
         self.category_counts: Dict[str, int] = {}
         #: XOR mask parked by the most recent corrupted read; handed to the
-        #: decode path exactly once via :meth:`consume_read_corruption`.
+        #: decode path exactly once via :meth:`consume_mask`.
         self._pending_mask = 0
 
-    # ------------------------------------------------------------------
-    # Transparent delegation
-    # ------------------------------------------------------------------
-    @property
-    def profile(self):
-        return self.inner.profile
-
-    @property
-    def clock(self):
-        return self.inner.clock
-
-    @property
-    def registry(self):
-        return self.inner.registry
-
-    @property
-    def stats(self):
-        return self.inner.stats
-
-    @property
-    def tracer(self):
-        return self.inner.tracer
-
-    @property
-    def wear_bytes(self) -> int:
-        return self.inner.wear_bytes
-
-    @property
-    def flash(self):
-        """The inner device's flash layer (``None`` when disabled)."""
-        return self.inner.flash
-
-    def trim(self, owner) -> None:
-        # Trim is metadata-only (no charged I/O), so no fault hooks run.
-        self.inner.trim(owner)
-
-    @property
-    def channel(self):
-        """The inner device's bandwidth arbiter (see ``repro.sched``)."""
-        return self.inner.channel
-
-    @channel.setter
-    def channel(self, value) -> None:
-        # The scheduler attaches its DeviceChannel through whichever
-        # device object the DB holds; arbitration itself happens in the
-        # inner device's charge path, below the fault-injection hooks.
-        self.inner.channel = value
-
-    def read_cost_us(self, nbytes: int, *, sequential: bool = False) -> float:
-        return self.inner.read_cost_us(nbytes, sequential=sequential)
-
-    def write_cost_us(self, nbytes: int, *, sequential: bool = False) -> float:
-        return self.inner.write_cost_us(nbytes, sequential=sequential)
-
-    # ------------------------------------------------------------------
-    # Charged operations with injection
-    # ------------------------------------------------------------------
-    def read(self, nbytes: int, category: str, *, sequential: bool = False) -> float:
-        self._before_io(category, nbytes, is_write=False)
-        elapsed = self.inner.read(nbytes, category, sequential=sequential)
-        self.read_count += 1
-        mask = self.plan.take_corruption(self.read_count)
-        if mask:
-            self._deliver_corruption(mask, category, nbytes)
-        return elapsed
-
-    def write(
-        self,
-        nbytes: int,
-        category: str,
-        *,
-        sequential: bool = False,
-        owner=None,
-        stream: bool = False,
-    ) -> float:
-        self._before_io(category, nbytes, is_write=True)
-        return self.inner.write(
-            nbytes, category, sequential=sequential, owner=owner, stream=stream
-        )
-
-    def read_runs(
-        self,
-        run_sizes: "list[int]",
-        category: str,
-        *,
-        sequential: bool = False,
-    ) -> float:
-        """Batched reads stay per-run under injection: every run passes
-        through :meth:`read`, so crash indices, corruption take-points and
-        per-category counts see the exact same I/O sequence as unbatched
-        callers.  (The engine's fault-aware paths read per run anyway so
-        they can interleave CRC verification; this keeps the wrapper's
-        surface complete.)"""
-        total = 0.0
-        for nbytes in run_sizes:
-            total += self.read(nbytes, category, sequential=sequential)
-        return total
-
-    # ------------------------------------------------------------------
-    # Corruption hand-off to decode paths
-    # ------------------------------------------------------------------
-    def consume_read_corruption(self) -> int:
-        """Return the parked XOR mask (0 if the last read was intact)."""
-        mask = self._pending_mask
-        self._pending_mask = 0
-        return mask
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _before_io(self, category: str, nbytes: int, *, is_write: bool) -> None:
+    def before_io(self, category: str, nbytes: int, is_write: bool) -> None:
+        """Count one request; crash or absorb transient errors if scheduled."""
+        device = self._device
         # An unconsumed mask from an earlier read means some decode path
         # used corrupted bytes without verifying them — record the escape.
         if self._pending_mask:
             self._pending_mask = 0
-            self.registry.add(CTR_CORRUPTIONS_MISSED)
+            device.registry.add(CTR_CORRUPTIONS_MISSED)
 
         self.io_count += 1
         cat_index = self.category_counts.get(category, 0) + 1
@@ -197,11 +86,11 @@ class FaultyDevice:
         crash = self.plan.take_crash(self.io_count, category, cat_index)
         if crash is not None:
             torn = crash.torn_bytes(nbytes) if is_write else 0
-            self.registry.add(CTR_CRASHES)
+            device.registry.add(CTR_CRASHES)
             if torn:
-                self.registry.add(CTR_TORN_BYTES, torn)
-            if self.tracer.active:
-                self.tracer.emit(
+                device.registry.add(CTR_TORN_BYTES, torn)
+            if device.tracer.active:
+                device.tracer.emit(
                     EV_FAULT_CRASH,
                     io_index=self.io_count,
                     category=category,
@@ -214,13 +103,39 @@ class FaultyDevice:
         if failures:
             self._absorb_transients(failures, category, nbytes)
 
+    def after_read(self, category: str, nbytes: int) -> int:
+        """Count one charged read; park and return its corruption mask (0 = intact)."""
+        self.read_count += 1
+        mask = self.plan.take_corruption(self.read_count)
+        if mask:
+            device = self._device
+            self._pending_mask = mask
+            device.registry.add(CTR_CORRUPTED)
+            if device.tracer.active:
+                device.tracer.emit(
+                    EV_FAULT_CORRUPTION,
+                    read_index=self.read_count,
+                    category=category,
+                    nbytes=nbytes,
+                    mask=mask,
+                )
+        return mask
+
+    def consume_mask(self) -> int:
+        """Return the parked XOR mask (0 if the last read was intact)."""
+        mask = self._pending_mask
+        self._pending_mask = 0
+        return mask
+
     def _absorb_transients(self, failures: int, category: str, nbytes: int) -> None:
         """Retry through ``failures`` scheduled errors or give up."""
+        device = self._device
+        registry = device.registry
         retry = self.plan.retry
         for attempt in range(failures):
-            self.registry.add(CTR_TRANSIENTS)
-            if self.tracer.active:
-                self.tracer.emit(
+            registry.add(CTR_TRANSIENTS)
+            if device.tracer.active:
+                device.tracer.emit(
                     EV_FAULT_TRANSIENT,
                     io_index=self.io_count,
                     category=category,
@@ -228,7 +143,7 @@ class FaultyDevice:
                     attempt=attempt + 1,
                 )
             if attempt + 1 >= retry.max_attempts:
-                self.registry.add(CTR_PERSISTENT)
+                registry.add(CTR_PERSISTENT)
                 raise PersistentIOError(
                     f"I/O #{self.io_count} ({category}) still failing after "
                     f"{retry.max_attempts} attempts"
@@ -236,21 +151,9 @@ class FaultyDevice:
                     f"transient failure {attempt + 1} on I/O #{self.io_count}"
                 )
             backoff = retry.backoff_for_attempt(attempt)
-            self.clock.advance(backoff)
-            self.registry.add(CTR_RETRIES)
-            self.registry.add(CTR_BACKOFF_US, backoff)
-
-    def _deliver_corruption(self, mask: int, category: str, nbytes: int) -> None:
-        self._pending_mask = mask
-        self.registry.add(CTR_CORRUPTED)
-        if self.tracer.active:
-            self.tracer.emit(
-                EV_FAULT_CORRUPTION,
-                read_index=self.read_count,
-                category=category,
-                nbytes=nbytes,
-                mask=mask,
-            )
+            device.clock.advance(backoff)
+            registry.add(CTR_RETRIES)
+            registry.add(CTR_BACKOFF_US, backoff)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"FaultyDevice(io_count={self.io_count}, plan={self.plan!r})"
+        return f"FaultStage(io_count={self.io_count}, plan={self.plan!r})"

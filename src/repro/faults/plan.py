@@ -1,8 +1,8 @@
 """Fault plans: deterministic schedules of injected failures.
 
 A :class:`FaultPlan` is pure data — *which* I/Os fail and *how* — consumed
-by :class:`~repro.faults.device.FaultyDevice`, the decorator that sits
-between the engine and its :class:`~repro.ssd.device.SimulatedSSD`.  Four
+by :class:`~repro.faults.device.FaultStage`, the fault-injection stage of
+the :class:`~repro.ssd.device.SimulatedSSD` charge routine.  Four
 fault families are supported, mirroring the failure modes an SSD-backed
 key-value store must survive (PAPER.md §III's recovery invariants):
 
@@ -154,7 +154,7 @@ class FaultPlan:
         return self
 
     # ------------------------------------------------------------------
-    # Consumption (called by FaultyDevice)
+    # Consumption (called by FaultStage)
     # ------------------------------------------------------------------
     def take_crash(
         self, io_index: int, category: str, category_index: int

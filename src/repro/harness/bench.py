@@ -137,7 +137,7 @@ def bench_merge_throughput(quick: bool = False) -> BenchResult:
 
 
 def bench_memtable_fill(quick: bool = False) -> BenchResult:
-    """Memtable (skip-list) inserts of shuffled keys per second."""
+    """Memtable (hash index, keys sorted lazily) inserts of shuffled keys per second."""
     count = 5_000 if quick else 50_000
     import random
 
@@ -147,7 +147,7 @@ def bench_memtable_fill(quick: bool = False) -> BenchResult:
         KVRecord(str(index).zfill(16).encode("ascii"), index + 1, 1, b"v" * 64)
         for index in order
     ]
-    table = MemTable(seed=0)
+    table = MemTable()
     add = table.add
     start = time.perf_counter()
     for record in records:

@@ -150,11 +150,11 @@ def build_db(
     )
 
 
-#: Operations dispatched per chunk by the chunked runner loop.  Chunking
+#: Operations dispatched per chunk by the runner loop.  Chunking
 #: amortises the per-operation recorder calls (bulk ``record_many`` per
 #: chunk) without changing any recorded value — the differential tests
-#: pin chunked == per-op exactly.
-DEFAULT_CHUNK_SIZE = 1024
+#: pin it equal to a per-op loop (``tests/_runner_oracle.py``) exactly.
+CHUNK_SIZE = 1024
 
 
 def run_workload(
@@ -165,7 +165,6 @@ def run_workload(
     timeline_bucket_us: float = 1_000_000.0,
     db: Optional[DB] = None,
     tracer: Optional[Tracer] = None,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
     sample_stride: int = 1,
     max_latency_samples: Optional[int] = None,
 ) -> RunResult:
@@ -191,7 +190,6 @@ def run_workload(
         generator.operations(),
         workload_name=spec.name,
         timeline_bucket_us=timeline_bucket_us,
-        chunk_size=chunk_size,
         sample_stride=sample_stride,
         max_latency_samples=max_latency_samples,
     )
@@ -202,7 +200,6 @@ def execute_operations(
     operations,
     workload_name: str,
     timeline_bucket_us: float = 1_000_000.0,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
     sample_stride: int = 1,
     max_latency_samples: Optional[int] = None,
 ) -> RunResult:
@@ -213,12 +210,9 @@ def execute_operations(
     pre-partitioned slice of the trace through the *identical* loop —
     keeping single-store and sharded measurements comparable.
 
-    ``chunk_size > 1`` (the default) drives the chunked dispatch loop:
-    operations execute one at a time as before (per-op virtual-time
-    effects are untouched), but latencies are buffered and bulk-loaded
-    into the recorders once per chunk.  ``chunk_size <= 1`` selects the
-    straight per-op loop; both produce bit-identical results and the
-    differential suite keeps them honest.
+    Operations execute one at a time (per-op virtual-time effects are
+    untouched), but latencies are buffered and bulk-loaded into the
+    recorders once per chunk of :data:`CHUNK_SIZE`.
     """
     recorders = {
         OP_PUT: LatencyRecorder(sample_stride, max_latency_samples),
@@ -231,12 +225,7 @@ def execute_operations(
     timeline = LatencyTimeline(bucket_us=timeline_bucket_us)
     clock = db.clock
     start_time = clock.now()
-    if chunk_size > 1:
-        count = _run_chunked(
-            db, operations, recorders, overall, timeline, chunk_size
-        )
-    else:
-        count = _run_per_op(db, operations, recorders, overall, timeline)
+    count = _run_chunked(db, operations, recorders, overall, timeline)
 
     elapsed = clock.now() - start_time
     device_stats = db.device.stats
@@ -286,62 +275,20 @@ def execute_operations(
     )
 
 
-def _run_per_op(
-    db: DB,
-    operations,
-    recorders: Dict[str, LatencyRecorder],
-    overall: LatencyRecorder,
-    timeline: LatencyTimeline,
-) -> int:
-    """The reference measurement loop: one dispatch per operation."""
-    clock = db.clock
-    count = 0
-    # Stall attribution: throttle time (both modes) plus device-channel
-    # waits behind background chunks (scheduler only).  Counter reads
-    # do not touch the clock, so the scheduler-off timing is unchanged.
-    counter = db.registry.counter
-    stall_total = counter("engine.stall_time_us") + counter("sched.device_wait_us")
-
-    for operation in operations:
-        begin = clock.now()
-        if operation.kind == OP_PUT:
-            db.put(operation.key, operation.value)
-        elif operation.kind == OP_GET:
-            db.get(operation.key)
-        elif operation.kind == OP_SCAN:
-            db.scan(operation.key, operation.scan_length)
-        elif operation.kind == OP_DELETE:
-            db.delete(operation.key)
-        elif operation.kind == OP_RMW:
-            current = db.get(operation.key)
-            db.put(operation.key, operation.value or current or b"")
-        else:
-            raise WorkloadError(f"unknown operation kind {operation.kind!r}")
-        latency = clock.now() - begin
-        stalled = counter("engine.stall_time_us") + counter("sched.device_wait_us")
-        recorders[operation.kind].record(latency)
-        overall.record(latency)
-        timeline.record(begin, latency, stall_us=stalled - stall_total)
-        stall_total = stalled
-        count += 1
-    return count
-
-
 def _run_chunked(
     db: DB,
     operations,
     recorders: Dict[str, LatencyRecorder],
     overall: LatencyRecorder,
     timeline: LatencyTimeline,
-    chunk_size: int,
 ) -> int:
-    """Chunked measurement loop: identical effects, amortised bookkeeping.
+    """The measurement loop: per-op effects, amortised bookkeeping.
 
-    Operations still execute strictly one at a time against the DB (the
+    Operations execute strictly one at a time against the DB (the
     virtual clock, stall attribution and maintenance interleaving are
     per-op by contract), but per-op recorder calls are replaced by one
     ``record_many`` per recorder per chunk.  Within a chunk each
-    recorder receives its latencies in the same order the per-op loop
+    recorder receives its latencies in the same order a per-op loop
     would have appended them, so the recorded state is bit-identical.
     """
     clock = db.clock
@@ -360,7 +307,7 @@ def _run_chunked(
     count = 0
     stream = iter(operations)
     while True:
-        chunk = list(islice(stream, chunk_size))
+        chunk = list(islice(stream, CHUNK_SIZE))
         if not chunk:
             break
         per_kind: Dict[str, List[float]] = {}

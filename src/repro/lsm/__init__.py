@@ -22,7 +22,6 @@ from .record import (
     put_record,
     visible_value,
 )
-from .skiplist import SkipList
 from .sstable import SSTable
 from .stats import EngineStats
 from .version import VersionSet
@@ -50,7 +49,6 @@ __all__ = [
     "KIB",
     "MIB",
     "MemTable",
-    "SkipList",
     "SSTable",
     "SSTableBuilder",
     "build_tables",

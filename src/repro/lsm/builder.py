@@ -194,63 +194,6 @@ def build_tables(
     return builder.finish()
 
 
-def build_balanced(
-    records: List[KVRecord],
-    config: LSMConfig,
-    next_file_id: Callable[[], int],
-) -> List[SSTable]:
-    """Build SSTables of near-equal size from a materialised record list.
-
-    The streaming builder cuts at the target size, which leaves a fragment
-    tail file (e.g. 1.2x target -> one full file plus a 0.2x sliver).
-    Compaction outputs are materialised anyway, so we can do better: pick
-    the file count that keeps every file close to the target and split the
-    byte total evenly.  Persistent slivers matter for LDC especially —
-    fragment files accumulate their own SliceLinks and multiply.
-    """
-    if not records:
-        return []
-    overhead = RECORD_OVERHEAD_BYTES
-    sizes = [
-        len(record[0]) + len(record[3]) + overhead
-        for record in records
-    ]
-    total = sum(sizes)
-    nfiles = max(1, round(total / config.sstable_target_bytes))
-    per_file = total / nfiles
-    outputs: List[SSTable] = []
-    chunk_start = 0
-    chunk_bytes = 0
-    emitted = 0
-    for index, size in enumerate(sizes):
-        chunk_bytes += size
-        if chunk_bytes >= per_file and emitted < nfiles - 1:
-            stop = index + 1
-            outputs.append(
-                SSTable.from_records(
-                    next_file_id(),
-                    records[chunk_start:stop],
-                    config,
-                    presorted=True,
-                    sizes=sizes[chunk_start:stop],
-                )
-            )
-            chunk_start = stop
-            chunk_bytes = 0
-            emitted += 1
-    if chunk_start < len(records):
-        outputs.append(
-            SSTable.from_records(
-                next_file_id(),
-                records[chunk_start:],
-                config,
-                presorted=True,
-                sizes=sizes[chunk_start:],
-            )
-        )
-    return outputs
-
-
 def build_balanced_columns(
     keys: List[bytes],
     records: List[KVRecord],
@@ -259,13 +202,20 @@ def build_balanced_columns(
     config: LSMConfig,
     next_file_id: Callable[[], int],
 ) -> List[SSTable]:
-    """Columnar :func:`build_balanced`: cut merged columns into SSTables.
+    """Build SSTables of near-equal size from merged columns.
 
-    Same file-cut semantics (``nfiles = round(total / target)``, greedy cut
-    once a chunk reaches ``total / nfiles`` while earlier than the last
-    file), but the cut points come from one bisect per output file over
-    the size prefix, and each output SSTable is constructed from column
-    slices — no per-record work at all.  ``per_file`` is a float; record
+    The streaming builder cuts at the target size, which leaves a fragment
+    tail file (e.g. 1.2x target -> one full file plus a 0.2x sliver).
+    Compaction outputs are materialised anyway, so we can do better: pick
+    the file count that keeps every file close to the target
+    (``nfiles = round(total / target)``) and split the byte total evenly,
+    cutting greedily once a chunk reaches ``total / nfiles`` while earlier
+    than the last file.  Persistent slivers matter for LDC especially —
+    fragment files accumulate their own SliceLinks and multiply.
+
+    The cut points come from one bisect per output file over the size
+    prefix, and each output SSTable is constructed from column slices —
+    no per-record work at all.  ``per_file`` is a float; record
     sizes are integers at least ``1/nfiles`` of a byte away from it after
     the division, so comparing against ``prefix[start] + per_file`` is
     exact despite the float add.

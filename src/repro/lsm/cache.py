@@ -136,12 +136,19 @@ class BlockCache:
 
         Called when a version permanently drops an SSTable (compaction
         inputs, merged LDC targets, recycled frozen files) so dead blocks
-        release capacity immediately.  Not counted as LRU evictions or
-        misses — the blocks were unreachable anyway.
+        release capacity immediately.
+        """
+        return self.evict_blocks(file_id, range(num_blocks))
+
+    def evict_blocks(self, file_id: int, block_indices) -> int:
+        """Drop the file's resident blocks among ``block_indices``; returns bytes freed.
+
+        Not counted as LRU evictions or misses — the blocks are dead
+        (:meth:`evict_file`) or failed their CRC after being installed.
         """
         pop = self._entries.pop
         freed = 0
-        for block_index in range(num_blocks):
+        for block_index in block_indices:
             freed += pop((file_id, block_index), 0)
         self._used_bytes -= freed
         return freed

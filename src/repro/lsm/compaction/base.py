@@ -19,13 +19,13 @@ Three implementations ship with the library:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from operator import itemgetter
 
 from .columnar import MergedColumns, merge_windows
-from ..builder import build_balanced, build_balanced_columns
-from ..record import KIND_DELETE, KVRecord
+from ..builder import build_balanced_columns
+from ..record import KIND_DELETE
 from ..sstable import SSTable
 from ...errors import CompactionError
 from ...obs.events import EV_COMPACTION_ROUND
@@ -200,71 +200,22 @@ class CompactionPolicy(ABC):
     def read_inputs(self, tables: Sequence[SSTable]) -> None:
         """Charge the sequential reads of whole input files.
 
-        Under fault injection each whole-file read is CRC-verified (all
-        blocks), so an injected bit flip surfaces as a
-        :class:`~repro.errors.CorruptionError` before the merge consumes
-        the data.
+        Under a fault plan the device ends the batch at a read a
+        corruption landed on, and the CRC verification (all blocks of
+        that file) surfaces the flip as a
+        :class:`~repro.errors.CorruptionError` before later inputs are
+        charged or the merge consumes the data.
         """
         db = self._db
         device = db.device
-        if db._faulty:
-            # Interleave each file's read with its CRC verification so an
-            # injected flip aborts before later inputs are charged.
-            for table in tables:
-                device.read(table.data_size, COMPACTION_READ, sequential=True)
-                db._verify_block_read(table, range(table.num_blocks))
-            return
-        device.read_runs(
+        charged = device.read_runs(
             [table.data_size for table in tables],
             COMPACTION_READ,
             sequential=True,
         )
-
-    def merge_table_streams(
-        self,
-        streams: List[Iterable[KVRecord]],
-        *,
-        drop_deletes: bool,
-    ) -> List[KVRecord]:
-        """Merge-sort record streams, newest version per key.
-
-        Charges the per-record CPU cost of the merge to the virtual clock.
-        ``drop_deletes`` removes tombstones and is only safe when the output
-        becomes the bottom-most data for its key range.
-
-        Compaction inputs are fully materialised (unlike scans, which need
-        the streaming heap merge in :func:`~repro.lsm.iterators.
-        merge_records`), so the merge runs entirely at C speed: concatenate,
-        ``list.sort`` — ``KVRecord`` tuples order by ``(key, seq)`` and
-        sequence numbers are store-unique, so value bytes are never
-        compared — then a dict comprehension keyed by user key.  Sorted
-        input makes the dict's insertion order ascending-by-key and its
-        per-key survivor the last (highest-sequence) record: exactly the
-        newest-wins heap merge, record for record.
-        """
-        db = self._db
-        pooled: List[KVRecord] = []
-        extend = pooled.extend
-        for stream in streams:
-            extend(stream)
-        pooled.sort()
-        merged = list({record[0]: record for record in pooled}.values())
-        db.clock.advance(len(merged) * db.config.costs.merge_per_record_us)
-        if drop_deletes:
-            merged = [record for record in merged if record[2] != KIND_DELETE]
-        return merged
-
-    def write_outputs(self, records: Sequence[KVRecord]) -> List[SSTable]:
-        """Build balanced output SSTables and charge their sequential writes."""
-        db = self._db
-        records = records if type(records) is list else list(records)
-        outputs = build_balanced(records, db.config, db.next_file_id)
-        for table in outputs:
-            db.device.write(
-                table.data_size, COMPACTION_WRITE, sequential=True,
-                owner=table.file_id,
-            )
-        return outputs
+        if charged and device.faults is not None:
+            last = tables[charged - 1]
+            db._verify_block_read(last, range(last.num_blocks))
 
     def finish_merge(
         self, merged: MergedColumns, *, drop_deletes: bool
@@ -273,10 +224,9 @@ class CompactionPolicy(ABC):
 
         The columnar tail of every compaction: takes the merged columns
         from :func:`~repro.lsm.compaction.columnar.merge_windows`, charges
-        exactly the legacy per-record merge cost (one advance over the
-        deduplicated count, *before* tombstones drop — identical to
-        :meth:`merge_table_streams`), then cuts balanced output files from
-        column slices and charges their sequential writes.
+        the per-record merge cost (one advance over the deduplicated
+        count, *before* tombstones drop), then cuts balanced output files
+        from column slices and charges their sequential writes.
         """
         db = self._db
         keys, records, seqs, sizes = merged

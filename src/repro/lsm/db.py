@@ -22,7 +22,6 @@ files' Bloom filters) before the file (§III-B.3).
 
 from __future__ import annotations
 
-import warnings
 from bisect import bisect_left
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -53,7 +52,6 @@ from .stats import (
 from .version import VersionSet
 from .wal import WriteAheadLog
 from ..errors import ClosedError, CorruptionError, EngineError, RecoveryError
-from ..faults.device import FaultyDevice
 from ..faults.plan import FaultPlan
 from ..obs.events import (
     EV_CACHE_HIT,
@@ -94,7 +92,8 @@ class DB:
         enables the flash/FTL layer (``DeviceConfig(flash=FlashSpec())``,
         docs/DEVICE.md), off by default.
     seed:
-        Seed for the memtable skip list's height RNG.
+        No longer has an effect: it seeded the height RNG of the skip-list
+        memtable, and the array-backed memtable is deterministic.
     tracer:
         Event tracer receiving the engine's execution timeline (flushes,
         compaction rounds, links/merges, stalls, cache probes, device
@@ -102,10 +101,10 @@ class DB:
         ``Tracer([RingBufferSink()])`` — to start recording.
     fault_plan:
         Optional :class:`~repro.faults.plan.FaultPlan`; when given, the
-        simulated device is wrapped in a
-        :class:`~repro.faults.device.FaultyDevice` that injects the
-        plan's crashes, corruption and transient errors, and the decode
-        paths verify block CRCs on every device read.
+        simulated device mounts its fault-injection stage
+        (:class:`~repro.faults.device.FaultStage`, ``db.device.faults``),
+        which injects the plan's crashes, corruption and transient errors,
+        and the decode paths verify block CRCs on every device read.
 
     Example
     -------
@@ -133,21 +132,17 @@ class DB:
         self.registry = MetricsRegistry()
         self.tracer = tracer if tracer is not None else Tracer()
         self.device = SimulatedSSD(
-            profile, registry=self.registry, tracer=self.tracer
+            profile,
+            registry=self.registry,
+            tracer=self.tracer,
+            fault_plan=fault_plan,
         )
-        if fault_plan is not None:
-            self.device = FaultyDevice(self.device, fault_plan)
-        # Cached: read paths consult this once per device read to decide
-        # whether to run the CRC verification (always False on the plain
-        # device, so fault-free runs skip the checks entirely).
-        self._faulty = self.device.injects_faults
         self.clock = self.device.clock
         if self.tracer.clock is None:
             self.tracer.clock = self.clock
         self.version = VersionSet(self.config, sorted_levels=sorted_levels)
         self.engine_stats = EngineStats(registry=self.registry)
-        self._seed = seed
-        self._memtable = MemTable(seed=seed)
+        self._memtable = MemTable()
         self._wal = WriteAheadLog(self.device) if self.config.wal_enabled else None
         self.block_cache = (
             BlockCache(self.config.block_cache_bytes, registry=self.registry)
@@ -167,18 +162,6 @@ class DB:
         # Stall triggers, cached: _maybe_stall runs before every write.
         self._l0_stop = self.config.l0_stop_trigger
         self._l0_slowdown = self.config.l0_slowdown_trigger
-        # Fused user-read charging (see _read_block): only the
-        # plain simulated device has a closed-form cost with no fault
-        # hooks; anything else keeps the full device.read call.
-        if type(self.device) is SimulatedSSD:
-            device_profile = self.device.profile
-            self._read_overhead = device_profile.read_overhead_us
-            self._read_per_byte = device_profile.read_us_per_byte
-            self._user_read_stats = self.device.stats._stream(
-                self.device.stats.reads, "read", USER_READ
-            )
-        else:
-            self._user_read_stats = None
         self.policy.attach(self)
         #: Virtual-time background compaction (repro.sched); None keeps
         #: the historical synchronous engine with bit-identical timing.
@@ -237,21 +220,6 @@ class DB:
         between two captures without resetting anything.
         """
         return MetricsSnapshot.capture(self.registry, t_us=self.clock.now())
-
-    @property
-    def stats(self) -> EngineStats:
-        """Deprecated alias for :attr:`engine_stats`.
-
-        Prefer :meth:`metrics` for measurements or :attr:`engine_stats`
-        for the live engine-counter view.
-        """
-        warnings.warn(
-            "DB.stats is deprecated; use DB.metrics() for a unified "
-            "snapshot or DB.engine_stats for the live view",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.engine_stats
 
     # ------------------------------------------------------------------
     # Write path
@@ -469,7 +437,7 @@ class DB:
             )
             self.version.add_file(0, table)
             flushed_bytes += table.data_size
-        self._memtable = MemTable(seed=self._seed)
+        self._memtable = MemTable()
         if self._wal is not None:
             self._wal.reset()
         self.policy._maintenance_idle = False
@@ -722,20 +690,12 @@ class DB:
                     EV_CACHE_MISS, file_id=table.file_id, block=block_index,
                     nbytes=nbytes,
                 )
-        stats = self._user_read_stats
         device = self.device
-        if stats is not None and device.channel is None and not tracing:
-            # Fused plain-device block read: identical charge expression
-            # and counter updates to SimulatedSSD.read, one call deep.
-            elapsed = self._read_overhead + nbytes * self._read_per_byte
-            self.clock._now_us += elapsed
-            stats.record(nbytes, elapsed)
-        else:
-            device.read(nbytes, USER_READ)
-            if self._faulty:
-                # Verify before the cache insert so a corrupt block is
-                # never served from memory later.
-                self._verify_block_read(table, (block_index,))
+        device.read(nbytes, USER_READ)
+        if device.faults is not None:
+            # Verify before the cache insert so a corrupt block is
+            # never served from memory later.
+            self._verify_block_read(table, (block_index,))
         counters = self._counters
         counters["engine.sstable_blocks_read"] = (
             counters.get("engine.sstable_blocks_read", 0) + 1
@@ -747,7 +707,7 @@ class DB:
     def _verify_block_read(self, table: SSTable, block_indices) -> None:
         """Check a just-charged device read of ``table`` blocks for corruption.
 
-        The fault-injecting device parks an XOR mask when it flipped bits
+        The device's fault stage parks an XOR mask when it flipped bits
         in the delivered copy; comparing the stored per-block CRCs against
         the delivered ones (stored XOR mask) surfaces the flip as a typed
         :class:`~repro.errors.CorruptionError`.
@@ -847,52 +807,59 @@ class DB:
 
         Without a cache this is one sequential device read of the covered
         blocks.  With a cache, resident blocks cost CPU only and
-        contiguous runs of missing blocks coalesce into sequential reads.
-        A fault-injecting device has every read CRC-verified, and a run
-        enters the cache only *after* it passed: a corrupt run must not
-        become future cache hits.
+        contiguous runs of missing blocks coalesce into sequential reads;
+        a missing block is installed when the probe misses (so it can
+        evict a resident block further along the same range), the run is
+        read when it closes.
         """
         blocks = table.blocks_in_range(lo, hi)
         if not blocks:
             return
         cache = self.block_cache
-        verify = self._faulty
         if cache is None:
-            self.device.read(
-                sum(nbytes for _, nbytes in blocks), USER_SCAN, sequential=True
-            )
-            if verify:
-                self._verify_block_read(table, [b for b, _ in blocks])
+            self._read_scan_run(table, blocks, sum(nbytes for _, nbytes in blocks))
             return
         file_id = table.file_id
         probe = cache.probe
         insert = cache.insert
         hit_us = self.config.costs.cache_hit_us
-        hits = misses = run_bytes = 0
-        run: List[Tuple[int, int]] = []  # the open run's blocks, if verifying
+        hits = misses = run_bytes = run_start = 0
         try:
-            for block in blocks + [None]:  # the sentinel closes the last run
+            # The None sentinel closes the last run.
+            for position, block in enumerate(blocks + [None]):
                 if block is not None and not probe(file_id, block[0]):
+                    if not run_bytes:
+                        run_start = position
                     misses += 1
                     run_bytes += block[1]
-                    if verify:
-                        run.append(block)
-                    else:
-                        insert(file_id, *block)
+                    insert(file_id, *block)
                     continue
                 if run_bytes:
-                    self.device.read(run_bytes, USER_SCAN, sequential=True)
+                    self._read_scan_run(table, blocks[run_start:position], run_bytes)
                     run_bytes = 0
-                    if verify:
-                        self._verify_block_read(table, [b for b, _ in run])
-                        for missing in run:
-                            insert(file_id, *missing)
-                        run = []
                 if block is not None:
                     hits += 1
                     self.clock.advance(hit_us)
         finally:
             cache.count_probes(hits, misses)
+
+    def _read_scan_run(self, table: SSTable, run, nbytes: int) -> None:
+        """One sequential device read of ``run``, contiguous blocks of ``table``.
+
+        Under a fault plan the read is CRC-verified, and a run that fails
+        leaves none of its blocks resident: a corrupt run must not become
+        future cache hits.
+        """
+        device = self.device
+        device.read(nbytes, USER_SCAN, sequential=True)
+        if device.faults is not None:
+            indices = [block_index for block_index, _ in run]
+            try:
+                self._verify_block_read(table, indices)
+            except CorruptionError:
+                if self.block_cache is not None:
+                    self.block_cache.evict_blocks(table.file_id, indices)
+                raise
 
     # ------------------------------------------------------------------
     # Introspection and maintenance
@@ -1006,7 +973,7 @@ class DB:
             self.sched.discard_inflight()
         start = self.clock.now()
         records = self._wal.recover()
-        self._memtable = MemTable(seed=self._seed)
+        self._memtable = MemTable()
         # Durable maximum sequence: live tables, their slice sources
         # (every frozen file is reachable through some in-tree file's
         # slice_links while its refcount is non-zero), and the WAL.
@@ -1018,10 +985,9 @@ class DB:
                 if piece.source.max_seq > max_seq:
                     max_seq = piece.source.max_seq
         if records:
-            # Replaying one-at-a-time re-searches the skip list per record;
-            # instead sort by (key, seq), keep the newest version per key
-            # (exactly what per-record add() would have retained) and
-            # bulk-load the survivors at the skip-list tail.
+            # Sort by (key, seq), keep the newest version per key (exactly
+            # what per-record add() would have retained) and bulk-load the
+            # survivors in key order, so the memtable needs no re-sort.
             ordered = sorted(records, key=lambda record: (record.key, record.seq))
             newest = [
                 record
@@ -1087,9 +1053,8 @@ class DB:
         self.policy.check_invariants()
         if self.sched is not None:
             self.sched.check_invariants()
-        flash = self.device.flash if hasattr(self.device, "flash") else None
-        if flash is not None:
-            flash.check_invariants()
+        if self.device.flash is not None:
+            self.device.flash.check_invariants()
         if self.block_cache is not None:
             cached = self.block_cache.cached_blocks()
             stale = {file_id for file_id, _ in cached} - live.keys()

@@ -9,11 +9,10 @@ marker, not a read view), so overwriting in place is both correct and fast.
 
 Storage layout
 --------------
-Earlier versions indexed records with a skip list (`repro.lsm.skiplist`,
-still shipped for the crash-recovery tooling and its own tests).  A skip
-list pays per-node object and pointer overhead on every insert to keep the
-keys *always* sorted — but this engine only needs sorted order at flush,
-scan and recovery time, never on the put/get fast path.  The buffer is
+Earlier versions indexed records with a skip list.  A skip list pays
+per-node object and pointer overhead on every insert to keep the keys
+*always* sorted — but this engine only needs sorted order at flush, scan
+and recovery time, never on the put/get fast path.  The buffer is
 therefore array-backed: a hash index (``dict``) from key to the newest
 record, plus a sorted key array rebuilt lazily.  Inserts are amortised
 O(1); the first ordered read after a batch of inserts sorts once
@@ -35,16 +34,11 @@ from .record import KVRecord, RECORD_OVERHEAD_BYTES
 
 
 class MemTable:
-    """Sorted in-memory buffer of the newest record per key.
-
-    ``seed`` is accepted for compatibility with the skip-list-backed
-    implementation (which randomised node heights); the array-backed
-    buffer is deterministic and ignores it.
-    """
+    """Sorted in-memory buffer of the newest record per key."""
 
     __slots__ = ("_records", "_keys", "_dirty", "_bytes")
 
-    def __init__(self, seed: int = 0) -> None:
+    def __init__(self) -> None:
         self._records: dict = {}
         self._keys: List[bytes] = []
         self._dirty = False

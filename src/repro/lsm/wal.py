@@ -59,49 +59,15 @@ class WriteAheadLog:
         self._device = device
         self._units: List[_Unit] = []
         self._bytes = 0
-        # Per-put fast path: on the plain simulated device an append is a
-        # straight-line cost formula plus three counter bumps, so the
-        # write-cost/charge/record call chain can be fused.  Fault
-        # injection (crashes, torn tails) lives in FaultyDevice, which is
-        # not a SimulatedSSD subclass — the fused path never skips it.
-        # A flash layer also disables fusing: appends must reach the FTL's
-        # stream buffer, so they take the full device.write path.
-        if type(device) is SimulatedSSD and device.flash is None:
-            profile = device.profile
-            self._seq_overhead = (
-                profile.write_overhead_us * profile.sequential_discount
-            )
-            self._per_byte = profile.write_us_per_byte
-            self._write_stats = device.stats._stream(
-                device.stats.writes, "write", WAL_WRITE
-            )
-        else:
-            self._write_stats = None
 
     # ------------------------------------------------------------------
     # Appending
     # ------------------------------------------------------------------
     def append(self, record: KVRecord) -> float:
         """Log one mutation; returns the virtual time charged (µs)."""
-        nbytes = len(record[0]) + len(record[3]) + RECORD_OVERHEAD_BYTES
-        device = self._device
-        stats = self._write_stats
-        if (
-            stats is None
-            or device.channel is not None
-            or device.tracer.active
-        ):
-            return self._append_unit([record], nbytes)
-        # Fused plain-device append: identical charge expression and
-        # counter updates to SimulatedSSD.write, one call deep.
-        unit = _Unit([record], nbytes)
-        self._units.append(unit)
-        self._bytes += nbytes
-        elapsed = self._seq_overhead + nbytes * self._per_byte
-        device.clock.advance_io(elapsed, nbytes)
-        stats.record(nbytes, elapsed)
-        unit.complete = True
-        return elapsed
+        return self._append_unit(
+            [record], len(record[0]) + len(record[3]) + RECORD_OVERHEAD_BYTES
+        )
 
     def append_batch(self, records: List[KVRecord], total_bytes: int) -> float:
         """Log a whole batch as one sequential write (WriteBatch path).
@@ -156,10 +122,7 @@ class WriteAheadLog:
         """
         self._units = []
         self._bytes = 0
-        device = self._device
-        if self._write_stats is None:
-            # Only non-fused devices can carry a flash layer (see ctor).
-            device.trim(WAL_STREAM_OWNER)
+        self._device.trim(WAL_STREAM_OWNER)
 
     # ------------------------------------------------------------------
     # Recovery

@@ -134,23 +134,24 @@ class Tracer:
         kinds: Optional[Iterable[str]] = None,
     ) -> None:
         self._sinks: List[TraceSink] = list(sinks)
+        #: True when at least one sink will receive events.  A plain
+        #: attribute kept by :meth:`add_sink` / :meth:`remove_sink`: the
+        #: device tests it once per I/O.
+        self.active = bool(self._sinks)
         self.clock = clock
         self._kinds = None if kinds is None else frozenset(kinds)
         self.events_emitted = 0
 
     # ------------------------------------------------------------------
-    @property
-    def active(self) -> bool:
-        """True when at least one sink will receive events."""
-        return bool(self._sinks)
-
     def add_sink(self, sink: TraceSink) -> TraceSink:
         """Attach ``sink`` and return it (handy for inline construction)."""
         self._sinks.append(sink)
+        self.active = True
         return sink
 
     def remove_sink(self, sink: TraceSink) -> None:
         self._sinks.remove(sink)
+        self.active = bool(self._sinks)
 
     def wants(self, kind: str) -> bool:
         """Would an event of ``kind`` currently be recorded?"""

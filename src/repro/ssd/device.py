@@ -14,21 +14,32 @@ Service time of one request of ``n`` bytes::
 Reads and writes use their own overheads and bandwidths, preserving the
 read/write asymmetry the paper's analysis builds on.
 
-Observability: every charged transfer is recorded in the shared metrics
-registry (under ``device.<direction>.<category>.*``) and, when a tracer
-with sinks is attached, emitted as a ``device_read`` / ``device_write``
-trace event.
+One device, one charge path: :meth:`SimulatedSSD.read`, ``write`` and
+``read_runs`` are the only place an I/O is priced, charged and counted.
+Whatever else sits on the device — a fault plan, the flash/FTL layer, the
+scheduler's bandwidth channel, a trace sink — is an optional *stage* of
+that one routine, each behind one attribute test, in a fixed order::
+
+    size check, cost
+      -> fault plan: crash point, transient retries    (before the charge)
+      -> FTL host_write     (non-GC writes; GC relocations re-enter here)
+      -> clock: channel wait + occupy | in-place add | capture divert
+      -> device.<direction>.<category>.{ops,bytes,time_us} counters
+      -> fault plan: corruption take                   (reads)
+      -> trace tap: device_read / device_write event
+
+docs/DEVICE.md and docs/FAULTS.md describe the stages.
 """
 
 from __future__ import annotations
-
-import warnings
 
 from .clock import DeviceChannel, SimClock
 from .flash import GC_WRITE, DeviceConfig, FlashSpec, FlashTranslationLayer
 from .metrics import IOStats
 from .profile import ENTERPRISE_PCIE, SSDProfile
 from ..errors import DeviceError
+from ..faults.device import FaultStage
+from ..faults.plan import FaultPlan
 from ..obs.events import EV_DEVICE_READ, EV_DEVICE_WRITE
 from ..obs.registry import MetricsRegistry
 from ..obs.tracer import Tracer
@@ -36,13 +47,6 @@ from ..obs.tracer import Tracer
 
 class SimulatedSSD:
     """A virtual-time flash device shared by one database instance.
-
-    Fault injection: the engine is written against this interface, and
-    :class:`~repro.faults.device.FaultyDevice` decorates an instance to
-    inject crashes, corruption and transient errors.  The two hooks below
-    (:attr:`injects_faults`, :meth:`consume_read_corruption`) exist so the
-    engine's decode paths can stay fault-aware at near-zero cost when no
-    faults are configured.
 
     Parameters
     ----------
@@ -62,11 +66,11 @@ class SimulatedSSD:
     tracer:
         Event tracer for per-transfer ``device_read``/``device_write``
         events; an inert (sink-less) tracer is created when omitted.
+    fault_plan:
+        Optional :class:`~repro.faults.plan.FaultPlan`; mounts the
+        fault-injection stage (:attr:`faults`) that executes the plan's
+        crashes, transient errors and read corruption.
     """
-
-    #: True on devices that may inject faults (``FaultyDevice``).  The DB
-    #: caches this flag so fault-free read paths skip the corruption check.
-    injects_faults = False
 
     def __init__(
         self,
@@ -75,16 +79,39 @@ class SimulatedSSD:
         registry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         flash: FlashSpec | None = None,
+        fault_plan: FaultPlan | None = None,
     ) -> None:
         if isinstance(profile, DeviceConfig):
             if flash is None:
                 flash = profile.flash
             profile = profile.profile
         self.profile = profile
+        # Cost constants, hoisted: the profile is frozen, and these are the
+        # expressions the formula above spells out, so the same floats.
+        self._read_overhead = profile.read_overhead_us
+        self._read_seq_overhead = (
+            profile.read_overhead_us * profile.sequential_discount
+        )
+        self._read_per_byte = profile.read_us_per_byte
+        self._write_overhead = profile.write_overhead_us
+        self._write_seq_overhead = (
+            profile.write_overhead_us * profile.sequential_discount
+        )
+        self._write_per_byte = profile.write_us_per_byte
         self.clock = clock if clock is not None else SimClock()
         self.registry = registry if registry is not None else MetricsRegistry()
         self.stats = IOStats(registry=self.registry)
+        # The raw counter dict behind the per-I/O bumps (read / write
+        # inline CategoryStats.record: one call per I/O is what the fused
+        # copies this routine replaced cost); registry.reset zeroes values
+        # in place, so the reference stays valid.
+        self._counters = self.registry._counters
         self.tracer = tracer if tracer is not None else Tracer(clock=self.clock)
+        #: Optional fault-injection stage (:mod:`repro.faults`); ``None``
+        #: when no plan was given.  An empty plan is transparent.
+        self.faults: FaultStage | None = (
+            FaultStage(fault_plan, self) if fault_plan is not None else None
+        )
         #: Optional flash layer (:mod:`repro.ssd.flash`); ``None`` keeps
         #: the device byte-identical to the flash-less simulator.
         self.flash: FlashTranslationLayer | None = (
@@ -101,19 +128,17 @@ class SimulatedSSD:
     # ------------------------------------------------------------------
     def read_cost_us(self, nbytes: int, *, sequential: bool = False) -> float:
         """Service time of a read request without performing it."""
-        self._check_size(nbytes)
-        overhead = self.profile.read_overhead_us
-        if sequential:
-            overhead *= self.profile.sequential_discount
-        return overhead + nbytes * self.profile.read_us_per_byte
+        if nbytes < 0:
+            raise DeviceError(f"I/O size must be non-negative, got {nbytes}")
+        overhead = self._read_seq_overhead if sequential else self._read_overhead
+        return overhead + nbytes * self._read_per_byte
 
     def write_cost_us(self, nbytes: int, *, sequential: bool = False) -> float:
         """Service time of a write request without performing it."""
-        self._check_size(nbytes)
-        overhead = self.profile.write_overhead_us
-        if sequential:
-            overhead *= self.profile.sequential_discount
-        return overhead + nbytes * self.profile.write_us_per_byte
+        if nbytes < 0:
+            raise DeviceError(f"I/O size must be non-negative, got {nbytes}")
+        overhead = self._write_seq_overhead if sequential else self._write_overhead
+        return overhead + nbytes * self._write_per_byte
 
     # ------------------------------------------------------------------
     # Charged operations — advance the clock and update statistics.
@@ -121,17 +146,33 @@ class SimulatedSSD:
     def read(self, nbytes: int, category: str, *, sequential: bool = False) -> float:
         """Charge a read of ``nbytes`` to ``category``; return elapsed µs.
 
-        With a :class:`~repro.ssd.clock.DeviceChannel` attached (scheduler
-        on), a foreground request first waits out the channel's busy
-        horizon — background compaction chunks in flight — and then
-        occupies the device itself; the wait is recorded under
-        ``sched.device_wait_us``.  During a clock capture the charge is
-        diverted (the scheduler replays it later), so no arbitration
-        happens here.
+        The stages run in the order of the module docstring.  A fault
+        plan's crash point raises before anything is charged; a scheduled
+        corruption is charged like any read and parks a mask for
+        :meth:`consume_read_corruption`.
         """
-        elapsed = self.read_cost_us(nbytes, sequential=sequential)
-        self._charge(elapsed, nbytes)
-        self.stats.record_read(category, nbytes, elapsed)
+        if nbytes < 0:
+            raise DeviceError(f"I/O size must be non-negative, got {nbytes}")
+        overhead = self._read_seq_overhead if sequential else self._read_overhead
+        elapsed = overhead + nbytes * self._read_per_byte
+        faults = self.faults
+        if faults is not None:
+            faults.before_io(category, nbytes, False)
+        clock = self.clock
+        if self.channel is None and clock._capture is None:
+            clock._now_us += elapsed
+        else:
+            self._charge_shared(elapsed, nbytes)
+        try:
+            keys = self.stats.reads[category]
+        except KeyError:
+            keys = self.stats.stream("read", category)
+        counters = self._counters
+        counters[keys.ops_key] = counters.get(keys.ops_key, 0) + 1
+        counters[keys.bytes_key] = counters.get(keys.bytes_key, 0) + nbytes
+        counters[keys.time_key] = counters.get(keys.time_key, 0) + elapsed
+        if faults is not None:
+            faults.after_read(category, nbytes)
         if self.tracer.active:
             self.tracer.emit(
                 EV_DEVICE_READ,
@@ -153,22 +194,39 @@ class SimulatedSSD:
     ) -> float:
         """Charge a write of ``nbytes`` to ``category``; return elapsed µs.
 
-        Arbitrates for the device channel exactly like :meth:`read`.
-
         With a flash layer attached, the write is first mapped into page
         programs tagged with ``owner`` (``stream=True`` appends into the
         owner's partial-page fill buffer — the WAL path); that mapping
-        step may trigger garbage collection, whose relocation I/O is
-        charged before this write's own service time.  GC's internal
-        relocation writes (category ``gc_write``) skip the mapping step
-        — the FTL programs those pages itself.
+        step may trigger garbage collection, whose relocation I/O
+        re-enters :meth:`read` / :meth:`write` (so it passes the fault
+        hooks and the channel like any request) and is charged before
+        this write's own service time.  GC's relocation writes (category
+        ``gc_write``) skip the mapping step — the FTL programs those
+        pages itself.
         """
-        elapsed = self.write_cost_us(nbytes, sequential=sequential)
+        if nbytes < 0:
+            raise DeviceError(f"I/O size must be non-negative, got {nbytes}")
+        overhead = self._write_seq_overhead if sequential else self._write_overhead
+        elapsed = overhead + nbytes * self._write_per_byte
+        faults = self.faults
+        if faults is not None:
+            faults.before_io(category, nbytes, True)
         flash = self.flash
         if flash is not None and category != GC_WRITE:
             flash.host_write(nbytes, category, owner=owner, stream=stream)
-        self._charge(elapsed, nbytes)
-        self.stats.record_write(category, nbytes, elapsed)
+        clock = self.clock
+        if self.channel is None and clock._capture is None:
+            clock._now_us += elapsed
+        else:
+            self._charge_shared(elapsed, nbytes)
+        try:
+            keys = self.stats.writes[category]
+        except KeyError:
+            keys = self.stats.stream("write", category)
+        counters = self._counters
+        counters[keys.ops_key] = counters.get(keys.ops_key, 0) + 1
+        counters[keys.bytes_key] = counters.get(keys.bytes_key, 0) + nbytes
+        counters[keys.time_key] = counters.get(keys.time_key, 0) + elapsed
         if self.tracer.active:
             self.tracer.emit(
                 EV_DEVICE_WRITE,
@@ -185,61 +243,81 @@ class SimulatedSSD:
         category: str,
         *,
         sequential: bool = False,
-    ) -> float:
-        """Charge one read per block run; return the total elapsed µs.
+    ) -> int:
+        """Charge one read per block run; return how many runs were charged.
 
-        The batched compaction accounting path: each run is charged to the
-        clock individually, in order, exactly as the equivalent sequence
-        of :meth:`read` calls would be (so scheduler captures see the same
-        items and the virtual timeline is bit-identical), but the metrics
-        registry is updated once per batch through prebuilt keys
-        (:meth:`~repro.ssd.metrics.IOStats.record_read_many`) instead of
-        three dict round-trips per run.
+        The multi-read entry (compaction inputs).  Each run passes the
+        same stages, in order, as the equivalent :meth:`read` would — so
+        fault-plan indices, scheduler captures and the virtual timeline
+        see the identical I/O sequence — but the counters are updated
+        once per batch (:meth:`~repro.ssd.metrics.CategoryStats.
+        record_many`, same float-addition order) and the trace events
+        follow the batch.  What was charged is recorded even when a crash
+        point leaves the loop early.
+
+        A run a scheduled corruption landed on ends the batch, so the
+        count returned always names the one run that may carry a parked
+        mask — the last one charged — and the caller's CRC verification
+        of it raises before any later input is charged.
         """
-        profile = self.profile
-        overhead = profile.read_overhead_us
-        if sequential:
-            overhead *= profile.sequential_discount
-        per_byte = profile.read_us_per_byte
-        charge = self._charge
+        overhead = self._read_seq_overhead if sequential else self._read_overhead
+        per_byte = self._read_per_byte
+        faults = self.faults
+        clock = self.clock
         elapsed_runs: "list[float]" = []
         push = elapsed_runs.append
-        for nbytes in run_sizes:
-            if nbytes < 0:
-                raise DeviceError(f"I/O size must be non-negative, got {nbytes}")
-            elapsed = overhead + nbytes * per_byte
-            charge(elapsed, nbytes)
-            push(elapsed)
-        self.stats.record_read_many(category, run_sizes, elapsed_runs)
-        if self.tracer.active:
-            for nbytes, elapsed in zip(run_sizes, elapsed_runs):
-                self.tracer.emit(
-                    EV_DEVICE_READ,
-                    category=category,
-                    nbytes=nbytes,
-                    elapsed_us=elapsed,
-                    sequential=sequential,
-                )
-        return sum(elapsed_runs)
+        try:
+            for nbytes in run_sizes:
+                if nbytes < 0:
+                    raise DeviceError(f"I/O size must be non-negative, got {nbytes}")
+                elapsed = overhead + nbytes * per_byte
+                if faults is not None:
+                    faults.before_io(category, nbytes, False)
+                if self.channel is None and clock._capture is None:
+                    clock._now_us += elapsed
+                else:
+                    self._charge_shared(elapsed, nbytes)
+                push(elapsed)
+                if faults is not None and faults.after_read(category, nbytes):
+                    break
+        finally:
+            charged = len(elapsed_runs)
+            if charged:
+                sizes = run_sizes[:charged]
+                self.stats.stream("read", category).record_many(sizes, elapsed_runs)
+                if self.tracer.active:
+                    for nbytes, elapsed in zip(sizes, elapsed_runs):
+                        self.tracer.emit(
+                            EV_DEVICE_READ,
+                            category=category,
+                            nbytes=nbytes,
+                            elapsed_us=elapsed,
+                            sequential=sequential,
+                        )
+        return charged
 
-    def _charge(self, elapsed: float, nbytes: int) -> None:
-        """Advance the clock for one transfer, arbitrating when needed.
+    def _charge_shared(self, elapsed: float, nbytes: int) -> None:
+        """The clock stage while the device is shared with the scheduler.
 
-        The common (scheduler-off) case is a single ``advance_io`` call,
-        identical in effect to the plain ``advance`` it replaces.
+        During a clock capture the charge is diverted (the scheduler
+        replays it later as background chunks), so no arbitration happens.
+        Otherwise a :class:`~repro.ssd.clock.DeviceChannel` is attached: a
+        foreground request first waits out the channel's busy horizon —
+        background compaction chunks in flight — and then occupies the
+        device itself; the wait is recorded under ``sched.device_wait_us``.
         """
         clock = self.clock
         channel = self.channel
-        if channel is not None and not clock.capturing:
-            wait = channel.busy_until_us - clock.now()
-            if wait > 0:
-                clock.advance(wait)
-                self.registry.add("sched.device_wait_us", wait)
-                self.registry.add("sched.device_waits", 1)
-            clock.advance(elapsed)
-            channel.occupy_until(clock.now())
-        else:
+        if channel is None or clock._capture is not None:
             clock.advance_io(elapsed, nbytes)
+            return
+        wait = channel.busy_until_us - clock._now_us
+        if wait > 0:
+            clock._now_us += wait
+            self.registry.add("sched.device_wait_us", wait)
+            self.registry.add("sched.device_waits", 1)
+        clock._now_us += elapsed
+        channel.occupy_until(clock._now_us)
 
     def trim(self, owner) -> None:
         """Invalidate every flash page tagged with ``owner``.
@@ -248,41 +326,24 @@ class SimulatedSSD:
         SSTable deleted after compaction, or the WAL reset after a
         flush.  Free on the plain (flash-less) device: dropped data
         costs nothing there, matching the pre-flash simulator exactly.
+        Metadata only (no charged I/O), so no fault hook runs.
         """
         if self.flash is not None:
             self.flash.trim(owner)
 
-    # ------------------------------------------------------------------
-    # Fault-injection hooks (inert on the plain device)
-    # ------------------------------------------------------------------
     def consume_read_corruption(self) -> int:
         """XOR mask the last read's bit flips applied to its block CRC.
 
-        The plain device never corrupts, so this is always 0.  A
-        :class:`~repro.faults.device.FaultyDevice` returns a non-zero mask
-        exactly once per injected corruption; decode paths call this right
-        after charging a read and verify the delivered checksum against
-        the stored one, raising
+        Always 0 without a fault plan.  With one, a non-zero mask is
+        returned exactly once per injected corruption; decode paths call
+        this right after charging a read and verify the delivered
+        checksum against the stored one, raising
         :class:`~repro.errors.CorruptionError` on mismatch.
         """
-        return 0
+        faults = self.faults
+        return faults.consume_mask() if faults is not None else 0
 
     # ------------------------------------------------------------------
-    @property
-    def metrics(self) -> IOStats:
-        """Deprecated alias for :attr:`stats`.
-
-        The unified entry point is ``db.metrics()``; for a live device view
-        use :attr:`stats`.
-        """
-        warnings.warn(
-            "SimulatedSSD.metrics is deprecated; use SimulatedSSD.stats "
-            "for a live view or db.metrics() for a unified snapshot",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.stats
-
     @property
     def wear_bytes(self) -> int:
         """Total bytes physically written to flash (endurance proxy).
@@ -295,11 +356,6 @@ class SimulatedSSD:
         if self.flash is not None:
             return self.flash.bytes_programmed
         return self.stats.total_bytes_written
-
-    @staticmethod
-    def _check_size(nbytes: int) -> None:
-        if nbytes < 0:
-            raise DeviceError(f"I/O size must be non-negative, got {nbytes}")
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"SimulatedSSD(profile={self.profile.name!r}, t={self.clock.now():.1f}us)"

@@ -41,9 +41,9 @@ gauge.
 
 Crash safety
 ------------
-GC charges its relocation I/O through :attr:`FlashTranslationLayer.charger`
-— the *outermost* device object, so a wrapping
-:class:`~repro.faults.device.FaultyDevice` can crash inside a GC
+GC charges its relocation I/O by re-entering the device's own
+:meth:`~repro.ssd.device.SimulatedSSD.read` / ``write``, so it passes the
+fault-plan hooks like any request and a crash point can land inside a GC
 relocation.  The mapping table is mutated only *after* the charges
 succeed, and each relocated page's old mapping stays valid until the new
 one is installed, so a crash at any charged I/O leaves the table
@@ -206,11 +206,6 @@ class FlashTranslationLayer:
     def __init__(self, spec: FlashSpec, device) -> None:
         self.spec = spec
         self.device = device
-        #: The outermost device object GC relocation I/O is charged
-        #: through.  Defaults to the bare device; a wrapping
-        #: ``FaultyDevice`` re-points it at itself so crash points land
-        #: inside GC relocations too.
-        self.charger = device
         nblocks = spec.total_blocks
         self._nblocks = nblocks
         self._ppb = spec.pages_per_block
@@ -259,7 +254,7 @@ class FlashTranslationLayer:
         Whole-page writes round up (``ceil(nbytes / page_bytes)``
         pages); ``stream=True`` writes accumulate in the owner's fill
         buffer and program only completed pages.  May trigger GC (and
-        hence charge relocation I/O through :attr:`charger`) when the
+        hence charge relocation I/O through the device) when the
         free-block pool drops to the reserve.
         """
         if nbytes == 0:
@@ -387,7 +382,7 @@ class FlashTranslationLayer:
         """Relocate one victim block's live pages and erase it.
 
         The relocation I/O is charged *before* any mapping mutation: if
-        the charger injects a crash during the GC read or write, the
+        a fault plan injects a crash during the GC read or write, the
         table is untouched and every old mapping is still valid.  During
         the install loop each page's old slot is cleared only after its
         new slot is filled.
@@ -405,9 +400,8 @@ class FlashTranslationLayer:
         registry.add(CTR_COLLECTIONS)
         if live:
             nbytes = len(live) * self.spec.page_bytes
-            charger = self.charger
-            charger.read(nbytes, GC_READ, sequential=True)
-            charger.write(nbytes, GC_WRITE, sequential=True)
+            self.device.read(nbytes, GC_READ, sequential=True)
+            self.device.write(nbytes, GC_WRITE, sequential=True)
             valid = self._valid
             owner_pages = self.owner_pages
             for ppn in live:

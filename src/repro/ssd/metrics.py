@@ -55,7 +55,7 @@ _GC_WRITE_KEY = f"{_PREFIX}.write.{GC_WRITE}.bytes"
 class CategoryStats:
     """View of one (category, direction) stream of I/O in the registry."""
 
-    __slots__ = ("registry", "key", "_ops_key", "_bytes_key", "_time_key")
+    __slots__ = ("registry", "key", "ops_key", "bytes_key", "time_key")
 
     def __init__(
         self,
@@ -68,11 +68,11 @@ class CategoryStats:
     ) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.key = key
-        # record() runs once per simulated I/O; build the dotted counter
-        # keys once instead of three f-strings per call.
-        self._ops_key = f"{key}.ops"
-        self._bytes_key = f"{key}.bytes"
-        self._time_key = f"{key}.time_us"
+        #: The dotted counter keys, built once: the device's charge
+        #: routine bumps them in place once per simulated I/O.
+        self.ops_key = f"{key}.ops"
+        self.bytes_key = f"{key}.bytes"
+        self.time_key = f"{key}.time_us"
         if ops:
             self.ops = ops
         if bytes:
@@ -109,9 +109,9 @@ class CategoryStats:
         # directly rather than paying three method calls (CategoryStats
         # is a designated view over the registry, see module docstring).
         counters = self.registry._counters
-        counters[self._ops_key] = counters.get(self._ops_key, 0) + 1
-        counters[self._bytes_key] = counters.get(self._bytes_key, 0) + nbytes
-        counters[self._time_key] = counters.get(self._time_key, 0) + elapsed_us
+        counters[self.ops_key] = counters.get(self.ops_key, 0) + 1
+        counters[self.bytes_key] = counters.get(self.bytes_key, 0) + nbytes
+        counters[self.time_key] = counters.get(self.time_key, 0) + elapsed_us
 
     def record_many(
         self, run_sizes: "list[int]", elapsed_runs: "list[float]"
@@ -124,14 +124,14 @@ class CategoryStats:
         exact (non-associative) addition order of the per-run path.
         """
         counters = self.registry._counters
-        counters[self._ops_key] = counters.get(self._ops_key, 0) + len(run_sizes)
-        counters[self._bytes_key] = (
-            counters.get(self._bytes_key, 0) + sum(run_sizes)
+        counters[self.ops_key] = counters.get(self.ops_key, 0) + len(run_sizes)
+        counters[self.bytes_key] = (
+            counters.get(self.bytes_key, 0) + sum(run_sizes)
         )
-        time_total = counters.get(self._time_key, 0)
+        time_total = counters.get(self.time_key, 0)
         for elapsed in elapsed_runs:
             time_total += elapsed
-        counters[self._time_key] = time_total
+        counters[self.time_key] = time_total
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -151,9 +151,9 @@ class IOStats:
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-    def _stream(
-        self, streams: Dict[str, CategoryStats], direction: str, category: str
-    ) -> CategoryStats:
+    def stream(self, direction: str, category: str) -> CategoryStats:
+        """The "read" / "write" view of ``category``, created on first use."""
+        streams = self.reads if direction == "read" else self.writes
         stats = streams.get(category)
         if stats is None:
             stats = CategoryStats(
@@ -163,18 +163,10 @@ class IOStats:
         return stats
 
     def record_read(self, category: str, nbytes: int, elapsed_us: float) -> None:
-        self._stream(self.reads, "read", category).record(nbytes, elapsed_us)
-
-    def record_read_many(
-        self, category: str, run_sizes: "list[int]", elapsed_runs: "list[float]"
-    ) -> None:
-        """Bulk-record a batch of reads (see CategoryStats.record_many)."""
-        self._stream(self.reads, "read", category).record_many(
-            run_sizes, elapsed_runs
-        )
+        self.stream("read", category).record(nbytes, elapsed_us)
 
     def record_write(self, category: str, nbytes: int, elapsed_us: float) -> None:
-        self._stream(self.writes, "write", category).record(nbytes, elapsed_us)
+        self.stream("write", category).record(nbytes, elapsed_us)
 
     # ------------------------------------------------------------------
     # Derived quantities

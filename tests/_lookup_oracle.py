@@ -186,24 +186,12 @@ def _charge_point_read(db, table, key: bytes) -> None:
             EV_CACHE_MISS, file_id=table.file_id, block=block_index,
             nbytes=nbytes,
         )
-    stats = db._user_read_stats
     device = db.device
-    if (
-        stats is not None
-        and device.channel is None
-        and not device.tracer.active
-    ):
-        # Fused plain-device block read: identical charge expression
-        # and counter updates to SimulatedSSD.read, one call deep.
-        elapsed = db._read_overhead + nbytes * db._read_per_byte
-        db.clock.advance_io(elapsed, nbytes)
-        stats.record(nbytes, elapsed)
-    else:
-        device.read(nbytes, USER_READ)
-        if db._faulty:
-            # Verify before the cache insert so a corrupt block is
-            # never served from memory later.
-            db._verify_block_read(table, (block_index,))
+    device.read(nbytes, USER_READ)
+    if device.faults is not None:
+        # Verify before the cache insert so a corrupt block is
+        # never served from memory later.
+        db._verify_block_read(table, (block_index,))
     counters = db._counters
     counters["engine.sstable_blocks_read"] = (
         counters.get("engine.sstable_blocks_read", 0) + 1

@@ -6,8 +6,10 @@ them, merged the lot, and then charged the device for each of those
 sources in turn.  That version is trivially right — it cannot skip a
 source it should have read — so it lives on here, verbatim in behaviour,
 as the reference the lazy scan is compared against: same results, and the
-same charge sequence (device reads, cache probes and installs, CRC
-verification, in the same order), hence the same virtual clock, the same
+same charge sequence (device reads, cache probes and installs — a missing
+block is installed when its probe misses, and a run that fails its CRC
+leaves none of its blocks resident — CRC verification, in the same
+order), hence the same virtual clock, the same
 ``USER_SCAN`` counters and the same block-cache LRU state.
 
 ``eager_scan(db, start_key, count)`` drives a real :class:`~repro.lsm.db.DB`
@@ -17,6 +19,7 @@ side by side, one through ``db.scan`` and one through this function.
 
 from typing import List, Tuple
 
+from repro.errors import CorruptionError
 from repro.lsm.db import _check_key
 from repro.lsm.iterators import merge_records
 from repro.lsm.keys import clamp_range, key_successor
@@ -75,48 +78,33 @@ def _charge_range_read(db, table, lo, hi) -> None:
         return
     cache = db.block_cache
     if cache is None:
-        db.device.read(
-            sum(nbytes for _, nbytes in blocks), USER_SCAN, sequential=True
-        )
-        if db._faulty:
-            db._verify_block_read(table, [b for b, _ in blocks])
+        _read_run(db, table, blocks)
         return
-    if db._faulty:
-        _charge_range_read_verified(db, table, blocks, cache)
-        return
-    run_bytes = 0
+    run: List[Tuple[int, int]] = []
     for block_index, nbytes in blocks:
         if cache.lookup(table.file_id, block_index):
-            if run_bytes:
-                db.device.read(run_bytes, USER_SCAN, sequential=True)
-                run_bytes = 0
+            if run:
+                _read_run(db, table, run)
+                run = []
             db.clock.advance(db.config.costs.cache_hit_us)
         else:
-            run_bytes += nbytes
+            run.append((block_index, nbytes))
             cache.insert(table.file_id, block_index, nbytes)
-    if run_bytes:
-        db.device.read(run_bytes, USER_SCAN, sequential=True)
+    if run:
+        _read_run(db, table, run)
 
 
-def _charge_range_read_verified(db, table, blocks, cache) -> None:
-    run_bytes = 0
-    run_blocks: List[Tuple[int, int]] = []
-    for block_index, nbytes in blocks:
-        if cache.lookup(table.file_id, block_index):
-            if run_bytes:
-                _read_verified_run(db, table, run_bytes, run_blocks, cache)
-                run_bytes = 0
-                run_blocks = []
-            db.clock.advance(db.config.costs.cache_hit_us)
-        else:
-            run_bytes += nbytes
-            run_blocks.append((block_index, nbytes))
-    if run_bytes:
-        _read_verified_run(db, table, run_bytes, run_blocks, cache)
-
-
-def _read_verified_run(db, table, run_bytes, run_blocks, cache) -> None:
-    db.device.read(run_bytes, USER_SCAN, sequential=True)
-    db._verify_block_read(table, [b for b, _ in run_blocks])
-    for block_index, nbytes in run_blocks:
-        cache.insert(table.file_id, block_index, nbytes)
+def _read_run(db, table, run) -> None:
+    """Read one contiguous run; under a fault plan verify it, and on a CRC
+    failure drop the run's blocks (installed at miss time) from the cache."""
+    db.device.read(sum(nbytes for _, nbytes in run), USER_SCAN, sequential=True)
+    if db.device.faults is None:
+        return
+    try:
+        db._verify_block_read(table, [block_index for block_index, _ in run])
+    except CorruptionError:
+        if db.block_cache is not None:
+            db.block_cache.evict_blocks(
+                table.file_id, [block_index for block_index, _ in run]
+            )
+        raise

@@ -12,6 +12,7 @@ import random
 import pytest
 
 from repro import DB, LDCPolicy, LeveledCompaction, TieredCompaction
+from repro.lsm.builder import build_balanced_columns
 from repro.lsm.config import LSMConfig
 
 
@@ -64,3 +65,19 @@ def key_of(index: int, width: int = 12) -> bytes:
 @pytest.fixture
 def seeded_rng() -> random.Random:
     return random.Random(0xC0FFEE)
+
+
+def build_balanced_from_records(records, config: LSMConfig, next_file_id):
+    """``build_balanced_columns`` driven from a plain sorted record list.
+
+    The records -> columns step compaction gets from ``merge_windows``:
+    parallel key / record / sequence / encoded-size columns.
+    """
+    return build_balanced_columns(
+        [record.key for record in records],
+        list(records),
+        [record.seq for record in records],
+        [record.encoded_size for record in records],
+        config,
+        next_file_id,
+    )

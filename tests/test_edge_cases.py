@@ -3,14 +3,13 @@
 import pytest
 
 from repro import DB, LDCPolicy, LeveledCompaction
-from repro.lsm.builder import build_balanced
 from repro.lsm.config import LSMConfig
 from repro.lsm.record import put_record
 from repro.lsm.wal import WriteAheadLog
 from repro.ssd.device import SimulatedSSD
 from repro.ssd.profile import ENTERPRISE_PCIE
 
-from tests.conftest import key_of
+from tests.conftest import build_balanced_from_records, key_of
 
 
 class TestBuilderEdges:
@@ -20,7 +19,7 @@ class TestBuilderEdges:
         )
         huge = put_record(b"k", b"v" * 10_000, 1)
         counter = iter(range(1, 10))
-        tables = build_balanced([huge], config, lambda: next(counter))
+        tables = build_balanced_from_records([huge], config, lambda: next(counter))
         assert len(tables) == 1
         assert tables[0].num_records == 1
 
@@ -30,7 +29,7 @@ class TestBuilderEdges:
         )
         records = [put_record(key_of(i), b"v" * 3000, i) for i in range(5)]
         counter = iter(range(1, 100))
-        tables = build_balanced(records, config, lambda: next(counter))
+        tables = build_balanced_from_records(records, config, lambda: next(counter))
         assert sum(t.num_records for t in tables) == 5
         for left, right in zip(tables, tables[1:]):
             assert left.max_key < right.min_key

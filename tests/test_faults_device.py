@@ -1,4 +1,4 @@
-"""Unit tests for repro.faults: plans and the fault-injecting device."""
+"""Unit tests for repro.faults: plans and the device's fault-injection stage."""
 
 import pytest
 
@@ -7,14 +7,14 @@ from repro.errors import (
     PersistentIOError,
     SimulatedCrash,
 )
-from repro.faults import CrashSpec, FaultPlan, FaultyDevice, RetryPolicy
+from repro.faults import CrashSpec, FaultPlan, FaultStage, RetryPolicy
 from repro.ssd.device import SimulatedSSD
 from repro.ssd.metrics import FLUSH_WRITE, USER_READ, WAL_WRITE
 from repro.ssd.profile import ENTERPRISE_PCIE
 
 
-def make_device(plan: FaultPlan) -> FaultyDevice:
-    return FaultyDevice(SimulatedSSD(ENTERPRISE_PCIE), plan)
+def make_device(plan: FaultPlan) -> SimulatedSSD:
+    return SimulatedSSD(ENTERPRISE_PCIE, fault_plan=plan)
 
 
 class TestFaultPlan:
@@ -151,25 +151,27 @@ class TestCorruption:
 
 
 class TestDelegation:
+    """Nothing is delegated any more: the stage rides on the one device."""
+
     def test_transparent_costs_and_attrs(self):
-        inner = SimulatedSSD(ENTERPRISE_PCIE)
-        device = FaultyDevice(inner, FaultPlan())
-        assert device.read_cost_us(100) == inner.read_cost_us(100)
-        assert device.write_cost_us(100) == inner.write_cost_us(100)
-        assert device.clock is inner.clock
-        assert device.registry is inner.registry
-        assert device.profile is inner.profile
-        assert device.injects_faults and not inner.injects_faults
+        device = make_device(FaultPlan())
+        plain = SimulatedSSD(ENTERPRISE_PCIE)
+        assert type(device) is type(plain) is SimulatedSSD
+        assert isinstance(device.faults, FaultStage) and plain.faults is None
+        assert device.read_cost_us(100) == plain.read_cost_us(100)
+        assert device.write_cost_us(100) == plain.write_cost_us(100)
+        assert device.profile is plain.profile
 
     def test_empty_plan_charges_like_plain_device(self):
-        inner = SimulatedSSD(ENTERPRISE_PCIE)
-        device = FaultyDevice(inner, FaultPlan())
+        device = make_device(FaultPlan())
         plain = SimulatedSSD(ENTERPRISE_PCIE)
         device.write(100, WAL_WRITE, sequential=True)
         device.read(200, USER_READ)
         plain.write(100, WAL_WRITE, sequential=True)
         plain.read(200, USER_READ)
         assert device.clock.now() == plain.clock.now()
-        assert device.io_count == 2
-        assert device.read_count == 1
+        assert device.registry.counters() == plain.registry.counters()
+        assert device.faults.io_count == 2
+        assert device.faults.read_count == 1
+        assert device.faults.category_counts == {WAL_WRITE: 1, USER_READ: 1}
         assert device.wear_bytes == plain.wear_bytes

@@ -7,9 +7,11 @@ exactly, so nothing here depends on how fast the machine is.
 
 The bookkeeping they pin used to rescan a level (or every flash owner,
 or the whole block cache) per compaction round or per request; the
-bounds below fail on any return to that.  The last class pins the point
-lookup the same way — what a get pays per Bloom probe — against the
-per-probe routine it replaced (``tests/_lookup_oracle.py``).
+bounds below fail on any return to that.  ``TestCallsPerGet`` pins the
+point lookup the same way — what a get pays per Bloom probe — against the
+per-probe routine it replaced (``tests/_lookup_oracle.py``), and
+``TestStageCost`` what mounting a device stage (trace sink, fault plan,
+flash) adds to a put and a get.
 """
 
 import cProfile
@@ -19,15 +21,19 @@ from functools import partial
 from itertools import count
 from types import SimpleNamespace
 
-from repro import DB, DeviceConfig, FlashSpec, SimulatedSSD
+import pytest
+
+from repro import DB, DeviceConfig, FlashSpec, RingBufferSink, SimulatedSSD, Tracer
 from repro.core.primitives import LDCLinkMergeMovement
 from repro.core.slice import Slice, attach_slice
+from repro.faults.plan import FaultPlan
 from repro.lsm import bloom as bloom_module
 from repro.lsm.config import LSMConfig
 from repro.lsm.keys import key_successor
 from repro.lsm.record import put_record
 from repro.lsm.sstable import SSTable
 from repro.lsm.version import VersionSet
+from repro.obs.events import ALL_EVENT_KINDS, EV_DEVICE_READ, EV_DEVICE_WRITE
 from repro.ssd.metrics import FLUSH_WRITE, WAL_WRITE
 
 from ._lookup_oracle import oracle_get
@@ -359,3 +365,71 @@ class TestCallsPerGet:
             if isinstance(entry.code, str) and "crc32" in entry.code
         )
         assert computed == len(absent)
+
+
+class TestStageCost:
+    """What one mounted device stage adds to a put and to a get, in calls.
+
+    LDC, default geometry, no block cache: 12 000 1 KB puts over 6 000
+    keys, then 6 000 gets, each phase under cProfile.  Every I/O enters
+    the one charge routine, so a stage costs its own hooks and nothing
+    else; when stages were wrappers and guard-selected twins the same
+    stages cost +13.1 / +11.7 (tracer), +20.7 / +19.5 (empty fault plan)
+    and +20.9 (flash) calls per put / get, and every bound here failed.
+    """
+
+    KEYS, PUTS, GETS = 6_000, 12_000, 6_000
+
+    @classmethod
+    def calls(cls, **stage) -> tuple:
+        """(calls per put, calls per get) of an LDC store built with ``stage``."""
+        db = DB(config=LSMConfig(), policy="ldc", **stage)
+        assert type(db.device) is SimulatedSSD
+        rng = random.Random(5)
+        value = b"v" * 1024
+        puts = [key_of(rng.randrange(cls.KEYS)) for _ in range(cls.PUTS)]
+        gets = [key_of(rng.randrange(cls.KEYS)) for _ in range(cls.GETS)]
+
+        def run_puts():
+            for key in puts:
+                db.put(key, value)
+
+        def run_gets():
+            for key in gets:
+                db.get(key)
+
+        per_put = total_calls(run_puts) / cls.PUTS
+        per_get = total_calls(run_gets) / cls.GETS
+        assert db.engine_stats.sstable_blocks_read > cls.GETS // 2
+        return per_put, per_get
+
+    @pytest.fixture(scope="class")
+    def bare(self) -> tuple:
+        # The first build of each filter writes the process-global Bloom
+        # hash memo; warm it so every measured run only reads it.
+        self.calls()
+        return self.calls()
+
+    def added(self, bare: tuple, **stage) -> tuple:
+        per_put, per_get = self.calls(**stage)
+        return per_put - bare[0], per_get - bare[1]
+
+    def test_trace_sink_with_device_kinds_filtered_out(self, bare):
+        """Measured +3.1 / +1.9: ``emit`` and its ``wants``, per I/O."""
+        kinds = set(ALL_EVENT_KINDS) - {EV_DEVICE_READ, EV_DEVICE_WRITE}
+        tracer = Tracer([RingBufferSink()], kinds=kinds)
+        per_put, per_get = self.added(bare, tracer=tracer)
+        assert 0 < per_put <= 4, per_put
+        assert 0 < per_get <= 4, per_get
+
+    def test_empty_fault_plan(self, bare):
+        """Measured +7.5 / +10.7: the stage's hooks, and CRC checks on reads."""
+        per_put, per_get = self.added(bare, fault_plan=FaultPlan())
+        assert 0 < per_put <= 12, per_put
+        assert 0 < per_get <= 12, per_get
+
+    def test_mounted_flash(self, bare):
+        """Measured +11.9 per put (the FTL's own work); reads never see it."""
+        per_put, per_get = self.added(bare, profile=DeviceConfig(flash=FlashSpec()))
+        assert 0 < per_put <= 14, per_put
+        assert per_get == 0, per_get

@@ -355,7 +355,7 @@ class TestDirectedCorruption:
         key = sorted(model)[len(model) // 2]
         for db in pair.both():
             # The next device read delivers flipped bits.
-            db.device.plan.corrupt_read(db.device.read_count + 1)
+            db.device.faults.plan.corrupt_read(db.device.faults.read_count + 1)
         residency = observable_state(pair.new)[3]
         with pytest.raises(CorruptionError) as new_error:
             pair.new.get(key)

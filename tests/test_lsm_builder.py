@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import EngineError
-from repro.lsm.builder import SSTableBuilder, build_balanced, build_tables
+from repro.lsm.builder import SSTableBuilder, build_tables
 from repro.lsm.config import LSMConfig
 from repro.lsm.record import put_record
+
+from tests.conftest import build_balanced_from_records
 
 CONFIG = LSMConfig(
     memtable_bytes=2048,
@@ -83,30 +85,32 @@ class TestStreamingBuilder:
 
 
 class TestBalancedBuilder:
+    """``build_balanced_columns`` — the builder every compaction output uses."""
+
     def test_empty(self):
-        assert build_balanced([], CONFIG, id_gen()) == []
+        assert build_balanced_from_records([], CONFIG, id_gen()) == []
 
     def test_no_fragment_files(self):
         """The fix for LDC fragmentation: no output is a tiny sliver."""
         source = records_of(220)  # ~1.2 files of data per old cut rule
-        tables = build_balanced(source, CONFIG, id_gen())
+        tables = build_balanced_from_records(source, CONFIG, id_gen())
         sizes = [t.data_size for t in tables]
         assert min(sizes) >= 0.5 * CONFIG.sstable_target_bytes
 
     def test_sizes_roughly_equal(self):
         source = records_of(500)
-        tables = build_balanced(source, CONFIG, id_gen())
+        tables = build_balanced_from_records(source, CONFIG, id_gen())
         sizes = [t.data_size for t in tables]
         assert max(sizes) <= 2 * min(sizes)
 
     def test_preserves_all_records(self):
         source = records_of(333)
-        tables = build_balanced(source, CONFIG, id_gen())
+        tables = build_balanced_from_records(source, CONFIG, id_gen())
         rebuilt = [record for table in tables for record in table.records]
         assert rebuilt == source
 
     def test_outputs_are_disjoint_and_ordered(self):
-        tables = build_balanced(records_of(300), CONFIG, id_gen())
+        tables = build_balanced_from_records(records_of(300), CONFIG, id_gen())
         for left, right in zip(tables, tables[1:]):
             assert left.max_key < right.min_key
 
@@ -114,6 +118,6 @@ class TestBalancedBuilder:
     @settings(max_examples=30)
     def test_record_conservation_property(self, count):
         source = records_of(count, value_bytes=17)
-        tables = build_balanced(source, CONFIG, id_gen())
+        tables = build_balanced_from_records(source, CONFIG, id_gen())
         assert sum(t.num_records for t in tables) == count
         assert sum(t.data_size for t in tables) == sum(r.encoded_size for r in source)

@@ -100,12 +100,7 @@ class TestWALTornTails:
     """Write-ahead ordering and torn-unit handling under injected crashes."""
 
     def _faulty_wal(self, plan):
-        from repro.faults.device import FaultyDevice
-        from repro.lsm.wal import WriteAheadLog
-        from repro.ssd.device import SimulatedSSD
-
-        device = FaultyDevice(SimulatedSSD(ENTERPRISE_PCIE), plan)
-        return WriteAheadLog(device)
+        return WriteAheadLog(SimulatedSSD(ENTERPRISE_PCIE, fault_plan=plan))
 
     def test_crashed_append_is_not_replayed(self):
         from repro.errors import SimulatedCrash

@@ -95,23 +95,6 @@ class TestSnapshot:
         assert sum(shares.values()) == pytest.approx(1.0)
 
 
-class TestDeprecatedAliases:
-    def test_db_stats_warns_but_works(self, tiny_config: LSMConfig) -> None:
-        db = DB(config=tiny_config, policy=LDCPolicy())
-        fill(db, 50)
-        with pytest.warns(DeprecationWarning, match="DB.stats is deprecated"):
-            stats = db.stats
-        assert stats is db.engine_stats
-        assert stats.puts == 50
-
-    def test_device_metrics_warns_but_works(self, tiny_config: LSMConfig) -> None:
-        db = DB(config=tiny_config, policy=LDCPolicy())
-        fill(db, 50)
-        with pytest.warns(DeprecationWarning, match="metrics is deprecated"):
-            io_stats = db.device.metrics
-        assert io_stats is db.device.stats
-
-
 class TestUnifiedReset:
     def test_reset_measurements_zeroes_every_component(
         self, tiny_config: LSMConfig

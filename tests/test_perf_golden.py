@@ -512,12 +512,14 @@ class TestChunkedDispatchDifferential:
 
     @pytest.mark.parametrize("policy_name", ["UDC", "LDC"])
     def test_chunked_equals_per_op(self, policy_name):
+        # Imported here: ``--regen`` runs this file as a script, where a
+        # relative import at module level would fail.
+        from ._runner_oracle import run_workload_per_op
+
         spec = workloads.rwb(num_operations=1500, key_space=700)
         config = experiments.experiment_config()
         chunked = runner_run_workload(spec, _POLICIES[policy_name], config=config)
-        per_op = runner_run_workload(
-            spec, _POLICIES[policy_name], config=config, chunk_size=1
-        )
+        per_op = run_workload_per_op(spec, _POLICIES[policy_name], config=config)
         assert _snapshot(chunked) == _snapshot(per_op)
         assert list(chunked.latencies.values) == list(per_op.latencies.values)
         assert list(chunked.read_latencies.values) == list(

@@ -198,7 +198,7 @@ class TestVerifiedReads:
         self.load(pair)
         for db in (pair.lazy, pair.eager):
             # The second device read of the next scan delivers flipped bits.
-            db.device.plan.corrupt_read(db.device.read_count + 2)
+            db.device.faults.plan.corrupt_read(db.device.faults.read_count + 2)
         with pytest.raises(CorruptionError):
             pair.lazy.scan(make_key(40), 60)
         with pytest.raises(CorruptionError):
