@@ -11,7 +11,7 @@ just at the end.
 
 import random
 
-from repro import DB, LDCPolicy
+from repro import DB
 from repro.harness.experiments import experiment_config
 from repro.harness.report import format_table, paper_row
 from repro.harness.timeseries import StateSampler
@@ -20,7 +20,7 @@ from conftest import run_once
 
 
 def _trace(ops, keys):
-    db = DB(config=experiment_config(), policy=LDCPolicy())
+    db = DB(config=experiment_config(), policy="ldc")
     sampler = StateSampler(db, every_ops=max(1, ops // 50))
     rng = random.Random(5)
     value = b"v" * 1024
@@ -53,8 +53,9 @@ def test_ablation_frozen_dynamics(benchmark, bench_ops, bench_keys):
             title="Ablation — frozen-region trajectory (write-only, LDC):",
         )
     )
-    recycled = db.policy.frozen.total_recycled
-    frozen_ever = db.policy.frozen.total_frozen_ever
+    region = db.policy.movement.frozen
+    recycled = region.total_recycled
+    frozen_ever = region.total_frozen_ever
     print(paper_row("delayed GC recycles", "every file, eventually",
                     f"{recycled}/{frozen_ever} frozen files recycled during run"))
 

@@ -15,7 +15,7 @@ Run:  python examples/adaptive_tuning.py
 
 import numpy as np
 
-from repro import DB, LDCPolicy, LSMConfig
+from repro import DB, LSMConfig, get_spec
 
 PHASES = (
     ("write-heavy (90% writes)", 0.9, 30_000),
@@ -26,7 +26,7 @@ KEY_SPACE = 15_000
 
 
 def main() -> None:
-    policy = LDCPolicy(adaptive=True)
+    policy = get_spec("ldc").derive(adaptive=True).build()
     db = DB(config=LSMConfig(), policy=policy)
     rng = np.random.default_rng(11)
     value = b"v" * 512
@@ -48,7 +48,7 @@ def main() -> None:
             else:
                 db.get(key)
         print(
-            f"{label:<28} {policy._adaptive.write_ratio:>17.3f} "  # noqa: SLF001 - demo introspection
+            f"{label:<28} {policy.movement._adaptive.write_ratio:>17.3f} "  # noqa: SLF001 - demo introspection
             f"{policy.threshold:>5} {db.engine_stats.merge_count - merges_before:>8}"
         )
 

@@ -12,16 +12,15 @@ Run:  python examples/compare_policies.py            (a few minutes)
 
 import sys
 
-from repro import LDCPolicy, LeveledCompaction, TieredCompaction
 from repro.harness import format_table, run_workload
 from repro.harness.experiments import experiment_config
 from repro.workload import TABLE_III
 
 MIXES = ("WO", "WH", "RWB", "RH", "RO")
 POLICIES = (
-    ("UDC", LeveledCompaction),
-    ("LDC", LDCPolicy),
-    ("Tiered", TieredCompaction),
+    ("UDC", "udc"),
+    ("LDC", "ldc"),
+    ("Tiered", "tiered"),
 )
 
 
@@ -33,8 +32,8 @@ def main() -> None:
     rows = []
     for mix in MIXES:
         spec = TABLE_III[mix](num_operations=ops, key_space=key_space)
-        for policy_name, factory in POLICIES:
-            result = run_workload(spec, factory, config=experiment_config())
+        for policy_name, policy in POLICIES:
+            result = run_workload(spec, policy, config=experiment_config())
             rows.append(
                 (
                     mix,

@@ -8,14 +8,14 @@ what the engine did — all in deterministic virtual time.
 Run:  python examples/quickstart.py
 """
 
-from repro import DB, LDCPolicy, LSMConfig
+from repro import DB, LSMConfig
 
 
 def main() -> None:
     # A store with the paper's geometry (fan-out 10, 10-bit Bloom filters)
     # at simulation scale: 64 KiB memtable/SSTables.
     config = LSMConfig()
-    db = DB(config=config, policy=LDCPolicy())
+    db = DB(config=config, policy="ldc")
 
     # --- Writes -------------------------------------------------------
     for user_id in range(5_000):
@@ -57,7 +57,7 @@ def main() -> None:
     print(
         "levels:",
         [len(level_files) for level_files in db.version.levels],
-        f" frozen files awaiting merge: {len(db.policy.frozen)}",
+        f" frozen files awaiting merge: {len(db.policy.movement.frozen)}",
     )
     db.close()
 

@@ -17,7 +17,7 @@ Run:  python examples/social_feed.py
 
 import numpy as np
 
-from repro import DB, LDCPolicy, LeveledCompaction, LSMConfig
+from repro import DB, LSMConfig
 
 NUM_USERS = 400
 NUM_OPS = 40_000
@@ -30,7 +30,7 @@ def feed_key(user: int, post_index: int) -> bytes:
     return f"feed/{user:06d}/{post_index:010d}".encode()
 
 
-def run_trace(policy_name: str, policy: object) -> dict:
+def run_trace(policy_name: str, policy: str) -> dict:
     db = DB(config=LSMConfig(), policy=policy)
     rng = np.random.default_rng(2019)
     post_counts = [0] * NUM_USERS
@@ -69,8 +69,8 @@ def run_trace(policy_name: str, policy: object) -> dict:
 def main() -> None:
     print(f"social feed: {NUM_USERS} users, {NUM_OPS} ops (60% posts / 40% timelines)\n")
     results = [
-        run_trace("UDC (stock LevelDB)", LeveledCompaction()),
-        run_trace("LDC (this paper)", LDCPolicy()),
+        run_trace("UDC (stock LevelDB)", "udc"),
+        run_trace("LDC (this paper)", "ldc"),
     ]
     header = f"{'policy':<22} {'p50':>8} {'p99':>9} {'p99.9':>9} {'mean':>8} {'compactIO':>10} {'WA':>6}"
     print(header)

@@ -19,20 +19,14 @@ Run:  python examples/trace_replay.py
 import tempfile
 from pathlib import Path
 
-from repro import (
-    DB,
-    DelayedCompaction,
-    LDCPolicy,
-    LeveledCompaction,
-    TieredCompaction,
-)
+from repro import DB
 from repro.workload import read_trace, record_trace, replay, write_trace, rwb
 
 POLICIES = (
-    ("UDC", LeveledCompaction),
-    ("LDC", LDCPolicy),
-    ("Tiered", TieredCompaction),
-    ("Delayed", DelayedCompaction),
+    ("UDC", "udc"),
+    ("LDC", "ldc"),
+    ("Tiered", "tiered"),
+    ("Delayed", "delayed"),
 )
 
 
@@ -56,8 +50,8 @@ def main() -> None:
         contents = None
         print(f"{'policy':<9} {'ops/s':>8} {'p99.9 us':>9} {'write amp':>10} {'compact MiB':>12}")
         print("-" * 54)
-        for name, factory in POLICIES:
-            db = DB(policy=factory())
+        for name, policy in POLICIES:
+            db = DB(policy=policy)
             latencies = []
             start_clock = db.clock.now()
             for op in read_trace(path):

@@ -5,10 +5,12 @@ The library provides:
 
 * :class:`~repro.lsm.db.DB` — a complete LSM-tree key-value store (the
   LevelDB-analogue substrate) running over a simulated SSD in virtual time;
-* :class:`~repro.core.ldc.LDCPolicy` — the paper's lower-level driven
-  compaction (link & merge), alongside the UDC baseline
-  (:class:`~repro.lsm.compaction.leveled.LeveledCompaction`) and a
-  size-tiered lazy baseline;
+* the compaction-policy registry (:func:`available_policies`,
+  :func:`get_spec`, :class:`~repro.lsm.compaction.spec.PolicySpec`):
+  ``"ldc"``, the paper's lower-level driven compaction (link & merge,
+  :mod:`repro.core`), alongside the ``"udc"`` baseline, the lazy
+  ``"tiered"`` / ``"delayed"`` baselines and three further compositions
+  (docs/DESIGN_SPACE.md);
 * :mod:`repro.workload` — a YCSB-like workload generator covering the
   paper's Table III workloads;
 * :mod:`repro.model` — the analytical performance model of §II–III;
@@ -43,14 +45,14 @@ The library provides:
 
 Quickstart
 ----------
->>> from repro import DB, LDCPolicy
->>> db = DB(policy=LDCPolicy())
+>>> from repro import DB
+>>> db = DB(policy="ldc")
 >>> db.put(b"user1", b"hello")
 >>> db.get(b"user1")
 b'hello'
 """
 
-from .core import AdaptiveThreshold, FrozenRegion, LDCPolicy, Slice
+from .core import AdaptiveThreshold, FrozenRegion, Slice
 from .errors import (
     AdmissionError,
     BackpressureError,
@@ -70,12 +72,9 @@ from .lsm import (
     WriteBatch,
     ComposedPolicy,
     CostModel,
-    DelayedCompaction,
-    LeveledCompaction,
     LSMConfig,
     PolicySpec,
     SpecFactory,
-    TieredCompaction,
     available_policies,
     get_spec,
     make_policy,
@@ -128,10 +127,6 @@ __all__ = [
     "WriteBatch",
     "LSMConfig",
     "CostModel",
-    "LDCPolicy",
-    "LeveledCompaction",
-    "TieredCompaction",
-    "DelayedCompaction",
     "PolicySpec",
     "SpecFactory",
     "ComposedPolicy",

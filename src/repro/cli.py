@@ -7,8 +7,7 @@ Usage::
     python -m repro fig12be --ops 30000 --keys 10000
     python -m repro describe                   # quick engine demo + describe()
     python -m repro trace WO --policy ldc --trace-out run.jsonl
-    python -m repro bench --quick              # wall-clock perf suite
-    python -m repro bench --compare BENCH_a.json BENCH_b.json
+    python -m repro paper_scale --ops 500000   # fill + read at (reduced) paper scale
     python -m repro run RWB --shards 4 --workers 4   # sharded execution
     python -m repro run RWB --bg-threads 2 --slowdown-l0 8 --stop-l0 12
     python -m repro fig01s --ops 12000              # scheduled interference
@@ -21,22 +20,23 @@ Usage::
     python -m repro explore --report-out REPORT_design_space.md
 
 The heavy lifting lives in :mod:`repro.harness.experiments`; this module
-maps experiment names to those entry points and prints their results as
-tables.  The ``trace`` subcommand runs one Table III workload with the
-observability layer's event tracer attached and writes the full engine
-timeline (flushes, compaction rounds, links/merges, stalls) as JSON-lines.
-The ``bench`` subcommand runs the wall-clock performance suite
-(:mod:`repro.harness.bench`) and writes a ``BENCH_<name>.json`` artifact
-tracking how fast the simulator itself runs on the host.
+maps subcommand names to those entry points (:data:`EXPERIMENTS`, the one
+table ``main`` dispatches on and ``repro list`` prints) and prints their
+results as tables.  The ``trace`` subcommand runs one Table III workload
+with the observability layer's event tracer attached and writes the full
+engine timeline (flushes, compaction rounds, links/merges, stalls) as
+JSON-lines.  How fast the simulator itself runs on the host is measured
+by the benchmark of record, ``bench/`` (see ``bench/README.md``).
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import Callable, Dict, List, Optional
 
-from .errors import UnknownBenchmarkError, UnknownPolicyError
+from .errors import UnknownPolicyError
 from .harness import experiments
 from .harness.report import format_table, mib
 from .lsm.compaction.spec import resolve_factory
@@ -195,18 +195,28 @@ def _run_fig13(ops: int, keys: int) -> None:
     print(format_table(["bits/key", "block reads", "filter KiB"], rows, title="fig13"))
 
 
-def _matrix_runner(fn: Callable[..., experiments.ExperimentOutput]):
-    def run(ops: int, keys: int) -> None:
-        _print_output(fn(ops=ops, key_space=keys))
+def _figure(runner: Callable[[int, int], None]):
+    """Adapt an ``(ops, keys)`` figure printer to the dispatch signature."""
+
+    def run(args: argparse.Namespace) -> int:
+        runner(args.ops, args.keys)
+        return 0
 
     return run
+
+
+def _matrix_runner(fn: Callable[..., experiments.ExperimentOutput]):
+    return _figure(
+        lambda ops, keys: _print_output(fn(ops=ops, key_space=keys))
+    )
 
 
 def _counts_runner(fn: Callable[..., experiments.ExperimentOutput]):
-    def run(ops: int, keys: int) -> None:
-        _print_output(fn(request_counts=(ops // 3, ops * 2 // 3, ops)))
-
-    return run
+    return _figure(
+        lambda ops, keys: _print_output(
+            fn(request_counts=(ops // 3, ops * 2 // 3, ops))
+        )
+    )
 
 
 def _run_shard_scaling(ops: int, keys: int) -> None:
@@ -830,132 +840,142 @@ def run_device_wa_cli(
     return 0
 
 
-def run_bench_compare(paths: List[str], threshold: float) -> int:
-    """Diff two bench reports; non-zero exit on regression or loss."""
-    import json
-
-    from .harness import bench
-
-    reports = []
-    for path in paths:
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                reports.append(json.load(handle))
-        except (OSError, ValueError) as exc:
-            print(f"cannot read {path}: {exc}", file=sys.stderr)
-            return 2
-    try:
-        diff = bench.diff_reports(reports[0], reports[1], threshold=threshold)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+def _run_paper_scale(args: argparse.Namespace) -> int:
+    """``repro paper_scale``: the fill + read pair at (``--ops``-reduced)
+    paper scale.  The last output line is the result as one JSON object,
+    which is what the CI ``paper-scale`` jobs parse."""
+    out = experiments.paper_scale(ops=args.ops)
     rows = [
         (
-            name,
-            f"{factor:.3f}x",
-            "REGRESSION" if name in diff["regressions"] else "ok",
+            phase,
+            args.ops,
+            round(out[f"{phase}_wall_s"], 1),
+            round(out[f"{phase}_cpu_s"], 1),
+            round(out[f"{phase}_sim_throughput_ops_s"]),
+            round(out[f"{phase}_p99_us"], 1),
         )
-        for name, factor in sorted(diff["speedups"].items())
+        for phase in ("fill", "read")
     ]
-    for name in diff["missing"]:
-        rows.append((name, "-", "MISSING"))
-    for name in diff["added"]:
-        # After-only benchmarks never gate; call them out explicitly so a
-        # new benchmark is visible in review rather than silently passing.
-        rows.append((name, "-", "new benchmark"))
     print(
         format_table(
-            ["benchmark", "speedup", "status"],
+            ["phase", "ops", "wall s", "cpu s", "sim ops/s", "p99 us"],
             rows,
-            title=f"bench compare (threshold {threshold:g})",
+            title=f"paper_scale (UDC, write amp "
+            f"{out['write_amplification']:.2f})",
         )
     )
-    if diff["regressions"] or diff["missing"]:
-        failures = len(diff["regressions"]) + len(diff["missing"])
-        print(
-            f"{failures} benchmark(s) regressed beyond {threshold:g} or vanished",
-            file=sys.stderr,
-        )
-        return 1
-    print("no regressions")
+    print(json.dumps(out, sort_keys=True))
     return 0
 
 
-def run_bench_history(directory: str) -> int:
-    """Print the markdown perf trajectory over committed BENCH_pr*.json.
-
-    The table pasted into docs/PERF.md comes from this command, so the
-    doc stays regenerable: ``repro bench --history``.
-    """
-    from .harness import bench
-
-    try:
-        entries = bench.load_bench_history(directory)
-    except OSError as exc:
-        print(f"cannot read {directory!r}: {exc}", file=sys.stderr)
-        return 2
-    if not entries:
-        print(f"no BENCH_pr*.json reports found in {directory!r}", file=sys.stderr)
-        return 2
-    print(bench.history_table(entries))
+def _run_list(args: argparse.Namespace) -> int:
+    for name in EXPERIMENTS:
+        print(name)
     return 0
 
 
-def run_bench_cli(
-    quick: bool,
-    out_dir: str,
-    name: str,
-    only: Optional[str] = None,
-    profile: bool = False,
-) -> int:
-    """Run the wall-clock benchmark suite and write ``BENCH_<name>.json``.
+def _run_device_wa(args: argparse.Namespace) -> int:
+    return run_device_wa_cli(
+        args.ops,
+        args.keys,
+        flash_op=args.flash_op,
+        flash_gc=args.flash_gc,
+    )
 
-    ``profile=True`` additionally runs every benchmark under ``cProfile``
-    and drops ``PROFILE_<bench>.pstats`` files next to the report (see
-    docs/PERF.md, "Profiling a benchmark").
-    """
-    from .harness import bench
 
-    names = None
-    if only:
-        names = [item.strip() for item in only.split(",") if item.strip()]
-    try:
-        results = bench.run_bench(
-            names=names,
-            quick=quick,
-            progress=lambda n: print(f"running {n} ..."),
-            profile_dir=out_dir if profile else None,
-        )
-    except UnknownBenchmarkError as exc:
-        print(str(exc), file=sys.stderr)
+def _run_explore(args: argparse.Namespace) -> int:
+    return run_explore_cli(
+        args.ops,
+        args.keys,
+        policies=args.policies,
+        mixes=args.mixes,
+        profiles=args.profiles,
+        report_out=args.report_out,
+        flash=args.flash,
+        flash_op=args.flash_op,
+        flash_gc=args.flash_gc,
+        flash_logical_mib=args.flash_logical_mib,
+    )
+
+
+def _run_crashtest(args: argparse.Namespace) -> int:
+    return run_crashtest_cli(
+        args.policy,
+        args.ops,
+        args.keys,
+        every=args.every,
+        shards=args.shards,
+        seed=args.seed,
+        value_bytes=args.value_bytes,
+        corrupt=args.corrupt,
+        flash=args.flash,
+    )
+
+
+def _run_serve(args: argparse.Namespace) -> int:
+    return run_serve_cli(
+        args.workload,
+        args.policy,
+        args.ops,
+        args.keys,
+        arrival=args.arrival,
+        rate=args.rate,
+        tenants=args.tenants,
+        slo_us=args.slo_us,
+        queue_depth=args.queue_depth,
+        discipline=args.discipline,
+        bg_threads=args.bg_threads,
+        seed=args.seed,
+        shards=args.shards,
+        partitioner=args.partitioner,
+    )
+
+
+def _run_sharded(args: argparse.Namespace) -> int:
+    return run_sharded_cli(
+        args.workload,
+        args.policy,
+        args.ops,
+        args.keys,
+        shards=args.shards,
+        workers=args.workers or 1,
+        partitioner=args.partitioner,
+        bg_threads=args.bg_threads,
+        slowdown_l0=args.slowdown_l0,
+        stop_l0=args.stop_l0,
+        flash=args.flash,
+        flash_op=args.flash_op,
+        flash_gc=args.flash_gc,
+        flash_logical_mib=args.flash_logical_mib,
+    )
+
+
+def _run_trace(args: argparse.Namespace) -> int:
+    if args.workload is None:
+        print("trace requires a workload name, e.g. `repro trace WO`",
+              file=sys.stderr)
         return 2
-    rows = [
-        (
-            result.name,
-            result.ops,
-            round(result.wall_s, 3),
-            round(result.ops_per_sec),
-        )
-        for result in results
-    ]
-    print(format_table(["benchmark", "ops", "wall s", "ops/s"], rows, title="bench"))
-    report = bench.bench_report(results, name=name, quick=quick)
-    path = bench.write_bench_report(report, out_dir=out_dir)
-    print(f"report written to {path}")
-    if profile:
-        for result in results:
-            print(f"profile written to {out_dir}/PROFILE_{result.name}.pstats")
-        print("(profiled wall times are inflated; use them for hot spots only)")
-    return 0
+    return run_trace(
+        args.workload,
+        args.policy,
+        args.ops,
+        args.keys,
+        trace_out=args.trace_out,
+        include_io=args.include_io,
+    )
 
 
-EXPERIMENTS: Dict[str, Callable[[int, int], None]] = {
-    "fig01": _run_fig01,
-    "fig01s": _run_fig01s,
-    "fig01_open_loop": _run_fig01ol,
-    "tab1": _run_tab1,
+#: Every subcommand, by name: the one table ``main`` dispatches on, that
+#: ``repro list`` prints and that the unknown-subcommand error quotes.
+#: Handlers take the parsed arguments and return the process exit code.
+EXPERIMENTS: Dict[str, Callable[[argparse.Namespace], int]] = {
+    "list": _run_list,
+    "fig01": _figure(_run_fig01),
+    "fig01s": _figure(_run_fig01s),
+    "fig01_open_loop": _figure(_run_fig01ol),
+    "tab1": _figure(_run_tab1),
     "fig07": _matrix_runner(experiments.fig07_fanout_udc),
-    "fig08": _run_fig08,
+    "fig08": _figure(_run_fig08),
     "fig09": _matrix_runner(experiments.fig09_avg_latency),
     "fig10a": _matrix_runner(experiments.fig10a_throughput_get),
     "fig10b": _matrix_runner(experiments.fig10b_throughput_scan),
@@ -964,16 +984,30 @@ EXPERIMENTS: Dict[str, Callable[[int, int], None]] = {
     "fig12ad": _matrix_runner(experiments.fig12ad_slicelink_threshold),
     "fig12be": _matrix_runner(experiments.fig12be_fanout_sweep),
     "fig12cf": _matrix_runner(experiments.fig12cf_bloom_rwb),
-    "fig13": _run_fig13,
+    "fig13": _figure(_run_fig13),
     "fig14": _counts_runner(experiments.fig14_scalability),
     "fig15": _counts_runner(experiments.fig15_space),
     "adaptive": _matrix_runner(experiments.ablation_adaptive_threshold),
     "tiered": _matrix_runner(experiments.ablation_tiered_tail),
     "asymmetry": _matrix_runner(experiments.ablation_device_asymmetry),
-    "shard_scaling": _run_shard_scaling,
-    "describe": _run_describe,
+    "shard_scaling": _figure(_run_shard_scaling),
+    "describe": _figure(_run_describe),
+    "paper_scale": _run_paper_scale,
+    "fig_device_wa": _run_device_wa,
+    "trace": _run_trace,
+    "run": _run_sharded,
+    "serve": _run_serve,
+    "crashtest": _run_crashtest,
+    "explore": _run_explore,
 }
 
+#: ``(--ops, --keys)`` defaults of the subcommands that do not take the
+#: figures' 20000 / 8000; ``paper_scale`` derives its key space from
+#: ``--ops`` and ignores ``--keys``.
+_SIZE_DEFAULTS = {
+    "crashtest": (2_000, 200),
+    "paper_scale": (experiments.PAPER_SCALE_OPS, 0),
+}
 
 def build_parser() -> argparse.ArgumentParser:
     """Build the argument parser for ``python -m repro``."""
@@ -983,7 +1017,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "experiment",
-        help="experiment name, 'trace' to trace one workload, or 'list'",
+        help="subcommand name; 'list' prints every one",
     )
     parser.add_argument(
         "workload",
@@ -995,7 +1029,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--ops",
         type=int,
         default=None,
-        help="measured operations (default 20000; 2000 for 'crashtest')",
+        help="measured operations (default 20000; 2000 for 'crashtest'; "
+        "5000000 per phase for 'paper_scale')",
     )
     parser.add_argument(
         "--keys",
@@ -1046,34 +1081,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--include-io",
         action="store_true",
         help="also trace per-I/O device and cache events (verbose)",
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="shrink the bench suite ~10x for smoke runs ('bench' only)",
-    )
-    parser.add_argument(
-        "--bench-out",
-        default=".",
-        metavar="DIR",
-        help="directory receiving BENCH_<name>.json ('bench' only)",
-    )
-    parser.add_argument(
-        "--bench-name",
-        default="latest",
-        help="artifact name: BENCH_<name>.json ('bench' only)",
-    )
-    parser.add_argument(
-        "--only",
-        default=None,
-        metavar="NAMES",
-        help="comma-separated benchmark subset ('bench' only)",
-    )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="run each benchmark under cProfile and write "
-        "PROFILE_<bench>.pstats next to the report ('bench' only)",
     )
     parser.add_argument(
         "--workers",
@@ -1193,30 +1200,6 @@ def build_parser() -> argparse.ArgumentParser:
         "('crashtest' only)",
     )
     parser.add_argument(
-        "--compare",
-        nargs=2,
-        default=None,
-        metavar=("BEFORE", "AFTER"),
-        help="diff two BENCH_*.json reports instead of running ('bench' only)",
-    )
-    parser.add_argument(
-        "--history",
-        nargs="?",
-        const=".",
-        default=None,
-        metavar="DIR",
-        help="print a markdown perf-trajectory table from the committed "
-        "BENCH_pr*.json baselines in DIR (default .) instead of running "
-        "('bench' only)",
-    )
-    parser.add_argument(
-        "--threshold",
-        type=float,
-        default=0.9,
-        metavar="FACTOR",
-        help="minimum acceptable speedup factor for --compare (default 0.9)",
-    )
-    parser.add_argument(
         "--flash",
         action="store_true",
         help="mount the page/block FTL flash layer under the simulated "
@@ -1251,127 +1234,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
-    if args.experiment == "crashtest":
-        ops = args.ops if args.ops is not None else 2_000
-        keys = args.keys if args.keys is not None else 200
-    else:
-        ops = args.ops if args.ops is not None else 20_000
-        keys = args.keys if args.keys is not None else 8_000
-    args.ops = ops
-    args.keys = keys
+    default_ops, default_keys = _SIZE_DEFAULTS.get(
+        args.experiment, (20_000, 8_000)
+    )
+    if args.ops is None:
+        args.ops = default_ops
+    if args.keys is None:
+        args.keys = default_keys
     if args.workers is not None:
         experiments.set_default_workers(args.workers)
-    if args.experiment == "list":
-        for name in EXPERIMENTS:
-            print(name)
-        print("fig_device_wa")
-        print("trace")
-        print("bench")
-        print("run")
-        print("serve")
-        print("crashtest")
-        print("explore")
-        return 0
-    if args.experiment == "fig_device_wa":
-        return run_device_wa_cli(
-            args.ops,
-            args.keys,
-            flash_op=args.flash_op,
-            flash_gc=args.flash_gc,
-        )
-    if args.experiment == "explore":
-        return run_explore_cli(
-            args.ops,
-            args.keys,
-            policies=args.policies,
-            mixes=args.mixes,
-            profiles=args.profiles,
-            report_out=args.report_out,
-            flash=args.flash,
-            flash_op=args.flash_op,
-            flash_gc=args.flash_gc,
-            flash_logical_mib=args.flash_logical_mib,
-        )
-    if args.experiment == "crashtest":
-        return run_crashtest_cli(
-            args.policy,
-            args.ops,
-            args.keys,
-            every=args.every,
-            shards=args.shards,
-            seed=args.seed,
-            value_bytes=args.value_bytes,
-            corrupt=args.corrupt,
-            flash=args.flash,
-        )
-    if args.experiment == "bench":
-        if args.history is not None:
-            return run_bench_history(args.history)
-        if args.compare is not None:
-            return run_bench_compare(args.compare, threshold=args.threshold)
-        return run_bench_cli(
-            quick=args.quick,
-            out_dir=args.bench_out,
-            name=args.bench_name,
-            only=args.only,
-            profile=args.profile,
-        )
-    if args.experiment == "serve":
-        return run_serve_cli(
-            args.workload,
-            args.policy,
-            args.ops,
-            args.keys,
-            arrival=args.arrival,
-            rate=args.rate,
-            tenants=args.tenants,
-            slo_us=args.slo_us,
-            queue_depth=args.queue_depth,
-            discipline=args.discipline,
-            bg_threads=args.bg_threads,
-            seed=args.seed,
-            shards=args.shards,
-            partitioner=args.partitioner,
-        )
-    if args.experiment == "run":
-        return run_sharded_cli(
-            args.workload,
-            args.policy,
-            args.ops,
-            args.keys,
-            shards=args.shards,
-            workers=args.workers or 1,
-            partitioner=args.partitioner,
-            bg_threads=args.bg_threads,
-            slowdown_l0=args.slowdown_l0,
-            stop_l0=args.stop_l0,
-            flash=args.flash,
-            flash_op=args.flash_op,
-            flash_gc=args.flash_gc,
-            flash_logical_mib=args.flash_logical_mib,
-        )
-    if args.experiment == "trace":
-        if args.workload is None:
-            print("trace requires a workload name, e.g. `repro trace WO`",
-                  file=sys.stderr)
-            return 2
-        return run_trace(
-            args.workload,
-            args.policy,
-            args.ops,
-            args.keys,
-            trace_out=args.trace_out,
-            include_io=args.include_io,
-        )
-    runner = EXPERIMENTS.get(args.experiment)
-    if runner is None:
+    handler = EXPERIMENTS.get(args.experiment)
+    if handler is None:
         known = ", ".join(EXPERIMENTS)
-        print(f"unknown experiment {args.experiment!r}; known: list, {known}",
+        print(f"unknown experiment {args.experiment!r}; known: {known}",
               file=sys.stderr)
         return 2
-    runner(args.ops, args.keys)
-    return 0
-
+    return handler(args)
 
 if __name__ == "__main__":  # pragma: no cover
     sys.exit(main())

@@ -1,24 +1,21 @@
 """The paper's primary contribution: Lower-level Driven Compaction.
 
-* :class:`~repro.core.ldc.LDCPolicy` — the link & merge compaction policy
-  (Algorithm 1);
+* :mod:`~repro.core.primitives` — the link & merge compaction
+  (Algorithm 1) as design-space primitives: the ``ldc_unit`` selector and
+  the ``ldc_link_merge`` movement behind the registered ``ldc``
+  composition (``DB(policy="ldc")``);
 * :class:`~repro.core.slice.Slice` — key-subrange views of frozen files;
 * :class:`~repro.core.frozen.FrozenRegion` — refcounted frozen storage;
 * :class:`~repro.core.adaptive.AdaptiveThreshold` — the self-tuning
-  SliceLink threshold of §III-B.4;
-* :mod:`~repro.core.primitives` — LDC as design-space primitives: the
-  ``ldc_unit`` selector and the ``ldc_link_merge`` movement behind the
-  registered ``ldc`` composition.
+  SliceLink threshold of §III-B.4.
 """
 
 from .adaptive import AdaptiveThreshold
 from .frozen import FrozenRegion
-from .ldc import LDCPolicy
 from .primitives import LDCLinkMergeMovement, LDCUnitSelector
 from .slice import Slice, attach_slice, slices_newest_first
 
 __all__ = [
-    "LDCPolicy",
     "LDCUnitSelector",
     "LDCLinkMergeMovement",
     "Slice",

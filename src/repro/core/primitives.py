@@ -15,9 +15,9 @@ The paper's Lower-level Driven Compaction decomposes onto the
 
 All policy state (frozen region, link bookkeeping, due set, adaptive
 controller) lives in the movement — it survives crash recovery with the
-policy instance, exactly like the legacy monolithic ``LDCPolicy``.
-The code is the legacy implementation verbatim, re-homed; the golden
-and differential suites pin byte-identity.
+policy instance, and is reached as ``db.policy.movement`` (``.frozen``,
+``.link``, ``.merge``, ``.due_for_merge``).  The golden, differential and
+fingerprint suites pin its behaviour byte for byte.
 """
 
 from __future__ import annotations
@@ -105,8 +105,7 @@ class LDCLinkMergeMovement(DataMovement):
 
     Urgent rounds (due merges, frozen-space pressure) preempt the
     trigger, and ``zero_io_batching`` lets several free links batch into
-    one ``compact_one`` round — together reproducing the legacy
-    ``LDCPolicy.compact_one`` priority loop exactly.
+    one ``compact_one`` round — together Algorithm 1's priority loop.
     """
 
     PARAMS = ("threshold", "adaptive")

@@ -137,35 +137,6 @@ class UnknownPolicyError(ConfigError):
         )
 
 
-class UnknownBenchmarkError(ConfigError):
-    """A benchmark name was not found in the benchmark registry.
-
-    Raised by :func:`repro.harness.bench.run_bench` when ``--only`` names
-    a benchmark that is neither in the default suite nor in the tier-2
-    (paper-scale) set.  Mirrors :class:`UnknownPolicyError`: one typed
-    error carrying both the offending names and the full list of valid
-    names, so the CLI can print a helpful message instead of a traceback.
-
-    Attributes
-    ----------
-    name:
-        The first unknown benchmark name as supplied by the caller.
-    unknown:
-        Every unknown name from the request, in request order.
-    known:
-        Sorted tuple of every runnable benchmark name.
-    """
-
-    def __init__(self, unknown: "list[str]", known: tuple) -> None:
-        self.unknown = tuple(unknown)
-        self.name = self.unknown[0] if self.unknown else ""
-        self.known = tuple(sorted(known))
-        super().__init__(
-            f"unknown benchmark(s) {', '.join(repr(n) for n in self.unknown)}; "
-            f"known benchmarks: {', '.join(self.known)}"
-        )
-
-
 class WorkloadError(ReproError):
     """A workload specification is malformed."""
 

@@ -208,7 +208,6 @@ def _execute_batch(store: Union[DB, ShardedDB], entries) -> None:
 def _build_store(
     policy_factory: PolicyFactory,
     config: LSMConfig,
-    seed: int,
     shards: int,
     plans: Optional[List[Optional[FaultPlan]]],
     flash: Optional[FlashSpec] = None,
@@ -223,7 +222,6 @@ def _build_store(
             config=config,
             policy=policy_factory(),
             profile=profile,
-            seed=seed,
             fault_plan=plan,
         )
     return ShardedDB(
@@ -231,7 +229,6 @@ def _build_store(
         policy_factory=policy_factory,
         config=config,
         profile=profile,
-        seed=seed,
         fault_plans=plans,
     )
 
@@ -357,14 +354,13 @@ def run_reference(
     operations: Sequence[Operation],
     policy_factory: PolicyFactory,
     config: Optional[LSMConfig] = None,
-    seed: int = 0,
     shards: int = 1,
     flash: Optional[FlashSpec] = None,
 ) -> ReferenceRun:
     """Fault-free run counting charged I/Os per shard device."""
     config = config if config is not None else default_config()
     plans: List[Optional[FaultPlan]] = [FaultPlan() for _ in range(max(1, shards))]
-    store = _build_store(policy_factory, config, seed, shards, plans, flash)
+    store = _build_store(policy_factory, config, shards, plans, flash)
     for op in operations:
         _execute(store, op)
     engines = store.shards if isinstance(store, ShardedDB) else [store]
@@ -386,7 +382,6 @@ def run_crash_point(
     io_index: int,
     *,
     config: Optional[LSMConfig] = None,
-    seed: int = 0,
     shards: int = 1,
     shard: int = 0,
     torn_fraction: float = 0.0,
@@ -397,7 +392,7 @@ def run_crash_point(
     effective_shards = max(1, shards)
     plans: List[Optional[FaultPlan]] = [None] * effective_shards
     plans[shard] = FaultPlan().crash_at(io_index, torn_fraction=torn_fraction)
-    store = _build_store(policy_factory, config, seed, shards, plans, flash)
+    store = _build_store(policy_factory, config, shards, plans, flash)
     result = CrashPointResult(
         io_index=io_index, shard=shard, torn_fraction=torn_fraction, fired=False
     )
@@ -553,9 +548,7 @@ def run_crashtest(
         raise ReproError("stride must be positive")
     config = config if config is not None else default_config()
     operations = build_operations(num_ops, num_keys, seed, value_bytes)
-    reference = run_reference(
-        operations, policy_factory, config, seed, shards, flash
-    )
+    reference = run_reference(operations, policy_factory, config, shards, flash)
 
     points: List[Tuple[int, int]] = []
     for shard_index, shard_ios in enumerate(reference.shard_ios):
@@ -571,7 +564,6 @@ def run_crashtest(
                 policy_factory,
                 io_index,
                 config=config,
-                seed=seed,
                 shards=shards,
                 shard=shard_index,
                 torn_fraction=TORN_CYCLE[count % len(TORN_CYCLE)],
@@ -616,7 +608,7 @@ def run_corruption_test(
     config = config if config is not None else default_config()
     operations = build_operations(num_ops, num_keys, seed, value_bytes)
 
-    probe = _build_store(policy_factory, config, seed, 1, [FaultPlan()])
+    probe = _build_store(policy_factory, config, 1, [FaultPlan()])
     for op in operations:
         _execute(probe, op)
     total_reads = probe.device.faults.read_count
@@ -634,7 +626,6 @@ def run_corruption_test(
     store = DB(
         config=config,
         policy=resolve_factory(policy_factory)(),
-        seed=seed,
         fault_plan=plan,
     )
     detected = 0

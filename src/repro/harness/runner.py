@@ -131,7 +131,6 @@ def build_db(
     policy_factory: PolicyFactory,
     config: Optional[LSMConfig] = None,
     profile: "SSDProfile | DeviceConfig" = ENTERPRISE_PCIE,
-    seed: int = 0,
     tracer: Optional[Tracer] = None,
 ) -> DB:
     """Construct a fresh DB for one measured run.
@@ -145,7 +144,6 @@ def build_db(
         config=config if config is not None else LSMConfig(),
         policy=resolve_factory(policy_factory)(),
         profile=profile,
-        seed=seed,
         tracer=tracer,
     )
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
+from ..core.primitives import LDCLinkMergeMovement
 from ..lsm.db import DB
 
 
@@ -55,10 +56,12 @@ class StateSampler:
         frozen_bytes = 0
         frozen_files = 0
         linked_tables = 0
-        region = getattr(db.policy, "frozen", None)
-        if region is not None:
-            frozen_bytes = region.space_bytes
-            frozen_files = len(region)
+        # The frozen region is state of LDC's link/merge movement; no
+        # other movement holds files outside the tree.
+        movement = db.policy.movement
+        if isinstance(movement, LDCLinkMergeMovement):
+            frozen_bytes = movement.frozen.space_bytes
+            frozen_files = len(movement.frozen)
         for table in version.all_tables():
             if table.slice_links:
                 linked_tables += 1

@@ -29,11 +29,8 @@ from .wal import WriteAheadLog
 from .compaction import (
     CompactionPolicy,
     ComposedPolicy,
-    DelayedCompaction,
-    LeveledCompaction,
     PolicySpec,
     SpecFactory,
-    TieredCompaction,
     available_policies,
     get_spec,
     make_policy,
@@ -81,7 +78,4 @@ __all__ = [
     "make_policy",
     "register_policy",
     "resolve_factory",
-    "LeveledCompaction",
-    "TieredCompaction",
-    "DelayedCompaction",
 ]

@@ -11,7 +11,7 @@ base hashes are ``crc32(key)`` and ``adler32(key)`` — both C-implemented,
 standardized checksums, so the bit patterns are deterministic across
 processes and platforms (unlike Python's salted ``hash``) at a fraction of
 the cost of the MD5 digest this module used previously (~4x faster per
-probe set; see ``repro bench bloom_probe``).  CRC32 alone mixes well;
+probe set; the ``lsm.bloom`` rows of ``bench/``).  CRC32 alone mixes well;
 Adler32 alone does not, but as the *step* of a double-hash whose base is a
 CRC it only has to decorrelate the probe sequence, and the measured
 false-positive rate sits at the theoretical optimum for both sequential

@@ -8,8 +8,8 @@ candidate selector, data movement, level layout
 registry in :mod:`~repro.lsm.compaction.spec` names the standard
 catalogue (``udc``, ``ldc``, ``tiered``, ``delayed``, ``lazy_leveling``,
 ``partial_leveled``, ``hybrid``); the LDC primitives themselves live in
-:mod:`repro.core.primitives`.  The legacy monolithic classes remain as
-deprecated byte-identical shims.
+:mod:`repro.core.primitives`.  docs/DESIGN_SPACE.md ties each registered
+composition to the part of the paper it models.
 """
 
 from .base import CompactionPolicy, MAX_ROUNDS_PER_PASS
@@ -33,9 +33,6 @@ from .spec import (
     register_policy,
     resolve_factory,
 )
-from .delayed import DelayedCompaction
-from .leveled import LeveledCompaction
-from .tiered import TieredCompaction
 
 __all__ = [
     "CompactionPolicy",
@@ -55,8 +52,5 @@ __all__ = [
     "Layout",
     "register_primitive",
     "known_primitives",
-    "LeveledCompaction",
-    "DelayedCompaction",
-    "TieredCompaction",
     "MAX_ROUNDS_PER_PASS",
 ]

@@ -7,13 +7,12 @@ stalls) and the policy performs zero or more compactions inline, charging
 all I/O to the shared device under the ``compaction_read`` /
 ``compaction_write`` categories.
 
-Three implementations ship with the library:
-
-* :class:`~repro.lsm.compaction.leveled.LeveledCompaction` — **UDC**, the
-  paper's baseline (LevelDB's upper-level driven compaction);
-* :class:`~repro.core.ldc.LDCPolicy` — the paper's contribution;
-* :class:`~repro.lsm.compaction.tiered.TieredCompaction` — a size-tiered
-  lazy baseline used by the related-work ablations.
+The one implementation is :class:`~repro.lsm.compaction.composed.
+ComposedPolicy`, which runs any registered composition — ``udc`` (the
+paper's baseline, LevelDB's upper-level driven compaction), ``ldc`` (the
+paper's contribution), the lazy ``tiered`` / ``delayed`` baselines of the
+related-work ablations, and the rest of the catalogue in
+:mod:`~repro.lsm.compaction.spec`.
 """
 
 from __future__ import annotations

@@ -4,23 +4,23 @@ One engine executes every point of the compaction design space.  The
 composition is described by a :class:`~repro.lsm.compaction.spec.
 PolicySpec`; this class builds the four primitives, validates that they
 fit together (candidate shapes, layout requirements), and drives the
-round loop the legacy monolithic policies used to hard-code:
+round loop:
 
 * non-batching movements (merge-down, tiered stacking): one trigger
   decision → one selection → one executed round per ``compact_one``;
 * zero-I/O-batching movements (LDC): free metadata actions (links,
   trivial moves) batch within a round until one action bears I/O, with
   the movement's *urgent* debt (due merges, frozen-space pressure)
-  checked first — exactly the legacy ``LDCPolicy.compact_one`` loop.
+  checked first (Algorithm 1's priority order).
 
-The legacy classes (``LeveledCompaction``, ``LDCPolicy``,
-``TieredCompaction``, ``DelayedCompaction``) are deprecated thin
-subclasses of this engine with their historical specs.
+Policies are built from the registry (``DB(policy="ldc")``,
+``get_spec("ldc").derive(threshold=8).build()``); the internals of one
+composition are reached on its primitives (``policy.movement.frozen``,
+``policy.layout.level_runs``, ``policy.trigger.delay_factor``).
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import TYPE_CHECKING
 
 from .base import CompactionPolicy, guard_rounds
@@ -148,9 +148,8 @@ class ComposedPolicy(CompactionPolicy):
     def threshold(self):
         """The movement's live threshold knob (LDC's ``T_s``).
 
-        Raises ``AttributeError`` for compositions without one, so
-        ``getattr(policy, "threshold", None)`` keeps its legacy meaning
-        in the harness.
+        Raises ``AttributeError`` for compositions without one, so the
+        harness's ``getattr(policy, "threshold", None)`` reads ``None``.
         """
         value = getattr(self.movement, "threshold", None)
         if value is None:
@@ -161,14 +160,3 @@ class ComposedPolicy(CompactionPolicy):
 
     def describe(self) -> str:
         return self.spec.describe()
-
-
-def warn_legacy_class(class_name: str, policy_name: str) -> None:
-    """Deprecation warning for direct instantiation of a legacy class."""
-    warnings.warn(
-        f"{class_name}() is deprecated; build the policy from the spec "
-        f"registry instead: repro.get_spec({policy_name!r}).build(), "
-        f"DB(policy={policy_name!r}), or a custom repro.PolicySpec",
-        DeprecationWarning,
-        stacklevel=3,
-    )

@@ -17,10 +17,10 @@ into four orthogonal decisions:
 Each axis has its own registry; :class:`~repro.lsm.compaction.spec.
 PolicySpec` names one primitive per axis (plus parameters) and
 :class:`~repro.lsm.compaction.composed.ComposedPolicy` runs the
-composition.  The four legacy policies (UDC / LDC / tiered / delayed)
-are byte-identical compositions of the primitives in this module plus
-the LDC movement in :mod:`repro.core.primitives` — pinned by the golden
-and differential suites — and new points in the design space (lazy
+composition.  The paper's four policies (UDC / LDC / tiered / delayed)
+are compositions of the primitives in this module plus the LDC movement
+in :mod:`repro.core.primitives` — pinned by the golden, differential and
+fingerprint suites — and new points in the design space (lazy
 leveling, partial leveled, tiered+leveled hybrids) are new
 compositions, not new classes.
 """
@@ -590,8 +590,7 @@ class LeveledLayout(Layout):
 class TieredLayout(Layout):
     """Overlapping levels holding stacked sorted runs.
 
-    Run membership is policy (not version) state, exactly like the
-    legacy :class:`TieredCompaction` bookkeeping — it survives crash
+    Run membership is policy (not version) state — it survives crash
     recovery with the policy instance.  Level 0 is synthesized from the
     version: each flushed file is its own run.
     """

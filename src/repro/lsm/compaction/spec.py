@@ -242,8 +242,8 @@ def make_policy(policy: Any = None):
 
     ``None`` builds the default (``udc``), a string resolves through the
     registry, a :class:`PolicySpec` builds directly, and anything else
-    is assumed to already be a policy instance and passes through — the
-    backward-compatible ``DB(policy=<instance>)`` path.
+    is assumed to already be a policy instance and passes through
+    (``DB(policy=get_spec("ldc").derive(threshold=8).build())``).
     """
     if policy is None:
         return get_spec(DEFAULT_POLICY).build()
@@ -257,8 +257,8 @@ def make_policy(policy: Any = None):
 def resolve_factory(policy: Any = None):
     """Coerce a policy designator into a picklable zero-arg factory.
 
-    Strings and specs become :class:`SpecFactory`; callables (legacy
-    factories, policy classes) pass through untouched.
+    Strings and specs become :class:`SpecFactory`; zero-arg callables
+    pass through untouched.
     """
     if policy is None:
         return SpecFactory(get_spec(DEFAULT_POLICY))

@@ -91,9 +91,6 @@ class DB:
         :class:`~repro.ssd.flash.DeviceConfig` — the latter optionally
         enables the flash/FTL layer (``DeviceConfig(flash=FlashSpec())``,
         docs/DEVICE.md), off by default.
-    seed:
-        No longer has an effect: it seeded the height RNG of the skip-list
-        memtable, and the array-backed memtable is deterministic.
     tracer:
         Event tracer receiving the engine's execution timeline (flushes,
         compaction rounds, links/merges, stalls, cache probes, device
@@ -120,7 +117,6 @@ class DB:
         config: Optional[LSMConfig] = None,
         policy: Optional[object] = None,
         profile: "SSDProfile | DeviceConfig" = ENTERPRISE_PCIE,
-        seed: int = 0,
         tracer: Optional[Tracer] = None,
         fault_plan: Optional[FaultPlan] = None,
     ) -> None:

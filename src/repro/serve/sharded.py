@@ -156,9 +156,7 @@ def run_sharded_serve(
 
     results: List[ServeResult] = []
     for index in range(num_shards):
-        db = build_db(
-            policy_factory, config=config, profile=profile, seed=index
-        )
+        db = build_db(policy_factory, config=config, profile=profile)
         for operation in preload_buckets[index]:
             db.put(operation.key, operation.value)
         db.policy.maybe_compact()

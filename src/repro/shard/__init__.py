@@ -12,9 +12,8 @@ The scaling layer on top of :class:`~repro.lsm.db.DB`:
 
 Quickstart
 ----------
->>> from repro import LDCPolicy
 >>> from repro.shard import ShardedDB
->>> db = ShardedDB(num_shards=4, policy_factory=LDCPolicy)
+>>> db = ShardedDB(num_shards=4, policy_factory="ldc")
 >>> db.put(b"user1", b"hello")
 >>> db.get(b"user1")
 b'hello'

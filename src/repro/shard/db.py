@@ -92,9 +92,6 @@ class ShardedDB:
         own simulated device built from the same profile.  A
         :class:`~repro.ssd.flash.DeviceConfig` gives each shard its own
         independent flash/FTL layer from the same spec.
-    seed:
-        Base seed; shard ``i`` uses ``seed + i`` so shard memtables are
-        independent but the whole fleet is reproducible.
     fault_plans:
         Optional per-shard :class:`~repro.faults.plan.FaultPlan` sequence
         (``None`` entries leave that shard fault-free).  Each shard owns
@@ -111,7 +108,6 @@ class ShardedDB:
         key_space: int = 0,
         config: Optional[LSMConfig] = None,
         profile: "SSDProfile | DeviceConfig" = ENTERPRISE_PCIE,
-        seed: int = 0,
         fault_plans: Optional[Sequence[Optional["FaultPlan"]]] = None,
     ) -> None:
         if num_shards <= 0:
@@ -137,7 +133,6 @@ class ShardedDB:
                 config=self.config,
                 policy=policy_factory(),
                 profile=profile,
-                seed=seed + index,
                 fault_plan=fault_plans[index] if fault_plans is not None else None,
             )
             for index in range(num_shards)

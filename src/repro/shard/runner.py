@@ -61,7 +61,6 @@ class ShardTask:
     factory: PolicyFactory
     config: Optional[LSMConfig] = None
     profile: "SSDProfile | DeviceConfig" = ENTERPRISE_PCIE
-    seed: int = 0
     timeline_bucket_us: float = 1_000_000.0
 
 
@@ -77,7 +76,6 @@ def _run_shard_task(task: ShardTask) -> RunResult:
         config=task.config if task.config is not None else LSMConfig(),
         policy=task.factory(),
         profile=task.profile,
-        seed=task.seed,
     )
     for operation in task.preload:
         db.put(operation.key, operation.value)
@@ -197,7 +195,6 @@ def run_sharded_workload(
     config: Optional[LSMConfig] = None,
     profile: "SSDProfile | DeviceConfig" = ENTERPRISE_PCIE,
     timeline_bucket_us: float = 1_000_000.0,
-    seed: int = 0,
 ) -> ShardedRunReport:
     """Run one workload across ``num_shards`` engines, possibly in parallel.
 
@@ -237,7 +234,6 @@ def run_sharded_workload(
             factory=policy_factory,
             config=config,
             profile=profile,
-            seed=seed + index,
             timeline_bucket_us=timeline_bucket_us,
         )
         for index in range(num_shards)

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from repro import DB, LDCPolicy, LeveledCompaction, TieredCompaction
+from repro import DB
 from repro.lsm.builder import build_balanced_columns
 from repro.lsm.config import LSMConfig
 
@@ -33,28 +33,23 @@ def tiny_config() -> LSMConfig:
 
 @pytest.fixture
 def udc_db(tiny_config: LSMConfig) -> DB:
-    return DB(config=tiny_config, policy=LeveledCompaction())
+    return DB(config=tiny_config, policy="udc")
 
 
 @pytest.fixture
 def ldc_db(tiny_config: LSMConfig) -> DB:
-    return DB(config=tiny_config, policy=LDCPolicy())
+    return DB(config=tiny_config, policy="ldc")
 
 
 @pytest.fixture
 def tiered_db(tiny_config: LSMConfig) -> DB:
-    return DB(config=tiny_config, policy=TieredCompaction())
+    return DB(config=tiny_config, policy="tiered")
 
 
 @pytest.fixture(params=["udc", "ldc", "tiered"])
 def any_db(request: pytest.FixtureRequest, tiny_config: LSMConfig) -> DB:
     """Parametrised fixture running a test against every policy."""
-    policies = {
-        "udc": LeveledCompaction,
-        "ldc": LDCPolicy,
-        "tiered": TieredCompaction,
-    }
-    return DB(config=tiny_config, policy=policies[request.param]())
+    return DB(config=tiny_config, policy=request.param)
 
 
 def key_of(index: int, width: int = 12) -> bytes:

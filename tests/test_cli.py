@@ -1,7 +1,10 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
+from repro import cli
 from repro.cli import EXPERIMENTS, build_parser, main
 
 
@@ -39,6 +42,36 @@ class TestDispatch:
     def test_unknown_experiment(self, capsys):
         assert main(["fig99"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
+
+    def test_list_prints_exactly_what_main_dispatches(self, capsys, monkeypatch):
+        """One table: ``repro list``, ``main`` and the unknown-name error
+        all read ``EXPERIMENTS``, so no subcommand can be runnable but
+        unlisted (or listed but unknown)."""
+        assert main(["list"]) == 0
+        listed = capsys.readouterr().out.split()
+        assert sorted(listed) == sorted(EXPERIMENTS)
+        assert {"run", "serve", "trace", "crashtest", "explore", "paper_scale",
+                "fig_device_wa"} <= set(listed)
+
+        called = []
+        monkeypatch.setattr(
+            cli,
+            "EXPERIMENTS",
+            {name: lambda args, name=name: called.append(name) or 0
+             for name in listed},
+        )
+        for name in listed:
+            assert main([name]) == 0
+        assert called == listed
+
+    def test_retired_bench_subcommand_exits_two_naming_every_subcommand(
+        self, capsys
+    ):
+        assert main(["bench"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown experiment 'bench'" in err
+        known = err.split("known: ", 1)[1].replace(",", " ").split()
+        assert known == list(EXPERIMENTS)
 
     def test_registry_covers_every_figure(self):
         expected = {
@@ -235,3 +268,77 @@ class TestServeCLI:
         assert "fig01_open_loop" in out
         assert "UDC knee" in out
         assert "open-loop claim" in out
+
+
+class TestPaperScale:
+    def test_reduced_run_reports_every_field(self):
+        from repro.harness.experiments import paper_scale
+
+        out = paper_scale(ops=500)
+        assert out["ops"] == 1_000  # fill + read phases
+        assert set(out) == {
+            "ops", "wall_s", "ops_per_sec", "latency_sample_stride",
+            "write_amplification",
+            "fill_wall_s", "fill_cpu_s", "fill_sim_throughput_ops_s", "fill_p99_us",
+            "read_wall_s", "read_cpu_s", "read_sim_throughput_ops_s", "read_p99_us",
+        }
+        assert out["wall_s"] == out["fill_wall_s"] + out["read_wall_s"]
+        assert out["write_amplification"] > 1.0
+        assert out["fill_sim_throughput_ops_s"] > 0
+        assert out["read_sim_throughput_ops_s"] > 0
+
+    def test_cli_prints_a_parseable_last_line(self, capsys):
+        assert main(["paper_scale", "--ops", "500"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0].startswith("paper_scale")
+        out = json.loads(lines[-1])
+        assert out["ops"] == 1_000
+        assert out["fill_cpu_s"] >= 0 and out["read_cpu_s"] >= 0
+
+    def test_default_size_is_the_paper_scale(self, monkeypatch, capsys):
+        """Without ``--ops`` the subcommand asks for 5M ops per phase."""
+        from repro.harness import experiments
+
+        asked = []
+        real = experiments.paper_scale
+        monkeypatch.setattr(
+            experiments,
+            "paper_scale",
+            lambda ops: asked.append(ops) or real(ops=200),
+        )
+        assert main(["paper_scale"]) == 0
+        assert asked == [5_000_000]
+
+
+class TestRunCli:
+    def test_sharded_run_end_to_end(self, capsys) -> None:
+        assert main([
+            "run", "RWB", "--shards", "3", "--ops", "900", "--keys", "300",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "shards=3" in out
+        assert "per shard" in out
+
+    def test_range_partitioner_flag(self, capsys) -> None:
+        assert main([
+            "run", "WO", "--shards", "2", "--partitioner", "range",
+            "--ops", "600", "--keys", "200", "--policy", "udc",
+        ]) == 0
+        assert "range" in capsys.readouterr().out
+
+    def test_default_workload_is_rwb(self, capsys) -> None:
+        assert main(["run", "--shards", "2", "--ops", "600", "--keys", "200"]) == 0
+        assert "workload=RWB" in capsys.readouterr().out
+
+    def test_unknown_workload_exits_two(self, capsys) -> None:
+        assert main(["run", "NOPE", "--shards", "2"]) == 2
+        assert "unknown workload" in capsys.readouterr().err
+
+    def test_bad_shard_count_exits_two(self, capsys) -> None:
+        assert main(["run", "RWB", "--shards", "0", "--ops", "100"]) == 2
+
+    def test_listed(self, capsys) -> None:
+        assert main(["list"]) == 0
+        out = capsys.readouterr().out
+        assert "run" in out.splitlines()
+        assert "shard_scaling" in out

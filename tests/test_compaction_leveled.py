@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro import DB, LeveledCompaction
+from repro import DB
 from repro.lsm.config import LSMConfig
 from repro.ssd.metrics import COMPACTION_READ, COMPACTION_WRITE
 
@@ -53,14 +53,14 @@ class TestLeveledCompaction:
         assert stats.bytes_written(COMPACTION_WRITE) > 0
 
     def test_compact_one_returns_false_when_in_shape(self, tiny_config):
-        db = DB(config=tiny_config, policy=LeveledCompaction())
+        db = DB(config=tiny_config, policy="udc")
         db.put(b"k", b"v")
         db.policy.maybe_compact()
         assert db.policy.compact_one() is False
 
     def test_trivial_move_does_no_io(self, tiny_config):
         """Sequential non-overlapping data should mostly move, not merge."""
-        db = DB(config=tiny_config, policy=LeveledCompaction())
+        db = DB(config=tiny_config, policy="udc")
         for index in range(3000):
             db.put(key_of(index), b"v" * 40)  # strictly increasing keys
         assert db.engine_stats.trivial_moves > 0
@@ -77,7 +77,7 @@ class TestLeveledCompaction:
         assert dict(udc_db.logical_items()) == model
 
     def test_tombstones_eventually_dropped_at_bottom(self, tiny_config):
-        db = DB(config=tiny_config, policy=LeveledCompaction())
+        db = DB(config=tiny_config, policy="udc")
         for index in range(1500):
             db.put(key_of(index % 300), b"v" * 40)
         for index in range(300):
@@ -93,9 +93,9 @@ class TestLeveledCompaction:
 
     def test_write_amplification_grows_with_depth(self, tiny_config):
         """More data -> deeper tree -> higher UDC write amplification."""
-        shallow = DB(config=tiny_config, policy=LeveledCompaction())
+        shallow = DB(config=tiny_config, policy="udc")
         fill(shallow, 800, 200, seed=3)
-        deep = DB(config=tiny_config, policy=LeveledCompaction())
+        deep = DB(config=tiny_config, policy="udc")
         fill(deep, 8000, 2000, seed=3)
         assert deep.write_amplification() > shallow.write_amplification()
 
@@ -104,7 +104,7 @@ class TestLevel0Expansion:
     def test_overlapping_level0_files_compact_together(self, tiny_config):
         """All transitively overlapping L0 files must descend together,
         otherwise newer versions could be stranded above older ones."""
-        db = DB(config=tiny_config, policy=LeveledCompaction())
+        db = DB(config=tiny_config, policy="udc")
         fill(db, 4000, 300, seed=5)
         db.policy.maybe_compact()
         model = {}

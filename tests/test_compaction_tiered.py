@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro import DB, TieredCompaction
+from repro import DB
 from repro.lsm.config import LSMConfig
 
 from tests.conftest import key_of
@@ -48,30 +48,26 @@ class TestTieredCompaction:
     def test_lower_write_amplification_than_leveled(self, tiny_config):
         """The lazy schemes' selling point: each merge rewrites a level
         once, never reading the target level."""
-        from repro import LeveledCompaction
-
         results = {}
-        for name, policy in (("udc", LeveledCompaction()), ("tiered", TieredCompaction())):
-            db = DB(config=tiny_config, policy=policy)
+        for name in ("udc", "tiered"):
+            db = DB(config=tiny_config, policy=name)
             fill(db, 6000, 1500, seed=9)
             results[name] = db.write_amplification()
         assert results["tiered"] < results["udc"]
 
     def test_runs_accumulate_up_to_fanout(self, tiny_config):
-        db = DB(config=tiny_config, policy=TieredCompaction())
+        db = DB(config=tiny_config, policy="tiered")
         fill(db, 4000, 1000)
         policy = db.policy
         for level in range(1, db.version.num_levels - 1):
-            assert len(policy._level_runs(level)) <= db.config.fan_out
+            assert len(policy.layout.level_runs(level)) <= db.config.fan_out
 
     def test_larger_compaction_granularity_than_ldc(self, tiny_config):
         """The paper's criticism: lazy merges are huge.  Average bytes per
         compaction should exceed LDC's by a wide margin."""
-        from repro import LDCPolicy
-
         sizes = {}
-        for name, policy in (("tiered", TieredCompaction()), ("ldc", LDCPolicy())):
-            db = DB(config=tiny_config, policy=policy)
+        for name in ("tiered", "ldc"):
+            db = DB(config=tiny_config, policy=name)
             fill(db, 6000, 1500, seed=11)
             compactions = max(1, db.engine_stats.compaction_count)
             sizes[name] = db.device.stats.compaction_bytes_total / compactions

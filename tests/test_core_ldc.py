@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro import DB, LDCPolicy, LeveledCompaction
+from repro import DB, get_spec
 from repro.errors import CompactionError
 from repro.lsm.config import LSMConfig
 
@@ -30,7 +30,7 @@ class TestLinkPhase:
     def test_frozen_files_leave_the_tree(self, ldc_db):
         fill(ldc_db, 3000, 800)
         in_tree = {t.file_id for t in ldc_db.version.all_tables()}
-        for frozen_file in ldc_db.policy.frozen.files():
+        for frozen_file in ldc_db.policy.movement.frozen.files():
             assert frozen_file.file_id not in in_tree
 
     def test_slice_plan_partitions_the_source(self, ldc_db):
@@ -44,7 +44,7 @@ class TestLinkPhase:
             if not version.files(level + 1):
                 continue
             for source in version.files(level):
-                plan = policy._slice_plan(source, level + 1)
+                plan = policy.movement._slice_plan(source, level + 1)
                 covered = sum(
                     source.count_in_range(lo, hi) for _, lo, hi in plan
                 )
@@ -58,7 +58,9 @@ class TestLinkPhase:
 
     def test_link_is_zero_io(self, tiny_config):
         """The link phase is pure metadata: no device bytes move."""
-        db = DB(config=tiny_config, policy=LDCPolicy(threshold=10_000))
+        db = DB(
+            config=tiny_config, policy=get_spec("ldc").derive(threshold=10_000)
+        )
         # Build a two-level tree, then force one link and compare I/O.
         for index in range(400):
             db.put(key_of(index), b"v" * 40)
@@ -77,7 +79,7 @@ class TestLinkPhase:
         if source is None:
             pytest.skip("no link-free source available")
         before = db.device.stats.total_bytes_read + db.device.stats.total_bytes_written
-        db.policy.link(source, level)
+        db.policy.movement.link(source, level)
         after = db.device.stats.total_bytes_read + db.device.stats.total_bytes_written
         assert after == before
         assert source.frozen
@@ -89,7 +91,7 @@ class TestLinkPhase:
             if table.slice_links:
                 level = ldc_db.version.level_of(table)
                 with pytest.raises(CompactionError, match="SliceLinks"):
-                    policy.link(table, level)
+                    policy.movement.link(table, level)
                 return
         pytest.skip("no linked table at end of run")
 
@@ -105,11 +107,11 @@ class TestMergePhase:
             t for t in ldc_db.version.all_tables() if not t.slice_links
         )
         with pytest.raises(CompactionError, match="no SliceLinks"):
-            ldc_db.policy.merge(table)
+            ldc_db.policy.movement.merge(table)
 
     def test_refcounts_reach_zero_and_recycle(self, ldc_db):
         fill(ldc_db, 4000, 1000)
-        region = ldc_db.policy.frozen
+        region = ldc_db.policy.movement.frozen
         assert region.total_recycled > 0
         region.check_invariants()
 
@@ -124,7 +126,7 @@ class TestMergePhase:
 
     def test_merge_outputs_stay_in_level(self, tiny_config):
         """LDC merge outputs replace the target in its own level."""
-        db = DB(config=tiny_config, policy=LDCPolicy())
+        db = DB(config=tiny_config, policy="ldc")
         fill(db, 3000, 700, seed=2)
         policy = db.policy
         linked = next(
@@ -137,7 +139,7 @@ class TestMergePhase:
         for lvl in range(db.version.num_levels):
             if lvl != level:
                 files_before.update(t.file_id for t in db.version.files(lvl))
-        policy.merge(linked)
+        policy.movement.merge(linked)
         files_after = set()
         for lvl in range(db.version.num_levels):
             if lvl != level:
@@ -146,11 +148,14 @@ class TestMergePhase:
 
     def test_due_for_merge_byte_trigger(self, tiny_config):
         """due_for_merge fires at linked_bytes >= (T_s/fan_out) * size."""
-        db = DB(config=tiny_config, policy=LDCPolicy(threshold=4))  # = fan_out
+        db = DB(
+            config=tiny_config,
+            policy=get_spec("ldc").derive(threshold=4),  # = fan_out
+        )
         fill(db, 2500, 600, seed=4)
         policy = db.policy
         for table in db.version.all_tables():
-            if table.slice_links and policy.due_for_merge(table):
+            if table.slice_links and policy.movement.due_for_merge(table):
                 ratio = policy.threshold / db.config.fan_out
                 count_backstop = len(table.slice_links) >= 4 * policy.threshold
                 assert (
@@ -168,7 +173,7 @@ class TestGapKeyRegression:
         from repro.workload import WorkloadGenerator, rwb
         from repro.workload.ycsb import OP_DELETE, OP_GET, OP_PUT, OP_SCAN
 
-        db = DB(config=tiny_config, policy=LDCPolicy())
+        db = DB(config=tiny_config, policy="ldc")
         spec = rwb(
             num_operations=6000,
             key_space=1500,
@@ -200,46 +205,50 @@ class TestGapKeyRegression:
 class TestSpaceManagement:
     def test_frozen_space_bounded_by_limit(self, tiny_config):
         config = tiny_config.with_overrides(frozen_space_limit_ratio=0.4)
-        db = DB(config=config, policy=LDCPolicy())
+        db = DB(config=config, policy="ldc")
         fill(db, 5000, 1200)
         live = db.version.total_data_size()
-        frozen = db.policy.frozen.space_bytes
+        frozen = db.policy.movement.frozen.space_bytes
         # The cap is enforced between rounds; allow one merge of slack.
         assert frozen <= 0.4 * live + 4 * config.sstable_target_bytes
 
     def test_forced_merges_counted(self, tiny_config):
         config = tiny_config.with_overrides(frozen_space_limit_ratio=0.05)
-        db = DB(config=config, policy=LDCPolicy())
+        db = DB(config=config, policy="ldc")
         fill(db, 4000, 1000)
         assert db.engine_stats.forced_merges > 0
 
     def test_extra_space_is_frozen_region(self, ldc_db):
         fill(ldc_db, 2000, 500)
-        assert ldc_db.policy.extra_space_bytes() == ldc_db.policy.frozen.space_bytes
+        policy = ldc_db.policy
+        assert policy.extra_space_bytes() == policy.movement.frozen.space_bytes
 
 
 class TestThresholdConfiguration:
     def test_threshold_from_config(self, tiny_config):
-        db = DB(config=tiny_config, policy=LDCPolicy())
+        db = DB(config=tiny_config, policy="ldc")
         assert db.policy.threshold == tiny_config.slicelink_threshold
 
     def test_threshold_override(self, tiny_config):
-        db = DB(config=tiny_config, policy=LDCPolicy(threshold=7))
+        db = DB(config=tiny_config, policy=get_spec("ldc").derive(threshold=7))
         assert db.policy.threshold == 7
 
     def test_adaptive_override(self, tiny_config):
-        db = DB(config=tiny_config, policy=LDCPolicy(adaptive=True))
-        assert db.policy._adaptive is not None
+        db = DB(config=tiny_config, policy=get_spec("ldc").derive(adaptive=True))
+        assert db.policy.movement._adaptive is not None
 
     def test_adaptive_from_config(self):
         config = LSMConfig(adaptive_threshold=True)
-        db = DB(config=config, policy=LDCPolicy())
-        assert db.policy._adaptive is not None
+        db = DB(config=config, policy="ldc")
+        assert db.policy.movement._adaptive is not None
 
     def test_smaller_threshold_means_more_merges(self, tiny_config):
         counts = {}
         for threshold in (2, 16):
-            db = DB(config=tiny_config, policy=LDCPolicy(threshold=threshold))
+            db = DB(
+                config=tiny_config,
+                policy=get_spec("ldc").derive(threshold=threshold),
+            )
             fill(db, 4000, 1000, seed=8)
             counts[threshold] = db.engine_stats.merge_count
         assert counts[2] > counts[16]
@@ -259,16 +268,16 @@ class TestPaperHeadlines:
 
     def test_ldc_reduces_compaction_io(self, paper_config):
         io = {}
-        for name, policy in (("udc", LeveledCompaction()), ("ldc", LDCPolicy())):
-            db = DB(config=paper_config, policy=policy)
+        for name in ("udc", "ldc"):
+            db = DB(config=paper_config, policy=name)
             fill(db, 10_000, 3000, seed=12)
             io[name] = db.device.stats.compaction_bytes_total
         assert io["ldc"] < io["udc"]
 
     def test_ldc_reduces_write_amplification(self, paper_config):
         amp = {}
-        for name, policy in (("udc", LeveledCompaction()), ("ldc", LDCPolicy())):
-            db = DB(config=paper_config, policy=policy)
+        for name in ("udc", "ldc"):
+            db = DB(config=paper_config, policy=name)
             fill(db, 10_000, 3000, seed=12)
             amp[name] = db.write_amplification()
         assert amp["ldc"] < amp["udc"]
@@ -276,8 +285,8 @@ class TestPaperHeadlines:
     def test_ldc_shrinks_max_compaction_round(self, paper_config):
         """Granularity: LDC's biggest single round moves fewer bytes."""
         biggest = {}
-        for name, policy in (("udc", LeveledCompaction()), ("ldc", LDCPolicy())):
-            db = DB(config=paper_config, policy=policy)
+        for name in ("udc", "ldc"):
+            db = DB(config=paper_config, policy=name)
             rng = random.Random(13)
             worst = 0
             for index in range(10_000):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import DB, LDCPolicy, LeveledCompaction
+from repro import DB
 from repro.errors import ClosedError, EngineError, RecoveryError
 from repro.lsm.config import LSMConfig
 from repro.ssd.profile import BALANCED_FLASH
@@ -128,7 +128,7 @@ class TestFlushAndWAL:
 
     def test_recovery_without_wal_rejected(self, tiny_config):
         config = tiny_config.with_overrides(wal_enabled=False)
-        db = DB(config=config, policy=LeveledCompaction())
+        db = DB(config=config, policy="udc")
         db.put(b"k", b"v")
         with pytest.raises(RecoveryError, match="WAL"):
             db.crash_and_recover()
@@ -163,7 +163,7 @@ class TestFlushAndWAL:
         ring = RingBufferSink()
         db = DB(
             config=tiny_config,
-            policy=LeveledCompaction(),
+            policy="udc",
             tracer=Tracer([ring]),
         )
         db.put(b"k", b"v")
@@ -185,7 +185,7 @@ class TestFlushAndWAL:
                 config=tiny_config.with_overrides(
                     wal_enabled=wal, memtable_bytes=1 << 20
                 ),
-                policy=LeveledCompaction(),
+                policy="udc",
             )
             for index in range(100):
                 db.put(key_of(index), b"v")
@@ -213,7 +213,7 @@ class TestClose:
         udc_db.close()
 
     def test_context_manager(self, tiny_config):
-        with DB(config=tiny_config, policy=LeveledCompaction()) as db:
+        with DB(config=tiny_config, policy="udc") as db:
             db.put(b"k", b"v")
         with pytest.raises(ClosedError):
             db.get(b"k")
@@ -256,17 +256,17 @@ class TestVirtualTimeAndStats:
         assert sum(share.values()) == pytest.approx(1.0)
 
     def test_space_bytes_includes_frozen_for_ldc(self, tiny_config):
-        db = DB(config=tiny_config, policy=LDCPolicy())
+        db = DB(config=tiny_config, policy="ldc")
         for index in range(3000):
             db.put(key_of(index % 800), b"v" * 40)
         assert db.space_bytes() == (
-            db.version.total_file_bytes() + db.policy.frozen.space_bytes
+            db.version.total_file_bytes() + db.policy.movement.frozen.space_bytes
         )
 
     def test_profile_affects_costs(self, tiny_config):
-        slow = DB(config=tiny_config, policy=LeveledCompaction())
+        slow = DB(config=tiny_config, policy="udc")
         fast = DB(
-            config=tiny_config, policy=LeveledCompaction(), profile=BALANCED_FLASH
+            config=tiny_config, policy="udc", profile=BALANCED_FLASH
         )
         for db in (slow, fast):
             for index in range(2000):
@@ -277,7 +277,7 @@ class TestVirtualTimeAndStats:
 
 class TestBloomEffect:
     def test_bloom_skips_absent_lookups(self, tiny_config):
-        db = DB(config=tiny_config, policy=LeveledCompaction())
+        db = DB(config=tiny_config, policy="udc")
         for index in range(2000):
             db.put(key_of(index), b"v" * 40)
         db.flush()
@@ -293,7 +293,7 @@ class TestBloomEffect:
         for bits in (0, 10):
             db = DB(
                 config=tiny_config.with_overrides(bloom_bits_per_key=bits),
-                policy=LeveledCompaction(),
+                policy="udc",
             )
             for index in range(2000):
                 db.put(key_of(index), b"v" * 40)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import DB, LDCPolicy, LeveledCompaction, WriteBatch
+from repro import DB, WriteBatch
 from repro.errors import EngineError
 
 from tests.conftest import key_of
@@ -40,10 +40,10 @@ class TestWriteBatch:
     def test_batch_cheaper_than_individual_puts(self, tiny_config):
         """The point of batching: one WAL request instead of N."""
         config = tiny_config.with_overrides(memtable_bytes=1 << 20)
-        single = DB(config=config, policy=LeveledCompaction())
+        single = DB(config=config, policy="udc")
         for index in range(100):
             single.put(key_of(index), b"v" * 20)
-        batched = DB(config=config, policy=LeveledCompaction())
+        batched = DB(config=config, policy="udc")
         batch = WriteBatch()
         for index in range(100):
             batch.put(key_of(index), b"v" * 20)
@@ -52,7 +52,7 @@ class TestWriteBatch:
         assert dict(batched.logical_items()) == dict(single.logical_items())
 
     def test_batch_can_trigger_flush_and_compaction(self, tiny_config):
-        db = DB(config=tiny_config, policy=LDCPolicy())
+        db = DB(config=tiny_config, policy="ldc")
         batch = WriteBatch()
         for index in range(500):
             batch.put(key_of(index), b"v" * 30)

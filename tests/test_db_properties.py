@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from repro import DB, LDCPolicy, LeveledCompaction, TieredCompaction
+from repro import DB, get_spec
 from repro.lsm.config import LSMConfig
 
 TINY = LSMConfig(
@@ -23,11 +23,7 @@ TINY = LSMConfig(
     slicelink_threshold=3,
 )
 
-POLICIES = {
-    "udc": LeveledCompaction,
-    "ldc": LDCPolicy,
-    "tiered": TieredCompaction,
-}
+POLICIES = ("ldc", "tiered", "udc")
 
 key_indices = st.integers(min_value=0, max_value=60)
 
@@ -46,7 +42,7 @@ operations = st.lists(
 )
 
 
-@pytest.mark.parametrize("policy_name", sorted(POLICIES))
+@pytest.mark.parametrize("policy_name", POLICIES)
 class TestDifferential:
     @given(ops=operations)
     @settings(
@@ -55,7 +51,7 @@ class TestDifferential:
         suppress_health_check=[HealthCheck.too_slow],
     )
     def test_matches_dict_model(self, policy_name, ops):
-        db = DB(config=TINY, policy=POLICIES[policy_name]())
+        db = DB(config=TINY, policy=policy_name)
         model = {}
         for kind, index, value in ops:
             if kind == "put":
@@ -86,7 +82,7 @@ class TestDifferential:
         suppress_health_check=[HealthCheck.too_slow],
     )
     def test_scan_window_matches_model(self, policy_name, ops, start, count):
-        db = DB(config=TINY, policy=POLICIES[policy_name]())
+        db = DB(config=TINY, policy=policy_name)
         model = {}
         for kind, index, value in ops:
             if kind == "put":
@@ -112,7 +108,7 @@ class LSMStateMachine(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.db = DB(config=TINY, policy=LDCPolicy())
+        self.db = DB(config=TINY, policy="ldc")
         self.model = {}
 
     @rule(index=key_indices, value=st.binary(max_size=20))
@@ -164,7 +160,7 @@ class TieredStateMachine(LSMStateMachine):
 
     def __init__(self):
         RuleBasedStateMachine.__init__(self)
-        self.db = DB(config=TINY, policy=TieredCompaction())
+        self.db = DB(config=TINY, policy="tiered")
         self.model = {}
 
     @invariant()
@@ -176,10 +172,10 @@ class DelayedStateMachine(LSMStateMachine):
     """And against the dCompaction-style delayed policy."""
 
     def __init__(self):
-        from repro import DelayedCompaction
-
         RuleBasedStateMachine.__init__(self)
-        self.db = DB(config=TINY, policy=DelayedCompaction(delay_factor=2.0))
+        self.db = DB(
+            config=TINY, policy=get_spec("delayed").derive(delay_factor=2.0)
+        )
         self.model = {}
 
     @invariant()
@@ -194,7 +190,7 @@ class CachedLDCStateMachine(LSMStateMachine):
         RuleBasedStateMachine.__init__(self)
         self.db = DB(
             config=TINY.with_overrides(block_cache_bytes=4096),
-            policy=LDCPolicy(),
+            policy="ldc",
         )
         self.model = {}
 

@@ -25,16 +25,10 @@ import random
 
 import pytest
 
-from repro import (
-    DB,
-    LDCPolicy,
-    LeveledCompaction,
-    ShardedDB,
-    WriteBatch,
-)
+from repro import DB, ShardedDB, WriteBatch
 from repro.lsm.config import LSMConfig
 
-#: Registered policy names under differential test — the four legacy
+#: Registered policy names under differential test — the paper's four
 #: compositions plus the new design points (stores are built through the
 #: central registry, so this list is pure data).
 POLICIES = (
@@ -260,7 +254,7 @@ class TestCrashRecovery:
 
     def test_workload_continues_after_crash(self):
         """Crash mid-workload, recover, keep writing: still equivalent."""
-        db = DB(config=make_config(bg_threads=1), policy=LDCPolicy())
+        db = DB(config=make_config(bg_threads=1), policy="ldc")
         model = self.drive_until_inflight(db)
         db.crash_and_recover()
         rng = random.Random(99)
@@ -279,7 +273,7 @@ class TestCrashRecovery:
 
     def test_repeated_crashes(self):
         """Back-to-back crash/recover cycles stay lossless and consistent."""
-        db = DB(config=make_config(bg_threads=1), policy=LeveledCompaction())
+        db = DB(config=make_config(bg_threads=1), policy="udc")
         model = {}
         rng = random.Random(17)
         for cycle in range(4):
@@ -294,7 +288,7 @@ class TestCrashRecovery:
 
     def test_sharded_crash_recovery_with_scheduler(self):
         sdb = ShardedDB(
-            4, LDCPolicy, key_space=KEY_SPACE * 2,
+            4, "ldc", key_space=KEY_SPACE * 2,
             config=make_config(bg_threads=1),
         )
         model = {}

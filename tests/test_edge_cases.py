@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import DB, LDCPolicy, LeveledCompaction
+from repro import DB
 from repro.lsm.config import LSMConfig
 from repro.lsm.record import put_record
 from repro.lsm.wal import WriteAheadLog
@@ -43,7 +43,7 @@ class TestMemtableBoundary:
             sstable_target_bytes=2048,
             block_bytes=512,
         )
-        db = DB(config=config, policy=LeveledCompaction())
+        db = DB(config=config, policy="udc")
         # Each record is 12 + 38 + 13 = 63 bytes; 16 records = 1008 >= 1000.
         for index in range(16):
             db.put(key_of(index), b"v" * 38)
@@ -54,7 +54,7 @@ class TestMemtableBoundary:
         config = LSMConfig(
             memtable_bytes=1000, sstable_target_bytes=2048, block_bytes=512
         )
-        db = DB(config=config, policy=LeveledCompaction())
+        db = DB(config=config, policy="udc")
         db.put(b"big", b"v" * 5000)
         assert db.engine_stats.flush_count == 1
         assert db.get(b"big") == b"v" * 5000
@@ -101,7 +101,7 @@ class TestScanEdges:
 class TestLDCEdges:
     def test_single_key_workload(self, tiny_config):
         """Pathological: every write hits one key; versions collapse."""
-        db = DB(config=tiny_config, policy=LDCPolicy())
+        db = DB(config=tiny_config, policy="ldc")
         for index in range(3000):
             db.put(b"hotkey", b"v%06d" % index)
         assert db.get(b"hotkey") == b"v%06d" % 2999
@@ -109,7 +109,7 @@ class TestLDCEdges:
 
     def test_two_distant_key_clusters(self, tiny_config):
         """Keys in two far-apart ranges exercise responsibility gaps."""
-        db = DB(config=tiny_config, policy=LDCPolicy())
+        db = DB(config=tiny_config, policy="ldc")
         model = {}
         for index in range(1500):
             for base in (0, 10**9):
@@ -123,7 +123,7 @@ class TestLDCEdges:
         db.policy.check_invariants()
 
     def test_interleaved_delete_reinsert_cycles(self, tiny_config):
-        db = DB(config=tiny_config, policy=LDCPolicy())
+        db = DB(config=tiny_config, policy="ldc")
         for cycle in range(6):
             for index in range(300):
                 db.put(key_of(index), b"c%d" % cycle)

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro import DelayedCompaction, LDCPolicy, LeveledCompaction, TieredCompaction
 from repro.faults import crashtest
 from repro.lsm.config import LSMConfig
 
@@ -42,9 +41,7 @@ class TestWorkloadGenerator:
 class TestReferenceRun:
     def test_counts_ios_and_maintenance(self):
         ops = crashtest.build_operations(400, 60, seed=1)
-        ref = crashtest.run_reference(
-            ops, LeveledCompaction, config=small_config(), seed=1
-        )
+        ref = crashtest.run_reference(ops, "udc", config=small_config())
         assert ref.total_ios > 0
         assert ref.flushes >= 1
         assert 0 < ref.final_items <= 60
@@ -52,7 +49,7 @@ class TestReferenceRun:
     def test_ldc_reference_links_and_merges(self):
         """The default acceptance geometry drives LDC links AND merges."""
         ops = crashtest.build_operations(2000, 200, seed=0)
-        ref = crashtest.run_reference(ops, LDCPolicy, seed=0)
+        ref = crashtest.run_reference(ops, "ldc")
         assert ref.flushes >= 1
         assert ref.links >= 1
         assert ref.merges >= 1
@@ -62,7 +59,7 @@ class TestCrashPoints:
     def test_single_point_fires_and_recovers(self):
         ops = crashtest.build_operations(300, 50, seed=2)
         result = crashtest.run_crash_point(
-            ops, LeveledCompaction, 10, config=small_config(), seed=2
+            ops, "udc", 10, config=small_config()
         )
         assert result.fired
         assert result.crash_category is not None
@@ -71,7 +68,7 @@ class TestCrashPoints:
     def test_overshoot_index_never_fires(self):
         ops = crashtest.build_operations(50, 20, seed=3)
         result = crashtest.run_crash_point(
-            ops, LeveledCompaction, 10**9, config=small_config(), seed=3
+            ops, "udc", 10**9, config=small_config()
         )
         assert not result.fired
         assert result.ok, result.errors
@@ -81,10 +78,9 @@ class TestCrashPoints:
         ops = crashtest.build_operations(300, 50, seed=4)
         result = crashtest.run_crash_point(
             ops,
-            LeveledCompaction,
+            "udc",
             5,
             config=small_config(),
-            seed=4,
             torn_fraction=torn,
         )
         assert result.fired
@@ -92,18 +88,10 @@ class TestCrashPoints:
 
 
 class TestFullEnumeration:
-    @pytest.mark.parametrize(
-        "factory, name",
-        [
-            (LeveledCompaction, "udc"),
-            (LDCPolicy, "ldc"),
-            (TieredCompaction, "tiered"),
-            (DelayedCompaction, "delayed"),
-        ],
-    )
-    def test_exhaustive_small_run(self, factory, name):
+    @pytest.mark.parametrize("name", ["udc", "ldc", "tiered", "delayed"])
+    def test_exhaustive_small_run(self, name):
         report = crashtest.run_crashtest(
-            factory,
+            name,
             policy_name=name,
             num_ops=220,
             num_keys=40,
@@ -118,7 +106,7 @@ class TestFullEnumeration:
 
     def test_stride_samples(self):
         report = crashtest.run_crashtest(
-            LeveledCompaction,
+            "udc",
             policy_name="udc",
             num_ops=220,
             num_keys=40,
@@ -133,7 +121,7 @@ class TestFullEnumeration:
     def test_progress_callback(self):
         seen = []
         crashtest.run_crashtest(
-            LeveledCompaction,
+            "udc",
             num_ops=120,
             num_keys=30,
             stride=11,
@@ -147,14 +135,14 @@ class TestFullEnumeration:
         from repro.errors import ReproError
 
         with pytest.raises(ReproError):
-            crashtest.run_crashtest(LeveledCompaction, stride=0)
+            crashtest.run_crashtest("udc", stride=0)
 
 
 class TestShardedCrashtest:
     def test_sharded_enumeration(self):
         """One shard armed per point; fleet recovery keeps the oracle."""
         report = crashtest.run_crashtest(
-            LeveledCompaction,
+            "udc",
             policy_name="udc",
             num_ops=300,
             num_keys=400,  # wide key space so per-shard memtables fill
@@ -171,7 +159,7 @@ class TestShardedCrashtest:
     def test_sharded_reference_counts_all_devices(self):
         ops = crashtest.build_operations(200, 300, seed=0)
         ref = crashtest.run_reference(
-            ops, LeveledCompaction, config=small_config(), seed=0, shards=2
+            ops, "udc", config=small_config(), shards=2
         )
         assert len(ref.shard_ios) == 2
         assert all(ios > 0 for ios in ref.shard_ios)
@@ -184,13 +172,12 @@ class TestFlashCrashtest:
         """Mounting the FTL changes device traffic, never engine results."""
         ops = crashtest.build_operations(1200, 150, seed=0)
         plain = crashtest.run_reference(
-            ops, LDCPolicy, config=small_config(), seed=0
+            ops, "ldc", config=small_config()
         )
         flashed = crashtest.run_reference(
             ops,
-            LDCPolicy,
+            "ldc",
             config=small_config(),
-            seed=0,
             flash=crashtest.CRASHTEST_FLASH_SPEC,
         )
         assert flashed.flushes == plain.flushes
@@ -200,12 +187,10 @@ class TestFlashCrashtest:
         # GC relocation charges make the flash run strictly busier.
         assert flashed.total_ios > plain.total_ios
 
-    @pytest.mark.parametrize(
-        "factory, name", [(LeveledCompaction, "udc"), (LDCPolicy, "ldc")]
-    )
-    def test_flash_crash_sweep_recovers(self, factory, name):
+    @pytest.mark.parametrize("name", ["udc", "ldc"])
+    def test_flash_crash_sweep_recovers(self, name):
         report = crashtest.run_crashtest(
-            factory,
+            name,
             policy_name=name,
             num_ops=1200,
             num_keys=150,
@@ -218,7 +203,7 @@ class TestFlashCrashtest:
         assert report.ok, report.summary()
 
     @staticmethod
-    def gc_io_indices(factory, ops):
+    def gc_io_indices(policy, ops):
         """1-based charged-I/O indices of GC relocation traffic.
 
         A fault-free flash run emits one ``device_read``/``device_write``
@@ -237,7 +222,7 @@ class TestFlashCrashtest:
         tracer.add_sink(ring)
         db = DB(
             config=small_config(),
-            policy=factory(),
+            policy=policy,
             profile=DeviceConfig(flash=crashtest.CRASHTEST_FLASH_SPEC),
             tracer=tracer,
         )
@@ -264,21 +249,18 @@ class TestFlashCrashtest:
             if category in ("gc_read", "gc_write")
         ]
 
-    @pytest.mark.parametrize(
-        "factory, name", [(LeveledCompaction, "udc"), (LDCPolicy, "ldc")]
-    )
-    def test_flash_crash_point_mid_gc_recovers(self, factory, name):
+    @pytest.mark.parametrize("name", ["udc", "ldc"])
+    def test_flash_crash_point_mid_gc_recovers(self, name):
         """A crash landing exactly on a GC charge leaves the store whole."""
         ops = crashtest.build_operations(1200, 150, seed=0)
-        gc_points = self.gc_io_indices(factory, ops)
+        gc_points = self.gc_io_indices(name, ops)
         assert gc_points, f"{name}: workload produced no GC relocations"
         for io_index, torn in zip(gc_points[:4], (0.0, 0.5, 1.0, 0.0)):
             result = crashtest.run_crash_point(
                 ops,
-                factory,
+                name,
                 io_index,
                 config=small_config(),
-                seed=0,
                 torn_fraction=torn,
                 flash=crashtest.CRASHTEST_FLASH_SPEC,
             )
@@ -290,10 +272,10 @@ class TestFlashCrashtest:
 
 
 class TestCorruptionSweep:
-    @pytest.mark.parametrize("factory, name", [(LeveledCompaction, "udc"), (LDCPolicy, "ldc")])
-    def test_all_delivered_corruptions_detected(self, factory, name):
+    @pytest.mark.parametrize("name", ["udc", "ldc"])
+    def test_all_delivered_corruptions_detected(self, name):
         report = crashtest.run_corruption_test(
-            factory,
+            name,
             policy_name=name,
             num_ops=400,
             num_keys=60,

@@ -14,7 +14,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import DB, LDCPolicy, LeveledCompaction
+from repro import DB
 from repro.errors import CorruptionError, PersistentIOError
 from repro.faults import FaultPlan, RetryPolicy, crashtest
 from repro.lsm.config import LSMConfig
@@ -46,7 +46,7 @@ workload = st.builds(
     seed=st.integers(min_value=0, max_value=2**16),
 )
 
-policies = st.sampled_from([LeveledCompaction, LDCPolicy])
+policies = st.sampled_from(["udc", "ldc"])
 
 
 class TestCrashOracleProperty:
@@ -55,11 +55,11 @@ class TestCrashOracleProperty:
         ops=workload,
         io_index=st.integers(min_value=1, max_value=400),
         torn=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
-        factory=policies,
+        policy=policies,
     )
-    def test_oracle_holds_at_random_crash_points(self, ops, io_index, torn, factory):
+    def test_oracle_holds_at_random_crash_points(self, ops, io_index, torn, policy):
         result = crashtest.run_crash_point(
-            ops, factory, io_index, config=tiny(), torn_fraction=torn
+            ops, policy, io_index, config=tiny(), torn_fraction=torn
         )
         assert result.ok, result.errors
 
@@ -70,8 +70,8 @@ class TestPolicyEquivalenceProperty:
     def test_udc_and_ldc_read_equivalent_after_recovery(self, ops):
         """Same trace, same crash-recover cycle: identical logical state."""
         states = []
-        for factory in (LeveledCompaction, LDCPolicy):
-            store = DB(config=tiny(), policy=factory())
+        for policy in ("udc", "ldc"):
+            store = DB(config=tiny(), policy=policy)
             for op in ops:
                 crashtest._execute(store, op)
             store.crash_and_recover()
@@ -91,7 +91,7 @@ class TestTransientProperty:
         """Retry budget > failure count: the workload must finish exactly."""
         plan = FaultPlan(RetryPolicy(max_attempts=5, backoff_us=10.0))
         plan.transient(at_io, failures=failures)
-        store = DB(config=tiny(), policy=LeveledCompaction(), fault_plan=plan)
+        store = DB(config=tiny(), policy="udc", fault_plan=plan)
         model = {}
         for op in ops:
             crashtest._execute(store, op)
@@ -104,7 +104,7 @@ class TestTransientProperty:
     def test_exhausted_retries_surface_persistent_error(self, ops, at_io):
         plan = FaultPlan(RetryPolicy(max_attempts=2))
         plan.transient(at_io, failures=10)
-        store = DB(config=tiny(), policy=LeveledCompaction(), fault_plan=plan)
+        store = DB(config=tiny(), policy="udc", fault_plan=plan)
         fired = False
         try:
             for op in ops:
@@ -124,7 +124,7 @@ class TestCorruptionProperty:
     )
     def test_delivered_corruption_always_detected(self, ops, read_index):
         plan = FaultPlan().corrupt_read(read_index)
-        store = DB(config=tiny(), policy=LeveledCompaction(), fault_plan=plan)
+        store = DB(config=tiny(), policy="udc", fault_plan=plan)
         detected = 0
         for op in ops:
             try:

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro import LDCPolicy, LeveledCompaction
 from repro.harness.report import format_table, improvement, mib, paper_row, ratio
 from repro.harness.runner import run_workload
 from repro.lsm.config import LSMConfig
@@ -28,7 +27,7 @@ def small_rwb(**overrides):
 
 class TestRunWorkload:
     def test_basic_run_produces_metrics(self):
-        result = run_workload(small_rwb(), LeveledCompaction, config=SMALL)
+        result = run_workload(small_rwb(), "udc", config=SMALL)
         assert result.operations == 2000
         assert result.elapsed_us > 0
         assert result.throughput_ops_s > 0
@@ -38,7 +37,7 @@ class TestRunWorkload:
         assert result.policy == "udc"
 
     def test_latency_split_by_kind(self):
-        result = run_workload(small_rwb(), LeveledCompaction, config=SMALL)
+        result = run_workload(small_rwb(), "udc", config=SMALL)
         assert len(result.write_latencies) + len(result.read_latencies) == 2000
         assert len(result.write_latencies) == pytest.approx(1000, abs=150)
 
@@ -46,7 +45,7 @@ class TestRunWorkload:
         """Loaded keys must not count toward measured operations or I/O."""
         result = run_workload(
             ro(num_operations=500, key_space=300, preload_keys=300, value_bytes=64),
-            LeveledCompaction,
+            "udc",
             config=SMALL,
         )
         assert result.operations == 500
@@ -62,7 +61,7 @@ class TestRunWorkload:
                 value_bytes=64,
                 scan_length=10,
             ),
-            LeveledCompaction,
+            "udc",
             config=SMALL,
         )
         assert len(result.scan_latencies) > 0
@@ -70,42 +69,42 @@ class TestRunWorkload:
     def test_rmw_workload_runs(self):
         result = run_workload(
             ycsb_f(num_operations=300, key_space=200, preload_keys=200, value_bytes=64),
-            LeveledCompaction,
+            "udc",
             config=SMALL,
         )
         assert result.operations == 300
 
     def test_ldc_policy_counters_surface(self):
         result = run_workload(
-            small_rwb(num_operations=4000), LDCPolicy, config=SMALL
+            small_rwb(num_operations=4000), "ldc", config=SMALL
         )
         assert result.policy == "ldc"
         assert result.link_count > 0
         assert result.final_threshold == SMALL.slicelink_threshold
 
     def test_deterministic(self):
-        a = run_workload(small_rwb(), LeveledCompaction, config=SMALL)
-        b = run_workload(small_rwb(), LeveledCompaction, config=SMALL)
+        a = run_workload(small_rwb(), "udc", config=SMALL)
+        b = run_workload(small_rwb(), "udc", config=SMALL)
         assert a.elapsed_us == b.elapsed_us
         assert a.compaction_bytes_total == b.compaction_bytes_total
         assert a.latencies.percentile(99) == b.latencies.percentile(99)
 
     def test_summary_keys(self):
-        result = run_workload(small_rwb(), LeveledCompaction, config=SMALL)
+        result = run_workload(small_rwb(), "udc", config=SMALL)
         summary = result.summary()
         assert {"throughput_ops_s", "p999_us", "write_amplification"} <= set(summary)
 
     def test_write_only_counts_user_bytes(self):
         result = run_workload(
             wo(num_operations=1000, key_space=300, value_bytes=64),
-            LeveledCompaction,
+            "udc",
             config=SMALL,
         )
         assert result.user_bytes_written == 1000 * (16 + 64 + 13)
 
     def test_timeline_collected(self):
         result = run_workload(
-            small_rwb(), LeveledCompaction, config=SMALL, timeline_bucket_us=10_000
+            small_rwb(), "udc", config=SMALL, timeline_bucket_us=10_000
         )
         assert len(result.timeline.points()) >= 1
 

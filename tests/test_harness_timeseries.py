@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro import DB, LDCPolicy, LeveledCompaction
+from repro import DB
 from repro.harness.timeseries import StateSampler
 
 from tests.conftest import key_of
@@ -45,6 +45,24 @@ class TestStateSampler:
         drive(ldc_db, sampler, 3000, 800)
         assert sampler.peak("frozen_bytes") > 0
         assert sampler.peak("linked_tables") > 0
+
+    def test_frozen_region_seen_however_the_policy_was_built(self, tiny_config):
+        """The sampler reads the region off the link/merge movement, so a
+        store built the documented way (``DB(policy="ldc")``) reports it;
+        it used to probe an attribute only one policy class forwarded."""
+        db = DB(config=tiny_config, policy="ldc")
+        sampler = StateSampler(db, every_ops=100)
+        drive(db, sampler, 3000, 800)
+        assert db.policy.extra_space_bytes() > 0
+        sample = sampler.snapshot()
+        assert sample.frozen_bytes == db.policy.extra_space_bytes()
+        assert sample.frozen_files > 0
+
+        udc = DB(config=tiny_config, policy="udc")
+        udc_sampler = StateSampler(udc, every_ops=100)
+        drive(udc, udc_sampler, 3000, 800)
+        sample = udc_sampler.snapshot()
+        assert (sample.frozen_bytes, sample.frozen_files) == (0, 0)
 
     def test_frozen_region_is_bounded(self, ldc_db):
         """The safety valve visible in the timeseries, not just at the end."""

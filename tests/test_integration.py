@@ -9,7 +9,7 @@ identical logical contents.
 
 import pytest
 
-from repro import DB, LDCPolicy, LeveledCompaction, TieredCompaction
+from repro import DB
 from repro.harness.runner import run_workload
 from repro.lsm.config import LSMConfig
 from repro.ssd.profile import SATA_SSD
@@ -25,11 +25,7 @@ CONFIG = LSMConfig(
     slicelink_threshold=4,
 )
 
-POLICY_FACTORIES = {
-    "udc": LeveledCompaction,
-    "ldc": LDCPolicy,
-    "tiered": TieredCompaction,
-}
+POLICIES = ("ldc", "tiered", "udc")
 
 
 def apply_stream(db: DB, spec) -> dict:
@@ -65,8 +61,8 @@ class TestPolicyEquivalence:
             seed=21,
         )
         contents = {}
-        for name, factory in POLICY_FACTORIES.items():
-            db = DB(config=CONFIG, policy=factory())
+        for name in POLICIES:
+            db = DB(config=CONFIG, policy=name)
             model = apply_stream(db, spec)
             db.check_invariants()
             contents[name] = dict(db.logical_items())
@@ -77,8 +73,7 @@ class TestPolicyEquivalence:
         """Same workload, same data — different I/O and latency profiles."""
         spec = rwb(num_operations=4000, key_space=900, value_bytes=64, seed=5)
         results = {
-            name: run_workload(spec, factory, config=CONFIG)
-            for name, factory in POLICY_FACTORIES.items()
+            name: run_workload(spec, name, config=CONFIG) for name in POLICIES
         }
         amps = {name: r.write_amplification for name, r in results.items()}
         assert len({round(a, 4) for a in amps.values()}) > 1, (
@@ -90,14 +85,14 @@ class TestFullStack:
     def test_runner_on_alternate_device(self):
         result = run_workload(
             wo(num_operations=2000, key_space=500, value_bytes=64),
-            LeveledCompaction,
+            "udc",
             config=CONFIG,
             profile=SATA_SSD,
         )
         assert result.throughput_ops_s > 0
 
     def test_long_mixed_run_invariants(self):
-        db = DB(config=CONFIG, policy=LDCPolicy())
+        db = DB(config=CONFIG, policy="ldc")
         spec = rwb(
             num_operations=6000,
             key_space=1500,
@@ -114,7 +109,7 @@ class TestFullStack:
             assert db.get(key) == model[key]
 
     def test_scan_heavy_run(self):
-        db = DB(config=CONFIG, policy=LDCPolicy())
+        db = DB(config=CONFIG, policy="ldc")
         spec = rwb(
             num_operations=1500,
             key_space=500,
@@ -129,7 +124,7 @@ class TestFullStack:
 
     def test_wear_accounting_consistent(self):
         """Device wear == every write category the engine produced."""
-        db = DB(config=CONFIG, policy=LDCPolicy())
+        db = DB(config=CONFIG, policy="ldc")
         apply_stream(db, wo(num_operations=2500, key_space=700, value_bytes=48))
         stats = db.device.stats
         total = sum(category.bytes for category in stats.writes.values())
@@ -138,7 +133,7 @@ class TestFullStack:
         assert stats.bytes_written("flush_write") > 0
 
     def test_virtual_time_strictly_increases(self):
-        db = DB(config=CONFIG, policy=LeveledCompaction())
+        db = DB(config=CONFIG, policy="udc")
         last = db.clock.now()
         generator = WorkloadGenerator(
             rwb(num_operations=500, key_space=200, value_bytes=48)
@@ -154,11 +149,11 @@ class TestFullStack:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("name", sorted(POLICY_FACTORIES))
+    @pytest.mark.parametrize("name", POLICIES)
     def test_identical_runs_bitwise_equal(self, name):
         spec = rwb(num_operations=1500, key_space=400, value_bytes=48, seed=77)
-        first = run_workload(spec, POLICY_FACTORIES[name], config=CONFIG)
-        second = run_workload(spec, POLICY_FACTORIES[name], config=CONFIG)
+        first = run_workload(spec, name, config=CONFIG)
+        second = run_workload(spec, name, config=CONFIG)
         assert first.elapsed_us == second.elapsed_us
         assert first.total_write_bytes == second.total_write_bytes
         assert first.latencies.percentile(99.9) == second.latencies.percentile(99.9)

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import DB, LDCPolicy, LeveledCompaction
+from repro import DB
 from repro.errors import ConfigError, EngineError
 from repro.lsm.cache import BlockCache
 from repro.lsm.config import LSMConfig
@@ -151,11 +151,11 @@ class TestCacheInEngine:
         assert udc_db.block_cache is None
 
     def test_enabled_via_config(self):
-        db = DB(config=self._config(8192), policy=LeveledCompaction())
+        db = DB(config=self._config(8192), policy="udc")
         assert db.block_cache is not None
 
     def test_repeated_reads_hit_cache(self):
-        db = DB(config=self._config(64 * 1024), policy=LeveledCompaction())
+        db = DB(config=self._config(64 * 1024), policy="udc")
         for index in range(1000):
             db.put(key_of(index), b"v" * 40)
         db.flush()
@@ -167,7 +167,7 @@ class TestCacheInEngine:
         timings = {}
         reads = {}
         for cache_bytes in (0, 64 * 1024):
-            db = DB(config=self._config(cache_bytes), policy=LeveledCompaction())
+            db = DB(config=self._config(cache_bytes), policy="udc")
             for index in range(1500):
                 db.put(key_of(index), b"v" * 40)
             db.policy.maybe_compact()
@@ -187,7 +187,7 @@ class TestCacheInEngine:
         ]
         contents = []
         for cache_bytes in (0, 32 * 1024):
-            db = DB(config=self._config(cache_bytes), policy=LDCPolicy())
+            db = DB(config=self._config(cache_bytes), policy="ldc")
             model = {}
             for key, value in operations:
                 db.put(key, value)
@@ -201,7 +201,7 @@ class TestCacheInEngine:
 
     def test_cache_never_holds_dead_file_blocks(self):
         """Compacted-away files release their cache blocks immediately."""
-        db = DB(config=self._config(128 * 1024), policy=LeveledCompaction())
+        db = DB(config=self._config(128 * 1024), policy="udc")
         for index in range(4000):
             db.put(key_of(index % 500), b"v" * 40)
             if index % 50 == 0:
@@ -218,7 +218,7 @@ class TestCacheInEngine:
     def test_ldc_frozen_files_stay_cached_until_recycled(self):
         """LDC-linked files stay readable via slices, so their blocks stay;
         only full recycling (refcount zero) drops them."""
-        db = DB(config=self._config(128 * 1024), policy=LDCPolicy())
+        db = DB(config=self._config(128 * 1024), policy="ldc")
         for index in range(4000):
             db.put(key_of(index % 500), b"v" * 40)
             if index % 50 == 0:
@@ -229,14 +229,14 @@ class TestCacheInEngine:
             for level in range(db.version.num_levels)
             for table in db.version.files(level)
         }
-        frozen = {table.file_id for table in db.policy.frozen.files()}
+        frozen = {table.file_id for table in db.policy.movement.frozen.files()}
         cached = {file_id for file_id, _ in db.block_cache._entries}
         assert cached <= live | frozen
 
     def test_invariants_reject_blocks_evict_file_cannot_reach(self):
         """``evict_file`` pops blocks ``0 .. num_blocks - 1`` only, so a
         resident key past a live file's block count would outlive it."""
-        db = DB(config=self._config(128 * 1024), policy=LDCPolicy())
+        db = DB(config=self._config(128 * 1024), policy="ldc")
         for index in range(3000):
             db.put(key_of(index % 500), b"v" * 40)
         for index in range(0, 500, 5):
@@ -253,7 +253,7 @@ class TestCacheInEngine:
             db.check_invariants()
 
     def test_scan_uses_cache(self):
-        db = DB(config=self._config(128 * 1024), policy=LeveledCompaction())
+        db = DB(config=self._config(128 * 1024), policy="udc")
         for index in range(2000):
             db.put(key_of(index), b"v" * 40)
         db.policy.maybe_compact()

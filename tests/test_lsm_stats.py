@@ -61,7 +61,7 @@ class TestRoundGranularity:
         assert stats.round_bytes_percentile(100) == 1000
 
     def test_rounds_tracked_by_engine(self):
-        from repro import DB, LeveledCompaction
+        from repro import DB
         from repro.lsm.config import LSMConfig
 
         db = DB(
@@ -72,7 +72,7 @@ class TestRoundGranularity:
                 fan_out=4,
                 level1_capacity_bytes=4096,
             ),
-            policy=LeveledCompaction(),
+            policy="udc",
         )
         import random
 

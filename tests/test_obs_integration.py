@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from repro import DB, LDCPolicy, LeveledCompaction, RingBufferSink, Tracer
+from repro import DB, RingBufferSink, Tracer
 from repro.cli import main as cli_main
 from repro.lsm.config import LSMConfig
 from repro.obs import EV_COMPACTION_ROUND, EV_LINK, EV_MERGE, summarize_events
@@ -31,8 +31,8 @@ def traced_run(policy: object, config: LSMConfig, ops: int = 800) -> tuple:
 
 class TestPolicyEventShapes:
     def test_link_merge_events_only_under_ldc(self, tiny_config: LSMConfig) -> None:
-        udc_db, udc_ring = traced_run(LeveledCompaction(), tiny_config)
-        ldc_db, ldc_ring = traced_run(LDCPolicy(), tiny_config)
+        udc_db, udc_ring = traced_run("udc", tiny_config)
+        ldc_db, ldc_ring = traced_run("ldc", tiny_config)
 
         udc_kinds = summarize_events(udc_ring.events)
         ldc_kinds = summarize_events(ldc_ring.events)
@@ -49,7 +49,7 @@ class TestPolicyEventShapes:
         ldc_db.close()
 
     def test_link_events_carry_plan_fields(self, tiny_config: LSMConfig) -> None:
-        db, ring = traced_run(LDCPolicy(), tiny_config)
+        db, ring = traced_run("ldc", tiny_config)
         links = ring.events_of(EV_LINK)
         assert links
         for event in links:
@@ -66,8 +66,7 @@ class TestByteAccounting:
     ) -> None:
         """Acceptance criterion: per-round compaction event bytes sum to
         within 1% of the device's compaction read+write totals."""
-        policy = LeveledCompaction() if policy_name == "udc" else LDCPolicy()
-        db, ring = traced_run(policy, tiny_config, ops=1500)
+        db, ring = traced_run(policy_name, tiny_config, ops=1500)
 
         rounds = ring.events_of(EV_COMPACTION_ROUND)
         assert rounds, "workload too small to trigger compaction"

@@ -6,7 +6,7 @@ import dataclasses
 
 import pytest
 
-from repro import DB, LDCPolicy, MetricsSnapshot
+from repro import DB, MetricsSnapshot
 from repro.lsm.config import LSMConfig
 from repro.obs.registry import MetricsRegistry
 
@@ -46,7 +46,7 @@ class TestRegistry:
 
 class TestSnapshot:
     def test_capture_and_headline_properties(self, tiny_config: LSMConfig) -> None:
-        db = DB(config=tiny_config, policy=LDCPolicy())
+        db = DB(config=tiny_config, policy="ldc")
         fill(db)
         snap = db.metrics()
         assert isinstance(snap, MetricsSnapshot)
@@ -57,7 +57,7 @@ class TestSnapshot:
         assert snap["engine.puts"] == 400
 
     def test_frozen(self, tiny_config: LSMConfig) -> None:
-        db = DB(config=tiny_config, policy=LDCPolicy())
+        db = DB(config=tiny_config, policy="ldc")
         snap = db.metrics()
         with pytest.raises(dataclasses.FrozenInstanceError):
             snap.t_us = 0.0  # type: ignore[misc]
@@ -65,7 +65,7 @@ class TestSnapshot:
             snap.counters["engine.puts"] = 99  # type: ignore[index]
 
     def test_delta_isolates_a_phase(self, tiny_config: LSMConfig) -> None:
-        db = DB(config=tiny_config, policy=LDCPolicy())
+        db = DB(config=tiny_config, policy="ldc")
         fill(db, 200)
         before = db.metrics()
         fill(db, 200)
@@ -88,7 +88,7 @@ class TestSnapshot:
         assert diff.t_us == pytest.approx(20.0)
 
     def test_activity_share_sums_to_one(self, tiny_config: LSMConfig) -> None:
-        db = DB(config=tiny_config, policy=LDCPolicy())
+        db = DB(config=tiny_config, policy="ldc")
         fill(db)
         shares = db.metrics().activity_share()
         assert shares
@@ -102,7 +102,7 @@ class TestUnifiedReset:
         """Regression: one reset call must zero engine, device, cache and
         policy counters consistently (they used to be reset piecemeal)."""
         config = dataclasses.replace(tiny_config, block_cache_bytes=64 * 1024)
-        db = DB(config=config, policy=LDCPolicy())
+        db = DB(config=config, policy="ldc")
         fill(db)
         for index in range(100):  # generate cache traffic too
             db.get(key_of(index))
@@ -122,7 +122,7 @@ class TestUnifiedReset:
         assert db.block_cache.hits == 0 and db.block_cache.misses == 0
 
     def test_gauges_survive_reset(self, tiny_config: LSMConfig) -> None:
-        db = DB(config=tiny_config, policy=LDCPolicy())
+        db = DB(config=tiny_config, policy="ldc")
         fill(db)
         gauges_before = dict(db.metrics().gauges)
         db.reset_measurements()

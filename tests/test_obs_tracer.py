@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from repro import DB, LDCPolicy, RingBufferSink, TraceEvent, Tracer
+from repro import DB, RingBufferSink, TraceEvent, Tracer
 from repro.errors import ReproError
 from repro.lsm.config import LSMConfig
 from repro.obs import (
@@ -132,7 +132,7 @@ class TestDBIntegration:
     def test_db_binds_clock_and_emits(self, tiny_config: LSMConfig) -> None:
         ring = RingBufferSink()
         tracer = Tracer([ring])
-        db = DB(config=tiny_config, policy=LDCPolicy(), tracer=tracer)
+        db = DB(config=tiny_config, policy="ldc", tracer=tracer)
         assert tracer.clock is db.clock
         for index in range(400):
             db.put(key_of(index), b"v" * 64)

@@ -2,8 +2,8 @@
 
 The PR 6 contract: one central registry behind every policy-name surface
 (DB construction, CLI, grids, crashtest, ShardedDB), specs that
-round-trip through dict/pickle, typed errors listing the valid names,
-and deprecation warnings — not breakage — for the legacy classes.
+round-trip through dict/pickle, and typed errors listing the valid
+names.
 """
 
 import pickle
@@ -13,12 +13,9 @@ import pytest
 from repro import (
     DB,
     ComposedPolicy,
-    LDCPolicy,
-    LeveledCompaction,
     PolicySpec,
     ShardedDB,
     SpecFactory,
-    TieredCompaction,
     UnknownPolicyError,
     available_policies,
     get_spec,
@@ -27,7 +24,6 @@ from repro import (
     resolve_factory,
 )
 from repro.errors import ConfigError
-from repro.lsm.compaction.delayed import DelayedCompaction
 from repro.lsm.compaction.spec import _REGISTRY
 from repro.lsm.config import LSMConfig
 
@@ -216,24 +212,6 @@ class TestComposition:
 
 
 class TestBackwardCompat:
-    @pytest.mark.parametrize(
-        "legacy_cls, name",
-        [
-            (LeveledCompaction, "udc"),
-            (LDCPolicy, "ldc"),
-            (TieredCompaction, "tiered"),
-            (DelayedCompaction, "delayed"),
-        ],
-    )
-    def test_legacy_classes_warn_but_work(self, legacy_cls, name):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            policy = legacy_cls()
-        assert isinstance(policy, ComposedPolicy)
-        assert policy.name == name
-        db = DB(config=TINY, policy=policy)
-        db.put(b"k", b"v")
-        assert db.get(b"k") == b"v"
-
     def test_default_db_does_not_warn(self, recwarn):
         db = DB(config=TINY)
         assert db.policy.name == "udc"

@@ -14,22 +14,13 @@ import pytest
 from repro import (
     DB,
     CompactionScheduler,
-    LDCPolicy,
-    LeveledCompaction,
     ShardedDB,
-    TieredCompaction,
 )
 from repro.errors import EngineError
-from repro.lsm.compaction.delayed import DelayedCompaction
 from repro.lsm.config import LSMConfig
 from repro.ssd.clock import CAPTURE_CPU, CAPTURE_IO
 
-POLICIES = {
-    "udc": LeveledCompaction,
-    "ldc": LDCPolicy,
-    "tiered": TieredCompaction,
-    "delayed": DelayedCompaction,
-}
+POLICIES = ("delayed", "ldc", "tiered", "udc")
 
 
 def sched_config(bg_threads: int = 1, **overrides) -> LSMConfig:
@@ -160,8 +151,8 @@ class TestReplay:
 
     def test_logical_contents_match_scheduler_off(self):
         ops = 500
-        with_sched = DB(config=sched_config(bg_threads=1), policy=LDCPolicy())
-        without = DB(config=sched_config(bg_threads=0), policy=LDCPolicy())
+        with_sched = DB(config=sched_config(bg_threads=1), policy="ldc")
+        without = DB(config=sched_config(bg_threads=0), policy="ldc")
         write_some(with_sched, ops)
         write_some(without, ops)
         with_sched.sched.drain()
@@ -291,13 +282,10 @@ class TestThrottling:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("policy_name", sorted(POLICIES))
+    @pytest.mark.parametrize("policy_name", POLICIES)
     def test_identical_runs_bit_identical(self, policy_name):
         def one_run():
-            db = DB(
-                config=sched_config(bg_threads=2),
-                policy=POLICIES[policy_name](),
-            )
+            db = DB(config=sched_config(bg_threads=2), policy=policy_name)
             write_some(db, 500)
             db.sched.drain()
             snap = db.metrics()
@@ -310,14 +298,14 @@ class TestDeterminism:
 
 class TestShardedScheduler:
     def test_each_shard_owns_a_scheduler(self):
-        sdb = ShardedDB(2, LeveledCompaction, config=sched_config(bg_threads=1))
+        sdb = ShardedDB(2, "udc", config=sched_config(bg_threads=1))
         scheds = [shard.sched for shard in sdb.shards]
         assert all(s is not None for s in scheds)
         assert scheds[0] is not scheds[1]
         assert scheds[0].channel is not scheds[1].channel
 
     def test_drain_scheduler_clears_all_shards(self):
-        sdb = ShardedDB(2, LeveledCompaction, config=sched_config(bg_threads=1))
+        sdb = ShardedDB(2, "udc", config=sched_config(bg_threads=1))
         write_some(sdb, 800)
         sdb.drain_scheduler()
         for shard in sdb.shards:
@@ -325,14 +313,14 @@ class TestShardedScheduler:
         sdb.check_invariants()
 
     def test_drain_scheduler_noop_when_off(self):
-        sdb = ShardedDB(2, LeveledCompaction, config=sched_config(bg_threads=0))
+        sdb = ShardedDB(2, "udc", config=sched_config(bg_threads=0))
         write_some(sdb, 200)
         sdb.drain_scheduler()  # must not raise
         assert all(shard.sched is None for shard in sdb.shards)
 
     def test_sharded_logical_contents_match_scheduler_off(self):
-        on = ShardedDB(4, LDCPolicy, config=sched_config(bg_threads=1))
-        off = ShardedDB(4, LDCPolicy, config=sched_config(bg_threads=0))
+        on = ShardedDB(4, "ldc", config=sched_config(bg_threads=1))
+        off = ShardedDB(4, "ldc", config=sched_config(bg_threads=0))
         write_some(on, 600)
         write_some(off, 600)
         on.drain_scheduler()

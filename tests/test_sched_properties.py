@@ -25,16 +25,10 @@ not just the seeded traces of the differential suite:
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro import DB, LDCPolicy, LeveledCompaction, TieredCompaction
-from repro.lsm.compaction.delayed import DelayedCompaction
+from repro import DB
 from repro.lsm.config import LSMConfig
 
-POLICIES = {
-    "udc": LeveledCompaction,
-    "ldc": LDCPolicy,
-    "tiered": TieredCompaction,
-    "delayed": DelayedCompaction,
-}
+POLICIES = ("delayed", "ldc", "tiered", "udc")
 
 
 def make_config(bg_threads: int, aggressive_throttle: bool = False) -> LSMConfig:
@@ -83,9 +77,9 @@ operations = st.lists(
 )
 
 
-def replay(ops, policy_factory, config):
+def replay(ops, policy, config):
     """Apply an op stream; return the finished DB."""
-    db = DB(config=config, policy=policy_factory())
+    db = DB(config=config, policy=policy)
     for kind, index, value in ops:
         if kind == "put":
             db.put(key_of(index), value)
@@ -102,16 +96,15 @@ def total_throttle_us(db) -> float:
 
 
 class TestScheduleInvariance:
-    @given(ops=operations, policy_name=st.sampled_from(sorted(POLICIES)))
+    @given(ops=operations, policy_name=st.sampled_from(POLICIES))
     @settings(
         max_examples=25,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
     def test_on_off_logical_equivalence(self, ops, policy_name):
-        factory = POLICIES[policy_name]
-        on = replay(ops, factory, make_config(bg_threads=1))
-        off = replay(ops, factory, make_config(bg_threads=0))
+        on = replay(ops, policy_name, make_config(bg_threads=1))
+        off = replay(ops, policy_name, make_config(bg_threads=0))
         on.sched.drain()
         assert list(on.logical_items()) == list(off.logical_items())
         on.check_invariants()
@@ -126,7 +119,7 @@ class TestScheduleInvariance:
         """Contents are also invariant across thread counts."""
         contents = set()
         for bg_threads in (1, 3):
-            db = replay(ops, LDCPolicy, make_config(bg_threads))
+            db = replay(ops, "ldc", make_config(bg_threads))
             db.sched.drain()
             contents.add(tuple(db.logical_items()))
         assert len(contents) == 1
@@ -140,11 +133,11 @@ class TestStallMonotonicity:
         import random
 
         total = 0.0
-        for policy_name in sorted(POLICIES):
+        for policy_name in POLICIES:
             for seed in range(3):
                 db = DB(
                     config=make_config(bg_threads, aggressive_throttle=True),
-                    policy=POLICIES[policy_name](),
+                    policy=policy_name,
                 )
                 rng = random.Random(seed)
                 for _ in range(500):
@@ -167,7 +160,7 @@ class TestStallMonotonicity:
 class TestQuietBelowSlowdown:
     @given(
         ops=operations,
-        policy_name=st.sampled_from(sorted(POLICIES)),
+        policy_name=st.sampled_from(POLICIES),
         bg_threads=st.integers(min_value=1, max_value=4),
     )
     @settings(
@@ -183,9 +176,7 @@ class TestQuietBelowSlowdown:
         tracks the high-water mark so runs that *do* cross it are simply
         skipped rather than asserted on.
         """
-        db = DB(
-            config=make_config(bg_threads), policy=POLICIES[policy_name]()
-        )
+        db = DB(config=make_config(bg_threads), policy=policy_name)
         slowdown = db.config.l0_slowdown_trigger
         high_water = 0
         for kind, index, value in ops:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import DB, LDCPolicy, LeveledCompaction
+from repro import DB
 from repro.lsm.config import LSMConfig
 
 from tests.conftest import key_of
@@ -32,7 +32,7 @@ class TestSeekBudget:
         assert table.allowed_seeks == max(100, table.data_size // (16 * 1024))
 
     def test_unproductive_probes_spend_budget(self):
-        db = DB(config=seek_config(), policy=LeveledCompaction())
+        db = DB(config=seek_config(), policy="udc")
         for index in range(200):
             db.put(key_of(index), b"v" * 30)
         db.flush()
@@ -43,7 +43,7 @@ class TestSeekBudget:
         assert table.allowed_seeks == budget - 1
 
     def test_productive_probes_do_not_spend_budget(self):
-        db = DB(config=seek_config(), policy=LeveledCompaction())
+        db = DB(config=seek_config(), policy="udc")
         for index in range(200):
             db.put(key_of(index), b"v" * 30)
         db.flush()
@@ -55,7 +55,7 @@ class TestSeekBudget:
     def test_disabled_by_default(self):
         db = DB(
             config=seek_config(seek_compaction_enabled=False),
-            policy=LeveledCompaction(),
+            policy="udc",
         )
         for index in range(200):
             db.put(key_of(index), b"v" * 30)
@@ -69,7 +69,7 @@ class TestSeekBudget:
 
 class TestSeekTriggeredCompaction:
     def test_exhausted_file_gets_compacted(self):
-        db = DB(config=seek_config(), policy=LeveledCompaction())
+        db = DB(config=seek_config(), policy="udc")
         for index in range(200):
             db.put(key_of(index), b"v" * 30)
         db.flush()
@@ -96,7 +96,7 @@ class TestSeekTriggeredCompaction:
         )
 
     def test_contents_preserved_through_seek_compactions(self):
-        db = DB(config=seek_config(), policy=LeveledCompaction())
+        db = DB(config=seek_config(), policy="udc")
         model = {}
         for index in range(300):
             db.put(key_of(index), b"v%d" % index)
@@ -110,7 +110,7 @@ class TestSeekTriggeredCompaction:
     def test_other_policies_ignore_the_signal(self):
         """LDC does not implement seek compaction; the notification must
         be a safe no-op rather than an error."""
-        db = DB(config=seek_config(), policy=LDCPolicy())
+        db = DB(config=seek_config(), policy="ldc")
         for index in range(300):
             db.put(key_of(index), b"v" * 30)
         db.flush()

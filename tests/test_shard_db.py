@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import LDCPolicy, ShardedDB
+from repro import ShardedDB
 from repro.errors import ConfigError
 from repro.harness.experiments import udc_factory
 from repro.obs.aggregate import SHARD_PREFIX
@@ -139,7 +139,7 @@ class TestConstruction:
             )
 
     def test_policies_are_independent_instances(self) -> None:
-        db = ShardedDB(num_shards=3, policy_factory=LDCPolicy)
+        db = ShardedDB(num_shards=3, policy_factory="ldc")
         policies = [shard.policy for shard in db.shards]
         assert len({id(policy) for policy in policies}) == 3
         db.close()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import DB, LDCPolicy, LeveledCompaction
+from repro import DB
 from repro.errors import WorkloadError
 from repro.lsm.config import LSMConfig
 from repro.workload import rwb, scn_rwb, wo
@@ -91,7 +91,7 @@ class TestReplay:
     def test_replay_returns_model(self):
         spec = wo(num_operations=300, key_space=100, value_bytes=16, delete_ratio=0.2)
         ops = record_trace(spec)
-        db = DB(config=SMALL, policy=LeveledCompaction())
+        db = DB(config=SMALL, policy="udc")
         model = replay(db, ops)
         assert dict(db.logical_items()) == model
 
@@ -101,7 +101,7 @@ class TestReplay:
         path = tmp_path / "shared.txt"
         write_trace(record_trace(spec, include_preload=True), path)
         contents = []
-        for policy in (LeveledCompaction(), LDCPolicy()):
+        for policy in ("udc", "ldc"):
             db = DB(config=SMALL, policy=policy)
             model = replay(db, read_trace(path))
             assert dict(db.logical_items()) == model
