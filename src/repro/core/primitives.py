@@ -404,7 +404,7 @@ class LDCLinkMergeMovement(DataMovement):
                 piece = slices[charged - 2]
                 db._verify_block_read(
                     piece.source,
-                    [b for b, _ in piece.source.blocks_in_range(piece.lo, piece.hi)],
+                    range(*piece.source.block_span(piece._start, piece._stop)),
                 )
 
         # The slices' cached index windows over their frozen sources *are*

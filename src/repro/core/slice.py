@@ -10,12 +10,11 @@ file until the merge phase reads them.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import List, Optional, Sequence
 
-from ..lsm.keys import clamp_range, in_range
+from ..lsm.keys import in_range
 from ..lsm.record import KVRecord
-from ..lsm.sstable import RecordView, SSTable
+from ..lsm.sstable import SSTable
 from ..errors import EngineError
 
 
@@ -82,7 +81,7 @@ class Slice:
 
     def records(self) -> Sequence[KVRecord]:
         """All records this slice denotes, key-sorted."""
-        return RecordView(self.source._records, self._start, self._stop)
+        return self.source._records[self._start:self._stop]
 
     def columns_window(self) -> tuple:
         """The slice as a columnar merge window over its source's columns.
@@ -102,16 +101,6 @@ class Slice:
             self._stop,
         )
 
-    def records_in_range(
-        self, lo: Optional[bytes], hi: Optional[bytes]
-    ) -> Sequence[KVRecord]:
-        """Records in the intersection of the slice with ``[lo, hi)``."""
-        keys = self.source._keys
-        first, last = self._start, self._stop  # narrowed, never re-derived
-        start = first if lo is None else bisect_left(keys, lo, first, last)
-        stop = last if hi is None else bisect_left(keys, hi, start, last)
-        return RecordView(self.source._records, start, stop)
-
     # ------------------------------------------------------------------
     # I/O cost queries: a slice read touches only the source blocks that
     # overlap the slice range — the saving over UDC's whole-file reads.
@@ -119,11 +108,6 @@ class Slice:
     def read_block_bytes(self) -> int:
         """Device bytes to load the whole slice during a merge."""
         return self.source.block_bytes_in_range(self.lo, self.hi)
-
-    def scan_block_bytes(self, lo: Optional[bytes], hi: Optional[bytes]) -> int:
-        """Device bytes a scan over ``[lo, hi)`` reads from this slice."""
-        clamped_lo, clamped_hi = clamp_range(self.lo, self.hi, lo, hi)
-        return self.source.block_bytes_in_range(clamped_lo, clamped_hi)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

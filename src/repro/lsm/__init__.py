@@ -9,7 +9,6 @@ from .builder import SSTableBuilder, build_tables
 from .cache import BlockCache
 from .config import KIB, MIB, CostModel, LSMConfig
 from .db import DB, WriteBatch
-from .iterators import live_records, merge_records
 from .keys import clamp_range, in_range, key_successor, ranges_overlap
 from .memtable import MemTable
 from .record import (
@@ -63,8 +62,6 @@ __all__ = [
     "newest_wins",
     "drop_tombstones",
     "visible_value",
-    "merge_records",
-    "live_records",
     "key_successor",
     "in_range",
     "ranges_overlap",

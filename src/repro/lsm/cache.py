@@ -100,8 +100,44 @@ class BlockCache:
             return True
         return False
 
-    def count_probes(self, hits: int, misses: int) -> None:
-        """Count a batch of :meth:`probe` outcomes (zeros create no counter)."""
+    def fetch(
+        self, file_id: int, block_index: int, nbytes: int, evicted: List[int]
+    ) -> bool:
+        """One step of a range read: :meth:`probe`, and on a miss install.
+
+        A miss installs the block at once — it may evict one further
+        along the same range — and adds what it evicted to ``evicted``,
+        a ``[blocks, bytes]`` tally the caller hands to
+        :meth:`count_probes` with the range's hits and misses.
+        """
+        key = (file_id, block_index)
+        entries = self._entries
+        if key in entries:
+            entries.move_to_end(key)
+            return True
+        capacity = self.capacity_bytes
+        if nbytes <= capacity:
+            entries[key] = nbytes
+            used = self._used_bytes + nbytes
+            while used > capacity:
+                _, dropped = entries.popitem(last=False)
+                used -= dropped
+                evicted[0] += 1
+                evicted[1] += dropped
+            self._used_bytes = used
+        return False
+
+    def count_probes(
+        self, hits: int, misses: int, evictions: int = 0, evicted_bytes: int = 0
+    ) -> None:
+        """Count a batch of :meth:`probe` / :meth:`fetch` outcomes.
+
+        Zeros create no counter: the eviction pair stays lazily created
+        on the first real LRU eviction (see :meth:`insert`).
+        """
+        if evictions:
+            self.registry.add("cache.evictions", evictions)
+            self.registry.add("cache.evicted_bytes", evicted_bytes)
         if hits:
             self.registry.add("cache.hits", hits)
         if misses:

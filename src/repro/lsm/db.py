@@ -22,15 +22,18 @@ files' Bloom filters) before the file (§III-B.3).
 
 from __future__ import annotations
 
-from bisect import bisect_left
+import sys
+from bisect import bisect_left, bisect_right
+from functools import reduce
+from itertools import repeat
+from operator import add
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .bloom import key_hashes
 from .builder import SSTableBuilder
 from .cache import BlockCache
 from .config import LSMConfig
-from .iterators import level_cursor, merge_records, table_records
-from .keys import clamp_range, key_successor
+from .iterators import merge_streams
 from .memtable import MemTable
 from .record import (
     KIND_DELETE,
@@ -728,119 +731,116 @@ class DB:
         """Return up to ``count`` live key-value pairs with key >= start.
 
         Merges the memtable, every overlapping Level-0 (or tiered) file
-        and one lazy cursor per sorted level (:func:`~repro.lsm.iterators.
-        level_cursor`), each file read together with its linked slices;
-        tombstones shadow older versions and are not returned.
+        and one stream per sorted level, each file read together with its
+        linked slices (:func:`~repro.lsm.iterators.merge_streams`: index
+        windows cut in rounds, not records pulled one by one); tombstones
+        shadow older versions and are not returned.
         """
         self._check_open()
         _check_key(start_key)
         if count <= 0:
             return []
-        self.policy.on_operation(False)
         clock = self.clock
-        start_time = clock.now()
+        if clock._capture is not None:
+            raise EngineError("a scan cannot run inside a clock capture")
+        self.policy.on_operation(False)
+        start_time = clock._now_us
         self._count("engine.scans")
 
-        version = self.version
-        sources: List = [self._memtable.iter_from(start_key)]
-        # Per level, the files a source started reading — what the device
-        # is charged for below.
-        opened: List[List[SSTable]] = []
-        for level in range(version.num_levels):
-            files = version.files(level)
-            reached: List[SSTable] = []
-            opened.append(reached)
-            if level and version.sorted_levels:
-                if files:
-                    first = version.responsible_index(level, start_key)
-                    sources.append(level_cursor(files, first, start_key, reached))
-            else:
-                for table in files:
-                    if table.max_key >= start_key or table.slice_links:
-                        reached.append(table)
-                        sources.append(table_records(table, start_key))
-
-        # One float add per merged record, in merge order: the clock must
-        # stay bit-exact, so the charges are hoisted but not batched.
-        advance = clock.advance
-        per_record_us = self.config.costs.scan_per_record_us
-        results: List[Tuple[bytes, bytes]] = []
-        push = results.append
-        for record in merge_records(sources):
-            advance(per_record_us)
-            if record[2] == KIND_DELETE:
-                continue
-            push((record[0], record[3]))
-            if len(results) >= count:
-                break
+        streams = self._scan_streams(start_key)
+        results, consumed, last_key = merge_streams(streams, start_key, count)
+        # One float add per merged record, as if charged in merge order:
+        # the clock must stay bit-exact, so the sum is never a multiply.
+        clock._now_us = reduce(
+            add, repeat(self.config.costs.scan_per_record_us, consumed), clock._now_us
+        )
         self._count("engine.scanned_records", len(results))
 
-        # Charge the device for the block ranges each opened source
-        # covered: from the scan start up to the last key returned (or the
-        # whole tail when the store was exhausted first).  Tables first,
-        # then slices, each in (level, file, link) order; a file no cursor
-        # reached holds only keys past ``end_hi``, i.e. no blocks to charge.
-        end_hi = key_successor(results[-1][0]) if len(results) >= count else None
+        # Charge the device for the block range each opened window covers:
+        # from where the scan entered it up to the last key returned (the
+        # whole tail when the store ran out first).  Tables first, then
+        # slices, each in (level, file, link) order; the memtable stream
+        # (the first) has no blocks.
+        units = [unit for stream in streams[1:] for unit in stream[0]]
+        windows = [unit[0] for unit in units]
+        windows += [window for unit in units for window in unit[1:]]
         charge = self._charge_range_read
-        for reached in opened:
-            for table in reached:
-                charge(table, start_key, end_hi)
-        source_count = 0
-        for reached in opened:
-            for table in reached:
-                links = table.slice_links
-                source_count += 1 + len(links)
-                for piece in links:
-                    lo, hi = clamp_range(piece.lo, piece.hi, start_key, end_hi)
-                    charge(piece.source, lo, hi)
-        self._count("engine.scan_sources", source_count)
-        self.engine_stats.charge_activity(ACT_SCAN, clock.now() - start_time)
+        for keys, _, _, stop, start, table in windows:
+            if last_key is not None:
+                stop = bisect_right(keys, last_key, start, stop)
+            if start < stop:
+                charge(table, *table.block_span(start, stop))
+        self._count("engine.scan_sources", len(windows))
+        self.engine_stats.charge_activity(ACT_SCAN, clock._now_us - start_time)
         self._maintenance_step()
         return results
 
-    def _charge_range_read(self, table: SSTable, lo, hi) -> None:
-        """Charge a range read over ``[lo, hi)`` of ``table``.
+    def _scan_streams(self, start_key: bytes) -> List[list]:
+        """The merge streams of a scan from ``start_key``, memtable first.
+
+        See :mod:`repro.lsm.iterators` for the stream layout.  A sorted
+        level starts at the file responsible for ``start_key``; Level 0
+        and tiered levels contribute one single-unit stream per file that
+        can hold a key at or after it.
+        """
+        streams = [[[[self._memtable.window_from(start_key)]], (), 0]]
+        version = self.version
+        for level, files in enumerate(version.levels):
+            if level and version.sorted_levels:
+                if files:
+                    first = version.responsible_index(level, start_key)
+                    streams.append([[], files, first])
+            else:
+                for table in files:
+                    if table.max_key >= start_key or table.slice_links:
+                        streams.append([[], (table,), 0])
+        return streams
+
+    def _charge_range_read(self, table: SSTable, first: int, end: int) -> None:
+        """Charge a range read of ``table``'s blocks ``[first, end)``.
 
         Without a cache this is one sequential device read of the covered
         blocks.  With a cache, resident blocks cost CPU only and
         contiguous runs of missing blocks coalesce into sequential reads;
         a missing block is installed when the probe misses (so it can
         evict a resident block further along the same range), the run is
-        read when it closes.
+        read when it closes.  The in-place clock charge is covered by
+        :meth:`scan`'s capture guard.
         """
-        blocks = table.blocks_in_range(lo, hi)
-        if not blocks:
-            return
+        sizes = table._block_bytes
         cache = self.block_cache
         if cache is None:
-            self._read_scan_run(table, blocks, sum(nbytes for _, nbytes in blocks))
+            self._read_scan_run(table, first, end, sum(sizes[first:end]))
             return
         file_id = table.file_id
-        probe = cache.probe
-        insert = cache.insert
+        fetch = cache.fetch
+        clock = self.clock
         hit_us = self.config.costs.cache_hit_us
         hits = misses = run_bytes = run_start = 0
+        evicted = [0, 0]
         try:
-            # The None sentinel closes the last run.
-            for position, block in enumerate(blocks + [None]):
-                if block is not None and not probe(file_id, block[0]):
-                    if not run_bytes:
-                        run_start = position
-                    misses += 1
-                    run_bytes += block[1]
-                    insert(file_id, *block)
-                    continue
-                if run_bytes:
-                    self._read_scan_run(table, blocks[run_start:position], run_bytes)
-                    run_bytes = 0
-                if block is not None:
+            for block in range(first, end):
+                nbytes = sizes[block]
+                if fetch(file_id, block, nbytes, evicted):
+                    if run_bytes:
+                        self._read_scan_run(table, run_start, block, run_bytes)
+                        run_bytes = 0
                     hits += 1
-                    self.clock.advance(hit_us)
+                    clock._now_us += hit_us
+                else:
+                    if not run_bytes:
+                        run_start = block
+                    misses += 1
+                    run_bytes += nbytes
+            if run_bytes:
+                self._read_scan_run(table, run_start, end, run_bytes)
         finally:
-            cache.count_probes(hits, misses)
+            cache.count_probes(hits, misses, *evicted)
 
-    def _read_scan_run(self, table: SSTable, run, nbytes: int) -> None:
-        """One sequential device read of ``run``, contiguous blocks of ``table``.
+    def _read_scan_run(
+        self, table: SSTable, first: int, end: int, nbytes: int
+    ) -> None:
+        """One sequential device read of ``table``'s blocks ``[first, end)``.
 
         Under a fault plan the read is CRC-verified, and a run that fails
         leaves none of its blocks resident: a corrupt run must not become
@@ -849,12 +849,11 @@ class DB:
         device = self.device
         device.read(nbytes, USER_SCAN, sequential=True)
         if device.faults is not None:
-            indices = [block_index for block_index, _ in run]
             try:
-                self._verify_block_read(table, indices)
+                self._verify_block_read(table, range(first, end))
             except CorruptionError:
                 if self.block_cache is not None:
-                    self.block_cache.evict_blocks(table.file_id, indices)
+                    self.block_cache.evict_blocks(table.file_id, range(first, end))
                 raise
 
     # ------------------------------------------------------------------
@@ -877,16 +876,11 @@ class DB:
         """Every live key-value pair, in key order, without cost charging.
 
         A verification backdoor for tests and examples: reads the whole
-        logical store (memtable, all levels, all slices) off the clock.
+        logical store (memtable, all levels, all slices) off the clock,
+        through the merge a scan uses.
         """
         self._check_open()
-        sources: List = [iter(list(self._memtable))]
-        sources.extend(
-            table_records(table, None) for table in self.version.all_tables()
-        )
-        for record in merge_records(sources):
-            if not record.is_tombstone:
-                yield record.key, record.value
+        return iter(merge_streams(self._scan_streams(b""), b"", sys.maxsize)[0])
 
     def describe(self) -> str:
         """A human-readable snapshot of the store (LevelDB's GetProperty).

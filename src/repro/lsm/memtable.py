@@ -125,12 +125,15 @@ class MemTable:
         for key in self._sorted_keys():
             yield records[key]
 
-    def iter_from(self, key: bytes) -> Iterator[KVRecord]:
-        """Iterate records in key order starting at the first key >= ``key``."""
+    def window_from(self, key: bytes) -> list:
+        """The records at or after ``key`` as a scan merge window.
+
+        ``[keys, records, pos, stop, start, None]`` with ``records`` the
+        dict the sorted ``keys`` index (see :mod:`repro.lsm.iterators`).
+        """
         keys = self._sorted_keys()
-        records = self._records
-        for index in range(bisect_left(keys, key), len(keys)):
-            yield records[keys[index]]
+        pos = bisect_left(keys, key)
+        return [keys, self._records, pos, len(keys), pos, None]
 
     def is_empty(self) -> bool:
         return not self._records

@@ -23,7 +23,7 @@ from bisect import bisect_left, bisect_right
 from operator import attrgetter, itemgetter
 from typing import List, Optional, Sequence, TYPE_CHECKING
 
-from itertools import accumulate, islice
+from itertools import accumulate
 
 _record_key = itemgetter(0)
 _record_seq = itemgetter(1)
@@ -36,46 +36,6 @@ from ..errors import EngineError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from ..core.slice import Slice
-
-
-class RecordView(Sequence[KVRecord]):
-    """A zero-copy ``[start, stop)`` window over an SSTable's record list.
-
-    ``records_in_range`` used to return a list slice — a fresh list per
-    call, O(range length) even when the caller (a scan's streaming merge)
-    consumes only the first few records.  This view keeps ``(backing,
-    start, stop)`` instead: iteration walks the backing list lazily via
-    ``islice`` (C-level), so a scan over a large tail pays only for the
-    records it actually merges.  The backing list is immutable for the
-    file's lifetime, which is what makes sharing it safe.
-    """
-
-    __slots__ = ("_backing", "_start", "_stop")
-
-    def __init__(self, backing: List[KVRecord], start: int, stop: int) -> None:
-        self._backing = backing
-        self._start = start
-        self._stop = stop
-
-    def __len__(self) -> int:
-        return self._stop - self._start
-
-    def __iter__(self):
-        return islice(self._backing, self._start, self._stop)
-
-    def __getitem__(self, index):
-        length = self._stop - self._start
-        if isinstance(index, slice):
-            start, stop, step = index.indices(length)
-            return self._backing[self._start + start:self._start + stop:step]
-        if index < 0:
-            index += length
-        if not 0 <= index < length:
-            raise IndexError("RecordView index out of range")
-        return self._backing[self._start + index]
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"RecordView({len(self)} records)"
 
 
 class SSTable:
@@ -360,19 +320,12 @@ class SSTable:
         record = self._records[index] if keys[index] == key else None
         return record, block, self._block_bytes[block]
 
-    def blocks_in_range(
-        self, lo: Optional[bytes], hi: Optional[bytes]
-    ) -> List[tuple[int, int]]:
-        """All ``(block_index, nbytes)`` pairs touched by ``[lo, hi)``."""
-        start, stop = self._index_range(lo, hi)
+    def block_span(self, start: int, stop: int) -> tuple[int, int]:
+        """The half-open range of blocks holding records ``[start, stop)``."""
         if stop <= start:
-            return []
-        first_block = bisect_right(self._block_starts, start) - 1
-        last_block = bisect_right(self._block_starts, stop - 1) - 1
-        return [
-            (block, self._block_bytes[block])
-            for block in range(first_block, last_block + 1)
-        ]
+            return 0, 0
+        starts = self._block_starts
+        return bisect_right(starts, start) - 1, bisect_right(starts, stop - 1)
 
     # ------------------------------------------------------------------
     # Range queries (half-open [lo, hi), None = unbounded)
@@ -381,13 +334,6 @@ class SSTable:
         start = 0 if lo is None else bisect_left(self._keys, lo)
         stop = len(self._keys) if hi is None else bisect_left(self._keys, hi)
         return start, stop
-
-    def records_in_range(
-        self, lo: Optional[bytes], hi: Optional[bytes]
-    ) -> Sequence[KVRecord]:
-        """All records with keys in ``[lo, hi)`` (a zero-copy key-sorted view)."""
-        start, stop = self._index_range(lo, hi)
-        return RecordView(self._records, start, stop)
 
     def count_in_range(self, lo: Optional[bytes], hi: Optional[bytes]) -> int:
         start, stop = self._index_range(lo, hi)
@@ -439,7 +385,8 @@ class SSTable:
         accepts when it reads a *slice* of a frozen file instead of the
         whole file.
         """
-        return sum(nbytes for _, nbytes in self.blocks_in_range(lo, hi))
+        first, end = self.block_span(*self._index_range(lo, hi))
+        return sum(self._block_bytes[first:end])
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "frozen" if self.frozen else "active"

@@ -1,32 +1,289 @@
-"""The eager all-sources range scan, kept as a test oracle.
+"""The two scans ``DB.scan`` replaced, kept as test oracles.
 
-Until the level-cursor rewrite ``DB.scan`` opened an iterator on *every*
-file right of the start key in every level, plus every slice linked to
-them, merged the lot, and then charged the device for each of those
-sources in turn.  That version is trivially right — it cannot skip a
-source it should have read — so it lives on here, verbatim in behaviour,
-as the reference the lazy scan is compared against: same results, and the
-same charge sequence (device reads, cache probes and installs — a missing
-block is installed when its probe misses, and a run that fails its CRC
-leaves none of its blocks resident — CRC verification, in the same
-order), hence the same virtual clock, the same
-``USER_SCAN`` counters and the same block-cache LRU state.
+``eager_scan`` is the first one: it opened an iterator on *every* file
+right of the start key in every level, plus every slice linked to them,
+merged the lot, and then charged the device for each of those sources in
+turn.  It is trivially right — it cannot skip a source it should have
+read — so it pins the results and the charge sequence (device reads,
+cache probes and installs — a missing block is installed when its probe
+misses, and a run that fails its CRC leaves none of its blocks resident —
+CRC verification, in the same order), hence the virtual clock, the
+``USER_SCAN`` counters and the block-cache LRU state.  It opens more
+sources than a lazy scan, so it says nothing about ``engine.scan_sources``.
 
-``eager_scan(db, start_key, count)`` drives a real :class:`~repro.lsm.db.DB`
-exactly as the old method did, so a test runs two identically-built stores
-side by side, one through ``db.scan`` and one through this function.
+``cursor_scan`` is the second: one lazy cursor per sorted level, a heap
+step per record, a cache probe plus an install per block — ``DB.scan``,
+``merge_records``, ``table_records``, ``level_cursor``, ``_charge_range_read``
+and ``_read_scan_run`` as they stood before the window merge, moved here
+with ``self`` spelled ``db``.  It opens exactly the sources the engine may
+count, so it pins ``engine.scan_sources`` too, and it is the call-count
+baseline of ``tests/test_host_scaling.py::TestCallsPerScan``.
+
+Both drive a real :class:`~repro.lsm.db.DB` exactly as the old methods
+did, so a test runs identically-built stores side by side, one through
+``db.scan`` and one through each function.  The helpers the old scans
+called that have since left ``src/`` (``MemTable.iter_from``,
+``records_in_range``, ``blocks_in_range``) are private copies below.
 """
 
-from typing import List, Tuple
+import heapq
+from bisect import bisect_left, bisect_right
+from itertools import chain, islice
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import CorruptionError
 from repro.lsm.db import _check_key
-from repro.lsm.iterators import merge_records
 from repro.lsm.keys import clamp_range, key_successor
+from repro.lsm.record import KIND_DELETE, KVRecord
 from repro.lsm.stats import ACT_SCAN
 from repro.ssd.metrics import USER_SCAN
 
 
+# ----------------------------------------------------------------------
+# Helpers that left src/ with the scans that called them
+# ----------------------------------------------------------------------
+def _memtable_from(memtable, key: bytes) -> Iterator[KVRecord]:
+    """``MemTable.iter_from``: records in key order from the first >= ``key``."""
+    keys = memtable._sorted_keys()
+    records = memtable._records
+    for index in range(bisect_left(keys, key), len(keys)):
+        yield records[keys[index]]
+
+
+def _table_records_in_range(table, lo, hi) -> Iterable[KVRecord]:
+    """``SSTable.records_in_range``: the records with keys in ``[lo, hi)``."""
+    start, stop = table._index_range(lo, hi)
+    return islice(table._records, start, stop)
+
+
+def _slice_records_in_range(piece, lo, hi) -> Iterable[KVRecord]:
+    """``Slice.records_in_range``: the slice intersected with ``[lo, hi)``."""
+    keys = piece.source._keys
+    first, last = piece._start, piece._stop
+    start = first if lo is None else bisect_left(keys, lo, first, last)
+    stop = last if hi is None else bisect_left(keys, hi, start, last)
+    return islice(piece.source._records, start, stop)
+
+
+def _blocks_in_range(table, lo, hi) -> List[Tuple[int, int]]:
+    """``SSTable.blocks_in_range``: ``(block_index, nbytes)`` touched by ``[lo, hi)``."""
+    start, stop = table._index_range(lo, hi)
+    if stop <= start:
+        return []
+    first_block = bisect_right(table._block_starts, start) - 1
+    last_block = bisect_right(table._block_starts, stop - 1) - 1
+    return [
+        (block, table._block_bytes[block])
+        for block in range(first_block, last_block + 1)
+    ]
+
+
+# ----------------------------------------------------------------------
+# The record-at-a-time merge (was repro.lsm.iterators)
+# ----------------------------------------------------------------------
+def merge_records(sources: List[Iterable[KVRecord]]) -> Iterator[KVRecord]:
+    """Merge key-sorted streams, yielding the newest record per user key.
+
+    Each source must be internally sorted by key with at most one record
+    per key.  Across sources, the record with the highest sequence number
+    wins (ties — impossible for distinct engine mutations — fall to the
+    earliest source).  Tombstones are *not* filtered — callers decide
+    whether deletes may be dropped (only at the bottom of the tree) or
+    must be preserved.
+    """
+    iterators: List[Iterator[KVRecord]] = []
+    heap: List[tuple[bytes, int, int, KVRecord]] = []
+    for source in sources:
+        iterator = iter(source)
+        first = next(iterator, None)
+        if first is not None:
+            heap.append((first.key, -first.seq, len(iterators), first))
+            iterators.append(iterator)
+
+    if not heap:
+        return
+    if len(heap) == 1:
+        # Single live source: records are already unique-keyed and sorted.
+        yield heap[0][3]
+        yield from iterators[0]
+        return
+
+    heapq.heapify(heap)
+    heappop = heapq.heappop
+    heapreplace = heapq.heapreplace
+    nexts = [iterator.__next__ for iterator in iterators]
+    while heap:
+        key, _, index, record = heap[0]
+        try:
+            nxt = nexts[index]()
+        except StopIteration:
+            heappop(heap)
+        else:
+            heapreplace(heap, (nxt.key, -nxt.seq, index, nxt))
+        # Drain older versions of the same key from other sources.
+        while heap and heap[0][0] == key:
+            other = heap[0][2]
+            try:
+                refill = nexts[other]()
+            except StopIteration:
+                heappop(heap)
+            else:
+                heapreplace(heap, (refill.key, -refill.seq, other, refill))
+        yield record
+
+
+def table_records(table, lo: Optional[bytes]) -> Iterable[KVRecord]:
+    """``table``'s records from ``lo`` on, merged with its linked slices."""
+    links = table.slice_links
+    if not links:
+        return _table_records_in_range(table, lo, None)
+    sources = [_table_records_in_range(table, lo, None)]
+    sources.extend(_slice_records_in_range(piece, lo, None) for piece in links)
+    return merge_records(sources)
+
+
+def level_cursor(
+    files: Sequence, first: int, lo: bytes, opened: List
+) -> Iterator[KVRecord]:
+    """One lazy source for a sorted level (LevelDB's concatenating iterator).
+
+    Starts at ``files[first]``, the file responsible for ``lo``; each unit
+    (a file plus its slice links) the cursor starts reading is appended to
+    ``opened`` — exactly the files the device is charged for.
+    """
+
+    def units() -> Iterator[Iterable[KVRecord]]:
+        for table in islice(files, first, None):
+            opened.append(table)
+            yield table_records(table, lo)
+
+    # chain pulls the next unit only once the current one is exhausted,
+    # and hands records through without a Python frame per record.
+    return chain.from_iterable(units())
+
+
+# ----------------------------------------------------------------------
+# cursor_scan: the scan the window merge replaced
+# ----------------------------------------------------------------------
+def cursor_scan(db, start_key: bytes, count: int) -> List[Tuple[bytes, bytes]]:
+    """The pre-window ``DB.scan``: lazy level cursors, one heap step per record."""
+    db._check_open()
+    _check_key(start_key)
+    if count <= 0:
+        return []
+    db.policy.on_operation(False)
+    clock = db.clock
+    start_time = clock.now()
+    db._count("engine.scans")
+
+    version = db.version
+    sources: List = [_memtable_from(db._memtable, start_key)]
+    # Per level, the files a source started reading — what the device
+    # is charged for below.
+    opened: List[List] = []
+    for level in range(version.num_levels):
+        files = version.files(level)
+        reached: List = []
+        opened.append(reached)
+        if level and version.sorted_levels:
+            if files:
+                first = version.responsible_index(level, start_key)
+                sources.append(level_cursor(files, first, start_key, reached))
+        else:
+            for table in files:
+                if table.max_key >= start_key or table.slice_links:
+                    reached.append(table)
+                    sources.append(table_records(table, start_key))
+
+    # One float add per merged record, in merge order: the clock must
+    # stay bit-exact, so the charges are hoisted but not batched.
+    advance = clock.advance
+    per_record_us = db.config.costs.scan_per_record_us
+    results: List[Tuple[bytes, bytes]] = []
+    push = results.append
+    for record in merge_records(sources):
+        advance(per_record_us)
+        if record[2] == KIND_DELETE:
+            continue
+        push((record[0], record[3]))
+        if len(results) >= count:
+            break
+    db._count("engine.scanned_records", len(results))
+
+    # Charge the device for the block ranges each opened source
+    # covered: from the scan start up to the last key returned (or the
+    # whole tail when the store was exhausted first).  Tables first,
+    # then slices, each in (level, file, link) order; a file no cursor
+    # reached holds only keys past ``end_hi``, i.e. no blocks to charge.
+    end_hi = key_successor(results[-1][0]) if len(results) >= count else None
+    for reached in opened:
+        for table in reached:
+            _cursor_charge_range_read(db, table, start_key, end_hi)
+    source_count = 0
+    for reached in opened:
+        for table in reached:
+            links = table.slice_links
+            source_count += 1 + len(links)
+            for piece in links:
+                lo, hi = clamp_range(piece.lo, piece.hi, start_key, end_hi)
+                _cursor_charge_range_read(db, piece.source, lo, hi)
+    db._count("engine.scan_sources", source_count)
+    db.engine_stats.charge_activity(ACT_SCAN, clock.now() - start_time)
+    db._maintenance_step()
+    return results
+
+
+def _cursor_charge_range_read(db, table, lo, hi) -> None:
+    """The pre-window ``DB._charge_range_read``: a probe and an install per block."""
+    blocks = _blocks_in_range(table, lo, hi)
+    if not blocks:
+        return
+    cache = db.block_cache
+    if cache is None:
+        _cursor_read_scan_run(db, table, blocks, sum(nbytes for _, nbytes in blocks))
+        return
+    file_id = table.file_id
+    probe = cache.probe
+    insert = cache.insert
+    hit_us = db.config.costs.cache_hit_us
+    hits = misses = run_bytes = run_start = 0
+    try:
+        # The None sentinel closes the last run.
+        for position, block in enumerate(blocks + [None]):
+            if block is not None and not probe(file_id, block[0]):
+                if not run_bytes:
+                    run_start = position
+                misses += 1
+                run_bytes += block[1]
+                insert(file_id, *block)
+                continue
+            if run_bytes:
+                _cursor_read_scan_run(db, table, blocks[run_start:position], run_bytes)
+                run_bytes = 0
+            if block is not None:
+                hits += 1
+                db.clock.advance(hit_us)
+    finally:
+        cache.count_probes(hits, misses)
+
+
+def _cursor_read_scan_run(db, table, run, nbytes: int) -> None:
+    """The pre-window ``DB._read_scan_run``: one sequential read of ``run``."""
+    device = db.device
+    device.read(nbytes, USER_SCAN, sequential=True)
+    if device.faults is not None:
+        indices = [block_index for block_index, _ in run]
+        try:
+            db._verify_block_read(table, indices)
+        except CorruptionError:
+            if db.block_cache is not None:
+                db.block_cache.evict_blocks(table.file_id, indices)
+            raise
+
+
+# ----------------------------------------------------------------------
+# eager_scan: the all-sources scan before that
+# ----------------------------------------------------------------------
 def eager_scan(db, start_key: bytes, count: int) -> List[Tuple[bytes, bytes]]:
     """The pre-cursor ``DB.scan``: one merge source per file and slice."""
     db._check_open()
@@ -37,18 +294,18 @@ def eager_scan(db, start_key: bytes, count: int) -> List[Tuple[bytes, bytes]]:
     start_time = db.clock.now()
     db.engine_stats.scans += 1
 
-    sources: List = [db._memtable.iter_from(start_key)]
+    sources: List = [_memtable_from(db._memtable, start_key)]
     tables: List = []
     slices: List = []
     for level in range(db.version.num_levels):
         for table in db.version.files(level):
             if table.max_key >= start_key:
                 tables.append(table)
-                sources.append(iter(table.records_in_range(start_key, None)))
+                sources.append(_table_records_in_range(table, start_key, None))
             for piece in table.slice_links:
                 if piece.hi is None or piece.hi > start_key:
                     slices.append(piece)
-                    sources.append(iter(piece.records_in_range(start_key, None)))
+                    sources.append(_slice_records_in_range(piece, start_key, None))
 
     results: List[Tuple[bytes, bytes]] = []
     for record in merge_records(sources):
@@ -62,39 +319,39 @@ def eager_scan(db, start_key: bytes, count: int) -> List[Tuple[bytes, bytes]]:
 
     end_hi = key_successor(results[-1][0]) if len(results) >= count else None
     for table in tables:
-        _charge_range_read(db, table, start_key, end_hi)
+        _eager_charge_range_read(db, table, start_key, end_hi)
     for piece in slices:
         lo, hi = clamp_range(piece.lo, piece.hi, start_key, end_hi)
-        _charge_range_read(db, piece.source, lo, hi)
+        _eager_charge_range_read(db, piece.source, lo, hi)
     db.engine_stats.scan_sources += len(tables) + len(slices)
     db.engine_stats.charge_activity(ACT_SCAN, db.clock.now() - start_time)
     db._maintenance_step()
     return results
 
 
-def _charge_range_read(db, table, lo, hi) -> None:
-    blocks = table.blocks_in_range(lo, hi)
+def _eager_charge_range_read(db, table, lo, hi) -> None:
+    blocks = _blocks_in_range(table, lo, hi)
     if not blocks:
         return
     cache = db.block_cache
     if cache is None:
-        _read_run(db, table, blocks)
+        _eager_read_run(db, table, blocks)
         return
     run: List[Tuple[int, int]] = []
     for block_index, nbytes in blocks:
         if cache.lookup(table.file_id, block_index):
             if run:
-                _read_run(db, table, run)
+                _eager_read_run(db, table, run)
                 run = []
             db.clock.advance(db.config.costs.cache_hit_us)
         else:
             run.append((block_index, nbytes))
             cache.insert(table.file_id, block_index, nbytes)
     if run:
-        _read_run(db, table, run)
+        _eager_read_run(db, table, run)
 
 
-def _read_run(db, table, run) -> None:
+def _eager_read_run(db, table, run) -> None:
     """Read one contiguous run; under a fault plan verify it, and on a CRC
     failure drop the run's blocks (installed at miss time) from the cache."""
     db.device.read(sum(nbytes for _, nbytes in run), USER_SCAN, sequential=True)

@@ -5,6 +5,7 @@ import pytest
 from repro.core.slice import Slice, attach_slice, detach_all_slices, slices_newest_first
 from repro.errors import EngineError
 from repro.lsm.config import LSMConfig
+from repro.lsm.iterators import unit_windows
 from repro.lsm.keys import key_successor
 from repro.lsm.record import put_record
 from repro.lsm.sstable import SSTable
@@ -66,13 +67,18 @@ class TestSlice:
             str(i).zfill(6).encode() for i in range(10, 15)
         ]
 
-    def test_records_in_range_intersects(self):
+    def test_scan_window_intersects(self):
+        """A scan from ``lo`` reads the slice's cached window narrowed to ``lo``."""
         source = frozen_table(0, 100)
         piece = Slice(source, b"000010", b"000050", link_seq=1)
-        records = piece.records_in_range(b"000040", b"000060")
-        assert [r.key for r in records] == [
-            str(i).zfill(6).encode() for i in range(40, 50)
-        ]
+        target = active_table(100, 110)
+        attach_slice(target, piece)
+        _, (keys, records, pos, stop, start, owner) = unit_windows(target, b"000040")
+        assert keys[pos:stop] == [str(i).zfill(6).encode() for i in range(40, 50)]
+        assert records[pos:stop] == piece.records()[30:]
+        assert start == pos and owner is source
+        # From left of the slice: the whole slice, nothing of the source before it.
+        assert unit_windows(target, b"000000")[1][2:4] == [10, 50]
 
     def test_read_cost_bounded_by_file_and_at_least_data(self):
         source = frozen_table(0, 200)
@@ -95,9 +101,13 @@ class TestSlice:
         assert wide.covers_key(b"000900") and source.locate(b"000900") is None
 
     def test_scan_cost_zero_outside(self):
+        """A scan starting right of the slice finds an empty window: no blocks."""
         source = frozen_table(0, 100)
         piece = Slice(source, b"000010", b"000020", link_seq=1)
-        assert piece.scan_block_bytes(b"000050", None) == 0
+        target = active_table(100, 110)
+        attach_slice(target, piece)
+        _, _, pos, stop, _, _ = unit_windows(target, b"000050")[1]
+        assert pos == stop and source.block_span(pos, stop) == (0, 0)
 
 
 class TestAttachDetach:

@@ -303,3 +303,133 @@ class TestEvictionCounters:
         assert cache.evictions == 1
         cache.registry.reset()
         assert cache.evictions == 0 and cache.evicted_bytes == 0
+
+
+class TestFetch:
+    """The range read's one-step call: probe, and on a miss install.
+
+    It counts nothing itself — what it evicted goes into the caller's
+    ``[blocks, bytes]`` tally, which ``count_probes`` flushes together with
+    the range's hits and misses.
+    """
+
+    def test_hit_refreshes_recency_and_installs_nothing(self):
+        cache = BlockCache(300)
+        cache.insert(1, 0, 100)
+        cache.insert(1, 1, 100)
+        evicted = [0, 0]
+        assert cache.fetch(1, 0, 100, evicted) is True
+        assert cache.cached_blocks() == [(1, 1), (1, 0)]  # (1, 0) is now newest
+        assert (cache.used_bytes, evicted) == (200, [0, 0])
+        assert cache.registry.counters() == {}
+
+    def test_miss_installs_and_can_evict_the_lru_block(self):
+        cache = BlockCache(300)
+        cache.insert(1, 0, 100)
+        cache.insert(1, 1, 100)
+        evicted = [0, 0]
+        assert cache.fetch(1, 2, 250, evicted) is False
+        assert cache.cached_blocks() == [(1, 2)]
+        assert (cache.used_bytes, evicted) == (250, [2, 200])
+        assert cache.fetch(1, 2, 250, evicted) is True
+
+    def test_oversize_block_is_a_miss_that_is_never_resident(self):
+        cache = BlockCache(100)
+        cache.insert(1, 0, 60)
+        evicted = [0, 0]
+        assert cache.fetch(1, 1, 101, evicted) is False
+        assert cache.fetch(1, 1, 101, evicted) is False
+        assert cache.cached_blocks() == [(1, 0)]
+        assert (cache.used_bytes, evicted) == (60, [0, 0])
+
+    def test_eviction_counters_are_created_on_the_first_eviction_only(self):
+        cache = BlockCache(300)
+        evicted = [0, 0]
+        cache.fetch(1, 0, 100, evicted)
+        cache.fetch(1, 1, 100, evicted)
+        cache.fetch(1, 0, 100, evicted)
+        cache.count_probes(1, 2, *evicted)
+        assert cache.registry.counters() == {"cache.hits": 1, "cache.misses": 2}
+        cache.fetch(1, 2, 150, evicted)
+        cache.count_probes(0, 1, *evicted)
+        assert cache.registry.counters() == {
+            "cache.hits": 1,
+            "cache.misses": 3,
+            "cache.evictions": 1,
+            "cache.evicted_bytes": 100,
+        }
+        cache.count_probes(0, 0)  # zeros create nothing and add nothing
+        assert (cache.evictions, cache.evicted_bytes) == (1, 100)
+
+    @given(
+        st.integers(100, 600),
+        st.lists(
+            st.tuples(st.integers(1, 3), st.integers(0, 5), st.integers(1, 120)),
+            max_size=80,
+        ),
+        st.integers(1, 9),
+    )
+    @settings(max_examples=80)
+    def test_same_state_and_counters_as_probe_plus_insert(
+        self, capacity, trace, range_length
+    ):
+        """Any trace, flushed every ``range_length`` steps like a range read."""
+        sizes = {}
+        one_step, two_step = BlockCache(capacity), BlockCache(capacity)
+        for at in range(0, len(trace), range_length):
+            hits = misses = 0
+            evicted = [0, 0]
+            two_hits = two_misses = 0
+            for file_id, block, nbytes in trace[at:at + range_length]:
+                nbytes = sizes.setdefault((file_id, block), nbytes)
+                if one_step.fetch(file_id, block, nbytes, evicted):
+                    hits += 1
+                else:
+                    misses += 1
+                if two_step.probe(file_id, block):
+                    two_hits += 1
+                else:
+                    two_misses += 1
+                    two_step.insert(file_id, block, nbytes)
+                assert one_step.cached_blocks() == two_step.cached_blocks()
+            one_step.count_probes(hits, misses, *evicted)
+            two_step.count_probes(two_hits, two_misses)
+            assert one_step.used_bytes == two_step.used_bytes
+            assert one_step.registry.counters() == two_step.registry.counters()
+
+    def test_range_that_raises_still_flushes_its_tally(self, monkeypatch):
+        """The engine's ``finally``: a run failing its CRC mid-range loses no count."""
+        from repro.errors import CorruptionError
+        from repro.faults.plan import FaultPlan
+
+        config = LSMConfig(
+            memtable_bytes=512, sstable_target_bytes=512, block_bytes=128,
+            block_cache_bytes=1024,
+        )
+        db = DB(config=config, policy="udc", fault_plan=FaultPlan())
+        for index in range(200):
+            db.put(key_of(index), b"v" * 40)
+        db.scan(key_of(0), 30)
+        cache = db.block_cache
+        fetch, steps = cache.fetch, []
+
+        def recording(file_id, block_index, nbytes, evicted):
+            blocks, freed = evicted
+            hit = fetch(file_id, block_index, nbytes, evicted)
+            steps.append((hit, evicted[0] - blocks, evicted[1] - freed))
+            return hit
+
+        monkeypatch.setattr(cache, "fetch", recording)
+        before = db.registry.counters()
+        faults = db.device.faults
+        faults.plan.corrupt_read(faults.read_count + 3)
+        with pytest.raises(CorruptionError):
+            db.scan(key_of(50), 100)
+        after = db.registry.counters()
+
+        def counted(key: str) -> int:
+            return after.get(key, 0) - before.get(key, 0)
+
+        assert counted("cache.misses") == sum(not hit for hit, _, _ in steps) > 0
+        assert counted("cache.evictions") == sum(blocks for _, blocks, _ in steps) > 0
+        assert counted("cache.evicted_bytes") == sum(freed for _, _, freed in steps)

@@ -50,11 +50,19 @@ class TestMemTable:
             table.add(put_record(key, b"v", index))
         assert [record.key for record in table] == [b"a", b"b", b"c"]
 
-    def test_iter_from(self):
+    def test_window_from(self):
+        """The scan's view: sorted keys from the first >= the start, records by key."""
         table = MemTable()
-        for index in range(10):
+        for index in (3, 9, 7, 1, 8):
             table.add(put_record(str(index).encode(), b"v", index))
-        assert [r.key for r in table.iter_from(b"7")] == [b"7", b"8", b"9"]
+        keys, records, pos, stop, start, owner = table.window_from(b"7")
+        assert keys[pos:stop] == [b"7", b"8", b"9"] and start == pos
+        assert [records[key].seq for key in keys[pos:stop]] == [7, 8, 9]
+        assert owner is None  # no file: nothing to charge the device for
+        assert table.window_from(b"95")[2:4] == [5, 5]
+        table.add(put_record(b"75", b"v", 10))  # a later insert re-sorts
+        keys, _, pos, stop, _, _ = table.window_from(b"7")
+        assert keys[pos:stop] == [b"7", b"75", b"8", b"9"]
 
     @given(
         st.lists(

@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import EngineError
 from repro.lsm.config import LSMConfig
-from repro.lsm.keys import key_successor
+from repro.lsm.iterators import unit_windows
+from repro.lsm.keys import in_range, key_successor
 from repro.lsm.record import put_record
 from repro.lsm.sstable import SSTable
 
@@ -22,6 +23,11 @@ def make_table(count: int = 50, value_bytes: int = 20, file_id: int = 1) -> SSTa
         put_record(str(i).zfill(8).encode(), b"v" * value_bytes, i) for i in range(count)
     ]
     return SSTable.from_records(file_id, records, CONFIG)
+
+
+def records_in(table: SSTable, lo, hi) -> list:
+    """The naive definition the range queries are checked against."""
+    return [record for record in table.records if in_range(record.key, lo, hi)]
 
 
 class TestConstruction:
@@ -91,7 +97,7 @@ class TestPointLookup:
         table = make_table(100)
         _record, block, nbytes = table.locate(b"00000050")
         assert nbytes in table._block_bytes
-        assert (block, nbytes) in table.blocks_in_range(b"00000050", b"00000051")
+        assert table.block_span(50, 51) == (block, block + 1)
 
     def test_block_bytes_for_key_outside_is_zero(self):
         """Outside ``[min_key, max_key]`` there is no block: nothing to charge."""
@@ -118,27 +124,39 @@ class TestPointLookup:
 
 class TestRangeQueries:
     def test_records_in_full_range(self):
+        """A scan from below the first key reads the file's whole columns."""
         table = make_table(30)
-        assert len(table.records_in_range(None, None)) == 30
+        [[keys, records, pos, stop, start, owner]] = unit_windows(table, b"")
+        assert (pos, stop, start, owner) == (0, 30, 0, table)
+        assert records is table.records and keys == [r.key for r in records]
 
     def test_records_in_subrange(self):
+        """... and from a key inside it, the tail from that key on."""
         table = make_table(30)
-        records = table.records_in_range(b"00000010", b"00000020")
-        assert [r.key for r in records] == [
-            str(i).zfill(8).encode() for i in range(10, 20)
-        ]
+        [[keys, records, pos, stop, _, _]] = unit_windows(table, b"00000010")
+        assert records_in(table, b"00000010", None) == records[pos:stop]
+        assert keys[pos] == b"00000010" and table.block_span(pos, stop)[1] == table.num_blocks
 
     def test_empty_range(self):
         table = make_table(30)
-        assert list(table.records_in_range(b"5", b"4")) == []
+        assert table.count_in_range(b"5", b"4") == 0
         assert table.bytes_in_range(b"5", b"4") == 0
         assert table.block_bytes_in_range(b"5", b"4") == 0
+        assert table.block_span(7, 7) == table.block_span(9, 2) == (0, 0)
 
     def test_bytes_in_range_matches_sum(self):
         table = make_table(60)
         lo, hi = b"00000010", b"00000040"
-        expected = sum(r.encoded_size for r in table.records_in_range(lo, hi))
+        expected = sum(r.encoded_size for r in records_in(table, lo, hi))
         assert table.bytes_in_range(lo, hi) == expected
+
+    def test_block_span_covers_exactly_the_blocks_of_the_records(self):
+        table = make_table(200)
+        starts = table._block_starts + [table.num_records]
+        for start, stop in ((0, 1), (0, 200), (13, 14), (50, 151), (199, 200)):
+            first, end = table.block_span(start, stop)
+            assert starts[first] <= start < starts[first + 1]
+            assert starts[end - 1] < stop <= starts[end]
 
     def test_count_in_range(self):
         table = make_table(60)
@@ -163,7 +181,7 @@ class TestRangeQueries:
         table = make_table(100)
         lo = str(min(a, b)).zfill(8).encode()
         hi = str(max(a, b)).zfill(8).encode()
-        records = table.records_in_range(lo, hi)
+        records = records_in(table, lo, hi)
         assert table.count_in_range(lo, hi) == len(records)
         assert table.bytes_in_range(lo, hi) == sum(r.encoded_size for r in records)
         if records:
@@ -177,5 +195,5 @@ class TestRangeQueries:
         """[k, succ(k)) selects exactly key k."""
         table = make_table(100)
         key = str(index).zfill(8).encode()
-        records = table.records_in_range(key, key_successor(key))
-        assert [r.key for r in records] == [key]
+        assert table.count_in_range(key, key_successor(key)) == 1
+        assert table.bytes_in_range(key, key_successor(key)) == table.get(key).encoded_size

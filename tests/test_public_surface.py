@@ -1,9 +1,11 @@
-"""The public surface after the PR 17 deletions.
+"""The public surface after the PR 17 and PR 18 deletions.
 
 Every exported name resolves, and what was removed stays removed: the
 policy shims (one way to build a policy — the registry — so the only
-exported policy class is the composition engine itself) and the second
-benchmark system (the module inventories below have no slot for it).
+exported policy class is the composition engine itself), the second
+benchmark system (the module inventories below have no slot for it) and
+the record-at-a-time scan merge (one read-side merge in ``src/``; the old
+one is ``tests/_scan_oracle.py``).
 """
 
 import importlib
@@ -47,11 +49,38 @@ def test_composed_policy_is_the_only_exported_policy_class(package):
         ("repro.lsm.compaction",
          {"base", "columnar", "composed", "primitives", "spec"}),
         ("repro.core", {"adaptive", "frozen", "primitives", "slice"}),
+        ("repro.lsm",
+         {"bloom", "builder", "cache", "compaction", "config", "db", "iterators",
+          "keys", "memtable", "record", "sstable", "stats", "version", "wal"}),
     ],
 )
 def test_module_inventory(package, modules):
     path = importlib.import_module(package).__path__
     assert {info.name for info in pkgutil.iter_modules(path)} == modules
+
+
+def test_one_read_side_merge():
+    """Scans and ``logical_items`` share ``merge_streams``; nothing else is left."""
+    from repro.core.slice import Slice
+    from repro.lsm import iterators, sstable
+    from repro.lsm.memtable import MemTable
+
+    functions = {
+        name
+        for name, value in vars(iterators).items()
+        if inspect.isfunction(value) and value.__module__ == iterators.__name__
+    }
+    assert functions == {"merge_streams", "unit_windows", "_refill"}
+    for name in ("merge_records", "live_records"):
+        assert name not in repro.lsm.__all__ and not hasattr(repro.lsm, name)
+    assert not hasattr(sstable, "RecordView")
+    for owner, gone in (
+        (sstable.SSTable, ("records_in_range", "blocks_in_range")),
+        (Slice, ("records_in_range", "scan_block_bytes")),
+        (MemTable, ("iter_from",)),
+    ):
+        for name in gone:
+            assert not hasattr(owner, name), (owner, name)
 
 
 def test_store_constructors_take_no_seed():
