@@ -13,9 +13,10 @@ LDC's slice checks open on reads.
 """
 
 from repro import DB
-from repro.harness.experiments import BOTH_POLICIES, experiment_config
+from repro.harness.experiments import BOTH_POLICIES
 from repro.harness.runner import run_workload
 from repro.harness.report import format_table, paper_row
+from repro.lsm.config import LSMConfig
 from repro.workload import rh
 
 from conftest import run_once
@@ -30,9 +31,9 @@ def _measure(ops, keys):
         zipf_constant=0.99,
     )
     for cache_kib in (0, 256):
-        config = experiment_config(block_cache_bytes=cache_kib * 1024)
-        for policy_name, factory in BOTH_POLICIES:
-            result = run_workload(spec, factory, config=config)
+        config = LSMConfig(block_cache_bytes=cache_kib * 1024)
+        for policy_name, policy in BOTH_POLICIES:
+            result = run_workload(spec, policy, config=config)
             results[(cache_kib, policy_name)] = result
     return results
 

@@ -12,7 +12,6 @@ just at the end.
 import random
 
 from repro import DB
-from repro.harness.experiments import experiment_config
 from repro.harness.report import format_table, paper_row
 from repro.harness.timeseries import StateSampler
 
@@ -20,7 +19,7 @@ from conftest import run_once
 
 
 def _trace(ops, keys):
-    db = DB(config=experiment_config(), policy="ldc")
+    db = DB(policy="ldc")
     sampler = StateSampler(db, every_ops=max(1, ops // 50))
     rng = random.Random(5)
     value = b"v" * 1024

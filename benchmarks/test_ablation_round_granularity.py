@@ -8,7 +8,7 @@ directly — median, P99 and maximum round size for each policy on the same
 workload — making the granularity claim a number rather than an argument.
 """
 
-from repro.harness.experiments import BOTH_POLICIES, experiment_config, tiered_factory
+from repro.harness.experiments import BOTH_POLICIES
 from repro.harness.report import format_table, paper_row
 from repro.harness.runner import build_db
 from repro.workload import WorkloadGenerator, rwb
@@ -18,10 +18,10 @@ from conftest import run_once
 
 def _round_distribution(ops, keys):
     results = {}
-    policies = list(BOTH_POLICIES) + [("Tiered", tiered_factory)]
+    policies = list(BOTH_POLICIES) + [("Tiered", "tiered")]
     spec = rwb(num_operations=ops, key_space=keys)
-    for name, factory in policies:
-        db = build_db(factory, config=experiment_config())
+    for name, policy in policies:
+        db = build_db(policy)
         generator = WorkloadGenerator(spec)
         for operation in generator.preload_operations():
             db.put(operation.key, operation.value)

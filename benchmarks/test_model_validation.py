@@ -7,12 +7,10 @@ This bench feeds *measured* quantities through the formulas and checks
 the predictions point the right way.
 """
 
-from repro.harness.experiments import (
-    BOTH_POLICIES,
-    experiment_config,
-)
+from repro.harness.experiments import BOTH_POLICIES
 from repro.harness.report import format_table, paper_row
 from repro.harness.runner import run_workload
+from repro.lsm.config import LSMConfig
 from repro.model import (
     ldc_write_amplification,
     total_throughput,
@@ -24,11 +22,11 @@ from conftest import run_once
 
 
 def _measure(ops, keys):
-    config = experiment_config()
+    config = LSMConfig()
     spec = rwb(num_operations=ops, key_space=keys)
     results = {}
-    for name, factory in BOTH_POLICIES:
-        results[name] = run_workload(spec, factory, config=config)
+    for name, policy in BOTH_POLICIES:
+        results[name] = run_workload(spec, policy, config=config)
     return results, config
 
 

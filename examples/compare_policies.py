@@ -13,7 +13,6 @@ Run:  python examples/compare_policies.py            (a few minutes)
 import sys
 
 from repro.harness import format_table, run_workload
-from repro.harness.experiments import experiment_config
 from repro.workload import TABLE_III
 
 MIXES = ("WO", "WH", "RWB", "RH", "RO")
@@ -33,7 +32,7 @@ def main() -> None:
     for mix in MIXES:
         spec = TABLE_III[mix](num_operations=ops, key_space=key_space)
         for policy_name, policy in POLICIES:
-            result = run_workload(spec, policy, config=experiment_config())
+            result = run_workload(spec, policy)
             rows.append(
                 (
                     mix,

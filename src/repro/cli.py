@@ -33,15 +33,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
-from .errors import UnknownPolicyError
+from . import DB
+from .errors import ConfigError, FlashFullError
+from .faults import crashtest
 from .harness import experiments
 from .harness.report import format_table, mib
-from .lsm.compaction.spec import resolve_factory
-from .ssd.flash import DeviceConfig, FlashSpec
+from .lsm.compaction.spec import get_spec
+from .lsm.config import LSMConfig
 from .obs import (
+    ALL_EVENT_KINDS,
     EV_CACHE_HIT,
     EV_CACHE_MISS,
     EV_DEVICE_READ,
@@ -51,6 +55,11 @@ from .obs import (
     Tracer,
     summarize_events,
 )
+from .serve import ServeSpec, run_sharded_serve, serve_workload
+from .shard.runner import run_sharded_workload
+from .ssd.flash import DeviceConfig, FlashSpec
+from .ssd.profile import ENTERPRISE_PCIE, SSDProfile
+from .workload.spec import WorkloadSpec
 
 
 def _print_output(output: experiments.ExperimentOutput) -> None:
@@ -87,19 +96,32 @@ def _print_output(output: experiments.ExperimentOutput) -> None:
     )
 
 
-def _run_fig01(ops: int, keys: int) -> None:
-    out = experiments.fig01_latency_fluctuation(ops=ops, key_space=keys)
-    points = out["points"]
+def _grid_figure(fn: Callable[..., experiments.ExperimentOutput], by_counts=False):
+    """Handler printing ``fn``'s comparison rows.  Figs. 14/15 sweep request
+    counts up to ``--ops`` and derive each key space themselves."""
+
+    def run(args: argparse.Namespace) -> None:
+        if by_counts:
+            counts = (args.ops // 3, args.ops * 2 // 3, args.ops)
+            _print_output(fn(request_counts=counts))
+        else:
+            _print_output(fn(ops=args.ops, key_space=args.keys))
+
+    return run
+
+
+def _run_fig01(args: argparse.Namespace) -> None:
+    out = experiments.fig01_latency_fluctuation(ops=args.ops, key_space=args.keys)
     rows = [
         (f"{p.start_us / 1e3:.1f}ms", p.count, round(p.mean_latency_us, 1))
-        for p in points[:40]
+        for p in out["points"][:40]
     ]
     print(format_table(["bucket", "ops", "mean latency us"], rows, title="fig01"))
     print(f"fluctuation ratio: {out['fluctuation_ratio']:.1f}x (paper: up to 49.13x)")
 
 
-def _run_fig01s(ops: int, keys: int) -> None:
-    out = experiments.fig01_scheduled_interference(ops=ops, key_space=keys)
+def _run_fig01s(args: argparse.Namespace) -> None:
+    out = experiments.fig01_scheduled_interference(ops=args.ops, key_space=args.keys)
     spreads = out["p99_p50_spread"]
     rows = [
         (
@@ -123,8 +145,8 @@ def _run_fig01s(ops: int, keys: int) -> None:
     )
 
 
-def _run_fig01ol(ops: int, keys: int) -> None:
-    out = experiments.fig01_open_loop(ops=ops, key_space=keys)
+def _run_fig01ol(args: argparse.Namespace) -> None:
+    out = experiments.fig01_open_loop(ops=args.ops, key_space=args.keys)
     rows = []
     curves = out["curves"]
     for index, fraction in enumerate(out["load_fractions"]):
@@ -171,14 +193,14 @@ def _run_fig01ol(ops: int, keys: int) -> None:
     )
 
 
-def _run_tab1(ops: int, keys: int) -> None:
-    shares = experiments.tab1_time_breakdown(ops=ops, key_space=keys)
+def _run_tab1(args: argparse.Namespace) -> None:
+    shares = experiments.tab1_time_breakdown(ops=args.ops, key_space=args.keys)
     rows = [(name, f"{share:.1%}") for name, share in shares.items()]
     print(format_table(["module", "time share"], rows, title="Table I"))
 
 
-def _run_fig08(ops: int, keys: int) -> None:
-    out = experiments.fig08_tail_latency(ops=ops, key_space=keys)
+def _run_fig08(args: argparse.Namespace) -> None:
+    out = experiments.fig08_tail_latency(ops=args.ops, key_space=args.keys)
     rows = [
         (f"P{pct:g}", round(out["UDC"][pct], 1), round(out["LDC"][pct], 1))
         for pct in sorted(out["UDC"])
@@ -186,8 +208,8 @@ def _run_fig08(ops: int, keys: int) -> None:
     print(format_table(["percentile", "UDC us", "LDC us"], rows, title="fig08"))
 
 
-def _run_fig13(ops: int, keys: int) -> None:
-    out = experiments.fig13_bloom_ro(ops=ops, key_space=keys)
+def _run_fig13(args: argparse.Namespace) -> None:
+    out = experiments.fig13_bloom_ro(ops=args.ops, key_space=args.keys)
     rows = [
         (bits, int(d["block_reads"]), round(d["filter_bytes_per_table"] / 1024, 2))
         for bits, d in out.items()
@@ -195,32 +217,8 @@ def _run_fig13(ops: int, keys: int) -> None:
     print(format_table(["bits/key", "block reads", "filter KiB"], rows, title="fig13"))
 
 
-def _figure(runner: Callable[[int, int], None]):
-    """Adapt an ``(ops, keys)`` figure printer to the dispatch signature."""
-
-    def run(args: argparse.Namespace) -> int:
-        runner(args.ops, args.keys)
-        return 0
-
-    return run
-
-
-def _matrix_runner(fn: Callable[..., experiments.ExperimentOutput]):
-    return _figure(
-        lambda ops, keys: _print_output(fn(ops=ops, key_space=keys))
-    )
-
-
-def _counts_runner(fn: Callable[..., experiments.ExperimentOutput]):
-    return _figure(
-        lambda ops, keys: _print_output(
-            fn(request_counts=(ops // 3, ops * 2 // 3, ops))
-        )
-    )
-
-
-def _run_shard_scaling(ops: int, keys: int) -> None:
-    out = experiments.shard_scaling(ops=ops, key_space=keys)
+def _run_shard_scaling(args: argparse.Namespace) -> None:
+    out = experiments.shard_scaling(ops=args.ops, key_space=args.keys)
     rows = [
         (
             count,
@@ -241,29 +239,39 @@ def _run_shard_scaling(ops: int, keys: int) -> None:
     )
 
 
-def _run_describe(ops: int, keys: int) -> None:
-    import random
-
-    from . import DB
-
+def _run_describe(args: argparse.Namespace) -> None:
     db = DB(policy="ldc")
     rng = random.Random(0)
-    for _ in range(min(ops, 20_000)):
-        db.put(str(rng.randrange(keys)).zfill(16).encode(), b"v" * 128)
+    for _ in range(min(args.ops, 20_000)):
+        db.put(str(rng.randrange(args.keys)).zfill(16).encode(), b"v" * 128)
     print(db.describe())
 
 
-def _policy_factory(name: str) -> Optional[Callable[[], object]]:
-    """Resolve a registered policy name via the central registry.
+def _workload_spec(args: argparse.Namespace, **overrides: object) -> WorkloadSpec:
+    """The Table III workload ``args`` names (RWB when omitted) at
+    ``--ops`` / ``--keys``, after checking ``--policy`` against the
+    registry; a miss on either is a typed :class:`ConfigError` listing
+    the valid names, which :func:`main` turns into exit status 2."""
+    get_spec(args.policy)
+    return experiments.paper_mix(
+        args.workload or "RWB", args.ops, args.keys, **overrides
+    )
 
-    Prints the typed error (which lists every valid name) and returns
-    ``None`` on a miss; callers turn that into exit status 2.
-    """
-    try:
-        return resolve_factory(name)
-    except UnknownPolicyError as exc:
-        print(str(exc), file=sys.stderr)
-        return None
+
+def _flash_spec(
+    args: argparse.Namespace, spec: WorkloadSpec, **probe: object
+) -> FlashSpec:
+    """``--flash-op`` / ``--flash-gc`` / ``--flash-logical-mib`` as a
+    :class:`~repro.ssd.flash.FlashSpec`, auto-sized from a flash-off probe
+    of ``spec`` when no capacity is given."""
+    return experiments.sized_flash_spec(
+        spec,
+        over_provisioning=args.flash_op,
+        gc_policy=args.flash_gc,
+        logical_mib=args.flash_logical_mib,
+        **probe,
+    )
+
 
 #: Per-I/O events are dropped from the trace by default — a traced run
 #: emits hundreds of device/cache events per compaction round, and the
@@ -271,45 +279,24 @@ def _policy_factory(name: str) -> Optional[Callable[[], object]]:
 _NOISY_KINDS = (EV_DEVICE_READ, EV_DEVICE_WRITE, EV_CACHE_HIT, EV_CACHE_MISS)
 
 
-def run_trace(
-    workload: str,
-    policy: str,
-    ops: int,
-    keys: int,
-    trace_out: Optional[str] = None,
-    include_io: bool = False,
-) -> int:
+def _run_trace(args: argparse.Namespace) -> None:
     """Run one Table III workload with the event tracer attached.
 
     Prints the per-kind event counts plus metrics-snapshot highlights;
-    with ``trace_out`` the full timeline is also written as JSON-lines.
+    with ``--trace-out`` the full timeline is also written as JSON-lines.
     """
-    from .workload.spec import TABLE_III
-
-    spec_factory = TABLE_III.get(workload)
-    if spec_factory is None:
-        known = ", ".join(TABLE_III)
-        print(f"unknown workload {workload!r}; known: {known}", file=sys.stderr)
-        return 2
-    policy_factory = _policy_factory(policy)
-    if policy_factory is None:
-        return 2
-
-    spec = spec_factory(num_operations=ops, key_space=keys, preload_keys=keys)
+    if args.workload is None:
+        raise ConfigError("trace requires a workload name, e.g. `repro trace WO`")
+    spec = _workload_spec(args, preload_keys=args.keys)
     kinds = None
-    if not include_io:
-        from .obs import ALL_EVENT_KINDS
-
+    if not args.include_io:
         kinds = [k for k in ALL_EVENT_KINDS if k not in _NOISY_KINDS]
     ring = RingBufferSink()
     tracer = Tracer([ring], kinds=kinds)
-    if trace_out is not None:
-        tracer.add_sink(JsonLinesSink(trace_out))
+    if args.trace_out is not None:
+        tracer.add_sink(JsonLinesSink(args.trace_out))
     try:
-        result = experiments.run_workload(
-            spec, policy_factory, config=experiments.experiment_config(),
-            tracer=tracer,
-        )
+        result = experiments.run_workload(spec, args.policy, tracer=tracer)
     finally:
         tracer.close()
 
@@ -326,115 +313,44 @@ def run_trace(
             ("cache hit ratio", round(snap.cache_hit_ratio, 3)),
         ]
         print(format_table(["metric", "value"], highlights, title="highlights"))
-    if trace_out is not None:
-        print(f"full timeline written to {trace_out}")
-    return 0
+    if args.trace_out is not None:
+        print(f"full timeline written to {args.trace_out}")
 
 
-def _build_flash_spec(
-    over_provisioning: float,
-    gc_policy: str,
-    logical_mib: Optional[float],
-    probe_space_bytes: Optional[int] = None,
-) -> FlashSpec:
-    """Build the CLI's flash geometry.
-
-    An explicit ``--flash-logical-mib`` wins; otherwise the logical
-    capacity is auto-sized from a flash-off probe's final store size at
-    the same margin ``fig_device_wa`` uses, so GC pressure reflects the
-    policy's write pattern rather than capacity starvation.
-    """
-    if logical_mib is not None:
-        logical_bytes = max(int(logical_mib * 2**20), 1 << 20)
-    else:
-        assert probe_space_bytes is not None
-        logical_bytes = max(
-            int(probe_space_bytes * experiments.DEVICE_WA_SIZE_MARGIN), 1 << 20
-        )
-    return FlashSpec(
-        logical_bytes=logical_bytes,
-        over_provisioning=over_provisioning,
-        gc_policy=gc_policy,
-    )
-
-
-def run_sharded_cli(
-    workload: Optional[str],
-    policy: str,
-    ops: int,
-    keys: int,
-    shards: int,
-    workers: int,
-    partitioner: str,
-    bg_threads: int = 0,
-    slowdown_l0: Optional[int] = None,
-    stop_l0: Optional[int] = None,
-    flash: bool = False,
-    flash_op: float = 0.07,
-    flash_gc: str = "greedy",
-    flash_logical_mib: Optional[float] = None,
-) -> int:
+def _run_sharded(args: argparse.Namespace) -> None:
     """Run one Table III workload across a sharded engine and report it.
 
-    ``bg_threads >= 1`` turns on the virtual-time compaction scheduler
-    per shard; ``slowdown_l0``/``stop_l0`` override the L0 write-throttle
-    thresholds (docs/SCHEDULING.md).  ``flash=True`` mounts the page/block
-    FTL layer (docs/DEVICE.md) under every shard's device and adds the
-    device/total write-amplification rows to the report.
+    ``--bg-threads >= 1`` turns on the virtual-time compaction scheduler
+    per shard; ``--slowdown-l0`` / ``--stop-l0`` override the L0
+    write-throttle thresholds (docs/SCHEDULING.md).  ``--flash`` mounts
+    the page/block FTL layer (docs/DEVICE.md) under every shard's device
+    and adds the device/total write-amplification rows to the report.
     """
-    from .shard.runner import run_sharded_workload
-    from .workload.spec import TABLE_III
-
-    workload = workload or "RWB"
-    spec_factory = TABLE_III.get(workload)
-    if spec_factory is None:
-        known = ", ".join(TABLE_III)
-        print(f"unknown workload {workload!r}; known: {known}", file=sys.stderr)
-        return 2
-    policy_factory = _policy_factory(policy)
-    if policy_factory is None:
-        return 2
-    overrides: Dict[str, object] = {"bg_threads": bg_threads}
-    if slowdown_l0 is not None:
-        overrides["l0_slowdown_trigger"] = slowdown_l0
-    if stop_l0 is not None:
-        overrides["l0_stop_trigger"] = stop_l0
-    spec = spec_factory(num_operations=ops, key_space=keys)
-    profile: object = None
-    try:
-        if flash:
-            probe_space: Optional[int] = None
-            if flash_logical_mib is None:
-                probe = experiments.run_workload(
-                    spec,
-                    policy_factory,
-                    config=experiments.experiment_config(**overrides),
-                )
-                probe_space = probe.space_bytes
-            flash_spec = _build_flash_spec(
-                flash_op, flash_gc, flash_logical_mib, probe_space
-            )
-            profile = DeviceConfig(flash=flash_spec)
-            print(
-                f"flash: {flash_spec.logical_bytes / 2**20:.1f} MiB logical "
-                f"per shard, OP={flash_spec.over_provisioning:.0%}, "
-                f"gc={flash_spec.gc_policy}"
-            )
-        kwargs: Dict[str, object] = {}
-        if profile is not None:
-            kwargs["profile"] = profile
-        report = run_sharded_workload(
-            spec,
-            policy_factory,
-            num_shards=shards,
-            partitioner=partitioner,
-            workers=workers,
-            config=experiments.experiment_config(**overrides),
-            **kwargs,
+    spec = _workload_spec(args)
+    overrides: Dict[str, object] = {"bg_threads": args.bg_threads}
+    if args.slowdown_l0 is not None:
+        overrides["l0_slowdown_trigger"] = args.slowdown_l0
+    if args.stop_l0 is not None:
+        overrides["l0_stop_trigger"] = args.stop_l0
+    config = LSMConfig(**overrides)  # type: ignore[arg-type]
+    profile: "SSDProfile | DeviceConfig" = ENTERPRISE_PCIE
+    if args.flash:
+        flash_spec = _flash_spec(args, spec, policy=args.policy, config=config)
+        profile = DeviceConfig(flash=flash_spec)
+        print(
+            f"flash: {flash_spec.logical_bytes / 2**20:.1f} MiB logical "
+            f"per shard, OP={flash_spec.over_provisioning:.0%}, "
+            f"gc={flash_spec.gc_policy}"
         )
-    except Exception as exc:  # ConfigError: bad shard/partitioner/flash combo
-        print(str(exc), file=sys.stderr)
-        return 2
+    report = run_sharded_workload(
+        spec,
+        args.policy,
+        num_shards=args.shards,
+        partitioner=args.partitioner,
+        workers=experiments.default_workers() or 1,
+        config=config,
+        profile=profile,
+    )
     print(
         f"run: workload={report.workload} policy={report.policy} "
         f"shards={report.num_shards} workers={report.workers} "
@@ -449,7 +365,7 @@ def run_sharded_cli(
         ("p99.9 latency us", round(report.latencies.percentile(99.9), 1)),
         ("wall seconds", round(report.wall_s, 3)),
     ]
-    if flash:
+    if args.flash:
         highlights.extend(
             [
                 ("device write amp", round(report.device_write_amplification, 3)),
@@ -458,7 +374,7 @@ def run_sharded_cli(
                 ("blocks erased", snap.blocks_erased),
             ]
         )
-    if bg_threads >= 1:
+    if args.bg_threads >= 1:
         counters = snap.counters
         highlights.extend(
             [
@@ -493,91 +409,59 @@ def run_sharded_cli(
             title="per shard",
         )
     )
-    return 0
 
 
-def run_serve_cli(
-    workload: Optional[str],
-    policy: str,
-    ops: int,
-    keys: int,
-    arrival: str = "poisson",
-    rate: float = 15_000.0,
-    tenants: int = 1,
-    slo_us: float = 1_000.0,
-    queue_depth: int = 128,
-    discipline: str = "fifo",
-    bg_threads: int = 0,
-    seed: int = 7,
-    shards: int = 1,
-    partitioner: str = "hash",
-) -> int:
+def _run_serve(args: argparse.Namespace) -> None:
     """Serve one Table III workload open-loop and report the client view.
 
-    ``arrival`` picks the process (``poisson``/``onoff``/``diurnal``) or
+    ``--arrival`` picks the process (``poisson``/``onoff``/``diurnal``) or
     ``closed`` for closed-loop replay through the serve bookkeeping.
-    ``rate`` is the aggregate offered load (virtual ops/s) split equally
-    across ``tenants``; the report decomposes latency into queue wait and
-    service time and shows per-tenant SLO-violation rates.
+    ``--rate`` is the aggregate offered load (virtual ops/s) split equally
+    across ``--tenants``; the report decomposes latency into queue wait
+    and service time and shows per-tenant SLO-violation rates.
     """
-    from .serve import ServeSpec, run_sharded_serve, serve_workload
-    from .workload.spec import TABLE_III
-
-    workload = workload or "RWB"
-    spec_factory = TABLE_III.get(workload)
-    if spec_factory is None:
-        known = ", ".join(TABLE_III)
-        print(f"unknown workload {workload!r}; known: {known}", file=sys.stderr)
-        return 2
-    policy_factory = _policy_factory(policy)
-    if policy_factory is None:
-        return 2
-    spec = spec_factory(num_operations=ops, key_space=keys)
-    config = experiments.experiment_config(bg_threads=bg_threads)
-    try:
-        serve_spec = ServeSpec(
-            arrival=arrival,
-            rate_ops_s=rate,
-            num_tenants=tenants,
-            queue_depth=queue_depth,
-            discipline=discipline,
-            slo_us=slo_us,
-            seed=seed,
+    spec = _workload_spec(args)
+    config = LSMConfig(bg_threads=args.bg_threads)
+    serve_spec = ServeSpec(
+        arrival=args.arrival,
+        rate_ops_s=args.rate,
+        num_tenants=args.tenants,
+        queue_depth=args.queue_depth,
+        discipline=args.discipline,
+        slo_us=args.slo_us,
+        seed=args.seed,
+    )
+    if args.shards > 1:
+        report = run_sharded_serve(
+            spec,
+            args.policy,
+            serve_spec,
+            num_shards=args.shards,
+            partitioner=args.partitioner,
+            config=config,
         )
-        if shards > 1:
-            report = run_sharded_serve(
-                spec,
-                policy_factory,
-                serve_spec,
-                num_shards=shards,
-                partitioner=partitioner,
-                config=config,
-            )
-            print(
-                f"serve: workload={report.workload} policy={report.policy} "
-                f"arrival={arrival} shards={report.num_shards} "
-                f"partitioner={report.partitioner}"
-            )
-            highlights = [
-                ("offered rate ops/s", round(rate)),
-                ("arrived", report.arrived),
-                ("completed", report.completed),
-                ("rejected", report.rejected),
-                ("sim throughput ops/s", round(report.throughput_ops_s)),
-                ("SLO violation rate", round(report.slo_violation_rate, 4)),
-                ("wait p99 us", round(report.wait_latencies.percentile(99.0), 1)),
-                ("total p99.9 us", round(report.total_latencies.percentile(99.9), 1)),
-            ]
-            print(format_table(["metric", "value"], highlights, title="aggregate"))
-            return 0
-        result = serve_workload(spec, policy_factory, serve_spec, config=config)
-    except Exception as exc:  # ConfigError: bad arrival/discipline combo
-        print(str(exc), file=sys.stderr)
-        return 2
+        print(
+            f"serve: workload={report.workload} policy={report.policy} "
+            f"arrival={args.arrival} shards={report.num_shards} "
+            f"partitioner={report.partitioner}"
+        )
+        highlights = [
+            ("offered rate ops/s", round(args.rate)),
+            ("arrived", report.arrived),
+            ("completed", report.completed),
+            ("rejected", report.rejected),
+            ("sim throughput ops/s", round(report.throughput_ops_s)),
+            ("SLO violation rate", round(report.slo_violation_rate, 4)),
+            ("wait p99 us", round(report.wait_latencies.percentile(99.0), 1)),
+            ("total p99.9 us", round(report.total_latencies.percentile(99.9), 1)),
+        ]
+        print(format_table(["metric", "value"], highlights, title="aggregate"))
+        return
+    result = serve_workload(spec, args.policy, serve_spec, config=config)
     print(
         f"serve: workload={result.workload} policy={result.policy} "
         f"arrival={result.arrival} queue_depth={result.queue_depth} "
-        f"discipline={result.discipline} bg_threads={bg_threads}"
+        f"discipline={result.discipline} bg_threads={args.bg_threads}"
     )
     highlights = [
         ("offered rate ops/s", round(result.offered_rate_ops_s)),
@@ -621,226 +505,110 @@ def run_serve_cli(
                 title="per tenant",
             )
         )
-    return 0
 
 
-def run_crashtest_cli(
-    policy: str,
-    ops: int,
-    keys: int,
-    every: int,
-    shards: int,
-    seed: int,
-    value_bytes: int,
-    corrupt: int,
-    flash: bool = False,
-) -> int:
+def _run_crashtest(args: argparse.Namespace) -> int:
     """Crash-point enumeration + corruption sweep (``repro crashtest``).
 
     Replays a deterministic mixed workload, crashing at every
-    ``every``-th charged I/O, recovering, and checking the
-    durability/atomicity oracle at each point; then seeds ``corrupt``
+    ``--every``-th charged I/O, recovering, and checking the
+    durability/atomicity oracle at each point; then seeds ``--corrupt``
     read corruptions and requires all of them to be detected via CRC.
-    ``flash=True`` mounts a deliberately tiny FTL geometry under the
-    store so crash points land inside GC relocations too.  Exit status 0
-    only when both passes hold.
+    ``--flash`` mounts a deliberately tiny FTL geometry under the store
+    so crash points land inside GC relocations too.  Exit status 0 only
+    when both passes hold.
     """
-    from .faults import crashtest
-
-    policy_factory = _policy_factory(policy)
-    if policy_factory is None:
-        return 2
 
     def progress(done: int, total: int) -> None:
         if done % 200 == 0 or done == total:
             print(f"  crash points: {done}/{total}", file=sys.stderr)
 
     report = crashtest.run_crashtest(
-        policy_factory,
-        policy_name=policy,
-        num_ops=ops,
-        num_keys=keys,
-        value_bytes=value_bytes,
-        seed=seed,
-        stride=every,
-        shards=shards,
-        flash=crashtest.CRASHTEST_FLASH_SPEC if flash else None,
+        args.policy,
+        policy_name=args.policy,
+        num_ops=args.ops,
+        num_keys=args.keys,
+        value_bytes=args.value_bytes,
+        seed=args.seed,
+        stride=args.every,
+        shards=args.shards,
+        flash=crashtest.CRASHTEST_FLASH_SPEC if args.flash else None,
         progress=progress,
     )
     print(report.summary())
     corruption = None
-    if corrupt > 0:
+    if args.corrupt > 0:
         corruption = crashtest.run_corruption_test(
-            policy_factory,
-            policy_name=policy,
-            num_ops=min(ops, 1500),
-            num_keys=keys,
-            value_bytes=value_bytes,
-            seed=seed,
-            corruptions=corrupt,
+            args.policy,
+            policy_name=args.policy,
+            num_ops=min(args.ops, 1500),
+            num_keys=args.keys,
+            value_bytes=args.value_bytes,
+            seed=args.seed,
+            corruptions=args.corrupt,
         )
         print(corruption.summary())
     ok = report.ok and (corruption is None or corruption.ok)
     return 0 if ok else 1
 
 
-def run_explore_cli(
-    ops: int,
-    keys: int,
-    policies: Optional[str] = None,
-    mixes: Optional[str] = None,
-    profiles: Optional[str] = None,
-    report_out: Optional[str] = None,
-    flash: bool = False,
-    flash_op: float = 0.07,
-    flash_gc: str = "greedy",
-    flash_logical_mib: Optional[float] = None,
-) -> int:
+def _names(csv: Optional[str], default: Sequence[str] = ()) -> List[str]:
+    """A comma-separated flag value as a list (``default`` when unset)."""
+    names = [item.strip() for item in (csv or "").split(",") if item.strip()]
+    return names or list(default)
+
+
+def _run_explore(args: argparse.Namespace) -> None:
     """Design-space exploration (``repro explore``).
 
     Sweeps registered policy compositions across workload mixes and
     device profiles, printing the WA/RA/p99 comparison grid; with
     ``--report-out`` the markdown report is also written to disk.
-    ``flash=True`` mounts the same FTL geometry under every cell and adds
+    ``--flash`` mounts the same FTL geometry under every cell and adds
     device/total write-amplification columns plus a total-WA winner.
     """
-    from .errors import ConfigError
-    from .workload.spec import TABLE_III
-
-    policy_names = None
-    if policies:
-        policy_names = [item.strip() for item in policies.split(",") if item.strip()]
-        for name in policy_names:
-            if _policy_factory(name) is None:
-                return 2
-    mix_names = list(experiments.DESIGN_SPACE_MIXES)
-    if mixes:
-        mix_names = [item.strip() for item in mixes.split(",") if item.strip()]
-        for name in mix_names:
-            if name not in TABLE_III:
-                known = ", ".join(TABLE_III)
-                print(f"unknown workload {name!r}; known: {known}", file=sys.stderr)
-                return 2
-    profile_names = list(experiments.DESIGN_SPACE_PROFILES)
-    if profiles:
-        profile_names = [item.strip() for item in profiles.split(",") if item.strip()]
-    try:
-        flash_spec = None
-        if flash:
-            probe_space: Optional[int] = None
-            if flash_logical_mib is None:
-                # One shared geometry for the whole sweep: size it from a
-                # flash-off probe of the first mix under UDC (the widest
-                # footprint spread is policy-side, which the margin covers).
-                probe = experiments.run_workload(
-                    experiments.workloads.TABLE_III[mix_names[0]](
-                        num_operations=ops, key_space=keys
-                    ),
-                    experiments.udc_factory,
-                    config=experiments.experiment_config(),
-                )
-                probe_space = probe.space_bytes
-            flash_spec = _build_flash_spec(
-                flash_op, flash_gc, flash_logical_mib, probe_space
-            )
-        report = experiments.design_space(
-            policies=policy_names,
-            mixes=mix_names,
-            profiles=profile_names,
-            ops=ops,
-            key_space=keys,
-            flash=flash_spec,
-        )
-    except ConfigError as exc:  # unknown device profile
-        print(str(exc), file=sys.stderr)
-        return 2
-    headers = [
-        "policy",
-        "workload",
-        "device",
-        "ops/s",
-        "p99 us",
-        "WA",
-        "RA",
-        "compact MiB",
-        "space MiB",
-    ]
-    if flash_spec is not None:
-        headers += ["dev WA", "total WA"]
-    rows = []
-    for point in report["points"]:
-        row = [
-            point.policy,
-            point.workload,
-            point.profile,
-            round(point.throughput_ops_s),
-            round(point.p99_us, 1),
-            round(point.write_amplification, 2),
-            round(point.read_amplification, 2),
-            round(point.compaction_mib, 2),
-            round(point.space_mib, 2),
-        ]
-        if flash_spec is not None:
-            row += [
-                round(point.device_write_amplification, 3),
-                round(point.total_write_amplification, 2),
-            ]
-        rows.append(tuple(row))
-    print(format_table(headers, rows, title="design-space exploration"))
-    winner_headers = [
-        "cell", "lowest WA", "lowest RA", "lowest p99", "highest ops/s",
-    ]
-    if flash_spec is not None:
-        winner_headers.append("lowest total WA")
-    winner_rows = []
-    for cell, best in report["winners"].items():
-        row = [
-            cell,
-            best["write_amplification"],
-            best["read_amplification"],
-            best["p99_us"],
-            best["throughput_ops_s"],
-        ]
-        if flash_spec is not None:
-            row.append(best["total_write_amplification"])
-        winner_rows.append(tuple(row))
-    print(format_table(winner_headers, winner_rows, title="winners"))
-    if report_out is not None:
-        with open(report_out, "w", encoding="utf-8") as handle:
+    mixes = _names(args.mixes, experiments.DESIGN_SPACE_MIXES)
+    flash_spec = None
+    if args.flash:
+        # One shared geometry for the whole sweep: size it from a
+        # flash-off probe of the first mix under UDC (the widest
+        # footprint spread is policy-side, which the margin covers).
+        first = experiments.paper_mix(mixes[0], args.ops, args.keys)
+        flash_spec = _flash_spec(args, first)
+    report = experiments.design_space(
+        policies=_names(args.policies) or None,
+        mixes=mixes,
+        profiles=_names(args.profiles, experiments.DESIGN_SPACE_PROFILES),
+        ops=args.ops,
+        key_space=args.keys,
+        flash=flash_spec,
+    )
+    points, winners = experiments.design_tables(report)
+    print(format_table(*points, title="design-space exploration"))
+    print(format_table(*winners, title="winners"))
+    if args.report_out is not None:
+        with open(args.report_out, "w", encoding="utf-8") as handle:
             handle.write(experiments.format_design_report(report))
-        print(f"report written to {report_out}")
-    return 0
+        print(f"report written to {args.report_out}")
 
 
-def run_device_wa_cli(
-    ops: int,
-    keys: int,
-    flash_op: float = 0.07,
-    flash_gc: str = "greedy",
-) -> int:
+def _run_device_wa(args: argparse.Namespace) -> None:
     """End-to-end write-amplification comparison (``repro fig_device_wa``).
 
     Sizes one flash geometry from a flash-off probe, runs every
     registered policy on it and prints host / device / total WA with the
     GC and wear counters (docs/DEVICE.md).
     """
-    from .errors import ConfigError
-
-    try:
-        report = experiments.fig_device_wa(
-            ops=ops,
-            key_space=keys,
-            over_provisioning=flash_op,
-            gc_policy=flash_gc,
-        )
-    except ConfigError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    report = experiments.fig_device_wa(
+        ops=args.ops,
+        key_space=args.keys,
+        over_provisioning=args.flash_op,
+        gc_policy=args.flash_gc,
+    )
     print(experiments.format_device_wa_report(report))
-    return 0
 
 
-def _run_paper_scale(args: argparse.Namespace) -> int:
+def _run_paper_scale(args: argparse.Namespace) -> None:
     """``repro paper_scale``: the fill + read pair at (``--ops``-reduced)
     paper scale.  The last output line is the result as one JSON object,
     which is what the CI ``paper-scale`` jobs parse."""
@@ -865,133 +633,41 @@ def _run_paper_scale(args: argparse.Namespace) -> int:
         )
     )
     print(json.dumps(out, sort_keys=True))
-    return 0
 
 
-def _run_list(args: argparse.Namespace) -> int:
+def _run_list(args: argparse.Namespace) -> None:
     for name in EXPERIMENTS:
         print(name)
-    return 0
-
-
-def _run_device_wa(args: argparse.Namespace) -> int:
-    return run_device_wa_cli(
-        args.ops,
-        args.keys,
-        flash_op=args.flash_op,
-        flash_gc=args.flash_gc,
-    )
-
-
-def _run_explore(args: argparse.Namespace) -> int:
-    return run_explore_cli(
-        args.ops,
-        args.keys,
-        policies=args.policies,
-        mixes=args.mixes,
-        profiles=args.profiles,
-        report_out=args.report_out,
-        flash=args.flash,
-        flash_op=args.flash_op,
-        flash_gc=args.flash_gc,
-        flash_logical_mib=args.flash_logical_mib,
-    )
-
-
-def _run_crashtest(args: argparse.Namespace) -> int:
-    return run_crashtest_cli(
-        args.policy,
-        args.ops,
-        args.keys,
-        every=args.every,
-        shards=args.shards,
-        seed=args.seed,
-        value_bytes=args.value_bytes,
-        corrupt=args.corrupt,
-        flash=args.flash,
-    )
-
-
-def _run_serve(args: argparse.Namespace) -> int:
-    return run_serve_cli(
-        args.workload,
-        args.policy,
-        args.ops,
-        args.keys,
-        arrival=args.arrival,
-        rate=args.rate,
-        tenants=args.tenants,
-        slo_us=args.slo_us,
-        queue_depth=args.queue_depth,
-        discipline=args.discipline,
-        bg_threads=args.bg_threads,
-        seed=args.seed,
-        shards=args.shards,
-        partitioner=args.partitioner,
-    )
-
-
-def _run_sharded(args: argparse.Namespace) -> int:
-    return run_sharded_cli(
-        args.workload,
-        args.policy,
-        args.ops,
-        args.keys,
-        shards=args.shards,
-        workers=args.workers or 1,
-        partitioner=args.partitioner,
-        bg_threads=args.bg_threads,
-        slowdown_l0=args.slowdown_l0,
-        stop_l0=args.stop_l0,
-        flash=args.flash,
-        flash_op=args.flash_op,
-        flash_gc=args.flash_gc,
-        flash_logical_mib=args.flash_logical_mib,
-    )
-
-
-def _run_trace(args: argparse.Namespace) -> int:
-    if args.workload is None:
-        print("trace requires a workload name, e.g. `repro trace WO`",
-              file=sys.stderr)
-        return 2
-    return run_trace(
-        args.workload,
-        args.policy,
-        args.ops,
-        args.keys,
-        trace_out=args.trace_out,
-        include_io=args.include_io,
-    )
 
 
 #: Every subcommand, by name: the one table ``main`` dispatches on, that
 #: ``repro list`` prints and that the unknown-subcommand error quotes.
-#: Handlers take the parsed arguments and return the process exit code.
-EXPERIMENTS: Dict[str, Callable[[argparse.Namespace], int]] = {
+#: A handler takes the parsed arguments and returns the process exit code
+#: (``None`` = 0); adding a figure is one function plus one line here.
+EXPERIMENTS: Dict[str, Callable[[argparse.Namespace], Optional[int]]] = {
     "list": _run_list,
-    "fig01": _figure(_run_fig01),
-    "fig01s": _figure(_run_fig01s),
-    "fig01_open_loop": _figure(_run_fig01ol),
-    "tab1": _figure(_run_tab1),
-    "fig07": _matrix_runner(experiments.fig07_fanout_udc),
-    "fig08": _figure(_run_fig08),
-    "fig09": _matrix_runner(experiments.fig09_avg_latency),
-    "fig10a": _matrix_runner(experiments.fig10a_throughput_get),
-    "fig10b": _matrix_runner(experiments.fig10b_throughput_scan),
-    "fig10c": _matrix_runner(experiments.fig10c_compaction_io),
-    "fig11": _matrix_runner(experiments.fig11_zipf),
-    "fig12ad": _matrix_runner(experiments.fig12ad_slicelink_threshold),
-    "fig12be": _matrix_runner(experiments.fig12be_fanout_sweep),
-    "fig12cf": _matrix_runner(experiments.fig12cf_bloom_rwb),
-    "fig13": _figure(_run_fig13),
-    "fig14": _counts_runner(experiments.fig14_scalability),
-    "fig15": _counts_runner(experiments.fig15_space),
-    "adaptive": _matrix_runner(experiments.ablation_adaptive_threshold),
-    "tiered": _matrix_runner(experiments.ablation_tiered_tail),
-    "asymmetry": _matrix_runner(experiments.ablation_device_asymmetry),
-    "shard_scaling": _figure(_run_shard_scaling),
-    "describe": _figure(_run_describe),
+    "fig01": _run_fig01,
+    "fig01s": _run_fig01s,
+    "fig01_open_loop": _run_fig01ol,
+    "tab1": _run_tab1,
+    "fig07": _grid_figure(experiments.fig07_fanout_udc),
+    "fig08": _run_fig08,
+    "fig09": _grid_figure(experiments.fig09_avg_latency),
+    "fig10a": _grid_figure(experiments.fig10a_throughput_get),
+    "fig10b": _grid_figure(experiments.fig10b_throughput_scan),
+    "fig10c": _grid_figure(experiments.fig10c_compaction_io),
+    "fig11": _grid_figure(experiments.fig11_zipf),
+    "fig12ad": _grid_figure(experiments.fig12ad_slicelink_threshold),
+    "fig12be": _grid_figure(experiments.fig12be_fanout_sweep),
+    "fig12cf": _grid_figure(experiments.fig12cf_bloom_rwb),
+    "fig13": _run_fig13,
+    "fig14": _grid_figure(experiments.fig14_scalability, by_counts=True),
+    "fig15": _grid_figure(experiments.fig15_space, by_counts=True),
+    "adaptive": _grid_figure(experiments.ablation_adaptive_threshold),
+    "tiered": _grid_figure(experiments.ablation_tiered_tail),
+    "asymmetry": _grid_figure(experiments.ablation_device_asymmetry),
+    "shard_scaling": _run_shard_scaling,
+    "describe": _run_describe,
     "paper_scale": _run_paper_scale,
     "fig_device_wa": _run_device_wa,
     "trace": _run_trace,
@@ -1023,7 +699,8 @@ def build_parser() -> argparse.ArgumentParser:
         "workload",
         nargs="?",
         default=None,
-        help="Table III workload name (trace subcommand only), e.g. WO or RWB",
+        help="Table III workload name, e.g. WO or RWB: required by 'trace', "
+        "optional for 'run'/'serve' (default RWB)",
     )
     parser.add_argument(
         "--ops",
@@ -1041,7 +718,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--policy",
         default="ldc",
-        help="registered compaction policy for 'trace'/'run'/'crashtest' "
+        help="registered compaction policy for 'trace'/'run'/'serve'/'crashtest' "
         "(see `repro explore` or repro.available_policies())",
     )
     parser.add_argument(
@@ -1095,13 +772,13 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="number of keyspace shards ('run' only)",
+        help="number of keyspace shards ('run'/'serve'/'crashtest')",
     )
     parser.add_argument(
         "--partitioner",
         default="hash",
         choices=("hash", "range"),
-        help="keyspace partitioning strategy ('run' only)",
+        help="keyspace partitioning strategy ('run'/'serve')",
     )
     parser.add_argument(
         "--bg-threads",
@@ -1241,15 +918,26 @@ def main(argv: Optional[List[str]] = None) -> int:
         args.ops = default_ops
     if args.keys is None:
         args.keys = default_keys
-    if args.workers is not None:
-        experiments.set_default_workers(args.workers)
     handler = EXPERIMENTS.get(args.experiment)
     if handler is None:
         known = ", ".join(EXPERIMENTS)
         print(f"unknown experiment {args.experiment!r}; known: {known}",
               file=sys.stderr)
         return 2
-    return handler(args)
+    # Mis-configuration is typed (unknown policy / workload / profile, a
+    # count below 1, a flash device too small for the store) and exits 2;
+    # anything else is an engine bug and keeps its traceback.  --workers
+    # holds for this call only.
+    workers = experiments.default_workers()
+    try:
+        if args.workers is not None:
+            experiments.set_default_workers(args.workers)
+        return handler(args) or 0
+    except (ConfigError, FlashFullError) as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
+    finally:
+        experiments.set_default_workers(workers)
 
 if __name__ == "__main__":  # pragma: no cover
     sys.exit(main())

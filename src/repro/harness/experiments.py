@@ -7,12 +7,14 @@ defaults (`DEFAULT_OPS` operations over `DEFAULT_KEY_SPACE` keys, 16-B
 keys / 1-KB values as in §IV-A) and accept overrides so tests can run tiny
 versions and benches can run larger ones.
 
-Every sweep is expressed as a list of :class:`GridTask` items executed by
+Every sweep is a list of :class:`GridTask` items — built by :func:`sweep`,
+the one ``points x workloads x policies`` cross product — executed by
 :func:`run_grid`, which runs them serially by default or across worker
 processes when requested (``repro <experiment> --workers N``).  Each grid
 point is an independent simulation over its own virtual device, so results
 are bit-identical regardless of worker count or scheduling; ``run_grid``
-preserves task order in its result list.
+preserves task order in its result list.  A policy is always a registry
+name or a :class:`~repro.lsm.compaction.spec.PolicySpec`.
 
 The absolute numbers differ from the paper's (their testbed: C++ LevelDB,
 800 GB PCIe SSD, 10–30 M requests; ours: a Python engine over a simulated
@@ -25,16 +27,13 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .latency import PAPER_PERCENTILES
 from .runner import RunResult, run_workload
-from ..lsm.compaction.spec import (
-    PolicySpec,
-    SpecFactory,
-    available_policies,
-    get_spec,
-)
+from ..errors import ConfigError
+from ..lsm.compaction.spec import PolicySpec, available_policies, get_spec
 from ..lsm.config import LSMConfig
 from ..ssd.flash import DeviceConfig, FlashSpec
 from ..ssd.profile import ENTERPRISE_PCIE, SSDProfile, get_profile
@@ -52,43 +51,16 @@ DEFAULT_KEY_SPACE = 20_000
 SCALED_SCAN_LENGTH = 6
 
 
-def experiment_config(**overrides: object) -> LSMConfig:
-    """The shared engine configuration for paper experiments."""
-    return LSMConfig(**overrides)  # type: ignore[arg-type]
+#: How a grid names a policy: a registry name or a (derived) spec — both
+#: pickle, which closures and policy instances do not.
+_Policy = Union[str, PolicySpec]
+#: One labelled grid point: the engine config (None = the defaults) and
+#: the device a task runs under.
+_Point = Tuple[Optional[LSMConfig], "SSDProfile | DeviceConfig"]
+_DEFAULT_POINT: _Point = (None, ENTERPRISE_PCIE)
 
-
-def udc_factory() -> object:
-    return get_spec("udc").build()
-
-
-def ldc_factory(
-    threshold: Optional[int] = None, adaptive: Optional[bool] = None
-) -> Callable[[], object]:
-    """Picklable parameterised LDC factory built from the registered spec
-    (closures cannot cross process boundaries, and grid tasks must)."""
-    overrides = {}
-    if threshold is not None:
-        overrides["threshold"] = threshold
-    if adaptive is not None:
-        overrides["adaptive"] = adaptive
-    spec = get_spec("ldc")
-    if overrides:
-        spec = spec.derive(**overrides)
-    return SpecFactory(spec)
-
-
-def tiered_factory() -> object:
-    return get_spec("tiered").build()
-
-
-def delayed_factory() -> object:
-    return get_spec("delayed").build()
-
-
-BOTH_POLICIES: Sequence[Tuple[str, Callable[[], object]]] = (
-    ("UDC", udc_factory),
-    ("LDC", ldc_factory()),
-)
+#: The paper's two contenders as ``(display label, registry name)``.
+BOTH_POLICIES: Sequence[Tuple[str, _Policy]] = (("UDC", "udc"), ("LDC", "ldc"))
 
 
 @dataclass
@@ -102,11 +74,10 @@ class ComparisonRow:
 
 @dataclass
 class ExperimentOutput:
-    """Generic experiment result: rows plus free-form derived metrics."""
+    """Generic experiment result: one row per grid task."""
 
     name: str
     rows: List[ComparisonRow] = field(default_factory=list)
-    derived: Dict[str, float] = field(default_factory=dict)
 
     def result_for(self, workload: str, policy: str) -> RunResult:
         for row in self.rows:
@@ -122,24 +93,26 @@ class ExperimentOutput:
 class GridTask:
     """One independent (workload, policy, config, device) simulation.
 
+    ``policy`` is a registry name or a :class:`PolicySpec`;
+    ``policy_label`` is what result rows call it ("UDC", "LDC-fixed").
     Every field must be picklable — tasks and their RunResults cross
     process boundaries when the grid runs with workers.
     """
 
     label: str
     spec: WorkloadSpec
-    policy: str
-    factory: Callable[[], object]
+    policy: _Policy
     config: Optional[LSMConfig] = None
     profile: "SSDProfile | DeviceConfig" = ENTERPRISE_PCIE
     timeline_bucket_us: float = 1_000_000.0
+    policy_label: str = ""
 
 
 def _run_grid_task(task: GridTask) -> RunResult:
     """Top-level worker entry point (must be importable for pickling)."""
     return run_workload(
         task.spec,
-        task.factory,
+        task.policy,
         config=task.config,
         profile=task.profile,
         timeline_bucket_us=task.timeline_bucket_us,
@@ -155,7 +128,7 @@ def set_default_workers(workers: Optional[int]) -> None:
     """Set the grid-wide worker count (the CLI's ``--workers`` flag)."""
     global _default_workers
     if workers is not None and workers < 1:
-        raise ValueError(f"worker count must be >= 1, got {workers}")
+        raise ConfigError(f"worker count must be >= 1, got {workers}")
     _default_workers = workers
 
 
@@ -189,34 +162,57 @@ def _grid_output(name: str, tasks: Sequence[GridTask]) -> ExperimentOutput:
     results = run_grid(tasks)
     output = ExperimentOutput(name=name)
     for task, result in zip(tasks, results):
-        output.rows.append(ComparisonRow(task.label, task.policy, result))
+        output.rows.append(ComparisonRow(task.label, task.policy_label, result))
     return output
 
 
-def _run_matrix(
-    name: str,
+def sweep(
     specs: Sequence[WorkloadSpec],
-    policies: Sequence[Tuple[str, Callable[[], object]]] = BOTH_POLICIES,
-    config: Optional[LSMConfig] = None,
-    profile: SSDProfile = ENTERPRISE_PCIE,
-) -> ExperimentOutput:
-    tasks = [
-        GridTask(spec_item.name, spec_item, policy_name, factory, config, profile)
+    policies: Sequence[Tuple[str, _Policy]] = BOTH_POLICIES,
+    points: Optional[Mapping[str, _Point]] = None,
+    bucket_us: float = 1_000_000.0,
+) -> List[GridTask]:
+    """The ``points x specs x policies`` cross product every figure runs.
+
+    ``points`` maps a row label to the ``(config, device)`` its tasks run
+    under (default: one point, the stock config on the enterprise PCIe
+    device); a task is labelled by its point, or by its workload's name
+    when the point's label is empty.  ``policies`` pairs a display label
+    with a registry name or :class:`PolicySpec`.
+    """
+    if points is None:
+        points = {"": _DEFAULT_POINT}
+    return [
+        GridTask(label or spec_item.name, spec_item, policy, config, profile,
+                 bucket_us, policy_label)
+        for label, (config, profile) in points.items()
         for spec_item in specs
-        for policy_name, factory in policies
+        for policy_label, policy in policies
     ]
-    return _grid_output(name, tasks)
+
+
+def _config_points(prefix: str, knob: str, values: Iterable) -> Dict[str, _Point]:
+    """One ``prefix=value`` point per value of a single ``LSMConfig`` knob."""
+    return {
+        f"{prefix}={value}": (LSMConfig(**{knob: value}), ENTERPRISE_PCIE)
+        for value in values
+    }
+
+
+def paper_mix(name: str, ops: int, key_space: int, **overrides: object) -> WorkloadSpec:
+    """The Table III workload ``name`` at the given size (typed error on a miss)."""
+    if name not in workloads.TABLE_III:
+        known = ", ".join(workloads.TABLE_III)
+        raise ConfigError(f"unknown workload {name!r}; known: {known}")
+    return workloads.TABLE_III[name](
+        num_operations=ops, key_space=key_space, **overrides
+    )
 
 
 def _paper_mixes(
     names: Sequence[str], ops: int, key_space: int, **overrides: object
 ) -> List[WorkloadSpec]:
-    return [
-        workloads.TABLE_III[name](
-            num_operations=ops, key_space=key_space, **overrides
-        )
-        for name in names
-    ]
+    return [paper_mix(name, ops, key_space, **overrides) for name in names]
 
 
 # ----------------------------------------------------------------------
@@ -237,12 +233,9 @@ def fig01_latency_fluctuation(
     operations, the granularity at which compaction stalls are visible.
     """
     spec_item = workloads.rwb(num_operations=ops, key_space=key_space)
-    result = run_workload(
-        spec_item, udc_factory, config=experiment_config(), timeline_bucket_us=bucket_us
-    )
-    points = result.timeline.points()
+    result = run_workload(spec_item, "udc", timeline_bucket_us=bucket_us)
     return {
-        "points": points,
+        "points": result.timeline.points(),
         "fluctuation_ratio": result.timeline.fluctuation_ratio(),
         "result": result,
     }
@@ -271,22 +264,17 @@ def fig01_scheduled_interference(
     ``spread(UDC) > spread(LDC)`` *from mechanism*: scheduling, channel
     arbitration and L0 throttling, not per-operation accounting.
     """
-    config = experiment_config(bg_threads=bg_threads)
-    spec_item = workloads.rwb(num_operations=ops, key_space=key_space)
-    tasks = [
-        GridTask(
-            "RWB", spec_item, policy_name, factory, config,
-            timeline_bucket_us=bucket_us,
-        )
-        for policy_name, factory in BOTH_POLICIES
-    ]
-    results = run_grid(tasks)
+    tasks = sweep(
+        [workloads.rwb(num_operations=ops, key_space=key_space)],
+        points={"": (LSMConfig(bg_threads=bg_threads), ENTERPRISE_PCIE)},
+        bucket_us=bucket_us,
+    )
     by_policy: Dict[str, RunResult] = {}
     spreads: Dict[str, float] = {}
-    for task, result in zip(tasks, results):
+    for task, result in zip(tasks, run_grid(tasks)):
         writes = result.write_latencies
-        spreads[task.policy] = writes.percentile(99.0) / writes.percentile(50.0)
-        by_policy[task.policy] = result
+        spreads[task.policy_label] = writes.percentile(99.0) / writes.percentile(50.0)
+        by_policy[task.policy_label] = result
     return {
         "results": by_policy,
         "p99_p50_spread": spreads,
@@ -345,19 +333,19 @@ def fig01_open_loop(
     """
     from ..serve import ServeSpec, serve_workload
 
-    config = experiment_config(bg_threads=bg_threads)
+    config = LSMConfig(bg_threads=bg_threads)
     spec_item = workloads.rwb(num_operations=ops, key_space=key_space)
 
     capacities: Dict[str, float] = {}
-    for policy_name, factory in BOTH_POLICIES:
-        closed = run_workload(spec_item, factory, config=config)
+    for policy_name, policy in BOTH_POLICIES:
+        closed = run_workload(spec_item, policy, config=config)
         capacities[policy_name] = closed.throughput_ops_s
     base_rate = capacities["UDC"]
 
     curves: Dict[str, List[Dict[str, float]]] = {"UDC": [], "LDC": []}
     for fraction in load_fractions:
         rate = base_rate * fraction
-        for policy_name, factory in BOTH_POLICIES:
+        for policy_name, policy in BOTH_POLICIES:
             serve_spec = ServeSpec(
                 arrival=arrival,
                 rate_ops_s=rate,
@@ -366,9 +354,7 @@ def fig01_open_loop(
                 slo_us=slo_us,
                 seed=seed,
             )
-            result = serve_workload(
-                spec_item, factory, serve_spec, config=config
-            )
+            result = serve_workload(spec_item, policy, serve_spec, config=config)
             curves[policy_name].append(
                 {
                     "load_fraction": fraction,
@@ -439,8 +425,7 @@ def tab1_time_breakdown(
     write -> DoWrite.
     """
     spec_item = workloads.wo(num_operations=ops, key_space=key_space)
-    result = run_workload(spec_item, udc_factory, config=experiment_config())
-    share = result.activity_share
+    share = run_workload(spec_item, "udc").activity_share
     return {
         "DoCompactionWork": share.get("compaction", 0.0),
         "file system": share.get("flush", 0.0) + share.get("wal", 0.0),
@@ -459,17 +444,8 @@ def fig07_fanout_udc(
 ) -> ExperimentOutput:
     """UDC write amplification and throughput across fan-outs (RWB)."""
     spec_item = workloads.rwb(num_operations=ops, key_space=key_space)
-    tasks = [
-        GridTask(
-            f"fanout={fan_out}",
-            spec_item,
-            "UDC",
-            udc_factory,
-            experiment_config(fan_out=fan_out),
-        )
-        for fan_out in fan_outs
-    ]
-    return _grid_output("fig07", tasks)
+    points = _config_points("fanout", "fan_out", fan_outs)
+    return _grid_output("fig07", sweep([spec_item], [("UDC", "udc")], points))
 
 
 # ----------------------------------------------------------------------
@@ -486,14 +462,10 @@ def fig08_tail_latency(
     from 2688.23 µs to 1305.96 µs.
     """
     spec_item = workloads.rwb(num_operations=ops, key_space=key_space)
-    tasks = [
-        GridTask(spec_item.name, spec_item, policy_name, factory, experiment_config())
-        for policy_name, factory in BOTH_POLICIES
-    ]
-    results = run_grid(tasks)
+    tasks = sweep([spec_item])
     return {
-        task.policy: result.latencies.percentiles(percentiles)
-        for task, result in zip(tasks, results)
+        task.policy_label: result.latencies.percentiles(percentiles)
+        for task, result in zip(tasks, run_grid(tasks))
     }
 
 
@@ -509,7 +481,7 @@ def fig09_avg_latency(
     UDC's; RH is comparable.
     """
     specs = _paper_mixes(("WH", "RWB", "RH"), ops, key_space)
-    return _run_matrix("fig09", specs, config=experiment_config())
+    return _grid_output("fig09", sweep(specs))
 
 
 # ----------------------------------------------------------------------
@@ -520,7 +492,7 @@ def fig10a_throughput_get(
 ) -> ExperimentOutput:
     """Total throughput for WO/WH/RWB/RH/RO (paper: +78.0/+73.7/+80.2/+16/~0%)."""
     specs = _paper_mixes(("WO", "WH", "RWB", "RH", "RO"), ops, key_space)
-    return _run_matrix("fig10a", specs, config=experiment_config())
+    return _grid_output("fig10a", sweep(specs))
 
 
 def fig10b_throughput_scan(
@@ -539,7 +511,7 @@ def fig10b_throughput_scan(
         key_space,
         scan_length=SCALED_SCAN_LENGTH,
     )
-    return _run_matrix("fig10b", specs, config=experiment_config())
+    return _grid_output("fig10b", sweep(specs))
 
 
 def fig10c_compaction_io(
@@ -554,7 +526,7 @@ def fig10c_compaction_io(
             scan_length=SCALED_SCAN_LENGTH,
         )
     )
-    return _run_matrix("fig10c", specs, config=experiment_config())
+    return _grid_output("fig10c", sweep(specs))
 
 
 # ----------------------------------------------------------------------
@@ -580,7 +552,7 @@ def fig11_zipf(
                 zipf_constant=constant,
             ).with_overrides(name=f"Zipf{constant:g}")
         )
-    return _run_matrix("fig11", specs, config=experiment_config())
+    return _grid_output("fig11", sweep(specs))
 
 
 # ----------------------------------------------------------------------
@@ -593,19 +565,12 @@ def fig12ad_slicelink_threshold(
 ) -> ExperimentOutput:
     """LDC throughput and compaction I/O across T_s (paper optimum: fan-out)."""
     spec_item = workloads.rwb(num_operations=ops, key_space=key_space)
-    tasks = [
-        GridTask(
-            f"T_s={threshold}",
-            spec_item,
-            "LDC",
-            ldc_factory(threshold=threshold),
-            experiment_config(),
-        )
-        for threshold in thresholds
-    ]
-    tasks.append(
-        GridTask("reference", spec_item, "UDC", udc_factory, experiment_config())
-    )
+    ldc = get_spec("ldc")
+    tasks: List[GridTask] = []
+    for threshold in thresholds:
+        policy = ("LDC", ldc.derive(threshold=threshold))
+        tasks += sweep([spec_item], [policy], {f"T_s={threshold}": _DEFAULT_POINT})
+    tasks += sweep([spec_item], [("UDC", "udc")], {"reference": _DEFAULT_POINT})
     return _grid_output("fig12ad", tasks)
 
 
@@ -620,18 +585,8 @@ def fig12be_fanout_sweep(
     """Throughput / compaction I/O vs fan-out (paper: LDC wins 8.8–187.9%,
     UDC optimum ~3, LDC optimum ~25)."""
     spec_item = workloads.rwb(num_operations=ops, key_space=key_space)
-    tasks = [
-        GridTask(
-            f"fanout={fan_out}",
-            spec_item,
-            policy_name,
-            factory,
-            experiment_config(fan_out=fan_out),
-        )
-        for fan_out in fan_outs
-        for policy_name, factory in BOTH_POLICIES
-    ]
-    return _grid_output("fig12be", tasks)
+    points = _config_points("fanout", "fan_out", fan_outs)
+    return _grid_output("fig12be", sweep([spec_item], points=points))
 
 
 # ----------------------------------------------------------------------
@@ -644,18 +599,8 @@ def fig12cf_bloom_rwb(
 ) -> ExperimentOutput:
     """RWB performance across Bloom sizes (paper: flat from 10 bits/key up)."""
     spec_item = workloads.rwb(num_operations=ops, key_space=key_space)
-    tasks = [
-        GridTask(
-            f"bits={bits}",
-            spec_item,
-            policy_name,
-            factory,
-            experiment_config(bloom_bits_per_key=bits),
-        )
-        for bits in bits_per_key
-        for policy_name, factory in BOTH_POLICIES
-    ]
-    return _grid_output("fig12cf", tasks)
+    points = _config_points("bits", "bloom_bits_per_key", bits_per_key)
+    return _grid_output("fig12cf", sweep([spec_item], points=points))
 
 
 # ----------------------------------------------------------------------
@@ -672,19 +617,10 @@ def fig13_bloom_ro(
     filter is ~11.3 KB at 8 bits/key, growing to 67.3 KB at 128.
     """
     spec_item = workloads.ro(num_operations=ops, key_space=key_space)
-    tasks = [
-        GridTask(
-            f"bits={bits}",
-            spec_item,
-            "LDC",
-            ldc_factory(),
-            experiment_config(bloom_bits_per_key=bits),
-        )
-        for bits in bits_per_key
-    ]
-    results = run_grid(tasks)
+    points = _config_points("bits", "bloom_bits_per_key", bits_per_key)
+    tasks = sweep([spec_item], [("LDC", "ldc")], points)
     out: Dict[int, Dict[str, float]] = {}
-    for bits, task, result in zip(bits_per_key, tasks, results):
+    for bits, task, result in zip(bits_per_key, tasks, run_grid(tasks)):
         out[bits] = {
             "block_reads": float(result.sstable_blocks_read),
             "bloom_skips": float(result.bloom_negative_skips),
@@ -710,7 +646,7 @@ def fig14_scalability(
 ) -> ExperimentOutput:
     """RWB at growing request counts (paper: 5–30 M; LDC holds +39–65%
     throughput and -43–47% compaction I/O throughout)."""
-    return _grid_output("fig14", _scaling_tasks(request_counts, key_space_ratio))
+    return _scaling("fig14", request_counts, key_space_ratio)
 
 
 # ----------------------------------------------------------------------
@@ -726,25 +662,19 @@ def fig15_space(
     frozen-region share is larger; the bench reports overhead alongside the
     bottom-level share to make the geometry dependence visible.
     """
-    return _grid_output("fig15", _scaling_tasks(request_counts, key_space_ratio))
+    return _scaling("fig15", request_counts, key_space_ratio)
 
 
-def _scaling_tasks(
-    request_counts: Sequence[int], key_space_ratio: float
-) -> List[GridTask]:
+def _scaling(
+    name: str, request_counts: Sequence[int], key_space_ratio: float
+) -> ExperimentOutput:
     """The shared grid of Figs. 14/15: RWB at growing request counts."""
-    tasks = []
+    tasks: List[GridTask] = []
     for count in request_counts:
         key_space = max(1000, int(count * key_space_ratio))
         spec_item = workloads.rwb(num_operations=count, key_space=key_space)
-        for policy_name, factory in BOTH_POLICIES:
-            tasks.append(
-                GridTask(
-                    f"N={count}", spec_item, policy_name, factory,
-                    experiment_config(),
-                )
-            )
-    return tasks
+        tasks += sweep([spec_item], points={f"N={count}": _DEFAULT_POINT})
+    return _grid_output(name, tasks)
 
 
 # ----------------------------------------------------------------------
@@ -778,11 +708,10 @@ def shard_scaling(
     for count in shard_counts:
         report = run_sharded_workload(
             spec_item,
-            udc_factory,
+            "udc",
             num_shards=count,
             partitioner=partitioner,
             workers=workers,
-            config=experiment_config(),
         )
         out[count] = {
             "throughput_ops_s": report.throughput_ops_s,
@@ -827,7 +756,6 @@ def paper_scale(ops: int = PAPER_SCALE_OPS) -> Dict[str, float]:
         result = run_workload(
             spec_item,
             "udc",
-            config=experiment_config(),
             sample_stride=stride,
             max_latency_samples=100_000,
         )
@@ -849,21 +777,13 @@ def ablation_adaptive_threshold(
     ops: int = DEFAULT_OPS, key_space: int = DEFAULT_KEY_SPACE
 ) -> ExperimentOutput:
     """Fixed vs self-adaptive T_s across read/write mixes (§III-B.4)."""
-    tasks = [
-        GridTask(
-            mix_name,
-            workloads.TABLE_III[mix_name](num_operations=ops, key_space=key_space),
-            label,
-            factory,
-            experiment_config(),
-        )
-        for mix_name in ("WH", "RWB", "RH")
-        for label, factory in (
-            ("LDC-fixed", ldc_factory(adaptive=False)),
-            ("LDC-adaptive", ldc_factory(adaptive=True)),
-        )
-    ]
-    return _grid_output("ablation_adaptive", tasks)
+    ldc = get_spec("ldc")
+    policies = (
+        ("LDC-fixed", ldc.derive(adaptive=False)),
+        ("LDC-adaptive", ldc.derive(adaptive=True)),
+    )
+    specs = _paper_mixes(("WH", "RWB", "RH"), ops, key_space)
+    return _grid_output("ablation_adaptive", sweep(specs, policies))
 
 
 def ablation_tiered_tail(
@@ -876,13 +796,8 @@ def ablation_tiered_tail(
     RocksDB-universal style) and delayed batching (dCompaction style).
     """
     spec_item = workloads.rwb(num_operations=ops, key_space=key_space)
-    policies = (
-        ("UDC", udc_factory),
-        ("LDC", ldc_factory()),
-        ("Tiered", tiered_factory),
-        ("Delayed", delayed_factory),
-    )
-    return _run_matrix("ablation_tiered", [spec_item], policies, experiment_config())
+    policies = (*BOTH_POLICIES, ("Tiered", "tiered"), ("Delayed", "delayed"))
+    return _grid_output("ablation_tiered", sweep([spec_item], policies))
 
 
 def ablation_device_asymmetry(
@@ -896,19 +811,13 @@ def ablation_device_asymmetry(
     read bandwidth) the trade buys less.
     """
     spec_item = workloads.rwb(num_operations=ops, key_space=key_space)
-    tasks = [
-        GridTask(
-            f"w_bw={bandwidth:g}MB/s",
-            spec_item,
-            policy_name,
-            factory,
-            experiment_config(),
-            ENTERPRISE_PCIE.scaled(write_bandwidth_mbps=bandwidth),
+    points = {
+        f"w_bw={bandwidth:g}MB/s": (
+            None, ENTERPRISE_PCIE.scaled(write_bandwidth_mbps=bandwidth)
         )
         for bandwidth in write_bandwidths
-        for policy_name, factory in BOTH_POLICIES
-    ]
-    return _grid_output("ablation_asymmetry", tasks)
+    }
+    return _grid_output("ablation_asymmetry", sweep([spec_item], points=points))
 
 
 # ----------------------------------------------------------------------
@@ -924,6 +833,34 @@ def ablation_device_asymmetry(
 #: inverts the paper's ordering; 2.5x restores it; 3x holds it with
 #: comfortable headroom while still exercising GC relocation.
 DEVICE_WA_SIZE_MARGIN = 3.0
+
+
+def sized_flash_spec(
+    spec: WorkloadSpec,
+    policy: _Policy = "udc",
+    config: Optional[LSMConfig] = None,
+    over_provisioning: float = 0.07,
+    gc_policy: str = "greedy",
+    logical_mib: Optional[float] = None,
+    size_margin: float = DEVICE_WA_SIZE_MARGIN,
+) -> FlashSpec:
+    """The flash geometry a workload is run over (at least 1 MiB logical).
+
+    An explicit ``logical_mib`` wins; otherwise the workload is probed
+    flash-off under ``policy`` and the logical capacity is ``size_margin
+    x`` the probe's final store size, so GC pressure reflects a policy's
+    write pattern rather than capacity starvation.
+    """
+    if logical_mib is None:
+        probe = run_workload(spec, policy, config=config)
+        logical_bytes = int(probe.space_bytes * size_margin)
+    else:
+        logical_bytes = int(logical_mib * 2**20)
+    return FlashSpec(
+        logical_bytes=max(logical_bytes, 1 << 20),
+        over_provisioning=over_provisioning,
+        gc_policy=gc_policy,
+    )
 
 
 def fig_device_wa(
@@ -957,35 +894,23 @@ def fig_device_wa(
     (fewer compaction rewrites) dominates the extra GC pressure from its
     frozen-region footprint.
     """
-    spec_item = workloads.TABLE_III[workload](
-        num_operations=ops, key_space=key_space
-    )
-    config = experiment_config()
-    probe = run_workload(spec_item, udc_factory, config=config)
-    logical_bytes = max(int(probe.space_bytes * size_margin), 1 << 20)
-    flash = FlashSpec(
-        logical_bytes=logical_bytes,
+    spec_item = paper_mix(workload, ops, key_space)
+    flash = sized_flash_spec(
+        spec_item,
         over_provisioning=over_provisioning,
         gc_policy=gc_policy,
+        size_margin=size_margin,
     )
-    device = DeviceConfig(flash=flash)
     if policies is None:
-        policies = list(available_policies())
-    tasks = [
-        GridTask(
-            name,
-            spec_item,
-            name,
-            SpecFactory(get_spec(name)),
-            config,
-            device,
-        )
-        for name in policies
-    ]
-    results = run_grid(tasks)
+        policies = available_policies()
+    tasks = sweep(
+        [spec_item],
+        [(name, name) for name in policies],
+        {"": (None, DeviceConfig(flash=flash))},
+    )
     rows: Dict[str, Dict[str, float]] = {}
-    for task, result in zip(tasks, results):
-        rows[task.policy] = {
+    for task, result in zip(tasks, run_grid(tasks)):
+        rows[task.policy_label] = {
             "host_wa": result.write_amplification,
             "device_wa": result.device_write_amplification,
             "total_wa": result.total_write_amplification,
@@ -1000,8 +925,6 @@ def fig_device_wa(
         "rows": rows,
         "winner_total_wa": winner,
         "flash": flash,
-        "logical_bytes": logical_bytes,
-        "probe_space_bytes": probe.space_bytes,
         "workload": spec_item.name,
         "ops": ops,
         "key_space": key_space,
@@ -1041,6 +964,27 @@ def format_device_wa_report(report: Dict[str, object]) -> str:
 #: the paper's central mixes on the enterprise PCIe device.
 DESIGN_SPACE_MIXES: Tuple[str, ...] = ("WO", "RWB", "RH")
 DESIGN_SPACE_PROFILES: Tuple[str, ...] = ("enterprise-pcie",)
+
+#: The explorer's numeric columns — ``(DesignPoint field, decimals shown,
+#: header)`` — and winner criteria — ``(field, min | max, header)``; the
+#: trailing device/total WA entries apply only with flash mounted.
+_DESIGN_COLUMNS = (
+    ("throughput_ops_s", 0, "ops/s"),
+    ("p99_us", 1, "p99 us"),
+    ("write_amplification", 2, "WA"),
+    ("read_amplification", 2, "RA"),
+    ("compaction_mib", 2, "compact MiB"),
+    ("space_mib", 2, "space MiB"),
+    ("device_write_amplification", 3, "dev WA"),
+    ("total_write_amplification", 2, "total WA"),
+)
+_DESIGN_WINNERS = (
+    ("write_amplification", min, "lowest WA"),
+    ("read_amplification", min, "lowest RA"),
+    ("p99_us", min, "lowest p99"),
+    ("throughput_ops_s", max, "highest ops/s"),
+    ("total_write_amplification", min, "lowest total WA"),
+)
 
 
 @dataclass(frozen=True)
@@ -1108,32 +1052,21 @@ def design_space(
             item if isinstance(item, PolicySpec) else get_spec(str(item))
             for item in policies
         ]
-    engine_config = config if config is not None else experiment_config()
-    spec_items = _paper_mixes(mixes, ops, key_space)
-
-    def _device(profile_name: str) -> "SSDProfile | DeviceConfig":
-        profile = get_profile(profile_name)
-        if flash is None:
-            return profile
-        return DeviceConfig(profile=profile, flash=flash)
-
-    tasks = [
-        GridTask(
-            f"{pspec.name}/{spec_item.name}/{profile_name}",
-            spec_item,
-            pspec.name,
-            SpecFactory(pspec),
-            engine_config,
-            _device(profile_name),
-        )
-        for profile_name in profiles
-        for spec_item in spec_items
-        for pspec in policy_specs
-    ]
+    points_by_profile: Dict[str, _Point] = {}
+    for profile_name in profiles:
+        device: "SSDProfile | DeviceConfig" = get_profile(profile_name)
+        if flash is not None:
+            device = DeviceConfig(profile=device, flash=flash)
+        points_by_profile[profile_name] = (config, device)
+    tasks = sweep(
+        _paper_mixes(mixes, ops, key_space),
+        [(pspec.name, pspec) for pspec in policy_specs],
+        points_by_profile,
+    )
     results = run_grid(tasks)
     points = [
         DesignPoint(
-            policy=task.policy,
+            policy=task.policy_label,
             workload=task.spec.name,
             profile=task.profile.name,
             throughput_ops_s=result.throughput_ops_s,
@@ -1149,24 +1082,16 @@ def design_space(
         )
         for task, result in zip(tasks, results)
     ]
+    criteria = _DESIGN_WINNERS if flash is not None else _DESIGN_WINNERS[:-1]
     winners: Dict[str, Dict[str, str]] = {}
     for workload, profile_name in sorted({(p.workload, p.profile) for p in points}):
         cell = [
             p for p in points if p.workload == workload and p.profile == profile_name
         ]
-        best = {
-            "write_amplification": min(
-                cell, key=lambda p: p.write_amplification
-            ).policy,
-            "read_amplification": min(cell, key=lambda p: p.read_amplification).policy,
-            "p99_us": min(cell, key=lambda p: p.p99_us).policy,
-            "throughput_ops_s": max(cell, key=lambda p: p.throughput_ops_s).policy,
+        winners[f"{workload}@{profile_name}"] = {
+            name: pick(cell, key=attrgetter(name)).policy
+            for name, pick, _ in criteria
         }
-        if flash is not None:
-            best["total_write_amplification"] = min(
-                cell, key=lambda p: p.total_write_amplification
-            ).policy
-        winners[f"{workload}@{profile_name}"] = best
     return {
         "points": points,
         "winners": winners,
@@ -1179,10 +1104,36 @@ def design_space(
     }
 
 
+def design_tables(report: Dict[str, object]) -> Tuple[tuple, tuple]:
+    """A ``design_space`` report as two ``(headers, rows)`` tables: one row
+    per grid cell, one per (workload, device) winner.  Numeric cells are
+    rounded to the precision shown; the device/total WA columns exist only
+    when the sweep ran with flash mounted."""
+    flash = report["flash"] is not None
+    columns = _DESIGN_COLUMNS if flash else _DESIGN_COLUMNS[:-2]
+    criteria = _DESIGN_WINNERS if flash else _DESIGN_WINNERS[:-1]
+    points = [
+        (p.policy, p.workload, p.profile)
+        + tuple(round(getattr(p, name), digits or None) for name, digits, _ in columns)
+        for p in report["points"]  # type: ignore[attr-defined]
+    ]
+    winners = [
+        (cell,) + tuple(best[name] for name, _, _ in criteria)
+        for cell, best in report["winners"].items()  # type: ignore[attr-defined]
+    ]
+    return (
+        (("policy", "workload", "device") + tuple(h for _, _, h in columns), points),
+        (("cell",) + tuple(header for _, _, header in criteria), winners),
+    )
+
+
+def _md_row(cells: Iterable[object]) -> str:
+    return "| " + " | ".join(str(cell) for cell in cells) + " |"
+
+
 def format_design_report(report: Dict[str, object]) -> str:
     """Render a ``design_space`` report as the committed markdown table."""
-    points: Sequence[DesignPoint] = report["points"]  # type: ignore[assignment]
-    winners: Dict[str, Dict[str, str]] = report["winners"]  # type: ignore[assignment]
+    (headers, rows), (winner_headers, winner_rows) = design_tables(report)
     flash = report.get("flash")
     lines = [
         "# Compaction design-space exploration",
@@ -1200,45 +1151,28 @@ def format_design_report(report: Dict[str, object]) -> str:
             f"Flash layer: {flash.logical_bytes / 2**20:.1f} MiB logical, "
             f"OP={flash.over_provisioning:.0%}, gc={flash.gc_policy}.",
         ]
-    flash_cols = " dev WA | total WA |" if flash is not None else ""
-    flash_seps = "---:|---:|" if flash is not None else ""
+    spelled = {"p99 us": "p99 (us)", "compact MiB": "compaction (MiB)",
+               "space MiB": "space (MiB)"}
+    digits = [None] * 3 + [digits for _, digits, _ in _DESIGN_COLUMNS]
     lines += [
         "",
-        "| policy | workload | device | ops/s | p99 (us) | WA | RA "
-        f"| compaction (MiB) | space (MiB) |{flash_cols}",
-        f"|---|---|---|---:|---:|---:|---:|---:|---:|{flash_seps}",
+        _md_row(spelled.get(header, header) for header in headers),
+        "|---|---|---|" + "---:|" * (len(headers) - 3),
     ]
-    for p in points:
-        row = (
-            f"| {p.policy} | {p.workload} | {p.profile} "
-            f"| {p.throughput_ops_s:.0f} | {p.p99_us:.1f} "
-            f"| {p.write_amplification:.2f} | {p.read_amplification:.2f} "
-            f"| {p.compaction_mib:.2f} | {p.space_mib:.2f} |"
+    lines += [
+        _md_row(
+            cell if places is None else f"{cell:.{places}f}"
+            for cell, places in zip(row, digits)
         )
-        if flash is not None:
-            row += (
-                f" {p.device_write_amplification:.3f} "
-                f"| {p.total_write_amplification:.2f} |"
-            )
-        lines.append(row)
-    winner_flash_col = " lowest total WA |" if flash is not None else ""
-    winner_flash_sep = "---|" if flash is not None else ""
+        for row in rows
+    ]
     lines += [
         "",
         "## Winners per (workload, device)",
         "",
-        f"| cell | lowest WA | lowest RA | lowest p99 | highest ops/s |"
-        f"{winner_flash_col}",
-        f"|---|---|---|---|---|{winner_flash_sep}",
+        _md_row(winner_headers),
+        "|" + "---|" * len(winner_headers),
     ]
-    for cell, best in winners.items():
-        row = (
-            f"| {cell} | {best['write_amplification']} "
-            f"| {best['read_amplification']} | {best['p99_us']} "
-            f"| {best['throughput_ops_s']} |"
-        )
-        if flash is not None:
-            row += f" {best['total_write_amplification']} |"
-        lines.append(row)
+    lines += [_md_row(row) for row in winner_rows]
     lines.append("")
     return "\n".join(lines)

@@ -328,79 +328,48 @@ class DB:
     def _maybe_stall(self) -> None:
         """LevelDB's Level-0 back-pressure.
 
-        With synchronous maintenance Level 0 rarely exceeds its trigger,
-        but the guard stays: a storm of Level-0 files delays writes
-        (slowdown) or forces compaction before proceeding (stop).  Under
-        the scheduler the thresholds become mechanically live: Level 0
-        accumulates while every background thread is paying off earlier
-        compaction debt.
-        """
-        if self.sched is not None:
-            self._maybe_stall_scheduled()
-            return
-        level0 = len(self.version.levels[0])
-        if level0 >= self._l0_stop:
-            start = self.clock.now()
-            self._run_compactions()
-            duration = self.clock.now() - start
-            self.engine_stats.stall_events += 1
-            self.engine_stats.stall_time_us += duration
-            self.tracer.emit(
-                EV_STALL, reason="l0_stop", level0_files=level0,
-                duration_us=duration,
-            )
-        elif level0 >= self._l0_slowdown:
-            self.clock.advance(self.config.l0_slowdown_delay_us)
-            self.engine_stats.stall_events += 1
-            self.engine_stats.stall_time_us += self.config.l0_slowdown_delay_us
-            self.engine_stats.charge_activity(
-                ACT_WRITE, self.config.l0_slowdown_delay_us
-            )
-            self.tracer.emit(
-                EV_STALL, reason="l0_slowdown", level0_files=level0,
-                duration_us=self.config.l0_slowdown_delay_us,
-            )
-
-    def _maybe_stall_scheduled(self) -> None:
-        """Scheduler-mode throttling: real waits instead of inline drains.
-
-        *Stop* (`l0_stop_trigger`): the write blocks, in virtual time,
-        until background threads bring Level 0 back under the threshold —
-        the clock jumps along task completions
+        *Stop* (`l0_stop_trigger`): the synchronous engine forces
+        compaction inline before proceeding; under the scheduler the
+        write blocks, in virtual time, until background threads bring
+        Level 0 back under the threshold — the clock jumps along task
+        completions
         (:meth:`~repro.sched.scheduler.CompactionScheduler.stall_until_l0_below`).
         *Slowdown* (`l0_slowdown_trigger`): each write pays the fixed
-        LevelDB-style delay, buying the background threads time to catch
-        up.  Both paths mirror the synchronous accounting (engine stall
-        counters, ``EV_STALL``) and add ``sched.*`` breakdowns.
+        LevelDB-style delay.  With synchronous maintenance Level 0 rarely
+        exceeds its trigger, but the guard stays; under the scheduler the
+        thresholds become mechanically live: Level 0 accumulates while
+        every background thread is paying off earlier compaction debt.
+        Both modes share the engine stall counters and ``EV_STALL``; the
+        scheduler adds the ``sched.*`` breakdowns.
         """
         level0 = len(self.version.levels[0])
         if level0 < self._l0_slowdown:
             return
+        sched = self.sched
+        stats = self.engine_stats
         if level0 >= self._l0_stop:
+            reason, kind = "l0_stop", "stall"
             start = self.clock.now()
-            self.sched.stall_until_l0_below(self._l0_stop)
+            if sched is not None:
+                sched.stall_until_l0_below(self._l0_stop)
+            else:
+                self._run_compactions()
             duration = self.clock.now() - start
-            self.engine_stats.stall_events += 1
-            self.engine_stats.stall_time_us += duration
-            self.engine_stats.charge_activity(ACT_WRITE, duration)
-            self._count("sched.stall_events")
-            self._count("sched.stall_time_us", duration)
-            self.tracer.emit(
-                EV_STALL, reason="l0_stop", level0_files=level0,
-                duration_us=duration,
-            )
         else:
-            delay = self.config.l0_slowdown_delay_us
-            self.clock.advance(delay)
-            self.engine_stats.stall_events += 1
-            self.engine_stats.stall_time_us += delay
-            self.engine_stats.charge_activity(ACT_WRITE, delay)
-            self._count("sched.slowdown_events")
-            self._count("sched.slowdown_time_us", delay)
-            self.tracer.emit(
-                EV_STALL, reason="l0_slowdown", level0_files=level0,
-                duration_us=delay,
-            )
+            reason, kind = "l0_slowdown", "slowdown"
+            duration = self.config.l0_slowdown_delay_us
+            self.clock.advance(duration)
+        stats.stall_events += 1
+        stats.stall_time_us += duration
+        if sched is not None or kind == "slowdown":
+            # A synchronous stop is compaction work, already charged as such.
+            stats.charge_activity(ACT_WRITE, duration)
+        if sched is not None:
+            self._count(f"sched.{kind}_events")
+            self._count(f"sched.{kind}_time_us", duration)
+        self.tracer.emit(
+            EV_STALL, reason=reason, level0_files=level0, duration_us=duration
+        )
 
     def throttle_state(self) -> str:
         """The L0 write-throttle signal: ``"none"``, ``"slowdown"`` or ``"stop"``.

@@ -1,11 +1,135 @@
 """Tests for the command-line interface."""
 
+import hashlib
 import json
+import re
 
 import pytest
 
 from repro import cli
 from repro.cli import EXPERIMENTS, build_parser, main
+from repro.errors import EngineError
+from repro.harness import experiments
+
+TINY = ["--ops", "1200", "--keys", "400"]
+
+#: Subcommand line (sized by ``_argv``) -> SHA-256 of its stdout with the
+#: host-time cells masked, captured on PR 18's ``src/`` before the
+#: experiment shell was rewritten: every name in ``EXPERIMENTS`` plus the
+#: flag combinations that switch a handler's report.
+GOLDEN_STDOUT = {
+    "list":
+        "a0897b2eb90bea661d48cf75d1cc8fa5f14362108ce1eaabb6dc740a16460782",
+    "fig01":
+        "30dcb5c1159eb5253fcffdca2e1123203ee5820df65361c3378dcbbe05daa0bc",
+    "fig01s":
+        "36dc30b4087b1c392020be599147a9f874951c635e668f5e14ad281c5e653c6d",
+    "fig01_open_loop":
+        "0f82205be46d16fd49144cd6508e45692658f6b91e14880efd7b139ea3ce4537",
+    "tab1":
+        "0a21b23d08a35410c2c2a6ecbd8ab01161668044eee2600a55e26df5203b9980",
+    "fig07":
+        "e065bf88926aeadb5a15bffdb28f6f216511ffe9cc7962dd920a93d255db27e0",
+    "fig08":
+        "fc2312554382185be3efb986f3cf6ed3cf999980492c441ed71de803eae83043",
+    "fig09":
+        "40d605341149ea11eda7e2a20a18d6262dc20be31a265f30403355c144a36560",
+    "fig10a":
+        "10dc7dec773202f9c83a4e6bb6a44be621b0ba529e030dffd895cd8fd30a8bd0",
+    "fig10b":
+        "48bdcb62381a3dfa1c5d024468c733ba92a1106f825f61bad46f21de44c56d9f",
+    "fig10c":
+        "bbabdf58002e91187c4e5310c2f79a17843d334b49a8b69fb7c8a90c22c4644a",
+    "fig11":
+        "6e090babb05d17da63aa8c2c1fbf02fe06a564bc7e61c072fcfd6876b356b355",
+    "fig12ad":
+        "f508dc6726cedb6b62f26877eaecf3bde1272d697e756fd0ad8aaa066f1d1b00",
+    "fig12be":
+        "ee132182825d1ddb2ef7bccbcea66110196a6bfa4454c4c322d828257ae2500b",
+    "fig12cf":
+        "da08dc55d61d6ec7815c9ca5f793954fef38e35a1824196f096fa4a332c00354",
+    "fig13":
+        "404c97d157a557ac4a5cf9f7f6a9015578ac0c7d88da84cd832bcfb4d0ed4bc4",
+    "fig14":
+        "af373231d8806f9cb95e1cea14dfc3e265ea14c55f3e6c0af971bd4891c0c121",
+    "fig15":
+        "964f978f8936836830b4c1ac0150f78092d3569549d0b76bbe07ba2a9b17f4c6",
+    "adaptive":
+        "51dbcd2dbf3098e892e58be82ba7e18e2e05b3d519b3612f52387de61bc56ce6",
+    "tiered":
+        "faadce82fd8853a8c59a115290e59c102cfaa2c0182d735a23e76b5495069833",
+    "asymmetry":
+        "068c4218f565324319d79e03ab1dc15ade075938b409816ea76a2826ff2e5977",
+    "shard_scaling":
+        "3a999e773221e07e4521d580794c2d8ed104ab116c0b5eeab911eddf9859b411",
+    "describe":
+        "e0fdc9e0411addd3f7eaa481394e0cec539f9b721f7103de5bb43e6878f52b1e",
+    "paper_scale":
+        "26f7094be321f54371f1a5d29b550cdb140cab130d730fd7e11d9449cf4035f0",
+    "fig_device_wa":
+        "be92196865d4a3e322ae272275afb72ed844cc9f5e46514c5feff03e28872108",
+    "run":
+        "cf944146fa41bc5070aa6abd7b5b9fa7626cfacc4e6fcf08c1373c4f42e72121",
+    "serve":
+        "53340d75d781d16c8ca164cc586c08a2ba67726629b96626e78254c984099a40",
+    "crashtest --every 25":
+        "6f18dcc78937d000e9341490b9dac9182207342d970f8caf6e1e11e411256e95",
+    "explore":
+        "455254345655dd84386dea75b84edbc3fcbfd6caf85cf1c622b9f43d24c656be",
+    "explore --policies udc,ldc --mixes RWB":
+        "2da2e38a5c20adc1fc57757fce4b89943efbd30920f8d422b31a76a44cde955a",
+    "explore --policies udc,ldc --mixes RWB --flash":
+        "f52c0264e022140f9f2ac004457a022bd3874c9ada76b9a773e9c6c07d3e8587",
+    "serve RWB --tenants 2":
+        "3e0630e318e06bb0c26e38e128d3d51e9d8c1c249a08326b2769e8fa01f54d6b",
+    "serve RWB --shards 2":
+        "9a6158201dac652a14b77a4e23ca2f7039395853803d03fc09bef0f456d40b31",
+    "run RWB --shards 2 --flash":
+        "81dcfb47679ee767b7375face564fd17f7432328b27e53fa83fbbb7fa56e0266",
+    "trace WO":
+        "bd287b9333387697311d1822d2c58bb040f6e0a43df2484791e397d60905c469",
+}
+
+_HOST_COLUMNS = {"wall s", "cpu s"}
+_HOST_ROWS = {"wall seconds"}
+_HOST_JSON = ("fill_wall_s", "fill_cpu_s", "read_wall_s", "read_cpu_s",
+              "wall_s", "ops_per_sec")
+_RULE = re.compile(r"-+(  -+)*")
+_cells = re.compile(r"\s{2,}").split
+
+
+def _argv(command):
+    size = ["--ops", "500"] if command == "paper_scale" else TINY
+    return command.split() + size
+
+
+def _mask_host_cells(out):
+    """Blank what depends on the host: the ``wall s`` / ``cpu s`` columns,
+    the ``wall seconds`` row and ``paper_scale``'s timing fields.  A table
+    holding such a cell is re-joined unpadded (a time's width moves the
+    column); everything else passes through byte for byte."""
+    lines = out.splitlines()
+    for i, line in enumerate(lines):
+        if line.startswith("{"):
+            data = json.loads(line)
+            data.update(dict.fromkeys(_HOST_JSON, 0))
+            lines[i] = json.dumps(data, sort_keys=True)
+        if i == 0 or not _RULE.fullmatch(line):
+            continue
+        header = _cells(lines[i - 1].strip())
+        end = i + 1
+        while end < len(lines) and len(_cells(lines[end].strip())) == len(header):
+            end += 1
+        rows = [_cells(row.strip()) for row in lines[i + 1:end]]
+        if not (_HOST_COLUMNS & set(header) or any(r[0] in _HOST_ROWS for r in rows)):
+            continue
+        lines[i - 1], lines[i] = "|".join(header), ""
+        for k, row in enumerate(rows):
+            lines[i + 1 + k] = "|".join(
+                "*" if name in _HOST_COLUMNS or (n and row[0] in _HOST_ROWS) else cell
+                for n, (name, cell) in enumerate(zip(header, row))
+            )
+    return "\n".join(lines) + "\n"
 
 
 class TestParser:
@@ -81,12 +205,16 @@ class TestDispatch:
         }
         assert expected <= set(EXPERIMENTS)
 
-    @pytest.mark.parametrize("name", ["tab1", "fig08", "describe"])
-    def test_run_tiny(self, capsys, name):
-        """Each CLI path runs end-to-end at tiny scale."""
-        assert main([name, "--ops", "1200", "--keys", "400"]) == 0
-        out = capsys.readouterr().out
-        assert out.strip()
+    @pytest.mark.parametrize("command", list(GOLDEN_STDOUT))
+    def test_run_tiny(self, capsys, command):
+        """Each CLI path runs end-to-end at tiny scale and prints, byte for
+        byte, what it printed before the shell was rewritten."""
+        assert main(_argv(command)) == 0
+        out = _mask_host_cells(capsys.readouterr().out)
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command], out
+
+    def test_every_subcommand_has_a_golden(self):
+        assert {command.split()[0] for command in GOLDEN_STDOUT} == set(EXPERIMENTS)
 
     def test_fig13_runs(self, capsys):
         assert main(["fig13", "--ops", "800", "--keys", "300"]) == 0
@@ -102,6 +230,60 @@ class TestDispatch:
         assert main(["fig09", "--ops", "900", "--keys", "300"]) == 0
         out = capsys.readouterr().out
         assert "workload" in out and "p99.9" in out
+
+
+class TestWorkers:
+    def test_workers_hold_for_one_call_only(self, monkeypatch):
+        """``--workers`` reaches the handler and is gone when ``main`` returns
+        (it used to stay set for the rest of the process)."""
+        seen = []
+        monkeypatch.setitem(
+            cli.EXPERIMENTS, "tab1",
+            lambda args: seen.append(experiments.default_workers()),
+        )
+        assert experiments.default_workers() is None
+        assert main(["tab1", "--workers", "3"]) == 0
+        assert seen == [3]
+        assert experiments.default_workers() is None
+
+    @pytest.mark.parametrize("command", ["fig08", "run RWB", "shard_scaling"])
+    def test_nonpositive_workers_exit_two(self, capsys, command):
+        assert main(command.split() + ["--workers", "0"] + TINY) == 2
+        assert "worker count must be >= 1" in capsys.readouterr().err
+        assert experiments.default_workers() is None
+
+
+class TestErrorTyping:
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "run RWB --shards 0",
+            "run RWB --flash --flash-logical-mib 1",
+            "serve RWB --tenants 0",
+            "serve RWB --queue-depth 0",
+            "explore --profiles nope --mixes RWB --policies udc",
+            "explore --mixes NOPE",
+            "fig_device_wa --flash-op -0.5",
+        ],
+    )
+    def test_misconfiguration_exits_two_with_a_message(self, capsys, command):
+        assert main(command.split() + ["--ops", "3000", "--keys", "800"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip() and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "command, entry",
+        [("run RWB", "run_sharded_workload"), ("serve RWB", "serve_workload")],
+    )
+    def test_an_engine_bug_keeps_its_traceback(self, monkeypatch, command, entry):
+        """Only ``ConfigError`` / ``FlashFullError`` are usage errors."""
+
+        def broken(*args, **kwargs):
+            raise EngineError("invariant violated")
+
+        monkeypatch.setattr(cli, entry, broken)
+        with pytest.raises(EngineError):
+            main(command.split() + TINY)
 
 
 class TestFlashCLI:

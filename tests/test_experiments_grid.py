@@ -11,16 +11,15 @@ import pickle
 
 import pytest
 
-from repro import DB
-from repro.harness import experiments
+from repro import DB, get_spec
+from repro.errors import ConfigError
 from repro.harness.experiments import (
     GridTask,
     default_workers,
-    ldc_factory,
     run_grid,
     set_default_workers,
-    udc_factory,
 )
+from repro.lsm.compaction.spec import SpecFactory
 from repro.obs.snapshot import MetricsSnapshot
 from repro.workload import spec as workloads
 
@@ -31,12 +30,10 @@ TINY_KEYS = 600
 def _tiny_tasks() -> list:
     spec_item = workloads.rwb(num_operations=TINY_OPS, key_space=TINY_KEYS)
     return [
-        GridTask("rwb", spec_item, "UDC", udc_factory,
-                 experiments.experiment_config()),
-        GridTask("rwb", spec_item, "LDC", ldc_factory(threshold=5),
-                 experiments.experiment_config()),
-        GridTask("rwb", spec_item, "LDC-adaptive", ldc_factory(adaptive=True),
-                 experiments.experiment_config()),
+        GridTask("rwb", spec_item, "udc"),
+        GridTask("rwb", spec_item, get_spec("ldc").derive(threshold=5)),
+        GridTask("rwb", spec_item, get_spec("ldc").derive(adaptive=True),
+                 policy_label="LDC-adaptive"),
     ]
 
 
@@ -82,13 +79,13 @@ class TestRunGrid:
         assert default_workers() is None
 
     def test_rejects_nonpositive_worker_count(self) -> None:
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             set_default_workers(0)
 
 
 class TestPicklability:
-    def test_ldc_factory_roundtrip(self) -> None:
-        factory = ldc_factory(threshold=7, adaptive=False)
+    def test_derived_spec_roundtrip(self) -> None:
+        factory = SpecFactory(get_spec("ldc").derive(threshold=7, adaptive=False))
         clone = pickle.loads(pickle.dumps(factory))
         assert clone == factory
         params = clone.spec.param_dict()

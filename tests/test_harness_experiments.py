@@ -171,10 +171,12 @@ class TestDeviceWA:
             assert row["blocks_erased"] >= 0
         winner = min(rows, key=lambda name: rows[name]["total_wa"])
         assert report["winner_total_wa"] == winner
-        # Capacity comes from the flash-off probe times the margin.
+        # Capacity comes from the flash-off UDC probe times the margin.
+        probe = experiments.run_workload(
+            experiments.paper_mix("RWB", OPS, KEYS), "udc"
+        )
         assert report["flash"].logical_bytes == max(
-            int(report["probe_space_bytes"] * experiments.DEVICE_WA_SIZE_MARGIN),
-            1 << 20,
+            int(probe.space_bytes * experiments.DEVICE_WA_SIZE_MARGIN), 1 << 20
         )
         rendered = experiments.format_device_wa_report(report)
         assert "total WA" in rendered and "lowest total WA" in rendered

@@ -32,6 +32,7 @@ from repro.harness import experiments
 from repro.harness.runner import run_workload as runner_run_workload
 from repro.lsm import bloom
 from repro.lsm.bloom import BloomFilter, _base_hashes
+from repro.lsm.config import LSMConfig
 from repro.lsm.db import DB, WriteBatch
 from repro.workload import spec as workloads
 
@@ -214,7 +215,7 @@ GOLDEN_BATCHED_FINGERPRINTS = {
     ("LDC", 1): "cfc18a08168409c89140d1eacb0361204be4f35c9d94d9318ba3ee478ff1e03f",
 }
 
-_POLICIES = {"UDC": experiments.udc_factory, "LDC": experiments.ldc_factory()}
+_POLICIES = {"UDC": "udc", "LDC": "ldc"}
 
 
 def _golden_keyset():
@@ -294,9 +295,7 @@ def _run_scan(policy_name: str):
     return experiments.run_workload(
         spec,
         _POLICIES[policy_name],
-        config=experiments.experiment_config(
-            block_cache_bytes=GOLDEN_SCAN_CACHE_BYTES
-        ),
+        config=LSMConfig(block_cache_bytes=GOLDEN_SCAN_CACHE_BYTES),
     )
 
 
@@ -307,14 +306,14 @@ def _run(policy_name: str, bg_threads: int = 0):
     return experiments.run_workload(
         spec,
         _POLICIES[policy_name],
-        config=experiments.experiment_config(bg_threads=bg_threads),
+        config=LSMConfig(bg_threads=bg_threads),
     )
 
 
 def _batched_db(policy_name: str, bg_threads: int) -> DB:
     """Drive a DB through the batched APIs with a fixed operation stream."""
-    config = experiments.experiment_config(bg_threads=bg_threads)
-    db = DB(config=config, policy=_POLICIES[policy_name]())
+    config = LSMConfig(bg_threads=bg_threads)
+    db = DB(config=config, policy=_POLICIES[policy_name])
     batch = WriteBatch()
     for index in range(4000):
         # Mostly-distinct keys so batches actually drive flushes and
@@ -495,10 +494,10 @@ class TestBatchedGolden:
                 )
 
         keys = [str(index).zfill(16).encode("ascii") for index in range(150)]
-        config = experiments.experiment_config()
-        batched = DB(config=config, policy=_POLICIES[policy_name]())
+        config = LSMConfig()
+        batched = DB(config=config, policy=_POLICIES[policy_name])
         _load(batched)
-        loop = DB(config=config, policy=_POLICIES[policy_name]())
+        loop = DB(config=config, policy=_POLICIES[policy_name])
         _load(loop)
         got = batched.multi_get(keys)
         expected = [loop.get(key) for key in keys]
@@ -517,7 +516,7 @@ class TestChunkedDispatchDifferential:
         from ._runner_oracle import run_workload_per_op
 
         spec = workloads.rwb(num_operations=1500, key_space=700)
-        config = experiments.experiment_config()
+        config = LSMConfig()
         chunked = runner_run_workload(spec, _POLICIES[policy_name], config=config)
         per_op = run_workload_per_op(spec, _POLICIES[policy_name], config=config)
         assert _snapshot(chunked) == _snapshot(per_op)

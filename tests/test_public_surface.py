@@ -1,11 +1,12 @@
-"""The public surface after the PR 17 and PR 18 deletions.
+"""The public surface after the PR 17, PR 18 and PR 19 deletions.
 
 Every exported name resolves, and what was removed stays removed: the
 policy shims (one way to build a policy — the registry — so the only
 exported policy class is the composition engine itself), the second
 benchmark system (the module inventories below have no slot for it) and
 the record-at-a-time scan merge (one read-side merge in ``src/``; the old
-one is ``tests/_scan_oracle.py``).
+one is ``tests/_scan_oracle.py``) and the experiment shell's second ways
+to name a policy (factory functions, a factory field on ``GridTask``).
 """
 
 import importlib
@@ -92,3 +93,59 @@ def test_store_constructors_take_no_seed():
     for target in (repro.DB, repro.ShardedDB, ShardTask, build_db,
                    run_sharded_workload):
         assert "seed" not in inspect.signature(target).parameters, target
+
+
+def test_one_way_to_name_a_policy_in_the_experiment_shell():
+    """A grid task's policy is a registry name or a ``PolicySpec`` — what
+    every harness entry point resolves — so the shell keeps no factory
+    functions, no factory field and no second name for ``LSMConfig``."""
+    import dataclasses
+
+    from repro import cli
+    from repro.harness import experiments
+
+    second_ways = [
+        name for name in vars(experiments) if name.endswith(("_factory", "_config"))
+    ]
+    assert second_ways == []
+    fields = {field.name for field in dataclasses.fields(experiments.GridTask)}
+    assert "factory" not in fields and "policy" in fields
+    assert "derived" not in {
+        field.name for field in dataclasses.fields(experiments.ExperimentOutput)
+    }
+    assert tuple(experiments.BOTH_POLICIES) == (("UDC", "udc"), ("LDC", "ldc"))
+    # ... and the CLI no policy resolver, flash builder, (ops, keys)
+    # adapter or keyword-list entry point of its own.
+    leftovers = [
+        name for name in vars(cli)
+        if name.endswith(("_factory", "_cli", "_runner"))
+        or name.startswith("_build") or name == "_figure"
+    ]
+    assert leftovers == []
+
+
+def test_cli_surface_is_what_it_was():
+    """The rewrite added and dropped no subcommand and no flag."""
+    from repro import cli
+
+    assert list(cli.EXPERIMENTS) == [
+        "list", "fig01", "fig01s", "fig01_open_loop", "tab1", "fig07", "fig08",
+        "fig09", "fig10a", "fig10b", "fig10c", "fig11", "fig12ad", "fig12be",
+        "fig12cf", "fig13", "fig14", "fig15", "adaptive", "tiered", "asymmetry",
+        "shard_scaling", "describe", "paper_scale", "fig_device_wa", "trace",
+        "run", "serve", "crashtest", "explore",
+    ]
+    flags = sorted(
+        option
+        for action in cli.build_parser()._actions
+        for option in action.option_strings
+        if option not in ("-h", "--help")
+    )
+    assert flags == [
+        "--arrival", "--bg-threads", "--corrupt", "--discipline", "--every",
+        "--flash", "--flash-gc", "--flash-logical-mib", "--flash-op",
+        "--include-io", "--keys", "--mixes", "--ops", "--partitioner",
+        "--policies", "--policy", "--profiles", "--queue-depth", "--rate",
+        "--report-out", "--seed", "--shards", "--slo-us", "--slowdown-l0",
+        "--stop-l0", "--tenants", "--trace-out", "--value-bytes", "--workers",
+    ]

@@ -14,10 +14,13 @@ import pytest
 from repro import (
     DB,
     CompactionScheduler,
+    RingBufferSink,
     ShardedDB,
+    Tracer,
 )
 from repro.errors import EngineError
 from repro.lsm.config import LSMConfig
+from repro.obs import EV_STALL
 from repro.ssd.clock import CAPTURE_CPU, CAPTURE_IO
 
 POLICIES = ("delayed", "ldc", "tiered", "udc")
@@ -269,6 +272,26 @@ class TestThrottling:
         assert len(db.version.levels[0]) < 100
         db.sched.drain()
         db.check_invariants()
+
+    def test_synchronous_engine_takes_the_same_routine_without_sched_counters(self):
+        """``bg_threads=0`` runs the one ``_maybe_stall``: same engine stall
+        counters and ``EV_STALL`` reasons, no ``sched.*`` breakdown, and a
+        stop — an inline drain, already charged as compaction — is not
+        charged again as write time (activity still sums to the clock)."""
+        ring = RingBufferSink()
+        db = DB(config=sched_config(bg_threads=0),
+                tracer=Tracer([ring], kinds=[EV_STALL]))
+        db._l0_slowdown, db._l0_stop = 1, 2  # the inline engine never gets there
+        write_some(db, 1200)
+        reasons = {event.fields["reason"] for event in ring.events}
+        assert reasons == {"l0_slowdown", "l0_stop"}
+        stats = db.engine_stats
+        assert stats.stall_events == len(ring.events)
+        assert stats.stall_time_us == pytest.approx(
+            sum(event.fields["duration_us"] for event in ring.events)
+        )
+        assert not db.registry.component("sched")
+        assert stats.total_activity_time_us == pytest.approx(db.clock.now())
 
     def test_no_stall_metrics_below_slowdown(self):
         """L0 never crossing the slowdown trigger means zero throttle time."""

@@ -12,7 +12,6 @@ import pytest
 
 from repro import ShardedDB
 from repro.errors import ConfigError
-from repro.harness.experiments import udc_factory
 from repro.obs.aggregate import SHARD_PREFIX
 from repro.shard.db import split_by_shard
 from repro.shard.partition import HashPartitioner, make_partitioner
@@ -26,7 +25,7 @@ def _key(index: int) -> bytes:
 def _filled(partitioner_kind: str, count: int = 600) -> ShardedDB:
     db = ShardedDB(
         num_shards=4,
-        policy_factory=udc_factory,
+        policy_factory="udc",
         partitioner_kind=partitioner_kind,
         key_space=count,
     )
@@ -134,7 +133,7 @@ class TestConstruction:
         with pytest.raises(ConfigError):
             ShardedDB(
                 num_shards=4,
-                policy_factory=udc_factory,
+                policy_factory="udc",
                 partitioner=HashPartitioner(2),
             )
 
@@ -145,7 +144,7 @@ class TestConstruction:
         db.close()
 
     def test_context_manager_closes_all_shards(self) -> None:
-        with ShardedDB(num_shards=2, policy_factory=udc_factory) as db:
+        with ShardedDB(num_shards=2, policy_factory="udc") as db:
             db.put(b"k" * 16, b"v")
         assert all(shard._closed for shard in db.shards)
 

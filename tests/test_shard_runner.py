@@ -14,8 +14,9 @@ import pickle
 import pytest
 
 from repro.errors import ConfigError
-from repro.harness.experiments import experiment_config, ldc_factory, udc_factory
 from repro.harness.runner import run_workload
+from repro.lsm.compaction.spec import get_spec, resolve_factory
+from repro.lsm.config import LSMConfig
 from repro.shard.runner import ShardTask, run_sharded_workload
 from repro.workload import spec as workloads
 
@@ -32,36 +33,36 @@ class TestSerialParallelIdentity:
         """The golden determinism test: workers change nothing but wall time."""
         spec_item = _tiny_spec()
         serial = run_sharded_workload(
-            spec_item, udc_factory, num_shards=4, workers=1,
-            config=experiment_config(),
+            spec_item, "udc", num_shards=4, workers=1,
+            config=LSMConfig(),
         )
         parallel = run_sharded_workload(
-            spec_item, udc_factory, num_shards=4, workers=4,
-            config=experiment_config(),
+            spec_item, "udc", num_shards=4, workers=4,
+            config=LSMConfig(),
         )
         assert serial.fingerprint() == parallel.fingerprint()
 
     def test_ldc_policy_also_identical(self) -> None:
         spec_item = _tiny_spec()
         serial = run_sharded_workload(
-            spec_item, ldc_factory(threshold=5), num_shards=3, workers=1,
-            config=experiment_config(),
+            spec_item, get_spec("ldc").derive(threshold=5), num_shards=3, workers=1,
+            config=LSMConfig(),
         )
         parallel = run_sharded_workload(
-            spec_item, ldc_factory(threshold=5), num_shards=3, workers=3,
-            config=experiment_config(),
+            spec_item, get_spec("ldc").derive(threshold=5), num_shards=3, workers=3,
+            config=LSMConfig(),
         )
         assert serial.fingerprint() == parallel.fingerprint()
 
     def test_range_partitioner_identical(self) -> None:
         spec_item = _tiny_spec()
         serial = run_sharded_workload(
-            spec_item, udc_factory, num_shards=4, partitioner="range",
-            workers=1, config=experiment_config(),
+            spec_item, "udc", num_shards=4, partitioner="range",
+            workers=1, config=LSMConfig(),
         )
         parallel = run_sharded_workload(
-            spec_item, udc_factory, num_shards=4, partitioner="range",
-            workers=2, config=experiment_config(),
+            spec_item, "udc", num_shards=4, partitioner="range",
+            workers=2, config=LSMConfig(),
         )
         assert serial.fingerprint() == parallel.fingerprint()
 
@@ -69,7 +70,7 @@ class TestSerialParallelIdentity:
 class TestAggregation:
     def test_aggregate_equals_sum_of_shards(self) -> None:
         report = run_sharded_workload(
-            _tiny_spec(), udc_factory, num_shards=4, config=experiment_config()
+            _tiny_spec(), "udc", num_shards=4, config=LSMConfig()
         )
         assert report.operations == sum(report.shard_operations)
         assert report.operations == TINY_OPS
@@ -83,7 +84,7 @@ class TestAggregation:
 
     def test_timeline_merge_counts(self) -> None:
         report = run_sharded_workload(
-            _tiny_spec(), udc_factory, num_shards=2, config=experiment_config()
+            _tiny_spec(), "udc", num_shards=2, config=LSMConfig()
         )
         merged_ops = sum(point.count for point in report.timeline.points())
         assert merged_ops == TINY_OPS
@@ -92,9 +93,9 @@ class TestAggregation:
         """A 1-shard 'fleet' is measured exactly like a standalone store."""
         spec_item = _tiny_spec()
         sharded = run_sharded_workload(
-            spec_item, udc_factory, num_shards=1, config=experiment_config()
+            spec_item, "udc", num_shards=1, config=LSMConfig()
         )
-        plain = run_workload(spec_item, udc_factory, config=experiment_config())
+        plain = run_workload(spec_item, "udc", config=LSMConfig())
         assert sharded.operations == plain.operations
         assert sharded.elapsed_us == plain.elapsed_us
         assert dict(sharded.metrics.counters) == dict(plain.metrics.counters)
@@ -108,8 +109,8 @@ class TestShardTask:
             workload_name="RWB",
             preload=(),
             operations=(),
-            factory=ldc_factory(threshold=7),
-            config=experiment_config(),
+            factory=resolve_factory(get_spec("ldc").derive(threshold=7)),
+            config=LSMConfig(),
         )
         clone = pickle.loads(pickle.dumps(task))
         assert clone.shard_index == 1
@@ -117,13 +118,13 @@ class TestShardTask:
 
     def test_rejects_bad_worker_count(self) -> None:
         with pytest.raises(ConfigError):
-            run_sharded_workload(_tiny_spec(), udc_factory, num_shards=2, workers=0)
+            run_sharded_workload(_tiny_spec(), "udc", num_shards=2, workers=0)
 
     def test_rejects_mismatched_partitioner(self) -> None:
         from repro.shard.partition import HashPartitioner
 
         with pytest.raises(ConfigError):
             run_sharded_workload(
-                _tiny_spec(), udc_factory, num_shards=4,
+                _tiny_spec(), "udc", num_shards=4,
                 partitioner=HashPartitioner(2),
             )
