@@ -22,6 +22,7 @@ fingerprint suites pin its behaviour byte for byte.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import List, Optional, Tuple
 
 from .adaptive import AdaptiveThreshold
@@ -39,6 +40,9 @@ from ..lsm.keys import key_successor
 from ..lsm.sstable import SSTable
 from ..obs.events import EV_LINK, EV_MERGE, EV_TRIVIAL_MOVE
 from ..ssd.metrics import COMPACTION_READ
+
+_slice_links = attrgetter("slice_links")
+_linked_bytes = attrgetter("linked_bytes")
 
 #: Tagged unit kinds the selector hands to the movement.
 LINK_SOURCE = "source"
@@ -62,10 +66,10 @@ class LDCUnitSelector(CandidateSelector):
     def select(self, level: int, seed: Optional[SSTable] = None):
         source = self._pick_link_source(level)
         if source is None:
-            victim = max(
-                self.db.version.files(level),
-                key=lambda table: len(table.slice_links),
-            )
+            # The first most-linked file, as max(files, key=...) picks it.
+            files = self.db.version.files(level)
+            links = list(map(len, map(_slice_links, files)))
+            victim = files[links.index(max(links))]
             return (MERGE_VICTIM, victim)
         return (LINK_SOURCE, source)
 
@@ -254,9 +258,7 @@ class LDCLinkMergeMovement(DataMovement):
         )
         if self.frozen.space_bytes <= limit or not self._linked_tables:
             return False
-        victim = max(
-            self._linked_tables.values(), key=lambda table: table.linked_bytes
-        )
+        victim = max(self._linked_tables.values(), key=_linked_bytes)
         db.engine_stats.forced_merges += 1
         self.policy.bump("forced_merges")
         self.merge(victim)

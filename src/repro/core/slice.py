@@ -84,7 +84,7 @@ class Slice:
         return self.source._records[self._start:self._stop]
 
     def columns_window(self) -> tuple:
-        """The slice as a columnar merge window over its source's columns.
+        """The slice as a merge window over its source's keys and records.
 
         Same shape as :meth:`~repro.lsm.sstable.SSTable.columns_window`
         but bounded to the slice's cached ``[start, stop)`` index window —
@@ -92,14 +92,7 @@ class Slice:
         re-bisect, no per-record decode).
         """
         source = self.source
-        return (
-            source._keys,
-            source._records,
-            source.seqs,
-            source._sizes,
-            self._start,
-            self._stop,
-        )
+        return (source._keys, source._records, self._start, self._stop)
 
     # ------------------------------------------------------------------
     # I/O cost queries: a slice read touches only the source blocks that

@@ -5,22 +5,23 @@ Both flushes (memtable -> Level 0) and compaction merges (§II-A Definition
 a builder, which cuts output files at ``sstable_target_bytes`` — the same
 role ``TableBuilder`` plays in LevelDB.
 
-The builder computes each record's encoded size to decide file cuts and
-hands the per-file size lists to the :class:`~repro.lsm.sstable.SSTable`
-constructor, which would otherwise recompute them — one pass instead of
-two over every record the engine ever writes.
+File cuts read each record's ``size`` (fixed when the record was created);
+nothing here recomputes one.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import accumulate
+from operator import itemgetter
 from typing import Callable, Iterable, List, Sequence
 
 from .config import LSMConfig
-from .record import KVRecord, RECORD_OVERHEAD_BYTES
+from .record import KVRecord
 from .sstable import SSTable
 from ..errors import EngineError
+
+_record_size = itemgetter(4)
 
 
 class SSTableBuilder:
@@ -39,7 +40,6 @@ class SSTableBuilder:
         self._config = config
         self._next_file_id = next_file_id
         self._pending: List[KVRecord] = []
-        self._pending_sizes: List[int] = []
         self._pending_bytes = 0
         self._outputs: List[SSTable] = []
         self._last_key: bytes | None = None
@@ -53,9 +53,7 @@ class SSTableBuilder:
             )
         self._last_key = record.key
         self._pending.append(record)
-        size = len(record.key) + len(record.value) + RECORD_OVERHEAD_BYTES
-        self._pending_sizes.append(size)
-        self._pending_bytes += size
+        self._pending_bytes += record.size
         if self._pending_bytes >= self._config.sstable_target_bytes:
             self._emit()
 
@@ -80,26 +78,17 @@ class SSTableBuilder:
                 f"builder requires strictly increasing keys: "
                 f"{first_key!r} after {self._last_key!r}"
             )
-        pending = self._pending
-        pending_sizes = self._pending_sizes
         pending_bytes = self._pending_bytes
         target = self._config.sstable_target_bytes
-        push = pending.append
-        push_size = pending_sizes.append
-        overhead = RECORD_OVERHEAD_BYTES
+        push = self._pending.append
         for record in records:
             push(record)
-            size = len(record[0]) + len(record[3]) + overhead
-            push_size(size)
-            pending_bytes += size
+            pending_bytes += record[4]
             if pending_bytes >= target:
                 self._pending_bytes = pending_bytes
                 self._emit()
-                pending = self._pending
-                pending_sizes = self._pending_sizes
                 pending_bytes = 0
-                push = pending.append
-                push_size = pending_sizes.append
+                push = self._pending.append
         self._pending_bytes = pending_bytes
         self._last_key = records[-1][0]
 
@@ -125,11 +114,7 @@ class SSTableBuilder:
             # path authoritative rather than splicing columns into it.
             self.add_sorted_run(records)
             return
-        overhead = RECORD_OVERHEAD_BYTES
-        sizes = [
-            len(key) + len(record[3]) + overhead
-            for key, record in zip(keys, records)
-        ]
+        sizes = list(map(_record_size, records))
         prefix = list(accumulate(sizes, initial=0))
         n = len(records)
         target = self._config.sstable_target_bytes
@@ -153,7 +138,6 @@ class SSTableBuilder:
             start = cut
         if start < n:
             self._pending = records[start:]
-            self._pending_sizes = sizes[start:]
             self._pending_bytes = prefix[n] - prefix[start]
         self._last_key = keys[-1]
 
@@ -167,11 +151,9 @@ class SSTableBuilder:
             self._pending,
             self._config,
             presorted=True,
-            sizes=self._pending_sizes,
         )
         self._outputs.append(table)
         self._pending = []
-        self._pending_sizes = []
         self._pending_bytes = 0
 
     def finish(self) -> List[SSTable]:
@@ -197,7 +179,6 @@ def build_tables(
 def build_balanced_columns(
     keys: List[bytes],
     records: List[KVRecord],
-    seqs: List[int],
     sizes: List[int],
     config: LSMConfig,
     next_file_id: Callable[[], int],
@@ -246,7 +227,6 @@ def build_balanced_columns(
                 presorted=True,
                 sizes=sizes[start:stop],
                 keys=keys[start:stop],
-                seqs=seqs[start:stop],
             )
         )
         start = stop

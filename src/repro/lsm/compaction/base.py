@@ -228,7 +228,7 @@ class CompactionPolicy(ABC):
         from column slices and charges their sequential writes.
         """
         db = self._db
-        keys, records, seqs, sizes = merged
+        keys, records, sizes = merged
         db.clock.advance(len(records) * db.config.costs.merge_per_record_us)
         if drop_deletes:
             kinds = list(map(_record_kind, records))
@@ -239,10 +239,9 @@ class CompactionPolicy(ABC):
                 ]
                 keys = [keys[index] for index in keep]
                 records = [records[index] for index in keep]
-                seqs = [seqs[index] for index in keep]
                 sizes = [sizes[index] for index in keep]
         outputs = build_balanced_columns(
-            keys, records, seqs, sizes, db.config, db.next_file_id
+            keys, records, sizes, db.config, db.next_file_id
         )
         for table in outputs:
             db.device.write(

@@ -38,7 +38,6 @@ from .memtable import MemTable
 from .record import (
     KIND_DELETE,
     KVRecord,
-    RECORD_OVERHEAD_BYTES,
     delete_record,
     put_record,
 )
@@ -203,8 +202,11 @@ class DB:
         dead file's pages are invalidated so GC can reclaim them instead
         of relocating stale data (free on the plain device).
         """
-        if self.block_cache is not None:
-            self.block_cache.evict_file(table.file_id, table.num_blocks)
+        starts = table._block_starts
+        if self.block_cache is not None and starts is not None:
+            # Blocks enter the cache through the block index; a file whose
+            # index was never laid out has none resident.
+            self.block_cache.evict_file(table.file_id, len(starts))
         self.device.trim(table.file_id)
 
     # ------------------------------------------------------------------
@@ -271,11 +273,7 @@ class DB:
             return
         self.policy.on_operation(True)
         self._maybe_stall()
-        sizes = [
-            len(record[0]) + len(record[3]) + RECORD_OVERHEAD_BYTES
-            for record in records
-        ]
-        total = sum(sizes)
+        total = sum(record[4] for record in records)
         if self._wal is not None:
             elapsed = self._wal.append_batch(records, total)
             self.engine_stats.charge_activity(ACT_WAL, elapsed)
@@ -317,8 +315,7 @@ class DB:
         else:
             counters["engine.puts"] = counters.get("engine.puts", 0) + 1
         counters["engine.user_bytes_written"] = (
-            counters.get("engine.user_bytes_written", 0)
-            + len(record[0]) + len(record[3]) + RECORD_OVERHEAD_BYTES
+            counters.get("engine.user_bytes_written", 0) + record[4]
         )
         charge_activity(ACT_WRITE, clock._now_us - start)
         if memtable._bytes >= self.config.memtable_bytes:
@@ -777,6 +774,8 @@ class DB:
         :meth:`scan`'s capture guard.
         """
         sizes = table._block_bytes
+        if sizes is None:
+            sizes = table._build_blocks()[1]
         cache = self.block_cache
         if cache is None:
             self._read_scan_run(table, first, end, sum(sizes[first:end]))
@@ -982,6 +981,10 @@ class DB:
           resident in a level;
         * every linked slice's source is frozen, and each frozen source's
           refcount equals its live slice fan-in;
+        * the sizes nothing else recomputes: in every live or frozen file
+          and in the memtable each record's ``size`` matches its key and
+          value, and the file's size prefix, ``data_size``, laid-out
+          blocks and the memtable's byte count are sums of those sizes;
         * the policy's own invariants (LDC checks its frozen region);
         * every cached block belongs to a live file (resident in a level
           or a still-referenced frozen source) and lies inside that
@@ -1009,6 +1012,9 @@ class DB:
                     f"frozen file {file_id} refcount {source.refcount} != "
                     f"live slice fan-in {fan_in[file_id]}"
                 )
+        for table in live.values():
+            table.check_invariants()
+        self._memtable.check_invariants()
         self.policy.check_invariants()
         if self.sched is not None:
             self.sched.check_invariants()

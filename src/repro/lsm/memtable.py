@@ -30,7 +30,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Iterable, Iterator, List, Optional
 
-from .record import KVRecord, RECORD_OVERHEAD_BYTES
+from .record import KVRecord, check_record_sizes
+from ..errors import EngineError
 
 
 class MemTable:
@@ -58,13 +59,11 @@ class MemTable:
         key = record[0]
         previous = records.get(key)
         records[key] = record
-        # KVRecord.encoded_size inlined: this runs once per write and the
-        # property call dominates an otherwise dict-only operation.
         if previous is None:
             self._dirty = True
-            self._bytes += len(key) + len(record[3]) + RECORD_OVERHEAD_BYTES
+            self._bytes += record[4]
         else:
-            self._bytes += len(record[3]) - len(previous[3])
+            self._bytes += record[4] - previous[4]
 
     def add_sorted_batch(self, records: Iterable[KVRecord]) -> int:
         """Bulk-load records whose keys strictly increase past the tail.
@@ -85,7 +84,7 @@ class MemTable:
             index[key] = record
             if in_order:
                 push(key)
-            total += len(key) + len(record[3]) + RECORD_OVERHEAD_BYTES
+            total += record[4]
             added += 1
         if not in_order:
             self._dirty = True
@@ -137,3 +136,11 @@ class MemTable:
 
     def is_empty(self) -> bool:
         return not self._records
+
+    def check_invariants(self) -> None:
+        """Re-derive the byte total the flush trigger trusts."""
+        total = sum(check_record_sizes(self._records.values()))
+        if self._bytes != total:
+            raise EngineError(
+                f"memtable counts {self._bytes} bytes, its records hold {total}"
+            )

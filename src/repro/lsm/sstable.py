@@ -8,6 +8,15 @@ of touching them is expressed in blocks: a point lookup reads one data
 block, a range read touches the blocks overlapping the range.  The device
 model converts those block counts into virtual time.
 
+A file is three parallel parts, all built at construction: the record
+list, the key list the lookups bisect, and the prefix sums of the records'
+sizes (``KVRecord.size``) that make any byte range one subtraction.
+Everything else a reader may want is a pure function of those three,
+carries no virtual-time charge, and is derived on first use, because a
+write-heavy run compacts most files away before anything reads them: the
+Bloom filter (:attr:`SSTable.bloom`), the block index
+(:meth:`SSTable.block_index`), the per-block CRCs and ``max_seq``.
+
 Under LDC an SSTable can additionally carry:
 
 * ``slice_links`` — slices of frozen upper-level files linked onto this
@@ -27,11 +36,12 @@ from itertools import accumulate
 
 _record_key = itemgetter(0)
 _record_seq = itemgetter(1)
+_record_size = itemgetter(4)
 _slice_link_seq = attrgetter("link_seq")
 
 from .bloom import BloomFilter
 from .config import LSMConfig
-from .record import KVRecord, RECORD_OVERHEAD_BYTES
+from .record import KVRecord, check_record_sizes
 from ..errors import EngineError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
@@ -50,12 +60,11 @@ class SSTable:
         "file_id",
         "_keys",
         "_records",
-        "_seqs",
-        "_sizes",
         "_size_prefix",
         "data_size",
         "_bloom",
         "_bloom_bits_per_key",
+        "_block_target",
         "_block_starts",
         "_block_bytes",
         "slice_links",
@@ -66,7 +75,7 @@ class SSTable:
         "allowed_seeks",
         "min_key",
         "max_key",
-        "max_seq",
+        "_max_seq",
         "_block_crcs",
     )
 
@@ -80,7 +89,6 @@ class SSTable:
         presorted: bool = False,
         sizes: Optional[List[int]] = None,
         keys: Optional[List[bytes]] = None,
-        seqs: Optional[List[int]] = None,
     ) -> None:
         """Build a file over ``records``.
 
@@ -91,16 +99,11 @@ class SSTable:
         not mutate it afterwards.  Sort validation is skipped on that path;
         it is one of the hottest loops in the simulator.
 
-        ``sizes`` optionally supplies the per-record encoded sizes
-        (``len(key) + len(value) + RECORD_OVERHEAD_BYTES``, in record
-        order).  Builders already computed them to decide file cuts, so
-        passing them through skips a recompute in this constructor — also
-        a hot path, running once per flushed or compacted file.
-
-        ``keys`` and ``seqs`` optionally supply the corresponding record
-        columns (the columnar merge emits them alongside the records), with
-        the same ownership transfer as ``records``.  They let the
-        constructor skip the per-record column extraction entirely.
+        ``sizes`` and ``keys`` optionally supply the records' ``size`` and
+        ``key`` columns (the merge and the builders already hold them to
+        decide file cuts), with the same ownership transfer as
+        ``records``, so this constructor — a hot path, running once per
+        flushed or compacted file — extracts no per-record field.
         """
         if not records:
             raise EngineError("an SSTable must contain at least one record")
@@ -120,17 +123,10 @@ class SSTable:
                         f"SSTable records must be strictly key-sorted; "
                         f"{left!r} !< {right!r}"
                     )
-        # Per-record encoded sizes, computed once (len(key) + len(value) +
-        # overhead, inlined from KVRecord.encoded_size) and reused for the
-        # prefix sums, the block layout and as a merge-input column.
         # _size_prefix[i] is the total size of records[0:i], making
         # bytes_in_range O(log n).
         if sizes is None:
-            sizes = [
-                len(record.key) + len(record.value) + RECORD_OVERHEAD_BYTES
-                for record in records_list
-            ]
-        self._sizes = sizes
+            sizes = map(_record_size, records_list)
         self._size_prefix = list(accumulate(sizes, initial=0))
         self.data_size = self._size_prefix[-1]
         # Plain attributes, not properties: the key range is immutable and
@@ -144,7 +140,12 @@ class SSTable:
         # never consulted before compaction consumes them.
         self._bloom: Optional[BloomFilter] = None
         self._bloom_bits_per_key = bloom_bits_per_key
-        self._block_starts, self._block_bytes = self._build_blocks(block_bytes)
+        # Block index, laid out on first use like the Bloom filter: it is
+        # a pure function of (size prefix, block size) and carries no
+        # virtual-time charge either.
+        self._block_target = block_bytes
+        self._block_starts: Optional[List[int]] = None
+        self._block_bytes: Optional[List[int]] = None
         # LevelDB's seek-compaction budget: after this many unproductive
         # probes the file becomes a compaction candidate (a file probed
         # often but rarely hit is cheaper merged than repeatedly seeked).
@@ -159,13 +160,7 @@ class SSTable:
         self.linked_bytes = 0
         self.frozen = False
         self.refcount = 0
-        # Highest sequence number stored in this file.  Recovery rebuilds
-        # the engine's next-sequence counter from the max over live files
-        # (plus replayed WAL records), so acknowledged seqs never repeat.
-        self._seqs = seqs
-        self.max_seq = (
-            max(seqs) if seqs is not None else max(map(_record_seq, records_list))
-        )
+        self._max_seq: Optional[int] = None
         # Per-block CRCs, computed lazily: fault-free runs never pay for
         # them, decode paths under fault injection verify against the
         # device's delivered (possibly bit-flipped) copy.
@@ -181,7 +176,6 @@ class SSTable:
         presorted: bool = False,
         sizes: Optional[List[int]] = None,
         keys: Optional[List[bytes]] = None,
-        seqs: Optional[List[int]] = None,
     ) -> "SSTable":
         """Build an SSTable using the config's block and Bloom settings."""
         return cls(
@@ -192,10 +186,9 @@ class SSTable:
             presorted=presorted,
             sizes=sizes,
             keys=keys,
-            seqs=seqs,
         )
 
-    def _build_blocks(self, block_bytes: int) -> tuple[List[int], List[int]]:
+    def _build_blocks(self) -> tuple[List[int], List[int]]:
         """Partition the record array into blocks of ~``block_bytes`` each.
 
         Greedy layout: a block closes with the first record that pushes its
@@ -205,6 +198,7 @@ class SSTable:
         same blocks, O(blocks log n).
         """
         prefix = self._size_prefix
+        block_bytes = self._block_target
         starts: List[int] = []
         sizes: List[int] = []
         push_start = starts.append
@@ -219,6 +213,8 @@ class SSTable:
                 stop = n
             push_size(prefix[stop] - prefix[index])
             index = stop
+        self._block_starts = starts
+        self._block_bytes = sizes
         return starts, sizes
 
     # ------------------------------------------------------------------
@@ -238,39 +234,50 @@ class SSTable:
     def num_records(self) -> int:
         return len(self._records)
 
+    def block_index(self) -> tuple[List[int], List[int]]:
+        """``(first record index, device bytes)`` per block, in block order.
+
+        Laid out on first use.  ``locate`` / ``block_span`` and the scan
+        charge inline this ``is None`` check instead of calling here.
+        """
+        starts = self._block_starts
+        if starts is None:
+            return self._build_blocks()
+        return starts, self._block_bytes
+
     @property
     def num_blocks(self) -> int:
-        return len(self._block_starts)
+        return len(self.block_index()[0])
+
+    @property
+    def max_seq(self) -> int:
+        """Highest sequence number stored in this file.
+
+        Recovery rebuilds the engine's next-sequence counter from the max
+        over live files (plus replayed WAL records), so acknowledged seqs
+        never repeat; nothing else reads it.
+        """
+        found = self._max_seq
+        if found is None:
+            found = self._max_seq = max(map(_record_seq, self._records))
+        return found
 
     @property
     def records(self) -> Sequence[KVRecord]:
         """Read-only view of all records (test and merge helper)."""
         return self._records
 
-    @property
-    def seqs(self) -> List[int]:
-        """The sequence-number column, materialised on first use.
-
-        Compaction and flush outputs arrive with the column prebuilt (the
-        columnar merge emits it); only files built from raw record lists
-        (tests, recovery) pay the one-off extraction here.
-        """
-        column = self._seqs
-        if column is None:
-            column = self._seqs = list(map(_record_seq, self._records))
-        return column
-
     def columns_window(self) -> tuple:
-        """The whole file as a columnar merge window.
+        """The whole file as a merge window.
 
-        Returns ``(keys, records, seqs, sizes, start, stop)`` — the
-        parallel column arrays plus the half-open index window — the input
+        Returns ``(keys, records, start, stop)`` — the key index, the
+        record list and the half-open index window — the input
         representation of :func:`repro.lsm.compaction.columnar.
-        merge_windows`.  The arrays are the file's own immutable columns;
+        merge_windows`.  The lists are the file's own immutable parts;
         callers must not mutate them.
         """
         records = self._records
-        return (self._keys, records, self.seqs, self._sizes, 0, len(records))
+        return (self._keys, records, 0, len(records))
 
     def covers_key(self, key: bytes) -> bool:
         return self.min_key <= key <= self.max_key
@@ -316,7 +323,10 @@ class SSTable:
             return None
         keys = self._keys
         index = bisect_left(keys, key)  # < len(keys): key <= max_key
-        block = bisect_right(self._block_starts, index) - 1
+        starts = self._block_starts
+        if starts is None:
+            starts = self._build_blocks()[0]
+        block = bisect_right(starts, index) - 1
         record = self._records[index] if keys[index] == key else None
         return record, block, self._block_bytes[block]
 
@@ -325,6 +335,8 @@ class SSTable:
         if stop <= start:
             return 0, 0
         starts = self._block_starts
+        if starts is None:
+            starts = self._build_blocks()[0]
         return bisect_right(starts, start) - 1, bisect_right(starts, stop - 1)
 
     # ------------------------------------------------------------------
@@ -357,17 +369,16 @@ class SSTable:
         bit-flip mask) and raise
         :class:`~repro.errors.CorruptionError` on mismatch.
         """
+        starts = self.block_index()[0]
         crcs = self._block_crcs
         if crcs is None:
-            crcs = self._block_crcs = [None] * len(self._block_starts)
+            crcs = self._block_crcs = [None] * len(starts)
         cached = crcs[block]
         if cached is not None:
             return cached
-        start = self._block_starts[block]
+        start = starts[block]
         stop = (
-            self._block_starts[block + 1]
-            if block + 1 < len(self._block_starts)
-            else len(self._records)
+            starts[block + 1] if block + 1 < len(starts) else len(self._records)
         )
         crc = 0
         for record in self._records[start:stop]:
@@ -386,7 +397,27 @@ class SSTable:
         whole file.
         """
         first, end = self.block_span(*self._index_range(lo, hi))
-        return sum(self._block_bytes[first:end])
+        return sum(self.block_index()[1][first:end])
+
+    def check_invariants(self) -> None:
+        """Re-derive what the file trusts: record sizes and their sums."""
+        prefix = self._size_prefix
+        sizes = check_record_sizes(self._records)
+        if prefix != list(accumulate(sizes, initial=0)):
+            raise EngineError(
+                f"file {self.file_id}: size prefix is not the running sum "
+                f"of its records' sizes"
+            )
+        if self.data_size != prefix[-1]:
+            raise EngineError(
+                f"file {self.file_id}: data_size {self.data_size} != "
+                f"{prefix[-1]} bytes of records"
+            )
+        if self._block_bytes is not None and sum(self._block_bytes) != prefix[-1]:
+            raise EngineError(
+                f"file {self.file_id}: blocks hold {sum(self._block_bytes)} "
+                f"bytes, records {prefix[-1]}"
+            )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "frozen" if self.frozen else "active"

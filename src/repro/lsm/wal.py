@@ -28,7 +28,7 @@ from __future__ import annotations
 import zlib
 from typing import List
 
-from .record import KVRecord, RECORD_OVERHEAD_BYTES
+from .record import KVRecord
 from ..errors import CorruptionError, SimulatedCrash
 from ..ssd.device import SimulatedSSD
 from ..ssd.flash import WAL_STREAM_OWNER
@@ -65,9 +65,7 @@ class WriteAheadLog:
     # ------------------------------------------------------------------
     def append(self, record: KVRecord) -> float:
         """Log one mutation; returns the virtual time charged (µs)."""
-        return self._append_unit(
-            [record], len(record[0]) + len(record[3]) + RECORD_OVERHEAD_BYTES
-        )
+        return self._append_unit([record], record[4])
 
     def append_batch(self, records: List[KVRecord], total_bytes: int) -> float:
         """Log a whole batch as one sequential write (WriteBatch path).

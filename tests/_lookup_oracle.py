@@ -61,8 +61,9 @@ def block_for_key(table, key: bytes) -> Optional[tuple]:
     index = bisect_left(table._keys, key)
     if index == len(table._keys):
         index -= 1
-    block = bisect_right(table._block_starts, index) - 1
-    return block, table._block_bytes[block]
+    starts, sizes = table.block_index()
+    block = bisect_right(starts, index) - 1
+    return block, sizes[block]
 
 
 def oracle_get(db, key: bytes) -> Optional[bytes]:

@@ -70,12 +70,10 @@ def _blocks_in_range(table, lo, hi) -> List[Tuple[int, int]]:
     start, stop = table._index_range(lo, hi)
     if stop <= start:
         return []
-    first_block = bisect_right(table._block_starts, start) - 1
-    last_block = bisect_right(table._block_starts, stop - 1) - 1
-    return [
-        (block, table._block_bytes[block])
-        for block in range(first_block, last_block + 1)
-    ]
+    starts, sizes = table.block_index()
+    first_block = bisect_right(starts, start) - 1
+    last_block = bisect_right(starts, stop - 1) - 1
+    return [(block, sizes[block]) for block in range(first_block, last_block + 1)]
 
 
 # ----------------------------------------------------------------------

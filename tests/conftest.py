@@ -66,12 +66,11 @@ def build_balanced_from_records(records, config: LSMConfig, next_file_id):
     """``build_balanced_columns`` driven from a plain sorted record list.
 
     The records -> columns step compaction gets from ``merge_windows``:
-    parallel key / record / sequence / encoded-size columns.
+    parallel key / record / size columns.
     """
     return build_balanced_columns(
         [record.key for record in records],
         list(records),
-        [record.seq for record in records],
         [record.encoded_size for record in records],
         config,
         next_file_id,

@@ -1,14 +1,17 @@
-"""Randomized equivalence: columnar galloping merge vs the legacy merge.
+"""Pair-run: the pooled compaction merge against the galloping oracle.
 
-The legacy compaction merge pooled every input record, sorted the pool
-(``KVRecord`` tuples order by ``(key, seq, ...)``) and deduplicated
-through a dict keyed by user key — last insertion wins, which with
-ascending ``(key, seq)`` order means the highest sequence number
-survives.  :func:`repro.lsm.compaction.columnar.merge_windows` must
-produce exactly that stream, as parallel columns, for every input shape:
-disjoint runs, interleaved runs, heavy cross-stream key collisions, and
-windows that view only an inner ``[start, stop)`` range of their source
-columns.
+:func:`repro.lsm.compaction.columnar.merge_windows` pools its input
+windows, sorts once and keeps the last record per key.  The merge it
+replaced — a heap of stream heads that galloped over disjoint runs,
+resolved equal head keys by sequence number and fell back to a pooled
+sort when the streams turned out finely interleaved — lives on verbatim
+in ``tests/_merge_oracle.py``.  Both run on the same inputs here and must
+agree on keys, records and sizes for every input shape: disjoint runs,
+interleaved runs, fully colliding streams, windows that view only an
+inner ``[start, stop)`` range of their source, empty windows, tombstones,
+variable key and value lengths, and 1-12 streams.  The oracle's sequence
+column (which the pooled merge no longer emits) must be the surviving
+records' own ``seq``.
 """
 
 from __future__ import annotations
@@ -16,28 +19,21 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.slice import Slice
 from repro.lsm.compaction.columnar import merge_windows
-from repro.lsm.record import KIND_DELETE, KIND_PUT, KVRecord
+from repro.lsm.record import KIND_DELETE, delete_record, put_record
 from repro.lsm.sstable import SSTable
 
-
-def legacy_merge(windows):
-    """The pre-columnar merge: pool, sort, dict-dedup (newest wins)."""
-    pooled = []
-    for keys, records, seqs, sizes, start, stop in windows:
-        pooled.extend(records[start:stop])
-    pooled.sort()
-    deduped = {record[0]: record for record in pooled}
-    return list(deduped.values())
+from ._merge_oracle import merge_windows as oracle_merge, oracle_window
 
 
-def columns_for(records):
-    """Build a full-width window over a key-sorted record list."""
+def window_for(records, start=0, stop=None):
+    """A window over a key-sorted record list (full width by default)."""
     keys = [record.key for record in records]
-    seqs = [record.seq for record in records]
-    sizes = [record.encoded_size for record in records]
-    return keys, records, seqs, sizes, 0, len(records)
+    return keys, records, start, len(records) if stop is None else stop
 
 
 def random_streams(rng, nstreams, universe, max_len):
@@ -50,51 +46,135 @@ def random_streams(rng, nstreams, universe, max_len):
         records = []
         for key in keys:
             seq += 1
-            kind = KIND_DELETE if rng.random() < 0.15 else KIND_PUT
-            value = b"" if kind == KIND_DELETE else rng.randbytes(rng.randrange(12))
-            records.append(KVRecord(key, seq, kind, value))
+            if rng.random() < 0.15:
+                records.append(delete_record(key, seq))
+            else:
+                records.append(put_record(key, rng.randbytes(rng.randrange(12)), seq))
         streams.append(records)
     return streams
 
 
-def assert_matches_legacy(windows):
-    expected = legacy_merge(windows)
-    keys, records, seqs, sizes = merge_windows(windows)
+def assert_matches_oracle(windows):
+    expected_keys, expected, expected_seqs, expected_sizes = oracle_merge(
+        [oracle_window(window) for window in windows]
+    )
+    keys, records, sizes = merge_windows(windows)
     assert records == expected
-    assert keys == [record.key for record in expected]
-    assert seqs == [record.seq for record in expected]
-    assert sizes == [record.encoded_size for record in expected]
+    assert keys == expected_keys == [record.key for record in records]
+    assert sizes == expected_sizes == [record.encoded_size for record in records]
+    assert expected_seqs == [record.seq for record in records]
+    return records
 
 
+# ----------------------------------------------------------------------
+# Hypothesis: windows of every shape
+# ----------------------------------------------------------------------
+@st.composite
+def merge_inputs(draw):
+    """1-12 windows over streams whose seqs are unique across the input.
+
+    ``shape`` decides how the streams' keys relate: ``disjoint`` gives
+    each stream one contiguous key range and ``runs`` deals runs of
+    ``run`` consecutive keys round-robin (the oracle gallops, and with
+    long runs stays galloping past its 24-round probe), ``colliding``
+    gives every stream every key (the oracle resolves a tie per output
+    record), ``mixed`` draws each stream's keys independently from a
+    shared universe (the oracle hands over to its pooled remainder).
+    Streams may be empty, and a window may view only a drawn ``[start,
+    stop)`` of its stream.  Hypothesis draws the structure; the record
+    contents (values, tombstones, which stream holds the newer version)
+    come from a drawn seed, to keep large inputs inside its data budget.
+    """
+    nstreams = draw(st.integers(1, 12))
+    shape = draw(st.sampled_from(["disjoint", "runs", "colliding", "mixed"]))
+    universe = draw(st.integers(1, 400))
+    width = draw(st.integers(1, 6))
+    run = draw(st.integers(1, 40))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    names = sorted(
+        b"%0*d" % (width, index) + b"k" * (index % 3) for index in range(universe)
+    )
+    seqs = list(range(1, nstreams * universe + 1))
+    rng.shuffle(seqs)
+    per_stream = -(-universe // nstreams)
+    windows = []
+    for stream in range(nstreams):
+        if shape == "colliding":
+            chosen = range(universe)
+        elif shape == "disjoint":
+            chosen = range(
+                stream * per_stream, min(universe, (stream + 1) * per_stream)
+            )
+        elif shape == "runs":
+            chosen = [
+                index for index in range(universe)
+                if index // run % nstreams == stream
+            ]
+        else:
+            chosen = sorted(rng.sample(range(universe), rng.randrange(universe + 1)))
+        records = [
+            delete_record(names[index], seqs.pop())
+            if rng.random() < 0.15
+            else put_record(names[index], rng.randbytes(rng.randrange(10)), seqs.pop())
+            for index in chosen
+        ]
+        start, stop = 0, len(records)
+        if draw(st.booleans()):
+            start = draw(st.integers(0, stop))
+            stop = draw(st.integers(start, stop))
+        windows.append(window_for(records, start, stop))
+    return windows
+
+
+class TestPooledMergeEqualsGallopingOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(merge_inputs())
+    def test_same_keys_records_and_sizes(self, windows):
+        records = assert_matches_oracle(windows)
+        keys = [record.key for record in records]
+        assert keys == sorted(set(keys))
+
+    @settings(max_examples=60, deadline=None)
+    @given(merge_inputs(), st.integers(0, 2**32 - 1))
+    def test_window_order_does_not_matter(self, windows, seed):
+        shuffled = list(windows)
+        random.Random(seed).shuffle(shuffled)
+        assert merge_windows(shuffled) == merge_windows(windows)
+
+
+# ----------------------------------------------------------------------
+# Named shapes
+# ----------------------------------------------------------------------
 class TestMergeWindows:
     def test_empty_input(self):
-        assert merge_windows([]) == ([], [], [], [])
+        assert merge_windows([]) == ([], [], [])
+        assert oracle_merge([]) == ([], [], [], [])
 
     def test_all_windows_empty(self):
-        empty = columns_for([])
-        assert merge_windows([empty, empty]) == ([], [], [], [])
+        empty = window_for([])
+        assert merge_windows([empty, empty]) == ([], [], [])
+        assert_matches_oracle([empty, empty])
 
     def test_single_stream_passthrough(self):
         records = [
-            KVRecord(b"a", 1, KIND_PUT, b"x"),
-            KVRecord(b"b", 2, KIND_DELETE, b""),
-            KVRecord(b"c", 3, KIND_PUT, b"y"),
+            put_record(b"a", b"x", 1),
+            delete_record(b"b", 2),
+            put_record(b"c", b"y", 3),
         ]
-        assert_matches_legacy([columns_for(records)])
+        assert assert_matches_oracle([window_for(records)]) == records
 
     def test_newest_wins_on_collision(self):
-        old = [KVRecord(b"k", 1, KIND_PUT, b"old")]
-        new = [KVRecord(b"k", 9, KIND_DELETE, b"")]
-        keys, records, seqs, sizes = merge_windows(
-            [columns_for(old), columns_for(new)]
-        )
+        old = [put_record(b"k", b"old", 1)]
+        new = [delete_record(b"k", 9)]
+        keys, records, sizes = merge_windows([window_for(old), window_for(new)])
         assert records == new
-        assert seqs == [9]
+        assert records[0].kind == KIND_DELETE
+        assert sizes == [new[0].size]
+        assert merge_windows([window_for(new), window_for(old)])[1] == new
 
     def test_every_stream_holds_every_key(self):
-        # Maximal collision pressure: no galloping possible, every output
-        # record goes through the tie-resolution path.
-        rng = random.Random(7)
+        # Maximal collision pressure: every output record goes through the
+        # oracle's tie-resolution path.
         universe = [b"k%03d" % index for index in range(40)]
         windows = []
         seq = 0
@@ -102,35 +182,32 @@ class TestMergeWindows:
             records = []
             for key in universe:
                 seq += 1
-                records.append(KVRecord(key, seq, KIND_PUT, b"v%d" % seq))
-            rng.shuffle(records)
-            records.sort(key=lambda record: record.key)
-            windows.append(columns_for(records))
-        assert_matches_legacy(windows)
+                records.append(put_record(key, b"v%d" % seq, seq))
+            windows.append(window_for(records))
+        merged = assert_matches_oracle(windows)
+        assert [record.seq for record in merged] == list(range(161, 201))
 
     def test_disjoint_runs_gallop(self):
-        # Fully disjoint key ranges: the merge should reduce to bulk
-        # copies, and still match the legacy stream exactly.
+        # Fully disjoint key ranges: the oracle reduces to bulk copies,
+        # the pooled sort to Timsort's run detection — same stream.
         streams = [
-            [KVRecord(b"a%02d" % index, index + 1, KIND_PUT, b"") for index in range(20)],
-            [KVRecord(b"b%02d" % index, index + 100, KIND_PUT, b"") for index in range(20)],
-            [KVRecord(b"c%02d" % index, index + 200, KIND_PUT, b"") for index in range(20)],
+            [put_record(b"a%02d" % index, b"", index + 1) for index in range(20)],
+            [put_record(b"b%02d" % index, b"", index + 100) for index in range(20)],
+            [put_record(b"c%02d" % index, b"", index + 200) for index in range(20)],
         ]
-        assert_matches_legacy([columns_for(records) for records in streams])
+        merged = assert_matches_oracle([window_for(records) for records in streams])
+        assert merged == streams[0] + streams[1] + streams[2]
 
     def test_window_offsets_respected(self):
         # A window over [start, stop) must ignore records outside it —
         # the LDC slice view case.
-        records = [
-            KVRecord(b"k%02d" % index, index + 1, KIND_PUT, b"v")
-            for index in range(10)
-        ]
-        keys, _, seqs, sizes, _, _ = columns_for(records)
-        window = (keys, records, seqs, sizes, 3, 7)
-        merged_keys, merged_records, merged_seqs, _ = merge_windows([window])
+        records = [put_record(b"k%02d" % index, b"v", index + 1) for index in range(10)]
+        window = window_for(records, 3, 7)
+        merged_keys, merged_records, merged_sizes = merge_windows([window])
         assert merged_records == records[3:7]
-        assert merged_keys == keys[3:7]
-        assert merged_seqs == seqs[3:7]
+        assert merged_keys == window[0][3:7]
+        assert merged_sizes == [record.size for record in records[3:7]]
+        assert_matches_oracle([window])
 
     @pytest.mark.parametrize("seed", range(8))
     def test_randomized_equivalence(self, seed):
@@ -142,7 +219,7 @@ class TestMergeWindows:
             universe=universe,
             max_len=rng.choice([5, 40, 150]),
         )
-        assert_matches_legacy([columns_for(records) for records in streams])
+        assert_matches_oracle([window_for(records) for records in streams])
 
     @pytest.mark.parametrize("seed", range(4))
     def test_randomized_with_offset_windows(self, seed):
@@ -151,14 +228,13 @@ class TestMergeWindows:
         streams = random_streams(rng, nstreams=4, universe=universe, max_len=60)
         windows = []
         for records in streams:
-            keys, _, seqs, sizes, _, stop = columns_for(records)
-            start = rng.randrange(stop + 1)
-            end = rng.randrange(start, stop + 1)
-            windows.append((keys, records, seqs, sizes, start, end))
-        assert_matches_legacy(windows)
+            start = rng.randrange(len(records) + 1)
+            end = rng.randrange(start, len(records) + 1)
+            windows.append(window_for(records, start, end))
+        assert_matches_oracle(windows)
 
     def test_sstable_windows_roundtrip(self):
-        # End-to-end over real SSTable column windows.
+        # End-to-end over real SSTable and Slice windows.
         rng = random.Random(42)
         universe = [b"key-%04d" % index for index in range(120)]
         streams = [
@@ -170,5 +246,21 @@ class TestMergeWindows:
             SSTable(file_id, records, block_bytes=256, bloom_bits_per_key=8)
             for file_id, records in enumerate(streams, start=1)
         ]
-        windows = [table.columns_window() for table in tables]
-        assert_matches_legacy(windows)
+        assert_matches_oracle([table.columns_window() for table in tables])
+        windows = [tables[0].columns_window()]
+        for link_seq, table in enumerate(tables[1:], start=1):
+            table.frozen = True
+            piece = Slice(table, universe[20], universe[90], link_seq)
+            assert piece.columns_window()[1][piece._start:piece._stop] == list(
+                piece.records()
+            )
+            windows.append(piece.columns_window())
+        merged = assert_matches_oracle(windows)
+        assert {record.key for record in merged} == {
+            record.key for record in streams[0]
+        } | {
+            record.key
+            for records in streams[1:]
+            for record in records
+            if universe[20] <= record.key < universe[90]
+        }

@@ -178,6 +178,47 @@ class TestFlushAndWAL:
         any_db.crash_and_recover()
         any_db.check_invariants()
 
+    def test_check_invariants_rederives_every_trusted_size(self, ldc_db):
+        """Sizes are read, never recomputed: the invariant check is where a
+        wrong one (record, prefix, data_size, block, memtable total) shows."""
+        for index in range(403):
+            ldc_db.put(key_of(index * 7 % 400), b"v" * 60)
+        ldc_db.check_invariants()
+        frozen = {
+            piece.source.file_id: piece.source
+            for table in ldc_db.version.all_tables()
+            for piece in table.slice_links
+        }
+        assert frozen and not ldc_db._memtable.is_empty()
+        live = next(iter(ldc_db.version.all_tables()))
+        for table in (live, next(iter(frozen.values()))):
+            table.locate(table.min_key)  # lay the blocks out
+            record = table._records[1]
+            table._records[1] = record._replace(size=record.size + 1)
+            with pytest.raises(EngineError, match="carries size"):
+                ldc_db.check_invariants()
+            table._records[1] = record
+            for part, index in ((table._size_prefix, 2), (table._block_bytes, 0)):
+                part[index] += 1
+                with pytest.raises(EngineError, match=f"file {table.file_id}"):
+                    ldc_db.check_invariants()
+                part[index] -= 1
+            table.data_size += 1  # a live file's trips the level counters first
+            with pytest.raises(EngineError, match="data_size|byte counter"):
+                ldc_db.check_invariants()
+            table.data_size -= 1
+        memtable = ldc_db._memtable
+        key, record = next(iter(memtable._records.items()))
+        memtable._records[key] = record._replace(size=record.size - 1)
+        with pytest.raises(EngineError, match="carries size"):
+            ldc_db.check_invariants()
+        memtable._records[key] = record
+        memtable._bytes += 1
+        with pytest.raises(EngineError, match="memtable counts"):
+            ldc_db.check_invariants()
+        memtable._bytes -= 1
+        ldc_db.check_invariants()
+
     def test_wal_disabled_writes_cheaper(self, tiny_config):
         timings = {}
         for wal in (True, False):

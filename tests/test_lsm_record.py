@@ -18,7 +18,7 @@ from repro.lsm.record import (
 class TestConstruction:
     def test_put_record(self):
         record = put_record(b"k", b"v", 7)
-        assert record == KVRecord(b"k", 7, KIND_PUT, b"v")
+        assert record == KVRecord(b"k", 7, KIND_PUT, b"v", 1 + 1 + RECORD_OVERHEAD_BYTES)
         assert not record.is_tombstone
 
     def test_delete_record(self):
@@ -30,10 +30,12 @@ class TestConstruction:
     def test_encoded_size(self):
         record = put_record(b"abc", b"xyzw", 1)
         assert record.encoded_size == 3 + 4 + RECORD_OVERHEAD_BYTES
+        assert record.size == record[4] == 13 + 3 + 4
 
     def test_tombstone_encoded_size_excludes_value(self):
         record = delete_record(b"abc", 1)
         assert record.encoded_size == 3 + RECORD_OVERHEAD_BYTES
+        assert record.size == 13 + 3
 
 
 class TestNewestWins:
@@ -88,7 +90,7 @@ class TestNewestWins:
         ]
         # Make seqs unique to avoid tie ambiguity, then sort by key.
         records = [
-            KVRecord(r.key, index, r.kind, r.value) for index, r in enumerate(records)
+            r._replace(seq=index) for index, r in enumerate(records)
         ]
         records.sort(key=lambda r: (r.key, r.seq))
         expected = {}

@@ -55,7 +55,7 @@ class TestConstruction:
     def test_blocks_cover_all_records(self):
         table = make_table(100)
         assert table.num_blocks >= 2
-        assert sum(table._block_bytes) == table.data_size
+        assert sum(table.block_index()[1]) == table.data_size
 
     def test_fresh_table_has_no_ldc_state(self):
         table = make_table(5)
@@ -89,14 +89,14 @@ class TestPointLookup:
         table = make_table(100)
         record, block, nbytes = table.locate(b"00000050")
         assert record is table.get(b"00000050") is not None
-        assert nbytes == table._block_bytes[block]
+        assert nbytes == table.block_index()[1][block]
         # An absent key reads the block its successor lives in.
         assert table.locate(b"0000005x") == (None,) + table.locate(b"00000060")[1:]
 
     def test_block_bytes_for_key_inside(self):
         table = make_table(100)
         _record, block, nbytes = table.locate(b"00000050")
-        assert nbytes in table._block_bytes
+        assert nbytes in table.block_index()[1]
         assert table.block_span(50, 51) == (block, block + 1)
 
     def test_block_bytes_for_key_outside_is_zero(self):
@@ -112,7 +112,7 @@ class TestPointLookup:
             key = str(index).zfill(8).encode()
             record, _block, nbytes = table.locate(key)
             assert record.key == key
-            assert 0 < nbytes <= max(table._block_bytes)
+            assert 0 < nbytes <= max(table.block_index()[1])
 
     def test_locate_boundary_keys(self):
         table = make_table(200)
@@ -152,7 +152,7 @@ class TestRangeQueries:
 
     def test_block_span_covers_exactly_the_blocks_of_the_records(self):
         table = make_table(200)
-        starts = table._block_starts + [table.num_records]
+        starts = table.block_index()[0] + [table.num_records]
         for start, stop in ((0, 1), (0, 200), (13, 14), (50, 151), (199, 200)):
             first, end = table.block_span(start, stop)
             assert starts[first] <= start < starts[first + 1]

@@ -84,6 +84,30 @@ def test_one_read_side_merge():
             assert not hasattr(owner, name), (owner, name)
 
 
+def test_one_compaction_merge_over_a_three_part_file():
+    """A file is records + key index + size prefix, a merge window
+    ``(keys, records, start, stop)``, and ``columnar`` holds one function:
+    no seq / size columns, no heap merge beside the pooled sort."""
+    from repro.lsm.builder import build_balanced_columns
+    from repro.lsm.compaction import columnar
+    from repro.lsm.record import KVRecord, put_record
+    from repro.lsm.sstable import SSTable
+
+    functions = {
+        name
+        for name, value in vars(columnar).items()
+        if inspect.isfunction(value) and value.__module__ == columnar.__name__
+    }
+    assert functions == {"merge_windows"}
+    for gone in ("seqs", "_seqs", "_sizes"):
+        assert not hasattr(SSTable, gone) and gone not in SSTable.__slots__
+    for target in (SSTable, SSTable.from_records, build_balanced_columns):
+        assert "seqs" not in inspect.signature(target).parameters, target
+    assert KVRecord._fields == ("key", "seq", "kind", "value", "size")
+    table = SSTable(1, [put_record(b"k", b"v", 1)], 4096, 10)
+    assert len(table.columns_window()) == 4
+
+
 def test_store_constructors_take_no_seed():
     """``seed=`` had no effect since the skip list went (PR 15); workload,
     arrival and crashtest-workload seeds are the live ones."""

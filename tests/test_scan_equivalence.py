@@ -406,7 +406,7 @@ class TestChargeEdges:
             return {
                 (table.file_id, block): nbytes
                 for table in tables
-                for block, nbytes in enumerate(table._block_bytes)
+                for block, nbytes in enumerate(table.block_index()[1])
             }
 
         sizes = block_sizes()
