@@ -74,12 +74,10 @@ from .lsm import (
     CostModel,
     LSMConfig,
     PolicySpec,
-    SpecFactory,
     available_policies,
     get_spec,
     make_policy,
     register_policy,
-    resolve_factory,
 )
 from .obs import (
     JsonLinesSink,
@@ -128,13 +126,11 @@ __all__ = [
     "LSMConfig",
     "CostModel",
     "PolicySpec",
-    "SpecFactory",
     "ComposedPolicy",
     "available_policies",
     "get_spec",
     "make_policy",
     "register_policy",
-    "resolve_factory",
     "ShardedDB",
     "ShardedSnapshot",
     "HashPartitioner",

@@ -525,7 +525,6 @@ def _run_crashtest(args: argparse.Namespace) -> int:
 
     report = crashtest.run_crashtest(
         args.policy,
-        policy_name=args.policy,
         num_ops=args.ops,
         num_keys=args.keys,
         value_bytes=args.value_bytes,
@@ -540,7 +539,6 @@ def _run_crashtest(args: argparse.Namespace) -> int:
     if args.corrupt > 0:
         corruption = crashtest.run_corruption_test(
             args.policy,
-            policy_name=args.policy,
             num_ops=min(args.ops, 1500),
             num_keys=args.keys,
             value_bytes=args.value_bytes,

@@ -39,10 +39,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .plan import FaultPlan
 from ..errors import CorruptionError, ReproError, SimulatedCrash
-from ..lsm.compaction.spec import resolve_factory
+from ..lsm.compaction.spec import make_policy
 from ..lsm.config import LSMConfig
 from ..lsm.db import DB, WriteBatch
-from ..shard.db import ShardedDB
+from ..shard.db import ShardedDB, per_shard_policy
 from ..ssd.flash import DeviceConfig, FlashSpec
 from ..ssd.profile import ENTERPRISE_PCIE
 
@@ -50,10 +50,6 @@ from ..ssd.profile import ENTERPRISE_PCIE
 #: ("get", key) | ("scan", start_key, count) |
 #: ("batch", ((key, value-or-None), ...)).
 Operation = Tuple
-
-#: Zero-arg policy factory; every crashtest entry point also accepts a
-#: registered policy name or a PolicySpec (coerced via ``resolve_factory``).
-PolicyFactory = Callable[[], object]
 
 #: torn_fraction cycle applied across successive crash points.
 TORN_CYCLE = (0.0, 0.5, 1.0)
@@ -206,13 +202,12 @@ def _execute_batch(store: Union[DB, ShardedDB], entries) -> None:
 # Store construction
 # ----------------------------------------------------------------------
 def _build_store(
-    policy_factory: PolicyFactory,
+    policy: object,
     config: LSMConfig,
     shards: int,
     plans: Optional[List[Optional[FaultPlan]]],
     flash: Optional[FlashSpec] = None,
 ) -> Union[DB, ShardedDB]:
-    policy_factory = resolve_factory(policy_factory)
     profile = (
         DeviceConfig(flash=flash) if flash is not None else ENTERPRISE_PCIE
     )
@@ -220,13 +215,13 @@ def _build_store(
         plan = plans[0] if plans else None
         return DB(
             config=config,
-            policy=policy_factory(),
+            policy=policy,
             profile=profile,
             fault_plan=plan,
         )
     return ShardedDB(
         num_shards=shards,
-        policy_factory=policy_factory,
+        policy=policy,
         config=config,
         profile=profile,
         fault_plans=plans,
@@ -352,7 +347,7 @@ class CorruptionReport:
 # ----------------------------------------------------------------------
 def run_reference(
     operations: Sequence[Operation],
-    policy_factory: PolicyFactory,
+    policy: object,
     config: Optional[LSMConfig] = None,
     shards: int = 1,
     flash: Optional[FlashSpec] = None,
@@ -360,7 +355,7 @@ def run_reference(
     """Fault-free run counting charged I/Os per shard device."""
     config = config if config is not None else default_config()
     plans: List[Optional[FaultPlan]] = [FaultPlan() for _ in range(max(1, shards))]
-    store = _build_store(policy_factory, config, shards, plans, flash)
+    store = _build_store(policy, config, shards, plans, flash)
     for op in operations:
         _execute(store, op)
     engines = store.shards if isinstance(store, ShardedDB) else [store]
@@ -378,7 +373,7 @@ def run_reference(
 # ----------------------------------------------------------------------
 def run_crash_point(
     operations: Sequence[Operation],
-    policy_factory: PolicyFactory,
+    policy: object,
     io_index: int,
     *,
     config: Optional[LSMConfig] = None,
@@ -392,7 +387,7 @@ def run_crash_point(
     effective_shards = max(1, shards)
     plans: List[Optional[FaultPlan]] = [None] * effective_shards
     plans[shard] = FaultPlan().crash_at(io_index, torn_fraction=torn_fraction)
-    store = _build_store(policy_factory, config, shards, plans, flash)
+    store = _build_store(policy, config, shards, plans, flash)
     result = CrashPointResult(
         io_index=io_index, shard=shard, torn_fraction=torn_fraction, fired=False
     )
@@ -523,9 +518,8 @@ def _verify_final(
 # Full enumeration
 # ----------------------------------------------------------------------
 def run_crashtest(
-    policy_factory: PolicyFactory,
+    policy: object,
     *,
-    policy_name: str = "?",
     num_ops: int = 2000,
     num_keys: int = 200,
     value_bytes: int = 32,
@@ -546,9 +540,11 @@ def run_crashtest(
     """
     if stride <= 0:
         raise ReproError("stride must be positive")
+    # One store per crash point: like shards, they cannot share an instance.
+    policy = per_shard_policy(policy, 2)
     config = config if config is not None else default_config()
     operations = build_operations(num_ops, num_keys, seed, value_bytes)
-    reference = run_reference(operations, policy_factory, config, shards, flash)
+    reference = run_reference(operations, policy, config, shards, flash)
 
     points: List[Tuple[int, int]] = []
     for shard_index, shard_ios in enumerate(reference.shard_ios):
@@ -561,7 +557,7 @@ def run_crashtest(
         results.append(
             run_crash_point(
                 operations,
-                policy_factory,
+                policy,
                 io_index,
                 config=config,
                 shards=shards,
@@ -573,7 +569,7 @@ def run_crashtest(
         if progress is not None:
             progress(count + 1, len(points))
     return CrashTestReport(
-        policy=policy_name,
+        policy=make_policy(policy).name,
         shards=max(1, shards),
         stride=stride,
         reference=reference,
@@ -585,9 +581,8 @@ def run_crashtest(
 # Corruption sweep
 # ----------------------------------------------------------------------
 def run_corruption_test(
-    policy_factory: PolicyFactory,
+    policy: object,
     *,
-    policy_name: str = "?",
     num_ops: int = 1500,
     num_keys: int = 150,
     value_bytes: int = 32,
@@ -605,10 +600,11 @@ def run_corruption_test(
     :class:`~repro.errors.CorruptionError` and none to slip past a
     decode path (``faults.corruptions_missed`` must stay zero).
     """
+    policy = per_shard_policy(policy, 2)  # the probe and the swept store
     config = config if config is not None else default_config()
     operations = build_operations(num_ops, num_keys, seed, value_bytes)
 
-    probe = _build_store(policy_factory, config, 1, [FaultPlan()])
+    probe = _build_store(policy, config, 1, [FaultPlan()])
     for op in operations:
         _execute(probe, op)
     total_reads = probe.device.faults.read_count
@@ -623,11 +619,7 @@ def run_corruption_test(
         plan.corrupt_read(index)
     scheduled = plan.pending_corruptions
 
-    store = DB(
-        config=config,
-        policy=resolve_factory(policy_factory)(),
-        fault_plan=plan,
-    )
+    store = DB(config=config, policy=policy, fault_plan=plan)
     detected = 0
     for op in operations:
         try:
@@ -637,7 +629,7 @@ def run_corruption_test(
     delivered = int(store.registry.counter("faults.corrupted_blocks"))
     missed = int(store.registry.counter("faults.corruptions_missed"))
     return CorruptionReport(
-        policy=policy_name,
+        policy=store.policy.name,
         scheduled=scheduled,
         delivered=delivered,
         detected=detected,

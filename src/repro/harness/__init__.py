@@ -7,7 +7,7 @@ from .latency import (
     TimelinePoint,
 )
 from .report import format_table, improvement, mib, paper_row, ratio
-from .runner import PolicyFactory, RunResult, build_db, run_workload
+from .runner import RunResult, build_db, run_workload
 from .timeseries import StateSample, StateSampler
 from . import experiments
 
@@ -19,7 +19,6 @@ __all__ = [
     "RunResult",
     "run_workload",
     "build_db",
-    "PolicyFactory",
     "StateSampler",
     "StateSample",
     "format_table",

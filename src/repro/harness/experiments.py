@@ -39,6 +39,7 @@ from ..ssd.flash import DeviceConfig, FlashSpec
 from ..ssd.profile import ENTERPRISE_PCIE, SSDProfile, get_profile
 from ..workload import spec as workloads
 from ..workload.spec import WorkloadSpec
+from ..workload.ycsb import Operation
 
 DEFAULT_OPS = 60_000
 DEFAULT_KEY_SPACE = 20_000
@@ -95,8 +96,10 @@ class GridTask:
 
     ``policy`` is a registry name or a :class:`PolicySpec`;
     ``policy_label`` is what result rows call it ("UDC", "LDC-fixed").
-    Every field must be picklable — tasks and their RunResults cross
-    process boundaries when the grid runs with workers.
+    ``preload`` / ``operations`` replace the spec's own streams (one
+    shard's slice of a sharded run).  Every field must be picklable —
+    tasks and their RunResults cross process boundaries when the grid
+    runs with workers.
     """
 
     label: str
@@ -106,6 +109,8 @@ class GridTask:
     profile: "SSDProfile | DeviceConfig" = ENTERPRISE_PCIE
     timeline_bucket_us: float = 1_000_000.0
     policy_label: str = ""
+    preload: Optional[Tuple[Operation, ...]] = None
+    operations: Optional[Tuple[Operation, ...]] = None
 
 
 def _run_grid_task(task: GridTask) -> RunResult:
@@ -116,6 +121,8 @@ def _run_grid_task(task: GridTask) -> RunResult:
         config=task.config,
         profile=task.profile,
         timeline_bucket_us=task.timeline_bucket_us,
+        preload=task.preload,
+        operations=task.operations,
     )
 
 
@@ -696,9 +703,7 @@ def shard_scaling(
     and worker-count-independent; ``wall_s`` is the only host-dependent
     column.
     """
-    # Local import: experiments is imported during ``repro.harness`` init,
-    # which repro.shard.runner itself imports — a module-level import here
-    # would close that cycle.
+    # Local import: repro.shard.runner imports this module (for run_grid).
     from ..shard.runner import run_sharded_workload
 
     if workers is None:

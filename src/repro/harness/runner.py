@@ -1,28 +1,32 @@
 """The workload runner: drive a DB with a workload spec, measure everything.
 
-``run_workload`` executes the paper's measurement protocol:
+The paper's measurement protocol (§IV-A), written down once:
 
-1. build a fresh DB with the requested compaction policy over a fresh
-   simulated device;
-2. load ``preload_keys`` distinct keys (read-bearing workloads run against
-   a populated store, as in §IV-A), drain maintenance, reset statistics;
-3. execute the measured operations, recording each operation's virtual-time
-   latency (split by kind) and the Fig. 1-style timeline;
-4. return a :class:`RunResult` with throughput, percentiles, device I/O by
-   category, engine counters and space usage.
+1. :func:`prepare_db` builds a fresh DB with the requested compaction
+   policy over a fresh simulated device, loads the preload stream
+   (read-bearing workloads run against a populated store), drains
+   maintenance and resets the statistics;
+2. :func:`execute_operations` runs the measured operations, recording each
+   one's virtual-time latency (split by kind) and the Fig. 1-style timeline;
+3. the :class:`RunResult` carries throughput, percentiles, the metrics
+   snapshot (device I/O by category, engine counters) and space usage.
+
+A shard of a sharded run is this protocol over its slice of the streams,
+and the fold of the per-shard results (:meth:`RunResult.fold`) is again a
+:class:`RunResult`; closed-loop serving is step 2 plus the serve ledger.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import islice
-from typing import Callable, Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from .latency import LatencyRecorder, LatencyTimeline
-from ..errors import WorkloadError
-from ..lsm.compaction.spec import resolve_factory
+from ..errors import ConfigError, WorkloadError
 from ..lsm.config import LSMConfig
 from ..lsm.db import DB
+from ..obs.aggregate import aggregate_snapshots, combined_view
 from ..obs.snapshot import MetricsSnapshot
 from ..obs.tracer import Tracer
 from ..ssd.flash import DeviceConfig
@@ -37,65 +41,90 @@ from ..workload.ycsb import (
     WorkloadGenerator,
 )
 
-#: Factory producing a fresh policy instance per run (policies are
-#: stateful).  Every harness entry point also accepts a registered policy
-#: name or a :class:`~repro.lsm.compaction.spec.PolicySpec` wherever a
-#: factory is expected (coerced through
-#: :func:`~repro.lsm.compaction.spec.resolve_factory`).
-PolicyFactory = Callable[[], object]
+
+def snapshot_view(name: str) -> property:
+    """A result attribute that reads ``result.metrics.<name>``."""
+    return property(lambda self: getattr(self.metrics, name))
+
+
+def counter_view(key: str, cast: type = int) -> property:
+    """A result attribute that reads one counter of ``result.metrics``."""
+    return property(lambda self: cast(self.metrics.get(key)))
+
+
+def fold_timelines(results: Sequence) -> LatencyTimeline:
+    """The bucket-wise merge of every result's timeline."""
+    timeline = LatencyTimeline(bucket_us=results[0].timeline.bucket_us)
+    for result in results:
+        timeline.merge(result.timeline)
+    return timeline
 
 
 @dataclass
 class RunResult:
-    """Everything measured during one workload run."""
+    """Everything measured during one workload run — or one sharded run.
+
+    The counter-backed quantities (I/O bytes, write amplification, engine
+    counters, stall time, the flash/FTL figures of docs/DEVICE.md) are
+    views of ``metrics``, the snapshot taken when the run finished (its
+    counters cover the measured window since the post-load reset), so
+    the :meth:`fold` of per-shard results is a result of the same type.
+    """
 
     workload: str
     policy: str
     operations: int
+    #: Measured virtual time; of a fold, the slowest shard's — the run is
+    #: done when its last shard is.
     elapsed_us: float
     latencies: LatencyRecorder
     write_latencies: LatencyRecorder
     read_latencies: LatencyRecorder
     scan_latencies: LatencyRecorder
     timeline: LatencyTimeline
-    compaction_read_bytes: int
-    compaction_write_bytes: int
-    total_read_bytes: int
-    total_write_bytes: int
-    user_bytes_written: int
-    write_amplification: float
+    metrics: MetricsSnapshot
     space_bytes: int
     live_bytes: int
     extra_space_bytes: int
-    flush_count: int
-    compaction_count: int
-    link_count: int
-    merge_count: int
-    trivial_moves: int
-    stall_events: int
-    sstable_blocks_read: int
-    bloom_negative_skips: int
-    activity_share: Dict[str, float] = field(default_factory=dict)
     final_threshold: Optional[int] = None
-    #: Unified metrics snapshot taken when the run finished (counters cover
-    #: the measured window since the post-load reset).
-    metrics: Optional[MetricsSnapshot] = None
-    #: Virtual time the measured operations spent throttled (L0 slowdown
-    #: delays + stop stalls); always present, non-zero mostly under the
-    #: scheduler (``bg_threads >= 1``).
-    stall_time_us: float = 0.0
-    #: Foreground waits behind in-flight background compaction chunks on
-    #: the device channel (scheduler only).
-    device_wait_us: float = 0.0
-    #: Flash/FTL quantities (docs/DEVICE.md); the defaults are what a
-    #: flash-less run reports, so pickled results and old callers are
-    #: unaffected.  ``write_amplification`` above stays *host* WA.
-    device_write_amplification: float = 1.0
-    total_write_amplification: float = 0.0
-    gc_write_bytes: int = 0
-    flash_bytes_programmed: int = 0
-    blocks_erased: int = 0
-    max_erase_count: int = 0
+    #: Of a fold: its per-shard results, the keyspace split, the fan-out.
+    shard_results: List["RunResult"] = field(default_factory=list)
+    partitioner: str = ""
+    workers: int = 1
+    #: Real (host) seconds spent executing the shard tasks; the only
+    #: field that may differ between serial and parallel execution.
+    wall_s: float = 0.0
+
+    compaction_read_bytes = snapshot_view("compaction_bytes_read")
+    compaction_write_bytes = snapshot_view("compaction_bytes_written")
+    compaction_bytes_total = snapshot_view("compaction_bytes_total")
+    total_read_bytes = snapshot_view("total_bytes_read")
+    total_write_bytes = snapshot_view("total_bytes_written")
+    user_bytes_written = snapshot_view("user_bytes_written")
+    #: *Host* write amplification; the device and end-to-end ratios follow.
+    write_amplification = snapshot_view("write_amplification")
+    device_write_amplification = snapshot_view("device_write_amplification")
+    total_write_amplification = snapshot_view("total_write_amplification")
+    gc_write_bytes = snapshot_view("gc_write_bytes")
+    flash_bytes_programmed = snapshot_view("flash_bytes_programmed")
+    blocks_erased = snapshot_view("blocks_erased")
+    max_erase_count = snapshot_view("max_erase_count")
+    flush_count = counter_view("engine.flush_count")
+    compaction_count = counter_view("engine.compaction_count")
+    link_count = counter_view("engine.link_count")
+    merge_count = counter_view("engine.merge_count")
+    trivial_moves = counter_view("engine.trivial_moves")
+    stall_events = counter_view("engine.stall_events")
+    sstable_blocks_read = counter_view("engine.sstable_blocks_read")
+    bloom_negative_skips = counter_view("engine.bloom_negative_skips")
+    #: Virtual time spent throttled (L0 slowdown delays + stop stalls) and
+    #: waiting behind background compaction on the device channel.
+    stall_time_us = counter_view("engine.stall_time_us", float)
+    device_wait_us = counter_view("sched.device_wait_us", float)
+
+    @property
+    def activity_share(self) -> Dict[str, float]:
+        return self.metrics.activity_share()
 
     @property
     def throughput_ops_s(self) -> float:
@@ -105,12 +134,85 @@ class RunResult:
         return self.operations / (self.elapsed_us / 1e6)
 
     @property
-    def compaction_bytes_total(self) -> int:
-        return self.compaction_read_bytes + self.compaction_write_bytes
-
-    @property
     def mean_latency_us(self) -> float:
         return self.latencies.mean()
+
+    @property
+    def num_shards(self) -> int:
+        return len(self.shard_results) or 1
+
+    @property
+    def shard_operations(self) -> List[int]:
+        return [result.operations for result in self.shard_results]
+
+    @property
+    def combined_metrics(self) -> MetricsSnapshot:
+        """Aggregate plus ``shard.<i>.`` namespaces (e.g. erase counts)."""
+        return combined_view([result.metrics for result in self.shard_results])
+
+    @classmethod
+    def fold(
+        cls,
+        results: Sequence["RunResult"],
+        partitioner: str = "",
+        workers: int = 1,
+        wall_s: float = 0.0,
+    ) -> "RunResult":
+        """Per-shard results as one result, deterministically.
+
+        Every fold is order-fixed (shard order) and value-commutative
+        (counter sums, histogram adds, bucket maxes), so the result
+        depends only on the per-shard results — not on who computed them
+        or when — and the fleet ratios are over the summed counters.
+        """
+        if not results:
+            raise ConfigError("cannot fold zero shard results")
+        thresholds = {result.final_threshold for result in results}
+        return replace(
+            results[0],
+            operations=sum(result.operations for result in results),
+            elapsed_us=max(result.elapsed_us for result in results),
+            latencies=merge_recorders(*(r.latencies for r in results)),
+            write_latencies=merge_recorders(*(r.write_latencies for r in results)),
+            read_latencies=merge_recorders(*(r.read_latencies for r in results)),
+            scan_latencies=merge_recorders(*(r.scan_latencies for r in results)),
+            timeline=fold_timelines(results),
+            metrics=aggregate_snapshots([result.metrics for result in results]),
+            space_bytes=sum(result.space_bytes for result in results),
+            live_bytes=sum(result.live_bytes for result in results),
+            extra_space_bytes=sum(result.extra_space_bytes for result in results),
+            final_threshold=thresholds.pop() if len(thresholds) == 1 else None,
+            shard_results=list(results),
+            partitioner=partitioner,
+            workers=workers,
+            wall_s=wall_s,
+        )
+
+    def fingerprint(self) -> tuple:
+        """Every deterministic aggregate, for bit-identity assertions.
+
+        Excludes ``wall_s`` (host time) and nothing else: if any of this
+        differs between a serial and a parallel run, the determinism
+        contract is broken.
+        """
+        return (
+            self.workload,
+            self.policy,
+            self.partitioner,
+            self.num_shards,
+            self.operations,
+            self.elapsed_us,
+            tuple(self.shard_operations),
+            tuple(result.elapsed_us for result in self.shard_results),
+            tuple(sorted(self.metrics.counters.items())),
+            tuple(sorted(self.metrics.gauges.items())),
+            tuple(self.latencies.values),
+            tuple(
+                (point.start_us, point.count, point.mean_latency_us,
+                 point.max_latency_us)
+                for point in self.timeline.points()
+            ),
+        )
 
     def summary(self) -> Dict[str, float]:
         """Compact numeric summary used by reports and tests."""
@@ -128,24 +230,42 @@ class RunResult:
 
 
 def build_db(
-    policy_factory: PolicyFactory,
+    policy: object,
     config: Optional[LSMConfig] = None,
     profile: "SSDProfile | DeviceConfig" = ENTERPRISE_PCIE,
     tracer: Optional[Tracer] = None,
 ) -> DB:
     """Construct a fresh DB for one measured run.
 
-    ``policy_factory`` may be a zero-arg factory, a registered policy
-    name, or a :class:`~repro.lsm.compaction.spec.PolicySpec`.
+    ``policy`` is a registered policy name, a
+    :class:`~repro.lsm.compaction.spec.PolicySpec` or an instance.
     ``profile`` accepts a bare :class:`~repro.ssd.profile.SSDProfile`
     or a :class:`~repro.ssd.flash.DeviceConfig` (flash layer opt-in).
     """
     return DB(
         config=config if config is not None else LSMConfig(),
-        policy=resolve_factory(policy_factory)(),
+        policy=policy,
         profile=profile,
         tracer=tracer,
     )
+
+
+def prepare_db(
+    policy: object,
+    preload: Iterable,
+    config: Optional[LSMConfig] = None,
+    profile: "SSDProfile | DeviceConfig" = ENTERPRISE_PCIE,
+    tracer: Optional[Tracer] = None,
+) -> DB:
+    """Build a store, load ``preload`` into it, drain maintenance and
+    reset the counters: everything measured afterwards is the measured
+    phase's alone (the load is traced too, separated by the reset)."""
+    db = build_db(policy, config=config, profile=profile, tracer=tracer)
+    for operation in preload:
+        db.put(operation.key, operation.value)
+    db.policy.maybe_compact()
+    db.reset_measurements()
+    return db
 
 
 #: Operations dispatched per chunk by the runner loop.  Chunking
@@ -157,7 +277,7 @@ CHUNK_SIZE = 1024
 
 def run_workload(
     spec: WorkloadSpec,
-    policy_factory: PolicyFactory,
+    policy: object,
     config: Optional[LSMConfig] = None,
     profile: "SSDProfile | DeviceConfig" = ENTERPRISE_PCIE,
     timeline_bucket_us: float = 1_000_000.0,
@@ -165,6 +285,8 @@ def run_workload(
     tracer: Optional[Tracer] = None,
     sample_stride: int = 1,
     max_latency_samples: Optional[int] = None,
+    preload: Optional[Iterable] = None,
+    operations: Optional[Iterable] = None,
 ) -> RunResult:
     """Run one workload against one policy and measure it.
 
@@ -174,18 +296,18 @@ def run_workload(
     phase is traced too, separated from the measured phase by the
     measurement reset.  ``sample_stride`` / ``max_latency_samples``
     configure sampled latency recording for paper-scale runs (see
-    :class:`~repro.harness.latency.LatencyRecorder`).
+    :class:`~repro.harness.latency.LatencyRecorder`).  ``preload`` /
+    ``operations`` replace the spec's own streams — a shard of a sharded
+    run is a run over its slice of them.
     """
     generator = WorkloadGenerator(spec)
     if db is None:
-        db = build_db(policy_factory, config=config, profile=profile, tracer=tracer)
-        for operation in generator.preload_operations():
-            db.put(operation.key, operation.value)
-        db.policy.maybe_compact()
-        db.reset_measurements()
+        if preload is None:
+            preload = generator.preload_operations()
+        db = prepare_db(policy, preload, config, profile, tracer)
     return execute_operations(
         db,
-        generator.operations(),
+        generator.operations() if operations is None else operations,
         workload_name=spec.name,
         timeline_bucket_us=timeline_bucket_us,
         sample_stride=sample_stride,
@@ -203,21 +325,16 @@ def execute_operations(
 ) -> RunResult:
     """Execute an explicit operation stream against a prepared DB.
 
-    The measured core of :func:`run_workload`, split out so the sharded
-    runner (:mod:`repro.shard.runner`) can drive a shard with a
-    pre-partitioned slice of the trace through the *identical* loop —
-    keeping single-store and sharded measurements comparable.
+    The measured core of :func:`run_workload` and of closed-loop
+    serving, and what the benchmark of record drives directly.
 
     Operations execute one at a time (per-op virtual-time effects are
     untouched), but latencies are buffered and bulk-loaded into the
     recorders once per chunk of :data:`CHUNK_SIZE`.
     """
     recorders = {
-        OP_PUT: LatencyRecorder(sample_stride, max_latency_samples),
-        OP_DELETE: LatencyRecorder(sample_stride, max_latency_samples),
-        OP_GET: LatencyRecorder(sample_stride, max_latency_samples),
-        OP_SCAN: LatencyRecorder(sample_stride, max_latency_samples),
-        OP_RMW: LatencyRecorder(sample_stride, max_latency_samples),
+        kind: LatencyRecorder(sample_stride, max_latency_samples)
+        for kind in (OP_PUT, OP_DELETE, OP_GET, OP_SCAN, OP_RMW)
     }
     overall = LatencyRecorder(sample_stride, max_latency_samples)
     timeline = LatencyTimeline(bucket_us=timeline_bucket_us)
@@ -226,11 +343,9 @@ def execute_operations(
     count = _run_chunked(db, operations, recorders, overall, timeline)
 
     elapsed = clock.now() - start_time
-    device_stats = db.device.stats
     snapshot = db.metrics()
     live = db.version.total_file_bytes()
     extra = db.policy.extra_space_bytes()
-    write_recorder = _merge_recorders(recorders[OP_PUT], recorders[OP_DELETE])
     final_threshold = getattr(db.policy, "threshold", None)
     return RunResult(
         workload=workload_name,
@@ -238,38 +353,15 @@ def execute_operations(
         operations=count,
         elapsed_us=elapsed,
         latencies=overall,
-        write_latencies=write_recorder,
+        write_latencies=merge_recorders(recorders[OP_PUT], recorders[OP_DELETE]),
         read_latencies=recorders[OP_GET],
         scan_latencies=recorders[OP_SCAN],
         timeline=timeline,
-        compaction_read_bytes=device_stats.compaction_bytes_read,
-        compaction_write_bytes=device_stats.compaction_bytes_written,
-        total_read_bytes=device_stats.total_bytes_read,
-        total_write_bytes=device_stats.total_bytes_written,
-        user_bytes_written=db.engine_stats.user_bytes_written,
-        write_amplification=db.write_amplification(),
+        metrics=snapshot,
         space_bytes=live + extra,
         live_bytes=live,
         extra_space_bytes=extra,
-        flush_count=db.engine_stats.flush_count,
-        compaction_count=db.engine_stats.compaction_count,
-        link_count=db.engine_stats.link_count,
-        merge_count=db.engine_stats.merge_count,
-        trivial_moves=db.engine_stats.trivial_moves,
-        stall_events=db.engine_stats.stall_events,
-        sstable_blocks_read=db.engine_stats.sstable_blocks_read,
-        bloom_negative_skips=db.engine_stats.bloom_negative_skips,
-        activity_share=db.engine_stats.activity_share(),
         final_threshold=final_threshold if isinstance(final_threshold, int) else None,
-        metrics=snapshot,
-        stall_time_us=float(db.registry.counter("engine.stall_time_us")),
-        device_wait_us=float(db.registry.counter("sched.device_wait_us")),
-        device_write_amplification=snapshot.device_write_amplification,
-        total_write_amplification=snapshot.total_write_amplification,
-        gc_write_bytes=snapshot.gc_write_bytes,
-        flash_bytes_programmed=snapshot.flash_bytes_programmed,
-        blocks_erased=snapshot.blocks_erased,
-        max_erase_count=snapshot.max_erase_count,
     )
 
 
@@ -349,7 +441,7 @@ def _run_chunked(
     return count
 
 
-def _merge_recorders(*recorders: LatencyRecorder) -> LatencyRecorder:
+def merge_recorders(*recorders: LatencyRecorder) -> LatencyRecorder:
     merged = LatencyRecorder()
     for recorder in recorders:
         merged.merge_from(recorder)

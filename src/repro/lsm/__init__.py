@@ -29,12 +29,10 @@ from .compaction import (
     CompactionPolicy,
     ComposedPolicy,
     PolicySpec,
-    SpecFactory,
     available_policies,
     get_spec,
     make_policy,
     register_policy,
-    resolve_factory,
 )
 
 __all__ = [
@@ -69,10 +67,8 @@ __all__ = [
     "CompactionPolicy",
     "ComposedPolicy",
     "PolicySpec",
-    "SpecFactory",
     "available_policies",
     "get_spec",
     "make_policy",
     "register_policy",
-    "resolve_factory",
 ]

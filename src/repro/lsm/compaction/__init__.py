@@ -26,25 +26,21 @@ from .primitives import (
 from .spec import (
     DEFAULT_POLICY,
     PolicySpec,
-    SpecFactory,
     available_policies,
     get_spec,
     make_policy,
     register_policy,
-    resolve_factory,
 )
 
 __all__ = [
     "CompactionPolicy",
     "ComposedPolicy",
     "PolicySpec",
-    "SpecFactory",
     "DEFAULT_POLICY",
     "available_policies",
     "get_spec",
     "make_policy",
     "register_policy",
-    "resolve_factory",
     "Trigger",
     "TriggerDecision",
     "CandidateSelector",

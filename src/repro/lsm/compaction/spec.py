@@ -4,7 +4,7 @@ A spec names one primitive per design-space axis — trigger, candidate
 selector, data movement, level layout — plus a flat parameter mapping
 distributed to whichever primitives declare each key.  Specs are frozen
 dataclasses: hashable, picklable (they cross ``ProcessPoolExecutor``
-boundaries inside grid and shard tasks), and round-trippable through
+boundaries inside grid tasks), and round-trippable through
 ``to_dict``/``from_dict`` for reports and CLI plumbing.
 
 The module also hosts the **central policy registry** — the single
@@ -200,17 +200,6 @@ class PolicySpec:
         return ComposedPolicy(self)
 
 
-@dataclass(frozen=True)
-class SpecFactory:
-    """Picklable zero-arg factory: grid/shard tasks ship specs, not
-    policy instances (policies are stateful and per-engine)."""
-
-    spec: PolicySpec
-
-    def __call__(self):
-        return self.spec.build()
-
-
 # ----------------------------------------------------------------------
 # The central policy registry
 # ----------------------------------------------------------------------
@@ -252,26 +241,6 @@ def make_policy(policy: Any = None):
     if isinstance(policy, PolicySpec):
         return policy.build()
     return policy
-
-
-def resolve_factory(policy: Any = None):
-    """Coerce a policy designator into a picklable zero-arg factory.
-
-    Strings and specs become :class:`SpecFactory`; zero-arg callables
-    pass through untouched.
-    """
-    if policy is None:
-        return SpecFactory(get_spec(DEFAULT_POLICY))
-    if isinstance(policy, str):
-        return SpecFactory(get_spec(policy))
-    if isinstance(policy, PolicySpec):
-        return SpecFactory(policy)
-    if callable(policy):
-        return policy
-    raise ConfigError(
-        f"cannot build a policy factory from {type(policy).__name__!r}; "
-        f"pass a name, a PolicySpec, or a zero-arg callable"
-    )
 
 
 # ----------------------------------------------------------------------

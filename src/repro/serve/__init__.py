@@ -30,7 +30,7 @@ from .server import (
     admission_bound,
     serve_workload,
 )
-from .sharded import ShardedServeReport, merge_serve_results, run_sharded_serve
+from .sharded import run_sharded_serve
 
 __all__ = [
     "ARRIVAL_KINDS",
@@ -47,12 +47,10 @@ __all__ = [
     "RequestQueue",
     "ServeResult",
     "ServeSpec",
-    "ShardedServeReport",
     "Tenant",
     "TenantServeStats",
     "admission_bound",
     "make_arrival_process",
-    "merge_serve_results",
     "merge_tenant_arrivals",
     "run_sharded_serve",
     "serve_workload",

@@ -26,31 +26,42 @@ a typed :class:`~repro.errors.BackpressureError` — the engine's L0
 throttle propagated to the front door instead of silently inflating
 every queued request behind a stalled write.
 
-**Closed-loop equivalence.**  ``arrival="closed"`` replays the workload
-with the next request arriving exactly when the previous one completes
-(queue depth never exceeds 1, zero queue wait).  That path executes the
-identical per-operation sequence as
-:func:`repro.harness.runner.execute_operations` — same clock reads, same
-stall-counter attribution, same recorder order — so its results are
-bit-identical to the closed-loop runner's, which the differential suite
-pins (``tests/test_serve_differential.py``).
+**Closed loop.**  ``arrival="closed"`` replays the workload with the next
+request arriving exactly when the previous one completes (queue depth
+never exceeds 1, zero queue wait).  That *is* the closed-loop runner:
+the measured phase is :func:`repro.harness.runner.execute_operations`,
+and the serve ledger (zero waits, service = total = the run's latencies,
+SLO violations counted from the samples) is written from its result —
+``tests/test_serve_differential.py`` pins the two views equal.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import groupby
 from operator import itemgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .arrivals import Arrival, Tenant, merge_tenant_arrivals, split_rate
 from .queue import Request, RequestQueue
 from ..errors import BackpressureError, ConfigError, QueueFullError, WorkloadError
 from ..harness.latency import LatencyRecorder, LatencyTimeline
-from ..harness.runner import PolicyFactory, build_db
+from ..harness.runner import (
+    RunResult,
+    counter_view,
+    execute_operations,
+    fold_timelines,
+    merge_recorders,
+    prepare_db,
+)
 from ..lsm.config import LSMConfig
 from ..lsm.db import DB
-from ..obs.aggregate import TENANT_PREFIX, prefix_snapshot
+from ..obs.aggregate import (
+    TENANT_PREFIX,
+    aggregate_snapshots,
+    combined_view,
+    prefix_snapshot,
+)
 from ..obs.snapshot import MetricsSnapshot
 from ..ssd.flash import DeviceConfig
 from ..ssd.profile import ENTERPRISE_PCIE, SSDProfile
@@ -137,6 +148,20 @@ class TenantServeStats:
         rejected = self.rejected_full + self.rejected_backpressure
         return (self.slo_violations + rejected) / arrived
 
+    @classmethod
+    def fold(cls, parts: Sequence["TenantServeStats"]) -> "TenantServeStats":
+        """One tenant's ledgers on every shard as its fleet-wide ledger."""
+        return replace(
+            parts[0],
+            wait_latencies=merge_recorders(*(p.wait_latencies for p in parts)),
+            total_latencies=merge_recorders(*(p.total_latencies for p in parts)),
+            **{
+                name: sum(getattr(part, name) for part in parts)
+                for name in ("completed", "rejected_full",
+                             "rejected_backpressure", "slo_violations")
+            },
+        )
+
     def snapshot(self, t_us: float) -> MetricsSnapshot:
         """This tenant's ledger as a ``tenant.<name>.``-namespaced snapshot."""
         counters: Dict[str, float] = {
@@ -162,7 +187,8 @@ class TenantServeStats:
 
 @dataclass
 class ServeResult:
-    """Everything measured during one open-loop (or closed-loop) serve run."""
+    """Everything measured during one open-loop (or closed-loop) serve
+    run — or, folded (:meth:`fold`), one per shard of a sharded one."""
 
     workload: str
     policy: str
@@ -185,9 +211,52 @@ class ServeResult:
     total_latencies: LatencyRecorder
     timeline: LatencyTimeline
     tenant_stats: List[TenantServeStats]
-    metrics: Optional[MetricsSnapshot] = None
-    stall_time_us: float = 0.0
-    device_wait_us: float = 0.0
+    metrics: MetricsSnapshot
+    #: Of a fold: its per-shard results and how requests were routed.
+    shard_results: List["ServeResult"] = field(default_factory=list)
+    partitioner: str = ""
+
+    stall_time_us = counter_view("engine.stall_time_us", float)
+    device_wait_us = counter_view("sched.device_wait_us", float)
+
+    @property
+    def num_shards(self) -> int:
+        return len(self.shard_results) or 1
+
+    @property
+    def combined_metrics(self) -> MetricsSnapshot:
+        """The aggregate plus per-shard ``shard.<i>.`` namespaces."""
+        return combined_view([result.metrics for result in self.shard_results])
+
+    @classmethod
+    def fold(
+        cls, results: Sequence["ServeResult"], partitioner: str = ""
+    ) -> "ServeResult":
+        """Per-shard serve results as one result, deterministically (shard
+        order): counts and counters sum, recorders and timelines merge,
+        every tenant's ledgers fold, and the run ends with its last shard."""
+        if not results:
+            raise ConfigError("cannot fold zero serve results")
+        return replace(
+            results[0],  # what was configured and offered is fleet-wide
+            **{
+                name: sum(getattr(result, name) for result in results)
+                for name in ("arrived", "admitted", "rejected_full",
+                             "rejected_backpressure", "completed")
+            },
+            elapsed_us=max(result.elapsed_us for result in results),
+            wait_latencies=merge_recorders(*(r.wait_latencies for r in results)),
+            service_latencies=merge_recorders(*(r.service_latencies for r in results)),
+            total_latencies=merge_recorders(*(r.total_latencies for r in results)),
+            timeline=fold_timelines(results),
+            tenant_stats=[
+                TenantServeStats.fold(parts)
+                for parts in zip(*(result.tenant_stats for result in results))
+            ],
+            metrics=aggregate_snapshots([result.metrics for result in results]),
+            shard_results=list(results),
+            partitioner=partitioner,
+        )
 
     @property
     def rejected(self) -> int:
@@ -237,8 +306,22 @@ class ServeResult:
         )
 
     def fingerprint(self) -> tuple:
-        """Every deterministic quantity, for bit-identity assertions."""
-        assert self.metrics is not None
+        """Every deterministic quantity, for bit-identity assertions (of
+        a fold: its counts, its shards' fingerprints, the summed counters)."""
+        if self.shard_results:
+            return (
+                self.workload,
+                self.policy,
+                self.partitioner,
+                self.num_shards,
+                self.arrived,
+                self.admitted,
+                self.rejected,
+                self.completed,
+                self.elapsed_us,
+                tuple(result.fingerprint() for result in self.shard_results),
+                tuple(sorted(self.metrics.counters.items())),
+            )
         return (
             self.workload,
             self.policy,
@@ -284,40 +367,45 @@ class ServeResult:
 
 def serve_workload(
     spec: WorkloadSpec,
-    policy_factory: PolicyFactory,
+    policy: object,
     serve: ServeSpec,
     config: Optional[LSMConfig] = None,
     profile: "SSDProfile | DeviceConfig" = ENTERPRISE_PCIE,
     db: Optional[DB] = None,
     timeline_bucket_us: float = 1_000_000.0,
+    preload: Optional[Iterable] = None,
+    operations: Optional[Iterable] = None,
+    arrivals: Optional[Sequence[Arrival]] = None,
 ) -> ServeResult:
-    """Drive one workload through the open-loop serving layer.
+    """Drive one workload through the serving layer.
 
-    Mirrors :func:`~repro.harness.runner.run_workload`'s protocol —
-    build, preload, drain maintenance, reset, measure — but the measured
-    phase consumes the operation stream at the arrival process's pace
-    instead of back-to-back.  ``arrival="closed"`` reproduces the
-    closed-loop runner bit for bit (see module docstring).
+    :func:`~repro.harness.runner.run_workload`'s protocol, but the
+    measured phase consumes the operation stream at the arrival process's
+    pace instead of back-to-back; ``arrival="closed"`` is the closed-loop
+    runner itself (see module docstring).  ``preload`` / ``operations`` /
+    ``arrivals`` replace the spec's own streams: a shard of a sharded
+    serve is a serve over its slice of them.
     """
     generator = WorkloadGenerator(spec)
     if db is None:
-        db = build_db(policy_factory, config=config, profile=profile)
-        for operation in generator.preload_operations():
-            db.put(operation.key, operation.value)
-        db.policy.maybe_compact()
-        db.reset_measurements()
-    operations = generator.operations()
+        if preload is None:
+            preload = generator.preload_operations()
+        db = prepare_db(policy, preload, config, profile)
+    if operations is None:
+        operations = generator.operations()
     if serve.arrival == "closed":
-        return _serve_closed_loop(
-            db, operations, spec.name, serve, timeline_bucket_us
+        return _closed_loop_result(
+            execute_operations(db, operations, spec.name, timeline_bucket_us),
+            serve,
         )
-    arrivals = merge_tenant_arrivals(
-        serve.resolve_tenants(),
-        serve.arrival,
-        serve.seed,
-        spec.num_operations,
-        **dict(serve.arrival_params),
-    )
+    if arrivals is None:
+        arrivals = merge_tenant_arrivals(
+            serve.resolve_tenants(),
+            serve.arrival,
+            serve.seed,
+            spec.num_operations,
+            **dict(serve.arrival_params),
+        )
     return _serve_open_loop(
         db, operations, arrivals, spec.name, serve, timeline_bucket_us
     )
@@ -502,104 +590,68 @@ def _serve_open_loop(
     _record_batch(pending, wait_rec, service_rec, total_rec, tenants)
     elapsed = clock.now() - start_time
     queue.stats.check_conservation(len(queue))
-    return _build_result(
-        db, workload_name, serve, serve.arrival, queue.stats.arrived,
-        queue.stats.admitted, tenants, elapsed,
-        wait_rec, service_rec, total_rec, timeline,
-    )
-
-
-def _serve_closed_loop(
-    db: DB,
-    operations,
-    workload_name: str,
-    serve: ServeSpec,
-    timeline_bucket_us: float,
-) -> ServeResult:
-    """Closed-loop replay through the serve bookkeeping (queue depth 1).
-
-    The next request "arrives" the instant the previous one completes,
-    so every queue wait is exactly zero and the per-operation execution
-    sequence — clock reads, dispatch, stall-counter attribution,
-    recorder order — matches
-    :func:`repro.harness.runner.execute_operations` bit for bit.
-    """
-    tenants = _tenant_stats(serve)
-    stats = tenants[0]
-    wait_rec = LatencyRecorder()
-    service_rec = LatencyRecorder()
-    total_rec = LatencyRecorder()
-    timeline = LatencyTimeline(bucket_us=timeline_bucket_us)
-    clock = db.clock
-    counters_get = db.registry._counters.get
-    stall_total = counters_get("engine.stall_time_us", 0) + counters_get(
-        "sched.device_wait_us", 0
-    )
-    start_time = clock.now()
-    count = 0
-    pending: List[Tuple[int, float, float, float]] = []
-    for operation in operations:
-        begin = clock._now_us
-        _execute(db, operation)
-        latency = clock._now_us - begin
-        stalled = counters_get("engine.stall_time_us", 0) + counters_get(
-            "sched.device_wait_us", 0
-        )
-        pending.append((0, 0.0, latency, latency))
-        timeline.record(begin, latency, stall_us=stalled - stall_total)
-        stall_total = stalled
-        count += 1
-        if not count % RECORD_BATCH:
-            _record_batch(pending, wait_rec, service_rec, total_rec, tenants)
-        stats.completed += 1
-        if latency > stats.slo_us:
-            stats.slo_violations += 1
-    _record_batch(pending, wait_rec, service_rec, total_rec, tenants)
-    elapsed = clock.now() - start_time
-    return _build_result(
-        db, workload_name, serve, "closed", count, count, tenants, elapsed,
-        wait_rec, service_rec, total_rec, timeline,
-    )
-
-
-def _build_result(
-    db: DB,
-    workload_name: str,
-    serve: ServeSpec,
-    arrival: str,
-    arrived: int,
-    admitted: int,
-    tenants: List[TenantServeStats],
-    elapsed: float,
-    wait_rec: LatencyRecorder,
-    service_rec: LatencyRecorder,
-    total_rec: LatencyRecorder,
-    timeline: LatencyTimeline,
-) -> ServeResult:
-    snapshot = db.metrics()
-    counter = db.registry.counter
-    return ServeResult(
+    return _serve_result(
+        serve,
+        tenants,
         workload=workload_name,
         policy=db.policy.name,
-        arrival=arrival,
+        arrived=queue.stats.arrived,
+        admitted=queue.stats.admitted,
+        elapsed_us=elapsed,
+        wait_latencies=wait_rec,
+        service_latencies=service_rec,
+        total_latencies=total_rec,
+        timeline=timeline,
+        metrics=db.metrics(),
+    )
+
+
+def _closed_loop_result(run: RunResult, serve: ServeSpec) -> ServeResult:
+    """A closed-loop run as the serve layer reports it: the next request
+    "arrives" the instant the previous one completes, so every queue wait
+    is exactly zero and the run's latencies are the client-perceived ones."""
+    tenants = _tenant_stats(serve)
+    stats = tenants[0]
+    waits = LatencyRecorder()
+    waits.record_many([0.0] * run.operations)
+    stats.completed = run.operations
+    stats.slo_violations = sum(
+        1 for latency in run.latencies.values if latency > stats.slo_us
+    )
+    stats.wait_latencies = waits
+    stats.total_latencies = run.latencies
+    return _serve_result(
+        serve,
+        tenants,
+        workload=run.workload,
+        policy=run.policy,
+        arrived=run.operations,
+        admitted=run.operations,
+        elapsed_us=run.elapsed_us,
+        wait_latencies=waits,
+        service_latencies=run.latencies,
+        total_latencies=run.latencies,
+        timeline=run.timeline,
+        metrics=run.metrics,
+    )
+
+
+def _serve_result(
+    serve: ServeSpec, tenants: List[TenantServeStats], **measured
+) -> ServeResult:
+    """The result of one serve run: what ``serve`` configured, what the
+    tenants' ledgers sum to, and what the loop ``measured``."""
+    return ServeResult(
+        arrival=serve.arrival,
         # The load actually offered is the sum of the resolved tenant
         # rates: an explicit tenants tuple overrides serve.rate_ops_s.
         offered_rate_ops_s=sum(s.tenant.rate_ops_s for s in tenants),
         queue_depth=serve.queue_depth,
         discipline=serve.discipline,
         slo_us=serve.slo_us,
-        arrived=arrived,
-        admitted=admitted,
         rejected_full=sum(s.rejected_full for s in tenants),
         rejected_backpressure=sum(s.rejected_backpressure for s in tenants),
         completed=sum(s.completed for s in tenants),
-        elapsed_us=elapsed,
-        wait_latencies=wait_rec,
-        service_latencies=service_rec,
-        total_latencies=total_rec,
-        timeline=timeline,
         tenant_stats=tenants,
-        metrics=snapshot,
-        stall_time_us=float(counter("engine.stall_time_us")),
-        device_wait_us=float(counter("sched.device_wait_us")),
+        **measured,
     )

@@ -7,13 +7,14 @@ The scaling layer on top of :class:`~repro.lsm.db.DB`:
 * :mod:`repro.shard.db` — :class:`ShardedDB`, the single-store facade
   (routed put/get/delete, k-way merged scans, per-shard-sequence
   snapshots, aggregated metrics);
-* :mod:`repro.shard.runner` — shard-parallel workload execution with
-  bit-identical serial/parallel aggregation.
+* :mod:`repro.shard.runner` — shard-parallel workload execution: a grid
+  of runs folded, bit-identically for serial and parallel execution,
+  into one :class:`~repro.harness.runner.RunResult`.
 
 Quickstart
 ----------
 >>> from repro.shard import ShardedDB
->>> db = ShardedDB(num_shards=4, policy_factory="ldc")
+>>> db = ShardedDB(num_shards=4, policy="ldc")
 >>> db.put(b"user1", b"hello")
 >>> db.get(b"user1")
 b'hello'
@@ -27,12 +28,7 @@ from .partition import (
     RangePartitioner,
     make_partitioner,
 )
-from .runner import (
-    ShardedRunReport,
-    ShardTask,
-    merge_shard_results,
-    run_sharded_workload,
-)
+from .runner import run_sharded_workload
 
 __all__ = [
     "ShardedDB",
@@ -43,8 +39,5 @@ __all__ = [
     "RangePartitioner",
     "make_partitioner",
     "PARTITIONER_KINDS",
-    "ShardTask",
-    "ShardedRunReport",
     "run_sharded_workload",
-    "merge_shard_results",
 ]

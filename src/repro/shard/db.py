@@ -33,12 +33,13 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .partition import Partitioner, make_partitioner
-from ..errors import ConfigError, ReproError
+from ..errors import ConfigError
 from ..faults.plan import FaultPlan
-from ..lsm.compaction.spec import resolve_factory
+from ..lsm.compaction.spec import PolicySpec, get_spec
 from ..lsm.config import LSMConfig
 from ..lsm.db import DB
 from ..obs.aggregate import aggregate_snapshots, combined_view
@@ -46,11 +47,23 @@ from ..obs.snapshot import MetricsSnapshot
 from ..ssd.flash import DeviceConfig
 from ..ssd.profile import ENTERPRISE_PCIE, SSDProfile
 
-#: Factory producing a fresh policy instance (one per shard; policies are
-#: stateful and must never be shared between engines).  A registered
-#: policy name or a PolicySpec is accepted wherever a factory is (coerced
-#: via :func:`~repro.lsm.compaction.spec.resolve_factory`).
-PolicyFactory = Callable[[], object]
+
+def per_shard_policy(policy: object, num_shards: int) -> object:
+    """``policy`` as every shard of a store or a run may receive it.
+
+    Policies are stateful: each shard builds its own from a registry name
+    or a :class:`~repro.lsm.compaction.spec.PolicySpec`, and one shared
+    instance would corrupt every tree it drives.  An unknown name raises
+    :class:`~repro.errors.UnknownPolicyError` before any shard is built.
+    """
+    if isinstance(policy, str):
+        get_spec(policy)
+    elif num_shards > 1 and not isinstance(policy, (PolicySpec, type(None))):
+        raise ConfigError(
+            "a policy instance cannot be shared across shards; "
+            "pass a name or a PolicySpec"
+        )
+    return policy
 
 
 @dataclass(frozen=True)
@@ -81,12 +94,13 @@ class ShardedDB:
     ----------
     num_shards:
         How many independent engines to run.
-    policy_factory:
-        Called once per shard to build its compaction policy (policies are
-        stateful; sharing one instance would corrupt both trees).
+    policy:
+        A registry name or a :class:`~repro.lsm.compaction.spec.PolicySpec`;
+        every shard builds its own policy from it (:func:`per_shard_policy`).
     partitioner:
-        A :class:`~repro.shard.partition.Partitioner`, or ``None`` to
-        build one from ``partitioner_kind`` (+ ``key_space`` for range).
+        A kind name (``"hash"`` / ``"range"``, the latter placing its
+        split points over ``key_space``) or a pre-built
+        :class:`~repro.shard.partition.Partitioner`.
     config / profile:
         Shared engine geometry and device profile; every shard gets its
         own simulated device built from the same profile.  A
@@ -102,9 +116,8 @@ class ShardedDB:
     def __init__(
         self,
         num_shards: int,
-        policy_factory: PolicyFactory,
-        partitioner: Optional[Partitioner] = None,
-        partitioner_kind: str = "hash",
+        policy: object,
+        partitioner: Union[str, Partitioner] = "hash",
         key_space: int = 0,
         config: Optional[LSMConfig] = None,
         profile: "SSDProfile | DeviceConfig" = ENTERPRISE_PCIE,
@@ -112,26 +125,19 @@ class ShardedDB:
     ) -> None:
         if num_shards <= 0:
             raise ConfigError("num_shards must be positive")
-        if partitioner is None:
-            partitioner = make_partitioner(partitioner_kind, num_shards, key_space)
-        if partitioner.num_shards != num_shards:
-            raise ConfigError(
-                f"partitioner covers {partitioner.num_shards} shards, "
-                f"engine has {num_shards}"
-            )
         if fault_plans is not None and len(fault_plans) != num_shards:
             raise ConfigError(
                 f"fault_plans covers {len(fault_plans)} shards, "
                 f"engine has {num_shards}"
             )
-        self.partitioner = partitioner
+        self.partitioner = make_partitioner(partitioner, num_shards, key_space)
         self.config = config if config is not None else LSMConfig()
         self.profile = profile
-        policy_factory = resolve_factory(policy_factory)
+        policy = per_shard_policy(policy, num_shards)
         self.shards: List[DB] = [
             DB(
                 config=self.config,
-                policy=policy_factory(),
+                policy=policy,
                 profile=profile,
                 fault_plan=fault_plans[index] if fault_plans is not None else None,
             )
@@ -289,9 +295,15 @@ class ShardedDB:
 
 
 def split_by_shard(
-    operations: Sequence, partitioner: Partitioner
+    items: Iterable,
+    partitioner: Partitioner,
+    key: Callable[[object], bytes] = attrgetter("key"),
 ) -> List[List]:
-    """Partition an operation trace by owning shard, preserving order.
+    """Partition a trace by owning shard, preserving order.
+
+    ``items`` is any iterable; ``key`` reads the routing key off one
+    (an operation's ``.key`` by default — the serve layer routes
+    ``(arrival, operation)`` pairs by the operation's).
 
     Scans route to the shard owning the *start* key; a cross-shard scan
     executed this way measures only the owning shard's range-read cost
@@ -299,10 +311,8 @@ def split_by_shard(
     per-shard stores, and the ``ShardedDB.scan`` API does the full k-way
     merge when result correctness matters).
     """
-    if any(not hasattr(op, "key") for op in operations[:1]):
-        raise ReproError("operations must expose a .key attribute")
     buckets: List[List] = [[] for _ in range(partitioner.num_shards)]
     shard_of = partitioner.shard_of
-    for operation in operations:
-        buckets[shard_of(operation.key)].append(operation)
+    for item in items:
+        buckets[shard_of(key(item))].append(item)
     return buckets

@@ -114,17 +114,25 @@ PARTITIONER_KINDS = ("hash", "range")
 
 
 def make_partitioner(
-    kind: str,
+    kind: "str | Partitioner",
     num_shards: int,
     key_space: int = 0,
     key_bytes: int = 16,
 ) -> Partitioner:
-    """Build a partitioner by kind name.
+    """The partitioner a store or a run of ``num_shards`` shards routes by.
 
-    ``range`` needs the key-space geometry to place its split points; the
-    workload-driven callers (CLI, bench, experiments) pass it through from
-    the spec.
+    ``kind`` is a kind name or a pre-built :class:`Partitioner`, which
+    must cover exactly ``num_shards``.  ``range`` needs the key-space
+    geometry to place its split points; the workload-driven callers (CLI,
+    experiments) pass it through from the spec.
     """
+    if isinstance(kind, Partitioner):
+        if kind.num_shards != num_shards:
+            raise ConfigError(
+                f"partitioner covers {kind.num_shards} shards, "
+                f"{num_shards} requested"
+            )
+        return kind
     if kind == "hash":
         return HashPartitioner(num_shards)
     if kind == "range":

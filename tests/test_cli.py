@@ -88,6 +88,13 @@ GOLDEN_STDOUT = {
         "81dcfb47679ee767b7375face564fd17f7432328b27e53fa83fbbb7fa56e0266",
     "trace WO":
         "bd287b9333387697311d1822d2c58bb040f6e0a43df2484791e397d60905c469",
+    # Captured on PR 20's ``src/`` before the four runners became one shell.
+    "serve RWB --arrival closed":
+        "120859ed1e5e88364350e449b30fa575ae82ce0f1f1081ddd486e22be7a87d92",
+    "run RWB --bg-threads 1":
+        "0f90d69c7b1e2077d799c9f227cea3da014356bc7cd7f00232ef46eebae557b6",
+    "run RWB --shards 2 --workers 2":
+        "559c2ccfb80f65584dae79ded42ee2e50a223bf9fca7163471ad32023d642d69",
 }
 
 _HOST_COLUMNS = {"wall s", "cpu s"}

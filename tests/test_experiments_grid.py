@@ -19,7 +19,6 @@ from repro.harness.experiments import (
     run_grid,
     set_default_workers,
 )
-from repro.lsm.compaction.spec import SpecFactory
 from repro.obs.snapshot import MetricsSnapshot
 from repro.workload import spec as workloads
 
@@ -85,13 +84,13 @@ class TestRunGrid:
 
 class TestPicklability:
     def test_derived_spec_roundtrip(self) -> None:
-        factory = SpecFactory(get_spec("ldc").derive(threshold=7, adaptive=False))
-        clone = pickle.loads(pickle.dumps(factory))
-        assert clone == factory
-        params = clone.spec.param_dict()
+        spec = get_spec("ldc").derive(threshold=7, adaptive=False)
+        clone = pickle.loads(pickle.dumps(spec))
+        assert clone == spec
+        params = clone.param_dict()
         assert params["threshold"] == 7
         assert params["adaptive"] is False
-        policy = clone()
+        policy = clone.build()
         assert policy.name == "ldc"
         # The threshold override resolves against config at attach time
         # (adaptive=False pins it to the fixed value).

@@ -92,7 +92,6 @@ class TestFullEnumeration:
     def test_exhaustive_small_run(self, name):
         report = crashtest.run_crashtest(
             name,
-            policy_name=name,
             num_ops=220,
             num_keys=40,
             seed=0,
@@ -107,7 +106,6 @@ class TestFullEnumeration:
     def test_stride_samples(self):
         report = crashtest.run_crashtest(
             "udc",
-            policy_name="udc",
             num_ops=220,
             num_keys=40,
             seed=0,
@@ -143,7 +141,6 @@ class TestShardedCrashtest:
         """One shard armed per point; fleet recovery keeps the oracle."""
         report = crashtest.run_crashtest(
             "udc",
-            policy_name="udc",
             num_ops=300,
             num_keys=400,  # wide key space so per-shard memtables fill
             seed=0,
@@ -191,7 +188,6 @@ class TestFlashCrashtest:
     def test_flash_crash_sweep_recovers(self, name):
         report = crashtest.run_crashtest(
             name,
-            policy_name=name,
             num_ops=1200,
             num_keys=150,
             seed=0,
@@ -276,7 +272,6 @@ class TestCorruptionSweep:
     def test_all_delivered_corruptions_detected(self, name):
         report = crashtest.run_corruption_test(
             name,
-            policy_name=name,
             num_ops=400,
             num_keys=60,
             seed=0,

@@ -1,9 +1,11 @@
 """Integration tests for the workload runner and reports."""
 
+import pickle
+
 import pytest
 
 from repro.harness.report import format_table, improvement, mib, paper_row, ratio
-from repro.harness.runner import run_workload
+from repro.harness.runner import build_db, run_workload
 from repro.lsm.config import LSMConfig
 from repro.workload import ro, rwb, scn_rwb, wo, ycsb_f
 
@@ -107,6 +109,47 @@ class TestRunWorkload:
             small_rwb(), "udc", config=SMALL, timeline_bucket_us=10_000
         )
         assert len(result.timeline.points()) >= 1
+
+
+@pytest.mark.parametrize("policy", ["udc", "ldc"])
+@pytest.mark.parametrize("bg_threads", [0, 1])
+def test_run_result_fields_are_views_of_the_snapshot(policy, bg_threads):
+    """The 17 counter-backed fields the parent copied out of the live
+    ledgers are what ``result.metrics`` derives — one ledger, read
+    through, which also survives the trip back from a worker process."""
+    spec = rwb(num_operations=1_500, key_space=500)
+    db = build_db(policy, config=LSMConfig(bg_threads=bg_threads))
+    result = run_workload(spec, policy, db=db)
+    device, engine, counter = db.device.stats, db.engine_stats, db.registry.counter
+    copied = {
+        "compaction_read_bytes": device.compaction_bytes_read,
+        "compaction_write_bytes": device.compaction_bytes_written,
+        "total_read_bytes": device.total_bytes_read,
+        "total_write_bytes": device.total_bytes_written,
+        "user_bytes_written": engine.user_bytes_written,
+        "write_amplification": db.write_amplification(),
+        "flush_count": engine.flush_count,
+        "compaction_count": engine.compaction_count,
+        "link_count": engine.link_count,
+        "merge_count": engine.merge_count,
+        "trivial_moves": engine.trivial_moves,
+        "stall_events": engine.stall_events,
+        "sstable_blocks_read": engine.sstable_blocks_read,
+        "bloom_negative_skips": engine.bloom_negative_skips,
+        "activity_share": engine.activity_share(),
+        "stall_time_us": float(counter("engine.stall_time_us")),
+        "device_wait_us": float(counter("sched.device_wait_us")),
+    }
+    assert copied["flush_count"] > 0 and copied["write_amplification"] > 1.0
+    clone = pickle.loads(pickle.dumps(result))
+    for name, value in copied.items():
+        assert getattr(result, name) == value, name
+        assert type(getattr(result, name)) is type(value), name
+        assert getattr(clone, name) == value, name
+    snapshot = result.metrics
+    assert result.compaction_read_bytes == snapshot.compaction_bytes_read
+    assert result.write_amplification == snapshot.write_amplification
+    assert result.activity_share == snapshot.activity_share()
 
 
 class TestReportHelpers:

@@ -15,13 +15,11 @@ from repro import (
     ComposedPolicy,
     PolicySpec,
     ShardedDB,
-    SpecFactory,
     UnknownPolicyError,
     available_policies,
     get_spec,
     make_policy,
     register_policy,
-    resolve_factory,
 )
 from repro.errors import ConfigError
 from repro.lsm.compaction.spec import _REGISTRY
@@ -109,13 +107,13 @@ class TestRoundTrips:
         assert a.params == (("a", 1), ("b", 2))
 
     def test_spec_factory_pickles_and_builds(self):
-        factory = SpecFactory(get_spec("hybrid"))
-        clone = pickle.loads(pickle.dumps(factory))
-        policy = clone()
+        """The spec itself is the picklable policy factory."""
+        clone = pickle.loads(pickle.dumps(get_spec("hybrid")))
+        policy = clone.build()
         assert isinstance(policy, ComposedPolicy)
         assert policy.name == "hybrid"
         # Each call builds a fresh stateful instance.
-        assert clone() is not policy
+        assert clone.build() is not policy
 
 
 class TestDerive:
@@ -149,16 +147,21 @@ class TestCoercion:
         policy = get_spec("tiered").build()
         assert make_policy(policy) is policy
 
-    def test_resolve_factory_variants(self):
-        assert resolve_factory("ldc")().name == "ldc"
-        assert resolve_factory(get_spec("udc"))().name == "udc"
-        assert resolve_factory()().name == "udc"
-        sentinel = lambda: None  # noqa: E731
-        assert resolve_factory(sentinel) is sentinel
+    def test_make_policy_variants(self):
+        """The four designators, through the one resolver."""
+        assert make_policy("ldc").name == "ldc"
+        assert make_policy(get_spec("udc")).name == "udc"
+        assert make_policy().name == "udc"
+        sentinel = get_spec("ldc").build()
+        assert make_policy(sentinel) is sentinel
 
-    def test_resolve_factory_rejects_non_callables(self):
-        with pytest.raises(ConfigError, match="policy factory"):
-            resolve_factory(42)
+    def test_db_policy_variants(self):
+        """... and through ``DB(policy=...)``, which resolves with it."""
+        assert DB(config=TINY, policy="ldc").policy.name == "ldc"
+        assert DB(config=TINY, policy=get_spec("udc")).policy.name == "udc"
+        assert DB(config=TINY, policy=None).policy.name == "udc"
+        sentinel = get_spec("ldc").build()
+        assert DB(config=TINY, policy=sentinel).policy is sentinel
 
     def test_db_accepts_name_spec_and_instance(self):
         assert DB(config=TINY, policy="partial_leveled").policy.name == (
@@ -226,7 +229,6 @@ class TestNewCompositionsEndToEnd:
 
         report = crashtest.run_crashtest(
             "lazy_leveling",
-            policy_name="lazy_leveling",
             num_ops=300,
             num_keys=60,
             stride=60,

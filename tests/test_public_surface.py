@@ -1,4 +1,4 @@
-"""The public surface after the PR 17, PR 18 and PR 19 deletions.
+"""The public surface after the PR 17, PR 18, PR 19 and PR 22 deletions.
 
 Every exported name resolves, and what was removed stays removed: the
 policy shims (one way to build a policy — the registry — so the only
@@ -6,11 +6,15 @@ exported policy class is the composition engine itself), the second
 benchmark system (the module inventories below have no slot for it) and
 the record-at-a-time scan merge (one read-side merge in ``src/``; the old
 one is ``tests/_scan_oracle.py``) and the experiment shell's second ways
-to name a policy (factory functions, a factory field on ``GridTask``).
+to name a policy (factory functions, a factory field on ``GridTask``),
+and the run shell's second runners, fan-out, closed loop, report classes
+and policy factories (one protocol, one fan-out, two loops, two results).
 """
 
+import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 import pytest
@@ -53,6 +57,8 @@ def test_composed_policy_is_the_only_exported_policy_class(package):
         ("repro.lsm",
          {"bloom", "builder", "cache", "compaction", "config", "db", "iterators",
           "keys", "memtable", "record", "sstable", "stats", "version", "wal"}),
+        ("repro.shard", {"db", "partition", "runner"}),
+        ("repro.serve", {"arrivals", "queue", "server", "sharded"}),
     ],
 )
 def test_module_inventory(package, modules):
@@ -111,10 +117,11 @@ def test_one_compaction_merge_over_a_three_part_file():
 def test_store_constructors_take_no_seed():
     """``seed=`` had no effect since the skip list went (PR 15); workload,
     arrival and crashtest-workload seeds are the live ones."""
+    from repro.harness.experiments import GridTask
     from repro.harness.runner import build_db
-    from repro.shard.runner import ShardTask, run_sharded_workload
+    from repro.shard.runner import run_sharded_workload
 
-    for target in (repro.DB, repro.ShardedDB, ShardTask, build_db,
+    for target in (repro.DB, repro.ShardedDB, GridTask, build_db,
                    run_sharded_workload):
         assert "seed" not in inspect.signature(target).parameters, target
 
@@ -146,6 +153,53 @@ def test_one_way_to_name_a_policy_in_the_experiment_shell():
         or name.startswith("_build") or name == "_figure"
     ]
     assert leftovers == []
+
+
+def test_one_run_shell():
+    """A sharded run is a run and a closed-loop serve is a run: one
+    protocol (build -> preload -> drain -> reset), one process fan-out,
+    one policy designator, and no report class beside the two results."""
+    import repro.harness
+    import repro.serve
+    import repro.shard
+    from repro.faults.crashtest import run_crashtest
+    from repro.harness.runner import run_workload
+    from repro.serve import run_sharded_serve, serve_workload
+    from repro.shard.runner import run_sharded_workload
+
+    gone = {"ShardTask", "ShardedRunReport", "ShardedServeReport",
+            "merge_shard_results", "merge_serve_results", "PolicyFactory",
+            "SpecFactory", "resolve_factory"}
+    for package in (repro, repro.harness, repro.shard, repro.serve):
+        assert not gone & set(package.__all__), package.__name__
+        for name in gone:
+            assert not hasattr(package, name), (package.__name__, name)
+
+    for target in (repro.ShardedDB, run_workload, run_sharded_workload,
+                   serve_workload, run_sharded_serve, run_crashtest):
+        parameters = inspect.signature(target).parameters
+        assert "policy" in parameters, target
+        assert not {"policy_factory", "policy_name", "partitioner_kind"} & set(
+            parameters
+        ), target
+
+    fan_outs, resets = [], []
+    root = pathlib.Path(repro.__file__).parent
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            where = f"{path.relative_to(root)}:{node.lineno}"
+            if name == "ProcessPoolExecutor":
+                fan_outs.append(where)
+            elif name == "reset_measurements":
+                resets.append(where)
+    assert [where.split(":")[0] for where in fan_outs] == ["harness/experiments.py"]
+    # prepare_db's, and ShardedDB.reset_measurements forwarding to its shards.
+    assert [where.split(":")[0] for where in resets] == [
+        "harness/runner.py", "shard/db.py",
+    ]
 
 
 def test_cli_surface_is_what_it_was():

@@ -7,12 +7,15 @@ wait/service decomposition, per-tenant SLO accounting and namespaced
 metrics, and the sharded serve report.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro import BackpressureError, ConfigError, DB, QueueFullError
-from repro.errors import AdmissionError
+from repro.errors import AdmissionError, UnknownPolicyError
 from repro.harness.latency import LatencyRecorder
+from repro.lsm.compaction.spec import get_spec
 from repro.lsm.config import LSMConfig
 from repro.serve import (
     DiurnalProcess,
@@ -509,6 +512,36 @@ class TestShardedServe:
         one = run_sharded_serve(SPEC, "ldc", serve, num_shards=2)
         two = run_sharded_serve(SPEC, "ldc", serve, num_shards=2)
         assert one.fingerprint() == two.fingerprint()
+
+    def test_fingerprint_is_what_the_parent_computed(self):
+        """SHA-256 of ``repr(fingerprint())`` captured on PR 20's ``src/``,
+        before the sharded serve became serve runs folded into a
+        ``ServeResult``."""
+        serve = ServeSpec(arrival="poisson", rate_ops_s=10_000.0)
+        report = run_sharded_serve(SPEC, "udc", serve, num_shards=2)
+        digest = hashlib.sha256(repr(report.fingerprint()).encode()).hexdigest()
+        assert digest == "102a0fab439188df8d65e3def68a58bc1e1af9f8f20151d4c3fefff24755f877"
+
+    def test_rejects_a_policy_instance_shared_by_shards(self):
+        serve = ServeSpec(arrival="poisson", rate_ops_s=10_000.0)
+        with pytest.raises(ConfigError, match="cannot be shared across shards"):
+            run_sharded_serve(SPEC, get_spec("ldc").build(), serve, num_shards=2)
+        with pytest.raises(UnknownPolicyError):
+            run_sharded_serve(SPEC, "nope", serve, num_shards=2)
+
+    def test_fold_keeps_every_tenant_ledger(self):
+        """The fold is a ``ServeResult``: what reads one reads the fleet's."""
+        serve = ServeSpec(arrival="poisson", rate_ops_s=10_000.0, num_tenants=2)
+        report = run_sharded_serve(SPEC, "udc", serve, num_shards=2)
+        assert isinstance(report, type(report.shard_results[0]))
+        for index, stats in enumerate(report.tenant_stats):
+            parts = [shard.tenant_stats[index] for shard in report.shard_results]
+            assert stats.completed == sum(part.completed for part in parts)
+            assert len(stats.total_latencies) == stats.completed
+        assert report.slo_violations == sum(
+            shard.slo_violations for shard in report.shard_results
+        )
+        assert report.summary()["completed"] == report.completed
 
     def test_closed_loop_is_rejected(self):
         with pytest.raises(ConfigError):

@@ -14,6 +14,8 @@ adds queueing *around* the engine without perturbing anything *inside*
 it.
 """
 
+import hashlib
+
 import pytest
 
 from repro import LSMConfig, ServeSpec, serve_workload
@@ -86,6 +88,23 @@ class TestClosedLoopEquivalence:
             for p in run.timeline.points()
         ]
         assert ours == theirs
+
+
+#: SHA-256 of ``repr(fingerprint())`` captured on PR 20's ``src/``, when
+#: closed-loop replay was a third per-operation loop of its own.
+PINNED_CLOSED_LOOP = {
+    ("udc", 0): "6a800b302fa058cc38a47d093a726ca7d2334734e1c7f85146860a5ab59ed569",
+    ("udc", 1): "94cf729a87bf390bbe07b2ad288b911655a32515e8237ab46f6f483d3e578937",
+    ("ldc", 0): "d2bc24aea682487ad1e600ed2001ff01f02fee4b5922ba29bd38c5a39282789f",
+    ("ldc", 1): "f8d35e66ae8f42febce378d6e4246e47c49ccbe7244be2f6f643beee38414203",
+}
+
+
+@pytest.mark.parametrize("policy, bg_threads", list(PINNED_CLOSED_LOOP))
+def test_closed_loop_fingerprint_is_what_the_parent_computed(policy, bg_threads):
+    fingerprint = closed_serve(policy, bg_threads).fingerprint()
+    digest = hashlib.sha256(repr(fingerprint).encode()).hexdigest()
+    assert digest == PINNED_CLOSED_LOOP[(policy, bg_threads)]
 
 
 class TestClosedLoopStability:

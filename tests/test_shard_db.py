@@ -11,7 +11,8 @@ from __future__ import annotations
 import pytest
 
 from repro import ShardedDB
-from repro.errors import ConfigError
+from repro.errors import ConfigError, UnknownPolicyError
+from repro.lsm.compaction.spec import get_spec
 from repro.obs.aggregate import SHARD_PREFIX
 from repro.shard.db import split_by_shard
 from repro.shard.partition import HashPartitioner, make_partitioner
@@ -22,11 +23,11 @@ def _key(index: int) -> bytes:
     return str(index).zfill(16).encode("ascii")
 
 
-def _filled(partitioner_kind: str, count: int = 600) -> ShardedDB:
+def _filled(partitioner: str, count: int = 600) -> ShardedDB:
     db = ShardedDB(
         num_shards=4,
-        policy_factory="udc",
-        partitioner_kind=partitioner_kind,
+        policy="udc",
+        partitioner=partitioner,
         key_space=count,
     )
     for index in range(count):
@@ -133,18 +134,27 @@ class TestConstruction:
         with pytest.raises(ConfigError):
             ShardedDB(
                 num_shards=4,
-                policy_factory="udc",
+                policy="udc",
                 partitioner=HashPartitioner(2),
             )
 
+    def test_rejects_a_policy_instance_shared_by_shards(self) -> None:
+        instance = get_spec("ldc").build()
+        with pytest.raises(ConfigError, match="cannot be shared across shards"):
+            ShardedDB(num_shards=2, policy=instance)
+        with pytest.raises(UnknownPolicyError):
+            ShardedDB(num_shards=2, policy="nope")
+        # One shard is a single store: the instance is its policy.
+        assert ShardedDB(num_shards=1, policy=instance).shards[0].policy is instance
+
     def test_policies_are_independent_instances(self) -> None:
-        db = ShardedDB(num_shards=3, policy_factory="ldc")
+        db = ShardedDB(num_shards=3, policy="ldc")
         policies = [shard.policy for shard in db.shards]
         assert len({id(policy) for policy in policies}) == 3
         db.close()
 
     def test_context_manager_closes_all_shards(self) -> None:
-        with ShardedDB(num_shards=2, policy_factory="udc") as db:
+        with ShardedDB(num_shards=2, policy="udc") as db:
             db.put(b"k" * 16, b"v")
         assert all(shard._closed for shard in db.shards)
 

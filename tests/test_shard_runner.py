@@ -9,16 +9,21 @@ allowed to differ.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import pickle
 
 import pytest
 
-from repro.errors import ConfigError
-from repro.harness.runner import run_workload
-from repro.lsm.compaction.spec import get_spec, resolve_factory
+from repro.errors import ConfigError, UnknownPolicyError
+from repro.harness.runner import RunResult, run_workload
+from repro.harness.experiments import GridTask, run_grid
+from repro.harness.latency import LatencyRecorder, LatencyTimeline
+from repro.lsm.compaction.spec import get_spec
 from repro.lsm.config import LSMConfig
-from repro.shard.runner import ShardTask, run_sharded_workload
+from repro.shard.runner import run_sharded_workload
 from repro.workload import spec as workloads
+from repro.workload.ycsb import OP_PUT, Operation
 
 TINY_OPS = 2000
 TINY_KEYS = 800
@@ -67,6 +72,39 @@ class TestSerialParallelIdentity:
         assert serial.fingerprint() == parallel.fingerprint()
 
 
+def _digest(result) -> str:
+    return hashlib.sha256(repr(result.fingerprint()).encode()).hexdigest()
+
+
+#: SHA-256 of ``repr(fingerprint())`` captured on PR 20's ``src/``, before
+#: the sharded runner became a grid of runs folded into a ``RunResult``.
+PINNED_FINGERPRINTS = {
+    "udc-hash-4": "00440693790a16fec599e36f3ce012e795f74d056186307c381584e11f1be680",
+    "ldc5-hash-3": "4fcf422d20470aeba3bcb804c35fcf0b5aadc36e6ebd94403d149cabd104a82e",
+    "udc-range-4": "a28e83ee0f50e810debcb680e48abbdd6f5a8dc4fd28ea8667623cd99123a05e",
+}
+
+
+class TestPinnedFingerprints:
+    @pytest.mark.parametrize("workers", (1, 2))
+    @pytest.mark.parametrize(
+        "case, policy, num_shards, partitioner",
+        [
+            ("udc-hash-4", "udc", 4, "hash"),
+            ("ldc5-hash-3", get_spec("ldc").derive(threshold=5), 3, "hash"),
+            ("udc-range-4", "udc", 4, "range"),
+        ],
+    )
+    def test_fingerprint_is_what_the_parent_computed(
+        self, case, policy, num_shards, partitioner, workers
+    ) -> None:
+        result = run_sharded_workload(
+            _tiny_spec(), policy, num_shards=num_shards,
+            partitioner=partitioner, workers=workers, config=LSMConfig(),
+        )
+        assert _digest(result) == PINNED_FINGERPRINTS[case]
+
+
 class TestAggregation:
     def test_aggregate_equals_sum_of_shards(self) -> None:
         report = run_sharded_workload(
@@ -102,19 +140,53 @@ class TestAggregation:
         assert tuple(sharded.latencies.values) == tuple(plain.latencies.values)
 
 
+    def test_fold_of_one_shard_is_the_unsharded_result(self) -> None:
+        """Every stored field and every derived property, ``shard_results``
+        aside: the fold returns the type it folds, not a report about it."""
+        plain = run_workload(_tiny_spec(), "ldc", config=LSMConfig(bg_threads=1))
+        folded = RunResult.fold([plain])
+        assert folded.shard_results == [plain] and plain.shard_results == []
+
+        def comparable(value):
+            if isinstance(value, LatencyRecorder):
+                return (tuple(value.values), len(value), len(value) and value.mean())
+            if isinstance(value, LatencyTimeline):
+                return (value.bucket_us, value.points())
+            return value
+
+        names = [field.name for field in dataclasses.fields(RunResult)] + [
+            name for name, value in vars(RunResult).items()
+            if isinstance(value, property)
+        ]
+        assert len(names) > 40
+        for name in names:
+            if name in ("shard_results", "shard_operations", "combined_metrics"):
+                continue
+            assert comparable(getattr(folded, name)) == comparable(
+                getattr(plain, name)
+            ), name
+        assert folded.summary() == plain.summary()
+
+
 class TestShardTask:
+    """A shard's task is a ``GridTask`` carrying its slice of the streams."""
+
     def test_task_pickles_with_operations(self) -> None:
-        task = ShardTask(
-            shard_index=1,
-            workload_name="RWB",
-            preload=(),
-            operations=(),
-            factory=resolve_factory(get_spec("ldc").derive(threshold=7)),
-            config=LSMConfig(),
+        put = Operation(OP_PUT, b"k" * 16, b"v")
+        task = GridTask(
+            "shard 1",
+            _tiny_spec(),
+            get_spec("ldc").derive(threshold=7),
+            LSMConfig(),
+            preload=(put,),
+            operations=(put, put),
         )
         clone = pickle.loads(pickle.dumps(task))
-        assert clone.shard_index == 1
-        assert clone.factory.spec.param_dict()["threshold"] == 7
+        assert clone == task
+        assert clone.policy.param_dict()["threshold"] == 7
+        (result,) = run_grid([clone])
+        assert result.operations == 2  # the slice ran, not the spec's stream
+        assert result.metrics.counters["engine.puts"] == 2
 
     def test_rejects_bad_worker_count(self) -> None:
         with pytest.raises(ConfigError):
@@ -128,3 +200,12 @@ class TestShardTask:
                 _tiny_spec(), "udc", num_shards=4,
                 partitioner=HashPartitioner(2),
             )
+
+    def test_rejects_a_policy_instance_shared_by_shards(self) -> None:
+        """What ``resolve_factory`` used to refuse by accident."""
+        with pytest.raises(ConfigError, match="cannot be shared across shards"):
+            run_sharded_workload(
+                _tiny_spec(), get_spec("ldc").build(), num_shards=2
+            )
+        with pytest.raises(UnknownPolicyError):
+            run_sharded_workload(_tiny_spec(), "nope", num_shards=2)
