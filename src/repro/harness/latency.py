@@ -16,7 +16,7 @@ table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,11 +27,36 @@ from ..obs.histogram import LatencyHistogram
 PAPER_PERCENTILES = (90.0, 99.0, 99.9, 99.99)
 
 
+#: Samples a recorder lets pile up before it folds them into the
+#: histogram.  A vectorised pass has a fixed cost (~30 us, a dozen numpy
+#: calls) that equals the per-sample loop it replaced at ~250 samples —
+#: folding each 256-sample batch buys nothing — and is 3-10x cheaper per
+#: sample from a few thousand up (docs/PERF.md, "the stack tax").
+FOLD_WATERMARK = 1 << 16
+
+#: Samples per vectorised pass within one fold: bounds the fold's numpy
+#: temporaries (a dozen arrays of this length) so a fold never shows in
+#: the process's peak memory.
+_FOLD_BLOCK = 1 << 13
+
+
 class LatencyRecorder:
     """Accumulates latencies and answers percentile/mean queries.
 
-    Exact percentiles come from the stored samples; the parallel
-    :attr:`histogram` provides the streaming (bounded-memory) estimates.
+    Exact percentiles come from the stored samples; the streaming
+    :attr:`histogram` carries the count-independent aggregates — float sum,
+    minimum, maximum, log buckets — and provides the bounded-memory
+    estimates.
+
+    **One ledger, folded on demand.**  Recording is ``list.extend`` plus a
+    count: samples are *not* pushed through the histogram as they arrive.
+    The not-yet-folded tail is folded in one vectorised pass
+    (:meth:`LatencyHistogram.record_many`) when it reaches
+    :data:`FOLD_WATERMARK` samples or on the first query that needs an
+    aggregate (:attr:`histogram`, :meth:`percentile` once sampled,
+    :meth:`mean`, :meth:`minimum`, :meth:`maximum`, :meth:`merge_from`).
+    The resulting state is exactly what per-sample recording produced
+    (``tests/test_recorder_equivalence.py``); ``len()`` is always current.
 
     **Sampling mode.**  A 10M-operation run would otherwise hold 10M
     Python floats per recorder.  ``sample_stride=k`` stores every k-th
@@ -61,84 +86,85 @@ class LatencyRecorder:
         #: True once any sample was not stored (strided out or over cap).
         self._lossy = sample_stride > 1
         self._count = 0
-        self._sum = 0.0
-        self._min = float("inf")
-        self._max = 0.0
-        #: Streaming log-bucketed view of the same samples.
-        self.histogram = LatencyHistogram()
+        self._histogram = LatencyHistogram()
+        #: Samples recorded but not yet folded into the histogram.  With
+        #: every sample stored they are the last ``_unfolded`` entries of
+        #: ``_values`` (no second copy); a sampling recorder buffers them
+        #: in ``_pending`` until the fold.
+        self._unfolded = 0
+        self._pending: Optional[List[float]] = (
+            None if sample_stride == 1 and max_samples is None else []
+        )
 
     def record(self, latency_us: float) -> None:
-        if latency_us < 0:
-            raise ReproError(f"negative latency {latency_us!r}")
-        count = self._count
-        self._count = count + 1
-        self._sum += latency_us
-        if latency_us > self._max:
-            self._max = latency_us
-        if latency_us < self._min:
-            self._min = latency_us
-        self.histogram.record(latency_us)
-        if count % self._stride == 0:
-            cap = self._max_samples
-            if cap is None or len(self._values) < cap:
-                self._values.append(latency_us)
-                self._sorted = None
-            else:
-                self._lossy = True
+        self.record_many((latency_us,))
 
     def record_many(self, latencies: Sequence[float]) -> None:
         """Record a chunk of latencies, in order.
 
-        Equivalent to calling :meth:`record` once per value — same stored
-        samples, same histogram, same running aggregates (the float sum
-        accumulates sequentially in the same order) — with the per-call
-        dispatch amortised for the chunked runner loop.
+        Costs the same handful of C calls for 16 samples as for 16,000:
+        one ``min`` to validate (before anything is touched), one
+        ``extend`` to store, and the fold (see class docstring) once per
+        :data:`FOLD_WATERMARK` samples.
         """
         if not latencies:
             return
-        stride = self._stride
-        cap = self._max_samples
+        lowest = min(latencies)
+        if lowest < 0:
+            raise ReproError(f"negative latency {lowest!r}")
         count = self._count
-        total = self._sum
-        vmin = self._min
-        vmax = self._max
-        store = self._values
-        push = store.append
-        stored = len(store)
-        for value in latencies:
-            if value < 0:
-                raise ReproError(f"negative latency {value!r}")
-            if value > vmax:
-                vmax = value
-            if value < vmin:
-                vmin = value
-            total += value
-            if count % stride == 0:
-                if cap is None or stored < cap:
-                    push(value)
-                    stored += 1
-                else:
-                    self._lossy = True
-            count += 1
-        self._count = count
-        self._sum = total
-        self._min = vmin
-        self._max = vmax
+        added = len(latencies)
+        self._count = count + added
+        self._unfolded += added
         self._sorted = None
-        self.histogram.record_many(latencies)
+        pending = self._pending
+        if pending is None:
+            self._values.extend(latencies)
+        else:
+            pending.extend(latencies)
+            kept = latencies[-count % self._stride :: self._stride]
+            if self._max_samples is not None:
+                room = max(0, self._max_samples - len(self._values))
+                if len(kept) > room:
+                    kept = kept[:room]
+                    self._lossy = True
+            self._values.extend(kept)
+        if self._unfolded >= FOLD_WATERMARK:
+            self._fold()
+
+    def _fold(self) -> None:
+        """Fold the unfolded tail into the histogram (sum, min, max, buckets)."""
+        unfolded = self._unfolded
+        if not unfolded:
+            return
+        self._unfolded = 0
+        if self._pending is None:
+            source, start = self._values, len(self._values) - unfolded
+        else:
+            source, start = self._pending, 0
+            self._pending = []
+        record = self._histogram.record_many
+        for at in range(start, len(source), _FOLD_BLOCK):
+            record(source[at : at + _FOLD_BLOCK])
+
+    @property
+    def histogram(self) -> LatencyHistogram:
+        """Streaming log-bucketed view of every sample recorded so far.
+
+        Folded on demand: the returned histogram is current as of this
+        access, not a live view of samples recorded afterwards.
+        """
+        self._fold()
+        return self._histogram
 
     def merge_from(self, other: "LatencyRecorder") -> None:
         """Fold another recorder's state into this one (shard aggregation)."""
+        self._fold()
         self._values.extend(other._values)
         self._sorted = None
         self._count += other._count
-        self._sum += other._sum
-        if other._max > self._max:
-            self._max = other._max
-        if other._min < self._min:
-            self._min = other._min
         self._lossy = self._lossy or other._lossy
-        self.histogram.merge(other.histogram)
+        self._histogram.merge(other.histogram)
 
     def __len__(self) -> int:
         """Total number of latencies recorded (not just those stored)."""
@@ -194,17 +220,17 @@ class LatencyRecorder:
             # Exact mode keeps the historical numpy pairwise-sum mean so
             # previously reported numbers reproduce bit for bit.
             return float(np.mean(self._values))
-        return self._sum / self._count
+        return self.histogram.total / self._count
 
     def maximum(self) -> float:
         if self._count == 0:
             raise ReproError("no latencies recorded")
-        return self._max
+        return self.histogram.max
 
     def minimum(self) -> float:
         if self._count == 0:
             raise ReproError("no latencies recorded")
-        return self._min
+        return self.histogram.min
 
     @property
     def values(self) -> Sequence[float]:
@@ -250,12 +276,45 @@ class LatencyTimeline:
     def record(
         self, timestamp_us: float, latency_us: float, stall_us: float = 0.0
     ) -> None:
-        bucket = int(timestamp_us // self.bucket_us)
-        self._sums[bucket] = self._sums.get(bucket, 0.0) + latency_us
-        self._counts[bucket] = self._counts.get(bucket, 0) + 1
-        self._maxes[bucket] = max(self._maxes.get(bucket, 0.0), latency_us)
-        if stall_us:
-            self._stalls[bucket] = self._stalls.get(bucket, 0.0) + stall_us
+        self.record_many(((timestamp_us, latency_us, stall_us),))
+
+    def record_many(self, events: Iterable[Tuple[float, float, float]]) -> None:
+        """Record ``(timestamp_us, latency_us, stall_us)`` events, in order.
+
+        The current bucket's sum / count / max / stall ride in locals and
+        are written back when the bucket changes: a run's timestamps are
+        monotonic, so the dicts are touched per bucket, not per event.
+        """
+        bucket_us = self.bucket_us
+        sums, counts, maxes, stalls = (
+            self._sums, self._counts, self._maxes, self._stalls
+        )
+        current = None
+        total = peak = 0.0
+        count = 0
+        stalled = None
+        for timestamp_us, latency_us, stall_us in events:
+            bucket = int(timestamp_us // bucket_us)
+            if bucket != current:
+                if current is not None:
+                    sums[current], counts[current], maxes[current] = total, count, peak
+                    if stalled is not None:
+                        stalls[current] = stalled
+                current = bucket
+                total = sums.get(bucket, 0.0)
+                count = counts.get(bucket, 0)
+                peak = maxes.get(bucket, 0.0)
+                stalled = stalls.get(bucket)
+            total += latency_us
+            count += 1
+            if latency_us > peak:
+                peak = latency_us
+            if stall_us:
+                stalled = (stalled or 0.0) + stall_us
+        if current is not None:
+            sums[current], counts[current], maxes[current] = total, count, peak
+            if stalled is not None:
+                stalls[current] = stalled
 
     def merge(self, other: "LatencyTimeline") -> None:
         """Fold ``other``'s buckets into this timeline (same bucket width).

@@ -390,7 +390,6 @@ def _run_chunked(
     # registry's counter dict (registry.reset() mutates it in place, so
     # the reference stays valid for the DB's lifetime).
     counters_get = db.registry._counters.get
-    timeline_record = timeline.record
     stall_total = counters_get("engine.stall_time_us", 0) + counters_get(
         "sched.device_wait_us", 0
     )
@@ -435,8 +434,7 @@ def _run_chunked(
         for kind, latencies in per_kind.items():
             recorders[kind].record_many(latencies)
         overall.record_many(overall_latencies)
-        for begin, latency, stall in events:
-            timeline_record(begin, latency, stall_us=stall)
+        timeline.record_many(events)
         count += len(chunk)
     return count
 

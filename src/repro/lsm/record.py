@@ -56,16 +56,25 @@ class KVRecord(NamedTuple):
         return self.size
 
 
+#: Records are built through ``tuple.__new__`` directly: a namedtuple's
+#: own ``__new__`` is a Python-level function wrapping exactly this call,
+#: and one record is built per write.
+_new_record = tuple.__new__
+
+
 def put_record(key: bytes, value: bytes, seq: int) -> KVRecord:
     """Build a PUT record."""
-    return KVRecord(
-        key, seq, KIND_PUT, value, len(key) + len(value) + RECORD_OVERHEAD_BYTES
+    return _new_record(
+        KVRecord,
+        (key, seq, KIND_PUT, value, len(key) + len(value) + RECORD_OVERHEAD_BYTES),
     )
 
 
 def delete_record(key: bytes, seq: int) -> KVRecord:
     """Build a DELETE tombstone record."""
-    return KVRecord(key, seq, KIND_DELETE, b"", len(key) + RECORD_OVERHEAD_BYTES)
+    return _new_record(
+        KVRecord, (key, seq, KIND_DELETE, b"", len(key) + RECORD_OVERHEAD_BYTES)
+    )
 
 
 def check_record_sizes(records: Iterable[KVRecord]) -> List[int]:

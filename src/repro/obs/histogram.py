@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, List, Sequence, Tuple
 
+import numpy as np
+
 from ..errors import ReproError
 
 #: The percentile set the observability layer reports by default.
@@ -38,12 +40,7 @@ class LatencyHistogram:
     """
 
     __slots__ = ("growth", "min_value_us", "_log_growth", "_buckets",
-                 "count", "total", "_min", "_max", "_index_cache")
-
-    #: Bound on the value->bucket-index memo (distinct latencies in a
-    #: simulated run are few — costs are fixed constants — but arbitrary
-    #: callers must not grow it without limit).
-    _INDEX_CACHE_MAX = 4096
+                 "count", "total", "_min", "_max")
 
     def __init__(self, growth: float = 1.05, min_value_us: float = 0.5) -> None:
         if growth <= 1.0:
@@ -54,7 +51,6 @@ class LatencyHistogram:
         self.min_value_us = min_value_us
         self._log_growth = math.log(growth)
         self._buckets: Dict[int, int] = {}
-        self._index_cache: Dict[float, int] = {}
         self.count = 0
         self.total = 0.0
         self._min = math.inf
@@ -88,20 +84,7 @@ class LatencyHistogram:
 
     def record(self, value: float) -> None:
         """Add one sample."""
-        # bucket_index inlined and memoised: this runs once per simulated
-        # operation, and a simulation's latencies are sums of a few fixed
-        # cost constants, so distinct values are rare.
-        index = self._index_cache.get(value)
-        if index is None:
-            if value <= self.min_value_us:
-                if value < 0:
-                    raise ReproError(f"negative latency {value!r}")
-                index = 0
-            else:
-                ratio = math.log(value / self.min_value_us) / self._log_growth
-                index = max(1, int(math.ceil(ratio - 1e-9)))
-            if len(self._index_cache) < self._INDEX_CACHE_MAX:
-                self._index_cache[value] = index
+        index = self.bucket_index(value)  # raises before anything is touched
         buckets = self._buckets
         buckets[index] = buckets.get(index, 0) + 1
         self.count += 1
@@ -112,49 +95,42 @@ class LatencyHistogram:
             self._max = value
 
     def record_many(self, values: Iterable[float]) -> None:
-        """Bulk :meth:`record` — same state transitions, hoisted loop.
+        """Bulk :meth:`record`: one vectorised pass, same resulting state.
 
-        Runs once per measurement chunk; the per-value work is the exact
-        body of :meth:`record` with attribute lookups lifted out of the
-        loop.  ``total`` accumulates left-to-right over ``values`` just
-        like repeated ``record`` calls, so the float sum is bit-identical.
+        The whole batch is validated before anything is touched.
+        ``total`` is a running (``cumsum``) sum continued from the current
+        total, so it accumulates left to right exactly like repeated
+        ``record`` calls — never a pairwise or compensated sum.  Bucket
+        indices come from numpy's ``log``; a value whose log-ratio lands
+        within 1e-6 of an integer — six orders of magnitude beyond any
+        difference between numpy's ``log`` and ``math.log`` — is bucketed
+        through the scalar :meth:`bucket_index` instead, so the vectorised
+        path can never disagree with :meth:`record`.
         """
-        cache = self._index_cache
-        cache_get = cache.get
-        cache_max = self._INDEX_CACHE_MAX
+        samples = np.fromiter(values, dtype=np.float64)
+        if not samples.size:
+            return
+        low = float(samples.min())
+        if low < 0:
+            raise ReproError(f"negative latency {low!r}")
+        indices = np.zeros(samples.size, dtype=np.int64)
+        above = np.flatnonzero(samples > self.min_value_us)
+        if above.size:
+            ratios = np.log(samples[above] / self.min_value_us) / self._log_growth
+            indices[above] = np.maximum(1, np.ceil(ratios - 1e-9))
+            for at in above[np.abs(ratios - np.rint(ratios)) < 1e-6].tolist():
+                indices[at] = self.bucket_index(float(samples[at]))
         buckets = self._buckets
-        buckets_get = buckets.get
-        min_value = self.min_value_us
-        log_growth = self._log_growth
-        log = math.log
-        ceil = math.ceil
-        total = self.total
-        vmin = self._min
-        vmax = self._max
-        added = 0
-        for value in values:
-            index = cache_get(value)
-            if index is None:
-                if value <= min_value:
-                    if value < 0:
-                        raise ReproError(f"negative latency {value!r}")
-                    index = 0
-                else:
-                    ratio = log(value / min_value) / log_growth
-                    index = max(1, int(ceil(ratio - 1e-9)))
-                if len(cache) < cache_max:
-                    cache[value] = index
-            buckets[index] = buckets_get(index, 0) + 1
-            added += 1
-            total += value
-            if value < vmin:
-                vmin = value
-            if value > vmax:
-                vmax = value
-        self.count += added
-        self.total = total
-        self._min = vmin
-        self._max = vmax
+        occupied, counts = np.unique(indices, return_counts=True)
+        for index, count in zip(occupied.tolist(), counts.tolist()):
+            buckets[index] = buckets.get(index, 0) + count
+        self.count += samples.size
+        self.total = float(np.cumsum(np.concatenate(([self.total], samples)))[-1])
+        if low < self._min:
+            self._min = low
+        high = float(samples.max())
+        if high > self._max:
+            self._max = high
 
     # ------------------------------------------------------------------
     # Queries

@@ -39,7 +39,7 @@ runs are bit-for-bit reproducible.
 from __future__ import annotations
 
 from collections import deque
-from math import ceil
+from math import ceil, inf
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 
 from ..errors import CompactionError, EngineError
@@ -185,19 +185,26 @@ class CompactionScheduler:
         thread idle at the current time.  Capture-on-idle is the pacing
         rule: busy threads mean Level 0 accumulates, which is what arms
         the slowdown/stop throttling upstream.
+
+        With nothing in flight and the policy's idle gate set this is
+        comparisons only: no call is made.
         """
-        now = self.db.clock.now()
-        self.pump(now)
-        self._start_rounds(now)
+        now = self.db.clock._now_us
+        if self.queue:
+            self._replay(now)
+        else:
+            for thread in self.threads:
+                if thread.task is not None:
+                    self._replay(now)
+                    break
+        # After a replay no idle thread faces a queued task, so an idle
+        # policy leaves _start_rounds nothing to do.
+        if not self.db.policy._maintenance_idle:
+            self._start_rounds(now)
 
     def pump(self, until_us: float) -> None:
         """Replay every background chunk that starts strictly before ``until_us``."""
-        while True:
-            self._assign_idle()
-            thread = self._earliest_runnable()
-            if thread is None or self._next_start(thread) >= until_us:
-                return
-            self._run_chunk(thread)
+        self._replay(until_us)
 
     def drain(self) -> float:
         """Pay off all outstanding debt; advance the clock past the last chunk.
@@ -207,16 +214,7 @@ class CompactionScheduler:
         Returns the new virtual time.
         """
         clock = self.db.clock
-        last = clock.now()
-        while True:
-            self._assign_idle()
-            thread = self._earliest_runnable()
-            if thread is None:
-                break
-            end, _ = self._run_chunk(thread)
-            if end > last:
-                last = end
-        return clock.advance_to(last)
+        return clock.advance_to(max(clock.now(), self._replay(inf)))
 
     def stall_until_l0_below(self, limit: int) -> None:
         """Block (in virtual time) until Level 0 holds fewer than ``limit`` files.
@@ -231,7 +229,7 @@ class CompactionScheduler:
         rounds = 0
         while len(version.levels[0]) >= limit:
             now = db.clock.now()
-            self.pump(now)
+            self._replay(now)
             if self._start_rounds(now):
                 rounds += 1
                 if rounds > MAX_STALL_ROUNDS:
@@ -355,7 +353,7 @@ class CompactionScheduler:
             else:
                 pieces = max(1, ceil(duration / self._cpu_chunk_us))
             per_chunk = duration / pieces
-            chunks.extend((kind, per_chunk) for _ in range(pieces))
+            chunks.extend([(kind, per_chunk)] * pieces)
         return chunks
 
     # ------------------------------------------------------------------
@@ -373,63 +371,84 @@ class CompactionScheduler:
             if task.enqueued_us > thread.free_at_us:
                 thread.free_at_us = task.enqueued_us
 
-    def _next_start(self, thread: BackgroundThread) -> float:
-        kind, _ = thread.task.chunks[thread.task.next_chunk]
-        if kind == CAPTURE_IO and self.channel.busy_until_us > thread.free_at_us:
-            return self.channel.busy_until_us
-        return thread.free_at_us
+    def _replay(self, until_us: float, first_completion: bool = False) -> float:
+        """The one replay step, looped: select, start and replay chunks.
 
-    def _earliest_runnable(self) -> Optional[BackgroundThread]:
-        """The busy thread whose next chunk can start first (ties: index)."""
-        best: Optional[BackgroundThread] = None
-        best_start = 0.0
-        for thread in self.threads:
-            if thread.task is None:
-                continue
-            start = self._next_start(thread)
-            if best is None or start < best_start:
-                best = thread
-                best_start = start
-        return best
+        Each turn hands queued tasks to idle threads, picks the busy
+        thread whose next chunk can start first (an IO chunk waits for the
+        device channel; ties break on thread index), and — while that
+        start precedes ``until_us`` — replays the chunk: the thread is
+        busy until its end, an IO chunk extends the channel horizon, the
+        ``sched.*`` counters are bumped in place (``bg_busy_us`` per chunk,
+        in replay order), a finished task frees its thread.  With
+        ``first_completion`` the loop also stops after the chunk that
+        completes a task and returns that chunk's end.
 
-    def _run_chunk(self, thread: BackgroundThread) -> Tuple[float, bool]:
-        """Replay one chunk on ``thread``; return (end time, task completed)."""
-        task = thread.task
-        kind, duration = task.chunks[task.next_chunk]
-        start = self._next_start(thread)
-        end = start + duration
-        thread.free_at_us = end
-        if kind == CAPTURE_IO:
-            self.channel.occupy_until(end)
-        task.next_chunk += 1
-        self._count("sched.chunks_executed")
-        self._count("sched.bg_busy_us", duration)
-        completed = task.done
-        if completed:
-            thread.task = None
-            self._count("sched.tasks_completed")
-            tracer = self.db.tracer
-            if tracer.active:
-                tracer.emit(
-                    EV_SCHED_TASK_DONE,
-                    task_id=task.task_id,
-                    policy=task.policy,
-                    completed_us=end,
+        Otherwise returns the latest chunk end replayed, ``-inf`` if
+        nothing was due.
+        """
+        threads = self.threads
+        channel = self.channel
+        counters = self.db.registry._counters
+        latest = -inf
+        while True:
+            if self.queue:
+                self._assign_idle()
+            chosen = None
+            start = 0.0
+            for thread in threads:
+                task = thread.task
+                if task is None:
+                    continue
+                ready = thread.free_at_us
+                if (
+                    task.chunks[task.next_chunk][0] == CAPTURE_IO
+                    and channel.busy_until_us > ready
+                ):
+                    ready = channel.busy_until_us
+                if chosen is None or ready < start:
+                    chosen = thread
+                    start = ready
+            if chosen is None or start >= until_us:
+                return latest
+            task = chosen.task
+            kind, duration = task.chunks[task.next_chunk]
+            end = start + duration
+            chosen.free_at_us = end
+            if kind == CAPTURE_IO and end > channel.busy_until_us:
+                channel.busy_until_us = end
+            task.next_chunk += 1
+            counters["sched.chunks_executed"] = (
+                counters.get("sched.chunks_executed", 0) + 1
+            )
+            counters["sched.bg_busy_us"] = (
+                counters.get("sched.bg_busy_us", 0) + duration
+            )
+            if end > latest:
+                latest = end
+            if task.next_chunk >= len(task.chunks):
+                chosen.task = None
+                counters["sched.tasks_completed"] = (
+                    counters.get("sched.tasks_completed", 0) + 1
                 )
-        return end, completed
+                tracer = self.db.tracer
+                if tracer.active:
+                    tracer.emit(
+                        EV_SCHED_TASK_DONE,
+                        task_id=task.task_id,
+                        policy=task.policy,
+                        completed_us=end,
+                    )
+                if first_completion:
+                    return end
 
     def _advance_to_next_completion(self) -> bool:
         """Fast-forward the clock to the next task completion; False if none."""
-        clock = self.db.clock
-        while True:
-            self._assign_idle()
-            thread = self._earliest_runnable()
-            if thread is None:
-                return False
-            end, completed = self._run_chunk(thread)
-            if completed:
-                clock.advance_to(end)
-                return True
+        end = self._replay(inf, first_completion=True)
+        if end == -inf:
+            return False
+        self.db.clock.advance_to(end)
+        return True
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         busy = sum(1 for t in self.threads if t.task is not None)

@@ -151,10 +151,15 @@ class PoissonProcess(ArrivalProcess):
 
     kind = "poisson"
 
+    #: Gaps drawn per generator call: a block draw consumes the bit
+    #: stream exactly like that many scalar draws, so the sequence is the
+    #: same one (pinned by ``tests/test_serve_properties.py``).
+    _BLOCK = 4096
+
     def intervals(self, rng: np.random.Generator) -> Iterator[float]:
         scale_us = self.mean_interval_us
         while True:
-            yield float(rng.exponential(scale_us))
+            yield from rng.exponential(scale_us, size=self._BLOCK).tolist()
 
 
 class OnOffProcess(ArrivalProcess):

@@ -23,8 +23,9 @@ depth``), at every point in time.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from collections import deque
+from dataclasses import dataclass
+from typing import Deque, List, NamedTuple, Optional, Tuple, Union
 
 from ..errors import ConfigError, QueueFullError
 
@@ -32,14 +33,17 @@ from ..errors import ConfigError, QueueFullError
 DISCIPLINES = ("fifo", "priority")
 
 
-@dataclass(frozen=True)
-class Request:
+class Request(NamedTuple):
     """One open-loop request: an operation with an arrival timestamp.
 
     ``seq`` is the global arrival index — the FIFO order and the
     priority tiebreaker.  ``operation`` is a workload
     :class:`~repro.workload.ycsb.Operation`; the serving loop executes
     it against the DB exactly like the closed-loop runner would.
+
+    A plain immutable row: the serving loop builds one per arrival, so it
+    is a tuple rather than a frozen dataclass (whose ``__init__`` pays one
+    ``object.__setattr__`` per field).
     """
 
     seq: int
@@ -78,19 +82,20 @@ class RequestQueue:
         self.capacity = capacity
         self.discipline = discipline
         self.stats = QueueStats()
-        self._fifo: List[Request] = []
-        self._fifo_head = 0
-        self._heap: List[Tuple[int, int, Request]] = []
+        #: The queued requests: a deque under ``"fifo"``, a heap of
+        #: ``(priority, seq, request)`` under ``"priority"``.  Truth-test
+        #: or ``len`` it freely; mutate it only through offer / pop.
+        self.waiting: Union[Deque[Request], List[Tuple[int, int, Request]]] = (
+            deque() if discipline == "fifo" else []
+        )
 
     @property
     def depth(self) -> int:
         """Requests currently queued (admitted, not yet started)."""
-        if self.discipline == "fifo":
-            return len(self._fifo) - self._fifo_head
-        return len(self._heap)
+        return len(self.waiting)
 
     def __len__(self) -> int:
-        return self.depth
+        return len(self.waiting)
 
     def offer(
         self, request: Request, effective_capacity: Optional[int] = None
@@ -104,20 +109,21 @@ class RequestQueue:
         bound = self.capacity
         if effective_capacity is not None and effective_capacity < bound:
             bound = max(1, effective_capacity)
-        self.stats.arrived += 1
-        if self.depth >= bound:
-            self.stats.rejected += 1
+        stats = self.stats
+        stats.arrived += 1
+        waiting = self.waiting
+        depth = len(waiting)
+        if depth >= bound:
+            stats.rejected += 1
             raise QueueFullError(
-                f"request queue full (depth {self.depth} >= bound {bound})",
-                depth=self.depth,
+                f"request queue full (depth {depth} >= bound {bound})",
+                depth=depth,
             )
-        self.stats.admitted += 1
+        stats.admitted += 1
         if self.discipline == "fifo":
-            self._fifo.append(request)
+            waiting.append(request)
         else:
-            heapq.heappush(
-                self._heap, (request.priority, request.seq, request)
-            )
+            heapq.heappush(waiting, (request.priority, request.seq, request))
 
     def reject_external(self) -> None:
         """Record an arrival the *server* refused before offering it.
@@ -131,20 +137,12 @@ class RequestQueue:
 
     def pop(self) -> Request:
         """Next request under the discipline (caller checks ``depth``)."""
-        if self.discipline == "fifo":
-            if self._fifo_head >= len(self._fifo):
-                raise ConfigError("pop from an empty request queue")
-            request = self._fifo[self._fifo_head]
-            self._fifo_head += 1
-            # Compact the drained prefix occasionally so a long run's
-            # queue list does not grow without bound.
-            if self._fifo_head > 4096 and self._fifo_head * 2 > len(self._fifo):
-                del self._fifo[: self._fifo_head]
-                self._fifo_head = 0
-            return request
-        if not self._heap:
+        waiting = self.waiting
+        if not waiting:
             raise ConfigError("pop from an empty request queue")
-        return heapq.heappop(self._heap)[2]
+        if self.discipline == "fifo":
+            return waiting.popleft()
+        return heapq.heappop(waiting)[2]
 
     def complete(self) -> None:
         """Mark one popped request as finished (ledger bookkeeping)."""

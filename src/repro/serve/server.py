@@ -38,8 +38,6 @@ SLO violations counted from the samples) is written from its result —
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import groupby
-from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .arrivals import Arrival, Tenant, merge_tenant_arrivals, split_rate
@@ -78,9 +76,8 @@ from ..workload.ycsb import (
 #: Operation kinds subject to L0 back-pressure (the write path).
 WRITE_KINDS = frozenset((OP_PUT, OP_DELETE, OP_RMW))
 
-#: Requests between recorder flushes (see _record_batch).
+#: Arrivals between recorder flushes (``record_batch`` in the serve loop).
 RECORD_BATCH = 256
-_TENANT_INDEX = itemgetter(0)
 
 
 @dataclass(frozen=True)
@@ -469,32 +466,6 @@ def _execute(db: DB, operation) -> None:
         raise WorkloadError(f"unknown operation kind {kind!r}")
 
 
-def _record_batch(
-    pending: List[Tuple[int, float, float, float]],
-    wait_rec: LatencyRecorder,
-    service_rec: LatencyRecorder,
-    total_rec: LatencyRecorder,
-    tenants: List[TenantServeStats],
-) -> None:
-    """Record buffered ``(tenant_index, wait, service, total)`` samples.
-
-    ``record_many`` leaves each recorder in the state per-sample
-    ``record`` calls would have, so batching changes only how often the
-    serve loop pays the recorder dispatch.
-    """
-    wait_rec.record_many([sample[1] for sample in pending])
-    service_rec.record_many([sample[2] for sample in pending])
-    total_rec.record_many([sample[3] for sample in pending])
-    # A stable sort keeps each tenant's samples in completion order.
-    pending.sort(key=_TENANT_INDEX)
-    for index, group in groupby(pending, key=_TENANT_INDEX):
-        mine = list(group)
-        stats = tenants[index]
-        stats.wait_latencies.record_many([sample[1] for sample in mine])
-        stats.total_latencies.record_many([sample[3] for sample in mine])
-    pending.clear()
-
-
 def _serve_open_loop(
     db: DB,
     operations,
@@ -505,6 +476,7 @@ def _serve_open_loop(
 ) -> ServeResult:
     tenants = _tenant_stats(serve)
     queue = RequestQueue(serve.queue_depth, serve.discipline)
+    waiting = queue.waiting
     wait_rec = LatencyRecorder()
     service_rec = LatencyRecorder()
     total_rec = LatencyRecorder()
@@ -518,11 +490,40 @@ def _serve_open_loop(
     # Arrival timestamps are relative to the measured phase's origin; the
     # preload already advanced the clock, so shift to absolute time once.
     origin_us = start_time
-    pending: List[Tuple[int, float, float, float]] = []
+    samples: List[Tuple[float, float, float]] = []
+    tenant_samples: List[Tuple[List[float], List[float]]] = [
+        ([], []) for _ in tenants
+    ]
+    events: List[Tuple[float, float, float]] = []
 
-    def serve_one(request: Request) -> float:
+    def record_batch() -> None:
+        """Record the buffered samples and empty the buffers.
+
+        ``samples`` holds ``(wait, service, total)`` per completed request
+        in completion order, ``tenant_samples[i]`` tenant *i*'s own
+        ``(waits, totals)``, ``events`` the timeline's ``(begin, total,
+        stall)``.  ``record_many`` leaves each recorder in the state
+        per-sample ``record`` calls would have, so batching changes only
+        how often the serve loop pays the recorder dispatch.
+        """
+        if not samples:
+            return
+        waits, services, totals = zip(*samples)
+        wait_rec.record_many(waits)
+        service_rec.record_many(services)
+        total_rec.record_many(totals)
+        for stats, (mine_waits, mine_totals) in zip(tenants, tenant_samples):
+            stats.wait_latencies.record_many(mine_waits)
+            stats.total_latencies.record_many(mine_totals)
+            mine_waits.clear()
+            mine_totals.clear()
+        timeline.record_many(events)
+        samples.clear()
+        events.clear()
+
+    def serve_one(request: Request) -> None:
         nonlocal stall_total
-        arrival_us = request.arrival_us
+        _seq, arrival_us, tenant_index, operation, _priority = request
         if clock._now_us < arrival_us:
             # Server idle: jump to the arrival.  Background compaction
             # threads replay their chunks across this gap on the next
@@ -530,23 +531,27 @@ def _serve_open_loop(
             clock.advance_to(arrival_us)
         begin = clock._now_us
         wait_us = begin - arrival_us
-        _execute(db, request.operation)
+        _execute(db, operation)
         service_us = clock._now_us - begin
         stalled = counters_get("engine.stall_time_us", 0) + counters_get(
             "sched.device_wait_us", 0
         )
         total_us = wait_us + service_us
-        pending.append((request.tenant_index, wait_us, service_us, total_us))
-        timeline.record(begin, total_us, stall_us=stalled - stall_total)
+        samples.append((wait_us, service_us, total_us))
+        mine_waits, mine_totals = tenant_samples[tenant_index]
+        mine_waits.append(wait_us)
+        mine_totals.append(total_us)
+        events.append((begin, total_us, stalled - stall_total))
         stall_total = stalled
         queue.complete()
-        stats = tenants[request.tenant_index]
+        stats = tenants[tenant_index]
         stats.completed += 1
         if total_us > stats.slo_us:
             stats.slo_violations += 1
-        return total_us
 
     operations = iter(operations)
+    new_request = tuple.__new__
+    pop = queue.pop
     seq = 0
     for arrival_rel_us, tenant_index in arrivals:
         try:
@@ -560,19 +565,16 @@ def _serve_open_loop(
         # throttle state, by contrast, is as of the last completion —
         # the clock (and with it background compaction) only advances
         # when a request is served (see admission_bound).
-        while len(queue) and clock._now_us < arrival_us:
-            serve_one(queue.pop())
-        request = Request(
-            seq=seq,
-            arrival_us=arrival_us,
-            tenant_index=tenant_index,
-            operation=operation,
-            priority=tenants[tenant_index].tenant.priority,
+        while waiting and clock._now_us < arrival_us:
+            serve_one(pop())
+        stats = tenants[tenant_index]
+        request = new_request(
+            Request,
+            (seq, arrival_us, tenant_index, operation, stats.tenant.priority),
         )
         seq += 1
         if not seq % RECORD_BATCH:
-            _record_batch(pending, wait_rec, service_rec, total_rec, tenants)
-        stats = tenants[tenant_index]
+            record_batch()
         try:
             effective_capacity = admission_bound(
                 db, serve, operation, tenant=stats.tenant.name
@@ -585,9 +587,9 @@ def _serve_open_loop(
             queue.offer(request, effective_capacity=effective_capacity)
         except QueueFullError:
             stats.rejected_full += 1
-    while len(queue):
-        serve_one(queue.pop())
-    _record_batch(pending, wait_rec, service_rec, total_rec, tenants)
+    while waiting:
+        serve_one(pop())
+    record_batch()
     elapsed = clock.now() - start_time
     queue.stats.check_conservation(len(queue))
     return _serve_result(

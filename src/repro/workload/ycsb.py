@@ -185,6 +185,9 @@ class WorkloadGenerator:
         scan_length = spec.scan_length
         block = self._GEN_BLOCK
         remaining = spec.num_operations
+        # Operation's own __new__ is a Python-level wrapper of this call;
+        # one tuple is built per generated request.
+        new = tuple.__new__
         while remaining > 0:
             n = block if remaining > block else remaining
             remaining -= n
@@ -194,23 +197,23 @@ class WorkloadGenerator:
                 for index, draw in zip(indices, draws):
                     key = encode_key(index)
                     if draw < write_ratio:
-                        yield Operation(OP_PUT, key, make_value())
+                        yield new(Operation, (OP_PUT, key, make_value(), 0))
                     elif scans:
-                        yield Operation(OP_SCAN, key, scan_length=scan_length)
+                        yield new(Operation, (OP_SCAN, key, None, scan_length))
                     else:
-                        yield Operation(OP_GET, key)
+                        yield new(Operation, (OP_GET, key, None, 0))
             else:
                 for index in indices:
                     key = encode_key(index)
                     if random() < write_ratio:
                         if random() < delete_ratio:
-                            yield Operation(OP_DELETE, key)
+                            yield new(Operation, (OP_DELETE, key, None, 0))
                         else:
-                            yield Operation(OP_PUT, key, make_value())
+                            yield new(Operation, (OP_PUT, key, make_value(), 0))
                     elif scans:
-                        yield Operation(OP_SCAN, key, scan_length=scan_length)
+                        yield new(Operation, (OP_SCAN, key, None, scan_length))
                     else:
-                        yield Operation(OP_GET, key)
+                        yield new(Operation, (OP_GET, key, None, 0))
 
     def _sample_index(self) -> int:
         """One draw from the key distribution (kept as a test seam)."""

@@ -1,0 +1,148 @@
+"""The scheduler's replay helpers, kept as a test oracle.
+
+Until PR 23 replaying one background chunk took five methods: ``pump`` /
+``drain`` / ``_advance_to_next_completion`` each looped ``_assign_idle`` ->
+``_earliest_runnable`` (-> ``_next_start`` per busy thread) ->
+``_next_start`` again -> ``_run_chunk`` (-> ``_next_start`` a third time,
+two ``registry.add`` calls, the ``done`` property).  ``src/`` now selects,
+starts and replays the next chunk in one routine; the helpers live on
+here, verbatim, as the reference the pump pair-run in
+``tests/test_sched_properties.py`` compares against step for step: thread
+horizons, task cursors, the channel horizon, every ``sched.*`` counter and
+the emitted trace events.
+
+:class:`OracleScheduler` is the scheduler with its replay swapped for the
+parent's; capture (``_start_rounds`` / ``_capture_round`` / ``_chunkify``)
+is shared with the class under test.
+"""
+
+from typing import Optional, Tuple
+
+from repro.errors import CompactionError
+from repro.obs.events import EV_SCHED_TASK_DONE
+from repro.sched.scheduler import (
+    MAX_STALL_ROUNDS,
+    BackgroundThread,
+    CompactionScheduler,
+)
+from repro.ssd.clock import CAPTURE_IO
+
+
+class OracleScheduler(CompactionScheduler):
+    """``CompactionScheduler`` replaying chunks the way PR 22 did."""
+
+    @classmethod
+    def install(cls, db) -> "OracleScheduler":
+        """Swap a fresh DB's scheduler for the oracle (before any work)."""
+        db.sched = cls(db)
+        return db.sched
+
+    def on_operation(self) -> None:
+        now = self.db.clock.now()
+        self.pump(now)
+        self._start_rounds(now)
+
+    def pump(self, until_us: float) -> None:
+        while True:
+            self._assign_idle()
+            thread = self._earliest_runnable()
+            if thread is None or self._next_start(thread) >= until_us:
+                return
+            self._run_chunk(thread)
+
+    def drain(self) -> float:
+        clock = self.db.clock
+        last = clock.now()
+        while True:
+            self._assign_idle()
+            thread = self._earliest_runnable()
+            if thread is None:
+                break
+            end, _ = self._run_chunk(thread)
+            if end > last:
+                last = end
+        return clock.advance_to(last)
+
+    def stall_until_l0_below(self, limit: int) -> None:
+        db = self.db
+        version = db.version
+        rounds = 0
+        while len(version.levels[0]) >= limit:
+            now = db.clock.now()
+            self.pump(now)
+            if self._start_rounds(now):
+                rounds += 1
+                if rounds > MAX_STALL_ROUNDS:
+                    raise CompactionError(
+                        f"L0 stop stall did not converge within "
+                        f"{MAX_STALL_ROUNDS} rounds"
+                    )
+                continue
+            if not self._advance_to_next_completion():
+                break
+
+    def _assign_idle(self) -> None:
+        while self.queue:
+            idle = [t for t in self.threads if t.task is None]
+            if not idle:
+                return
+            thread = min(idle, key=lambda t: (t.free_at_us, t.index))
+            task = self.queue.popleft()
+            thread.task = task
+            if task.enqueued_us > thread.free_at_us:
+                thread.free_at_us = task.enqueued_us
+
+    def _next_start(self, thread: BackgroundThread) -> float:
+        kind, _ = thread.task.chunks[thread.task.next_chunk]
+        if kind == CAPTURE_IO and self.channel.busy_until_us > thread.free_at_us:
+            return self.channel.busy_until_us
+        return thread.free_at_us
+
+    def _earliest_runnable(self) -> Optional[BackgroundThread]:
+        best: Optional[BackgroundThread] = None
+        best_start = 0.0
+        for thread in self.threads:
+            if thread.task is None:
+                continue
+            start = self._next_start(thread)
+            if best is None or start < best_start:
+                best = thread
+                best_start = start
+        return best
+
+    def _run_chunk(self, thread: BackgroundThread) -> Tuple[float, bool]:
+        task = thread.task
+        kind, duration = task.chunks[task.next_chunk]
+        start = self._next_start(thread)
+        end = start + duration
+        thread.free_at_us = end
+        if kind == CAPTURE_IO:
+            self.channel.occupy_until(end)
+        task.next_chunk += 1
+        self._count("sched.chunks_executed")
+        self._count("sched.bg_busy_us", duration)
+        completed = task.done
+        if completed:
+            thread.task = None
+            self._count("sched.tasks_completed")
+            tracer = self.db.tracer
+            if tracer.active:
+                tracer.emit(
+                    EV_SCHED_TASK_DONE,
+                    task_id=task.task_id,
+                    policy=task.policy,
+                    completed_us=end,
+                )
+        return end, completed
+
+    def _advance_to_next_completion(self) -> bool:
+        clock = self.db.clock
+        while True:
+            self._assign_idle()
+            thread = self._earliest_runnable()
+            if thread is None:
+                return False
+            end, completed = self._run_chunk(thread)
+            if completed:
+                clock.advance_to(end)
+                return True

@@ -23,6 +23,28 @@ class TestLatencyRecorder:
         with pytest.raises(ReproError):
             LatencyRecorder().record(-1.0)
 
+    @pytest.mark.parametrize("sampling", [(1, None), (3, None), (2, 4)])
+    def test_negative_mid_chunk_leaves_the_recorder_untouched(self, sampling):
+        """Validation precedes mutation: before PR 23 ``[1.0, -1.0]`` raised
+        after 1.0 had been stored, with count and sum not updated — a
+        recorder that disagreed with itself."""
+        recorder = LatencyRecorder(*sampling)
+        recorder.record_many([4.0, 2.0, 8.0])
+
+        def state():
+            return (list(recorder.values), len(recorder), recorder.is_sampled,
+                    recorder.histogram.count, recorder.histogram.to_dict())
+
+        before = state()
+        with pytest.raises(ReproError, match="negative latency"):
+            recorder.record_many([1.0, -1.0])
+        assert state() == before
+        with pytest.raises(ReproError, match="negative latency"):
+            recorder.record(-0.5)
+        assert state() == before
+        recorder.record_many([1.0])
+        assert len(recorder) == recorder.histogram.count == 4
+
     def test_single_value(self):
         recorder = LatencyRecorder()
         recorder.record(5.0)
@@ -163,7 +185,7 @@ class TestSampledRecording:
         for value in values:
             per_call.record(value)
         assert list(chunked.values) == list(per_call.values)
-        assert chunked._sum == per_call._sum
+        assert chunked.histogram.to_dict() == per_call.histogram.to_dict()
         assert len(chunked) == len(per_call)
         assert chunked.is_sampled == per_call.is_sampled
 

@@ -16,7 +16,9 @@ per record returned and per block charged, against the record-at-a-time
 scan it replaced (``tests/_scan_oracle.cursor_scan``).  ``TestCallsPerMerge``
 pins that a compaction merge pays per input window, not per record or heap
 round (against ``tests/_merge_oracle.py``), and that its output files lay
-out no block until something reads one.
+out no block until something reads one.  ``TestStackTax`` pins what the
+wrappers around the engine — serve loop, scheduler pump, recorders — add to
+a served request, a replayed chunk and a recorded batch.
 """
 
 import cProfile
@@ -42,8 +44,15 @@ from repro.lsm.record import put_record
 from repro.lsm.sstable import SSTable
 from repro.lsm.version import VersionSet
 from repro.obs.events import ALL_EVENT_KINDS, EV_DEVICE_READ, EV_DEVICE_WRITE
+from repro.harness.latency import FOLD_WATERMARK, LatencyRecorder
+from repro.harness.runner import prepare_db
 from repro.obs.registry import MetricsRegistry
+from repro.sched.scheduler import CompactionTask
+from repro.serve import ServeSpec, serve_workload
+from repro.ssd.clock import CAPTURE_CPU, CAPTURE_IO
 from repro.ssd.metrics import FLUSH_WRITE, WAL_WRITE
+from repro.workload.spec import rwb
+from repro.workload.ycsb import WorkloadGenerator
 
 from ._lookup_oracle import oracle_get
 from ._merge_oracle import merge_windows as oracle_merge, oracle_window
@@ -603,3 +612,94 @@ class TestStageCost:
         per_put, per_get = self.added(bare, profile=DeviceConfig(flash=FlashSpec()))
         assert 0 < per_put <= 14, per_put
         assert per_get == 0, per_get
+
+
+#: Source files of the layers wrapped around the engine on a served request.
+STACK_FILES = ("/repro/serve/", "/repro/sched/", "/repro/harness/latency.py",
+               "/repro/obs/histogram.py", "/repro/obs/registry.py")
+
+
+def calls_made(run) -> int:
+    """Profiled calls of ``run()``, itself included (the profiler's own
+    ``disable`` is not)."""
+    return total_calls(run) - 1
+
+
+class TestStackTax:
+    """What serve + scheduler + recorders add around the engine, in calls.
+
+    A served request used to cost more outside ``_execute`` than inside
+    it: per-sample loops in three recorder classes, a frozen-dataclass
+    ``Request``, a five-method pump, a list-with-head FIFO whose length was
+    three property hops away.  Counts, never timings.
+    """
+
+    def test_stack_layers_cost_at_most_36_calls_per_served_request(self):
+        """Open-loop Poisson serve over ``bg_threads=1`` + mounted flash:
+        calls of functions in the stack's files plus the builtins they
+        call directly, per request.  Measured 32.0 (73.4 before PR 23)."""
+        spec = rwb(num_operations=4_000, key_space=1_500, preload_keys=1_500,
+                   seed=11)
+        serve = ServeSpec(arrival="poisson", rate_ops_s=8_000.0,
+                          queue_depth=128, seed=11)
+        db = prepare_db(
+            "ldc", WorkloadGenerator(spec).preload_operations(),
+            LSMConfig(bg_threads=1, block_cache_bytes=8 << 20),
+            DeviceConfig(flash=FlashSpec()),
+        )
+        profiler = cProfile.Profile()
+        profiler.enable()
+        result = serve_workload(spec, "ldc", serve, db=db)
+        profiler.disable()
+        assert result.completed == 4_000
+        assert result.metrics.get("sched.chunks_executed") > 1_000
+        stack = 0
+        for entry in profiler.getstats():
+            code = entry.code
+            if isinstance(code, str) or not any(
+                part in code.co_filename.replace("\\", "/") for part in STACK_FILES
+            ):
+                continue
+            stack += entry.callcount + sum(
+                sub.callcount for sub in entry.calls or ()
+                if isinstance(sub.code, str)
+            )
+        assert stack / 4_000 <= 36, stack / 4_000
+
+    def test_idle_scheduler_costs_comparisons_only(self):
+        """Nothing in flight, policy idle: ``on_operation`` calls nothing
+        (itself + ``now`` + ``pump`` and three helpers before PR 23)."""
+        db = DB(config=LSMConfig(bg_threads=1), policy="udc")
+        db.policy._maintenance_idle = True
+        assert not db.sched.in_flight
+        assert calls_made(db.sched.on_operation) <= 2
+
+    @pytest.mark.parametrize("bg_threads", [1, 3])
+    def test_a_replayed_chunk_costs_at_most_three_calls(self, bg_threads):
+        """Two counter reads and one ``len`` — 12.7 before PR 23."""
+        db = DB(config=LSMConfig(bg_threads=bg_threads), policy="udc")
+        sched = db.sched
+        chunks = 2_000
+        for task_id in range(bg_threads):
+            sched.queue.append(CompactionTask(
+                task_id, "udc", 0.0,
+                [(CAPTURE_IO if n % 3 else CAPTURE_CPU, 1.5) for n in range(chunks)],
+            ))
+        calls = calls_made(lambda: sched.pump(math.inf))
+        assert db.registry.counter("sched.chunks_executed") == bg_threads * chunks
+        assert not sched.in_flight
+        assert calls <= 3 * bg_threads * chunks + 16 * bg_threads, calls
+
+    @pytest.mark.parametrize("sampling", [(1, None), (4, 500)])
+    def test_recording_a_batch_costs_the_same_calls_at_any_size(self, sampling):
+        """``record_many`` is validate + extend + count: below the fold
+        watermark 16,000 samples make exactly the calls 16 do."""
+        recorder = LatencyRecorder(*sampling)
+        small = [float(n % 97) for n in range(16)]
+        large = [float(n % 97) for n in range(16_000)]
+        assert len(small) + 2 * len(large) < FOLD_WATERMARK
+        few = calls_made(lambda: recorder.record_many(small))
+        many = calls_made(lambda: recorder.record_many(large))
+        again = calls_made(lambda: recorder.record_many(large))
+        assert few == many == again <= 12, (few, many, again)
+        assert len(recorder) == recorder.histogram.count == 32_016

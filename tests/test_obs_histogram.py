@@ -48,6 +48,19 @@ class TestBucketBoundaries:
         with pytest.raises(ReproError):
             hist.record(-1.0)
 
+    def test_negative_mid_batch_leaves_the_histogram_untouched(self) -> None:
+        """Before PR 23 ``record_many([1.0, -1.0])`` raised after bumping
+        1.0's bucket but not ``count``."""
+        hist = LatencyHistogram()
+        hist.record_many([4.0, 0.1, 250.0])
+        before = hist.to_dict()
+        with pytest.raises(ReproError, match="negative latency"):
+            hist.record_many([1.0, -1.0])
+        with pytest.raises(ReproError, match="negative latency"):
+            hist.record(-1.0)
+        assert hist.to_dict() == before
+        assert hist.count == 3 == sum(hist._buckets.values())
+
 
 class TestPercentileAccuracy:
     @pytest.mark.parametrize("distribution", ["uniform", "lognormal", "bimodal"])

@@ -1,4 +1,4 @@
-"""The public surface after the PR 17, PR 18, PR 19 and PR 22 deletions.
+"""The public surface after the PR 17, PR 18, PR 19, PR 22 and PR 23 deletions.
 
 Every exported name resolves, and what was removed stays removed: the
 policy shims (one way to build a policy — the registry — so the only
@@ -8,7 +8,9 @@ the record-at-a-time scan merge (one read-side merge in ``src/``; the old
 one is ``tests/_scan_oracle.py``) and the experiment shell's second ways
 to name a policy (factory functions, a factory field on ``GridTask``),
 and the run shell's second runners, fan-out, closed loop, report classes
-and policy factories (one protocol, one fan-out, two loops, two results).
+and policy factories (one protocol, one fan-out, two loops, two results),
+and the serving stack's per-sample recorder loops, hand-rolled FIFO and
+five-helper pump (one ledger, one ``deque``, one replay step).
 """
 
 import ast
@@ -200,6 +202,36 @@ def test_one_run_shell():
     assert [where.split(":")[0] for where in resets] == [
         "harness/runner.py", "shard/db.py",
     ]
+
+
+def test_one_stack_path():
+    """A request is a tuple row, the FIFO a ``deque``, the histogram has no
+    bucket memo, and the scheduler replays through one routine — the
+    replaced loops live only in ``tests/_recorder_oracle.py`` /
+    ``tests/_pump_oracle.py``."""
+    import collections
+    import dataclasses
+
+    from repro.harness.latency import LatencyRecorder
+    from repro.obs.histogram import LatencyHistogram
+    from repro.sched.scheduler import CompactionScheduler
+    from repro.serve import Request, RequestQueue
+
+    assert not dataclasses.is_dataclass(Request) and issubclass(Request, tuple)
+    assert Request._fields == (
+        "seq", "arrival_us", "tenant_index", "operation", "priority")
+    assert Request._field_defaults == {"priority": 0}
+    assert Request(seq=1, arrival_us=2.0, tenant_index=0, operation=None) == (
+        1, 2.0, 0, None, 0)
+    assert isinstance(RequestQueue(4).waiting, collections.deque)
+    assert not hasattr(RequestQueue(4), "_fifo_head")
+    for gone in ("_index_cache", "_INDEX_CACHE_MAX"):
+        assert not hasattr(LatencyHistogram(), gone)
+        assert gone not in LatencyHistogram.__slots__
+    for gone in ("_sum", "_min", "_max"):  # the histogram is the one ledger
+        assert not hasattr(LatencyRecorder(), gone)
+    for gone in ("_earliest_runnable", "_next_start", "_run_chunk"):
+        assert not hasattr(CompactionScheduler, gone)
 
 
 def test_cli_surface_is_what_it_was():

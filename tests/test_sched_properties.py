@@ -21,12 +21,21 @@ not just the seeded traces of the differential suite:
 3. **Quiet-below-slowdown** — every stall/slowdown counter stays zero on
    any workload whose Level 0 never reaches the slowdown trigger:
    back-pressure must never fire spuriously.
+
+And one pair-run: the scheduler's single replay step against the five
+helpers it replaced (``tests/_pump_oracle.py``) — same thread horizons,
+task cursors, channel horizon, ``sched.*`` counters and trace events after
+every step of an arbitrary programme.
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro import DB
+from repro import DB, RingBufferSink, Tracer
 from repro.lsm.config import LSMConfig
+from repro.sched.scheduler import CompactionTask
+from repro.ssd.clock import CAPTURE_CPU, CAPTURE_IO
+
+from ._pump_oracle import OracleScheduler
 
 POLICIES = ("delayed", "ldc", "tiered", "udc")
 
@@ -194,3 +203,134 @@ class TestQuietBelowSlowdown:
             assert counter("sched.stall_time_us") == 0
             assert counter("sched.slowdown_time_us") == 0
             assert db.engine_stats.stall_time_us == 0
+
+
+# ----------------------------------------------------------------------
+# The one replay step == the parent's pump helpers (tests/_pump_oracle.py)
+# ----------------------------------------------------------------------
+chunk_lists = st.lists(
+    st.tuples(
+        st.sampled_from([CAPTURE_IO, CAPTURE_CPU]),
+        st.floats(min_value=0.001, max_value=400.0, allow_nan=False),
+    ),
+    min_size=1,
+    max_size=10,
+)
+offsets = st.floats(min_value=0.0, max_value=1_500.0, allow_nan=False)
+pump_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("enqueue"), chunk_lists),
+        st.tuples(st.just("advance"), offsets),
+        # Pump to a time before, at or after now.
+        st.tuples(st.just("pump"), st.floats(min_value=-200.0, max_value=1_500.0)),
+        # A foreground I/O holding the device past now.
+        st.tuples(st.just("foreground"), offsets),
+        st.tuples(st.just("operation"), st.none()),
+        st.tuples(st.just("completion"), st.none()),
+        st.tuples(st.just("drain"), st.none()),
+    ),
+    max_size=40,
+)
+
+
+def sched_state(db, sink):
+    sched = db.sched
+    return (
+        db.clock.now(),
+        [
+            (
+                thread.free_at_us,
+                None if thread.task is None else thread.task.task_id,
+                None if thread.task is None else thread.task.next_chunk,
+            )
+            for thread in sched.threads
+        ],
+        [task.task_id for task in sched.queue],
+        sched.channel.busy_until_us,
+        sorted(
+            (key, value)
+            for key, value in db.registry.counters().items()
+            if key.startswith("sched.")
+        ),
+        [(event.kind, event.t_us, event.fields) for event in sink.events],
+    )
+
+
+def pump_step(db, kind, arg):
+    sched = db.sched
+    now = db.clock.now()
+    if kind == "enqueue":
+        sched.queue.append(
+            CompactionTask(sched._next_task_id, "udc", now, list(arg))
+        )
+        sched._next_task_id += 1
+    elif kind == "advance":
+        db.clock.advance(arg)
+    elif kind == "pump":
+        sched.pump(now + arg)
+    elif kind == "foreground":
+        sched.channel.occupy_until(now + arg)
+    elif kind == "operation":
+        sched.on_operation()
+    elif kind == "completion":
+        return sched._advance_to_next_completion()
+    elif kind == "drain":
+        return sched.drain()
+    return None
+
+
+class TestReplayStepEqualsPumpOracle:
+    @given(
+        programme=pump_steps,
+        bg_threads=st.integers(min_value=1, max_value=4),
+    )
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_synthetic_tasks_step_for_step(self, programme, bg_threads):
+        new_sink, old_sink = RingBufferSink(), RingBufferSink()
+        new = DB(config=make_config(bg_threads), policy="udc",
+                 tracer=Tracer([new_sink]))
+        old = DB(config=make_config(bg_threads), policy="udc",
+                 tracer=Tracer([old_sink]))
+        OracleScheduler.install(old)
+        for kind, arg in programme:
+            assert pump_step(new, kind, arg) == pump_step(old, kind, arg)
+            assert sched_state(new, new_sink) == sched_state(old, old_sink)
+        new.sched.check_invariants()
+
+    @given(
+        ops=operations,
+        policy_name=st.sampled_from(POLICIES),
+        bg_threads=st.integers(min_value=1, max_value=4),
+    )
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_whole_store_under_throttling(self, ops, policy_name, bg_threads):
+        """Real captured rounds, L0 stop stalls included: the stores walk
+        through the same scheduler states op for op and end with the same
+        clock and the same counters, ``sched.*`` and otherwise."""
+        config = make_config(bg_threads, aggressive_throttle=True)
+        new_sink, old_sink = RingBufferSink(), RingBufferSink()
+        new = DB(config=config, policy=policy_name, tracer=Tracer([new_sink]))
+        old = DB(config=config, policy=policy_name, tracer=Tracer([old_sink]))
+        OracleScheduler.install(old)
+        for kind, index, value in ops:
+            for db in (new, old):
+                if kind == "put":
+                    db.put(key_of(index), value)
+                elif kind == "delete":
+                    db.delete(key_of(index))
+                else:
+                    db.get(key_of(index))
+            assert sched_state(new, new_sink)[:5] == sched_state(old, old_sink)[:5]
+        assert new.sched.drain() == old.sched.drain()
+        assert new.registry.counters() == old.registry.counters()
+        assert [(e.kind, e.t_us, e.fields) for e in new_sink.events] == [
+            (e.kind, e.t_us, e.fields) for e in old_sink.events
+        ]

@@ -457,8 +457,8 @@ class TestServeWorkload:
         def recorder_state(recorder):
             histogram = recorder.histogram
             return (
-                list(recorder.values), len(recorder), recorder._sum,
-                recorder._min, recorder._max, recorder.is_sampled,
+                list(recorder.values), len(recorder), recorder.is_sampled,
+                recorder.mean() if len(recorder) else None,
                 dict(histogram._buckets), histogram.count, histogram.total,
                 histogram._min, histogram._max,
             )
@@ -470,9 +470,11 @@ class TestServeWorkload:
                 recorders += [stats.wait_latencies, stats.total_latencies]
             return [recorder_state(recorder) for recorder in recorders]
 
+        record_many = LatencyRecorder.record_many
+
         def per_sample(recorder, latencies):
             for latency in latencies:
-                recorder.record(latency)
+                record_many(recorder, (latency,))
 
         batched = serve_workload(SPEC, "ldc", serve)
         monkeypatch.setattr(LatencyRecorder, "record_many", per_sample)

@@ -30,6 +30,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.errors import ConfigError, QueueFullError
 from repro.serve import (
     RequestQueue,
     Request,
@@ -115,6 +116,27 @@ class TestIntervalArrivalConsistency:
             assert next(stamps) == running
 
 
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        rate=st.floats(min_value=10.0, max_value=1e6),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_poisson_block_draws_are_the_scalar_stream(self, seed, rate):
+        """``PoissonProcess`` draws 4,096 gaps per generator call; the gaps
+        are the ones scalar draws from the same PCG64 stream give, across
+        block boundaries."""
+        process = make_arrival_process("poisson", rate)
+        blocked = process.intervals(
+            np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        )
+        scalar_rng = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(seed))
+        )
+        scale_us = process.mean_interval_us
+        for _ in range(2 * 4096 + 50):
+            assert next(blocked) == float(scalar_rng.exponential(scale_us))
+
+
 # ----------------------------------------------------------------------
 # 3. Conservation under arbitrary interleavings
 # ----------------------------------------------------------------------
@@ -165,6 +187,39 @@ class TestConservation:
         stats = queue.stats
         assert stats.arrived == stats.admitted + stats.rejected
         assert stats.admitted == stats.completed + queue.depth
+
+    @pytest.mark.parametrize("discipline", ["fifo", "priority"])
+    def test_ledger_balances_past_ten_thousand_pops(self, discipline):
+        """The long-run case the hand-rolled list-with-head FIFO carried a
+        compaction branch for (drained prefix > 4096): on the deque-backed
+        queue the rule holds at every step of a 12k-pop saw-tooth, order is
+        arrival order throughout, and a rejection reports the depth it saw."""
+        queue = RequestQueue(64, discipline)
+        rng = np.random.default_rng(5)
+        seq = 0
+        popped = []
+        while len(popped) < 12_000:
+            for _ in range(int(rng.integers(1, 90))):
+                try:
+                    queue.offer(_request(seq, priority=0))
+                except QueueFullError as error:
+                    assert error.depth == queue.depth == 64
+                    assert str(error) == (
+                        "request queue full (depth 64 >= bound 64)"
+                    )
+                seq += 1
+                queue.stats.check_conservation(queue.depth)
+            for _ in range(int(rng.integers(1, 90))):
+                if not queue.depth:
+                    break
+                popped.append(queue.pop().seq)
+                queue.complete()
+                queue.stats.check_conservation(len(queue))
+        assert popped == sorted(popped)
+        assert queue.stats.rejected > 0
+        assert queue.stats.admitted == len(popped) + queue.depth
+        with pytest.raises(ConfigError, match="pop from an empty request queue"):
+            RequestQueue(4, discipline).pop()
 
     @given(
         priorities=st.lists(
