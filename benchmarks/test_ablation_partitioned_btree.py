@@ -41,7 +41,7 @@ def _run_stream(policy, ops, key_space):
     return {
         "p999_us": pct(99.9),
         "max_us": latencies[-1],
-        "amp": tree.write_amplification(),
+        "amp": tree.metrics().write_amplification,
         "merges": tree.leaf_merge_count,
         "absorbs": tree.absorb_count,
     }

@@ -30,12 +30,17 @@ def _round_distribution(ops, keys):
                 db.put(operation.key, operation.value)
             else:
                 db.get(operation.key)
-        stats = db.engine_stats
+        rounds = sorted(db.round_bytes)
+
+        def percentile(pct: float) -> int:
+            index = min(len(rounds) - 1, max(0, int(pct / 100 * len(rounds)) - 1))
+            return rounds[index] if rounds else 0
+
         results[name] = {
-            "rounds": len(stats.round_bytes),
-            "p50": stats.round_bytes_percentile(50),
-            "p99": stats.round_bytes_percentile(99),
-            "max": stats.max_round_bytes,
+            "rounds": len(rounds),
+            "p50": percentile(50),
+            "p99": percentile(99),
+            "max": rounds[-1] if rounds else 0,
         }
     return results
 

@@ -40,7 +40,7 @@ def main() -> None:
     print(f"{'phase':<28} {'est. write ratio':>17} {'T_s':>5} {'merges':>8}")
     print("-" * 62)
     for label, write_ratio, ops in PHASES:
-        merges_before = db.engine_stats.merge_count
+        before = db.metrics()
         for _ in range(ops):
             key = str(int(rng.integers(0, KEY_SPACE))).zfill(16).encode()
             if rng.random() < write_ratio:
@@ -49,7 +49,8 @@ def main() -> None:
                 db.get(key)
         print(
             f"{label:<28} {policy.movement._adaptive.write_ratio:>17.3f} "  # noqa: SLF001 - demo introspection
-            f"{policy.threshold:>5} {db.engine_stats.merge_count - merges_before:>8}"
+            f"{policy.threshold:>5} "
+            f"{db.metrics().delta(before).get('engine.merge_count'):>8}"
         )
 
     print(

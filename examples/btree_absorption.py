@@ -46,7 +46,7 @@ def run(policy_name: str, policy) -> dict:
     return {
         "name": policy_name,
         "stalls": stalls,
-        "amp": tree.write_amplification(),
+        "amp": tree.metrics().write_amplification,
         "absorbs": tree.absorb_count,
         "leaf_merges": tree.leaf_merge_count,
         "tree": tree,

@@ -43,17 +43,18 @@ def main() -> None:
     print("scan from user:2000 ->", [key.decode() for key, _ in window])
 
     # --- What the engine did ---------------------------------------------
-    stats = db.engine_stats
-    device = db.device.stats
+    snap = db.metrics()  # every counter, frozen; docs/METRICS.md lists the keys
     print(
-        f"flushes={stats.flush_count}  links={stats.link_count}  "
-        f"merges={stats.merge_count}  trivial_moves={stats.trivial_moves}"
+        f"flushes={snap.get('engine.flush_count')}  "
+        f"links={snap.get('engine.link_count')}  "
+        f"merges={snap.get('engine.merge_count')}  "
+        f"trivial_moves={snap.get('engine.trivial_moves')}"
     )
     print(
-        f"compaction I/O: read {device.compaction_bytes_read / 2**20:.1f} MiB, "
-        f"wrote {device.compaction_bytes_written / 2**20:.1f} MiB"
+        f"compaction I/O: read {snap.compaction_bytes_read / 2**20:.1f} MiB, "
+        f"wrote {snap.compaction_bytes_written / 2**20:.1f} MiB"
     )
-    print(f"write amplification: {db.write_amplification():.2f}")
+    print(f"write amplification: {snap.write_amplification:.2f}")
     print(
         "levels:",
         [len(level_files) for level_files in db.version.levels],

@@ -55,14 +55,15 @@ def run_trace(policy_name: str, policy: str) -> dict:
     def pct(p: float) -> float:
         return latencies[min(len(latencies) - 1, int(len(latencies) * p / 100))]
 
+    snap = db.metrics()
     return {
         "policy": policy_name,
         "p50_us": pct(50),
         "p99_us": pct(99),
         "p999_us": pct(99.9),
         "mean_us": sum(latencies) / len(latencies),
-        "compaction_mib": db.device.stats.compaction_bytes_total / 2**20,
-        "write_amp": db.write_amplification(),
+        "compaction_mib": snap.compaction_bytes_total / 2**20,
+        "write_amp": snap.write_amplification,
     }
 
 

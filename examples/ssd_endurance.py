@@ -74,7 +74,7 @@ def run(num_ops=NUM_OPS, key_space=KEY_SPACE, value_bytes=VALUE_BYTES):
         rows.append(
             {
                 "policy": name.upper(),
-                "user_bytes": db.engine_stats.user_bytes_written,
+                "user_bytes": snap.user_bytes_written,
                 "host_bytes": snap.host_bytes_written,
                 "programmed_bytes": snap.flash_bytes_programmed,
                 "host_wa": snap.write_amplification,

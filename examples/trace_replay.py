@@ -66,10 +66,11 @@ def main() -> None:
                 contents = final
             else:
                 assert final == contents, f"{name} diverged on the same trace!"
+            snap = db.metrics()
             print(
                 f"{name:<9} {len(latencies) / elapsed_s:>8.0f} {p999:>9.0f} "
-                f"{db.write_amplification():>10.2f} "
-                f"{db.device.stats.compaction_bytes_total / 2**20:>12.1f}"
+                f"{snap.write_amplification:>10.2f} "
+                f"{snap.compaction_bytes_total / 2**20:>12.1f}"
             )
         print(
             "\nAll four stores hold identical contents after the identical "

@@ -259,7 +259,7 @@ class LDCLinkMergeMovement(DataMovement):
         if self.frozen.space_bytes <= limit or not self._linked_tables:
             return False
         victim = max(self._linked_tables.values(), key=_linked_bytes)
-        db.engine_stats.forced_merges += 1
+        db.registry.add("engine.forced_merges")
         self.policy.bump("forced_merges")
         self.merge(victim)
         return True
@@ -278,7 +278,7 @@ class LDCLinkMergeMovement(DataMovement):
         if level != 0 or self._alone_in_level0(source):
             version.remove_file(level, source)
             version.add_file(level + 1, source)
-            db.engine_stats.trivial_moves += 1
+            db.registry.add("engine.trivial_moves")
             policy.bump("trivial_moves")
             db.tracer.emit(
                 EV_TRIVIAL_MOVE, policy=policy.name, file_id=source.file_id,
@@ -293,7 +293,7 @@ class LDCLinkMergeMovement(DataMovement):
             db.note_file_dropped(table)
         for table in outputs:
             version.add_file(1, table)
-        db.engine_stats.compaction_count += 1
+        db.registry.add("engine.compaction_count")
         policy.bump("bootstrap_compactions")
         return True
 
@@ -331,7 +331,7 @@ class LDCLinkMergeMovement(DataMovement):
             self._linked_tables[target.file_id] = target
             if self.due_for_merge(target):
                 self._due[target.file_id] = target
-        db.engine_stats.link_count += 1
+        db.registry.add("engine.link_count")
         policy.bump("links")
         policy.bump("slices_created", len(plan))
         policy.set_metric_gauge("threshold", self.threshold)
@@ -429,8 +429,8 @@ class LDCLinkMergeMovement(DataMovement):
             # frozen file is recycled — only then are its blocks dead.
             if self.frozen.release(piece.source):
                 db.note_file_dropped(piece.source)
-        db.engine_stats.merge_count += 1
-        db.engine_stats.compaction_count += 1
+        db.registry.add("engine.merge_count")
+        db.registry.add("engine.compaction_count")
         policy.bump("merges")
         policy.bump("slices_merged", len(slices))
         policy.set_metric_gauge("threshold", self.threshold)

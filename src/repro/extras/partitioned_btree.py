@@ -30,6 +30,7 @@ from bisect import bisect_left
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..errors import EngineError
+from ..obs.snapshot import MetricsSnapshot
 from ..ssd.device import SimulatedSSD
 from ..ssd.metrics import COMPACTION_READ, COMPACTION_WRITE, FLUSH_WRITE, USER_READ
 from ..ssd.profile import ENTERPRISE_PCIE
@@ -330,7 +331,6 @@ class PartitionedBTree:
         self._next_seq = 1
         self.absorb_count = 0
         self.leaf_merge_count = 0
-        self.user_bytes_written = 0
         self.policy.attach(self)
 
     # ------------------------------------------------------------------
@@ -369,7 +369,7 @@ class PartitionedBTree:
             self._buffer_size -= _record_size(key, previous[1])
         self._buffer[key] = (seq, value)
         self._buffer_size += _record_size(key, value)
-        self.user_bytes_written += _record_size(key, value)
+        self.device.registry.add("engine.user_bytes_written", _record_size(key, value))
         self.clock.advance(0.5)
         if self._buffer_size >= self.buffer_bytes:
             self._spill_buffer()
@@ -444,11 +444,10 @@ class PartitionedBTree:
         for key in sorted(merged):
             yield key, merged[key][1]
 
-    def write_amplification(self) -> float:
-        """Physical/logical write ratio over the device's lifetime."""
-        if self.user_bytes_written == 0:
-            return 0.0
-        return self.device.stats.total_bytes_written / self.user_bytes_written
+    def metrics(self) -> MetricsSnapshot:
+        """Device I/O and user bytes as one snapshot (``.write_amplification``
+        is the physical/logical write ratio over the device's lifetime)."""
+        return MetricsSnapshot.capture(self.device.registry, self.clock.now())
 
     def space_bytes(self) -> int:
         """Resident bytes: leaves + side partitions + frozen residue."""

@@ -359,11 +359,15 @@ def run_reference(
     for op in operations:
         _execute(store, op)
     engines = store.shards if isinstance(store, ShardedDB) else [store]
+
+    def total(key: str) -> int:
+        return sum(engine.registry.counter(key) for engine in engines)
+
     return ReferenceRun(
         shard_ios=[device.faults.io_count for device in _devices(store)],
-        flushes=sum(engine.engine_stats.flush_count for engine in engines),
-        links=sum(engine.engine_stats.link_count for engine in engines),
-        merges=sum(engine.engine_stats.merge_count for engine in engines),
+        flushes=total("engine.flush_count"),
+        links=total("engine.link_count"),
+        merges=total("engine.merge_count"),
         final_items=len(_logical(store)),
     )
 

@@ -121,10 +121,7 @@ class RunResult:
     #: waiting behind background compaction on the device channel.
     stall_time_us = counter_view("engine.stall_time_us", float)
     device_wait_us = counter_view("sched.device_wait_us", float)
-
-    @property
-    def activity_share(self) -> Dict[str, float]:
-        return self.metrics.activity_share()
+    activity_share = property(lambda self: self.metrics.activity_share())
 
     @property
     def throughput_ops_s(self) -> float:

@@ -22,7 +22,6 @@ from .record import (
     visible_value,
 )
 from .sstable import SSTable
-from .stats import EngineStats
 from .version import VersionSet
 from .wal import WriteAheadLog
 from .compaction import (
@@ -51,7 +50,6 @@ __all__ = [
     "theoretical_fpr",
     "VersionSet",
     "WriteAheadLog",
-    "EngineStats",
     "KVRecord",
     "KIND_PUT",
     "KIND_DELETE",

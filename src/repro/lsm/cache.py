@@ -55,32 +55,6 @@ class BlockCache:
         self._entries: "OrderedDict[_BlockKey, int]" = OrderedDict()
         self._used_bytes = 0
 
-    @property
-    def hits(self) -> int:
-        return int(self.registry.counter("cache.hits"))
-
-    @hits.setter
-    def hits(self, value: int) -> None:
-        self.registry.set_counter("cache.hits", int(value))
-
-    @property
-    def misses(self) -> int:
-        return int(self.registry.counter("cache.misses"))
-
-    @misses.setter
-    def misses(self, value: int) -> None:
-        self.registry.set_counter("cache.misses", int(value))
-
-    @property
-    def evictions(self) -> int:
-        """Blocks dropped under capacity pressure (not ``evict_file``)."""
-        return int(self.registry.counter("cache.evictions"))
-
-    @property
-    def evicted_bytes(self) -> int:
-        """Bytes dropped under capacity pressure (not ``evict_file``)."""
-        return int(self.registry.counter("cache.evicted_bytes"))
-
     def lookup(self, file_id: int, block_index: int) -> bool:
         """True (and refresh recency) if the block is resident."""
         key = (file_id, block_index)
@@ -206,13 +180,8 @@ class BlockCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    @property
-    def hit_ratio(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"BlockCache({self._used_bytes}/{self.capacity_bytes}B, "
-            f"hit_ratio={self.hit_ratio:.2f})"
+            f"{len(self._entries)} blocks)"
         )

@@ -29,8 +29,8 @@ from ..sstable import SSTable
 from ...errors import CompactionError
 from ...obs.events import EV_COMPACTION_ROUND
 from ...ssd.metrics import (
-    _COMPACTION_READ_KEY,
-    _COMPACTION_WRITE_KEY,
+    COMPACTION_READ_BYTES_KEY,
+    COMPACTION_WRITE_BYTES_KEY,
     COMPACTION_READ,
     COMPACTION_WRITE,
 )
@@ -108,22 +108,20 @@ class CompactionPolicy(ABC):
         ``compaction_write`` category totals.
         """
         db = self._db
-        # Raw counter-dict reads: this runs once per user op and the
-        # IOStats properties cost four calls per read on the no-op path.
-        counters = db.device.stats.registry._counters
-        counter_get = counters.get
-        read_before = counter_get(_COMPACTION_READ_KEY, 0)
-        write_before = counter_get(_COMPACTION_WRITE_KEY, 0)
+        # Raw counter-dict reads: this runs once per user op.
+        counter_get = db.registry._counters.get
+        read_before = counter_get(COMPACTION_READ_BYTES_KEY, 0)
+        write_before = counter_get(COMPACTION_WRITE_BYTES_KEY, 0)
         start = db.clock.now()
         did_work = self.compact_one()
         if not did_work:
             # No round ran, so the compaction counters cannot have moved;
             # skip the delta reads (this path runs once per user op).
             return False
-        bytes_read = counter_get(_COMPACTION_READ_KEY, 0) - read_before
-        bytes_written = counter_get(_COMPACTION_WRITE_KEY, 0) - write_before
+        bytes_read = counter_get(COMPACTION_READ_BYTES_KEY, 0) - read_before
+        bytes_written = counter_get(COMPACTION_WRITE_BYTES_KEY, 0) - write_before
         if bytes_read + bytes_written > 0:
-            db.engine_stats.record_round(bytes_read + bytes_written)
+            db.round_bytes.append(bytes_read + bytes_written)
             db.tracer.emit(
                 EV_COMPACTION_ROUND,
                 policy=self.name,

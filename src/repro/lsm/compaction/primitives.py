@@ -465,7 +465,7 @@ class MergeDownMovement(DataMovement):
             seed = inputs[0]
             version.remove_file(level, seed)
             version.add_file(level + 1, seed)
-            db.engine_stats.trivial_moves += 1
+            db.registry.add("engine.trivial_moves")
             policy.bump("trivial_moves")
             if self.emit_trivial_event:
                 db.tracer.emit(
@@ -484,7 +484,7 @@ class MergeDownMovement(DataMovement):
             db.note_file_dropped(table)
         for table in outputs:
             version.add_file(level + 1, table)
-        db.engine_stats.compaction_count += 1
+        db.registry.add("engine.compaction_count")
         policy.bump(self.round_counter)
         policy.bump(self.input_counter, len(inputs) + len(overlaps))
         return True
@@ -553,7 +553,7 @@ class TieredMergeMovement(DataMovement):
             layout.set_runs(target, [list(outputs)] if outputs else [])
             for table in outputs:
                 version.add_file(target, table)
-            db.engine_stats.compaction_count += 1
+            db.registry.add("engine.compaction_count")
             policy.bump("level_merges")
             policy.bump("runs_merged", len(runs) + target_runs)
             policy.bump("absorbing_merges")
@@ -570,7 +570,7 @@ class TieredMergeMovement(DataMovement):
             version.add_file(target, table)
         if outputs:
             layout.add_run(target, list(outputs))
-        db.engine_stats.compaction_count += 1
+        db.registry.add("engine.compaction_count")
         policy.bump("level_merges")
         policy.bump("runs_merged", len(runs))
         return True

@@ -43,13 +43,12 @@ from .record import (
 )
 from .sstable import SSTable
 from .stats import (
-    ACT_COMPACTION,
-    ACT_FLUSH,
-    ACT_READ,
-    ACT_SCAN,
-    ACT_WAL,
-    ACT_WRITE,
-    EngineStats,
+    ACT_COMPACTION_KEY,
+    ACT_FLUSH_KEY,
+    ACT_READ_KEY,
+    ACT_SCAN_KEY,
+    ACT_WAL_KEY,
+    ACT_WRITE_KEY,
 )
 from .version import VersionSet
 from .wal import WriteAheadLog
@@ -139,7 +138,10 @@ class DB:
         if self.tracer.clock is None:
             self.tracer.clock = self.clock
         self.version = VersionSet(self.config, sorted_levels=sorted_levels)
-        self.engine_stats = EngineStats(registry=self.registry)
+        #: Bytes moved (read + written) by each compaction round — the
+        #: *granularity* distribution behind the paper's equation (3): UDC
+        #: rounds are O(fan_out) files, LDC rounds O(1).
+        self.round_bytes: List[int] = []
         self._memtable = MemTable()
         self._wal = WriteAheadLog(self.device) if self.config.wal_enabled else None
         self.block_cache = (
@@ -150,12 +152,13 @@ class DB:
         self._next_seq = 1
         self._next_file_id = 1
         self._closed = False
-        # Hot-path shortcut for per-operation counter bumps: one registry
-        # add instead of a property read-modify-write (same end state).
+        # Counter bumps off the per-operation path (a flush, a stall, a
+        # scan's totals) are one registry add ...
         self._count = self.registry.add
-        # The raw counter dict for the hottest integer bumps (engine.gets,
-        # block reads): registry.reset zeroes values in place, so the dict
-        # object stays valid for the DB's lifetime.
+        # ... and the per-operation ones (engine.gets, block reads, the
+        # activity charges) bump the raw counter dict in place:
+        # registry.reset zeroes values in place, so the dict object stays
+        # valid for the DB's lifetime.
         self._counters = self.registry._counters
         # Stall triggers, cached: _maybe_stall runs before every write.
         self._l0_stop = self.config.l0_stop_trigger
@@ -275,8 +278,7 @@ class DB:
         self._maybe_stall()
         total = sum(record[4] for record in records)
         if self._wal is not None:
-            elapsed = self._wal.append_batch(records, total)
-            self.engine_stats.charge_activity(ACT_WAL, elapsed)
+            self._count(ACT_WAL_KEY, self._wal.append_batch(records, total))
         start = self.clock.now()
         memtable_add = self._memtable.add
         advance = self.clock.advance
@@ -293,7 +295,7 @@ class DB:
         if deletes != len(records):
             count("engine.puts", len(records) - deletes)
         count("engine.user_bytes_written", total)
-        self.engine_stats.charge_activity(ACT_WRITE, self.clock.now() - start)
+        count(ACT_WRITE_KEY, self.clock.now() - start)
         if self._memtable.approximate_bytes >= self.config.memtable_bytes:
             self.flush()
         self._maintenance_step()
@@ -301,15 +303,15 @@ class DB:
     def _apply_write(self, record: KVRecord) -> None:
         self.policy.on_operation(True)
         self._maybe_stall()
-        charge_activity = self.engine_stats.charge_activity
+        counters = self._counters
         if self._wal is not None:
-            charge_activity(ACT_WAL, self._wal.append(record))
+            elapsed = self._wal.append(record)
+            counters[ACT_WAL_KEY] = counters.get(ACT_WAL_KEY, 0) + elapsed
         clock = self.clock
         start = clock._now_us
         memtable = self._memtable
         memtable.add(record)
         clock.advance(self.config.costs.memtable_insert_us)
-        counters = self._counters
         if record[2] == KIND_DELETE:
             counters["engine.deletes"] = counters.get("engine.deletes", 0) + 1
         else:
@@ -317,7 +319,9 @@ class DB:
         counters["engine.user_bytes_written"] = (
             counters.get("engine.user_bytes_written", 0) + record[4]
         )
-        charge_activity(ACT_WRITE, clock._now_us - start)
+        counters[ACT_WRITE_KEY] = counters.get(ACT_WRITE_KEY, 0) + (
+            clock._now_us - start
+        )
         if memtable._bytes >= self.config.memtable_bytes:
             self.flush()
         self._maintenance_step()
@@ -343,7 +347,6 @@ class DB:
         if level0 < self._l0_slowdown:
             return
         sched = self.sched
-        stats = self.engine_stats
         if level0 >= self._l0_stop:
             reason, kind = "l0_stop", "stall"
             start = self.clock.now()
@@ -356,14 +359,16 @@ class DB:
             reason, kind = "l0_slowdown", "slowdown"
             duration = self.config.l0_slowdown_delay_us
             self.clock.advance(duration)
-        stats.stall_events += 1
-        stats.stall_time_us += duration
+        count = self._count
+        count("engine.stall_events")
+        # A float from the first stall on, whatever the configured delay is.
+        count("engine.stall_time_us", float(duration))
         if sched is not None or kind == "slowdown":
             # A synchronous stop is compaction work, already charged as such.
-            stats.charge_activity(ACT_WRITE, duration)
+            count(ACT_WRITE_KEY, duration)
         if sched is not None:
-            self._count(f"sched.{kind}_events")
-            self._count(f"sched.{kind}_time_us", duration)
+            count(f"sched.{kind}_events")
+            count(f"sched.{kind}_time_us", duration)
         self.tracer.emit(
             EV_STALL, reason=reason, level0_files=level0, duration_us=duration
         )
@@ -406,8 +411,8 @@ class DB:
         if self._wal is not None:
             self._wal.reset()
         self.policy._maintenance_idle = False
-        self.engine_stats.flush_count += 1
-        self.engine_stats.charge_activity(ACT_FLUSH, self.clock.now() - start)
+        self._count("engine.flush_count")
+        self._count(ACT_FLUSH_KEY, self.clock.now() - start)
         self.tracer.emit(
             EV_FLUSH,
             tables=len(outputs),
@@ -441,9 +446,7 @@ class DB:
             return
         start = self.clock.now()
         if policy.compact_one_tracked():
-            self.engine_stats.charge_activity(
-                ACT_COMPACTION, self.clock.now() - start
-            )
+            self._count(ACT_COMPACTION_KEY, self.clock.now() - start)
         elif policy._idle_stable:
             policy._maintenance_idle = True
 
@@ -451,7 +454,7 @@ class DB:
         """Drain all due compaction work (Level-0 stop stall, close)."""
         start = self.clock.now()
         self.policy.maybe_compact()
-        self.engine_stats.charge_activity(ACT_COMPACTION, self.clock.now() - start)
+        self._count(ACT_COMPACTION_KEY, self.clock.now() - start)
 
     # ------------------------------------------------------------------
     # Read path
@@ -471,7 +474,9 @@ class DB:
         counters = self._counters
         counters["engine.gets"] = counters.get("engine.gets", 0) + 1
         record = self._lookup(key)
-        self.engine_stats.charge_activity(ACT_READ, clock._now_us - start)
+        counters[ACT_READ_KEY] = counters.get(ACT_READ_KEY, 0) + (
+            clock._now_us - start
+        )
         self._maintenance_step()
         if record is None or record[2] == KIND_DELETE:
             return None
@@ -737,7 +742,7 @@ class DB:
             if start < stop:
                 charge(table, *table.block_span(start, stop))
         self._count("engine.scan_sources", len(windows))
-        self.engine_stats.charge_activity(ACT_SCAN, clock._now_us - start_time)
+        self._count(ACT_SCAN_KEY, clock._now_us - start_time)
         self._maintenance_step()
         return results
 
@@ -836,10 +841,6 @@ class DB:
         """
         return self.version.total_file_bytes() + self.policy.extra_space_bytes()
 
-    def write_amplification(self) -> float:
-        """Measured physical-to-logical write ratio (Definition 2.6)."""
-        return self.device.stats.write_amplification(self.engine_stats.user_bytes_written)
-
     def logical_items(self) -> Iterator[Tuple[bytes, bytes]]:
         """Every live key-value pair, in key order, without cost charging.
 
@@ -876,17 +877,22 @@ class DB:
         extra = self.policy.extra_space_bytes()
         if extra:
             lines.append(f"frozen region: {extra} bytes")
-        stats = self.engine_stats
+        snap = self.metrics()
+
+        def engine(name: str) -> int:
+            return snap.get(f"engine.{name}")
+
         lines.append(
-            f"ops: puts={stats.puts} deletes={stats.deletes} gets={stats.gets} "
-            f"scans={stats.scans}"
+            f"ops: puts={engine('puts')} deletes={engine('deletes')} "
+            f"gets={engine('gets')} scans={engine('scans')}"
         )
         lines.append(
-            f"maintenance: flushes={stats.flush_count} "
-            f"compactions={stats.compaction_count} links={stats.link_count} "
-            f"merges={stats.merge_count} trivial_moves={stats.trivial_moves}"
+            f"maintenance: flushes={engine('flush_count')} "
+            f"compactions={engine('compaction_count')} "
+            f"links={engine('link_count')} merges={engine('merge_count')} "
+            f"trivial_moves={engine('trivial_moves')}"
         )
-        lines.append(f"write_amplification={self.write_amplification():.2f}")
+        lines.append(f"write_amplification={snap.write_amplification:.2f}")
         return "\n".join(lines)
 
     def reset_measurements(self) -> None:
@@ -896,13 +902,12 @@ class DB:
         amplification and activity shares cover only the measured
         operations (the virtual clock keeps running).  One registry reset
         zeroes engine, device, block-cache *and* policy counters
-        consistently — including policy-internal ones that the old
-        object-replacement approach could not reach — and clears
-        registered auxiliary state such as the per-round byte histogram.
-        Gauges (e.g. LDC's current threshold) describe live state and are
+        consistently; the per-round byte list is cleared with it.  Gauges
+        (e.g. LDC's current threshold) describe live state and are
         preserved.
         """
         self.registry.reset()
+        self.round_bytes.clear()
 
     def crash_and_recover(self) -> int:
         """Simulate a crash: drop the memtable, replay the WAL.
@@ -957,7 +962,7 @@ class DB:
                 max_seq = max(record.seq for record in records)
         self._next_seq = max_seq + 1
         duration = self.clock.now() - start
-        self.engine_stats.charge_activity(ACT_WAL, duration)
+        self._count(ACT_WAL_KEY, duration)
         self._count("engine.recoveries")
         if records:
             self._count("engine.recovered_records", len(records))

@@ -9,10 +9,10 @@ Three pieces, one import::
 * The **event tracer** records typed, virtual-clock-timestamped events
   (flush, compaction round, LDC link/merge, stall, cache hit/miss, device
   I/O) through pluggable sinks.
-* The **metrics registry** is the single home of every counter and gauge;
-  the legacy ``EngineStats`` / ``IOStats`` objects are thin views over it,
-  and ``db.metrics()`` captures it as a frozen, diffable
-  :class:`MetricsSnapshot`.
+* The **metrics registry** is the one ledger every component writes, and
+  ``db.metrics()`` captures it as a frozen, diffable
+  :class:`MetricsSnapshot` — the one thing every reader reads, and where
+  each derived ratio is defined (docs/METRICS.md lists the keys).
 * **Latency histograms** stream log-bucketed samples into
   p50/p90/p99/p99.9/max without storing every value.
 """

@@ -9,7 +9,8 @@ sharded report exposes:
 * the **aggregate** view: counter-wise sums under the original key names,
   so ``engine.puts`` over the aggregate equals the sum over shards and
   every downstream consumer (write amplification, activity share, cache
-  hit ratio) works unchanged;
+  hit ratio) works unchanged; gauges sum too, except the *level* gauges
+  (a threshold, a per-block maximum), which fold by max;
 * the **namespaced** view: every shard's full snapshot re-keyed under
   ``shard.<i>.`` so nothing is lost in the fold — per-shard skew stays
   inspectable after the fact.
@@ -68,21 +69,35 @@ def _keywise_sum(mappings: Sequence) -> Dict[str, Number]:
     return {key: totals[key] for key in sorted(totals)}
 
 
+def is_level_gauge(key: str) -> bool:
+    """Whether gauge ``key`` is a level (folds by max) rather than a size."""
+    return key == "flash.max_erase_count" or (
+        key.startswith("policy.") and key.endswith(".threshold")
+    )
+
+
 def aggregate_snapshots(snapshots: Sequence[MetricsSnapshot]) -> MetricsSnapshot:
     """Counter-wise sum of per-shard snapshots under the original keys.
 
     ``t_us`` is the **maximum** shard virtual time: shards advance their
     own clocks independently, and the aggregate run is finished when its
     slowest shard is — the parallel-execution semantics the wall-clock
-    speedup comes from.  Gauges sum too (they are sizes/occupancies here,
-    e.g. cache bytes, where the fleet total is the meaningful figure).
+    speedup comes from.  Gauges that are sizes or occupancies (live pages,
+    frozen bytes) sum, the fleet total being the meaningful figure; a
+    level gauge (:func:`is_level_gauge`) is the highest any shard reads —
+    three shards at threshold 5 are a fleet at threshold 5, not 15.
     """
     if not snapshots:
         raise ReproError("cannot aggregate zero snapshots")
+    gauges = _keywise_sum([snapshot.gauges for snapshot in snapshots])
+    for key in filter(is_level_gauge, gauges):
+        gauges[key] = max(
+            snapshot.gauges[key] for snapshot in snapshots if key in snapshot.gauges
+        )
     return MetricsSnapshot(
         t_us=max(snapshot.t_us for snapshot in snapshots),
         counters=_keywise_sum([snapshot.counters for snapshot in snapshots]),
-        gauges=_keywise_sum([snapshot.gauges for snapshot in snapshots]),
+        gauges=gauges,
     )
 
 

@@ -1,30 +1,25 @@
-"""The metrics registry: one namespace for every counter in the system.
-
-Before this subsystem existed, measurements lived in ad-hoc attributes
-scattered across ``EngineStats``, the device's ``IOStats`` and the block
-cache, and resetting them meant replacing whole objects — which silently
-skipped policy-internal counters.  The registry centralises all of that:
+"""The metrics registry: the one ledger every component writes.
 
 * every metric is a **counter** (monotonic within a measurement window,
   zeroed by :meth:`MetricsRegistry.reset`) or a **gauge** (a "current
   value" such as LDC's adaptive threshold, untouched by resets);
 * metrics are addressed by dotted string keys, ``component.name`` by
   convention (``engine.puts``, ``device.read.user_read.bytes``,
-  ``cache.hits``, ``policy.ldc.links``);
-* the legacy stats objects (:class:`~repro.lsm.stats.EngineStats`,
-  :class:`~repro.ssd.metrics.IOStats`) are thin *views* over one shared
-  registry, so ``db.reset_measurements()`` is a single
-  :meth:`MetricsRegistry.reset` call that zeroes engine, device, cache
-  and policy metrics consistently.
+  ``cache.hits``, ``policy.ldc.links``); docs/METRICS.md lists them all;
+* the engine, the device, the block cache, the policies and the scheduler
+  share one registry per database, so ``db.reset_measurements()`` zeroes
+  them together.  Per-operation paths bump ``_counters`` in place (the
+  arithmetic of :meth:`MetricsRegistry.add`, without the call).
 
-Auxiliary measurement state that is not a plain number (e.g. the
-per-round compaction size list) registers a reset hook via
-:meth:`MetricsRegistry.on_reset` so it is cleared by the same call.
+Nothing reads a live registry except to capture it: every reader — a
+report, a ratio, a test — reads a frozen
+:class:`~repro.obs.snapshot.MetricsSnapshot` (``db.metrics()``), where
+each derived quantity is defined once.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Tuple, Union
+from typing import Dict, Iterator, Tuple, Union
 
 Number = Union[int, float]
 
@@ -32,16 +27,12 @@ Number = Union[int, float]
 class MetricsRegistry:
     """Named counters and gauges shared by one database instance."""
 
-    __slots__ = ("_counters", "_gauges", "_reset_hooks")
+    __slots__ = ("_counters", "_gauges")
 
     def __init__(self) -> None:
         self._counters: Dict[str, Number] = {}
         self._gauges: Dict[str, Number] = {}
-        self._reset_hooks: List[Callable[[], None]] = []
 
-    # ------------------------------------------------------------------
-    # Counters
-    # ------------------------------------------------------------------
     def add(self, key: str, amount: Number = 1) -> None:
         """Increment counter ``key`` by ``amount`` (creating it at zero)."""
         counters = self._counters
@@ -60,17 +51,10 @@ class MetricsRegistry:
         for key, amount in items:
             counters[key] = get(key, 0) + amount
 
-    def set_counter(self, key: str, value: Number) -> None:
-        """Overwrite counter ``key`` (used by the legacy-view setters)."""
-        self._counters[key] = value
-
     def counter(self, key: str, default: Number = 0) -> Number:
         """Current value of counter ``key``."""
         return self._counters.get(key, default)
 
-    # ------------------------------------------------------------------
-    # Gauges
-    # ------------------------------------------------------------------
     def set_gauge(self, key: str, value: Number) -> None:
         """Record the current value of gauge ``key``."""
         self._gauges[key] = value
@@ -79,9 +63,6 @@ class MetricsRegistry:
         """Current value of gauge ``key``."""
         return self._gauges.get(key, default)
 
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
     def counters(self) -> Dict[str, Number]:
         """A copy of every counter."""
         return dict(self._counters)
@@ -89,31 +70,6 @@ class MetricsRegistry:
     def gauges(self) -> Dict[str, Number]:
         """A copy of every gauge."""
         return dict(self._gauges)
-
-    def component(self, prefix: str) -> Dict[str, Number]:
-        """Counters under ``prefix.``, keyed by the remainder of the key.
-
-        ``registry.component("engine.activity")`` returns
-        ``{"compaction": ..., "flush": ...}``.
-        """
-        lead = prefix + "."
-        return {
-            key[len(lead):]: value
-            for key, value in self._counters.items()
-            if key.startswith(lead)
-        }
-
-    def sum_matching(self, prefix: str, suffix: str) -> Number:
-        """Sum counters that start with ``prefix`` and end with ``suffix``.
-
-        Used for roll-ups such as "all device write bytes":
-        ``registry.sum_matching("device.write.", ".bytes")``.
-        """
-        return sum(
-            value
-            for key, value in self._counters.items()
-            if key.startswith(prefix) and key.endswith(suffix)
-        )
 
     def __iter__(self) -> Iterator[Tuple[str, Number]]:
         return iter(self._counters.items())
@@ -124,24 +80,16 @@ class MetricsRegistry:
     def __len__(self) -> int:
         return len(self._counters)
 
-    # ------------------------------------------------------------------
-    # Reset
-    # ------------------------------------------------------------------
-    def on_reset(self, hook: Callable[[], None]) -> None:
-        """Register a callable run by :meth:`reset` (clear auxiliary state)."""
-        self._reset_hooks.append(hook)
-
     def reset(self) -> None:
-        """Zero every counter and run the registered reset hooks.
+        """Zero every counter, in place.
 
-        Keys survive (zeroed, preserving int/float-ness) so live views keep
-        reading consistently; gauges are left alone — they describe current
-        state (a threshold, a space level), not accumulated measurement.
+        Keys survive (zeroed, preserving int/float-ness) and the counter
+        dict keeps its identity, so the components bumping it keep a valid
+        reference; gauges are left alone — they describe current state (a
+        threshold, a space level), not accumulated measurement.
         """
         for key, value in self._counters.items():
             self._counters[key] = type(value)()
-        for hook in self._reset_hooks:
-            hook()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

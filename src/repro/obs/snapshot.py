@@ -1,13 +1,14 @@
 """Frozen, diffable snapshots of the whole metrics registry.
 
-``db.metrics()`` is the single entry point unifying what used to require
-four different accessors: engine counters (``EngineStats``), device I/O
-categories (``IOStats``), the block cache's hit ratio, and policy-internal
-counters.  It returns a :class:`MetricsSnapshot` — an immutable copy of
-every counter and gauge at one instant of virtual time — and two
-snapshots subtract: ``after.delta(before)`` isolates exactly what one
-phase of a benchmark did, which is how the harness separates load-phase
-from measured-phase I/O without resetting anything.
+``db.metrics()`` is the single read path: engine counters, device I/O
+categories, the block cache, policy-internal counters.  It returns a
+:class:`MetricsSnapshot` — an immutable copy of every counter and gauge
+at one instant of virtual time, carrying the one definition of each
+derived quantity (host / device / total write amplification, host and
+compaction bytes, cache hit ratio, activity share) — and two snapshots
+subtract: ``after.delta(before)`` isolates exactly what one phase of a
+benchmark did, which is how the harness separates load-phase from
+measured-phase I/O without resetting anything.
 
 Key naming follows the registry convention (``component.name``):
 
@@ -20,6 +21,8 @@ Key naming follows the registry convention (``component.name``):
 ``policy.<name>.*``       compaction-policy counters (links, merges, ...)
 ``flash.*``               flash/FTL layer (pages programmed, GC, erases)
 ========================  =====================================================
+
+docs/METRICS.md is the full catalogue (kind, unit, writer, fold).
 """
 
 from __future__ import annotations

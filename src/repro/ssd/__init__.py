@@ -23,8 +23,6 @@ from .metrics import (
     USER_READ,
     USER_SCAN,
     WAL_WRITE,
-    CategoryStats,
-    IOStats,
 )
 from .profile import (
     BALANCED_FLASH,
@@ -39,8 +37,6 @@ from .profile import (
 __all__ = [
     "SimClock",
     "SimulatedSSD",
-    "IOStats",
-    "CategoryStats",
     "SSDProfile",
     "get_profile",
     "PROFILES",

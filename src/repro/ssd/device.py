@@ -2,8 +2,8 @@
 
 The engine performs *logical* I/O (real bytes move through Python data
 structures); this device converts each logical transfer into a virtual-time
-charge drawn from an :class:`~repro.ssd.profile.SSDProfile` and records it in
-:class:`~repro.ssd.metrics.IOStats`.  This is the substitution documented in
+charge drawn from an :class:`~repro.ssd.profile.SSDProfile` and counts it in
+the metrics registry.  This is the substitution documented in
 DESIGN.md: the paper measured a Memblaze Q520, we measure a parameterised
 model of one.
 
@@ -35,13 +35,14 @@ from __future__ import annotations
 
 from .clock import DeviceChannel, SimClock
 from .flash import GC_WRITE, DeviceConfig, FlashSpec, FlashTranslationLayer
-from .metrics import IOStats
+from .metrics import category_keys
 from .profile import ENTERPRISE_PCIE, SSDProfile
 from ..errors import DeviceError
 from ..faults.device import FaultStage
 from ..faults.plan import FaultPlan
 from ..obs.events import EV_DEVICE_READ, EV_DEVICE_WRITE
 from ..obs.registry import MetricsRegistry
+from ..obs.snapshot import MetricsSnapshot
 from ..obs.tracer import Tracer
 
 
@@ -100,12 +101,13 @@ class SimulatedSSD:
         self._write_per_byte = profile.write_us_per_byte
         self.clock = clock if clock is not None else SimClock()
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.stats = IOStats(registry=self.registry)
-        # The raw counter dict behind the per-I/O bumps (read / write
-        # inline CategoryStats.record: one call per I/O is what the fused
-        # copies this routine replaced cost); registry.reset zeroes values
-        # in place, so the reference stays valid.
+        # The raw counter dict behind the per-I/O bumps; registry.reset
+        # zeroes values in place, so the reference stays valid.
         self._counters = self.registry._counters
+        #: category -> its (ops, bytes, time_us) counter keys, built on
+        #: the category's first I/O.
+        self._read_keys: "dict[str, tuple[str, str, str]]" = {}
+        self._write_keys: "dict[str, tuple[str, str, str]]" = {}
         self.tracer = tracer if tracer is not None else Tracer(clock=self.clock)
         #: Optional fault-injection stage (:mod:`repro.faults`); ``None``
         #: when no plan was given.  An empty plan is transparent.
@@ -164,13 +166,13 @@ class SimulatedSSD:
         else:
             self._charge_shared(elapsed, nbytes)
         try:
-            keys = self.stats.reads[category]
+            ops_key, bytes_key, time_key = self._read_keys[category]
         except KeyError:
-            keys = self.stats.stream("read", category)
+            ops_key, bytes_key, time_key = self._stream_keys("read", category)
         counters = self._counters
-        counters[keys.ops_key] = counters.get(keys.ops_key, 0) + 1
-        counters[keys.bytes_key] = counters.get(keys.bytes_key, 0) + nbytes
-        counters[keys.time_key] = counters.get(keys.time_key, 0) + elapsed
+        counters[ops_key] = counters.get(ops_key, 0) + 1
+        counters[bytes_key] = counters.get(bytes_key, 0) + nbytes
+        counters[time_key] = counters.get(time_key, 0) + elapsed
         if faults is not None:
             faults.after_read(category, nbytes)
         if self.tracer.active:
@@ -220,13 +222,13 @@ class SimulatedSSD:
         else:
             self._charge_shared(elapsed, nbytes)
         try:
-            keys = self.stats.writes[category]
+            ops_key, bytes_key, time_key = self._write_keys[category]
         except KeyError:
-            keys = self.stats.stream("write", category)
+            ops_key, bytes_key, time_key = self._stream_keys("write", category)
         counters = self._counters
-        counters[keys.ops_key] = counters.get(keys.ops_key, 0) + 1
-        counters[keys.bytes_key] = counters.get(keys.bytes_key, 0) + nbytes
-        counters[keys.time_key] = counters.get(keys.time_key, 0) + elapsed
+        counters[ops_key] = counters.get(ops_key, 0) + 1
+        counters[bytes_key] = counters.get(bytes_key, 0) + nbytes
+        counters[time_key] = counters.get(time_key, 0) + elapsed
         if self.tracer.active:
             self.tracer.emit(
                 EV_DEVICE_WRITE,
@@ -250,9 +252,10 @@ class SimulatedSSD:
         same stages, in order, as the equivalent :meth:`read` would — so
         fault-plan indices, scheduler captures and the virtual timeline
         see the identical I/O sequence — but the counters are updated
-        once per batch (:meth:`~repro.ssd.metrics.CategoryStats.
-        record_many`, same float-addition order) and the trace events
-        follow the batch.  What was charged is recorded even when a crash
+        once per batch (integer sums; the float time counter accumulates
+        left to right over the individual elapsed values, the per-run
+        path's exact addition order) and the trace events follow the
+        batch.  What was charged is recorded even when a crash
         point leaves the loop early.
 
         A run a scheduled corruption landed on ends the batch, so the
@@ -284,7 +287,14 @@ class SimulatedSSD:
             charged = len(elapsed_runs)
             if charged:
                 sizes = run_sizes[:charged]
-                self.stats.stream("read", category).record_many(sizes, elapsed_runs)
+                ops_key, bytes_key, time_key = self._stream_keys("read", category)
+                counters = self._counters
+                counters[ops_key] = counters.get(ops_key, 0) + charged
+                counters[bytes_key] = counters.get(bytes_key, 0) + sum(sizes)
+                time_total = counters.get(time_key, 0)
+                for elapsed in elapsed_runs:
+                    time_total += elapsed
+                counters[time_key] = time_total
                 if self.tracer.active:
                     for nbytes, elapsed in zip(sizes, elapsed_runs):
                         self.tracer.emit(
@@ -295,6 +305,14 @@ class SimulatedSSD:
                             sequential=sequential,
                         )
         return charged
+
+    def _stream_keys(self, direction: str, category: str) -> "tuple[str, str, str]":
+        """``category``'s counter keys, built and remembered on first use."""
+        streams = self._read_keys if direction == "read" else self._write_keys
+        keys = streams.get(category)
+        if keys is None:
+            keys = streams[category] = category_keys(direction, category)
+        return keys
 
     def _charge_shared(self, elapsed: float, nbytes: int) -> None:
         """The clock stage while the device is shared with the scheduler.
@@ -355,7 +373,9 @@ class SimulatedSSD:
         """
         if self.flash is not None:
             return self.flash.bytes_programmed
-        return self.stats.total_bytes_written
+        return MetricsSnapshot.capture(
+            self.registry, self.clock.now()
+        ).total_bytes_written
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"SimulatedSSD(profile={self.profile.name!r}, t={self.clock.now():.1f}us)"

@@ -65,7 +65,7 @@ from ..errors import ConfigError, DeviceError, FlashFullError
 # (defined with the host categories in repro.ssd.metrics): relocations
 # share the normal ``device.<dir>.<cat>.*`` accounting, and host-level
 # write amplification subtracts ``gc_write`` bytes back out (see
-# ``IOStats.write_amplification``).
+# ``MetricsSnapshot.write_amplification``).
 
 #: Owner tag used by the WAL's streamed appends.
 WAL_STREAM_OWNER = "wal-stream"

@@ -23,7 +23,7 @@ from typing import Optional
 from repro.lsm import bloom as bloom_module
 from repro.lsm.db import _check_key
 from repro.lsm.record import KIND_DELETE
-from repro.lsm.stats import ACT_READ
+from repro.lsm.stats import ACT_READ_KEY
 from repro.obs.events import EV_CACHE_HIT, EV_CACHE_MISS
 from repro.ssd.metrics import USER_READ
 
@@ -78,7 +78,7 @@ def oracle_get(db, key: bytes) -> Optional[bytes]:
     counters = db._counters
     counters["engine.gets"] = counters.get("engine.gets", 0) + 1
     record = _lookup(db, key)
-    db.engine_stats.charge_activity(ACT_READ, clock._now_us - start)
+    db._count(ACT_READ_KEY, clock._now_us - start)
     db._maintenance_step()
     if record is None or record[2] == KIND_DELETE:
         return None

@@ -35,7 +35,7 @@ from repro.errors import CorruptionError
 from repro.lsm.db import _check_key
 from repro.lsm.keys import clamp_range, key_successor
 from repro.lsm.record import KIND_DELETE, KVRecord
-from repro.lsm.stats import ACT_SCAN
+from repro.lsm.stats import ACT_SCAN_KEY
 from repro.ssd.metrics import USER_SCAN
 
 
@@ -226,7 +226,7 @@ def cursor_scan(db, start_key: bytes, count: int) -> List[Tuple[bytes, bytes]]:
                 lo, hi = clamp_range(piece.lo, piece.hi, start_key, end_hi)
                 _cursor_charge_range_read(db, piece.source, lo, hi)
     db._count("engine.scan_sources", source_count)
-    db.engine_stats.charge_activity(ACT_SCAN, clock.now() - start_time)
+    db._count(ACT_SCAN_KEY, clock.now() - start_time)
     db._maintenance_step()
     return results
 
@@ -290,7 +290,7 @@ def eager_scan(db, start_key: bytes, count: int) -> List[Tuple[bytes, bytes]]:
         return []
     db.policy.on_operation(False)
     start_time = db.clock.now()
-    db.engine_stats.scans += 1
+    db._count("engine.scans")
 
     sources: List = [_memtable_from(db._memtable, start_key)]
     tables: List = []
@@ -313,7 +313,7 @@ def eager_scan(db, start_key: bytes, count: int) -> List[Tuple[bytes, bytes]]:
         results.append((record.key, record.value))
         if len(results) >= count:
             break
-    db.engine_stats.scanned_records += len(results)
+    db._count("engine.scanned_records", len(results))
 
     end_hi = key_successor(results[-1][0]) if len(results) >= count else None
     for table in tables:
@@ -321,8 +321,8 @@ def eager_scan(db, start_key: bytes, count: int) -> List[Tuple[bytes, bytes]]:
     for piece in slices:
         lo, hi = clamp_range(piece.lo, piece.hi, start_key, end_hi)
         _eager_charge_range_read(db, piece.source, lo, hi)
-    db.engine_stats.scan_sources += len(tables) + len(slices)
-    db.engine_stats.charge_activity(ACT_SCAN, db.clock.now() - start_time)
+    db._count("engine.scan_sources", len(tables) + len(slices))
+    db._count(ACT_SCAN_KEY, db.clock.now() - start_time)
     db._maintenance_step()
     return results
 

@@ -58,11 +58,11 @@ class TestDelayedCompaction:
         for name in ("udc", "delayed"):
             db = DB(config=tiny_config, policy=name)
             fill(db, 8000, 2000, seed=17)
-            rounds = db.engine_stats.round_bytes
+            rounds = db.round_bytes
             results[name] = {
                 "count": len(rounds),
                 "max": max(rounds, default=0),
-                "io": db.device.stats.compaction_bytes_total,
+                "io": db.metrics().compaction_bytes_total,
             }
         assert results["delayed"]["count"] < results["udc"]["count"]
         assert results["delayed"]["max"] > results["udc"]["max"]
@@ -73,5 +73,5 @@ class TestDelayedCompaction:
         for name in ("udc", "delayed"):
             db = DB(config=tiny_config.with_overrides(fan_out=10), policy=name)
             fill(db, 8000, 2000, seed=18)
-            io[name] = db.device.stats.compaction_bytes_total
+            io[name] = db.metrics().compaction_bytes_total
         assert io["delayed"] < io["udc"]

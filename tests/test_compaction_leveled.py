@@ -25,7 +25,8 @@ def fill(db: DB, count: int, key_space: int, seed: int = 1, value_bytes: int = 4
 class TestLeveledCompaction:
     def test_compactions_happen_under_load(self, udc_db):
         fill(udc_db, 2000, 500)
-        assert udc_db.engine_stats.compaction_count + udc_db.engine_stats.trivial_moves > 0
+        snap = udc_db.metrics()
+        assert snap.get("engine.compaction_count") + snap.get("engine.trivial_moves") > 0
 
     def test_level0_stays_bounded(self, udc_db):
         fill(udc_db, 3000, 800)
@@ -48,9 +49,9 @@ class TestLeveledCompaction:
 
     def test_compaction_charges_device(self, udc_db):
         fill(udc_db, 2500, 600)
-        stats = udc_db.device.stats
-        assert stats.bytes_read(COMPACTION_READ) > 0
-        assert stats.bytes_written(COMPACTION_WRITE) > 0
+        snap = udc_db.metrics()
+        assert snap[f"device.read.{COMPACTION_READ}.bytes"] > 0
+        assert snap[f"device.write.{COMPACTION_WRITE}.bytes"] > 0
 
     def test_compact_one_returns_false_when_in_shape(self, tiny_config):
         db = DB(config=tiny_config, policy="udc")
@@ -63,7 +64,7 @@ class TestLeveledCompaction:
         db = DB(config=tiny_config, policy="udc")
         for index in range(3000):
             db.put(key_of(index), b"v" * 40)  # strictly increasing keys
-        assert db.engine_stats.trivial_moves > 0
+        assert db.metrics().get("engine.trivial_moves") > 0
 
     def test_deletions_survive_compaction(self, udc_db):
         model = fill(udc_db, 2000, 400)
@@ -97,7 +98,7 @@ class TestLeveledCompaction:
         fill(shallow, 800, 200, seed=3)
         deep = DB(config=tiny_config, policy="udc")
         fill(deep, 8000, 2000, seed=3)
-        assert deep.write_amplification() > shallow.write_amplification()
+        assert deep.metrics().write_amplification > shallow.metrics().write_amplification
 
 
 class TestLevel0Expansion:

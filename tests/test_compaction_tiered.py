@@ -52,7 +52,7 @@ class TestTieredCompaction:
         for name in ("udc", "tiered"):
             db = DB(config=tiny_config, policy=name)
             fill(db, 6000, 1500, seed=9)
-            results[name] = db.write_amplification()
+            results[name] = db.metrics().write_amplification
         assert results["tiered"] < results["udc"]
 
     def test_runs_accumulate_up_to_fanout(self, tiny_config):
@@ -69,6 +69,6 @@ class TestTieredCompaction:
         for name in ("tiered", "ldc"):
             db = DB(config=tiny_config, policy=name)
             fill(db, 6000, 1500, seed=11)
-            compactions = max(1, db.engine_stats.compaction_count)
-            sizes[name] = db.device.stats.compaction_bytes_total / compactions
+            compactions = max(1, db.metrics().get("engine.compaction_count"))
+            sizes[name] = db.metrics().compaction_bytes_total / compactions
         assert sizes["tiered"] > sizes["ldc"]

@@ -25,7 +25,7 @@ def fill(db: DB, count: int, key_space: int, seed: int = 1, value_bytes: int = 4
 class TestLinkPhase:
     def test_links_happen_under_load(self, ldc_db):
         fill(ldc_db, 3000, 800)
-        assert ldc_db.engine_stats.link_count > 0
+        assert ldc_db.metrics().get("engine.link_count") > 0
 
     def test_frozen_files_leave_the_tree(self, ldc_db):
         fill(ldc_db, 3000, 800)
@@ -78,9 +78,9 @@ class TestLinkPhase:
         )
         if source is None:
             pytest.skip("no link-free source available")
-        before = db.device.stats.total_bytes_read + db.device.stats.total_bytes_written
+        before = db.metrics().total_bytes_read + db.metrics().total_bytes_written
         db.policy.movement.link(source, level)
-        after = db.device.stats.total_bytes_read + db.device.stats.total_bytes_written
+        after = db.metrics().total_bytes_read + db.metrics().total_bytes_written
         assert after == before
         assert source.frozen
 
@@ -99,7 +99,7 @@ class TestLinkPhase:
 class TestMergePhase:
     def test_merges_triggered_by_threshold(self, ldc_db):
         fill(ldc_db, 4000, 1000)
-        assert ldc_db.engine_stats.merge_count > 0
+        assert ldc_db.metrics().get("engine.merge_count") > 0
 
     def test_merge_without_links_rejected(self, ldc_db):
         fill(ldc_db, 500, 200)
@@ -216,7 +216,7 @@ class TestSpaceManagement:
         config = tiny_config.with_overrides(frozen_space_limit_ratio=0.05)
         db = DB(config=config, policy="ldc")
         fill(db, 4000, 1000)
-        assert db.engine_stats.forced_merges > 0
+        assert db.metrics().get("engine.forced_merges") > 0
 
     def test_extra_space_is_frozen_region(self, ldc_db):
         fill(ldc_db, 2000, 500)
@@ -250,7 +250,7 @@ class TestThresholdConfiguration:
                 policy=get_spec("ldc").derive(threshold=threshold),
             )
             fill(db, 4000, 1000, seed=8)
-            counts[threshold] = db.engine_stats.merge_count
+            counts[threshold] = db.metrics().get("engine.merge_count")
         assert counts[2] > counts[16]
 
 
@@ -271,7 +271,7 @@ class TestPaperHeadlines:
         for name in ("udc", "ldc"):
             db = DB(config=paper_config, policy=name)
             fill(db, 10_000, 3000, seed=12)
-            io[name] = db.device.stats.compaction_bytes_total
+            io[name] = db.metrics().compaction_bytes_total
         assert io["ldc"] < io["udc"]
 
     def test_ldc_reduces_write_amplification(self, paper_config):
@@ -279,7 +279,7 @@ class TestPaperHeadlines:
         for name in ("udc", "ldc"):
             db = DB(config=paper_config, policy=name)
             fill(db, 10_000, 3000, seed=12)
-            amp[name] = db.write_amplification()
+            amp[name] = db.metrics().write_amplification
         assert amp["ldc"] < amp["udc"]
 
     def test_ldc_shrinks_max_compaction_round(self, paper_config):
@@ -290,8 +290,8 @@ class TestPaperHeadlines:
             rng = random.Random(13)
             worst = 0
             for index in range(10_000):
-                before = db.device.stats.compaction_bytes_total
+                before = db.metrics().compaction_bytes_total
                 db.put(key_of(rng.randrange(3000)), b"v" * 40)
-                worst = max(worst, db.device.stats.compaction_bytes_total - before)
+                worst = max(worst, db.metrics().compaction_bytes_total - before)
             biggest[name] = worst
         assert biggest["ldc"] <= biggest["udc"]

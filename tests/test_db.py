@@ -104,13 +104,13 @@ class TestFlushAndWAL:
 
     def test_flush_empty_is_noop(self, udc_db):
         udc_db.flush()
-        assert udc_db.engine_stats.flush_count == 0
+        assert udc_db.metrics().get("engine.flush_count") == 0
 
     def test_automatic_flush_on_memtable_full(self, udc_db):
         value = b"v" * 200
         for index in range(50):
             udc_db.put(key_of(index), value)
-        assert udc_db.engine_stats.flush_count > 0
+        assert udc_db.metrics().get("engine.flush_count") > 0
 
     def test_crash_recovery_replays_wal(self, udc_db):
         udc_db.put(b"durable", b"yes")
@@ -272,19 +272,19 @@ class TestVirtualTimeAndStats:
     def test_user_bytes_written_tracked(self, udc_db):
         udc_db.put(b"key12345", b"v" * 100)
         record_size = 8 + 100 + 13
-        assert udc_db.engine_stats.user_bytes_written == record_size
+        assert udc_db.metrics().get("engine.user_bytes_written") == record_size
 
     def test_write_amplification_at_least_one_after_flush(self, udc_db):
         for index in range(2000):
             udc_db.put(key_of(index % 500), b"v" * 40)
-        assert udc_db.write_amplification() >= 1.0
+        assert udc_db.metrics().write_amplification >= 1.0
 
     def test_reset_measurements(self, udc_db):
         for index in range(500):
             udc_db.put(key_of(index), b"v" * 40)
         udc_db.reset_measurements()
-        assert udc_db.engine_stats.puts == 0
-        assert udc_db.device.stats.total_bytes_written == 0
+        assert udc_db.metrics().get("engine.puts") == 0
+        assert udc_db.metrics().total_bytes_written == 0
         # Contents survive the reset.
         assert udc_db.get(key_of(3)) == b"v" * 40
 
@@ -293,7 +293,7 @@ class TestVirtualTimeAndStats:
             udc_db.put(key_of(index % 300), b"v" * 40)
             if index % 3 == 0:
                 udc_db.get(key_of(index % 300))
-        share = udc_db.engine_stats.activity_share()
+        share = udc_db.metrics().activity_share()
         assert sum(share.values()) == pytest.approx(1.0)
 
     def test_space_bytes_includes_frozen_for_ldc(self, tiny_config):
@@ -322,12 +322,12 @@ class TestBloomEffect:
         for index in range(2000):
             db.put(key_of(index), b"v" * 40)
         db.flush()
-        before = db.engine_stats.bloom_negative_skips
+        before = db.metrics().get("engine.bloom_negative_skips")
         for index in range(500):
             # Absent keys inside covered ranges: only the Bloom filter can
             # rule them out without a block read.
             db.get(key_of(index) + b"x")
-        assert db.engine_stats.bloom_negative_skips > before
+        assert db.metrics().get("engine.bloom_negative_skips") > before
 
     def test_no_bloom_means_more_block_reads(self, tiny_config):
         reads = {}
@@ -343,5 +343,5 @@ class TestBloomEffect:
             # they share blocks with real keys but need not be read.
             for index in range(300):
                 db.get(key_of(index) + b"x")
-            reads[bits] = db.engine_stats.sstable_blocks_read
+            reads[bits] = db.metrics().get("engine.sstable_blocks_read")
         assert reads[10] < reads[0]

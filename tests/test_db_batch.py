@@ -57,7 +57,7 @@ class TestWriteBatch:
         for index in range(500):
             batch.put(key_of(index), b"v" * 30)
         db.write_batch(batch)
-        assert db.engine_stats.flush_count > 0
+        assert db.metrics().get("engine.flush_count") > 0
         for index in range(0, 500, 37):
             assert db.get(key_of(index)) == b"v" * 30
 
@@ -74,7 +74,7 @@ class TestWriteBatch:
 
     def test_user_bytes_counted(self, udc_db):
         udc_db.write_batch(WriteBatch().put(b"abcd", b"v" * 10))
-        assert udc_db.engine_stats.user_bytes_written == 4 + 10 + 13
+        assert udc_db.metrics().get("engine.user_bytes_written") == 4 + 10 + 13
 
 
 class TestDescribe:

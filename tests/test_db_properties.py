@@ -138,7 +138,7 @@ class LSMStateMachine(RuleBasedStateMachine):
     def flush(self):
         self.db.flush()
 
-    @precondition(lambda self: self.db.engine_stats.puts > 0)
+    @precondition(lambda self: self.db.metrics().get("engine.puts") > 0)
     @rule()
     def recover(self):
         self.db.crash_and_recover()

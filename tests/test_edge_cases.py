@@ -47,7 +47,7 @@ class TestMemtableBoundary:
         # Each record is 12 + 38 + 13 = 63 bytes; 16 records = 1008 >= 1000.
         for index in range(16):
             db.put(key_of(index), b"v" * 38)
-        assert db.engine_stats.flush_count == 1
+        assert db.metrics().get("engine.flush_count") == 1
         assert db.get(key_of(0)) == b"v" * 38
 
     def test_single_giant_value_flushes_immediately(self):
@@ -56,7 +56,7 @@ class TestMemtableBoundary:
         )
         db = DB(config=config, policy="udc")
         db.put(b"big", b"v" * 5000)
-        assert db.engine_stats.flush_count == 1
+        assert db.metrics().get("engine.flush_count") == 1
         assert db.get(b"big") == b"v" * 5000
 
 
@@ -67,9 +67,8 @@ class TestWALBatch:
         records = [put_record(key_of(i), b"v", i) for i in range(10)]
         total = sum(r.encoded_size for r in records)
         wal.append_batch(records, total)
-        stats = device.stats.writes["wal_write"]
-        assert stats.ops == 1
-        assert stats.bytes == total
+        assert device.registry.counter("device.write.wal_write.ops") == 1
+        assert device.registry.counter("device.write.wal_write.bytes") == total
         assert wal.recover() == records
 
 

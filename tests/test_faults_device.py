@@ -73,7 +73,7 @@ class TestCrashInjection:
         with pytest.raises(SimulatedCrash):
             device.write(1000, WAL_WRITE)
         assert device.clock.now() == 0.0
-        assert device.stats.total_bytes_written == 0
+        assert device.wear_bytes == 0
 
     def test_crash_is_one_shot(self):
         device = make_device(FaultPlan().crash_at(1))
@@ -81,7 +81,7 @@ class TestCrashInjection:
             device.write(10, WAL_WRITE)
         # The plan disarmed: recovery-time I/O goes through.
         device.write(10, WAL_WRITE)
-        assert device.stats.total_bytes_written == 10
+        assert device.wear_bytes == 10
 
     def test_torn_bytes_on_write_crash(self):
         device = make_device(FaultPlan().crash_at(1, torn_fraction=0.25))
@@ -114,7 +114,7 @@ class TestTransientErrors:
         assert device.clock.now() == pytest.approx(elapsed_clean + 150.0)
         assert device.registry.counter("faults.transient_errors") == 2
         assert device.registry.counter("faults.retries") == 2
-        assert device.stats.total_bytes_written == 100
+        assert device.wear_bytes == 100
 
     def test_persistent_error_when_budget_spent(self):
         plan = FaultPlan(RetryPolicy(max_attempts=2))
@@ -123,7 +123,7 @@ class TestTransientErrors:
         with pytest.raises(PersistentIOError):
             device.write(100, WAL_WRITE)
         assert device.registry.counter("faults.persistent_errors") == 1
-        assert device.stats.total_bytes_written == 0
+        assert device.wear_bytes == 0
 
 
 class TestCorruption:

@@ -114,29 +114,44 @@ class TestRunWorkload:
 @pytest.mark.parametrize("policy", ["udc", "ldc"])
 @pytest.mark.parametrize("bg_threads", [0, 1])
 def test_run_result_fields_are_views_of_the_snapshot(policy, bg_threads):
-    """The 17 counter-backed fields the parent copied out of the live
-    ledgers are what ``result.metrics`` derives — one ledger, read
-    through, which also survives the trip back from a worker process."""
+    """The 17 counter-backed fields, recomputed here from the raw counter
+    dict, are what ``result.metrics`` derives — one ledger, read through,
+    which also survives the trip back from a worker process."""
     spec = rwb(num_operations=1_500, key_space=500)
     db = build_db(policy, config=LSMConfig(bg_threads=bg_threads))
     result = run_workload(spec, policy, db=db)
-    device, engine, counter = db.device.stats, db.engine_stats, db.registry.counter
+    counters, counter = db.registry.counters(), db.registry.counter
+
+    def device_bytes(direction: str) -> int:
+        return sum(
+            value for key, value in counters.items()
+            if key.startswith(f"device.{direction}.") and key.endswith(".bytes")
+        )
+
+    activity = {
+        key.rpartition(".")[2]: value for key, value in sorted(counters.items())
+        if key.startswith("engine.activity.")
+    }
     copied = {
-        "compaction_read_bytes": device.compaction_bytes_read,
-        "compaction_write_bytes": device.compaction_bytes_written,
-        "total_read_bytes": device.total_bytes_read,
-        "total_write_bytes": device.total_bytes_written,
-        "user_bytes_written": engine.user_bytes_written,
-        "write_amplification": db.write_amplification(),
-        "flush_count": engine.flush_count,
-        "compaction_count": engine.compaction_count,
-        "link_count": engine.link_count,
-        "merge_count": engine.merge_count,
-        "trivial_moves": engine.trivial_moves,
-        "stall_events": engine.stall_events,
-        "sstable_blocks_read": engine.sstable_blocks_read,
-        "bloom_negative_skips": engine.bloom_negative_skips,
-        "activity_share": engine.activity_share(),
+        "compaction_read_bytes": counter("device.read.compaction_read.bytes"),
+        "compaction_write_bytes": counter("device.write.compaction_write.bytes"),
+        "total_read_bytes": device_bytes("read"),
+        "total_write_bytes": device_bytes("write"),
+        "user_bytes_written": counter("engine.user_bytes_written"),
+        "write_amplification": (
+            device_bytes("write") / counter("engine.user_bytes_written")
+        ),
+        "flush_count": counter("engine.flush_count"),
+        "compaction_count": counter("engine.compaction_count"),
+        "link_count": counter("engine.link_count"),
+        "merge_count": counter("engine.merge_count"),
+        "trivial_moves": counter("engine.trivial_moves"),
+        "stall_events": counter("engine.stall_events"),
+        "sstable_blocks_read": counter("engine.sstable_blocks_read"),
+        "bloom_negative_skips": counter("engine.bloom_negative_skips"),
+        "activity_share": {
+            name: value / sum(activity.values()) for name, value in activity.items()
+        },
         "stall_time_us": float(counter("engine.stall_time_us")),
         "device_wait_us": float(counter("sched.device_wait_us")),
     }

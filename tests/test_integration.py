@@ -126,11 +126,13 @@ class TestFullStack:
         """Device wear == every write category the engine produced."""
         db = DB(config=CONFIG, policy="ldc")
         apply_stream(db, wo(num_operations=2500, key_space=700, value_bytes=48))
-        stats = db.device.stats
-        total = sum(category.bytes for category in stats.writes.values())
-        assert db.device.wear_bytes == total
-        assert stats.bytes_written("wal_write") > 0
-        assert stats.bytes_written("flush_write") > 0
+        written = {
+            key: value for key, value in db.registry.counters().items()
+            if key.startswith("device.write.") and key.endswith(".bytes")
+        }
+        assert db.device.wear_bytes == sum(written.values())
+        assert written["device.write.wal_write.bytes"] > 0
+        assert written["device.write.flush_write.bytes"] > 0
 
     def test_virtual_time_strictly_increases(self):
         db = DB(config=CONFIG, policy="udc")

@@ -1,0 +1,247 @@
+"""Every counter and gauge a run emits, pinned to the parent's digests.
+
+The one-ledger rewrite (ISSUE 24) deleted ``EngineStats``, ``IOStats``,
+``CategoryStats`` and the cache's counter properties and made the registry
+the only thing the engine writes.  The licence for that deletion is this
+file: the digests below were captured on the parent commit, *before* any
+``src/`` edit, and every cell hashes
+``repr((sorted(counters.items()), sorted(gauges.items()), elapsed_us))`` —
+so a dropped or renamed key, an ``int`` that became a ``float`` (``3`` vs
+``3.0`` differ in ``repr``), or a float sum re-associated anywhere in the
+engine moves a literal.
+
+The matrix is the seven registered policies x {plain, ``bg_threads=1``,
+mounted flash, empty fault plan}, one tiny unsharded run each, plus one
+open-loop serve and the per-shard results of one 3-shard run.
+``tests/test_metrics_catalogue.py`` re-runs the same matrix to check that
+docs/METRICS.md documents every key it emits.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+from functools import lru_cache
+from typing import Dict, Iterator, List, Tuple
+
+import pytest
+
+from repro import DB, DeviceConfig, FlashSpec, available_policies
+from repro.faults.plan import FaultPlan
+from repro.harness.runner import execute_operations
+from repro.lsm.compaction.spec import get_spec
+from repro.lsm.config import LSMConfig
+from repro.obs.snapshot import MetricsSnapshot
+from repro.serve import ServeSpec, serve_workload
+from repro.shard.runner import run_sharded_workload
+from repro.ssd.profile import ENTERPRISE_PCIE
+from repro.workload import spec as workloads
+from repro.workload.ycsb import (
+    OP_DELETE,
+    OP_GET,
+    OP_PUT,
+    OP_RMW,
+    OP_SCAN,
+    Operation,
+)
+
+KIB = 1024
+POLICIES = ("delayed", "hybrid", "lazy_leveling", "ldc", "partial_leveled",
+            "tiered", "udc")
+STACKS = ("plain", "sched", "flash", "plan")
+
+#: Erase blocks of eight files over a capacity the store nearly fills, so
+#: every policy's mix collects garbage (``flash.gc_*``, the GC categories).
+FLASH = FlashSpec(page_bytes=512, pages_per_block=64, logical_bytes=224 * KIB)
+
+KEYS = 1_200
+PRELOAD = 600
+OPERATIONS = 1_500
+
+
+def small(bg_threads: int = 0) -> LSMConfig:
+    """~100-byte records in 512-byte blocks: the mix flushes ~30 times."""
+    return LSMConfig(
+        memtable_bytes=4 * KIB,
+        sstable_target_bytes=4 * KIB,
+        block_bytes=512,
+        fan_out=4,
+        level1_capacity_bytes=16 * KIB,
+        max_levels=6,
+        slicelink_threshold=4,
+        block_cache_bytes=8 * KIB,
+        bg_threads=bg_threads,
+    )
+
+
+def make_key(index: int) -> bytes:
+    return b"%08d" % index
+
+
+def mixed_operations(operations: int = OPERATIONS, seed: int = 17) -> Iterator[Operation]:
+    """55% put / 5% delete / 5% rmw / 20% get / 15% scan of 5-120."""
+    rng = random.Random(seed)
+    for index in range(operations):
+        key = make_key(rng.randrange(KEYS))
+        roll = rng.random()
+        value = b"v%06d" % index + b"x" * rng.randrange(40, 90)
+        if roll < 0.55:
+            yield Operation(OP_PUT, key, value)
+        elif roll < 0.60:
+            yield Operation(OP_DELETE, key)
+        elif roll < 0.65:
+            yield Operation(OP_RMW, key, value)
+        elif roll < 0.85:
+            yield Operation(OP_GET, key)
+        else:
+            yield Operation(OP_SCAN, key, None, rng.randrange(5, 121))
+
+
+def run_cell(policy: str, stack: str) -> Tuple[MetricsSnapshot, float]:
+    """One tiny unsharded run: (closing snapshot, measured virtual time).
+
+    The preload is *not* reset away: load-phase keys (the first flushes,
+    the WAL stream) are part of what is pinned.
+    """
+    db = DB(
+        config=small(bg_threads=1 if stack == "sched" else 0),
+        policy=policy,
+        profile=DeviceConfig(flash=FLASH) if stack == "flash" else ENTERPRISE_PCIE,
+        fault_plan=FaultPlan() if stack == "plan" else None,
+    )
+    rng = random.Random(5)
+    for index in range(PRELOAD):
+        db.put(make_key(index * 2), b"p" * rng.randrange(40, 90))
+    result = execute_operations(db, mixed_operations(), workload_name="ledger")
+    db.check_invariants()
+    return result.metrics, result.elapsed_us
+
+
+def _tiny_spec():
+    return workloads.rwb(num_operations=1_500, key_space=600, value_bytes=100)
+
+
+@lru_cache(maxsize=None)
+def run_serve():
+    """One open-loop two-tenant serve over the composed slow stack."""
+    return serve_workload(
+        _tiny_spec(),
+        "ldc",
+        ServeSpec(arrival="poisson", rate_ops_s=14_000.0, num_tenants=2,
+                  queue_depth=16),
+        config=small(bg_threads=1),
+        profile=DeviceConfig(flash=FlashSpec(logical_bytes=512 * KIB)),
+    )
+
+
+@lru_cache(maxsize=None)
+def run_sharded():
+    """One 3-shard run (an LDC spec with a derived threshold)."""
+    return run_sharded_workload(
+        _tiny_spec(), get_spec("ldc").derive(threshold=5), num_shards=3,
+        config=small(),
+    )
+
+
+def digest(metrics: MetricsSnapshot, elapsed_us: float) -> str:
+    payload = repr((
+        sorted(metrics.counters.items()),
+        sorted(metrics.gauges.items()),
+        elapsed_us,
+    ))
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+@lru_cache(maxsize=None)
+def matrix() -> Dict[str, Tuple[MetricsSnapshot, float]]:
+    """Every cell of the pin-first matrix, keyed like :data:`PINNED`."""
+    cells: Dict[str, Tuple[MetricsSnapshot, float]] = {}
+    for policy in POLICIES:
+        for stack in STACKS:
+            cells[f"{policy}/{stack}"] = run_cell(policy, stack)
+    served = run_serve()
+    cells["serve/poisson-2"] = (served.metrics, served.elapsed_us)
+    sharded = run_sharded()
+    for index, shard in enumerate(sharded.shard_results):
+        cells[f"shard/{index}"] = (shard.metrics, shard.elapsed_us)
+    return cells
+
+
+def emitted_snapshots() -> List[MetricsSnapshot]:
+    """Every snapshot the matrix produces, folds and namespaces included
+    (what the metrics catalogue has to document)."""
+    snapshots = [metrics for metrics, _ in matrix().values()]
+    snapshots.append(run_serve().tenant_metrics())
+    sharded = run_sharded()
+    snapshots += [sharded.metrics, sharded.combined_metrics]
+    return snapshots
+
+
+#: Captured on the parent commit (PR 23's ``src/``) — see module docstring.
+PINNED: Dict[str, str] = {
+    "delayed/plain": "27821d007736444cbce05fb293f98245e93198efaa738e2e6d79d894db6a5e82",
+    "delayed/sched": "11af6396b81b2d78da1ea62b8325a9f440cfaf603e9f7f2900682422aa2bde4a",
+    "delayed/flash": "c69d4e11a201499d8af61d1407dd9b995149392ebe18d5f123781b4ad3b60e56",
+    "delayed/plan": "27821d007736444cbce05fb293f98245e93198efaa738e2e6d79d894db6a5e82",
+    "hybrid/plain": "eeab8c52c21447258920f4dfa649ac8de2ac6e569822c5a01606ecb73d2ca860",
+    "hybrid/sched": "281b1dcf9805104ec211a1bd32ac610b630eb4c1e1016ba9fac4845e5095d860",
+    "hybrid/flash": "5c1e7123023ccf357288c7d452fe7cc7103671d5d754f1abd30d01b498af9669",
+    "hybrid/plan": "eeab8c52c21447258920f4dfa649ac8de2ac6e569822c5a01606ecb73d2ca860",
+    "lazy_leveling/plain": "951a55b5aca5127069ad2212fb9b55a0c93ab2a3a199325fa92c0482d640b702",
+    "lazy_leveling/sched": "552a0bdcba015983f45eecda9fd22a5a54533faa3f5e5613c73510bdee828847",
+    "lazy_leveling/flash": "17bcae4c00768917ac481047ad61526c3891db68bc7ca9d50d5721c8a69a0127",
+    "lazy_leveling/plan": "951a55b5aca5127069ad2212fb9b55a0c93ab2a3a199325fa92c0482d640b702",
+    "ldc/plain": "117c4a70203e8dba1ab1a1cf018e5862e35c75550d5e601e9f6cd5ff626fce0d",
+    "ldc/sched": "35d7f31006cc6d84467ddd324c0db0ebebf7acf7738d19eee78e3fdc6f53ea12",
+    "ldc/flash": "ac0fb428fa3f69fea4614253f808960b72cd8788edf54cc1b4594b5e416804cf",
+    "ldc/plan": "117c4a70203e8dba1ab1a1cf018e5862e35c75550d5e601e9f6cd5ff626fce0d",
+    "partial_leveled/plain": "c2565d7789581844a663d7ab24ecdd83aa85fe12891592974625c6e22fd9c4b6",
+    "partial_leveled/sched": "ff514e6d6c3aed4a2e0fb8bf195eb0e4c201f0d0204691c1632d4f4b622e2c15",
+    "partial_leveled/flash": "0764c37227a4cc9ebc50127ea6911342622fa13f9521c09e57a861a742abd84f",
+    "partial_leveled/plan": "c2565d7789581844a663d7ab24ecdd83aa85fe12891592974625c6e22fd9c4b6",
+    "tiered/plain": "a46fdbb0cef1fc208d3c8dbf894c0830fdeedf003fc543f584c8d6bfb565c106",
+    "tiered/sched": "23369a0bb10330d831e228fe7dfd56c06db68ade7ed0732a5d9494ff937e7d61",
+    "tiered/flash": "9b88b4654914d9081bfe42924caf28588a3018a69fe2c70c40f9272cbeb58105",
+    "tiered/plan": "a46fdbb0cef1fc208d3c8dbf894c0830fdeedf003fc543f584c8d6bfb565c106",
+    "udc/plain": "4610818ef00835dfc41f210d6a7ce0d02d224614ddd1df17259d5a1b53c62c35",
+    "udc/sched": "b821a84a240679df7fced971ea614382c8c2572e799e53bb09505ecc7cfc8297",
+    "udc/flash": "87fa65e1066475abe12f57fc26191189cb34a14a9a75f288db1b32b4f5e830ed",
+    "udc/plan": "4610818ef00835dfc41f210d6a7ce0d02d224614ddd1df17259d5a1b53c62c35",
+    "serve/poisson-2": "c675b2e09cdeca12d1493beae09d650ffa355b1fb857df25803f120df04a2a92",
+    "shard/0": "f8315f25b442e55f8c5bdfaf72de37a6f3511d302cb306553adb3e57680363dc",
+    "shard/1": "21d8fdac1ce86bbe648a9e1738ff846159dee1e5315be0ae528a8f6f483b383b",
+    "shard/2": "ef479fbe8639f9112324f1ecd6994691d0b8c5c4b77e1323234c2b8d909c9110",
+}
+
+
+def test_the_matrix_covers_every_registered_policy() -> None:
+    assert tuple(sorted(available_policies())) == POLICIES
+    assert len(PINNED) == len(POLICIES) * len(STACKS) + 1 + 3
+
+
+@pytest.mark.parametrize("cell", sorted(PINNED))
+def test_ledger_is_what_the_parent_wrote(cell: str) -> None:
+    metrics, elapsed_us = matrix()[cell]
+    assert digest(metrics, elapsed_us) == PINNED[cell], cell
+
+
+def test_cells_exercise_what_they_pin() -> None:
+    """A digest of an empty ledger pins nothing: the cells do real work."""
+    cells = matrix()
+    for policy in POLICIES:
+        counters = cells[f"{policy}/plain"][0].counters
+        assert counters["engine.flush_count"] > 15, policy
+        assert counters["engine.compaction_count"] >= 4, policy
+        assert counters["engine.scans"] > 0 and counters["engine.gets"] > 0
+        assert counters["cache.hits"] > 0 and counters["cache.evictions"] > 0
+        assert cells[f"{policy}/sched"][0].counters["sched.tasks_enqueued"] > 0
+        assert cells[f"{policy}/flash"][0].counters["flash.gc_collections"] > 0
+        # An empty fault plan is transparent (tests/test_device_stack.py).
+        assert cells[f"{policy}/plan"] == cells[f"{policy}/plain"], policy
+    assert cells["ldc/plain"][0].counters["engine.link_count"] > 0
+    assert cells["serve/poisson-2"][0].counters["sched.tasks_completed"] > 0
+
+
+if __name__ == "__main__":  # pragma: no cover - capture helper
+    for name, (snap, elapsed) in matrix().items():
+        print(f'    "{name}": "{digest(snap, elapsed)}",')

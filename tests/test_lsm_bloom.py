@@ -165,7 +165,7 @@ class TestHashMemo:
         for index in range(10_000):
             # Distinct keys inside the files' ranges: each probes a filter.
             assert db.get(b"stored-%06d-%d" % (index % 3_000, index)) is None
-        assert db.engine_stats.bloom_negative_skips > 9_000
+        assert db.metrics().get("engine.bloom_negative_skips") > 9_000
         assert len(bloom_module._HASH_CACHE) == before
         filt = BloomFilter([b"a%d" % i for i in range(20)], bits_per_key=10)
         before = len(bloom_module._HASH_CACHE)

@@ -9,8 +9,14 @@ from repro import DB
 from repro.errors import ConfigError, EngineError
 from repro.lsm.cache import BlockCache
 from repro.lsm.config import LSMConfig
+from repro.obs.snapshot import MetricsSnapshot
 
 from tests.conftest import key_of
+
+
+def tally(cache: BlockCache, name: str) -> int:
+    """The cache's ``cache.<name>`` counter (0 before its first bump)."""
+    return cache.registry.counter(f"cache.{name}")
 
 
 class TestBlockCacheUnit:
@@ -23,7 +29,7 @@ class TestBlockCacheUnit:
         assert not cache.lookup(1, 0)
         cache.insert(1, 0, 100)
         assert cache.lookup(1, 0)
-        assert cache.hits == 1 and cache.misses == 1
+        assert tally(cache, "hits") == 1 and tally(cache, "misses") == 1
 
     def test_lru_eviction_order(self):
         cache = BlockCache(300)
@@ -64,12 +70,12 @@ class TestBlockCacheUnit:
 
     def test_hit_ratio(self):
         cache = BlockCache(1000)
-        assert cache.hit_ratio == 0.0
+        assert MetricsSnapshot.capture(cache.registry, 0.0).cache_hit_ratio == 0.0
         cache.insert(1, 0, 10)
         cache.lookup(1, 0)
         cache.lookup(1, 1)
         # one miss from the failed lookup above plus the hit
-        assert 0.0 < cache.hit_ratio < 1.0
+        assert 0.0 < MetricsSnapshot.capture(cache.registry, 0.0).cache_hit_ratio < 1.0
 
     def test_evict_file_frees_all_its_blocks(self):
         cache = BlockCache(10_000)
@@ -92,9 +98,9 @@ class TestBlockCacheUnit:
     def test_evict_does_not_count_as_miss(self):
         cache = BlockCache(1000)
         cache.insert(1, 0, 100)
-        hits, misses = cache.hits, cache.misses
+        hits, misses = tally(cache, "hits"), tally(cache, "misses")
         cache.evict_file(1, 1)
-        assert (cache.hits, cache.misses) == (hits, misses)
+        assert (tally(cache, "hits"), tally(cache, "misses")) == (hits, misses)
 
     @given(
         st.lists(
@@ -161,7 +167,7 @@ class TestCacheInEngine:
         db.flush()
         for _ in range(50):
             db.get(key_of(7))
-        assert db.block_cache.hits > 0
+        assert tally(db.block_cache, "hits") > 0
 
     def test_cached_reads_cost_less_device_time(self):
         timings = {}
@@ -175,7 +181,7 @@ class TestCacheInEngine:
             for _ in range(400):
                 db.get(key_of(3))  # maximally hot key
             timings[cache_bytes] = db.clock.now() - start
-            reads[cache_bytes] = db.engine_stats.sstable_blocks_read
+            reads[cache_bytes] = db.metrics().get("engine.sstable_blocks_read")
         assert timings[64 * 1024] < timings[0]
         assert reads[64 * 1024] < reads[0]
 
@@ -258,11 +264,11 @@ class TestCacheInEngine:
             db.put(key_of(index), b"v" * 40)
         db.policy.maybe_compact()
         db.scan(key_of(100), 50)
-        first_misses = db.block_cache.misses
+        first_misses = tally(db.block_cache, "misses")
         db.scan(key_of(100), 50)
         # Second identical scan should add hits, not misses.
-        assert db.block_cache.misses == first_misses
-        assert db.block_cache.hits > 0
+        assert tally(db.block_cache, "misses") == first_misses
+        assert tally(db.block_cache, "hits") > 0
 
 
 class TestEvictionCounters:
@@ -277,15 +283,15 @@ class TestEvictionCounters:
         # fingerprint suite hashes every registry counter).
         assert "cache.evictions" not in cache.registry.counters()
         assert "cache.evicted_bytes" not in cache.registry.counters()
-        assert cache.evictions == 0 and cache.evicted_bytes == 0
+        assert tally(cache, "evictions") == 0 and tally(cache, "evicted_bytes") == 0
 
     def test_lru_eviction_counted(self):
         cache = BlockCache(300)
         cache.insert(1, 0, 100)
         cache.insert(1, 1, 100)
         cache.insert(1, 2, 250)  # 450 used: evicts (1,0) then (1,1)
-        assert cache.evictions == 2
-        assert cache.evicted_bytes == 200
+        assert tally(cache, "evictions") == 2
+        assert tally(cache, "evicted_bytes") == 200
         assert "cache.evictions" in cache.registry.counters()
 
     def test_evict_file_not_counted(self):
@@ -294,15 +300,15 @@ class TestEvictionCounters:
         cache.insert(2, 0, 100)
         cache.evict_file(1, 1)
         assert "cache.evictions" not in cache.registry.counters()
-        assert cache.evictions == 0
+        assert tally(cache, "evictions") == 0
 
     def test_counters_reset_with_registry(self):
         cache = BlockCache(150)
         cache.insert(1, 0, 100)
         cache.insert(1, 1, 100)  # evicts (1,0)
-        assert cache.evictions == 1
+        assert tally(cache, "evictions") == 1
         cache.registry.reset()
-        assert cache.evictions == 0 and cache.evicted_bytes == 0
+        assert tally(cache, "evictions") == 0 and tally(cache, "evicted_bytes") == 0
 
 
 class TestFetch:
@@ -359,7 +365,7 @@ class TestFetch:
             "cache.evicted_bytes": 100,
         }
         cache.count_probes(0, 0)  # zeros create nothing and add nothing
-        assert (cache.evictions, cache.evicted_bytes) == (1, 100)
+        assert (tally(cache, "evictions"), tally(cache, "evicted_bytes")) == (1, 100)
 
     @given(
         st.integers(100, 600),

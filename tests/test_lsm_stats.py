@@ -1,69 +1,68 @@
-"""Tests for engine statistics and the activity breakdown (Table I input)."""
+"""Tests for the engine's activity breakdown (Table I input) and its
+per-round byte list, read the one way anything is read: a snapshot."""
+
+import random
 
 import pytest
 
+from repro import DB
+from repro.lsm.config import LSMConfig
 from repro.lsm.stats import (
     ACT_COMPACTION,
-    ACT_FLUSH,
-    ACT_READ,
-    ACT_WAL,
-    ACT_WRITE,
-    EngineStats,
+    ACT_COMPACTION_KEY,
+    ACT_FLUSH_KEY,
+    ACT_READ_KEY,
+    ACT_WAL_KEY,
+    ACT_WRITE_KEY,
 )
+from repro.obs.registry import MetricsRegistry
+from repro.obs.snapshot import MetricsSnapshot
+
+
+def charged(*charges) -> MetricsSnapshot:
+    """A snapshot of a registry after ``(key, elapsed_us)`` charges."""
+    registry = MetricsRegistry()
+    for key, elapsed_us in charges:
+        registry.add(key, elapsed_us)
+    return MetricsSnapshot.capture(registry, t_us=0.0)
 
 
 class TestActivityAccounting:
     def test_charge_accumulates(self):
-        stats = EngineStats()
-        stats.charge_activity(ACT_COMPACTION, 10.0)
-        stats.charge_activity(ACT_COMPACTION, 5.0)
-        assert stats.activity_time_us[ACT_COMPACTION] == 15.0
+        snap = charged((ACT_COMPACTION_KEY, 10.0), (ACT_COMPACTION_KEY, 5.0))
+        assert snap.component("engine.activity")[ACT_COMPACTION] == 15.0
 
     def test_total(self):
-        stats = EngineStats()
-        stats.charge_activity(ACT_WRITE, 1.0)
-        stats.charge_activity(ACT_READ, 3.0)
-        assert stats.total_activity_time_us == 4.0
+        snap = charged((ACT_WRITE_KEY, 1.0), (ACT_READ_KEY, 3.0))
+        assert sum(snap.component("engine.activity").values()) == 4.0
 
     def test_share_normalised(self):
-        stats = EngineStats()
-        stats.charge_activity(ACT_COMPACTION, 60.0)
-        stats.charge_activity(ACT_FLUSH, 20.0)
-        stats.charge_activity(ACT_WAL, 10.0)
-        stats.charge_activity(ACT_WRITE, 10.0)
-        share = stats.activity_share()
+        share = charged(
+            (ACT_COMPACTION_KEY, 60.0),
+            (ACT_FLUSH_KEY, 20.0),
+            (ACT_WAL_KEY, 10.0),
+            (ACT_WRITE_KEY, 10.0),
+        ).activity_share()
         assert share[ACT_COMPACTION] == pytest.approx(0.6)
         assert sum(share.values()) == pytest.approx(1.0)
 
     def test_share_empty(self):
-        assert EngineStats().activity_share() == {}
+        assert charged().activity_share() == {}
 
     def test_counters_start_at_zero(self):
-        stats = EngineStats()
-        assert stats.puts == 0
-        assert stats.link_count == 0
-        assert stats.merge_count == 0
-        assert stats.stall_time_us == 0.0
+        snap = DB().metrics()
+        assert dict(snap.counters) == {}
+        assert snap.get("engine.puts") == 0
+        assert snap.get("engine.link_count") == 0
+        assert snap.get("engine.merge_count") == 0
+        assert snap.get("engine.stall_time_us") == 0.0
 
 
 class TestRoundGranularity:
     def test_empty_histogram(self):
-        stats = EngineStats()
-        assert stats.max_round_bytes == 0
-        assert stats.round_bytes_percentile(99) == 0
-
-    def test_record_and_percentiles(self):
-        stats = EngineStats()
-        for nbytes in (100, 200, 300, 400, 500, 600, 700, 800, 900, 1000):
-            stats.record_round(nbytes)
-        assert stats.max_round_bytes == 1000
-        assert stats.round_bytes_percentile(50) == 500
-        assert stats.round_bytes_percentile(100) == 1000
+        assert DB().round_bytes == []
 
     def test_rounds_tracked_by_engine(self):
-        from repro import DB
-        from repro.lsm.config import LSMConfig
-
         db = DB(
             config=LSMConfig(
                 memtable_bytes=2048,
@@ -74,15 +73,14 @@ class TestRoundGranularity:
             ),
             policy="udc",
         )
-        import random
-
         rng = random.Random(3)
         for index in range(3000):
             db.put(str(rng.randrange(800)).zfill(12).encode(), b"v" * 40)
-        assert len(db.engine_stats.round_bytes) > 0
-        assert db.engine_stats.max_round_bytes > 0
+        assert len(db.round_bytes) > 0
         # Every recorded round moved real compaction bytes.
-        assert all(nbytes > 0 for nbytes in db.engine_stats.round_bytes)
-        assert sum(db.engine_stats.round_bytes) <= (
-            db.device.stats.compaction_bytes_total
-        )
+        assert all(nbytes > 0 for nbytes in db.round_bytes)
+        assert sum(db.round_bytes) <= db.metrics().compaction_bytes_total
+        # One reset zeroes the counters and clears the list with them.
+        db.reset_measurements()
+        assert db.round_bytes == []
+        assert db.metrics().compaction_bytes_total == 0

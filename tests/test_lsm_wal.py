@@ -24,7 +24,8 @@ class TestWAL:
         record = put_record(b"k", b"v" * 100, 1)
         elapsed = wal.append(record)
         assert elapsed > 0
-        assert wal._device.stats.bytes_written(WAL_WRITE) == record.encoded_size
+        written = wal._device.registry.counter(f"device.write.{WAL_WRITE}.bytes")
+        assert written == record.encoded_size
 
     def test_append_is_sequential_io(self, wal):
         """WAL appends get the sequential overhead discount."""
@@ -72,17 +73,17 @@ class TestWALRecoveryIO:
         for record in records:
             wal.append(record)
         stored = wal.unflushed_bytes
-        assert wal._device.stats.bytes_read(WAL_READ) == 0
+        assert wal._device.registry.counter(f"device.read.{WAL_READ}.bytes") == 0
         before = wal._device.clock.now()
         wal.recover()
-        assert wal._device.stats.bytes_read(WAL_READ) == stored
+        assert wal._device.registry.counter(f"device.read.{WAL_READ}.bytes") == stored
         assert wal._device.clock.now() > before
 
     def test_recover_empty_log_is_free(self, wal):
         from repro.ssd.metrics import WAL_READ
 
         wal.recover()
-        assert wal._device.stats.bytes_read(WAL_READ) == 0
+        assert wal._device.registry.counter(f"device.read.{WAL_READ}.bytes") == 0
 
     def test_recover_charges_on_every_call(self, wal):
         """Each simulated restart re-reads the log image."""
@@ -91,9 +92,8 @@ class TestWALRecoveryIO:
         wal.append(put_record(b"k", b"v", 1))
         wal.recover()
         wal.recover()
-        assert (
-            wal._device.stats.bytes_read(WAL_READ) == 2 * wal.unflushed_bytes
-        )
+        replayed = wal._device.registry.counter(f"device.read.{WAL_READ}.bytes")
+        assert replayed == 2 * wal.unflushed_bytes
 
 
 class TestWALTornTails:

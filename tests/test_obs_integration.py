@@ -72,8 +72,8 @@ class TestByteAccounting:
         assert rounds, "workload too small to trigger compaction"
         event_total = sum(e["bytes_read"] + e["bytes_written"] for e in rounds)
         device_total = (
-            db.device.stats.compaction_bytes_read
-            + db.device.stats.compaction_bytes_written
+            db.metrics().compaction_bytes_read
+            + db.metrics().compaction_bytes_written
         )
         assert device_total > 0
         assert event_total == pytest.approx(device_total, rel=0.01)

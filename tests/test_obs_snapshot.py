@@ -41,7 +41,8 @@ class TestRegistry:
         registry = MetricsRegistry()
         registry.add("engine.puts", 5)
         registry.add("cache.hits", 2)
-        assert registry.component("engine") == {"puts": 5}
+        snap = MetricsSnapshot.capture(registry, t_us=0.0)
+        assert snap.component("engine") == {"puts": 5}
 
 
 class TestSnapshot:
@@ -52,8 +53,10 @@ class TestSnapshot:
         assert isinstance(snap, MetricsSnapshot)
         assert snap.t_us == pytest.approx(db.clock.now())
         assert snap.total_bytes_written > 0
-        assert snap.user_bytes_written == db.engine_stats.user_bytes_written
-        assert snap.write_amplification == pytest.approx(db.write_amplification())
+        assert snap.user_bytes_written == db.registry.counter("engine.user_bytes_written")
+        assert snap.write_amplification == pytest.approx(
+            snap.host_bytes_written / snap.user_bytes_written
+        )
         assert snap["engine.puts"] == 400
 
     def test_frozen(self, tiny_config: LSMConfig) -> None:
@@ -116,10 +119,9 @@ class TestUnifiedReset:
         cleared = db.metrics()
         nonzero = {key: value for key, value in cleared if value != 0}
         assert nonzero == {}, f"counters survived reset: {nonzero}"
-        assert db.engine_stats.round_bytes == []
-        assert db.device.stats.total_bytes_written == 0
-        assert db.block_cache is not None
-        assert db.block_cache.hits == 0 and db.block_cache.misses == 0
+        assert db.round_bytes == []
+        assert cleared.total_bytes_written == 0
+        assert cleared.cache_hit_ratio == 0.0
 
     def test_gauges_survive_reset(self, tiny_config: LSMConfig) -> None:
         db = DB(config=tiny_config, policy="ldc")

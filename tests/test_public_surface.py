@@ -1,4 +1,4 @@
-"""The public surface after the PR 17, PR 18, PR 19, PR 22 and PR 23 deletions.
+"""The public surface after the PR 17, 18, 19, 22, 23 and 24 deletions.
 
 Every exported name resolves, and what was removed stays removed: the
 policy shims (one way to build a policy — the registry — so the only
@@ -10,7 +10,9 @@ to name a policy (factory functions, a factory field on ``GridTask``),
 and the run shell's second runners, fan-out, closed loop, report classes
 and policy factories (one protocol, one fan-out, two loops, two results),
 and the serving stack's per-sample recorder loops, hand-rolled FIFO and
-five-helper pump (one ledger, one ``deque``, one replay step).
+five-helper pump (one ledger, one ``deque``, one replay step), and the
+per-layer stats views (``EngineStats``, ``IOStats``, ``CategoryStats``, the
+cache's counter properties): the registry is written, a snapshot is read.
 """
 
 import ast
@@ -232,6 +234,53 @@ def test_one_stack_path():
         assert not hasattr(LatencyRecorder(), gone)
     for gone in ("_earliest_runnable", "_next_start", "_run_chunk"):
         assert not hasattr(CompactionScheduler, gone)
+
+
+def test_one_metrics_ledger():
+    """The engine writes registry counters and every reader reads a
+    ``MetricsSnapshot``: the per-layer stats views are gone, and each
+    derived ratio has exactly one ``def`` under ``src/`` (``RunResult``
+    forwards through ``snapshot_view`` properties, not functions)."""
+    import repro.lsm
+    import repro.lsm.stats
+    import repro.ssd
+    import repro.ssd.metrics
+    from repro.lsm.cache import BlockCache
+    from repro.obs.registry import MetricsRegistry
+    from repro.obs.snapshot import MetricsSnapshot
+
+    for package in (repro, repro.lsm, repro.ssd, repro.lsm.stats, repro.ssd.metrics):
+        for name in ("EngineStats", "IOStats", "CategoryStats"):
+            assert not hasattr(package, name), (package.__name__, name)
+    # What is left of the two stats modules is names: no class, and the
+    # one function that spells a category's three counter keys.
+    for module in (repro.lsm.stats, repro.ssd.metrics):
+        assert not inspect.getmembers(module, inspect.isclass), module.__name__
+    assert [name for name, _ in inspect.getmembers(
+        repro.ssd.metrics, inspect.isfunction)] == ["category_keys"]
+
+    db = repro.DB(config=repro.LSMConfig(block_cache_bytes=4096))
+    for name in ("engine_stats", "stats", "write_amplification"):
+        assert not hasattr(db, name), name
+    for name in ("stats", "metrics"):
+        assert not hasattr(db.device, name), name
+    for name in ("hits", "misses", "evictions", "evicted_bytes", "hit_ratio"):
+        assert not hasattr(BlockCache, name), name
+    for name in ("set_counter", "sum_matching", "component", "on_reset"):
+        assert not hasattr(MetricsRegistry, name), name
+    assert MetricsRegistry.__slots__ == ("_counters", "_gauges")
+
+    derived = ("write_amplification", "host_bytes_written",
+               "compaction_bytes_total", "activity_share", "cache_hit_ratio")
+    defined = {name: [] for name in derived}
+    root = pathlib.Path(repro.__file__).parent
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name in defined:
+                defined[node.name].append(str(path.relative_to(root)))
+    assert defined == {name: ["obs/snapshot.py"] for name in derived}
+    for name in derived:
+        assert hasattr(MetricsSnapshot, name), name
 
 
 def test_cli_surface_is_what_it_was():

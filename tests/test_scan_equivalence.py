@@ -313,11 +313,11 @@ def hand_built(policy: str, cache_bytes: int, levels: dict, links=(), deletes=()
 
 def scan_both(window: DB, cursor: DB, start: int, count: int) -> int:
     """Scan the twins; return the sources the scan opened (equal on both)."""
-    before = window.engine_stats.scan_sources
+    before = window.metrics().get("engine.scan_sources")
     got = window.scan(make_key(start), count)
     assert got == cursor_scan(cursor, make_key(start), count)
     assert charged_state(window) == charged_state(cursor)
-    return window.engine_stats.scan_sources - before
+    return window.metrics().get("engine.scan_sources") - before
 
 
 @pytest.mark.parametrize("cache_bytes", SMALL_CACHES)
@@ -415,7 +415,7 @@ class TestChargeEdges:
             trio.scan(make_key(start), 40)
             sizes = block_sizes()  # a scan can end in a compaction round
             assert all(sizes[key] <= 100 for key in cache.cached_blocks())
-        assert cache.misses > 20 > len(cache)
+        assert trio.window.metrics()["cache.misses"] > 20 > len(cache)
 
     def test_scan_inside_a_clock_capture_is_refused(self):
         db = DB(config=tiny(1024), policy="ldc")
@@ -504,12 +504,12 @@ def scan_recording_sources(db: DB, start_key: bytes, count: int, monkeypatch):
         charged.append(table)
         charge(table, first, end)
 
-    before = db.engine_stats.scan_sources
+    before = db.metrics().get("engine.scan_sources")
     with monkeypatch.context() as patch:
         patch.setattr(iterators, "unit_windows", opening)
         patch.setattr(db, "_charge_range_read", charging)
         assert len(db.scan(start_key, count)) == count
-    return db.engine_stats.scan_sources - before, opened, charged
+    return db.metrics().get("engine.scan_sources") - before, opened, charged
 
 
 class TestSourcesOpened:
@@ -553,10 +553,12 @@ class TestSourcesOpened:
             got = window.scan(start, 100)
             assert got == cursor_scan(cursor, start, 100)
             assert got == eager_scan(eager, start, 100)
-        assert window.engine_stats.scan_sources == cursor.engine_stats.scan_sources
-        assert (
-            eager.engine_stats.scan_sources > 5 * window.engine_stats.scan_sources
-        )
+        opened = {
+            name: db.metrics()["engine.scan_sources"]
+            for name, db in (("window", window), ("cursor", cursor), ("eager", eager))
+        }
+        assert opened["window"] == opened["cursor"]
+        assert opened["eager"] > 5 * opened["window"]
 
 
 class TestResponsibilityInvariant:

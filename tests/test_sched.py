@@ -254,7 +254,7 @@ class TestThrottling:
         total = (
             counter("sched.slowdown_time_us") + counter("sched.stall_time_us")
         )
-        assert db.engine_stats.stall_time_us == pytest.approx(total)
+        assert db.metrics().get("engine.stall_time_us") == pytest.approx(total)
 
     def test_stop_stall_converges_and_is_counted(self):
         config = sched_config(
@@ -285,13 +285,15 @@ class TestThrottling:
         write_some(db, 1200)
         reasons = {event.fields["reason"] for event in ring.events}
         assert reasons == {"l0_slowdown", "l0_stop"}
-        stats = db.engine_stats
-        assert stats.stall_events == len(ring.events)
-        assert stats.stall_time_us == pytest.approx(
+        snap = db.metrics()
+        assert snap["engine.stall_events"] == len(ring.events)
+        assert snap["engine.stall_time_us"] == pytest.approx(
             sum(event.fields["duration_us"] for event in ring.events)
         )
-        assert not db.registry.component("sched")
-        assert stats.total_activity_time_us == pytest.approx(db.clock.now())
+        assert not snap.component("sched")
+        assert sum(snap.component("engine.activity").values()) == pytest.approx(
+            db.clock.now()
+        )
 
     def test_no_stall_metrics_below_slowdown(self):
         """L0 never crossing the slowdown trigger means zero throttle time."""
@@ -301,7 +303,7 @@ class TestThrottling:
         counter = db.registry.counter
         assert counter("sched.stall_events") == 0
         assert counter("sched.slowdown_events") == 0
-        assert db.engine_stats.stall_time_us == 0
+        assert db.metrics().get("engine.stall_time_us") == 0
 
 
 class TestDeterminism:

@@ -202,7 +202,7 @@ class TestQuietBelowSlowdown:
             assert counter("sched.slowdown_events") == 0
             assert counter("sched.stall_time_us") == 0
             assert counter("sched.slowdown_time_us") == 0
-            assert db.engine_stats.stall_time_us == 0
+            assert db.metrics().get("engine.stall_time_us") == 0
 
 
 # ----------------------------------------------------------------------

@@ -15,12 +15,14 @@ import pickle
 
 import pytest
 
+from repro import DeviceConfig, FlashSpec
 from repro.errors import ConfigError, UnknownPolicyError
 from repro.harness.runner import RunResult, run_workload
 from repro.harness.experiments import GridTask, run_grid
 from repro.harness.latency import LatencyRecorder, LatencyTimeline
 from repro.lsm.compaction.spec import get_spec
 from repro.lsm.config import LSMConfig
+from repro.obs.snapshot import MetricsSnapshot
 from repro.shard.runner import run_sharded_workload
 from repro.workload import spec as workloads
 from repro.workload.ycsb import OP_PUT, Operation
@@ -78,11 +80,19 @@ def _digest(result) -> str:
 
 #: SHA-256 of ``repr(fingerprint())`` captured on PR 20's ``src/``, before
 #: the sharded runner became a grid of runs folded into a ``RunResult``.
+#: ``ldc5-hash-3`` was re-pinned once (PR 24): the PR 20 literal enshrined
+#: the fold bug that summed level gauges, so three shards at threshold 5
+#: read ``policy.ldc.threshold`` 15.  Nothing else in it moved —
+#: ``TestGaugeFold`` re-derives the old literal from the new result.
 PINNED_FINGERPRINTS = {
     "udc-hash-4": "00440693790a16fec599e36f3ce012e795f74d056186307c381584e11f1be680",
-    "ldc5-hash-3": "4fcf422d20470aeba3bcb804c35fcf0b5aadc36e6ebd94403d149cabd104a82e",
+    "ldc5-hash-3": "fde9756386e920c24ca6f86f131d32563bd3c9e60e56e38ee9c722a7eb000315",
     "udc-range-4": "a28e83ee0f50e810debcb680e48abbdd6f5a8dc4fd28ea8667623cd99123a05e",
 }
+#: What ``ldc5-hash-3`` was while the fold summed ``policy.ldc.threshold``.
+SUMMED_THRESHOLD_LDC5_HASH_3 = (
+    "4fcf422d20470aeba3bcb804c35fcf0b5aadc36e6ebd94403d149cabd104a82e"
+)
 
 
 class TestPinnedFingerprints:
@@ -103,6 +113,51 @@ class TestPinnedFingerprints:
             partitioner=partitioner, workers=workers, config=LSMConfig(),
         )
         assert _digest(result) == PINNED_FINGERPRINTS[case]
+
+
+class TestGaugeFold:
+    """A fold sums sizes and takes the max of levels (regression: it summed
+    every gauge, so a 3-shard run at threshold 5 reported threshold 15 and
+    a sharded flash run's ``max_erase_count`` was the sum of the maxima)."""
+
+    def test_threshold_of_a_fleet_is_not_the_sum_of_its_shards(self) -> None:
+        result = run_sharded_workload(
+            _tiny_spec(), get_spec("ldc").derive(threshold=5), num_shards=3,
+            config=LSMConfig(),
+        )
+        per_shard = [r.metrics.gauges["policy.ldc.threshold"] for r in result.shard_results]
+        assert per_shard == [5, 5, 5]
+        assert result.metrics.gauges["policy.ldc.threshold"] == 5
+        frozen = "policy.ldc.frozen_space_bytes"  # a size: still summed
+        assert result.metrics.gauges[frozen] == sum(
+            r.metrics.gauges[frozen] for r in result.shard_results
+        )
+        # The one literal that moved, moved for this and nothing else:
+        # with the gauge put back to the sum the parent's digest returns.
+        summed = MetricsSnapshot(
+            t_us=result.metrics.t_us,
+            counters=result.metrics.counters,
+            gauges={**result.metrics.gauges, "policy.ldc.threshold": sum(per_shard)},
+        )
+        assert _digest(dataclasses.replace(result, metrics=summed)) == (
+            SUMMED_THRESHOLD_LDC5_HASH_3
+        )
+
+    def test_max_erase_count_of_a_fleet_is_its_worst_block(self) -> None:
+        flash = FlashSpec(page_bytes=4096, pages_per_block=32, logical_bytes=1 << 20)
+        skewed = workloads.wo(num_operations=6000, key_space=600, distribution="zipf")
+        result = run_sharded_workload(
+            skewed, "udc", num_shards=3, partitioner="range",
+            config=LSMConfig(), profile=DeviceConfig(flash=flash),
+        )
+        worst = [r.max_erase_count for r in result.shard_results]
+        assert len(set(worst)) > 1 and min(worst) > 0, worst
+        assert result.max_erase_count == max(worst) < sum(worst)
+        assert result.blocks_erased == sum(r.blocks_erased for r in result.shard_results)
+        live = "flash.live_pages"  # an occupancy: still summed
+        assert result.metrics.gauges[live] == sum(
+            r.metrics.gauges[live] for r in result.shard_results
+        )
 
 
 class TestAggregation:

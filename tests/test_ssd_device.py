@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import DeviceError
+from repro.obs.snapshot import MetricsSnapshot
 from repro.ssd.clock import SimClock
 from repro.ssd.device import SimulatedSSD
 from repro.ssd.metrics import (
@@ -12,7 +13,6 @@ from repro.ssd.metrics import (
     FLUSH_WRITE,
     USER_READ,
     WAL_WRITE,
-    IOStats,
 )
 from repro.ssd.profile import SSDProfile
 
@@ -24,6 +24,10 @@ SIMPLE = SSDProfile(
     write_overhead_us=7.0,
     sequential_discount=0.5,
 )
+
+
+def snapshot(ssd: SimulatedSSD) -> MetricsSnapshot:
+    return MetricsSnapshot.capture(ssd.registry, ssd.clock.now())
 
 
 class TestCostModel:
@@ -52,7 +56,7 @@ class TestCostModel:
         ssd.read_cost_us(1000)
         ssd.write_cost_us(1000)
         assert ssd.clock.now() == 0.0
-        assert ssd.stats.total_bytes_read == 0
+        assert ssd.registry.counters() == {}
 
     def test_negative_size_rejected(self):
         ssd = SimulatedSSD(SIMPLE)
@@ -84,9 +88,10 @@ class TestChargedOperations:
         ssd.read(100, USER_READ)
         ssd.read(200, COMPACTION_READ)
         ssd.write(300, WAL_WRITE)
-        assert ssd.stats.bytes_read(USER_READ) == 100
-        assert ssd.stats.bytes_read(COMPACTION_READ) == 200
-        assert ssd.stats.bytes_written(WAL_WRITE) == 300
+        snap = snapshot(ssd)
+        assert snap["device.read.user_read.bytes"] == 100
+        assert snap["device.read.compaction_read.bytes"] == 200
+        assert snap["device.write.wal_write.bytes"] == 300
 
     def test_shared_clock(self):
         clock = SimClock(start_us=10.0)
@@ -112,32 +117,40 @@ class TestChargedOperations:
 
 
 class TestIOStats:
+    """The device's per-category counters, and the ratios a snapshot
+    derives from them (what the ``IOStats`` view used to compute)."""
+
     def test_write_amplification(self):
-        stats = IOStats()
-        stats.record_write(FLUSH_WRITE, 500, 1.0)
-        stats.record_write(COMPACTION_WRITE, 1500, 1.0)
-        assert stats.write_amplification(user_bytes_written=500) == pytest.approx(4.0)
+        ssd = SimulatedSSD(SIMPLE)
+        ssd.write(500, FLUSH_WRITE)
+        ssd.write(1500, COMPACTION_WRITE)
+        ssd.registry.add("engine.user_bytes_written", 500)
+        assert snapshot(ssd).write_amplification == pytest.approx(4.0)
 
     def test_write_amplification_zero_user_bytes(self):
-        assert IOStats().write_amplification(0) == 0.0
+        ssd = SimulatedSSD(SIMPLE)
+        ssd.write(500, FLUSH_WRITE)
+        assert snapshot(ssd).write_amplification == 0.0
 
     def test_compaction_totals(self):
-        stats = IOStats()
-        stats.record_read(COMPACTION_READ, 100, 1.0)
-        stats.record_write(COMPACTION_WRITE, 200, 1.0)
-        stats.record_read(USER_READ, 999, 1.0)
-        assert stats.compaction_bytes_total == 300
+        ssd = SimulatedSSD(SIMPLE)
+        ssd.read(100, COMPACTION_READ)
+        ssd.write(200, COMPACTION_WRITE)
+        ssd.read(999, USER_READ)
+        assert snapshot(ssd).compaction_bytes_total == 300
 
     def test_snapshot_round_trip(self):
-        stats = IOStats()
-        stats.record_read(USER_READ, 64, 2.0)
-        snap = stats.snapshot()
-        assert snap["read:user_read"] == {"ops": 1, "bytes": 64, "time_us": 2.0}
+        ssd = SimulatedSSD(SIMPLE)
+        elapsed = ssd.read(64, USER_READ)
+        assert snapshot(ssd).component("device.read.user_read") == {
+            "ops": 1, "bytes": 64, "time_us": elapsed,
+        }
 
     def test_time_accounting(self):
-        stats = IOStats()
-        stats.record_read(USER_READ, 1, 3.0)
-        stats.record_write(WAL_WRITE, 1, 4.0)
-        assert stats.total_time_us == pytest.approx(7.0)
-        assert stats.time_us_read(USER_READ) == pytest.approx(3.0)
-        assert stats.time_us_written(WAL_WRITE) == pytest.approx(4.0)
+        ssd = SimulatedSSD(SIMPLE)
+        read_us = ssd.read(1, USER_READ)
+        write_us = ssd.write(1, WAL_WRITE)
+        snap = snapshot(ssd)
+        assert snap["device.read.user_read.time_us"] == pytest.approx(read_us)
+        assert snap["device.write.wal_write.time_us"] == pytest.approx(write_us)
+        assert snap.t_us == pytest.approx(read_us + write_us)
