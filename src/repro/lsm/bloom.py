@@ -15,52 +15,40 @@ probe set; the ``lsm.bloom`` rows of ``bench/``).  CRC32 alone mixes well;
 Adler32 alone does not, but as the *step* of a double-hash whose base is a
 CRC it only has to decorrelate the probe sequence, and the measured
 false-positive rate sits at the theoretical optimum for both sequential
-and random keys (pinned by the golden tests).
+and random keys (pinned by the golden tests).  The pair is a pure function
+of the key, recomputed on every lookup and build: two C calls cost less
+than any memo that would have to hold it.
 
-Construction is vectorized: probe positions for all keys are computed as
-one numpy array and OR-ed into the bit array in bulk, producing *bit-exact*
-the same filter as the scalar probe loop used for queries.
+Layout: the filter's ``nbits`` bits are held in memory one byte per bit — a
+``bytes`` table of 0s and 1s — so a probe is one table index, and the
+probe sequence ``(h1 + i*h2) % nbits`` is walked by adding ``h2 % nbits``
+and wrapping, all on single-digit ints.  Bit ``p`` of the on-device filter
+is entry ``p`` of the table; packed little-endian eight to a byte, the
+table is the ``(nbits + 7) // 8``-byte filter :attr:`BloomFilter.size_bytes`
+reports (and Fig. 13 plots).  The in-memory table is eight times that.
+
+Construction maps both checksums over the key list at C level and sets
+every probe position of every key in one numpy scatter.
 """
 
 from __future__ import annotations
 
 import math
-import zlib
 from typing import Iterable, Optional, Sequence
+from zlib import adler32, crc32
 
 import numpy as np
 
-#: Below this many keys the scalar build path wins over numpy call overhead.
-_VECTOR_BUILD_MIN = 8
-
-#: Shared memo of per-key ``(h1, h2)`` base-hash pairs.  The same user keys
-#: recur across thousands of SSTable constructions during compaction (the
-#: hash pair is a pure function of the key bytes), so build paths consult
-#: this before recomputing.  Capped so unbounded key universes cannot grow
-#: it without limit; on overflow new keys are simply not memoised.  Only
-#: the build path writes it: a lookup reads it (:func:`key_hashes`) but a
-#: read of a never-written key must not leave an entry behind.
-_HASH_CACHE: dict = {}
-_HASH_CACHE_MAX = 1 << 20
-
-
-def _base_hashes(key: bytes) -> tuple[int, int]:
-    """The ``(h1, h2)`` double-hash bases for ``key``.
-
-    ``h2`` is forced odd so the probe sequence has full period over any
-    power-of-two modulus and never degenerates to a single position.
-    """
-    return zlib.crc32(key), (zlib.adler32(key) << 1) | 1
-
 
 def key_hashes(key: bytes) -> tuple[int, int]:
-    """The ``(h1, h2)`` pair for a lookup of ``key``, via the shared memo.
+    """The ``(h1, h2)`` double-hash bases for ``key``.
 
     A point lookup calls this once and hands the pair to every filter it
-    probes (:meth:`BloomFilter.may_contain`).  The memo is read, never
-    written.
+    probes (:meth:`BloomFilter.may_contain`).  ``h2`` is forced odd so the
+    probe sequence has full period over any power-of-two modulus and never
+    degenerates to a single position.
     """
-    return _HASH_CACHE.get(key) or _base_hashes(key)
+    return crc32(key), (adler32(key) << 1) | 1
 
 
 def optimal_hash_count(bits_per_key: float) -> int:
@@ -73,7 +61,7 @@ def optimal_hash_count(bits_per_key: float) -> int:
 
 
 class BloomFilter:
-    """An immutable-after-build Bloom filter over a set of byte keys.
+    """An immutable Bloom filter over a set of byte keys.
 
     A filter built with ``bits_per_key <= 0`` is *disabled* and answers
     "maybe" for every probe; a filter built over an **empty key set** with
@@ -81,77 +69,33 @@ class BloomFilter:
     (nothing was inserted, so nothing can be present).
     """
 
-    __slots__ = ("_bits", "_nbits", "_rounds", "_empty", "bits_per_key")
+    __slots__ = ("_flags", "_nbits", "_rounds", "_empty", "bits_per_key")
 
     def __init__(self, keys: Sequence[bytes], bits_per_key: int) -> None:
         self.bits_per_key = bits_per_key
         if bits_per_key <= 0 or not keys:
-            self._bits = bytearray()
+            self._flags = b""
             self._nbits = 0
             self._rounds = range(0)
             self._empty = bits_per_key > 0
             return
-        nbits = max(64, len(keys) * bits_per_key)
+        count = len(keys)
+        nbits = max(64, count * bits_per_key)
+        k = optimal_hash_count(bits_per_key)
         self._nbits = nbits
-        # One round per hash function.  Kept as the probe loop's iterable,
-        # built once: a ``range()`` call per probe costs as much as two of
-        # the bit tests it drives.
-        self._rounds = range(optimal_hash_count(bits_per_key))
+        # Rounds 1 .. k-1, the probe loop's iterable (round 0 is tested
+        # before it), built once: a ``range()`` call per probe costs as
+        # much as two of the table tests it drives.
+        self._rounds = range(1, k)
         self._empty = False
-        if len(keys) >= _VECTOR_BUILD_MIN:
-            self._bits = self._build_vectorized(keys, nbits)
-        else:
-            self._bits = bytearray((nbits + 7) // 8)
-            for key in keys:
-                self._add(key)
-
-    def _build_vectorized(self, keys: Sequence[bytes], nbits: int) -> bytearray:
-        """Set all probe bits for ``keys`` in one numpy pass.
-
-        ``h1 < 2**32`` and ``h2 < 2**34``, so ``h1 + i*h2`` stays below
-        2**40 for every probe index ``i <= 30`` — int64 arithmetic is exact
-        and matches the scalar ``_add`` loop bit for bit.  The final OR is
-        a boolean scatter + ``packbits`` (little bit order matches the
-        scalar ``bits[pos >> 3] |= 1 << (pos & 7)`` layout exactly).
-        """
-        cache = _HASH_CACHE
-        crc32 = zlib.crc32
-        adler32 = zlib.adler32
-        h1_list: list = []
-        h2_list: list = []
-        push1 = h1_list.append
-        push2 = h2_list.append
-        if len(cache) < _HASH_CACHE_MAX:
-            for key in keys:
-                pair = cache.get(key)
-                if pair is None:
-                    pair = (crc32(key), (adler32(key) << 1) | 1)
-                    cache[key] = pair
-                push1(pair[0])
-                push2(pair[1])
-        else:
-            for key in keys:
-                pair = cache.get(key)
-                if pair is None:
-                    pair = (crc32(key), (adler32(key) << 1) | 1)
-                push1(pair[0])
-                push2(pair[1])
-        h1 = np.array(h1_list, dtype=np.int64)
-        h2 = np.array(h2_list, dtype=np.int64)
-        steps = np.arange(len(self._rounds), dtype=np.int64)
-        positions = (h1[:, None] + h2[:, None] * steps[None, :]) % nbits
-        flags = np.zeros(((nbits + 7) // 8) * 8, dtype=bool)
-        flags[positions.ravel()] = True
-        return bytearray(np.packbits(flags, bitorder="little").tobytes())
-
-    def _add(self, key: bytes) -> None:
-        h1, h2 = _base_hashes(key)
-        bits = self._bits
-        nbits = self._nbits
-        for _ in self._rounds:
-            bit = h1 % nbits
-            bits[bit >> 3] |= 1 << (bit & 7)
-            h1 += h2
+        # h1 < 2**32 and h2 < 2**34, so h1 + i*h2 < 2**40 for every round
+        # i <= 30: int64 is exact.
+        h1 = np.fromiter(map(crc32, keys), np.int64, count)
+        h2 = np.fromiter(map(adler32, keys), np.int64, count) * 2 + 1
+        steps = np.arange(k, dtype=np.int64)
+        flags = np.zeros(nbits, np.uint8)
+        flags[(h1[:, None] + h2[:, None] * steps) % nbits] = 1
+        self._flags = flags.tobytes()
 
     def may_contain(
         self, key: bytes, hashes: Optional[tuple[int, int]] = None
@@ -166,22 +110,29 @@ class BloomFilter:
         if nbits == 0:
             return not self._empty
         h1, h2 = hashes if hashes is not None else key_hashes(key)
-        bits = self._bits
+        flags = self._flags
+        # Round i tests (h1 + i*h2) % nbits, stepped rather than recomputed.
+        # Round 0 goes first, alone: about half of all absent keys stop there.
+        at = h1 % nbits
+        if not flags[at]:
+            return False
+        step = h2 % nbits
         for _ in self._rounds:
-            bit = h1 % nbits
-            if not bits[bit >> 3] & (1 << (bit & 7)):
+            at += step
+            if at >= nbits:
+                at -= nbits
+            if not flags[at]:
                 return False
-            h1 += h2  # < 2**40 (see _build_vectorized): never wraps
         return True
 
     @property
     def size_bytes(self) -> int:
-        """On-device footprint of the filter (plotted in Fig. 13)."""
-        return len(self._bits)
+        """On-device (packed) footprint of the filter (plotted in Fig. 13)."""
+        return (self._nbits + 7) // 8
 
     @property
     def hash_count(self) -> int:
-        return len(self._rounds)
+        return self._rounds.stop  # 0 for a disabled or empty filter
 
     def false_positive_rate(self, probes: Iterable[bytes]) -> float:
         """Measure the empirical FPR against keys known to be absent."""

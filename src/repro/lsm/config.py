@@ -77,8 +77,9 @@ class LSMConfig:
         first, delay each write by ``l0_slowdown_delay_us`` at the second,
         and block writes (compact inline) at the third.
     bloom_bits_per_key:
-        Bloom filter size; the paper studies 10–200 bits/key (Figs. 12c/f,
-        13) and recommends 8–16.
+        Bloom filter size in whole bits per key (an ``int``, not a
+        ``bool``; 0 disables the filters); the paper studies 10–200
+        bits/key (Figs. 12c/f, 13) and recommends 8–16.
     block_cache_bytes:
         Capacity of the LRU data-block cache (0 disables it).  LevelDB
         ships an 8 MB cache against 2 MB files; the equivalent at our
@@ -165,7 +166,10 @@ class LSMConfig:
             raise ConfigError(
                 "L0 triggers must satisfy compaction <= slowdown <= stop"
             )
-        if self.bloom_bits_per_key < 0:
+        bits = self.bloom_bits_per_key
+        if type(bits) is bool or not isinstance(bits, int):
+            raise ConfigError(f"bloom_bits_per_key must be an int, got {bits!r}")
+        if bits < 0:
             raise ConfigError("bloom_bits_per_key must be non-negative")
         if self.block_cache_bytes < 0:
             raise ConfigError("block_cache_bytes must be non-negative")

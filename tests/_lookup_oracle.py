@@ -1,8 +1,9 @@
 """The per-probe point lookup, kept as a test oracle.
 
 Until the per-lookup rework every filter probe of a ``DB.get`` paid its own
-way: ``may_contain`` re-read (and on a miss wrote) the process-global hash
-memo, slice coverage was ``Slice.covers_key`` -> ``in_range``, each constant
+way: ``may_contain`` re-read (and on a miss wrote) a process-global hash
+memo (here ``_HASH_MEMO``, this oracle's own: the engine keeps none),
+slice coverage was ``Slice.covers_key`` -> ``in_range``, each constant
 CPU charge a ``clock.advance`` call, each skipped filter a ``registry.add``,
 and a positive filter bisected the key column twice (``block_for_key`` for
 the charge, ``SSTable.get`` for the record).  Those routines live on here,
@@ -20,7 +21,6 @@ import zlib
 from bisect import bisect_left, bisect_right
 from typing import Optional
 
-from repro.lsm import bloom as bloom_module
 from repro.lsm.db import _check_key
 from repro.lsm.record import KIND_DELETE
 from repro.lsm.stats import ACT_READ_KEY
@@ -29,23 +29,31 @@ from repro.ssd.metrics import USER_READ
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
+#: The per-key ``(h1, h2)`` memo the per-probe ``may_contain`` read and wrote.
+_HASH_MEMO: dict = {}
+_HASH_MEMO_MAX = 1 << 20
+
 
 def may_contain(bloom, key: bytes) -> bool:
-    """The per-probe ``BloomFilter.may_contain``: memo read, write on miss."""
+    """The per-probe ``BloomFilter.may_contain``: memo read, write on miss.
+
+    Bit ``p`` is read from the filter's one-byte-per-bit table, entry ``p``
+    — the packed array's ``bits[p >> 3] & (1 << (p & 7))``, at the same
+    profiled cost (none).
+    """
     nbits = bloom._nbits
     if nbits == 0:
         return not bloom._empty
-    cache = bloom_module._HASH_CACHE
+    cache = _HASH_MEMO
     pair = cache.get(key)
     if pair is None:
         pair = (zlib.crc32(key), (zlib.adler32(key) << 1) | 1)
-        if len(cache) < bloom_module._HASH_CACHE_MAX:
+        if len(cache) < _HASH_MEMO_MAX:
             cache[key] = pair
     h1, h2 = pair
-    bits = bloom._bits
-    for _ in bloom._rounds:  # was range(self._nhashes): no profiled call either way
-        bit = h1 % nbits
-        if not bits[bit >> 3] & (1 << (bit & 7)):
+    flags = bloom._flags
+    for _ in range(bloom._rounds.stop):  # k rounds; range() is no profiled call
+        if not flags[h1 % nbits]:
             return False
         h1 = (h1 + h2) & _MASK64
     return True

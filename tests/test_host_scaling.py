@@ -9,7 +9,9 @@ The bookkeeping they pin used to rescan a level (or every flash owner,
 or the whole block cache) per compaction round or per request; the
 bounds below fail on any return to that.  ``TestCallsPerGet`` pins the
 point lookup the same way — what a get pays per Bloom probe — against the
-per-probe routine it replaced (``tests/_lookup_oracle.py``), and
+per-probe routine it replaced (``tests/_lookup_oracle.py``),
+``TestCallsPerBuild`` that a Bloom filter build pays per filter, not per
+key (against ``tests/_bloom_oracle.py``), and
 ``TestStageCost`` what mounting a device stage (trace sink, fault plan,
 flash) adds to a put and a get, ``TestLedgerCost`` that counting an
 operation costs no call of its own.  ``TestCallsPerScan`` pins what a scan pays
@@ -55,6 +57,7 @@ from repro.ssd.metrics import FLUSH_WRITE, WAL_WRITE
 from repro.workload.spec import rwb
 from repro.workload.ycsb import WorkloadGenerator
 
+from ._bloom_oracle import PackedBloomFilter
 from ._lookup_oracle import oracle_get
 from ._merge_oracle import merge_windows as oracle_merge, oracle_window
 from ._scan_oracle import cursor_scan
@@ -437,37 +440,52 @@ class TestCallsPerGet:
         ) / 4
         assert oracle_marginal >= 7, oracle_marginal
 
-    def test_one_memo_read_per_get_however_many_filters(self, monkeypatch):
-        class CountingMemo(dict):
-            reads = 0
-
-            def get(self, key, default=None):
-                CountingMemo.reads += 1
-                return dict.get(self, key, default)
-
+    def test_one_hash_pair_per_get_however_many_filters(self, monkeypatch):
         db = linked_target(8)
         stream = turned_away_keys(db)
-        for key in stream:  # build every filter; builds read the memo too
+        for key in stream:  # build every filter first
             db.get(key)
-        monkeypatch.setattr(
-            bloom_module, "_HASH_CACHE", CountingMemo(bloom_module._HASH_CACHE)
-        )
+        computed = Counter()
+
+        def counted(name):
+            checksum = getattr(bloom_module, name)
+
+            def call(key):
+                computed[name] += 1
+                return checksum(key)
+
+            return call
+
+        for name in ("crc32", "adler32"):
+            monkeypatch.setattr(bloom_module, name, counted(name))
         probes_before = db.metrics().get("engine.bloom_negative_skips")
-        absent = [key + b"x" for key in stream]  # not in the memo: computed
-        profiler = cProfile.Profile()
-        profiler.enable()
+        absent = [key + b"x" for key in stream]
         for key in stream + absent:
             db.get(key)
-        profiler.disable()
         gets = 2 * len(stream)
         assert db.metrics().get("engine.bloom_negative_skips") - probes_before >= 8 * gets
-        assert CountingMemo.reads == gets
-        computed = sum(
-            entry.callcount
-            for entry in profiler.getstats()
-            if isinstance(entry.code, str) and "crc32" in entry.code
-        )
-        assert computed == len(absent)
+        assert computed == {"crc32": gets, "adler32": gets}
+
+
+class TestCallsPerBuild:
+    """A Bloom filter build pays per filter, not per key.
+
+    Both checksums are mapped over the key list at C level and every probe
+    position is set in one numpy scatter, so ten times the keys is not one
+    profiled call more.  The packed-bit build it replaced
+    (``tests/_bloom_oracle.py``) paid a memo read and two appends per key.
+    """
+
+    @staticmethod
+    def calls(build, count: int) -> int:
+        keys = [key_of(number) for number in range(count)]
+        return total_calls(lambda: build(keys, 10))
+
+    def test_ten_times_the_keys_costs_the_same_calls(self):
+        small = self.calls(bloom_module.BloomFilter, 64)
+        assert self.calls(bloom_module.BloomFilter, 640) == small
+        oracle = self.calls(PackedBloomFilter, 64)
+        assert self.calls(PackedBloomFilter, 640) > oracle + 3 * 576
 
 
 def scan_mix_store(policy: str) -> DB:
@@ -585,9 +603,6 @@ class TestStageCost:
 
     @pytest.fixture(scope="class")
     def bare(self) -> tuple:
-        # The first build of each filter writes the process-global Bloom
-        # hash memo; warm it so every measured run only reads it.
-        self.calls()
         return self.calls()
 
     def added(self, bare: tuple, **stage) -> tuple:

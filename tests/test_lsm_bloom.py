@@ -135,41 +135,41 @@ class TestProperties:
             assert filt.may_contain(key, bloom_module.key_hashes(key)) == filt.may_contain(key)
 
 
-class TestHashMemo:
-    """The process-global ``(h1, h2)`` memo: builds write it, reads do not."""
+def module_sizes() -> dict:
+    """``len`` of every sized module-level attribute of ``repro.lsm.bloom``."""
+    sizes = {}
+    for name, value in vars(bloom_module).items():
+        try:
+            sizes[name] = len(value)
+        except TypeError:
+            pass
+    return sizes
 
-    def test_key_hashes_reads_the_memo_or_recomputes(self):
-        key = b"memo-test-key-never-built"
-        assert key not in bloom_module._HASH_CACHE
-        assert bloom_module.key_hashes(key) == bloom_module._base_hashes(key)
-        BloomFilter([key + b"%d" % i for i in range(8)], bits_per_key=10)
-        built = key + b"0"
-        assert bloom_module._HASH_CACHE[built] == bloom_module._base_hashes(built)
-        assert bloom_module.key_hashes(built) is bloom_module._HASH_CACHE[built]
 
-    def test_absent_key_reads_do_not_grow_the_memo(self):
-        """10 000 gets of never-written keys leave no entry behind.
+class TestNoGrowingState:
+    """``repro.lsm.bloom`` holds no container that grows with use.
 
-        The memo outlives every store (module-level, never released), so
-        a read-only workload over absent keys used to park one entry per
-        distinct key in it — well over 100 MB at the cap.
-        """
+    The module once kept a process-global ``(h1, h2)`` memo — up to a
+    million entries, never released — that every build wrote.  Nothing
+    module-level may change size now, whatever is built or probed.
+    """
+
+    def test_builds_and_reads_leave_the_module_as_it_was(self):
+        before = module_sizes()
+        for index in range(1_000):
+            BloomFilter([b"built-%d-%d" % (index, i) for i in range(20)], 10)
         db = DB(config=LSMConfig(block_cache_bytes=64 * 1024), policy="ldc")
         for index in range(3_000):
             db.put(b"stored-%06d" % index, b"v" * 100)
         db.flush()
-        # Build every filter first: the build path is allowed to write.
         for index in range(0, 3_000, 10):
             assert db.get(b"stored-%06d" % index) == b"v" * 100
-        before = len(bloom_module._HASH_CACHE)
         for index in range(10_000):
             # Distinct keys inside the files' ranges: each probes a filter.
             assert db.get(b"stored-%06d-%d" % (index % 3_000, index)) is None
         assert db.metrics().get("engine.bloom_negative_skips") > 9_000
-        assert len(bloom_module._HASH_CACHE) == before
         filt = BloomFilter([b"a%d" % i for i in range(20)], bits_per_key=10)
-        before = len(bloom_module._HASH_CACHE)
         assert not any(
             filt.may_contain(b"direct-probe-%d" % i) for i in range(0, 1000, 200)
         )
-        assert len(bloom_module._HASH_CACHE) == before
+        assert module_sizes() == before

@@ -61,6 +61,15 @@ class TestLSMConfig:
     def test_zero_bloom_bits_allowed(self):
         assert LSMConfig(bloom_bits_per_key=0).bloom_bits_per_key == 0
 
+    @pytest.mark.parametrize("bits", [7.5, 10.0, True, False])
+    def test_non_int_bloom_bits_rejected_at_config_time(self, bits):
+        """A float used to pass here and crash the first get's filter build;
+        ``True`` silently meant 1 bit/key."""
+        with pytest.raises(ConfigError, match="bloom_bits_per_key"):
+            LSMConfig(bloom_bits_per_key=bits)
+        with pytest.raises(ConfigError, match="bloom_bits_per_key"):
+            LSMConfig().with_overrides(bloom_bits_per_key=bits)
+
     def test_frozen_ratio_bounds(self):
         with pytest.raises(ConfigError):
             LSMConfig(frozen_space_limit_ratio=0.0)

@@ -10,6 +10,10 @@ runs never stall and seek compaction is opt-in — and fails on
 * an emitted key no row matches (or one matches with the wrong kind), and
 * a row nothing emits (a documented metric that no longer exists).
 
+Its "Trace events" table is checked the same way against
+``ALL_EVENT_KINDS`` and the payloads of one traced tiny run per device
+stack.
+
 Patterns: ``<name>`` stands for one dotted segment (``<i>`` for an
 integer), ``{a,b}`` for alternatives, and a trailing ``<key>`` for any
 other documented key (the ``shard.<i>.`` re-keying of a whole snapshot).
@@ -20,18 +24,30 @@ from __future__ import annotations
 import dataclasses
 import pathlib
 import re
-from typing import Dict, Iterable, List, Tuple
+from collections import defaultdict
+from functools import lru_cache
+from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 import pytest
 
-from repro import DB, DeviceConfig, FlashSpec, SimulatedSSD
+from repro import DB, DeviceConfig, FlashSpec, SimulatedSSD, Tracer
 from repro.errors import CorruptionError, PersistentIOError, SimulatedCrash
 from repro.faults.plan import FaultPlan, RetryPolicy
+from repro.harness.runner import execute_operations
 from repro.obs.aggregate import is_level_gauge
+from repro.obs.events import ALL_EVENT_KINDS
 from repro.obs.snapshot import MetricsSnapshot
+from repro.obs.tracer import TraceSink
 from repro.ssd.metrics import USER_READ
 
-from .test_ledger_identity import KIB, emitted_snapshots, make_key, small
+from .test_ledger_identity import (
+    FLASH,
+    KIB,
+    emitted_snapshots,
+    make_key,
+    mixed_operations,
+    small,
+)
 
 CATALOGUE = pathlib.Path(__file__).parent.parent / "docs" / "METRICS.md"
 KINDS = ("counter", "gauge")
@@ -185,3 +201,83 @@ def test_the_fold_column_is_what_the_fold_does() -> None:
             continue
         sample = re.sub(r"<\w+>", "ldc", pattern)
         assert is_level_gauge(sample) == (fold == "max"), pattern
+
+
+# ----------------------------------------------------------------------
+# Trace events
+# ----------------------------------------------------------------------
+def event_rows() -> Dict[str, FrozenSet[str]]:
+    """The "Trace events" table: kind -> its documented payload fields."""
+    text = CATALOGUE.read_text().split("\n## Trace events\n", 1)[1]
+    table: Dict[str, FrozenSet[str]] = {}
+    for line in text.split("\n## ", 1)[0].splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) == 3 and cells[0].startswith("`"):
+            assert cells[0].strip("`") not in table, f"{cells[0]} documented twice"
+            table[cells[0].strip("`")] = frozenset(re.findall(r"`(\w+)`", cells[2]))
+    return table
+
+
+class FieldSink(TraceSink):
+    """Records the payload field names seen per event kind, not the events."""
+
+    def __init__(self) -> None:
+        self.fields: Dict[str, set] = defaultdict(set)
+
+    def emit(self, event) -> None:
+        self.fields[event.kind].update(event.fields)
+
+
+STACKS = ("plain", "sched", "flash", "plan")
+
+
+@lru_cache(maxsize=None)
+def traced_run(stack: str) -> Dict[str, set]:
+    """One tiny LDC run on ``stack``; kind -> payload fields it emitted."""
+    sink = FieldSink()
+    plan = None
+    if stack == "plan":
+        plan = FaultPlan(RetryPolicy(max_attempts=3, backoff_us=50.0))
+        plan.transient(4, failures=2).crash_at(40, category="wal_write")
+    db = DB(
+        config=small(bg_threads=1 if stack == "sched" else 0),
+        policy="ldc",
+        profile=DeviceConfig(flash=FLASH) if stack == "flash" else DeviceConfig(),
+        tracer=Tracer([sink]),
+        fault_plan=plan,
+    )
+    if stack == "sched":
+        db._l0_slowdown, db._l0_stop = 1, 2  # stall under the scheduler
+    if stack != "plan":
+        execute_operations(db, mixed_operations(), workload_name="trace")
+        return sink.fields
+    for index in range(900):
+        try:
+            db.put(make_key(index % 300), b"f" * 70)
+        except SimulatedCrash:
+            db.crash_and_recover()
+    plan.corrupt_read(db.device.faults.read_count + 1)
+    with pytest.raises(CorruptionError):
+        for index in range(300):
+            db.get(make_key(index))
+    return sink.fields
+
+
+def test_every_event_kind_has_exactly_one_row() -> None:
+    table = event_rows()
+    assert sorted(table) == sorted(ALL_EVENT_KINDS)
+    assert all(table.values()), "a row lists no payload field"
+
+
+@pytest.mark.parametrize("stack", STACKS)
+def test_every_emitted_payload_field_is_documented(stack) -> None:
+    table = event_rows()
+    for kind, fields in traced_run(stack).items():
+        assert kind in table, f"undocumented event kind {kind!r}"
+        assert fields == table[kind], (kind, sorted(fields), sorted(table[kind]))
+
+
+def test_the_traced_runs_emit_every_kind() -> None:
+    """So every row's field list above was checked against a payload."""
+    seen = set().union(*(traced_run(stack) for stack in STACKS))
+    assert seen == set(ALL_EVENT_KINDS)

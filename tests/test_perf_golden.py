@@ -11,9 +11,9 @@ shifts the simulation fails here, not in a reproduction figure.
 Two golden layers:
 
 * **Bloom bit patterns** — the filter over a fixed key set must hash to the
-  same bytes on every platform and process (crc32/adler32 are standardized,
-  and the vectorized build path must stay bit-exact with the scalar probe
-  loop);
+  same bytes on every platform and process (crc32/adler32 are standardized;
+  the digest is over the packed on-device layout, which the one-byte-per-bit
+  table must reproduce exactly);
 * **End-to-end metric snapshots** — a small RWB run under UDC and LDC must
   reproduce pinned virtual-elapsed time, I/O byte totals and maintenance
   counters exactly.
@@ -26,12 +26,13 @@ that is the contract.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from repro.harness import experiments
 from repro.harness.runner import run_workload as runner_run_workload
 from repro.lsm import bloom
-from repro.lsm.bloom import BloomFilter, _base_hashes
+from repro.lsm.bloom import BloomFilter, key_hashes
 from repro.lsm.config import LSMConfig
 from repro.lsm.db import DB, WriteBatch
 from repro.workload import spec as workloads
@@ -222,6 +223,12 @@ def _golden_keyset():
     return [str(index).zfill(16).encode("ascii") for index in range(500)]
 
 
+def _packed_bits(bf: BloomFilter) -> bytes:
+    """The filter's bits packed little-endian, eight to a byte."""
+    table = np.frombuffer(bf._flags, np.uint8)
+    return np.packbits(table, bitorder="little").tobytes()
+
+
 def _snapshot(result) -> dict:
     return {
         "elapsed_us": result.elapsed_us,
@@ -349,23 +356,15 @@ class TestBloomGolden:
     def test_base_hashes_pinned(self):
         """The double-hash bases are platform-independent constants."""
         for key, expected in GOLDEN_BASE_HASHES.items():
-            assert _base_hashes(key) == expected
+            assert key_hashes(key) == expected
 
     def test_bit_pattern_pinned(self):
         """The whole filter byte array matches the golden digest."""
         bf = BloomFilter(_golden_keyset(), bits_per_key=10)
         assert bf.size_bytes == GOLDEN_BLOOM_SIZE_BYTES
         assert bf.hash_count == GOLDEN_BLOOM_HASH_COUNT
-        digest = hashlib.sha256(bytes(bf._bits)).hexdigest()
+        digest = hashlib.sha256(_packed_bits(bf)).hexdigest()
         assert digest == GOLDEN_BLOOM_SHA256
-
-    def test_vectorized_build_matches_scalar(self, monkeypatch):
-        """Both construction paths must produce bit-identical filters."""
-        keys = _golden_keyset()
-        vectorized = BloomFilter(keys, bits_per_key=10)
-        monkeypatch.setattr(bloom, "_VECTOR_BUILD_MIN", 10**9)
-        scalar = BloomFilter(keys, bits_per_key=10)
-        assert bytes(vectorized._bits) == bytes(scalar._bits)
 
     def test_fpr_within_theory_bounds(self):
         """Measured FPR stays near the theoretical optimum for the sizing.
@@ -535,11 +534,11 @@ def _regen() -> None:  # pragma: no cover - maintenance helper
     import json
 
     bf = BloomFilter(_golden_keyset(), bits_per_key=10)
-    print("GOLDEN_BLOOM_SHA256 =", repr(hashlib.sha256(bytes(bf._bits)).hexdigest()))
+    print("GOLDEN_BLOOM_SHA256 =", repr(hashlib.sha256(_packed_bits(bf)).hexdigest()))
     print("GOLDEN_BLOOM_SIZE_BYTES =", bf.size_bytes)
     print("GOLDEN_BLOOM_HASH_COUNT =", bf.hash_count)
     for key in GOLDEN_BASE_HASHES:
-        print("base_hashes", key, _base_hashes(key))
+        print("base_hashes", key, key_hashes(key))
     for policy_name in _POLICIES:
         print(policy_name, json.dumps(_snapshot(_run(policy_name)), indent=4))
     for policy_name in _POLICIES:
