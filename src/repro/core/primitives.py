@@ -22,6 +22,9 @@ fingerprint suites pin its behaviour byte for byte.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from heapq import heapify, heappop, heappush
+from itertools import chain
 from operator import attrgetter
 from typing import List, Optional, Tuple
 
@@ -42,7 +45,6 @@ from ..obs.events import EV_LINK, EV_MERGE, EV_TRIVIAL_MOVE
 from ..ssd.metrics import COMPACTION_READ
 
 _slice_links = attrgetter("slice_links")
-_linked_bytes = attrgetter("linked_bytes")
 
 #: Tagged unit kinds the selector hands to the movement.
 LINK_SOURCE = "source"
@@ -80,21 +82,27 @@ class LDCUnitSelector(CandidateSelector):
         freezing strictly oldest-first guarantees that later-linked slices
         always carry newer data than earlier-linked ones, which the read
         path's newest-link-first priority relies on.
+
+        A deeper level is already in key order, so the pick is the first
+        link-free file past the compact pointer (one bisect of the level's
+        max keys), wrapping to the first link-free file of the level.
         """
         version = self.db.version
-        candidates = [
-            table for table in version.files(level) if not table.slice_links
-        ]
-        if not candidates:
-            return None
+        files = version.files(level)
         if level == 0:
+            candidates = [table for table in files if not table.slice_links]
+            if not candidates:
+                return None
             return min(candidates, key=lambda table: table.file_id)
         pointer = version.compact_pointer.get(level)
-        if pointer is not None:
-            for table in sorted(candidates, key=lambda t: t.min_key):
-                if table.max_key > pointer:
-                    return table
-        return min(candidates, key=lambda table: table.min_key)
+        start = (
+            0 if pointer is None
+            else bisect_right(version._max_keys[level], pointer)
+        )
+        for index in chain(range(start, len(files)), range(start)):
+            if not files[index].slice_links:
+                return files[index]
+        return None
 
 
 @register_primitive("movement", "ldc_link_merge")
@@ -132,6 +140,11 @@ class LDCLinkMergeMovement(DataMovement):
         #: Active lower-level tables currently holding at least one slice,
         #: keyed by file id (merge-trigger scan set).
         self._linked_tables: dict[int, SSTable] = {}
+        #: Frozen-space victim heap, lazily invalidated: one
+        #: ``(-linked_bytes, first link_seq, file_id)`` entry per slice a
+        #: table received (see :meth:`_frozen_space_victim`), rebuilt when
+        #: a link leaves it over 4x the linked set.
+        self._victims: List[Tuple[int, int, int]] = []
         #: Subset of linked tables already past the merge trigger, filled
         #: at link time so the per-operation check is O(1).
         self._due: dict[int, SSTable] = {}
@@ -258,11 +271,30 @@ class LDCLinkMergeMovement(DataMovement):
         )
         if self.frozen.space_bytes <= limit or not self._linked_tables:
             return False
-        victim = max(self._linked_tables.values(), key=_linked_bytes)
+        victim = self._frozen_space_victim()
         db.registry.add("engine.forced_merges")
         self.policy.bump("forced_merges")
         self.merge(victim)
         return True
+
+    def _frozen_space_victim(self) -> SSTable:
+        """The most-linked table; among equals, the first one linked.
+
+        That is ``max(_linked_tables.values(), key=linked_bytes)``'s pick:
+        a table enters ``_linked_tables`` once, at its first link, so dict
+        order is first-link order, which its first slice's ``link_seq``
+        ranks.  A table's ``linked_bytes`` only grows until its merge
+        removes it, so an entry is current exactly when its table is still
+        linked and holds the entry's bytes; stale ones are popped here.
+        """
+        victims = self._victims
+        linked = self._linked_tables
+        while True:
+            negative_bytes, _, file_id = victims[0]
+            table = linked.get(file_id)
+            if table is not None and table.linked_bytes == -negative_bytes:
+                return table
+            heappop(victims)
 
     def _descend_into_empty_level(self, level: int, source: SSTable) -> bool:
         """Move data into an empty next level (bootstrap path).
@@ -323,14 +355,29 @@ class LDCLinkMergeMovement(DataMovement):
             )
         version.remove_file(level, source)
         self.frozen.freeze(source, references=len(plan))
+        linked = self._linked_tables
+        victims = self._victims
         for target, lo, hi in plan:
             self._link_seq += 1
             piece = Slice(source, lo, hi, self._link_seq)
             attach_slice(target, piece)
             version.note_linked_bytes(level + 1, piece.size_bytes)
-            self._linked_tables[target.file_id] = target
+            # A table joins the linked set at its first slice, whose
+            # link_seq ranks it among equals in the victim heap.
+            linked[target.file_id] = target
+            heappush(victims, (
+                -target.linked_bytes, target.slice_links[0].link_seq,
+                target.file_id,
+            ))
             if self.due_for_merge(target):
                 self._due[target.file_id] = target
+        if len(victims) > 4 * len(linked):
+            # Drop the stale entries: one current entry per linked table.
+            self._victims = victims = [
+                (-table.linked_bytes, table.slice_links[0].link_seq, file_id)
+                for file_id, table in linked.items()
+            ]
+            heapify(victims)
         db.registry.add("engine.link_count")
         policy.bump("links")
         policy.bump("slices_created", len(plan))
@@ -395,7 +442,7 @@ class LDCLinkMergeMovement(DataMovement):
 
         # Load the lower file in full and each slice's overlapping blocks.
         run_sizes = [target.data_size]
-        run_sizes.extend(piece.read_block_bytes() for piece in slices)
+        run_sizes.extend(map(Slice.read_block_bytes, slices))
         charged = db.device.read_runs(run_sizes, COMPACTION_READ, sequential=True)
         if db.device.faults is not None:
             # The batch ends at a read a corruption landed on: verifying
@@ -412,7 +459,7 @@ class LDCLinkMergeMovement(DataMovement):
         # The slices' cached index windows over their frozen sources *are*
         # the merge inputs — no re-bisect, no record materialisation.
         windows = [target.columns_window()]
-        windows.extend(piece.columns_window() for piece in slices)
+        windows.extend(map(Slice.columns_window, slices))
         drop = policy.can_drop_tombstones(level)
         merged = merge_windows(windows)
         outputs = policy.finish_merge(merged, drop_deletes=drop)

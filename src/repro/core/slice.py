@@ -99,8 +99,14 @@ class Slice:
     # overlap the slice range — the saving over UDC's whole-file reads.
     # ------------------------------------------------------------------
     def read_block_bytes(self) -> int:
-        """Device bytes to load the whole slice during a merge."""
-        return self.source.block_bytes_in_range(self.lo, self.hi)
+        """Device bytes to load the whole slice during a merge.
+
+        Whole blocks are the unit of I/O: the blocks the cached index
+        window ``[_start, _stop)`` touches, each paid in full.
+        """
+        source = self.source
+        first, end = source.block_span(self._start, self._stop)
+        return sum(source._block_bytes[first:end]) if end > first else 0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -17,6 +17,25 @@ from ..errors import ConfigError
 KIB = 1024
 MIB = 1024 * 1024
 
+#: ``LSMConfig`` fields that count bytes, files, levels or threads: each
+#: must be a plain ``int`` — not a float, and not a ``bool``.
+_INT_FIELDS = (
+    "memtable_bytes",
+    "sstable_target_bytes",
+    "block_bytes",
+    "fan_out",
+    "level1_capacity_bytes",
+    "max_levels",
+    "l0_compaction_trigger",
+    "l0_slowdown_trigger",
+    "l0_stop_trigger",
+    "bloom_bits_per_key",
+    "block_cache_bytes",
+    "slicelink_threshold",
+    "bg_threads",
+    "sched_chunk_blocks",
+)
+
 
 @dataclass(frozen=True)
 class CostModel:
@@ -53,6 +72,9 @@ class CostModel:
 @dataclass(frozen=True)
 class LSMConfig:
     """Tunable parameters of the LSM-tree engine.
+
+    Every count and byte field is an ``int``: a float or a ``bool`` there
+    raises :class:`~repro.errors.ConfigError` at construction.
 
     Parameters
     ----------
@@ -142,6 +164,10 @@ class LSMConfig:
     costs: CostModel = field(default_factory=CostModel)
 
     def __post_init__(self) -> None:
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if type(value) is bool or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an int, got {value!r}")
         positives = (
             "memtable_bytes",
             "sstable_target_bytes",
@@ -166,10 +192,7 @@ class LSMConfig:
             raise ConfigError(
                 "L0 triggers must satisfy compaction <= slowdown <= stop"
             )
-        bits = self.bloom_bits_per_key
-        if type(bits) is bool or not isinstance(bits, int):
-            raise ConfigError(f"bloom_bits_per_key must be an int, got {bits!r}")
-        if bits < 0:
+        if self.bloom_bits_per_key < 0:
             raise ConfigError("bloom_bits_per_key must be non-negative")
         if self.block_cache_bytes < 0:
             raise ConfigError("block_cache_bytes must be non-negative")

@@ -37,7 +37,10 @@ from .iterators import merge_streams
 from .memtable import MemTable
 from .record import (
     KIND_DELETE,
+    KIND_PUT,
+    RECORD_OVERHEAD_BYTES,
     KVRecord,
+    _new_record,
     delete_record,
     put_record,
 )
@@ -160,10 +163,15 @@ class DB:
         # registry.reset zeroes values in place, so the dict object stays
         # valid for the DB's lifetime.
         self._counters = self.registry._counters
-        # Stall triggers, cached: _maybe_stall runs before every write.
+        # Write-path constants, cached: every write reads them.
         self._l0_stop = self.config.l0_stop_trigger
         self._l0_slowdown = self.config.l0_slowdown_trigger
+        self._insert_us = self.config.costs.memtable_insert_us
         self.policy.attach(self)
+        #: Whether a write must notify the policy: only a movement that
+        #: observes operations (LDC's adaptive threshold) has anything to
+        #: do with the notification.
+        self._observes = getattr(self.policy, "_movement_observes", True)
         #: Virtual-time background compaction (repro.sched); None keeps
         #: the historical synchronous engine with bit-identical timing.
         self.sched = (
@@ -230,19 +238,33 @@ class DB:
     # ------------------------------------------------------------------
     def put(self, key: bytes, value: bytes) -> None:
         """Insert or update ``key``; may trigger flush and compactions."""
-        self._check_open()
-        _check_key(key)
-        if not isinstance(value, bytes):
-            raise TypeError("values must be bytes")
-        record = put_record(key, value, self._next_sequence())
-        self._apply_write(record)
+        # Validation inlined for the common case, as in get; the slow
+        # paths re-run the full checks to raise the same typed errors.
+        if self._closed:
+            self._check_open()
+        if type(key) is not bytes or not key:
+            _check_key(key)
+        if type(value) is not bytes:
+            _check_value(value)
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        # put_record, built in place: one record per write.
+        self._apply_write(_new_record(KVRecord, (
+            key, seq, KIND_PUT, value,
+            len(key) + len(value) + RECORD_OVERHEAD_BYTES,
+        )))
 
     def delete(self, key: bytes) -> None:
         """Delete ``key`` by writing a tombstone."""
-        self._check_open()
-        _check_key(key)
-        record = delete_record(key, self._next_sequence())
-        self._apply_write(record)
+        if self._closed:
+            self._check_open()
+        if type(key) is not bytes or not key:
+            _check_key(key)
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        self._apply_write(_new_record(
+            KVRecord, (key, seq, KIND_DELETE, b"", len(key) + RECORD_OVERHEAD_BYTES)
+        ))
 
     def write_batch(self, batch: "WriteBatch") -> None:
         """Apply a batch of mutations atomically-in-order.
@@ -261,6 +283,9 @@ class DB:
         additions are *not* associative).
         """
         self._check_open()
+        clock = self.clock
+        if clock._capture is not None:
+            raise EngineError("a write cannot run inside a clock capture")
         records = []
         push = records.append
         next_sequence = self._next_sequence
@@ -269,24 +294,24 @@ class DB:
             if value is None:
                 push(delete_record(key, next_sequence()))
             else:
-                if not isinstance(value, bytes):
-                    raise TypeError("values must be bytes")
+                _check_value(value)
                 push(put_record(key, value, next_sequence()))
         if not records:
             return
-        self.policy.on_operation(True)
-        self._maybe_stall()
+        if self._observes:
+            self.policy.on_operation(True)
+        if len(self.version.levels[0]) >= self._l0_slowdown:
+            self._maybe_stall()
         total = sum(record[4] for record in records)
         if self._wal is not None:
             self._count(ACT_WAL_KEY, self._wal.append_batch(records, total))
-        start = self.clock.now()
+        start = clock._now_us
         memtable_add = self._memtable.add
-        advance = self.clock.advance
-        insert_us = self.config.costs.memtable_insert_us
+        insert_us = self._insert_us
         deletes = 0
         for record in records:
             memtable_add(record)
-            advance(insert_us)
+            clock._now_us += insert_us
             if record[2] == KIND_DELETE:
                 deletes += 1
         count = self._count
@@ -295,23 +320,39 @@ class DB:
         if deletes != len(records):
             count("engine.puts", len(records) - deletes)
         count("engine.user_bytes_written", total)
-        count(ACT_WRITE_KEY, self.clock.now() - start)
+        count(ACT_WRITE_KEY, clock._now_us - start)
         if self._memtable.approximate_bytes >= self.config.memtable_bytes:
             self.flush()
-        self._maintenance_step()
+        if self.sched is not None or not self.policy._maintenance_idle:
+            self._maintenance_step()
 
     def _apply_write(self, record: KVRecord) -> None:
-        self.policy.on_operation(True)
-        self._maybe_stall()
+        """Log, insert and charge one write, then flush and maintain.
+
+        Every step is gated by the check that makes it due, so a write
+        that neither stalls, flushes nor compacts makes no call for those
+        steps: the policy hears of the write only when its movement
+        observes operations, the Level-0 back-pressure runs only at the
+        slowdown trigger, and the maintenance poll only when the scheduler
+        is on or the idle gate is open.  The memtable insert is charged to
+        the clock in place, which is ``clock.advance`` only while no
+        capture diverts charges, hence the guard.
+        """
+        clock = self.clock
+        if clock._capture is not None:
+            raise EngineError("a write cannot run inside a clock capture")
+        if self._observes:
+            self.policy.on_operation(True)
+        if len(self.version.levels[0]) >= self._l0_slowdown:
+            self._maybe_stall()
         counters = self._counters
         if self._wal is not None:
             elapsed = self._wal.append(record)
             counters[ACT_WAL_KEY] = counters.get(ACT_WAL_KEY, 0) + elapsed
-        clock = self.clock
         start = clock._now_us
         memtable = self._memtable
         memtable.add(record)
-        clock.advance(self.config.costs.memtable_insert_us)
+        clock._now_us += self._insert_us
         if record[2] == KIND_DELETE:
             counters["engine.deletes"] = counters.get("engine.deletes", 0) + 1
         else:
@@ -324,7 +365,8 @@ class DB:
         )
         if memtable._bytes >= self.config.memtable_bytes:
             self.flush()
-        self._maintenance_step()
+        if self.sched is not None or not self.policy._maintenance_idle:
+            self._maintenance_step()
 
     def _maybe_stall(self) -> None:
         """LevelDB's Level-0 back-pressure.
@@ -1113,3 +1155,8 @@ def _check_key(key: bytes) -> None:
         raise TypeError("keys must be bytes")
     if not key:
         raise EngineError("keys must be non-empty")
+
+
+def _check_value(value: bytes) -> None:
+    if not isinstance(value, bytes):
+        raise TypeError("values must be bytes")

@@ -13,14 +13,18 @@ flushed.  We model exactly that, and we model it *crash-accurately*:
   unacknowledged write at recovery.
 * **Durable units.**  Each append (single record or whole batch) is one
   unit.  A crash mid-append may leave a *torn* unit: the crash carries
-  the number of bytes that reached the media, and the torn unit is kept
-  with its surviving byte count so recovery can detect and drop it —
+  the number of bytes that reached the media, and the torn unit keeps
+  those bytes in the log's size so recovery can detect and drop it —
   giving batches their all-or-nothing guarantee.
+* **A flat image.**  Only complete units reach the record list, so the
+  log is that list (every complete unit's records, in append order), a
+  count of torn units and a byte total.  A put appends one record to a
+  list; no per-append object is built.
 * **Charged recovery.**  :meth:`recover` charges one sequential
-  ``wal_read`` of the stored bytes (satellite: recovery I/O is no longer
-  free), counts dropped torn units under ``faults.torn_records_dropped``,
-  and verifies the read against injected corruption, raising
-  :class:`~repro.errors.CorruptionError` on a flipped-bit delivery.
+  ``wal_read`` of the stored bytes, counts dropped torn units under
+  ``faults.torn_records_dropped``, and verifies the read against
+  injected corruption, raising :class:`~repro.errors.CorruptionError` on
+  a flipped-bit delivery.
 """
 
 from __future__ import annotations
@@ -38,26 +42,18 @@ from ..ssd.metrics import WAL_READ, WAL_WRITE
 CTR_TORN_DROPPED = "faults.torn_records_dropped"
 
 
-class _Unit:
-    """One durable append unit: a single record or a whole batch."""
-
-    __slots__ = ("records", "nbytes", "torn_bytes", "complete")
-
-    def __init__(self, records: List[KVRecord], nbytes: int) -> None:
-        self.records = records
-        self.nbytes = nbytes
-        #: Bytes on media for a torn unit (< nbytes); only meaningful
-        #: when ``complete`` is False.
-        self.torn_bytes = 0
-        self.complete = False
-
-
 class WriteAheadLog:
-    """Sequential-append log protecting the active memtable."""
+    """Sequential-append log protecting the active memtable.
+
+    ``_records`` holds every complete unit's records in append order,
+    ``_torn`` counts torn units, and ``_bytes`` the bytes on media:
+    complete units plus what each torn unit left (see :meth:`_tear`).
+    """
 
     def __init__(self, device: SimulatedSSD) -> None:
         self._device = device
-        self._units: List[_Unit] = []
+        self._records: List[KVRecord] = []
+        self._torn = 0
         self._bytes = 0
 
     # ------------------------------------------------------------------
@@ -65,7 +61,18 @@ class WriteAheadLog:
     # ------------------------------------------------------------------
     def append(self, record: KVRecord) -> float:
         """Log one mutation; returns the virtual time charged (µs)."""
-        return self._append_unit([record], record[4])
+        nbytes = record[4]
+        try:
+            elapsed = self._device.write(
+                nbytes, WAL_WRITE, sequential=True,
+                owner=WAL_STREAM_OWNER, stream=True,
+            )
+        except BaseException as error:
+            self._tear(error, nbytes)
+            raise
+        self._records.append(record)
+        self._bytes += nbytes
+        return elapsed
 
     def append_batch(self, records: List[KVRecord], total_bytes: int) -> float:
         """Log a whole batch as one sequential write (WriteBatch path).
@@ -74,26 +81,30 @@ class WriteAheadLog:
         batch — the reason LevelDB applications group writes.  The batch
         is one durable unit: recovery replays it entirely or not at all.
         """
-        return self._append_unit(list(records), total_bytes)
-
-    def _append_unit(self, records: List[KVRecord], nbytes: int) -> float:
-        unit = _Unit(records, nbytes)
-        self._units.append(unit)
-        self._bytes += nbytes
         try:
             elapsed = self._device.write(
-                nbytes, WAL_WRITE, sequential=True,
+                total_bytes, WAL_WRITE, sequential=True,
                 owner=WAL_STREAM_OWNER, stream=True,
             )
-        except SimulatedCrash as crash:
-            # The write never completed; record how much of the unit the
-            # crash left on media so recovery sees (and drops) the torn
-            # tail rather than replaying a phantom acknowledged write.
-            unit.torn_bytes = min(crash.torn_bytes, nbytes)
-            self._bytes -= nbytes - unit.torn_bytes
+        except BaseException as error:
+            self._tear(error, total_bytes)
             raise
-        unit.complete = True
+        self._records.extend(records)
+        self._bytes += total_bytes
         return elapsed
+
+    def _tear(self, error: BaseException, nbytes: int) -> None:
+        """An append the device did not complete is a torn unit.
+
+        A crash reports the bytes it left on media; any other failure
+        (a persistent I/O error, a full device) leaves the whole unit
+        counted.  Recovery drops the unit either way rather than replay
+        a write that was never acknowledged.
+        """
+        self._torn += 1
+        if isinstance(error, SimulatedCrash):
+            nbytes = min(error.torn_bytes, nbytes)
+        self._bytes += nbytes
 
     # ------------------------------------------------------------------
     # State
@@ -104,12 +115,12 @@ class WriteAheadLog:
 
     @property
     def unflushed_count(self) -> int:
-        return sum(len(u.records) for u in self._units if u.complete)
+        return len(self._records)
 
     @property
     def has_torn_tail(self) -> bool:
-        """True when the log image ends in a partially persisted unit."""
-        return any(not u.complete for u in self._units)
+        """True when the log image holds a partially persisted unit."""
+        return self._torn > 0
 
     def reset(self) -> None:
         """Discard the log after its memtable has been durably flushed.
@@ -118,7 +129,8 @@ class WriteAheadLog:
         log pages (and any partial-page fill remainder) are invalidated
         so GC never relocates stale WAL data.
         """
-        self._units = []
+        self._records = []
+        self._torn = 0
         self._bytes = 0
         self._device.trim(WAL_STREAM_OWNER)
 
@@ -144,22 +156,13 @@ class WriteAheadLog:
                     f"WAL replay checksum mismatch: stored 0x{expected:08x}, "
                     f"read 0x{expected ^ mask:08x}"
                 )
-        records: List[KVRecord] = []
-        dropped = 0
-        for unit in self._units:
-            if unit.complete:
-                records.extend(unit.records)
-            else:
-                dropped += 1
-        if dropped:
-            self._device.registry.add(CTR_TORN_DROPPED, dropped)
-        return records
+        if self._torn:
+            self._device.registry.add(CTR_TORN_DROPPED, self._torn)
+        return list(self._records)
 
     def checksum(self) -> int:
-        """CRC32 over the durable log image (complete units, in order)."""
+        """CRC32 over the durable log image (complete records, in order)."""
         crc = 0
-        for unit in self._units:
-            if unit.complete:
-                for record in unit.records:
-                    crc = zlib.crc32(repr(record).encode(), crc)
+        for record in self._records:
+            crc = zlib.crc32(repr(record).encode(), crc)
         return crc

@@ -7,7 +7,11 @@ exactly, so nothing here depends on how fast the machine is.
 
 The bookkeeping they pin used to rescan a level (or every flash owner,
 or the whole block cache) per compaction round or per request; the
-bounds below fail on any return to that.  ``TestCallsPerGet`` pins the
+bounds below fail on any return to that — LDC's frozen-space victim and
+link-source picks included (against ``tests/_ldc_oracle.py``).
+``TestCallsPerPut`` pins what a put that neither flushes nor compacts
+pays, against the write path it replaced (``tests/_write_oracle.py``).
+``TestCallsPerGet`` pins the
 point lookup the same way — what a get pays per Bloom probe — against the
 per-probe routine it replaced (``tests/_lookup_oracle.py``),
 ``TestCallsPerBuild`` that a Bloom filter build pays per filter, not per
@@ -29,13 +33,14 @@ import math
 import random
 from collections import Counter
 from functools import partial
+from heapq import heappush
 from itertools import count
 from types import SimpleNamespace
 
 import pytest
 
 from repro import DB, DeviceConfig, FlashSpec, RingBufferSink, SimulatedSSD, Tracer
-from repro.core.primitives import LDCLinkMergeMovement
+from repro.core.primitives import LDCLinkMergeMovement, LDCUnitSelector
 from repro.core.slice import Slice, attach_slice
 from repro.faults.plan import FaultPlan
 from repro.lsm import bloom as bloom_module
@@ -57,6 +62,8 @@ from repro.ssd.metrics import FLUSH_WRITE, WAL_WRITE
 from repro.workload.spec import rwb
 from repro.workload.ycsb import WorkloadGenerator
 
+from . import _ldc_oracle as ldc_oracle
+from . import _write_oracle as write_oracle
 from ._bloom_oracle import PackedBloomFilter
 from ._lookup_oracle import oracle_get
 from ._merge_oracle import merge_windows as oracle_merge, oracle_window
@@ -80,12 +87,15 @@ def _spied(name):
 
 
 class SpyTable(SSTable):
-    """An SSTable that notes which files had a boundary key read or were
-    compared (``list.index`` walks a level by ``==``)."""
+    """An SSTable that notes which files had a boundary key, their links or
+    their linked bytes read, or were compared (``list.index`` walks a level
+    by ``==``)."""
 
     touched = set()
     min_key = _spied("min_key")
     max_key = _spied("max_key")
+    slice_links = _spied("slice_links")
+    linked_bytes = _spied("linked_bytes")
     __hash__ = SSTable.__hash__
 
     def __eq__(self, other):
@@ -110,10 +120,14 @@ def big_level() -> VersionSet:
     return version
 
 
-def files_touched(call, answer_size: int = 0) -> int:
+def touched_by(call) -> int:
     SpyTable.touched = set()
     call()
-    touched = len(SpyTable.touched)
+    return len(SpyTable.touched)
+
+
+def files_touched(call, answer_size: int = 0) -> int:
+    touched = touched_by(call)
     assert touched <= 2 * math.log2(FILES) + answer_size + 4, touched
     return touched
 
@@ -167,6 +181,58 @@ class TestLevelQueriesTouchFewFiles:
         assert [target for target, _, _ in plan] == targets[400:404]
         assert plan[0][1] == key_successor(targets[399].max_key)
 
+    def test_frozen_space_victim(self):
+        """The heap's top is the answer; ``max`` read every linked table."""
+        version = big_level()
+        movement = LDCLinkMergeMovement()
+        movement.db = SimpleNamespace(version=version)
+        source = SSTable.from_records(
+            next(_file_ids), [put_record(key_of(1), b"f", 1)], CONFIG
+        )
+        source.frozen = True
+        link_seqs = count(1)
+        for index, table in enumerate(version.files(LEVEL)):
+            # One to three equal slices each: ties at every linked size.
+            for _ in range(1 + index % 3):
+                attach_slice(table, Slice(source, None, None, next(link_seqs)))
+                movement._linked_tables[table.file_id] = table
+                heappush(movement._victims, (
+                    -table.linked_bytes, table.slice_links[0].link_seq,
+                    table.file_id,
+                ))
+        picked = []
+        files_touched(lambda: picked.append(movement._frozen_space_victim()))
+        assert picked == [version.files(LEVEL)[2]]  # the first with three
+        assert touched_by(lambda: ldc_oracle.frozen_space_victim(movement)) == FILES
+
+    def test_pick_link_source(self):
+        """Past the pointer to the first link-free file; the sorted filter
+        it replaced read every file of the level."""
+        version = big_level()
+        selector = LDCUnitSelector()
+        selector.db = SimpleNamespace(version=version)
+        files = version.files(LEVEL)
+        for table in files[801:806]:
+            table.slice_links = [None]  # linked: not a link source
+        version.compact_pointer[LEVEL] = files[800].max_key
+        picked = []
+        files_touched(
+            lambda: picked.append(selector._pick_link_source(LEVEL)),
+            answer_size=6,
+        )
+        assert picked == [files[806]]
+        oracle = ldc_oracle.pick_link_source
+        assert touched_by(lambda: oracle(selector, LEVEL)) == FILES
+        # Wrapping past the last file, to the first link-free one.
+        version.compact_pointer[LEVEL] = files[-1].max_key
+        files[0].slice_links = [None]
+        picked = []
+        files_touched(
+            lambda: picked.append(selector._pick_link_source(LEVEL)),
+            answer_size=2,
+        )
+        assert picked == [files[1]] == [oracle(selector, LEVEL)]
+
 
 def profiled_names(run) -> Counter:
     """Profiled calls of ``run``, counted by function name."""
@@ -210,23 +276,78 @@ class TestCallsPerPutVersusStoreSize:
     """Ten times the keys (two more levels) against the calls per put.
 
     The per-link and per-round level scans this guards against made the
-    LDC ratio 1.91x; with them gone it measured 1.35x, and 1.26x (54.5 ->
-    68.9 calls) once a merge became one sort and a file's blocks were laid
-    out on first read.  UDC went 1.44x -> 1.20x -> 1.09x (42.0 -> 46.0):
-    its rounds are visible to a call count now that each is a handful of
-    calls per merge and per output file, so it is gated too.  Bounds are
-    the measured ratio + 0.1.
+    LDC ratio 1.91x; with them gone it measured 1.35x, and 1.26x once a
+    merge became one sort and a file's blocks were laid out on first read
+    (1.29x, 48.9 -> 62.9 calls, before the put path went one frame deep).
+    UDC went 1.44x -> 1.20x -> 1.09x (1.10x, 36.8 -> 40.6): its rounds are
+    visible to a call count now that each is a handful of calls per merge
+    and per output file, so it is gated too.  Bounds are the measured
+    ratio + 0.1.
+
+    A cheaper put (``TestCallsPerPut``) lowers both counts by the same 12
+    calls, which raises the ratio without any growth: LDC now measures
+    35.9 -> 48.3 (1.35x) and UDC 24.8 -> 28.7 (1.16x).  So the growth in
+    calls is gated as well, at the measured +12.4 (LDC, +14.1 before its
+    round bookkeeping stopped rescanning levels) and +3.9 (UDC), plus 0.5.
     """
 
+    @staticmethod
+    def small_and_large(policy: str) -> tuple:
+        return calls_per_put(policy, 4_000), calls_per_put(policy, 40_000)
+
     def test_ldc_put_cost_is_nearly_flat_in_store_size(self):
-        small = calls_per_put("ldc", 4_000)
-        large = calls_per_put("ldc", 40_000)
+        small, large = self.small_and_large("ldc")
         assert large <= 1.36 * small, (small, large)
+        assert large - small <= 12.9, (small, large)
 
     def test_udc_put_cost_is_nearly_flat_in_store_size(self):
-        small = calls_per_put("udc", 4_000)
-        large = calls_per_put("udc", 40_000)
+        small, large = self.small_and_large("udc")
         assert large <= 1.19 * small, (small, large)
+        assert large - small <= 4.4, (small, large)
+
+
+class TestCallsPerPut:
+    """A put that neither flushes nor compacts carries only its own work.
+
+    ``put`` and ``_apply_write`` (validation and the record built in
+    place), the record's ``tuple.__new__`` and two ``len``, Level 0's
+    ``len`` against the slowdown trigger, ``WriteAheadLog.append`` with
+    ``device.write`` (three counter reads) and one ``list.append``,
+    ``MemTable.add`` (one ``dict.get``) and four counter reads: 18 calls,
+    for UDC and LDC alike.  The write path it replaced
+    (``tests/_write_oracle.py``) made 30: ``_check_open``, ``_check_key``
+    with two ``isinstance``, ``_next_sequence``, ``put_record``, the
+    policy's ``on_operation``, ``_maybe_stall``, ``clock.advance``,
+    ``_maintenance_step`` past a closed idle gate, and an ``_append_unit``
+    frame building a ``_Unit``.
+    """
+
+    @staticmethod
+    def quiet_put_calls(policy: str, put) -> list:
+        """Calls of each put that found the idle gate closed and did not flush."""
+        db = DB(config=LSMConfig(), policy=policy)
+        if put is not DB.put:
+            write_oracle.install(db)
+        rng = random.Random(5)
+        value = b"v" * 1024
+        for _ in range(3_000):
+            db.put(key_of(rng.randrange(6_000)), value)
+        calls = []
+        for _ in range(2_000):
+            idle = db.policy._maintenance_idle
+            flushes = db.metrics().get("engine.flush_count")
+            made = calls_made(partial(put, db, key_of(rng.randrange(6_000)), value))
+            if idle and db.metrics().get("engine.flush_count") == flushes:
+                calls.append(made)
+        db.check_invariants()
+        assert len(calls) > 1_800, len(calls)
+        return calls
+
+    @pytest.mark.parametrize("policy", ("udc", "ldc"))
+    def test_at_most_20_calls(self, policy):
+        calls = self.quiet_put_calls(policy, DB.put)
+        assert max(calls) <= 20, Counter(calls)
+        assert set(self.quiet_put_calls(policy, write_oracle.put)) == {30}
 
 
 def interleaved_windows(streams: int, per_stream: int, six_part: bool = False) -> list:

@@ -1,0 +1,188 @@
+"""LDC's round bookkeeping against the whole-level scans it replaced.
+
+``tests/_ldc_oracle.py`` holds the old frozen-space victim (``max`` over
+every linked table), link-source pick (filter the level, sort by
+``min_key``) and slice pricing (re-bisect ``lo`` / ``hi``).  Two LDC
+stores are built identically and written identically, one deciding
+through the code under test and one through the oracle.  After *every*
+write they must agree on the clock to the bit, every counter and gauge,
+the level layout, and the per-round log — which file each link froze,
+which table each merge consumed, and the ``run_sizes`` each merge read.
+A frozen-space cap small enough to force merges most rounds, fixed value
+sizes (so linked tables tie on ``linked_bytes``) and one background
+thread are among the drawn configurations.
+
+Between writes the live structures are also queried directly: the
+victim, every level's link source and every slice's price must equal the
+oracle's on the same tree.
+"""
+
+import random
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro import DB
+from repro.lsm.config import LSMConfig
+from repro.ssd.metrics import COMPACTION_READ
+
+from . import _ldc_oracle as oracle
+
+MAX_INDEX = 200
+
+
+def tiny(frozen_ratio: float, bg_threads: int = 0, threshold: int = 3) -> LSMConfig:
+    return LSMConfig(
+        memtable_bytes=512,
+        sstable_target_bytes=512,
+        block_bytes=128,
+        fan_out=3,
+        level1_capacity_bytes=1024,
+        max_levels=5,
+        slicelink_threshold=threshold,
+        frozen_space_limit_ratio=frozen_ratio,
+        bg_threads=bg_threads,
+    )
+
+
+def make_key(index: int) -> bytes:
+    return b"key-%04d" % index
+
+
+def record_rounds(db: DB) -> list:
+    """Log each link's source, each merge's target and each merge read."""
+    log = []
+    movement = db.policy.movement
+    link, merge, read_runs = movement.link, movement.merge, db.device.read_runs
+
+    def logged_link(source, level):
+        log.append(("link", level, source.file_id))
+        link(source, level)
+
+    def logged_merge(target):
+        log.append(("merge", target.file_id, target.linked_bytes))
+        merge(target)
+
+    def logged_read_runs(run_sizes, category, **kwargs):
+        if category == COMPACTION_READ:
+            log.append(("runs", tuple(run_sizes)))
+        return read_runs(run_sizes, category, **kwargs)
+
+    movement.link = logged_link
+    movement.merge = logged_merge
+    db.device.read_runs = logged_read_runs
+    return log
+
+
+def observable_state(db: DB, log: list) -> tuple:
+    return (
+        db.clock.now(),
+        db.registry.counters(),
+        db.registry.gauges(),
+        [[table.file_id for table in files] for files in db.version.levels],
+        list(db.policy.movement._linked_tables),
+        log,
+    )
+
+
+def assert_queries_match_oracle(db: DB) -> None:
+    """The live victim, link sources and slice prices equal the oracle's."""
+    movement, selector = db.policy.movement, db.policy.selector
+    if movement._linked_tables:
+        assert movement._frozen_space_victim() is oracle.frozen_space_victim(movement)
+    for level in range(db.version.num_levels - 1):
+        assert selector._pick_link_source(level) is oracle.pick_link_source(
+            selector, level
+        )
+    for table in movement._linked_tables.values():
+        for piece in table.slice_links:
+            assert piece.read_block_bytes() == oracle.read_block_bytes(piece)
+
+
+class Pair:
+    """An LDC store beside its oracle-deciding twin."""
+
+    def __init__(self, config: LSMConfig):
+        self.new = DB(config=config, policy="ldc")
+        self.old = DB(config=config, policy="ldc")
+        oracle.install(self.old)
+        self.new_log = record_rounds(self.new)
+        self.old_log = record_rounds(self.old)
+
+    def put(self, key: bytes, value: bytes) -> None:
+        self.new.put(key, value)
+        self.old.put(key, value)
+        assert observable_state(self.new, self.new_log) == observable_state(
+            self.old, self.old_log
+        )
+        assert_queries_match_oracle(self.new)
+
+
+writes = st.lists(
+    st.tuples(st.integers(0, MAX_INDEX), st.sampled_from((0, 24, 48, 96))),
+    min_size=1,
+    max_size=120,
+)
+
+
+@pytest.mark.parametrize("bg_threads", (0, 1))
+class TestAgainstTheLevelScans:
+    @given(
+        writes=writes,
+        frozen_ratio=st.sampled_from((0.02, 0.1, 0.5)),
+        threshold=st.integers(2, 5),
+        seed=st.integers(0, 3),
+    )
+    @settings(
+        max_examples=12,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_same_rounds_and_charges(
+        self, bg_threads, writes, frozen_ratio, threshold, seed
+    ):
+        pair = Pair(tiny(frozen_ratio, bg_threads, threshold))
+        rng = random.Random(seed)
+        for _ in range(300):
+            pair.put(make_key(rng.randrange(MAX_INDEX)), b"p" * 40)
+        for index, size in writes:
+            pair.put(make_key(index), b"w" * size)
+        pair.new.check_invariants()
+
+
+class TestDirected:
+    def test_forced_merges_pick_the_first_of_tied_victims(self):
+        """Equal-size records give equal ``linked_bytes``; a tiny cap makes
+        nearly every round a forced merge, so ties are decided over and
+        over — and always as ``max`` over the dict decides them."""
+        pair = Pair(tiny(0.02))
+        rng = random.Random(4)
+        ties = 0
+        movement = pair.new.policy.movement
+        for _ in range(2_500):
+            linked = [t.linked_bytes for t in movement._linked_tables.values()]
+            if linked and linked.count(max(linked)) > 1:
+                ties += 1
+            pair.put(make_key(rng.randrange(MAX_INDEX)), b"t" * 32)
+        assert pair.new.metrics()["engine.forced_merges"] > 50
+        assert ties > 50
+
+    def test_a_link_leaves_the_heap_within_four_times_the_linked_set(self):
+        db = DB(config=tiny(0.5, threshold=6), policy="ldc")
+        movement = db.policy.movement
+        link = movement.link
+        sizes = []
+
+        def checked_link(source, level):
+            link(source, level)
+            sizes.append((len(movement._victims), len(movement._linked_tables)))
+
+        movement.link = checked_link
+        rng = random.Random(8)
+        for _ in range(4_000):
+            db.put(make_key(rng.randrange(MAX_INDEX)), b"h" * 32)
+        assert len(sizes) > 100
+        assert all(heap <= 4 * live for heap, live in sizes)
+        # Rebuilt more than once, and stale entries in between.
+        assert sum(heap == live for heap, live in sizes) > 1
+        assert max(heap - live for heap, live in sizes) > 8

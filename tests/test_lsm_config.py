@@ -1,9 +1,29 @@
 """Unit tests for engine configuration validation."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.errors import ConfigError
 from repro.lsm.config import KIB, CostModel, LSMConfig
+
+#: Every count and byte field of ``LSMConfig``.
+INT_FIELDS = [
+    "memtable_bytes",
+    "sstable_target_bytes",
+    "block_bytes",
+    "fan_out",
+    "level1_capacity_bytes",
+    "max_levels",
+    "l0_compaction_trigger",
+    "l0_slowdown_trigger",
+    "l0_stop_trigger",
+    "bloom_bits_per_key",
+    "block_cache_bytes",
+    "slicelink_threshold",
+    "bg_threads",
+    "sched_chunk_blocks",
+]
 
 
 class TestLSMConfig:
@@ -69,6 +89,30 @@ class TestLSMConfig:
             LSMConfig(bloom_bits_per_key=bits)
         with pytest.raises(ConfigError, match="bloom_bits_per_key"):
             LSMConfig().with_overrides(bloom_bits_per_key=bits)
+
+    @pytest.mark.parametrize("field", INT_FIELDS)
+    @pytest.mark.parametrize("kind", ["float", "bool"])
+    def test_non_int_count_and_byte_fields_rejected(self, field, kind):
+        """``max_levels=3.0`` used to pass here and die as a raw TypeError in
+        ``DB()``; ``bg_threads=True`` meant one thread, ``fan_out=2.5``
+        fractional level capacities."""
+        value = float(getattr(LSMConfig(), field)) if kind == "float" else True
+        with pytest.raises(ConfigError, match=field):
+            LSMConfig(**{field: value})
+        with pytest.raises(ConfigError, match=field):
+            LSMConfig().with_overrides(**{field: value})
+
+    def test_every_int_field_is_checked(self):
+        declared = {field.name for field in fields(LSMConfig) if field.type == "int"}
+        assert declared == set(INT_FIELDS)
+
+    @pytest.mark.parametrize("field", INT_FIELDS)
+    def test_int_subclass_other_than_bool_accepted(self, field):
+        class Count(int):
+            pass
+
+        value = Count(getattr(LSMConfig(), field))
+        assert getattr(LSMConfig(**{field: value}), field) == value
 
     def test_frozen_ratio_bounds(self):
         with pytest.raises(ConfigError):
