@@ -23,7 +23,7 @@ verifies that no resident key lies outside its file's block count.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigError
 from ..obs.registry import MetricsRegistry
@@ -67,47 +67,90 @@ class BlockCache:
 
     def probe(self, file_id: int, block_index: int) -> bool:
         """:meth:`lookup` minus the count; the engine's reads report totals
-        once per point lookup or range read (:meth:`count_probes`)."""
+        once per point lookup or scan (:meth:`count_probes`)."""
         key = (file_id, block_index)
         if key in self._entries:
             self._entries.move_to_end(key)
             return True
         return False
 
-    def fetch(
-        self, file_id: int, block_index: int, nbytes: int, evicted: List[int]
-    ) -> bool:
-        """One step of a range read: :meth:`probe`, and on a miss install.
+    def fetch_range(
+        self,
+        file_id: int,
+        first: int,
+        end: int,
+        sizes: Sequence[int],
+        read_run: Callable[[int, int, int, int], None],
+        tally: List[int],
+    ) -> int:
+        """A range read of the file's blocks ``[first, end)``, in block order.
 
-        A miss installs the block at once — it may evict one further
-        along the same range — and adds what it evicted to ``evicted``,
-        a ``[blocks, bytes]`` tally the caller hands to
-        :meth:`count_probes` with the range's hits and misses.
+        A resident block is refreshed.  A missing one (``sizes[block]``
+        bytes) is installed at once — it may evict a block further along
+        the same range — and joins the open run of misses.  A run is read
+        through ``read_run(run_first, run_end, nbytes, hits)`` when a hit
+        closes it (after that hit's refresh) or the range ends, ``hits``
+        being the hits since the previous run, which the caller charges
+        before the read.  Returns the hits after the last run, for the
+        caller to charge.
+
+        Outcomes are added to ``tally``, the caller's ``[hits, misses,
+        evictions, evicted_bytes]`` for :meth:`count_probes`, also when
+        ``read_run`` raises; a hit counts once it is handed to the caller.
+        A raising run ends the range: no later block is probed.
         """
-        key = (file_id, block_index)
         entries = self._entries
-        if key in entries:
-            entries.move_to_end(key)
-            return True
         capacity = self.capacity_bytes
-        if nbytes <= capacity:
-            entries[key] = nbytes
-            used = self._used_bytes + nbytes
-            while used > capacity:
-                _, dropped = entries.popitem(last=False)
-                used -= dropped
-                evicted[0] += 1
-                evicted[1] += dropped
+        used = self._used_bytes
+        charged = pending = misses = evictions = freed = run_bytes = run_start = 0
+        try:
+            for block in range(first, end):
+                key = (file_id, block)
+                if key in entries:
+                    entries.move_to_end(key)
+                    if run_bytes:
+                        # The callback may evict blocks (a run failing its CRC).
+                        self._used_bytes = used
+                        charged += pending
+                        read_run(run_start, block, run_bytes, pending)
+                        used = self._used_bytes
+                        run_bytes = pending = 0
+                    pending += 1
+                    continue
+                nbytes = sizes[block]
+                if not run_bytes:
+                    run_start = block
+                misses += 1
+                run_bytes += nbytes
+                if nbytes <= capacity:
+                    entries[key] = nbytes
+                    used += nbytes
+                    while used > capacity:
+                        _, dropped = entries.popitem(last=False)
+                        used -= dropped
+                        evictions += 1
+                        freed += dropped
             self._used_bytes = used
-        return False
+            if run_bytes:
+                charged += pending
+                read_run(run_start, end, run_bytes, pending)
+                pending = 0
+            charged += pending
+            return pending
+        finally:
+            tally[0] += charged
+            tally[1] += misses
+            tally[2] += evictions
+            tally[3] += freed
 
     def count_probes(
         self, hits: int, misses: int, evictions: int = 0, evicted_bytes: int = 0
     ) -> None:
-        """Count a batch of :meth:`probe` / :meth:`fetch` outcomes.
+        """Count a batch of :meth:`probe` / :meth:`fetch_range` outcomes.
 
         Zeros create no counter: the eviction pair stays lazily created
-        on the first real LRU eviction (see :meth:`insert`).
+        on the first real LRU eviction (see :meth:`insert`).  Called once
+        per point lookup and once per scan, also when it raised.
         """
         if evictions:
             self.registry.add("cache.evictions", evictions)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_left, bisect_right
-from functools import reduce
+from functools import partial, reduce
 from itertools import repeat
 from operator import add
 from typing import Iterator, List, Optional, Sequence, Tuple
@@ -747,10 +747,13 @@ class DB:
         and one stream per sorted level, each file read together with its
         linked slices (:func:`~repro.lsm.iterators.merge_streams`: index
         windows cut in rounds, not records pulled one by one); tombstones
-        shadow older versions and are not returned.
+        shadow older versions and are not returned.  ``count`` must be an
+        ``int`` (a float or a ``bool`` is a ``TypeError``).
         """
         self._check_open()
         _check_key(start_key)
+        if type(count) is bool or not isinstance(count, int):
+            raise TypeError(f"scan count must be an int, got {count!r}")
         if count <= 0:
             return []
         clock = self.clock
@@ -773,16 +776,42 @@ class DB:
         # from where the scan entered it up to the last key returned (the
         # whole tail when the store ran out first).  Tables first, then
         # slices, each in (level, file, link) order; the memtable stream
-        # (the first) has no blocks.
+        # (the first) has no blocks.  Without a cache a range is one
+        # sequential read; with one, the cache walks it (resident blocks
+        # cost CPU, runs of missing ones coalesce into sequential reads)
+        # and its hits, misses and evictions reach the registry once per
+        # scan, also when a read raises.
         units = [unit for stream in streams[1:] for unit in stream[0]]
         windows = [unit[0] for unit in units]
         windows += [window for unit in units for window in unit[1:]]
-        charge = self._charge_range_read
-        for keys, _, _, stop, start, table in windows:
-            if last_key is not None:
-                stop = bisect_right(keys, last_key, start, stop)
-            if start < stop:
-                charge(table, *table.block_span(start, stop))
+        cache = self.block_cache
+        read_run = self._read_scan_run
+        hit_us = self.config.costs.cache_hit_us
+        tally = [0, 0, 0, 0]  # cache hits, misses, evictions, evicted bytes
+        try:
+            for keys, _, _, stop, start, table in windows:
+                if last_key is not None:
+                    stop = bisect_right(keys, last_key, start, stop)
+                if start >= stop:
+                    continue
+                # The blocks holding records [start, stop): SSTable.block_span.
+                starts = table._block_starts
+                if starts is None:
+                    starts = table._build_blocks()[0]
+                first = bisect_right(starts, start) - 1
+                end = bisect_right(starts, stop - 1)
+                sizes = table._block_bytes
+                if cache is None:
+                    read_run(table, first, end, sum(sizes[first:end]), 0)
+                    continue
+                hits = cache.fetch_range(
+                    table.file_id, first, end, sizes, partial(read_run, table), tally
+                )
+                for _ in range(hits):
+                    clock._now_us += hit_us
+        finally:
+            if cache is not None:
+                cache.count_probes(*tally)
         self._count("engine.scan_sources", len(windows))
         self._count(ACT_SCAN_KEY, clock._now_us - start_time)
         self._maintenance_step()
@@ -809,58 +838,24 @@ class DB:
                         streams.append([[], (table,), 0])
         return streams
 
-    def _charge_range_read(self, table: SSTable, first: int, end: int) -> None:
-        """Charge a range read of ``table``'s blocks ``[first, end)``.
-
-        Without a cache this is one sequential device read of the covered
-        blocks.  With a cache, resident blocks cost CPU only and
-        contiguous runs of missing blocks coalesce into sequential reads;
-        a missing block is installed when the probe misses (so it can
-        evict a resident block further along the same range), the run is
-        read when it closes.  The in-place clock charge is covered by
-        :meth:`scan`'s capture guard.
-        """
-        sizes = table._block_bytes
-        if sizes is None:
-            sizes = table._build_blocks()[1]
-        cache = self.block_cache
-        if cache is None:
-            self._read_scan_run(table, first, end, sum(sizes[first:end]))
-            return
-        file_id = table.file_id
-        fetch = cache.fetch
-        clock = self.clock
-        hit_us = self.config.costs.cache_hit_us
-        hits = misses = run_bytes = run_start = 0
-        evicted = [0, 0]
-        try:
-            for block in range(first, end):
-                nbytes = sizes[block]
-                if fetch(file_id, block, nbytes, evicted):
-                    if run_bytes:
-                        self._read_scan_run(table, run_start, block, run_bytes)
-                        run_bytes = 0
-                    hits += 1
-                    clock._now_us += hit_us
-                else:
-                    if not run_bytes:
-                        run_start = block
-                    misses += 1
-                    run_bytes += nbytes
-            if run_bytes:
-                self._read_scan_run(table, run_start, end, run_bytes)
-        finally:
-            cache.count_probes(hits, misses, *evicted)
-
     def _read_scan_run(
-        self, table: SSTable, first: int, end: int, nbytes: int
+        self, table: SSTable, first: int, end: int, nbytes: int, hits: int
     ) -> None:
-        """One sequential device read of ``table``'s blocks ``[first, end)``.
+        """Charge ``hits`` cache hits, then read ``table``'s blocks ``[first, end)``.
 
-        Under a fault plan the read is CRC-verified, and a run that fails
-        leaves none of its blocks resident: a corrupt run must not become
-        future cache hits.
+        The run callback of :meth:`~repro.lsm.cache.BlockCache.fetch_range`:
+        the hits since the previous run are one float add each, before the
+        one sequential device read, so hits and reads reach the clock in
+        block order.  Under a fault plan the read is CRC-verified, and a
+        run that fails leaves none of its blocks resident: a corrupt run
+        must not become future cache hits.  The in-place clock charges are
+        covered by :meth:`scan`'s capture guard.
         """
+        if hits:
+            clock = self.clock
+            hit_us = self.config.costs.cache_hit_us
+            for _ in range(hits):
+                clock._now_us += hit_us
         device = self.device
         device.read(nbytes, USER_SCAN, sequential=True)
         if device.faults is not None:

@@ -20,11 +20,11 @@ ordered.
 
 :func:`merge_streams` proceeds in rounds.  A round picks a bound no stream
 can hold an unopened key under, cuts every window at it with one bisect,
-pools the cut slices, sorts the pool (a handful of sorted runs: Timsort
-merges them in C) and keeps the newest version per key through a dict —
-the pooled merge of :mod:`repro.lsm.compaction.columnar`, which is what
-compaction runs through.  ``DB.scan`` and ``DB.logical_items`` are the
-two callers.
+pools the cut slices deepest stream first, sorts the pool (a handful of
+sorted runs: Timsort merges them in C) and keeps the newest version per
+key through a dict — the pooled merge of
+:mod:`repro.lsm.compaction.columnar`, which is what compaction runs
+through.  ``DB.scan`` and ``DB.logical_items`` are the two callers.
 """
 
 from __future__ import annotations
@@ -79,7 +79,11 @@ def merge_streams(
     ``last_key``, even when the scan ends right there — unless a single
     stream held records to begin with, which is read lazily.
     """
-    live = [stream for stream in streams if _refill(stream, lo)]
+    # Deepest stream first: the bottom level usually holds most of a
+    # round's pool, and as the pool's first run it is the one Timsort
+    # extends instead of inserting into.  Records never tie on (key, seq),
+    # so the sorted pool is the same in any order.
+    live = [stream for stream in reversed(streams) if _refill(stream, lo)]
     lazy = len(live) == 1
     pairs: List[Tuple[bytes, bytes]] = []
     consumed = 0

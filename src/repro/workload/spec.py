@@ -22,6 +22,17 @@ PAPER_KEY_BYTES = 16
 PAPER_VALUE_BYTES = 1024
 PAPER_SCAN_LENGTH = 100
 
+#: ``WorkloadSpec`` fields that count operations, keys or bytes: each must
+#: be a plain ``int`` — not a float, and not a ``bool``.
+_INT_FIELDS = (
+    "num_operations",
+    "key_space",
+    "key_bytes",
+    "value_bytes",
+    "scan_length",
+    "preload_keys",
+)
+
 DIST_UNIFORM = "uniform"
 DIST_ZIPF = "zipf"
 DIST_LATEST = "latest"
@@ -31,6 +42,9 @@ _KNOWN_DISTRIBUTIONS = (DIST_UNIFORM, DIST_ZIPF, DIST_LATEST)
 @dataclass(frozen=True)
 class WorkloadSpec:
     """A fully specified benchmark workload.
+
+    The count and size fields are plain ``int``s: a float or a ``bool``
+    there is a :class:`~repro.errors.WorkloadError` at construction.
 
     Parameters
     ----------
@@ -80,6 +94,10 @@ class WorkloadSpec:
     seed: int = 42
 
     def __post_init__(self) -> None:
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if type(value) is bool or not isinstance(value, int):
+                raise WorkloadError(f"{name} must be an int, got {value!r}")
         if self.num_operations <= 0:
             raise WorkloadError("num_operations must be positive")
         if not 0.0 <= self.write_ratio <= 1.0:

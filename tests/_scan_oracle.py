@@ -1,4 +1,12 @@
-"""The two scans ``DB.scan`` replaced, kept as test oracles.
+"""The three scans ``DB.scan`` replaced, kept as test oracles.
+
+``window_scan`` is the latest: the window merge as it stood before a
+charged range became one cache call — ``DB.scan``, ``merge_streams``
+(whose pool is assembled memtable first), ``_charge_range_read`` (a
+``BlockCache.fetch`` call per block and a ``count_probes`` per range) and
+``_read_scan_run``, moved here with ``self`` spelled ``db`` / ``cache``.
+It pins everything the current scan may charge, bit for bit, and the
+units its merge leaves opened.
 
 ``eager_scan`` is the first one: it opened an iterator on *every* file
 right of the start key in every level, plus every slice linked to them,
@@ -19,7 +27,7 @@ with ``self`` spelled ``db``.  It opens exactly the sources the engine may
 count, so it pins ``engine.scan_sources`` too, and it is the call-count
 baseline of ``tests/test_host_scaling.py::TestCallsPerScan``.
 
-Both drive a real :class:`~repro.lsm.db.DB` exactly as the old methods
+All three drive a real :class:`~repro.lsm.db.DB` exactly as the old methods
 did, so a test runs identically-built stores side by side, one through
 ``db.scan`` and one through each function.  The helpers the old scans
 called that have since left ``src/`` (``MemTable.iter_from``,
@@ -28,11 +36,14 @@ called that have since left ``src/`` (``MemTable.iter_from``,
 
 import heapq
 from bisect import bisect_left, bisect_right
-from itertools import chain, islice
+from functools import reduce
+from itertools import chain, islice, repeat
+from operator import add
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.errors import CorruptionError
+from repro.errors import CorruptionError, EngineError
 from repro.lsm.db import _check_key
+from repro.lsm.iterators import _refill, unit_windows
 from repro.lsm.keys import clamp_range, key_successor
 from repro.lsm.record import KIND_DELETE, KVRecord
 from repro.lsm.stats import ACT_SCAN_KEY
@@ -363,3 +374,180 @@ def _eager_read_run(db, table, run) -> None:
                 table.file_id, [block_index for block_index, _ in run]
             )
         raise
+
+
+# ----------------------------------------------------------------------
+# window_scan: the window merge with one cache call per block
+# ----------------------------------------------------------------------
+def window_scan(db, start_key: bytes, count: int) -> List[Tuple[bytes, bytes]]:
+    """The pre-range ``DB.scan``: a ``count_probes`` per charged range."""
+    db._check_open()
+    _check_key(start_key)
+    if count <= 0:
+        return []
+    clock = db.clock
+    if clock._capture is not None:
+        raise EngineError("a scan cannot run inside a clock capture")
+    db.policy.on_operation(False)
+    start_time = clock._now_us
+    db._count("engine.scans")
+
+    streams = db._scan_streams(start_key)
+    results, consumed, last_key = merge_streams(streams, start_key, count)
+    clock._now_us = reduce(
+        add, repeat(db.config.costs.scan_per_record_us, consumed), clock._now_us
+    )
+    db._count("engine.scanned_records", len(results))
+
+    units = [unit for stream in streams[1:] for unit in stream[0]]
+    windows = [unit[0] for unit in units]
+    windows += [window for unit in units for window in unit[1:]]
+    for keys, _, _, stop, start, table in windows:
+        if last_key is not None:
+            stop = bisect_right(keys, last_key, start, stop)
+        if start < stop:
+            charge_range_read(db, table, *table.block_span(start, stop))
+    db._count("engine.scan_sources", len(windows))
+    db._count(ACT_SCAN_KEY, clock._now_us - start_time)
+    db._maintenance_step()
+    return results
+
+
+def merge_streams(
+    streams: List[list], lo: bytes, count: int
+) -> Tuple[List[Tuple[bytes, bytes]], int, Optional[bytes]]:
+    """The pre-range ``iterators.merge_streams``: the pool memtable first."""
+    live = [stream for stream in streams if _refill(stream, lo)]
+    lazy = len(live) == 1
+    pairs: List[Tuple[bytes, bytes]] = []
+    consumed = 0
+    remaining = count
+    while live:
+        bound = None
+        for units, _, _ in live:
+            frontier = None
+            for keys, _, pos, stop, _, _ in units[-1]:
+                if pos < stop:
+                    reach = pos + remaining
+                    key = keys[(reach if reach < stop else stop) - 1]
+                    if frontier is None or key > frontier:
+                        frontier = key
+            if bound is None or frontier < bound:
+                bound = frontier
+        pooled: list = []
+        pool = pooled.extend
+        used_up = []
+        for stream in live:
+            unread = False
+            for window in stream[0][-1]:
+                keys, records, pos, stop, _, _ = window
+                if pos < stop:
+                    cut = bisect_right(keys, bound, pos, stop)
+                    if cut > pos:
+                        window[2] = cut
+                        if type(records) is dict:  # the memtable
+                            pool(map(records.__getitem__, keys[pos:cut]))
+                        else:
+                            pool(records[pos:cut])
+                    if cut < stop:
+                        unread = True
+            if not unread:
+                used_up.append(stream)
+        pooled.sort()
+        newest = {record[0]: record for record in pooled}
+        found = [
+            (record[0], record[3])
+            for record in newest.values()
+            if record[2] != KIND_DELETE
+        ]
+        if len(found) >= remaining:
+            pairs += found[:remaining]
+            last_key = pairs[-1][0]
+            consumed += bisect_right(list(newest), last_key)
+            break
+        pairs += found
+        remaining -= len(found)
+        consumed += len(newest)
+        for stream in used_up:
+            if not _refill(stream, lo):
+                live.remove(stream)
+    else:
+        return pairs, consumed, None
+    if not lazy:
+        for stream in streams:
+            units, files, index = stream
+            if index < len(files):
+                for keys, _, _, stop, start, _ in units[-1]:
+                    if start < stop and keys[stop - 1] > last_key:
+                        break
+                else:
+                    units.append(unit_windows(files[index], lo))
+                    stream[2] += 1
+    return pairs, consumed, last_key
+
+
+def charge_range_read(db, table, first: int, end: int) -> None:
+    """The pre-range ``DB._charge_range_read``: a ``fetch`` per block."""
+    sizes = table._block_bytes
+    if sizes is None:
+        sizes = table._build_blocks()[1]
+    cache = db.block_cache
+    if cache is None:
+        read_scan_run(db, table, first, end, sum(sizes[first:end]))
+        return
+    file_id = table.file_id
+    clock = db.clock
+    hit_us = db.config.costs.cache_hit_us
+    hits = misses = run_bytes = run_start = 0
+    evicted = [0, 0]
+    try:
+        for block in range(first, end):
+            nbytes = sizes[block]
+            if fetch(cache, file_id, block, nbytes, evicted):
+                if run_bytes:
+                    read_scan_run(db, table, run_start, block, run_bytes)
+                    run_bytes = 0
+                hits += 1
+                clock._now_us += hit_us
+            else:
+                if not run_bytes:
+                    run_start = block
+                misses += 1
+                run_bytes += nbytes
+        if run_bytes:
+            read_scan_run(db, table, run_start, end, run_bytes)
+    finally:
+        cache.count_probes(hits, misses, *evicted)
+
+
+def fetch(cache, file_id: int, block_index: int, nbytes: int, evicted: List[int]) -> bool:
+    """The pre-range ``BlockCache.fetch``: probe one block, and on a miss install."""
+    key = (file_id, block_index)
+    entries = cache._entries
+    if key in entries:
+        entries.move_to_end(key)
+        return True
+    capacity = cache.capacity_bytes
+    if nbytes <= capacity:
+        entries[key] = nbytes
+        used = cache._used_bytes + nbytes
+        while used > capacity:
+            _, dropped = entries.popitem(last=False)
+            used -= dropped
+            evicted[0] += 1
+            evicted[1] += dropped
+        cache._used_bytes = used
+    return False
+
+
+def read_scan_run(db, table, first: int, end: int, nbytes: int) -> None:
+    """The pre-range ``DB._read_scan_run``: one sequential read, verified."""
+    device = db.device
+    device.read(nbytes, USER_SCAN, sequential=True)
+    if device.faults is not None:
+        try:
+            db._verify_block_read(table, range(first, end))
+        except CorruptionError:
+            if db.block_cache is not None:
+                db.block_cache.evict_blocks(table.file_id, range(first, end))
+            raise

@@ -13,6 +13,8 @@ from repro.obs.snapshot import MetricsSnapshot
 
 from tests.conftest import key_of
 
+from . import _scan_oracle as scan_oracle
+
 
 def tally(cache: BlockCache, name: str) -> int:
     """The cache's ``cache.<name>`` counter (0 before its first bump)."""
@@ -311,53 +313,81 @@ class TestEvictionCounters:
         assert tally(cache, "evictions") == 0 and tally(cache, "evicted_bytes") == 0
 
 
-class TestFetch:
-    """The range read's one-step call: probe, and on a miss install.
+class RunFailed(Exception):
+    """A ``read_run`` callback's stand-in for a CRC failure."""
 
-    It counts nothing itself — what it evicted goes into the caller's
-    ``[blocks, bytes]`` tally, which ``count_probes`` flushes together with
-    the range's hits and misses.
+
+class TestFetch:
+    """A range read's one call: ``fetch_range`` probes each block, installs
+    each miss at once and reads each run of misses through a callback.
+
+    It counts nothing itself — its outcomes go into the caller's ``[hits,
+    misses, evictions, evicted_bytes]`` tally, which ``count_probes``
+    flushes once per scan.
     """
+
+    @staticmethod
+    def fetch(cache, file_id, first, end, sizes, tally=None):
+        """``(hits returned, runs read)``; runs as ``(first, end, nbytes, hits)``."""
+        runs = []
+        hits = cache.fetch_range(
+            file_id, first, end, sizes, lambda *run: runs.append(run),
+            tally if tally is not None else [0, 0, 0, 0],
+        )
+        return hits, runs
 
     def test_hit_refreshes_recency_and_installs_nothing(self):
         cache = BlockCache(300)
         cache.insert(1, 0, 100)
         cache.insert(1, 1, 100)
-        evicted = [0, 0]
-        assert cache.fetch(1, 0, 100, evicted) is True
+        tally = [0, 0, 0, 0]
+        assert self.fetch(cache, 1, 0, 1, [100, 100], tally) == (1, [])
         assert cache.cached_blocks() == [(1, 1), (1, 0)]  # (1, 0) is now newest
-        assert (cache.used_bytes, evicted) == (200, [0, 0])
+        assert (cache.used_bytes, tally) == (200, [1, 0, 0, 0])
         assert cache.registry.counters() == {}
 
     def test_miss_installs_and_can_evict_the_lru_block(self):
         cache = BlockCache(300)
         cache.insert(1, 0, 100)
         cache.insert(1, 1, 100)
-        evicted = [0, 0]
-        assert cache.fetch(1, 2, 250, evicted) is False
+        sizes = [100, 100, 250]
+        tally = [0, 0, 0, 0]
+        assert self.fetch(cache, 1, 2, 3, sizes, tally) == (0, [(2, 3, 250, 0)])
         assert cache.cached_blocks() == [(1, 2)]
-        assert (cache.used_bytes, evicted) == (250, [2, 200])
-        assert cache.fetch(1, 2, 250, evicted) is True
+        assert (cache.used_bytes, tally) == (250, [0, 1, 2, 200])
+        assert self.fetch(cache, 1, 2, 3, sizes) == (1, [])
 
     def test_oversize_block_is_a_miss_that_is_never_resident(self):
         cache = BlockCache(100)
         cache.insert(1, 0, 60)
-        evicted = [0, 0]
-        assert cache.fetch(1, 1, 101, evicted) is False
-        assert cache.fetch(1, 1, 101, evicted) is False
+        tally = [0, 0, 0, 0]
+        for _ in range(2):
+            assert self.fetch(cache, 1, 1, 2, [60, 101], tally) == (0, [(1, 2, 101, 0)])
         assert cache.cached_blocks() == [(1, 0)]
-        assert (cache.used_bytes, evicted) == (60, [0, 0])
+        assert (cache.used_bytes, tally) == (60, [0, 2, 0, 0])
+
+    def test_hits_are_handed_over_between_runs_in_block_order(self):
+        """Miss, miss, hit, hit, miss, hit: the closing hit of a run is
+        charged after that run, the hits before it with it."""
+        cache = BlockCache(1000)
+        for block in (2, 3, 5):
+            cache.insert(1, block, 10)
+        tally = [0, 0, 0, 0]
+        hits, runs = self.fetch(cache, 1, 0, 6, [10] * 6, tally)
+        assert runs == [(0, 2, 20, 0), (4, 5, 10, 2)]
+        assert hits == 1 and tally == [3, 3, 0, 0]
 
     def test_eviction_counters_are_created_on_the_first_eviction_only(self):
         cache = BlockCache(300)
-        evicted = [0, 0]
-        cache.fetch(1, 0, 100, evicted)
-        cache.fetch(1, 1, 100, evicted)
-        cache.fetch(1, 0, 100, evicted)
-        cache.count_probes(1, 2, *evicted)
+        sizes = [100, 100, 150]
+        counts = [0, 0, 0, 0]
+        self.fetch(cache, 1, 0, 2, sizes, counts)
+        self.fetch(cache, 1, 0, 1, sizes, counts)
+        cache.count_probes(*counts)
         assert cache.registry.counters() == {"cache.hits": 1, "cache.misses": 2}
-        cache.fetch(1, 2, 150, evicted)
-        cache.count_probes(0, 1, *evicted)
+        counts = [0, 0, 0, 0]
+        self.fetch(cache, 1, 2, 3, sizes, counts)
+        cache.count_probes(*counts)
         assert cache.registry.counters() == {
             "cache.hits": 1,
             "cache.misses": 3,
@@ -370,38 +400,42 @@ class TestFetch:
     @given(
         st.integers(100, 600),
         st.lists(
-            st.tuples(st.integers(1, 3), st.integers(0, 5), st.integers(1, 120)),
-            max_size=80,
+            st.tuples(
+                st.integers(1, 3),  # file
+                st.integers(0, 5),  # first block
+                st.integers(0, 6),  # blocks in the range
+                st.one_of(st.none(), st.integers(0, 2)),  # the run that raises
+            ),
+            max_size=30,
         ),
-        st.integers(1, 9),
+        st.lists(st.integers(1, 120), min_size=11, max_size=11),
+        st.integers(1, 4),
     )
-    @settings(max_examples=80)
+    @settings(max_examples=150)
     def test_same_state_and_counters_as_probe_plus_insert(
-        self, capacity, trace, range_length
+        self, capacity, ranges, sizes, ranges_per_scan
     ):
-        """Any trace, flushed every ``range_length`` steps like a range read."""
-        sizes = {}
-        one_step, two_step = BlockCache(capacity), BlockCache(capacity)
-        for at in range(0, len(trace), range_length):
-            hits = misses = 0
-            evicted = [0, 0]
-            two_hits = two_misses = 0
-            for file_id, block, nbytes in trace[at:at + range_length]:
-                nbytes = sizes.setdefault((file_id, block), nbytes)
-                if one_step.fetch(file_id, block, nbytes, evicted):
-                    hits += 1
-                else:
-                    misses += 1
-                if two_step.probe(file_id, block):
-                    two_hits += 1
-                else:
-                    two_misses += 1
-                    two_step.insert(file_id, block, nbytes)
-                assert one_step.cached_blocks() == two_step.cached_blocks()
-            one_step.count_probes(hits, misses, *evicted)
-            two_step.count_probes(two_hits, two_misses)
-            assert one_step.used_bytes == two_step.used_bytes
-            assert one_step.registry.counters() == two_step.registry.counters()
+        """Any ranges, some failing mid-range, each tallied per scan of
+        ``ranges_per_scan`` ranges: the same LRU order, bytes, counters
+        and clock order of hits and reads as the per-block ``fetch`` it
+        replaced (``tests/_scan_oracle.py``) and as ``probe`` + ``insert``."""
+        caches = [BlockCache(capacity) for _ in range(3)]
+        ranged, per_block, two_step = caches
+        for at in range(0, len(ranges), ranges_per_scan):
+            tallies = [[0, 0, 0, 0] for _ in caches]
+            for file_id, first, length, fail_run in ranges[at:at + ranges_per_scan]:
+                end = first + length
+                logs = [range_read(cache, step, file_id, first, end, sizes, fail_run, tally)
+                        for cache, step, tally in zip(
+                            caches, (None, scan_oracle.fetch, probe_then_insert), tallies)]
+                assert logs[0] == logs[1] == logs[2]
+                assert ranged.cached_blocks() == per_block.cached_blocks()
+                assert ranged.cached_blocks() == two_step.cached_blocks()
+                assert ranged.used_bytes == per_block.used_bytes == two_step.used_bytes
+            for cache, counts in zip(caches, tallies):
+                cache.count_probes(*counts)
+            assert ranged.registry.counters() == per_block.registry.counters()
+            assert ranged.registry.counters() == two_step.registry.counters()
 
     def test_range_that_raises_still_flushes_its_tally(self, monkeypatch):
         """The engine's ``finally``: a run failing its CRC mid-range loses no count."""
@@ -417,15 +451,16 @@ class TestFetch:
             db.put(key_of(index), b"v" * 40)
         db.scan(key_of(0), 30)
         cache = db.block_cache
-        fetch, steps = cache.fetch, []
+        fetch_range, steps = cache.fetch_range, []
 
-        def recording(file_id, block_index, nbytes, evicted):
-            blocks, freed = evicted
-            hit = fetch(file_id, block_index, nbytes, evicted)
-            steps.append((hit, evicted[0] - blocks, evicted[1] - freed))
-            return hit
+        def recording(file_id, first, end, sizes, read_run, tally):
+            was = list(tally)
+            try:
+                return fetch_range(file_id, first, end, sizes, read_run, tally)
+            finally:
+                steps.append([now - then for now, then in zip(tally, was)])
 
-        monkeypatch.setattr(cache, "fetch", recording)
+        monkeypatch.setattr(cache, "fetch_range", recording)
         before = db.registry.counters()
         faults = db.device.faults
         faults.plan.corrupt_read(faults.read_count + 3)
@@ -436,6 +471,63 @@ class TestFetch:
         def counted(key: str) -> int:
             return after.get(key, 0) - before.get(key, 0)
 
-        assert counted("cache.misses") == sum(not hit for hit, _, _ in steps) > 0
-        assert counted("cache.evictions") == sum(blocks for _, blocks, _ in steps) > 0
-        assert counted("cache.evicted_bytes") == sum(freed for _, _, freed in steps)
+        assert counted("cache.hits") == sum(hits for hits, _, _, _ in steps)
+        assert counted("cache.misses") == sum(misses for _, misses, _, _ in steps) > 0
+        assert counted("cache.evictions") == sum(blocks for _, _, blocks, _ in steps) > 0
+        assert counted("cache.evicted_bytes") == sum(freed for _, _, _, freed in steps)
+
+
+def probe_then_insert(cache, file_id, block, nbytes, evicted) -> bool:
+    """A per-block step out of ``probe`` and ``insert`` (which counts its own
+    evictions, so ``evicted`` stays empty)."""
+    if cache.probe(file_id, block):
+        return True
+    cache.insert(file_id, block, nbytes)
+    return False
+
+
+def range_read(cache, step, file_id, first, end, sizes, fail_run, tally) -> list:
+    """Read a range, the run numbered ``fail_run`` raising; returns the
+    charge log: ``"hit"`` per hit charged, ``(first, end, nbytes)`` per run.
+
+    ``step=None`` is ``fetch_range``; otherwise the per-block loop of the
+    parent ``DB._charge_range_read`` around ``step``.
+    """
+    log = []
+
+    def read(run_first, run_end, nbytes):
+        if sum(1 for entry in log if entry != "hit") == fail_run:
+            raise RunFailed
+        log.append((run_first, run_end, nbytes))
+
+    try:
+        if step is None:
+            def read_run(run_first, run_end, nbytes, hits):
+                log.extend(["hit"] * hits)
+                read(run_first, run_end, nbytes)
+
+            log.extend(["hit"] * cache.fetch_range(file_id, first, end, sizes, read_run, tally))
+            return log
+        evicted = [0, 0]
+        hits = misses = run_bytes = run_start = 0
+        try:
+            for block in range(first, end):
+                if step(cache, file_id, block, sizes[block], evicted):
+                    if run_bytes:
+                        read(run_start, block, run_bytes)
+                        run_bytes = 0
+                    hits += 1
+                    log.append("hit")
+                else:
+                    if not run_bytes:
+                        run_start = block
+                    misses += 1
+                    run_bytes += sizes[block]
+            if run_bytes:
+                read(run_start, end, run_bytes)
+        finally:
+            for index, count in enumerate((hits, misses, *evicted)):
+                tally[index] += count
+    except RunFailed:
+        log.append("raised")
+    return log

@@ -74,6 +74,7 @@ def test_one_read_side_merge():
     """Scans and ``logical_items`` share ``merge_streams``; nothing else is left."""
     from repro.core.slice import Slice
     from repro.lsm import iterators, sstable
+    from repro.lsm.cache import BlockCache
     from repro.lsm.memtable import MemTable
 
     functions = {
@@ -89,6 +90,10 @@ def test_one_read_side_merge():
         (sstable.SSTable, ("records_in_range", "blocks_in_range")),
         (Slice, ("records_in_range", "scan_block_bytes")),
         (MemTable, ("iter_from",)),
+        # A charged range is one cache call (the per-block loop is
+        # tests/_scan_oracle.window_scan's).
+        (BlockCache, ("fetch",)),
+        (repro.DB, ("_charge_range_read",)),
     ):
         for name in gone:
             assert not hasattr(owner, name), (owner, name)

@@ -1,4 +1,4 @@
-"""``DB.scan`` (window merge, one cache step per block) against its two oracles.
+"""``DB.scan`` (window merge, one cache call per charged range) against its oracles.
 
 Three stores are built identically and driven through the same puts,
 deletes and scans — one through ``DB.scan``, one through
@@ -15,6 +15,12 @@ Against the cursor oracle that includes ``engine.scan_sources``, the
 files and slice links a scan's merge opened; the eager oracle opens every
 source, so that one counter is left out of its comparison (second half of
 this file).
+
+``TestAgainstWindowScan`` pair-runs ``DB.scan`` with the third oracle,
+``window_scan``: the same window merge with the pool assembled memtable
+first, a ``BlockCache.fetch`` per block and a ``count_probes`` per range.
+Besides everything charged it compares the merge's own output and the
+units it left opened.
 """
 
 import random
@@ -33,7 +39,8 @@ from repro.lsm.sstable import SSTable
 from repro.ssd.metrics import USER_SCAN
 from repro.ssd.profile import ENTERPRISE_PCIE
 
-from ._scan_oracle import cursor_scan, eager_scan
+from . import _scan_oracle as scan_oracle
+from ._scan_oracle import cursor_scan, eager_scan, window_scan
 
 POLICIES = ("udc", "ldc", "tiered", "delayed")
 #: Block cache sizes, in 128-byte blocks: 0 = no cache; 1 KB = eight
@@ -81,23 +88,22 @@ def charged_state(db: DB, without=()) -> tuple:
     return db.clock.now(), counters, db.registry.gauges(), residency
 
 
+def build(policy: str, cache_bytes: int, stack: str) -> DB:
+    return DB(
+        config=tiny(cache_bytes, bg_threads=1 if stack == "flash+sched" else 0),
+        policy=policy,
+        profile=DeviceConfig(flash=FLASH) if stack == "flash+sched" else ENTERPRISE_PCIE,
+        fault_plan=FaultPlan() if stack == "plan" else None,
+    )
+
+
 class Trio:
     """A store read through ``DB.scan`` beside its cursor- and eagerly-scanned twins."""
 
-    def __init__(self, policy: str, cache_bytes: int, stack: str = "plain"):
-        def build() -> DB:
-            return DB(
-                config=tiny(cache_bytes, bg_threads=1 if stack == "flash+sched" else 0),
-                policy=policy,
-                profile=(
-                    DeviceConfig(flash=FLASH)
-                    if stack == "flash+sched"
-                    else ENTERPRISE_PCIE
-                ),
-                fault_plan=FaultPlan() if stack == "plan" else None,
-            )
-
-        self.window, self.cursor, self.eager = build(), build(), build()
+    def __init__(self, policy: str, cache_bytes: int, stack: str = "plain", stores=()):
+        self.window, self.cursor, self.eager = stores or (
+            build(policy, cache_bytes, stack) for _ in range(3)
+        )
         self.stores = (self.window, self.cursor, self.eager)
         #: Counters the eager oracle cannot pin: it opens every source.
         self.eager_blind = ("engine.scan_sources",)
@@ -273,7 +279,10 @@ class TestAcrossStacksAndCaches:
 # ----------------------------------------------------------------------
 # Directed cases on hand-built trees
 # ----------------------------------------------------------------------
-def hand_built(policy: str, cache_bytes: int, levels: dict, links=(), deletes=()):
+def hand_built(
+    policy: str, cache_bytes: int, levels: dict, links=(), deletes=(), copies=2,
+    stack="plain",
+):
     """Twin stores with ``levels[level]`` = key-index lists, one file each.
 
     Deeper levels are built first, so upper levels hold newer versions.
@@ -282,8 +291,8 @@ def hand_built(policy: str, cache_bytes: int, levels: dict, links=(), deletes=()
     ``deletes`` are written as tombstones wherever they appear.
     """
     stores = []
-    for _ in range(2):
-        db = DB(config=tiny(cache_bytes), policy=policy)
+    for _ in range(copies):
+        db = build(policy, cache_bytes, stack)
 
         def table_of(indices) -> SSTable:
             records = [
@@ -431,6 +440,48 @@ class TestChargeEdges:
         assert charged_state(db) == before
         assert len(db.scan(make_key(0), 5)) == 5
 
+    def test_a_float_or_bool_count_is_refused_before_anything_moves(self):
+        """It used to count the scan, then fail inside the merge (2.5) or
+        mean one record (True)."""
+        db = DB(config=tiny(1024), policy="ldc")
+        for index in range(0, 100, 2):
+            db.put(make_key(index), b"c" * 30)
+        before = charged_state(db)
+        for count in (2.5, 3.0, True, False):
+            with pytest.raises(TypeError, match="scan count must be an int"):
+                db.scan(make_key(0), count)
+        assert charged_state(db) == before
+        assert len(db.scan(make_key(0), 3)) == 3
+
+    @pytest.mark.parametrize("policy", ("udc", "ldc"))
+    def test_blocks_after_a_failing_run_are_not_probed(self, policy):
+        """A hit closes a run that fails its CRC while blocks further along
+        the same range are resident: those are never probed, so the raise
+        leaves their LRU places — and every counter — as the oracles do."""
+        levels = {1: [list(range(0, 120, 2))]}  # one range per scan
+        trio = Trio(policy, 4096, stores=hand_built(
+            policy, 4096, levels, copies=3, stack="plan"
+        ))
+        trio.scan(make_key(40), 10)  # the middle of the range is resident
+        cache = trio.window.block_cache
+        before = cache.cached_blocks()
+        assert len(before) >= 3
+        for db in trio.stores:
+            faults = db.device.faults
+            faults.plan.corrupt_read(faults.read_count + 1)
+        with pytest.raises(CorruptionError, match=r"block\(s\) \[0, "):
+            trio.window.scan(make_key(0), 50)
+        with pytest.raises(CorruptionError):
+            cursor_scan(trio.cursor, make_key(0), 50)
+        with pytest.raises(CorruptionError):
+            eager_scan(trio.eager, make_key(0), 50)
+        # The run's blocks are dropped, the hit that closed it is refreshed,
+        # and the resident blocks after it keep their places.
+        assert cache.cached_blocks() == before[1:] + before[:1]
+        trio.eager_blind += ("cache.hits",)  # see TestVerifiedReads
+        trio.assert_same_charges()
+        assert len(trio.scan(make_key(0), 50)) == 50
+
 
 @pytest.mark.parametrize("cache_bytes", (0, 1024, 4096))
 @pytest.mark.parametrize("policy", ("udc", "ldc"))
@@ -477,6 +528,94 @@ class TestVerifiedReads:
 
 
 # ----------------------------------------------------------------------
+# Against the window merge with one cache call per block
+# ----------------------------------------------------------------------
+class Pair:
+    """A store read through ``DB.scan`` beside its twin read through
+    ``tests/_scan_oracle.window_scan``, the scan it replaced."""
+
+    def __init__(self, window: DB, per_block: DB):
+        self.window, self.per_block = window, per_block
+
+    @classmethod
+    def built(cls, policy: str, cache_bytes: int, stack: str = "plain") -> "Pair":
+        return cls(*(build(policy, cache_bytes, stack) for _ in range(2)))
+
+    def put(self, key: bytes, value: bytes) -> None:
+        self.window.put(key, value)
+        self.per_block.put(key, value)
+
+    def delete(self, key: bytes) -> None:
+        self.window.delete(key)
+        self.per_block.delete(key)
+
+    def scan(self, start_key: bytes, count: int):
+        # The merge alone first, on two fresh stream sets of one store:
+        # the same pairs, keys consumed and last key, and the same units
+        # left opened, window positions included.
+        streams = self.window._scan_streams(start_key)
+        oracle_streams = self.window._scan_streams(start_key)
+        assert iterators.merge_streams(
+            streams, start_key, count
+        ) == scan_oracle.merge_streams(oracle_streams, start_key, count)
+        assert streams == oracle_streams
+        got = self.window.scan(start_key, count)
+        assert got == window_scan(self.per_block, start_key, count)
+        assert charged_state(self.window) == charged_state(self.per_block)
+        return got
+
+    def counter(self, key: str):
+        return self.window.metrics().get(key, 0)
+
+
+class TestAgainstWindowScan:
+    """One cache call per charged range and one ``count_probes`` per scan,
+    against a ``fetch`` per block and a ``count_probes`` per range; the
+    merge pool assembled deepest stream first, against memtable first."""
+
+    @given(
+        policy=st.sampled_from(POLICIES),
+        # 100 B: nearly every block is larger than the cache; 300 B: two
+        # blocks, so an install evicts one further along the same range.
+        cache_bytes=st.sampled_from((0, 100, 300, 1024, 4096)),
+        stack=st.sampled_from(STACKS),
+        ops=operations,
+    )
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_same_merge_results_and_charges(self, policy, cache_bytes, stack, ops):
+        check_drawn_operations(Pair.built(policy, cache_bytes, stack), ops)
+
+    def one_range(self, cache_bytes: int) -> Pair:
+        """One level-1 file, no links: a scan charges exactly one range."""
+        return Pair(*hand_built("udc", cache_bytes, {1: [list(range(0, 120, 2))]}))
+
+    def test_a_range_mixing_hits_and_misses(self):
+        pair = self.one_range(4096)
+        pair.scan(make_key(20), 6)
+        pair.scan(make_key(60), 6)
+        hits, misses = pair.counter("cache.hits"), pair.counter("cache.misses")
+        pair.scan(make_key(0), 50)  # runs closed by hits, hits between runs
+        assert pair.counter("cache.hits") > hits
+        assert pair.counter("cache.misses") > misses
+
+    def test_an_install_evicts_a_later_block_of_the_same_range(self):
+        pair = self.one_range(300)
+        pair.scan(make_key(0), 30)
+        resident = pair.window.block_cache.cached_blocks()
+        assert resident  # the range's last blocks
+        hits = pair.counter("cache.hits")
+        pair.scan(make_key(0), 30)  # the same range: its installs evict them
+        assert pair.counter("cache.hits") == hits
+        assert pair.window.block_cache.cached_blocks() == resident
+
+    def test_blocks_larger_than_the_cache(self):
+        pair = self.one_range(100)
+        for start in (0, 31, 0):
+            pair.scan(make_key(start), 20)
+        assert pair.counter("cache.hits") == 0 < pair.counter("cache.misses")
+
+
+# ----------------------------------------------------------------------
 # Sources opened per scan
 # ----------------------------------------------------------------------
 def paper_shaped_store(policy: str) -> DB:
@@ -494,20 +633,22 @@ def scan_recording_sources(db: DB, start_key: bytes, count: int, monkeypatch):
     """Scan once; return (sources counted, files opened, tables charged)."""
     opened, charged = [], []
     unit_windows = iterators.unit_windows
-    charge = db._charge_range_read
+    # No block cache: each charged range is exactly one device read.
+    assert db.block_cache is None
+    read_run = db._read_scan_run
 
     def opening(table, lo):
         opened.append(table)
         return unit_windows(table, lo)
 
-    def charging(table, first, end):
+    def charging(table, first, end, nbytes, hits):
         charged.append(table)
-        charge(table, first, end)
+        read_run(table, first, end, nbytes, hits)
 
     before = db.metrics().get("engine.scan_sources")
     with monkeypatch.context() as patch:
         patch.setattr(iterators, "unit_windows", opening)
-        patch.setattr(db, "_charge_range_read", charging)
+        patch.setattr(db, "_read_scan_run", charging)
         assert len(db.scan(start_key, count)) == count
     return db.metrics().get("engine.scan_sources") - before, opened, charged
 

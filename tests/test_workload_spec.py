@@ -102,6 +102,21 @@ class TestValidation:
         with pytest.raises(WorkloadError):
             WorkloadSpec(name="x", num_operations=1, write_ratio=0.5, key_bytes=4)
 
+    @pytest.mark.parametrize(
+        "field",
+        ["num_operations", "key_space", "key_bytes", "value_bytes", "scan_length",
+         "preload_keys"],
+    )
+    @pytest.mark.parametrize("value", [16.0, 16.5, True])
+    def test_count_fields_must_be_ints(self, field, value):
+        """``scan_length=2.5`` used to pass and then crash every scan of the
+        run, ``key_space=100.5`` to be accepted silently, and
+        ``num_operations=10.5`` / ``value_bytes=8.5`` to die in numpy or in
+        bytes multiplication."""
+        with pytest.raises(WorkloadError, match=f"{field} must be an int"):
+            scn_wh(**{field: value})
+        assert getattr(scn_wh(**{field: 16}), field) == 16
+
 
 class TestScaling:
     def test_scaled_grows_everything(self):
