@@ -31,7 +31,8 @@ PAPER_PERCENTILES = (90.0, 99.0, 99.9, 99.99)
 #: histogram.  A vectorised pass has a fixed cost (~30 us, a dozen numpy
 #: calls) that equals the per-sample loop it replaced at ~250 samples —
 #: folding each 256-sample batch buys nothing — and is 3-10x cheaper per
-#: sample from a few thousand up (docs/PERF.md, "the stack tax").
+#: sample from a few thousand up (measured when the recorders moved to
+#: folding; docs/PERF.md's summary table, the tables in git history).
 FOLD_WATERMARK = 1 << 16
 
 #: Samples per vectorised pass within one fold: bounds the fold's numpy

@@ -510,7 +510,12 @@ class DB:
             self._check_open()
         if type(key) is not bytes or not key:
             _check_key(key)
-        self.policy.on_operation(False)
+        # The write path's gates (see _apply_write): the policy hears of
+        # the read only when its movement observes operations, and the
+        # maintenance poll runs only with the scheduler on or the idle
+        # gate open.
+        if self._observes:
+            self.policy.on_operation(False)
         clock = self.clock
         start = clock._now_us
         counters = self._counters
@@ -519,7 +524,8 @@ class DB:
         counters[ACT_READ_KEY] = counters.get(ACT_READ_KEY, 0) + (
             clock._now_us - start
         )
-        self._maintenance_step()
+        if self.sched is not None or not self.policy._maintenance_idle:
+            self._maintenance_step()
         if record is None or record[2] == KIND_DELETE:
             return None
         counters["engine.get_hits"] = counters.get("engine.get_hits", 0) + 1

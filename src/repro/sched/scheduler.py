@@ -372,17 +372,21 @@ class CompactionScheduler:
                 thread.free_at_us = task.enqueued_us
 
     def _replay(self, until_us: float, first_completion: bool = False) -> float:
-        """The one replay step, looped: select, start and replay chunks.
+        """The one replay step, looped: select a thread, replay its run.
 
-        Each turn hands queued tasks to idle threads, picks the busy
+        Each turn hands queued tasks to idle threads and picks the busy
         thread whose next chunk can start first (an IO chunk waits for the
-        device channel; ties break on thread index), and — while that
-        start precedes ``until_us`` — replays the chunk: the thread is
-        busy until its end, an IO chunk extends the channel horizon, the
-        ``sched.*`` counters are bumped in place (``bg_busy_us`` per chunk,
-        in replay order), a finished task frees its thread.  With
-        ``first_completion`` the loop also stops after the chunk that
-        completes a task and returns that chunk's end.
+        device channel; ties break on thread index).  While that start
+        precedes ``until_us`` the thread replays a *run*: its next chunks,
+        one after another, while each still starts strictly before the
+        runner-up thread's ready time — the channel only moves later, so
+        the per-chunk selection would have picked this thread every time.
+        The thread is busy until each chunk's end, an IO chunk extends the
+        channel horizon, and ``sched.chunks_executed`` / ``sched.bg_busy_us``
+        are bumped once per run (the durations added in replay order).  A
+        finished task frees its thread and returns to the selection; with
+        ``first_completion`` the loop stops there and returns that chunk's
+        end.
 
         Otherwise returns the latest chunk end replayed, ``-inf`` if
         nothing was due.
@@ -396,6 +400,7 @@ class CompactionScheduler:
                 self._assign_idle()
             chosen = None
             start = 0.0
+            runner_up = inf
             for thread in threads:
                 task = thread.task
                 if task is None:
@@ -407,26 +412,46 @@ class CompactionScheduler:
                 ):
                     ready = channel.busy_until_us
                 if chosen is None or ready < start:
+                    if chosen is not None:
+                        runner_up = start
                     chosen = thread
                     start = ready
+                elif ready < runner_up:
+                    runner_up = ready
             if chosen is None or start >= until_us:
                 return latest
+            if until_us < runner_up:
+                runner_up = until_us
             task = chosen.task
-            kind, duration = task.chunks[task.next_chunk]
-            end = start + duration
+            chunks = task.chunks
+            last = len(chunks)
+            at = task.next_chunk
+            busy = counters.get("sched.bg_busy_us", 0)
+            replayed = 0
+            while True:
+                kind, duration = chunks[at]
+                end = start + duration
+                if kind == CAPTURE_IO and end > channel.busy_until_us:
+                    channel.busy_until_us = end
+                at += 1
+                replayed += 1
+                busy += duration
+                if at >= last:
+                    break
+                start = end
+                if chunks[at][0] == CAPTURE_IO and channel.busy_until_us > start:
+                    start = channel.busy_until_us
+                if start >= runner_up:
+                    break
             chosen.free_at_us = end
-            if kind == CAPTURE_IO and end > channel.busy_until_us:
-                channel.busy_until_us = end
-            task.next_chunk += 1
+            task.next_chunk = at
             counters["sched.chunks_executed"] = (
-                counters.get("sched.chunks_executed", 0) + 1
+                counters.get("sched.chunks_executed", 0) + replayed
             )
-            counters["sched.bg_busy_us"] = (
-                counters.get("sched.bg_busy_us", 0) + duration
-            )
+            counters["sched.bg_busy_us"] = busy
             if end > latest:
                 latest = end
-            if task.next_chunk >= len(task.chunks):
+            if at >= last:
                 chosen.task = None
                 counters["sched.tasks_completed"] = (
                     counters.get("sched.tasks_completed", 0) + 1

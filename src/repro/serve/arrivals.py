@@ -36,7 +36,10 @@ into one time-ordered arrival sequence.
 from __future__ import annotations
 
 import heapq
+import math
+import numbers
 from dataclasses import dataclass
+from itertools import accumulate, chain, islice, repeat, starmap
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
@@ -45,6 +48,27 @@ from ..errors import ConfigError
 
 #: One merged arrival: ``(arrival_us, tenant_index)``.
 Arrival = Tuple[float, int]
+
+
+def require_count(name: str, value: object, minimum: int = 1) -> None:
+    """Raise :class:`ConfigError` unless ``value`` is a plain ``int`` (not a
+    float, not a ``bool``) of at least ``minimum``."""
+    if type(value) is bool or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an int, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value!r}")
+
+
+def require_positive(name: str, value: object) -> None:
+    """Raise :class:`ConfigError` unless ``value`` is a finite number > 0
+    (a NaN compares false against every SLO and would launder them all)."""
+    if (
+        type(value) is bool
+        or not isinstance(value, numbers.Real)
+        or not math.isfinite(value)
+        or value <= 0
+    ):
+        raise ConfigError(f"{name} must be a finite positive number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -78,15 +102,10 @@ class Tenant:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigError("tenant name must be non-empty")
-        if self.rate_ops_s <= 0:
-            raise ConfigError(
-                f"tenant {self.name!r} rate must be positive, "
-                f"got {self.rate_ops_s!r}"
-            )
-        if self.population < 1:
-            raise ConfigError(
-                f"tenant {self.name!r} population must be >= 1"
-            )
+        require_positive(f"tenant {self.name!r} rate_ops_s", self.rate_ops_s)
+        require_count(f"tenant {self.name!r} population", self.population)
+        if self.slo_us is not None:
+            require_positive(f"tenant {self.name!r} slo_us", self.slo_us)
 
     @property
     def per_user_rate_ops_s(self) -> float:
@@ -124,10 +143,7 @@ class ArrivalProcess:
     kind = "abstract"
 
     def __init__(self, rate_ops_s: float) -> None:
-        if rate_ops_s <= 0:
-            raise ConfigError(
-                f"arrival rate must be positive, got {rate_ops_s!r}"
-            )
+        require_positive("arrival rate", rate_ops_s)
         self.rate_ops_s = rate_ops_s
 
     @property
@@ -139,11 +155,10 @@ class ArrivalProcess:
         raise NotImplementedError
 
     def arrivals(self, rng: np.random.Generator) -> Iterator[float]:
-        """Absolute arrival timestamps: the running sum of the intervals."""
-        now_us = 0.0
-        for gap_us in self.intervals(rng):
-            now_us += gap_us
-            yield now_us
+        """Absolute arrival timestamps: the running sum of the intervals,
+        accumulated in order at C level (``0.0 + gap`` is ``gap`` for the
+        first one, so the sums are the per-gap loop's bit for bit)."""
+        return accumulate(self.intervals(rng))
 
 
 class PoissonProcess(ArrivalProcess):
@@ -157,9 +172,10 @@ class PoissonProcess(ArrivalProcess):
     _BLOCK = 4096
 
     def intervals(self, rng: np.random.Generator) -> Iterator[float]:
-        scale_us = self.mean_interval_us
-        while True:
-            yield from rng.exponential(scale_us, size=self._BLOCK).tolist()
+        """Gaps drawn a block at a time and chained at C level: no Python
+        frame runs per gap."""
+        blocks = starmap(rng.exponential, repeat((self.mean_interval_us, self._BLOCK)))
+        return chain.from_iterable(map(np.ndarray.tolist, blocks))
 
 
 class OnOffProcess(ArrivalProcess):
@@ -328,8 +344,8 @@ def make_arrival_process(
 
 def split_rate(total_rate_ops_s: float, tenants: int) -> List[Tenant]:
     """Equal-rate tenant population: ``tenants`` tenants sharing the rate."""
-    if tenants < 1:
-        raise ConfigError("need at least one tenant")
+    require_count("tenant count", tenants)
+    require_positive("rate_ops_s", total_rate_ops_s)
     share = total_rate_ops_s / tenants
     return [Tenant(name=f"t{index}", rate_ops_s=share) for index in range(tenants)]
 
@@ -348,22 +364,23 @@ def merge_tenant_arrivals(
     pure function of ``(tenants, kind, seed, params)`` — adding a tenant
     never perturbs another tenant's arrivals.  Ties break by tenant
     index, keeping the merge total-ordered and reproducible.
+
+    One lazy ``heapq.merge`` of ``(timestamp, index)`` streams for any
+    tenant count, cut by ``islice``: a tenant is drawn only for its head
+    and after each arrival of its own the merge yields, never past the
+    ``limit``-th.
     """
     if not tenants:
         raise ConfigError("need at least one tenant")
-    if limit < 0:
-        raise ConfigError("limit must be non-negative")
+    require_count("limit", limit, minimum=0)
     children = np.random.SeedSequence(seed).spawn(len(tenants))
-    merged: List[Arrival] = []
-    heap: List[Tuple[float, int, Iterator[float]]] = []
-    for index, (tenant, child) in enumerate(zip(tenants, children)):
-        process = make_arrival_process(kind, tenant.rate_ops_s, **params)
-        rng = np.random.Generator(np.random.PCG64(child))
-        timestamps = process.arrivals(rng)
-        heap.append((next(timestamps), index, timestamps))
-    heapq.heapify(heap)
-    while heap and len(merged) < limit:
-        timestamp, index, timestamps = heapq.heappop(heap)
-        merged.append((timestamp, index))
-        heapq.heappush(heap, (next(timestamps), index, timestamps))
-    return merged
+    streams = [
+        zip(
+            make_arrival_process(kind, tenant.rate_ops_s, **params).arrivals(
+                np.random.Generator(np.random.PCG64(child))
+            ),
+            repeat(index),
+        )
+        for index, (tenant, child) in enumerate(zip(tenants, children))
+    ]
+    return list(islice(heapq.merge(*streams), limit))

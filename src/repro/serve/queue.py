@@ -18,6 +18,13 @@ every request that ever arrived is accounted for as admitted or
 rejected, and every admitted request is either completed or still
 queued (``arrived == admitted + rejected``, ``admitted == completed +
 depth``), at every point in time.
+
+Two ways to drive it.  ``offer`` / ``pop`` / ``complete`` /
+``reject_external`` keep the ledger at every step.  The serve loop,
+which moves a request per arrival, instead takes the discipline as two
+callables — ``push`` and ``take``, the deque's own C methods under
+``"fifo"`` — and books its counts once at the end (:meth:`book`), where
+the ledger must balance against the depth it leaves.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, List, NamedTuple, Optional, Tuple, Union
 
+from .arrivals import require_count
 from ..errors import ConfigError, QueueFullError
 
 #: Queue disciplines accepted by :class:`RequestQueue`.
@@ -72,22 +80,26 @@ class RequestQueue:
     """Bounded FIFO / priority queue with typed admission rejection."""
 
     def __init__(self, capacity: int, discipline: str = "fifo") -> None:
-        if capacity < 1:
-            raise ConfigError(f"queue capacity must be >= 1, got {capacity!r}")
-        if discipline not in DISCIPLINES:
-            known = ", ".join(DISCIPLINES)
-            raise ConfigError(
-                f"unknown queue discipline {discipline!r}; known: {known}"
-            )
+        require_count("queue capacity", capacity)
+        check_discipline(discipline)
         self.capacity = capacity
         self.discipline = discipline
         self.stats = QueueStats()
         #: The queued requests: a deque under ``"fifo"``, a heap of
         #: ``(priority, seq, request)`` under ``"priority"``.  Truth-test
-        #: or ``len`` it freely; mutate it only through offer / pop.
+        #: or ``len`` it freely; mutate it only through push / take.
         self.waiting: Union[Deque[Request], List[Tuple[int, int, Request]]] = (
             deque() if discipline == "fifo" else []
         )
+        #: ``push(request)`` queues a request, ``take()`` removes the next
+        #: one under the discipline — neither touches the ledger.  A
+        #: request is any tuple in :class:`Request`'s field order.
+        if discipline == "fifo":
+            self.push = self.waiting.append
+            self.take = self.waiting.popleft
+        else:
+            self.push = self._push_priority
+            self.take = self._take_priority
 
     @property
     def depth(self) -> int:
@@ -106,13 +118,10 @@ class RequestQueue:
         below the configured capacity (the back-pressure hook) without
         mutating queue state; it never exceeds ``capacity``.
         """
-        bound = self.capacity
-        if effective_capacity is not None and effective_capacity < bound:
-            bound = max(1, effective_capacity)
+        bound = self.bound(effective_capacity)
         stats = self.stats
         stats.arrived += 1
-        waiting = self.waiting
-        depth = len(waiting)
+        depth = len(self.waiting)
         if depth >= bound:
             stats.rejected += 1
             raise QueueFullError(
@@ -120,10 +129,14 @@ class RequestQueue:
                 depth=depth,
             )
         stats.admitted += 1
-        if self.discipline == "fifo":
-            waiting.append(request)
-        else:
-            heapq.heappush(waiting, (request.priority, request.seq, request))
+        self.push(request)
+
+    def bound(self, effective_capacity: Optional[int] = None) -> int:
+        """The depth at which an arrival is rejected: ``capacity``, or a
+        smaller ``effective_capacity`` (never below 1)."""
+        if effective_capacity is not None and effective_capacity < self.capacity:
+            return max(1, effective_capacity)
+        return self.capacity
 
     def reject_external(self) -> None:
         """Record an arrival the *server* refused before offering it.
@@ -137,13 +150,36 @@ class RequestQueue:
 
     def pop(self) -> Request:
         """Next request under the discipline (caller checks ``depth``)."""
-        waiting = self.waiting
-        if not waiting:
+        if not self.waiting:
             raise ConfigError("pop from an empty request queue")
-        if self.discipline == "fifo":
-            return waiting.popleft()
-        return heapq.heappop(waiting)[2]
+        return self.take()
 
     def complete(self) -> None:
         """Mark one popped request as finished (ledger bookkeeping)."""
         self.stats.completed += 1
+
+    def book(self, arrived: int, rejected: int, completed: int) -> None:
+        """Book what a server moved through ``push`` / ``take``, then check
+        the ledger: every arrival not rejected was pushed, so ``admitted ==
+        completed + depth`` holds only if the server's counts are right."""
+        stats = self.stats
+        stats.arrived += arrived
+        stats.rejected += rejected
+        stats.admitted += arrived - rejected
+        stats.completed += completed
+        stats.check_conservation(len(self.waiting))
+
+    def _push_priority(self, request: Request) -> None:
+        heapq.heappush(self.waiting, (request[4], request[0], request))
+
+    def _take_priority(self) -> Request:
+        return heapq.heappop(self.waiting)[2]
+
+
+def check_discipline(discipline: str) -> None:
+    """Raise :class:`ConfigError` unless ``discipline`` is a known one."""
+    if discipline not in DISCIPLINES:
+        known = ", ".join(DISCIPLINES)
+        raise ConfigError(
+            f"unknown queue discipline {discipline!r}; known: {known}"
+        )

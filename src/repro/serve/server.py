@@ -38,11 +38,22 @@ SLO violations counted from the samples) is written from its result —
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import chain, compress, repeat
+from math import inf
+from operator import eq, lt
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .arrivals import Arrival, Tenant, merge_tenant_arrivals, split_rate
-from .queue import Request, RequestQueue
-from ..errors import BackpressureError, ConfigError, QueueFullError, WorkloadError
+from .arrivals import (
+    ARRIVAL_KINDS,
+    Arrival,
+    Tenant,
+    merge_tenant_arrivals,
+    require_count,
+    require_positive,
+    split_rate,
+)
+from .queue import RequestQueue, check_discipline
+from ..errors import BackpressureError, ConfigError, WorkloadError
 from ..harness.latency import LatencyRecorder, LatencyTimeline
 from ..harness.runner import (
     RunResult,
@@ -79,6 +90,13 @@ WRITE_KINDS = frozenset((OP_PUT, OP_DELETE, OP_RMW))
 #: Arrivals between recorder flushes (``record_batch`` in the serve loop).
 RECORD_BATCH = 256
 
+#: The arrival the serve loop walks after the last real one: at ``inf``,
+#: it drains the queue through the same loop body, then ends the loop.
+_LAST_ARRIVAL = (((inf, 0), None),)
+
+_STALL_KEY = "engine.stall_time_us"
+_DEVICE_WAIT_KEY = "sched.device_wait_us"
+
 
 @dataclass(frozen=True)
 class ServeSpec:
@@ -103,6 +121,19 @@ class ServeSpec:
     backpressure: bool = True
     seed: int = 7
     arrival_params: Tuple[Tuple[str, object], ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.arrival != "closed" and self.arrival not in ARRIVAL_KINDS:
+            known = ", ".join(sorted(ARRIVAL_KINDS))
+            raise ConfigError(
+                f"unknown arrival process {self.arrival!r}; known: {known} "
+                f"(plus 'closed' for closed-loop replay)"
+            )
+        require_positive("rate_ops_s", self.rate_ops_s)
+        require_count("num_tenants", self.num_tenants)
+        require_count("queue_depth", self.queue_depth)
+        check_discipline(self.discipline)
+        require_positive("slo_us", self.slo_us)
 
     def resolve_tenants(self) -> List[Tenant]:
         if self.tenants is not None:
@@ -415,6 +446,13 @@ def _tenant_stats(serve: ServeSpec) -> List[TenantServeStats]:
     ]
 
 
+def _gated_kinds(serve: ServeSpec) -> frozenset:
+    """The operation kinds admission control weighs: the writes, while
+    back-pressure is on.  A read is never back-pressured — L0 throttling
+    is a write-path signal — so it never pays for the decision."""
+    return WRITE_KINDS if serve.backpressure else frozenset()
+
+
 def admission_bound(
     db: DB, serve: ServeSpec, operation, tenant: str = ""
 ) -> Optional[int]:
@@ -426,8 +464,8 @@ def admission_bound(
     throttle is at ``"stop"`` and the operation is a write.  At
     ``"slowdown"`` the bound halves for writes — shed early while the
     engine is degraded instead of queueing work it cannot absorb.
-    Reads are never back-pressured: L0 throttling is a write-path
-    signal.
+    Reads are never back-pressured (:func:`_gated_kinds`); the serve
+    loop weighs the gated kinds only, through :func:`_write_admission`.
 
     The throttle signal reflects the engine as of the most recently
     *served* request: the virtual clock only advances when a request is
@@ -435,8 +473,13 @@ def admission_bound(
     one the previous completion left behind, not a hypothetical state
     at the arrival instant.
     """
-    if not serve.backpressure or operation[0] not in WRITE_KINDS:
+    if operation[0] not in _gated_kinds(serve):
         return None
+    return _write_admission(db, serve, tenant)
+
+
+def _write_admission(db: DB, serve: ServeSpec, tenant: str) -> Optional[int]:
+    """:func:`admission_bound` for an operation of a gated kind."""
     state = db.throttle_state()
     if state == "stop":
         raise BackpressureError(
@@ -448,24 +491,6 @@ def admission_bound(
     return None
 
 
-def _execute(db: DB, operation) -> None:
-    """One operation, dispatched exactly like the closed-loop per-op loop."""
-    kind = operation[0]
-    if kind == OP_PUT:
-        db.put(operation[1], operation[2])
-    elif kind == OP_GET:
-        db.get(operation[1])
-    elif kind == OP_SCAN:
-        db.scan(operation[1], operation[3])
-    elif kind == OP_DELETE:
-        db.delete(operation[1])
-    elif kind == OP_RMW:
-        current = db.get(operation[1])
-        db.put(operation[1], operation[2] or current or b"")
-    else:
-        raise WorkloadError(f"unknown operation kind {kind!r}")
-
-
 def _serve_open_loop(
     db: DB,
     operations,
@@ -474,124 +499,132 @@ def _serve_open_loop(
     serve: ServeSpec,
     timeline_bucket_us: float,
 ) -> ServeResult:
+    """One loop pass per arrival, the request served inline.
+
+    A pass first serves every queued request whose service starts before
+    the arrival: the idle server jumps to the request's arrival, the
+    operation runs exactly as the closed-loop runner dispatches it, and
+    one ledger row ``(wait, service, total, tenant, begin, stall)`` is
+    appended.  Admission therefore sees the queue *depth* as it stands
+    at the arrival instant; the engine's throttle state, which only the
+    gated kinds consult (:func:`admission_bound`), is as of the last
+    completion.  A last arrival at ``inf`` drains the queue through the
+    same body.  The queue's discipline is its ``push`` / ``take``; its
+    ledger is booked, and checked, once at the end.
+    """
     tenants = _tenant_stats(serve)
+    priorities = [stats.tenant.priority for stats in tenants]
     queue = RequestQueue(serve.queue_depth, serve.discipline)
-    waiting = queue.waiting
+    waiting, push, take = queue.waiting, queue.push, queue.take
+    capacity = queue.capacity
+    gated = _gated_kinds(serve)
     wait_rec = LatencyRecorder()
     service_rec = LatencyRecorder()
     total_rec = LatencyRecorder()
     timeline = LatencyTimeline(bucket_us=timeline_bucket_us)
     clock = db.clock
-    counters_get = db.registry._counters.get
-    stall_total = counters_get("engine.stall_time_us", 0) + counters_get(
-        "sched.device_wait_us", 0
-    )
+    put, get, scan, delete = db.put, db.get, db.scan, db.delete
+    # Read in place, not through dict.get: a counter key, once bumped,
+    # stays (registry.reset zeroes values in place).
+    counters = db.registry._counters
+    stall_total = counters.get(_STALL_KEY, 0) + counters.get(_DEVICE_WAIT_KEY, 0)
     start_time = clock.now()
     # Arrival timestamps are relative to the measured phase's origin; the
     # preload already advanced the clock, so shift to absolute time once.
     origin_us = start_time
-    samples: List[Tuple[float, float, float]] = []
-    tenant_samples: List[Tuple[List[float], List[float]]] = [
-        ([], []) for _ in tenants
-    ]
-    events: List[Tuple[float, float, float]] = []
+    rows: List[Tuple[float, float, float, int, float, float]] = []
+    append_row = rows.append
 
     def record_batch() -> None:
-        """Record the buffered samples and empty the buffers.
+        """Split the buffered ledger rows into the recorders; empty it.
 
-        ``samples`` holds ``(wait, service, total)`` per completed request
-        in completion order, ``tenant_samples[i]`` tenant *i*'s own
-        ``(waits, totals)``, ``events`` the timeline's ``(begin, total,
-        stall)``.  ``record_many`` leaves each recorder in the state
-        per-sample ``record`` calls would have, so batching changes only
-        how often the serve loop pays the recorder dispatch.
+        Every recorder gets its column in completion order, each tenant
+        its own rows' waits and totals (``compress`` over the tenant
+        column), the timeline ``(begin, total, stall)`` — ``record_many``
+        leaves each in the state per-request ``record`` calls would have.
+        A tenant's completions and SLO violations are counted from its
+        totals here.
         """
-        if not samples:
+        if not rows:
             return
-        waits, services, totals = zip(*samples)
+        waits, services, totals, owners, begins, stalls = zip(*rows)
+        rows.clear()
         wait_rec.record_many(waits)
         service_rec.record_many(services)
         total_rec.record_many(totals)
-        for stats, (mine_waits, mine_totals) in zip(tenants, tenant_samples):
+        timeline.record_many(zip(begins, totals, stalls))
+        for index, stats in enumerate(tenants):
+            mine = list(map(eq, owners, repeat(index)))
+            mine_waits = list(compress(waits, mine))
+            mine_totals = list(compress(totals, mine))
             stats.wait_latencies.record_many(mine_waits)
             stats.total_latencies.record_many(mine_totals)
-            mine_waits.clear()
-            mine_totals.clear()
-        timeline.record_many(events)
-        samples.clear()
-        events.clear()
+            stats.completed += len(mine_totals)
+            stats.slo_violations += sum(map(lt, repeat(stats.slo_us), mine_totals))
 
-    def serve_one(request: Request) -> None:
-        nonlocal stall_total
-        _seq, arrival_us, tenant_index, operation, _priority = request
-        if clock._now_us < arrival_us:
-            # Server idle: jump to the arrival.  Background compaction
-            # threads replay their chunks across this gap on the next
-            # engine operation — idle time is where the scheduler hides.
-            clock.advance_to(arrival_us)
-        begin = clock._now_us
-        wait_us = begin - arrival_us
-        _execute(db, operation)
-        service_us = clock._now_us - begin
-        stalled = counters_get("engine.stall_time_us", 0) + counters_get(
-            "sched.device_wait_us", 0
-        )
-        total_us = wait_us + service_us
-        samples.append((wait_us, service_us, total_us))
-        mine_waits, mine_totals = tenant_samples[tenant_index]
-        mine_waits.append(wait_us)
-        mine_totals.append(total_us)
-        events.append((begin, total_us, stalled - stall_total))
-        stall_total = stalled
-        queue.complete()
-        stats = tenants[tenant_index]
-        stats.completed += 1
-        if total_us > stats.slo_us:
-            stats.slo_violations += 1
-
-    operations = iter(operations)
-    new_request = tuple.__new__
-    pop = queue.pop
     seq = 0
-    for arrival_rel_us, tenant_index in arrivals:
-        try:
-            operation = next(operations)
-        except StopIteration:  # trace shorter than the arrival budget
-            break
+    for (arrival_rel_us, tenant_index), operation in chain(
+        zip(arrivals, operations), _LAST_ARRIVAL
+    ):
         arrival_us = origin_us + arrival_rel_us
-        # Finish every queued request whose service starts before this
-        # arrival; the admission decision below sees the queue *depth*
-        # exactly as it stands at the arrival instant.  The engine's
-        # throttle state, by contrast, is as of the last completion —
-        # the clock (and with it background compaction) only advances
-        # when a request is served (see admission_bound).
         while waiting and clock._now_us < arrival_us:
-            serve_one(pop())
-        stats = tenants[tenant_index]
-        request = new_request(
-            Request,
-            (seq, arrival_us, tenant_index, operation, stats.tenant.priority),
-        )
+            _seq, request_us, owner, request, _priority = take()
+            if clock._now_us < request_us:
+                # Server idle: jump to the arrival (clock.advance_to,
+                # inlined).  Background compaction threads replay their
+                # chunks across this gap on the next engine operation —
+                # idle time is where the scheduler hides.
+                clock._now_us = request_us
+            begin = clock._now_us
+            kind = request[0]
+            if kind == OP_PUT:
+                put(request[1], request[2])
+            elif kind == OP_GET:
+                get(request[1])
+            elif kind == OP_SCAN:
+                scan(request[1], request[3])
+            elif kind == OP_DELETE:
+                delete(request[1])
+            elif kind == OP_RMW:
+                current = get(request[1])
+                put(request[1], request[2] or current or b"")
+            else:
+                raise WorkloadError(f"unknown operation kind {kind!r}")
+            service_us = clock._now_us - begin
+            stalled = (counters[_STALL_KEY] if _STALL_KEY in counters else 0) + (
+                counters[_DEVICE_WAIT_KEY] if _DEVICE_WAIT_KEY in counters else 0
+            )
+            wait_us = begin - request_us
+            append_row((wait_us, service_us, wait_us + service_us, owner,
+                        begin, stalled - stall_total))
+            stall_total = stalled
+        if operation is None:  # the last arrival: the queue is drained
+            break
+        request = (seq, arrival_us, tenant_index, operation, priorities[tenant_index])
         seq += 1
         if not seq % RECORD_BATCH:
             record_batch()
-        try:
-            effective_capacity = admission_bound(
-                db, serve, operation, tenant=stats.tenant.name
-            )
-        except BackpressureError:
-            queue.reject_external()
-            stats.rejected_backpressure += 1
+        bound = capacity
+        if operation[0] in gated:
+            stats = tenants[tenant_index]
+            try:
+                effective = _write_admission(db, serve, stats.tenant.name)
+            except BackpressureError:
+                stats.rejected_backpressure += 1
+                continue
+            if effective is not None:
+                bound = queue.bound(effective)
+        if len(waiting) >= bound:
+            tenants[tenant_index].rejected_full += 1
             continue
-        try:
-            queue.offer(request, effective_capacity=effective_capacity)
-        except QueueFullError:
-            stats.rejected_full += 1
-    while waiting:
-        serve_one(pop())
+        push(request)
     record_batch()
     elapsed = clock.now() - start_time
-    queue.stats.check_conservation(len(queue))
+    queue.book(
+        arrived=seq,
+        rejected=sum(s.rejected_full + s.rejected_backpressure for s in tenants),
+        completed=len(total_rec),
+    )
     return _serve_result(
         serve,
         tenants,

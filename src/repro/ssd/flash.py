@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from itertools import repeat
 from dataclasses import dataclass
 from typing import Deque, Dict, Hashable, List, Optional, Tuple
 
@@ -300,20 +301,31 @@ class FlashTranslationLayer:
     # Programming and allocation
     # ------------------------------------------------------------------
     def _program_owner(self, owner: Owner, npages: int) -> None:
+        """Program ``npages`` pages of ``owner``, a block run at a time.
+
+        Each run fills the open host block's next free pages with slice
+        assignments: the reverse entries, the forward ppns, the block's
+        valid / written counts and stamp, the program counter and the
+        live total move together.  Only opening a block can collect (and
+        so raise a full device or an injected crash), and it happens
+        between runs, so every raise leaves the mapping exactly as the
+        page-at-a-time loop did.
+        """
         pages = self.owner_pages.get(owner)
         if pages is None:
             pages = self.owner_pages[owner] = []
         page_owner = self.page_owner
-        valid = self._valid
-        ppb = self._ppb
-        for _ in range(npages):
-            ppn = self._next_page(for_gc=False)
-            page_owner[ppn] = (owner, len(pages))
-            pages.append(ppn)
-            valid[ppn // ppb] += 1
-            # Page by page, not ``npages`` after the loop: a crash injected
-            # into a GC charge (or a full device) leaves the loop early.
-            self.live_pages += 1
+        left = npages
+        while left:
+            first, run = self._claim(left, for_gc=False)
+            index = len(pages)
+            page_owner[first : first + run] = zip(
+                repeat(owner), range(index, index + run)
+            )
+            pages.extend(range(first, first + run))
+            self._valid[first // self._ppb] += run
+            self.live_pages += run
+            left -= run
         nbytes = npages * self.spec.page_bytes
         self.bytes_programmed += nbytes
         registry = self.device.registry
@@ -326,28 +338,44 @@ class FlashTranslationLayer:
         )
         registry.set_gauge(GAUGE_LIVE_PAGES, self.live_pages)
 
-    def _next_page(self, *, for_gc: bool) -> int:
+    def _claim(self, pages: int, *, for_gc: bool) -> Tuple[int, int]:
+        """Claim the next run of up to ``pages`` free pages of the open host
+        (or GC) block, opening a free block first if none is open.
+
+        Returns ``(first_ppn, run)``.  The block's written count, its
+        stamp (the last page's program number) and the program counter
+        advance by the run; a block whose last page is claimed closes.
+        """
         ppb = self._ppb
         if for_gc:
-            if self._gc_block is None:
-                self._gc_block = self._take_free_block(for_gc=True)
+            block = self._gc_block
+            if block is None:
+                block = self._gc_block = self._take_free_block(for_gc=True)
                 self._gc_used = 0
-            block, used = self._gc_block, self._gc_used
-            self._gc_used = used + 1
-            if self._gc_used >= ppb:
+            used = self._gc_used
+        else:
+            block = self._host_block
+            if block is None:
+                block = self._host_block = self._take_free_block(for_gc=False)
+                self._host_used = 0
+            used = self._host_used
+        run = ppb - used
+        if run > pages:
+            run = pages
+        full = used + run >= ppb
+        if for_gc:
+            self._gc_used = used + run
+            if full:
                 self._gc_block = None
         else:
-            if self._host_block is None:
-                self._host_block = self._take_free_block(for_gc=False)
-                self._host_used = 0
-            block, used = self._host_block, self._host_used
-            self._host_used = used + 1
-            if self._host_used >= ppb:
+            self._host_used = used + run
+            if full:
                 self._host_block = None
-        self._written[block] += 1
-        self._stamp[block] = self._program_counter
-        self._program_counter += 1
-        return block * ppb + used
+        self._written[block] += run
+        counter = self._program_counter + run
+        self._stamp[block] = counter - 1
+        self._program_counter = counter
+        return block * ppb + used, run
 
     def _take_free_block(self, *, for_gc: bool) -> int:
         free = self._free
@@ -404,14 +432,19 @@ class FlashTranslationLayer:
             self.device.write(nbytes, GC_WRITE, sequential=True)
             valid = self._valid
             owner_pages = self.owner_pages
-            for ppn in live:
-                owner, index = page_owner[ppn]
-                new_ppn = self._next_page(for_gc=True)
-                page_owner[new_ppn] = (owner, index)
-                owner_pages[owner][index] = new_ppn
-                valid[new_ppn // ppb] += 1
-                page_owner[ppn] = None
-                valid[victim] -= 1
+            moved = 0
+            while moved < len(live):
+                first, run = self._claim(len(live) - moved, for_gc=True)
+                batch = live[moved : moved + run]
+                entries = [page_owner[ppn] for ppn in batch]
+                page_owner[first : first + run] = entries
+                for new_ppn, (owner, index) in enumerate(entries, first):
+                    owner_pages[owner][index] = new_ppn
+                for ppn in batch:
+                    page_owner[ppn] = None
+                valid[first // ppb] += run
+                valid[victim] -= run
+                moved += run
             self.bytes_programmed += nbytes
             registry.add_many(
                 [

@@ -106,7 +106,7 @@ class ZipfKeys:
         u = self._rng.random(count)
         ranks = np.searchsorted(self._cdf, u, side="left")
         perm = self._perm_list
-        return [perm[rank] for rank in ranks]
+        return [perm[rank] for rank in ranks.tolist()]
 
     def probability_of_rank(self, rank: int) -> float:
         """P(rank) for tests (1-based rank)."""

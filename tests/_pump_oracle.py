@@ -14,8 +14,14 @@ the emitted trace events.
 :class:`OracleScheduler` is the scheduler with its replay swapped for the
 parent's; capture (``_start_rounds`` / ``_capture_round`` / ``_chunkify``)
 is shared with the class under test.
+
+That one routine then still selected afresh after every chunk and bumped ``sched.chunks_executed`` / ``sched.bg_busy_us`` per
+chunk; ``src/`` now replays the chosen thread's chunks as a run while
+each starts before the runner-up's ready time.  :class:`ChunkReplayScheduler`
+keeps the per-chunk ``_replay``, verbatim, as the second reference.
 """
 
+from math import inf
 from typing import Optional, Tuple
 
 from repro.errors import CompactionError
@@ -146,3 +152,68 @@ class OracleScheduler(CompactionScheduler):
             if completed:
                 clock.advance_to(end)
                 return True
+
+
+class ChunkReplayScheduler(CompactionScheduler):
+    """``CompactionScheduler`` replaying one chunk per selection."""
+
+    @classmethod
+    def install(cls, db) -> "ChunkReplayScheduler":
+        db.sched = cls(db)
+        return db.sched
+
+    def _replay(self, until_us: float, first_completion: bool = False) -> float:
+        threads = self.threads
+        channel = self.channel
+        counters = self.db.registry._counters
+        latest = -inf
+        while True:
+            if self.queue:
+                self._assign_idle()
+            chosen = None
+            start = 0.0
+            for thread in threads:
+                task = thread.task
+                if task is None:
+                    continue
+                ready = thread.free_at_us
+                if (
+                    task.chunks[task.next_chunk][0] == CAPTURE_IO
+                    and channel.busy_until_us > ready
+                ):
+                    ready = channel.busy_until_us
+                if chosen is None or ready < start:
+                    chosen = thread
+                    start = ready
+            if chosen is None or start >= until_us:
+                return latest
+            task = chosen.task
+            kind, duration = task.chunks[task.next_chunk]
+            end = start + duration
+            chosen.free_at_us = end
+            if kind == CAPTURE_IO and end > channel.busy_until_us:
+                channel.busy_until_us = end
+            task.next_chunk += 1
+            counters["sched.chunks_executed"] = (
+                counters.get("sched.chunks_executed", 0) + 1
+            )
+            counters["sched.bg_busy_us"] = (
+                counters.get("sched.bg_busy_us", 0) + duration
+            )
+            if end > latest:
+                latest = end
+            if task.next_chunk >= len(task.chunks):
+                chosen.task = None
+                counters["sched.tasks_completed"] = (
+                    counters.get("sched.tasks_completed", 0) + 1
+                )
+                tracer = self.db.tracer
+                if tracer.active:
+                    tracer.emit(
+                        EV_SCHED_TASK_DONE,
+                        task_id=task.task_id,
+                        policy=task.policy,
+                        completed_us=end,
+                    )
+                if first_completion:
+                    return end

@@ -22,10 +22,11 @@ not just the seeded traces of the differential suite:
    any workload whose Level 0 never reaches the slowdown trigger:
    back-pressure must never fire spuriously.
 
-And one pair-run: the scheduler's single replay step against the five
-helpers it replaced (``tests/_pump_oracle.py``) — same thread horizons,
-task cursors, channel horizon, ``sched.*`` counters and trace events after
-every step of an arbitrary programme.
+And one pair-run: the scheduler's run replay against the routines it
+replaced (``tests/_pump_oracle.py``: the five pump helpers and the
+chunk-at-a-time step) — same thread horizons, task cursors, channel
+horizon, ``sched.*`` counters and trace events after every step of an
+arbitrary programme, with threads whose IO chunks race the channel.
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -35,7 +36,7 @@ from repro.lsm.config import LSMConfig
 from repro.sched.scheduler import CompactionTask
 from repro.ssd.clock import CAPTURE_CPU, CAPTURE_IO
 
-from ._pump_oracle import OracleScheduler
+from ._pump_oracle import ChunkReplayScheduler, OracleScheduler
 
 POLICIES = ("delayed", "ldc", "tiered", "udc")
 
@@ -279,6 +280,10 @@ def pump_step(db, kind, arg):
     return None
 
 
+#: The two replays the run replay replaced (tests/_pump_oracle.py).
+ORACLES = (OracleScheduler, ChunkReplayScheduler)
+
+
 class TestReplayStepEqualsPumpOracle:
     @given(
         programme=pump_steps,
@@ -290,16 +295,20 @@ class TestReplayStepEqualsPumpOracle:
         suppress_health_check=[HealthCheck.too_slow],
     )
     def test_synthetic_tasks_step_for_step(self, programme, bg_threads):
-        new_sink, old_sink = RingBufferSink(), RingBufferSink()
-        new = DB(config=make_config(bg_threads), policy="udc",
-                 tracer=Tracer([new_sink]))
-        old = DB(config=make_config(bg_threads), policy="udc",
-                 tracer=Tracer([old_sink]))
-        OracleScheduler.install(old)
+        stores = []
+        for oracle in (None,) + ORACLES:
+            sink = RingBufferSink()
+            db = DB(config=make_config(bg_threads), policy="udc",
+                    tracer=Tracer([sink]))
+            if oracle is not None:
+                oracle.install(db)
+            stores.append((db, sink))
         for kind, arg in programme:
-            assert pump_step(new, kind, arg) == pump_step(old, kind, arg)
-            assert sched_state(new, new_sink) == sched_state(old, old_sink)
-        new.sched.check_invariants()
+            results = [pump_step(db, kind, arg) for db, _ in stores]
+            states = [sched_state(db, sink) for db, sink in stores]
+            assert results[1:] == [results[0]] * len(ORACLES)
+            assert states[1:] == [states[0]] * len(ORACLES)
+        stores[0][0].sched.check_invariants()
 
     @given(
         ops=operations,
@@ -316,21 +325,27 @@ class TestReplayStepEqualsPumpOracle:
         through the same scheduler states op for op and end with the same
         clock and the same counters, ``sched.*`` and otherwise."""
         config = make_config(bg_threads, aggressive_throttle=True)
-        new_sink, old_sink = RingBufferSink(), RingBufferSink()
-        new = DB(config=config, policy=policy_name, tracer=Tracer([new_sink]))
-        old = DB(config=config, policy=policy_name, tracer=Tracer([old_sink]))
-        OracleScheduler.install(old)
+        stores = []
+        for oracle in (None,) + ORACLES:
+            sink = RingBufferSink()
+            db = DB(config=config, policy=policy_name, tracer=Tracer([sink]))
+            if oracle is not None:
+                oracle.install(db)
+            stores.append((db, sink))
         for kind, index, value in ops:
-            for db in (new, old):
+            for db, _ in stores:
                 if kind == "put":
                     db.put(key_of(index), value)
                 elif kind == "delete":
                     db.delete(key_of(index))
                 else:
                     db.get(key_of(index))
-            assert sched_state(new, new_sink)[:5] == sched_state(old, old_sink)[:5]
-        assert new.sched.drain() == old.sched.drain()
-        assert new.registry.counters() == old.registry.counters()
-        assert [(e.kind, e.t_us, e.fields) for e in new_sink.events] == [
-            (e.kind, e.t_us, e.fields) for e in old_sink.events
-        ]
+            states = [sched_state(db, sink)[:5] for db, sink in stores]
+            assert states[1:] == [states[0]] * len(ORACLES)
+        ends = [db.sched.drain() for db, _ in stores]
+        assert ends[1:] == [ends[0]] * len(ORACLES)
+        counters = [db.registry.counters() for db, _ in stores]
+        assert counters[1:] == [counters[0]] * len(ORACLES)
+        events = [[(e.kind, e.t_us, e.fields) for e in sink.events]
+                  for _, sink in stores]
+        assert events[1:] == [events[0]] * len(ORACLES)

@@ -71,6 +71,76 @@ class TestTenant:
 
 
 # ----------------------------------------------------------------------
+# Configuration is checked where it is made, not where it is served
+# ----------------------------------------------------------------------
+NAN, INF = float("nan"), float("inf")
+
+
+class TestConfigValidation:
+    """Each case used to pass construction and misbehave later."""
+
+    @pytest.mark.parametrize("depth", [2.5, True, 0])
+    def test_queue_depth_is_a_positive_int(self, depth):
+        """2.5 used to admit 3 and ``True`` 1."""
+        with pytest.raises(ConfigError, match="queue_depth"):
+            ServeSpec(queue_depth=depth)
+
+    @pytest.mark.parametrize("slo_us", [NAN, INF, -5.0, 0.0, True])
+    def test_slo_is_finite_and_positive(self, slo_us):
+        """NaN used to report a violation rate of 0.0 (every comparison
+        false), -5 one of 1.0."""
+        with pytest.raises(ConfigError, match="slo_us"):
+            ServeSpec(slo_us=slo_us)
+        with pytest.raises(ConfigError, match="slo_us"):
+            Tenant("t", 100.0, slo_us=slo_us)
+
+    @pytest.mark.parametrize("count", [2.5, False, 0])
+    def test_num_tenants_is_a_positive_int(self, count):
+        """2.5 used to raise a raw TypeError from range() at serve time."""
+        with pytest.raises(ConfigError, match="num_tenants"):
+            ServeSpec(num_tenants=count)
+        with pytest.raises(ConfigError, match="tenant count"):
+            split_rate(1_000.0, count)
+
+    @pytest.mark.parametrize("rate", [NAN, INF, -1.0, 0.0])
+    def test_rates_are_finite_and_positive(self, rate):
+        with pytest.raises(ConfigError, match="rate"):
+            Tenant("t", rate)
+        with pytest.raises(ConfigError, match="rate"):
+            ServeSpec(rate_ops_s=rate)
+        with pytest.raises(ConfigError, match="rate"):
+            split_rate(rate, 2)
+        with pytest.raises(ConfigError, match="rate"):
+            make_arrival_process("poisson", rate)
+
+    @pytest.mark.parametrize("population", [2.5, True])
+    def test_population_is_an_int(self, population):
+        with pytest.raises(ConfigError, match="population"):
+            Tenant("t", 100.0, population=population)
+
+    @pytest.mark.parametrize("limit", [2.5, True, -1])
+    def test_merge_limit_is_a_non_negative_int(self, limit):
+        """2.5 used to return three arrivals."""
+        with pytest.raises(ConfigError, match="limit"):
+            merge_tenant_arrivals(split_rate(1_000.0, 1), "poisson", 1, limit)
+
+    @pytest.mark.parametrize("capacity", [2.5, True, 0])
+    def test_queue_capacity_is_a_positive_int(self, capacity):
+        with pytest.raises(ConfigError, match="capacity"):
+            RequestQueue(capacity)
+
+    def test_unknown_discipline_fails_at_construction(self):
+        """It used to fail only when serving started."""
+        with pytest.raises(ConfigError, match="discipline"):
+            ServeSpec(discipline="lifo")
+
+    def test_unknown_arrival_kind_fails_at_construction(self):
+        with pytest.raises(ConfigError, match="closed"):
+            ServeSpec(arrival="weibull")
+        assert ServeSpec(arrival="closed").arrival == "closed"
+
+
+# ----------------------------------------------------------------------
 # Arrival processes
 # ----------------------------------------------------------------------
 class TestArrivalProcesses:
