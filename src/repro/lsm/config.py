@@ -128,9 +128,9 @@ class LSMConfig:
         I/O savings for space.
     bg_threads:
         Number of background compaction "threads" driven by the
-        virtual-time scheduler (:mod:`repro.sched`).  The default 0 keeps
-        the historical synchronous engine: compaction runs inline inside
-        the triggering operation and every golden fingerprint is
+        virtual-time scheduler (:mod:`repro.sched`).  The default 0 is the
+        synchronous engine: each captured round's time is charged at once
+        to the operation that runs it, and every golden fingerprint is
         byte-identical.  With ``bg_threads >= 1`` compaction rounds become
         resumable chunked work units that share device bandwidth with the
         foreground, and writes observe LevelDB-style L0 slowdown/stop

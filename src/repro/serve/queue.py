@@ -2,7 +2,7 @@
 
 A single virtual server (the DB) drains this queue; arrivals that find
 it full are *rejected with a typed error* instead of growing an unbounded
-backlog — the admission-control half of tail-latency engineering: a
+queue — the admission-control half of tail-latency engineering: a
 bounded queue turns overload into explicit, measurable rejections rather
 than unbounded queue-wait.
 

@@ -14,14 +14,16 @@ reports tail latencies in (e.g. "469.66 us").
 Concurrency (``repro.sched``) builds on two additions here:
 
 * **Capture mode** — between :meth:`SimClock.begin_capture` and
-  :meth:`SimClock.end_capture` the clock freezes and every ``advance`` /
-  ``advance_io`` is *diverted* into a buffer of ``(kind, duration, bytes)``
-  items instead of moving time.  The scheduler runs one compaction round
-  under capture: the round's logical effects (version-set mutations) apply
-  immediately and atomically, while its time cost comes back as a list the
-  scheduler replays later as block-granularity chunks on a background
-  thread.  Outside capture both methods behave identically, so the default
-  (scheduler-off) engine is bit-for-bit unchanged.
+  :meth:`SimClock.end_capture` the clock freezes and every charge — an
+  ``advance`` (a CPU item) or a device transfer (an I/O item, appended
+  by the device) — is *diverted* into a buffer of ``(kind, duration,
+  bytes)`` items instead of moving time.  The scheduler runs every
+  compaction round under capture: the round's logical effects
+  (version-set mutations) apply immediately and atomically, while its
+  time cost comes back as a list that background threads replay as
+  block-granularity chunks — or, with no background thread, that is
+  added back onto this clock at once, item by item: the same float
+  additions inline charging makes.
 * :class:`DeviceChannel` — the arbitration point between concurrent
   requesters of the one simulated device.  It is a single ``busy_until_us``
   horizon: background chunks push it forward, and foreground I/O arriving
@@ -91,23 +93,6 @@ class SimClock:
         self._now_us += delta_us
         return self._now_us
 
-    def advance_io(self, delta_us: float, nbytes: int) -> float:
-        """Charge a device transfer of ``nbytes`` taking ``delta_us``.
-
-        Identical to :meth:`advance` outside capture.  During capture the
-        charge is tagged as IO and keeps its byte count, so the scheduler
-        can split it into block-granularity chunks that contend for the
-        :class:`DeviceChannel`.
-        """
-        if delta_us < 0:
-            raise DeviceError(f"cannot advance clock by negative delta {delta_us!r}")
-        if self._capture is not None:
-            if delta_us:
-                self._capture.append((CAPTURE_IO, delta_us, nbytes))
-            return self._now_us
-        self._now_us += delta_us
-        return self._now_us
-
     def advance_to(self, timestamp_us: float) -> float:
         """Advance the clock to an absolute timestamp (no-op if in the past).
 
@@ -140,6 +125,22 @@ class SimClock:
             raise DeviceError("clock capture already active")
         self._capture = []
 
+    def charged_since(self, start_us: float) -> float:
+        """Time charged since ``start_us``, captured charges included.
+
+        Outside a capture this is the clock delta.  Inside one it is the
+        delta the clock will show once the buffered items are added back
+        onto it in order from ``start_us`` (the capture instant): a
+        compaction round's duration, equal bit for bit to the inline
+        charge with no background thread, and the round's captured debt
+        with them.
+        """
+        now = self._now_us
+        if self._capture is not None:
+            for _, duration, _ in self._capture:
+                now += duration
+        return now - start_us
+
     def end_capture(self) -> List[CaptureItem]:
         """Stop capturing and return the diverted ``(kind, us, bytes)`` items."""
         if self._capture is None:
@@ -160,7 +161,7 @@ class DeviceChannel:
     compaction chunks (``repro.sched``) extend the horizon as they replay;
     a foreground request arriving while the horizon is in the future first
     waits (``wait_us``) and then occupies the device itself.  With no
-    scheduler attached the device has no channel and this class is never
+    background thread the device has no channel and this class is never
     consulted — the zero-cost default.
     """
 

@@ -33,7 +33,7 @@ docs/DEVICE.md and docs/FAULTS.md describe the stages.
 
 from __future__ import annotations
 
-from .clock import DeviceChannel, SimClock
+from .clock import CAPTURE_IO, DeviceChannel, SimClock
 from .flash import GC_WRITE, DeviceConfig, FlashSpec, FlashTranslationLayer
 from .metrics import category_keys
 from .profile import ENTERPRISE_PCIE, SSDProfile
@@ -119,10 +119,10 @@ class SimulatedSSD:
         self.flash: FlashTranslationLayer | None = (
             FlashTranslationLayer(flash, device=self) if flash is not None else None
         )
-        #: Bandwidth arbiter attached by the compaction scheduler
-        #: (:mod:`repro.sched`).  ``None`` by default: without a scheduler
-        #: nothing else competes for the device and arbitration is skipped
-        #: entirely, keeping the scheduler-off timing bit-identical.
+        #: Bandwidth arbiter attached by a compaction scheduler with
+        #: background threads (:mod:`repro.sched`).  ``None`` otherwise:
+        #: with no background thread nothing else competes for the device
+        #: and arbitration is skipped entirely.
         self.channel: DeviceChannel | None = None
 
     # ------------------------------------------------------------------
@@ -161,10 +161,13 @@ class SimulatedSSD:
         if faults is not None:
             faults.before_io(category, nbytes, False)
         clock = self.clock
-        if self.channel is None and clock._capture is None:
+        capture = clock._capture
+        if capture is not None:
+            capture.append((CAPTURE_IO, elapsed, nbytes))
+        elif self.channel is None:
             clock._now_us += elapsed
         else:
-            self._charge_shared(elapsed, nbytes)
+            self._charge_shared(elapsed)
         try:
             ops_key, bytes_key, time_key = self._read_keys[category]
         except KeyError:
@@ -217,10 +220,13 @@ class SimulatedSSD:
         if flash is not None and category != GC_WRITE:
             flash.host_write(nbytes, category, owner=owner, stream=stream)
         clock = self.clock
-        if self.channel is None and clock._capture is None:
+        capture = clock._capture
+        if capture is not None:
+            capture.append((CAPTURE_IO, elapsed, nbytes))
+        elif self.channel is None:
             clock._now_us += elapsed
         else:
-            self._charge_shared(elapsed, nbytes)
+            self._charge_shared(elapsed)
         try:
             ops_key, bytes_key, time_key = self._write_keys[category]
         except KeyError:
@@ -276,10 +282,13 @@ class SimulatedSSD:
                 elapsed = overhead + nbytes * per_byte
                 if faults is not None:
                     faults.before_io(category, nbytes, False)
-                if self.channel is None and clock._capture is None:
+                capture = clock._capture
+                if capture is not None:
+                    capture.append((CAPTURE_IO, elapsed, nbytes))
+                elif self.channel is None:
                     clock._now_us += elapsed
                 else:
-                    self._charge_shared(elapsed, nbytes)
+                    self._charge_shared(elapsed)
                 push(elapsed)
                 if faults is not None and faults.after_read(category, nbytes):
                     break
@@ -314,21 +323,18 @@ class SimulatedSSD:
             keys = streams[category] = category_keys(direction, category)
         return keys
 
-    def _charge_shared(self, elapsed: float, nbytes: int) -> None:
-        """The clock stage while the device is shared with the scheduler.
+    def _charge_shared(self, elapsed: float) -> None:
+        """The clock stage while the device is shared with background threads.
 
-        During a clock capture the charge is diverted (the scheduler
-        replays it later as background chunks), so no arbitration happens.
-        Otherwise a :class:`~repro.ssd.clock.DeviceChannel` is attached: a
-        foreground request first waits out the channel's busy horizon —
-        background compaction chunks in flight — and then occupies the
-        device itself; the wait is recorded under ``sched.device_wait_us``.
+        A foreground request first waits out the attached
+        :class:`~repro.ssd.clock.DeviceChannel`'s busy horizon — background
+        compaction chunks in flight — and then occupies the device itself;
+        the wait is recorded under ``sched.device_wait_us``.  (A charge
+        inside a clock capture never gets here: it is diverted into the
+        capture buffer, to be replayed by the scheduler.)
         """
         clock = self.clock
         channel = self.channel
-        if channel is None or clock._capture is not None:
-            clock.advance_io(elapsed, nbytes)
-            return
         wait = channel.busy_until_us - clock._now_us
         if wait > 0:
             clock._now_us += wait

@@ -87,7 +87,7 @@ def oracle_get(db, key: bytes) -> Optional[bytes]:
     counters["engine.gets"] = counters.get("engine.gets", 0) + 1
     record = _lookup(db, key)
     db._count(ACT_READ_KEY, clock._now_us - start)
-    db._maintenance_step()
+    db.sched.on_operation()
     if record is None or record[2] == KIND_DELETE:
         return None
     counters["engine.get_hits"] = counters.get("engine.get_hits", 0) + 1

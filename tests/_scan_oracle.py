@@ -238,7 +238,7 @@ def cursor_scan(db, start_key: bytes, count: int) -> List[Tuple[bytes, bytes]]:
                 _cursor_charge_range_read(db, piece.source, lo, hi)
     db._count("engine.scan_sources", source_count)
     db._count(ACT_SCAN_KEY, clock.now() - start_time)
-    db._maintenance_step()
+    db.sched.on_operation()
     return results
 
 
@@ -334,7 +334,7 @@ def eager_scan(db, start_key: bytes, count: int) -> List[Tuple[bytes, bytes]]:
         _eager_charge_range_read(db, piece.source, lo, hi)
     db._count("engine.scan_sources", len(tables) + len(slices))
     db._count(ACT_SCAN_KEY, db.clock.now() - start_time)
-    db._maintenance_step()
+    db.sched.on_operation()
     return results
 
 
@@ -409,7 +409,7 @@ def window_scan(db, start_key: bytes, count: int) -> List[Tuple[bytes, bytes]]:
             charge_range_read(db, table, *table.block_span(start, stop))
     db._count("engine.scan_sources", len(windows))
     db._count(ACT_SCAN_KEY, clock._now_us - start_time)
-    db._maintenance_step()
+    db.sched.on_operation()
     return results
 
 

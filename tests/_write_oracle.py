@@ -5,9 +5,10 @@ its memtable insert: ``DB.put`` validated through ``_check_open`` /
 ``_check_key``, drew its sequence from ``_next_sequence`` and its record
 from ``put_record``; ``_apply_write`` notified the policy on every write,
 called ``_maybe_stall`` (which read Level 0's length itself), charged the
-memtable insert through ``clock.advance`` and called ``_maintenance_step``
-whatever the idle gate said.  The log built one ``_Unit`` object and a
-one-record list per append, behind an ``_append_unit`` frame.
+memtable insert through ``clock.advance`` and called the maintenance poll
+(then ``DB._maintenance_step``, now ``sched.on_operation``, which tests the
+idle gate itself) whatever the gate said.  The log built one ``_Unit``
+object and a one-record list per append, behind an ``_append_unit`` frame.
 
 Those routines live on here, verbatim in behaviour, as the reference
 ``tests/test_write_equivalence.py`` pair-runs the flattened path against:
@@ -185,7 +186,7 @@ def write_batch(db, batch) -> None:
     count(ACT_WRITE_KEY, db.clock.now() - start)
     if db._memtable.approximate_bytes >= db.config.memtable_bytes:
         db.flush()
-    db._maintenance_step()
+    db.sched.on_operation()
 
 
 def _apply_write(db, record: KVRecord) -> None:
@@ -213,4 +214,4 @@ def _apply_write(db, record: KVRecord) -> None:
     )
     if memtable._bytes >= db.config.memtable_bytes:
         db.flush()
-    db._maintenance_step()
+    db.sched.on_operation()

@@ -323,7 +323,7 @@ class TestCallsPerPut:
     (``tests/_write_oracle.py``) made 30: ``_check_open``, ``_check_key``
     with two ``isinstance``, ``_next_sequence``, ``put_record``, the
     policy's ``on_operation``, ``_maybe_stall``, ``clock.advance``,
-    ``_maintenance_step`` past a closed idle gate, and an ``_append_unit``
+    the maintenance poll past a closed idle gate, and an ``_append_unit``
     frame building a ``_Unit``.
     """
 

@@ -338,8 +338,11 @@ def _batched_db(policy_name: str, bg_threads: int) -> DB:
     probe = [str(index * 3).zfill(16).encode("ascii") for index in range(500)]
     for start in range(0, len(probe), 13):
         db.multi_get(probe[start:start + 13])
-    if db.sched is not None:
-        db.sched.drain()
+    db.sched.drain()
+    if not bg_threads:
+        # The zero-thread engine: no channel, and no sched.* key.
+        assert db.sched.num_threads == 0 and db.device.channel is None
+        assert not db.metrics().component("sched")
     return db
 
 

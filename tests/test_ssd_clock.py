@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.errors import DeviceError
 from repro.ssd.clock import CAPTURE_CPU, CAPTURE_IO, DeviceChannel, SimClock
+from repro.ssd.device import SimulatedSSD
 
 
 class TestSimClock:
@@ -69,17 +70,17 @@ class TestCaptureMode:
         clock.begin_capture()
         assert clock.capturing
         clock.advance(5.0)
-        clock.advance_io(3.0, 4096)
+        device = SimulatedSSD(clock=clock)
+        elapsed = device.write(4096, "flush_write")
         assert clock.now() == 10.0  # frozen throughout
         items = clock.end_capture()
-        assert items == [(CAPTURE_CPU, 5.0, 0), (CAPTURE_IO, 3.0, 4096)]
+        assert items == [(CAPTURE_CPU, 5.0, 0), (CAPTURE_IO, elapsed, 4096)]
         assert not clock.capturing
 
     def test_zero_charges_not_recorded(self):
         clock = SimClock()
         clock.begin_capture()
         clock.advance(0.0)
-        clock.advance_io(0.0, 4096)
         assert clock.end_capture() == []
 
     def test_normal_advance_resumes_after_capture(self):
@@ -111,8 +112,6 @@ class TestCaptureMode:
         clock.begin_capture()
         with pytest.raises(DeviceError):
             clock.advance(-1.0)
-        with pytest.raises(DeviceError):
-            clock.advance_io(-1.0, 10)
 
 
 class TestDeviceChannel:
