@@ -12,7 +12,7 @@ catalogue (``udc``, ``ldc``, ``tiered``, ``delayed``, ``lazy_leveling``,
 composition to the part of the paper it models.
 """
 
-from .base import CompactionPolicy, MAX_ROUNDS_PER_PASS
+from .base import CompactionPolicy, MAX_ROUNDS_PER_PASS, MaintenanceEngine
 from .composed import ComposedPolicy
 from .primitives import (
     CandidateSelector,
@@ -49,4 +49,5 @@ __all__ = [
     "register_primitive",
     "known_primitives",
     "MAX_ROUNDS_PER_PASS",
+    "MaintenanceEngine",
 ]
