@@ -1,9 +1,9 @@
-"""Shared helpers for the per-figure benchmarks.
+"""Shared helpers for the benchmarks.
 
-Every benchmark regenerates one table or figure of the paper and prints
-its rows next to the paper's reported values.  Benchmarks measure
-*virtual* device time (the paper's quantity); pytest-benchmark's
-wall-clock numbers only reflect how long the simulation took to run.
+``test_paper_claims.py`` runs every figure of ``repro.cli.FIGURES`` and
+checks it against ``claims.py``; the ``test_ablation_*`` / model files are
+bespoke.  Benchmarks measure *virtual* device time (the paper's quantity);
+pytest-benchmark's wall-clock numbers only say how long a run took.
 
 Scale knobs (environment variables):
 

@@ -22,7 +22,8 @@ Usage::
 The heavy lifting lives in :mod:`repro.harness.experiments`; this module
 maps subcommand names to those entry points (:data:`EXPERIMENTS`, the one
 table ``main`` dispatches on and ``repro list`` prints) and prints their
-results as tables.  The ``trace`` subcommand runs one Table III workload
+results as tables; a paper figure is a :data:`FIGURES` entry, whose
+``run`` / ``show`` pair ``benchmarks/`` reuses.  The ``trace`` subcommand runs one Table III workload
 with the observability layer's event tracer attached and writes the full
 engine timeline (flushes, compaction rounds, links/merges, stalls) as
 JSON-lines.  How fast the simulator itself runs on the host is measured
@@ -35,7 +36,7 @@ import argparse
 import json
 import random
 import sys
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from . import DB
 from .errors import ConfigError, FlashFullError
@@ -62,7 +63,31 @@ from .ssd.profile import ENTERPRISE_PCIE, SSDProfile
 from .workload.spec import WorkloadSpec
 
 
-def _print_output(output: experiments.ExperimentOutput) -> None:
+class Figure(NamedTuple):
+    """One paper figure: ``run(ops, keys)`` measures it and ``show(out)``
+    prints its table.  ``repro <name>`` is ``show(run(--ops, --keys))``;
+    ``benchmarks/`` runs the same pair and checks the paper's claims
+    against ``out``."""
+
+    run: Callable[[int, int], Any]
+    show: Callable[[Any], None]
+
+    def __call__(self, args: argparse.Namespace) -> None:
+        self.show(self.run(args.ops, args.keys))
+
+
+def _sized(fn: Callable[..., Any]) -> Callable[[int, int], Any]:
+    """``fn`` at ``ops`` operations over ``keys`` keys."""
+    return lambda ops, keys: fn(ops=ops, key_space=keys)
+
+
+def _by_counts(fn: Callable[..., Any]) -> Callable[[int, int], Any]:
+    """``fn`` swept over request counts up to ``ops``; Figs. 14/15 derive
+    each key space from the count themselves."""
+    return lambda ops, keys: fn(request_counts=(ops // 3, ops * 2 // 3, ops))
+
+
+def _show_grid(output: experiments.ExperimentOutput) -> None:
     rows = []
     for row in output.rows:
         result = row.result
@@ -96,22 +121,7 @@ def _print_output(output: experiments.ExperimentOutput) -> None:
     )
 
 
-def _grid_figure(fn: Callable[..., experiments.ExperimentOutput], by_counts=False):
-    """Handler printing ``fn``'s comparison rows.  Figs. 14/15 sweep request
-    counts up to ``--ops`` and derive each key space themselves."""
-
-    def run(args: argparse.Namespace) -> None:
-        if by_counts:
-            counts = (args.ops // 3, args.ops * 2 // 3, args.ops)
-            _print_output(fn(request_counts=counts))
-        else:
-            _print_output(fn(ops=args.ops, key_space=args.keys))
-
-    return run
-
-
-def _run_fig01(args: argparse.Namespace) -> None:
-    out = experiments.fig01_latency_fluctuation(ops=args.ops, key_space=args.keys)
+def _show_fig01(out: Dict[str, Any]) -> None:
     rows = [
         (f"{p.start_us / 1e3:.1f}ms", p.count, round(p.mean_latency_us, 1))
         for p in out["points"][:40]
@@ -120,8 +130,7 @@ def _run_fig01(args: argparse.Namespace) -> None:
     print(f"fluctuation ratio: {out['fluctuation_ratio']:.1f}x (paper: up to 49.13x)")
 
 
-def _run_fig01s(args: argparse.Namespace) -> None:
-    out = experiments.fig01_scheduled_interference(ops=args.ops, key_space=args.keys)
+def _show_fig01s(out: Dict[str, Any]) -> None:
     spreads = out["p99_p50_spread"]
     rows = [
         (
@@ -145,8 +154,7 @@ def _run_fig01s(args: argparse.Namespace) -> None:
     )
 
 
-def _run_fig01ol(args: argparse.Namespace) -> None:
-    out = experiments.fig01_open_loop(ops=args.ops, key_space=args.keys)
+def _show_fig01ol(out: Dict[str, Any]) -> None:
     rows = []
     curves = out["curves"]
     for index, fraction in enumerate(out["load_fractions"]):
@@ -193,14 +201,12 @@ def _run_fig01ol(args: argparse.Namespace) -> None:
     )
 
 
-def _run_tab1(args: argparse.Namespace) -> None:
-    shares = experiments.tab1_time_breakdown(ops=args.ops, key_space=args.keys)
+def _show_tab1(shares: Dict[str, float]) -> None:
     rows = [(name, f"{share:.1%}") for name, share in shares.items()]
     print(format_table(["module", "time share"], rows, title="Table I"))
 
 
-def _run_fig08(args: argparse.Namespace) -> None:
-    out = experiments.fig08_tail_latency(ops=args.ops, key_space=args.keys)
+def _show_fig08(out: Dict[str, Dict[float, float]]) -> None:
     rows = [
         (f"P{pct:g}", round(out["UDC"][pct], 1), round(out["LDC"][pct], 1))
         for pct in sorted(out["UDC"])
@@ -208,8 +214,7 @@ def _run_fig08(args: argparse.Namespace) -> None:
     print(format_table(["percentile", "UDC us", "LDC us"], rows, title="fig08"))
 
 
-def _run_fig13(args: argparse.Namespace) -> None:
-    out = experiments.fig13_bloom_ro(ops=args.ops, key_space=args.keys)
+def _show_fig13(out: Dict[int, Dict[str, float]]) -> None:
     rows = [
         (bits, int(d["block_reads"]), round(d["filter_bytes_per_table"] / 1024, 2))
         for bits, d in out.items()
@@ -638,32 +643,39 @@ def _run_list(args: argparse.Namespace) -> None:
         print(name)
 
 
+#: The paper's figures and the ablations beside them, by subcommand name:
+#: each is run one way, here, by ``repro`` and by ``benchmarks/``.
+FIGURES: Dict[str, Figure] = {
+    "fig01": Figure(_sized(experiments.fig01_latency_fluctuation), _show_fig01),
+    "fig01s": Figure(_sized(experiments.fig01_scheduled_interference), _show_fig01s),
+    "fig01_open_loop": Figure(_sized(experiments.fig01_open_loop), _show_fig01ol),
+    "tab1": Figure(_sized(experiments.tab1_time_breakdown), _show_tab1),
+    "fig07": Figure(_sized(experiments.fig07_fanout_udc), _show_grid),
+    "fig08": Figure(_sized(experiments.fig08_tail_latency), _show_fig08),
+    "fig09": Figure(_sized(experiments.fig09_avg_latency), _show_grid),
+    "fig10a": Figure(_sized(experiments.fig10a_throughput_get), _show_grid),
+    "fig10b": Figure(_sized(experiments.fig10b_throughput_scan), _show_grid),
+    "fig10c": Figure(_sized(experiments.fig10c_compaction_io), _show_grid),
+    "fig11": Figure(_sized(experiments.fig11_zipf), _show_grid),
+    "fig12ad": Figure(_sized(experiments.fig12ad_slicelink_threshold), _show_grid),
+    "fig12be": Figure(_sized(experiments.fig12be_fanout_sweep), _show_grid),
+    "fig12cf": Figure(_sized(experiments.fig12cf_bloom_rwb), _show_grid),
+    "fig13": Figure(_sized(experiments.fig13_bloom_ro), _show_fig13),
+    "fig14": Figure(_by_counts(experiments.fig14_scalability), _show_grid),
+    "fig15": Figure(_by_counts(experiments.fig15_space), _show_grid),
+    "adaptive": Figure(_sized(experiments.ablation_adaptive_threshold), _show_grid),
+    "tiered": Figure(_sized(experiments.ablation_tiered_tail), _show_grid),
+    "asymmetry": Figure(_sized(experiments.ablation_device_asymmetry), _show_grid),
+}
+
 #: Every subcommand, by name: the one table ``main`` dispatches on, that
 #: ``repro list`` prints and that the unknown-subcommand error quotes.
 #: A handler takes the parsed arguments and returns the process exit code
-#: (``None`` = 0); adding a figure is one function plus one line here.
+#: (``None`` = 0); a :class:`Figure` is its own handler, so adding a
+#: figure is one line in :data:`FIGURES`.
 EXPERIMENTS: Dict[str, Callable[[argparse.Namespace], Optional[int]]] = {
     "list": _run_list,
-    "fig01": _run_fig01,
-    "fig01s": _run_fig01s,
-    "fig01_open_loop": _run_fig01ol,
-    "tab1": _run_tab1,
-    "fig07": _grid_figure(experiments.fig07_fanout_udc),
-    "fig08": _run_fig08,
-    "fig09": _grid_figure(experiments.fig09_avg_latency),
-    "fig10a": _grid_figure(experiments.fig10a_throughput_get),
-    "fig10b": _grid_figure(experiments.fig10b_throughput_scan),
-    "fig10c": _grid_figure(experiments.fig10c_compaction_io),
-    "fig11": _grid_figure(experiments.fig11_zipf),
-    "fig12ad": _grid_figure(experiments.fig12ad_slicelink_threshold),
-    "fig12be": _grid_figure(experiments.fig12be_fanout_sweep),
-    "fig12cf": _grid_figure(experiments.fig12cf_bloom_rwb),
-    "fig13": _run_fig13,
-    "fig14": _grid_figure(experiments.fig14_scalability, by_counts=True),
-    "fig15": _grid_figure(experiments.fig15_space, by_counts=True),
-    "adaptive": _grid_figure(experiments.ablation_adaptive_threshold),
-    "tiered": _grid_figure(experiments.ablation_tiered_tail),
-    "asymmetry": _grid_figure(experiments.ablation_device_asymmetry),
+    **FIGURES,
     "shard_scaling": _run_shard_scaling,
     "describe": _run_describe,
     "paper_scale": _run_paper_scale,

@@ -180,10 +180,6 @@ class FaultPlan:
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def armed_crashes(self) -> List[CrashSpec]:
-        return list(self._crashes)
-
-    @property
     def pending_corruptions(self) -> int:
         return len(self._corrupt_reads)
 

@@ -6,7 +6,7 @@ from .latency import (
     LatencyTimeline,
     TimelinePoint,
 )
-from .report import format_table, improvement, mib, paper_row, ratio
+from .report import format_table, mib, paper_row
 from .runner import RunResult, build_db, run_workload
 from .timeseries import StateSample, StateSampler
 from . import experiments
@@ -22,8 +22,6 @@ __all__ = [
     "StateSampler",
     "StateSample",
     "format_table",
-    "improvement",
-    "ratio",
     "mib",
     "paper_row",
     "experiments",

@@ -42,19 +42,6 @@ def _fmt(cell: object) -> str:
     return str(cell)
 
 
-def improvement(new: float, old: float) -> str:
-    """Relative change of ``new`` over ``old`` as a signed percentage."""
-    if old == 0:
-        return "n/a"
-    return f"{(new / old - 1.0) * 100:+.1f}%"
-
-
-def ratio(numerator: float, denominator: float) -> str:
-    if denominator == 0:
-        return "n/a"
-    return f"{numerator / denominator:.2f}x"
-
-
 def mib(nbytes: float) -> float:
     return nbytes / 2**20
 

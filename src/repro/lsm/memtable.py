@@ -101,11 +101,6 @@ class MemTable:
             self._dirty = False
         return self._keys
 
-    def sorted_records(self) -> List[KVRecord]:
-        """All buffered records as a key-ascending list (flush fast path)."""
-        records = self._records
-        return [records[key] for key in self._sorted_keys()]
-
     def sorted_columns(self) -> tuple:
         """``(keys, records)`` parallel columns, key-ascending.
 

@@ -16,7 +16,7 @@ relative error of ``growth - 1`` (5% at the default growth of 1.05).
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -204,13 +204,6 @@ class LatencyHistogram:
         self.total += other.total
         self._min = min(self._min, other._min)
         self._max = max(self._max, other._max)
-
-    def nonempty_buckets(self) -> List[Tuple[float, float, int]]:
-        """``(low, high, count)`` for every occupied bucket, ascending."""
-        return [
-            (*self.bucket_bounds(index), self._buckets[index])
-            for index in sorted(self._buckets)
-        ]
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready export (geometry, totals, occupied buckets)."""

@@ -215,10 +215,6 @@ class WorkloadGenerator:
                     else:
                         yield new(Operation, (OP_GET, key, None, 0))
 
-    def _sample_index(self) -> int:
-        """One draw from the key distribution (kept as a test seam)."""
-        return self._dist.sample()
-
 
 # ----------------------------------------------------------------------
 # Classic YCSB core workloads (A-F) — extensions beyond the paper's mixes,

@@ -4,7 +4,7 @@ import pickle
 
 import pytest
 
-from repro.harness.report import format_table, improvement, mib, paper_row, ratio
+from repro.harness.report import format_table, mib, paper_row
 from repro.harness.runner import build_db, run_workload
 from repro.lsm.config import LSMConfig
 from repro.workload import ro, rwb, scn_rwb, wo, ycsb_f
@@ -178,15 +178,6 @@ class TestReportHelpers:
         assert lines[0] == "T"
         assert "name" in lines[1]
         assert "alpha" in lines[3]
-
-    def test_improvement(self):
-        assert improvement(150.0, 100.0) == "+50.0%"
-        assert improvement(50.0, 100.0) == "-50.0%"
-        assert improvement(1.0, 0.0) == "n/a"
-
-    def test_ratio(self):
-        assert ratio(262.0, 100.0) == "2.62x"
-        assert ratio(1.0, 0.0) == "n/a"
 
     def test_mib(self):
         assert mib(2**20) == 1.0
