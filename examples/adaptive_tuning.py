@@ -49,7 +49,7 @@ def main() -> None:
                 db.get(key)
         print(
             f"{label:<28} {policy.movement._adaptive.write_ratio:>17.3f} "  # noqa: SLF001 - demo introspection
-            f"{policy.threshold:>5} "
+            f"{policy.movement.threshold:>5} "
             f"{db.metrics().delta(before).get('engine.merge_count'):>8}"
         )
 

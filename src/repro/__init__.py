@@ -70,7 +70,7 @@ from .errors import (
 from .lsm import (
     DB,
     WriteBatch,
-    ComposedPolicy,
+    CompactionPolicy,
     CostModel,
     LSMConfig,
     PolicySpec,
@@ -125,8 +125,8 @@ __all__ = [
     "WriteBatch",
     "LSMConfig",
     "CostModel",
+    "CompactionPolicy",
     "PolicySpec",
-    "ComposedPolicy",
     "available_policies",
     "get_spec",
     "make_policy",

@@ -128,11 +128,13 @@ class LDCLinkMergeMovement(DataMovement):
     def __init__(
         self,
         threshold: Optional[int] = None,
-        adaptive: Optional[bool] = None,
+        adaptive: bool = False,
     ) -> None:
         super().__init__()
         self._threshold_override = threshold
-        self._adaptive_override = adaptive
+        #: The adaptive controller shifts T_s with the op mix, so every
+        #: operation must re-arm the maintenance poll.
+        self.observes_operations = bool(adaptive)
         self._fixed_threshold = 0
         self._adaptive: Optional[AdaptiveThreshold] = None
         self.frozen = FrozenRegion()
@@ -155,25 +157,15 @@ class LDCLinkMergeMovement(DataMovement):
     # ------------------------------------------------------------------
     def attach(self, policy) -> None:
         super().attach(policy)
-        config = self.db.config
+        fan_out = self.db.config.fan_out
+        # T_s defaults to the fan-out, the paper's balanced setting.
         self._fixed_threshold = (
             self._threshold_override
             if self._threshold_override is not None
-            else config.slicelink_threshold
+            else fan_out
         )
-        use_adaptive = (
-            self._adaptive_override
-            if self._adaptive_override is not None
-            else config.adaptive_threshold
-        )
-        if use_adaptive:
-            self._adaptive = AdaptiveThreshold(config.fan_out)
-        # With a fixed threshold this movement's decisions depend only on
-        # tree/frozen structure, so the engine's idle gate may cache a
-        # "no maintenance due" verdict between structural changes.  The
-        # adaptive controller shifts T_s with the op mix, so every
-        # operation must re-arm the maintenance poll.
-        self.observes_operations = self._adaptive is not None
+        if self.observes_operations:
+            self._adaptive = AdaptiveThreshold(fan_out)
 
     @property
     def threshold(self) -> int:

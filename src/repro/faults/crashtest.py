@@ -81,7 +81,6 @@ def default_config() -> LSMConfig:
         level1_capacity_bytes=8192,
         max_levels=6,
         bloom_bits_per_key=10,
-        slicelink_threshold=4,
     )
 
 

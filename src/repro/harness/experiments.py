@@ -590,10 +590,12 @@ def fig12be_fanout_sweep(
     key_space: int = DEFAULT_KEY_SPACE,
 ) -> ExperimentOutput:
     """Throughput / compaction I/O vs fan-out (paper: LDC wins 8.8–187.9%,
-    UDC optimum ~3, LDC optimum ~25)."""
+    UDC optimum ~3, LDC optimum ~25).  LDC's T_s stays at 10 while the
+    fan-out varies, rather than following it."""
     spec_item = workloads.rwb(num_operations=ops, key_space=key_space)
     points = _config_points("fanout", "fan_out", fan_outs)
-    return _grid_output("fig12be", sweep([spec_item], points=points))
+    policies = (("UDC", "udc"), ("LDC", get_spec("ldc").derive(threshold=10)))
+    return _grid_output("fig12be", sweep([spec_item], policies, points))
 
 
 # ----------------------------------------------------------------------

@@ -343,7 +343,6 @@ def execute_operations(
     snapshot = db.metrics()
     live = db.version.total_file_bytes()
     extra = db.policy.extra_space_bytes()
-    final_threshold = getattr(db.policy, "threshold", None)
     return RunResult(
         workload=workload_name,
         policy=db.policy.name,
@@ -358,7 +357,7 @@ def execute_operations(
         space_bytes=live + extra,
         live_bytes=live,
         extra_space_bytes=extra,
-        final_threshold=final_threshold if isinstance(final_threshold, int) else None,
+        final_threshold=db.policy.movement.threshold,
     )
 
 

@@ -26,7 +26,6 @@ from .version import VersionSet
 from .wal import WriteAheadLog
 from .compaction import (
     CompactionPolicy,
-    ComposedPolicy,
     PolicySpec,
     available_policies,
     get_spec,
@@ -63,7 +62,6 @@ __all__ = [
     "ranges_overlap",
     "clamp_range",
     "CompactionPolicy",
-    "ComposedPolicy",
     "PolicySpec",
     "available_policies",
     "get_spec",

@@ -4,7 +4,7 @@ Policies are compositions of four orthogonal primitives — trigger,
 candidate selector, data movement, level layout
 (:mod:`~repro.lsm.compaction.primitives`) — described by a declarative
 :class:`~repro.lsm.compaction.spec.PolicySpec` and executed by
-:class:`~repro.lsm.compaction.composed.ComposedPolicy`.  The central
+:class:`~repro.lsm.compaction.base.CompactionPolicy`.  The central
 registry in :mod:`~repro.lsm.compaction.spec` names the standard
 catalogue (``udc``, ``ldc``, ``tiered``, ``delayed``, ``lazy_leveling``,
 ``partial_leveled``, ``hybrid``); the LDC primitives themselves live in
@@ -13,7 +13,6 @@ composition to the part of the paper it models.
 """
 
 from .base import CompactionPolicy, MAX_ROUNDS_PER_PASS, MaintenanceEngine
-from .composed import ComposedPolicy
 from .primitives import (
     CandidateSelector,
     DataMovement,
@@ -34,7 +33,6 @@ from .spec import (
 
 __all__ = [
     "CompactionPolicy",
-    "ComposedPolicy",
     "PolicySpec",
     "DEFAULT_POLICY",
     "available_policies",

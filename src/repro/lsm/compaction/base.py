@@ -1,23 +1,23 @@
-"""Compaction policy interface and shared merge machinery.
+"""The compaction policy and the engine that runs its rounds.
 
-A *compaction policy* owns all maintenance decisions of the tree: when to
-compact, which files participate, and where outputs land.  The
-:class:`MaintenanceEngine` runs its rounds
+A :class:`CompactionPolicy` owns all maintenance decisions of the tree:
+when to compact, which files participate, and where outputs land.  It
+runs one point of the trigger × selector × movement × layout design
+space (:mod:`~repro.lsm.compaction.primitives`) named by a
+:class:`~repro.lsm.compaction.spec.PolicySpec` — ``udc`` (the paper's
+baseline, LevelDB's upper-level driven compaction), ``ldc`` (the paper's
+contribution) and the rest of the registered catalogue — and reaches a
+composition's internals on its primitives (``policy.movement.frozen``,
+``policy.layout.level_runs``, ``policy.trigger.delay_factor``).
+
+The :class:`MaintenanceEngine` runs its rounds
 (:meth:`CompactionPolicy.compact_one_tracked`) under a clock capture, and
 the policy charges all I/O to the shared device under the
 ``compaction_read`` / ``compaction_write`` categories.
-
-The one implementation is :class:`~repro.lsm.compaction.composed.
-ComposedPolicy`, which runs any registered composition — ``udc`` (the
-paper's baseline, LevelDB's upper-level driven compaction), ``ldc`` (the
-paper's contribution), the lazy ``tiered`` / ``delayed`` baselines of the
-related-work ablations, and the rest of the catalogue in
-:mod:`~repro.lsm.compaction.spec`.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from operator import itemgetter
@@ -27,7 +27,7 @@ from ..builder import build_balanced_columns
 from ..record import KIND_DELETE
 from ..sstable import SSTable
 from ..stats import ACT_COMPACTION_KEY, ACT_WRITE_KEY
-from ...errors import CompactionError
+from ...errors import CompactionError, ConfigError
 from ...obs.events import EV_COMPACTION_ROUND
 from ...ssd.metrics import (
     COMPACTION_READ_BYTES_KEY,
@@ -38,6 +38,7 @@ from ...ssd.metrics import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..db import DB
+    from .spec import PolicySpec
 
 #: Upper bound on compaction rounds per maintenance pass.  Hitting it means
 #: a policy stopped making progress — a bug we want surfaced, not hidden.
@@ -46,31 +47,63 @@ MAX_ROUNDS_PER_PASS = 10_000
 _record_kind = itemgetter(2)
 
 
-class CompactionPolicy(ABC):
-    """Strategy object deciding when and how the tree is compacted."""
+class CompactionPolicy:
+    """A compaction policy assembled from a declarative spec."""
 
-    #: Short identifier used in reports ("udc", "ldc", "tiered").
-    name: str = "abstract"
-
-    def __init__(self) -> None:
+    def __init__(self, spec: "PolicySpec") -> None:
         self.db: Optional["DB"] = None
+        self.spec = spec
+        self.trigger, self.selector, self.movement, self.layout = (
+            spec.build_primitives()
+        )
+        #: Reports, counters and trace events all carry the spec's name.
+        self.name = spec.name
         #: Idle gate (see MaintenanceEngine.on_operation): True while the
         #: policy is known to have no maintenance due and nothing re-armed
-        #: the poll.  Cleared by flush, seek exhaustion and (for adaptive
-        #: movements) every operation notification.
+        #: the poll.  Cleared by flush, seek exhaustion and (for movements
+        #: that observe operations) every operation notification.
         self._maintenance_idle = False
-        #: Whether the engine may set the gate at all.  False here so
-        #: direct CompactionPolicy subclasses keep per-op polling;
-        #: ComposedPolicy turns it on for movements that declare their
-        #: decisions structure-pure (DataMovement.IDLE_STABLE).
-        self._idle_stable = False
+        self._check_composition()
+
+    def _check_composition(self) -> None:
+        if self.selector.CANDIDATE not in self.movement.ACCEPTS:
+            raise ConfigError(
+                f"policy {self.name!r}: movement "
+                f"{self.movement.primitive_name!r} accepts "
+                f"{self.movement.ACCEPTS} candidates, but selector "
+                f"{self.selector.primitive_name!r} produces "
+                f"{self.selector.CANDIDATE!r}"
+            )
+        for primitive in (self.trigger, self.selector, self.movement):
+            required = primitive.REQUIRES_SORTED
+            if required is not None and required != self.layout.sorted_levels:
+                shape = "sorted (leveled)" if required else "tiered"
+                raise ConfigError(
+                    f"policy {self.name!r}: {primitive.describe()} requires "
+                    f"a {shape} layout, got "
+                    f"layout:{self.layout.primitive_name}"
+                )
+        needs_runs = (
+            self.selector.CANDIDATE == "runs"
+            or getattr(self.trigger, "leveled_from_level", "absent") != "absent"
+        )
+        if needs_runs and not hasattr(self.layout, "level_runs"):
+            raise ConfigError(
+                f"policy {self.name!r}: {self.selector.describe()} / "
+                f"{self.trigger.describe()} need run bookkeeping, but "
+                f"layout:{self.layout.primitive_name} tracks no runs"
+            )
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def attach(self, db: "DB") -> None:
-        """Bind the policy to its database (called once by the DB)."""
+        """Bind the policy, then its primitives, to its database (called
+        once by the DB)."""
         self.db = db
+        for primitive in (self.layout, self.trigger, self.selector,
+                          self.movement):
+            primitive.attach(self)
 
     @property
     def _db(self) -> "DB":
@@ -78,16 +111,22 @@ class CompactionPolicy(ABC):
             raise CompactionError(f"policy {self.name!r} is not attached to a DB")
         return self.db
 
+    def describe(self) -> str:
+        return self.spec.describe()
+
     # ------------------------------------------------------------------
     # Hooks
     # ------------------------------------------------------------------
-    @abstractmethod
     def compact_one(self) -> bool:
         """Perform at most one I/O-bearing compaction round.
 
-        Returns True when any maintenance work was done (zero-I/O metadata
-        actions such as LDC links or trivial moves may batch with it), and
-        False when the tree is within its shape limits.
+        Returns True when any maintenance work was done, and False when
+        the tree is within its shape limits.  A non-batching movement
+        (merge-down, tiered stacking) runs one trigger decision → one
+        selection → one executed round; a zero-I/O-batching movement
+        (LDC) batches free metadata actions (links, trivial moves) until
+        one bears I/O, checking its *urgent* debt (due merges,
+        frozen-space pressure) first — Algorithm 1's priority order.
 
         The engine calls this once per user operation, modelling a
         background compaction thread that keeps pace with the foreground:
@@ -95,6 +134,23 @@ class CompactionPolicy(ABC):
         tail-latency equation (3), where ``tl_w = t_compaction + t_w`` for
         a *single* round of compaction.
         """
+        movement = self.movement
+        batching = movement.zero_io_batching
+        did_work = False
+        rounds = 0
+        while True:
+            if movement.urgent_round():
+                return True
+            decision = self.trigger.fire()
+            if decision is None:
+                return did_work
+            candidate = self.selector.select(decision.level, seed=decision.seed)
+            if movement.execute(decision.level, candidate) or not batching:
+                return True
+            # A link or trivial move happened: free, keep going.
+            did_work = True
+            rounds += 1
+            guard_rounds(rounds)
 
     def compact_one_tracked(self) -> bool:
         """Run one round and record its I/O volume in the round histogram.
@@ -151,23 +207,28 @@ class CompactionPolicy(ABC):
 
     def on_operation(self, is_write: bool) -> None:
         """Observe one user operation (drives LDC's adaptive threshold)."""
+        if self.movement.observes_operations:
+            self.movement.on_operation(is_write)
+            self._maintenance_idle = False
 
     def note_seek_exhausted(self, table: SSTable) -> None:
         """A file's unproductive-probe budget ran out (LevelDB seek
-        compaction).  Policies that honour it queue the file; the default
-        ignores it."""
+        compaction); the DB calls this only when the trigger honours
+        seeks."""
+        self._maintenance_idle = False
+        self.trigger.note_seek_exhausted(table)
 
     def extra_space_bytes(self) -> int:
         """Policy-held space outside the tree (LDC's frozen region)."""
-        return 0
+        return self.movement.extra_space_bytes()
 
     def check_invariants(self) -> None:
         """Verify policy-internal invariants; raise on violation.
 
-        Called by ``DB.check_invariants`` (the crash-test oracle).  The
-        default policies keep no state outside the version set, so there
-        is nothing to check; LDC verifies its frozen region here.
+        Called by ``DB.check_invariants`` (the crash-test oracle): LDC's
+        movement verifies its frozen region here.
         """
+        self.movement.check_invariants()
 
     # ------------------------------------------------------------------
     # Policy metrics
@@ -291,7 +352,7 @@ class MaintenanceEngine:
 
     def on_operation(self) -> None:
         """Run the at most one round a user operation owes, as compaction
-        time; a no-work poll of an idle-stable policy sets its idle gate."""
+        time; a no-work poll sets the policy's idle gate."""
         policy = self.db.policy
         if policy._maintenance_idle:
             return
@@ -299,7 +360,7 @@ class MaintenanceEngine:
         start = clock._now_us
         if self._capture_round(start):
             self._count(ACT_COMPACTION_KEY, clock._now_us - start)
-        elif policy._idle_stable:
+        else:
             policy._maintenance_idle = True
 
     def stall_until_l0_below(self, limit: int) -> float:

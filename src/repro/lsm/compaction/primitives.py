@@ -16,7 +16,7 @@ into four orthogonal decisions:
 
 Each axis has its own registry; :class:`~repro.lsm.compaction.spec.
 PolicySpec` names one primitive per axis (plus parameters) and
-:class:`~repro.lsm.compaction.composed.ComposedPolicy` runs the
+:class:`~repro.lsm.compaction.base.CompactionPolicy` runs the
 composition.  The paper's four policies (UDC / LDC / tiered / delayed)
 are compositions of the primitives in this module plus the LDC movement
 in :mod:`repro.core.primitives` — pinned by the golden, differential and
@@ -108,7 +108,7 @@ class TriggerDecision(NamedTuple):
 # Axis base classes
 # ----------------------------------------------------------------------
 class Primitive:
-    """Base for all four axes: attached to its owning composed policy."""
+    """Base for all four axes: attached to its owning policy."""
 
     #: Parameter names this primitive accepts from ``PolicySpec.params``.
     PARAMS: ClassVar[Tuple[str, ...]] = ()
@@ -127,7 +127,7 @@ class Primitive:
         self.db = None
 
     def attach(self, policy) -> None:
-        """Bind to the owning :class:`ComposedPolicy` (after DB attach)."""
+        """Bind to the owning :class:`CompactionPolicy` (after DB attach)."""
         self.policy = policy
         self.db = policy._db
 
@@ -139,13 +139,14 @@ class Trigger(Primitive):
     """Decides *when* (and against which level) to compact."""
 
     kind = "trigger"
+    #: Whether the DB spends a file's seek budget on unproductive probes
+    #: and reports its exhaustion to ``note_seek_exhausted`` (LevelDB
+    #: seek compaction).
+    honor_seeks = False
 
     def fire(self) -> Optional[TriggerDecision]:
         """Return the level to compact now, or None if the tree is fine."""
         raise NotImplementedError
-
-    def note_seek_exhausted(self, table: SSTable) -> None:
-        """A file's unproductive-probe budget ran out; default: ignore."""
 
 
 class CandidateSelector(Primitive):
@@ -165,19 +166,17 @@ class DataMovement(Primitive):
 
     kind = "movement"
     #: Candidate shapes this movement can execute (must include the
-    #: composed selector's ``CANDIDATE``).
+    #: selector's ``CANDIDATE``).
     ACCEPTS: ClassVar[Tuple[str, ...]] = ("files",)
     #: True for movements with zero-I/O metadata actions (LDC links):
-    #: the composed loop batches free actions until one bears I/O.
+    #: the policy's round loop batches free actions until one bears I/O.
     zero_io_batching: ClassVar[bool] = False
-    #: True when ``urgent_round`` / the composed decision depend only on
-    #: tree structure and movement state mutated by rounds or operation
-    #: notifications.  The engine then caches a "no maintenance due"
-    #: verdict between structural changes instead of re-polling the
-    #: policy on every user operation.  Set False for movements whose
-    #: decisions read ambient state (e.g. the clock) that moves without
-    #: a structural change.
-    IDLE_STABLE: ClassVar[bool] = True
+    #: True for movements whose decisions shift with the operation mix
+    #: (LDC's adaptive controller): every operation reaches
+    #: :meth:`on_operation` and re-arms the engine's maintenance poll.
+    observes_operations = False
+    #: The live SliceLink threshold ``T_s`` (None: the movement has none).
+    threshold: Optional[int] = None
 
     def urgent_round(self) -> bool:
         """Movement-internal debt that preempts the trigger (LDC merges)."""
@@ -247,13 +246,11 @@ class FanoutTrigger(Trigger):
         super().__init__()
         self.honor_seeks = bool(honor_seeks)
         # Files whose unproductive-probe budget ran out, awaiting a
-        # seek-triggered compaction (only populated when both this
-        # trigger and the config enable seek compaction).
+        # seek-triggered compaction (only populated with honor_seeks).
         self._seek_candidates: List[SSTable] = []
 
     def note_seek_exhausted(self, table: SSTable) -> None:
-        if self.honor_seeks and self.db.config.seek_compaction_enabled:
-            self._seek_candidates.append(table)
+        self._seek_candidates.append(table)
 
     def fire(self) -> Optional[TriggerDecision]:
         decision = self._seek_decision()

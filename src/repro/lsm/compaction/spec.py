@@ -17,8 +17,8 @@ list.
 Standard catalogue (registered at import):
 
 ===================  ====================================================
-``udc``              LevelDB leveled (fanout trigger + seeks, one file,
-                     merge down) — the paper's baseline.
+``udc``              LevelDB leveled (fanout trigger, one file, merge
+                     down) — the paper's baseline.
 ``ldc``              The paper's Lower-level Driven Compaction (link &
                      absorb with slice granularity).
 ``tiered``           Cassandra-style size tiering (run-count trigger,
@@ -39,6 +39,7 @@ import importlib
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Mapping, Optional, Tuple
 
+from .base import CompactionPolicy
 from ...errors import ConfigError, UnknownPolicyError
 
 _AXES = ("trigger", "selector", "movement", "layout")
@@ -195,9 +196,7 @@ class PolicySpec:
 
     def build(self):
         """Instantiate a runnable policy for this spec."""
-        from .composed import ComposedPolicy
-
-        return ComposedPolicy(self)
+        return CompactionPolicy(self)
 
 
 # ----------------------------------------------------------------------
@@ -230,9 +229,10 @@ def make_policy(policy: Any = None):
     """Coerce any accepted policy designator into a policy instance.
 
     ``None`` builds the default (``udc``), a string resolves through the
-    registry, a :class:`PolicySpec` builds directly, and anything else
-    is assumed to already be a policy instance and passes through
-    (``DB(policy=get_spec("ldc").derive(threshold=8).build())``).
+    registry, a :class:`PolicySpec` builds directly, and a
+    :class:`~repro.lsm.compaction.base.CompactionPolicy` passes through
+    (``DB(policy=get_spec("ldc").derive(threshold=8).build())``); any
+    other value is a :class:`ConfigError`.
     """
     if policy is None:
         return get_spec(DEFAULT_POLICY).build()
@@ -240,7 +240,17 @@ def make_policy(policy: Any = None):
         return get_spec(policy).build()
     if isinstance(policy, PolicySpec):
         return policy.build()
-    return policy
+    if isinstance(policy, CompactionPolicy):
+        return policy
+    raise ConfigError(not_a_policy(policy))
+
+
+def not_a_policy(policy: Any) -> str:
+    """The message for a value that designates no policy."""
+    return (
+        f"policy must be None, a registered name, a PolicySpec or a "
+        f"CompactionPolicy, got {policy!r}"
+    )
 
 
 # ----------------------------------------------------------------------
@@ -251,7 +261,6 @@ register_policy(PolicySpec(
     name="udc",
     trigger="fanout", selector="file", movement="merge_down",
     layout="leveled",
-    params={"honor_seeks": True},
 ))
 
 #: The paper's contribution: lower-level driven link & absorb.

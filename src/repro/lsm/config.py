@@ -31,7 +31,6 @@ _INT_FIELDS = (
     "l0_stop_trigger",
     "bloom_bits_per_key",
     "block_cache_bytes",
-    "slicelink_threshold",
     "bg_threads",
     "sched_chunk_blocks",
 )
@@ -108,17 +107,6 @@ class LSMConfig:
         64 KB file scale is ~256 KB.  The paper's Fig. 11 relies on this
         cache ("Zipf distribution usually leads to higher hit ratios of
         in-memory cache").
-    slicelink_threshold:
-        LDC's ``T_s``: a lower-level SSTable merges once it has accumulated
-        this many linked slices (paper §III-B; best setting ≈ fan-out).
-    adaptive_threshold:
-        Enable the §III-B.4 self-adaptive controller for ``T_s``.
-    seek_compaction_enabled:
-        Enable LevelDB's seek-triggered compaction: a file whose
-        unproductive-probe budget (``allowed_seeks``) is exhausted becomes
-        a compaction candidate even if its level is within capacity.
-        Off by default (as in the paper's experiments, where size triggers
-        dominate); honoured by the leveled (UDC) policy.
     frozen_space_limit_ratio:
         Safety valve: when the frozen region exceeds this fraction of live
         data, LDC forces merges on the most-linked SSTables.  The paper's
@@ -154,9 +142,6 @@ class LSMConfig:
     l0_slowdown_delay_us: float = 1000.0
     bloom_bits_per_key: int = 10
     block_cache_bytes: int = 0
-    slicelink_threshold: int = 10
-    adaptive_threshold: bool = False
-    seek_compaction_enabled: bool = False
     frozen_space_limit_ratio: float = 0.50
     wal_enabled: bool = True
     bg_threads: int = 0
@@ -175,7 +160,6 @@ class LSMConfig:
             "level1_capacity_bytes",
             "max_levels",
             "l0_compaction_trigger",
-            "slicelink_threshold",
         )
         for name in positives:
             if getattr(self, name) <= 0:

@@ -130,7 +130,6 @@ class DB:
 
         self.config = config if config is not None else LSMConfig()
         self.policy = make_policy(policy)
-        sorted_levels = getattr(self.policy, "requires_sorted_levels", True)
         self.registry = MetricsRegistry()
         self.tracer = tracer if tracer is not None else Tracer()
         self.device = SimulatedSSD(
@@ -142,7 +141,9 @@ class DB:
         self.clock = self.device.clock
         if self.tracer.clock is None:
             self.tracer.clock = self.clock
-        self.version = VersionSet(self.config, sorted_levels=sorted_levels)
+        self.version = VersionSet(
+            self.config, sorted_levels=self.policy.layout.sorted_levels
+        )
         #: Bytes moved (read + written) by each compaction round — the
         #: *granularity* distribution behind the paper's equation (3): UDC
         #: rounds are O(fan_out) files, LDC rounds O(1).
@@ -173,7 +174,10 @@ class DB:
         #: Whether a write must notify the policy: only a movement that
         #: observes operations (LDC's adaptive threshold) has anything to
         #: do with the notification.
-        self._observes = getattr(self.policy, "_movement_observes", True)
+        self._observes = self.policy.movement.observes_operations
+        #: Whether an unproductive probe spends the file's seek budget
+        #: (LevelDB seek compaction): only if the trigger honours seeks.
+        self._spends_seeks = self.policy.trigger.honor_seeks
         #: The maintenance engine; with background threads (repro.sched)
         #: every operation polls it, with none only an open idle gate does.
         self._bg_threads = self.config.bg_threads
@@ -606,7 +610,7 @@ class DB:
             tally[0] += 1
             return None
         record = self._read_block(table, key, tally)
-        if record is None and self.config.seek_compaction_enabled:
+        if record is None and self._spends_seeks:
             # LevelDB seek compaction: an unproductive probe (block read
             # that found nothing) spends the file's seek budget.
             table.allowed_seeks -= 1

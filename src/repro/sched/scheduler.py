@@ -279,8 +279,7 @@ class CompactionScheduler(MaintenanceEngine):
             if policy._maintenance_idle:
                 break
             if not self._capture_round(now_us):
-                if policy._idle_stable:
-                    policy._maintenance_idle = True
+                policy._maintenance_idle = True
                 break
             captured = True
             self._assign_idle()

@@ -39,7 +39,8 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 from .partition import Partitioner, make_partitioner
 from ..errors import ConfigError
 from ..faults.plan import FaultPlan
-from ..lsm.compaction.spec import PolicySpec, get_spec
+from ..lsm.compaction.base import CompactionPolicy
+from ..lsm.compaction.spec import PolicySpec, get_spec, not_a_policy
 from ..lsm.config import LSMConfig
 from ..lsm.db import DB
 from ..obs.aggregate import aggregate_snapshots, combined_view
@@ -58,11 +59,14 @@ def per_shard_policy(policy: object, num_shards: int) -> object:
     """
     if isinstance(policy, str):
         get_spec(policy)
-    elif num_shards > 1 and not isinstance(policy, (PolicySpec, type(None))):
-        raise ConfigError(
-            "a policy instance cannot be shared across shards; "
-            "pass a name or a PolicySpec"
-        )
+    elif isinstance(policy, CompactionPolicy):
+        if num_shards > 1:
+            raise ConfigError(
+                "a policy instance cannot be shared across shards; "
+                "pass a name or a PolicySpec"
+            )
+    elif not isinstance(policy, (PolicySpec, type(None))):
+        raise ConfigError(not_a_policy(policy))
     return policy
 
 

@@ -169,7 +169,7 @@ def _lookup_unit(db, key: bytes, table, advance, bloom_us: float, count):
         return None
     _charge_point_read(db, table, key)
     record = table.get(key)
-    if record is None and db.config.seek_compaction_enabled:
+    if record is None and db.policy.trigger.honor_seeks:
         table.allowed_seeks -= 1
         if table.allowed_seeks == 0:
             db.policy.note_seek_exhausted(table)

@@ -27,7 +27,6 @@ def tiny_config() -> LSMConfig:
         level1_capacity_bytes=4096,
         max_levels=6,
         bloom_bits_per_key=10,
-        slicelink_threshold=4,
     )
 
 

@@ -156,8 +156,9 @@ class TestMergePhase:
         policy = db.policy
         for table in db.version.all_tables():
             if table.slice_links and policy.movement.due_for_merge(table):
-                ratio = policy.threshold / db.config.fan_out
-                count_backstop = len(table.slice_links) >= 4 * policy.threshold
+                threshold = policy.movement.threshold
+                ratio = threshold / db.config.fan_out
+                count_backstop = len(table.slice_links) >= 4 * threshold
                 assert (
                     table.linked_bytes >= ratio * table.data_size or count_backstop
                 )
@@ -227,19 +228,14 @@ class TestSpaceManagement:
 class TestThresholdConfiguration:
     def test_threshold_from_config(self, tiny_config):
         db = DB(config=tiny_config, policy="ldc")
-        assert db.policy.threshold == tiny_config.slicelink_threshold
+        assert db.policy.movement.threshold == tiny_config.fan_out
 
     def test_threshold_override(self, tiny_config):
         db = DB(config=tiny_config, policy=get_spec("ldc").derive(threshold=7))
-        assert db.policy.threshold == 7
+        assert db.policy.movement.threshold == 7
 
     def test_adaptive_override(self, tiny_config):
         db = DB(config=tiny_config, policy=get_spec("ldc").derive(adaptive=True))
-        assert db.policy.movement._adaptive is not None
-
-    def test_adaptive_from_config(self):
-        config = LSMConfig(adaptive_threshold=True)
-        db = DB(config=config, policy="ldc")
         assert db.policy.movement._adaptive is not None
 
     def test_smaller_threshold_means_more_merges(self, tiny_config):
@@ -264,7 +260,7 @@ class TestPaperHeadlines:
 
     @pytest.fixture
     def paper_config(self, tiny_config):
-        return tiny_config.with_overrides(fan_out=10, slicelink_threshold=10)
+        return tiny_config.with_overrides(fan_out=10)
 
     def test_ldc_reduces_compaction_io(self, paper_config):
         io = {}

@@ -20,7 +20,6 @@ TINY = LSMConfig(
     fan_out=3,
     level1_capacity_bytes=1024,
     max_levels=5,
-    slicelink_threshold=3,
 )
 
 POLICIES = ("ldc", "tiered", "udc")

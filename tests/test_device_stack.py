@@ -54,7 +54,6 @@ def small(cache_bytes: int, bg_threads: int = 0) -> LSMConfig:
         fan_out=4,
         level1_capacity_bytes=16 * KIB,
         max_levels=6,
-        slicelink_threshold=4,
         block_cache_bytes=cache_bytes,
         bg_threads=bg_threads,
     )

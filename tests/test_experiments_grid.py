@@ -95,7 +95,7 @@ class TestPicklability:
         # The threshold override resolves against config at attach time
         # (adaptive=False pins it to the fixed value).
         db = DB(policy=policy)
-        assert db.policy.threshold == 7
+        assert db.policy.movement.threshold == 7
 
     def test_metrics_snapshot_roundtrip(self) -> None:
         snap = MetricsSnapshot(

@@ -16,7 +16,6 @@ def small_config() -> LSMConfig:
         level1_capacity_bytes=2048,
         max_levels=6,
         bloom_bits_per_key=10,
-        slicelink_threshold=4,
     )
 
 

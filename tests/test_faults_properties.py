@@ -35,7 +35,6 @@ def tiny() -> LSMConfig:
         level1_capacity_bytes=2048,
         max_levels=6,
         bloom_bits_per_key=10,
-        slicelink_threshold=4,
     )
 
 

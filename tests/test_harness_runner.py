@@ -15,7 +15,6 @@ SMALL = LSMConfig(
     block_bytes=1024,
     fan_out=4,
     level1_capacity_bytes=8192,
-    slicelink_threshold=4,
 )
 
 
@@ -82,7 +81,7 @@ class TestRunWorkload:
         )
         assert result.policy == "ldc"
         assert result.link_count > 0
-        assert result.final_threshold == SMALL.slicelink_threshold
+        assert result.final_threshold == SMALL.fan_out
 
     def test_deterministic(self):
         a = run_workload(small_rwb(), "udc", config=SMALL)

@@ -22,7 +22,6 @@ CONFIG = LSMConfig(
     block_bytes=512,
     fan_out=4,
     level1_capacity_bytes=4096,
-    slicelink_threshold=4,
 )
 
 POLICIES = ("ldc", "tiered", "udc")

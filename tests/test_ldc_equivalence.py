@@ -22,7 +22,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro import DB
+from repro import DB, get_spec
 from repro.lsm.config import LSMConfig
 from repro.ssd.metrics import COMPACTION_READ
 
@@ -31,7 +31,7 @@ from . import _ldc_oracle as oracle
 MAX_INDEX = 200
 
 
-def tiny(frozen_ratio: float, bg_threads: int = 0, threshold: int = 3) -> LSMConfig:
+def tiny(frozen_ratio: float, bg_threads: int = 0) -> LSMConfig:
     return LSMConfig(
         memtable_bytes=512,
         sstable_target_bytes=512,
@@ -39,7 +39,6 @@ def tiny(frozen_ratio: float, bg_threads: int = 0, threshold: int = 3) -> LSMCon
         fan_out=3,
         level1_capacity_bytes=1024,
         max_levels=5,
-        slicelink_threshold=threshold,
         frozen_space_limit_ratio=frozen_ratio,
         bg_threads=bg_threads,
     )
@@ -102,9 +101,10 @@ def assert_queries_match_oracle(db: DB) -> None:
 class Pair:
     """An LDC store beside its oracle-deciding twin."""
 
-    def __init__(self, config: LSMConfig):
-        self.new = DB(config=config, policy="ldc")
-        self.old = DB(config=config, policy="ldc")
+    def __init__(self, config: LSMConfig, threshold: int = 3):
+        policy = get_spec("ldc").derive(threshold=threshold)
+        self.new = DB(config=config, policy=policy)
+        self.old = DB(config=config, policy=policy)
         oracle.install(self.old)
         self.new_log = record_rounds(self.new)
         self.old_log = record_rounds(self.old)
@@ -141,7 +141,7 @@ class TestAgainstTheLevelScans:
     def test_same_rounds_and_charges(
         self, bg_threads, writes, frozen_ratio, threshold, seed
     ):
-        pair = Pair(tiny(frozen_ratio, bg_threads, threshold))
+        pair = Pair(tiny(frozen_ratio, bg_threads), threshold)
         rng = random.Random(seed)
         for _ in range(300):
             pair.put(make_key(rng.randrange(MAX_INDEX)), b"p" * 40)
@@ -168,7 +168,7 @@ class TestDirected:
         assert ties > 50
 
     def test_a_link_leaves_the_heap_within_four_times_the_linked_set(self):
-        db = DB(config=tiny(0.5, threshold=6), policy="ldc")
+        db = DB(config=tiny(0.5), policy=get_spec("ldc").derive(threshold=6))
         movement = db.policy.movement
         link = movement.link
         sizes = []

@@ -15,7 +15,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro import DB, DeviceConfig, FlashSpec, RingBufferSink, Tracer
+from repro import DB, DeviceConfig, FlashSpec, RingBufferSink, Tracer, get_spec
 from repro.errors import CorruptionError, EngineError
 from repro.faults.plan import FaultPlan
 from repro.lsm.bloom import BloomFilter
@@ -47,11 +47,8 @@ def tiny(cache_bytes: int, device: str = "plain") -> LSMConfig:
         fan_out=3,
         level1_capacity_bytes=1024,
         max_levels=5,
-        slicelink_threshold=3,
         block_cache_bytes=cache_bytes,
         bg_threads=1 if device == "flash" else 0,
-        # Unproductive block reads spend the file's seek budget.
-        seek_compaction_enabled=True,
     )
 
 
@@ -59,7 +56,10 @@ def make_key(index: int) -> bytes:
     return str(index).zfill(6).encode()
 
 
-def build(policy: str, cache_bytes: int, device: str, traced: bool) -> DB:
+def build(policy, cache_bytes: int, device: str, traced: bool) -> DB:
+    if policy == "udc":
+        # Unproductive block reads spend the file's seek budget.
+        policy = get_spec("udc").derive(honor_seeks=True)
     profile = {}
     if device == "flash":
         profile["profile"] = DeviceConfig(
@@ -198,7 +198,7 @@ class TestAgainstPerProbeOracle:
         pair.new.check_invariants()
 
 
-def deep_pair(policy: str, cache_bytes: int = 4096, device: str = "plain",
+def deep_pair(policy, cache_bytes: int = 4096, device: str = "plain",
               traced: bool = True) -> tuple:
     """A pair three overwrite rounds deep, drained to disk, and its model."""
     pair = Pair(policy, cache_bytes, device, traced)
@@ -315,7 +315,7 @@ class TestDirectedSlices:
 @pytest.mark.parametrize("policy", ("udc", "ldc"))
 class TestDirectedSeekBudget:
     def test_exhaustion_fires_on_the_same_get(self, policy):
-        pair, model = deep_pair(policy)
+        pair, model = deep_pair(get_spec(policy).derive(honor_seeks=True))
         fired = {id(db): [] for db in pair.both()}
         gets = {id(db): 0 for db in pair.both()}
         for db in pair.both():

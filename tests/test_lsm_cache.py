@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import DB
+from repro import DB, get_spec
 from repro.errors import ConfigError, EngineError
 from repro.lsm.cache import BlockCache
 from repro.lsm.config import LSMConfig
@@ -14,6 +14,9 @@ from repro.obs.snapshot import MetricsSnapshot
 from tests.conftest import key_of
 
 from . import _scan_oracle as scan_oracle
+
+#: LDC with T_s held at 10 over the fan-out-4 configs below.
+LDC_TS10 = get_spec("ldc").derive(threshold=10)
 
 
 def tally(cache: BlockCache, name: str) -> int:
@@ -195,7 +198,7 @@ class TestCacheInEngine:
         ]
         contents = []
         for cache_bytes in (0, 32 * 1024):
-            db = DB(config=self._config(cache_bytes), policy="ldc")
+            db = DB(config=self._config(cache_bytes), policy=LDC_TS10)
             model = {}
             for key, value in operations:
                 db.put(key, value)
@@ -226,7 +229,7 @@ class TestCacheInEngine:
     def test_ldc_frozen_files_stay_cached_until_recycled(self):
         """LDC-linked files stay readable via slices, so their blocks stay;
         only full recycling (refcount zero) drops them."""
-        db = DB(config=self._config(128 * 1024), policy="ldc")
+        db = DB(config=self._config(128 * 1024), policy=LDC_TS10)
         for index in range(4000):
             db.put(key_of(index % 500), b"v" * 40)
             if index % 50 == 0:
@@ -244,7 +247,7 @@ class TestCacheInEngine:
     def test_invariants_reject_blocks_evict_file_cannot_reach(self):
         """``evict_file`` pops blocks ``0 .. num_blocks - 1`` only, so a
         resident key past a live file's block count would outlive it."""
-        db = DB(config=self._config(128 * 1024), policy="ldc")
+        db = DB(config=self._config(128 * 1024), policy=LDC_TS10)
         for index in range(3000):
             db.put(key_of(index % 500), b"v" * 40)
         for index in range(0, 500, 5):

@@ -20,7 +20,6 @@ INT_FIELDS = [
     "l0_stop_trigger",
     "bloom_bits_per_key",
     "block_cache_bytes",
-    "slicelink_threshold",
     "bg_threads",
     "sched_chunk_blocks",
 ]
@@ -67,7 +66,6 @@ class TestLSMConfig:
             "block_bytes",
             "level1_capacity_bytes",
             "max_levels",
-            "slicelink_threshold",
         ],
     )
     def test_positive_fields(self, field):

@@ -53,7 +53,6 @@ def tiny(bg_threads: int = 0) -> LSMConfig:
         fan_out=4,
         level1_capacity_bytes=4 * KIB,
         max_levels=6,
-        slicelink_threshold=4,
         bg_threads=bg_threads,
     )
 

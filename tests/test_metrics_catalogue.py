@@ -30,7 +30,7 @@ from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 import pytest
 
-from repro import DB, DeviceConfig, FlashSpec, SimulatedSSD, Tracer
+from repro import DB, DeviceConfig, FlashSpec, SimulatedSSD, Tracer, get_spec
 from repro.errors import CorruptionError, PersistentIOError, SimulatedCrash
 from repro.faults.plan import FaultPlan, RetryPolicy
 from repro.harness.runner import execute_operations
@@ -134,10 +134,8 @@ def faulted_store() -> MetricsSnapshot:
 def seek_compacted_store() -> MetricsSnapshot:
     """Opt-in seek compaction: misses inside one file's range exhaust its
     probe budget (Bloom off, so every probe reaches the file)."""
-    config = dataclasses.replace(
-        small(), seek_compaction_enabled=True, bloom_bits_per_key=0
-    )
-    db = DB(config=config, policy="udc")
+    config = dataclasses.replace(small(), bloom_bits_per_key=0)
+    db = DB(config=config, policy=get_spec("udc").derive(honor_seeks=True))
     for index in range(400):
         db.put(make_key(index), b"k" * 60)
     db.flush()

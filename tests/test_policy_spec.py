@@ -12,7 +12,7 @@ import pytest
 
 from repro import (
     DB,
-    ComposedPolicy,
+    CompactionPolicy,
     PolicySpec,
     ShardedDB,
     UnknownPolicyError,
@@ -43,6 +43,9 @@ TINY = LSMConfig(
     level1_capacity_bytes=4096,
     max_levels=6,
 )
+
+#: LDC with T_s held at 10 over TINY's fan-out of 4.
+LDC_TS10 = get_spec("ldc").derive(threshold=10)
 
 
 class TestRegistry:
@@ -110,7 +113,7 @@ class TestRoundTrips:
         """The spec itself is the picklable policy factory."""
         clone = pickle.loads(pickle.dumps(get_spec("hybrid")))
         policy = clone.build()
-        assert isinstance(policy, ComposedPolicy)
+        assert isinstance(policy, CompactionPolicy)
         assert policy.name == "hybrid"
         # Each call builds a fresh stateful instance.
         assert clone.build() is not policy
@@ -157,17 +160,17 @@ class TestCoercion:
 
     def test_db_policy_variants(self):
         """... and through ``DB(policy=...)``, which resolves with it."""
-        assert DB(config=TINY, policy="ldc").policy.name == "ldc"
+        assert DB(config=TINY, policy=LDC_TS10).policy.name == "ldc"
         assert DB(config=TINY, policy=get_spec("udc")).policy.name == "udc"
         assert DB(config=TINY, policy=None).policy.name == "udc"
-        sentinel = get_spec("ldc").build()
+        sentinel = LDC_TS10.build()
         assert DB(config=TINY, policy=sentinel).policy is sentinel
 
     def test_db_accepts_name_spec_and_instance(self):
         assert DB(config=TINY, policy="partial_leveled").policy.name == (
             "partial_leveled"
         )
-        assert DB(config=TINY, policy=get_spec("ldc")).policy.name == "ldc"
+        assert DB(config=TINY, policy=LDC_TS10).policy.name == "ldc"
         instance = get_spec("udc").build()
         assert DB(config=TINY, policy=instance).policy is instance
 
@@ -184,6 +187,64 @@ class TestCoercion:
     def test_sharded_db_unknown_name_raises(self):
         with pytest.raises(UnknownPolicyError):
             ShardedDB(2, "nope", config=TINY)
+
+    def test_db_non_policy_raises_typed_error(self):
+        with pytest.raises(ConfigError, match="registered name") as excinfo:
+            DB(config=TINY, policy=42)
+        for form in ("None", "PolicySpec", "CompactionPolicy"):
+            assert form in str(excinfo.value)
+
+    def test_sharded_db_non_policy_raises_typed_error(self):
+        with pytest.raises(ConfigError, match="registered name") as excinfo:
+            ShardedDB(num_shards=2, policy=3.5, config=TINY)
+        assert "shared" not in str(excinfo.value)
+        assert "3.5" in str(excinfo.value)
+
+
+class TestPolicyKnobs:
+    """Each policy knob has one home: T_s follows the fan-out unless the
+    spec sets ``threshold``; ``adaptive`` and ``honor_seeks`` are spec
+    parameters only."""
+
+    @pytest.mark.parametrize("fan_out", (3, 4, 10))
+    def test_ldc_threshold_is_the_fan_out(self, fan_out):
+        config = TINY.with_overrides(fan_out=fan_out)
+        assert DB(config=config, policy="ldc").policy.movement.threshold == fan_out
+        pinned = DB(config=config, policy=get_spec("ldc").derive(threshold=7))
+        assert pinned.policy.movement.threshold == 7
+
+    def test_adaptive_only_via_spec(self):
+        assert not any("adaptive" in name for name in vars(LSMConfig()))
+        fixed = DB(config=TINY, policy="ldc").policy.movement
+        assert fixed._adaptive is None and not fixed.observes_operations
+        adaptive = DB(config=TINY, policy=get_spec("ldc").derive(adaptive=True))
+        movement = adaptive.policy.movement
+        assert movement._adaptive is not None and movement.observes_operations
+
+    @pytest.mark.parametrize(
+        "policy, spent",
+        [
+            ("udc", 0),
+            ("ldc", 0),
+            ("tiered", 0),
+            (get_spec("udc").derive(honor_seeks=True), 1),
+        ],
+        ids=["udc", "ldc", "tiered", "udc-honor_seeks"],
+    )
+    def test_seek_budget_spent_only_when_the_trigger_honours_seeks(
+        self, policy, spent
+    ):
+        db = DB(config=TINY.with_overrides(bloom_bits_per_key=0), policy=policy)
+        for index in range(200):
+            db.put(b"%06d" % index, b"v" * 30)
+        db.flush()
+        db.policy.maybe_compact()
+        table = db.version.files(db.version.deepest_nonempty_level())[0]
+        budget = table.allowed_seeks
+        for _ in range(5):
+            # Absent, inside the table's range: an unproductive probe.
+            assert db.get(table.min_key + b"x") is None
+        assert table.allowed_seeks == budget - 5 * spent
 
 
 class TestComposition:

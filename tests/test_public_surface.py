@@ -47,7 +47,8 @@ def test_composed_policy_is_the_only_exported_policy_class(package):
         if inspect.isclass(getattr(module, name))
         and issubclass(getattr(module, name), CompactionPolicy)
     }
-    assert policy_classes <= {"CompactionPolicy", "ComposedPolicy"}
+    assert policy_classes <= {"CompactionPolicy"}
+    assert not CompactionPolicy.__subclasses__()
 
 
 @pytest.mark.parametrize(
@@ -56,7 +57,7 @@ def test_composed_policy_is_the_only_exported_policy_class(package):
         ("repro.harness",
          {"experiments", "latency", "report", "runner", "timeseries"}),
         ("repro.lsm.compaction",
-         {"base", "columnar", "composed", "primitives", "spec"}),
+         {"base", "columnar", "primitives", "spec"}),
         ("repro.core", {"adaptive", "frozen", "primitives", "slice"}),
         ("repro.lsm",
          {"bloom", "builder", "cache", "compaction", "config", "db", "iterators",

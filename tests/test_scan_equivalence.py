@@ -66,7 +66,6 @@ def tiny(cache_bytes: int, bg_threads: int = 0) -> LSMConfig:
         fan_out=3,
         level1_capacity_bytes=1024,
         max_levels=5,
-        slicelink_threshold=3,
         block_cache_bytes=cache_bytes,
         bg_threads=bg_threads,
     )

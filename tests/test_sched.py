@@ -17,6 +17,7 @@ from repro import (
     RingBufferSink,
     ShardedDB,
     Tracer,
+    get_spec,
 )
 from repro.lsm.compaction.base import MaintenanceEngine
 from repro.lsm.config import LSMConfig
@@ -35,7 +36,6 @@ def sched_config(bg_threads: int = 1, **overrides) -> LSMConfig:
         fan_out=4,
         level1_capacity_bytes=4096,
         max_levels=6,
-        slicelink_threshold=4,
         bg_threads=bg_threads,
     )
     params.update(overrides)
@@ -177,9 +177,9 @@ class TestIdleGate:
     """``_start_rounds`` honours the policy's idle gate like the inline path."""
 
     @staticmethod
-    def settled_db(policy: str, **overrides):
+    def settled_db(policy):
         """A loaded store with no round due and every thread idle *now*."""
-        db = DB(config=sched_config(**overrides), policy=policy)
+        db = DB(config=sched_config(), policy=policy)
         write_some(db, 600)
         polls = []
         poll = db.policy.compact_one_tracked
@@ -191,7 +191,7 @@ class TestIdleGate:
 
     def test_idle_read_phase_polls_the_policy_once(self):
         db, polls = self.settled_db("udc")
-        assert not db.config.seek_compaction_enabled
+        assert not db.policy.trigger.honor_seeks
         db.policy._maintenance_idle = False
         del polls[:]
         for index in range(50):
@@ -213,7 +213,7 @@ class TestIdleGate:
         db.check_invariants()
 
     def test_adaptive_ldc_still_polls_every_operation(self):
-        db, polls = self.settled_db("ldc", adaptive_threshold=True)
+        db, polls = self.settled_db(get_spec("ldc").derive(adaptive=True))
         del polls[:]
         for index in range(50):
             db.get(key_of(index))

@@ -2,10 +2,13 @@
 
 import pytest
 
-from repro import DB
+from repro import DB, get_spec
 from repro.lsm.config import LSMConfig
 
 from tests.conftest import key_of
+
+#: UDC with seek compaction on: the fanout trigger honours seeks.
+SEEK_UDC = get_spec("udc").derive(honor_seeks=True)
 
 
 def seek_config(**overrides):
@@ -15,7 +18,6 @@ def seek_config(**overrides):
         block_bytes=512,
         fan_out=4,
         level1_capacity_bytes=4096,
-        seek_compaction_enabled=True,
         bloom_bits_per_key=0,  # disable Bloom so probes reach the blocks
     )
     defaults.update(overrides)
@@ -32,7 +34,7 @@ class TestSeekBudget:
         assert table.allowed_seeks == max(100, table.data_size // (16 * 1024))
 
     def test_unproductive_probes_spend_budget(self):
-        db = DB(config=seek_config(), policy="udc")
+        db = DB(config=seek_config(), policy=SEEK_UDC)
         for index in range(200):
             db.put(key_of(index), b"v" * 30)
         db.flush()
@@ -43,7 +45,7 @@ class TestSeekBudget:
         assert table.allowed_seeks == budget - 1
 
     def test_productive_probes_do_not_spend_budget(self):
-        db = DB(config=seek_config(), policy="udc")
+        db = DB(config=seek_config(), policy=SEEK_UDC)
         for index in range(200):
             db.put(key_of(index), b"v" * 30)
         db.flush()
@@ -53,10 +55,7 @@ class TestSeekBudget:
         assert table.allowed_seeks == budget
 
     def test_disabled_by_default(self):
-        db = DB(
-            config=seek_config(seek_compaction_enabled=False),
-            policy="udc",
-        )
+        db = DB(config=seek_config(), policy="udc")
         for index in range(200):
             db.put(key_of(index), b"v" * 30)
         db.flush()
@@ -69,7 +68,7 @@ class TestSeekBudget:
 
 class TestSeekTriggeredCompaction:
     def test_exhausted_file_gets_compacted(self):
-        db = DB(config=seek_config(), policy="udc")
+        db = DB(config=seek_config(), policy=SEEK_UDC)
         for index in range(200):
             db.put(key_of(index), b"v" * 30)
         db.flush()
@@ -94,7 +93,7 @@ class TestSeekTriggeredCompaction:
         assert moved_by.get("engine.compaction_count") + moved_by.get("engine.trivial_moves") > 0
 
     def test_contents_preserved_through_seek_compactions(self):
-        db = DB(config=seek_config(), policy="udc")
+        db = DB(config=seek_config(), policy=SEEK_UDC)
         model = {}
         for index in range(300):
             db.put(key_of(index), b"v%d" % index)
@@ -106,9 +105,9 @@ class TestSeekTriggeredCompaction:
         db.version.check_invariants()
 
     def test_other_policies_ignore_the_signal(self):
-        """LDC does not implement seek compaction; the notification must
-        be a safe no-op rather than an error."""
-        db = DB(config=seek_config(), policy="ldc")
+        """LDC's trigger does not honour seeks: unproductive probes must
+        leave the store sound."""
+        db = DB(config=seek_config(), policy=get_spec("ldc").derive(threshold=10))
         for index in range(300):
             db.put(key_of(index), b"v" * 30)
         db.flush()

@@ -61,7 +61,6 @@ def tiny_config(bg_threads: int) -> LSMConfig:
         fan_out=4,
         level1_capacity_bytes=4096,
         max_levels=6,
-        slicelink_threshold=4,
         bg_threads=bg_threads,
     )
 

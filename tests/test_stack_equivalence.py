@@ -111,7 +111,7 @@ def serve_config(bg_threads: int, throttle: bool) -> LSMConfig:
     return LSMConfig(
         memtable_bytes=2048, sstable_target_bytes=2048, block_bytes=512,
         fan_out=4, level1_capacity_bytes=4096, max_levels=6,
-        slicelink_threshold=4, bg_threads=bg_threads, **triggers,
+        bg_threads=bg_threads, **triggers,
     )
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import DB
+from repro import DB, get_spec
 from repro.errors import WorkloadError
 from repro.lsm.config import LSMConfig
 from repro.workload import rwb, scn_rwb, wo
@@ -101,7 +101,7 @@ class TestReplay:
         path = tmp_path / "shared.txt"
         write_trace(record_trace(spec, include_preload=True), path)
         contents = []
-        for policy in ("udc", "ldc"):
+        for policy in ("udc", get_spec("ldc").derive(threshold=10)):
             db = DB(config=SMALL, policy=policy)
             model = replay(db, read_trace(path))
             assert dict(db.logical_items()) == model

@@ -17,7 +17,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro import DB, RingBufferSink, Tracer
+from repro import DB, RingBufferSink, Tracer, get_spec
 from repro.errors import ClosedError, DeviceError, EngineError, SimulatedCrash
 from repro.faults.plan import FaultPlan
 from repro.lsm.config import LSMConfig
@@ -30,7 +30,7 @@ POLICIES = ("udc", "ldc", "tiered")
 MAX_INDEX = 60
 
 
-def tiny(bg_threads: int, adaptive: bool = False) -> LSMConfig:
+def tiny(bg_threads: int) -> LSMConfig:
     return LSMConfig(
         memtable_bytes=512,
         sstable_target_bytes=512,
@@ -38,8 +38,6 @@ def tiny(bg_threads: int, adaptive: bool = False) -> LSMConfig:
         fan_out=3,
         level1_capacity_bytes=1024,
         max_levels=5,
-        slicelink_threshold=3,
-        adaptive_threshold=adaptive,
         # Level 0 slows writes at two files and stops them at three; a
         # large batch flushes several Level-0 files at once.
         l0_compaction_trigger=2,
@@ -93,8 +91,9 @@ class Pair:
     def __init__(self, policy, bg_threads=0, faulty=False, adaptive=False):
         def build():
             return DB(
-                config=tiny(bg_threads, adaptive),
-                policy=policy,
+                config=tiny(bg_threads),
+                policy=get_spec(policy).derive(adaptive=True) if adaptive
+                else policy,
                 tracer=Tracer([RingBufferSink()]),
                 fault_plan=FaultPlan() if faulty else None,
             )
