@@ -1,5 +1,7 @@
 """Tests for the crash-point enumeration harness (repro.faults.crashtest)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.faults import crashtest
@@ -283,3 +285,28 @@ class TestCorruptionSweep:
         assert report.missed == 0
         assert report.ok
         assert "PASS" in report.summary()
+
+
+class TestBackgroundThreadCrashtest:
+    """Crash points with a compaction thread and the flush lane: a crash
+    can land while flushes and rounds are still time debt in flight."""
+
+    @pytest.mark.parametrize("name", ["udc", "ldc"])
+    def test_one_thread_crash_sweep_recovers(self, name, monkeypatch):
+        from repro.sched.scheduler import CompactionScheduler
+
+        flushes_lost = []
+        discard = CompactionScheduler.discard_inflight
+
+        def spy(sched):
+            flushes_lost.append(sched.flush_lane.task is not None)
+            return discard(sched)
+
+        monkeypatch.setattr(CompactionScheduler, "discard_inflight", spy)
+        config = replace(crashtest.default_config(), bg_threads=1)
+        report = crashtest.run_crashtest(name, stride=31, config=config)
+        assert report.points_run > 60
+        assert report.points_fired == report.points_run
+        assert report.ok, report.summary()
+        # Some crashes land while a flush is still paying its time.
+        assert any(flushes_lost)

@@ -323,6 +323,28 @@ class TestReplayStepEqualsPumpOracle:
         """Real captured rounds, L0 stop stalls included: the stores walk
         through the same scheduler states op for op and end with the same
         clock and the same counters, ``sched.*`` and otherwise."""
+        self.pair_run(ops, policy_name, bg_threads)
+
+    def test_flushing_stores(self):
+        """The drawn streams are mostly too short to flush; these seeded
+        ones flush a dozen times or more, so flush-lane tasks race the
+        compaction threads for the channel."""
+        import random
+
+        for bg_threads in (1, 3):
+            for policy_name in POLICIES:
+                rng = random.Random(bg_threads)
+                ops = [
+                    ("put", rng.randrange(120), b"v" * rng.randrange(8, 160))
+                    for _ in range(400)
+                ]
+                flushes = self.pair_run(ops, policy_name, bg_threads)
+                assert flushes >= 12
+
+    @staticmethod
+    def pair_run(ops, policy_name, bg_threads) -> int:
+        """Run ``ops`` on a store and on one per oracle, compare them
+        after every operation; return the flush count."""
         config = make_config(bg_threads, aggressive_throttle=True)
         stores = []
         for oracle in (None,) + ORACLES:
@@ -348,3 +370,4 @@ class TestReplayStepEqualsPumpOracle:
         events = [[(e.kind, e.t_us, e.fields) for e in sink.events]
                   for _, sink in stores]
         assert events[1:] == [events[0]] * len(ORACLES)
+        return stores[0][0].registry.counter("engine.flush_count")
