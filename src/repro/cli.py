@@ -15,9 +15,8 @@ Usage::
     python -m repro crashtest --policy ldc --flash      # crash inside GC too
     python -m repro run RWB --flash                 # FTL/GC device layer on
     python -m repro fig_device_wa --ops 20000       # host/device/total WA
-    python -m repro explore --policies udc,ldc,lazy_leveling --mixes RWB
+    python -m repro explore --policies udc,ldc,tiered --mixes RWB
     python -m repro explore --flash                 # device-WA winner columns
-    python -m repro explore --report-out REPORT_design_space.md
 
 The heavy lifting lives in :mod:`repro.harness.experiments`; this module
 maps subcommand names to those entry points (:data:`EXPERIMENTS`, the one
@@ -565,8 +564,7 @@ def _run_explore(args: argparse.Namespace) -> None:
     """Design-space exploration (``repro explore``).
 
     Sweeps registered policy compositions across workload mixes and
-    device profiles, printing the WA/RA/p99 comparison grid; with
-    ``--report-out`` the markdown report is also written to disk.
+    device profiles, printing the WA/RA/p99 comparison grid.
     ``--flash`` mounts the same FTL geometry under every cell and adds
     device/total write-amplification columns plus a total-WA winner.
     """
@@ -589,10 +587,6 @@ def _run_explore(args: argparse.Namespace) -> None:
     points, winners = experiments.design_tables(report)
     print(format_table(*points, title="design-space exploration"))
     print(format_table(*winners, title="winners"))
-    if args.report_out is not None:
-        with open(args.report_out, "w", encoding="utf-8") as handle:
-            handle.write(experiments.format_design_report(report))
-        print(f"report written to {args.report_out}")
 
 
 def _run_device_wa(args: argparse.Namespace) -> None:
@@ -751,12 +745,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAMES",
         help="comma-separated device profiles "
         "('explore' only, default: enterprise-pcie)",
-    )
-    parser.add_argument(
-        "--report-out",
-        default=None,
-        metavar="PATH",
-        help="write the markdown comparison report to PATH ('explore' only)",
     )
     parser.add_argument(
         "--trace-out",

@@ -1099,16 +1099,7 @@ def design_space(
             name: pick(cell, key=attrgetter(name)).policy
             for name, pick, _ in criteria
         }
-    return {
-        "points": points,
-        "winners": winners,
-        "policies": [spec.name for spec in policy_specs],
-        "mixes": list(mixes),
-        "profiles": list(profiles),
-        "ops": ops,
-        "key_space": key_space,
-        "flash": flash,
-    }
+    return {"points": points, "winners": winners, "flash": flash}
 
 
 def design_tables(report: Dict[str, object]) -> Tuple[tuple, tuple]:
@@ -1132,54 +1123,3 @@ def design_tables(report: Dict[str, object]) -> Tuple[tuple, tuple]:
         (("policy", "workload", "device") + tuple(h for _, _, h in columns), points),
         (("cell",) + tuple(header for _, _, header in criteria), winners),
     )
-
-
-def _md_row(cells: Iterable[object]) -> str:
-    return "| " + " | ".join(str(cell) for cell in cells) + " |"
-
-
-def format_design_report(report: Dict[str, object]) -> str:
-    """Render a ``design_space`` report as the committed markdown table."""
-    (headers, rows), (winner_headers, winner_rows) = design_tables(report)
-    flash = report.get("flash")
-    lines = [
-        "# Compaction design-space exploration",
-        "",
-        f"Grid: {len(report['policies'])} policies x "  # type: ignore[arg-type]
-        f"{len(report['mixes'])} workloads x "  # type: ignore[arg-type]
-        f"{len(report['profiles'])} devices "  # type: ignore[arg-type]
-        f"({report['ops']} ops over {report['key_space']} keys per cell).",
-        "",
-        f"Policies: {', '.join(report['policies'])}.",  # type: ignore[arg-type]
-    ]
-    if flash is not None:
-        lines += [
-            "",
-            f"Flash layer: {flash.logical_bytes / 2**20:.1f} MiB logical, "
-            f"OP={flash.over_provisioning:.0%}, gc={flash.gc_policy}.",
-        ]
-    spelled = {"p99 us": "p99 (us)", "compact MiB": "compaction (MiB)",
-               "space MiB": "space (MiB)"}
-    digits = [None] * 3 + [digits for _, digits, _ in _DESIGN_COLUMNS]
-    lines += [
-        "",
-        _md_row(spelled.get(header, header) for header in headers),
-        "|---|---|---|" + "---:|" * (len(headers) - 3),
-    ]
-    lines += [
-        _md_row(
-            cell if places is None else f"{cell:.{places}f}"
-            for cell, places in zip(row, digits)
-        )
-        for row in rows
-    ]
-    lines += [
-        "",
-        "## Winners per (workload, device)",
-        "",
-        _md_row(winner_headers),
-        "|" + "---|" * len(winner_headers),
-    ]
-    lines += [_md_row(row) for row in winner_rows]
-    lines.append("")
-    return "\n".join(lines)

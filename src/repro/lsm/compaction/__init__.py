@@ -6,10 +6,10 @@ candidate selector, data movement, level layout
 :class:`~repro.lsm.compaction.spec.PolicySpec` and executed by
 :class:`~repro.lsm.compaction.base.CompactionPolicy`.  The central
 registry in :mod:`~repro.lsm.compaction.spec` names the standard
-catalogue (``udc``, ``ldc``, ``tiered``, ``delayed``, ``lazy_leveling``,
-``partial_leveled``, ``hybrid``); the LDC primitives themselves live in
-:mod:`repro.core.primitives`.  docs/DESIGN_SPACE.md ties each registered
-composition to the part of the paper it models.
+catalogue (``udc``, ``ldc``, ``tiered``, ``delayed``); the LDC
+primitives themselves live in :mod:`repro.core.primitives`.
+docs/DESIGN_SPACE.md ties each registered composition to the part of
+the paper it models.
 """
 
 from .base import CompactionPolicy, MAX_ROUNDS_PER_PASS, MaintenanceEngine

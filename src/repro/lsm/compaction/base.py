@@ -83,15 +83,13 @@ class CompactionPolicy:
                     f"a {shape} layout, got "
                     f"layout:{self.layout.primitive_name}"
                 )
-        needs_runs = (
-            self.selector.CANDIDATE == "runs"
-            or getattr(self.trigger, "leveled_from_level", "absent") != "absent"
-        )
-        if needs_runs and not hasattr(self.layout, "level_runs"):
+        if self.selector.CANDIDATE == "runs" and not hasattr(
+            self.layout, "level_runs"
+        ):
             raise ConfigError(
-                f"policy {self.name!r}: {self.selector.describe()} / "
-                f"{self.trigger.describe()} need run bookkeeping, but "
-                f"layout:{self.layout.primitive_name} tracks no runs"
+                f"policy {self.name!r}: {self.selector.describe()} needs run "
+                f"bookkeeping, but layout:{self.layout.primitive_name} "
+                f"tracks no runs"
             )
 
     # ------------------------------------------------------------------

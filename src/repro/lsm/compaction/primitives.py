@@ -5,12 +5,11 @@ Space", PAPERS.md) observe that every LSM compaction policy decomposes
 into four orthogonal decisions:
 
 * **Trigger** — *when* to compact (level fanout breach, tier/run count,
-  L0 file count, seek-driven probes, a delayed batching threshold);
+  seek-driven probes, a delayed batching threshold);
 * **CandidateSelector** — *what granularity* participates (one file, a
   whole level, all runs of a tier, LDC's lower-level-driven slice unit);
 * **DataMovement** — *how* data moves (full merge down, tiered run
-  stacking, absorbing merges into a leveled floor, LDC link/absorb,
-  trivial moves);
+  stacking, LDC link/absorb, trivial moves);
 * **Layout** — *what shape* levels take (sorted-and-disjoint leveled
   runs vs overlapping tiered runs).
 
@@ -20,9 +19,9 @@ PolicySpec` names one primitive per axis (plus parameters) and
 composition.  The paper's four policies (UDC / LDC / tiered / delayed)
 are compositions of the primitives in this module plus the LDC movement
 in :mod:`repro.core.primitives` — pinned by the golden, differential and
-fingerprint suites — and new points in the design space (lazy
-leveling, partial leveled, tiered+leveled hybrids) are new
-compositions, not new classes.
+fingerprint suites — and another point in the design space is a new
+composition (``get_spec(...).derive(...)`` or a new ``PolicySpec``), not
+a new class.
 """
 
 from __future__ import annotations
@@ -80,21 +79,6 @@ def primitive_class(kind: str, name: str) -> type:
 
 def known_primitives(kind: str) -> Tuple[str, ...]:
     return tuple(sorted(_KIND_REGISTRIES[kind]))
-
-
-def resolve_leveled_boundary(num_levels: int, value: Optional[int]) -> int:
-    """Resolve a ``leveled_from_level`` knob against the tree's depth.
-
-    ``None`` means "no leveled floor" (pure tiering), negative values
-    count from the bottom (``-1`` = only the last level is leveled), and
-    the result is clamped so Level 0 — whose files always overlap —
-    can never be declared leveled.
-    """
-    if value is None:
-        return num_levels
-    if value < 0:
-        return max(1, num_levels + value)
-    return max(1, value)
 
 
 class TriggerDecision(NamedTuple):
@@ -276,19 +260,6 @@ class FanoutTrigger(Trigger):
         return None
 
 
-@register_primitive("trigger", "l0_count")
-class L0CountTrigger(Trigger):
-    """Fires only on the Level-0 file-count trigger; deeper levels never
-    compact.  A degenerate corner of the design space, useful for
-    isolating flush pressure in experiments."""
-
-    def fire(self) -> Optional[TriggerDecision]:
-        version = self.db.version
-        if len(version.files(0)) >= self.db.config.l0_compaction_trigger:
-            return TriggerDecision(0)
-        return None
-
-
 @register_primitive("trigger", "delayed")
 class DelayedTrigger(Trigger):
     """dCompaction's delayed trigger: a level must overflow its capacity
@@ -326,33 +297,18 @@ class TierCountTrigger(Trigger):
     """Tiered trigger: a level compacts when it holds ``fan_out`` runs.
 
     Level 0 uses the LevelDB file-count trigger so flush pressure behaves
-    the same across policies.  With ``leveled_from_level`` set, levels at
-    or past the boundary are leveled (single sorted run, kept there by an
-    absorbing movement) and trigger on their *size score* instead — run
-    count would sit at one forever and the level would grow unboundedly.
-    This is the trigger half of lazy leveling and tiered+leveled hybrids.
+    the same across policies.
     """
 
-    PARAMS = ("leveled_from_level",)
     REQUIRES_SORTED = False
-
-    def __init__(self, leveled_from_level: Optional[int] = None) -> None:
-        super().__init__()
-        self.leveled_from_level = leveled_from_level
 
     def fire(self) -> Optional[TriggerDecision]:
         version = self.db.version
         if len(version.files(0)) >= self.db.config.l0_compaction_trigger:
             return TriggerDecision(0)
-        boundary = resolve_leveled_boundary(
-            version.num_levels, self.leveled_from_level
-        )
         fan_out = self.db.config.fan_out
         for level in range(1, version.num_levels - 1):
-            if level < boundary:
-                if len(self.policy.layout.level_runs(level)) >= fan_out:
-                    return TriggerDecision(level)
-            elif version.level_score(level) >= 1.0:
+            if len(self.policy.layout.level_runs(level)) >= fan_out:
                 return TriggerDecision(level)
         return None
 
@@ -409,37 +365,22 @@ class MergeDownMovement(DataMovement):
     """Classic merge-down: inputs merge with every overlapping file one
     level deeper; a lone input with no overlaps is trivially re-parented.
 
-    The counter/bookkeeping knobs exist because UDC and dCompaction
-    account the *same* physical movement differently (UDC advances the
-    round-robin pointer, emits trivial-move trace events and counts
-    ``compactions``; the delayed batcher does none of those) — the
+    ``batched`` exists because UDC and dCompaction account the *same*
+    physical movement differently: UDC emits trivial-move trace events and
+    counts ``compactions`` / ``input_files``, the delayed batcher counts
+    ``batched_rounds`` / ``batched_input_files`` and emits no event — the
     goldens pin those differences.
     """
 
-    PARAMS = (
-        "advance_pointer",
-        "strict_l0_move",
-        "emit_trivial_event",
-        "round_counter",
-        "input_counter",
-    )
+    PARAMS = ("batched",)
     ACCEPTS = ("files",)
     REQUIRES_SORTED = True
 
-    def __init__(
-        self,
-        advance_pointer: bool = True,
-        strict_l0_move: bool = True,
-        emit_trivial_event: bool = True,
-        round_counter: str = "compactions",
-        input_counter: str = "input_files",
-    ) -> None:
+    def __init__(self, batched: bool = False) -> None:
         super().__init__()
-        self.advance_pointer = bool(advance_pointer)
-        self.strict_l0_move = bool(strict_l0_move)
-        self.emit_trivial_event = bool(emit_trivial_event)
-        self.round_counter = round_counter
-        self.input_counter = input_counter
+        self.batched = bool(batched)
+        self.round_counter = "batched_rounds" if batched else "compactions"
+        self.input_counter = "batched_input_files" if batched else "input_files"
 
     def execute(self, level: int, inputs: List[SSTable]) -> bool:
         policy = self.policy
@@ -449,8 +390,7 @@ class MergeDownMovement(DataMovement):
         hi = key_successor(max(table.max_key for table in inputs))
         overlaps = version.overlapping(level + 1, lo, hi)
 
-        if self.advance_pointer:
-            version.advance_compact_pointer(level, inputs[-1])
+        version.advance_compact_pointer(level, inputs[-1])
 
         if (
             not overlaps
@@ -464,7 +404,7 @@ class MergeDownMovement(DataMovement):
             version.add_file(level + 1, seed)
             db.registry.add("engine.trivial_moves")
             policy.bump("trivial_moves")
-            if self.emit_trivial_event:
+            if not self.batched:
                 db.tracer.emit(
                     EV_TRIVIAL_MOVE, policy=policy.name, file_id=seed.file_id,
                     from_level=level, to_level=level + 1,
@@ -490,11 +430,10 @@ class MergeDownMovement(DataMovement):
         """A trivial move must not let newer data leapfrog older data.
 
         Within sorted levels files are disjoint, so moving is always
-        safe; in Level 0 a file may only move if no sibling overlaps it.
-        Whole-level selectors skip the check (``strict_l0_move=False``):
-        a lone L0 input *is* the whole level, so it has no siblings.
+        safe; in Level 0 a file may only move if no sibling overlaps it
+        (a lone whole-level L0 input has no siblings, so it passes).
         """
-        if not self.strict_l0_move or level != 0:
+        if level != 0:
             return True
         siblings = self.db.version.overlapping(
             level, table.min_key, key_successor(table.max_key)
@@ -504,21 +443,10 @@ class MergeDownMovement(DataMovement):
 
 @register_primitive("movement", "tiered_merge")
 class TieredMergeMovement(DataMovement):
-    """Tiered stacking: merge all runs of a level into one new run below.
+    """Tiered stacking: merge all runs of a level into one new run below."""
 
-    With ``leveled_from_level`` set, levels at or past the boundary form
-    a leveled floor: data arriving at such a level is merged *with* the
-    level's existing contents (an absorbing merge) so it stays one
-    sorted run — the movement half of lazy leveling and hybrids.
-    """
-
-    PARAMS = ("leveled_from_level",)
     ACCEPTS = ("runs",)
     REQUIRES_SORTED = False
-
-    def __init__(self, leveled_from_level: Optional[int] = None) -> None:
-        super().__init__()
-        self.leveled_from_level = leveled_from_level
 
     def execute(self, level: int, runs: List[List[SSTable]]) -> bool:
         policy = self.policy
@@ -527,35 +455,6 @@ class TieredMergeMovement(DataMovement):
         layout = policy.layout
         inputs = [table for run in runs for table in run]
         target = level + 1
-        boundary = resolve_leveled_boundary(
-            version.num_levels, self.leveled_from_level
-        )
-        existing = list(version.files(target))
-        if target >= boundary and existing:
-            # Absorbing merge: the target is leveled, so rewrite it in
-            # place together with the incoming data (one sorted run out).
-            target_runs = len(layout.level_runs(target))
-            drop = policy.can_drop_tombstones(target)
-            outputs = policy.merge_tables(
-                [*inputs, *existing], drop_deletes=drop
-            )
-            for table in inputs:
-                version.remove_file(level, table)
-                db.note_file_dropped(table)
-            for table in existing:
-                version.remove_file(target, table)
-                db.note_file_dropped(table)
-            if level != 0:
-                layout.clear_runs(level)
-            layout.set_runs(target, [list(outputs)] if outputs else [])
-            for table in outputs:
-                version.add_file(target, table)
-            db.registry.add("engine.compaction_count")
-            policy.bump("level_merges")
-            policy.bump("runs_merged", len(runs) + target_runs)
-            policy.bump("absorbing_merges")
-            return True
-
         drop = policy.can_drop_tombstones(target) and not version.files(target)
         outputs = policy.merge_tables(inputs, drop_deletes=drop)
         for table in inputs:
@@ -606,9 +505,6 @@ class TieredLayout(Layout):
     def clear_runs(self, level: int) -> None:
         # Reassign (not ``.clear()``): callers hold the previous list.
         self._runs[level] = []
-
-    def set_runs(self, level: int, runs: List[List[SSTable]]) -> None:
-        self._runs[level] = runs
 
     def add_run(self, level: int, run: List[SSTable]) -> None:
         self._runs.setdefault(level, []).append(run)

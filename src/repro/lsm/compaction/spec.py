@@ -25,11 +25,6 @@ Standard catalogue (registered at import):
                      whole-level runs, stacking merge).
 ``delayed``          dCompaction-style batching (delayed trigger, whole
                      level, merge down).
-``lazy_leveling``    Dayan-style lazy leveling: tiered everywhere except
-                     a leveled last level (absorbing merges).
-``partial_leveled``  Leveled movement at single-file granularity driven
-                     by a delayed trigger — small batched rounds.
-``hybrid``           Tiered top of the tree (L0-L1), leveled from L2.
 ===================  ====================================================
 """
 
@@ -282,47 +277,5 @@ register_policy(PolicySpec(
     name="delayed",
     trigger="delayed", selector="level", movement="merge_down",
     layout="leveled",
-    params={
-        "delay_factor": 3.0,
-        "advance_pointer": False,
-        "strict_l0_move": False,
-        "emit_trivial_event": False,
-        "round_counter": "batched_rounds",
-        "input_counter": "batched_input_files",
-    },
-))
-
-#: Lazy leveling: tiered upper tree, leveled (absorbing) last level.
-#: Impossible before the decomposition — tiering and leveling lived in
-#: separate monolithic classes.
-register_policy(PolicySpec(
-    name="lazy_leveling",
-    trigger="tier_count", selector="runs", movement="tiered_merge",
-    layout="tiered",
-    params={"leveled_from_level": -1},
-))
-
-#: Partial leveled: single-file merge-down rounds behind a delayed
-#: trigger — dCompaction's schedule without its whole-level granularity.
-register_policy(PolicySpec(
-    name="partial_leveled",
-    trigger="delayed", selector="file", movement="merge_down",
-    layout="leveled",
-    params={
-        "delay_factor": 2.0,
-        "advance_pointer": True,
-        "strict_l0_move": True,
-        "emit_trivial_event": False,
-        "round_counter": "partial_rounds",
-        "input_counter": "partial_input_files",
-    },
-))
-
-#: Tiered + leveled hybrid: run stacking in the write-hot top of the
-#: tree (L0-L1), score-triggered absorbing merges from L2 down.
-register_policy(PolicySpec(
-    name="hybrid",
-    trigger="tier_count", selector="runs", movement="tiered_merge",
-    layout="tiered",
-    params={"leveled_from_level": 2},
+    params={"delay_factor": 3.0, "batched": True},
 ))

@@ -69,7 +69,7 @@ GOLDEN_STDOUT = {
     "paper_scale":
         "26f7094be321f54371f1a5d29b550cdb140cab130d730fd7e11d9449cf4035f0",
     "fig_device_wa":
-        "be92196865d4a3e322ae272275afb72ed844cc9f5e46514c5feff03e28872108",
+        "9d0c92fc03d936e3fef2ed6bcd72d26695ef1d2d600526361198dfa460e148fb",
     "run":
         "cf944146fa41bc5070aa6abd7b5b9fa7626cfacc4e6fcf08c1373c4f42e72121",
     "serve":
@@ -77,7 +77,7 @@ GOLDEN_STDOUT = {
     "crashtest --every 25":
         "6f18dcc78937d000e9341490b9dac9182207342d970f8caf6e1e11e411256e95",
     "explore":
-        "455254345655dd84386dea75b84edbc3fcbfd6caf85cf1c622b9f43d24c656be",
+        "9433969d8a887f42f31074d3e0384816ce0a1fc196db8c856947e86376d9744d",
     "explore --policies udc,ldc --mixes RWB":
         "2da2e38a5c20adc1fc57757fce4b89943efbd30920f8d422b31a76a44cde955a",
     "explore --policies udc,ldc --mixes RWB --flash":

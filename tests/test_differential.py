@@ -4,8 +4,7 @@ One seeded random workload — puts, deletes, write batches, point gets,
 scans and snapshots — is replayed against every combination of
 
 * compaction policy: every registered composition — UDC, LDC, tiered,
-  delayed, plus the recomposed design points (lazy leveling, partial
-  leveled, tiered+leveled hybrid);
+  delayed;
 * scheduler: off (``bg_threads=0``) and on (``bg_threads=1``);
 * sharding: single store and a 4-shard fleet;
 
@@ -29,16 +28,13 @@ from repro import DB, ShardedDB, WriteBatch
 from repro.lsm.config import LSMConfig
 
 #: Registered policy names under differential test — the paper's four
-#: compositions plus the new design points (stores are built through the
-#: central registry, so this list is pure data).
+#: compositions (stores are built through the central registry, so this
+#: list is pure data).
 POLICIES = (
     "udc",
     "ldc",
     "tiered",
     "delayed",
-    "lazy_leveling",
-    "partial_leveled",
-    "hybrid",
 )
 
 #: Tiny geometry: flushes every ~25 writes, compactions soon after.

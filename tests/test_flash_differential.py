@@ -32,9 +32,6 @@ POLICIES = (
     "ldc",
     "tiered",
     "delayed",
-    "lazy_leveling",
-    "partial_leveled",
-    "hybrid",
 )
 
 KEY_SPACE = 150

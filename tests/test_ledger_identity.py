@@ -10,7 +10,7 @@ so a dropped or renamed key, an ``int`` that became a ``float`` (``3`` vs
 ``3.0`` differ in ``repr``), or a float sum re-associated anywhere in the
 engine moves a literal.
 
-The matrix is the seven registered policies x {plain, ``bg_threads=1``,
+The matrix is the four registered policies x {plain, ``bg_threads=1``,
 mounted flash, empty fault plan}, one tiny unsharded run each, plus one
 open-loop serve and the per-shard results of one 3-shard run.
 ``tests/test_metrics_catalogue.py`` re-runs the same matrix to check that
@@ -46,8 +46,7 @@ from repro.workload.ycsb import (
 )
 
 KIB = 1024
-POLICIES = ("delayed", "hybrid", "lazy_leveling", "ldc", "partial_leveled",
-            "tiered", "udc")
+POLICIES = ("delayed", "ldc", "tiered", "udc")
 STACKS = ("plain", "sched", "flash", "plan")
 
 #: Erase blocks of eight files over a capacity the store nearly fills, so
@@ -177,7 +176,7 @@ def emitted_snapshots() -> List[MetricsSnapshot]:
 
 
 #: Captured on the parent commit (PR 23's ``src/``) — see module docstring.
-#: The seven ``*/sched`` cells and ``serve/poisson-2`` were re-pinned when
+#: The ``*/sched`` cells and ``serve/poisson-2`` were re-pinned when
 #: the memtable flush moved onto the scheduler's flush lane: the writer no
 #: longer pays it (no ``engine.activity.flush``; it waits out an unfinished
 #: previous flush), ``sched.*`` counts the flush tasks, and the shifted
@@ -187,22 +186,10 @@ PINNED: Dict[str, str] = {
     "delayed/sched": "aabcbe64d7cb2eeeb8267a3923f298c6265d059cf28dbc2d1d7c06792401ab8a",
     "delayed/flash": "c69d4e11a201499d8af61d1407dd9b995149392ebe18d5f123781b4ad3b60e56",
     "delayed/plan": "27821d007736444cbce05fb293f98245e93198efaa738e2e6d79d894db6a5e82",
-    "hybrid/plain": "eeab8c52c21447258920f4dfa649ac8de2ac6e569822c5a01606ecb73d2ca860",
-    "hybrid/sched": "4dd914e048f96477fb236fcb9d8eee133e1cd4605d5c34c9ec6cc8d0a539cb46",
-    "hybrid/flash": "5c1e7123023ccf357288c7d452fe7cc7103671d5d754f1abd30d01b498af9669",
-    "hybrid/plan": "eeab8c52c21447258920f4dfa649ac8de2ac6e569822c5a01606ecb73d2ca860",
-    "lazy_leveling/plain": "951a55b5aca5127069ad2212fb9b55a0c93ab2a3a199325fa92c0482d640b702",
-    "lazy_leveling/sched": "c4aefaec206c9915ee1bf029361a1b245b9cfc1297db6b2f294622e9913aa896",
-    "lazy_leveling/flash": "17bcae4c00768917ac481047ad61526c3891db68bc7ca9d50d5721c8a69a0127",
-    "lazy_leveling/plan": "951a55b5aca5127069ad2212fb9b55a0c93ab2a3a199325fa92c0482d640b702",
     "ldc/plain": "117c4a70203e8dba1ab1a1cf018e5862e35c75550d5e601e9f6cd5ff626fce0d",
     "ldc/sched": "fffaa2bc551e9bfa4c9f2ed177536085bd3e323a9d327e8c5e0314ff7352408a",
     "ldc/flash": "ac0fb428fa3f69fea4614253f808960b72cd8788edf54cc1b4594b5e416804cf",
     "ldc/plan": "117c4a70203e8dba1ab1a1cf018e5862e35c75550d5e601e9f6cd5ff626fce0d",
-    "partial_leveled/plain": "c2565d7789581844a663d7ab24ecdd83aa85fe12891592974625c6e22fd9c4b6",
-    "partial_leveled/sched": "89e4280608439c10700d98ba7840f77789bacebb4868eaccda2b721874c8f698",
-    "partial_leveled/flash": "0764c37227a4cc9ebc50127ea6911342622fa13f9521c09e57a861a742abd84f",
-    "partial_leveled/plan": "c2565d7789581844a663d7ab24ecdd83aa85fe12891592974625c6e22fd9c4b6",
     "tiered/plain": "a46fdbb0cef1fc208d3c8dbf894c0830fdeedf003fc543f584c8d6bfb565c106",
     "tiered/sched": "89c212c1cdfeeb961eec53f92124c919428d4b2e342582fddab957b8ffd9d9a7",
     "tiered/flash": "9b88b4654914d9081bfe42924caf28588a3018a69fe2c70c40f9272cbeb58105",

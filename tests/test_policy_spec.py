@@ -6,6 +6,7 @@ round-trip through dict/pickle, and typed errors listing the valid
 names.
 """
 
+import pathlib
 import pickle
 
 import pytest
@@ -25,15 +26,9 @@ from repro.errors import ConfigError
 from repro.lsm.compaction.spec import _REGISTRY
 from repro.lsm.config import LSMConfig
 
-EXPECTED_POLICIES = (
-    "delayed",
-    "hybrid",
-    "lazy_leveling",
-    "ldc",
-    "partial_leveled",
-    "tiered",
-    "udc",
-)
+EXPECTED_POLICIES = ("delayed", "ldc", "tiered", "udc")
+
+DESIGN_SPACE_DOC = pathlib.Path(__file__).parent.parent / "docs" / "DESIGN_SPACE.md"
 
 TINY = LSMConfig(
     memtable_bytes=2048,
@@ -46,6 +41,17 @@ TINY = LSMConfig(
 
 #: LDC with T_s held at 10 over TINY's fan-out of 4.
 LDC_TS10 = get_spec("ldc").derive(threshold=10)
+
+
+def doc_example_spec() -> PolicySpec:
+    """Run docs/DESIGN_SPACE.md's ``PolicySpec`` example; return its spec."""
+    text = DESIGN_SPACE_DOC.read_text(encoding="utf-8")
+    section = text.split("## PolicySpec", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    exec(block, namespace)
+    _REGISTRY.pop(namespace["spec"].name)
+    return namespace["spec"]
 
 
 class TestRegistry:
@@ -110,13 +116,15 @@ class TestRoundTrips:
         assert a.params == (("a", 1), ("b", 2))
 
     def test_spec_factory_pickles_and_builds(self):
-        """The spec itself is the picklable policy factory."""
-        clone = pickle.loads(pickle.dumps(get_spec("hybrid")))
-        policy = clone.build()
-        assert isinstance(policy, CompactionPolicy)
-        assert policy.name == "hybrid"
-        # Each call builds a fresh stateful instance.
-        assert clone.build() is not policy
+        """The spec itself is the picklable policy factory — also the one
+        docs/DESIGN_SPACE.md shows."""
+        for spec in (get_spec("tiered"), doc_example_spec()):
+            clone = pickle.loads(pickle.dumps(spec))
+            policy = clone.build()
+            assert isinstance(policy, CompactionPolicy)
+            assert policy.name == spec.name
+            # Each call builds a fresh stateful instance.
+            assert clone.build() is not policy
 
 
 class TestDerive:
@@ -141,10 +149,10 @@ class TestCoercion:
         assert make_policy().name == "udc"
 
     def test_make_policy_name(self):
-        assert make_policy("lazy_leveling").name == "lazy_leveling"
+        assert make_policy("tiered").name == "tiered"
 
     def test_make_policy_spec(self):
-        assert make_policy(get_spec("hybrid")).name == "hybrid"
+        assert make_policy(get_spec("delayed")).name == "delayed"
 
     def test_make_policy_instance_passthrough(self):
         policy = get_spec("tiered").build()
@@ -167,9 +175,7 @@ class TestCoercion:
         assert DB(config=TINY, policy=sentinel).policy is sentinel
 
     def test_db_accepts_name_spec_and_instance(self):
-        assert DB(config=TINY, policy="partial_leveled").policy.name == (
-            "partial_leveled"
-        )
+        assert DB(config=TINY, policy="delayed").policy.name == "delayed"
         assert DB(config=TINY, policy=LDC_TS10).policy.name == "ldc"
         instance = get_spec("udc").build()
         assert DB(config=TINY, policy=instance).policy is instance
@@ -179,8 +185,8 @@ class TestCoercion:
             DB(config=TINY, policy="nope")
 
     def test_sharded_db_accepts_name(self):
-        db = ShardedDB(2, "hybrid", config=TINY)
-        assert [shard.policy.name for shard in db.shards] == ["hybrid", "hybrid"]
+        db = ShardedDB(2, "tiered", config=TINY)
+        assert [shard.policy.name for shard in db.shards] == ["tiered", "tiered"]
         # Policies are stateful: every shard must get its own instance.
         assert db.shards[0].policy is not db.shards[1].policy
 
@@ -270,7 +276,7 @@ class TestComposition:
             spec.build()
 
     def test_describe_names_all_axes(self):
-        text = get_spec("lazy_leveling").build().describe()
+        text = get_spec("tiered").build().describe()
         for fragment in ("tier_count", "runs", "tiered_merge", "tiered"):
             assert fragment in text
 
@@ -285,11 +291,11 @@ class TestBackwardCompat:
 
 
 class TestNewCompositionsEndToEnd:
-    def test_crashtest_lazy_leveling(self):
+    def test_crashtest_tiered(self):
         from repro.faults import crashtest
 
         report = crashtest.run_crashtest(
-            "lazy_leveling",
+            "tiered",
             num_ops=300,
             num_keys=60,
             stride=60,
@@ -300,12 +306,12 @@ class TestNewCompositionsEndToEnd:
         from repro.harness import experiments
 
         report = experiments.design_space(
-            policies=["udc", "hybrid"], mixes=("RWB",), ops=400, key_space=150
+            policies=["udc", "tiered"], mixes=("RWB",), ops=400, key_space=150
         )
-        assert [p.policy for p in report["points"]] == ["udc", "hybrid"]
+        assert [p.policy for p in report["points"]] == ["udc", "tiered"]
         assert report["winners"]
-        rendered = experiments.format_design_report(report)
-        assert "| udc |" in rendered and "| hybrid |" in rendered
+        (_, rows), _ = experiments.design_tables(report)
+        assert [row[0] for row in rows] == ["udc", "tiered"]
 
     def test_cli_explore_unknown_policy_exits_2(self, capsys):
         from repro.cli import main

@@ -311,6 +311,6 @@ def test_cli_surface_is_what_it_was():
         "--flash", "--flash-gc", "--flash-logical-mib", "--flash-op",
         "--include-io", "--keys", "--mixes", "--ops", "--partitioner",
         "--policies", "--policy", "--profiles", "--queue-depth", "--rate",
-        "--report-out", "--seed", "--shards", "--slo-us", "--slowdown-l0",
+        "--seed", "--shards", "--slo-us", "--slowdown-l0",
         "--stop-l0", "--tenants", "--trace-out", "--value-bytes", "--workers",
     ]
