@@ -485,7 +485,13 @@ class LDCLinkMergeMovement(DataMovement):
 
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:
-        """Cross-check movement bookkeeping (used by tests)."""
+        """Cross-check movement bookkeeping (used by tests).
+
+        Also the read order a point lookup trusts (``DB._lookup_unit``
+        stops at the first slice that holds the key): along a table's
+        links, newest link first, a key's sequence numbers fall strictly,
+        and the table itself holds none newer than its slices.
+        """
         self.frozen.check_invariants()
         for table in self._linked_tables.values():
             if not table.slice_links:
@@ -496,6 +502,7 @@ class LDCLinkMergeMovement(DataMovement):
                 raise CompactionError(
                     f"linked table {table.file_id} is not in the tree"
                 )
+            self._check_read_order(table)
         # Every frozen file's refcount must equal its live slice count.
         live_refs: dict[int, int] = {}
         for table in self._linked_tables.values():
@@ -509,4 +516,27 @@ class LDCLinkMergeMovement(DataMovement):
                 raise CompactionError(
                     f"frozen file {frozen_file.file_id} refcount "
                     f"{frozen_file.refcount} != live slices {expected}"
+                )
+
+    @staticmethod
+    def _check_read_order(table: SSTable) -> None:
+        """Raise unless newer links of ``table`` hold newer records."""
+        newer: dict = {}  # key -> its seq in the last slice that held it
+        for piece in table.links_newest_first():
+            for record in piece.records():
+                key, seq = record[0], record[1]
+                later = newer.get(key)
+                if later is not None and seq >= later:
+                    raise CompactionError(
+                        f"link {piece.link_seq} on table {table.file_id} "
+                        f"holds seq {seq} of {key!r}, not older than a later "
+                        f"link's seq {later}"
+                    )
+                newer[key] = seq
+        for record in table.records:
+            later = newer.get(record[0])
+            if later is not None and record[1] >= later:
+                raise CompactionError(
+                    f"table {table.file_id} holds seq {record[1]} of "
+                    f"{record[0]!r}, not older than its slice's seq {later}"
                 )

@@ -579,10 +579,13 @@ class DB:
     ) -> Optional[KVRecord]:
         """Check one level-resident SSTable and its linked slices.
 
-        Slices hold strictly newer data than the table, so a slice hit
-        short-circuits the table read; among slices the newest record wins
-        (they are checked via the frozen files' Bloom filters, the
-        mechanism Figs. 12c/f and 13 study).
+        Slices are checked newest link first, through the frozen files'
+        Bloom filters (the mechanism Figs. 12c/f and 13 study), and the
+        first one that holds the key answers — tombstone included: a
+        later link holds strictly newer data than an earlier one, and
+        every slice newer data than the table, so the table is read only
+        when no slice holds the key.  LDC's movement checks that order
+        (``LDCLinkMergeMovement.check_invariants``).
 
         ``hashes`` / ``tally`` are the per-lookup state of :meth:`_lookup`,
         whose capture guard also covers the in-place clock charges here.
@@ -590,7 +593,6 @@ class DB:
         clock = self.clock
         bloom_us = self.config.costs.bloom_check_us
         if table.slice_links:
-            best: Optional[KVRecord] = None
             # Direct slot reads skip the lazily-built ``links_newest_first``
             # / ``bloom`` accessors on the hot path; they still build on
             # first use.
@@ -611,10 +613,8 @@ class DB:
                     tally[0] += 1
                     continue
                 record = self._read_block(source, key, tally)
-                if record is not None and (best is None or record[1] > best[1]):
-                    best = record
-            if best is not None:
-                return best
+                if record is not None:
+                    return record
         if not table.min_key <= key <= table.max_key:
             # The key fell in this file's responsibility gap: only the
             # slices (checked above) could have held it.

@@ -136,8 +136,10 @@ def _lookup(db, key: bytes):
 
 
 def _lookup_unit(db, key: bytes, table, advance, bloom_us: float, count):
-    """Check one level-resident SSTable and its linked slices."""
-    best = None
+    """Check one level-resident SSTable and its linked slices.
+
+    The first slice, newest link first, that holds the key answers.
+    """
     if table.slice_links:
         for piece in table.links_newest_first():
             if not piece.covers_key(key):
@@ -152,10 +154,8 @@ def _lookup_unit(db, key: bytes, table, advance, bloom_us: float, count):
                 continue
             _charge_point_read(db, source, key)
             record = piece.get(key)
-            if record is not None and (best is None or record[1] > best[1]):
-                best = record
-        if best is not None:
-            return best
+            if record is not None:
+                return record
     if not table.min_key <= key <= table.max_key:
         # The key fell in this file's responsibility gap: only the
         # slices (checked above) could have held it.

@@ -19,6 +19,8 @@ TINY = ["--ops", "1200", "--keys", "400"]
 #: flag combinations that switch a handler's report.  ``fig01s`` and
 #: ``run RWB --bg-threads 1`` were re-pinned when memtable flushes moved
 #: onto the scheduler's flush lane: their writes stop paying the flush.
+#: Every line that runs LDC was re-pinned when an LDC get began to stop at
+#: the newest linked slice that holds the key: only LDC rows moved.
 GOLDEN_STDOUT = {
     "list":
         "a0897b2eb90bea661d48cf75d1cc8fa5f14362108ce1eaabb6dc740a16460782",
@@ -27,7 +29,7 @@ GOLDEN_STDOUT = {
     "fig01s":
         "de5d372c9e415c9c762bbada2b091603fa85c40bdd69a5d5cbff87d2118b7ace",
     "fig01_open_loop":
-        "0f82205be46d16fd49144cd6508e45692658f6b91e14880efd7b139ea3ce4537",
+        "ef6813fe189df37b2d6d954cc0dc2f11971de5e9d156b89945f3fa39ac632480",
     "tab1":
         "0a21b23d08a35410c2c2a6ecbd8ab01161668044eee2600a55e26df5203b9980",
     "fig07":
@@ -35,33 +37,33 @@ GOLDEN_STDOUT = {
     "fig08":
         "fc2312554382185be3efb986f3cf6ed3cf999980492c441ed71de803eae83043",
     "fig09":
-        "40d605341149ea11eda7e2a20a18d6262dc20be31a265f30403355c144a36560",
+        "951c1a78e2709f24b4619667ca034986951cb07acf92e13864537eb3b9de4cb5",
     "fig10a":
-        "10dc7dec773202f9c83a4e6bb6a44be621b0ba529e030dffd895cd8fd30a8bd0",
+        "d31f99cd4f91a84073fde35de49b2295ad4dabe7d96ce095f3606a207de05791",
     "fig10b":
         "48bdcb62381a3dfa1c5d024468c733ba92a1106f825f61bad46f21de44c56d9f",
     "fig10c":
-        "bbabdf58002e91187c4e5310c2f79a17843d334b49a8b69fb7c8a90c22c4644a",
+        "be931b2f4b076887bf0d238338515e7d98d8b83975c9d4b73ecd4882791f57c9",
     "fig11":
-        "6e090babb05d17da63aa8c2c1fbf02fe06a564bc7e61c072fcfd6876b356b355",
+        "541799792c32c704b3a4c01e48cfab0d1f60718a6862d9bc1fd9a476eee9a143",
     "fig12ad":
-        "f508dc6726cedb6b62f26877eaecf3bde1272d697e756fd0ad8aaa066f1d1b00",
+        "764f63c6855667371c469e83ee5f3886d352f296213fd3d64e26a7f28318b7d8",
     "fig12be":
-        "ee132182825d1ddb2ef7bccbcea66110196a6bfa4454c4c322d828257ae2500b",
+        "3afdc6c0652c94f4d622094edcf92904b1bd56dfee2436addfb9950bc354133d",
     "fig12cf":
-        "da08dc55d61d6ec7815c9ca5f793954fef38e35a1824196f096fa4a332c00354",
+        "686ec3bc1e28a9dee611d73d8f29cd2bbf96ff89a02bfb84c1a835e81ee0c7d6",
     "fig13":
         "404c97d157a557ac4a5cf9f7f6a9015578ac0c7d88da84cd832bcfb4d0ed4bc4",
     "fig14":
-        "af373231d8806f9cb95e1cea14dfc3e265ea14c55f3e6c0af971bd4891c0c121",
+        "05f0fd38485bc843cd01f264c91f036c357067b2cd723c29c8b4c1433d6bde12",
     "fig15":
-        "964f978f8936836830b4c1ac0150f78092d3569549d0b76bbe07ba2a9b17f4c6",
+        "0411492f7ab8fb12b83e92f57c353115b0d4a10081dcf0c07195f13a9e470a2e",
     "adaptive":
-        "51dbcd2dbf3098e892e58be82ba7e18e2e05b3d519b3612f52387de61bc56ce6",
+        "851bfce19cc671723e8ce292dc618c6f1b76da9a0098813b619a7efe020d9cbc",
     "tiered":
-        "faadce82fd8853a8c59a115290e59c102cfaa2c0182d735a23e76b5495069833",
+        "b8ec1034e4d3a8e17dac019762ba593b5a373a0b86b7a27d9aa5d532db9c838b",
     "asymmetry":
-        "068c4218f565324319d79e03ab1dc15ade075938b409816ea76a2826ff2e5977",
+        "1f6d6383ceee75b2f01f9ea18c9de34e180710a438d3b964201ca83917da0cc7",
     "shard_scaling":
         "3a999e773221e07e4521d580794c2d8ed104ab116c0b5eeab911eddf9859b411",
     "describe":
@@ -71,17 +73,17 @@ GOLDEN_STDOUT = {
     "fig_device_wa":
         "9d0c92fc03d936e3fef2ed6bcd72d26695ef1d2d600526361198dfa460e148fb",
     "run":
-        "cf944146fa41bc5070aa6abd7b5b9fa7626cfacc4e6fcf08c1373c4f42e72121",
+        "e21706e11d996b06b2f5d16d0b77ef4102a9591b90b9c4ed1ce1da26ae7036ea",
     "serve":
         "53340d75d781d16c8ca164cc586c08a2ba67726629b96626e78254c984099a40",
     "crashtest --every 25":
         "6f18dcc78937d000e9341490b9dac9182207342d970f8caf6e1e11e411256e95",
     "explore":
-        "9433969d8a887f42f31074d3e0384816ce0a1fc196db8c856947e86376d9744d",
+        "bdd2c6316062413a05fa0b795f095b1d56c1c0282b22d28f4587ce0f2ae3b9a5",
     "explore --policies udc,ldc --mixes RWB":
-        "2da2e38a5c20adc1fc57757fce4b89943efbd30920f8d422b31a76a44cde955a",
+        "131bda4e7a37099ddce8942ed6db185928b91592f530823180c41edfb0a48cba",
     "explore --policies udc,ldc --mixes RWB --flash":
-        "f52c0264e022140f9f2ac004457a022bd3874c9ada76b9a773e9c6c07d3e8587",
+        "c5325e551fe813ad9ab8fc4a681b8fc4fb4e45cd2c72e85eb54825a747c3016a",
     "serve RWB --tenants 2":
         "3e0630e318e06bb0c26e38e128d3d51e9d8c1c249a08326b2769e8fa01f54d6b",
     "serve RWB --shards 2":
@@ -92,9 +94,9 @@ GOLDEN_STDOUT = {
         "bd287b9333387697311d1822d2c58bb040f6e0a43df2484791e397d60905c469",
     # Captured on PR 20's ``src/`` before the four runners became one shell.
     "serve RWB --arrival closed":
-        "120859ed1e5e88364350e449b30fa575ae82ce0f1f1081ddd486e22be7a87d92",
+        "89fb38771909f652075db2581e78962f6a9c2998ea5dde0b3335168f55ed0d32",
     "run RWB --bg-threads 1":
-        "3e29a95b738a4d80ae42229489e46cb1a3d764d6dfe86fc300552dee9357928a",
+        "ff6c3aad755d157e0becdb6356de76e818cc4b861ce3b5405a50b007995a1ab7",
     "run RWB --shards 2 --workers 2":
         "559c2ccfb80f65584dae79ded42ee2e50a223bf9fca7163471ad32023d642d69",
 }

@@ -1,6 +1,7 @@
 """Unit and behavioural tests for the LDC policy (link & merge)."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -119,6 +120,25 @@ class TestMergePhase:
         fill(ldc_db, 4000, 1000)
         ldc_db.policy.check_invariants()
         ldc_db.version.check_invariants()
+
+    def test_read_order_violation_is_caught(self, ldc_db):
+        """Two links that share a key, swapped: the later link now holds
+        the older record, and a lookup stopping at it would read stale."""
+        fill(ldc_db, 4000, 1000)
+        movement = ldc_db.policy.movement
+        movement.check_invariants()
+        shared = [
+            (table, older, newer)
+            for table in ldc_db.version.all_tables()
+            for older, newer in combinations(table.slice_links, 2)
+            if {r.key for r in older.records()} & {r.key for r in newer.records()}
+        ]
+        assert shared, "no two slices of one table share a key; vacuous"
+        table, older, newer = shared[0]
+        older.link_seq, newer.link_seq = newer.link_seq, older.link_seq
+        table._links_newest = None
+        with pytest.raises(CompactionError, match="not older than"):
+            movement.check_invariants()
 
     def test_contents_preserved(self, ldc_db):
         model = fill(ldc_db, 3000, 700)

@@ -20,14 +20,17 @@ class TestFigureExperiments:
         assert len(out["points"]) >= 1
 
     def test_fig01_scheduled_interference(self):
-        """The PR's headline mechanism claim, pinned as an acceptance test.
+        """Today's one-thread behaviour, pinned until ROADMAP item 11.
 
-        With compaction truly in the background (scheduler on), UDC's
-        large captured rounds occupy the device channel and trip L0
-        throttling in bursts, so its write p99/p50 spread must strictly
-        exceed LDC's — the interference asymmetry the paper's Fig. 1 and
-        Figs. 8-9 motivate.  The margin at these parameters is ~80x vs
-        ~1.3x, so the strict inequality is far from a knife edge.
+        The spread asserted here is not a paper claim: with one thread
+        the engine replays about one background chunk per operation, so
+        LDC's write p50 is the 1 ms Level-0 slowdown and its p99/p50
+        spread collapses (~80x for UDC vs ~1.3x for LDC at these
+        parameters).  ``benchmarks/claims.py`` lists ``fig01s`` under
+        ``UNCLAIMED`` and docs/SCHEDULING.md calls the spread an artefact
+        of the starved thread.  Item 11 rewrites these assertions to
+        what survives background work that runs in the background, or
+        deletes the experiment and this test.
         """
         out = experiments.fig01_scheduled_interference(ops=6000, key_space=3000)
         spreads = out["p99_p50_spread"]

@@ -20,6 +20,7 @@ from repro.errors import CorruptionError, EngineError
 from repro.faults.plan import FaultPlan
 from repro.lsm.bloom import BloomFilter
 from repro.lsm.config import LSMConfig
+from repro.lsm.record import KIND_DELETE
 
 from ._lookup_oracle import oracle_get
 
@@ -310,6 +311,61 @@ class TestDirectedSlices:
                         shadowed += 1
                         assert pair.get(record.key) == model.get(record.key)
         assert shadowed, "no slice record shadows its carrier; vacuous"
+
+    def test_get_stops_at_the_newest_slice_that_holds_the_key(self):
+        """A key two slices of one carrier hold costs one block read.
+
+        Churn (puts and deletes) after the deep load until such keys
+        exist and one's newest slice holds a tombstone.  Only keys the
+        newest slice answers count: nothing above or in the memtable
+        holds a newer version.
+        """
+        pair, model = deep_pair("ldc", cache_bytes=0)
+        db = pair.new
+        rng = random.Random(3)
+        held = {}
+        for step in range(600):
+            key = make_key(rng.randrange(0, MAX_INDEX + 1, 2))
+            if rng.random() < 0.2:
+                pair.delete(key)
+                model.pop(key, None)
+            else:
+                model[key] = b"churn-%03d" % step
+                pair.put(key, model[key])
+            held = slice_answered_keys(db)
+            if any(record.kind == KIND_DELETE for record in held.values()):
+                break
+        assert held, "no key held by two slices of one carrier; vacuous"
+        assert any(record.kind == KIND_DELETE for record in held.values()), (
+            "no newest slice holds a tombstone; vacuous"
+        )
+        for key in held:
+            before = db.metrics().get("engine.sstable_blocks_read", 0)
+            assert pair.get(key) == model.get(key)
+            assert db.metrics().get("engine.sstable_blocks_read", 0) == before + 1
+
+
+def slice_answered_keys(db: DB) -> dict:
+    """Keys two or more slices of one carrier hold, mapped to the newest
+    slice's record, where that record is the newest version stored."""
+    newest = {}
+    for record in db._memtable:
+        newest[record.key] = record.seq
+    for table in all_files(db):
+        for record in table.records:
+            newest[record.key] = max(record.seq, newest.get(record.key, -1))
+    held = {}
+    for _level, _position, table in linked_files(db):
+        first = {}
+        holders = {}
+        for piece in table.links_newest_first():
+            for record in piece.records():
+                first.setdefault(record.key, record)
+                holders[record.key] = holders.get(record.key, 0) + 1
+        for key, record in first.items():
+            if holders[key] >= 2 and record.seq == newest[key]:
+                held[key] = record
+    return held
 
 
 @pytest.mark.parametrize("policy", ("udc", "ldc"))

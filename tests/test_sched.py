@@ -172,6 +172,39 @@ class TestReplay:
         with_sched.sched.drain()
         assert list(with_sched.logical_items()) == list(without.logical_items())
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 11: chunks replay at the end of an operation, "
+        "after its own I/O took the channel, so an idle gap replays none",
+    )
+    def test_an_idle_gap_replays_the_round_before_the_next_put(self):
+        """A round captured at t, then no I/O until t + 2 x debt: the round
+        has finished by the next put, and the put waits for nothing."""
+        db = DB(config=LSMConfig(bg_threads=1), policy="udc")
+        sched, counter = db.sched, db.registry.counter
+        rng = random.Random(7)
+        puts = 0
+        while sched.threads[0].task is None:
+            db.put(key_of(rng.randrange(100_000)), b"v" * 1024)
+            puts += 1
+            assert puts < 1000, "no round in flight"
+        round_ = sched.threads[0].task
+        debt = sum(
+            duration
+            for task in (round_, sched.flush_lane.task)
+            if task is not None
+            for _, duration in task.chunks[task.next_chunk:]
+        )
+        # The serve loop's idle jump: time passes, no operation runs.
+        db.clock.advance_to(db.clock.now() + 2 * debt)
+        start = db.clock.now()
+        wal_us = counter("device.write.wal_write.time_us")
+        db.put(key_of(0), b"w" * 1024)
+        assert round_.done
+        paid = db.clock.now() - start
+        own = counter("device.write.wal_write.time_us") - wal_us
+        assert paid == pytest.approx(own + db.config.costs.memtable_insert_us)
+
 
 class TestFlushLane:
     """With a thread the memtable flush is background work on its own lane."""
