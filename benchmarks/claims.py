@@ -33,7 +33,8 @@ def holds(claim: Claim, measured: float) -> bool:
 #: Figures that carry no claim, and why.
 UNCLAIMED = {
     "fig01s": "its UDC > LDC spread comes from the one-thread engine starving its thread",
-    "fig01_open_loop": "prints its own open-loop verdict; no benchmark asserted it",
+    "shard_scaling": "beyond the paper's single store",
+    "paper_scale": "host-time run with its own CI jobs",
 }
 
 
@@ -107,11 +108,27 @@ def _space_overheads(out) -> List[float]:
     return [_ratio(out, label, "space_bytes") - 1 for label in _labels(out)]
 
 
+def _total_wa(out, policy: str) -> float:
+    """``policy``'s host x device write amplification in a device-WA sweep."""
+    return next(result.total_write_amplification
+                for task, result in out["points"] if task.policy_label == policy)
+
+
 CLAIMS: Dict[str, List[Claim]] = {
     "fig01": [
         Claim("write-latency fluctuation, max/min bucket mean", "49.13",
               lambda out: out["fluctuation_ratio"], "> 5"),
         Claim("latency buckets", "-", lambda out: len(out["points"]), ">= 3"),
+    ],
+    "fig01_open_loop": [
+        Claim("headline load above UDC's knee", "-",
+              lambda out: float(out["headline"]["above_knee"]), "== 1"),
+        Claim("UDC / LDC p99.9 at the headline load", "-",
+              lambda out: out["headline"]["udc_p999_us"] / out["headline"]["ldc_p999_us"],
+              "> 1"),
+        Claim("UDC - LDC SLO violation rate at the headline load", "-",
+              lambda out: out["headline"]["udc_slo_violation_rate"]
+              - out["headline"]["ldc_slo_violation_rate"], "> 0"),
     ],
     "tab1": [
         Claim("DoCompactionWork share / largest share", "1",
@@ -242,5 +259,12 @@ CLAIMS: Dict[str, List[Claim]] = {
               lambda out: _gain(out, _labels(out)[0]), "> 0"),
         Claim("gain at 20:1 - gain at 1:1", "-",
               lambda out: _gain(out, _labels(out)[0]) - _gain(out, _labels(out)[-1]), "> 0"),
+    ],
+    "fig_device_wa": [
+        Claim("LDC / UDC total WA", "longer SSD lifetime",
+              lambda out: _total_wa(out, "ldc") / _total_wa(out, "udc"), "< 1"),
+        Claim("smallest device WA over the policies", "-",
+              lambda out: min(result.device_write_amplification
+                              for _, result in out["points"]), ">= 1"),
     ],
 }

@@ -14,19 +14,21 @@ Usage::
     python -m repro crashtest --policy ldc --every 25   # crash-consistency sweep
     python -m repro crashtest --policy ldc --flash      # crash inside GC too
     python -m repro run RWB --flash                 # FTL/GC device layer on
-    python -m repro fig_device_wa --ops 20000       # host/device/total WA
+    python -m repro fig_device_wa --ops 20000       # host/device/total WA, RWB
     python -m repro explore --policies udc,ldc,tiered --mixes RWB
     python -m repro explore --flash                 # device-WA winner columns
 
 The heavy lifting lives in :mod:`repro.harness.experiments`; this module
 maps subcommand names to those entry points (:data:`EXPERIMENTS`, the one
 table ``main`` dispatches on and ``repro list`` prints) and prints their
-results as tables; a paper figure is a :data:`FIGURES` entry, whose
-``run`` / ``show`` pair ``benchmarks/`` reuses.  The ``trace`` subcommand runs one Table III workload
-with the observability layer's event tracer attached and writes the full
-engine timeline (flushes, compaction rounds, links/merges, stalls) as
-JSON-lines.  How fast the simulator itself runs on the host is measured
-by the benchmark of record, ``bench/`` (see ``bench/README.md``).
+results as tables; every experiment sized by ``--ops`` / ``--keys`` is a
+:data:`FIGURES` entry, whose ``run`` / ``show`` pair ``benchmarks/``
+reuses, and the other seven subcommands are tools.  The ``trace``
+subcommand runs one Table III workload with the observability layer's
+event tracer attached and writes the full engine timeline (flushes,
+compaction rounds, links/merges, stalls) as JSON-lines.  How fast the
+simulator itself runs on the host is measured by the benchmark of
+record, ``bench/`` (see ``bench/README.md``).
 """
 
 from __future__ import annotations
@@ -63,10 +65,10 @@ from .workload.spec import WorkloadSpec
 
 
 class Figure(NamedTuple):
-    """One paper figure: ``run(ops, keys)`` measures it and ``show(out)``
-    prints its table.  ``repro <name>`` is ``show(run(--ops, --keys))``;
-    ``benchmarks/`` runs the same pair and checks the paper's claims
-    against ``out``."""
+    """One measured experiment: ``run(ops, keys)`` measures it and
+    ``show(out)`` prints its table.  ``repro <name>`` is
+    ``show(run(--ops, --keys))``; ``benchmarks/`` runs the same pair and
+    checks the paper's claims against ``out``."""
 
     run: Callable[[int, int], Any]
     show: Callable[[Any], None]
@@ -221,8 +223,7 @@ def _show_fig13(out: Dict[int, Dict[str, float]]) -> None:
     print(format_table(["bits/key", "block reads", "filter KiB"], rows, title="fig13"))
 
 
-def _run_shard_scaling(args: argparse.Namespace) -> None:
-    out = experiments.shard_scaling(ops=args.ops, key_space=args.keys)
+def _show_shard_scaling(out: Dict[int, Dict[str, float]]) -> None:
     rows = [
         (
             count,
@@ -589,31 +590,43 @@ def _run_explore(args: argparse.Namespace) -> None:
     print(format_table(*winners, title="winners"))
 
 
-def _run_device_wa(args: argparse.Namespace) -> None:
-    """End-to-end write-amplification comparison (``repro fig_device_wa``).
+def _show_device_wa(report: Dict[str, Any]) -> None:
+    """Host / device / total WA of every policy on one flash geometry,
+    lowest total first, with the GC and wear counters (docs/DEVICE.md)."""
+    flash: FlashSpec = report["flash"]
+    points = report["points"]
+    spec = points[0][0].spec
+    lines = [
+        f"Device write amplification — {spec.name} "
+        f"({spec.num_operations} ops over {spec.key_space} keys)",
+        f"flash: {flash.logical_bytes / 2**20:.1f} MiB logical, "
+        f"OP={flash.over_provisioning:.0%}, gc={flash.gc_policy}, "
+        f"{flash.total_blocks} blocks x {flash.pages_per_block} pages "
+        f"x {flash.page_bytes} B",
+        "",
+        f"{'policy':<16} {'host WA':>8} {'dev WA':>8} {'total WA':>9} "
+        f"{'GC MiB':>8} {'erases':>7} {'max PE':>7}",
+    ]
+    for task, r in sorted(points, key=lambda p: p[1].total_write_amplification):
+        lines.append(
+            f"{task.policy_label:<16} {r.write_amplification:>8.3f} "
+            f"{r.device_write_amplification:>8.3f} {r.total_write_amplification:>9.3f} "
+            f"{r.gc_write_bytes / 2**20:>8.2f} {r.blocks_erased:>7.0f} "
+            f"{r.max_erase_count:>7.0f}"
+        )
+    (best,) = report["winners"].values()
+    lines += ["", f"lowest total WA: {best['total_write_amplification']}"]
+    print("\n".join(lines))
 
-    Sizes one flash geometry from a flash-off probe, runs every
-    registered policy on it and prints host / device / total WA with the
-    GC and wear counters (docs/DEVICE.md).
-    """
-    report = experiments.fig_device_wa(
-        ops=args.ops,
-        key_space=args.keys,
-        over_provisioning=args.flash_op,
-        gc_policy=args.flash_gc,
-    )
-    print(experiments.format_device_wa_report(report))
 
-
-def _run_paper_scale(args: argparse.Namespace) -> None:
-    """``repro paper_scale``: the fill + read pair at (``--ops``-reduced)
-    paper scale.  The last output line is the result as one JSON object,
-    which is what the CI ``paper-scale`` jobs parse."""
-    out = experiments.paper_scale(ops=args.ops)
+def _show_paper_scale(out: Dict[str, float]) -> None:
+    """The fill + read pair at (``--ops``-reduced) paper scale.  The last
+    output line is the result as one JSON object, which is what the CI
+    ``paper-scale`` jobs parse."""
     rows = [
         (
             phase,
-            args.ops,
+            out["ops"] // 2,
             round(out[f"{phase}_wall_s"], 1),
             round(out[f"{phase}_cpu_s"], 1),
             round(out[f"{phase}_sim_throughput_ops_s"]),
@@ -637,8 +650,9 @@ def _run_list(args: argparse.Namespace) -> None:
         print(name)
 
 
-#: The paper's figures and the ablations beside them, by subcommand name:
-#: each is run one way, here, by ``repro`` and by ``benchmarks/``.
+#: Every experiment sized by ``--ops`` / ``--keys`` (the paper's figures
+#: and what goes beyond them), by subcommand name: each is run one way,
+#: here, by ``repro`` and by ``benchmarks/``.
 FIGURES: Dict[str, Figure] = {
     "fig01": Figure(_sized(experiments.fig01_latency_fluctuation), _show_fig01),
     "fig01s": Figure(_sized(experiments.fig01_scheduled_interference), _show_fig01s),
@@ -660,6 +674,11 @@ FIGURES: Dict[str, Figure] = {
     "adaptive": Figure(_sized(experiments.ablation_adaptive_threshold), _show_grid),
     "tiered": Figure(_sized(experiments.ablation_tiered_tail), _show_grid),
     "asymmetry": Figure(_sized(experiments.ablation_device_asymmetry), _show_grid),
+    "shard_scaling": Figure(_sized(experiments.shard_scaling), _show_shard_scaling),
+    "paper_scale": Figure(
+        lambda ops, keys: experiments.paper_scale(ops=ops), _show_paper_scale
+    ),
+    "fig_device_wa": Figure(_sized(experiments.fig_device_wa), _show_device_wa),
 }
 
 #: Every subcommand, by name: the one table ``main`` dispatches on, that
@@ -670,10 +689,7 @@ FIGURES: Dict[str, Figure] = {
 EXPERIMENTS: Dict[str, Callable[[argparse.Namespace], Optional[int]]] = {
     "list": _run_list,
     **FIGURES,
-    "shard_scaling": _run_shard_scaling,
     "describe": _run_describe,
-    "paper_scale": _run_paper_scale,
-    "fig_device_wa": _run_device_wa,
     "trace": _run_trace,
     "run": _run_sharded,
     "serve": _run_serve,
@@ -886,14 +902,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.07,
         metavar="FRACTION",
         help="flash over-provisioning fraction (default 0.07; "
-        "'run'/'explore'/'fig_device_wa')",
+        "'run'/'explore')",
     )
     parser.add_argument(
         "--flash-gc",
         default="greedy",
         choices=("greedy", "cost_benefit"),
         help="GC victim-selection policy (default greedy; "
-        "'run'/'explore'/'fig_device_wa')",
+        "'run'/'explore')",
     )
     parser.add_argument(
         "--flash-logical-mib",

@@ -27,7 +27,6 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .latency import PAPER_PERCENTILES
@@ -332,11 +331,11 @@ def fig01_open_loop(
     *multiplied* by the arrival rate into a burst of SLO violations.
     LDC's lower-level-driven link step is metadata-cheap and its merges
     are smaller, so its service spikes — and therefore its queueing
-    bursts — are far shorter.  The headline claim, asserted by the CI
-    serve-smoke job: at the headline load (above UDC's knee, the lowest
-    tested load where UDC's violation rate exceeds ``knee_slo_rate``),
-    UDC's queue-inflated p99.9 *and* SLO-violation rate are strictly
-    worse than LDC's.
+    bursts — are far shorter.  The headline claim, checked by
+    ``benchmarks/claims.py``: at the headline load (above UDC's knee,
+    the lowest tested load where UDC's violation rate exceeds
+    ``knee_slo_rate``), UDC's queue-inflated p99.9 *and* SLO-violation
+    rate are strictly worse than LDC's.
     """
     from ..serve import ServeSpec, serve_workload
 
@@ -503,15 +502,9 @@ def fig10a_throughput_get(
 
 
 def fig10b_throughput_scan(
-    ops: Optional[int] = None, key_space: int = DEFAULT_KEY_SPACE
+    ops: int = DEFAULT_OPS, key_space: int = DEFAULT_KEY_SPACE
 ) -> ExperimentOutput:
-    """Throughput for SCN-WH/RWB/RH (paper: +86.2/+81.1/+49.1%).
-
-    Scans are ~100x heavier than point ops, so the default op count is
-    reduced to keep wall-clock time in check.
-    """
-    if ops is None:
-        ops = DEFAULT_OPS // 3
+    """Throughput for SCN-WH/RWB/RH (paper: +86.2/+81.1/+49.1%)."""
     specs = _paper_mixes(
         ("SCN-WH", "SCN-RWB", "SCN-RH"),
         ops,
@@ -690,35 +683,26 @@ def _scaling(
 # Shard scaling (repro.shard — beyond the paper's single-store scope)
 # ----------------------------------------------------------------------
 def shard_scaling(
-    shard_counts: Sequence[int] = (1, 2, 4, 8),
-    ops: int = DEFAULT_OPS,
-    key_space: int = DEFAULT_KEY_SPACE,
-    workers: Optional[int] = None,
-    partitioner: str = "hash",
+    ops: int = DEFAULT_OPS, key_space: int = DEFAULT_KEY_SPACE
 ) -> Dict[int, Dict[str, float]]:
-    """RWB across shard counts: how partitioning changes the work itself.
+    """RWB across 1, 2, 4 and 8 hash-partitioned shards under UDC: how
+    partitioning changes the work itself.
 
     Two effects stack as shards grow: per-shard trees are smaller (fewer
     levels, less compaction work — write amplification falls), and the
-    shard tasks execute on independent workers (wall-clock parallelism,
-    bounded by the host's cores).  Virtual-time metrics are deterministic
-    and worker-count-independent; ``wall_s`` is the only host-dependent
-    column.
+    shard tasks execute on independent workers (``--workers``; wall-clock
+    parallelism, bounded by the host's cores).  Virtual-time metrics are
+    deterministic and worker-count-independent; ``wall_s`` is the only
+    host-dependent column.
     """
     # Local import: repro.shard.runner imports this module (for run_grid).
     from ..shard.runner import run_sharded_workload
 
-    if workers is None:
-        workers = _default_workers or 1
     spec_item = workloads.rwb(num_operations=ops, key_space=key_space)
     out: Dict[int, Dict[str, float]] = {}
-    for count in shard_counts:
+    for count in (1, 2, 4, 8):
         report = run_sharded_workload(
-            spec_item,
-            "udc",
-            num_shards=count,
-            partitioner=partitioner,
-            workers=workers,
+            spec_item, "udc", num_shards=count, workers=_default_workers or 1
         )
         out[count] = {
             "throughput_ops_s": report.throughput_ops_s,
@@ -871,97 +855,31 @@ def sized_flash_spec(
 
 
 def fig_device_wa(
-    ops: int = DEFAULT_OPS,
-    key_space: int = DEFAULT_KEY_SPACE,
-    over_provisioning: float = 0.07,
-    gc_policy: str = "greedy",
-    size_margin: float = DEVICE_WA_SIZE_MARGIN,
-    policies: Optional[Sequence[str]] = None,
-    workload: str = "RWB",
+    ops: int = DEFAULT_OPS, key_space: int = DEFAULT_KEY_SPACE
 ) -> Dict[str, object]:
     """End-to-end write amplification per policy over the flash device.
 
     The paper's lifetime argument (§I, §IV-F) is about *total* writes the
     flash medium absorbs: host WA (engine writes / user writes) times
     device WA (pages the FTL programs / host writes, GC relocation
-    included).  This experiment makes that product measurable:
+    included).  This experiment is the explorer's sweep on RWB with flash
+    mounted:
 
-    1. probe the workload flash-off under UDC to learn the store's
-       steady-state footprint, and size a :class:`~repro.ssd.flash.
-       FlashSpec` at ``size_margin x`` that footprint with the given
-       over-provisioning;
-    2. run every registered policy (or ``policies``) on that *same*
-       device spec — same geometry, same OP, same GC policy — so the
-       only variable is the compaction policy's write pattern;
-    3. report host / device / total WA plus the GC and wear counters.
+    1. probe RWB flash-off under UDC to learn the store's steady-state
+       footprint, and size a :class:`~repro.ssd.flash.FlashSpec` at
+       :data:`DEVICE_WA_SIZE_MARGIN` x that footprint with 7%
+       over-provisioning and greedy GC (:func:`sized_flash_spec`);
+    2. run every registered policy on that *same* device spec, so the
+       only variable is the compaction policy's write pattern.
 
-    Returns a dict with one row per policy and the derived winner by
-    total WA.  The acceptance claim mirrors the paper: LDC's total WA
-    beats UDC's at default over-provisioning, because its host-WA saving
-    (fewer compaction rewrites) dominates the extra GC pressure from its
-    frozen-region footprint.
+    Returns the :func:`design_space` report, whose results carry host /
+    device / total WA and the GC and wear counters.  The claim
+    (``benchmarks/claims.py``) mirrors the paper: LDC's total WA beats
+    UDC's, because its host-WA saving (fewer compaction rewrites)
+    dominates the extra GC pressure from its frozen-region footprint.
     """
-    spec_item = paper_mix(workload, ops, key_space)
-    flash = sized_flash_spec(
-        spec_item,
-        over_provisioning=over_provisioning,
-        gc_policy=gc_policy,
-        size_margin=size_margin,
-    )
-    if policies is None:
-        policies = available_policies()
-    tasks = sweep(
-        [spec_item],
-        [(name, name) for name in policies],
-        {"": (None, DeviceConfig(flash=flash))},
-    )
-    rows: Dict[str, Dict[str, float]] = {}
-    for task, result in zip(tasks, run_grid(tasks)):
-        rows[task.policy_label] = {
-            "host_wa": result.write_amplification,
-            "device_wa": result.device_write_amplification,
-            "total_wa": result.total_write_amplification,
-            "gc_write_mib": result.gc_write_bytes / 2**20,
-            "flash_programmed_mib": result.flash_bytes_programmed / 2**20,
-            "blocks_erased": float(result.blocks_erased),
-            "max_erase_count": float(result.max_erase_count),
-            "throughput_ops_s": result.throughput_ops_s,
-        }
-    winner = min(rows, key=lambda name: rows[name]["total_wa"])
-    return {
-        "rows": rows,
-        "winner_total_wa": winner,
-        "flash": flash,
-        "workload": spec_item.name,
-        "ops": ops,
-        "key_space": key_space,
-    }
-
-
-def format_device_wa_report(report: Dict[str, object]) -> str:
-    """Render a ``fig_device_wa`` report as an aligned text table."""
-    rows: Dict[str, Dict[str, float]] = report["rows"]  # type: ignore[assignment]
-    flash: FlashSpec = report["flash"]  # type: ignore[assignment]
-    lines = [
-        f"Device write amplification — {report['workload']} "
-        f"({report['ops']} ops over {report['key_space']} keys)",
-        f"flash: {flash.logical_bytes / 2**20:.1f} MiB logical, "
-        f"OP={flash.over_provisioning:.0%}, gc={flash.gc_policy}, "
-        f"{flash.total_blocks} blocks x {flash.pages_per_block} pages "
-        f"x {flash.page_bytes} B",
-        "",
-        f"{'policy':<16} {'host WA':>8} {'dev WA':>8} {'total WA':>9} "
-        f"{'GC MiB':>8} {'erases':>7} {'max PE':>7}",
-    ]
-    for name, row in sorted(rows.items(), key=lambda kv: kv[1]["total_wa"]):
-        lines.append(
-            f"{name:<16} {row['host_wa']:>8.3f} {row['device_wa']:>8.3f} "
-            f"{row['total_wa']:>9.3f} {row['gc_write_mib']:>8.2f} "
-            f"{row['blocks_erased']:>7.0f} {row['max_erase_count']:>7.0f}"
-        )
-    lines.append("")
-    lines.append(f"lowest total WA: {report['winner_total_wa']}")
-    return "\n".join(lines)
+    flash = sized_flash_spec(paper_mix("RWB", ops, key_space))
+    return design_space(mixes=("RWB",), ops=ops, key_space=key_space, flash=flash)
 
 
 # ----------------------------------------------------------------------
@@ -972,9 +890,10 @@ def format_device_wa_report(report: Dict[str, object]) -> str:
 DESIGN_SPACE_MIXES: Tuple[str, ...] = ("WO", "RWB", "RH")
 DESIGN_SPACE_PROFILES: Tuple[str, ...] = ("enterprise-pcie",)
 
-#: The explorer's numeric columns — ``(DesignPoint field, decimals shown,
-#: header)`` — and winner criteria — ``(field, min | max, header)``; the
-#: trailing device/total WA entries apply only with flash mounted.
+#: The explorer's numeric columns — ``(name, decimals shown, header)``,
+#: each read off a cell's result by :func:`_design_value` — and winner
+#: criteria — ``(name, min | max, header)``; the trailing device/total WA
+#: entries apply only with flash mounted.
 _DESIGN_COLUMNS = (
     ("throughput_ops_s", 0, "ops/s"),
     ("p99_us", 1, "p99 us"),
@@ -994,26 +913,6 @@ _DESIGN_WINNERS = (
 )
 
 
-@dataclass(frozen=True)
-class DesignPoint:
-    """One (policy, workload, device) cell of the explorer grid."""
-
-    policy: str
-    workload: str
-    profile: str
-    throughput_ops_s: float
-    p99_us: float
-    p999_us: float
-    write_amplification: float
-    read_amplification: float
-    compaction_mib: float
-    space_mib: float
-    stall_time_us: float
-    #: FTL-level columns; identity values when the sweep ran flash-off.
-    device_write_amplification: float = 1.0
-    total_write_amplification: float = 0.0
-
-
 def read_amplification(result: RunResult) -> float:
     """Device bytes read per user-requested byte (reads + scans).
 
@@ -1028,6 +927,21 @@ def read_amplification(result: RunResult) -> float:
     if user <= 0:
         return 0.0
     return result.total_read_bytes / user
+
+
+def _design_value(result: RunResult, name: str) -> float:
+    """The explorer's ``name`` column of one cell: p99, read amplification
+    and the MiB columns are derived, every other name is the result's own
+    field."""
+    if name == "p99_us":
+        return result.latencies.percentile(99.0)
+    if name == "read_amplification":
+        return read_amplification(result)
+    if name == "compaction_mib":
+        return result.compaction_bytes_total / 2**20
+    if name == "space_mib":
+        return result.space_bytes / 2**20
+    return getattr(result, name)
 
 
 def design_space(
@@ -1045,20 +959,17 @@ def design_space(
     instances; the default sweeps every policy in the registry.  Each
     cell is one independent :class:`GridTask` (so ``--workers`` fans the
     sweep out bit-identically).  Returns the comparison report behind
-    ``repro explore``: one :class:`DesignPoint` per cell plus the
+    ``repro explore``: one ``(task, result)`` pair per cell plus the
     per-(workload, device) winners on WA / RA / p99 / throughput.
 
     Passing ``flash`` mounts the same :class:`~repro.ssd.flash.FlashSpec`
     under every profile in the sweep; the points gain live device/total
     WA columns and the winner table a ``total_wa`` row.
     """
-    if policies is None:
-        policy_specs = [get_spec(name) for name in available_policies()]
-    else:
-        policy_specs = [
-            item if isinstance(item, PolicySpec) else get_spec(str(item))
-            for item in policies
-        ]
+    policy_specs = [
+        item if isinstance(item, PolicySpec) else get_spec(str(item))
+        for item in (available_policies() if policies is None else policies)
+    ]
     points_by_profile: Dict[str, _Point] = {}
     for profile_name in profiles:
         device: "SSDProfile | DeviceConfig" = get_profile(profile_name)
@@ -1070,33 +981,13 @@ def design_space(
         [(pspec.name, pspec) for pspec in policy_specs],
         points_by_profile,
     )
-    results = run_grid(tasks)
-    points = [
-        DesignPoint(
-            policy=task.policy_label,
-            workload=task.spec.name,
-            profile=task.profile.name,
-            throughput_ops_s=result.throughput_ops_s,
-            p99_us=result.latencies.percentile(99.0),
-            p999_us=result.latencies.percentile(99.9),
-            write_amplification=result.write_amplification,
-            read_amplification=read_amplification(result),
-            compaction_mib=result.compaction_bytes_total / 2**20,
-            space_mib=result.space_bytes / 2**20,
-            stall_time_us=result.stall_time_us,
-            device_write_amplification=result.device_write_amplification,
-            total_write_amplification=result.total_write_amplification,
-        )
-        for task, result in zip(tasks, results)
-    ]
+    points = list(zip(tasks, run_grid(tasks)))
     criteria = _DESIGN_WINNERS if flash is not None else _DESIGN_WINNERS[:-1]
     winners: Dict[str, Dict[str, str]] = {}
-    for workload, profile_name in sorted({(p.workload, p.profile) for p in points}):
-        cell = [
-            p for p in points if p.workload == workload and p.profile == profile_name
-        ]
-        winners[f"{workload}@{profile_name}"] = {
-            name: pick(cell, key=attrgetter(name)).policy
+    for cell_key in sorted({(t.spec.name, t.profile.name) for t, _ in points}):
+        cell = [p for p in points if (p[0].spec.name, p[0].profile.name) == cell_key]
+        winners["@".join(cell_key)] = {
+            name: pick(cell, key=lambda p: _design_value(p[1], name))[0].policy_label
             for name, pick, _ in criteria
         }
     return {"points": points, "winners": winners, "flash": flash}
@@ -1111,9 +1002,10 @@ def design_tables(report: Dict[str, object]) -> Tuple[tuple, tuple]:
     columns = _DESIGN_COLUMNS if flash else _DESIGN_COLUMNS[:-2]
     criteria = _DESIGN_WINNERS if flash else _DESIGN_WINNERS[:-1]
     points = [
-        (p.policy, p.workload, p.profile)
-        + tuple(round(getattr(p, name), digits or None) for name, digits, _ in columns)
-        for p in report["points"]  # type: ignore[attr-defined]
+        (task.policy_label, task.spec.name, task.profile.name)
+        + tuple(round(_design_value(result, name), digits or None)
+                for name, digits, _ in columns)
+        for task, result in report["points"]  # type: ignore[attr-defined]
     ]
     winners = [
         (cell,) + tuple(best[name] for name, _, _ in criteria)

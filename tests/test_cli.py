@@ -21,9 +21,11 @@ TINY = ["--ops", "1200", "--keys", "400"]
 #: onto the scheduler's flush lane: their writes stop paying the flush.
 #: Every line that runs LDC was re-pinned when an LDC get began to stop at
 #: the newest linked slice that holds the key: only LDC rows moved.
+#: ``list`` was re-pinned when ``shard_scaling``, ``paper_scale`` and
+#: ``fig_device_wa`` joined ``FIGURES``: the same names, in a new order.
 GOLDEN_STDOUT = {
     "list":
-        "a0897b2eb90bea661d48cf75d1cc8fa5f14362108ce1eaabb6dc740a16460782",
+        "36e2bab2d6f9e83c6f22a8bf7a0296b0e2e74d4fdcec7d69e8528b3791be8ed1",
     "fig01":
         "30dcb5c1159eb5253fcffdca2e1123203ee5820df65361c3378dcbbe05daa0bc",
     "fig01s":
@@ -274,7 +276,7 @@ class TestErrorTyping:
             "serve RWB --queue-depth 0",
             "explore --profiles nope --mixes RWB --policies udc",
             "explore --mixes NOPE",
-            "fig_device_wa --flash-op -0.5",
+            "explore --flash --flash-op -0.5 --mixes RWB --policies udc",
         ],
     )
     def test_misconfiguration_exits_two_with_a_message(self, capsys, command):

@@ -7,6 +7,7 @@ structure — fast enough for the unit suite.
 
 import pytest
 
+from repro.cli import FIGURES
 from repro.harness import experiments
 
 OPS = 1500
@@ -162,18 +163,21 @@ class TestAblations:
 
 
 class TestDeviceWA:
-    def test_fig_device_wa_structure(self):
+    def test_fig_device_wa_structure(self, capsys):
         report = experiments.fig_device_wa(ops=OPS, key_space=KEYS)
-        rows = report["rows"]
-        assert set(rows) == set(experiments.available_policies())
-        for row in rows.values():
-            assert row["device_wa"] >= 1.0
-            assert row["total_wa"] == pytest.approx(
-                row["host_wa"] * row["device_wa"], rel=1e-6
+        points = report["points"]
+        policies = [task.policy_label for task, _ in points]
+        assert sorted(policies) == sorted(experiments.available_policies())
+        for _, result in points:
+            assert result.device_write_amplification >= 1.0
+            assert result.total_write_amplification == pytest.approx(
+                result.write_amplification * result.device_write_amplification,
+                rel=1e-6,
             )
-            assert row["blocks_erased"] >= 0
-        winner = min(rows, key=lambda name: rows[name]["total_wa"])
-        assert report["winner_total_wa"] == winner
+            assert result.blocks_erased >= 0
+        winner, _ = min(points, key=lambda p: p[1].total_write_amplification)
+        (best,) = report["winners"].values()
+        assert best["total_write_amplification"] == winner.policy_label
         # Capacity comes from the flash-off UDC probe times the margin.
         probe = experiments.run_workload(
             experiments.paper_mix("RWB", OPS, KEYS), "udc"
@@ -181,13 +185,14 @@ class TestDeviceWA:
         assert report["flash"].logical_bytes == max(
             int(probe.space_bytes * experiments.DEVICE_WA_SIZE_MARGIN), 1 << 20
         )
-        rendered = experiments.format_device_wa_report(report)
+        FIGURES["fig_device_wa"].show(report)
+        rendered = capsys.readouterr().out
         assert "total WA" in rendered and "lowest total WA" in rendered
 
-    def test_fig_device_wa_rejects_bad_op(self):
+    def test_sized_flash_spec_rejects_bad_op(self):
         from repro.errors import ConfigError
 
         with pytest.raises(ConfigError):
-            experiments.fig_device_wa(
-                ops=OPS, key_space=KEYS, over_provisioning=-0.5
+            experiments.sized_flash_spec(
+                experiments.paper_mix("RWB", OPS, KEYS), over_provisioning=-0.5
             )

@@ -308,7 +308,7 @@ class TestNewCompositionsEndToEnd:
         report = experiments.design_space(
             policies=["udc", "tiered"], mixes=("RWB",), ops=400, key_space=150
         )
-        assert [p.policy for p in report["points"]] == ["udc", "tiered"]
+        assert [task.policy_label for task, _ in report["points"]] == ["udc", "tiered"]
         assert report["winners"]
         (_, rows), _ = experiments.design_tables(report)
         assert [row[0] for row in rows] == ["udc", "tiered"]

@@ -297,7 +297,7 @@ def test_cli_surface_is_what_it_was():
         "list", "fig01", "fig01s", "fig01_open_loop", "tab1", "fig07", "fig08",
         "fig09", "fig10a", "fig10b", "fig10c", "fig11", "fig12ad", "fig12be",
         "fig12cf", "fig13", "fig14", "fig15", "adaptive", "tiered", "asymmetry",
-        "shard_scaling", "describe", "paper_scale", "fig_device_wa", "trace",
+        "shard_scaling", "paper_scale", "fig_device_wa", "describe", "trace",
         "run", "serve", "crashtest", "explore",
     ]
     flags = sorted(
@@ -314,3 +314,23 @@ def test_cli_surface_is_what_it_was():
         "--seed", "--shards", "--slo-us", "--slowdown-l0",
         "--stop-l0", "--tenants", "--trace-out", "--value-bytes", "--workers",
     ]
+
+
+def test_every_sized_experiment_is_a_figure():
+    """``EXPERIMENTS`` is ``FIGURES`` plus seven tools, and the device-WA
+    figure is one cell of the explorer's sweep: no copy of its rows, its
+    report or its handler is left."""
+    import inspect
+
+    from repro import cli
+    from repro.harness import experiments
+
+    assert set(cli.EXPERIMENTS) - set(cli.FIGURES) == {
+        "list", "describe", "trace", "run", "serve", "crashtest", "explore",
+    }
+    for name in ("DesignPoint", "format_device_wa_report"):
+        assert not hasattr(experiments, name), name
+    for name in ("_run_device_wa", "_run_shard_scaling", "_run_paper_scale"):
+        assert not hasattr(cli, name), name
+    signature = inspect.signature(experiments.fig_device_wa)
+    assert list(signature.parameters) == ["ops", "key_space"]
