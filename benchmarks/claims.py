@@ -12,6 +12,13 @@ from __future__ import annotations
 import operator
 from typing import Any, Callable, Dict, List, NamedTuple
 
+from repro.lsm.config import LSMConfig
+from repro.model import (
+    ldc_write_amplification,
+    total_throughput,
+    udc_write_amplification,
+)
+
 
 class Claim(NamedTuple):
     claim: str
@@ -108,6 +115,69 @@ def _space_overheads(out) -> List[float]:
     return [_ratio(out, label, "space_bytes") - 1 for label in _labels(out)]
 
 
+def _model_wa_ratio(out) -> float:
+    """Theorems 2.1 / 3.1's UDC / LDC write amp for the RWB store's size."""
+    config = LSMConfig()
+    total = max(out.result_for("RWB", "UDC").live_bytes, config.sstable_target_bytes)
+    args = (config.fan_out, total, config.sstable_target_bytes)
+    return udc_write_amplification(*args) / ldc_write_amplification(*args)
+
+
+def _eq2_throughput(result) -> float:
+    """Equation (2) over the run's measured write and read service rates."""
+    def rate(recorder) -> float:
+        return max(1, len(recorder)) / max(1e-9, sum(recorder.values) / 1e6)
+
+    return total_throughput(0.5, rate(result.write_latencies), rate(result.read_latencies))
+
+
+def _eq2_picks_winner(out) -> float:
+    udc, ldc = out.result_for("RWB", "UDC"), out.result_for("RWB", "LDC")
+    return float((_eq2_throughput(ldc) > _eq2_throughput(udc))
+                 == (ldc.throughput_ops_s > udc.throughput_ops_s))
+
+
+def _round_stat(result, stat: str) -> int:
+    """``p99`` (index ``int(0.99 n) - 1`` of the sorted sizes), ``max`` or
+    ``count`` of a run's compaction rounds."""
+    rounds = sorted(result.round_bytes)
+    if stat == "count" or not rounds:
+        return len(rounds)
+    if stat == "max":
+        return rounds[-1]
+    return rounds[min(len(rounds) - 1, max(0, int(0.99 * len(rounds)) - 1))]
+
+
+def _round_ratio(out, stat: str, num: str = "LDC", den: str = "UDC") -> float:
+    """``num``'s round ``stat`` over ``den``'s on the RWB row."""
+    return (_round_stat(out.result_for("RWB", num), stat)
+            / _round_stat(out.result_for("RWB", den), stat))
+
+
+def _with_cache(out, policy: str, field: str) -> float:
+    """``policy``'s ``field`` with the 256-KiB block cache over without one."""
+    return (getattr(out.result_for("256KiB", policy), field)
+            / getattr(out.result_for("disabled", policy), field))
+
+
+def _valve_peak(out) -> float:
+    """The largest sampled frozen region over the valve: the cap's share
+    of the live bytes plus eight files of slack."""
+    return max(
+        sample.frozen_bytes / (out["cap"] * max(sum(sample.level_bytes), 1) + out["slack_bytes"])
+        for sample in out["samples"]
+    )
+
+
+def _shrinks(out) -> float:
+    series = [sample.frozen_bytes for sample in out["samples"]]
+    return float(any(later < earlier for earlier, later in zip(series, series[1:])))
+
+
+def _linked_over_eager(out, field: str) -> float:
+    return out["linked"][field] / out["eager"][field]
+
+
 def _total_wa(out, policy: str) -> float:
     """``policy``'s host x device write amplification in a device-WA sweep."""
     return next(result.total_write_amplification
@@ -151,10 +221,16 @@ CLAIMS: Dict[str, List[Claim]] = {
               lambda out: out["UDC"][99.99] / out["LDC"][99.99], "> 1.5"),
     ],
     "fig09": [
-        Claim(f"average latency LDC/UDC, {mix}", paper,
-              lambda out, mix=mix: _ratio(out, mix, "mean_latency_us"), bound)
-        for mix, paper, bound in (("WH", "0.433", "< 1"), ("RWB", "0.456", "< 1"),
-                                  ("RH", "1.0", "< 1.3"))
+        *(Claim(f"average latency LDC/UDC, {mix}", paper,
+                lambda out, mix=mix: _ratio(out, mix, "mean_latency_us"), bound)
+          for mix, paper, bound in (("WH", "0.433", "< 1"), ("RWB", "0.456", "< 1"),
+                                    ("RH", "1.0", "< 1.3"))),
+        Claim("write amp UDC/LDC, RWB", "~fan-out (Thm 2.1/3.1)",
+              lambda out: _ratio(out, "RWB", "write_amplification", "UDC", "LDC"), "> 1"),
+        Claim("write amp UDC/LDC - the model's ratio, RWB", "-",
+              lambda out: _ratio(out, "RWB", "write_amplification", "UDC", "LDC")
+              - _model_wa_ratio(out), "<= 1"),
+        Claim("eq. (2) picks the measured winner, RWB", "yes", _eq2_picks_winner, "== 1"),
     ],
     "fig10a": [
         *(Claim(f"LDC throughput gain, {mix}", paper,
@@ -253,12 +329,42 @@ CLAIMS: Dict[str, List[Claim]] = {
               lambda out: _mib_per_round(out, "Delayed") / _mib_per_round(out, "LDC"), "> 1"),
         Claim("max latency, Delayed / LDC", "much larger",
               lambda out: _max_us(out, "Delayed") / _max_us(out, "LDC"), "> 1"),
+        Claim("P99 round bytes, LDC / UDC", "O(1) vs O(fan_out) files (eq. 3)",
+              lambda out: _round_ratio(out, "p99"), "< 1"),
+        Claim("max round bytes, LDC / UDC", "-", lambda out: _round_ratio(out, "max"), "<= 1"),
+        Claim("max round bytes, Tiered / UDC", "-",
+              lambda out: _round_ratio(out, "max", "Tiered"), "> 1"),
+        Claim("compaction rounds, LDC / UDC", "more, smaller rounds",
+              lambda out: _round_ratio(out, "count"), "> 1"),
     ],
     "asymmetry": [
         Claim("LDC throughput gain at 20:1 read:write", "-",
               lambda out: _gain(out, _labels(out)[0]), "> 0"),
         Claim("gain at 20:1 - gain at 1:1", "-",
               lambda out: _gain(out, _labels(out)[0]) - _gain(out, _labels(out)[-1]), "> 0"),
+    ],
+    "cache": [
+        *(Claim(f"device block reads with / without the cache, {policy}", "fewer (§IV-E)",
+                lambda out, p=policy: _with_cache(out, p, "sstable_blocks_read"), "< 1")
+          for policy in ("UDC", "LDC")),
+        *(Claim(f"throughput with / without the cache, {policy}", "-",
+                lambda out, p=policy: _with_cache(out, p, "throughput_ops_s"), "> 1")
+          for policy in ("UDC", "LDC")),
+        Claim("LDC / UDC throughput with the cache", "~1 (§III-C)",
+              lambda out: _ratio(out, "256KiB", "throughput_ops_s"), "> 0.9"),
+    ],
+    "frozen": [
+        Claim("largest sampled frozen region / its valve", "bounded (§III-D)",
+              _valve_peak, "<= 1"),
+        Claim("recycled / ever frozen files", "every file, eventually",
+              lambda out: out["recycled"] / max(1, out["frozen_ever"]), "> 0.5"),
+        Claim("frozen region shrinks between samples", "-", _shrinks, "== 1"),
+    ],
+    "btree": [
+        Claim("max stall, linked / eager absorption", "smaller tail (§V)",
+              lambda out: _linked_over_eager(out, "max_us"), "< 1"),
+        Claim("write amp, linked / eager absorption", "less (§V)",
+              lambda out: _linked_over_eager(out, "write_amplification"), "< 1.5"),
     ],
     "fig_device_wa": [
         Claim("LDC / UDC total WA", "longer SSD lifetime",

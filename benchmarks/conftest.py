@@ -1,9 +1,9 @@
 """Shared helpers for the benchmarks.
 
-``test_paper_claims.py`` runs every figure of ``repro.cli.FIGURES`` and
-checks it against ``claims.py``; the ``test_ablation_*`` / model files are
-bespoke.  Benchmarks measure *virtual* device time (the paper's quantity);
-pytest-benchmark's wall-clock numbers only say how long a run took.
+``test_paper_claims.py`` runs every claimed figure of ``repro.cli.FIGURES``
+and checks it against ``claims.py``, the one test file here.  Benchmarks
+measure *virtual* device time (the paper's quantity); pytest-benchmark's
+wall-clock numbers only say how long a run took.
 
 Scale knobs (environment variables):
 

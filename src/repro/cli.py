@@ -21,9 +21,10 @@ Usage::
 The heavy lifting lives in :mod:`repro.harness.experiments`; this module
 maps subcommand names to those entry points (:data:`EXPERIMENTS`, the one
 table ``main`` dispatches on and ``repro list`` prints) and prints their
-results as tables; every experiment sized by ``--ops`` / ``--keys`` is a
-:data:`FIGURES` entry, whose ``run`` / ``show`` pair ``benchmarks/``
-reuses, and the other seven subcommands are tools.  The ``trace``
+results as tables; every experiment sized by ``--ops`` / ``--keys`` — the
+paper's figures and every ablation — is a :data:`FIGURES` entry, whose
+``run`` / ``show`` pair ``benchmarks/`` reuses to check its claims, and
+the other seven subcommands are tools.  The ``trace``
 subcommand runs one Table III workload with the observability layer's
 event tracer attached and writes the full engine timeline (flushes,
 compaction rounds, links/merges, stalls) as JSON-lines.  How fast the
@@ -240,6 +241,47 @@ def _show_shard_scaling(out: Dict[int, Dict[str, float]]) -> None:
             ["shards", "ops/s", "write amp", "compact MiB", "p99.9 us", "wall s"],
             rows,
             title="shard scaling (RWB, UDC per shard)",
+        )
+    )
+
+
+def _show_frozen(out: Dict[str, Any]) -> None:
+    samples = out["samples"]
+    rows = []
+    for sample in samples[:: max(1, len(samples) // 15)]:
+        live = sum(sample.level_bytes)
+        rows.append(
+            (
+                f"{sample.virtual_time_us / 1e6:.2f}s",
+                round(mib(live), 2),
+                round(mib(sample.frozen_bytes), 2),
+                f"{sample.frozen_bytes / max(live, 1):.0%}",
+                sample.frozen_files,
+                sample.linked_tables,
+            )
+        )
+    print(
+        format_table(
+            ["virtual time", "live MiB", "frozen MiB", "frozen/live",
+             "frozen files", "linked tables"],
+            rows,
+            title="frozen-region trajectory (WO, LDC)",
+        )
+    )
+    print(f"recycled {out['recycled']} of {out['frozen_ever']} files ever frozen")
+
+
+def _show_btree(out: Dict[str, Dict[str, float]]) -> None:
+    rows = [
+        (name, round(d["p999_us"], 1), round(d["max_us"], 1),
+         round(d["write_amplification"], 2), d["absorbs"], d["leaf_merges"])
+        for name, d in out.items()
+    ]
+    print(
+        format_table(
+            ["absorption", "p99.9 us", "max us", "write amp", "absorbs", "leaf merges"],
+            rows,
+            title="partitioned B-tree, eager vs linked absorption",
         )
     )
 
@@ -674,6 +716,9 @@ FIGURES: Dict[str, Figure] = {
     "adaptive": Figure(_sized(experiments.ablation_adaptive_threshold), _show_grid),
     "tiered": Figure(_sized(experiments.ablation_tiered_tail), _show_grid),
     "asymmetry": Figure(_sized(experiments.ablation_device_asymmetry), _show_grid),
+    "cache": Figure(_sized(experiments.ablation_block_cache), _show_grid),
+    "frozen": Figure(_sized(experiments.ablation_frozen_dynamics), _show_frozen),
+    "btree": Figure(_sized(experiments.ablation_partitioned_btree), _show_btree),
     "shard_scaling": Figure(_sized(experiments.shard_scaling), _show_shard_scaling),
     "paper_scale": Figure(
         lambda ops, keys: experiments.paper_scale(ops=ops), _show_paper_scale

@@ -24,13 +24,15 @@ is the *shape*: who wins, roughly by how much, and where optima sit.
 
 from __future__ import annotations
 
+import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .latency import PAPER_PERCENTILES
-from .runner import RunResult, run_workload
+from .runner import RunResult, build_db, run_workload
+from .timeseries import StateSampler
 from ..errors import ConfigError
 from ..lsm.compaction.spec import PolicySpec, available_policies, get_spec
 from ..lsm.config import LSMConfig
@@ -38,7 +40,7 @@ from ..ssd.flash import DeviceConfig, FlashSpec
 from ..ssd.profile import ENTERPRISE_PCIE, SSDProfile, get_profile
 from ..workload import spec as workloads
 from ..workload.spec import WorkloadSpec
-from ..workload.ycsb import Operation
+from ..workload.ycsb import Operation, WorkloadGenerator
 
 DEFAULT_OPS = 60_000
 DEFAULT_KEY_SPACE = 20_000
@@ -224,22 +226,25 @@ def _paper_mixes(
 # ----------------------------------------------------------------------
 # Fig. 1 — latency fluctuation of the stock (UDC) store
 # ----------------------------------------------------------------------
+#: The Fig. 1 timeline bucket.  The paper buckets by wall-clock second;
+#: our virtual timescale is ~10^4x compressed (small files, few ops), so
+#: the bucket is scaled down accordingly — what matters is that a bucket
+#: holds a handful of operations, the granularity at which compaction
+#: stalls are visible.
+FIG01_BUCKET_US = 500.0
+
+
 def fig01_latency_fluctuation(
-    ops: int = DEFAULT_OPS,
-    key_space: int = DEFAULT_KEY_SPACE,
-    bucket_us: float = 500.0,
+    ops: int = DEFAULT_OPS, key_space: int = DEFAULT_KEY_SPACE
 ) -> Dict[str, object]:
-    """Average latency per virtual-time bucket under a mixed workload.
+    """Average latency per :data:`FIG01_BUCKET_US` bucket under a mixed
+    workload.
 
     The paper mixes 10 M reads with 10 M writes on stock LevelDB and
-    observes write-latency fluctuation up to 49.13x between buckets.  The
-    paper buckets by wall-clock second; our virtual timescale is ~10^4x
-    compressed (small files, few ops), so the default bucket is scaled
-    down accordingly — what matters is that a bucket holds a handful of
-    operations, the granularity at which compaction stalls are visible.
+    observes write-latency fluctuation up to 49.13x between buckets.
     """
     spec_item = workloads.rwb(num_operations=ops, key_space=key_space)
-    result = run_workload(spec_item, "udc", timeline_bucket_us=bucket_us)
+    result = run_workload(spec_item, "udc", timeline_bucket_us=FIG01_BUCKET_US)
     return {
         "points": result.timeline.points(),
         "fluctuation_ratio": result.timeline.fluctuation_ratio(),
@@ -254,7 +259,6 @@ def fig01_scheduled_interference(
     ops: int = DEFAULT_OPS,
     key_space: int = DEFAULT_KEY_SPACE,
     bg_threads: int = 1,
-    bucket_us: float = 500.0,
 ) -> Dict[str, object]:
     """UDC vs LDC latency spread with compaction truly in the background.
 
@@ -273,7 +277,7 @@ def fig01_scheduled_interference(
     tasks = sweep(
         [workloads.rwb(num_operations=ops, key_space=key_space)],
         points={"": (LSMConfig(bg_threads=bg_threads), ENTERPRISE_PCIE)},
-        bucket_us=bucket_us,
+        bucket_us=FIG01_BUCKET_US,
     )
     by_policy: Dict[str, RunResult] = {}
     spreads: Dict[str, float] = {}
@@ -301,18 +305,16 @@ def fig01_scheduled_interference(
 # ----------------------------------------------------------------------
 # Fig. 1 (open loop) — queueing-inflated tails and SLO violations
 # ----------------------------------------------------------------------
+#: ``fig01_open_loop``'s offered loads, as fractions of UDC's closed-loop
+#: capacity; the headline load; and the SLO violation rate above which a
+#: load is past UDC's knee.
+OPEN_LOOP_LOADS: Tuple[float, ...] = (0.25, 0.4, 0.6, 1.0)
+OPEN_LOOP_HEADLINE = 0.6
+OPEN_LOOP_KNEE_SLO_RATE = 0.05
+
+
 def fig01_open_loop(
-    ops: int = 12_000,
-    key_space: int = 4_000,
-    queue_depth: int = 128,
-    slo_us: float = 1_000.0,
-    arrival: str = "poisson",
-    seed: int = 7,
-    bg_threads: int = 0,
-    load_fractions: Sequence[float] = (0.25, 0.4, 0.6, 1.0),
-    headline_fraction: float = 0.6,
-    knee_slo_rate: float = 0.05,
-    num_tenants: int = 1,
+    ops: int = 12_000, key_space: int = 4_000, bg_threads: int = 0
 ) -> Dict[str, object]:
     """UDC vs LDC under open-loop load: the client's view of Fig. 1.
 
@@ -321,7 +323,8 @@ def fig01_open_loop(
     both policies from the same deterministic arrival sequence at offered
     loads expressed as fractions of UDC's *closed-loop capacity* (its
     saturation throughput), and reports queue-inflated percentiles and
-    SLO-violation rates per load.
+    SLO-violation rates per load: Poisson arrivals (seed 7) into a
+    128-deep FIFO queue, a 1 ms SLO.
 
     The mechanism: with inline compaction accounting (``bg_threads=0``,
     the stock-LevelDB setting of the paper's Fig. 1), UDC charges a whole
@@ -334,8 +337,8 @@ def fig01_open_loop(
     bursts — are far shorter.  The headline claim, checked by
     ``benchmarks/claims.py``: at the headline load (above UDC's knee,
     the lowest tested load where UDC's violation rate exceeds
-    ``knee_slo_rate``), UDC's queue-inflated p99.9 *and* SLO-violation
-    rate are strictly worse than LDC's.
+    :data:`OPEN_LOOP_KNEE_SLO_RATE`), UDC's queue-inflated p99.9 *and*
+    SLO-violation rate are strictly worse than LDC's.
     """
     from ..serve import ServeSpec, serve_workload
 
@@ -348,18 +351,12 @@ def fig01_open_loop(
         capacities[policy_name] = closed.throughput_ops_s
     base_rate = capacities["UDC"]
 
+    serving = ServeSpec(queue_depth=128)
     curves: Dict[str, List[Dict[str, float]]] = {"UDC": [], "LDC": []}
-    for fraction in load_fractions:
+    for fraction in OPEN_LOOP_LOADS:
         rate = base_rate * fraction
+        serve_spec = replace(serving, rate_ops_s=rate)
         for policy_name, policy in BOTH_POLICIES:
-            serve_spec = ServeSpec(
-                arrival=arrival,
-                rate_ops_s=rate,
-                num_tenants=num_tenants,
-                queue_depth=queue_depth,
-                slo_us=slo_us,
-                seed=seed,
-            )
             result = serve_workload(spec_item, policy, serve_spec, config=config)
             curves[policy_name].append(
                 {
@@ -378,28 +375,25 @@ def fig01_open_loop(
 
     knee_fraction: Optional[float] = None
     for row in curves["UDC"]:
-        if row["slo_violation_rate"] > knee_slo_rate:
+        if row["slo_violation_rate"] > OPEN_LOOP_KNEE_SLO_RATE:
             knee_fraction = row["load_fraction"]
             break
 
-    headline_index = min(
-        range(len(load_fractions)),
-        key=lambda i: abs(load_fractions[i] - headline_fraction),
-    )
+    headline_index = OPEN_LOOP_LOADS.index(OPEN_LOOP_HEADLINE)
     udc_row = curves["UDC"][headline_index]
     ldc_row = curves["LDC"][headline_index]
     return {
         "curves": curves,
         "capacities": capacities,
         "base_rate_ops_s": base_rate,
-        "load_fractions": tuple(load_fractions),
+        "load_fractions": OPEN_LOOP_LOADS,
         "knee_fraction": knee_fraction,
         "headline": {
-            "load_fraction": load_fractions[headline_index],
+            "load_fraction": OPEN_LOOP_HEADLINE,
             "offered_rate_ops_s": udc_row["offered_rate_ops_s"],
             "above_knee": (
                 knee_fraction is not None
-                and load_fractions[headline_index] >= knee_fraction
+                and OPEN_LOOP_HEADLINE >= knee_fraction
             ),
             "udc_p999_us": udc_row["p999_us"],
             "ldc_p999_us": ldc_row["p999_us"],
@@ -410,9 +404,9 @@ def fig01_open_loop(
                 udc_row["slo_violation_rate"] > ldc_row["slo_violation_rate"]
             ),
         },
-        "slo_us": slo_us,
-        "queue_depth": queue_depth,
-        "arrival": arrival,
+        "slo_us": serving.slo_us,
+        "queue_depth": serving.queue_depth,
+        "arrival": serving.arrival,
         "bg_threads": bg_threads,
     }
 
@@ -458,9 +452,7 @@ def fig07_fanout_udc(
 # Fig. 8 — tail latency percentiles, UDC vs LDC
 # ----------------------------------------------------------------------
 def fig08_tail_latency(
-    ops: int = DEFAULT_OPS,
-    key_space: int = DEFAULT_KEY_SPACE,
-    percentiles: Sequence[float] = PAPER_PERCENTILES,
+    ops: int = DEFAULT_OPS, key_space: int = DEFAULT_KEY_SPACE
 ) -> Dict[str, Dict[float, float]]:
     """P90–P99.99 latencies for both policies on a 50/50 mix.
 
@@ -470,7 +462,7 @@ def fig08_tail_latency(
     spec_item = workloads.rwb(num_operations=ops, key_space=key_space)
     tasks = sweep([spec_item])
     return {
-        task.policy_label: result.latencies.percentiles(percentiles)
+        task.policy_label: result.latencies.percentiles(PAPER_PERCENTILES)
         for task, result in zip(tasks, run_grid(tasks))
     }
 
@@ -644,11 +636,10 @@ def _mean_filter_bytes(config: LSMConfig, key_space: int) -> float:
 # ----------------------------------------------------------------------
 def fig14_scalability(
     request_counts: Sequence[int] = (20_000, 40_000, 80_000, 120_000),
-    key_space_ratio: float = 0.33,
 ) -> ExperimentOutput:
     """RWB at growing request counts (paper: 5–30 M; LDC holds +39–65%
     throughput and -43–47% compaction I/O throughout)."""
-    return _scaling("fig14", request_counts, key_space_ratio)
+    return _scaling("fig14", request_counts)
 
 
 # ----------------------------------------------------------------------
@@ -656,7 +647,6 @@ def fig14_scalability(
 # ----------------------------------------------------------------------
 def fig15_space(
     request_counts: Sequence[int] = (20_000, 40_000, 80_000, 120_000),
-    key_space_ratio: float = 0.33,
 ) -> ExperimentOutput:
     """Final store size, UDC vs LDC (paper: LDC +3.37–10.0%, avg 6.78%).
 
@@ -664,16 +654,15 @@ def fig15_space(
     frozen-region share is larger; the bench reports overhead alongside the
     bottom-level share to make the geometry dependence visible.
     """
-    return _scaling("fig15", request_counts, key_space_ratio)
+    return _scaling("fig15", request_counts)
 
 
-def _scaling(
-    name: str, request_counts: Sequence[int], key_space_ratio: float
-) -> ExperimentOutput:
-    """The shared grid of Figs. 14/15: RWB at growing request counts."""
+def _scaling(name: str, request_counts: Sequence[int]) -> ExperimentOutput:
+    """The shared grid of Figs. 14/15: RWB at growing request counts, each
+    over a third of its count in keys (at least 1,000)."""
     tasks: List[GridTask] = []
     for count in request_counts:
-        key_space = max(1000, int(count * key_space_ratio))
+        key_space = max(1000, int(count * 0.33))
         spec_item = workloads.rwb(num_operations=count, key_space=key_space)
         tasks += sweep([spec_item], points={f"N={count}": _DEFAULT_POINT})
     return _grid_output(name, tasks)
@@ -811,6 +800,77 @@ def ablation_device_asymmetry(
     return _grid_output("ablation_asymmetry", sweep([spec_item], points=points))
 
 
+def ablation_block_cache(
+    ops: int = DEFAULT_OPS, key_space: int = DEFAULT_KEY_SPACE
+) -> ExperimentOutput:
+    """Both policies on a Zipfian read-heavy mix with and without a
+    256-KiB block cache (§III-C, §IV-E): the cache absorbs hot-block reads
+    and, with it, LDC's slice checks must not leave it behind UDC."""
+    spec_item = workloads.rh(
+        num_operations=ops, key_space=key_space, distribution="zipf", zipf_constant=0.99
+    )
+    points = {
+        label: (LSMConfig(block_cache_bytes=nbytes), ENTERPRISE_PCIE)
+        for label, nbytes in (("disabled", 0), ("256KiB", 256 * 1024))
+    }
+    return _grid_output("ablation_cache", sweep([spec_item], points=points))
+
+
+def ablation_frozen_dynamics(
+    ops: int = DEFAULT_OPS, key_space: int = DEFAULT_KEY_SPACE
+) -> Dict[str, object]:
+    """LDC's frozen region sampled 50 times over a WO run (§III-D): links
+    add frozen bytes, merges recycle them and the safety valve caps them,
+    at every sample and not just at the end."""
+    db = build_db("ldc")
+    sampler = StateSampler(db, every_ops=max(1, ops // 50))
+    spec_item = workloads.wo(num_operations=ops, key_space=key_space)
+    for operation in WorkloadGenerator(spec_item).operations():
+        db.put(operation.key, operation.value)
+        sampler.tick()
+    region = db.policy.movement.frozen
+    return {
+        "samples": sampler.samples,
+        "recycled": region.total_recycled,
+        "frozen_ever": region.total_frozen_ever,
+        "cap": db.config.frozen_space_limit_ratio,
+        "slack_bytes": 8 * db.config.sstable_target_bytes,
+    }
+
+
+def ablation_partitioned_btree(
+    ops: int = DEFAULT_OPS, key_space: int = DEFAULT_KEY_SPACE
+) -> Dict[str, Dict[str, float]]:
+    """LDC transferred to a partitioned B-tree (§V): ``ops // 2`` puts over
+    ``key_space // 2`` keys, absorbed eagerly (every side partition into
+    the whole main at once) and linked (slices onto main leaves)."""
+    # Local import: the B-tree substrate stays out of ``import repro``.
+    from ..extras.partitioned_btree import EagerAbsorb, LinkedAbsorb, PartitionedBTree
+
+    out: Dict[str, Dict[str, float]] = {}
+    for name, policy in (("eager", EagerAbsorb()), ("linked", LinkedAbsorb())):
+        tree = PartitionedBTree(
+            policy=policy, buffer_bytes=8 * 1024, leaf_bytes=8 * 1024,
+            max_side_partitions=4,
+        )
+        rng = random.Random(2019)
+        latencies = []
+        for _ in range(ops // 2):
+            key = str(rng.randrange(key_space // 2)).zfill(12).encode()
+            begin = tree.clock.now()
+            tree.put(key, b"v" * 64)
+            latencies.append(tree.clock.now() - begin)
+        latencies.sort()
+        out[name] = {
+            "p999_us": latencies[min(len(latencies) - 1, int(len(latencies) * 0.999))],
+            "max_us": latencies[-1],
+            "write_amplification": tree.metrics().write_amplification,
+            "absorbs": tree.absorb_count,
+            "leaf_merges": tree.leaf_merge_count,
+        }
+    return out
+
+
 # ----------------------------------------------------------------------
 # Device WA — host, device (FTL/GC) and end-to-end write amplification
 # ----------------------------------------------------------------------
@@ -833,18 +893,18 @@ def sized_flash_spec(
     over_provisioning: float = 0.07,
     gc_policy: str = "greedy",
     logical_mib: Optional[float] = None,
-    size_margin: float = DEVICE_WA_SIZE_MARGIN,
 ) -> FlashSpec:
     """The flash geometry a workload is run over (at least 1 MiB logical).
 
     An explicit ``logical_mib`` wins; otherwise the workload is probed
-    flash-off under ``policy`` and the logical capacity is ``size_margin
-    x`` the probe's final store size, so GC pressure reflects a policy's
-    write pattern rather than capacity starvation.
+    flash-off under ``policy`` and the logical capacity is
+    :data:`DEVICE_WA_SIZE_MARGIN` x the probe's final store size, so GC
+    pressure reflects a policy's write pattern rather than capacity
+    starvation.
     """
     if logical_mib is None:
         probe = run_workload(spec, policy, config=config)
-        logical_bytes = int(probe.space_bytes * size_margin)
+        logical_bytes = int(probe.space_bytes * DEVICE_WA_SIZE_MARGIN)
     else:
         logical_bytes = int(logical_mib * 2**20)
     return FlashSpec(
@@ -950,7 +1010,6 @@ def design_space(
     profiles: Sequence[str] = DESIGN_SPACE_PROFILES,
     ops: int = DEFAULT_OPS,
     key_space: int = DEFAULT_KEY_SPACE,
-    config: Optional[LSMConfig] = None,
     flash: Optional[FlashSpec] = None,
 ) -> Dict[str, object]:
     """Sweep policy spec x workload mix x device profile through the grid.
@@ -975,7 +1034,7 @@ def design_space(
         device: "SSDProfile | DeviceConfig" = get_profile(profile_name)
         if flash is not None:
             device = DeviceConfig(profile=device, flash=flash)
-        points_by_profile[profile_name] = (config, device)
+        points_by_profile[profile_name] = (None, device)
     tasks = sweep(
         _paper_mixes(mixes, ops, key_space),
         [(pspec.name, pspec) for pspec in policy_specs],

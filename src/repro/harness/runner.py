@@ -87,6 +87,9 @@ class RunResult:
     live_bytes: int
     extra_space_bytes: int
     final_threshold: Optional[int] = None
+    #: Bytes moved by each compaction round of the measured window
+    #: (``db.round_bytes``); of a fold, the shards' lists in shard order.
+    round_bytes: List[int] = field(default_factory=list)
     #: Of a fold: its per-shard results, the keyspace split, the fan-out.
     shard_results: List["RunResult"] = field(default_factory=list)
     partitioner: str = ""
@@ -179,6 +182,7 @@ class RunResult:
             live_bytes=sum(result.live_bytes for result in results),
             extra_space_bytes=sum(result.extra_space_bytes for result in results),
             final_threshold=thresholds.pop() if len(thresholds) == 1 else None,
+            round_bytes=[n for result in results for n in result.round_bytes],
             shard_results=list(results),
             partitioner=partitioner,
             workers=workers,
@@ -358,6 +362,7 @@ def execute_operations(
         live_bytes=live,
         extra_space_bytes=extra,
         final_threshold=db.policy.movement.threshold,
+        round_bytes=list(db.round_bytes),
     )
 
 

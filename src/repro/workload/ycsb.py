@@ -4,8 +4,10 @@ Turns a :class:`~repro.workload.spec.WorkloadSpec` into a deterministic
 stream of operations (:class:`Operation`).  The paper drives LevelDB with
 the YCSB benchmark suite (§IV-A); this module reproduces the pieces the
 paper uses — random insertions mixed with point lookups or 100-record
-scans under uniform/Zipf key choice — and additionally offers the six
-classic YCSB core workloads (A–F) for the example applications.
+scans under uniform/Zipf key choice — and additionally offers five
+classic YCSB core workloads (A–E) for the example applications.  No
+generator emits YCSB F's read-modify-write (``OP_RMW``); an explicit
+stream of them runs as a get then a put of the same key.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ OP_PUT = "put"
 OP_GET = "get"
 OP_SCAN = "scan"
 OP_DELETE = "delete"
-OP_RMW = "rmw"  # read-modify-write (YCSB F)
+OP_RMW = "rmw"  # read-modify-write (YCSB F): a get, then a put
 
 
 class Operation(NamedTuple):
@@ -217,7 +219,7 @@ class WorkloadGenerator:
 
 
 # ----------------------------------------------------------------------
-# Classic YCSB core workloads (A-F) — extensions beyond the paper's mixes,
+# Classic YCSB core workloads (A-E) — extensions beyond the paper's mixes,
 # used by the example applications.
 # ----------------------------------------------------------------------
 def ycsb_a(**overrides: object) -> WorkloadSpec:
@@ -287,19 +289,3 @@ def ycsb_e(**overrides: object) -> WorkloadSpec:
         name="YCSB-E", write_ratio=0.05, query_type="scan", **defaults  # type: ignore[arg-type]
     )
 
-
-def ycsb_f(**overrides: object) -> WorkloadSpec:
-    """YCSB-F: 50% reads / 50% read-modify-writes, Zipfian.
-
-    The runner executes a read-modify-write as a get followed by a put of
-    the same key; the spec models it as a 50% write ratio.
-    """
-    defaults = dict(
-        num_operations=100_000,
-        key_space=50_000,
-        preload_keys=50_000,
-        distribution="zipf",
-        zipf_constant=0.99,
-    )
-    defaults.update(overrides)
-    return WorkloadSpec(name="YCSB-F", write_ratio=0.5, **defaults)  # type: ignore[arg-type]

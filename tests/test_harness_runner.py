@@ -7,7 +7,7 @@ import pytest
 from repro.harness.report import format_table, mib, paper_row
 from repro.harness.runner import build_db, run_workload
 from repro.lsm.config import LSMConfig
-from repro.workload import ro, rwb, scn_rwb, wo, ycsb_f
+from repro.workload import OP_RMW, Operation, WorkloadGenerator, ro, rwb, scn_rwb, wo
 
 SMALL = LSMConfig(
     memtable_bytes=4096,
@@ -68,12 +68,16 @@ class TestRunWorkload:
         assert len(result.scan_latencies) > 0
 
     def test_rmw_workload_runs(self):
-        result = run_workload(
-            ycsb_f(num_operations=300, key_space=200, preload_keys=200, value_bytes=64),
-            "udc",
-            config=SMALL,
-        )
+        """A read-modify-write is one get then one put of the same key; no
+        generator emits one, so the stream is spelled out."""
+        spec = small_rwb(num_operations=300, key_space=200, preload_keys=200)
+        encode_key = WorkloadGenerator(spec).encode_key
+        operations = [Operation(OP_RMW, encode_key(i % 200), b"w" * 64 if i % 2 else None)
+                      for i in range(300)]
+        result = run_workload(spec, "udc", config=SMALL, operations=operations)
         assert result.operations == 300
+        assert result.metrics["engine.gets"] == 300
+        assert result.metrics["engine.puts"] == 300
 
     def test_ldc_policy_counters_surface(self):
         result = run_workload(
@@ -108,6 +112,14 @@ class TestRunWorkload:
             small_rwb(), "udc", config=SMALL, timeline_bucket_us=10_000
         )
         assert len(result.timeline.points()) >= 1
+
+
+def test_round_bytes_copies_the_db_list():
+    """A run over a passed ``db`` carries the measured window's rounds."""
+    db = build_db("ldc", config=SMALL)
+    result = run_workload(small_rwb(), "ldc", db=db)
+    assert result.round_bytes and result.round_bytes == db.round_bytes
+    assert result.round_bytes is not db.round_bytes
 
 
 @pytest.mark.parametrize("policy", ["udc", "ldc"])

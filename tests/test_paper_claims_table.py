@@ -2,9 +2,11 @@
 
 Checked without running a simulation: every claimed figure is one
 ``repro`` runs, every figure that had a benchmark of its own keeps at
-least one claim, and a figure without a claim is listed with its reason.
-The claims that moved out of CI's inline scripts are also read off one
-tiny run of their figure, so a typo in a ``measure`` fails here.
+least one claim, a figure without a claim is listed with its reason, and
+``claims.py`` is the only way ``benchmarks/`` checks a claim.  The claims
+that moved out of CI's inline scripts and out of the bespoke benchmark
+files are also read off one tiny run of their figure, so a typo in a
+``measure`` fails here.
 """
 
 import importlib.util
@@ -25,8 +27,13 @@ _SPEC.loader.exec_module(claims)
 BENCHMARKED = {
     "fig01", "tab1", "fig07", "fig08", "fig09", "fig10a", "fig10b", "fig10c",
     "fig11", "fig12ad", "fig12be", "fig12cf", "fig13", "fig14", "fig15",
-    "adaptive", "tiered", "asymmetry",
+    "adaptive", "tiered", "asymmetry", "cache", "frozen", "btree",
 }
+
+
+def test_benchmarks_hold_one_test_file():
+    files = {path.name for path in _PATH.parent.glob("*.py")}
+    assert files == {"claims.py", "conftest.py", "test_paper_claims.py"}
 
 
 def test_every_claimed_figure_is_a_cli_figure():
@@ -67,7 +74,8 @@ def test_holds_reads_the_bound():
     assert claims.holds(claim._replace(bound="== 8"), 8.0)
 
 
-@pytest.mark.parametrize("figure", ["fig_device_wa", "fig01_open_loop"])
+@pytest.mark.parametrize("figure", ["fig_device_wa", "fig01_open_loop", "fig09",
+                                    "tiered", "cache", "frozen", "btree"])
 def test_each_claim_reads_a_finite_float_off_a_tiny_run(figure):
     out = FIGURES[figure].run(1200, 400)
     for claim in claims.CLAIMS[figure]:

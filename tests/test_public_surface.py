@@ -290,15 +290,17 @@ def test_one_metrics_ledger():
 
 
 def test_cli_surface_is_what_it_was():
-    """The rewrite added and dropped no subcommand and no flag."""
+    """The subcommands and flags, pinned: adding or dropping one is an edit
+    here (``cache``, ``frozen`` and ``btree`` joined as figures)."""
     from repro import cli
 
     assert list(cli.EXPERIMENTS) == [
         "list", "fig01", "fig01s", "fig01_open_loop", "tab1", "fig07", "fig08",
         "fig09", "fig10a", "fig10b", "fig10c", "fig11", "fig12ad", "fig12be",
         "fig12cf", "fig13", "fig14", "fig15", "adaptive", "tiered", "asymmetry",
-        "shard_scaling", "paper_scale", "fig_device_wa", "describe", "trace",
-        "run", "serve", "crashtest", "explore",
+        "cache", "frozen", "btree", "shard_scaling", "paper_scale",
+        "fig_device_wa", "describe", "trace", "run", "serve", "crashtest",
+        "explore",
     ]
     flags = sorted(
         option
@@ -334,3 +336,26 @@ def test_every_sized_experiment_is_a_figure():
         assert not hasattr(cli, name), name
     signature = inspect.signature(experiments.fig_device_wa)
     assert list(signature.parameters) == ["ops", "key_space"]
+
+
+def test_unset_experiment_knobs_are_constants():
+    """An experiment takes its size (and the knobs a caller sets), not its
+    protocol: buckets, loads, SLOs, margins and seeds are constants."""
+    import inspect
+
+    from repro import workload
+    from repro.harness import experiments
+
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert params(experiments.fig01_latency_fluctuation) == ["ops", "key_space"]
+    assert params(experiments.fig01_scheduled_interference) == [
+        "ops", "key_space", "bg_threads"]
+    assert params(experiments.fig01_open_loop) == ["ops", "key_space", "bg_threads"]
+    assert params(experiments.fig08_tail_latency) == ["ops", "key_space"]
+    assert params(experiments.fig14_scalability) == ["request_counts"]
+    assert params(experiments.fig15_space) == ["request_counts"]
+    assert "config" not in params(experiments.design_space)
+    assert "size_margin" not in params(experiments.sized_flash_spec)
+    assert not hasattr(workload, "ycsb_f")

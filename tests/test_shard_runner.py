@@ -182,6 +182,14 @@ class TestAggregation:
         merged_ops = sum(point.count for point in report.timeline.points())
         assert merged_ops == TINY_OPS
 
+    def test_round_bytes_fold_in_shard_order(self) -> None:
+        report = run_sharded_workload(
+            _tiny_spec(), "udc", num_shards=2, config=LSMConfig()
+        )
+        first, second = report.shard_results
+        assert first.round_bytes and second.round_bytes
+        assert report.round_bytes == first.round_bytes + second.round_bytes
+
     def test_one_shard_matches_unsharded_runner(self) -> None:
         """A 1-shard 'fleet' is measured exactly like a standalone store."""
         spec_item = _tiny_spec()

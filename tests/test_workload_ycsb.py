@@ -15,7 +15,6 @@ from repro.workload.ycsb import (
     ycsb_c,
     ycsb_d,
     ycsb_e,
-    ycsb_f,
 )
 
 
@@ -133,7 +132,6 @@ class TestYCSBCoreWorkloads:
             (ycsb_b, "YCSB-B", 0.05),
             (ycsb_c, "YCSB-C", 0.0),
             (ycsb_d, "YCSB-D", 0.05),
-            (ycsb_f, "YCSB-F", 0.5),
         ],
     )
     def test_core_mixes(self, factory, name, write_ratio):
