@@ -8,9 +8,8 @@ The library provides:
 * the compaction-policy registry (:func:`available_policies`,
   :func:`get_spec`, :class:`~repro.lsm.compaction.spec.PolicySpec`):
   ``"ldc"``, the paper's lower-level driven compaction (link & merge,
-  :mod:`repro.core`), alongside the ``"udc"`` baseline, the lazy
-  ``"tiered"`` / ``"delayed"`` baselines and three further compositions
-  (docs/DESIGN_SPACE.md);
+  :mod:`repro.core`), alongside the ``"udc"`` baseline and the lazy
+  ``"tiered"`` / ``"delayed"`` baselines (docs/DESIGN_SPACE.md);
 * :mod:`repro.workload` — a YCSB-like workload generator covering the
   paper's Table III workloads;
 * :mod:`repro.model` — the analytical performance model of §II–III;

@@ -461,8 +461,8 @@ def _run_sharded(args: argparse.Namespace) -> None:
 def _run_serve(args: argparse.Namespace) -> None:
     """Serve one Table III workload open-loop and report the client view.
 
-    ``--arrival`` picks the process (``poisson``/``onoff``/``diurnal``) or
-    ``closed`` for closed-loop replay through the serve bookkeeping.
+    ``--arrival`` picks the process (``poisson``/``onoff``/``diurnal``);
+    a closed-loop run is ``repro run``.
     ``--rate`` is the aggregate offered load (virtual ops/s) split equally
     across ``--tenants``; the report decomposes latency into queue wait
     and service time and shows per-tenant SLO-violation rates.
@@ -823,8 +823,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="worker processes for experiment grids and sharded runs "
-        "(default serial)",
+        help="worker processes for experiment grids and sharded 'run' "
+        "(default serial; 'serve --shards N' runs its shards in-process)",
     )
     parser.add_argument(
         "--shards",
@@ -866,9 +866,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--arrival",
         default="poisson",
-        choices=("poisson", "onoff", "diurnal", "closed"),
-        help="arrival process for 'serve' (default poisson; 'closed' "
-        "replays the workload closed-loop)",
+        choices=("poisson", "onoff", "diurnal"),
+        help="arrival process for 'serve' (default poisson)",
     )
     parser.add_argument(
         "--rate",

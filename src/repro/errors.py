@@ -49,10 +49,6 @@ class EngineError(ReproError):
     """An LSM engine invariant was violated or misused."""
 
 
-class RecoveryError(EngineError):
-    """Crash recovery cannot proceed (e.g. the WAL is disabled)."""
-
-
 class CorruptionError(EngineError):
     """A block failed CRC verification on a decode path.
 

@@ -13,7 +13,8 @@ The paper's measurement protocol (§IV-A), written down once:
 
 A shard of a sharded run is this protocol over its slice of the streams,
 and the fold of the per-shard results (:meth:`RunResult.fold`) is again a
-:class:`RunResult`; closed-loop serving is step 2 plus the serve ledger.
+:class:`RunResult`.  This is the one closed-loop measurement path; the
+serving layer (:mod:`repro.serve`) measures open loops only.
 """
 
 from __future__ import annotations
@@ -326,8 +327,8 @@ def execute_operations(
 ) -> RunResult:
     """Execute an explicit operation stream against a prepared DB.
 
-    The measured core of :func:`run_workload` and of closed-loop
-    serving, and what the benchmark of record drives directly.
+    The measured core of :func:`run_workload`, and what the benchmark of
+    record drives directly.
 
     Operations execute one at a time (per-op virtual-time effects are
     untouched), but latencies are buffered and bulk-loaded into the

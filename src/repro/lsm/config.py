@@ -32,7 +32,6 @@ _INT_FIELDS = (
     "bloom_bits_per_key",
     "block_cache_bytes",
     "bg_threads",
-    "sched_chunk_blocks",
 )
 
 
@@ -123,11 +122,6 @@ class LSMConfig:
         resumable chunked work units that share device bandwidth with the
         foreground, and writes observe LevelDB-style L0 slowdown/stop
         throttling (see docs/SCHEDULING.md).
-    sched_chunk_blocks:
-        Chunk granularity of background work, in data blocks: each
-        captured device transfer is split into chunks of at most this many
-        blocks (CPU time is chunked to a comparable duration).  Smaller
-        chunks interleave with the foreground at finer grain.
     """
 
     memtable_bytes: int = 64 * KIB
@@ -143,9 +137,7 @@ class LSMConfig:
     bloom_bits_per_key: int = 10
     block_cache_bytes: int = 0
     frozen_space_limit_ratio: float = 0.50
-    wal_enabled: bool = True
     bg_threads: int = 0
-    sched_chunk_blocks: int = 1
     costs: CostModel = field(default_factory=CostModel)
 
     def __post_init__(self) -> None:
@@ -186,8 +178,6 @@ class LSMConfig:
             raise ConfigError("frozen_space_limit_ratio must be in (0, 1]")
         if self.bg_threads < 0:
             raise ConfigError("bg_threads must be non-negative")
-        if self.sched_chunk_blocks <= 0:
-            raise ConfigError("sched_chunk_blocks must be positive")
 
     def level_capacity_bytes(self, level: int) -> int:
         """Capacity of ``level`` in bytes (Level 0 is file-count driven)."""

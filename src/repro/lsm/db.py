@@ -58,7 +58,7 @@ from .stats import (
 )
 from .version import VersionSet
 from .wal import WriteAheadLog
-from ..errors import ClosedError, CorruptionError, EngineError, RecoveryError
+from ..errors import ClosedError, CorruptionError, EngineError
 from ..faults.plan import FaultPlan
 from ..obs.events import (
     EV_CACHE_HIT,
@@ -150,7 +150,7 @@ class DB:
         #: rounds are O(fan_out) files, LDC rounds O(1).
         self.round_bytes: List[int] = []
         self._memtable = MemTable()
-        self._wal = WriteAheadLog(self.device) if self.config.wal_enabled else None
+        self._wal = WriteAheadLog(self.device)
         self.block_cache = (
             BlockCache(self.config.block_cache_bytes, registry=self.registry)
             if self.config.block_cache_bytes > 0
@@ -311,8 +311,7 @@ class DB:
         if len(self.version.levels[0]) >= self._l0_slowdown:
             self._maybe_stall()
         total = sum(record[4] for record in records)
-        if self._wal is not None:
-            self._count(ACT_WAL_KEY, self._wal.append_batch(records, total))
+        self._count(ACT_WAL_KEY, self._wal.append_batch(records, total))
         start = clock._now_us
         memtable_add = self._memtable.add
         insert_us = self._insert_us
@@ -354,9 +353,8 @@ class DB:
         if len(self.version.levels[0]) >= self._l0_slowdown:
             self._maybe_stall()
         counters = self._counters
-        if self._wal is not None:
-            elapsed = self._wal.append(record)
-            counters[ACT_WAL_KEY] = counters.get(ACT_WAL_KEY, 0) + elapsed
+        elapsed = self._wal.append(record)
+        counters[ACT_WAL_KEY] = counters.get(ACT_WAL_KEY, 0) + elapsed
         start = clock._now_us
         memtable = self._memtable
         memtable.add(record)
@@ -449,8 +447,7 @@ class DB:
             self.version.add_file(0, table)
             flushed_bytes += table.data_size
         self._memtable = MemTable()
-        if self._wal is not None:
-            self._wal.reset()
+        self._wal.reset()
         self.policy._maintenance_idle = False
         self._count("engine.flush_count")
         self.tracer.emit(
@@ -919,9 +916,7 @@ class DB:
     def crash_and_recover(self) -> int:
         """Simulate a crash: drop the memtable, replay the WAL.
 
-        Returns the number of records recovered.  Raises
-        :class:`~repro.errors.RecoveryError` when the WAL is disabled
-        (recovery would lose the memtable contents).
+        Returns the number of records recovered.
 
         Recovery rebuilds every piece of engine state the dropped
         memtable carried: the log is re-read from the device (charged as
@@ -932,10 +927,6 @@ class DB:
         post-recovery writes never reuse an acknowledged sequence.
         """
         self._check_open()
-        if self._wal is None:
-            raise RecoveryError(
-                "cannot recover without a WAL: the memtable contents are lost"
-            )
         # In-flight background chunks are pure time debt (their rounds'
         # logical effects applied at capture), and a rebooted store does
         # not owe the dead process's unpaid time.

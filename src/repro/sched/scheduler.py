@@ -147,7 +147,7 @@ class CompactionScheduler(MaintenanceEngine):
         db.device.channel = self.channel
         self.queue: Deque[CompactionTask] = deque()
         self._next_task_id = 1
-        self._chunk_bytes = db.config.sched_chunk_blocks * db.config.block_bytes
+        self._chunk_bytes = db.config.block_bytes
         # CPU chunk duration: comparable to one block's sequential read, so
         # CPU-heavy rounds interleave at the same grain as IO-heavy ones.
         self._cpu_chunk_us = max(

@@ -319,8 +319,7 @@ class DiurnalProcess(ArrivalProcess):
                 since_last_us = 0.0
 
 
-#: Registered arrival-process kinds (CLI ``--arrival`` accepts these,
-#: plus the special ``"closed"`` replay mode handled by the server).
+#: Registered arrival-process kinds (CLI ``--arrival`` accepts these).
 ARRIVAL_KINDS: Dict[str, Type[ArrivalProcess]] = {
     "poisson": PoissonProcess,
     "onoff": OnOffProcess,
@@ -336,8 +335,7 @@ def make_arrival_process(
     if cls is None:
         known = ", ".join(sorted(ARRIVAL_KINDS))
         raise ConfigError(
-            f"unknown arrival process {kind!r}; known: {known} "
-            f"(plus 'closed' for closed-loop replay)"
+            f"unknown arrival process {kind!r}; known: {known}"
         )
     return cls(rate_ops_s, **params)  # type: ignore[arg-type]
 

@@ -25,14 +25,6 @@ queue: at ``"slowdown"`` the effective queue bound for writes halves
 a typed :class:`~repro.errors.BackpressureError` — the engine's L0
 throttle propagated to the front door instead of silently inflating
 every queued request behind a stalled write.
-
-**Closed loop.**  ``arrival="closed"`` replays the workload with the next
-request arriving exactly when the previous one completes (queue depth
-never exceeds 1, zero queue wait).  That *is* the closed-loop runner:
-the measured phase is :func:`repro.harness.runner.execute_operations`,
-and the serve ledger (zero waits, service = total = the run's latencies,
-SLO violations counted from the samples) is written from its result —
-``tests/test_serve_differential.py`` pins the two views equal.
 """
 
 from __future__ import annotations
@@ -56,9 +48,7 @@ from .queue import RequestQueue, check_discipline
 from ..errors import BackpressureError, ConfigError, WorkloadError
 from ..harness.latency import LatencyRecorder, LatencyTimeline
 from ..harness.runner import (
-    RunResult,
     counter_view,
-    execute_operations,
     fold_timelines,
     merge_recorders,
     prepare_db,
@@ -103,7 +93,8 @@ class ServeSpec:
     """How to drive the store: arrival profile, load, tenants, queue, SLO.
 
     ``arrival`` is a registered process kind (``"poisson"``, ``"onoff"``,
-    ``"diurnal"``) or ``"closed"`` for closed-loop replay.  ``tenants``
+    ``"diurnal"``); a closed loop is
+    :func:`~repro.harness.runner.run_workload`'s.  ``tenants``
     may be an explicit tuple of :class:`~repro.serve.arrivals.Tenant`;
     the ``num_tenants`` shortcut splits ``rate_ops_s`` equally instead.
     ``slo_us`` is the latency objective (queue wait + service) that
@@ -123,11 +114,10 @@ class ServeSpec:
     arrival_params: Tuple[Tuple[str, object], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.arrival != "closed" and self.arrival not in ARRIVAL_KINDS:
+        if self.arrival not in ARRIVAL_KINDS:
             known = ", ".join(sorted(ARRIVAL_KINDS))
             raise ConfigError(
-                f"unknown arrival process {self.arrival!r}; known: {known} "
-                f"(plus 'closed' for closed-loop replay)"
+                f"unknown arrival process {self.arrival!r}; known: {known}"
             )
         require_positive("rate_ops_s", self.rate_ops_s)
         require_count("num_tenants", self.num_tenants)
@@ -215,8 +205,8 @@ class TenantServeStats:
 
 @dataclass
 class ServeResult:
-    """Everything measured during one open-loop (or closed-loop) serve
-    run — or, folded (:meth:`fold`), one per shard of a sharded one."""
+    """Everything measured during one open-loop serve run — or, folded
+    (:meth:`fold`), one per shard of a sharded one."""
 
     workload: str
     policy: str
@@ -409,8 +399,7 @@ def serve_workload(
 
     :func:`~repro.harness.runner.run_workload`'s protocol, but the
     measured phase consumes the operation stream at the arrival process's
-    pace instead of back-to-back; ``arrival="closed"`` is the closed-loop
-    runner itself (see module docstring).  ``preload`` / ``operations`` /
+    pace instead of back-to-back.  ``preload`` / ``operations`` /
     ``arrivals`` replace the spec's own streams: a shard of a sharded
     serve is a serve over its slice of them.
     """
@@ -421,11 +410,6 @@ def serve_workload(
         db = prepare_db(policy, preload, config, profile)
     if operations is None:
         operations = generator.operations()
-    if serve.arrival == "closed":
-        return _closed_loop_result(
-            execute_operations(db, operations, spec.name, timeline_bucket_us),
-            serve,
-        )
     if arrivals is None:
         arrivals = merge_tenant_arrivals(
             serve.resolve_tenants(),
@@ -643,36 +627,6 @@ def _serve_open_loop(
         total_latencies=total_rec,
         timeline=timeline,
         metrics=db.metrics(),
-    )
-
-
-def _closed_loop_result(run: RunResult, serve: ServeSpec) -> ServeResult:
-    """A closed-loop run as the serve layer reports it: the next request
-    "arrives" the instant the previous one completes, so every queue wait
-    is exactly zero and the run's latencies are the client-perceived ones."""
-    tenants = _tenant_stats(serve)
-    stats = tenants[0]
-    waits = LatencyRecorder()
-    waits.record_many([0.0] * run.operations)
-    stats.completed = run.operations
-    stats.slo_violations = sum(
-        1 for latency in run.latencies.values if latency > stats.slo_us
-    )
-    stats.wait_latencies = waits
-    stats.total_latencies = run.latencies
-    return _serve_result(
-        serve,
-        tenants,
-        workload=run.workload,
-        policy=run.policy,
-        arrived=run.operations,
-        admitted=run.operations,
-        elapsed_us=run.elapsed_us,
-        wait_latencies=waits,
-        service_latencies=run.latencies,
-        total_latencies=run.latencies,
-        timeline=run.timeline,
-        metrics=run.metrics,
     )
 
 

@@ -21,7 +21,6 @@ from typing import Optional, Union
 
 from .arrivals import merge_tenant_arrivals
 from .server import ServeResult, ServeSpec, serve_workload
-from ..errors import ConfigError
 from ..lsm.config import LSMConfig
 from ..shard.db import per_shard_policy, split_by_shard
 from ..shard.partition import Partitioner, make_partitioner
@@ -45,13 +44,8 @@ def run_sharded_serve(
 
     The merged arrival sequence is zipped with the workload trace, routed
     by key ownership, and each shard serves its slice through its own
-    bounded queue over its own store.  Closed-loop mode is a single-store
-    concept; use :func:`~repro.serve.server.serve_workload` for it.
+    bounded queue over its own store.
     """
-    if serve.arrival == "closed":
-        raise ConfigError(
-            "closed-loop replay is single-store; use serve_workload"
-        )
     policy = per_shard_policy(policy, num_shards)
     partitioner = make_partitioner(
         partitioner, num_shards, key_space=spec.key_space, key_bytes=spec.key_bytes

@@ -1,4 +1,4 @@
-"""Key distributions: uniform, Zipf, and latest.
+"""Key distributions: uniform and Zipf.
 
 The paper's default is the uniform distribution; Fig. 11 compares it with
 Zipf distributions whose constant ranges from 1 to 5 ("the larger the Zipf
@@ -9,9 +9,7 @@ pairs").  We implement:
 * **zipf(s)** — rank ``r`` (1-based) drawn with probability ∝ ``1 / r^s``,
   using inverse-CDF sampling over a precomputed table (exact, not the
   rejection approximation), with ranks scattered over the key space by a
-  fixed pseudo-random permutation so popular keys are not adjacent;
-* **latest** — YCSB's "latest" pattern: recency-skewed toward the most
-  recently inserted keys (used by the extension workloads, not the paper).
+  fixed pseudo-random permutation so popular keys are not adjacent.
 """
 
 from __future__ import annotations
@@ -28,6 +26,9 @@ class KeyDistribution(Protocol):
 
     def sample(self) -> int:  # pragma: no cover - protocol signature
         """Return the next key index."""
+
+    def sample_block(self, count: int) -> list:  # pragma: no cover
+        """Return the next ``count`` key indices, as ``sample`` would."""
 
 
 class UniformKeys:
@@ -48,7 +49,7 @@ class UniformKeys:
         Bit-identical to ``count`` successive :meth:`sample` calls: numpy's
         bounded-integer generation consumes the bit stream identically for
         ``integers(0, k, size=n)`` and ``n`` scalar ``integers(0, k)``
-        draws (covered by the workload equivalence tests).
+        draws (pinned through the generator by ``tests/test_workload_ycsb.py``).
         """
         return self._rng.integers(0, self._key_space, size=count).tolist()
 
@@ -115,34 +116,6 @@ class ZipfKeys:
         return float(self._cdf[rank - 1] - self._cdf[rank - 2])
 
 
-class LatestKeys:
-    """Recency-skewed indices over a growing key population.
-
-    Follows YCSB's "latest" pattern: sample a Zipf rank and subtract it
-    from the newest key's index, so recently inserted keys are hottest.
-    The caller advances :attr:`population` as inserts happen.
-    """
-
-    def __init__(
-        self, initial_population: int, constant: float, rng: np.random.Generator
-    ) -> None:
-        if initial_population <= 0:
-            raise WorkloadError("initial_population must be positive")
-        if constant <= 0:
-            raise WorkloadError("latest constant must be positive")
-        self.population = initial_population
-        self._constant = float(constant)
-        self._rng = rng
-
-    def sample(self) -> int:
-        # Rejection-free: draw uniform over CDF of a truncated Zipf by
-        # re-sampling ranks beyond the population (rare for skewed draws).
-        while True:
-            rank = int(self._rng.zipf(1.0 + self._constant))
-            if rank <= self.population:
-                return self.population - rank
-
-
 def make_distribution(
     distribution: str,
     key_space: int,
@@ -154,6 +127,4 @@ def make_distribution(
         return UniformKeys(key_space, rng)
     if distribution == "zipf":
         return ZipfKeys(key_space, zipf_constant, rng)
-    if distribution == "latest":
-        return LatestKeys(key_space, max(zipf_constant, 0.5), rng)
     raise WorkloadError(f"unknown distribution {distribution!r}")

@@ -35,8 +35,7 @@ _INT_FIELDS = (
 
 DIST_UNIFORM = "uniform"
 DIST_ZIPF = "zipf"
-DIST_LATEST = "latest"
-_KNOWN_DISTRIBUTIONS = (DIST_UNIFORM, DIST_ZIPF, DIST_LATEST)
+_KNOWN_DISTRIBUTIONS = (DIST_UNIFORM, DIST_ZIPF)
 
 
 @dataclass(frozen=True)
@@ -63,7 +62,7 @@ class WorkloadSpec:
         Sizes of generated keys and values (keys are zero-padded decimal
         strings so lexicographic order matches numeric order).
     distribution:
-        ``"uniform"``, ``"zipf"`` or ``"latest"``.
+        ``"uniform"`` or ``"zipf"``.
     zipf_constant:
         Skew parameter for the Zipf distribution (the paper sweeps 1–5 in
         Fig. 11; larger = more concentrated).

@@ -3,11 +3,11 @@
 Turns a :class:`~repro.workload.spec.WorkloadSpec` into a deterministic
 stream of operations (:class:`Operation`).  The paper drives LevelDB with
 the YCSB benchmark suite (§IV-A); this module reproduces the pieces the
-paper uses — random insertions mixed with point lookups or 100-record
-scans under uniform/Zipf key choice — and additionally offers five
-classic YCSB core workloads (A–E) for the example applications.  No
-generator emits YCSB F's read-modify-write (``OP_RMW``); an explicit
-stream of them runs as a get then a put of the same key.
+paper uses and nothing more: random insertions (and, when a spec asks
+for them, deletes) mixed with point lookups or 100-record scans under
+uniform or Zipf key choice.  The generator never emits YCSB F's
+read-modify-write (``OP_RMW``); an explicit stream of them runs as a get
+then a put of the same key.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .keydist import LatestKeys, make_distribution
+from .keydist import make_distribution
 from .spec import WorkloadSpec
 from ..errors import WorkloadError
 
@@ -129,52 +129,23 @@ class WorkloadGenerator:
         are generated in vectorized blocks; the emitted stream is
         bit-identical to per-operation sampling because numpy's bulk
         draws consume the underlying bit stream exactly like the
-        equivalent sequence of scalar draws (pinned by the workload
-        equivalence tests).  Distributions without a ``sample_block``
-        (the feedback-coupled "latest") fall back to the scalar loop.
+        equivalent sequence of scalar draws (pinned against a
+        per-operation loop by ``tests/test_workload_ycsb.py``'s
+        ``test_blocked_stream_matches_per_operation_sampling``).
         """
-        sample_block = getattr(self._dist, "sample_block", None)
-        if sample_block is None:
-            return self._operations_scalar()
-        return self._operations_blocked(sample_block)
-
-    def _operations_scalar(self) -> Iterator[Operation]:
-        """Reference per-operation generation (and the "latest" path)."""
-        spec = self.spec
-        sample = self._dist.sample
-        encode_key = self.encode_key
-        make_value = self.make_value
-        random = self._op_rng.random
-        write_ratio = spec.write_ratio
-        delete_ratio = spec.delete_ratio
-        scans = spec.query_type == "scan"
-        scan_length = spec.scan_length
-        latest = self._dist if isinstance(self._dist, LatestKeys) else None
-        for _ in range(spec.num_operations):
-            key = encode_key(sample())
-            if random() < write_ratio:
-                if delete_ratio and random() < delete_ratio:
-                    yield Operation(OP_DELETE, key)
-                else:
-                    yield Operation(OP_PUT, key, make_value())
-            elif scans:
-                yield Operation(OP_SCAN, key, scan_length=scan_length)
-            else:
-                yield Operation(OP_GET, key)
-            if latest is not None:
-                latest.population = min(spec.key_space, latest.population + 1)
+        return self._operations_blocked(self._dist.sample_block)
 
     #: Key/operation draws generated per vectorized block.
     _GEN_BLOCK = 4096
 
     def _operations_blocked(self, sample_block) -> Iterator[Operation]:
-        """Blocked generation for feedback-free distributions.
+        """Blocked generation: one vectorized key draw per block.
 
         Key indices always batch (the key stream is an independent RNG).
         Operation-kind draws batch only when ``delete_ratio == 0``: a
         non-zero delete ratio consumes a *conditional* second draw per
         write, so the number of op-stream draws depends on earlier
-        outcomes and the scalar loop is kept for that stream.
+        outcomes and those draws stay one at a time.
         """
         spec = self.spec
         encode_key = self.encode_key
@@ -216,76 +187,3 @@ class WorkloadGenerator:
                         yield new(Operation, (OP_SCAN, key, None, scan_length))
                     else:
                         yield new(Operation, (OP_GET, key, None, 0))
-
-
-# ----------------------------------------------------------------------
-# Classic YCSB core workloads (A-E) — extensions beyond the paper's mixes,
-# used by the example applications.
-# ----------------------------------------------------------------------
-def ycsb_a(**overrides: object) -> WorkloadSpec:
-    """YCSB-A: 50% reads / 50% updates, Zipfian."""
-    defaults = dict(
-        num_operations=100_000,
-        key_space=50_000,
-        preload_keys=50_000,
-        distribution="zipf",
-        zipf_constant=0.99,
-    )
-    defaults.update(overrides)
-    return WorkloadSpec(name="YCSB-A", write_ratio=0.5, **defaults)  # type: ignore[arg-type]
-
-
-def ycsb_b(**overrides: object) -> WorkloadSpec:
-    """YCSB-B: 95% reads / 5% updates, Zipfian."""
-    defaults = dict(
-        num_operations=100_000,
-        key_space=50_000,
-        preload_keys=50_000,
-        distribution="zipf",
-        zipf_constant=0.99,
-    )
-    defaults.update(overrides)
-    return WorkloadSpec(name="YCSB-B", write_ratio=0.05, **defaults)  # type: ignore[arg-type]
-
-
-def ycsb_c(**overrides: object) -> WorkloadSpec:
-    """YCSB-C: 100% reads, Zipfian."""
-    defaults = dict(
-        num_operations=100_000,
-        key_space=50_000,
-        preload_keys=50_000,
-        distribution="zipf",
-        zipf_constant=0.99,
-    )
-    defaults.update(overrides)
-    return WorkloadSpec(name="YCSB-C", write_ratio=0.0, **defaults)  # type: ignore[arg-type]
-
-
-def ycsb_d(**overrides: object) -> WorkloadSpec:
-    """YCSB-D: 95% reads of recently inserted keys / 5% inserts."""
-    defaults = dict(
-        num_operations=100_000,
-        key_space=50_000,
-        preload_keys=25_000,
-        distribution="latest",
-        zipf_constant=0.99,
-    )
-    defaults.update(overrides)
-    return WorkloadSpec(name="YCSB-D", write_ratio=0.05, **defaults)  # type: ignore[arg-type]
-
-
-def ycsb_e(**overrides: object) -> WorkloadSpec:
-    """YCSB-E: 95% short scans / 5% inserts, Zipfian."""
-    defaults = dict(
-        num_operations=50_000,
-        key_space=50_000,
-        preload_keys=50_000,
-        distribution="zipf",
-        zipf_constant=0.99,
-        scan_length=50,
-    )
-    defaults.update(overrides)
-    return WorkloadSpec(
-        name="YCSB-E", write_ratio=0.05, query_type="scan", **defaults  # type: ignore[arg-type]
-    )
-

@@ -103,8 +103,6 @@ GOLDEN_STDOUT = {
     "trace WO":
         "bd287b9333387697311d1822d2c58bb040f6e0a43df2484791e397d60905c469",
     # Captured on PR 20's ``src/`` before the four runners became one shell.
-    "serve RWB --arrival closed":
-        "89fb38771909f652075db2581e78962f6a9c2998ea5dde0b3335168f55ed0d32",
     "run RWB --bg-threads 1":
         "ff6c3aad755d157e0becdb6356de76e818cc4b861ce3b5405a50b007995a1ab7",
     "run RWB --shards 2 --workers 2":
@@ -434,30 +432,9 @@ class TestServeCLI:
         assert "shards=2" in out
         assert "aggregate" in out
 
-    def test_serve_closed_arrival_runs(self, capsys):
-        assert (
-            main(["serve", "RWB", "--ops", "800", "--keys", "300",
-                  "--arrival", "closed"])
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "arrival=closed" in out
-
     def test_serve_unknown_workload_errors(self, capsys):
         assert main(["serve", "NOPE", "--ops", "500", "--keys", "200"]) == 2
         assert "unknown workload" in capsys.readouterr().err
-
-    def test_serve_sharded_rejects_closed(self, capsys):
-        assert (
-            main(
-                [
-                    "serve", "RWB", "--ops", "500", "--keys", "200",
-                    "--shards", "2", "--arrival", "closed",
-                ]
-            )
-            == 2
-        )
-        assert "closed" in capsys.readouterr().err
 
     def test_fig01_open_loop_listed(self, capsys):
         assert main(["list"]) == 0

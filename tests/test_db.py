@@ -3,7 +3,7 @@
 import pytest
 
 from repro import DB
-from repro.errors import ClosedError, EngineError, RecoveryError
+from repro.errors import ClosedError, EngineError
 from repro.lsm.config import LSMConfig
 from repro.ssd.profile import BALANCED_FLASH
 
@@ -126,15 +126,6 @@ class TestFlushAndWAL:
         assert udc_db.get(b"a") == b"1"
         assert udc_db.get(b"b") == b"2"
 
-    def test_recovery_without_wal_rejected(self, tiny_config):
-        config = tiny_config.with_overrides(wal_enabled=False)
-        db = DB(config=config, policy="udc")
-        db.put(b"k", b"v")
-        with pytest.raises(RecoveryError, match="WAL"):
-            db.crash_and_recover()
-        # The typed error still satisfies catch-all engine handling.
-        assert issubclass(RecoveryError, EngineError)
-
     def test_recovery_rebuilds_sequence_number(self, udc_db):
         """Satellite: _next_seq is recomputed from the durable maximum."""
         for index in range(30):
@@ -218,21 +209,6 @@ class TestFlushAndWAL:
             ldc_db.check_invariants()
         memtable._bytes -= 1
         ldc_db.check_invariants()
-
-    def test_wal_disabled_writes_cheaper(self, tiny_config):
-        timings = {}
-        for wal in (True, False):
-            db = DB(
-                config=tiny_config.with_overrides(
-                    wal_enabled=wal, memtable_bytes=1 << 20
-                ),
-                policy="udc",
-            )
-            for index in range(100):
-                db.put(key_of(index), b"v")
-            timings[wal] = db.clock.now()
-        assert timings[False] < timings[True]
-
 
 class TestClose:
     def test_close_flushes(self, udc_db):

@@ -1,5 +1,6 @@
 """Integration tests for the workload runner and reports."""
 
+import hashlib
 import pickle
 
 import pytest
@@ -176,6 +177,25 @@ def test_run_result_fields_are_views_of_the_snapshot(policy, bg_threads):
     assert result.compaction_read_bytes == snapshot.compaction_bytes_read
     assert result.write_amplification == snapshot.write_amplification
     assert result.activity_share == snapshot.activity_share()
+
+
+#: SHA-256 of ``repr(run_workload(...).fingerprint())`` for RWB, 1,500
+#: operations over 500 keys: the closed-loop runner's execution, pinned
+#: bit for bit.  A mismatch means the simulation changed, not the test.
+PINNED_CLOSED_LOOP = {
+    ("udc", 0): "bee05648ae0afef516ec55c74ea45c8f3cf2be80b252e37bd73201685e098797",
+    ("udc", 1): "f5d09be77140877d12aa699f332f40e8022b508b8691498350e5f36b41802566",
+    ("ldc", 0): "061a51fa864ca6aea61b38633dc0d1786d76cf61d7d66647b2e8ee6880edeec1",
+    ("ldc", 1): "fc711387c4c93e87a00636294f7f3d3182d1a3d54954c1327825e6d9964122f4",
+}
+
+
+@pytest.mark.parametrize("policy, bg_threads", list(PINNED_CLOSED_LOOP))
+def test_closed_loop_fingerprint_is_what_the_parent_computed(policy, bg_threads):
+    spec = rwb(num_operations=1_500, key_space=500)
+    result = run_workload(spec, policy, config=LSMConfig(bg_threads=bg_threads))
+    digest = hashlib.sha256(repr(result.fingerprint()).encode()).hexdigest()
+    assert digest == PINNED_CLOSED_LOOP[(policy, bg_threads)]
 
 
 class TestReportHelpers:

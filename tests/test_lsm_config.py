@@ -21,7 +21,6 @@ INT_FIELDS = [
     "bloom_bits_per_key",
     "block_cache_bytes",
     "bg_threads",
-    "sched_chunk_blocks",
 ]
 
 

@@ -12,7 +12,10 @@ and policy factories (one protocol, one fan-out, two loops, two results),
 and the serving stack's per-sample recorder loops, hand-rolled FIFO and
 five-helper pump (one ledger, one ``deque``, one replay step), and the
 per-layer stats views (``EngineStats``, ``IOStats``, ``CategoryStats``, the
-cache's counter properties): the registry is written, a snapshot is read.
+cache's counter properties): the registry is written, a snapshot is read;
+and the traffic nothing runs (the YCSB core workloads, the ``latest`` key
+distribution and its per-operation generation loop, closed-loop serving,
+the WAL switch and the chunk-size knob).
 """
 
 import ast
@@ -166,7 +169,7 @@ def test_one_way_to_name_a_policy_in_the_experiment_shell():
 
 
 def test_one_run_shell():
-    """A sharded run is a run and a closed-loop serve is a run: one
+    """A sharded run is a run and a closed loop is only a run: one
     protocol (build -> preload -> drain -> reset), one process fan-out,
     one policy designator, and no report class beside the two results."""
     import repro.harness
@@ -359,3 +362,31 @@ def test_unset_experiment_knobs_are_constants():
     assert "config" not in params(experiments.design_space)
     assert "size_margin" not in params(experiments.sized_flash_spec)
     assert not hasattr(workload, "ycsb_f")
+
+
+def test_only_the_traffic_that_runs():
+    """No workload, figure, tool or example reached these inputs and modes:
+    the generator has one loop over two key distributions, a closed loop is
+    measured only by ``run_workload``, the WAL is always on and background
+    work is chunked at one block."""
+    from dataclasses import fields
+
+    from repro import errors, workload
+    from repro.errors import ConfigError, WorkloadError
+    from repro.serve import ServeSpec
+    from repro.workload import keydist, spec, ycsb
+
+    for name in ("ycsb_a", "ycsb_b", "ycsb_c", "ycsb_d", "ycsb_e"):
+        assert not hasattr(workload, name) and not hasattr(ycsb, name), name
+    for module in (workload, keydist, spec):
+        assert not hasattr(module, "LatestKeys"), module.__name__
+        assert not hasattr(module, "DIST_LATEST"), module.__name__
+    assert not hasattr(errors, "RecoveryError")
+    assert not hasattr(repro, "RecoveryError")
+    config_fields = {field.name for field in fields(repro.LSMConfig)}
+    assert not {"wal_enabled", "sched_chunk_blocks"} & config_fields
+    with pytest.raises(WorkloadError, match="latest"):
+        workload.rwb(distribution="latest")
+    with pytest.raises(ConfigError, match="diurnal, onoff, poisson$"):
+        ServeSpec(arrival="closed")
+    assert not hasattr(workload.WorkloadGenerator, "_operations_scalar")

@@ -89,7 +89,7 @@ class TestConstruction:
 
 class TestChunkify:
     def test_io_split_at_block_granularity(self):
-        db = DB(config=sched_config(bg_threads=1, sched_chunk_blocks=1))
+        db = DB(config=sched_config(bg_threads=1))
         chunk_bytes = db.sched._chunk_bytes
         assert chunk_bytes == db.config.block_bytes
         items = [(CAPTURE_IO, 8.0, 3 * chunk_bytes + 1)]  # 3 full + 1 partial
@@ -111,14 +111,6 @@ class TestChunkify:
     def test_zero_duration_items_dropped(self):
         db = DB(config=sched_config(bg_threads=1))
         assert db.sched._chunkify([(CAPTURE_CPU, 0.0, 0)]) == []
-
-    def test_chunk_blocks_knob_coarsens_chunks(self):
-        fine = DB(config=sched_config(bg_threads=1, sched_chunk_blocks=1))
-        coarse = DB(config=sched_config(bg_threads=1, sched_chunk_blocks=8))
-        nbytes = 16 * fine.config.block_bytes
-        item = [(CAPTURE_IO, 4.0, nbytes)]
-        assert len(fine.sched._chunkify(item)) == 16
-        assert len(coarse.sched._chunkify(item)) == 2
 
 
 class TestReplay:

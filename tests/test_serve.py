@@ -15,6 +15,7 @@ import pytest
 from repro import BackpressureError, ConfigError, DB, QueueFullError
 from repro.errors import AdmissionError, UnknownPolicyError
 from repro.harness.latency import LatencyRecorder
+from repro.harness.runner import run_workload
 from repro.lsm.compaction.spec import get_spec
 from repro.lsm.config import LSMConfig
 from repro.serve import (
@@ -135,9 +136,8 @@ class TestConfigValidation:
             ServeSpec(discipline="lifo")
 
     def test_unknown_arrival_kind_fails_at_construction(self):
-        with pytest.raises(ConfigError, match="closed"):
+        with pytest.raises(ConfigError, match="diurnal, onoff, poisson"):
             ServeSpec(arrival="weibull")
-        assert ServeSpec(arrival="closed").arrival == "closed"
 
 
 # ----------------------------------------------------------------------
@@ -145,7 +145,7 @@ class TestConfigValidation:
 # ----------------------------------------------------------------------
 class TestArrivalProcesses:
     def test_unknown_kind(self):
-        with pytest.raises(ConfigError, match="closed"):
+        with pytest.raises(ConfigError, match="diurnal, onoff, poisson"):
             make_arrival_process("weibull", 100.0)
 
     def test_poisson_mean_rate(self):
@@ -435,10 +435,10 @@ class TestServeWorkload:
         serve = ServeSpec(arrival="poisson", rate_ops_s=60_000.0,
                           queue_depth=128)
         open_result = serve_workload(SPEC, "udc", serve)
-        closed = serve_workload(SPEC, "udc", ServeSpec(arrival="closed"))
+        closed = run_workload(SPEC, "udc")
         assert (
             open_result.total_latencies.percentile(99.0)
-            > closed.total_latencies.percentile(99.0)
+            > closed.latencies.percentile(99.0)
         )
         assert open_result.mean_wait_us() > 0.0
 
@@ -515,13 +515,12 @@ class TestServeWorkload:
                 discipline="priority",
                 queue_depth=16,
             ),
-            ServeSpec(arrival="closed"),
         ],
-        ids=["open", "closed"],
+        ids=["open"],
     )
     def test_batched_recorders_equal_a_per_sample_replay(self, serve, monkeypatch):
-        """The loops buffer samples and record them a batch at a time; the
-        same run with every batch fed through per-sample ``record`` must
+        """The serve loop buffers samples and records them a batch at a time;
+        the same run with every batch fed through per-sample ``record`` must
         leave every recorder, fleet-wide and per tenant, in the same state."""
 
         def recorder_state(recorder):
@@ -614,12 +613,6 @@ class TestShardedServe:
             shard.slo_violations for shard in report.shard_results
         )
         assert report.summary()["completed"] == report.completed
-
-    def test_closed_loop_is_rejected(self):
-        with pytest.raises(ConfigError):
-            run_sharded_serve(
-                SPEC, "udc", ServeSpec(arrival="closed"), num_shards=2
-            )
 
     def test_combined_metrics_namespaces_shards(self):
         serve = ServeSpec(arrival="poisson", rate_ops_s=10_000.0)

@@ -5,7 +5,6 @@ import pytest
 
 from repro.errors import WorkloadError
 from repro.workload.keydist import (
-    LatestKeys,
     UniformKeys,
     ZipfKeys,
     make_distribution,
@@ -88,36 +87,12 @@ class TestZipf:
             ZipfKeys(10, 0.0, rng())
 
 
-class TestLatest:
-    def test_samples_near_population_end(self):
-        dist = LatestKeys(10_000, 0.99, rng())
-        samples = [dist.sample() for _ in range(2000)]
-        assert all(0 <= s < 10_000 for s in samples)
-        # Recency skew: the median sample is close to the newest key.
-        assert np.median(samples) > 9000
-
-    def test_population_growth_shifts_samples(self):
-        dist = LatestKeys(100, 0.99, rng())
-        dist.population = 10_000
-        samples = [dist.sample() for _ in range(500)]
-        assert max(samples) > 9000
-
-    def test_bad_parameters(self):
-        with pytest.raises(WorkloadError):
-            LatestKeys(0, 1.0, rng())
-        with pytest.raises(WorkloadError):
-            LatestKeys(10, 0.0, rng())
-
-
 class TestFactory:
     def test_uniform(self):
         assert isinstance(make_distribution("uniform", 10, 1.0, rng()), UniformKeys)
 
     def test_zipf(self):
         assert isinstance(make_distribution("zipf", 10, 1.0, rng()), ZipfKeys)
-
-    def test_latest(self):
-        assert isinstance(make_distribution("latest", 10, 1.0, rng()), LatestKeys)
 
     def test_unknown(self):
         with pytest.raises(WorkloadError):

@@ -3,18 +3,14 @@
 import pytest
 
 from repro.errors import WorkloadError
-from repro.workload.spec import rwb, scn_rwb, wo
+from repro.workload.spec import ro, rwb, scn_rh, scn_rwb, wo
 from repro.workload.ycsb import (
     OP_DELETE,
     OP_GET,
     OP_PUT,
     OP_SCAN,
+    Operation,
     WorkloadGenerator,
-    ycsb_a,
-    ycsb_b,
-    ycsb_c,
-    ycsb_d,
-    ycsb_e,
 )
 
 
@@ -124,32 +120,39 @@ class TestPreload:
         assert len(list(gen.preload_operations())) == 10
 
 
-class TestYCSBCoreWorkloads:
-    @pytest.mark.parametrize(
-        "factory,name,write_ratio",
-        [
-            (ycsb_a, "YCSB-A", 0.5),
-            (ycsb_b, "YCSB-B", 0.05),
-            (ycsb_c, "YCSB-C", 0.0),
-            (ycsb_d, "YCSB-D", 0.05),
-        ],
+def per_operation_stream(gen: WorkloadGenerator):
+    """The generator's stream drawn one operation at a time: one key
+    sample, then one op-kind draw (and, for a write under a delete ratio,
+    a second) per operation, from ``gen``'s own RNG streams."""
+    spec = gen.spec
+    sample, random = gen._dist.sample, gen._op_rng.random
+    for _ in range(spec.num_operations):
+        key = gen.encode_key(sample())
+        if random() < spec.write_ratio:
+            if spec.delete_ratio and random() < spec.delete_ratio:
+                yield Operation(OP_DELETE, key)
+            else:
+                yield Operation(OP_PUT, key, gen.make_value())
+        elif spec.query_type == "scan":
+            yield Operation(OP_SCAN, key, scan_length=spec.scan_length)
+        else:
+            yield Operation(OP_GET, key)
+
+
+@pytest.mark.parametrize("delete_ratio", (0.0, 0.2))
+@pytest.mark.parametrize(
+    "distribution, zipf_constant", [("uniform", 1.0), ("zipf", 1.2)],
+    ids=["uniform", "zipf"],
+)
+@pytest.mark.parametrize("mix", (rwb, wo, scn_rh, ro))
+def test_blocked_stream_matches_per_operation_sampling(
+    mix, distribution, zipf_constant, delete_ratio
+):
+    """The blocked generator emits exactly the per-operation stream: 10,000
+    operations cross the 4,096-operation block twice."""
+    spec = mix(
+        num_operations=10_000, key_space=3_000, distribution=distribution,
+        zipf_constant=zipf_constant, delete_ratio=delete_ratio,
     )
-    def test_core_mixes(self, factory, name, write_ratio):
-        spec = factory()
-        assert spec.name == name
-        assert spec.write_ratio == pytest.approx(write_ratio)
-
-    def test_ycsb_e_is_scan_workload(self):
-        spec = ycsb_e()
-        assert spec.query_type == "scan"
-
-    def test_ycsb_d_uses_latest_distribution(self):
-        assert ycsb_d().distribution == "latest"
-
-    def test_latest_population_advances_with_stream(self):
-        """YCSB-D's recency skew requires the generator to grow the
-        population as inserts happen."""
-        spec = ycsb_d(num_operations=500, key_space=1000, preload_keys=100)
-        gen = WorkloadGenerator(spec)
-        list(gen.operations())
-        assert gen._dist.population > 100
+    expected = list(per_operation_stream(WorkloadGenerator(spec)))
+    assert list(WorkloadGenerator(spec).operations()) == expected
