@@ -306,6 +306,8 @@ class DB:
                 push(put_record(key, value, next_sequence()))
         if not records:
             return
+        if self._bg_threads:
+            self.sched.pump(clock._now_us)
         if self._observes:
             self.policy.on_operation(True)
         if len(self.version.levels[0]) >= self._l0_slowdown:
@@ -338,16 +340,21 @@ class DB:
 
         Every step is gated by the check that makes it due, so a write
         that neither stalls, flushes nor compacts makes no call for those
-        steps: the policy hears of the write only when its movement
-        observes operations, the Level-0 back-pressure runs only at the
-        slowdown trigger, and the maintenance poll only when a background
-        thread runs or the idle gate is open.  The memtable insert is
-        charged to the clock in place, which is ``clock.advance`` only
-        while no capture diverts charges, hence the guard.
+        steps: the background catches up to now first only when a
+        background thread runs (so an idle gap's chunks hold the device
+        channel before this write's WAL append), the policy hears of the
+        write only when its movement observes operations, the Level-0
+        back-pressure runs only at the slowdown trigger, and the
+        maintenance poll only when a background thread runs or the idle
+        gate is open.  The memtable insert is charged to the clock in
+        place, which is ``clock.advance`` only while no capture diverts
+        charges, hence the guard.
         """
         clock = self.clock
         if clock._capture is not None:
             raise EngineError("a write cannot run inside a clock capture")
+        if self._bg_threads:
+            self.sched.pump(clock._now_us)
         if self._observes:
             self.policy.on_operation(True)
         if len(self.version.levels[0]) >= self._l0_slowdown:
@@ -470,13 +477,16 @@ class DB:
             self._check_open()
         if type(key) is not bytes or not key:
             _check_key(key)
-        # The write path's gates (see _apply_write): the policy hears of
-        # the read only when its movement observes operations, and the
+        # The write path's gates (see _apply_write): background work
+        # catches up first only with a thread, the policy hears of the
+        # read only when its movement observes operations, and the
         # maintenance poll runs only with a background thread or the idle
         # gate open.
+        clock = self.clock
+        if self._bg_threads:
+            self.sched.pump(clock._now_us)
         if self._observes:
             self.policy.on_operation(False)
-        clock = self.clock
         start = clock._now_us
         counters = self._counters
         counters["engine.gets"] = counters.get("engine.gets", 0) + 1
@@ -725,6 +735,8 @@ class DB:
         clock = self.clock
         if clock._capture is not None:
             raise EngineError("a scan cannot run inside a clock capture")
+        if self._bg_threads:
+            self.sched.pump(clock._now_us)
         self.policy.on_operation(False)
         start_time = clock._now_us
         self._count("engine.scans")

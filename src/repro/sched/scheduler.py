@@ -26,7 +26,10 @@ chunk by chunk.  IO chunks additionally serialise on the shared
 time — while CPU chunks only occupy the thread, so CPU work overlaps device
 work across threads.  Foreground I/O arriving while the channel is busy
 waits out the horizon (``sched.device_wait_us``): that wait is the
-interference.
+interference.  Chunks replay lazily, in virtual time: each foreground
+operation first replays those that start before it does (:meth:`pump`),
+so background work owed in an idle gap runs in the gap, and at its end
+those that start before it ends (:meth:`on_operation`).
 
 **The flush lane.**  A memtable flush is background work too: the write
 that fills the memtable installs the Level-0 file(s) and resets the
@@ -228,10 +231,6 @@ class CompactionScheduler(MaintenanceEngine):
             self._count("sched.flush_waits")
             self._count("sched.flush_wait_us", wait)
         self._capture(self.db._write_memtable, self._pay_flush, clock._now_us)
-
-    def pump(self, until_us: float) -> None:
-        """Replay every background chunk that starts strictly before ``until_us``."""
-        self._replay(until_us)
 
     def drain(self) -> float:
         """Pay off all outstanding debt, flushes included; advance the clock
@@ -531,6 +530,15 @@ class CompactionScheduler(MaintenanceEngine):
                     )
                 if first_completion:
                     return end
+
+    #: Bring the background up to ``until_us``: replay every chunk that
+    #: starts strictly before it.  The DB calls it at the top of every
+    #: foreground operation (``get``, ``scan``, a write, a batch), before
+    #: the operation's policy hook, stall check or first I/O, so the
+    #: chunks owed for an idle gap hold the device channel in that gap,
+    #: not after the operation's own I/O.  It is :meth:`_replay` itself,
+    #: not a wrapper: one call per operation.
+    pump = _replay
 
     def _advance_to_next_completion(self) -> bool:
         """Fast-forward the clock to the next task completion; False if none."""

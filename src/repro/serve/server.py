@@ -555,14 +555,12 @@ def _serve_open_loop(
             _seq, request_us, owner, request, _priority = take()
             if clock._now_us < request_us:
                 # Server idle: jump to the arrival (clock.advance_to,
-                # inlined).  Background work — compaction rounds, and
-                # memtable flushes on the flush lane — has its chunks in
-                # this gap replayed at the end of the next engine
-                # operation, after that operation's own I/O took the
-                # device channel.  With flushes off the write path the
-                # LDC tail is reads and channel waits: bench's serve_stack
-                # LDC sim_tail_us fell 313 -> 121 us (seed 1), where it
-                # used to be the put that paid a 64 KiB flush inline.
+                # inlined).  Background work owed in this gap (compaction
+                # rounds, and memtable flushes on the flush lane) is
+                # replayed at the start of the next engine operation,
+                # before its first I/O, so the chunks hold the device
+                # channel inside the gap rather than queueing the
+                # requests behind that operation (docs/SERVING.md).
                 clock._now_us = request_us
             begin = clock._now_us
             kind = request[0]

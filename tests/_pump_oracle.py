@@ -243,3 +243,6 @@ class ChunkReplayScheduler(CompactionScheduler):
                     )
                 if first_completion:
                     return end
+
+    #: As in the scheduler, ``pump`` is the replay step itself.
+    pump = _replay

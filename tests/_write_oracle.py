@@ -162,6 +162,8 @@ def write_batch(db, batch) -> None:
             push(put_record(key, value, next_sequence()))
     if not records:
         return
+    if db._bg_threads:
+        db.sched.pump(db.clock._now_us)
     db.policy.on_operation(True)
     db._maybe_stall()
     total = sum(record[4] for record in records)
@@ -191,6 +193,8 @@ def write_batch(db, batch) -> None:
 
 def _apply_write(db, record: KVRecord) -> None:
     """The old ``DB._apply_write``."""
+    if db._bg_threads:
+        db.sched.pump(db.clock._now_us)
     db.policy.on_operation(True)
     db._maybe_stall()
     counters = db._counters

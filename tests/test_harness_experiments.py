@@ -21,7 +21,8 @@ class TestFigureExperiments:
         assert len(out["points"]) >= 1
 
     def test_fig01_scheduled_interference(self):
-        """Today's one-thread behaviour, pinned until ROADMAP item 11.
+        """Today's one-thread behaviour, pinned until the slowdown-gap half
+        of ROADMAP item 11 (a closed loop has no idle gap to replay in).
 
         The spread asserted here is not a paper claim: with one thread
         the engine replays about one background chunk per operation, so

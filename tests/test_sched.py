@@ -15,14 +15,17 @@ from repro import (
     DB,
     CompactionScheduler,
     RingBufferSink,
+    ServeSpec,
     ShardedDB,
     Tracer,
     get_spec,
+    serve_workload,
 )
 from repro.lsm.compaction.base import MaintenanceEngine
 from repro.lsm.config import LSMConfig
 from repro.obs import EV_STALL
 from repro.ssd.clock import CAPTURE_CPU, CAPTURE_IO
+from repro.workload import OP_PUT, Operation, WorkloadSpec
 
 POLICIES = ("delayed", "ldc", "tiered", "udc")
 
@@ -164,16 +167,13 @@ class TestReplay:
         with_sched.sched.drain()
         assert list(with_sched.logical_items()) == list(without.logical_items())
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 11: chunks replay at the end of an operation, "
-        "after its own I/O took the channel, so an idle gap replays none",
-    )
-    def test_an_idle_gap_replays_the_round_before_the_next_put(self):
-        """A round captured at t, then no I/O until t + 2 x debt: the round
-        has finished by the next put, and the put waits for nothing."""
+    @staticmethod
+    def round_in_flight():
+        """A one-thread UDC store with a compaction round just captured;
+        returns the store, the round and the debt still owed (the round's
+        chunks and any unfinished flush)."""
         db = DB(config=LSMConfig(bg_threads=1), policy="udc")
-        sched, counter = db.sched, db.registry.counter
+        sched = db.sched
         rng = random.Random(7)
         puts = 0
         while sched.threads[0].task is None:
@@ -187,6 +187,13 @@ class TestReplay:
             if task is not None
             for _, duration in task.chunks[task.next_chunk:]
         )
+        return db, round_, debt
+
+    def test_an_idle_gap_replays_the_round_before_the_next_put(self):
+        """A round captured at t, then no I/O until t + 2 x debt: the round
+        has finished by the next put, and the put waits for nothing."""
+        db, round_, debt = self.round_in_flight()
+        counter = db.registry.counter
         # The serve loop's idle jump: time passes, no operation runs.
         db.clock.advance_to(db.clock.now() + 2 * debt)
         start = db.clock.now()
@@ -196,6 +203,26 @@ class TestReplay:
         paid = db.clock.now() - start
         own = counter("device.write.wal_write.time_us") - wal_us
         assert paid == pytest.approx(own + db.config.costs.memtable_insert_us)
+
+    def test_requests_served_after_an_idle_gap_wait_for_no_chunk(self):
+        """The serve loop's twin: two puts arrive back to back 2 x debt
+        after the round was captured.  The gap pays the round off, so
+        neither put waits for the device channel.  (Replayed only after
+        the first put's own I/O, the owed chunks would queue the second
+        put behind them.)"""
+        db, round_, debt = self.round_in_flight()
+        waited = db.registry.counter("sched.device_wait_us")
+        operations = [Operation(OP_PUT, key_of(n), b"w" * 1024) for n in (0, 1)]
+        serve_workload(
+            WorkloadSpec(name="WO", num_operations=2, write_ratio=1.0),
+            "udc",
+            ServeSpec(rate_ops_s=1000.0),
+            db=db,
+            operations=operations,
+            arrivals=[(2 * debt, 0), (2 * debt + 0.001, 0)],
+        )
+        assert db.registry.counter("sched.device_wait_us") == waited
+        assert round_.done
 
 
 class TestFlushLane:

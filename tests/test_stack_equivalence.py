@@ -206,11 +206,12 @@ class TestServeLoop:
     def test_a_fixed_pair_rejects_and_back_pressures_at_both_states(self):
         """Where the drawn examples may or may not land: a full queue,
         then back-pressure at slowdown and at stop, both sides alike.
-        (At 20k ops/s the depth-3 queue admits too few writes for Level 0
-        to reach the stop trigger once flushes left the write path.)"""
+        (Each operation first replays the background work its idle gap
+        owes, so 90-byte values no longer fill Level 0 to the stop
+        trigger at any rate; 300-byte values do, from 15k to 25k ops/s.)"""
         spec = wo(num_operations=1_500, key_space=300, preload_keys=300,
-                  value_bytes=90, key_bytes=12, seed=5)
-        serve = ServeSpec(rate_ops_s=10_000.0, queue_depth=3, seed=5)
+                  value_bytes=300, key_bytes=12, seed=5)
+        serve = ServeSpec(rate_ops_s=20_000.0, queue_depth=3, seed=5)
         ops = list(WorkloadGenerator(spec).operations())
         result, states = serve_pair(spec, serve, ops, 1, True, True)
         assert result.rejected_full > 0
