@@ -40,7 +40,6 @@ def holds(claim: Claim, measured: float) -> bool:
 #: Figures that carry no claim, and why.
 UNCLAIMED = {
     "fig01s": "its UDC > LDC spread comes from the one-thread engine starving its thread",
-    "shard_scaling": "beyond the paper's single store",
     "paper_scale": "host-time run with its own CI jobs",
 }
 

@@ -2,8 +2,8 @@
 
 ``test_paper_claims.py`` runs every claimed figure of ``repro.cli.FIGURES``
 and checks it against ``claims.py``, the one test file here.  Benchmarks
-measure *virtual* device time (the paper's quantity); pytest-benchmark's
-wall-clock numbers only say how long a run took.
+measure *virtual* device time (the paper's quantity); how long a run takes
+on the host is ``bench/``'s measurement.
 
 Scale knobs (environment variables):
 
@@ -32,8 +32,3 @@ def bench_ops() -> int:
 @pytest.fixture(scope="session")
 def bench_keys() -> int:
     return DEFAULT_KEYS
-
-
-def run_once(benchmark, fn):
-    """Execute ``fn`` exactly once under pytest-benchmark and return it."""
-    return benchmark.pedantic(fn, rounds=1, iterations=1)

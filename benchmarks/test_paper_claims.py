@@ -8,13 +8,12 @@ from repro.cli import FIGURES
 from repro.harness.report import format_table
 
 from claims import CLAIMS, holds
-from conftest import run_once
 
 
 @pytest.mark.parametrize("figure", list(CLAIMS))
-def test_paper_claims(benchmark, bench_ops, bench_keys, figure):
+def test_paper_claims(bench_ops, bench_keys, figure):
     run, show = FIGURES[figure]
-    out = run_once(benchmark, lambda: run(bench_ops, bench_keys))
+    out = run(bench_ops, bench_keys)
     print()
     show(out)
     rows, failed = [], []

@@ -15,11 +15,6 @@ The library provides:
 * :mod:`repro.model` — the analytical performance model of §II–III;
 * :mod:`repro.harness` — virtual-time measurement (latency percentiles,
   throughput, compaction I/O) and per-figure experiment entry points;
-* :mod:`repro.shard` — the sharded multi-store engine:
-  :class:`~repro.shard.db.ShardedDB` partitions the keyspace across N
-  independent stores (hash or range) behind the single-store API, and
-  :func:`~repro.shard.runner.run_sharded_workload` executes workloads
-  shard-parallel with bit-identical deterministic aggregation;
 * :mod:`repro.sched` — the deterministic virtual-time compaction
   scheduler, the maintenance engine with threads: with
   ``LSMConfig(bg_threads=N)`` and N >= 1 compaction rounds become chunked background work units
@@ -93,15 +88,7 @@ from .serve import (
     ServeResult,
     ServeSpec,
     Tenant,
-    run_sharded_serve,
     serve_workload,
-)
-from .shard import (
-    HashPartitioner,
-    RangePartitioner,
-    ShardedDB,
-    ShardedSnapshot,
-    run_sharded_workload,
 )
 from .ssd import (
     BALANCED_FLASH,
@@ -130,17 +117,11 @@ __all__ = [
     "get_spec",
     "make_policy",
     "register_policy",
-    "ShardedDB",
-    "ShardedSnapshot",
-    "HashPartitioner",
-    "RangePartitioner",
-    "run_sharded_workload",
     "Tenant",
     "ServeSpec",
     "ServeResult",
     "RequestQueue",
     "serve_workload",
-    "run_sharded_serve",
     "Slice",
     "FrozenRegion",
     "AdaptiveThreshold",

@@ -8,7 +8,6 @@ Usage::
     python -m repro describe                   # quick engine demo + describe()
     python -m repro trace WO --policy ldc --trace-out run.jsonl
     python -m repro paper_scale --ops 500000   # fill + read at (reduced) paper scale
-    python -m repro run RWB --shards 4 --workers 4   # sharded execution
     python -m repro run RWB --bg-threads 2 --slowdown-l0 8 --stop-l0 12
     python -m repro fig01s --ops 12000              # scheduled interference
     python -m repro crashtest --policy ldc --every 25   # crash-consistency sweep
@@ -45,6 +44,7 @@ from .errors import ConfigError, FlashFullError
 from .faults import crashtest
 from .harness import experiments
 from .harness.report import format_table, mib
+from .harness.runner import run_workload
 from .lsm.compaction.spec import get_spec
 from .lsm.config import LSMConfig
 from .obs import (
@@ -58,8 +58,7 @@ from .obs import (
     Tracer,
     summarize_events,
 )
-from .serve import ServeSpec, run_sharded_serve, serve_workload
-from .shard.runner import run_sharded_workload
+from .serve import ServeSpec, serve_workload
 from .ssd.flash import DeviceConfig, FlashSpec
 from .ssd.profile import ENTERPRISE_PCIE, SSDProfile
 from .workload.spec import WorkloadSpec
@@ -224,27 +223,6 @@ def _show_fig13(out: Dict[int, Dict[str, float]]) -> None:
     print(format_table(["bits/key", "block reads", "filter KiB"], rows, title="fig13"))
 
 
-def _show_shard_scaling(out: Dict[int, Dict[str, float]]) -> None:
-    rows = [
-        (
-            count,
-            round(data["throughput_ops_s"]),
-            round(data["write_amplification"], 2),
-            round(data["compaction_mib"], 1),
-            round(data["p999_us"], 1),
-            round(data["wall_s"], 3),
-        )
-        for count, data in out.items()
-    ]
-    print(
-        format_table(
-            ["shards", "ops/s", "write amp", "compact MiB", "p99.9 us", "wall s"],
-            rows,
-            title="shard scaling (RWB, UDC per shard)",
-        )
-    )
-
-
 def _show_frozen(out: Dict[str, Any]) -> None:
     samples = out["samples"]
     rows = []
@@ -343,7 +321,7 @@ def _run_trace(args: argparse.Namespace) -> None:
     if args.trace_out is not None:
         tracer.add_sink(JsonLinesSink(args.trace_out))
     try:
-        result = experiments.run_workload(spec, args.policy, tracer=tracer)
+        result = run_workload(spec, args.policy, tracer=tracer)
     finally:
         tracer.close()
 
@@ -364,14 +342,14 @@ def _run_trace(args: argparse.Namespace) -> None:
         print(f"full timeline written to {args.trace_out}")
 
 
-def _run_sharded(args: argparse.Namespace) -> None:
-    """Run one Table III workload across a sharded engine and report it.
+def _run_closed_loop(args: argparse.Namespace) -> None:
+    """Run one Table III workload closed-loop and report it.
 
-    ``--bg-threads >= 1`` turns on the virtual-time compaction scheduler
-    per shard; ``--slowdown-l0`` / ``--stop-l0`` override the L0
-    write-throttle thresholds (docs/SCHEDULING.md).  ``--flash`` mounts
-    the page/block FTL layer (docs/DEVICE.md) under every shard's device
-    and adds the device/total write-amplification rows to the report.
+    ``--bg-threads >= 1`` turns on the virtual-time compaction scheduler;
+    ``--slowdown-l0`` / ``--stop-l0`` override the L0 write-throttle
+    thresholds (docs/SCHEDULING.md).  ``--flash`` mounts the page/block
+    FTL layer (docs/DEVICE.md) under the device and adds the
+    device/total write-amplification rows to the report.
     """
     spec = _workload_spec(args)
     overrides: Dict[str, object] = {"bg_threads": args.bg_threads}
@@ -385,38 +363,25 @@ def _run_sharded(args: argparse.Namespace) -> None:
         flash_spec = _flash_spec(args, spec, policy=args.policy, config=config)
         profile = DeviceConfig(flash=flash_spec)
         print(
-            f"flash: {flash_spec.logical_bytes / 2**20:.1f} MiB logical "
-            f"per shard, OP={flash_spec.over_provisioning:.0%}, "
+            f"flash: {flash_spec.logical_bytes / 2**20:.1f} MiB logical, "
+            f"OP={flash_spec.over_provisioning:.0%}, "
             f"gc={flash_spec.gc_policy}"
         )
-    report = run_sharded_workload(
-        spec,
-        args.policy,
-        num_shards=args.shards,
-        partitioner=args.partitioner,
-        workers=experiments.default_workers() or 1,
-        config=config,
-        profile=profile,
-    )
-    print(
-        f"run: workload={report.workload} policy={report.policy} "
-        f"shards={report.num_shards} workers={report.workers} "
-        f"partitioner={report.partitioner}"
-    )
-    snap = report.metrics
+    result = run_workload(spec, args.policy, config=config, profile=profile)
+    print(f"run: workload={result.workload} policy={result.policy}")
+    snap = result.metrics
     highlights = [
-        ("operations", report.operations),
-        ("sim throughput ops/s", round(report.throughput_ops_s)),
-        ("write amplification", round(report.write_amplification, 2)),
+        ("operations", result.operations),
+        ("sim throughput ops/s", round(result.throughput_ops_s)),
+        ("write amplification", round(result.write_amplification, 2)),
         ("compaction MiB", round(mib(snap.compaction_bytes_total), 1)),
-        ("p99.9 latency us", round(report.latencies.percentile(99.9), 1)),
-        ("wall seconds", round(report.wall_s, 3)),
+        ("p99.9 latency us", round(result.latencies.percentile(99.9), 1)),
     ]
     if args.flash:
         highlights.extend(
             [
-                ("device write amp", round(report.device_write_amplification, 3)),
-                ("total write amp", round(report.total_write_amplification, 2)),
+                ("device write amp", round(result.device_write_amplification, 3)),
+                ("total write amp", round(result.total_write_amplification, 2)),
                 ("gc write MiB", round(mib(snap.gc_write_bytes), 2)),
                 ("blocks erased", snap.blocks_erased),
             ]
@@ -437,25 +402,7 @@ def _run_sharded(args: argparse.Namespace) -> None:
                 ),
             ]
         )
-    print(format_table(["metric", "value"], highlights, title="aggregate"))
-    rows = [
-        (
-            index,
-            result.operations,
-            round(result.elapsed_us / 1e6, 3),
-            round(result.write_amplification, 2),
-            result.flush_count,
-            result.compaction_count,
-        )
-        for index, result in enumerate(report.shard_results)
-    ]
-    print(
-        format_table(
-            ["shard", "ops", "virtual s", "write amp", "flushes", "compactions"],
-            rows,
-            title="per shard",
-        )
-    )
+    print(format_table(["metric", "value"], highlights))
 
 
 def _run_serve(args: argparse.Namespace) -> None:
@@ -478,32 +425,6 @@ def _run_serve(args: argparse.Namespace) -> None:
         slo_us=args.slo_us,
         seed=args.seed,
     )
-    if args.shards > 1:
-        report = run_sharded_serve(
-            spec,
-            args.policy,
-            serve_spec,
-            num_shards=args.shards,
-            partitioner=args.partitioner,
-            config=config,
-        )
-        print(
-            f"serve: workload={report.workload} policy={report.policy} "
-            f"arrival={args.arrival} shards={report.num_shards} "
-            f"partitioner={report.partitioner}"
-        )
-        highlights = [
-            ("offered rate ops/s", round(args.rate)),
-            ("arrived", report.arrived),
-            ("completed", report.completed),
-            ("rejected", report.rejected),
-            ("sim throughput ops/s", round(report.throughput_ops_s)),
-            ("SLO violation rate", round(report.slo_violation_rate, 4)),
-            ("wait p99 us", round(report.wait_latencies.percentile(99.0), 1)),
-            ("total p99.9 us", round(report.total_latencies.percentile(99.9), 1)),
-        ]
-        print(format_table(["metric", "value"], highlights, title="aggregate"))
-        return
     result = serve_workload(spec, args.policy, serve_spec, config=config)
     print(
         f"serve: workload={result.workload} policy={result.policy} "
@@ -577,7 +498,6 @@ def _run_crashtest(args: argparse.Namespace) -> int:
         value_bytes=args.value_bytes,
         seed=args.seed,
         stride=args.every,
-        shards=args.shards,
         flash=crashtest.CRASHTEST_FLASH_SPEC if args.flash else None,
         progress=progress,
     )
@@ -719,7 +639,6 @@ FIGURES: Dict[str, Figure] = {
     "cache": Figure(_sized(experiments.ablation_block_cache), _show_grid),
     "frozen": Figure(_sized(experiments.ablation_frozen_dynamics), _show_frozen),
     "btree": Figure(_sized(experiments.ablation_partitioned_btree), _show_btree),
-    "shard_scaling": Figure(_sized(experiments.shard_scaling), _show_shard_scaling),
     "paper_scale": Figure(
         lambda ops, keys: experiments.paper_scale(ops=ops), _show_paper_scale
     ),
@@ -736,7 +655,7 @@ EXPERIMENTS: Dict[str, Callable[[argparse.Namespace], Optional[int]]] = {
     **FIGURES,
     "describe": _run_describe,
     "trace": _run_trace,
-    "run": _run_sharded,
+    "run": _run_closed_loop,
     "serve": _run_serve,
     "crashtest": _run_crashtest,
     "explore": _run_explore,
@@ -823,28 +742,14 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="worker processes for experiment grids and sharded 'run' "
-        "(default serial; 'serve --shards N' runs its shards in-process)",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="N",
-        help="number of keyspace shards ('run'/'serve'/'crashtest')",
-    )
-    parser.add_argument(
-        "--partitioner",
-        default="hash",
-        choices=("hash", "range"),
-        help="keyspace partitioning strategy ('run'/'serve')",
+        help="worker processes for experiment grids (default serial)",
     )
     parser.add_argument(
         "--bg-threads",
         type=int,
         default=0,
         metavar="N",
-        help="background compaction threads per shard; >= 1 turns on the "
+        help="background compaction threads; >= 1 turns on the "
         "virtual-time scheduler ('run'/'serve', default 0 = off)",
     )
     parser.add_argument(

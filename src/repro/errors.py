@@ -113,7 +113,7 @@ class UnknownPolicyError(ConfigError):
 
     Raised by :func:`repro.lsm.compaction.spec.get_spec` (and every
     consumer that resolves policy names through it — CLI, harness,
-    crashtest, sharding) so one typed error carries both the offending
+    crashtest) so one typed error carries both the offending
     name and the full list of valid names.
 
     Attributes

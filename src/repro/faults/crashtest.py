@@ -26,23 +26,20 @@ The harness behind ``repro crashtest``.  One workload, three passes:
 Torn WAL tails are exercised by cycling the crash's ``torn_fraction``
 through 0, ½ and 1 across crash points, so every third write-crash
 leaves a partial record on media for recovery to detect and drop.
-
-Sharded mode arms one shard at a time (each shard owns its device), and
-recovery runs fleet-wide via :meth:`~repro.shard.db.ShardedDB.crash_and_recover`.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .plan import FaultPlan
-from ..errors import CorruptionError, ReproError, SimulatedCrash
-from ..lsm.compaction.spec import make_policy
+from ..errors import ConfigError, CorruptionError, ReproError, SimulatedCrash
+from ..lsm.compaction.base import CompactionPolicy
+from ..lsm.compaction.spec import PolicySpec, get_spec, make_policy, not_a_policy
 from ..lsm.config import LSMConfig
 from ..lsm.db import DB, WriteBatch
-from ..shard.db import ShardedDB, per_shard_policy
 from ..ssd.flash import DeviceConfig, FlashSpec
 from ..ssd.profile import ENTERPRISE_PCIE
 
@@ -156,7 +153,7 @@ def _apply_to_model(model: Dict[bytes, bytes], op: Operation) -> None:
             model[key] = value
 
 
-def _execute(store: Union[DB, ShardedDB], op: Operation):
+def _execute(store: DB, op: Operation):
     kind = op[0]
     if kind == "put":
         store.put(op[1], op[2])
@@ -173,21 +170,7 @@ def _execute(store: Union[DB, ShardedDB], op: Operation):
     return None
 
 
-def _execute_batch(store: Union[DB, ShardedDB], entries) -> None:
-    if isinstance(store, ShardedDB):
-        # Per-shard sub-batches: atomicity holds within each shard (the
-        # documented sharded-batch semantics; cross-shard atomicity would
-        # need a commit protocol the paper's engine does not have).
-        buckets: Dict[int, WriteBatch] = {}
-        for key, value in entries:
-            batch = buckets.setdefault(store.shard_of(key), WriteBatch())
-            if value is None:
-                batch.delete(key)
-            else:
-                batch.put(key, value)
-        for index in sorted(buckets):
-            store.shards[index].write_batch(buckets[index])
-        return
+def _execute_batch(store: DB, entries) -> None:
     batch = WriteBatch()
     for key, value in entries:
         if value is None:
@@ -200,40 +183,41 @@ def _execute_batch(store: Union[DB, ShardedDB], entries) -> None:
 # ----------------------------------------------------------------------
 # Store construction
 # ----------------------------------------------------------------------
+def _store_policy(policy: object) -> object:
+    """``policy`` as every store of a sweep may receive it.
+
+    A sweep builds many stores (the reference run, one per crash point,
+    the corruption probe), and a policy is stateful: each store builds
+    its own from a registry name or a
+    :class:`~repro.lsm.compaction.spec.PolicySpec`, so a built instance
+    is a :class:`~repro.errors.ConfigError`.  An unknown name raises
+    :class:`~repro.errors.UnknownPolicyError` before any store is built.
+    """
+    if isinstance(policy, str):
+        get_spec(policy)
+    elif isinstance(policy, CompactionPolicy):
+        raise ConfigError(
+            "a policy instance cannot be shared by the crash-point stores; "
+            "pass a name or a PolicySpec"
+        )
+    elif not isinstance(policy, (PolicySpec, type(None))):
+        raise ConfigError(not_a_policy(policy))
+    return policy
+
+
 def _build_store(
     policy: object,
     config: LSMConfig,
-    shards: int,
-    plans: Optional[List[Optional[FaultPlan]]],
+    plan: Optional[FaultPlan],
     flash: Optional[FlashSpec] = None,
-) -> Union[DB, ShardedDB]:
+) -> DB:
     profile = (
         DeviceConfig(flash=flash) if flash is not None else ENTERPRISE_PCIE
     )
-    if shards <= 1:
-        plan = plans[0] if plans else None
-        return DB(
-            config=config,
-            policy=policy,
-            profile=profile,
-            fault_plan=plan,
-        )
-    return ShardedDB(
-        num_shards=shards,
-        policy=policy,
-        config=config,
-        profile=profile,
-        fault_plans=plans,
-    )
+    return DB(config=config, policy=policy, profile=profile, fault_plan=plan)
 
 
-def _devices(store: Union[DB, ShardedDB]) -> List:
-    if isinstance(store, ShardedDB):
-        return [shard.device for shard in store.shards]
-    return [store.device]
-
-
-def _logical(store: Union[DB, ShardedDB]) -> Dict[bytes, bytes]:
+def _logical(store: DB) -> Dict[bytes, bytes]:
     return dict(store.logical_items())
 
 
@@ -244,15 +228,11 @@ def _logical(store: Union[DB, ShardedDB]) -> Dict[bytes, bytes]:
 class ReferenceRun:
     """Fault-free execution statistics used to enumerate crash points."""
 
-    shard_ios: List[int]
+    ios: int
     flushes: int
     links: int
     merges: int
     final_items: int
-
-    @property
-    def total_ios(self) -> int:
-        return sum(self.shard_ios)
 
 
 @dataclass
@@ -260,7 +240,6 @@ class CrashPointResult:
     """Outcome of one crash-recover-verify cycle."""
 
     io_index: int
-    shard: int
     torn_fraction: float
     fired: bool
     crashed_at_op: Optional[int] = None
@@ -278,7 +257,6 @@ class CrashTestReport:
     """Aggregate verdict of a crash-point enumeration."""
 
     policy: str
-    shards: int
     stride: int
     reference: ReferenceRun
     results: List[CrashPointResult]
@@ -301,9 +279,8 @@ class CrashTestReport:
 
     def summary(self) -> str:
         lines = [
-            f"crashtest policy={self.policy} shards={self.shards} "
-            f"stride={self.stride}",
-            f"reference: {self.reference.total_ios} I/Os, "
+            f"crashtest policy={self.policy} stride={self.stride}",
+            f"reference: {self.reference.ios} I/Os, "
             f"{self.reference.flushes} flushes, {self.reference.links} links, "
             f"{self.reference.merges} merges, "
             f"{self.reference.final_items} live keys",
@@ -312,7 +289,7 @@ class CrashTestReport:
         ]
         for failure in self.failures[:10]:
             lines.append(
-                f"  FAIL io={failure.io_index} shard={failure.shard} "
+                f"  FAIL io={failure.io_index} "
                 f"({failure.crash_category}): {'; '.join(failure.errors[:3])}"
             )
         lines.append("PASS" if self.ok else "FAIL")
@@ -348,25 +325,19 @@ def run_reference(
     operations: Sequence[Operation],
     policy: object,
     config: Optional[LSMConfig] = None,
-    shards: int = 1,
     flash: Optional[FlashSpec] = None,
 ) -> ReferenceRun:
-    """Fault-free run counting charged I/Os per shard device."""
+    """Fault-free run counting the device's charged I/Os."""
     config = config if config is not None else default_config()
-    plans: List[Optional[FaultPlan]] = [FaultPlan() for _ in range(max(1, shards))]
-    store = _build_store(policy, config, shards, plans, flash)
+    store = _build_store(policy, config, FaultPlan(), flash)
     for op in operations:
         _execute(store, op)
-    engines = store.shards if isinstance(store, ShardedDB) else [store]
-
-    def total(key: str) -> int:
-        return sum(engine.registry.counter(key) for engine in engines)
-
+    counter = store.registry.counter
     return ReferenceRun(
-        shard_ios=[device.faults.io_count for device in _devices(store)],
-        flushes=total("engine.flush_count"),
-        links=total("engine.link_count"),
-        merges=total("engine.merge_count"),
+        ios=store.device.faults.io_count,
+        flushes=counter("engine.flush_count"),
+        links=counter("engine.link_count"),
+        merges=counter("engine.merge_count"),
         final_items=len(_logical(store)),
     )
 
@@ -380,19 +351,15 @@ def run_crash_point(
     io_index: int,
     *,
     config: Optional[LSMConfig] = None,
-    shards: int = 1,
-    shard: int = 0,
     torn_fraction: float = 0.0,
     flash: Optional[FlashSpec] = None,
 ) -> CrashPointResult:
     """Crash at one I/O index, recover, verify the oracle, finish the run."""
     config = config if config is not None else default_config()
-    effective_shards = max(1, shards)
-    plans: List[Optional[FaultPlan]] = [None] * effective_shards
-    plans[shard] = FaultPlan().crash_at(io_index, torn_fraction=torn_fraction)
-    store = _build_store(policy, config, shards, plans, flash)
+    plan = FaultPlan().crash_at(io_index, torn_fraction=torn_fraction)
+    store = _build_store(policy, config, plan, flash)
     result = CrashPointResult(
-        io_index=io_index, shard=shard, torn_fraction=torn_fraction, fired=False
+        io_index=io_index, torn_fraction=torn_fraction, fired=False
     )
 
     model: Dict[bytes, bytes] = {}
@@ -447,22 +414,16 @@ def run_crash_point(
 
 
 def _verify_oracle(
-    store: Union[DB, ShardedDB],
+    store: DB,
     model: Dict[bytes, bytes],
     pending: Optional[Operation],
     result: CrashPointResult,
 ) -> None:
-    """Durability + atomicity: acknowledged data intact, pending atomic.
-
-    Batch atomicity is checked per atomicity domain: the whole batch for
-    a single store, per owning shard for a :class:`ShardedDB` (a
-    cross-shard batch commits shard-by-shard — the documented sharded
-    semantics — so mixed old/new across *different* shards is legal).
-    """
+    """Durability + atomicity: acknowledged data intact, pending atomic
+    (a batch shows all of its keys old or all of them new)."""
     observed = _logical(store)
     effect = _op_effect(pending) if pending is not None else {}
-    sharded = isinstance(store, ShardedDB)
-    states: Dict[int, List[str]] = {}
+    states: List[str] = []
     for key in set(model) | set(observed) | set(effect):
         old = model.get(key)
         seen = observed.get(key)
@@ -480,22 +441,19 @@ def _verify_oracle(
                     f"{old!r} nor in-flight {new!r}"
                 )
                 continue
-            domain = store.shard_of(key) if sharded else 0
-            states.setdefault(domain, []).append(state)
+            states.append(state)
         elif seen != old:
             result.errors.append(
                 f"acknowledged key {key!r}: observed {seen!r} != {old!r}"
             )
-    for domain, domain_states in states.items():
-        if "old" in domain_states and "new" in domain_states:
-            result.errors.append(
-                f"torn batch in atomicity domain {domain}: some keys show "
-                f"the old state, some the new"
-            )
+    if "old" in states and "new" in states:
+        result.errors.append(
+            "torn batch: some keys show the old state, some the new"
+        )
 
 
 def _verify_final(
-    store: Union[DB, ShardedDB],
+    store: DB,
     model: Dict[bytes, bytes],
     result: CrashPointResult,
 ) -> None:
@@ -528,43 +486,35 @@ def run_crashtest(
     value_bytes: int = 32,
     seed: int = 0,
     stride: int = 1,
-    shards: int = 1,
     config: Optional[LSMConfig] = None,
     flash: Optional[FlashSpec] = None,
     progress: Optional[Callable[[int, int], None]] = None,
 ) -> CrashTestReport:
     """Enumerate crash points over one workload and verify each recovery.
 
-    ``stride`` samples every Nth I/O index (1 = exhaustive).  ``flash``
-    mounts an FTL layer under every store (see
+    ``stride`` samples every Nth I/O index (1 = exhaustive).  ``policy``
+    is a name or a spec, never a built instance.  ``flash`` mounts an FTL
+    layer under every store (see
     :data:`CRASHTEST_FLASH_SPEC`), putting GC relocations inside the
     crash-point schedule.  ``progress`` (points_done, points_total) is
     called after each crash point — the CLI uses it for a live counter.
     """
     if stride <= 0:
         raise ReproError("stride must be positive")
-    # One store per crash point: like shards, they cannot share an instance.
-    policy = per_shard_policy(policy, 2)
+    policy = _store_policy(policy)
     config = config if config is not None else default_config()
     operations = build_operations(num_ops, num_keys, seed, value_bytes)
-    reference = run_reference(operations, policy, config, shards, flash)
+    reference = run_reference(operations, policy, config, flash)
 
-    points: List[Tuple[int, int]] = []
-    for shard_index, shard_ios in enumerate(reference.shard_ios):
-        points.extend(
-            (shard_index, io) for io in range(1, shard_ios + 1, stride)
-        )
-
+    points = range(1, reference.ios + 1, stride)
     results: List[CrashPointResult] = []
-    for count, (shard_index, io_index) in enumerate(points):
+    for count, io_index in enumerate(points):
         results.append(
             run_crash_point(
                 operations,
                 policy,
                 io_index,
                 config=config,
-                shards=shards,
-                shard=shard_index,
                 torn_fraction=TORN_CYCLE[count % len(TORN_CYCLE)],
                 flash=flash,
             )
@@ -573,7 +523,6 @@ def run_crashtest(
             progress(count + 1, len(points))
     return CrashTestReport(
         policy=make_policy(policy).name,
-        shards=max(1, shards),
         stride=stride,
         reference=reference,
         results=results,
@@ -603,11 +552,11 @@ def run_corruption_test(
     :class:`~repro.errors.CorruptionError` and none to slip past a
     decode path (``faults.corruptions_missed`` must stay zero).
     """
-    policy = per_shard_policy(policy, 2)  # the probe and the swept store
+    policy = _store_policy(policy)  # the probe and the swept store
     config = config if config is not None else default_config()
     operations = build_operations(num_ops, num_keys, seed, value_bytes)
 
-    probe = _build_store(policy, config, 1, [FaultPlan()])
+    probe = _build_store(policy, config, FaultPlan())
     for op in operations:
         _execute(probe, op)
     total_reads = probe.device.faults.read_count

@@ -40,7 +40,7 @@ from ..ssd.flash import DeviceConfig, FlashSpec
 from ..ssd.profile import ENTERPRISE_PCIE, SSDProfile, get_profile
 from ..workload import spec as workloads
 from ..workload.spec import WorkloadSpec
-from ..workload.ycsb import Operation, WorkloadGenerator
+from ..workload.ycsb import WorkloadGenerator
 
 DEFAULT_OPS = 60_000
 DEFAULT_KEY_SPACE = 20_000
@@ -97,8 +97,7 @@ class GridTask:
 
     ``policy`` is a registry name or a :class:`PolicySpec`;
     ``policy_label`` is what result rows call it ("UDC", "LDC-fixed").
-    ``preload`` / ``operations`` replace the spec's own streams (one
-    shard's slice of a sharded run).  Every field must be picklable —
+    Every field must be picklable —
     tasks and their RunResults cross process boundaries when the grid
     runs with workers.
     """
@@ -110,8 +109,6 @@ class GridTask:
     profile: "SSDProfile | DeviceConfig" = ENTERPRISE_PCIE
     timeline_bucket_us: float = 1_000_000.0
     policy_label: str = ""
-    preload: Optional[Tuple[Operation, ...]] = None
-    operations: Optional[Tuple[Operation, ...]] = None
 
 
 def _run_grid_task(task: GridTask) -> RunResult:
@@ -122,8 +119,6 @@ def _run_grid_task(task: GridTask) -> RunResult:
         config=task.config,
         profile=task.profile,
         timeline_bucket_us=task.timeline_bucket_us,
-        preload=task.preload,
-        operations=task.operations,
     )
 
 
@@ -666,41 +661,6 @@ def _scaling(name: str, request_counts: Sequence[int]) -> ExperimentOutput:
         spec_item = workloads.rwb(num_operations=count, key_space=key_space)
         tasks += sweep([spec_item], points={f"N={count}": _DEFAULT_POINT})
     return _grid_output(name, tasks)
-
-
-# ----------------------------------------------------------------------
-# Shard scaling (repro.shard — beyond the paper's single-store scope)
-# ----------------------------------------------------------------------
-def shard_scaling(
-    ops: int = DEFAULT_OPS, key_space: int = DEFAULT_KEY_SPACE
-) -> Dict[int, Dict[str, float]]:
-    """RWB across 1, 2, 4 and 8 hash-partitioned shards under UDC: how
-    partitioning changes the work itself.
-
-    Two effects stack as shards grow: per-shard trees are smaller (fewer
-    levels, less compaction work — write amplification falls), and the
-    shard tasks execute on independent workers (``--workers``; wall-clock
-    parallelism, bounded by the host's cores).  Virtual-time metrics are
-    deterministic and worker-count-independent; ``wall_s`` is the only
-    host-dependent column.
-    """
-    # Local import: repro.shard.runner imports this module (for run_grid).
-    from ..shard.runner import run_sharded_workload
-
-    spec_item = workloads.rwb(num_operations=ops, key_space=key_space)
-    out: Dict[int, Dict[str, float]] = {}
-    for count in (1, 2, 4, 8):
-        report = run_sharded_workload(
-            spec_item, "udc", num_shards=count, workers=_default_workers or 1
-        )
-        out[count] = {
-            "throughput_ops_s": report.throughput_ops_s,
-            "write_amplification": report.write_amplification,
-            "compaction_mib": report.metrics.compaction_bytes_total / 2**20,
-            "p999_us": report.latencies.percentile(99.9),
-            "wall_s": report.wall_s,
-        }
-    return out
 
 
 # ----------------------------------------------------------------------

@@ -11,23 +11,20 @@ The paper's measurement protocol (§IV-A), written down once:
 3. the :class:`RunResult` carries throughput, percentiles, the metrics
    snapshot (device I/O by category, engine counters) and space usage.
 
-A shard of a sharded run is this protocol over its slice of the streams,
-and the fold of the per-shard results (:meth:`RunResult.fold`) is again a
-:class:`RunResult`.  This is the one closed-loop measurement path; the
-serving layer (:mod:`repro.serve`) measures open loops only.
+This is the one closed-loop measurement path; the serving layer
+(:mod:`repro.serve`) measures open loops only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import islice
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional
 
 from .latency import LatencyRecorder, LatencyTimeline
-from ..errors import ConfigError, WorkloadError
+from ..errors import WorkloadError
 from ..lsm.config import LSMConfig
 from ..lsm.db import DB
-from ..obs.aggregate import aggregate_snapshots, combined_view
 from ..obs.snapshot import MetricsSnapshot
 from ..obs.tracer import Tracer
 from ..ssd.flash import DeviceConfig
@@ -53,30 +50,20 @@ def counter_view(key: str, cast: type = int) -> property:
     return property(lambda self: cast(self.metrics.get(key)))
 
 
-def fold_timelines(results: Sequence) -> LatencyTimeline:
-    """The bucket-wise merge of every result's timeline."""
-    timeline = LatencyTimeline(bucket_us=results[0].timeline.bucket_us)
-    for result in results:
-        timeline.merge(result.timeline)
-    return timeline
-
-
 @dataclass
 class RunResult:
-    """Everything measured during one workload run — or one sharded run.
+    """Everything measured during one workload run.
 
     The counter-backed quantities (I/O bytes, write amplification, engine
     counters, stall time, the flash/FTL figures of docs/DEVICE.md) are
     views of ``metrics``, the snapshot taken when the run finished (its
-    counters cover the measured window since the post-load reset), so
-    the :meth:`fold` of per-shard results is a result of the same type.
+    counters cover the measured window since the post-load reset).
     """
 
     workload: str
     policy: str
     operations: int
-    #: Measured virtual time; of a fold, the slowest shard's — the run is
-    #: done when its last shard is.
+    #: Measured virtual time.
     elapsed_us: float
     latencies: LatencyRecorder
     write_latencies: LatencyRecorder
@@ -89,15 +76,8 @@ class RunResult:
     extra_space_bytes: int
     final_threshold: Optional[int] = None
     #: Bytes moved by each compaction round of the measured window
-    #: (``db.round_bytes``); of a fold, the shards' lists in shard order.
+    #: (``db.round_bytes``).
     round_bytes: List[int] = field(default_factory=list)
-    #: Of a fold: its per-shard results, the keyspace split, the fan-out.
-    shard_results: List["RunResult"] = field(default_factory=list)
-    partitioner: str = ""
-    workers: int = 1
-    #: Real (host) seconds spent executing the shard tasks; the only
-    #: field that may differ between serial and parallel execution.
-    wall_s: float = 0.0
 
     compaction_read_bytes = snapshot_view("compaction_bytes_read")
     compaction_write_bytes = snapshot_view("compaction_bytes_written")
@@ -138,74 +118,16 @@ class RunResult:
     def mean_latency_us(self) -> float:
         return self.latencies.mean()
 
-    @property
-    def num_shards(self) -> int:
-        return len(self.shard_results) or 1
-
-    @property
-    def shard_operations(self) -> List[int]:
-        return [result.operations for result in self.shard_results]
-
-    @property
-    def combined_metrics(self) -> MetricsSnapshot:
-        """Aggregate plus ``shard.<i>.`` namespaces (e.g. erase counts)."""
-        return combined_view([result.metrics for result in self.shard_results])
-
-    @classmethod
-    def fold(
-        cls,
-        results: Sequence["RunResult"],
-        partitioner: str = "",
-        workers: int = 1,
-        wall_s: float = 0.0,
-    ) -> "RunResult":
-        """Per-shard results as one result, deterministically.
-
-        Every fold is order-fixed (shard order) and value-commutative
-        (counter sums, histogram adds, bucket maxes), so the result
-        depends only on the per-shard results — not on who computed them
-        or when — and the fleet ratios are over the summed counters.
-        """
-        if not results:
-            raise ConfigError("cannot fold zero shard results")
-        thresholds = {result.final_threshold for result in results}
-        return replace(
-            results[0],
-            operations=sum(result.operations for result in results),
-            elapsed_us=max(result.elapsed_us for result in results),
-            latencies=merge_recorders(*(r.latencies for r in results)),
-            write_latencies=merge_recorders(*(r.write_latencies for r in results)),
-            read_latencies=merge_recorders(*(r.read_latencies for r in results)),
-            scan_latencies=merge_recorders(*(r.scan_latencies for r in results)),
-            timeline=fold_timelines(results),
-            metrics=aggregate_snapshots([result.metrics for result in results]),
-            space_bytes=sum(result.space_bytes for result in results),
-            live_bytes=sum(result.live_bytes for result in results),
-            extra_space_bytes=sum(result.extra_space_bytes for result in results),
-            final_threshold=thresholds.pop() if len(thresholds) == 1 else None,
-            round_bytes=[n for result in results for n in result.round_bytes],
-            shard_results=list(results),
-            partitioner=partitioner,
-            workers=workers,
-            wall_s=wall_s,
-        )
-
     def fingerprint(self) -> tuple:
-        """Every deterministic aggregate, for bit-identity assertions.
-
-        Excludes ``wall_s`` (host time) and nothing else: if any of this
-        differs between a serial and a parallel run, the determinism
-        contract is broken.
+        """Every deterministic quantity, for bit-identity assertions: if
+        any of this differs between a serial and a parallel grid, the
+        determinism contract is broken.
         """
         return (
             self.workload,
             self.policy,
-            self.partitioner,
-            self.num_shards,
             self.operations,
             self.elapsed_us,
-            tuple(self.shard_operations),
-            tuple(result.elapsed_us for result in self.shard_results),
             tuple(sorted(self.metrics.counters.items())),
             tuple(sorted(self.metrics.gauges.items())),
             tuple(self.latencies.values),
@@ -287,7 +209,6 @@ def run_workload(
     tracer: Optional[Tracer] = None,
     sample_stride: int = 1,
     max_latency_samples: Optional[int] = None,
-    preload: Optional[Iterable] = None,
     operations: Optional[Iterable] = None,
 ) -> RunResult:
     """Run one workload against one policy and measure it.
@@ -298,15 +219,14 @@ def run_workload(
     phase is traced too, separated from the measured phase by the
     measurement reset.  ``sample_stride`` / ``max_latency_samples``
     configure sampled latency recording for paper-scale runs (see
-    :class:`~repro.harness.latency.LatencyRecorder`).  ``preload`` /
-    ``operations`` replace the spec's own streams — a shard of a sharded
-    run is a run over its slice of them.
+    :class:`~repro.harness.latency.LatencyRecorder`).  ``operations``
+    replaces the spec's measured stream.
     """
     generator = WorkloadGenerator(spec)
     if db is None:
-        if preload is None:
-            preload = generator.preload_operations()
-        db = prepare_db(policy, preload, config, profile, tracer)
+        db = prepare_db(
+            policy, generator.preload_operations(), config, profile, tracer
+        )
     return execute_operations(
         db,
         generator.operations() if operations is None else operations,

@@ -9,8 +9,8 @@ boundaries inside grid tasks), and round-trippable through
 
 The module also hosts the **central policy registry** — the single
 source of truth for policy names.  ``DB(policy="ldc")``, the CLI's
-``--policy`` flags, the experiment grid, the crash-test harness and
-``ShardedDB`` all resolve names here, and an unknown name raises one
+``--policy`` flags, the experiment grid and the crash-test harness all
+resolve names here, and an unknown name raises one
 typed :class:`~repro.errors.UnknownPolicyError` carrying the valid-name
 list.
 

@@ -4,8 +4,8 @@ All mutations land here first; when :attr:`MemTable.approximate_bytes`
 reaches the configured capacity the engine flushes the contents to a
 Level-0 SSTable.  The memtable keeps only the newest record per user key —
 older in-memtable versions are unobservable in this engine (reads serve the
-latest version; ``ShardedDB.snapshot()`` pins sequence numbers as a cut
-marker, not a read view), so overwriting in place is both correct and fast.
+latest version; there are no snapshot reads), so overwriting in place is
+both correct and fast.
 
 Storage layout
 --------------

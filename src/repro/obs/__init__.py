@@ -17,14 +17,6 @@ Three pieces, one import::
   p50/p90/p99/p99.9/max without storing every value.
 """
 
-from .aggregate import (
-    SHARD_PREFIX,
-    TENANT_PREFIX,
-    aggregate_snapshots,
-    combined_view,
-    namespace_snapshot,
-    prefix_snapshot,
-)
 from .events import (
     ALL_EVENT_KINDS,
     EV_CACHE_HIT,
@@ -65,12 +57,6 @@ __all__ = [
     "summarize_events",
     "MetricsRegistry",
     "MetricsSnapshot",
-    "aggregate_snapshots",
-    "combined_view",
-    "namespace_snapshot",
-    "prefix_snapshot",
-    "SHARD_PREFIX",
-    "TENANT_PREFIX",
     "LatencyHistogram",
     "DEFAULT_PERCENTILES",
     "ALL_EVENT_KINDS",

@@ -22,7 +22,7 @@ Key naming follows the registry convention (``component.name``):
 ``flash.*``               flash/FTL layer (pages programmed, GC, erases)
 ========================  =====================================================
 
-docs/METRICS.md is the full catalogue (kind, unit, writer, fold).
+docs/METRICS.md is the full catalogue (kind, unit, writer).
 """
 
 from __future__ import annotations

@@ -30,7 +30,6 @@ from .server import (
     admission_bound,
     serve_workload,
 )
-from .sharded import run_sharded_serve
 
 __all__ = [
     "ARRIVAL_KINDS",
@@ -52,7 +51,6 @@ __all__ = [
     "admission_bound",
     "make_arrival_process",
     "merge_tenant_arrivals",
-    "run_sharded_serve",
     "serve_workload",
     "split_rate",
 ]

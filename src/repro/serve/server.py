@@ -29,7 +29,7 @@ every queued request behind a stalled write.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
 from math import inf
 from operator import eq, lt
@@ -47,20 +47,9 @@ from .arrivals import (
 from .queue import RequestQueue, check_discipline
 from ..errors import BackpressureError, ConfigError, WorkloadError
 from ..harness.latency import LatencyRecorder, LatencyTimeline
-from ..harness.runner import (
-    counter_view,
-    fold_timelines,
-    merge_recorders,
-    prepare_db,
-)
+from ..harness.runner import counter_view, prepare_db
 from ..lsm.config import LSMConfig
 from ..lsm.db import DB
-from ..obs.aggregate import (
-    TENANT_PREFIX,
-    aggregate_snapshots,
-    combined_view,
-    prefix_snapshot,
-)
 from ..obs.snapshot import MetricsSnapshot
 from ..ssd.flash import DeviceConfig
 from ..ssd.profile import ENTERPRISE_PCIE, SSDProfile
@@ -166,20 +155,6 @@ class TenantServeStats:
         rejected = self.rejected_full + self.rejected_backpressure
         return (self.slo_violations + rejected) / arrived
 
-    @classmethod
-    def fold(cls, parts: Sequence["TenantServeStats"]) -> "TenantServeStats":
-        """One tenant's ledgers on every shard as its fleet-wide ledger."""
-        return replace(
-            parts[0],
-            wait_latencies=merge_recorders(*(p.wait_latencies for p in parts)),
-            total_latencies=merge_recorders(*(p.total_latencies for p in parts)),
-            **{
-                name: sum(getattr(part, name) for part in parts)
-                for name in ("completed", "rejected_full",
-                             "rejected_backpressure", "slo_violations")
-            },
-        )
-
     def snapshot(self, t_us: float) -> MetricsSnapshot:
         """This tenant's ledger as a ``tenant.<name>.``-namespaced snapshot."""
         counters: Dict[str, float] = {
@@ -195,18 +170,17 @@ class TenantServeStats:
             counters["serve.total_us_total"] = (
                 self.completed * self.total_latencies.mean()
             )
-        flat = MetricsSnapshot(
+        lead = f"tenant.{self.tenant.name}."
+        return MetricsSnapshot(
             t_us=t_us,
-            counters=counters,
-            gauges={"serve.slo_us": self.slo_us},
+            counters={lead + key: value for key, value in counters.items()},
+            gauges={lead + "serve.slo_us": self.slo_us},
         )
-        return prefix_snapshot(flat, f"{TENANT_PREFIX}.{self.tenant.name}")
 
 
 @dataclass
 class ServeResult:
-    """Everything measured during one open-loop serve run — or, folded
-    (:meth:`fold`), one per shard of a sharded one."""
+    """Everything measured during one open-loop serve run."""
 
     workload: str
     policy: str
@@ -230,51 +204,9 @@ class ServeResult:
     timeline: LatencyTimeline
     tenant_stats: List[TenantServeStats]
     metrics: MetricsSnapshot
-    #: Of a fold: its per-shard results and how requests were routed.
-    shard_results: List["ServeResult"] = field(default_factory=list)
-    partitioner: str = ""
 
     stall_time_us = counter_view("engine.stall_time_us", float)
     device_wait_us = counter_view("sched.device_wait_us", float)
-
-    @property
-    def num_shards(self) -> int:
-        return len(self.shard_results) or 1
-
-    @property
-    def combined_metrics(self) -> MetricsSnapshot:
-        """The aggregate plus per-shard ``shard.<i>.`` namespaces."""
-        return combined_view([result.metrics for result in self.shard_results])
-
-    @classmethod
-    def fold(
-        cls, results: Sequence["ServeResult"], partitioner: str = ""
-    ) -> "ServeResult":
-        """Per-shard serve results as one result, deterministically (shard
-        order): counts and counters sum, recorders and timelines merge,
-        every tenant's ledgers fold, and the run ends with its last shard."""
-        if not results:
-            raise ConfigError("cannot fold zero serve results")
-        return replace(
-            results[0],  # what was configured and offered is fleet-wide
-            **{
-                name: sum(getattr(result, name) for result in results)
-                for name in ("arrived", "admitted", "rejected_full",
-                             "rejected_backpressure", "completed")
-            },
-            elapsed_us=max(result.elapsed_us for result in results),
-            wait_latencies=merge_recorders(*(r.wait_latencies for r in results)),
-            service_latencies=merge_recorders(*(r.service_latencies for r in results)),
-            total_latencies=merge_recorders(*(r.total_latencies for r in results)),
-            timeline=fold_timelines(results),
-            tenant_stats=[
-                TenantServeStats.fold(parts)
-                for parts in zip(*(result.tenant_stats for result in results))
-            ],
-            metrics=aggregate_snapshots([result.metrics for result in results]),
-            shard_results=list(results),
-            partitioner=partitioner,
-        )
 
     @property
     def rejected(self) -> int:
@@ -324,22 +256,7 @@ class ServeResult:
         )
 
     def fingerprint(self) -> tuple:
-        """Every deterministic quantity, for bit-identity assertions (of
-        a fold: its counts, its shards' fingerprints, the summed counters)."""
-        if self.shard_results:
-            return (
-                self.workload,
-                self.policy,
-                self.partitioner,
-                self.num_shards,
-                self.arrived,
-                self.admitted,
-                self.rejected,
-                self.completed,
-                self.elapsed_us,
-                tuple(result.fingerprint() for result in self.shard_results),
-                tuple(sorted(self.metrics.counters.items())),
-            )
+        """Every deterministic quantity, for bit-identity assertions."""
         return (
             self.workload,
             self.policy,
@@ -391,7 +308,6 @@ def serve_workload(
     profile: "SSDProfile | DeviceConfig" = ENTERPRISE_PCIE,
     db: Optional[DB] = None,
     timeline_bucket_us: float = 1_000_000.0,
-    preload: Optional[Iterable] = None,
     operations: Optional[Iterable] = None,
     arrivals: Optional[Sequence[Arrival]] = None,
 ) -> ServeResult:
@@ -399,15 +315,12 @@ def serve_workload(
 
     :func:`~repro.harness.runner.run_workload`'s protocol, but the
     measured phase consumes the operation stream at the arrival process's
-    pace instead of back-to-back.  ``preload`` / ``operations`` /
-    ``arrivals`` replace the spec's own streams: a shard of a sharded
-    serve is a serve over its slice of them.
+    pace instead of back-to-back.  ``operations`` / ``arrivals`` replace
+    the spec's measured stream and the serve spec's arrival sequence.
     """
     generator = WorkloadGenerator(spec)
     if db is None:
-        if preload is None:
-            preload = generator.preload_operations()
-        db = prepare_db(policy, preload, config, profile)
+        db = prepare_db(policy, generator.preload_operations(), config, profile)
     if operations is None:
         operations = generator.operations()
     if arrivals is None:

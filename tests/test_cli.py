@@ -25,9 +25,15 @@ TINY = ["--ops", "1200", "--keys", "400"]
 #: ``fig_device_wa`` joined ``FIGURES``: the same names, in a new order;
 #: and again when ``cache``, ``frozen`` and ``btree`` joined it: the same
 #: lines, plus those three.  The three were pinned when they became figures.
+#: ``list``, ``run``, ``run RWB --bg-threads 1`` and ``crashtest --every
+#: 25`` were re-pinned when the sharded engine was deleted: each lost only
+#: its shard text (``list`` its ``shard_scaling`` line; ``run`` its
+#: ``shards=`` / ``workers=`` / ``partitioner=`` fields, ``aggregate``
+#: title, ``wall seconds`` row and one-row ``per shard`` table; crashtest
+#: its ``shards=1`` field).  ``run RWB --flash`` was pinned then.
 GOLDEN_STDOUT = {
     "list":
-        "0d1ff1c98728a46980133f80402a39332bdd62b36619e57c3857b15eec93c56d",
+        "2ef3a74979e7af540234156ac027380b8e80bd75d73a833db487979132974f75",
     "fig01":
         "30dcb5c1159eb5253fcffdca2e1123203ee5820df65361c3378dcbbe05daa0bc",
     "fig01s":
@@ -74,8 +80,6 @@ GOLDEN_STDOUT = {
         "e0d4c59975ab74302bc722cde1cd753f87dccedb060016e24661c16cf958b216",
     "btree":
         "8bf99d7a70e3b9246a720318ecedbdd4a56ce5a1b4de241542c73c8b6ae26948",
-    "shard_scaling":
-        "3a999e773221e07e4521d580794c2d8ed104ab116c0b5eeab911eddf9859b411",
     "describe":
         "e0fdc9e0411addd3f7eaa481394e0cec539f9b721f7103de5bb43e6878f52b1e",
     "paper_scale":
@@ -83,11 +87,11 @@ GOLDEN_STDOUT = {
     "fig_device_wa":
         "9d0c92fc03d936e3fef2ed6bcd72d26695ef1d2d600526361198dfa460e148fb",
     "run":
-        "e21706e11d996b06b2f5d16d0b77ef4102a9591b90b9c4ed1ce1da26ae7036ea",
+        "2f0269e651f6a28bde598615195aa23abd29a56d2f7827173384ae8543e8b6f4",
     "serve":
         "53340d75d781d16c8ca164cc586c08a2ba67726629b96626e78254c984099a40",
     "crashtest --every 25":
-        "6f18dcc78937d000e9341490b9dac9182207342d970f8caf6e1e11e411256e95",
+        "c8997a88213a3a3ee70f5810c5bf42510544e7a8fe5e549e194005723f196d75",
     "explore":
         "bdd2c6316062413a05fa0b795f095b1d56c1c0282b22d28f4587ce0f2ae3b9a5",
     "explore --policies udc,ldc --mixes RWB":
@@ -96,21 +100,16 @@ GOLDEN_STDOUT = {
         "c5325e551fe813ad9ab8fc4a681b8fc4fb4e45cd2c72e85eb54825a747c3016a",
     "serve RWB --tenants 2":
         "3e0630e318e06bb0c26e38e128d3d51e9d8c1c249a08326b2769e8fa01f54d6b",
-    "serve RWB --shards 2":
-        "9a6158201dac652a14b77a4e23ca2f7039395853803d03fc09bef0f456d40b31",
-    "run RWB --shards 2 --flash":
-        "81dcfb47679ee767b7375face564fd17f7432328b27e53fa83fbbb7fa56e0266",
+    "run RWB --flash":
+        "c1946fef2b641e8e67ea000ca34ccdc0b69bbbbb767b96a3c023ef45b4a8f6f4",
     "trace WO":
         "bd287b9333387697311d1822d2c58bb040f6e0a43df2484791e397d60905c469",
     # Captured on PR 20's ``src/`` before the four runners became one shell.
     "run RWB --bg-threads 1":
-        "ff6c3aad755d157e0becdb6356de76e818cc4b861ce3b5405a50b007995a1ab7",
-    "run RWB --shards 2 --workers 2":
-        "559c2ccfb80f65584dae79ded42ee2e50a223bf9fca7163471ad32023d642d69",
+        "c32ad983dd4715d2003f6e12225fa79cc9ee1ecf0a9c881c671279608906b80a",
 }
 
 _HOST_COLUMNS = {"wall s", "cpu s"}
-_HOST_ROWS = {"wall seconds"}
 _HOST_JSON = ("fill_wall_s", "fill_cpu_s", "read_wall_s", "read_cpu_s",
               "wall_s", "ops_per_sec")
 _RULE = re.compile(r"-+(  -+)*")
@@ -123,8 +122,8 @@ def _argv(command):
 
 
 def _mask_host_cells(out):
-    """Blank what depends on the host: the ``wall s`` / ``cpu s`` columns,
-    the ``wall seconds`` row and ``paper_scale``'s timing fields.  A table
+    """Blank what depends on the host: the ``wall s`` / ``cpu s`` columns
+    and ``paper_scale``'s timing fields.  A table
     holding such a cell is re-joined unpadded (a time's width moves the
     column); everything else passes through byte for byte."""
     lines = out.splitlines()
@@ -140,13 +139,13 @@ def _mask_host_cells(out):
         while end < len(lines) and len(_cells(lines[end].strip())) == len(header):
             end += 1
         rows = [_cells(row.strip()) for row in lines[i + 1:end]]
-        if not (_HOST_COLUMNS & set(header) or any(r[0] in _HOST_ROWS for r in rows)):
+        if not _HOST_COLUMNS & set(header):
             continue
         lines[i - 1], lines[i] = "|".join(header), ""
         for k, row in enumerate(rows):
             lines[i + 1 + k] = "|".join(
-                "*" if name in _HOST_COLUMNS or (n and row[0] in _HOST_ROWS) else cell
-                for n, (name, cell) in enumerate(zip(header, row))
+                "*" if name in _HOST_COLUMNS else cell
+                for name, cell in zip(header, row)
             )
     return "\n".join(lines) + "\n"
 
@@ -161,12 +160,11 @@ class TestParser:
 
     def test_crashtest_args(self):
         args = build_parser().parse_args(
-            ["crashtest", "--policy", "ldc", "--every", "25", "--shards", "2"]
+            ["crashtest", "--policy", "ldc", "--every", "25"]
         )
         assert args.experiment == "crashtest"
         assert args.policy == "ldc"
         assert args.every == 25
-        assert args.shards == 2
         assert args.corrupt == 25
 
     def test_overrides(self):
@@ -265,7 +263,7 @@ class TestWorkers:
         assert seen == [3]
         assert experiments.default_workers() is None
 
-    @pytest.mark.parametrize("command", ["fig08", "run RWB", "shard_scaling"])
+    @pytest.mark.parametrize("command", ["fig08", "run RWB"])
     def test_nonpositive_workers_exit_two(self, capsys, command):
         assert main(command.split() + ["--workers", "0"] + TINY) == 2
         assert "worker count must be >= 1" in capsys.readouterr().err
@@ -276,7 +274,6 @@ class TestErrorTyping:
     @pytest.mark.parametrize(
         "command",
         [
-            "run RWB --shards 0",
             "run RWB --flash --flash-logical-mib 1",
             "serve RWB --tenants 0",
             "serve RWB --queue-depth 0",
@@ -292,7 +289,7 @@ class TestErrorTyping:
 
     @pytest.mark.parametrize(
         "command, entry",
-        [("run RWB", "run_sharded_workload"), ("serve RWB", "serve_workload")],
+        [("run RWB", "run_workload"), ("serve RWB", "serve_workload")],
     )
     def test_an_engine_bug_keeps_its_traceback(self, monkeypatch, command, entry):
         """Only ``ConfigError`` / ``FlashFullError`` are usage errors."""
@@ -418,20 +415,6 @@ class TestServeCLI:
         assert "per tenant" in out
         assert "t0" in out and "t1" in out
 
-    def test_serve_sharded_runs_tiny(self, capsys):
-        assert (
-            main(
-                [
-                    "serve", "RWB", "--ops", "1000", "--keys", "300",
-                    "--shards", "2", "--rate", "20000",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "shards=2" in out
-        assert "aggregate" in out
-
     def test_serve_unknown_workload_errors(self, capsys):
         assert main(["serve", "NOPE", "--ops", "500", "--keys", "200"]) == 2
         assert "unknown workload" in capsys.readouterr().err
@@ -491,34 +474,15 @@ class TestPaperScale:
 
 
 class TestRunCli:
-    def test_sharded_run_end_to_end(self, capsys) -> None:
-        assert main([
-            "run", "RWB", "--shards", "3", "--ops", "900", "--keys", "300",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "shards=3" in out
-        assert "per shard" in out
-
-    def test_range_partitioner_flag(self, capsys) -> None:
-        assert main([
-            "run", "WO", "--shards", "2", "--partitioner", "range",
-            "--ops", "600", "--keys", "200", "--policy", "udc",
-        ]) == 0
-        assert "range" in capsys.readouterr().out
-
     def test_default_workload_is_rwb(self, capsys) -> None:
-        assert main(["run", "--shards", "2", "--ops", "600", "--keys", "200"]) == 0
+        assert main(["run", "--ops", "600", "--keys", "200"]) == 0
         assert "workload=RWB" in capsys.readouterr().out
 
     def test_unknown_workload_exits_two(self, capsys) -> None:
-        assert main(["run", "NOPE", "--shards", "2"]) == 2
+        assert main(["run", "NOPE"]) == 2
         assert "unknown workload" in capsys.readouterr().err
-
-    def test_bad_shard_count_exits_two(self, capsys) -> None:
-        assert main(["run", "RWB", "--shards", "0", "--ops", "100"]) == 2
 
     def test_listed(self, capsys) -> None:
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "run" in out.splitlines()
-        assert "shard_scaling" in out

@@ -1,12 +1,11 @@
 """Cross-policy differential suite: every engine configuration vs one model.
 
 One seeded random workload — puts, deletes, write batches, point gets,
-scans and snapshots — is replayed against every combination of
+scans and sequence checks — is replayed against every combination of
 
 * compaction policy: every registered composition — UDC, LDC, tiered,
   delayed;
 * scheduler: off (``bg_threads=0``) and on (``bg_threads=1``);
-* sharding: single store and a 4-shard fleet;
 
 while a plain in-memory model (a dict) tracks the expected logical state.
 Read equivalence is checked **at mid-workload points**, not only at the
@@ -24,7 +23,7 @@ import random
 
 import pytest
 
-from repro import DB, ShardedDB, WriteBatch
+from repro import DB, WriteBatch
 from repro.lsm.config import LSMConfig
 
 #: Registered policy names under differential test — the paper's four
@@ -80,43 +79,19 @@ def make_workload(seed: int, num_ops: int = NUM_OPS):
         elif roll < 0.92:
             ops.append(("scan", rng.randrange(KEY_SPACE), rng.randrange(1, 12)))
         else:
-            ops.append(("snapshot",))
+            ops.append(("sequence",))
     return ops
 
 
-def make_store(policy_name: str, bg_threads: int, shards: int):
-    config = make_config(bg_threads)
-    if shards == 1:
-        return DB(config=config, policy=policy_name)
-    return ShardedDB(shards, policy_name, key_space=KEY_SPACE * 2, config=config)
-
-
 def apply_batch(store, entries) -> None:
-    """Apply one batch through the store's real batch path.
-
-    The sharded facade has no cross-shard batch API; entries are grouped
-    by owning shard and each group goes through that shard's atomic
-    ``write_batch`` — same per-key effects, real batch code path.
-    """
-    if isinstance(store, DB):
-        batch = WriteBatch()
-        for index, value in entries:
-            if value is None:
-                batch.delete(key_of(index))
-            else:
-                batch.put(key_of(index), value)
-        store.write_batch(batch)
-        return
-    groups = {}
+    """Apply one batch through the store's atomic ``write_batch``."""
+    batch = WriteBatch()
     for index, value in entries:
-        shard = store.shard_of(key_of(index))
-        groups.setdefault(shard, WriteBatch())
         if value is None:
-            groups[shard].delete(key_of(index))
+            batch.delete(key_of(index))
         else:
-            groups[shard].put(key_of(index), value)
-    for shard, batch in groups.items():
-        store.shards[shard].write_batch(batch)
+            batch.put(key_of(index), value)
+    store.write_batch(batch)
 
 
 def check_equivalence(store, model, rng) -> None:
@@ -135,12 +110,12 @@ def check_equivalence(store, model, rng) -> None:
     assert list(store.logical_items()) == sorted(model.items())
 
 
-def run_differential(policy_name: str, bg_threads: int, shards: int, seed: int):
+def run_differential(policy_name: str, bg_threads: int, seed: int):
     """Drive the seeded workload; verify at checkpoints and at the end."""
-    store = make_store(policy_name, bg_threads, shards)
+    store = DB(config=make_config(bg_threads), policy=policy_name)
     model = {}
     check_rng = random.Random(seed ^ 0xD1FF)
-    last_snapshot_seqs = None
+    last_sequence = 0
     for position, op in enumerate(make_workload(seed)):
         kind = op[0]
         if kind == "put":
@@ -167,17 +142,9 @@ def run_differential(policy_name: str, bg_threads: int, shards: int, seed: int):
                 (key, value) for key, value in model.items() if key >= start
             )[: op[2]]
             assert store.scan(start, op[2]) == expected
-        else:  # snapshot: pinned sequences are monotone in workload order
-            if isinstance(store, ShardedDB):
-                snap = store.snapshot()
-                if last_snapshot_seqs is not None:
-                    assert all(
-                        current >= previous
-                        for current, previous in zip(
-                            snap.sequences, last_snapshot_seqs
-                        )
-                    )
-                last_snapshot_seqs = snap.sequences
+        else:  # sequence: write sequences are monotone in workload order
+            assert store.last_sequence >= last_sequence
+            last_sequence = store.last_sequence
         if position + 1 in CHECKPOINTS:
             check_equivalence(store, model, check_rng)
             store.check_invariants()
@@ -186,21 +153,19 @@ def run_differential(policy_name: str, bg_threads: int, shards: int, seed: int):
     return store, model
 
 
-SHARD_COUNTS = (1, 4)
 SCHED_MODES = (0, 1)
 
 
 @pytest.mark.parametrize("policy_name", sorted(POLICIES))
 @pytest.mark.parametrize("bg_threads", SCHED_MODES)
-@pytest.mark.parametrize("shards", SHARD_COUNTS)
-def test_matches_model(policy_name, bg_threads, shards):
-    run_differential(policy_name, bg_threads, shards, seed=11)
+def test_matches_model(policy_name, bg_threads):
+    run_differential(policy_name, bg_threads, seed=11)
 
 
 @pytest.mark.parametrize("policy_name", ["udc", "ldc"])
 def test_second_seed_single_store(policy_name):
-    """A second seed on the single-store corners (cheap extra coverage)."""
-    run_differential(policy_name, bg_threads=1, shards=1, seed=29)
+    """A second seed on the scheduled corners (cheap extra coverage)."""
+    run_differential(policy_name, bg_threads=1, seed=29)
 
 
 def test_all_configurations_agree_on_final_contents():
@@ -208,9 +173,8 @@ def test_all_configurations_agree_on_final_contents():
     contents = set()
     for policy_name in sorted(POLICIES):
         for bg_threads in SCHED_MODES:
-            for shards in SHARD_COUNTS:
-                store, _ = run_differential(policy_name, bg_threads, shards, seed=5)
-                contents.add(tuple(store.logical_items()))
+            store, _ = run_differential(policy_name, bg_threads, seed=5)
+            contents.add(tuple(store.logical_items()))
     assert len(contents) == 1
 
 
@@ -280,21 +244,3 @@ class TestCrashRecovery:
             db.crash_and_recover()
             db.check_invariants()
             assert dict(db.logical_items()) == model
-
-    def test_sharded_crash_recovery_with_scheduler(self):
-        sdb = ShardedDB(
-            4, "ldc", key_space=KEY_SPACE * 2,
-            config=make_config(bg_threads=1),
-        )
-        model = {}
-        rng = random.Random(23)
-        for _ in range(600):
-            index = rng.randrange(KEY_SPACE)
-            value = rng.randbytes(48)
-            sdb.put(key_of(index), value)
-            model[key_of(index)] = value
-        sdb.crash_and_recover()
-        sdb.check_invariants()
-        for shard in sdb.shards:
-            assert shard.sched.pending_chunks() == 0
-        assert dict(sdb.logical_items()) == model

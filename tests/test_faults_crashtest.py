@@ -4,7 +4,10 @@ from dataclasses import replace
 
 import pytest
 
+from repro import DB
+from repro.errors import ConfigError, UnknownPolicyError
 from repro.faults import crashtest
+from repro.lsm.compaction.spec import get_spec
 from repro.lsm.config import LSMConfig
 
 
@@ -43,7 +46,7 @@ class TestReferenceRun:
     def test_counts_ios_and_maintenance(self):
         ops = crashtest.build_operations(400, 60, seed=1)
         ref = crashtest.run_reference(ops, "udc", config=small_config())
-        assert ref.total_ios > 0
+        assert ref.ios > 0
         assert ref.flushes >= 1
         assert 0 < ref.final_items <= 60
 
@@ -99,7 +102,7 @@ class TestFullEnumeration:
             stride=1,
             config=small_config(),
         )
-        assert report.points_run == report.reference.total_ios
+        assert report.points_run == report.reference.ios
         assert report.points_fired == report.points_run
         assert report.ok, report.summary()
         assert "PASS" in report.summary()
@@ -113,7 +116,7 @@ class TestFullEnumeration:
             stride=7,
             config=small_config(),
         )
-        expected = len(range(1, report.reference.shard_ios[0] + 1, 7))
+        expected = len(range(1, report.reference.ios + 1, 7))
         assert report.points_run == expected
         assert report.ok, report.summary()
 
@@ -137,30 +140,55 @@ class TestFullEnumeration:
             crashtest.run_crashtest("udc", stride=0)
 
 
-class TestShardedCrashtest:
-    def test_sharded_enumeration(self):
-        """One shard armed per point; fleet recovery keeps the oracle."""
-        report = crashtest.run_crashtest(
-            "udc",
-            num_ops=300,
-            num_keys=400,  # wide key space so per-shard memtables fill
-            seed=0,
-            stride=17,
-            shards=2,
-            config=small_config(),
-        )
-        assert report.shards == 2
-        armed = {result.shard for result in report.results}
-        assert armed == {0, 1}
-        assert report.ok, report.summary()
+class TestPolicyCheck:
+    """A sweep builds many stores (the reference, one per crash point, the
+    corruption probe), so it takes a policy name or a spec, never a built
+    instance; both entry points check before building anything."""
 
-    def test_sharded_reference_counts_all_devices(self):
-        ops = crashtest.build_operations(200, 300, seed=0)
-        ref = crashtest.run_reference(
-            ops, "udc", config=small_config(), shards=2
-        )
-        assert len(ref.shard_ios) == 2
-        assert all(ios > 0 for ios in ref.shard_ios)
+    ENTRIES = (crashtest.run_crashtest, crashtest.run_corruption_test)
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_a_built_instance_is_a_config_error(self, entry):
+        with pytest.raises(
+            ConfigError, match="cannot be shared by the crash-point stores"
+        ):
+            entry(get_spec("ldc").build(), num_ops=50, num_keys=20)
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_an_unknown_name_or_a_non_policy_is_refused(self, entry):
+        with pytest.raises(UnknownPolicyError):
+            entry("nope", num_ops=50, num_keys=20)
+        with pytest.raises(ConfigError, match="policy must be"):
+            entry(3.5, num_ops=50, num_keys=20)
+
+
+class TestBatchAtomicity:
+    """The oracle's all-or-nothing check on the batch in flight at a crash."""
+
+    MODEL = {b"a": b"a0", b"b": b"b0"}
+    PENDING = ("batch", ((b"a", b"a1"), (b"b", b"b1")))
+
+    def verify(self, recovered):
+        store = DB(config=small_config(), policy="udc")
+        for key, value in recovered.items():
+            store.put(key, value)
+        result = crashtest.CrashPointResult(io_index=1, torn_fraction=0.0, fired=True)
+        crashtest._verify_oracle(store, dict(self.MODEL), self.PENDING, result)
+        return result.errors
+
+    @pytest.mark.parametrize(
+        "recovered",
+        [{b"a": b"a0", b"b": b"b0"}, {b"a": b"a1", b"b": b"b1"}],
+        ids=["neither", "both"],
+    )
+    def test_a_whole_batch_either_way_is_atomic(self, recovered):
+        assert self.verify(recovered) == []
+
+    def test_one_key_applied_is_a_torn_batch(self):
+        errors = self.verify({b"a": b"a1", b"b": b"b0"})
+        assert errors == [
+            "torn batch: some keys show the old state, some the new"
+        ]
 
 
 class TestFlashCrashtest:
@@ -183,7 +211,7 @@ class TestFlashCrashtest:
         assert flashed.merges == plain.merges
         assert flashed.final_items == plain.final_items
         # GC relocation charges make the flash run strictly busier.
-        assert flashed.total_ios > plain.total_ios
+        assert flashed.ios > plain.ios
 
     @pytest.mark.parametrize("name", ["udc", "ldc"])
     def test_flash_crash_sweep_recovers(self, name):

@@ -4,11 +4,11 @@ Two pins:
 
 1. **Flash-off bit-identity** — a device built from
    ``DeviceConfig(flash=None)`` must be *byte-identical* to one built
-   from the bare profile, across every registered policy, scheduler
-   on/off and 1/4 shards.  The whole sharded-run fingerprint (elapsed
-   virtual time, every counter and gauge, latency values, timeline) is
-   compared, so any accidental charge, extra counter or clock advance in
-   the flash plumbing fails loudly.
+   from the bare profile, across every registered policy and scheduler
+   on/off.  The whole run fingerprint (elapsed virtual time, every
+   counter and gauge, latency values, timeline) is compared, so any
+   accidental charge, extra counter or clock advance in the flash
+   plumbing fails loudly.
 
 2. **Flash-on without GC pressure charges exactly the host I/O** — with
    100% over-provisioning and capacity sized far above the store's total
@@ -22,8 +22,8 @@ import random
 import pytest
 
 from repro import DB, DeviceConfig, FlashSpec, WriteBatch
+from repro.harness.runner import run_workload
 from repro.lsm.config import LSMConfig
-from repro.shard.runner import run_sharded_workload
 from repro.ssd.profile import ENTERPRISE_PCIE
 from repro.workload.spec import rwb
 
@@ -50,26 +50,21 @@ def make_config(bg_threads: int) -> LSMConfig:
     )
 
 
-def run_fingerprint(policy_name, bg_threads, shards, profile):
+def run_fingerprint(policy_name, bg_threads, profile):
     spec = rwb(num_operations=NUM_OPS, key_space=KEY_SPACE)
-    report = run_sharded_workload(
-        spec,
-        policy_name,
-        num_shards=shards,
-        config=make_config(bg_threads),
-        profile=profile,
+    result = run_workload(
+        spec, policy_name, config=make_config(bg_threads), profile=profile
     )
-    return report.fingerprint()
+    return result.fingerprint()
 
 
 @pytest.mark.parametrize("policy_name", sorted(POLICIES))
 @pytest.mark.parametrize("bg_threads", (0, 1))
-@pytest.mark.parametrize("shards", (1, 4))
-def test_flash_off_bit_identical(policy_name, bg_threads, shards):
+def test_flash_off_bit_identical(policy_name, bg_threads):
     """DeviceConfig(flash=None) == bare profile, to the last counter."""
-    bare = run_fingerprint(policy_name, bg_threads, shards, ENTERPRISE_PCIE)
+    bare = run_fingerprint(policy_name, bg_threads, ENTERPRISE_PCIE)
     wrapped = run_fingerprint(
-        policy_name, bg_threads, shards, DeviceConfig(profile=ENTERPRISE_PCIE)
+        policy_name, bg_threads, DeviceConfig(profile=ENTERPRISE_PCIE)
     )
     assert bare == wrapped
 

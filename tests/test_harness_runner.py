@@ -182,11 +182,14 @@ def test_run_result_fields_are_views_of_the_snapshot(policy, bg_threads):
 #: SHA-256 of ``repr(run_workload(...).fingerprint())`` for RWB, 1,500
 #: operations over 500 keys: the closed-loop runner's execution, pinned
 #: bit for bit.  A mismatch means the simulation changed, not the test.
+#: All four were re-pinned when the sharded engine was deleted: each is
+#: the parent's fingerprint tuple with its four shard slots (partitioner,
+#: shard count, per-shard operations and elapsed times) removed.
 PINNED_CLOSED_LOOP = {
-    ("udc", 0): "bee05648ae0afef516ec55c74ea45c8f3cf2be80b252e37bd73201685e098797",
-    ("udc", 1): "f5d09be77140877d12aa699f332f40e8022b508b8691498350e5f36b41802566",
-    ("ldc", 0): "061a51fa864ca6aea61b38633dc0d1786d76cf61d7d66647b2e8ee6880edeec1",
-    ("ldc", 1): "fc711387c4c93e87a00636294f7f3d3182d1a3d54954c1327825e6d9964122f4",
+    ("udc", 0): "595d71b62b85ed24c9560e041315338fc8478cf2b9863fd032de5cbc0ffe59cd",
+    ("udc", 1): "89595ca1f59ffd02b3bd41a463667afb524825dc86326c625ddde0e2e1bcbeaa",
+    ("ldc", 0): "58c8e39d66d8b39693db72375e26c6141b6d54569550f9085182ca1026cea6b7",
+    ("ldc", 1): "920205c73178707de2c1d6458022bc726707f99af4e2f37afa68d2ba6a54652a",
 }
 
 

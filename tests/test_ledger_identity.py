@@ -11,8 +11,8 @@ so a dropped or renamed key, an ``int`` that became a ``float`` (``3`` vs
 engine moves a literal.
 
 The matrix is the four registered policies x {plain, ``bg_threads=1``,
-mounted flash, empty fault plan}, one tiny unsharded run each, plus one
-open-loop serve and the per-shard results of one 3-shard run.
+mounted flash, empty fault plan}, one tiny run each, plus one open-loop
+serve.
 ``tests/test_metrics_catalogue.py`` re-runs the same matrix to check that
 docs/METRICS.md documents every key it emits.
 """
@@ -29,11 +29,9 @@ import pytest
 from repro import DB, DeviceConfig, FlashSpec, available_policies
 from repro.faults.plan import FaultPlan
 from repro.harness.runner import execute_operations
-from repro.lsm.compaction.spec import get_spec
 from repro.lsm.config import LSMConfig
 from repro.obs.snapshot import MetricsSnapshot
 from repro.serve import ServeSpec, serve_workload
-from repro.shard.runner import run_sharded_workload
 from repro.ssd.profile import ENTERPRISE_PCIE
 from repro.workload import spec as workloads
 from repro.workload.ycsb import (
@@ -96,7 +94,7 @@ def mixed_operations(operations: int = OPERATIONS, seed: int = 17) -> Iterator[O
 
 
 def run_cell(policy: str, stack: str) -> Tuple[MetricsSnapshot, float]:
-    """One tiny unsharded run: (closing snapshot, measured virtual time).
+    """One tiny run: (closing snapshot, measured virtual time).
 
     The preload is *not* reset away: load-phase keys (the first flushes,
     the WAL stream) are part of what is pinned.
@@ -132,15 +130,6 @@ def run_serve():
     )
 
 
-@lru_cache(maxsize=None)
-def run_sharded():
-    """One 3-shard run (an LDC spec with a derived threshold)."""
-    return run_sharded_workload(
-        _tiny_spec(), get_spec("ldc").derive(threshold=5), num_shards=3,
-        config=small(),
-    )
-
-
 def digest(metrics: MetricsSnapshot, elapsed_us: float) -> str:
     payload = repr((
         sorted(metrics.counters.items()),
@@ -159,19 +148,14 @@ def matrix() -> Dict[str, Tuple[MetricsSnapshot, float]]:
             cells[f"{policy}/{stack}"] = run_cell(policy, stack)
     served = run_serve()
     cells["serve/poisson-2"] = (served.metrics, served.elapsed_us)
-    sharded = run_sharded()
-    for index, shard in enumerate(sharded.shard_results):
-        cells[f"shard/{index}"] = (shard.metrics, shard.elapsed_us)
     return cells
 
 
 def emitted_snapshots() -> List[MetricsSnapshot]:
-    """Every snapshot the matrix produces, folds and namespaces included
+    """Every snapshot the matrix produces, the tenant namespaces included
     (what the metrics catalogue has to document)."""
     snapshots = [metrics for metrics, _ in matrix().values()]
     snapshots.append(run_serve().tenant_metrics())
-    sharded = run_sharded()
-    snapshots += [sharded.metrics, sharded.combined_metrics]
     return snapshots
 
 
@@ -180,9 +164,9 @@ def emitted_snapshots() -> List[MetricsSnapshot]:
 #: the memtable flush moved onto the scheduler's flush lane: the writer no
 #: longer pays it (no ``engine.activity.flush``; it waits out an unfinished
 #: previous flush), ``sched.*`` counts the flush tasks, and the shifted
-#: timeline moves round captures.  The ``ldc/*``, ``serve/poisson-2`` and
-#: ``shard/*`` cells (all LDC) were re-pinned when an LDC get began to stop
-#: at the newest linked slice that holds the key: fewer Bloom probes and
+#: timeline moves round captures.  The ``ldc/*`` and ``serve/poisson-2``
+#: cells (all LDC) were re-pinned when an LDC get began to stop at the
+#: newest linked slice that holds the key: fewer Bloom probes and
 #: user block reads, and with a thread the shorter reads move captures.
 #: ``serve/poisson-2`` was re-pinned again when every operation began by
 #: replaying the background work owed up to its start: chunks owed in an
@@ -208,15 +192,12 @@ PINNED: Dict[str, str] = {
     "udc/flash": "87fa65e1066475abe12f57fc26191189cb34a14a9a75f288db1b32b4f5e830ed",
     "udc/plan": "4610818ef00835dfc41f210d6a7ce0d02d224614ddd1df17259d5a1b53c62c35",
     "serve/poisson-2": "4686a92561a7b1975a659094b406025850f4757196f0db4d377e191fccc1cc08",
-    "shard/0": "b59eafde3a3d8fffccbe0dbc06b8aa613358e66ffdb07e3b835c382aa702f70a",
-    "shard/1": "31aa27e930e27e51b3786c4d5947cbbf16c427b27f05d92c3e96f92b76fc657b",
-    "shard/2": "9ac996a47b35a23b409bfb28b1927f0d410ad9d98095d9280842b102be1f5073",
 }
 
 
 def test_the_matrix_covers_every_registered_policy() -> None:
     assert tuple(sorted(available_policies())) == POLICIES
-    assert len(PINNED) == len(POLICIES) * len(STACKS) + 1 + 3
+    assert len(PINNED) == len(POLICIES) * len(STACKS) + 1
 
 
 @pytest.mark.parametrize("cell", sorted(PINNED))

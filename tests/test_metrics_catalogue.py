@@ -3,7 +3,7 @@ no less.
 
 The catalogue is a markdown table, one row per key or key pattern.  This
 test parses it, runs the pin-first matrix of ``tests/test_ledger_identity``
-(every policy x every device stack, one serve, one sharded run) plus the
+(every policy x every device stack, one serve) plus the
 scenarios the matrix leaves out by design — its fault plans are empty, its
 runs never stall and seek compaction is opt-in — and fails on
 
@@ -14,9 +14,8 @@ Its "Trace events" table is checked the same way against
 ``ALL_EVENT_KINDS`` and the payloads of one traced tiny run per device
 stack.
 
-Patterns: ``<name>`` stands for one dotted segment (``<i>`` for an
-integer), ``{a,b}`` for alternatives, and a trailing ``<key>`` for any
-other documented key (the ``shard.<i>.`` re-keying of a whole snapshot).
+Patterns: ``<name>`` stands for one dotted segment and ``{a,b}`` for
+alternatives.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from repro import DB, DeviceConfig, FlashSpec, SimulatedSSD, Tracer, get_spec
 from repro.errors import CorruptionError, PersistentIOError, SimulatedCrash
 from repro.faults.plan import FaultPlan, RetryPolicy
 from repro.harness.runner import execute_operations
-from repro.obs.aggregate import is_level_gauge
 from repro.obs.events import ALL_EVENT_KINDS
 from repro.obs.snapshot import MetricsSnapshot
 from repro.obs.tracer import TraceSink
@@ -51,15 +49,14 @@ from .test_ledger_identity import (
 
 CATALOGUE = pathlib.Path(__file__).parent.parent / "docs" / "METRICS.md"
 KINDS = ("counter", "gauge")
-FOLDS = ("sum", "max", "not folded")
 
 
-def rows() -> List[Tuple[str, str, str, str, str]]:
-    """The table's ``(pattern, kind, unit, written by, fold)`` rows."""
+def rows() -> List[Tuple[str, str, str, str]]:
+    """The table's ``(pattern, kind, unit, written by)`` rows."""
     table = []
     for line in CATALOGUE.read_text().splitlines():
         cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
-        if len(cells) == 5 and cells[0].startswith("`") and cells[1] in KINDS:
+        if len(cells) == 4 and cells[0].startswith("`") and cells[1] in KINDS:
             table.append((cells[0].strip("`"), *cells[1:]))
     return table
 
@@ -68,11 +65,7 @@ def compile_pattern(pattern: str) -> "re.Pattern[str]":
     """``device.<dir>.<category>.{ops,bytes}`` -> a regex over whole keys."""
     out = []
     for token in re.split(r"(<\w+>|\{[^}]*\})", pattern):
-        if token == "<i>":
-            out.append(r"\d+")
-        elif token == "<key>":
-            out.append(r"(?P<key>.+)")
-        elif token.startswith("<"):
+        if token.startswith("<"):
             out.append(r"[^.]+")
         elif token.startswith("{"):
             out.append("(?:%s)" % "|".join(map(re.escape, token[1:-1].split(","))))
@@ -84,13 +77,7 @@ def compile_pattern(pattern: str) -> "re.Pattern[str]":
 def matching_row(key: str, kind: str, table) -> "str | None":
     """The pattern of the row documenting ``key`` as a ``kind``."""
     for pattern, row_kind, *_ in table:
-        found = compile_pattern(pattern).fullmatch(key)
-        if found is None:
-            continue
-        if "key" in found.groupdict():  # a re-keyed snapshot: look inside
-            if matching_row(found.group("key"), kind, table) is not None:
-                return pattern
-        elif row_kind == kind:
+        if row_kind == kind and compile_pattern(pattern).fullmatch(key):
             return pattern
     return None
 
@@ -169,11 +156,8 @@ def test_the_table_parses_and_is_well_formed() -> None:
     assert len(table) > 60
     patterns = [pattern for pattern, *_ in table]
     assert len(set(patterns)) == len(patterns), "a key is documented twice"
-    for pattern, kind, unit, writer, fold in table:
+    for pattern, kind, unit, writer in table:
         assert unit and writer, pattern
-        assert fold in FOLDS, (pattern, fold)
-        if kind == "counter":
-            assert fold != "max", pattern
 
 
 def test_every_emitted_key_is_documented_and_every_row_is_emitted() -> None:
@@ -189,16 +173,6 @@ def test_every_emitted_key_is_documented_and_every_row_is_emitted() -> None:
     assert not undocumented, sorted(undocumented)
     silent = sorted(pattern for pattern, keys in emitted.items() if not keys)
     assert not silent, f"documented but never emitted: {silent}"
-
-
-def test_the_fold_column_is_what_the_fold_does() -> None:
-    """``max`` rows are exactly the gauges ``aggregate_snapshots`` folds by
-    max; every other folded row is a key-wise sum."""
-    for pattern, kind, _, _, fold in rows():
-        if kind != "gauge" or fold == "not folded":
-            continue
-        sample = re.sub(r"<\w+>", "ldc", pattern)
-        assert is_level_gauge(sample) == (fold == "max"), pattern
 
 
 # ----------------------------------------------------------------------

@@ -53,7 +53,7 @@ def test_every_benchmarked_figure_keeps_a_claim():
 def test_a_figure_without_a_claim_is_listed_with_its_reason():
     assert set(FIGURES) - set(claims.CLAIMS) == set(claims.UNCLAIMED)
     assert not set(claims.CLAIMS) & set(claims.UNCLAIMED)
-    assert set(claims.UNCLAIMED) == {"fig01s", "shard_scaling", "paper_scale"}
+    assert set(claims.UNCLAIMED) == {"fig01s", "paper_scale"}
     assert all(reason.strip() for reason in claims.UNCLAIMED.values())
 
 

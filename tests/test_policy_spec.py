@@ -1,7 +1,7 @@
 """PolicySpec API: registry, round-trips, coercion, validation, compat.
 
 The PR 6 contract: one central registry behind every policy-name surface
-(DB construction, CLI, grids, crashtest, ShardedDB), specs that
+(DB construction, CLI, grids, crashtest), specs that
 round-trip through dict/pickle, and typed errors listing the valid
 names.
 """
@@ -15,7 +15,6 @@ from repro import (
     DB,
     CompactionPolicy,
     PolicySpec,
-    ShardedDB,
     UnknownPolicyError,
     available_policies,
     get_spec,
@@ -184,27 +183,11 @@ class TestCoercion:
         with pytest.raises(UnknownPolicyError):
             DB(config=TINY, policy="nope")
 
-    def test_sharded_db_accepts_name(self):
-        db = ShardedDB(2, "tiered", config=TINY)
-        assert [shard.policy.name for shard in db.shards] == ["tiered", "tiered"]
-        # Policies are stateful: every shard must get its own instance.
-        assert db.shards[0].policy is not db.shards[1].policy
-
-    def test_sharded_db_unknown_name_raises(self):
-        with pytest.raises(UnknownPolicyError):
-            ShardedDB(2, "nope", config=TINY)
-
     def test_db_non_policy_raises_typed_error(self):
         with pytest.raises(ConfigError, match="registered name") as excinfo:
             DB(config=TINY, policy=42)
         for form in ("None", "PolicySpec", "CompactionPolicy"):
             assert form in str(excinfo.value)
-
-    def test_sharded_db_non_policy_raises_typed_error(self):
-        with pytest.raises(ConfigError, match="registered name") as excinfo:
-            ShardedDB(num_shards=2, policy=3.5, config=TINY)
-        assert "shared" not in str(excinfo.value)
-        assert "3.5" in str(excinfo.value)
 
 
 class TestPolicyKnobs:

@@ -15,10 +15,13 @@ per-layer stats views (``EngineStats``, ``IOStats``, ``CategoryStats``, the
 cache's counter properties): the registry is written, a snapshot is read;
 and the traffic nothing runs (the YCSB core workloads, the ``latest`` key
 distribution and its per-operation generation loop, closed-loop serving,
-the WAL switch and the chunk-size knob).
+the WAL switch and the chunk-size knob); and the sharded engine (one
+store: no partitioned facade, sharded runner or serve, result folds or
+cross-store snapshot aggregation).
 """
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pathlib
@@ -30,7 +33,7 @@ import repro
 from repro.lsm.compaction import CompactionPolicy
 
 PACKAGES = ("repro", "repro.lsm", "repro.lsm.compaction", "repro.core",
-            "repro.harness", "repro.shard", "repro.serve")
+            "repro.harness", "repro.serve")
 
 
 @pytest.mark.parametrize("package", PACKAGES)
@@ -65,8 +68,9 @@ def test_composed_policy_is_the_only_exported_policy_class(package):
         ("repro.lsm",
          {"bloom", "builder", "cache", "compaction", "config", "db", "iterators",
           "keys", "memtable", "record", "sstable", "stats", "version", "wal"}),
-        ("repro.shard", {"db", "partition", "runner"}),
-        ("repro.serve", {"arrivals", "queue", "server", "sharded"}),
+        ("repro.obs",
+         {"events", "histogram", "registry", "snapshot", "tracer"}),
+        ("repro.serve", {"arrivals", "queue", "server"}),
     ],
 )
 def test_module_inventory(package, modules):
@@ -132,10 +136,8 @@ def test_store_constructors_take_no_seed():
     arrival and crashtest-workload seeds are the live ones."""
     from repro.harness.experiments import GridTask
     from repro.harness.runner import build_db
-    from repro.shard.runner import run_sharded_workload
 
-    for target in (repro.DB, repro.ShardedDB, GridTask, build_db,
-                   run_sharded_workload):
+    for target in (repro.DB, GridTask, build_db):
         assert "seed" not in inspect.signature(target).parameters, target
 
 
@@ -169,27 +171,44 @@ def test_one_way_to_name_a_policy_in_the_experiment_shell():
 
 
 def test_one_run_shell():
-    """A sharded run is a run and a closed loop is only a run: one
-    protocol (build -> preload -> drain -> reset), one process fan-out,
-    one policy designator, and no report class beside the two results."""
+    """One store and a closed loop is only a run: one protocol (build ->
+    preload -> drain -> reset), one process fan-out, one policy
+    designator, no report class beside the two results and no fold of
+    them."""
     import repro.harness
+    import repro.obs
     import repro.serve
-    import repro.shard
+    from repro import cli
     from repro.faults.crashtest import run_crashtest
-    from repro.harness.runner import run_workload
-    from repro.serve import run_sharded_serve, serve_workload
-    from repro.shard.runner import run_sharded_workload
+    from repro.harness.runner import RunResult, run_workload
+    from repro.serve import ServeResult, TenantServeStats, serve_workload
 
     gone = {"ShardTask", "ShardedRunReport", "ShardedServeReport",
             "merge_shard_results", "merge_serve_results", "PolicyFactory",
-            "SpecFactory", "resolve_factory"}
-    for package in (repro, repro.harness, repro.shard, repro.serve):
-        assert not gone & set(package.__all__), package.__name__
+            "SpecFactory", "resolve_factory", "ShardedDB", "ShardedSnapshot",
+            "run_sharded_workload", "run_sharded_serve", "aggregate_snapshots",
+            "combined_view", "fold_timelines", "shard_scaling"}
+    for package in (repro, repro.harness, repro.harness.runner,
+                    repro.harness.experiments, repro.obs, repro.serve, cli):
+        assert not gone & set(getattr(package, "__all__", ())), package.__name__
         for name in gone:
             assert not hasattr(package, name), (package.__name__, name)
+    assert not gone & set(cli.FIGURES)
+    for module in ("repro.shard", "repro.serve.sharded", "repro.obs.aggregate"):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
+    for result in (RunResult, ServeResult, TenantServeStats):
+        for name in ("fold", "shard_results", "partitioner", "num_shards",
+                     "combined_metrics", "shard_operations", "workers",
+                     "wall_s"):
+            assert not hasattr(result, name), (result.__name__, name)
+    for target in (run_workload, serve_workload):
+        assert "preload" not in inspect.signature(target).parameters, target
+    fields = {field.name for field in dataclasses.fields(
+        repro.harness.experiments.GridTask)}
+    assert not {"preload", "operations"} & fields
 
-    for target in (repro.ShardedDB, run_workload, run_sharded_workload,
-                   serve_workload, run_sharded_serve, run_crashtest):
+    for target in (run_workload, serve_workload, run_crashtest):
         parameters = inspect.signature(target).parameters
         assert "policy" in parameters, target
         assert not {"policy_factory", "policy_name", "partitioner_kind"} & set(
@@ -209,10 +228,7 @@ def test_one_run_shell():
             elif name == "reset_measurements":
                 resets.append(where)
     assert [where.split(":")[0] for where in fan_outs] == ["harness/experiments.py"]
-    # prepare_db's, and ShardedDB.reset_measurements forwarding to its shards.
-    assert [where.split(":")[0] for where in resets] == [
-        "harness/runner.py", "shard/db.py",
-    ]
+    assert [where.split(":")[0] for where in resets] == ["harness/runner.py"]
 
 
 def test_one_stack_path():
@@ -294,14 +310,16 @@ def test_one_metrics_ledger():
 
 def test_cli_surface_is_what_it_was():
     """The subcommands and flags, pinned: adding or dropping one is an edit
-    here (``cache``, ``frozen`` and ``btree`` joined as figures)."""
+    here (``cache``, ``frozen`` and ``btree`` joined as figures;
+    ``shard_scaling``, ``--shards`` and ``--partitioner`` left with the
+    sharded engine)."""
     from repro import cli
 
     assert list(cli.EXPERIMENTS) == [
         "list", "fig01", "fig01s", "fig01_open_loop", "tab1", "fig07", "fig08",
         "fig09", "fig10a", "fig10b", "fig10c", "fig11", "fig12ad", "fig12be",
         "fig12cf", "fig13", "fig14", "fig15", "adaptive", "tiered", "asymmetry",
-        "cache", "frozen", "btree", "shard_scaling", "paper_scale",
+        "cache", "frozen", "btree", "paper_scale",
         "fig_device_wa", "describe", "trace", "run", "serve", "crashtest",
         "explore",
     ]
@@ -314,11 +332,12 @@ def test_cli_surface_is_what_it_was():
     assert flags == [
         "--arrival", "--bg-threads", "--corrupt", "--discipline", "--every",
         "--flash", "--flash-gc", "--flash-logical-mib", "--flash-op",
-        "--include-io", "--keys", "--mixes", "--ops", "--partitioner",
+        "--include-io", "--keys", "--mixes", "--ops",
         "--policies", "--policy", "--profiles", "--queue-depth", "--rate",
-        "--seed", "--shards", "--slo-us", "--slowdown-l0",
+        "--seed", "--slo-us", "--slowdown-l0",
         "--stop-l0", "--tenants", "--trace-out", "--value-bytes", "--workers",
     ]
+    assert not {"--shards", "--partitioner"} & set(flags)
 
 
 def test_every_sized_experiment_is_a_figure():

@@ -2,9 +2,9 @@
 
 Covers the scheduler's contract pieces in isolation: construction and
 attachment, chunkification, the capture/replay cycle, draining, crash
-discard, L0 throttling accounting, determinism, and the per-shard
-schedulers of the sharded engine.  The cross-policy logical-equivalence
-guarantees live in test_differential.py / test_sched_properties.py.
+discard, L0 throttling accounting and determinism.  The cross-policy
+logical-equivalence guarantees live in test_differential.py /
+test_sched_properties.py.
 """
 
 import random
@@ -16,7 +16,6 @@ from repro import (
     CompactionScheduler,
     RingBufferSink,
     ServeSpec,
-    ShardedDB,
     Tracer,
     get_spec,
     serve_workload,
@@ -547,39 +546,3 @@ class TestDeterminism:
         first = one_run()
         second = one_run()
         assert first == second
-
-
-class TestShardedScheduler:
-    def test_each_shard_owns_a_scheduler(self):
-        sdb = ShardedDB(2, "udc", config=sched_config(bg_threads=1))
-        scheds = [shard.sched for shard in sdb.shards]
-        assert all(s is not None for s in scheds)
-        assert scheds[0] is not scheds[1]
-        assert scheds[0].channel is not scheds[1].channel
-
-    def test_drain_scheduler_clears_all_shards(self):
-        sdb = ShardedDB(2, "udc", config=sched_config(bg_threads=1))
-        write_some(sdb, 800)
-        sdb.drain_scheduler()
-        for shard in sdb.shards:
-            assert shard.sched.pending_chunks() == 0
-        sdb.check_invariants()
-
-    def test_drain_scheduler_noop_when_off(self):
-        sdb = ShardedDB(2, "udc", config=sched_config(bg_threads=0))
-        write_some(sdb, 200)
-        clocks = [shard.clock.now() for shard in sdb.shards]
-        sdb.drain_scheduler()
-        assert [shard.clock.now() for shard in sdb.shards] == clocks
-        for shard in sdb.shards:
-            assert shard.sched.num_threads == 0
-            assert shard.device.channel is None
-            assert not shard.metrics().component("sched")
-
-    def test_sharded_logical_contents_match_scheduler_off(self):
-        on = ShardedDB(4, "ldc", config=sched_config(bg_threads=1))
-        off = ShardedDB(4, "ldc", config=sched_config(bg_threads=0))
-        write_some(on, 600)
-        write_some(off, 600)
-        on.drain_scheduler()
-        assert on.logical_items() == off.logical_items()

@@ -3,20 +3,17 @@
 Covers the arrival processes (rates, determinism, tenant merging), the
 bounded request queue (disciplines, rejection, conservation ledger),
 admission control with engine back-pressure, the serving loop's
-wait/service decomposition, per-tenant SLO accounting and namespaced
-metrics, and the sharded serve report.
+wait/service decomposition, and per-tenant SLO accounting and namespaced
+metrics.
 """
-
-import hashlib
 
 import numpy as np
 import pytest
 
 from repro import BackpressureError, ConfigError, DB, QueueFullError
-from repro.errors import AdmissionError, UnknownPolicyError
+from repro.errors import AdmissionError
 from repro.harness.latency import LatencyRecorder
 from repro.harness.runner import run_workload
-from repro.lsm.compaction.spec import get_spec
 from repro.lsm.config import LSMConfig
 from repro.serve import (
     DiurnalProcess,
@@ -29,7 +26,6 @@ from repro.serve import (
     admission_bound,
     make_arrival_process,
     merge_tenant_arrivals,
-    run_sharded_serve,
     serve_workload,
     split_rate,
 )
@@ -559,63 +555,3 @@ class TestServeWorkload:
         for stats in batched.tenant_stats:
             assert len(stats.wait_latencies) == stats.completed
             assert len(stats.total_latencies) == stats.completed
-
-
-# ----------------------------------------------------------------------
-# Sharded serving
-# ----------------------------------------------------------------------
-class TestShardedServe:
-    def test_counts_and_fold(self):
-        serve = ServeSpec(arrival="poisson", rate_ops_s=10_000.0)
-        report = run_sharded_serve(SPEC, "udc", serve, num_shards=2)
-        assert report.num_shards == 2
-        assert report.arrived == SPEC.num_operations
-        assert report.completed == sum(
-            result.completed for result in report.shard_results
-        )
-        assert report.elapsed_us == max(
-            result.elapsed_us for result in report.shard_results
-        )
-        assert len(report.total_latencies) == report.completed
-
-    def test_deterministic(self):
-        serve = ServeSpec(arrival="poisson", rate_ops_s=10_000.0)
-        one = run_sharded_serve(SPEC, "ldc", serve, num_shards=2)
-        two = run_sharded_serve(SPEC, "ldc", serve, num_shards=2)
-        assert one.fingerprint() == two.fingerprint()
-
-    def test_fingerprint_is_what_the_parent_computed(self):
-        """SHA-256 of ``repr(fingerprint())`` captured on PR 20's ``src/``,
-        before the sharded serve became serve runs folded into a
-        ``ServeResult``."""
-        serve = ServeSpec(arrival="poisson", rate_ops_s=10_000.0)
-        report = run_sharded_serve(SPEC, "udc", serve, num_shards=2)
-        digest = hashlib.sha256(repr(report.fingerprint()).encode()).hexdigest()
-        assert digest == "102a0fab439188df8d65e3def68a58bc1e1af9f8f20151d4c3fefff24755f877"
-
-    def test_rejects_a_policy_instance_shared_by_shards(self):
-        serve = ServeSpec(arrival="poisson", rate_ops_s=10_000.0)
-        with pytest.raises(ConfigError, match="cannot be shared across shards"):
-            run_sharded_serve(SPEC, get_spec("ldc").build(), serve, num_shards=2)
-        with pytest.raises(UnknownPolicyError):
-            run_sharded_serve(SPEC, "nope", serve, num_shards=2)
-
-    def test_fold_keeps_every_tenant_ledger(self):
-        """The fold is a ``ServeResult``: what reads one reads the fleet's."""
-        serve = ServeSpec(arrival="poisson", rate_ops_s=10_000.0, num_tenants=2)
-        report = run_sharded_serve(SPEC, "udc", serve, num_shards=2)
-        assert isinstance(report, type(report.shard_results[0]))
-        for index, stats in enumerate(report.tenant_stats):
-            parts = [shard.tenant_stats[index] for shard in report.shard_results]
-            assert stats.completed == sum(part.completed for part in parts)
-            assert len(stats.total_latencies) == stats.completed
-        assert report.slo_violations == sum(
-            shard.slo_violations for shard in report.shard_results
-        )
-        assert report.summary()["completed"] == report.completed
-
-    def test_combined_metrics_namespaces_shards(self):
-        serve = ServeSpec(arrival="poisson", rate_ops_s=10_000.0)
-        report = run_sharded_serve(SPEC, "udc", serve, num_shards=2)
-        shard0 = report.combined_metrics.component("shard.0")
-        assert shard0  # per-shard namespace survives the fold
