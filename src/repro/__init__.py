@@ -25,11 +25,11 @@ The library provides:
   tracking): ``DB(profile=DeviceConfig(flash=FlashSpec(...)))`` makes
   device-level write amplification and erase counts measurable end to
   end (docs/DEVICE.md);
-* :mod:`repro.serve` — the open-loop serving layer: deterministic
-  arrival processes (Poisson / bursty MMPP / diurnal), multi-tenant rate
-  aggregation, a bounded admission-controlled request queue wired to the
-  engine's L0 back-pressure, and queueing-aware tail-latency reports
-  (queue wait and service time measured separately — docs/SERVING.md);
+* :mod:`repro.serve` — the open-loop serving layer: one seeded Poisson
+  arrival stream, a bounded admission-controlled FIFO request queue wired
+  to the engine's L0 back-pressure, and queueing-aware tail-latency
+  reports (queue wait and service time measured separately —
+  docs/SERVING.md);
 * :mod:`repro.obs` — the observability layer: structured event tracing
   (:class:`~repro.obs.tracer.Tracer` with ring-buffer and JSON-lines
   sinks), the metrics registry behind every counter, frozen diffable
@@ -87,7 +87,6 @@ from .serve import (
     RequestQueue,
     ServeResult,
     ServeSpec,
-    Tenant,
     serve_workload,
 )
 from .ssd import (
@@ -117,7 +116,6 @@ __all__ = [
     "get_spec",
     "make_policy",
     "register_policy",
-    "Tenant",
     "ServeSpec",
     "ServeResult",
     "RequestQueue",

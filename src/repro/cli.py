@@ -408,20 +408,16 @@ def _run_closed_loop(args: argparse.Namespace) -> None:
 def _run_serve(args: argparse.Namespace) -> None:
     """Serve one Table III workload open-loop and report the client view.
 
-    ``--arrival`` picks the process (``poisson``/``onoff``/``diurnal``);
-    a closed-loop run is ``repro run``.
-    ``--rate`` is the aggregate offered load (virtual ops/s) split equally
-    across ``--tenants``; the report decomposes latency into queue wait
-    and service time and shows per-tenant SLO-violation rates.
+    Poisson arrivals at ``--rate`` (virtual ops/s) into a
+    ``--queue-depth`` FIFO queue; a closed-loop run is ``repro run``.
+    The report decomposes latency into queue wait and service time and
+    gives the SLO-violation rate.
     """
     spec = _workload_spec(args)
     config = LSMConfig(bg_threads=args.bg_threads)
     serve_spec = ServeSpec(
-        arrival=args.arrival,
         rate_ops_s=args.rate,
-        num_tenants=args.tenants,
         queue_depth=args.queue_depth,
-        discipline=args.discipline,
         slo_us=args.slo_us,
         seed=args.seed,
     )
@@ -429,7 +425,7 @@ def _run_serve(args: argparse.Namespace) -> None:
     print(
         f"serve: workload={result.workload} policy={result.policy} "
         f"arrival={result.arrival} queue_depth={result.queue_depth} "
-        f"discipline={result.discipline} bg_threads={args.bg_threads}"
+        f"bg_threads={args.bg_threads}"
     )
     highlights = [
         ("offered rate ops/s", round(result.offered_rate_ops_s)),
@@ -453,26 +449,6 @@ def _run_serve(args: argparse.Namespace) -> None:
             ]
         )
     print(format_table(["metric", "value"], highlights, title="client view"))
-    if len(result.tenant_stats) > 1:
-        rows = [
-            (
-                stats.tenant.name,
-                stats.completed,
-                stats.rejected_full + stats.rejected_backpressure,
-                round(stats.slo_violation_rate, 4),
-                round(stats.total_latencies.percentile(99.0), 1)
-                if stats.completed
-                else "-",
-            )
-            for stats in result.tenant_stats
-        ]
-        print(
-            format_table(
-                ["tenant", "completed", "rejected", "SLO viol rate", "p99 us"],
-                rows,
-                title="per tenant",
-            )
-        )
 
 
 def _run_crashtest(args: argparse.Namespace) -> int:
@@ -769,25 +745,12 @@ def build_parser() -> argparse.ArgumentParser:
         "('run' only, default from LSMConfig)",
     )
     parser.add_argument(
-        "--arrival",
-        default="poisson",
-        choices=("poisson", "onoff", "diurnal"),
-        help="arrival process for 'serve' (default poisson)",
-    )
-    parser.add_argument(
         "--rate",
         type=float,
         default=15_000.0,
         metavar="OPS_S",
-        help="aggregate offered load in virtual ops/s ('serve' only, "
+        help="offered load in virtual ops/s ('serve' only, "
         "default 15000)",
-    )
-    parser.add_argument(
-        "--tenants",
-        type=int,
-        default=1,
-        metavar="N",
-        help="equal-rate tenants sharing the offered load ('serve' only)",
     )
     parser.add_argument(
         "--slo-us",
@@ -806,12 +769,6 @@ def build_parser() -> argparse.ArgumentParser:
         "rejected ('serve' only, default 128)",
     )
     parser.add_argument(
-        "--discipline",
-        default="fifo",
-        choices=("fifo", "priority"),
-        help="request-queue discipline ('serve' only, default fifo)",
-    )
-    parser.add_argument(
         "--every",
         type=int,
         default=1,
@@ -822,7 +779,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed",
         type=int,
         default=0,
-        help="seed: workload for 'crashtest', arrival streams for 'serve'",
+        help="seed: workload for 'crashtest', arrival stream for 'serve'",
     )
     parser.add_argument(
         "--value-bytes",

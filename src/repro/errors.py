@@ -147,15 +147,12 @@ class AdmissionError(ReproError):
 
     Attributes
     ----------
-    tenant:
-        Name of the tenant whose request was refused.
     depth:
         Queue depth observed at the admission decision.
     """
 
-    def __init__(self, message: str, tenant: str = "", depth: int = 0) -> None:
+    def __init__(self, message: str, depth: int = 0) -> None:
         super().__init__(message)
-        self.tenant = tenant
         self.depth = depth
 
 

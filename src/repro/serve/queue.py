@@ -4,14 +4,7 @@ A single virtual server (the DB) drains this queue; arrivals that find
 it full are *rejected with a typed error* instead of growing an unbounded
 queue — the admission-control half of tail-latency engineering: a
 bounded queue turns overload into explicit, measurable rejections rather
-than unbounded queue-wait.
-
-Two disciplines:
-
-* ``"fifo"`` — arrival order;
-* ``"priority"`` — stable priority order (lower value first, FIFO within
-  a priority level), so a latency-critical tenant overtakes batch
-  traffic *in the queue* while the service path stays identical.
+than unbounded queue-wait.  Requests leave in arrival order (FIFO).
 
 The queue also carries the conservation ledger the property suite pins:
 every request that ever arrived is accounted for as admitted or
@@ -21,31 +14,26 @@ depth``), at every point in time.
 
 Two ways to drive it.  ``offer`` / ``pop`` / ``complete`` /
 ``reject_external`` keep the ledger at every step.  The serve loop,
-which moves a request per arrival, instead takes the discipline as two
-callables — ``push`` and ``take``, the deque's own C methods under
-``"fifo"`` — and books its counts once at the end (:meth:`book`), where
-the ledger must balance against the depth it leaves.
+which moves a request per arrival, instead calls the deque's own C
+methods — ``push`` and ``take`` — and books its counts once at the end
+(:meth:`book`), where the ledger must balance against the depth it
+leaves.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, NamedTuple, Optional, Tuple, Union
+from typing import Deque, NamedTuple, Optional
 
 from .arrivals import require_count
 from ..errors import ConfigError, QueueFullError
-
-#: Queue disciplines accepted by :class:`RequestQueue`.
-DISCIPLINES = ("fifo", "priority")
 
 
 class Request(NamedTuple):
     """One open-loop request: an operation with an arrival timestamp.
 
-    ``seq`` is the global arrival index — the FIFO order and the
-    priority tiebreaker.  ``operation`` is a workload
+    ``seq`` is the global arrival index.  ``operation`` is a workload
     :class:`~repro.workload.ycsb.Operation`; the serving loop executes
     it against the DB exactly like the closed-loop runner would.
 
@@ -56,9 +44,7 @@ class Request(NamedTuple):
 
     seq: int
     arrival_us: float
-    tenant_index: int
     operation: object
-    priority: int = 0
 
 
 @dataclass
@@ -77,29 +63,20 @@ class QueueStats:
 
 
 class RequestQueue:
-    """Bounded FIFO / priority queue with typed admission rejection."""
+    """Bounded FIFO queue with typed admission rejection."""
 
-    def __init__(self, capacity: int, discipline: str = "fifo") -> None:
+    def __init__(self, capacity: int) -> None:
         require_count("queue capacity", capacity)
-        check_discipline(discipline)
         self.capacity = capacity
-        self.discipline = discipline
         self.stats = QueueStats()
-        #: The queued requests: a deque under ``"fifo"``, a heap of
-        #: ``(priority, seq, request)`` under ``"priority"``.  Truth-test
-        #: or ``len`` it freely; mutate it only through push / take.
-        self.waiting: Union[Deque[Request], List[Tuple[int, int, Request]]] = (
-            deque() if discipline == "fifo" else []
-        )
-        #: ``push(request)`` queues a request, ``take()`` removes the next
-        #: one under the discipline — neither touches the ledger.  A
-        #: request is any tuple in :class:`Request`'s field order.
-        if discipline == "fifo":
-            self.push = self.waiting.append
-            self.take = self.waiting.popleft
-        else:
-            self.push = self._push_priority
-            self.take = self._take_priority
+        #: The queued requests.  Truth-test or ``len`` it freely; mutate
+        #: it only through push / take.
+        self.waiting: Deque[Request] = deque()
+        #: ``push(request)`` queues a request, ``take()`` removes the
+        #: oldest — neither touches the ledger.  A request is any tuple in
+        #: :class:`Request`'s field order.
+        self.push = self.waiting.append
+        self.take = self.waiting.popleft
 
     @property
     def depth(self) -> int:
@@ -149,7 +126,7 @@ class RequestQueue:
         self.stats.rejected += 1
 
     def pop(self) -> Request:
-        """Next request under the discipline (caller checks ``depth``)."""
+        """The oldest queued request (caller checks ``depth``)."""
         if not self.waiting:
             raise ConfigError("pop from an empty request queue")
         return self.take()
@@ -168,18 +145,3 @@ class RequestQueue:
         stats.admitted += arrived - rejected
         stats.completed += completed
         stats.check_conservation(len(self.waiting))
-
-    def _push_priority(self, request: Request) -> None:
-        heapq.heappush(self.waiting, (request[4], request[0], request))
-
-    def _take_priority(self) -> Request:
-        return heapq.heappop(self.waiting)[2]
-
-
-def check_discipline(discipline: str) -> None:
-    """Raise :class:`ConfigError` unless ``discipline`` is a known one."""
-    if discipline not in DISCIPLINES:
-        known = ", ".join(DISCIPLINES)
-        raise ConfigError(
-            f"unknown queue discipline {discipline!r}; known: {known}"
-        )

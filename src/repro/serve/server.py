@@ -29,22 +29,14 @@ every queued request behind a stalled write.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import chain, compress, repeat
+from dataclasses import dataclass
+from itertools import chain, repeat
 from math import inf
-from operator import eq, lt
+from operator import lt
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .arrivals import (
-    ARRIVAL_KINDS,
-    Arrival,
-    Tenant,
-    merge_tenant_arrivals,
-    require_count,
-    require_positive,
-    split_rate,
-)
-from .queue import RequestQueue, check_discipline
+from .arrivals import poisson_arrivals, require_count, require_positive
+from .queue import RequestQueue
 from ..errors import BackpressureError, ConfigError, WorkloadError
 from ..harness.latency import LatencyRecorder, LatencyTimeline
 from ..harness.runner import counter_view, prepare_db
@@ -71,7 +63,7 @@ RECORD_BATCH = 256
 
 #: The arrival the serve loop walks after the last real one: at ``inf``,
 #: it drains the queue through the same loop body, then ends the loop.
-_LAST_ARRIVAL = (((inf, 0), None),)
+_LAST_ARRIVAL = ((inf, None),)
 
 _STALL_KEY = "engine.stall_time_us"
 _DEVICE_WAIT_KEY = "sched.device_wait_us"
@@ -79,103 +71,31 @@ _DEVICE_WAIT_KEY = "sched.device_wait_us"
 
 @dataclass(frozen=True)
 class ServeSpec:
-    """How to drive the store: arrival profile, load, tenants, queue, SLO.
+    """How to drive the store: one seeded Poisson stream at ``rate_ops_s``
+    into a bounded FIFO queue.
 
-    ``arrival`` is a registered process kind (``"poisson"``, ``"onoff"``,
-    ``"diurnal"``); a closed loop is
-    :func:`~repro.harness.runner.run_workload`'s.  ``tenants``
-    may be an explicit tuple of :class:`~repro.serve.arrivals.Tenant`;
-    the ``num_tenants`` shortcut splits ``rate_ops_s`` equally instead.
-    ``slo_us`` is the latency objective (queue wait + service) that
-    per-tenant violation rates are measured against; tenants may
-    override it individually.
+    A closed loop is :func:`~repro.harness.runner.run_workload`'s.
+    ``slo_us`` is the latency objective (queue wait + service) the
+    violation rate is measured against.
     """
 
+    #: Only ``"poisson"``; kept because ``bench/workloads.py`` passes it.
     arrival: str = "poisson"
     rate_ops_s: float = 10_000.0
-    tenants: Optional[Tuple[Tenant, ...]] = None
-    num_tenants: int = 1
     queue_depth: int = 64
-    discipline: str = "fifo"
     slo_us: float = 1_000.0
     backpressure: bool = True
     seed: int = 7
-    arrival_params: Tuple[Tuple[str, object], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.arrival not in ARRIVAL_KINDS:
-            known = ", ".join(sorted(ARRIVAL_KINDS))
+        if self.arrival != "poisson":
             raise ConfigError(
-                f"unknown arrival process {self.arrival!r}; known: {known}"
+                f"unknown arrival process {self.arrival!r}; known: poisson"
             )
         require_positive("rate_ops_s", self.rate_ops_s)
-        require_count("num_tenants", self.num_tenants)
         require_count("queue_depth", self.queue_depth)
-        check_discipline(self.discipline)
         require_positive("slo_us", self.slo_us)
-
-    def resolve_tenants(self) -> List[Tenant]:
-        if self.tenants is not None:
-            if not self.tenants:
-                raise ConfigError("tenants tuple must be non-empty")
-            return list(self.tenants)
-        return split_rate(self.rate_ops_s, self.num_tenants)
-
-    def tenant_slo_us(self, tenant: Tenant) -> float:
-        return tenant.slo_us if tenant.slo_us is not None else self.slo_us
-
-
-@dataclass
-class TenantServeStats:
-    """Everything measured for one tenant during a serve run."""
-
-    tenant: Tenant
-    slo_us: float
-    completed: int = 0
-    rejected_full: int = 0
-    rejected_backpressure: int = 0
-    slo_violations: int = 0
-    wait_latencies: LatencyRecorder = field(default_factory=LatencyRecorder)
-    total_latencies: LatencyRecorder = field(default_factory=LatencyRecorder)
-
-    @property
-    def arrived(self) -> int:
-        return self.completed + self.rejected_full + self.rejected_backpressure
-
-    @property
-    def slo_violation_rate(self) -> float:
-        """Violations over *arrivals*: a rejected request is a violated one.
-
-        Counting rejections as violations keeps the metric honest under
-        admission control — shedding load must not launder the SLO.
-        """
-        arrived = self.arrived
-        if arrived == 0:
-            return 0.0
-        rejected = self.rejected_full + self.rejected_backpressure
-        return (self.slo_violations + rejected) / arrived
-
-    def snapshot(self, t_us: float) -> MetricsSnapshot:
-        """This tenant's ledger as a ``tenant.<name>.``-namespaced snapshot."""
-        counters: Dict[str, float] = {
-            "serve.completed": self.completed,
-            "serve.rejected_full": self.rejected_full,
-            "serve.rejected_backpressure": self.rejected_backpressure,
-            "serve.slo_violations": self.slo_violations,
-        }
-        if self.completed:
-            counters["serve.wait_us_total"] = (
-                self.completed * self.wait_latencies.mean()
-            )
-            counters["serve.total_us_total"] = (
-                self.completed * self.total_latencies.mean()
-            )
-        lead = f"tenant.{self.tenant.name}."
-        return MetricsSnapshot(
-            t_us=t_us,
-            counters={lead + key: value for key, value in counters.items()},
-            gauges={lead + "serve.slo_us": self.slo_us},
-        )
+        require_count("seed", self.seed, minimum=0)
 
 
 @dataclass
@@ -187,13 +107,14 @@ class ServeResult:
     arrival: str
     offered_rate_ops_s: float
     queue_depth: int
-    discipline: str
     slo_us: float
     arrived: int
     admitted: int
     rejected_full: int
     rejected_backpressure: int
     completed: int
+    #: Completed requests whose total latency exceeded ``slo_us``.
+    slo_violations: int
     elapsed_us: float
     #: Queue wait per completed request (service start − arrival).
     wait_latencies: LatencyRecorder
@@ -202,7 +123,6 @@ class ServeResult:
     #: Client-perceived latency: wait + service — what the SLO binds.
     total_latencies: LatencyRecorder
     timeline: LatencyTimeline
-    tenant_stats: List[TenantServeStats]
     metrics: MetricsSnapshot
 
     stall_time_us = counter_view("engine.stall_time_us", float)
@@ -220,12 +140,12 @@ class ServeResult:
         return self.completed / (self.elapsed_us / 1e6)
 
     @property
-    def slo_violations(self) -> int:
-        return sum(stats.slo_violations for stats in self.tenant_stats)
-
-    @property
     def slo_violation_rate(self) -> float:
-        """Fleet violation rate over arrivals (rejections count as violated)."""
+        """Violations over *arrivals*: a rejected request is a violated one.
+
+        Counting rejections as violations keeps the metric honest under
+        admission control — shedding load must not launder the SLO.
+        """
         if self.arrived == 0:
             return 0.0
         return (self.slo_violations + self.rejected) / self.arrived
@@ -240,20 +160,6 @@ class ServeResult:
         if self.completed == 0:
             return 0.0
         return self.wait_latencies.mean()
-
-    def tenant_metrics(self) -> MetricsSnapshot:
-        """Every tenant's ledger in one ``tenant.<name>.``-keyed snapshot."""
-        counters: Dict[str, float] = {}
-        gauges: Dict[str, float] = {}
-        for stats in self.tenant_stats:
-            scoped = stats.snapshot(self.elapsed_us)
-            counters.update(scoped.counters)
-            gauges.update(scoped.gauges)
-        return MetricsSnapshot(
-            t_us=self.elapsed_us,
-            counters={key: counters[key] for key in sorted(counters)},
-            gauges={key: gauges[key] for key in sorted(gauges)},
-        )
 
     def fingerprint(self) -> tuple:
         """Every deterministic quantity, for bit-identity assertions."""
@@ -309,14 +215,14 @@ def serve_workload(
     db: Optional[DB] = None,
     timeline_bucket_us: float = 1_000_000.0,
     operations: Optional[Iterable] = None,
-    arrivals: Optional[Sequence[Arrival]] = None,
+    arrivals: Optional[Sequence[float]] = None,
 ) -> ServeResult:
     """Drive one workload through the serving layer.
 
     :func:`~repro.harness.runner.run_workload`'s protocol, but the
     measured phase consumes the operation stream at the arrival process's
     pace instead of back-to-back.  ``operations`` / ``arrivals`` replace
-    the spec's measured stream and the serve spec's arrival sequence.
+    the spec's measured stream and the serve spec's arrival timestamps.
     """
     generator = WorkloadGenerator(spec)
     if db is None:
@@ -324,23 +230,10 @@ def serve_workload(
     if operations is None:
         operations = generator.operations()
     if arrivals is None:
-        arrivals = merge_tenant_arrivals(
-            serve.resolve_tenants(),
-            serve.arrival,
-            serve.seed,
-            spec.num_operations,
-            **dict(serve.arrival_params),
-        )
+        arrivals = poisson_arrivals(serve.rate_ops_s, serve.seed, spec.num_operations)
     return _serve_open_loop(
         db, operations, arrivals, spec.name, serve, timeline_bucket_us
     )
-
-
-def _tenant_stats(serve: ServeSpec) -> List[TenantServeStats]:
-    return [
-        TenantServeStats(tenant=tenant, slo_us=serve.tenant_slo_us(tenant))
-        for tenant in serve.resolve_tenants()
-    ]
 
 
 def _gated_kinds(serve: ServeSpec) -> frozenset:
@@ -350,9 +243,7 @@ def _gated_kinds(serve: ServeSpec) -> frozenset:
     return WRITE_KINDS if serve.backpressure else frozenset()
 
 
-def admission_bound(
-    db: DB, serve: ServeSpec, operation, tenant: str = ""
-) -> Optional[int]:
+def admission_bound(db: DB, serve: ServeSpec, operation) -> Optional[int]:
     """The admission decision for one arriving operation.
 
     Returns the effective queue bound to offer under (``None`` = the
@@ -372,17 +263,14 @@ def admission_bound(
     """
     if operation[0] not in _gated_kinds(serve):
         return None
-    return _write_admission(db, serve, tenant)
+    return _write_admission(db, serve)
 
 
-def _write_admission(db: DB, serve: ServeSpec, tenant: str) -> Optional[int]:
+def _write_admission(db: DB, serve: ServeSpec) -> Optional[int]:
     """:func:`admission_bound` for an operation of a gated kind."""
     state = db.throttle_state()
     if state == "stop":
-        raise BackpressureError(
-            "write refused: engine L0 throttle is at 'stop'",
-            tenant=tenant,
-        )
+        raise BackpressureError("write refused: engine L0 throttle is at 'stop'")
     if state == "slowdown":
         return max(1, serve.queue_depth // 2)
     return None
@@ -391,7 +279,7 @@ def _write_admission(db: DB, serve: ServeSpec, tenant: str) -> Optional[int]:
 def _serve_open_loop(
     db: DB,
     operations,
-    arrivals: Sequence[Arrival],
+    arrivals: Sequence[float],
     workload_name: str,
     serve: ServeSpec,
     timeline_bucket_us: float,
@@ -401,17 +289,15 @@ def _serve_open_loop(
     A pass first serves every queued request whose service starts before
     the arrival: the idle server jumps to the request's arrival, the
     operation runs exactly as the closed-loop runner dispatches it, and
-    one ledger row ``(wait, service, total, tenant, begin, stall)`` is
-    appended.  Admission therefore sees the queue *depth* as it stands
-    at the arrival instant; the engine's throttle state, which only the
-    gated kinds consult (:func:`admission_bound`), is as of the last
+    one ledger row ``(wait, service, total, begin, stall)`` is appended.
+    Admission therefore sees the queue *depth* as it stands at the
+    arrival instant; the engine's throttle state, which only the gated
+    kinds consult (:func:`admission_bound`), is as of the last
     completion.  A last arrival at ``inf`` drains the queue through the
-    same body.  The queue's discipline is its ``push`` / ``take``; its
-    ledger is booked, and checked, once at the end.
+    same body.  The queue's ledger is booked, and checked, once at the
+    end, and SLO violations are counted once over the totals.
     """
-    tenants = _tenant_stats(serve)
-    priorities = [stats.tenant.priority for stats in tenants]
-    queue = RequestQueue(serve.queue_depth, serve.discipline)
+    queue = RequestQueue(serve.queue_depth)
     waiting, push, take = queue.waiting, queue.push, queue.take
     capacity = queue.capacity
     gated = _gated_kinds(serve)
@@ -429,43 +315,30 @@ def _serve_open_loop(
     # Arrival timestamps are relative to the measured phase's origin; the
     # preload already advanced the clock, so shift to absolute time once.
     origin_us = start_time
-    rows: List[Tuple[float, float, float, int, float, float]] = []
+    rows: List[Tuple[float, float, float, float, float]] = []
     append_row = rows.append
 
     def record_batch() -> None:
         """Split the buffered ledger rows into the recorders; empty it.
 
-        Every recorder gets its column in completion order, each tenant
-        its own rows' waits and totals (``compress`` over the tenant
-        column), the timeline ``(begin, total, stall)`` — ``record_many``
-        leaves each in the state per-request ``record`` calls would have.
-        A tenant's completions and SLO violations are counted from its
-        totals here.
+        Every recorder gets its column in completion order, the timeline
+        ``(begin, total, stall)`` — ``record_many`` leaves each in the
+        state per-request ``record`` calls would have.
         """
         if not rows:
             return
-        waits, services, totals, owners, begins, stalls = zip(*rows)
+        waits, services, totals, begins, stalls = zip(*rows)
         rows.clear()
         wait_rec.record_many(waits)
         service_rec.record_many(services)
         total_rec.record_many(totals)
         timeline.record_many(zip(begins, totals, stalls))
-        for index, stats in enumerate(tenants):
-            mine = list(map(eq, owners, repeat(index)))
-            mine_waits = list(compress(waits, mine))
-            mine_totals = list(compress(totals, mine))
-            stats.wait_latencies.record_many(mine_waits)
-            stats.total_latencies.record_many(mine_totals)
-            stats.completed += len(mine_totals)
-            stats.slo_violations += sum(map(lt, repeat(stats.slo_us), mine_totals))
 
-    seq = 0
-    for (arrival_rel_us, tenant_index), operation in chain(
-        zip(arrivals, operations), _LAST_ARRIVAL
-    ):
+    seq = rejected_full = rejected_backpressure = 0
+    for arrival_rel_us, operation in chain(zip(arrivals, operations), _LAST_ARRIVAL):
         arrival_us = origin_us + arrival_rel_us
         while waiting and clock._now_us < arrival_us:
-            _seq, request_us, owner, request, _priority = take()
+            _seq, request_us, request = take()
             if clock._now_us < request_us:
                 # Server idle: jump to the arrival (clock.advance_to,
                 # inlined).  Background work owed in this gap (compaction
@@ -495,68 +368,53 @@ def _serve_open_loop(
                 counters[_DEVICE_WAIT_KEY] if _DEVICE_WAIT_KEY in counters else 0
             )
             wait_us = begin - request_us
-            append_row((wait_us, service_us, wait_us + service_us, owner,
+            append_row((wait_us, service_us, wait_us + service_us,
                         begin, stalled - stall_total))
             stall_total = stalled
         if operation is None:  # the last arrival: the queue is drained
             break
-        request = (seq, arrival_us, tenant_index, operation, priorities[tenant_index])
+        request = (seq, arrival_us, operation)
         seq += 1
         if not seq % RECORD_BATCH:
             record_batch()
         bound = capacity
         if operation[0] in gated:
-            stats = tenants[tenant_index]
             try:
-                effective = _write_admission(db, serve, stats.tenant.name)
+                effective = _write_admission(db, serve)
             except BackpressureError:
-                stats.rejected_backpressure += 1
+                rejected_backpressure += 1
                 continue
             if effective is not None:
                 bound = queue.bound(effective)
         if len(waiting) >= bound:
-            tenants[tenant_index].rejected_full += 1
+            rejected_full += 1
             continue
         push(request)
     record_batch()
     elapsed = clock.now() - start_time
+    completed = len(total_rec)
     queue.book(
         arrived=seq,
-        rejected=sum(s.rejected_full + s.rejected_backpressure for s in tenants),
-        completed=len(total_rec),
+        rejected=rejected_full + rejected_backpressure,
+        completed=completed,
     )
-    return _serve_result(
-        serve,
-        tenants,
+    return ServeResult(
         workload=workload_name,
         policy=db.policy.name,
+        arrival=serve.arrival,
+        offered_rate_ops_s=float(serve.rate_ops_s),
+        queue_depth=serve.queue_depth,
+        slo_us=serve.slo_us,
         arrived=queue.stats.arrived,
         admitted=queue.stats.admitted,
+        rejected_full=rejected_full,
+        rejected_backpressure=rejected_backpressure,
+        completed=completed,
+        slo_violations=sum(map(lt, repeat(serve.slo_us), total_rec.values)),
         elapsed_us=elapsed,
         wait_latencies=wait_rec,
         service_latencies=service_rec,
         total_latencies=total_rec,
         timeline=timeline,
         metrics=db.metrics(),
-    )
-
-
-def _serve_result(
-    serve: ServeSpec, tenants: List[TenantServeStats], **measured
-) -> ServeResult:
-    """The result of one serve run: what ``serve`` configured, what the
-    tenants' ledgers sum to, and what the loop ``measured``."""
-    return ServeResult(
-        arrival=serve.arrival,
-        # The load actually offered is the sum of the resolved tenant
-        # rates: an explicit tenants tuple overrides serve.rate_ops_s.
-        offered_rate_ops_s=sum(s.tenant.rate_ops_s for s in tenants),
-        queue_depth=serve.queue_depth,
-        discipline=serve.discipline,
-        slo_us=serve.slo_us,
-        rejected_full=sum(s.rejected_full for s in tenants),
-        rejected_backpressure=sum(s.rejected_backpressure for s in tenants),
-        completed=sum(s.completed for s in tenants),
-        tenant_stats=tenants,
-        **measured,
     )

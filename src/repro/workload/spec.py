@@ -122,6 +122,8 @@ class WorkloadSpec:
             raise WorkloadError("delete_ratio must lie in [0, 1]")
         if self.preload_keys < 0:
             raise WorkloadError("preload_keys must be non-negative")
+        if self.seed < 0:
+            raise WorkloadError(f"seed must be non-negative, got {self.seed!r}")
 
     @property
     def read_ratio(self) -> float:

@@ -1,35 +1,27 @@
-"""The per-request serve loop and the heap arrival merge, kept as a test oracle.
+"""The per-request serve loop, kept as a test oracle.
 
 A served request used to cost the serving layer a call per step: the
 loop popped it (``RequestQueue.pop``), served it in a closure
 (``serve_one``, with ``_execute`` dispatching and ``queue.complete``
 booking it) and offered each arrival through ``admission_bound`` and
-``RequestQueue.offer``, which raised ``QueueFullError`` to reject.  The
-arrivals themselves came from a hand-rolled heap merge that popped and
-pushed a tenant per arrival.  ``src/`` now serves a request inline in one
-loop and merges arrivals with ``heapq.merge``; the parent's routines live
-on here, verbatim, as the reference ``tests/test_stack_equivalence.py``
-pair-runs against: the same ``ServeResult.fingerprint()``, tenant ledgers,
-recorders and trace events.
+``RequestQueue.offer``, which raised ``QueueFullError`` to reject.
+``src/`` now serves a request inline in one loop; the parent's routine
+lives on here as the reference ``tests/test_stack_equivalence.py``
+pair-runs against: the same ``ServeResult.fingerprint()``, ledger,
+recorders and trace events.  It is verbatim but for what went with
+tenants: it books one ledger of plain counts, where it booked one per
+tenant, and takes its arrivals from ``poisson_arrivals``, where it drew
+them from a heap merge of the tenants' streams.
 """
 
-import heapq
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.errors import BackpressureError, ConfigError, QueueFullError, WorkloadError
+from repro.errors import BackpressureError, QueueFullError, WorkloadError
 from repro.harness.latency import LatencyRecorder, LatencyTimeline
 from repro.harness.runner import prepare_db
-from repro.serve.arrivals import Arrival, Tenant, make_arrival_process
+from repro.serve.arrivals import poisson_arrivals
 from repro.serve.queue import Request, RequestQueue
-from repro.serve.server import (
-    RECORD_BATCH,
-    WRITE_KINDS,
-    ServeSpec,
-    _serve_result,
-    _tenant_stats,
-)
+from repro.serve.server import RECORD_BATCH, WRITE_KINDS, ServeResult, ServeSpec
 from repro.workload.ycsb import (
     OP_DELETE,
     OP_GET,
@@ -40,45 +32,12 @@ from repro.workload.ycsb import (
 )
 
 
-def merge_tenant_arrivals(
-    tenants: Sequence[Tenant],
-    kind: str,
-    seed: int,
-    limit: int,
-    **params: object,
-) -> List[Arrival]:
-    """The first ``limit`` arrivals across every tenant, time-ordered."""
-    if not tenants:
-        raise ConfigError("need at least one tenant")
-    if limit < 0:
-        raise ConfigError("limit must be non-negative")
-    children = np.random.SeedSequence(seed).spawn(len(tenants))
-    merged: List[Arrival] = []
-    heap: List[Tuple[float, int, Iterator[float]]] = []
-    for index, (tenant, child) in enumerate(zip(tenants, children)):
-        process = make_arrival_process(kind, tenant.rate_ops_s, **params)
-        rng = np.random.Generator(np.random.PCG64(child))
-        timestamps = process.arrivals(rng)
-        heap.append((next(timestamps), index, timestamps))
-    heapq.heapify(heap)
-    while heap and len(merged) < limit:
-        timestamp, index, timestamps = heapq.heappop(heap)
-        merged.append((timestamp, index))
-        heapq.heappush(heap, (next(timestamps), index, timestamps))
-    return merged
-
-
-def admission_bound(
-    db, serve: ServeSpec, operation, tenant: str = ""
-) -> Optional[int]:
+def admission_bound(db, serve: ServeSpec, operation) -> Optional[int]:
     if not serve.backpressure or operation[0] not in WRITE_KINDS:
         return None
     state = db.throttle_state()
     if state == "stop":
-        raise BackpressureError(
-            "write refused: engine L0 throttle is at 'stop'",
-            tenant=tenant,
-        )
+        raise BackpressureError("write refused: engine L0 throttle is at 'stop'")
     if state == "slowdown":
         return max(1, serve.queue_depth // 2)
     return None
@@ -104,14 +63,14 @@ def _execute(db, operation) -> None:
 def serve_open_loop(
     db,
     operations,
-    arrivals: Sequence[Arrival],
+    arrivals: Sequence[float],
     workload_name: str,
     serve: ServeSpec,
     timeline_bucket_us: float = 1_000_000.0,
 ):
     """The parent's ``_serve_open_loop``: a ``serve_one`` call per request."""
-    tenants = _tenant_stats(serve)
-    queue = RequestQueue(serve.queue_depth, serve.discipline)
+    completed = rejected_full = rejected_backpressure = slo_violations = 0
+    queue = RequestQueue(serve.queue_depth)
     waiting = queue.waiting
     wait_rec = LatencyRecorder()
     service_rec = LatencyRecorder()
@@ -125,9 +84,6 @@ def serve_open_loop(
     start_time = clock.now()
     origin_us = start_time
     samples: List[Tuple[float, float, float]] = []
-    tenant_samples: List[Tuple[List[float], List[float]]] = [
-        ([], []) for _ in tenants
-    ]
     events: List[Tuple[float, float, float]] = []
 
     def record_batch() -> None:
@@ -137,18 +93,13 @@ def serve_open_loop(
         wait_rec.record_many(waits)
         service_rec.record_many(services)
         total_rec.record_many(totals)
-        for stats, (mine_waits, mine_totals) in zip(tenants, tenant_samples):
-            stats.wait_latencies.record_many(mine_waits)
-            stats.total_latencies.record_many(mine_totals)
-            mine_waits.clear()
-            mine_totals.clear()
         timeline.record_many(events)
         samples.clear()
         events.clear()
 
     def serve_one(request: Request) -> None:
-        nonlocal stall_total
-        _seq, arrival_us, tenant_index, operation, _priority = request
+        nonlocal stall_total, completed, slo_violations
+        _seq, arrival_us, operation = request
         if clock._now_us < arrival_us:
             clock.advance_to(arrival_us)
         begin = clock._now_us
@@ -160,22 +111,18 @@ def serve_open_loop(
         )
         total_us = wait_us + service_us
         samples.append((wait_us, service_us, total_us))
-        mine_waits, mine_totals = tenant_samples[tenant_index]
-        mine_waits.append(wait_us)
-        mine_totals.append(total_us)
         events.append((begin, total_us, stalled - stall_total))
         stall_total = stalled
         queue.complete()
-        stats = tenants[tenant_index]
-        stats.completed += 1
-        if total_us > stats.slo_us:
-            stats.slo_violations += 1
+        completed += 1
+        if total_us > serve.slo_us:
+            slo_violations += 1
 
     operations = iter(operations)
     new_request = tuple.__new__
     pop = queue.pop
     seq = 0
-    for arrival_rel_us, tenant_index in arrivals:
+    for arrival_rel_us in arrivals:
         try:
             operation = next(operations)
         except StopIteration:
@@ -183,38 +130,38 @@ def serve_open_loop(
         arrival_us = origin_us + arrival_rel_us
         while waiting and clock._now_us < arrival_us:
             serve_one(pop())
-        stats = tenants[tenant_index]
-        request = new_request(
-            Request,
-            (seq, arrival_us, tenant_index, operation, stats.tenant.priority),
-        )
+        request = new_request(Request, (seq, arrival_us, operation))
         seq += 1
         if not seq % RECORD_BATCH:
             record_batch()
         try:
-            effective_capacity = admission_bound(
-                db, serve, operation, tenant=stats.tenant.name
-            )
+            effective_capacity = admission_bound(db, serve, operation)
         except BackpressureError:
             queue.reject_external()
-            stats.rejected_backpressure += 1
+            rejected_backpressure += 1
             continue
         try:
             queue.offer(request, effective_capacity=effective_capacity)
         except QueueFullError:
-            stats.rejected_full += 1
+            rejected_full += 1
     while waiting:
         serve_one(pop())
     record_batch()
     elapsed = clock.now() - start_time
     queue.stats.check_conservation(len(queue))
-    return _serve_result(
-        serve,
-        tenants,
+    return ServeResult(
         workload=workload_name,
         policy=db.policy.name,
+        arrival=serve.arrival,
+        offered_rate_ops_s=float(serve.rate_ops_s),
+        queue_depth=serve.queue_depth,
+        slo_us=serve.slo_us,
         arrived=queue.stats.arrived,
         admitted=queue.stats.admitted,
+        rejected_full=rejected_full,
+        rejected_backpressure=rejected_backpressure,
+        completed=completed,
+        slo_violations=slo_violations,
         elapsed_us=elapsed,
         wait_latencies=wait_rec,
         service_latencies=service_rec,
@@ -227,14 +174,11 @@ def serve_open_loop(
 def serve_workload(spec, policy, serve: ServeSpec, config=None, profile=None,
                    db=None, tracer=None):
     """``repro.serve.serve_workload`` (open loop) through the parent's
-    arrival merge and serve loop."""
+    serve loop."""
     generator = WorkloadGenerator(spec)
     if db is None:
         kwargs = {} if profile is None else {"profile": profile}
         db = prepare_db(policy, generator.preload_operations(), config,
                         tracer=tracer, **kwargs)
-    arrivals = merge_tenant_arrivals(
-        serve.resolve_tenants(), serve.arrival, serve.seed,
-        spec.num_operations, **dict(serve.arrival_params),
-    )
+    arrivals = poisson_arrivals(serve.rate_ops_s, serve.seed, spec.num_operations)
     return serve_open_loop(db, generator.operations(), arrivals, spec.name, serve)

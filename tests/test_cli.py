@@ -31,6 +31,8 @@ TINY = ["--ops", "1200", "--keys", "400"]
 #: ``shards=`` / ``workers=`` / ``partitioner=`` fields, ``aggregate``
 #: title, ``wall seconds`` row and one-row ``per shard`` table; crashtest
 #: its ``shards=1`` field).  ``run RWB --flash`` was pinned then.
+#: ``serve`` was re-pinned when the queue discipline was deleted: its
+#: header line lost only its ``discipline=fifo`` field.
 GOLDEN_STDOUT = {
     "list":
         "2ef3a74979e7af540234156ac027380b8e80bd75d73a833db487979132974f75",
@@ -89,7 +91,7 @@ GOLDEN_STDOUT = {
     "run":
         "2f0269e651f6a28bde598615195aa23abd29a56d2f7827173384ae8543e8b6f4",
     "serve":
-        "53340d75d781d16c8ca164cc586c08a2ba67726629b96626e78254c984099a40",
+        "86e2cafb9c2d846956cf4839509a006cf900c05bc626c931c3258f783ed81d27",
     "crashtest --every 25":
         "c8997a88213a3a3ee70f5810c5bf42510544e7a8fe5e549e194005723f196d75",
     "explore":
@@ -98,8 +100,6 @@ GOLDEN_STDOUT = {
         "131bda4e7a37099ddce8942ed6db185928b91592f530823180c41edfb0a48cba",
     "explore --policies udc,ldc --mixes RWB --flash":
         "c5325e551fe813ad9ab8fc4a681b8fc4fb4e45cd2c72e85eb54825a747c3016a",
-    "serve RWB --tenants 2":
-        "3e0630e318e06bb0c26e38e128d3d51e9d8c1c249a08326b2769e8fa01f54d6b",
     "run RWB --flash":
         "c1946fef2b641e8e67ea000ca34ccdc0b69bbbbb767b96a3c023ef45b4a8f6f4",
     "trace WO":
@@ -275,7 +275,7 @@ class TestErrorTyping:
         "command",
         [
             "run RWB --flash --flash-logical-mib 1",
-            "serve RWB --tenants 0",
+            "serve RWB --seed -1",
             "serve RWB --queue-depth 0",
             "explore --profiles nope --mixes RWB --policies udc",
             "explore --mixes NOPE",
@@ -370,19 +370,15 @@ class TestServeCLI:
     def test_serve_flags_parse(self):
         args = build_parser().parse_args(
             [
-                "serve", "RWB", "--arrival", "onoff", "--rate", "9000",
-                "--tenants", "3", "--slo-us", "500", "--queue-depth", "32",
-                "--discipline", "priority", "--bg-threads", "2",
+                "serve", "RWB", "--rate", "9000", "--slo-us", "500",
+                "--queue-depth", "32", "--bg-threads", "2",
             ]
         )
         assert args.experiment == "serve"
         assert args.workload == "RWB"
-        assert args.arrival == "onoff"
         assert args.rate == 9000.0
-        assert args.tenants == 3
         assert args.slo_us == 500.0
         assert args.queue_depth == 32
-        assert args.discipline == "priority"
         assert args.bg_threads == 2
 
     def test_serve_runs_tiny(self, capsys):
@@ -400,20 +396,6 @@ class TestServeCLI:
         assert "mean wait us" in out
         assert "total p99.9 us" in out
         assert "SLO violation rate" in out
-
-    def test_serve_multi_tenant_reports_per_tenant(self, capsys):
-        assert (
-            main(
-                [
-                    "serve", "RWB", "--ops", "1000", "--keys", "300",
-                    "--tenants", "2", "--rate", "20000",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "per tenant" in out
-        assert "t0" in out and "t1" in out
 
     def test_serve_unknown_workload_errors(self, capsys):
         assert main(["serve", "NOPE", "--ops", "500", "--keys", "200"]) == 2

@@ -119,12 +119,11 @@ def _tiny_spec():
 
 @lru_cache(maxsize=None)
 def run_serve():
-    """One open-loop two-tenant serve over the composed slow stack."""
+    """One open-loop Poisson serve over the composed slow stack."""
     return serve_workload(
         _tiny_spec(),
         "ldc",
-        ServeSpec(arrival="poisson", rate_ops_s=14_000.0, num_tenants=2,
-                  queue_depth=16),
+        ServeSpec(arrival="poisson", rate_ops_s=14_000.0, queue_depth=16),
         config=small(bg_threads=1),
         profile=DeviceConfig(flash=FlashSpec(logical_bytes=512 * KIB)),
     )
@@ -147,16 +146,14 @@ def matrix() -> Dict[str, Tuple[MetricsSnapshot, float]]:
         for stack in STACKS:
             cells[f"{policy}/{stack}"] = run_cell(policy, stack)
     served = run_serve()
-    cells["serve/poisson-2"] = (served.metrics, served.elapsed_us)
+    cells["serve/poisson-1"] = (served.metrics, served.elapsed_us)
     return cells
 
 
 def emitted_snapshots() -> List[MetricsSnapshot]:
-    """Every snapshot the matrix produces, the tenant namespaces included
-    (what the metrics catalogue has to document)."""
-    snapshots = [metrics for metrics, _ in matrix().values()]
-    snapshots.append(run_serve().tenant_metrics())
-    return snapshots
+    """Every snapshot the matrix produces (what the metrics catalogue has
+    to document)."""
+    return [metrics for metrics, _ in matrix().values()]
 
 
 #: Captured on the parent commit (PR 23's ``src/``) — see module docstring.
@@ -174,6 +171,9 @@ def emitted_snapshots() -> List[MetricsSnapshot]:
 #: (47 compactions, not 42) and requests wait less for the channel.
 #: The closed-loop cells did not move: there an operation starts where
 #: the previous one's end-of-operation replay left the clock.
+#: ``serve/poisson-1`` replaced ``serve/poisson-2`` when tenants were
+#: deleted: it was captured on the parent with ``num_tenants=1``, so the
+#: one arrival stream is pinned to the parent's one-tenant stream.
 PINNED: Dict[str, str] = {
     "delayed/plain": "27821d007736444cbce05fb293f98245e93198efaa738e2e6d79d894db6a5e82",
     "delayed/sched": "aabcbe64d7cb2eeeb8267a3923f298c6265d059cf28dbc2d1d7c06792401ab8a",
@@ -191,7 +191,7 @@ PINNED: Dict[str, str] = {
     "udc/sched": "fbcb444b582eba5a1688ad9db801194a647c555140650b0001f3db3d26272590",
     "udc/flash": "87fa65e1066475abe12f57fc26191189cb34a14a9a75f288db1b32b4f5e830ed",
     "udc/plan": "4610818ef00835dfc41f210d6a7ce0d02d224614ddd1df17259d5a1b53c62c35",
-    "serve/poisson-2": "4686a92561a7b1975a659094b406025850f4757196f0db4d377e191fccc1cc08",
+    "serve/poisson-1": "e98995d5f7fc2063aa2994d0ddfff4996807afdaf35b6bba1dfe5f4e58628622",
 }
 
 
@@ -220,7 +220,7 @@ def test_cells_exercise_what_they_pin() -> None:
         # An empty fault plan is transparent (tests/test_device_stack.py).
         assert cells[f"{policy}/plan"] == cells[f"{policy}/plain"], policy
     assert cells["ldc/plain"][0].counters["engine.link_count"] > 0
-    assert cells["serve/poisson-2"][0].counters["sched.tasks_completed"] > 0
+    assert cells["serve/poisson-1"][0].counters["sched.tasks_completed"] > 0
 
 
 if __name__ == "__main__":  # pragma: no cover - capture helper

@@ -17,7 +17,9 @@ and the traffic nothing runs (the YCSB core workloads, the ``latest`` key
 distribution and its per-operation generation loop, closed-loop serving,
 the WAL switch and the chunk-size knob); and the sharded engine (one
 store: no partitioned facade, sharded runner or serve, result folds or
-cross-store snapshot aggregation).
+cross-store snapshot aggregation); and the arrival shapes nothing runs
+(one Poisson stream into a FIFO queue: no bursty or diurnal processes,
+tenants, priority discipline or trace replay).
 """
 
 import ast
@@ -181,7 +183,7 @@ def test_one_run_shell():
     from repro import cli
     from repro.faults.crashtest import run_crashtest
     from repro.harness.runner import RunResult, run_workload
-    from repro.serve import ServeResult, TenantServeStats, serve_workload
+    from repro.serve import ServeResult, serve_workload
 
     gone = {"ShardTask", "ShardedRunReport", "ShardedServeReport",
             "merge_shard_results", "merge_serve_results", "PolicyFactory",
@@ -197,7 +199,7 @@ def test_one_run_shell():
     for module in ("repro.shard", "repro.serve.sharded", "repro.obs.aggregate"):
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module(module)
-    for result in (RunResult, ServeResult, TenantServeStats):
+    for result in (RunResult, ServeResult):
         for name in ("fold", "shard_results", "partitioner", "num_shards",
                      "combined_metrics", "shard_operations", "workers",
                      "wall_s"):
@@ -245,11 +247,9 @@ def test_one_stack_path():
     from repro.serve import Request, RequestQueue
 
     assert not dataclasses.is_dataclass(Request) and issubclass(Request, tuple)
-    assert Request._fields == (
-        "seq", "arrival_us", "tenant_index", "operation", "priority")
-    assert Request._field_defaults == {"priority": 0}
-    assert Request(seq=1, arrival_us=2.0, tenant_index=0, operation=None) == (
-        1, 2.0, 0, None, 0)
+    assert Request._fields == ("seq", "arrival_us", "operation")
+    assert Request._field_defaults == {}
+    assert Request(seq=1, arrival_us=2.0, operation=None) == (1, 2.0, None)
     assert isinstance(RequestQueue(4).waiting, collections.deque)
     assert not hasattr(RequestQueue(4), "_fifo_head")
     for gone in ("_index_cache", "_INDEX_CACHE_MAX"):
@@ -312,7 +312,8 @@ def test_cli_surface_is_what_it_was():
     """The subcommands and flags, pinned: adding or dropping one is an edit
     here (``cache``, ``frozen`` and ``btree`` joined as figures;
     ``shard_scaling``, ``--shards`` and ``--partitioner`` left with the
-    sharded engine)."""
+    sharded engine; ``--arrival``, ``--tenants`` and ``--discipline`` with
+    the arrival shapes, tenants and priority queue)."""
     from repro import cli
 
     assert list(cli.EXPERIMENTS) == [
@@ -330,14 +331,15 @@ def test_cli_surface_is_what_it_was():
         if option not in ("-h", "--help")
     )
     assert flags == [
-        "--arrival", "--bg-threads", "--corrupt", "--discipline", "--every",
+        "--bg-threads", "--corrupt", "--every",
         "--flash", "--flash-gc", "--flash-logical-mib", "--flash-op",
         "--include-io", "--keys", "--mixes", "--ops",
         "--policies", "--policy", "--profiles", "--queue-depth", "--rate",
         "--seed", "--slo-us", "--slowdown-l0",
-        "--stop-l0", "--tenants", "--trace-out", "--value-bytes", "--workers",
+        "--stop-l0", "--trace-out", "--value-bytes", "--workers",
     ]
-    assert not {"--shards", "--partitioner"} & set(flags)
+    assert not {"--shards", "--partitioner", "--arrival", "--tenants",
+                "--discipline"} & set(flags)
 
 
 def test_every_sized_experiment_is_a_figure():
@@ -386,14 +388,36 @@ def test_unset_experiment_knobs_are_constants():
 def test_only_the_traffic_that_runs():
     """No workload, figure, tool or example reached these inputs and modes:
     the generator has one loop over two key distributions, a closed loop is
-    measured only by ``run_workload``, the WAL is always on and background
-    work is chunked at one block."""
+    measured only by ``run_workload``, the WAL is always on, background
+    work is chunked at one block, and a serve run is one Poisson stream
+    into a FIFO queue: one ledger, no tenants, no trace replay."""
     from dataclasses import fields
 
+    import repro.serve
     from repro import errors, workload
-    from repro.errors import ConfigError, WorkloadError
-    from repro.serve import ServeSpec
+    from repro.errors import BackpressureError, ConfigError, WorkloadError
+    from repro.serve import ServeResult, ServeSpec, arrivals, queue, server
     from repro.workload import keydist, spec, ycsb
+
+    gone = {"Tenant", "TenantServeStats", "OnOffProcess", "DiurnalProcess",
+            "DEFAULT_DIURNAL_PROFILE", "ArrivalProcess", "ARRIVAL_KINDS",
+            "Arrival", "make_arrival_process", "split_rate",
+            "merge_tenant_arrivals", "DISCIPLINES", "check_discipline",
+            "_tenant_stats", "_serve_result", "record_trace", "write_trace",
+            "read_trace", "replay"}
+    for module in (repro, repro.serve, arrivals, queue, server, workload):
+        assert not gone & set(getattr(module, "__all__", ())), module.__name__
+        for name in gone:
+            assert not hasattr(module, name), (module.__name__, name)
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.workload.trace")
+    assert [field.name for field in fields(ServeSpec)] == [
+        "arrival", "rate_ops_s", "queue_depth", "slo_us", "backpressure", "seed"]
+    for name in ("tenant_stats", "discipline", "tenant_metrics"):
+        assert not hasattr(ServeResult, name), name
+    for name in ("_push_priority", "_take_priority", "discipline"):
+        assert not hasattr(queue.RequestQueue(4), name), name
+    assert not hasattr(BackpressureError("refused"), "tenant")
 
     for name in ("ycsb_a", "ycsb_b", "ycsb_c", "ycsb_d", "ycsb_e"):
         assert not hasattr(workload, name) and not hasattr(ycsb, name), name
@@ -406,6 +430,6 @@ def test_only_the_traffic_that_runs():
     assert not {"wal_enabled", "sched_chunk_blocks"} & config_fields
     with pytest.raises(WorkloadError, match="latest"):
         workload.rwb(distribution="latest")
-    with pytest.raises(ConfigError, match="diurnal, onoff, poisson$"):
+    with pytest.raises(ConfigError, match="known: poisson$"):
         ServeSpec(arrival="closed")
     assert not hasattr(workload.WorkloadGenerator, "_operations_scalar")

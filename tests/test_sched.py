@@ -218,7 +218,7 @@ class TestReplay:
             ServeSpec(rate_ops_s=1000.0),
             db=db,
             operations=operations,
-            arrivals=[(2 * debt, 0), (2 * debt + 0.001, 0)],
+            arrivals=[2 * debt, 2 * debt + 0.001],
         )
         assert db.registry.counter("sched.device_wait_us") == waited
         assert round_.done

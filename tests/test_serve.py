@@ -1,10 +1,9 @@
 """Unit tests for the open-loop serving layer (repro.serve).
 
-Covers the arrival processes (rates, determinism, tenant merging), the
-bounded request queue (disciplines, rejection, conservation ledger),
-admission control with engine back-pressure, the serving loop's
-wait/service decomposition, and per-tenant SLO accounting and namespaced
-metrics.
+Covers the Poisson arrival stream (rate, determinism), the bounded
+request queue (FIFO order, rejection, conservation ledger), admission
+control with engine back-pressure, the serving loop's wait/service
+decomposition and its SLO accounting.
 """
 
 import numpy as np
@@ -16,18 +15,13 @@ from repro.harness.latency import LatencyRecorder
 from repro.harness.runner import run_workload
 from repro.lsm.config import LSMConfig
 from repro.serve import (
-    DiurnalProcess,
-    OnOffProcess,
     PoissonProcess,
     Request,
     RequestQueue,
     ServeSpec,
-    Tenant,
     admission_bound,
-    make_arrival_process,
-    merge_tenant_arrivals,
+    poisson_arrivals,
     serve_workload,
-    split_rate,
 )
 from repro.serve.server import RECORD_BATCH
 from repro.workload import rwb
@@ -40,31 +34,6 @@ def rng(seed: int = 0) -> np.random.Generator:
 
 def take(iterator, count):
     return [next(iterator) for _ in range(count)]
-
-
-# ----------------------------------------------------------------------
-# Tenants
-# ----------------------------------------------------------------------
-class TestTenant:
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            Tenant(name="", rate_ops_s=1.0)
-        with pytest.raises(ConfigError):
-            Tenant(name="t", rate_ops_s=0.0)
-        with pytest.raises(ConfigError):
-            Tenant(name="t", rate_ops_s=1.0, population=0)
-
-    def test_population_aggregation(self):
-        crowd = Tenant.of_population("crowd", users=1_000_000,
-                                     per_user_rate_ops_s=0.5)
-        assert crowd.rate_ops_s == 500_000.0
-        assert crowd.population == 1_000_000
-        assert crowd.per_user_rate_ops_s == 0.5
-
-    def test_split_rate(self):
-        tenants = split_rate(9000.0, 3)
-        assert [t.name for t in tenants] == ["t0", "t1", "t2"]
-        assert sum(t.rate_ops_s for t in tenants) == pytest.approx(9000.0)
 
 
 # ----------------------------------------------------------------------
@@ -88,61 +57,49 @@ class TestConfigValidation:
         false), -5 one of 1.0."""
         with pytest.raises(ConfigError, match="slo_us"):
             ServeSpec(slo_us=slo_us)
-        with pytest.raises(ConfigError, match="slo_us"):
-            Tenant("t", 100.0, slo_us=slo_us)
-
-    @pytest.mark.parametrize("count", [2.5, False, 0])
-    def test_num_tenants_is_a_positive_int(self, count):
-        """2.5 used to raise a raw TypeError from range() at serve time."""
-        with pytest.raises(ConfigError, match="num_tenants"):
-            ServeSpec(num_tenants=count)
-        with pytest.raises(ConfigError, match="tenant count"):
-            split_rate(1_000.0, count)
 
     @pytest.mark.parametrize("rate", [NAN, INF, -1.0, 0.0])
     def test_rates_are_finite_and_positive(self, rate):
         with pytest.raises(ConfigError, match="rate"):
-            Tenant("t", rate)
-        with pytest.raises(ConfigError, match="rate"):
             ServeSpec(rate_ops_s=rate)
         with pytest.raises(ConfigError, match="rate"):
-            split_rate(rate, 2)
-        with pytest.raises(ConfigError, match="rate"):
-            make_arrival_process("poisson", rate)
+            PoissonProcess(rate)
 
-    @pytest.mark.parametrize("population", [2.5, True])
-    def test_population_is_an_int(self, population):
-        with pytest.raises(ConfigError, match="population"):
-            Tenant("t", 100.0, population=population)
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_seed_is_a_non_negative_int(self, seed):
+        """-1 used to pass construction and then fail in numpy's
+        ``SeedSequence`` when serving started."""
+        with pytest.raises(ConfigError, match="seed"):
+            ServeSpec(seed=seed)
+        with pytest.raises(ConfigError, match="seed"):
+            poisson_arrivals(1_000.0, seed, 1)
 
     @pytest.mark.parametrize("limit", [2.5, True, -1])
-    def test_merge_limit_is_a_non_negative_int(self, limit):
+    def test_arrival_limit_is_a_non_negative_int(self, limit):
         """2.5 used to return three arrivals."""
         with pytest.raises(ConfigError, match="limit"):
-            merge_tenant_arrivals(split_rate(1_000.0, 1), "poisson", 1, limit)
+            poisson_arrivals(1_000.0, 1, limit)
 
     @pytest.mark.parametrize("capacity", [2.5, True, 0])
     def test_queue_capacity_is_a_positive_int(self, capacity):
         with pytest.raises(ConfigError, match="capacity"):
             RequestQueue(capacity)
 
-    def test_unknown_discipline_fails_at_construction(self):
-        """It used to fail only when serving started."""
-        with pytest.raises(ConfigError, match="discipline"):
-            ServeSpec(discipline="lifo")
-
     def test_unknown_arrival_kind_fails_at_construction(self):
-        with pytest.raises(ConfigError, match="diurnal, onoff, poisson"):
+        with pytest.raises(ConfigError, match="known: poisson$"):
             ServeSpec(arrival="weibull")
 
 
 # ----------------------------------------------------------------------
-# Arrival processes
+# The Poisson arrival stream
 # ----------------------------------------------------------------------
 class TestArrivalProcesses:
     def test_unknown_kind(self):
-        with pytest.raises(ConfigError, match="diurnal, onoff, poisson"):
-            make_arrival_process("weibull", 100.0)
+        """Poisson is the one process: the bursty and diurnal kinds are
+        unknown, rejected where the spec is made."""
+        for arrival in ("onoff", "diurnal"):
+            with pytest.raises(ConfigError, match="known: poisson$"):
+                ServeSpec(arrival=arrival)
 
     def test_poisson_mean_rate(self):
         process = PoissonProcess(10_000.0)
@@ -155,118 +112,36 @@ class TestArrivalProcesses:
         stamps = take(process.arrivals(rng(3)), 100)
         assert stamps == pytest.approx(np.cumsum(gaps))
 
-    def test_onoff_preserves_average_rate(self):
-        process = OnOffProcess(10_000.0, burst=4.0, on_fraction=0.2)
-        gaps = take(process.intervals(rng(1)), 60_000)
-        assert np.mean(gaps) == pytest.approx(100.0, rel=0.1)
-
-    def test_onoff_is_burstier_than_poisson(self):
-        poisson = take(PoissonProcess(10_000.0).intervals(rng(2)), 30_000)
-        onoff = take(
-            OnOffProcess(10_000.0, burst=4.0, on_fraction=0.2).intervals(rng(2)),
-            30_000,
-        )
-        assert np.std(onoff) > np.std(poisson)
-
-    def test_onoff_validation(self):
-        with pytest.raises(ConfigError):
-            OnOffProcess(100.0, burst=1.0)
-        with pytest.raises(ConfigError):
-            OnOffProcess(100.0, burst=6.0, on_fraction=0.2)
-        with pytest.raises(ConfigError):
-            OnOffProcess(100.0, on_fraction=1.5)
-
-    def test_diurnal_preserves_average_rate(self):
-        process = DiurnalProcess(10_000.0, day_us=100_000.0)
-        gaps = take(process.intervals(rng(4)), 60_000)
-        assert np.mean(gaps) == pytest.approx(100.0, rel=0.1)
-
-    def test_diurnal_rate_follows_profile(self):
-        process = DiurnalProcess(
-            1_000.0, profile=(0.5, 2.0), day_us=1_000.0
-        )
-        # Profile mean is 1.25 -> normalised slots are 0.4 and 1.6.
-        assert process.rate_at(0.0) == pytest.approx(400.0)
-        assert process.rate_at(600.0) == pytest.approx(1600.0)
-        assert process.rate_at(1_100.0) == pytest.approx(400.0)
-
-    def test_diurnal_validation(self):
-        with pytest.raises(ConfigError):
-            DiurnalProcess(100.0, profile=(1.0,))
-        with pytest.raises(ConfigError):
-            DiurnalProcess(100.0, profile=(1.0, -1.0))
-
-
-# ----------------------------------------------------------------------
-# Tenant merging
-# ----------------------------------------------------------------------
-class TestMergeTenantArrivals:
-    def test_time_ordered_and_complete(self):
-        tenants = split_rate(12_000.0, 3)
-        merged = merge_tenant_arrivals(tenants, "poisson", 7, 500)
-        assert len(merged) == 500
-        stamps = [t for t, _ in merged]
-        assert stamps == sorted(stamps)
-
-    def test_all_tenants_represented(self):
-        tenants = split_rate(12_000.0, 4)
-        merged = merge_tenant_arrivals(tenants, "poisson", 7, 2_000)
-        indices = {index for _, index in merged}
-        assert indices == {0, 1, 2, 3}
-
-    def test_deterministic_in_seed(self):
-        tenants = split_rate(8_000.0, 2)
-        one = merge_tenant_arrivals(tenants, "onoff", 13, 300)
-        two = merge_tenant_arrivals(tenants, "onoff", 13, 300)
-        assert one == two
-        other = merge_tenant_arrivals(tenants, "onoff", 14, 300)
-        assert one != other
-
-    def test_adding_a_tenant_preserves_existing_streams(self):
-        # Per-tenant streams come from SeedSequence children, so tenant
-        # 0's private timestamps are identical whether it has 1 or 3
-        # peers — only the interleaving changes.
-        two = merge_tenant_arrivals(split_rate(4_000.0, 2), "poisson", 7, 400)
-        tenants3 = split_rate(4_000.0, 2) + [Tenant("extra", 100.0)]
-        three = merge_tenant_arrivals(tenants3, "poisson", 7, 400)
-        stamps_t0_two = [t for t, i in two if i == 0][:50]
-        stamps_t0_three = [t for t, i in three if i == 0][:50]
-        assert stamps_t0_two == stamps_t0_three
+    def test_stream_is_the_first_child_of_the_seed(self):
+        """One stream, drawn from ``SeedSequence(seed).spawn(1)[0]`` — the
+        stream a one-tenant population drew — not from the seed itself."""
+        stamps = poisson_arrivals(8_000.0, 13, 300)
+        child = np.random.SeedSequence(13).spawn(1)[0]
+        spawned = PoissonProcess(8_000.0).arrivals(
+            np.random.Generator(np.random.PCG64(child)))
+        assert stamps == take(spawned, 300)
+        unspawned = PoissonProcess(8_000.0).arrivals(
+            np.random.Generator(np.random.PCG64(np.random.SeedSequence(13))))
+        assert stamps != take(unspawned, 300)
 
 
 # ----------------------------------------------------------------------
 # Request queue
 # ----------------------------------------------------------------------
-def request(seq: int, priority: int = 0) -> Request:
-    return Request(
-        seq=seq,
-        arrival_us=float(seq),
-        tenant_index=0,
-        operation=Operation(OP_GET, b"k"),
-        priority=priority,
-    )
+def request(seq: int) -> Request:
+    return Request(seq=seq, arrival_us=float(seq), operation=Operation(OP_GET, b"k"))
 
 
 class TestRequestQueue:
     def test_validation(self):
         with pytest.raises(ConfigError):
             RequestQueue(0)
-        with pytest.raises(ConfigError):
-            RequestQueue(4, discipline="lifo")
 
     def test_fifo_order(self):
         queue = RequestQueue(8)
         for seq in range(5):
             queue.offer(request(seq))
         assert [queue.pop().seq for _ in range(5)] == [0, 1, 2, 3, 4]
-
-    def test_priority_order_with_fifo_ties(self):
-        queue = RequestQueue(8, discipline="priority")
-        queue.offer(request(0, priority=5))
-        queue.offer(request(1, priority=1))
-        queue.offer(request(2, priority=5))
-        queue.offer(request(3, priority=1))
-        assert [queue.pop().seq for _ in range(4)] == [1, 3, 0, 2]
 
     def test_rejects_when_full(self):
         queue = RequestQueue(2)
@@ -304,8 +179,6 @@ class TestRequestQueue:
     def test_pop_empty_raises(self):
         with pytest.raises(ConfigError):
             RequestQueue(2).pop()
-        with pytest.raises(ConfigError):
-            RequestQueue(2, discipline="priority").pop()
 
     def test_fifo_compaction_keeps_order(self):
         queue = RequestQueue(10_000)
@@ -375,8 +248,7 @@ class TestAdmissionControl:
         write = Operation(OP_PUT, b"k", b"v")
         read = Operation(OP_GET, b"k")
         with pytest.raises(BackpressureError) as excinfo:
-            admission_bound(db, serve, write, tenant="gold")
-        assert excinfo.value.tenant == "gold"
+            admission_bound(db, serve, write)
         assert isinstance(excinfo.value, AdmissionError)
         assert admission_bound(db, serve, read) is None
 
@@ -439,7 +311,7 @@ class TestServeWorkload:
         assert open_result.mean_wait_us() > 0.0
 
     def test_deterministic_fingerprint(self):
-        serve = ServeSpec(arrival="onoff", rate_ops_s=10_000.0, seed=5)
+        serve = ServeSpec(rate_ops_s=10_000.0, seed=5)
         one = serve_workload(SPEC, "ldc", serve)
         two = serve_workload(SPEC, "ldc", serve)
         assert one.fingerprint() == two.fingerprint()
@@ -453,71 +325,18 @@ class TestServeWorkload:
         # Rejections count as SLO violations.
         assert result.slo_violation_rate >= result.rejection_rate
 
-    def test_per_tenant_stats_and_metrics(self):
-        serve = ServeSpec(arrival="poisson", rate_ops_s=8_000.0,
-                          num_tenants=3, slo_us=1_000.0)
-        result = serve_workload(SPEC, "udc", serve)
-        assert len(result.tenant_stats) == 3
-        assert sum(s.completed for s in result.tenant_stats) == result.completed
-        snapshot = result.tenant_metrics()
-        for stats in result.tenant_stats:
-            scoped = snapshot.component(f"tenant.{stats.tenant.name}")
-            assert scoped["serve.completed"] == stats.completed
-
-    def test_tenant_slo_override(self):
-        tenants = (
-            Tenant("gold", 4_000.0, slo_us=50.0),
-            Tenant("bulk", 4_000.0),
-        )
-        serve = ServeSpec(arrival="poisson", rate_ops_s=8_000.0,
-                          tenants=tenants, slo_us=100_000.0)
-        result = serve_workload(SPEC, "udc", serve)
-        gold, bulk = result.tenant_stats
-        assert gold.slo_us == 50.0
-        assert bulk.slo_us == 100_000.0
-        assert gold.slo_violation_rate >= bulk.slo_violation_rate
-
-    def test_priority_discipline_favors_low_priority_value(self):
-        tenants = (
-            Tenant("gold", 30_000.0, priority=0),
-            Tenant("bulk", 30_000.0, priority=9),
-        )
-        serve = ServeSpec(arrival="poisson", rate_ops_s=60_000.0,
-                          tenants=tenants, discipline="priority",
-                          queue_depth=128)
-        result = serve_workload(SPEC, "udc", serve)
-        gold, bulk = result.tenant_stats
-        assert gold.completed > 0 and bulk.completed > 0
-        assert (
-            gold.wait_latencies.mean() < bulk.wait_latencies.mean()
-        )
-
-    def test_empty_tenants_tuple_rejected(self):
-        with pytest.raises(ConfigError):
-            ServeSpec(tenants=()).resolve_tenants()
-
     @pytest.mark.parametrize(
         "serve",
         [
-            # Overload, priorities and a short queue: rejections, reordered
-            # completions, tenants of very different sizes.
-            ServeSpec(
-                arrival="poisson",
-                tenants=(
-                    Tenant("gold", 30_000.0, priority=0),
-                    Tenant("bulk", 30_000.0, priority=9),
-                    Tenant("rare", 300.0, priority=5),
-                ),
-                discipline="priority",
-                queue_depth=16,
-            ),
+            # Overload and a short queue: rejections between completions.
+            ServeSpec(rate_ops_s=60_300.0, queue_depth=16),
         ],
         ids=["open"],
     )
     def test_batched_recorders_equal_a_per_sample_replay(self, serve, monkeypatch):
         """The serve loop buffers samples and records them a batch at a time;
         the same run with every batch fed through per-sample ``record`` must
-        leave every recorder, fleet-wide and per tenant, in the same state."""
+        leave every recorder in the same state."""
 
         def recorder_state(recorder):
             histogram = recorder.histogram
@@ -531,8 +350,6 @@ class TestServeWorkload:
         def all_states(result):
             recorders = [result.wait_latencies, result.service_latencies,
                          result.total_latencies]
-            for stats in result.tenant_stats:
-                recorders += [stats.wait_latencies, stats.total_latencies]
             return [recorder_state(recorder) for recorder in recorders]
 
         record_many = LatencyRecorder.record_many
@@ -552,6 +369,5 @@ class TestServeWorkload:
         assert batched.completed > 2 * RECORD_BATCH
         assert batched.completed % RECORD_BATCH
         assert len(batched.total_latencies) == batched.completed
-        for stats in batched.tenant_stats:
-            assert len(stats.wait_latencies) == stats.completed
-            assert len(stats.total_latencies) == stats.completed
+        assert len(batched.wait_latencies) == batched.completed
+        assert batched.rejected_full > 0

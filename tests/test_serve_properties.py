@@ -3,13 +3,13 @@
 Five contracts, over *arbitrary* parameters rather than the seeded
 examples of the unit suite:
 
-1. **Seeded determinism** — a merged tenant arrival sequence is a pure
-   function of ``(tenants, kind, seed)``: same seed ⇒ identical
-   timestamps and tenant labels, different seed ⇒ a different sequence.
-2. **Interval/arrival consistency** — for every process family, the
-   n-th arrival timestamp equals the running sum of the first n
-   inter-arrival gaps drawn from an identically-seeded generator: the
-   virtual clock advances by exactly the gaps, nothing else.
+1. **Seeded determinism** — the arrival stream is a pure function of
+   ``(rate, seed)``: same seed ⇒ identical timestamps, different seed ⇒
+   a different sequence, and the timestamps only grow.
+2. **Interval/arrival consistency** — the n-th arrival timestamp equals
+   the running sum of the first n inter-arrival gaps drawn from an
+   identically-seeded generator: the virtual clock advances by exactly
+   the gaps, nothing else.
 3. **Conservation** — under any interleaving of offers, pops and
    completions, the queue ledger balances: every arrival is admitted or
    rejected, every admitted request is completed or still queued.
@@ -17,11 +17,8 @@ examples of the unit suite:
    offered load (holding the arrival sample paths comparable) never
    reduces the mean queue wait.  This is the queueing-theory sanity
    check that the open-loop simulation actually behaves like a queue.
-5. **Long-run mean rate** — every process family's empirical mean
-   inter-arrival over a long sample matches ``1e6 / rate_ops_s``: the
-   modulation (bursts, diurnal profile) reshapes the arrivals but must
-   not change the offered load.  This is the property a broken MMPP
-   boundary-crossing construction silently violates.
+5. **Long-run mean rate** — the empirical mean inter-arrival over a long
+   sample matches ``1e6 / rate_ops_s``.
 """
 
 import itertools
@@ -31,16 +28,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.errors import ConfigError, QueueFullError
-from repro.serve import (
-    RequestQueue,
-    Request,
-    make_arrival_process,
-    merge_tenant_arrivals,
-    split_rate,
-)
+from repro.serve import PoissonProcess, Request, RequestQueue, poisson_arrivals
 from repro.workload.ycsb import OP_GET, Operation
-
-KINDS = ("poisson", "onoff", "diurnal")
 
 LOOSE = settings(
     max_examples=25,
@@ -54,39 +43,29 @@ LOOSE = settings(
 # ----------------------------------------------------------------------
 class TestSeededDeterminism:
     @given(
-        kind=st.sampled_from(KINDS),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
-        tenants=st.integers(min_value=1, max_value=5),
         count=st.integers(min_value=1, max_value=200),
     )
     @LOOSE
-    def test_same_seed_same_sequence(self, kind, seed, tenants, count):
-        population = split_rate(10_000.0, tenants)
-        one = merge_tenant_arrivals(population, kind, seed, count)
-        two = merge_tenant_arrivals(population, kind, seed, count)
+    def test_same_seed_same_sequence(self, seed, count):
+        one = poisson_arrivals(10_000.0, seed, count)
+        two = poisson_arrivals(10_000.0, seed, count)
         assert one == two
 
-    @given(
-        kind=st.sampled_from(KINDS),
-        seed=st.integers(min_value=0, max_value=2**31 - 2),
-    )
+    @given(seed=st.integers(min_value=0, max_value=2**31 - 2))
     @LOOSE
-    def test_different_seed_different_sequence(self, kind, seed):
-        population = split_rate(10_000.0, 2)
-        one = merge_tenant_arrivals(population, kind, seed, 100)
-        two = merge_tenant_arrivals(population, kind, seed + 1, 100)
+    def test_different_seed_different_sequence(self, seed):
+        one = poisson_arrivals(10_000.0, seed, 100)
+        two = poisson_arrivals(10_000.0, seed + 1, 100)
         assert one != two
 
     @given(
-        kind=st.sampled_from(KINDS),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
         count=st.integers(min_value=2, max_value=300),
     )
     @LOOSE
-    def test_merge_is_time_ordered(self, kind, seed, count):
-        population = split_rate(8_000.0, 3)
-        merged = merge_tenant_arrivals(population, kind, seed, count)
-        stamps = [stamp for stamp, _ in merged]
+    def test_arrivals_are_time_ordered(self, seed, count):
+        stamps = poisson_arrivals(8_000.0, seed, count)
         assert stamps == sorted(stamps)
         assert all(stamp > 0 for stamp in stamps)
 
@@ -96,14 +75,13 @@ class TestSeededDeterminism:
 # ----------------------------------------------------------------------
 class TestIntervalArrivalConsistency:
     @given(
-        kind=st.sampled_from(KINDS),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
         rate=st.floats(min_value=10.0, max_value=1e6),
         count=st.integers(min_value=1, max_value=300),
     )
     @LOOSE
-    def test_nth_arrival_is_prefix_sum(self, kind, seed, rate, count):
-        process = make_arrival_process(kind, rate)
+    def test_nth_arrival_is_prefix_sum(self, seed, rate, count):
+        process = PoissonProcess(rate)
         gap_rng = np.random.default_rng(seed)
         stamp_rng = np.random.default_rng(seed)
         gaps = process.intervals(gap_rng)
@@ -115,7 +93,6 @@ class TestIntervalArrivalConsistency:
             running += gap
             assert next(stamps) == running
 
-
     @given(
         seed=st.integers(min_value=0, max_value=2**31 - 1),
         rate=st.floats(min_value=10.0, max_value=1e6),
@@ -125,7 +102,7 @@ class TestIntervalArrivalConsistency:
         """``PoissonProcess`` draws 4,096 gaps per generator call; the gaps
         are the ones scalar draws from the same PCG64 stream give, across
         block boundaries."""
-        process = make_arrival_process("poisson", rate)
+        process = PoissonProcess(rate)
         blocked = process.intervals(
             np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
         )
@@ -140,38 +117,28 @@ class TestIntervalArrivalConsistency:
 # ----------------------------------------------------------------------
 # 3. Conservation under arbitrary interleavings
 # ----------------------------------------------------------------------
-def _request(seq: int, priority: int) -> Request:
-    return Request(
-        seq=seq,
-        arrival_us=float(seq),
-        tenant_index=0,
-        operation=Operation(OP_GET, b"k"),
-        priority=priority,
-    )
+def _request(seq: int) -> Request:
+    return Request(seq=seq, arrival_us=float(seq), operation=Operation(OP_GET, b"k"))
 
 
 class TestConservation:
     @given(
         events=st.lists(
-            st.tuples(
-                st.sampled_from(("offer", "serve", "external")),
-                st.integers(min_value=0, max_value=3),
-            ),
+            st.sampled_from(("offer", "serve", "external")),
             min_size=1,
             max_size=300,
         ),
         capacity=st.integers(min_value=1, max_value=8),
-        discipline=st.sampled_from(("fifo", "priority")),
     )
     @LOOSE
-    def test_ledger_balances_at_every_step(self, events, capacity, discipline):
-        queue = RequestQueue(capacity, discipline)
+    def test_ledger_balances_at_every_step(self, events, capacity):
+        queue = RequestQueue(capacity)
         in_flight = 0
         seq = 0
-        for action, priority in events:
+        for action in events:
             if action == "offer":
                 try:
-                    queue.offer(_request(seq, priority))
+                    queue.offer(_request(seq))
                 except Exception:
                     pass
                 seq += 1
@@ -188,20 +155,19 @@ class TestConservation:
         assert stats.arrived == stats.admitted + stats.rejected
         assert stats.admitted == stats.completed + queue.depth
 
-    @pytest.mark.parametrize("discipline", ["fifo", "priority"])
-    def test_ledger_balances_past_ten_thousand_pops(self, discipline):
+    def test_ledger_balances_past_ten_thousand_pops(self):
         """The long-run case the hand-rolled list-with-head FIFO carried a
         compaction branch for (drained prefix > 4096): on the deque-backed
         queue the rule holds at every step of a 12k-pop saw-tooth, order is
         arrival order throughout, and a rejection reports the depth it saw."""
-        queue = RequestQueue(64, discipline)
+        queue = RequestQueue(64)
         rng = np.random.default_rng(5)
         seq = 0
         popped = []
         while len(popped) < 12_000:
             for _ in range(int(rng.integers(1, 90))):
                 try:
-                    queue.offer(_request(seq, priority=0))
+                    queue.offer(_request(seq))
                 except QueueFullError as error:
                     assert error.depth == queue.depth == 64
                     assert str(error) == (
@@ -219,23 +185,7 @@ class TestConservation:
         assert queue.stats.rejected > 0
         assert queue.stats.admitted == len(popped) + queue.depth
         with pytest.raises(ConfigError, match="pop from an empty request queue"):
-            RequestQueue(4, discipline).pop()
-
-    @given(
-        priorities=st.lists(
-            st.integers(min_value=0, max_value=5), min_size=1, max_size=64
-        )
-    )
-    @LOOSE
-    def test_priority_pop_order_is_stable_sort(self, priorities):
-        queue = RequestQueue(len(priorities), discipline="priority")
-        for seq, priority in enumerate(priorities):
-            queue.offer(_request(seq, priority))
-        popped = [queue.pop() for _ in range(len(priorities))]
-        expected = sorted(
-            range(len(priorities)), key=lambda seq: (priorities[seq], seq)
-        )
-        assert [request.seq for request in popped] == expected
+            RequestQueue(4).pop()
 
 
 # ----------------------------------------------------------------------
@@ -266,33 +216,19 @@ def mean_wait_md1(service_us: float, rate_ops_s: float, seed: int,
 # 5. Long-run mean inter-arrival matches the configured rate
 # ----------------------------------------------------------------------
 
-#: Per-kind cycle parameters chosen so a 60k-gap sample spans many
-#: burst/quiet cycles (onoff) or virtual days (diurnal); the sample mean
-#: then estimates the long-run rate to within a few percent, while the
-#: pre-fix MMPP boundary bug sat 12-25% high under this configuration.
-RATE_CONFIGS = (
-    ("poisson", 10_000.0, ()),
-    ("onoff", 2_000.0, (("mean_cycle_us", 25_000.0),)),
-    ("diurnal", 5_000.0, (("day_us", 100_000.0),)),
-)
-
-
 class TestLongRunMeanRate:
-    @given(
-        config=st.sampled_from(RATE_CONFIGS),
-        seed=st.integers(min_value=0, max_value=2**31 - 1),
-    )
+    @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
     @settings(
         max_examples=9,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    def test_mean_interarrival_matches_configured_rate(self, config, seed):
-        kind, rate, params = config
-        process = make_arrival_process(kind, rate, **dict(params))
+    def test_mean_interarrival_matches_configured_rate(self, seed):
+        rate = 10_000.0
         rng = np.random.default_rng(seed)
         gaps = np.fromiter(
-            itertools.islice(process.intervals(rng), 60_000), dtype=float
+            itertools.islice(PoissonProcess(rate).intervals(rng), 60_000),
+            dtype=float,
         )
         assert float(np.mean(gaps)) == pytest.approx(1e6 / rate, rel=0.08)
 

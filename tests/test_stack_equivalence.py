@@ -1,18 +1,15 @@
 """Pair-runs: the composed stack's one-pass routines against their oracles.
 
-Three replacements, each compared with the routine it replaced (the
-fourth, the scheduler's run replay, is pair-run step for step by
+Two replacements, each compared with the routine it replaced (the
+third, the scheduler's run replay, is pair-run step for step by
 ``tests/test_sched_properties.py`` against ``tests/_pump_oracle.py``):
 
-* the serve loop that serves a request inline, with its arrivals merged
-  by ``heapq.merge`` — against ``tests/_serve_oracle.py``'s per-request
-  loop and heap merge, over the parent's FTL and per-chunk replay too:
-  the same ``ServeResult.fingerprint()``, tenant ledgers, recorders and
-  trace events, over arrival kinds, tenant mixes, queue disciplines and
-  depths that reject, back-pressure at slowdown and stop, flash on and
-  off and 0, 1 or 3 background threads;
-* the arrival merge alone, which must also never draw a tenant past what
-  it yields;
+* the serve loop that serves a request inline — against
+  ``tests/_serve_oracle.py``'s per-request loop, over the parent's FTL
+  and per-chunk replay too: the same ``ServeResult.fingerprint()``,
+  ledger, recorders and trace events, over seeds, rates, queue depths
+  that reject, back-pressure on and off and at slowdown and stop, flash
+  on and off and 0, 1 or 3 background threads;
 * the FTL programming a block run — against ``tests/_flash_oracle.py``'s
   page-at-a-time programming: every table, counter and gauge after every
   write and trim, GC relocations, a full device and crash points inside
@@ -20,9 +17,7 @@ fourth, the scheduler's run replay, is pair-run step for step by
 """
 
 from dataclasses import replace
-from itertools import count
 
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import DeviceConfig, FlashSpec, RingBufferSink, SimulatedSSD, Tracer
@@ -30,9 +25,7 @@ from repro.errors import ReproError
 from repro.faults.plan import FaultPlan
 from repro.harness.runner import build_db
 from repro.lsm.config import LSMConfig
-from repro.serve import ServeSpec, Tenant, serve_workload
-from repro.serve import arrivals as arrivals_module
-from repro.serve.arrivals import merge_tenant_arrivals
+from repro.serve import ServeSpec, poisson_arrivals, serve_workload
 from repro.ssd.metrics import GC_READ, GC_WRITE
 from repro.workload.spec import rwb, scn_rwb, wo
 from repro.workload.ycsb import OP_PUT, OP_RMW, Operation, WorkloadGenerator
@@ -41,61 +34,11 @@ from . import _serve_oracle as serve_oracle
 from ._flash_oracle import OracleFTL, ftl_state
 from ._pump_oracle import ChunkReplayScheduler
 
-KINDS = ("poisson", "onoff", "diurnal")
-
 PAIRS = settings(
     max_examples=30,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-
-
-# ----------------------------------------------------------------------
-# The arrival merge
-# ----------------------------------------------------------------------
-class TestArrivalMerge:
-    @given(
-        kind=st.sampled_from(KINDS),
-        seed=st.integers(min_value=0, max_value=2**31 - 1),
-        rates=st.lists(st.floats(min_value=50.0, max_value=50_000.0),
-                       min_size=1, max_size=5),
-        limit=st.integers(min_value=0, max_value=600),
-    )
-    @PAIRS
-    def test_heapq_merge_is_the_heap_merge(self, kind, seed, rates, limit):
-        tenants = [Tenant(f"t{i}", rate) for i, rate in enumerate(rates)]
-        ours = merge_tenant_arrivals(tenants, kind, seed, limit)
-        assert ours == serve_oracle.merge_tenant_arrivals(tenants, kind, seed, limit)
-        assert len(ours) == limit
-
-    @pytest.mark.parametrize("tenants", [1, 3, 20])
-    @pytest.mark.parametrize("limit", [0, 1, 2, 500])
-    def test_no_tenant_is_drawn_past_what_the_merge_yields(
-        self, monkeypatch, tenants, limit
-    ):
-        """Each tenant's head, then one draw per arrival yielded after the
-        first: ``limit + tenants - 1`` draws (the heap drew ``limit +
-        tenants``), and none at all for ``limit=0``."""
-        drawn = count()
-        make = arrivals_module.make_arrival_process
-
-        def counted(kind, rate, **params):
-            process = make(kind, rate, **params)
-            stamps = process.arrivals
-
-            def arrivals(rng):
-                for stamp in stamps(rng):
-                    next(drawn)
-                    yield stamp
-
-            process.arrivals = arrivals
-            return process
-
-        monkeypatch.setattr(arrivals_module, "make_arrival_process", counted)
-        population = [Tenant(f"t{i}", 1_000.0 * (i + 1)) for i in range(tenants)]
-        merged = merge_tenant_arrivals(population, "poisson", 3, limit)
-        assert len(merged) == limit
-        assert next(drawn) == (limit + tenants - 1 if limit else 0)
 
 
 # ----------------------------------------------------------------------
@@ -117,17 +60,6 @@ def serve_config(bg_threads: int, throttle: bool) -> LSMConfig:
 
 FLASH = FlashSpec(page_bytes=512, pages_per_block=8, logical_bytes=1 << 20)
 
-tenant_mixes = st.lists(
-    st.tuples(
-        st.floats(min_value=2_000.0, max_value=80_000.0),  # rate
-        st.integers(min_value=0, max_value=2),  # priority
-        st.one_of(st.none(), st.floats(min_value=20.0, max_value=3_000.0)),
-    ),
-    min_size=1,
-    max_size=3,
-)
-
-
 def operations_of(spec, rmw_every: int) -> list:
     """The spec's stream with every ``rmw_every``-th put made a read-modify-write."""
     ops = list(WorkloadGenerator(spec).operations())
@@ -146,16 +78,10 @@ def serve_outcome(result, sink) -> tuple:
         return (list(rec.values), len(rec), hist.count, hist.total,
                 hist._min, hist._max, sorted(hist._buckets.items()))
 
-    tenants = [
-        (stats.tenant, stats.slo_us, stats.completed, stats.rejected_full,
-         stats.rejected_backpressure, stats.slo_violations,
-         recorder(stats.wait_latencies), recorder(stats.total_latencies))
-        for stats in result.tenant_stats
-    ]
     return (
         result.fingerprint(),
         result.summary(),
-        tenants,
+        result.slo_violations,
         [recorder(r) for r in (result.wait_latencies, result.service_latencies,
                                result.total_latencies)],
         [(e.kind, e.t_us, e.fields) for e in sink.events],
@@ -164,10 +90,7 @@ def serve_outcome(result, sink) -> tuple:
 
 class TestServeLoop:
     @given(
-        kind=st.sampled_from(KINDS),
-        mix=tenant_mixes,
-        explicit=st.booleans(),
-        discipline=st.sampled_from(("fifo", "priority")),
+        rate=st.floats(min_value=2_000.0, max_value=80_000.0),
         queue_depth=st.integers(min_value=1, max_value=12),
         backpressure=st.booleans(),
         throttle=st.booleans(),
@@ -180,26 +103,15 @@ class TestServeLoop:
     )
     @PAIRS
     def test_one_loop_is_the_per_request_loop(
-        self, kind, mix, explicit, discipline, queue_depth, backpressure,
-        throttle, flash, bg_threads, scans, rmw_every, seed, slo_us,
+        self, rate, queue_depth, backpressure, throttle, flash, bg_threads,
+        scans, rmw_every, seed, slo_us,
     ):
         make = scn_rwb if scans else rwb
         spec = make(num_operations=240, key_space=120, preload_keys=120,
                     value_bytes=90, key_bytes=12, delete_ratio=0.1,
                     scan_length=8, seed=seed)
-        if explicit:
-            tenants = tuple(
-                Tenant(f"tenant{i}", rate, priority=priority, slo_us=slo)
-                for i, (rate, priority, slo) in enumerate(mix)
-            )
-            serve = ServeSpec(arrival=kind, tenants=tenants, seed=seed,
-                              queue_depth=queue_depth, discipline=discipline,
-                              slo_us=slo_us, backpressure=backpressure)
-        else:
-            serve = ServeSpec(arrival=kind, rate_ops_s=mix[0][0],
-                              num_tenants=len(mix), seed=seed,
-                              queue_depth=queue_depth, discipline=discipline,
-                              slo_us=slo_us, backpressure=backpressure)
+        serve = ServeSpec(rate_ops_s=rate, seed=seed, queue_depth=queue_depth,
+                          slo_us=slo_us, backpressure=backpressure)
         ops = operations_of(spec, rmw_every)
         serve_pair(spec, serve, ops, bg_threads, throttle, flash)
 
@@ -221,7 +133,7 @@ class TestServeLoop:
 
 def serve_pair(spec, serve, ops, bg_threads, throttle, flash):
     """Serve ``ops`` through this tree and through the parent's stack (serve
-    loop, arrival merge, FTL, replay); assert the outcomes equal.  Returns
+    loop, FTL, replay) from the same arrivals; assert the outcomes equal.  Returns
     this tree's result and the throttle states its admissions saw."""
     outcomes, states = [], set()
     for oracle in (False, True):
@@ -241,8 +153,7 @@ def serve_pair(spec, serve, ops, bg_threads, throttle, flash):
         db.policy.maybe_compact()
         db.reset_measurements()
         if oracle:
-            arrivals = serve_oracle.merge_tenant_arrivals(
-                serve.resolve_tenants(), serve.arrival, serve.seed, len(ops))
+            arrivals = poisson_arrivals(serve.rate_ops_s, serve.seed, len(ops))
             outcomes.append(serve_outcome(
                 serve_oracle.serve_open_loop(db, ops, arrivals, spec.name, serve),
                 sink,

@@ -102,6 +102,11 @@ class TestValidation:
         with pytest.raises(WorkloadError):
             WorkloadSpec(name="x", num_operations=1, write_ratio=0.5, key_bytes=4)
 
+    def test_negative_seed(self):
+        """It used to be accepted and then fail in numpy at generation."""
+        with pytest.raises(WorkloadError, match="seed must be non-negative"):
+            rwb(seed=-1)
+
     @pytest.mark.parametrize(
         "field",
         ["num_operations", "key_space", "key_bytes", "value_bytes", "scan_length",
