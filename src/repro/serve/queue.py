@@ -33,16 +33,16 @@ from ..errors import ConfigError, QueueFullError
 class Request(NamedTuple):
     """One open-loop request: an operation with an arrival timestamp.
 
-    ``seq`` is the global arrival index.  ``operation`` is a workload
-    :class:`~repro.workload.ycsb.Operation`; the serving loop executes
-    it against the DB exactly like the closed-loop runner would.
+    ``operation`` is a workload :class:`~repro.workload.ycsb.Operation`;
+    the serving loop executes it against the DB exactly like the
+    closed-loop runner would.  Requests leave in arrival order, so the
+    queue needs no sequence number.
 
     A plain immutable row: the serving loop builds one per arrival, so it
     is a tuple rather than a frozen dataclass (whose ``__init__`` pays one
     ``object.__setattr__`` per field).
     """
 
-    seq: int
     arrival_us: float
     operation: object
 

@@ -338,7 +338,7 @@ def _serve_open_loop(
     for arrival_rel_us, operation in chain(zip(arrivals, operations), _LAST_ARRIVAL):
         arrival_us = origin_us + arrival_rel_us
         while waiting and clock._now_us < arrival_us:
-            _seq, request_us, request = take()
+            request_us, request = take()
             if clock._now_us < request_us:
                 # Server idle: jump to the arrival (clock.advance_to,
                 # inlined).  Background work owed in this gap (compaction
@@ -373,7 +373,6 @@ def _serve_open_loop(
             stall_total = stalled
         if operation is None:  # the last arrival: the queue is drained
             break
-        request = (seq, arrival_us, operation)
         seq += 1
         if not seq % RECORD_BATCH:
             record_batch()
@@ -389,7 +388,7 @@ def _serve_open_loop(
         if len(waiting) >= bound:
             rejected_full += 1
             continue
-        push(request)
+        push((arrival_us, operation))
     record_batch()
     elapsed = clock.now() - start_time
     completed = len(total_rec)

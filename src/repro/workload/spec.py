@@ -12,6 +12,7 @@ insertions at 100/70/50/30/0 % writes.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from numbers import Integral
 from typing import Any, Dict
 
 from ..errors import WorkloadError
@@ -43,7 +44,8 @@ class WorkloadSpec:
     """A fully specified benchmark workload.
 
     The count and size fields are plain ``int``s: a float or a ``bool``
-    there is a :class:`~repro.errors.WorkloadError` at construction.
+    there is a :class:`~repro.errors.WorkloadError` at construction.  The
+    seed may be any integer (a numpy one too), but not a ``bool``.
 
     Parameters
     ----------
@@ -122,6 +124,8 @@ class WorkloadSpec:
             raise WorkloadError("delete_ratio must lie in [0, 1]")
         if self.preload_keys < 0:
             raise WorkloadError("preload_keys must be non-negative")
+        if type(self.seed) is bool or not isinstance(self.seed, Integral):
+            raise WorkloadError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise WorkloadError(f"seed must be non-negative, got {self.seed!r}")
 

@@ -11,7 +11,9 @@ pair-runs against: the same ``ServeResult.fingerprint()``, ledger,
 recorders and trace events.  It is verbatim but for what went with
 tenants: it books one ledger of plain counts, where it booked one per
 tenant, and takes its arrivals from ``poisson_arrivals``, where it drew
-them from a heap merge of the tenants' streams.
+them from a heap merge of the tenants' streams; and it builds a
+``Request`` without the ``seq`` field that ``Request`` no longer has (its
+``seq`` counter still paces ``record_batch``).
 """
 
 from typing import List, Optional, Sequence, Tuple
@@ -99,7 +101,7 @@ def serve_open_loop(
 
     def serve_one(request: Request) -> None:
         nonlocal stall_total, completed, slo_violations
-        _seq, arrival_us, operation = request
+        arrival_us, operation = request
         if clock._now_us < arrival_us:
             clock.advance_to(arrival_us)
         begin = clock._now_us
@@ -130,7 +132,7 @@ def serve_open_loop(
         arrival_us = origin_us + arrival_rel_us
         while waiting and clock._now_us < arrival_us:
             serve_one(pop())
-        request = new_request(Request, (seq, arrival_us, operation))
+        request = new_request(Request, (arrival_us, operation))
         seq += 1
         if not seq % RECORD_BATCH:
             record_batch()

@@ -1,6 +1,5 @@
 """Tests for the command-line interface."""
 
-import hashlib
 import json
 import re
 
@@ -11,103 +10,53 @@ from repro.cli import EXPERIMENTS, build_parser, main
 from repro.errors import EngineError
 from repro.harness import experiments
 
+from .pins import check
+
 TINY = ["--ops", "1200", "--keys", "400"]
 
-#: Subcommand line (sized by ``_argv``) -> SHA-256 of its stdout with the
-#: host-time cells masked, captured on PR 18's ``src/`` before the
-#: experiment shell was rewritten: every name in ``EXPERIMENTS`` plus the
-#: flag combinations that switch a handler's report.  ``fig01s`` and
-#: ``run RWB --bg-threads 1`` were re-pinned when memtable flushes moved
-#: onto the scheduler's flush lane: their writes stop paying the flush.
-#: Every line that runs LDC was re-pinned when an LDC get began to stop at
-#: the newest linked slice that holds the key: only LDC rows moved.
-#: ``list`` was re-pinned when ``shard_scaling``, ``paper_scale`` and
-#: ``fig_device_wa`` joined ``FIGURES``: the same names, in a new order;
-#: and again when ``cache``, ``frozen`` and ``btree`` joined it: the same
-#: lines, plus those three.  The three were pinned when they became figures.
-#: ``list``, ``run``, ``run RWB --bg-threads 1`` and ``crashtest --every
-#: 25`` were re-pinned when the sharded engine was deleted: each lost only
-#: its shard text (``list`` its ``shard_scaling`` line; ``run`` its
-#: ``shards=`` / ``workers=`` / ``partitioner=`` fields, ``aggregate``
-#: title, ``wall seconds`` row and one-row ``per shard`` table; crashtest
-#: its ``shards=1`` field).  ``run RWB --flash`` was pinned then.
-#: ``serve`` was re-pinned when the queue discipline was deleted: its
-#: header line lost only its ``discipline=fifo`` field.
-GOLDEN_STDOUT = {
-    "list":
-        "2ef3a74979e7af540234156ac027380b8e80bd75d73a833db487979132974f75",
-    "fig01":
-        "30dcb5c1159eb5253fcffdca2e1123203ee5820df65361c3378dcbbe05daa0bc",
-    "fig01s":
-        "de5d372c9e415c9c762bbada2b091603fa85c40bdd69a5d5cbff87d2118b7ace",
-    "fig01_open_loop":
-        "ef6813fe189df37b2d6d954cc0dc2f11971de5e9d156b89945f3fa39ac632480",
-    "tab1":
-        "0a21b23d08a35410c2c2a6ecbd8ab01161668044eee2600a55e26df5203b9980",
-    "fig07":
-        "e065bf88926aeadb5a15bffdb28f6f216511ffe9cc7962dd920a93d255db27e0",
-    "fig08":
-        "fc2312554382185be3efb986f3cf6ed3cf999980492c441ed71de803eae83043",
-    "fig09":
-        "951c1a78e2709f24b4619667ca034986951cb07acf92e13864537eb3b9de4cb5",
-    "fig10a":
-        "d31f99cd4f91a84073fde35de49b2295ad4dabe7d96ce095f3606a207de05791",
-    "fig10b":
-        "48bdcb62381a3dfa1c5d024468c733ba92a1106f825f61bad46f21de44c56d9f",
-    "fig10c":
-        "be931b2f4b076887bf0d238338515e7d98d8b83975c9d4b73ecd4882791f57c9",
-    "fig11":
-        "541799792c32c704b3a4c01e48cfab0d1f60718a6862d9bc1fd9a476eee9a143",
-    "fig12ad":
-        "764f63c6855667371c469e83ee5f3886d352f296213fd3d64e26a7f28318b7d8",
-    "fig12be":
-        "3afdc6c0652c94f4d622094edcf92904b1bd56dfee2436addfb9950bc354133d",
-    "fig12cf":
-        "686ec3bc1e28a9dee611d73d8f29cd2bbf96ff89a02bfb84c1a835e81ee0c7d6",
-    "fig13":
-        "404c97d157a557ac4a5cf9f7f6a9015578ac0c7d88da84cd832bcfb4d0ed4bc4",
-    "fig14":
-        "05f0fd38485bc843cd01f264c91f036c357067b2cd723c29c8b4c1433d6bde12",
-    "fig15":
-        "0411492f7ab8fb12b83e92f57c353115b0d4a10081dcf0c07195f13a9e470a2e",
-    "adaptive":
-        "851bfce19cc671723e8ce292dc618c6f1b76da9a0098813b619a7efe020d9cbc",
-    "tiered":
-        "b8ec1034e4d3a8e17dac019762ba593b5a373a0b86b7a27d9aa5d532db9c838b",
-    "asymmetry":
-        "1f6d6383ceee75b2f01f9ea18c9de34e180710a438d3b964201ca83917da0cc7",
-    "cache":
-        "1109090c2ada7a06e7748b1859a7a15fa035f9e55cb01fadebba6fb6a3911e70",
-    "frozen":
-        "e0d4c59975ab74302bc722cde1cd753f87dccedb060016e24661c16cf958b216",
-    "btree":
-        "8bf99d7a70e3b9246a720318ecedbdd4a56ce5a1b4de241542c73c8b6ae26948",
-    "describe":
-        "e0fdc9e0411addd3f7eaa481394e0cec539f9b721f7103de5bb43e6878f52b1e",
-    "paper_scale":
-        "26f7094be321f54371f1a5d29b550cdb140cab130d730fd7e11d9449cf4035f0",
-    "fig_device_wa":
-        "9d0c92fc03d936e3fef2ed6bcd72d26695ef1d2d600526361198dfa460e148fb",
-    "run":
-        "2f0269e651f6a28bde598615195aa23abd29a56d2f7827173384ae8543e8b6f4",
-    "serve":
-        "86e2cafb9c2d846956cf4839509a006cf900c05bc626c931c3258f783ed81d27",
-    "crashtest --every 25":
-        "c8997a88213a3a3ee70f5810c5bf42510544e7a8fe5e549e194005723f196d75",
-    "explore":
-        "bdd2c6316062413a05fa0b795f095b1d56c1c0282b22d28f4587ce0f2ae3b9a5",
-    "explore --policies udc,ldc --mixes RWB":
-        "131bda4e7a37099ddce8942ed6db185928b91592f530823180c41edfb0a48cba",
-    "explore --policies udc,ldc --mixes RWB --flash":
-        "c5325e551fe813ad9ab8fc4a681b8fc4fb4e45cd2c72e85eb54825a747c3016a",
-    "run RWB --flash":
-        "c1946fef2b641e8e67ea000ca34ccdc0b69bbbbb767b96a3c023ef45b4a8f6f4",
-    "trace WO":
-        "bd287b9333387697311d1822d2c58bb040f6e0a43df2484791e397d60905c469",
-    # Captured on PR 20's ``src/`` before the four runners became one shell.
-    "run RWB --bg-threads 1":
-        "c32ad983dd4715d2003f6e12225fa79cc9ee1ecf0a9c881c671279608906b80a",
-}
+#: Every subcommand line ``test_run_tiny`` pins (sized by ``_argv``):
+#: each name in ``EXPERIMENTS`` plus the flag combinations that switch a
+#: handler's report.  The pin is its stdout with the host-time cells
+#: masked.
+COMMANDS = [
+    "list",
+    "fig01",
+    "fig01s",
+    "fig01_open_loop",
+    "tab1",
+    "fig07",
+    "fig08",
+    "fig09",
+    "fig10a",
+    "fig10b",
+    "fig10c",
+    "fig11",
+    "fig12ad",
+    "fig12be",
+    "fig12cf",
+    "fig13",
+    "fig14",
+    "fig15",
+    "adaptive",
+    "tiered",
+    "asymmetry",
+    "cache",
+    "frozen",
+    "btree",
+    "describe",
+    "paper_scale",
+    "fig_device_wa",
+    "run",
+    "serve",
+    "crashtest --every 25",
+    "explore",
+    "explore --policies udc,ldc --mixes RWB",
+    "explore --policies udc,ldc --mixes RWB --flash",
+    "run RWB --flash",
+    "trace WO",
+    "run RWB --bg-threads 1",
+]
+PIN_CASES = [f"cli/{command}" for command in COMMANDS]
 
 _HOST_COLUMNS = {"wall s", "cpu s"}
 _HOST_JSON = ("fill_wall_s", "fill_cpu_s", "read_wall_s", "read_cpu_s",
@@ -222,16 +171,16 @@ class TestDispatch:
         }
         assert expected <= set(EXPERIMENTS)
 
-    @pytest.mark.parametrize("command", list(GOLDEN_STDOUT))
+    @pytest.mark.parametrize("command", COMMANDS)
     def test_run_tiny(self, capsys, command):
         """Each CLI path runs end-to-end at tiny scale and prints, byte for
         byte, what it printed before the shell was rewritten."""
         assert main(_argv(command)) == 0
         out = _mask_host_cells(capsys.readouterr().out)
-        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command], out
+        check(f"cli/{command}", out)
 
     def test_every_subcommand_has_a_golden(self):
-        assert {command.split()[0] for command in GOLDEN_STDOUT} == set(EXPERIMENTS)
+        assert {command.split()[0] for command in COMMANDS} == set(EXPERIMENTS)
 
     def test_fig13_runs(self, capsys):
         assert main(["fig13", "--ops", "800", "--keys", "300"]) == 0

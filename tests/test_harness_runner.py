@@ -1,6 +1,5 @@
 """Integration tests for the workload runner and reports."""
 
-import hashlib
 import pickle
 
 import pytest
@@ -9,6 +8,8 @@ from repro.harness.report import format_table, mib, paper_row
 from repro.harness.runner import build_db, run_workload
 from repro.lsm.config import LSMConfig
 from repro.workload import OP_RMW, Operation, WorkloadGenerator, ro, rwb, scn_rwb, wo
+
+from .pins import check
 
 SMALL = LSMConfig(
     memtable_bytes=4096,
@@ -179,26 +180,21 @@ def test_run_result_fields_are_views_of_the_snapshot(policy, bg_threads):
     assert result.activity_share == snapshot.activity_share()
 
 
-#: SHA-256 of ``repr(run_workload(...).fingerprint())`` for RWB, 1,500
-#: operations over 500 keys: the closed-loop runner's execution, pinned
-#: bit for bit.  A mismatch means the simulation changed, not the test.
-#: All four were re-pinned when the sharded engine was deleted: each is
-#: the parent's fingerprint tuple with its four shard slots (partitioner,
-#: shard count, per-shard operations and elapsed times) removed.
-PINNED_CLOSED_LOOP = {
-    ("udc", 0): "595d71b62b85ed24c9560e041315338fc8478cf2b9863fd032de5cbc0ffe59cd",
-    ("udc", 1): "89595ca1f59ffd02b3bd41a463667afb524825dc86326c625ddde0e2e1bcbeaa",
-    ("ldc", 0): "58c8e39d66d8b39693db72375e26c6141b6d54569550f9085182ca1026cea6b7",
-    ("ldc", 1): "920205c73178707de2c1d6458022bc726707f99af4e2f37afa68d2ba6a54652a",
-}
+#: ``run_workload(...).fingerprint()`` for RWB, 1,500 operations over 500
+#: keys: the closed-loop runner's execution, pinned bit for bit.  A
+#: mismatch means the simulation changed, not the test.
+CLOSED_LOOP = [("udc", 0), ("udc", 1), ("ldc", 0), ("ldc", 1)]
+PIN_CASES = [
+    f"harness_runner/{policy}-{bg_threads}" for policy, bg_threads in CLOSED_LOOP
+]
 
 
-@pytest.mark.parametrize("policy, bg_threads", list(PINNED_CLOSED_LOOP))
+@pytest.mark.parametrize("policy, bg_threads", CLOSED_LOOP)
 def test_closed_loop_fingerprint_is_what_the_parent_computed(policy, bg_threads):
     spec = rwb(num_operations=1_500, key_space=500)
     result = run_workload(spec, policy, config=LSMConfig(bg_threads=bg_threads))
-    digest = hashlib.sha256(repr(result.fingerprint()).encode()).hexdigest()
-    assert digest == PINNED_CLOSED_LOOP[(policy, bg_threads)]
+    check(f"harness_runner/{policy}-{bg_threads}", result.fingerprint(),
+          elapsed_us=result.elapsed_us, write_amp=result.write_amplification)
 
 
 class TestReportHelpers:

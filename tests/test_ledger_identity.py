@@ -1,14 +1,13 @@
 """Every counter and gauge a run emits, pinned to the parent's digests.
 
-The one-ledger rewrite (ISSUE 24) deleted ``EngineStats``, ``IOStats``,
+The one-ledger rewrite deleted ``EngineStats``, ``IOStats``,
 ``CategoryStats`` and the cache's counter properties and made the registry
 the only thing the engine writes.  The licence for that deletion is this
-file: the digests below were captured on the parent commit, *before* any
-``src/`` edit, and every cell hashes
-``repr((sorted(counters.items()), sorted(gauges.items()), elapsed_us))`` —
-so a dropped or renamed key, an ``int`` that became a ``float`` (``3`` vs
+file: each cell pins (``tests/pins.json``, ``ledger_identity/<cell>``)
+``(sorted(counters.items()), sorted(gauges.items()), elapsed_us)`` — so a
+dropped or renamed key, an ``int`` that became a ``float`` (``3`` vs
 ``3.0`` differ in ``repr``), or a float sum re-associated anywhere in the
-engine moves a literal.
+engine moves a pin.
 
 The matrix is the four registered policies x {plain, ``bg_threads=1``,
 mounted flash, empty fault plan}, one tiny run each, plus one open-loop
@@ -19,7 +18,6 @@ docs/METRICS.md documents every key it emits.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from functools import lru_cache
 from typing import Dict, Iterator, List, Tuple
@@ -43,9 +41,14 @@ from repro.workload.ycsb import (
     Operation,
 )
 
+from .pins import check
+
 KIB = 1024
 POLICIES = ("delayed", "ldc", "tiered", "udc")
 STACKS = ("plain", "sched", "flash", "plan")
+CELLS = [f"{policy}/{stack}" for policy in POLICIES for stack in STACKS]
+CELLS.append("serve/poisson-1")
+PIN_CASES = [f"ledger_identity/{cell}" for cell in CELLS]
 
 #: Erase blocks of eight files over a capacity the store nearly fills, so
 #: every policy's mix collects garbage (``flash.gc_*``, the GC categories).
@@ -129,18 +132,18 @@ def run_serve():
     )
 
 
-def digest(metrics: MetricsSnapshot, elapsed_us: float) -> str:
-    payload = repr((
+def payload(metrics: MetricsSnapshot, elapsed_us: float) -> tuple:
+    """What a cell pins: every counter and gauge, and the virtual time."""
+    return (
         sorted(metrics.counters.items()),
         sorted(metrics.gauges.items()),
         elapsed_us,
-    ))
-    return hashlib.sha256(payload.encode()).hexdigest()
+    )
 
 
 @lru_cache(maxsize=None)
 def matrix() -> Dict[str, Tuple[MetricsSnapshot, float]]:
-    """Every cell of the pin-first matrix, keyed like :data:`PINNED`."""
+    """Every cell of the pin-first matrix, keyed like :data:`CELLS`."""
     cells: Dict[str, Tuple[MetricsSnapshot, float]] = {}
     for policy in POLICIES:
         for stack in STACKS:
@@ -156,54 +159,17 @@ def emitted_snapshots() -> List[MetricsSnapshot]:
     return [metrics for metrics, _ in matrix().values()]
 
 
-#: Captured on the parent commit (PR 23's ``src/``) — see module docstring.
-#: The ``*/sched`` cells and ``serve/poisson-2`` were re-pinned when
-#: the memtable flush moved onto the scheduler's flush lane: the writer no
-#: longer pays it (no ``engine.activity.flush``; it waits out an unfinished
-#: previous flush), ``sched.*`` counts the flush tasks, and the shifted
-#: timeline moves round captures.  The ``ldc/*`` and ``serve/poisson-2``
-#: cells (all LDC) were re-pinned when an LDC get began to stop at the
-#: newest linked slice that holds the key: fewer Bloom probes and
-#: user block reads, and with a thread the shorter reads move captures.
-#: ``serve/poisson-2`` was re-pinned again when every operation began by
-#: replaying the background work owed up to its start: chunks owed in an
-#: idle gap run in the gap, so rounds finish sooner, more are captured
-#: (47 compactions, not 42) and requests wait less for the channel.
-#: The closed-loop cells did not move: there an operation starts where
-#: the previous one's end-of-operation replay left the clock.
-#: ``serve/poisson-1`` replaced ``serve/poisson-2`` when tenants were
-#: deleted: it was captured on the parent with ``num_tenants=1``, so the
-#: one arrival stream is pinned to the parent's one-tenant stream.
-PINNED: Dict[str, str] = {
-    "delayed/plain": "27821d007736444cbce05fb293f98245e93198efaa738e2e6d79d894db6a5e82",
-    "delayed/sched": "aabcbe64d7cb2eeeb8267a3923f298c6265d059cf28dbc2d1d7c06792401ab8a",
-    "delayed/flash": "c69d4e11a201499d8af61d1407dd9b995149392ebe18d5f123781b4ad3b60e56",
-    "delayed/plan": "27821d007736444cbce05fb293f98245e93198efaa738e2e6d79d894db6a5e82",
-    "ldc/plain": "a95094bd1d51aa544d2c1eee0753bf04360120332290109c43e95792a8e15e07",
-    "ldc/sched": "2352e9bd68c85edb660d8eb187c6aff3c3d3f393856c82ec09bee56a3fa9dc8a",
-    "ldc/flash": "0ac921ce0e7669f383365c6f20af0e2353447073c6295fc849dc8a2669adb75e",
-    "ldc/plan": "a95094bd1d51aa544d2c1eee0753bf04360120332290109c43e95792a8e15e07",
-    "tiered/plain": "a46fdbb0cef1fc208d3c8dbf894c0830fdeedf003fc543f584c8d6bfb565c106",
-    "tiered/sched": "89c212c1cdfeeb961eec53f92124c919428d4b2e342582fddab957b8ffd9d9a7",
-    "tiered/flash": "9b88b4654914d9081bfe42924caf28588a3018a69fe2c70c40f9272cbeb58105",
-    "tiered/plan": "a46fdbb0cef1fc208d3c8dbf894c0830fdeedf003fc543f584c8d6bfb565c106",
-    "udc/plain": "4610818ef00835dfc41f210d6a7ce0d02d224614ddd1df17259d5a1b53c62c35",
-    "udc/sched": "fbcb444b582eba5a1688ad9db801194a647c555140650b0001f3db3d26272590",
-    "udc/flash": "87fa65e1066475abe12f57fc26191189cb34a14a9a75f288db1b32b4f5e830ed",
-    "udc/plan": "4610818ef00835dfc41f210d6a7ce0d02d224614ddd1df17259d5a1b53c62c35",
-    "serve/poisson-1": "e98995d5f7fc2063aa2994d0ddfff4996807afdaf35b6bba1dfe5f4e58628622",
-}
-
-
 def test_the_matrix_covers_every_registered_policy() -> None:
     assert tuple(sorted(available_policies())) == POLICIES
-    assert len(PINNED) == len(POLICIES) * len(STACKS) + 1
+    assert list(matrix()) == CELLS
+    assert len(CELLS) == len(POLICIES) * len(STACKS) + 1
 
 
-@pytest.mark.parametrize("cell", sorted(PINNED))
+@pytest.mark.parametrize("cell", sorted(CELLS))
 def test_ledger_is_what_the_parent_wrote(cell: str) -> None:
     metrics, elapsed_us = matrix()[cell]
-    assert digest(metrics, elapsed_us) == PINNED[cell], cell
+    check(f"ledger_identity/{cell}", payload(metrics, elapsed_us),
+          elapsed_us=elapsed_us, write_amp=metrics.write_amplification)
 
 
 def test_cells_exercise_what_they_pin() -> None:
@@ -221,8 +187,3 @@ def test_cells_exercise_what_they_pin() -> None:
         assert cells[f"{policy}/plan"] == cells[f"{policy}/plain"], policy
     assert cells["ldc/plain"][0].counters["engine.link_count"] > 0
     assert cells["serve/poisson-1"][0].counters["sched.tasks_completed"] > 0
-
-
-if __name__ == "__main__":  # pragma: no cover - capture helper
-    for name, (snap, elapsed) in matrix().items():
-        print(f'    "{name}": "{digest(snap, elapsed)}",')

@@ -4,9 +4,9 @@ Every compaction round a store runs starts in one routine,
 ``MaintenanceEngine._capture_round``, under a clock capture.  With no
 background thread the captured ``(kind, duration, bytes)`` items are added
 back onto the foreground clock at once, in capture order: the float
-additions inline charging made.  The literals below were computed by the
-inline engine this replaced, so they hold zero threads to its timing bit
-for bit:
+additions inline charging made.  The pins here (``tests/pins.json``,
+``maintenance_engine/...``) were computed by the inline engine this
+replaced, so they hold zero threads to its timing bit for bit:
 
 * :class:`TestZeroThreadPins` — stores driven through Level-0 slowdowns
   and stop stalls (the stop stall is the foreground drain): every counter,
@@ -19,7 +19,6 @@ for bit:
   inline charge with no thread, and the round's captured debt with one.
 """
 
-import hashlib
 import random
 import sys
 
@@ -38,10 +37,22 @@ from repro.ssd.flash import DeviceConfig, FlashSpec
 from repro.ssd.metrics import COMPACTION_READ, COMPACTION_WRITE
 from repro.ssd.profile import ENTERPRISE_PCIE
 
+from .pins import check
+
 KIB = 1024
 POLICIES = ("udc", "ldc")
 DEVICES = ("plain", "flash")
 FLASH = FlashSpec(page_bytes=512, pages_per_block=64, logical_bytes=160 * KIB)
+FAULTS = [
+    (fault, policy, device)
+    for fault in ("crash", "corruption") for policy in POLICIES for device in DEVICES
+]
+PIN_CASES = [
+    *(f"maintenance_engine/zero_thread/{policy}" for policy in POLICIES),
+    *(f"maintenance_engine/fault/{fault}-{policy}-{device}"
+      for fault, policy, device in FAULTS),
+    *(f"maintenance_engine/round_durations/{policy}" for policy in POLICIES),
+]
 
 
 def tiny(bg_threads: int = 0) -> LSMConfig:
@@ -72,24 +83,18 @@ def drive(db: DB, puts: int, seed: int = 7) -> None:
             db.get(key)
 
 
-def state_digest(db: DB, events=()) -> str:
+def state(db: DB, events=()) -> tuple:
     """The clock, every counter and gauge, and the events' kinds and payloads."""
-    payload = repr((
+    return (
         db.clock.now(),
         sorted(db.registry.counters().items()),
         sorted(db.registry.gauges().items()),
         [(event.kind, sorted(event.fields.items())) for event in events],
-    ))
-    return hashlib.sha256(payload.encode()).hexdigest()
+    )
 
 
 class TestZeroThreadPins:
     """Inline rounds, foreground stop-stall drains and the trace they leave."""
-
-    PINNED = {
-        "udc": "f82d34d31cd747a015d99110c197ff7b3b4dc16fea1cd9d658332178235f7591",
-        "ldc": "b4360b6a6446a39b0808b19347bcbf9b679edd2f7c5fb7915e1acc31fb604e5e",
-    }
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_stalled_store_is_what_the_inline_engine_computed(self, policy):
@@ -102,7 +107,8 @@ class TestZeroThreadPins:
         db.close()
         assert db.registry.counter("engine.stall_events") > 0
         assert not db.metrics().component("sched")
-        assert state_digest(db, ring.events) == self.PINNED[policy]
+        check(f"maintenance_engine/zero_thread/{policy}", state(db, ring.events),
+              elapsed_us=db.clock.now(), write_amp=db.metrics().write_amplification)
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_runs_no_scheduler_code(self, policy):
@@ -152,41 +158,6 @@ class TestFaultInsideASynchronousRound:
     more puts.
     """
 
-    PINNED = {
-        ("crash", "udc", "plain"): (
-            "239339d756ab2436451f69ec768f4d77486da2afdd0ac55851a5961c78bb8a5c",
-            "e363f82c0dc55bf654b918359dffcdaab80f09fd4fbbd81db4f18a33f0cb14cd",
-        ),
-        ("crash", "udc", "flash"): (
-            "1af95dff6a6dd40e1681abe98fe3f35f7ef3df69573664e9a10f924c9a32e462",
-            "2f843a632a2ad884f201b6ac894c4f0fc3afceccaf503c4c926ddc039b436954",
-        ),
-        ("crash", "ldc", "plain"): (
-            "9b5e42089003e6395d1c57b09057e11a529fde689528589d2f7f2dab4ae382c4",
-            "7c81e29087865b902092486619f59bbfc031953afd8e43faa8f2b939afae0852",
-        ),
-        ("crash", "ldc", "flash"): (
-            "7f6ec871acf18425ada3f32c06c4f0eed484fe8c56c410af7d1dbf8252b439a9",
-            "28ed72924d4a7664426d7211541ee40bf453b9fd0a97793171c0257fe4166392",
-        ),
-        ("corruption", "udc", "plain"): (
-            "d960f2cf6fcab022714106069886c4a159aa7753fc4f57e5a565b21eb412d4f6",
-            "f8ff5f637a8ab86a29eb17e75cb7eaf2d4dc026417a8ddde3e73ce136df9e710",
-        ),
-        ("corruption", "udc", "flash"): (
-            "5c6081d9d94184fc2f50a5e4e76b5a16ae537de577086327f94848e7378cfa52",
-            "14965dfecd57d9d1b0b61b562ad9e98a8465cd794831aa861a77909b44852ce3",
-        ),
-        ("corruption", "ldc", "plain"): (
-            "65f4cbd824e25c6a2ff5869964559cca8a3d9a6be4b7d305343ae6e179695dcb",
-            "d51708e963df3742e6cdd25bdefeb073259ea70233fd8470656fef3c6e39d519",
-        ),
-        ("corruption", "ldc", "flash"): (
-            "f2e7e37489c3278c58258ca07ed2e8a2cd36db75a93507c189bb976f417f5029",
-            "c50e5caf773f623962b8e0452b8d2612248b34addb257fe58b423a3bc251832d",
-        ),
-    }
-
     @staticmethod
     def run(fault: str, policy: str, device: str) -> tuple:
         if fault == "crash":
@@ -199,28 +170,22 @@ class TestFaultInsideASynchronousRound:
         with pytest.raises(raised):
             drive(db, 1_000)
         assert plan.is_exhausted()
-        at_fault = state_digest(db)
+        at_fault = state(db)
         if fault == "crash":
             db.crash_and_recover()
         drive(db, 300, seed=8)
         db.check_invariants()
-        return at_fault, state_digest(db)
+        return (at_fault, state(db)), db
 
-    @pytest.mark.parametrize("device", DEVICES)
-    @pytest.mark.parametrize("policy", POLICIES)
-    @pytest.mark.parametrize("fault", ("crash", "corruption"))
+    @pytest.mark.parametrize("fault, policy, device", FAULTS)
     def test_state_is_what_the_inline_engine_left(self, fault, policy, device):
-        pinned = self.PINNED[(fault, policy, device)]
-        assert self.run(fault, policy, device) == pinned
+        states, db = self.run(fault, policy, device)
+        check(f"maintenance_engine/fault/{fault}-{policy}-{device}", states,
+              elapsed_us=db.clock.now(), write_amp=db.metrics().write_amplification)
 
 
 class TestRoundDurations:
     """One place computes a round's time, whoever pays it."""
-
-    PINNED = {
-        "udc": (51, "bfdd7ae40f851c8f96ab8e45b1e219ec694253498c1ef3b93baa1e5807bea57e"),
-        "ldc": (90, "bb35e3799b2b0ab90306a646dae23cef765e612d233b3dd733ce4bea40e57c38"),
-    }
 
     @staticmethod
     def events(policy: str, bg_threads: int) -> list:
@@ -237,8 +202,7 @@ class TestRoundDurations:
     def test_zero_threads_time_the_inline_charge(self, policy):
         durations = [event.fields["duration_us"] for event in self.events(policy, 0)]
         assert all(duration > 0 for duration in durations)
-        digest = hashlib.sha256(repr(durations).encode()).hexdigest()
-        assert (len(durations), digest) == self.PINNED[policy]
+        check(f"maintenance_engine/round_durations/{policy}", durations)
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_background_threads_time_the_captured_debt(self, policy):

@@ -247,9 +247,9 @@ def test_one_stack_path():
     from repro.serve import Request, RequestQueue
 
     assert not dataclasses.is_dataclass(Request) and issubclass(Request, tuple)
-    assert Request._fields == ("seq", "arrival_us", "operation")
+    assert Request._fields == ("arrival_us", "operation")
     assert Request._field_defaults == {}
-    assert Request(seq=1, arrival_us=2.0, operation=None) == (1, 2.0, None)
+    assert Request(arrival_us=2.0, operation=None) == (2.0, None)
     assert isinstance(RequestQueue(4).waiting, collections.deque)
     assert not hasattr(RequestQueue(4), "_fifo_head")
     for gone in ("_index_cache", "_INDEX_CACHE_MAX"):

@@ -128,8 +128,9 @@ class TestArrivalProcesses:
 # ----------------------------------------------------------------------
 # Request queue
 # ----------------------------------------------------------------------
-def request(seq: int) -> Request:
-    return Request(seq=seq, arrival_us=float(seq), operation=Operation(OP_GET, b"k"))
+def request(index: int) -> Request:
+    """The ``index``-th arrival: FIFO order is ``arrival_us`` order."""
+    return Request(arrival_us=float(index), operation=Operation(OP_GET, b"k"))
 
 
 class TestRequestQueue:
@@ -141,7 +142,7 @@ class TestRequestQueue:
         queue = RequestQueue(8)
         for seq in range(5):
             queue.offer(request(seq))
-        assert [queue.pop().seq for _ in range(5)] == [0, 1, 2, 3, 4]
+        assert [queue.pop().arrival_us for _ in range(5)] == [0, 1, 2, 3, 4]
 
     def test_rejects_when_full(self):
         queue = RequestQueue(2)
@@ -184,11 +185,11 @@ class TestRequestQueue:
         queue = RequestQueue(10_000)
         for seq in range(6_000):
             queue.offer(request(seq))
-        popped = [queue.pop().seq for _ in range(5_000)]
+        popped = [queue.pop().arrival_us for _ in range(5_000)]
         assert popped == list(range(5_000))
         for seq in range(6_000, 6_100):
             queue.offer(request(seq))
-        rest = [queue.pop().seq for _ in range(queue.depth)]
+        rest = [queue.pop().arrival_us for _ in range(queue.depth)]
         assert rest == list(range(5_000, 6_100))
 
 

@@ -117,8 +117,9 @@ class TestIntervalArrivalConsistency:
 # ----------------------------------------------------------------------
 # 3. Conservation under arbitrary interleavings
 # ----------------------------------------------------------------------
-def _request(seq: int) -> Request:
-    return Request(seq=seq, arrival_us=float(seq), operation=Operation(OP_GET, b"k"))
+def _request(index: int) -> Request:
+    """The ``index``-th arrival: FIFO order is ``arrival_us`` order."""
+    return Request(arrival_us=float(index), operation=Operation(OP_GET, b"k"))
 
 
 class TestConservation:
@@ -178,7 +179,7 @@ class TestConservation:
             for _ in range(int(rng.integers(1, 90))):
                 if not queue.depth:
                     break
-                popped.append(queue.pop().seq)
+                popped.append(queue.pop().arrival_us)
                 queue.complete()
                 queue.stats.check_conservation(len(queue))
         assert popped == sorted(popped)

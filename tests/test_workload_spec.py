@@ -1,8 +1,10 @@
 """Unit tests for workload specifications (the paper's Table III)."""
 
+import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
+from repro.workload import WorkloadGenerator
 from repro.workload.spec import (
     PAPER_KEY_BYTES,
     PAPER_SCAN_LENGTH,
@@ -106,6 +108,19 @@ class TestValidation:
         """It used to be accepted and then fail in numpy at generation."""
         with pytest.raises(WorkloadError, match="seed must be non-negative"):
             rwb(seed=-1)
+
+    @pytest.mark.parametrize("seed", [1.5, True])
+    def test_a_seed_that_is_not_an_integer(self, seed):
+        """``1.5`` used to fail in numpy at generation; ``True`` ran seed 1."""
+        with pytest.raises(WorkloadError, match="seed must be an integer"):
+            rwb(seed=seed)
+
+    def test_a_numpy_integer_seed_is_that_integer(self):
+        def stream(seed):
+            spec = rwb(num_operations=50, key_space=40, seed=seed)
+            return list(WorkloadGenerator(spec).operations())
+
+        assert stream(np.int64(3)) == stream(3) != stream(4)
 
     @pytest.mark.parametrize(
         "field",
