@@ -487,10 +487,13 @@ class LDCLinkMergeMovement(DataMovement):
     def check_invariants(self) -> None:
         """Cross-check movement bookkeeping (used by tests).
 
-        Also the read order a point lookup trusts (``DB._lookup_unit``
-        stops at the first slice that holds the key): along a table's
-        links, newest link first, a key's sequence numbers fall strictly,
-        and the table itself holds none newer than its slices.
+        Also what a point lookup trusts.  ``DB._lookup_unit`` skips a
+        slice whose key span misses the key, so each linked slice is
+        non-empty and its ``min_key`` / ``max_key`` are its window's first
+        and last keys.  It stops at the first slice that holds the key, so
+        along a table's links, newest link first, a key's sequence numbers
+        fall strictly, and the table itself holds none newer than its
+        slices.
         """
         self.frozen.check_invariants()
         for table in self._linked_tables.values():
@@ -502,6 +505,8 @@ class LDCLinkMergeMovement(DataMovement):
                 raise CompactionError(
                     f"linked table {table.file_id} is not in the tree"
                 )
+            for piece in table.slice_links:
+                self._check_span(table, piece)
             self._check_read_order(table)
         # Every frozen file's refcount must equal its live slice count.
         live_refs: dict[int, int] = {}
@@ -517,6 +522,22 @@ class LDCLinkMergeMovement(DataMovement):
                     f"frozen file {frozen_file.file_id} refcount "
                     f"{frozen_file.refcount} != live slices {expected}"
                 )
+
+    @staticmethod
+    def _check_span(table: SSTable, piece: Slice) -> None:
+        """Raise unless ``piece`` is non-empty and spans its window's keys."""
+        keys = piece.source._keys
+        start, stop = piece._start, piece._stop
+        if stop <= start:
+            raise CompactionError(
+                f"link {piece.link_seq} on table {table.file_id} is empty"
+            )
+        if (piece.min_key, piece.max_key) != (keys[start], keys[stop - 1]):
+            raise CompactionError(
+                f"link {piece.link_seq} on table {table.file_id} spans "
+                f"[{piece.min_key!r}, {piece.max_key!r}], not its window's "
+                f"[{keys[start]!r}, {keys[stop - 1]!r}]"
+            )
 
     @staticmethod
     def _check_read_order(table: SSTable) -> None:

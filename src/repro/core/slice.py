@@ -25,6 +25,10 @@ class Slice:
     slices attached to the same lower-level SSTable are consulted
     newest-link-first on reads, because later-linked data is newer
     (§III-B.3: "linked slices have higher priority for reading").
+
+    ``min_key`` / ``max_key`` are the first and last keys the slice holds
+    — its real key span inside ``[lo, hi)``, as a file's are — and None
+    for an empty slice, which no link ever holds.
     """
 
     __slots__ = (
@@ -34,6 +38,8 @@ class Slice:
         "link_seq",
         "size_bytes",
         "record_count",
+        "min_key",
+        "max_key",
         "_start",
         "_stop",
     )
@@ -65,9 +71,13 @@ class Slice:
             prefix = source._size_prefix
             self.size_bytes = prefix[stop] - prefix[start]
             self.record_count = stop - start
+            self.min_key = source._keys[start]
+            self.max_key = source._keys[stop - 1]
         else:
             self.size_bytes = 0
             self.record_count = 0
+            self.min_key = None
+            self.max_key = None
 
     # ------------------------------------------------------------------
     def covers_key(self, key: bytes) -> bool:

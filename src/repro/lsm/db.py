@@ -587,8 +587,12 @@ class DB:
         """Check one level-resident SSTable and its linked slices.
 
         Slices are checked newest link first, through the frozen files'
-        Bloom filters (the mechanism Figs. 12c/f and 13 study), and the
-        first one that holds the key answers — tombstone included: a
+        Bloom filters (the mechanism Figs. 12c/f and 13 study).  Like a
+        file, a slice is probed only when the key lies inside its own key
+        span ``[min_key, max_key]`` — narrower than its responsibility
+        range ``[lo, hi)``, and exact: the slice holds no key outside it —
+        so a skipped slice costs no filter check.  The first slice that
+        holds the key answers — tombstone included: a
         later link holds strictly newer data than an earlier one, and
         every slice newer data than the table, so the table is read only
         when no slice holds the key.  LDC's movement checks that order
@@ -607,9 +611,7 @@ class DB:
             if links is None:
                 links = table.links_newest_first()
             for piece in links:
-                lo = piece.lo
-                hi = piece.hi
-                if (lo is not None and key < lo) or (hi is not None and key >= hi):
+                if not piece.min_key <= key <= piece.max_key:
                     continue
                 clock._now_us += bloom_us
                 source = piece.source

@@ -138,11 +138,17 @@ def _lookup(db, key: bytes):
 def _lookup_unit(db, key: bytes, table, advance, bloom_us: float, count):
     """Check one level-resident SSTable and its linked slices.
 
-    The first slice, newest link first, that holds the key answers.
+    The first slice, newest link first, that holds the key answers.  A
+    slice whose key span ``[min_key, max_key]`` misses the key is skipped
+    before its filter is charged, as a file outside its range is; the
+    span lies inside ``[lo, hi)``, so the per-probe ``covers_key`` call
+    before it decides nothing and is kept for its host cost.
     """
     if table.slice_links:
         for piece in table.links_newest_first():
             if not piece.covers_key(key):
+                continue
+            if not piece.min_key <= key <= piece.max_key:
                 continue
             advance(bloom_us)
             source = piece.source

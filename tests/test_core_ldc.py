@@ -140,6 +140,28 @@ class TestMergePhase:
         with pytest.raises(CompactionError, match="not older than"):
             movement.check_invariants()
 
+    def test_slice_span_violation_is_caught(self, ldc_db):
+        """A get skips a slice whose span misses the key: a span narrower
+        than the slice's window, or an empty slice, would hide records."""
+        fill(ldc_db, 4000, 1000)
+        movement = ldc_db.policy.movement
+        movement.check_invariants()
+        piece = next(
+            piece
+            for table in ldc_db.version.all_tables()
+            for piece in table.slice_links
+            if piece.record_count >= 2
+        )
+        first = piece.min_key
+        piece.min_key = piece.max_key
+        with pytest.raises(CompactionError, match="not its window's"):
+            movement.check_invariants()
+        piece.min_key = first
+        movement.check_invariants()
+        piece._stop = piece._start
+        with pytest.raises(CompactionError, match="is empty"):
+            movement.check_invariants()
+
     def test_contents_preserved(self, ldc_db):
         model = fill(ldc_db, 3000, 700)
         assert dict(ldc_db.logical_items()) == model

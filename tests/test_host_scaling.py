@@ -499,13 +499,16 @@ def linked_target(links: int) -> DB:
 
 
 def turned_away_keys(db: DB) -> list:
-    """Keys of ``linked_target``'s file that every slice filter turns away
+    """Keys of ``linked_target``'s file inside every slice's key span (so
+    each slice costs one filter probe) that every slice filter turns away
     (no false positive in the way, so no block read of a source)."""
     target = db.version.files(1)[0]
+    links = target.slice_links
     return [
         key
         for key in target._keys
-        if not any(p.source.bloom.may_contain(key) for p in target.slice_links)
+        if all(p.min_key <= key <= p.max_key for p in links)
+        and not any(p.source.bloom.may_contain(key) for p in links)
     ]
 
 

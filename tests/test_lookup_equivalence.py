@@ -301,6 +301,38 @@ class TestDirectedSlices:
         for _source, key in found:
             assert pair.get(key) == model.get(key)
 
+    def test_key_outside_a_slice_span_costs_no_probe(self, monkeypatch):
+        """A key in a slice's responsibility range ``[lo, hi)`` but outside
+        its key span ``[min_key, max_key]`` is not in the slice: the get
+        charges neither the slice's filter check nor a block read of its
+        source, as for a file whose range misses the key."""
+        pair, model = deep_pair("ldc", cache_bytes=0)
+        db = pair.new
+        outside = [
+            (piece.source, key)
+            for _level, _position, table in linked_files(db)
+            for piece in table.slice_links
+            for key in map(make_key, range(MAX_INDEX + 5))
+            if piece.covers_key(key)
+            and not piece.records()[0].key <= key <= piece.records()[-1].key
+        ]
+        assert outside, "no key outside a slice's span; the test is vacuous"
+        probed, read = [], []
+        for source in {source for source, _key in outside}:
+            source._bloom = ProbeLog(source.bloom, source, probed)
+        read_block = db._read_block
+
+        def reading(table, key, tally):
+            read.append(table)
+            return read_block(table, key, tally)
+
+        monkeypatch.setattr(db, "_read_block", reading)
+        for source, key in outside:
+            probed.clear()
+            read.clear()
+            assert pair.get(key) == model.get(key)
+            assert source not in probed and source not in read, key
+
     def test_slice_hit_shadows_its_carrier_table(self):
         pair, model = deep_pair("ldc")
         shadowed = 0
@@ -343,6 +375,19 @@ class TestDirectedSlices:
             before = db.metrics().get("engine.sstable_blocks_read", 0)
             assert pair.get(key) == model.get(key)
             assert db.metrics().get("engine.sstable_blocks_read", 0) == before + 1
+
+
+class ProbeLog:
+    """A file's filter that logs the file on every probe, then answers."""
+
+    def __init__(self, bloom: BloomFilter, table, log: list) -> None:
+        self.bloom = bloom
+        self.table = table
+        self.log = log
+
+    def may_contain(self, key: bytes, hashes=None) -> bool:
+        self.log.append(self.table)
+        return self.bloom.may_contain(key, hashes)
 
 
 def slice_answered_keys(db: DB) -> dict:

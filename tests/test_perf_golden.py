@@ -28,6 +28,8 @@ it re-pins with ``PYTHONPATH=src python -m tests.pins --write "<reason>"``
 and pastes the moved-pin table into CHANGES.md — that is the contract.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,13 @@ def _run(policy_name: str, bg_threads: int = 0):
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _plain_run(policy_name: str):
+    """The default (``bg_threads=0``) run, made once per policy and shared
+    by the tests that only read it."""
+    return _run(policy_name)
+
+
 def _batched_db(policy_name: str, bg_threads: int) -> DB:
     """Drive a DB through the batched APIs with a fixed operation stream."""
     config = LSMConfig(bg_threads=bg_threads)
@@ -247,8 +256,7 @@ class TestEndToEndGolden:
 
     @pytest.mark.parametrize("policy_name", ["UDC", "LDC"])
     def test_metrics_byte_identical(self, policy_name):
-        result = _run(policy_name)
-        _pin("end_to_end", policy_name, result)
+        _pin("end_to_end", policy_name, _plain_run(policy_name))
 
     def test_runs_are_process_deterministic(self):
         """Two runs in the same process agree with each other (and golden)."""
@@ -260,12 +268,13 @@ class TestEndToEndGolden:
     def test_scheduler_off_is_byte_identical(self, policy_name):
         """``bg_threads=0`` must not perturb the simulation at all.
 
-        The scheduler subsystem (device channel arbitration, clock capture
-        mode, throttle hooks) was threaded through the device and DB hot
-        paths; this pins the contract that none of it costs a single
-        virtual microsecond — or moves a single byte — until enabled.
+        The scheduler's hooks (device channel arbitration, clock capture
+        mode, throttle hooks) must cost no virtual microsecond and move no
+        byte until a thread is configured.  ``_run`` defaults to
+        ``bg_threads=0``, so this reads the same cached run as
+        ``test_metrics_byte_identical`` rather than simulating it again.
         """
-        result = _run(policy_name, bg_threads=0)
+        result = _plain_run(policy_name)
         _pin("end_to_end", policy_name, result)
         assert result.stall_time_us == 0.0
         assert result.device_wait_us == 0.0
