@@ -40,7 +40,7 @@ import sys
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from . import DB
-from .errors import ConfigError, FlashFullError
+from .errors import ConfigError, FlashFullError, WorkloadError
 from .faults import crashtest
 from .harness import experiments
 from .harness.report import format_table, mib
@@ -853,7 +853,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.workers is not None:
             experiments.set_default_workers(args.workers)
         return handler(args) or 0
-    except (ConfigError, FlashFullError) as exc:
+    except (ConfigError, FlashFullError, WorkloadError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
     finally:

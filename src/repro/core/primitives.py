@@ -65,7 +65,7 @@ class LDCUnitSelector(CandidateSelector):
     CANDIDATE = "ldc_unit"
     REQUIRES_SORTED = True
 
-    def select(self, level: int, seed: Optional[SSTable] = None):
+    def select(self, level: int):
         source = self._pick_link_source(level)
         if source is None:
             # The first most-linked file, as max(files, key=...) picks it.

@@ -500,7 +500,7 @@ def run_crashtest(
     called after each crash point — the CLI uses it for a live counter.
     """
     if stride <= 0:
-        raise ReproError("stride must be positive")
+        raise ConfigError("stride must be positive")
     policy = _store_policy(policy)
     config = config if config is not None else default_config()
     operations = build_operations(num_ops, num_keys, seed, value_bytes)
@@ -561,7 +561,7 @@ def run_corruption_test(
         _execute(probe, op)
     total_reads = probe.device.faults.read_count
     if total_reads == 0:
-        raise ReproError("workload performed no reads; cannot seed corruption")
+        raise ConfigError("workload performed no reads; cannot seed corruption")
 
     usable = max(1, int(total_reads * 0.8))
     count = min(corruptions, usable)

@@ -5,7 +5,6 @@ paper's LDC policy plugs into.
 """
 
 from .bloom import BloomFilter, theoretical_fpr
-from .builder import SSTableBuilder, build_tables
 from .cache import BlockCache
 from .config import KIB, MIB, CostModel, LSMConfig
 from .db import DB, WriteBatch
@@ -42,8 +41,6 @@ __all__ = [
     "MIB",
     "MemTable",
     "SSTable",
-    "SSTableBuilder",
-    "build_tables",
     "BloomFilter",
     "BlockCache",
     "theoretical_fpr",

@@ -18,7 +18,6 @@ from .primitives import (
     DataMovement,
     Layout,
     Trigger,
-    TriggerDecision,
     known_primitives,
     register_primitive,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "make_policy",
     "register_policy",
     "Trigger",
-    "TriggerDecision",
     "CandidateSelector",
     "DataMovement",
     "Layout",

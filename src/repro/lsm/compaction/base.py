@@ -60,8 +60,8 @@ class CompactionPolicy:
         self.name = spec.name
         #: Idle gate (see MaintenanceEngine.on_operation): True while the
         #: policy is known to have no maintenance due and nothing re-armed
-        #: the poll.  Cleared by flush, seek exhaustion and (for movements
-        #: that observe operations) every operation notification.
+        #: the poll.  Cleared by flush and (for movements that observe
+        #: operations) every operation notification.
         self._maintenance_idle = False
         self._check_composition()
 
@@ -139,11 +139,11 @@ class CompactionPolicy:
         while True:
             if movement.urgent_round():
                 return True
-            decision = self.trigger.fire()
-            if decision is None:
+            level = self.trigger.fire()
+            if level is None:
                 return did_work
-            candidate = self.selector.select(decision.level, seed=decision.seed)
-            if movement.execute(decision.level, candidate) or not batching:
+            candidate = self.selector.select(level)
+            if movement.execute(level, candidate) or not batching:
                 return True
             # A link or trivial move happened: free, keep going.
             did_work = True
@@ -208,13 +208,6 @@ class CompactionPolicy:
         if self.movement.observes_operations:
             self.movement.on_operation(is_write)
             self._maintenance_idle = False
-
-    def note_seek_exhausted(self, table: SSTable) -> None:
-        """A file's unproductive-probe budget ran out (LevelDB seek
-        compaction); the DB calls this only when the trigger honours
-        seeks."""
-        self._maintenance_idle = False
-        self.trigger.note_seek_exhausted(table)
 
     def extra_space_bytes(self) -> int:
         """Policy-held space outside the tree (LDC's frozen region)."""

@@ -5,7 +5,7 @@ Space", PAPERS.md) observe that every LSM compaction policy decomposes
 into four orthogonal decisions:
 
 * **Trigger** — *when* to compact (level fanout breach, tier/run count,
-  seek-driven probes, a delayed batching threshold);
+  a delayed batching threshold);
 * **CandidateSelector** — *what granularity* participates (one file, a
   whole level, all runs of a tier, LDC's lower-level-driven slice unit);
 * **DataMovement** — *how* data moves (full merge down, tiered run
@@ -26,15 +26,7 @@ a new class.
 
 from __future__ import annotations
 
-from typing import (
-    ClassVar,
-    Dict,
-    List,
-    NamedTuple,
-    Optional,
-    Tuple,
-    Type,
-)
+from typing import ClassVar, Dict, List, Optional, Tuple, Type
 
 from ..keys import key_successor
 from ..sstable import SSTable
@@ -81,13 +73,6 @@ def known_primitives(kind: str) -> Tuple[str, ...]:
     return tuple(sorted(_KIND_REGISTRIES[kind]))
 
 
-class TriggerDecision(NamedTuple):
-    """A trigger's verdict: compact ``level``, optionally seeded."""
-
-    level: int
-    seed: Optional[SSTable] = None
-
-
 # ----------------------------------------------------------------------
 # Axis base classes
 # ----------------------------------------------------------------------
@@ -123,13 +108,10 @@ class Trigger(Primitive):
     """Decides *when* (and against which level) to compact."""
 
     kind = "trigger"
-    #: Whether the DB spends a file's seek budget on unproductive probes
-    #: and reports its exhaustion to ``note_seek_exhausted`` (LevelDB
-    #: seek compaction).
-    honor_seeks = False
 
-    def fire(self) -> Optional[TriggerDecision]:
-        """Return the level to compact now, or None if the tree is fine."""
+    def fire(self) -> Optional[int]:
+        """Return the level to compact now, or None if the tree is fine
+        (test with ``is None``: level 0 is falsy)."""
         raise NotImplementedError
 
 
@@ -141,7 +123,7 @@ class CandidateSelector(Primitive):
     #: list), "runs" (a list of runs), or "ldc_unit" (a tagged table).
     CANDIDATE: ClassVar[str] = "files"
 
-    def select(self, level: int, seed: Optional[SSTable] = None):
+    def select(self, level: int):
         raise NotImplementedError
 
 
@@ -220,44 +202,11 @@ class FanoutTrigger(Trigger):
     """LevelDB's size trigger: the most over-capacity level compacts.
 
     Covers the L0 file-count trigger too (``pick_compaction_level``
-    scores Level 0 by file count) and, with ``honor_seeks``, LevelDB's
-    seek-driven compaction of over-probed files.
+    scores Level 0 by file count).
     """
 
-    PARAMS = ("honor_seeks",)
-
-    def __init__(self, honor_seeks: bool = False) -> None:
-        super().__init__()
-        self.honor_seeks = bool(honor_seeks)
-        # Files whose unproductive-probe budget ran out, awaiting a
-        # seek-triggered compaction (only populated with honor_seeks).
-        self._seek_candidates: List[SSTable] = []
-
-    def note_seek_exhausted(self, table: SSTable) -> None:
-        self._seek_candidates.append(table)
-
-    def fire(self) -> Optional[TriggerDecision]:
-        decision = self._seek_decision()
-        if decision is not None:
-            return decision
-        level = self.db.version.pick_compaction_level()
-        if level is None:
-            return None
-        return TriggerDecision(level)
-
-    def _seek_decision(self) -> Optional[TriggerDecision]:
-        """LevelDB's seek compaction: merge an over-probed file down."""
-        version = self.db.version
-        while self._seek_candidates:
-            table = self._seek_candidates.pop()
-            if not version.contains(table):
-                continue  # already compacted away by a size trigger
-            level = version.level_of(table)
-            if level >= version.num_levels - 1:
-                continue  # nothing below to merge into
-            self.policy.bump("seek_compactions")
-            return TriggerDecision(level, seed=table)
-        return None
+    def fire(self) -> Optional[int]:
+        return self.db.version.pick_compaction_level()
 
 
 @register_primitive("trigger", "delayed")
@@ -276,10 +225,10 @@ class DelayedTrigger(Trigger):
             raise ConfigError("delay_factor must be at least 1")
         self.delay_factor = delay_factor
 
-    def fire(self) -> Optional[TriggerDecision]:
+    def fire(self) -> Optional[int]:
         version = self.db.version
         if len(version.files(0)) >= self.db.config.l0_compaction_trigger:
-            return TriggerDecision(0)
+            return 0
         best_level: Optional[int] = None
         best_score = self.delay_factor
         for level in range(1, version.num_levels - 1):
@@ -287,9 +236,7 @@ class DelayedTrigger(Trigger):
             if score >= best_score:
                 best_score = score
                 best_level = level
-        if best_level is None:
-            return None
-        return TriggerDecision(best_level)
+        return best_level
 
 
 @register_primitive("trigger", "tier_count")
@@ -302,14 +249,14 @@ class TierCountTrigger(Trigger):
 
     REQUIRES_SORTED = False
 
-    def fire(self) -> Optional[TriggerDecision]:
+    def fire(self) -> Optional[int]:
         version = self.db.version
         if len(version.files(0)) >= self.db.config.l0_compaction_trigger:
-            return TriggerDecision(0)
+            return 0
         fan_out = self.db.config.fan_out
         for level in range(1, version.num_levels - 1):
             if len(self.policy.layout.level_runs(level)) >= fan_out:
-                return TriggerDecision(level)
+                return level
         return None
 
 
@@ -321,16 +268,14 @@ class RoundRobinFileSelector(CandidateSelector):
     """One file, round-robin over the key space (LevelDB's pick).
 
     At Level 0 the single file grows to its transitive overlap closure —
-    the minimum sound L0 input set.  A trigger-provided seed (seek
-    compaction) replaces the round-robin pick.
+    the minimum sound L0 input set.
     """
 
     CANDIDATE = "files"
 
-    def select(self, level: int, seed: Optional[SSTable] = None):
+    def select(self, level: int):
         version = self.db.version
-        if seed is None:
-            seed = version.pick_file_round_robin(level)
+        seed = version.pick_file_round_robin(level)
         if level == 0:
             return expand_level0(version, seed)
         return [seed]
@@ -342,7 +287,7 @@ class WholeLevelSelector(CandidateSelector):
 
     CANDIDATE = "files"
 
-    def select(self, level: int, seed: Optional[SSTable] = None):
+    def select(self, level: int):
         return list(self.db.version.files(level))
 
 
@@ -353,7 +298,7 @@ class RunSelector(CandidateSelector):
     CANDIDATE = "runs"
     REQUIRES_SORTED = False
 
-    def select(self, level: int, seed: Optional[SSTable] = None):
+    def select(self, level: int):
         return self.policy.layout.level_runs(level)
 
 

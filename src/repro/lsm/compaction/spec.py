@@ -3,9 +3,8 @@
 A spec names one primitive per design-space axis — trigger, candidate
 selector, data movement, level layout — plus a flat parameter mapping
 distributed to whichever primitives declare each key.  Specs are frozen
-dataclasses: hashable, picklable (they cross ``ProcessPoolExecutor``
-boundaries inside grid tasks), and round-trippable through
-``to_dict``/``from_dict`` for reports and CLI plumbing.
+dataclasses: hashable and picklable (they cross ``ProcessPoolExecutor``
+boundaries inside grid tasks).
 
 The module also hosts the **central policy registry** — the single
 source of truth for policy names.  ``DB(policy="ldc")``, the CLI's
@@ -38,7 +37,6 @@ from .base import CompactionPolicy
 from ...errors import ConfigError, UnknownPolicyError
 
 _AXES = ("trigger", "selector", "movement", "layout")
-_DICT_KEYS = ("name",) + _AXES + ("params",)
 
 #: Policy used when a DB is built without one (LevelDB's behaviour).
 DEFAULT_POLICY = "udc"
@@ -125,38 +123,6 @@ class PolicySpec:
         )
 
     # ------------------------------------------------------------------
-    # Serialization
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "trigger": self.trigger,
-            "selector": self.selector,
-            "movement": self.movement,
-            "layout": self.layout,
-            "params": self.param_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "PolicySpec":
-        unknown = set(data) - set(_DICT_KEYS)
-        if unknown:
-            raise ConfigError(
-                f"unknown PolicySpec keys: {sorted(unknown)}; "
-                f"valid keys: {list(_DICT_KEYS)}"
-            )
-        if "name" not in data:
-            raise ConfigError("PolicySpec dict requires a 'name' key")
-        return cls(
-            name=data["name"],
-            trigger=data.get("trigger", "fanout"),
-            selector=data.get("selector", "file"),
-            movement=data.get("movement", "merge_down"),
-            layout=data.get("layout", "leveled"),
-            params=data.get("params", ()),
-        )
-
-    # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
     def build_primitives(self) -> tuple:
@@ -200,9 +166,9 @@ class PolicySpec:
 _REGISTRY: Dict[str, PolicySpec] = {}
 
 
-def register_policy(spec: PolicySpec, replace_existing: bool = False) -> PolicySpec:
+def register_policy(spec: PolicySpec) -> PolicySpec:
     """Register ``spec`` under its name; returns the spec for chaining."""
-    if not replace_existing and spec.name in _REGISTRY:
+    if spec.name in _REGISTRY:
         raise ConfigError(f"policy {spec.name!r} is already registered")
     _REGISTRY[spec.name] = spec
     return spec

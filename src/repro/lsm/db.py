@@ -34,7 +34,7 @@ from operator import add
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .bloom import key_hashes
-from .builder import SSTableBuilder
+from .builder import build_greedy_columns
 from .cache import BlockCache
 from .compaction.base import MaintenanceEngine
 from .config import LSMConfig
@@ -176,9 +176,6 @@ class DB:
         #: observes operations (LDC's adaptive threshold) has anything to
         #: do with the notification.
         self._observes = self.policy.movement.observes_operations
-        #: Whether an unproductive probe spends the file's seek budget
-        #: (LevelDB seek compaction): only if the trigger honours seeks.
-        self._spends_seeks = self.policy.trigger.honor_seeks
         #: The maintenance engine; with background threads (repro.sched)
         #: every operation polls it, with none only an open idle gate does.
         self._bg_threads = self.config.bg_threads
@@ -203,9 +200,8 @@ class DB:
     def last_sequence(self) -> int:
         """Sequence number of the most recent write (0 before any write).
 
-        The snapshot anchor: a sharded snapshot pins one of these per
-        shard, giving a consistent cut of a store whose writes are
-        strictly sequence-ordered.
+        Writes are strictly sequence-ordered, so this marks a consistent
+        cut of the store.
         """
         return self._next_seq - 1
 
@@ -442,9 +438,9 @@ class DB:
         engine counts who paid.  True: a flush always does work."""
         clock = self.clock
         start = clock._now_us
-        builder = SSTableBuilder(self.config, self.next_file_id)
-        builder.add_sorted_columns(*self._memtable.sorted_columns())
-        outputs = builder.finish()
+        outputs = build_greedy_columns(
+            *self._memtable.sorted_columns(), self.config, self.next_file_id
+        )
         flushed_bytes = 0
         for table in outputs:
             self.device.write(
@@ -635,14 +631,7 @@ class DB:
         if not bloom.may_contain(key, hashes):
             tally[0] += 1
             return None
-        record = self._read_block(table, key, tally)
-        if record is None and self._spends_seeks:
-            # LevelDB seek compaction: an unproductive probe (block read
-            # that found nothing) spends the file's seek budget.
-            table.allowed_seeks -= 1
-            if table.allowed_seeks == 0:
-                self.policy.note_seek_exhausted(table)
-        return record
+        return self._read_block(table, key, tally)
 
     def _read_block(
         self, table: SSTable, key: bytes, tally: List[int]

@@ -105,7 +105,7 @@ class MemTable:
         """``(keys, records)`` parallel columns, key-ascending.
 
         The columnar flush path: the sorted key array already exists (or
-        is sorted once here), so the builder and the SSTable constructor
+        is sorted once here), so the flush cut and the SSTable constructor
         can reuse it instead of re-extracting keys record by record.  The
         returned key list is shared with the memtable — callers must
         treat it as immutable (flush discards the memtable right after).

@@ -51,7 +51,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
 class SSTable:
     """One immutable sorted file.
 
-    Use :meth:`from_records` (or :class:`~repro.lsm.builder.SSTableBuilder`)
+    Use :meth:`from_records` (or a :mod:`~repro.lsm.builder` function)
     to construct; records must be strictly increasing in key with exactly
     one version per key.
     """
@@ -72,7 +72,6 @@ class SSTable:
         "linked_bytes",
         "frozen",
         "refcount",
-        "allowed_seeks",
         "min_key",
         "max_key",
         "_max_seq",
@@ -146,11 +145,6 @@ class SSTable:
         self._block_target = block_bytes
         self._block_starts: Optional[List[int]] = None
         self._block_bytes: Optional[List[int]] = None
-        # LevelDB's seek-compaction budget: after this many unproductive
-        # probes the file becomes a compaction candidate (a file probed
-        # often but rarely hit is cheaper merged than repeatedly seeked).
-        # LevelDB uses size/16KB clamped to >= 100.
-        self.allowed_seeks = max(100, self.data_size // (16 * 1024))
         # LDC state (inert under UDC/tiered policies).  ``linked_bytes``
         # caches the byte total of ``slice_links``: once linked, upper-level
         # data counts toward *this* file's level for compaction scoring

@@ -184,8 +184,8 @@ class CompactionScheduler(MaintenanceEngine):
         what arms the slowdown/stop throttling upstream.
 
         The policy's idle gate is honoured: after a no-work poll of an
-        idle-stable policy nothing is captured until a flush, seek
-        exhaustion or an observed operation re-arms it.  With nothing in
+        idle-stable policy nothing is captured until a flush or an
+        observed operation re-arms it.  With nothing in
         flight and the gate set this is comparisons only: no call is made.
         """
         db = self.db

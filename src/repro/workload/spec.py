@@ -70,9 +70,6 @@ class WorkloadSpec:
         Fig. 11; larger = more concentrated).
     scan_length:
         Average records per range query (paper: 100).
-    delete_ratio:
-        Fraction of *write* operations that are deletes (0 in the paper's
-        workloads; exposed for the extension tests).
     preload_keys:
         Keys inserted before measurement starts so read-mostly workloads
         do not miss constantly (the paper loads the store first).
@@ -90,7 +87,6 @@ class WorkloadSpec:
     distribution: str = DIST_UNIFORM
     zipf_constant: float = 1.0
     scan_length: int = PAPER_SCAN_LENGTH
-    delete_ratio: float = 0.0
     preload_keys: int = 0
     seed: int = 42
 
@@ -120,8 +116,6 @@ class WorkloadSpec:
             raise WorkloadError("zipf_constant must be positive")
         if self.scan_length <= 0:
             raise WorkloadError("scan_length must be positive")
-        if not 0.0 <= self.delete_ratio <= 1.0:
-            raise WorkloadError("delete_ratio must lie in [0, 1]")
         if self.preload_keys < 0:
             raise WorkloadError("preload_keys must be non-negative")
         if type(self.seed) is bool or not isinstance(self.seed, Integral):
@@ -132,17 +126,6 @@ class WorkloadSpec:
     @property
     def read_ratio(self) -> float:
         return 1.0 - self.write_ratio
-
-    def scaled(self, factor: float) -> "WorkloadSpec":
-        """Scale operation count and key space together (Fig. 14 sweeps)."""
-        if factor <= 0:
-            raise WorkloadError("scale factor must be positive")
-        return replace(
-            self,
-            num_operations=max(1, int(self.num_operations * factor)),
-            key_space=max(1, int(self.key_space * factor)),
-            preload_keys=max(0, int(self.preload_keys * factor)),
-        )
 
     def with_overrides(self, **overrides: Any) -> "WorkloadSpec":
         return replace(self, **overrides)

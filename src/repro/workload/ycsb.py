@@ -3,10 +3,10 @@
 Turns a :class:`~repro.workload.spec.WorkloadSpec` into a deterministic
 stream of operations (:class:`Operation`).  The paper drives LevelDB with
 the YCSB benchmark suite (§IV-A); this module reproduces the pieces the
-paper uses and nothing more: random insertions (and, when a spec asks
-for them, deletes) mixed with point lookups or 100-record scans under
-uniform or Zipf key choice.  The generator never emits YCSB F's
-read-modify-write (``OP_RMW``); an explicit stream of them runs as a get
+paper uses and nothing more: random insertions mixed with point lookups
+or 100-record scans under uniform or Zipf key choice.  The generator
+never emits a delete (``OP_DELETE``) or YCSB F's read-modify-write
+(``OP_RMW``); an explicit stream may carry both, and an RMW runs as a get
 then a put of the same key.
 """
 
@@ -125,12 +125,11 @@ class WorkloadGenerator:
     def operations(self) -> Iterator[Operation]:
         """The measured phase: ``num_operations`` requests per the spec.
 
-        Key-index draws (and, when the mix permits, operation-kind draws)
-        are generated in vectorized blocks; the emitted stream is
-        bit-identical to per-operation sampling because numpy's bulk
-        draws consume the underlying bit stream exactly like the
-        equivalent sequence of scalar draws (pinned against a
-        per-operation loop by ``tests/test_workload_ycsb.py``'s
+        Key-index and operation-kind draws are generated in vectorized
+        blocks; the emitted stream is bit-identical to per-operation
+        sampling because numpy's bulk draws consume the underlying bit
+        stream exactly like the equivalent sequence of scalar draws
+        (pinned against a per-operation loop by ``tests/test_workload_ycsb.py``'s
         ``test_blocked_stream_matches_per_operation_sampling``).
         """
         return self._operations_blocked(self._dist.sample_block)
@@ -139,21 +138,13 @@ class WorkloadGenerator:
     _GEN_BLOCK = 4096
 
     def _operations_blocked(self, sample_block) -> Iterator[Operation]:
-        """Blocked generation: one vectorized key draw per block.
-
-        Key indices always batch (the key stream is an independent RNG).
-        Operation-kind draws batch only when ``delete_ratio == 0``: a
-        non-zero delete ratio consumes a *conditional* second draw per
-        write, so the number of op-stream draws depends on earlier
-        outcomes and those draws stay one at a time.
-        """
+        """Blocked generation: one vectorized key draw and one vectorized
+        operation-kind draw per block (the two are independent RNGs)."""
         spec = self.spec
         encode_key = self.encode_key
         make_value = self.make_value
-        op_rng = self._op_rng
-        random = op_rng.random
+        random = self._op_rng.random
         write_ratio = spec.write_ratio
-        delete_ratio = spec.delete_ratio
         scans = spec.query_type == "scan"
         scan_length = spec.scan_length
         block = self._GEN_BLOCK
@@ -165,25 +156,12 @@ class WorkloadGenerator:
             n = block if remaining > block else remaining
             remaining -= n
             indices = sample_block(n)
-            if not delete_ratio:
-                draws = random(n).tolist()
-                for index, draw in zip(indices, draws):
-                    key = encode_key(index)
-                    if draw < write_ratio:
-                        yield new(Operation, (OP_PUT, key, make_value(), 0))
-                    elif scans:
-                        yield new(Operation, (OP_SCAN, key, None, scan_length))
-                    else:
-                        yield new(Operation, (OP_GET, key, None, 0))
-            else:
-                for index in indices:
-                    key = encode_key(index)
-                    if random() < write_ratio:
-                        if random() < delete_ratio:
-                            yield new(Operation, (OP_DELETE, key, None, 0))
-                        else:
-                            yield new(Operation, (OP_PUT, key, make_value(), 0))
-                    elif scans:
-                        yield new(Operation, (OP_SCAN, key, None, scan_length))
-                    else:
-                        yield new(Operation, (OP_GET, key, None, 0))
+            draws = random(n).tolist()
+            for index, draw in zip(indices, draws):
+                key = encode_key(index)
+                if draw < write_ratio:
+                    yield new(Operation, (OP_PUT, key, make_value(), 0))
+                elif scans:
+                    yield new(Operation, (OP_SCAN, key, None, scan_length))
+                else:
+                    yield new(Operation, (OP_GET, key, None, 0))

@@ -9,8 +9,8 @@ and a positive filter bisected the key column twice (``block_for_key`` for
 the charge, ``SSTable.get`` for the record).  Those routines live on here,
 verbatim in behaviour, as the reference the reworked lookup is compared
 against: same value, and the same charge sequence — clock adds, counters,
-cache probes and installs, trace events, CRC verification, seek budget —
-in the same order.
+cache probes and installs, trace events, CRC verification — in the same
+order.
 
 ``oracle_get(db, key)`` drives a real :class:`~repro.lsm.db.DB` exactly as
 the old ``DB.get`` did, so a test runs two identically-built stores side by
@@ -174,12 +174,7 @@ def _lookup_unit(db, key: bytes, table, advance, bloom_us: float, count):
         count("engine.bloom_negative_skips")
         return None
     _charge_point_read(db, table, key)
-    record = table.get(key)
-    if record is None and db.policy.trigger.honor_seeks:
-        table.allowed_seeks -= 1
-        if table.allowed_seeks == 0:
-            db.policy.note_seek_exhausted(table)
-    return record
+    return table.get(key)
 
 
 def _charge_point_read(db, table, key: bytes) -> None:

@@ -14,6 +14,7 @@ import pytest
 from repro import DB
 from repro.lsm.builder import build_balanced_columns
 from repro.lsm.config import LSMConfig
+from repro.workload.ycsb import OP_DELETE, OP_PUT, Operation
 
 
 @pytest.fixture
@@ -54,6 +55,22 @@ def any_db(request: pytest.FixtureRequest, tiny_config: LSMConfig) -> DB:
 def key_of(index: int, width: int = 12) -> bytes:
     """Fixed-width numeric key used throughout the tests."""
     return str(index).zfill(width).encode()
+
+
+def with_deletes(operations, every: int) -> list:
+    """``operations`` with every ``every``-th put made a delete of its key.
+
+    The generator emits no deletes; tests that need tombstones in a
+    generated stream add them here.
+    """
+    stream, puts = [], 0
+    for op in operations:
+        if op.kind == OP_PUT:
+            puts += 1
+            if not puts % every:
+                op = Operation(OP_DELETE, op.key)
+        stream.append(op)
+    return stream
 
 
 @pytest.fixture

@@ -237,11 +237,31 @@ class TestErrorTyping:
         assert captured.err.strip() and "Traceback" not in captured.err
 
     @pytest.mark.parametrize(
+        "command, message",
+        [
+            ("run RWB --ops 0", "num_operations must be positive"),
+            ("run RWB --keys 0", "key_space must be positive"),
+            ("fig10a --ops 0", "num_operations must be positive"),
+            ("paper_scale --ops 0", "num_operations must be positive"),
+            ("crashtest --every 0", "stride must be positive"),
+            # No store this small flushes, so no block is ever read.
+            ("crashtest --ops 500 --keys 60", "performed no reads"),
+        ],
+    )
+    def test_a_mis_sized_run_exits_two_with_a_message(
+        self, capsys, command, message
+    ):
+        assert main(command.split()) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "command, entry",
         [("run RWB", "run_workload"), ("serve RWB", "serve_workload")],
     )
     def test_an_engine_bug_keeps_its_traceback(self, monkeypatch, command, entry):
-        """Only ``ConfigError`` / ``FlashFullError`` are usage errors."""
+        """Only ``ConfigError`` / ``FlashFullError`` / ``WorkloadError`` are
+        usage errors."""
 
         def broken(*args, **kwargs):
             raise EngineError("invariant violated")

@@ -216,13 +216,14 @@ class TestGapKeyRegression:
         from repro.workload import WorkloadGenerator, rwb
         from repro.workload.ycsb import OP_DELETE, OP_GET, OP_PUT, OP_SCAN
 
+        from tests.conftest import with_deletes
+
         db = DB(config=tiny_config, policy="ldc")
         spec = rwb(
             num_operations=6000,
             key_space=1500,
             value_bytes=48,
             preload_keys=1500,
-            delete_ratio=0.05,
             seed=33,
         )
         generator = WorkloadGenerator(spec)
@@ -230,7 +231,7 @@ class TestGapKeyRegression:
         for op in generator.preload_operations():
             db.put(op.key, op.value)
             model[op.key] = op.value
-        for op in generator.operations():
+        for op in with_deletes(generator.operations(), 20):
             if op.kind == OP_PUT:
                 db.put(op.key, op.value)
                 model[op.key] = op.value

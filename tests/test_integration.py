@@ -16,6 +16,8 @@ from repro.ssd.profile import SATA_SSD
 from repro.workload import WorkloadGenerator, rwb, wo
 from repro.workload.ycsb import OP_DELETE, OP_GET, OP_PUT, OP_SCAN
 
+from tests.conftest import with_deletes
+
 CONFIG = LSMConfig(
     memtable_bytes=2048,
     sstable_target_bytes=2048,
@@ -27,14 +29,18 @@ CONFIG = LSMConfig(
 POLICIES = ("ldc", "tiered", "udc")
 
 
-def apply_stream(db: DB, spec) -> dict:
-    """Drive a DB with a generated stream, returning the expected contents."""
+def apply_stream(db: DB, spec, delete_every: int = 0) -> dict:
+    """Drive a DB with a generated stream, returning the expected contents;
+    with ``delete_every`` every that-many-th put is a delete instead."""
     generator = WorkloadGenerator(spec)
     model = {}
     for op in generator.preload_operations():
         db.put(op.key, op.value)
         model[op.key] = op.value
-    for op in generator.operations():
+    operations = generator.operations()
+    if delete_every:
+        operations = with_deletes(operations, delete_every)
+    for op in operations:
         if op.kind == OP_PUT:
             db.put(op.key, op.value)
             model[op.key] = op.value
@@ -56,13 +62,12 @@ class TestPolicyEquivalence:
             key_space=800,
             value_bytes=48,
             preload_keys=400,
-            delete_ratio=0.1,
             seed=21,
         )
         contents = {}
         for name in POLICIES:
             db = DB(config=CONFIG, policy=name)
-            model = apply_stream(db, spec)
+            model = apply_stream(db, spec, delete_every=10)
             db.check_invariants()
             contents[name] = dict(db.logical_items())
             assert contents[name] == model, f"{name} diverged from the model"
@@ -97,10 +102,9 @@ class TestFullStack:
             key_space=1500,
             value_bytes=48,
             preload_keys=1500,
-            delete_ratio=0.05,
             seed=33,
         )
-        model = apply_stream(db, spec)
+        model = apply_stream(db, spec, delete_every=20)
         db.check_invariants()
         assert dict(db.logical_items()) == model
         # Spot-check reads through the public API.

@@ -5,8 +5,8 @@ deletes and gets — one through ``DB.get`` / ``DB.multi_get``, the other
 through ``tests/_lookup_oracle.oracle_get`` (the pre-rework routines).
 After *every* get they must agree on the value and on everything the
 lookup touched: the virtual clock, every registry counter (same key set,
-same values), the block cache's residency *in LRU order*, every file's
-remaining seek budget, and the emitted trace events — i.e. the rework
+same values), the block cache's residency *in LRU order* and the emitted
+trace events — i.e. the rework
 changes which host calls deliver a charge, never what is charged.
 """
 
@@ -15,7 +15,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro import DB, DeviceConfig, FlashSpec, RingBufferSink, Tracer, get_spec
+from repro import DB, DeviceConfig, FlashSpec, RingBufferSink, Tracer
 from repro.errors import CorruptionError, EngineError
 from repro.faults.plan import FaultPlan
 from repro.lsm.bloom import BloomFilter
@@ -58,9 +58,6 @@ def make_key(index: int) -> bytes:
 
 
 def build(policy, cache_bytes: int, device: str, traced: bool) -> DB:
-    if policy == "udc":
-        # Unproductive block reads spend the file's seek budget.
-        policy = get_spec("udc").derive(honor_seeks=True)
     profile = {}
     if device == "flash":
         profile["profile"] = DeviceConfig(
@@ -88,7 +85,6 @@ def observable_state(db: DB) -> tuple:
     """Everything a get may touch, as one comparable value."""
     cache = db.block_cache
     residency = list(cache._entries.items()) if cache is not None else None
-    seeks = {table.file_id: table.allowed_seeks for table in all_files(db)}
     events = [
         (event.kind, event.t_us, event.fields)
         for sink in db.tracer._sinks
@@ -99,7 +95,6 @@ def observable_state(db: DB) -> tuple:
         db.registry.counters(),
         db.registry.gauges(),
         residency,
-        seeks,
         events,
     )
 
@@ -411,41 +406,6 @@ def slice_answered_keys(db: DB) -> dict:
             if holders[key] >= 2 and record.seq == newest[key]:
                 held[key] = record
     return held
-
-
-@pytest.mark.parametrize("policy", ("udc", "ldc"))
-class TestDirectedSeekBudget:
-    def test_exhaustion_fires_on_the_same_get(self, policy):
-        pair, model = deep_pair(get_spec(policy).derive(honor_seeks=True))
-        fired = {id(db): [] for db in pair.both()}
-        gets = {id(db): 0 for db in pair.both()}
-        for db in pair.both():
-            deepest = db.version.deepest_nonempty_level()
-            table = db.version.files(deepest)[0]
-            # Every absent key inside the file's range now reads a block
-            # and finds nothing: an unproductive seek.
-            table._bloom = ALWAYS_MAYBE
-            table.allowed_seeks = 3
-            original = db.policy.note_seek_exhausted
-
-            def spy(exhausted, db=db, original=original):
-                fired[id(db)].append((gets[id(db)], exhausted.file_id))
-                original(exhausted)
-
-            db.policy.note_seek_exhausted = spy
-        table = pair.new.version.files(pair.new.version.deepest_nonempty_level())[0]
-        absent = [
-            make_key(index)
-            for index in range(int(table.min_key) + 1, int(table.max_key), 2)
-        ]
-        assert len(absent) >= 3
-        for key in absent[:6]:
-            for db in pair.both():
-                gets[id(db)] += 1
-            assert pair.get(key) is None
-        new_fired, old_fired = (fired[id(db)] for db in pair.both())
-        assert new_fired == old_fired
-        assert new_fired and new_fired[0][0] == 3
 
 
 @pytest.mark.parametrize("cache_bytes", (0, 4096))

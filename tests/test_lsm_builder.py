@@ -1,12 +1,10 @@
-"""Unit tests for SSTable builders (streaming and balanced)."""
+"""Unit tests for the SSTable cuts: greedy (flush) and balanced (compaction)."""
 
 import itertools
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import EngineError
-from repro.lsm.builder import SSTableBuilder, build_tables
+from repro.lsm.builder import build_greedy_columns
 from repro.lsm.config import LSMConfig
 from repro.lsm.record import put_record
 
@@ -31,57 +29,65 @@ def id_gen():
     return lambda: next(counter)
 
 
+def flush_cut(records, config, next_file_id):
+    """``build_greedy_columns`` over a sorted record list, as a flush
+    hands it the memtable's key and record columns."""
+    return build_greedy_columns(
+        [record.key for record in records], list(records), config, next_file_id
+    )
+
+
 class TestStreamingBuilder:
+    """The flush cut: a file closes with the first record that brings it
+    to the target size, and the remainder is the last file."""
+
     def test_single_small_file(self):
-        tables = build_tables(records_of(5), CONFIG, id_gen())
+        tables = flush_cut(records_of(5), CONFIG, id_gen())
         assert len(tables) == 1
         assert tables[0].num_records == 5
 
     def test_splits_at_target_size(self):
-        tables = build_tables(records_of(200), CONFIG, id_gen())
+        tables = flush_cut(records_of(200), CONFIG, id_gen())
         assert len(tables) > 1
         # All but possibly the last file reach the target.
         for table in tables[:-1]:
             assert table.data_size >= CONFIG.sstable_target_bytes
 
     def test_outputs_are_disjoint_and_ordered(self):
-        tables = build_tables(records_of(200), CONFIG, id_gen())
+        tables = flush_cut(records_of(200), CONFIG, id_gen())
         for left, right in zip(tables, tables[1:]):
             assert left.max_key < right.min_key
 
     def test_preserves_all_records(self):
         source = records_of(137)
-        tables = build_tables(source, CONFIG, id_gen())
+        tables = flush_cut(source, CONFIG, id_gen())
         rebuilt = [record for table in tables for record in table.records]
         assert rebuilt == source
 
-    def test_out_of_order_rejected(self):
-        builder = SSTableBuilder(CONFIG, id_gen())
-        builder.add(put_record(b"b", b"v", 1))
-        with pytest.raises(EngineError, match="increasing"):
-            builder.add(put_record(b"a", b"v", 2))
-
-    def test_duplicate_key_rejected(self):
-        builder = SSTableBuilder(CONFIG, id_gen())
-        builder.add(put_record(b"a", b"v", 1))
-        with pytest.raises(EngineError):
-            builder.add(put_record(b"a", b"w", 2))
-
-    def test_finish_resets_builder(self):
-        builder = SSTableBuilder(CONFIG, id_gen())
-        builder.add(put_record(b"a", b"v", 1))
-        first = builder.finish()
-        assert len(first) == 1
-        builder.add(put_record(b"a", b"v", 2))  # same key fine after reset
-        assert len(builder.finish()) == 1
-
     def test_empty_finish(self):
-        builder = SSTableBuilder(CONFIG, id_gen())
-        assert builder.finish() == []
+        assert flush_cut([], CONFIG, id_gen()) == []
 
     def test_file_ids_come_from_generator(self):
-        tables = build_tables(records_of(200), CONFIG, id_gen())
+        tables = flush_cut(records_of(200), CONFIG, id_gen())
         assert [t.file_id for t in tables] == list(range(1, len(tables) + 1))
+
+    @given(st.integers(min_value=1, max_value=400),
+           st.integers(min_value=1, max_value=120))
+    @settings(max_examples=30)
+    def test_cuts_are_the_record_at_a_time_cuts(self, count, value_bytes):
+        """Each cut is where a running byte total first reaches the target."""
+        source = records_of(count, value_bytes)
+        expected, pending, total = [], [], 0
+        for record in source:
+            pending.append(record)
+            total += record.size
+            if total >= CONFIG.sstable_target_bytes:
+                expected.append(pending)
+                pending, total = [], 0
+        if pending:
+            expected.append(pending)
+        tables = flush_cut(source, CONFIG, id_gen())
+        assert [table.records for table in tables] == expected
 
 
 class TestBalancedBuilder:

@@ -4,8 +4,8 @@ no less.
 The catalogue is a markdown table, one row per key or key pattern.  This
 test parses it, runs the pin-first matrix of ``tests/test_ledger_identity``
 (every policy x every device stack, one serve) plus the
-scenarios the matrix leaves out by design — its fault plans are empty, its
-runs never stall and seek compaction is opt-in — and fails on
+scenarios the matrix leaves out by design — its fault plans are empty and
+its runs never stall — and fails on
 
 * an emitted key no row matches (or one matches with the wrong kind), and
 * a row nothing emits (a documented metric that no longer exists).
@@ -20,7 +20,6 @@ alternatives.
 
 from __future__ import annotations
 
-import dataclasses
 import pathlib
 import re
 from collections import defaultdict
@@ -29,7 +28,7 @@ from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 import pytest
 
-from repro import DB, DeviceConfig, FlashSpec, SimulatedSSD, Tracer, get_spec
+from repro import DB, DeviceConfig, FlashSpec, SimulatedSSD, Tracer
 from repro.errors import CorruptionError, PersistentIOError, SimulatedCrash
 from repro.faults.plan import FaultPlan, RetryPolicy
 from repro.harness.runner import execute_operations
@@ -118,20 +117,6 @@ def faulted_store() -> MetricsSnapshot:
     return db.metrics()
 
 
-def seek_compacted_store() -> MetricsSnapshot:
-    """Opt-in seek compaction: misses inside one file's range exhaust its
-    probe budget (Bloom off, so every probe reaches the file)."""
-    config = dataclasses.replace(small(), bloom_bits_per_key=0)
-    db = DB(config=config, policy=get_spec("udc").derive(honor_seeks=True))
-    for index in range(400):
-        db.put(make_key(index), b"k" * 60)
-    db.flush()
-    db.policy.maybe_compact()
-    for _ in range(400):
-        db.get(make_key(5) + b"x")
-    return db.metrics()
-
-
 def unverified_read() -> MetricsSnapshot:
     """A corrupted read nobody verifies: the defect counter's one emitter."""
     device = SimulatedSSD(fault_plan=FaultPlan().corrupt_read(1))
@@ -142,8 +127,7 @@ def unverified_read() -> MetricsSnapshot:
 
 def everything_emitted() -> Iterable[Tuple[str, str]]:
     """``(key, kind)`` for every metric of every run above."""
-    scenarios = [stalled_store(), faulted_store(), seek_compacted_store(),
-                 unverified_read()]
+    scenarios = [stalled_store(), faulted_store(), unverified_read()]
     for snapshot in emitted_snapshots() + scenarios:
         for key in snapshot.counters:
             yield key, "counter"

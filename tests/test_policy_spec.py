@@ -1,9 +1,8 @@
-"""PolicySpec API: registry, round-trips, coercion, validation, compat.
+"""PolicySpec API: registry, pickling, coercion, validation, compat.
 
 The PR 6 contract: one central registry behind every policy-name surface
-(DB construction, CLI, grids, crashtest), specs that
-round-trip through dict/pickle, and typed errors listing the valid
-names.
+(DB construction, CLI, grids, crashtest), specs that round-trip through
+pickle, and typed errors listing the valid names.
 """
 
 import pathlib
@@ -42,15 +41,22 @@ TINY = LSMConfig(
 LDC_TS10 = get_spec("ldc").derive(threshold=10)
 
 
-def doc_example_spec() -> PolicySpec:
-    """Run docs/DESIGN_SPACE.md's ``PolicySpec`` example; return its spec."""
+def doc_example(heading: str) -> dict:
+    """Run the first code block under docs/DESIGN_SPACE.md's ``heading``;
+    return the names it defined."""
     text = DESIGN_SPACE_DOC.read_text(encoding="utf-8")
-    section = text.split("## PolicySpec", 1)[1]
+    section = text.split(f"## {heading}", 1)[1]
     block = section.split("```python\n", 1)[1].split("```", 1)[0]
     namespace: dict = {}
     exec(block, namespace)
-    _REGISTRY.pop(namespace["spec"].name)
-    return namespace["spec"]
+    return namespace
+
+
+def doc_example_spec() -> PolicySpec:
+    """Run docs/DESIGN_SPACE.md's ``PolicySpec`` example; return its spec."""
+    spec = doc_example("PolicySpec")["spec"]
+    _REGISTRY.pop(spec.name)
+    return spec
 
 
 class TestRegistry:
@@ -91,22 +97,9 @@ class TestRegistry:
 
 class TestRoundTrips:
     @pytest.mark.parametrize("name", EXPECTED_POLICIES)
-    def test_dict_round_trip(self, name):
-        spec = get_spec(name)
-        assert PolicySpec.from_dict(spec.to_dict()) == spec
-
-    @pytest.mark.parametrize("name", EXPECTED_POLICIES)
     def test_pickle_round_trip(self, name):
         spec = get_spec(name)
         assert pickle.loads(pickle.dumps(spec)) == spec
-
-    def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(ConfigError, match="unknown PolicySpec keys"):
-            PolicySpec.from_dict({"name": "x", "bogus": 1})
-
-    def test_from_dict_requires_name(self):
-        with pytest.raises(ConfigError, match="requires a 'name'"):
-            PolicySpec.from_dict({"trigger": "fanout"})
 
     def test_params_normalize_to_sorted_tuple(self):
         a = PolicySpec(name="x", params={"b": 2, "a": 1})
@@ -192,8 +185,7 @@ class TestCoercion:
 
 class TestPolicyKnobs:
     """Each policy knob has one home: T_s follows the fan-out unless the
-    spec sets ``threshold``; ``adaptive`` and ``honor_seeks`` are spec
-    parameters only."""
+    spec sets ``threshold``; ``adaptive`` is a spec parameter only."""
 
     @pytest.mark.parametrize("fan_out", (3, 4, 10))
     def test_ldc_threshold_is_the_fan_out(self, fan_out):
@@ -209,31 +201,6 @@ class TestPolicyKnobs:
         adaptive = DB(config=TINY, policy=get_spec("ldc").derive(adaptive=True))
         movement = adaptive.policy.movement
         assert movement._adaptive is not None and movement.observes_operations
-
-    @pytest.mark.parametrize(
-        "policy, spent",
-        [
-            ("udc", 0),
-            ("ldc", 0),
-            ("tiered", 0),
-            (get_spec("udc").derive(honor_seeks=True), 1),
-        ],
-        ids=["udc", "ldc", "tiered", "udc-honor_seeks"],
-    )
-    def test_seek_budget_spent_only_when_the_trigger_honours_seeks(
-        self, policy, spent
-    ):
-        db = DB(config=TINY.with_overrides(bloom_bits_per_key=0), policy=policy)
-        for index in range(200):
-            db.put(b"%06d" % index, b"v" * 30)
-        db.flush()
-        db.policy.maybe_compact()
-        table = db.version.files(db.version.deepest_nonempty_level())[0]
-        budget = table.allowed_seeks
-        for _ in range(5):
-            # Absent, inside the table's range: an unproductive probe.
-            assert db.get(table.min_key + b"x") is None
-        assert table.allowed_seeks == budget - 5 * spent
 
 
 class TestComposition:
@@ -262,6 +229,24 @@ class TestComposition:
         text = get_spec("tiered").build().describe()
         for fragment in ("tier_count", "runs", "tiered_merge", "tiered"):
             assert fragment in text
+
+    def test_doc_primitive_example_composes(self):
+        """docs/DESIGN_SPACE.md's new trigger registers, composes and runs:
+        its ``fire`` returns a bare level, and level 0 is a level."""
+        from repro.lsm.compaction.primitives import TRIGGERS
+
+        trigger = doc_example("Adding a primitive")["AlwaysL0"]
+        try:
+            assert TRIGGERS["always_l0"] is trigger
+            db = DB(config=TINY, policy=PolicySpec(name="l0", trigger="always_l0"))
+            for index in range(300):
+                db.put(b"%06d" % index, b"v" * 30)
+            db.flush()
+            db.policy.maybe_compact()
+            assert db.version.files(0) == [] and db.version.files(1)
+            assert db.get(b"%06d" % 7) == b"v" * 30
+        finally:
+            TRIGGERS.pop("always_l0")
 
 
 class TestBackwardCompat:

@@ -1,4 +1,4 @@
-"""The public surface after the PR 17, 18, 19, 22, 23 and 24 deletions.
+"""The public surface after each round of deletions.
 
 Every exported name resolves, and what was removed stays removed: the
 policy shims (one way to build a policy — the registry — so the only
@@ -19,7 +19,11 @@ the WAL switch and the chunk-size knob); and the sharded engine (one
 store: no partitioned facade, sharded runner or serve, result folds or
 cross-store snapshot aggregation); and the arrival shapes nothing runs
 (one Poisson stream into a FIFO queue: no bursty or diurnal processes,
-tenants, priority discipline or trace replay).
+tenants, priority discipline or trace replay); and the engine surface
+only tests reached (one compaction pick: no seek compaction, seek budget
+or seeded trigger decision; one flush cut: no streaming builder; one way
+to name a policy: no dict round trip; one generator loop: no delete
+ratio, and no spec scaling).
 """
 
 import ast
@@ -433,3 +437,43 @@ def test_only_the_traffic_that_runs():
     with pytest.raises(ConfigError, match="known: poisson$"):
         ServeSpec(arrival="closed")
     assert not hasattr(workload.WorkloadGenerator, "_operations_scalar")
+
+
+def test_only_the_engine_surface_that_runs():
+    """No claim, figure, workload or example reached these: LevelDB's seek
+    compaction (a trigger fires a bare level, a selector takes only the
+    level), the streaming builder beside the flush cut, the spec's dict
+    round trip, the generator's delete ratio and its second loop, and
+    spec scaling."""
+    from dataclasses import fields
+
+    import repro.core.primitives  # registers the LDC selector
+    import repro.lsm
+    import repro.lsm.compaction
+    from repro.errors import ConfigError
+    from repro.lsm import builder
+    from repro.lsm.compaction import primitives, spec
+    from repro.lsm.sstable import SSTable
+    from repro.workload import WorkloadSpec
+
+    for module, name in ((primitives, "TriggerDecision"),
+                         (builder, "SSTableBuilder"), (builder, "build_tables")):
+        assert not hasattr(module, name), (module.__name__, name)
+        for package in (repro, repro.lsm, repro.lsm.compaction):
+            assert name not in package.__all__ and not hasattr(package, name)
+    assert "allowed_seeks" not in SSTable.__slots__
+    assert "delete_ratio" not in {field.name for field in fields(WorkloadSpec)}
+    assert not hasattr(WorkloadSpec, "scaled")
+    for name in ("to_dict", "from_dict"):
+        assert not hasattr(spec.PolicySpec, name), name
+    assert list(inspect.signature(spec.register_policy).parameters) == ["spec"]
+    for name in ("_spends_seeks", "note_seek_exhausted"):
+        assert not hasattr(repro.DB(), name)
+        assert not hasattr(CompactionPolicy, name)
+    for name, cls in primitives.TRIGGERS.items():
+        assert not hasattr(cls, "honor_seeks"), name
+    for name, cls in primitives.SELECTORS.items():
+        assert list(inspect.signature(cls.select).parameters) == [
+            "self", "level"], name
+    with pytest.raises(ConfigError, match="honor_seeks"):
+        spec.get_spec("udc").derive(honor_seeks=True).build()

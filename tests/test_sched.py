@@ -407,7 +407,6 @@ class TestIdleGate:
 
     def test_idle_read_phase_polls_the_policy_once(self):
         db, polls = self.settled_db("udc")
-        assert not db.policy.trigger.honor_seeks
         db.policy._maintenance_idle = False
         del polls[:]
         for index in range(50):

@@ -30,6 +30,8 @@ from repro.ssd.metrics import GC_READ, GC_WRITE
 from repro.workload.spec import rwb, scn_rwb, wo
 from repro.workload.ycsb import OP_PUT, OP_RMW, Operation, WorkloadGenerator
 
+from tests.conftest import with_deletes
+
 from . import _serve_oracle as serve_oracle
 from ._flash_oracle import OracleFTL, ftl_state
 from ._pump_oracle import ChunkReplayScheduler
@@ -61,8 +63,9 @@ def serve_config(bg_threads: int, throttle: bool) -> LSMConfig:
 FLASH = FlashSpec(page_bytes=512, pages_per_block=8, logical_bytes=1 << 20)
 
 def operations_of(spec, rmw_every: int) -> list:
-    """The spec's stream with every ``rmw_every``-th put made a read-modify-write."""
-    ops = list(WorkloadGenerator(spec).operations())
+    """The spec's stream with every tenth put made a delete, then every
+    ``rmw_every``-th operation that is still a put a read-modify-write."""
+    ops = with_deletes(WorkloadGenerator(spec).operations(), 10)
     if rmw_every:
         ops = [
             Operation(OP_RMW, op.key, op.value if n % 2 else None)
@@ -108,8 +111,7 @@ class TestServeLoop:
     ):
         make = scn_rwb if scans else rwb
         spec = make(num_operations=240, key_space=120, preload_keys=120,
-                    value_bytes=90, key_bytes=12, delete_ratio=0.1,
-                    scan_length=8, seed=seed)
+                    value_bytes=90, key_bytes=12, scan_length=8, seed=seed)
         serve = ServeSpec(rate_ops_s=rate, seed=seed, queue_depth=queue_depth,
                           slo_us=slo_us, backpressure=backpressure)
         ops = operations_of(spec, rmw_every)

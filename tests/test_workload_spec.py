@@ -139,21 +139,5 @@ class TestValidation:
 
 
 class TestScaling:
-    def test_scaled_grows_everything(self):
-        spec = rwb(num_operations=100, key_space=50, preload_keys=50)
-        doubled = spec.scaled(2.0)
-        assert doubled.num_operations == 200
-        assert doubled.key_space == 100
-        assert doubled.preload_keys == 100
-
-    def test_scaled_down(self):
-        spec = rwb(num_operations=100, key_space=50)
-        half = spec.scaled(0.5)
-        assert half.num_operations == 50
-
-    def test_bad_factor(self):
-        with pytest.raises(WorkloadError):
-            rwb().scaled(0.0)
-
     def test_read_ratio_complement(self):
         assert wh().read_ratio == pytest.approx(0.3)

@@ -5,7 +5,6 @@ import pytest
 from repro.errors import WorkloadError
 from repro.workload.spec import ro, rwb, scn_rh, scn_rwb, wo
 from repro.workload.ycsb import (
-    OP_DELETE,
     OP_GET,
     OP_PUT,
     OP_SCAN,
@@ -73,13 +72,6 @@ class TestOperationStream:
         scans = [op for op in gen.operations() if op.kind == OP_SCAN]
         assert scans and all(op.scan_length == 42 for op in scans)
 
-    def test_deletes_generated_when_requested(self):
-        gen = WorkloadGenerator(
-            wo(num_operations=2000, key_space=100, delete_ratio=0.5)
-        )
-        kinds = [op.kind for op in gen.operations()]
-        assert kinds.count(OP_DELETE) > 0
-
     def test_deterministic_given_seed(self):
         spec = rwb(num_operations=200, key_space=50, seed=99)
         a = list(WorkloadGenerator(spec).operations())
@@ -122,37 +114,33 @@ class TestPreload:
 
 def per_operation_stream(gen: WorkloadGenerator):
     """The generator's stream drawn one operation at a time: one key
-    sample, then one op-kind draw (and, for a write under a delete ratio,
-    a second) per operation, from ``gen``'s own RNG streams."""
+    sample, then one op-kind draw per operation, from ``gen``'s own RNG
+    streams."""
     spec = gen.spec
     sample, random = gen._dist.sample, gen._op_rng.random
     for _ in range(spec.num_operations):
         key = gen.encode_key(sample())
         if random() < spec.write_ratio:
-            if spec.delete_ratio and random() < spec.delete_ratio:
-                yield Operation(OP_DELETE, key)
-            else:
-                yield Operation(OP_PUT, key, gen.make_value())
+            yield Operation(OP_PUT, key, gen.make_value())
         elif spec.query_type == "scan":
             yield Operation(OP_SCAN, key, scan_length=spec.scan_length)
         else:
             yield Operation(OP_GET, key)
 
 
-@pytest.mark.parametrize("delete_ratio", (0.0, 0.2))
 @pytest.mark.parametrize(
     "distribution, zipf_constant", [("uniform", 1.0), ("zipf", 1.2)],
     ids=["uniform", "zipf"],
 )
 @pytest.mark.parametrize("mix", (rwb, wo, scn_rh, ro))
 def test_blocked_stream_matches_per_operation_sampling(
-    mix, distribution, zipf_constant, delete_ratio
+    mix, distribution, zipf_constant
 ):
     """The blocked generator emits exactly the per-operation stream: 10,000
     operations cross the 4,096-operation block twice."""
     spec = mix(
         num_operations=10_000, key_space=3_000, distribution=distribution,
-        zipf_constant=zipf_constant, delete_ratio=delete_ratio,
+        zipf_constant=zipf_constant,
     )
     expected = list(per_operation_stream(WorkloadGenerator(spec)))
     assert list(WorkloadGenerator(spec).operations()) == expected
