@@ -460,13 +460,25 @@ def _run_crashtest(args: argparse.Namespace) -> int:
     read corruptions and requires all of them to be detected via CRC.
     ``--flash`` mounts a deliberately tiny FTL geometry under the store
     so crash points land inside GC relocations too.  Exit status 0 only
-    when both passes hold.
+    when both passes hold.  The corruption pass runs first, so a workload
+    that cannot seed it fails before the sweep; its summary still prints
+    second.
     """
 
     def progress(done: int, total: int) -> None:
         if done % 200 == 0 or done == total:
             print(f"  crash points: {done}/{total}", file=sys.stderr)
 
+    corruption = None
+    if args.corrupt > 0:
+        corruption = crashtest.run_corruption_test(
+            args.policy,
+            num_ops=min(args.ops, 1500),
+            num_keys=args.keys,
+            value_bytes=args.value_bytes,
+            seed=args.seed,
+            corruptions=args.corrupt,
+        )
     report = crashtest.run_crashtest(
         args.policy,
         num_ops=args.ops,
@@ -478,16 +490,7 @@ def _run_crashtest(args: argparse.Namespace) -> int:
         progress=progress,
     )
     print(report.summary())
-    corruption = None
-    if args.corrupt > 0:
-        corruption = crashtest.run_corruption_test(
-            args.policy,
-            num_ops=min(args.ops, 1500),
-            num_keys=args.keys,
-            value_bytes=args.value_bytes,
-            seed=args.seed,
-            corruptions=args.corrupt,
-        )
+    if corruption is not None:
         print(corruption.summary())
     ok = report.ok and (corruption is None or corruption.ok)
     return 0 if ok else 1

@@ -13,14 +13,13 @@
 from .adaptive import AdaptiveThreshold
 from .frozen import FrozenRegion
 from .primitives import LDCLinkMergeMovement, LDCUnitSelector
-from .slice import Slice, attach_slice, slices_newest_first
+from .slice import Slice, attach_slice
 
 __all__ = [
     "LDCUnitSelector",
     "LDCLinkMergeMovement",
     "Slice",
     "attach_slice",
-    "slices_newest_first",
     "FrozenRegion",
     "AdaptiveThreshold",
 ]

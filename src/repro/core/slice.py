@@ -144,12 +144,3 @@ def detach_all_slices(target: SSTable) -> List[Slice]:
     target._links_newest = None
     target.linked_bytes = 0
     return detached
-
-
-def slices_newest_first(target: SSTable) -> List[Slice]:
-    """Slices of ``target`` in read-priority order (latest link first).
-
-    Returns a fresh list; the cached read-path view stays private to the
-    SSTable (see :meth:`~repro.lsm.sstable.SSTable.links_newest_first`).
-    """
-    return list(target.links_newest_first())

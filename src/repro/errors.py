@@ -58,23 +58,10 @@ class CorruptionError(EngineError):
     """
 
 
-class TransientIOError(DeviceError):
-    """One transient device failure, absorbed by the retry layer.
-
-    Never escapes :class:`~repro.faults.device.FaultStage` — it exists
-    so tests can name the internal failure mode; callers only ever see
-    :class:`PersistentIOError` once the bounded retry budget is spent.
-    """
-
-
-class PersistentIOError(DeviceError):
-    """A device request kept failing beyond the bounded retry policy."""
-
-
 class SimulatedCrash(ReproError):
     """Control-flow signal for an injected crash point.
 
-    Raised by :class:`~repro.faults.device.FaultStage` when the armed
+    Raised by :meth:`~repro.faults.plan.FaultPlan.before_io` when the armed
     crash point is reached: the in-flight I/O aborts and the process is
     considered dead.  Not an engine bug — harnesses catch it and drive
     :meth:`~repro.lsm.db.DB.crash_and_recover`.

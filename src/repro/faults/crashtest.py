@@ -3,9 +3,9 @@
 The harness behind ``repro crashtest``.  One workload, three passes:
 
 1. **Reference run** — execute the workload on a fault-free store whose
-   device carries a :class:`~repro.faults.device.FaultStage` with an
-   empty plan, purely to count the charged I/Os (and to confirm the
-   workload exercises flushes and, under LDC, links and merges).
+   device carries an empty :class:`~repro.faults.plan.FaultPlan`, purely
+   to count the charged I/Os (and to confirm the workload exercises
+   flushes and, under LDC, links and merges).
 2. **Crash enumeration** — for every I/O index (or every ``stride``-th
    one), rebuild the store from scratch, arm a one-shot crash at that
    index, run the workload until the crash fires, recover, and check the

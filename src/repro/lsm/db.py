@@ -31,7 +31,7 @@ from bisect import bisect_left, bisect_right
 from functools import partial, reduce
 from itertools import repeat
 from operator import add
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .bloom import key_hashes
 from .builder import build_greedy_columns
@@ -105,10 +105,10 @@ class DB:
         ``Tracer([RingBufferSink()])`` — to start recording.
     fault_plan:
         Optional :class:`~repro.faults.plan.FaultPlan`; when given, the
-        simulated device mounts its fault-injection stage
-        (:class:`~repro.faults.device.FaultStage`, ``db.device.faults``),
-        which injects the plan's crashes, corruption and transient errors,
-        and the decode paths verify block CRCs on every device read.
+        simulated device mounts it as its fault-injection stage
+        (``db.device.faults``), which injects the plan's crashes and read
+        corruption, and the decode paths verify block CRCs on every
+        device read.
 
     Example
     -------
@@ -496,18 +496,6 @@ class DB:
             return None
         counters["engine.get_hits"] = counters.get("engine.get_hits", 0) + 1
         return record[3]
-
-    def multi_get(self, keys: Sequence[bytes]) -> List[Optional[bytes]]:
-        """Point-lookup many keys; returns values aligned with ``keys``.
-
-        A loop over :meth:`get`: every per-key effect (policy
-        notification, clock charges, counters, maintenance step) is a
-        get's, so metrics and virtual time match the per-op loop by
-        construction.
-        """
-        self._check_open()
-        get = self.get
-        return [get(key) for key in keys]
 
     def _lookup(self, key: bytes) -> Optional[KVRecord]:
         """The newest record stored under ``key`` (tombstones included).

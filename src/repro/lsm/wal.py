@@ -97,8 +97,7 @@ class WriteAheadLog:
         """An append the device did not complete is a torn unit.
 
         A crash reports the bytes it left on media; any other failure
-        (a persistent I/O error, a full device) leaves the whole unit
-        counted.  Recovery drops the unit either way rather than replay
+        (a full device) leaves the whole unit counted.  Recovery drops the unit either way rather than replay
         a write that was never acknowledged.
         """
         self._torn += 1

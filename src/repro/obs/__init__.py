@@ -26,7 +26,6 @@ from .events import (
     EV_DEVICE_WRITE,
     EV_FAULT_CORRUPTION,
     EV_FAULT_CRASH,
-    EV_FAULT_TRANSIENT,
     EV_FLUSH,
     EV_LINK,
     EV_MERGE,
@@ -72,7 +71,6 @@ __all__ = [
     "EV_DEVICE_WRITE",
     "EV_RECOVERY",
     "EV_FAULT_CRASH",
-    "EV_FAULT_TRANSIENT",
     "EV_FAULT_CORRUPTION",
     "EV_SCHED_TASK",
     "EV_SCHED_TASK_DONE",

@@ -28,7 +28,6 @@ EV_DEVICE_READ = "device_read"  # one device read transfer
 EV_DEVICE_WRITE = "device_write"  # one device write transfer
 EV_RECOVERY = "recovery"  # crash recovery: WAL replayed into a fresh memtable
 EV_FAULT_CRASH = "fault_crash"  # injected crash point fired
-EV_FAULT_TRANSIENT = "fault_transient"  # injected transient I/O error (retried)
 EV_FAULT_CORRUPTION = "fault_corruption"  # injected read corruption delivered
 EV_SCHED_TASK = "sched_task"  # compaction round captured as a background task
 EV_SCHED_TASK_DONE = "sched_task_done"  # background task paid off its last chunk
@@ -46,7 +45,6 @@ ALL_EVENT_KINDS: Tuple[str, ...] = (
     EV_DEVICE_WRITE,
     EV_RECOVERY,
     EV_FAULT_CRASH,
-    EV_FAULT_TRANSIENT,
     EV_FAULT_CORRUPTION,
     EV_SCHED_TASK,
     EV_SCHED_TASK_DONE,

@@ -14,7 +14,6 @@ from .server import (
     WRITE_KINDS,
     ServeResult,
     ServeSpec,
-    admission_bound,
     serve_workload,
 )
 
@@ -26,7 +25,6 @@ __all__ = [
     "RequestQueue",
     "ServeResult",
     "ServeSpec",
-    "admission_bound",
     "poisson_arrivals",
     "serve_workload",
 ]

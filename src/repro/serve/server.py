@@ -84,7 +84,6 @@ class ServeSpec:
     rate_ops_s: float = 10_000.0
     queue_depth: int = 64
     slo_us: float = 1_000.0
-    backpressure: bool = True
     seed: int = 7
 
     def __post_init__(self) -> None:
@@ -236,24 +235,17 @@ def serve_workload(
     )
 
 
-def _gated_kinds(serve: ServeSpec) -> frozenset:
-    """The operation kinds admission control weighs: the writes, while
-    back-pressure is on.  A read is never back-pressured — L0 throttling
-    is a write-path signal — so it never pays for the decision."""
-    return WRITE_KINDS if serve.backpressure else frozenset()
-
-
-def admission_bound(db: DB, serve: ServeSpec, operation) -> Optional[int]:
-    """The admission decision for one arriving operation.
+def _write_admission(db: DB, serve: ServeSpec) -> Optional[int]:
+    """The admission decision for one arriving write.
 
     Returns the effective queue bound to offer under (``None`` = the
     configured capacity), or raises
     :class:`~repro.errors.BackpressureError` when the engine's L0
-    throttle is at ``"stop"`` and the operation is a write.  At
-    ``"slowdown"`` the bound halves for writes — shed early while the
-    engine is degraded instead of queueing work it cannot absorb.
-    Reads are never back-pressured (:func:`_gated_kinds`); the serve
-    loop weighs the gated kinds only, through :func:`_write_admission`.
+    throttle is at ``"stop"``.  At ``"slowdown"`` the bound halves —
+    shed early while the engine is degraded instead of queueing work it
+    cannot absorb.  Only the :data:`WRITE_KINDS` reach it: a read is
+    never back-pressured — L0 throttling is a write-path signal — so it
+    never pays for the decision.
 
     The throttle signal reflects the engine as of the most recently
     *served* request: the virtual clock only advances when a request is
@@ -261,13 +253,6 @@ def admission_bound(db: DB, serve: ServeSpec, operation) -> Optional[int]:
     one the previous completion left behind, not a hypothetical state
     at the arrival instant.
     """
-    if operation[0] not in _gated_kinds(serve):
-        return None
-    return _write_admission(db, serve)
-
-
-def _write_admission(db: DB, serve: ServeSpec) -> Optional[int]:
-    """:func:`admission_bound` for an operation of a gated kind."""
     state = db.throttle_state()
     if state == "stop":
         raise BackpressureError("write refused: engine L0 throttle is at 'stop'")
@@ -291,8 +276,8 @@ def _serve_open_loop(
     operation runs exactly as the closed-loop runner dispatches it, and
     one ledger row ``(wait, service, total, begin, stall)`` is appended.
     Admission therefore sees the queue *depth* as it stands at the
-    arrival instant; the engine's throttle state, which only the gated
-    kinds consult (:func:`admission_bound`), is as of the last
+    arrival instant; the engine's throttle state, which only writes
+    consult (:func:`_write_admission`), is as of the last
     completion.  A last arrival at ``inf`` drains the queue through the
     same body.  The queue's ledger is booked, and checked, once at the
     end, and SLO violations are counted once over the totals.
@@ -300,7 +285,6 @@ def _serve_open_loop(
     queue = RequestQueue(serve.queue_depth)
     waiting, push, take = queue.waiting, queue.push, queue.take
     capacity = queue.capacity
-    gated = _gated_kinds(serve)
     wait_rec = LatencyRecorder()
     service_rec = LatencyRecorder()
     total_rec = LatencyRecorder()
@@ -377,7 +361,7 @@ def _serve_open_loop(
         if not seq % RECORD_BATCH:
             record_batch()
         bound = capacity
-        if operation[0] in gated:
+        if operation[0] in WRITE_KINDS:
             try:
                 effective = _write_admission(db, serve)
             except BackpressureError:

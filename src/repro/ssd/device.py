@@ -21,7 +21,7 @@ scheduler's bandwidth channel, a trace sink — is an optional *stage* of
 that one routine, each behind one attribute test, in a fixed order::
 
     size check, cost
-      -> fault plan: crash point, transient retries    (before the charge)
+      -> fault plan: crash point                       (before the charge)
       -> FTL host_write     (non-GC writes; GC relocations re-enter here)
       -> clock: channel wait + occupy | in-place add | capture divert
       -> device.<direction>.<category>.{ops,bytes,time_us} counters
@@ -38,7 +38,6 @@ from .flash import GC_WRITE, DeviceConfig, FlashSpec, FlashTranslationLayer
 from .metrics import category_keys
 from .profile import ENTERPRISE_PCIE, SSDProfile
 from ..errors import DeviceError
-from ..faults.device import FaultStage
 from ..faults.plan import FaultPlan
 from ..obs.events import EV_DEVICE_READ, EV_DEVICE_WRITE
 from ..obs.registry import MetricsRegistry
@@ -68,9 +67,9 @@ class SimulatedSSD:
         Event tracer for per-transfer ``device_read``/``device_write``
         events; an inert (sink-less) tracer is created when omitted.
     fault_plan:
-        Optional :class:`~repro.faults.plan.FaultPlan`; mounts the
+        Optional :class:`~repro.faults.plan.FaultPlan`; mounted as the
         fault-injection stage (:attr:`faults`) that executes the plan's
-        crashes, transient errors and read corruption.
+        crashes and read corruption.
     """
 
     def __init__(
@@ -111,8 +110,8 @@ class SimulatedSSD:
         self.tracer = tracer if tracer is not None else Tracer(clock=self.clock)
         #: Optional fault-injection stage (:mod:`repro.faults`); ``None``
         #: when no plan was given.  An empty plan is transparent.
-        self.faults: FaultStage | None = (
-            FaultStage(fault_plan, self) if fault_plan is not None else None
+        self.faults: FaultPlan | None = (
+            fault_plan.mount(self) if fault_plan is not None else None
         )
         #: Optional flash layer (:mod:`repro.ssd.flash`); ``None`` keeps
         #: the device byte-identical to the flash-less simulator.

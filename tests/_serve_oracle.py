@@ -13,7 +13,9 @@ tenants: it books one ledger of plain counts, where it booked one per
 tenant, and takes its arrivals from ``poisson_arrivals``, where it drew
 them from a heap merge of the tenants' streams; and it builds a
 ``Request`` without the ``seq`` field that ``Request`` no longer has (its
-``seq`` counter still paces ``record_batch``).
+``seq`` counter still paces ``record_batch``); and its ``admission_bound``
+gates the writes always, where it first tested ``ServeSpec.backpressure``,
+a field that is gone.
 """
 
 from typing import List, Optional, Sequence, Tuple
@@ -35,7 +37,7 @@ from repro.workload.ycsb import (
 
 
 def admission_bound(db, serve: ServeSpec, operation) -> Optional[int]:
-    if not serve.backpressure or operation[0] not in WRITE_KINDS:
+    if operation[0] not in WRITE_KINDS:
         return None
     state = db.throttle_state()
     if state == "stop":

@@ -255,6 +255,17 @@ class TestErrorTyping:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
 
+    def test_a_crashtest_that_cannot_seed_corruption_stops_before_its_sweep(
+        self, capsys
+    ):
+        """The corruption probe runs first: no crash point is swept, and no
+        sweep summary is printed, for a workload that reads no block."""
+        assert main("crashtest --ops 500 --keys 60".split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "performed no reads" in captured.err
+        assert "crash points:" not in captured.err
+
     @pytest.mark.parametrize(
         "command, entry",
         [("run RWB", "run_workload"), ("serve RWB", "serve_workload")],

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.slice import Slice, attach_slice, detach_all_slices, slices_newest_first
+from repro.core.slice import Slice, attach_slice, detach_all_slices
 from repro.errors import EngineError
 from repro.lsm.config import LSMConfig
 from repro.lsm.iterators import unit_windows
@@ -142,5 +142,5 @@ class TestAttachDetach:
         pieces = [Slice(source, None, None, link_seq=seq) for seq in (2, 9, 5)]
         for piece in pieces:
             attach_slice(target, piece)
-        ordered = slices_newest_first(target)
+        ordered = target.links_newest_first()
         assert [p.link_seq for p in ordered] == [9, 5, 2]

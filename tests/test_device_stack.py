@@ -144,7 +144,7 @@ def test_corrupt_scan_run_is_detected_and_leaves_no_block_resident(policy, cache
     for _ in range(40):
         # One of the scan's first three device reads delivers flipped bits
         # (a scan that needs fewer leaves it armed for a later one).
-        faults.plan.corrupt_read(faults.read_count + 1 + rng.randrange(3))
+        faults.corrupt_read(faults.read_count + 1 + rng.randrange(3))
         try:
             db.scan(make_key(rng.randrange(KEYS)), 150)
         except CorruptionError as error:
@@ -260,13 +260,6 @@ class TestReadRunsIsTheReadSequence:
         assert crash == loop_crash == ("crash", 4, COMPACTION_READ)
         assert self.state(batched) == self.state(looped)
 
-    def test_transient_backoff_lands_before_its_run(self):
-        (batched, _), (looped, _) = self.both(
-            lambda: FaultPlan().transient(3, failures=2)
-        )
-        assert self.state(batched) == self.state(looped)
-        assert batched.registry.counter("faults.retries") == 2
-
     def test_batch_stops_after_a_corrupted_run(self):
         (batched, charged), (looped, reads) = self.both(
             lambda: FaultPlan().corrupt_read(3, mask=0xF0)
@@ -286,7 +279,7 @@ class TestCorruptCompactionInput:
 
     def arm_second_read(self, db: DB) -> tuple:
         faults = db.device.faults
-        faults.plan.corrupt_read(faults.read_count + 2)
+        faults.corrupt_read(faults.read_count + 2)
         return self.compaction_read(db, "ops"), self.compaction_read(db, "bytes")
 
     def test_whole_file_inputs(self):

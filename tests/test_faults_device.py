@@ -1,13 +1,9 @@
-"""Unit tests for repro.faults: plans and the device's fault-injection stage."""
+"""Unit tests for repro.faults: the fault plan and its device hooks."""
 
 import pytest
 
-from repro.errors import (
-    ConfigError,
-    PersistentIOError,
-    SimulatedCrash,
-)
-from repro.faults import CrashSpec, FaultPlan, FaultStage, RetryPolicy
+from repro.errors import ConfigError, SimulatedCrash
+from repro.faults import CrashSpec, FaultPlan
 from repro.ssd.device import SimulatedSSD
 from repro.ssd.metrics import FLUSH_WRITE, USER_READ, WAL_WRITE
 from repro.ssd.profile import ENTERPRISE_PCIE
@@ -25,10 +21,6 @@ class TestFaultPlan:
             FaultPlan().crash_at(1, torn_fraction=1.5)
         with pytest.raises(ConfigError):
             FaultPlan().corrupt_read(1, mask=0)
-        with pytest.raises(ConfigError):
-            FaultPlan().transient(1, failures=0)
-        with pytest.raises(ConfigError):
-            RetryPolicy(max_attempts=0)
 
     def test_torn_bytes(self):
         spec = CrashSpec(at_io=1, torn_fraction=0.5)
@@ -36,17 +28,26 @@ class TestFaultPlan:
         assert CrashSpec(at_io=1).torn_bytes(100) == 0
 
     def test_exhaustion(self):
-        plan = FaultPlan().crash_at(3).corrupt_read(2).transient(5)
-        assert not plan.is_exhausted()
-        assert plan.take_crash(3, "x", 1) is not None
-        assert plan.take_corruption(2) != 0
-        assert plan.take_transient(5) == 1
-        assert plan.is_exhausted()
+        """The hooks consume the schedule: each fault fires once."""
+        plan = FaultPlan().crash_at(3).corrupt_read(2)
+        make_device(plan)
+        plan.before_io(USER_READ, 10, False)
+        assert plan.after_read(USER_READ, 10) == 0
+        plan.before_io(USER_READ, 10, False)
+        assert plan.after_read(USER_READ, 10) != 0
+        assert plan.pending_corruptions == 0
+        assert plan.consume_mask() != 0 and plan.consume_mask() == 0
+        with pytest.raises(SimulatedCrash):
+            plan.before_io(WAL_WRITE, 10, True)
+        plan.before_io(WAL_WRITE, 10, True)  # disarmed
+        assert plan.io_count == 4 and plan.read_count == 2
 
-    def test_backoff_schedule(self):
-        retry = RetryPolicy(max_attempts=4, backoff_us=100.0, multiplier=2.0)
-        assert retry.backoff_for_attempt(0) == 100.0
-        assert retry.backoff_for_attempt(2) == 400.0
+    def test_a_plan_mounts_on_one_device(self):
+        """The plan holds its device's I/O counts, so it cannot count two."""
+        plan = FaultPlan()
+        make_device(plan)
+        with pytest.raises(ConfigError, match="one device"):
+            make_device(plan)
 
 
 class TestCrashInjection:
@@ -103,29 +104,6 @@ class TestCrashInjection:
         assert device.registry.counter("faults.crashes_injected") == 1
 
 
-class TestTransientErrors:
-    def test_retries_absorb_failures(self):
-        plan = FaultPlan(RetryPolicy(max_attempts=3, backoff_us=50.0))
-        plan.transient(1, failures=2)
-        device = make_device(plan)
-        elapsed_clean = device.write_cost_us(100)
-        device.write(100, WAL_WRITE)
-        # Two failed attempts charged 50 + 100 us of backoff on top.
-        assert device.clock.now() == pytest.approx(elapsed_clean + 150.0)
-        assert device.registry.counter("faults.transient_errors") == 2
-        assert device.registry.counter("faults.retries") == 2
-        assert device.wear_bytes == 100
-
-    def test_persistent_error_when_budget_spent(self):
-        plan = FaultPlan(RetryPolicy(max_attempts=2))
-        plan.transient(1, failures=5)
-        device = make_device(plan)
-        with pytest.raises(PersistentIOError):
-            device.write(100, WAL_WRITE)
-        assert device.registry.counter("faults.persistent_errors") == 1
-        assert device.wear_bytes == 0
-
-
 class TestCorruption:
     def test_mask_delivered_once(self):
         device = make_device(FaultPlan().corrupt_read(2, mask=0xFF))
@@ -154,10 +132,11 @@ class TestDelegation:
     """Nothing is delegated any more: the stage rides on the one device."""
 
     def test_transparent_costs_and_attrs(self):
-        device = make_device(FaultPlan())
+        plan = FaultPlan()
+        device = make_device(plan)
         plain = SimulatedSSD(ENTERPRISE_PCIE)
         assert type(device) is type(plain) is SimulatedSSD
-        assert isinstance(device.faults, FaultStage) and plain.faults is None
+        assert device.faults is plan and plain.faults is None
         assert device.read_cost_us(100) == plain.read_cost_us(100)
         assert device.write_cost_us(100) == plain.write_cost_us(100)
         assert device.profile is plain.profile

@@ -3,8 +3,8 @@
 Random workloads crossed with random fault plans: the recovery oracle in
 :mod:`repro.faults.crashtest` must hold at arbitrary crash points, UDC
 and LDC must recover to read-equivalent logical states from the same
-trace, transient errors must be absorbed without corrupting contents,
-and delivered read corruptions must never slip past a decode path.
+trace, and delivered read corruptions must never slip past a decode
+path.
 """
 
 import pytest
@@ -15,8 +15,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import DB
-from repro.errors import CorruptionError, PersistentIOError
-from repro.faults import FaultPlan, RetryPolicy, crashtest
+from repro.errors import CorruptionError
+from repro.faults import FaultPlan, crashtest
 from repro.lsm.config import LSMConfig
 
 COMMON = settings(
@@ -77,42 +77,6 @@ class TestPolicyEquivalenceProperty:
             store.check_invariants()
             states.append(dict(store.logical_items()))
         assert states[0] == states[1]
-
-
-class TestTransientProperty:
-    @COMMON
-    @given(
-        ops=workload,
-        at_io=st.integers(min_value=1, max_value=300),
-        failures=st.integers(min_value=1, max_value=3),
-    )
-    def test_absorbed_transients_leave_state_intact(self, ops, at_io, failures):
-        """Retry budget > failure count: the workload must finish exactly."""
-        plan = FaultPlan(RetryPolicy(max_attempts=5, backoff_us=10.0))
-        plan.transient(at_io, failures=failures)
-        store = DB(config=tiny(), policy="udc", fault_plan=plan)
-        model = {}
-        for op in ops:
-            crashtest._execute(store, op)
-            crashtest._apply_to_model(model, op)
-        store.check_invariants()
-        assert dict(store.logical_items()) == model
-
-    @COMMON
-    @given(ops=workload, at_io=st.integers(min_value=1, max_value=100))
-    def test_exhausted_retries_surface_persistent_error(self, ops, at_io):
-        plan = FaultPlan(RetryPolicy(max_attempts=2))
-        plan.transient(at_io, failures=10)
-        store = DB(config=tiny(), policy="udc", fault_plan=plan)
-        fired = False
-        try:
-            for op in ops:
-                crashtest._execute(store, op)
-        except PersistentIOError:
-            fired = True
-        # Fires iff the run reaches the armed I/O index; either way the
-        # error budget is the only thing that may stop the workload.
-        assert fired == (plan.pending_transients == 0)
 
 
 class TestCorruptionProperty:

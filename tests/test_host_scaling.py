@@ -773,10 +773,12 @@ class TestStageCost:
         assert 0 < per_get <= 4, per_get
 
     def test_empty_fault_plan(self, bare):
-        """Measured +7.5 / +10.7: the stage's hooks, and CRC checks on reads."""
+        """Measured +3.0 / +5.6: the plan's own hooks, and CRC checks on
+        reads.  With a separate stage that called into the plan for each
+        crash, transient and corruption take it measured +7.3 / +10.3."""
         per_put, per_get = self.added(bare, fault_plan=FaultPlan())
-        assert 0 < per_put <= 12, per_put
-        assert 0 < per_get <= 12, per_get
+        assert 0 < per_put <= 5, per_put
+        assert 0 < per_get <= 8, per_get
 
     def test_mounted_flash(self, bare):
         """Measured +11.9 per put (the FTL's own work); reads never see it."""

@@ -1,7 +1,7 @@
 """``DB.get`` (per-lookup costs) against the per-probe oracle.
 
 Two stores are built identically and driven through the same puts,
-deletes and gets — one through ``DB.get`` / ``DB.multi_get``, the other
+deletes and gets — one through ``DB.get``, the other
 through ``tests/_lookup_oracle.oracle_get`` (the pre-rework routines).
 After *every* get they must agree on the value and on everything the
 lookup touched: the virtual clock, every registry counter (same key set,
@@ -133,12 +133,6 @@ class Pair:
         self.assert_same_state()
         return got
 
-    def multi_get(self, keys):
-        got = self.new.multi_get(keys)
-        assert got == [oracle_get(self.old, key) for key in keys]
-        self.assert_same_state()
-        return got
-
     def assert_same_state(self) -> None:
         assert observable_state(self.new) == observable_state(self.old)
 
@@ -152,9 +146,6 @@ operations = st.lists(
         st.tuples(st.just("delete"), stored_indices, st.none()),
         st.tuples(st.just("get"), any_indices, st.none()),
         st.tuples(st.just("get"), any_indices, st.none()),
-        st.tuples(
-            st.just("multi_get"), st.lists(any_indices, max_size=6), st.none()
-        ),
     ),
     max_size=80,
 )
@@ -176,10 +167,6 @@ class TestAgainstPerProbeOracle:
         # even a short drawn sequence probes more than a memtable.
         model = pair.load(seed=5, puts=150)
         for kind, index, arg in ops:
-            if kind == "multi_get":
-                keys = [make_key(i) for i in index]
-                assert pair.multi_get(keys) == [model.get(key) for key in keys]
-                continue
             key = make_key(index)
             if kind == "put":
                 pair.put(key, arg)
@@ -416,7 +403,7 @@ class TestDirectedCorruption:
         key = sorted(model)[len(model) // 2]
         for db in pair.both():
             # The next device read delivers flipped bits.
-            db.device.faults.plan.corrupt_read(db.device.faults.read_count + 1)
+            db.device.faults.corrupt_read(db.device.faults.read_count + 1)
         residency = observable_state(pair.new)[3]
         with pytest.raises(CorruptionError) as new_error:
             pair.new.get(key)

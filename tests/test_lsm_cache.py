@@ -466,7 +466,7 @@ class TestFetch:
         monkeypatch.setattr(cache, "fetch_range", recording)
         before = db.registry.counters()
         faults = db.device.faults
-        faults.plan.corrupt_read(faults.read_count + 3)
+        faults.corrupt_read(faults.read_count + 3)
         with pytest.raises(CorruptionError):
             db.scan(key_of(50), 100)
         after = db.registry.counters()

@@ -169,7 +169,10 @@ class TestFaultInsideASynchronousRound:
         db = store(policy, device, fault_plan=plan)
         with pytest.raises(raised):
             drive(db, 1_000)
-        assert plan.is_exhausted()
+        if fault == "crash":
+            assert db.registry.counter("faults.crashes_injected") == 1
+        else:
+            assert plan.pending_corruptions == 0
         at_fault = state(db)
         if fault == "crash":
             db.crash_and_recover()

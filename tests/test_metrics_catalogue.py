@@ -29,8 +29,8 @@ from typing import Dict, FrozenSet, Iterable, List, Tuple
 import pytest
 
 from repro import DB, DeviceConfig, FlashSpec, SimulatedSSD, Tracer
-from repro.errors import CorruptionError, PersistentIOError, SimulatedCrash
-from repro.faults.plan import FaultPlan, RetryPolicy
+from repro.errors import CorruptionError, SimulatedCrash
+from repro.faults.plan import FaultPlan
 from repro.harness.runner import execute_operations
 from repro.obs.events import ALL_EVENT_KINDS
 from repro.obs.snapshot import MetricsSnapshot
@@ -94,11 +94,9 @@ def stalled_store() -> MetricsSnapshot:
 
 
 def faulted_store() -> MetricsSnapshot:
-    """One of each injection: retried and persistent transient errors, a
-    torn WAL append and its recovery, a corrupted block a get detects."""
-    plan = FaultPlan(RetryPolicy(max_attempts=3, backoff_us=50.0))
-    plan.transient(4, failures=2).transient(9, failures=5)
-    plan.crash_at(40, category="wal_write", torn_fraction=0.5)
+    """One of each injection: a torn WAL append and its recovery, and a
+    corrupted block a get detects."""
+    plan = FaultPlan().crash_at(40, category="wal_write", torn_fraction=0.5)
     flash = FlashSpec(page_bytes=512, pages_per_block=64,
                       logical_bytes=96 * KIB, erase_us=200.0)
     db = DB(config=small(), policy="ldc", fault_plan=plan,
@@ -106,8 +104,6 @@ def faulted_store() -> MetricsSnapshot:
     for index in range(900):
         try:
             db.put(make_key(index % 300), b"f" * 70)
-        except PersistentIOError:
-            pass
         except SimulatedCrash:
             db.crash_and_recover()
     plan.corrupt_read(db.device.faults.read_count + 1)
@@ -193,8 +189,7 @@ def traced_run(stack: str) -> Dict[str, set]:
     sink = FieldSink()
     plan = None
     if stack == "plan":
-        plan = FaultPlan(RetryPolicy(max_attempts=3, backoff_us=50.0))
-        plan.transient(4, failures=2).crash_at(40, category="wal_write")
+        plan = FaultPlan().crash_at(40, category="wal_write")
     db = DB(
         config=small(bg_threads=1 if stack == "sched" else 0),
         policy="ldc",

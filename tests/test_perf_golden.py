@@ -204,8 +204,8 @@ def _batched_db(policy_name: str, bg_threads: int) -> DB:
     if len(batch):
         db.write_batch(batch)
     probe = [str(index * 3).zfill(16).encode("ascii") for index in range(500)]
-    for start in range(0, len(probe), 13):
-        db.multi_get(probe[start:start + 13])
+    for key in probe:
+        db.get(key)
     db.sched.drain()
     if not bg_threads:
         # The zero-thread engine: no channel, and no sched.* key.
@@ -325,13 +325,11 @@ class TestSchedulerGolden:
 
 
 class TestBatchedGolden:
-    """The batched APIs are pinned as tightly as the per-op run.
+    """The batched write API is pinned as tightly as the per-op run.
 
     ``write_batch`` amortises WAL/memtable acquisition per batch (its
     virtual-time cost intentionally differs from N individual puts), so
-    its simulated effects get their own fingerprints; ``multi_get`` must
-    stay *identical* to a per-key ``get`` loop, which the differential
-    test checks outright.
+    its simulated effects get their own fingerprints.
     """
 
     @pytest.mark.parametrize("policy_name,bg_threads", BATCHED)
@@ -341,29 +339,6 @@ class TestBatchedGolden:
               (sorted(db.registry.counters().items()), db.clock.now()),
               elapsed_us=db.clock.now(),
               write_amp=db.metrics().write_amplification)
-
-    @pytest.mark.parametrize("policy_name", ["UDC", "LDC"])
-    def test_multi_get_identical_to_get_loop(self, policy_name):
-        """Same values, same counters, same clock as per-key gets."""
-
-        def _load(db):
-            for index in range(300):
-                db.put(
-                    str(index % 120).zfill(16).encode("ascii"),
-                    b"v%06d" % index,
-                )
-
-        keys = [str(index).zfill(16).encode("ascii") for index in range(150)]
-        config = LSMConfig()
-        batched = DB(config=config, policy=_POLICIES[policy_name])
-        _load(batched)
-        loop = DB(config=config, policy=_POLICIES[policy_name])
-        _load(loop)
-        got = batched.multi_get(keys)
-        expected = [loop.get(key) for key in keys]
-        assert got == expected
-        assert batched.registry.counters() == loop.registry.counters()
-        assert batched.clock.now() == loop.clock.now()
 
 
 class TestChunkedDispatchDifferential:

@@ -23,7 +23,12 @@ tenants, priority discipline or trace replay); and the engine surface
 only tests reached (one compaction pick: no seek compaction, seek budget
 or seeded trigger decision; one flush cut: no streaming builder; one way
 to name a policy: no dict round trip; one generator loop: no delete
-ratio, and no spec scaling).
+ratio, and no spec scaling); and the faults ``repro crashtest`` does not
+inject (one fault injector, crash points and read corruption: no
+transient I/O errors, retry policy or separate device stage), with the
+last wrappers only tests called (no ``DB.multi_get``, no
+``slices_newest_first``) and the serve knob one value used (no
+``ServeSpec.backpressure`` and no public ``admission_bound``).
 """
 
 import ast
@@ -416,7 +421,7 @@ def test_only_the_traffic_that_runs():
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("repro.workload.trace")
     assert [field.name for field in fields(ServeSpec)] == [
-        "arrival", "rate_ops_s", "queue_depth", "slo_us", "backpressure", "seed"]
+        "arrival", "rate_ops_s", "queue_depth", "slo_us", "seed"]
     for name in ("tenant_stats", "discipline", "tenant_metrics"):
         assert not hasattr(ServeResult, name), name
     for name in ("_push_priority", "_take_priority", "discipline"):
@@ -477,3 +482,51 @@ def test_only_the_engine_surface_that_runs():
             "self", "level"], name
     with pytest.raises(ConfigError, match="honor_seeks"):
         spec.get_spec("udc").derive(honor_seeks=True).build()
+
+
+def test_only_the_faults_crashtest_injects():
+    """``repro crashtest`` injects crash points (torn WAL tails included)
+    and read corruption, so ``repro.faults`` is one injector for those
+    two: no transient-error family with its retry policy and error
+    types, no stage class beside the plan.  Nothing but tests called
+    ``DB.multi_get`` or ``slices_newest_first``, and every serve run gated
+    writes, so neither those wrappers nor ``ServeSpec.backpressure`` and
+    the public ``admission_bound`` are left."""
+    import repro.faults.crashtest  # noqa: F401  (walked below too)
+    from repro import core, errors, faults, obs, serve
+    from repro.core import slice as slice_module
+    from repro.faults import plan
+    from repro.obs import events
+    from repro.serve import server
+
+    homes = {
+        "RetryPolicy": (faults, plan),
+        "FaultStage": (faults, plan),
+        "TransientIOError": (errors, repro),
+        "PersistentIOError": (errors, repro),
+        "EV_FAULT_TRANSIENT": (events, obs, repro),
+        "admission_bound": (serve, server),
+        "_gated_kinds": (server,),
+        "slices_newest_first": (core, slice_module),
+    }
+    for name, modules in homes.items():
+        for module in modules:
+            assert not hasattr(module, name), (module.__name__, name)
+    exported = {}
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name == "repro.__main__":
+            continue
+        module = importlib.import_module(info.name)
+        for name in getattr(module, "__all__", ()):
+            exported.setdefault(name, []).append(info.name)
+    for name in (*homes, "multi_get"):
+        assert name not in exported, (name, exported.get(name))
+    assert "fault_transient" not in events.ALL_EVENT_KINDS
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.faults.device")
+    assert not hasattr(repro.DB, "multi_get")
+    assert not hasattr(server.ServeSpec(), "backpressure")
+    assert list(inspect.signature(plan.FaultPlan).parameters) == []
+    for name in ("transient", "take_transient", "pending_transients",
+                 "is_exhausted", "retry", "take_crash", "take_corruption"):
+        assert not hasattr(plan.FaultPlan(), name), name

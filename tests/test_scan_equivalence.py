@@ -467,7 +467,7 @@ class TestChargeEdges:
         assert len(before) >= 3
         for db in trio.stores:
             faults = db.device.faults
-            faults.plan.corrupt_read(faults.read_count + 1)
+            faults.corrupt_read(faults.read_count + 1)
         with pytest.raises(CorruptionError, match=r"block\(s\) \[0, "):
             trio.window.scan(make_key(0), 50)
         with pytest.raises(CorruptionError):
@@ -508,7 +508,7 @@ class TestVerifiedReads:
             trio.scan(make_key(70), 30)  # part of the range is resident
             for db in trio.stores:
                 faults = db.device.faults
-                faults.plan.corrupt_read(faults.read_count + read_ordinal)
+                faults.corrupt_read(faults.read_count + read_ordinal)
             with pytest.raises(CorruptionError):
                 trio.window.scan(make_key(40), 60)
             with pytest.raises(CorruptionError):

@@ -15,17 +15,17 @@ from repro.harness.latency import LatencyRecorder
 from repro.harness.runner import run_workload
 from repro.lsm.config import LSMConfig
 from repro.serve import (
+    WRITE_KINDS,
     PoissonProcess,
     Request,
     RequestQueue,
     ServeSpec,
-    admission_bound,
     poisson_arrivals,
     serve_workload,
 )
-from repro.serve.server import RECORD_BATCH
+from repro.serve.server import RECORD_BATCH, _write_admission
 from repro.workload import rwb
-from repro.workload.ycsb import OP_GET, OP_PUT, Operation
+from repro.workload.ycsb import OP_GET, Operation
 
 
 def rng(seed: int = 0) -> np.random.Generator:
@@ -246,30 +246,21 @@ class TestAdmissionControl:
     def test_stop_raises_backpressure_for_writes_only(self):
         db = db_at_throttle("stop")
         serve = ServeSpec(rate_ops_s=1000.0, queue_depth=8)
-        write = Operation(OP_PUT, b"k", b"v")
-        read = Operation(OP_GET, b"k")
         with pytest.raises(BackpressureError) as excinfo:
-            admission_bound(db, serve, write)
+            _write_admission(db, serve)
         assert isinstance(excinfo.value, AdmissionError)
-        assert admission_bound(db, serve, read) is None
+        # A read never reaches admission: the serve loop gates WRITE_KINDS.
+        assert OP_GET not in WRITE_KINDS
 
     def test_slowdown_halves_write_bound(self):
         db = db_at_throttle("slowdown")
         serve = ServeSpec(rate_ops_s=1000.0, queue_depth=8)
-        write = Operation(OP_PUT, b"k", b"v")
-        assert admission_bound(db, serve, write) == 4
-        assert admission_bound(db, serve, Operation(OP_GET, b"k")) is None
+        assert _write_admission(db, serve) == 4
 
     def test_unthrottled_store_imposes_no_bound(self):
         db = db_at_throttle("none")
         serve = ServeSpec(rate_ops_s=1000.0, queue_depth=8)
-        assert admission_bound(db, serve, Operation(OP_PUT, b"k", b"v")) is None
-
-    def test_backpressure_flag_disables_the_gate(self):
-        db = db_at_throttle("stop")
-        serve = ServeSpec(rate_ops_s=1000.0, backpressure=False)
-        write = Operation(OP_PUT, b"k", b"v")
-        assert admission_bound(db, serve, write) is None
+        assert _write_admission(db, serve) is None
 
 
 # ----------------------------------------------------------------------

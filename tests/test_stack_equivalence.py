@@ -95,7 +95,6 @@ class TestServeLoop:
     @given(
         rate=st.floats(min_value=2_000.0, max_value=80_000.0),
         queue_depth=st.integers(min_value=1, max_value=12),
-        backpressure=st.booleans(),
         throttle=st.booleans(),
         flash=st.booleans(),
         bg_threads=st.sampled_from((0, 1, 3)),
@@ -106,14 +105,14 @@ class TestServeLoop:
     )
     @PAIRS
     def test_one_loop_is_the_per_request_loop(
-        self, rate, queue_depth, backpressure, throttle, flash, bg_threads,
+        self, rate, queue_depth, throttle, flash, bg_threads,
         scans, rmw_every, seed, slo_us,
     ):
         make = scn_rwb if scans else rwb
         spec = make(num_operations=240, key_space=120, preload_keys=120,
                     value_bytes=90, key_bytes=12, scan_length=8, seed=seed)
         serve = ServeSpec(rate_ops_s=rate, seed=seed, queue_depth=queue_depth,
-                          slo_us=slo_us, backpressure=backpressure)
+                          slo_us=slo_us)
         ops = operations_of(spec, rmw_every)
         serve_pair(spec, serve, ops, bg_threads, throttle, flash)
 

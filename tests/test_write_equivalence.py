@@ -22,6 +22,7 @@ from repro.errors import ClosedError, DeviceError, EngineError, SimulatedCrash
 from repro.faults.plan import FaultPlan
 from repro.lsm.config import LSMConfig
 from repro.lsm.db import WriteBatch
+from repro.ssd.flash import DeviceConfig, FlashSpec
 from repro.ssd.metrics import WAL_WRITE
 
 from . import _write_oracle as oracle
@@ -88,12 +89,14 @@ def observable_state(db: DB) -> tuple:
 class Pair:
     """A store written through ``DB`` beside its oracle-written twin."""
 
-    def __init__(self, policy, bg_threads=0, faulty=False, adaptive=False):
+    def __init__(self, policy, bg_threads=0, faulty=False, adaptive=False,
+                 flash=None):
         def build():
             return DB(
                 config=tiny(bg_threads),
                 policy=get_spec(policy).derive(adaptive=True) if adaptive
                 else policy,
+                profile=DeviceConfig(flash=flash),
                 tracer=Tracer([RingBufferSink()]),
                 fault_plan=FaultPlan() if faulty else None,
             )
@@ -134,18 +137,10 @@ class Pair:
         """Crash both stores' next WAL append, leaving ``torn_fraction`` of it."""
         for db in (self.new, self.old):
             faults = db.device.faults
-            faults.plan.crash_at(
+            faults.crash_at(
                 faults.category_counts.get(WAL_WRITE, 0) + 1,
                 category=WAL_WRITE,
                 torn_fraction=torn_fraction,
-            )
-
-    def fail_next_io(self) -> None:
-        """Fail both stores' next I/O past every retry (a persistent error)."""
-        for db in (self.new, self.old):
-            faults = db.device.faults
-            faults.plan.transient(
-                faults.io_count + 1, failures=faults.plan.retry.max_attempts
             )
 
     def recover(self):
@@ -275,19 +270,25 @@ class TestDirected:
         assert pair.new.metrics()["faults.torn_records_dropped"] == 1
         assert pair.new.get(make_key(1)) == b"x" * 30
 
+    #: Three one-page blocks and a one-block GC reserve: the five 51-byte
+    #: appends below stream three 64-byte pages, and the next append's
+    #: page finds only the reserve left and nothing for GC to reclaim.
+    FULL_AFTER_FIVE = FlashSpec(page_bytes=64, pages_per_block=1,
+                                logical_bytes=192, over_provisioning=0.0,
+                                gc_reserve_blocks=1)
+
     @pytest.mark.parametrize("batch", (False, True))
     def test_a_persistently_failing_append_is_a_torn_unit(self, batch):
-        """Not a crash: the device gave up on the write.  The unit is
-        dropped at recovery, its bytes still counted on media."""
-        pair = Pair("udc", faulty=True)
+        """Not a crash: the device gave up on the write (it is full).  The
+        unit is dropped at recovery, its bytes still counted on media."""
+        pair = Pair("udc", faulty=True, flash=self.FULL_AFTER_FIVE)
         for index in range(5):
             pair.put(make_key(index), b"x" * 30)
-        pair.fail_next_io()
         if batch:
             outcome = pair.write_batch([(make_key(1), b"y"), (make_key(2), b"z")])
         else:
             outcome = pair.put(make_key(1), b"y" * 30)
-        assert outcome[0] == "PersistentIOError"
+        assert outcome[0] == "FlashFullError"
         assert pair.new._wal.has_torn_tail
         assert pair.recover() == ("ok", 5)
         assert pair.new.metrics()["faults.torn_records_dropped"] == 1
