@@ -460,10 +460,13 @@ def _run_crashtest(args: argparse.Namespace) -> int:
     read corruptions and requires all of them to be detected via CRC.
     ``--flash`` mounts a deliberately tiny FTL geometry under the store
     so crash points land inside GC relocations too.  Exit status 0 only
-    when both passes hold.  The corruption pass runs first, so a workload
-    that cannot seed it fails before the sweep; its summary still prints
+    when both passes hold.  A stride that is not positive fails before
+    either pass.  The corruption pass runs first, so a workload that
+    cannot seed it fails before the sweep; its summary still prints
     second.
     """
+    if args.every <= 0:
+        raise ConfigError("stride must be positive")
 
     def progress(done: int, total: int) -> None:
         if done % 200 == 0 or done == total:

@@ -23,7 +23,6 @@ fingerprint suites pin its behaviour byte for byte.
 from __future__ import annotations
 
 from bisect import bisect_right
-from heapq import heapify, heappop, heappush
 from itertools import chain
 from operator import attrgetter
 from typing import List, Optional, Tuple
@@ -140,13 +139,10 @@ class LDCLinkMergeMovement(DataMovement):
         self.frozen = FrozenRegion()
         self._link_seq = 0
         #: Active lower-level tables currently holding at least one slice,
-        #: keyed by file id (merge-trigger scan set).
+        #: keyed by file id (merge-trigger scan set).  A table enters at
+        #: its first link and leaves at its merge, so dict order is
+        #: first-link order: the first entry has held links longest.
         self._linked_tables: dict[int, SSTable] = {}
-        #: Frozen-space victim heap, lazily invalidated: one
-        #: ``(-linked_bytes, first link_seq, file_id)`` entry per slice a
-        #: table received (see :meth:`_frozen_space_victim`), rebuilt when
-        #: a link leaves it over 4x the linked set.
-        self._victims: List[Tuple[int, int, int]] = []
         #: Subset of linked tables already past the merge trigger, filled
         #: at link time so the per-operation check is O(1).
         self._due: dict[int, SSTable] = {}
@@ -256,37 +252,23 @@ class LDCLinkMergeMovement(DataMovement):
         return False
 
     def _enforce_frozen_space_limit(self) -> bool:
-        """Force a merge when the frozen region grows past its cap (§III-D)."""
+        """Force a merge when the frozen region grows past its cap (§III-D).
+
+        The victim is the table that has held links longest.  Its links
+        point at the oldest frozen files, which hold the fewest live
+        references, so its merge recycles whole frozen files soonest.
+        """
         db = self.db
         limit = db.config.frozen_space_limit_ratio * max(
             1, db.version.total_data_size()
         )
         if self.frozen.space_bytes <= limit or not self._linked_tables:
             return False
-        victim = self._frozen_space_victim()
+        victim = next(iter(self._linked_tables.values()))
         db.registry.add("engine.forced_merges")
         self.policy.bump("forced_merges")
         self.merge(victim)
         return True
-
-    def _frozen_space_victim(self) -> SSTable:
-        """The most-linked table; among equals, the first one linked.
-
-        That is ``max(_linked_tables.values(), key=linked_bytes)``'s pick:
-        a table enters ``_linked_tables`` once, at its first link, so dict
-        order is first-link order, which its first slice's ``link_seq``
-        ranks.  A table's ``linked_bytes`` only grows until its merge
-        removes it, so an entry is current exactly when its table is still
-        linked and holds the entry's bytes; stale ones are popped here.
-        """
-        victims = self._victims
-        linked = self._linked_tables
-        while True:
-            negative_bytes, _, file_id = victims[0]
-            table = linked.get(file_id)
-            if table is not None and table.linked_bytes == -negative_bytes:
-                return table
-            heappop(victims)
 
     def _descend_into_empty_level(self, level: int, source: SSTable) -> bool:
         """Move data into an empty next level (bootstrap path).
@@ -348,28 +330,14 @@ class LDCLinkMergeMovement(DataMovement):
         version.remove_file(level, source)
         self.frozen.freeze(source, references=len(plan))
         linked = self._linked_tables
-        victims = self._victims
         for target, lo, hi in plan:
             self._link_seq += 1
             piece = Slice(source, lo, hi, self._link_seq)
             attach_slice(target, piece)
             version.note_linked_bytes(level + 1, piece.size_bytes)
-            # A table joins the linked set at its first slice, whose
-            # link_seq ranks it among equals in the victim heap.
             linked[target.file_id] = target
-            heappush(victims, (
-                -target.linked_bytes, target.slice_links[0].link_seq,
-                target.file_id,
-            ))
             if self.due_for_merge(target):
                 self._due[target.file_id] = target
-        if len(victims) > 4 * len(linked):
-            # Drop the stale entries: one current entry per linked table.
-            self._victims = victims = [
-                (-table.linked_bytes, table.slice_links[0].link_seq, file_id)
-                for file_id, table in linked.items()
-            ]
-            heapify(victims)
         db.registry.add("engine.link_count")
         policy.bump("links")
         policy.bump("slices_created", len(plan))

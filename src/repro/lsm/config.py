@@ -108,7 +108,8 @@ class LSMConfig:
         in-memory cache").
     frozen_space_limit_ratio:
         Safety valve: when the frozen region exceeds this fraction of live
-        data, LDC forces merges on the most-linked SSTables.  The paper's
+        data, LDC forces merges, each on the table that has held links
+        longest (its links pin the oldest frozen files).  The paper's
         §III-D worst-case analysis allows frozen files to reach 50% of the
         store ("the total size of all the frozen SSTables is less than
         50%"), which is the default here; tighter settings trade LDC's

@@ -1,11 +1,8 @@
 """LDC's whole-level round bookkeeping, kept as a test oracle.
 
-Until the bookkeeping stopped rescanning levels, three of LDC's per-round
+Until the bookkeeping stopped rescanning levels, two of LDC's per-round
 decisions read every file they could have skipped:
 
-* the frozen-space victim was ``max`` over every linked table by
-  ``linked_bytes`` — the first most-linked one in ``_linked_tables``'
-  dict order on a tie;
 * the link source was found by filtering the level for link-free files,
   then ``sorted(candidates, key=lambda t: t.min_key)`` past the compact
   pointer, wrapping to the ``min`` by ``min_key``;
@@ -21,7 +18,6 @@ that store takes every one of those decisions the old way.
 
 from __future__ import annotations
 
-from operator import attrgetter
 from types import MethodType
 
 from repro.core.slice import detach_all_slices
@@ -29,28 +25,6 @@ from repro.errors import CompactionError
 from repro.lsm.compaction.columnar import merge_windows
 from repro.obs.events import EV_MERGE
 from repro.ssd.metrics import COMPACTION_READ
-
-_linked_bytes = attrgetter("linked_bytes")
-
-
-def frozen_space_victim(movement):
-    """The first most-linked table, as ``max`` over the dict picks it."""
-    return max(movement._linked_tables.values(), key=_linked_bytes)
-
-
-def enforce_frozen_space_limit(movement) -> bool:
-    """The old ``_enforce_frozen_space_limit``."""
-    db = movement.db
-    limit = db.config.frozen_space_limit_ratio * max(
-        1, db.version.total_data_size()
-    )
-    if movement.frozen.space_bytes <= limit or not movement._linked_tables:
-        return False
-    victim = frozen_space_victim(movement)
-    db.registry.add("engine.forced_merges")
-    movement.policy.bump("forced_merges")
-    movement.merge(victim)
-    return True
 
 
 def pick_link_source(selector, level: int):
@@ -137,7 +111,4 @@ def install(db) -> None:
     """Make an LDC store take its round decisions through this oracle."""
     selector, movement = db.policy.selector, db.policy.movement
     selector._pick_link_source = MethodType(pick_link_source, selector)
-    movement._enforce_frozen_space_limit = MethodType(
-        enforce_frozen_space_limit, movement
-    )
     movement.merge = MethodType(merge, movement)

@@ -266,6 +266,20 @@ class TestErrorTyping:
         assert "performed no reads" in captured.err
         assert "crash points:" not in captured.err
 
+    def test_a_crashtest_with_no_stride_stops_before_either_pass(
+        self, capsys, monkeypatch
+    ):
+        """``--every 0`` is refused before the corruption probe runs."""
+
+        def probe(*args, **kwargs):
+            raise AssertionError("the corruption probe ran")
+
+        monkeypatch.setattr(cli.crashtest, "run_corruption_test", probe)
+        assert main("crashtest --every 0".split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "stride must be positive" in captured.err
+
     @pytest.mark.parametrize(
         "command, entry",
         [("run RWB", "run_workload"), ("serve RWB", "serve_workload")],

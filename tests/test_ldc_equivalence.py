@@ -1,20 +1,20 @@
 """LDC's round bookkeeping against the whole-level scans it replaced.
 
-``tests/_ldc_oracle.py`` holds the old frozen-space victim (``max`` over
-every linked table), link-source pick (filter the level, sort by
-``min_key``) and slice pricing (re-bisect ``lo`` / ``hi``).  Two LDC
-stores are built identically and written identically, one deciding
-through the code under test and one through the oracle.  After *every*
-write they must agree on the clock to the bit, every counter and gauge,
-the level layout, and the per-round log — which file each link froze,
-which table each merge consumed, and the ``run_sizes`` each merge read.
-A frozen-space cap small enough to force merges most rounds, fixed value
-sizes (so linked tables tie on ``linked_bytes``) and one background
-thread are among the drawn configurations.
+``tests/_ldc_oracle.py`` holds the old link-source pick (filter the
+level, sort by ``min_key``) and slice pricing (re-bisect ``lo`` / ``hi``).
+Two LDC stores are built identically and written identically, one
+deciding through the code under test and one through the oracle.  After
+*every* write they must agree on the clock to the bit, every counter and
+gauge, the level layout, and the per-round log — which file each link
+froze, which table each merge consumed, and the ``run_sizes`` each merge
+read.  A frozen-space cap small enough to force merges most rounds,
+fixed value sizes and one background thread are among the drawn
+configurations; both stores pick forced merges the same way.
 
-Between writes the live structures are also queried directly: the
-victim, every level's link source and every slice's price must equal the
-oracle's on the same tree.
+Between writes the live structures are also queried directly: every
+level's link source and every slice's price must equal the oracle's on
+the same tree.  ``TestDirected`` pins the frozen-space valve's pick: the
+table that has held links longest.
 """
 
 import random
@@ -85,10 +85,8 @@ def observable_state(db: DB, log: list) -> tuple:
 
 
 def assert_queries_match_oracle(db: DB) -> None:
-    """The live victim, link sources and slice prices equal the oracle's."""
+    """The live link sources and slice prices equal the oracle's."""
     movement, selector = db.policy.movement, db.policy.selector
-    if movement._linked_tables:
-        assert movement._frozen_space_victim() is oracle.frozen_space_victim(movement)
     for level in range(db.version.num_levels - 1):
         assert selector._pick_link_source(level) is oracle.pick_link_source(
             selector, level
@@ -150,39 +148,38 @@ class TestAgainstTheLevelScans:
         pair.new.check_invariants()
 
 
+@pytest.mark.parametrize("bg_threads", (0, 1))
 class TestDirected:
-    def test_forced_merges_pick_the_first_of_tied_victims(self):
-        """Equal-size records give equal ``linked_bytes``; a tiny cap makes
-        nearly every round a forced merge, so ties are decided over and
-        over — and always as ``max`` over the dict decides them."""
-        pair = Pair(tiny(0.02))
+    def test_forced_merges_take_the_table_linked_first(self, bg_threads):
+        """A tiny cap makes most rounds a forced merge; each one takes the
+        linked table whose first slice has the smallest ``link_seq``."""
+        db = DB(
+            config=tiny(0.02, bg_threads),
+            policy=get_spec("ldc").derive(threshold=6),
+        )
+        policy, movement = db.policy, db.policy.movement
+        bump, merge = policy.bump, movement.merge
+        forcing, picks = [], []
+
+        def noted_bump(name, amount=1):
+            if name == "forced_merges":
+                forcing.append(name)
+            bump(name, amount)
+
+        def checked_merge(target):
+            if forcing:
+                forcing.clear()
+                first = min(
+                    movement._linked_tables.values(),
+                    key=lambda table: table.slice_links[0].link_seq,
+                )
+                picks.append(target is first)
+            merge(target)
+
+        policy.bump, movement.merge = noted_bump, checked_merge
         rng = random.Random(4)
-        ties = 0
-        movement = pair.new.policy.movement
         for _ in range(2_500):
-            linked = [t.linked_bytes for t in movement._linked_tables.values()]
-            if linked and linked.count(max(linked)) > 1:
-                ties += 1
-            pair.put(make_key(rng.randrange(MAX_INDEX)), b"t" * 32)
-        assert pair.new.metrics()["engine.forced_merges"] > 50
-        assert ties > 50
-
-    def test_a_link_leaves_the_heap_within_four_times_the_linked_set(self):
-        db = DB(config=tiny(0.5), policy=get_spec("ldc").derive(threshold=6))
-        movement = db.policy.movement
-        link = movement.link
-        sizes = []
-
-        def checked_link(source, level):
-            link(source, level)
-            sizes.append((len(movement._victims), len(movement._linked_tables)))
-
-        movement.link = checked_link
-        rng = random.Random(8)
-        for _ in range(4_000):
-            db.put(make_key(rng.randrange(MAX_INDEX)), b"h" * 32)
-        assert len(sizes) > 100
-        assert all(heap <= 4 * live for heap, live in sizes)
-        # Rebuilt more than once, and stale entries in between.
-        assert sum(heap == live for heap, live in sizes) > 1
-        assert max(heap - live for heap, live in sizes) > 8
+            db.put(make_key(rng.randrange(MAX_INDEX)), b"t" * 32)
+        assert len(picks) == db.metrics()["engine.forced_merges"] > 50
+        assert all(picks)
+        db.check_invariants()
