@@ -65,7 +65,6 @@ from .lsm import (
     DB,
     WriteBatch,
     CompactionPolicy,
-    CostModel,
     LSMConfig,
     PolicySpec,
     available_policies,
@@ -109,7 +108,6 @@ __all__ = [
     "DB",
     "WriteBatch",
     "LSMConfig",
-    "CostModel",
     "CompactionPolicy",
     "PolicySpec",
     "available_policies",

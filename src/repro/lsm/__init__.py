@@ -6,7 +6,7 @@ paper's LDC policy plugs into.
 
 from .bloom import BloomFilter, theoretical_fpr
 from .cache import BlockCache
-from .config import KIB, MIB, CostModel, LSMConfig
+from .config import KIB, MIB, LSMConfig
 from .db import DB, WriteBatch
 from .keys import clamp_range, in_range, key_successor, ranges_overlap
 from .memtable import MemTable
@@ -15,10 +15,7 @@ from .record import (
     KIND_PUT,
     KVRecord,
     delete_record,
-    drop_tombstones,
-    newest_wins,
     put_record,
-    visible_value,
 )
 from .sstable import SSTable
 from .version import VersionSet
@@ -36,7 +33,6 @@ __all__ = [
     "DB",
     "WriteBatch",
     "LSMConfig",
-    "CostModel",
     "KIB",
     "MIB",
     "MemTable",
@@ -51,9 +47,6 @@ __all__ = [
     "KIND_DELETE",
     "put_record",
     "delete_record",
-    "newest_wins",
-    "drop_tombstones",
-    "visible_value",
     "key_successor",
     "in_range",
     "ranges_overlap",

@@ -24,6 +24,7 @@ from operator import itemgetter
 
 from .columnar import MergedColumns, merge_windows
 from ..builder import build_balanced_columns
+from ..config import MERGE_PER_RECORD_US
 from ..record import KIND_DELETE
 from ..sstable import SSTable
 from ..stats import ACT_COMPACTION_KEY, ACT_FLUSH_KEY, ACT_WRITE_KEY
@@ -273,7 +274,7 @@ class CompactionPolicy:
         """
         db = self._db
         keys, records, sizes = merged
-        db.clock.advance(len(records) * db.config.costs.merge_per_record_us)
+        db.clock.advance(len(records) * MERGE_PER_RECORD_US)
         if drop_deletes:
             kinds = list(map(_record_kind, records))
             if KIND_DELETE in kinds:

@@ -4,12 +4,13 @@ The defaults mirror the *shape* of the paper's LevelDB setup (fan-out 10,
 LevelDB-style L0 triggers, ~10 bits/key Bloom filters) while scaling the
 absolute sizes down so that Python-scale experiments (10^4–10^6 operations)
 exercise the same multi-level geometry the paper's 10^7-operation runs did
-with 2 MB SSTables.  Every value is overridable per experiment.
+with 2 MB SSTables.  Every ``LSMConfig`` field is overridable per
+experiment; the CPU cost constants below are fixed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any
 
 from ..errors import ConfigError
@@ -35,36 +36,18 @@ _INT_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
-class CostModel:
-    """Fixed CPU costs, in microseconds, charged to the virtual clock.
-
-    The device model accounts for I/O time; these small constants account
-    for the in-memory work (skip-list search, Bloom probes, merge-sort
-    per-record handling).  They matter for read-mostly workloads where most
-    operations never touch the device.
-    """
-
-    memtable_insert_us: float = 0.5
-    memtable_lookup_us: float = 0.3
-    bloom_check_us: float = 0.05
-    index_lookup_us: float = 0.1
-    merge_per_record_us: float = 0.02
-    scan_per_record_us: float = 0.02
-    cache_hit_us: float = 2.0
-
-    def __post_init__(self) -> None:
-        for name in (
-            "memtable_insert_us",
-            "memtable_lookup_us",
-            "bloom_check_us",
-            "index_lookup_us",
-            "merge_per_record_us",
-            "scan_per_record_us",
-            "cache_hit_us",
-        ):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative")
+# Fixed CPU costs, in microseconds, charged to the virtual clock.  The
+# device model accounts for I/O time; these small constants account for
+# the in-memory work (memtable search, Bloom probes, merge-sort per-record
+# handling).  They matter for read-mostly workloads where most operations
+# never touch the device.
+MEMTABLE_INSERT_US = 0.5
+MEMTABLE_LOOKUP_US = 0.3
+BLOOM_CHECK_US = 0.05
+INDEX_LOOKUP_US = 0.1
+MERGE_PER_RECORD_US = 0.02
+SCAN_PER_RECORD_US = 0.02
+CACHE_HIT_US = 2.0
 
 
 @dataclass(frozen=True)
@@ -139,7 +122,6 @@ class LSMConfig:
     block_cache_bytes: int = 0
     frozen_space_limit_ratio: float = 0.50
     bg_threads: int = 0
-    costs: CostModel = field(default_factory=CostModel)
 
     def __post_init__(self) -> None:
         for name in _INT_FIELDS:

@@ -31,13 +31,21 @@ from bisect import bisect_left, bisect_right
 from functools import partial, reduce
 from itertools import repeat
 from operator import add
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .bloom import key_hashes
 from .builder import build_greedy_columns
 from .cache import BlockCache
 from .compaction.base import MaintenanceEngine
-from .config import LSMConfig
+from .config import (
+    BLOOM_CHECK_US,
+    CACHE_HIT_US,
+    INDEX_LOOKUP_US,
+    MEMTABLE_INSERT_US,
+    MEMTABLE_LOOKUP_US,
+    SCAN_PER_RECORD_US,
+    LSMConfig,
+)
 from .iterators import merge_streams
 from .memtable import MemTable
 from .record import (
@@ -83,7 +91,7 @@ class DB:
     Parameters
     ----------
     config:
-        Engine geometry and cost parameters (defaults are simulation-scale;
+        Engine geometry parameters (defaults are simulation-scale;
         see :class:`~repro.lsm.config.LSMConfig`).
     policy:
         A registered policy name (``"udc"``, ``"ldc"``, ``"tiered"``,
@@ -170,7 +178,6 @@ class DB:
         # Write-path constants, cached: every write reads them.
         self._l0_stop = self.config.l0_stop_trigger
         self._l0_slowdown = self.config.l0_slowdown_trigger
-        self._insert_us = self.config.costs.memtable_insert_us
         self.policy.attach(self)
         #: Whether a write must notify the policy: only a movement that
         #: observes operations (LDC's adaptive threshold) has anything to
@@ -253,10 +260,10 @@ class DB:
         seq = self._next_seq
         self._next_seq = seq + 1
         # put_record, built in place: one record per write.
-        self._apply_write(_new_record(KVRecord, (
-            key, seq, KIND_PUT, value,
-            len(key) + len(value) + RECORD_OVERHEAD_BYTES,
-        )))
+        size = len(key) + len(value) + RECORD_OVERHEAD_BYTES
+        self._apply_write(
+            (_new_record(KVRecord, (key, seq, KIND_PUT, value, size)),), size
+        )
 
     def delete(self, key: bytes) -> None:
         """Delete ``key`` by writing a tombstone."""
@@ -266,29 +273,24 @@ class DB:
             _check_key(key)
         seq = self._next_seq
         self._next_seq = seq + 1
-        self._apply_write(_new_record(
-            KVRecord, (key, seq, KIND_DELETE, b"", len(key) + RECORD_OVERHEAD_BYTES)
-        ))
+        size = len(key) + RECORD_OVERHEAD_BYTES
+        self._apply_write(
+            (_new_record(KVRecord, (key, seq, KIND_DELETE, b"", size)),), size
+        )
 
     def write_batch(self, batch: "WriteBatch") -> None:
         """Apply a batch of mutations atomically-in-order.
 
-        Mirrors LevelDB's ``WriteBatch``: the whole batch is appended to
-        the WAL as one sequential write (amortising the per-request
-        overhead), then applied to the memtable in order.  A flush can
-        trigger mid-batch exactly as it can mid-stream.
-
-        This is the batched-write fast path: stall check, WAL append and
-        policy notification happen once per batch, the memtable loop runs
-        with hoisted locals, and the integer engine counters are added in
-        one registry call per batch (integer sums are exact, so the
-        resulting metrics are bit-identical to per-record accounting; the
-        per-record clock advances are kept because repeated float
-        additions are *not* associative).
+        Mirrors LevelDB's ``WriteBatch``: the batch is validated and
+        sequenced entry by entry (an invalid entry raises after the
+        entries before it drew their sequence numbers), then enters the
+        write path a put takes as one unit: one WAL append, whose single
+        device write amortises the per-request overhead, then the
+        memtable inserts in order.  A flush can trigger mid-stream only
+        between writes, so a batch lands in one memtable.
         """
         self._check_open()
-        clock = self.clock
-        if clock._capture is not None:
+        if self.clock._capture is not None:
             raise EngineError("a write cannot run inside a clock capture")
         records = []
         push = records.append
@@ -302,37 +304,15 @@ class DB:
                 push(put_record(key, value, next_sequence()))
         if not records:
             return
-        if self._bg_threads:
-            self.sched.pump(clock._now_us)
-        if self._observes:
-            self.policy.on_operation(True)
-        if len(self.version.levels[0]) >= self._l0_slowdown:
-            self._maybe_stall()
-        total = sum(record[4] for record in records)
-        self._count(ACT_WAL_KEY, self._wal.append_batch(records, total))
-        start = clock._now_us
-        memtable_add = self._memtable.add
-        insert_us = self._insert_us
-        deletes = 0
-        for record in records:
-            memtable_add(record)
-            clock._now_us += insert_us
-            if record[2] == KIND_DELETE:
-                deletes += 1
-        count = self._count
-        if deletes:
-            count("engine.deletes", deletes)
-        if deletes != len(records):
-            count("engine.puts", len(records) - deletes)
-        count("engine.user_bytes_written", total)
-        count(ACT_WRITE_KEY, clock._now_us - start)
-        if self._memtable.approximate_bytes >= self.config.memtable_bytes:
-            self.flush()
-        if self._bg_threads or not self.policy._maintenance_idle:
-            self.sched.on_operation()
+        self._apply_write(records, sum(record[4] for record in records))
 
-    def _apply_write(self, record: KVRecord) -> None:
+    def _apply_write(self, records: Sequence[KVRecord], nbytes: int) -> None:
         """Log, insert and charge one write, then flush and maintain.
+
+        The one write path: a put or a delete is a one-record write, a
+        batch a many-record one, and ``nbytes`` is the records' total
+        size.  The write is one WAL append (one durable unit); each record
+        is one memtable insert and one in-place clock charge.
 
         Every step is gated by the check that makes it due, so a write
         that neither stalls, flushes nor compacts makes no call for those
@@ -342,7 +322,7 @@ class DB:
         write only when its movement observes operations, the Level-0
         back-pressure runs only at the slowdown trigger, and the
         maintenance poll only when a background thread runs or the idle
-        gate is open.  The memtable insert is charged to the clock in
+        gate is open.  The memtable inserts are charged to the clock in
         place, which is ``clock.advance`` only while no capture diverts
         charges, hence the guard.
         """
@@ -356,18 +336,19 @@ class DB:
         if len(self.version.levels[0]) >= self._l0_slowdown:
             self._maybe_stall()
         counters = self._counters
-        elapsed = self._wal.append(record)
+        elapsed = self._wal.append(records, nbytes)
         counters[ACT_WAL_KEY] = counters.get(ACT_WAL_KEY, 0) + elapsed
         start = clock._now_us
         memtable = self._memtable
-        memtable.add(record)
-        clock._now_us += self._insert_us
-        if record[2] == KIND_DELETE:
-            counters["engine.deletes"] = counters.get("engine.deletes", 0) + 1
-        else:
-            counters["engine.puts"] = counters.get("engine.puts", 0) + 1
+        for record in records:
+            memtable.add(record)
+            clock._now_us += MEMTABLE_INSERT_US
+            if record[2] == KIND_DELETE:
+                counters["engine.deletes"] = counters.get("engine.deletes", 0) + 1
+            else:
+                counters["engine.puts"] = counters.get("engine.puts", 0) + 1
         counters["engine.user_bytes_written"] = (
-            counters.get("engine.user_bytes_written", 0) + record[4]
+            counters.get("engine.user_bytes_written", 0) + nbytes
         )
         counters[ACT_WRITE_KEY] = counters.get(ACT_WRITE_KEY, 0) + (
             clock._now_us - start
@@ -508,13 +489,12 @@ class DB:
         moved past a block read, because a device read behind a
         :class:`~repro.ssd.clock.DeviceChannel` reads the clock.  That is
         ``clock.advance`` only while no capture diverts charges, hence the
-        guard; costs are non-negative by ``CostModel`` validation.
+        guard; the costs are non-negative constants.
         """
         clock = self.clock
         if clock._capture is not None:
             raise EngineError("a point lookup cannot run inside a clock capture")
-        costs = self.config.costs
-        clock._now_us += costs.memtable_lookup_us
+        clock._now_us += MEMTABLE_LOOKUP_US
         record = self._memtable.get(key)
         if record is not None:
             return record
@@ -540,10 +520,9 @@ class DB:
             # responsibility range, not raw range: linked slices can hold
             # keys outside their carrier file's own [min, max].  The bisect
             # is VersionSet.find_responsible_file, inlined.
-            index_us = costs.index_lookup_us
             max_keys = version._max_keys
             for level in range(overlapping, len(levels)):
-                clock._now_us += index_us
+                clock._now_us += INDEX_LOOKUP_US
                 files = levels[level]
                 if files:
                     index = bisect_left(max_keys[level], key)
@@ -586,7 +565,6 @@ class DB:
         whose capture guard also covers the in-place clock charges here.
         """
         clock = self.clock
-        bloom_us = self.config.costs.bloom_check_us
         if table.slice_links:
             # Direct slot reads skip the lazily-built ``links_newest_first``
             # / ``bloom`` accessors on the hot path; they still build on
@@ -597,7 +575,7 @@ class DB:
             for piece in links:
                 if not piece.min_key <= key <= piece.max_key:
                     continue
-                clock._now_us += bloom_us
+                clock._now_us += BLOOM_CHECK_US
                 source = piece.source
                 bloom = source._bloom
                 if bloom is None:
@@ -612,7 +590,7 @@ class DB:
             # The key fell in this file's responsibility gap: only the
             # slices (checked above) could have held it.
             return None
-        clock._now_us += bloom_us
+        clock._now_us += BLOOM_CHECK_US
         bloom = table._bloom
         if bloom is None:
             bloom = table.bloom
@@ -644,7 +622,7 @@ class DB:
         if cache is not None:
             if cache.probe(table.file_id, block_index):
                 tally[1] += 1
-                self.clock._now_us += self.config.costs.cache_hit_us
+                self.clock._now_us += CACHE_HIT_US
                 if tracing:
                     tracer.emit(
                         EV_CACHE_HIT, file_id=table.file_id, block=block_index,
@@ -714,9 +692,11 @@ class DB:
         clock = self.clock
         if clock._capture is not None:
             raise EngineError("a scan cannot run inside a clock capture")
+        # The gates of get and _apply_write.
         if self._bg_threads:
             self.sched.pump(clock._now_us)
-        self.policy.on_operation(False)
+        if self._observes:
+            self.policy.on_operation(False)
         start_time = clock._now_us
         self._count("engine.scans")
 
@@ -725,7 +705,7 @@ class DB:
         # One float add per merged record, as if charged in merge order:
         # the clock must stay bit-exact, so the sum is never a multiply.
         clock._now_us = reduce(
-            add, repeat(self.config.costs.scan_per_record_us, consumed), clock._now_us
+            add, repeat(SCAN_PER_RECORD_US, consumed), clock._now_us
         )
         self._count("engine.scanned_records", len(results))
 
@@ -743,7 +723,6 @@ class DB:
         windows += [window for unit in units for window in unit[1:]]
         cache = self.block_cache
         read_run = self._read_scan_run
-        hit_us = self.config.costs.cache_hit_us
         tally = [0, 0, 0, 0]  # cache hits, misses, evictions, evicted bytes
         try:
             for keys, _, _, stop, start, table in windows:
@@ -765,7 +744,7 @@ class DB:
                     table.file_id, first, end, sizes, partial(read_run, table), tally
                 )
                 for _ in range(hits):
-                    clock._now_us += hit_us
+                    clock._now_us += CACHE_HIT_US
         finally:
             if cache is not None:
                 cache.count_probes(*tally)
@@ -811,9 +790,8 @@ class DB:
         """
         if hits:
             clock = self.clock
-            hit_us = self.config.costs.cache_hit_us
             for _ in range(hits):
-                clock._now_us += hit_us
+                clock._now_us += CACHE_HIT_US
         device = self.device
         device.read(nbytes, USER_SCAN, sequential=True)
         if device.faults is not None:
@@ -912,10 +890,12 @@ class DB:
         Recovery rebuilds every piece of engine state the dropped
         memtable carried: the log is re-read from the device (charged as
         ``wal_read``, torn tail units dropped), the surviving records are
-        bulk-loaded into a fresh memtable, and the next sequence number
-        is recomputed from the durable maximum — the highest sequence in
-        any live file, linked slice source, or replayed record — so that
-        post-recovery writes never reuse an acknowledged sequence.
+        replayed in log order — which is sequence order — through the
+        memtable's one insert, exactly as the writes first made them, and
+        the next sequence number is recomputed from the durable maximum —
+        the highest sequence in any live file, linked slice source, or
+        replayed record — so that post-recovery writes never reuse an
+        acknowledged sequence.
         """
         self._check_open()
         # In-flight background chunks are pure time debt (their rounds'
@@ -924,7 +904,6 @@ class DB:
         self.sched.discard_inflight()
         start = self.clock.now()
         records = self._wal.recover()
-        self._memtable = MemTable()
         # Durable maximum sequence: live tables, their slice sources
         # (every frozen file is reachable through some in-tree file's
         # slice_links while its refcount is non-zero), and the WAL.
@@ -935,19 +914,11 @@ class DB:
             for piece in table.slice_links:
                 if piece.source.max_seq > max_seq:
                     max_seq = piece.source.max_seq
-        if records:
-            # Sort by (key, seq), keep the newest version per key (exactly
-            # what per-record add() would have retained) and bulk-load the
-            # survivors in key order, so the memtable needs no re-sort.
-            ordered = sorted(records, key=lambda record: (record.key, record.seq))
-            newest = [
-                record
-                for record, nxt in zip(ordered, ordered[1:] + [None])
-                if nxt is None or nxt.key != record.key
-            ]
-            self._memtable.add_sorted_batch(newest)
-            if ordered[-1].seq > max_seq:
-                max_seq = max(record.seq for record in records)
+        memtable = self._memtable = MemTable()
+        for record in records:
+            memtable.add(record)
+            if record[1] > max_seq:
+                max_seq = record[1]
         self._next_seq = max_seq + 1
         duration = self.clock.now() - start
         self._count(ACT_WAL_KEY, duration)

@@ -11,24 +11,26 @@ Storage layout
 --------------
 Earlier versions indexed records with a skip list.  A skip list pays
 per-node object and pointer overhead on every insert to keep the keys
-*always* sorted — but this engine only needs sorted order at flush, scan
-and recovery time, never on the put/get fast path.  The buffer is
+*always* sorted — but this engine only needs sorted order at flush and
+scan time, never on the put/get fast path.  The buffer is
 therefore array-backed: a hash index (``dict``) from key to the newest
 record, plus a sorted key array rebuilt lazily.  Inserts are amortised
 O(1); the first ordered read after a batch of inserts sorts once
 (Timsort on the mostly-sorted key array is near-linear), and point reads
-never sort at all.
+never sort at all.  Recovery replays the log through the same :meth:`add`
+a write uses, so a recovered buffer is sorted at its next flush or scan
+like any other.
 
-The simulated cost model is unaffected: the clock charges the configured
-``memtable_insert_us`` / ``memtable_lookup_us`` regardless of the host
-data structure, and iteration order (ascending by key, newest record per
+The simulated cost model is unaffected: the clock charges the fixed
+``MEMTABLE_INSERT_US`` / ``MEMTABLE_LOOKUP_US`` (:mod:`repro.lsm.config`)
+regardless of the host data structure, and iteration order (ascending by key, newest record per
 key) is identical to the skip list's.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterable, Iterator, List, Optional
+from typing import Iterator, List, Optional
 
 from .record import KVRecord, check_record_sizes
 from ..errors import EngineError
@@ -64,32 +66,6 @@ class MemTable:
             self._bytes += record[4]
         else:
             self._bytes += record[4] - previous[4]
-
-    def add_sorted_batch(self, records: Iterable[KVRecord]) -> int:
-        """Bulk-load records whose keys strictly increase past the tail.
-
-        Recovery fast path: appends keys directly onto the sorted array
-        (no re-sort needed) when the buffer's order is clean.  Keys must
-        be strictly increasing and all greater than any key already
-        buffered — the same contract the skip list's tail-link path had.
-        """
-        index = self._records
-        in_order = not self._dirty
-        keys = self._keys
-        push = keys.append
-        added = 0
-        total = 0
-        for record in records:
-            key = record[0]
-            index[key] = record
-            if in_order:
-                push(key)
-            total += record[4]
-            added += 1
-        if not in_order:
-            self._dirty = True
-        self._bytes += total
-        return added
 
     def get(self, key: bytes) -> Optional[KVRecord]:
         """Return the newest buffered record for ``key`` (may be tombstone)."""

@@ -10,7 +10,7 @@ until a compaction into the bottom-most data drops them.
 
 from __future__ import annotations
 
-from typing import Iterable, List, NamedTuple, Optional
+from typing import Iterable, List, NamedTuple
 
 from ..errors import EngineError
 
@@ -93,36 +93,3 @@ def check_record_sizes(records: Iterable[KVRecord]) -> List[int]:
             )
         sizes.append(encoded)
     return sizes
-
-
-def newest_wins(records: Iterable[KVRecord]) -> List[KVRecord]:
-    """Collapse a key-sorted record stream to one record per user key.
-
-    Input must be sorted by key (ties in any seq order); output is sorted by
-    key with only the highest-sequence record retained per key.  This is the
-    deduplication step of every compaction merge.
-    """
-    result: List[KVRecord] = []
-    for record in records:
-        if result and result[-1].key == record.key:
-            if record.seq > result[-1].seq:
-                result[-1] = record
-        else:
-            result.append(record)
-    return result
-
-
-def drop_tombstones(records: Iterable[KVRecord]) -> List[KVRecord]:
-    """Remove tombstones from a deduplicated stream.
-
-    Only safe when the output lands in the bottom-most data for its key
-    range — otherwise an older PUT in a deeper level would resurface.
-    """
-    return [record for record in records if not record.is_tombstone]
-
-
-def visible_value(record: Optional[KVRecord]) -> Optional[bytes]:
-    """Map a located record to the user-visible value (None if deleted)."""
-    if record is None or record.is_tombstone:
-        return None
-    return record.value

@@ -11,15 +11,15 @@ flushed.  We model exactly that, and we model it *crash-accurately*:
   append therefore leaves the log without the record — exactly what a
   real crash before the ``fsync`` does — instead of resurrecting an
   unacknowledged write at recovery.
-* **Durable units.**  Each append (single record or whole batch) is one
-  unit.  A crash mid-append may leave a *torn* unit: the crash carries
+* **Durable units.**  Each append (a put, a delete or a whole batch) is
+  one unit.  A crash mid-append may leave a *torn* unit: the crash carries
   the number of bytes that reached the media, and the torn unit keeps
   those bytes in the log's size so recovery can detect and drop it —
   giving batches their all-or-nothing guarantee.
 * **A flat image.**  Only complete units reach the record list, so the
   log is that list (every complete unit's records, in append order), a
-  count of torn units and a byte total.  A put appends one record to a
-  list; no per-append object is built.
+  count of torn units and a byte total.  An append extends the list; no
+  per-append object is built.
 * **Charged recovery.**  :meth:`recover` charges one sequential
   ``wal_read`` of the stored bytes, counts dropped torn units under
   ``faults.torn_records_dropped``, and verifies the read against
@@ -30,7 +30,7 @@ flushed.  We model exactly that, and we model it *crash-accurately*:
 from __future__ import annotations
 
 import zlib
-from typing import List
+from typing import List, Sequence
 
 from .record import KVRecord
 from ..errors import CorruptionError, SimulatedCrash
@@ -59,9 +59,13 @@ class WriteAheadLog:
     # ------------------------------------------------------------------
     # Appending
     # ------------------------------------------------------------------
-    def append(self, record: KVRecord) -> float:
-        """Log one mutation; returns the virtual time charged (µs)."""
-        nbytes = record[4]
+    def append(self, records: Sequence[KVRecord], nbytes: int) -> float:
+        """Log one write — a put, a delete or a whole batch — as one
+        sequential device write; returns the virtual time charged (µs).
+
+        The write is one durable unit: recovery replays all of its
+        records or none of them.
+        """
         try:
             elapsed = self._device.write(
                 nbytes, WAL_WRITE, sequential=True,
@@ -70,27 +74,8 @@ class WriteAheadLog:
         except BaseException as error:
             self._tear(error, nbytes)
             raise
-        self._records.append(record)
-        self._bytes += nbytes
-        return elapsed
-
-    def append_batch(self, records: List[KVRecord], total_bytes: int) -> float:
-        """Log a whole batch as one sequential write (WriteBatch path).
-
-        Batching amortises the per-request device overhead across the
-        batch — the reason LevelDB applications group writes.  The batch
-        is one durable unit: recovery replays it entirely or not at all.
-        """
-        try:
-            elapsed = self._device.write(
-                total_bytes, WAL_WRITE, sequential=True,
-                owner=WAL_STREAM_OWNER, stream=True,
-            )
-        except BaseException as error:
-            self._tear(error, total_bytes)
-            raise
         self._records.extend(records)
-        self._bytes += total_bytes
+        self._bytes += nbytes
         return elapsed
 
     def _tear(self, error: BaseException, nbytes: int) -> None:

@@ -21,6 +21,12 @@ import zlib
 from bisect import bisect_left, bisect_right
 from typing import Optional
 
+from repro.lsm.config import (
+    BLOOM_CHECK_US,
+    CACHE_HIT_US,
+    INDEX_LOOKUP_US,
+    MEMTABLE_LOOKUP_US,
+)
 from repro.lsm.db import _check_key
 from repro.lsm.record import KIND_DELETE
 from repro.lsm.stats import ACT_READ_KEY
@@ -95,14 +101,13 @@ def oracle_get(db, key: bytes) -> Optional[bytes]:
 
 
 def _lookup(db, key: bytes):
-    costs = db.config.costs
     advance = db.clock.advance
-    advance(costs.memtable_lookup_us)
+    advance(MEMTABLE_LOOKUP_US)
     record = db._memtable.get(key)
     if record is not None:
         return record
     version = db.version
-    bloom_us = costs.bloom_check_us
+    bloom_us = BLOOM_CHECK_US
     count = db._count
     # Level 0: overlapping files, newest first.
     for table in reversed(version.files(0)):
@@ -114,7 +119,7 @@ def _lookup(db, key: bytes):
     # Deeper levels.  Every sorted level charges its index probe even
     # when empty.
     if version.sorted_levels:
-        index_us = costs.index_lookup_us
+        index_us = INDEX_LOOKUP_US
         find_responsible = version.find_responsible_file
         for level in range(1, version.num_levels):
             advance(index_us)
@@ -185,7 +190,7 @@ def _charge_point_read(db, table, key: bytes) -> None:
     block_index, nbytes = located
     cache = db.block_cache
     if cache is not None and cache.lookup(table.file_id, block_index):
-        db.clock.advance(db.config.costs.cache_hit_us)
+        db.clock.advance(CACHE_HIT_US)
         db.tracer.emit(
             EV_CACHE_HIT, file_id=table.file_id, block=block_index,
             nbytes=nbytes,

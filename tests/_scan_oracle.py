@@ -42,6 +42,7 @@ from operator import add
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import CorruptionError, EngineError
+from repro.lsm.config import CACHE_HIT_US, SCAN_PER_RECORD_US
 from repro.lsm.db import _check_key
 from repro.lsm.iterators import _refill, unit_windows
 from repro.lsm.keys import clamp_range, key_successor
@@ -207,7 +208,7 @@ def cursor_scan(db, start_key: bytes, count: int) -> List[Tuple[bytes, bytes]]:
     # One float add per merged record, in merge order: the clock must
     # stay bit-exact, so the charges are hoisted but not batched.
     advance = clock.advance
-    per_record_us = db.config.costs.scan_per_record_us
+    per_record_us = SCAN_PER_RECORD_US
     results: List[Tuple[bytes, bytes]] = []
     push = results.append
     for record in merge_records(sources):
@@ -254,7 +255,7 @@ def _cursor_charge_range_read(db, table, lo, hi) -> None:
     file_id = table.file_id
     probe = cache.probe
     insert = cache.insert
-    hit_us = db.config.costs.cache_hit_us
+    hit_us = CACHE_HIT_US
     hits = misses = run_bytes = run_start = 0
     try:
         # The None sentinel closes the last run.
@@ -318,7 +319,7 @@ def eager_scan(db, start_key: bytes, count: int) -> List[Tuple[bytes, bytes]]:
 
     results: List[Tuple[bytes, bytes]] = []
     for record in merge_records(sources):
-        db.clock.advance(db.config.costs.scan_per_record_us)
+        db.clock.advance(SCAN_PER_RECORD_US)
         if record.is_tombstone:
             continue
         results.append((record.key, record.value))
@@ -352,7 +353,7 @@ def _eager_charge_range_read(db, table, lo, hi) -> None:
             if run:
                 _eager_read_run(db, table, run)
                 run = []
-            db.clock.advance(db.config.costs.cache_hit_us)
+            db.clock.advance(CACHE_HIT_US)
         else:
             run.append((block_index, nbytes))
             cache.insert(table.file_id, block_index, nbytes)
@@ -395,7 +396,7 @@ def window_scan(db, start_key: bytes, count: int) -> List[Tuple[bytes, bytes]]:
     streams = db._scan_streams(start_key)
     results, consumed, last_key = merge_streams(streams, start_key, count)
     clock._now_us = reduce(
-        add, repeat(db.config.costs.scan_per_record_us, consumed), clock._now_us
+        add, repeat(SCAN_PER_RECORD_US, consumed), clock._now_us
     )
     db._count("engine.scanned_records", len(results))
 
@@ -497,7 +498,7 @@ def charge_range_read(db, table, first: int, end: int) -> None:
         return
     file_id = table.file_id
     clock = db.clock
-    hit_us = db.config.costs.cache_hit_us
+    hit_us = CACHE_HIT_US
     hits = misses = run_bytes = run_start = 0
     evicted = [0, 0]
     try:

@@ -23,6 +23,7 @@ import zlib
 from typing import List
 
 from repro.errors import CorruptionError, SimulatedCrash
+from repro.lsm.config import MEMTABLE_INSERT_US
 from repro.lsm.db import _check_key
 from repro.lsm.record import KIND_DELETE, KVRecord, delete_record, put_record
 from repro.lsm.stats import ACT_WAL_KEY, ACT_WRITE_KEY
@@ -172,7 +173,7 @@ def write_batch(db, batch) -> None:
     start = db.clock.now()
     memtable_add = db._memtable.add
     advance = db.clock.advance
-    insert_us = db.config.costs.memtable_insert_us
+    insert_us = MEMTABLE_INSERT_US
     deletes = 0
     for record in records:
         memtable_add(record)
@@ -205,7 +206,7 @@ def _apply_write(db, record: KVRecord) -> None:
     start = clock._now_us
     memtable = db._memtable
     memtable.add(record)
-    clock.advance(db.config.costs.memtable_insert_us)
+    clock.advance(MEMTABLE_INSERT_US)
     if record[2] == KIND_DELETE:
         counters["engine.deletes"] = counters.get("engine.deletes", 0) + 1
     else:

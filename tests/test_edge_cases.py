@@ -66,7 +66,7 @@ class TestWALBatch:
         wal = WriteAheadLog(device)
         records = [put_record(key_of(i), b"v", i) for i in range(10)]
         total = sum(r.encoded_size for r in records)
-        wal.append_batch(records, total)
+        wal.append(records, total)
         assert device.registry.counter("device.write.wal_write.ops") == 1
         assert device.registry.counter("device.write.wal_write.bytes") == total
         assert wal.recover() == records

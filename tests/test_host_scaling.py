@@ -321,7 +321,7 @@ class TestCallsPerPut:
     ``put`` and ``_apply_write`` (validation and the record built in
     place), the record's ``tuple.__new__`` and two ``len``, Level 0's
     ``len`` against the slowdown trigger, ``WriteAheadLog.append`` with
-    ``device.write`` (three counter reads) and one ``list.append``,
+    ``device.write`` (three counter reads) and one ``list.extend``,
     ``MemTable.add`` (one ``dict.get``) and four counter reads: 18 calls,
     for UDC and LDC alike.  The write path it replaced
     (``tests/_write_oracle.py``) made 30: ``_check_open``, ``_check_key``
@@ -340,7 +340,7 @@ class TestCallsPerPut:
         rng = random.Random(5)
         value = b"v" * 1024
         for _ in range(3_000):
-            db.put(key_of(rng.randrange(6_000)), value)
+            put(db, key_of(rng.randrange(6_000)), value)
         calls = []
         for _ in range(2_000):
             idle = db.policy._maintenance_idle

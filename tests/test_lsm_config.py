@@ -5,7 +5,7 @@ from dataclasses import fields
 import pytest
 
 from repro.errors import ConfigError
-from repro.lsm.config import KIB, CostModel, LSMConfig
+from repro.lsm.config import KIB, LSMConfig
 
 #: Every count and byte field of ``LSMConfig``.
 INT_FIELDS = [
@@ -128,24 +128,3 @@ class TestLSMConfig:
     def test_config_is_frozen(self):
         with pytest.raises(Exception):
             LSMConfig().fan_out = 3  # type: ignore[misc]
-
-
-class TestCostModel:
-    def test_defaults_valid(self):
-        model = CostModel()
-        assert model.memtable_insert_us > 0
-
-    def test_negative_cost_rejected(self):
-        with pytest.raises(ConfigError):
-            CostModel(bloom_check_us=-0.1)
-
-    def test_zero_costs_allowed(self):
-        model = CostModel(
-            memtable_insert_us=0,
-            memtable_lookup_us=0,
-            bloom_check_us=0,
-            index_lookup_us=0,
-            merge_per_record_us=0,
-            scan_per_record_us=0,
-        )
-        assert model.merge_per_record_us == 0

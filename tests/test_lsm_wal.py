@@ -9,6 +9,11 @@ from repro.ssd.metrics import WAL_WRITE
 from repro.ssd.profile import ENTERPRISE_PCIE
 
 
+def append(wal, record):
+    """Log ``record`` as a one-record write, as a put or delete does."""
+    return wal.append((record,), record.encoded_size)
+
+
 @pytest.fixture
 def wal():
     return WriteAheadLog(SimulatedSSD(ENTERPRISE_PCIE))
@@ -22,7 +27,7 @@ class TestWAL:
 
     def test_append_charges_device(self, wal):
         record = put_record(b"k", b"v" * 100, 1)
-        elapsed = wal.append(record)
+        elapsed = append(wal, record)
         assert elapsed > 0
         written = wal._device.registry.counter(f"device.write.{WAL_WRITE}.bytes")
         assert written == record.encoded_size
@@ -30,14 +35,14 @@ class TestWAL:
     def test_append_is_sequential_io(self, wal):
         """WAL appends get the sequential overhead discount."""
         record = put_record(b"k", b"v", 1)
-        elapsed = wal.append(record)
+        elapsed = append(wal, record)
         random_cost = wal._device.write_cost_us(record.encoded_size)
         assert elapsed < random_cost
 
     def test_accumulates_records(self, wal):
         records = [put_record(str(i).encode(), b"v", i) for i in range(5)]
         for record in records:
-            wal.append(record)
+            append(wal, record)
         assert wal.unflushed_count == 5
         assert wal.unflushed_bytes == sum(r.encoded_size for r in records)
         assert wal.recover() == records
@@ -45,19 +50,19 @@ class TestWAL:
     def test_recover_preserves_order_and_tombstones(self, wal):
         a = put_record(b"a", b"1", 1)
         b = delete_record(b"a", 2)
-        wal.append(a)
-        wal.append(b)
+        append(wal, a)
+        append(wal, b)
         assert wal.recover() == [a, b]
 
     def test_reset_clears_state(self, wal):
-        wal.append(put_record(b"k", b"v", 1))
+        append(wal, put_record(b"k", b"v", 1))
         wal.reset()
         assert wal.unflushed_count == 0
         assert wal.unflushed_bytes == 0
         assert wal.recover() == []
 
     def test_recover_returns_copy(self, wal):
-        wal.append(put_record(b"k", b"v", 1))
+        append(wal, put_record(b"k", b"v", 1))
         recovered = wal.recover()
         recovered.clear()
         assert wal.unflushed_count == 1
@@ -71,7 +76,7 @@ class TestWALRecoveryIO:
 
         records = [put_record(str(i).encode(), b"v" * 50, i) for i in range(4)]
         for record in records:
-            wal.append(record)
+            append(wal, record)
         stored = wal.unflushed_bytes
         assert wal._device.registry.counter(f"device.read.{WAL_READ}.bytes") == 0
         before = wal._device.clock.now()
@@ -89,7 +94,7 @@ class TestWALRecoveryIO:
         """Each simulated restart re-reads the log image."""
         from repro.ssd.metrics import WAL_READ
 
-        wal.append(put_record(b"k", b"v", 1))
+        append(wal, put_record(b"k", b"v", 1))
         wal.recover()
         wal.recover()
         replayed = wal._device.registry.counter(f"device.read.{WAL_READ}.bytes")
@@ -108,9 +113,9 @@ class TestWALTornTails:
 
         wal = self._faulty_wal(FaultPlan().crash_at(2))
         first = put_record(b"a", b"1", 1)
-        wal.append(first)
+        append(wal, first)
         with pytest.raises(SimulatedCrash):
-            wal.append(put_record(b"b", b"2", 2))
+            append(wal, put_record(b"b", b"2", 2))
         # Write-ahead ordering: the crashed record never became durable.
         assert wal.recover() == [first]
 
@@ -121,7 +126,7 @@ class TestWALTornTails:
         wal = self._faulty_wal(FaultPlan().crash_at(1, torn_fraction=0.5))
         record = put_record(b"a", b"x" * 100, 1)
         with pytest.raises(SimulatedCrash):
-            wal.append(record)
+            append(wal, record)
         assert wal.has_torn_tail
         # Half the unit survived on media...
         assert 0 < wal.unflushed_bytes < record.encoded_size
@@ -135,11 +140,11 @@ class TestWALTornTails:
         from repro.faults.plan import FaultPlan
 
         wal = self._faulty_wal(FaultPlan().crash_at(2, torn_fraction=0.9))
-        wal.append(put_record(b"a", b"1", 1))
+        append(wal, put_record(b"a", b"1", 1))
         batch = [put_record(b"b", b"2", 2), put_record(b"c", b"3", 3)]
         total = sum(record.encoded_size for record in batch)
         with pytest.raises(SimulatedCrash):
-            wal.append_batch(batch, total)
+            wal.append(batch, total)
         # The 90%-torn batch contributes no records: all-or-nothing.
         recovered = wal.recover()
         assert [record.key for record in recovered] == [b"a"]
@@ -152,7 +157,7 @@ class TestWALTornTails:
         wal = self._faulty_wal(FaultPlan().crash_at(1, torn_fraction=1.0))
         record = put_record(b"a", b"x" * 40, 1)
         with pytest.raises(SimulatedCrash):
-            wal.append(record)
+            append(wal, record)
         assert wal.unflushed_bytes == record.encoded_size
         assert wal.recover() == []
 
@@ -161,6 +166,6 @@ class TestWALTornTails:
         from repro.faults.plan import FaultPlan
 
         wal = self._faulty_wal(FaultPlan().corrupt_read(1))
-        wal.append(put_record(b"a", b"1", 1))
+        append(wal, put_record(b"a", b"1", 1))
         with pytest.raises(CorruptionError, match="checksum"):
             wal.recover()

@@ -28,7 +28,10 @@ inject (one fault injector, crash points and read corruption: no
 transient I/O errors, retry policy or separate device stage), with the
 last wrappers only tests called (no ``DB.multi_get``, no
 ``slices_newest_first``) and the serve knob one value used (no
-``ServeSpec.backpressure`` and no public ``admission_bound``).
+``ServeSpec.backpressure`` and no public ``admission_bound``); and the
+write path's forks (one WAL append, one memtable insert: no batched
+append or sorted bulk load), the CPU cost knob (no ``CostModel`` or
+``LSMConfig.costs``) and the record helpers only tests called.
 """
 
 import ast
@@ -484,6 +487,18 @@ def test_only_the_engine_surface_that_runs():
         spec.get_spec("udc").derive(honor_seeks=True).build()
 
 
+def exported_names() -> dict:
+    """Every name in any ``repro`` module's ``__all__``, with its modules."""
+    exported = {}
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name == "repro.__main__":
+            continue
+        module = importlib.import_module(info.name)
+        for name in getattr(module, "__all__", ()):
+            exported.setdefault(name, []).append(info.name)
+    return exported
+
+
 def test_only_the_faults_crashtest_injects():
     """``repro crashtest`` injects crash points (torn WAL tails included)
     and read corruption, so ``repro.faults`` is one injector for those
@@ -512,13 +527,7 @@ def test_only_the_faults_crashtest_injects():
     for name, modules in homes.items():
         for module in modules:
             assert not hasattr(module, name), (module.__name__, name)
-    exported = {}
-    for info in pkgutil.walk_packages(repro.__path__, "repro."):
-        if info.name == "repro.__main__":
-            continue
-        module = importlib.import_module(info.name)
-        for name in getattr(module, "__all__", ()):
-            exported.setdefault(name, []).append(info.name)
+    exported = exported_names()
     for name in (*homes, "multi_get"):
         assert name not in exported, (name, exported.get(name))
     assert "fault_transient" not in events.ALL_EVENT_KINDS
@@ -530,3 +539,33 @@ def test_only_the_faults_crashtest_injects():
     for name in ("transient", "take_transient", "pending_transients",
                  "is_exhausted", "retry", "take_crash", "take_corruption"):
         assert not hasattr(plan.FaultPlan(), name), name
+
+
+def test_one_write_path():
+    """A put, a delete, a batch and WAL replay enter the store through one
+    routine: the log has one append and the memtable one insert, so no
+    batched append or sorted bulk load is left.  The CPU costs are module
+    constants, not a config knob every store left at its default, and the
+    record helpers only tests called are gone (the engine dedups in
+    ``merge_windows``)."""
+    import repro.lsm
+    from repro.lsm import config, memtable, record, wal
+
+    homes = {
+        "append_batch": (wal.WriteAheadLog,),
+        "add_sorted_batch": (memtable.MemTable,),
+        "CostModel": (config, repro.lsm, repro),
+        "newest_wins": (record, repro.lsm),
+        "drop_tombstones": (record, repro.lsm),
+        "visible_value": (record, repro.lsm),
+    }
+    for name, modules in homes.items():
+        for module in modules:
+            assert not hasattr(module, name), (module.__name__, name)
+    exported = exported_names()
+    for name in homes:
+        assert name not in exported, (name, exported[name])
+    assert "costs" not in {field.name for field in dataclasses.fields(config.LSMConfig)}
+    for routine in (wal.WriteAheadLog.append, repro.DB._apply_write):
+        assert list(inspect.signature(routine).parameters) == [
+            "self", "records", "nbytes"], routine

@@ -33,7 +33,7 @@ from repro.core.slice import Slice, attach_slice
 from repro.errors import CorruptionError, EngineError
 from repro.faults.plan import FaultPlan
 from repro.lsm import iterators
-from repro.lsm.config import LSMConfig
+from repro.lsm.config import SCAN_PER_RECORD_US, LSMConfig
 from repro.lsm.record import delete_record, put_record
 from repro.lsm.sstable import SSTable
 from repro.ssd.metrics import USER_SCAN
@@ -376,8 +376,7 @@ class TestOpenedParity:
         ]
         cursor_scan(cursor, make_key(0), 3)
         # Thirteen keys consumed per scan — ten tombstones, three live.
-        per_record = window.config.costs.scan_per_record_us
-        assert window.clock.now() - before >= 2 * 13 * per_record
+        assert window.clock.now() - before >= 2 * 13 * SCAN_PER_RECORD_US
         assert charged_state(window) == charged_state(cursor)
 
     def test_start_past_a_levels_last_key_reads_the_last_files_links(

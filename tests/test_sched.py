@@ -21,7 +21,7 @@ from repro import (
     serve_workload,
 )
 from repro.lsm.compaction.base import MaintenanceEngine
-from repro.lsm.config import LSMConfig
+from repro.lsm.config import MEMTABLE_INSERT_US, LSMConfig
 from repro.obs import EV_STALL
 from repro.ssd.clock import CAPTURE_CPU, CAPTURE_IO
 from repro.workload import OP_PUT, Operation, WorkloadSpec
@@ -201,7 +201,7 @@ class TestReplay:
         assert round_.done
         paid = db.clock.now() - start
         own = counter("device.write.wal_write.time_us") - wal_us
-        assert paid == pytest.approx(own + db.config.costs.memtable_insert_us)
+        assert paid == pytest.approx(own + MEMTABLE_INSERT_US)
 
     def test_requests_served_after_an_idle_gap_wait_for_no_chunk(self):
         """The serve loop's twin: two puts arrive back to back 2 x debt
@@ -262,8 +262,9 @@ class TestFlushLane:
     def test_a_filling_put_pays_only_its_wal_write_and_insert(self):
         put = self.filling_put(bg_threads=1)
         db, sched = put["db"], put["db"].sched
-        insert_us = db.config.costs.memtable_insert_us
-        assert put["paid"] == pytest.approx(put["wal_us"] + insert_us, rel=1e-12)
+        assert put["paid"] == pytest.approx(
+            put["wal_us"] + MEMTABLE_INSERT_US, rel=1e-12
+        )
         assert put["flush_us"] > put["paid"]
         # The flush's time is one task on the lane.
         flush = sched.flush_lane.task
@@ -374,8 +375,7 @@ class TestFlushLane:
     def test_zero_threads_pay_the_flush_inline(self):
         put = self.filling_put(bg_threads=0)
         db = put["db"]
-        insert_us = db.config.costs.memtable_insert_us
-        inline = put["wal_us"] + insert_us + put["flush_us"]
+        inline = put["wal_us"] + MEMTABLE_INSERT_US + put["flush_us"]
         assert put["paid"] == pytest.approx(inline) or put["paid"] > inline
         assert put["flush_activity"] == pytest.approx(put["flush_us"])
 

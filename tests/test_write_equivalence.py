@@ -327,3 +327,90 @@ class TestDirected:
         assert db.get(make_key(2)) is None
         db.put(make_key(2), b"w")
         assert db.get(make_key(2)) == b"w"
+
+
+#: Batches over eight keys, so one batch often writes a key twice.
+crowded_batches = st.lists(
+    st.tuples(st.integers(0, 7), st.one_of(st.none(), values)),
+    min_size=1, max_size=8,
+)
+recovery_operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("put"), indices, values),
+        st.tuples(st.just("delete"), indices, st.none()),
+        st.tuples(st.just("batch"), st.one_of(crowded_batches, entries), st.none()),
+        st.tuples(st.just("crash"), st.sampled_from((0.0, 0.5, 1.0)), st.booleans()),
+        st.tuples(st.just("recover"), st.none(), st.none()),
+    ),
+    max_size=40,
+)
+
+
+class TestRecoveryModel:
+    """WAL replay against a model of the log.
+
+    Both stores of a pair recover through the same ``DB.crash_and_recover``,
+    so the pair-run cannot see the replay itself.  Here one store is
+    driven through puts, deletes and batches (keys repeated inside a
+    batch), crashes that tear an append at 0, ½ and all of its bytes, and
+    recoveries, ending with a recovery on top of a recovery.  After each
+    recovery the memtable holds the last record per key of the log's
+    durable image, counts exactly those records' bytes and yields its keys
+    sorted; and the store serves exactly the writes it acknowledged.
+    """
+
+    @staticmethod
+    def recover(db: DB, acknowledged: dict) -> None:
+        db.crash_and_recover()
+        newest = {record.key: record for record in db._wal._records}
+        keys, records = db._memtable.sorted_columns()
+        assert dict(zip(keys, records)) == newest
+        assert len(keys) == len(newest)
+        assert db._memtable.approximate_bytes == sum(
+            record.size for record in newest.values()
+        )
+        assert keys == sorted(keys)
+        live = {key: value for key, value in acknowledged.items() if value is not None}
+        assert dict(db.logical_items()) == live
+
+    @pytest.mark.parametrize("bg_threads", (0, 1))
+    @given(ops=recovery_operations)
+    @settings(
+        max_examples=15,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_replay_rebuilds_the_newest_record_per_key(self, bg_threads, ops):
+        db = DB(config=tiny(bg_threads), policy="ldc", fault_plan=FaultPlan())
+        acknowledged = {}
+
+        def write(entries) -> None:
+            batch = WriteBatch()
+            batch.entries = [(make_key(index), value) for index, value in entries]
+            db.write_batch(batch)
+            acknowledged.update(batch.entries)
+
+        for kind, arg, extra in ops:
+            if kind == "put":
+                db.put(make_key(arg), extra)
+                acknowledged[make_key(arg)] = extra
+            elif kind == "delete":
+                db.delete(make_key(arg))
+                acknowledged[make_key(arg)] = None
+            elif kind == "batch":
+                write(arg)
+            elif kind == "crash":
+                faults = db.device.faults
+                faults.crash_at(
+                    faults.category_counts.get(WAL_WRITE, 0) + 1,
+                    category=WAL_WRITE,
+                    torn_fraction=arg,
+                )
+                with pytest.raises(SimulatedCrash):
+                    write([(1, b"a"), (1, None)] if extra else [(3, b"c" * 30)])
+                self.recover(db, acknowledged)
+            else:
+                self.recover(db, acknowledged)
+        self.recover(db, acknowledged)
+        self.recover(db, acknowledged)
+        db.check_invariants()
