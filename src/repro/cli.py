@@ -265,6 +265,8 @@ def _show_btree(out: Dict[str, Dict[str, float]]) -> None:
 
 
 def _run_describe(args: argparse.Namespace) -> None:
+    if args.keys < 1:
+        raise ConfigError("key_space must be positive")
     db = DB(policy="ldc")
     rng = random.Random(0)
     for _ in range(min(args.ops, 20_000)):

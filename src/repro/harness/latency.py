@@ -56,8 +56,8 @@ class LatencyRecorder:
     :data:`FOLD_WATERMARK` samples or on the first query that needs an
     aggregate (:attr:`histogram`, :meth:`percentile` once sampled,
     :meth:`mean`, :meth:`minimum`, :meth:`maximum`, :meth:`merge_from`).
-    The resulting state is exactly what per-sample recording produced
-    (``tests/test_recorder_equivalence.py``); ``len()`` is always current.
+    The resulting state is exactly what per-sample recording produced;
+    ``len()`` is always current.
 
     **Sampling mode.**  A 10M-operation run would otherwise hold 10M
     Python floats per recorder.  ``sample_stride=k`` stores every k-th
@@ -67,8 +67,8 @@ class LatencyRecorder:
     thinned.  Once any sample has been dropped, :meth:`percentile`
     answers from the histogram — within one log-bucket (``growth - 1``,
     5%) of the exact value — instead of pretending the sampled list is
-    the population.  The default (``stride=1``, no cap) records exactly
-    as before, which the sharded fingerprint tests rely on.
+    the population.  The default (``stride=1``, no cap) stores every
+    sample.
     """
 
     def __init__(
@@ -159,7 +159,7 @@ class LatencyRecorder:
         return self._histogram
 
     def merge_from(self, other: "LatencyRecorder") -> None:
-        """Fold another recorder's state into this one (shard aggregation)."""
+        """Fold another recorder's state into this one."""
         self._fold()
         self._values.extend(other._values)
         self._sorted = None
@@ -207,12 +207,6 @@ class LatencyRecorder:
         self, pcts: Sequence[float] = PAPER_PERCENTILES
     ) -> Dict[float, float]:
         return {pct: self.percentile(pct) for pct in pcts}
-
-    def streaming_percentiles(
-        self, pcts: Sequence[float] = PAPER_PERCENTILES
-    ) -> Dict[float, float]:
-        """Histogram-estimated percentiles (within one bucket of exact)."""
-        return self.histogram.percentiles(pcts)
 
     def mean(self) -> float:
         if self._count == 0:
@@ -316,25 +310,6 @@ class LatencyTimeline:
             sums[current], counts[current], maxes[current] = total, count, peak
             if stalled is not None:
                 stalls[current] = stalled
-
-    def merge(self, other: "LatencyTimeline") -> None:
-        """Fold ``other``'s buckets into this timeline (same bucket width).
-
-        Shards record against independent virtual clocks over the same
-        bucket grid, so merging is bucket-wise: sums and counts add, maxes
-        take the max.  Used by the sharded runner to build the aggregate
-        Fig. 1-style series.
-        """
-        if other.bucket_us != self.bucket_us:
-            raise ReproError("cannot merge timelines with different bucket widths")
-        for bucket, count in other._counts.items():
-            self._sums[bucket] = self._sums.get(bucket, 0.0) + other._sums[bucket]
-            self._counts[bucket] = self._counts.get(bucket, 0) + count
-            self._maxes[bucket] = max(
-                self._maxes.get(bucket, 0.0), other._maxes[bucket]
-            )
-        for bucket, stall in other._stalls.items():
-            self._stalls[bucket] = self._stalls.get(bucket, 0.0) + stall
 
     def points(self) -> List[TimelinePoint]:
         return [

@@ -194,8 +194,7 @@ def prepare_db(
 
 #: Operations dispatched per chunk by the runner loop.  Chunking
 #: amortises the per-operation recorder calls (bulk ``record_many`` per
-#: chunk) without changing any recorded value — the differential tests
-#: pin it equal to a per-op loop (``tests/_runner_oracle.py``) exactly.
+#: chunk) without changing any recorded value.
 CHUNK_SIZE = 1024
 
 

@@ -17,9 +17,7 @@ cannot collide with anything and is a pure slice copy.
 
 The output is the ``(keys, records, sizes)`` columns that
 :func:`~repro.lsm.builder.build_balanced_columns` cuts into files; sizes
-are read off the records (``KVRecord.size``), never recomputed.  Equality
-with the galloping heap merge this replaced is pinned call for call by
-``tests/test_columnar_merge.py`` against ``tests/_merge_oracle.py``.
+are read off the records (``KVRecord.size``), never recomputed.
 """
 
 from __future__ import annotations

@@ -172,13 +172,12 @@ class FlashSpec:
 class DeviceConfig:
     """Bundle of device parameters accepted everywhere a profile is.
 
-    Every ``profile=`` parameter in the stack (``DB``, ``ShardedDB``,
-    ``run_workload``, grid/shard tasks, the crashtest harness) accepts
-    either a bare :class:`~repro.ssd.profile.SSDProfile` or a
-    ``DeviceConfig``; the device normalises the two forms, so the flash
-    layer threads through the whole harness without new plumbing.
-    Frozen (hence picklable) so grid and shard tasks can carry it across
-    process boundaries.
+    Every ``profile=`` parameter in the stack (``DB``, ``run_workload``,
+    grid tasks, the crashtest harness) accepts either a bare
+    :class:`~repro.ssd.profile.SSDProfile` or a ``DeviceConfig``; the
+    device normalises the two forms, so the flash layer threads through
+    the whole harness without new plumbing.  Frozen (hence picklable) so
+    grid tasks can carry it across process boundaries.
     """
 
     profile: SSDProfile = ENTERPRISE_PCIE

@@ -42,6 +42,7 @@ SUITES = (
     "test_spec_identity",
     "test_harness_runner",
     "test_maintenance_engine",
+    "test_retired_oracles",
 )
 HEADLINE = ("elapsed_us", "write_amp", "size_bytes", "hash_count")
 #: Set (to a file path) by ``--write``: :func:`check` appends what it

@@ -241,6 +241,7 @@ class TestErrorTyping:
         [
             ("run RWB --ops 0", "num_operations must be positive"),
             ("run RWB --keys 0", "key_space must be positive"),
+            ("describe --keys 0", "key_space must be positive"),
             ("fig10a --ops 0", "num_operations must be positive"),
             ("paper_scale --ops 0", "num_operations must be positive"),
             ("crashtest --every 0", "stride must be positive"),

@@ -241,9 +241,8 @@ class TestSampledShardMerge:
 
     Each shard records with ``sample_stride``/``max_samples`` against its
     own virtual clock; the aggregate view merges the recorders
-    (``merge_from``) and the Fig. 1 timelines (``LatencyTimeline.merge``).
-    The merged sampled percentiles must stay within one histogram
-    log-bucket of the exact whole-population percentiles.
+    (``merge_from``).  The merged sampled percentiles must stay within one
+    histogram log-bucket of the exact whole-population percentiles.
     """
 
     NUM_SHARDS = 4
@@ -303,35 +302,3 @@ class TestSampledShardMerge:
         assert merged.maximum() == max(population)
         assert merged.minimum() == min(population)
         assert merged.sample_count <= self.NUM_SHARDS * 100
-
-    def test_timeline_merge_composes_with_sampling(self):
-        streams = self._shard_streams(per_shard=3_000)
-        bucket_us = 1_000.0
-        merged_timeline = LatencyTimeline(bucket_us=bucket_us)
-        merged_recorder = LatencyRecorder(sample_stride=25, max_samples=300)
-        reference_timeline = LatencyTimeline(bucket_us=bucket_us)
-        for stream in streams:
-            shard_timeline = LatencyTimeline(bucket_us=bucket_us)
-            shard_recorder = LatencyRecorder(sample_stride=25, max_samples=300)
-            now = 0.0  # independent virtual clock per shard
-            for value in stream:
-                shard_timeline.record(now, value)
-                reference_timeline.record(now, value)
-                now += value
-            shard_recorder.record_many(stream)
-            merged_timeline.merge(shard_timeline)
-            merged_recorder.merge_from(shard_recorder)
-        merged_points = merged_timeline.points()
-        reference_points = reference_timeline.points()
-        # The merged timeline is bucket-wise identical to recording every
-        # shard's (timestamp, latency) stream into one timeline.
-        assert len(merged_points) == len(reference_points)
-        for got, want in zip(merged_points, reference_points):
-            assert got.start_us == want.start_us
-            assert got.count == want.count
-            assert got.max_latency_us == want.max_latency_us
-            assert got.mean_latency_us == pytest.approx(want.mean_latency_us)
-        # Timeline totals agree with the (exact) streamed recorder count,
-        # even though the recorder's stored samples are heavily thinned.
-        assert sum(point.count for point in merged_points) == len(merged_recorder)
-        assert merged_recorder.is_sampled

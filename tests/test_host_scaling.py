@@ -15,19 +15,17 @@ pays, against the write path it replaced (``tests/_write_oracle.py``).
 point lookup the same way — what a get pays per Bloom probe — against the
 per-probe routine it replaced (``tests/_lookup_oracle.py``),
 ``TestCallsPerBuild`` that a Bloom filter build pays per filter, not per
-key (against ``tests/_bloom_oracle.py``), and
-``TestStageCost`` what mounting a device stage (trace sink, fault plan,
-flash) adds to a put and a get, ``TestLedgerCost`` that counting an
+key, and ``TestStageCost`` what mounting a device stage (trace sink,
+fault plan, flash) adds to a put and a get, ``TestLedgerCost`` that counting an
 operation costs no call of its own.  ``TestCallsPerScan`` pins what a scan pays
 per record returned and per block charged, against the record-at-a-time
 scan it replaced (``tests/_scan_oracle.cursor_scan``).  ``TestCallsPerMerge``
 pins that a compaction merge pays per input window, not per record or heap
-round (against ``tests/_merge_oracle.py``), and that its output files lay
-out no block until something reads one.  ``TestStackTax`` pins what the
-wrappers around the engine — serve loop, arrival merge, scheduler replay,
-FTL programming, recorders — add to a served request, a replayed chunk, a
-programmed page and a recorded batch (against ``tests/_serve_oracle.py``,
-``tests/_pump_oracle.py`` and ``tests/_flash_oracle.py``).
+round, and that its output files lay out no block until something reads
+one.  ``TestStackTax`` pins what the wrappers around the engine — serve
+loop, arrival merge, scheduler replay, FTL programming, recorders — add
+to a served request, a replayed chunk, a programmed page and a recorded
+batch (against ``tests/_serve_oracle.py`` and ``tests/_pump_oracle.py``).
 """
 
 import cProfile
@@ -66,10 +64,7 @@ from repro.workload.ycsb import WorkloadGenerator
 from . import _ldc_oracle as ldc_oracle
 from . import _serve_oracle as serve_oracle
 from . import _write_oracle as write_oracle
-from ._bloom_oracle import PackedBloomFilter
-from ._flash_oracle import OracleFTL
 from ._lookup_oracle import oracle_get
-from ._merge_oracle import merge_windows as oracle_merge, oracle_window
 from ._pump_oracle import ChunkReplayScheduler
 from ._scan_oracle import cursor_scan
 
@@ -359,7 +354,7 @@ class TestCallsPerPut:
         assert set(self.quiet_put_calls(policy, write_oracle.put)) == {30}
 
 
-def interleaved_windows(streams: int, per_stream: int, six_part: bool = False) -> list:
+def interleaved_windows(streams: int, per_stream: int) -> list:
     """``streams`` windows whose keys alternate record by record.
 
     Every key sits between keys of the other streams, so a galloping
@@ -374,8 +369,7 @@ def interleaved_windows(streams: int, per_stream: int, six_part: bool = False) -
             put_record(key_of(n), b"v" * (n % 5), n * streams + (n - stream) % streams)
             for n in sorted(numbers)
         ]
-        window = ([record.key for record in records], records, 0, len(records))
-        windows.append(oracle_window(window) if six_part else window)
+        windows.append(([record.key for record in records], records, 0, len(records)))
     return windows
 
 
@@ -384,17 +378,13 @@ class TestCallsPerMerge:
 
     @pytest.mark.parametrize("streams", [2, 5, 12])
     def test_calls_do_not_grow_with_the_records_merged(self, streams):
-        def calls(merge, per_stream, six_part=False):
-            windows = interleaved_windows(streams, per_stream, six_part)
-            return total_calls(lambda: merge(windows))
+        def calls(per_stream):
+            windows = interleaved_windows(streams, per_stream)
+            return total_calls(lambda: merge_windows(windows))
 
-        small = calls(merge_windows, 40)
+        small = calls(40)
         assert small <= 2 * streams + 12
-        assert calls(merge_windows, 400) == small
-        # The merge it replaced pays a heap round per run boundary until
-        # its 24-round probe gives up, then per-record size arithmetic.
-        assert calls(oracle_merge, 40, True) > small
-        assert calls(oracle_merge, 400, True) > calls(oracle_merge, 40, True)
+        assert calls(400) == small
 
     def test_output_files_lay_out_no_block_until_one_is_read(self):
         merged = merge_windows(interleaved_windows(3, 200))
@@ -606,20 +596,16 @@ class TestCallsPerBuild:
 
     Both checksums are mapped over the key list at C level and every probe
     position is set in one numpy scatter, so ten times the keys is not one
-    profiled call more.  The packed-bit build it replaced
-    (``tests/_bloom_oracle.py``) paid a memo read and two appends per key.
+    profiled call more.
     """
 
     @staticmethod
-    def calls(build, count: int) -> int:
+    def calls(count: int) -> int:
         keys = [key_of(number) for number in range(count)]
-        return total_calls(lambda: build(keys, 10))
+        return total_calls(lambda: bloom_module.BloomFilter(keys, 10))
 
     def test_ten_times_the_keys_costs_the_same_calls(self):
-        small = self.calls(bloom_module.BloomFilter, 64)
-        assert self.calls(bloom_module.BloomFilter, 640) == small
-        oracle = self.calls(PackedBloomFilter, 64)
-        assert self.calls(PackedBloomFilter, 640) > oracle + 3 * 576
+        assert self.calls(640) == self.calls(64)
 
 
 def scan_mix_store(policy: str) -> DB:
@@ -875,8 +861,8 @@ class TestStackTax:
     ``offer`` / ``pop`` / ``complete`` / ``admission_bound`` per request,
     a selection and two counter reads per replayed chunk and a
     ``_next_page`` per programmed page (32.0, ``tests/_serve_oracle.py``,
-    ``tests/_pump_oracle.ChunkReplayScheduler``,
-    ``tests/_flash_oracle.py``).  Counts, never timings.
+    ``tests/_pump_oracle.ChunkReplayScheduler`` and the page-at-a-time
+    FTL).  Counts, never timings.
     """
 
     @staticmethod
@@ -965,15 +951,12 @@ class TestStackTax:
 
     def test_sixteen_pages_in_one_block_cost_the_calls_of_one(self):
         """A host write programs the open block's free pages as one run:
-        16 pages make the 16 calls 1 page makes.  Page at a time
-        (``tests/_flash_oracle.py``) they made 61."""
+        16 pages make the 16 calls 1 page makes."""
 
-        def calls(pages: int, oracle: bool = False) -> int:
+        def calls(pages: int) -> int:
             spec = FlashSpec(page_bytes=256, pages_per_block=64,
                              logical_bytes=1024 * 1024)
             device = SimulatedSSD(DeviceConfig(flash=spec))
-            if oracle:
-                OracleFTL.install(device)
             device.write(256, FLUSH_WRITE, sequential=True, owner="a")  # opens a block
             made = calls_made(lambda: device.write(
                 pages * 256, FLUSH_WRITE, sequential=True, owner="b"))
@@ -982,7 +965,6 @@ class TestStackTax:
             return made
 
         assert calls(16) == calls(1)
-        assert calls(16, oracle=True) > calls(1, oracle=True) + 16
 
     @pytest.mark.parametrize("sampling", [(1, None), (4, 500)])
     def test_recording_a_batch_costs_the_same_calls_at_any_size(self, sampling):

@@ -140,6 +140,12 @@ class TestOverlapQueries:
         version.add_file(1, a)
         assert version.overlapping(1, None, None) == [a]
 
+    def test_result_is_a_fresh_list(self, version):
+        version.add_file(1, table_over(0, 10))
+        version.add_file(1, table_over(20, 30))
+        version.overlapping(1, None, None).clear()
+        assert version.num_files(1) == 2
+
     def test_level0_returned_in_age_order(self, version):
         a = table_over(0, 10)
         b = table_over(0, 10)

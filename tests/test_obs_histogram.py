@@ -32,6 +32,23 @@ class TestBucketBoundaries:
         assert hist.bucket_index(4.0) == 2
         assert hist.bucket_index(8.0) == 3
 
+    def test_edges_and_neighbours_bucket_as_scalar(self) -> None:
+        """``record_many``'s vectorised ``log`` agrees with ``bucket_index``
+        on every exact edge ``0.5 * 1.05**k`` and its float neighbours."""
+        edges = [0.5 * 1.05**k for k in range(420)]
+        values = [0.0, 0.5] + [
+            float(value)
+            for edge in edges
+            for value in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf))
+        ]
+        hist = LatencyHistogram(1.05, 0.5)
+        hist.record_many(values)
+        expected: dict = {}
+        for value in values:
+            index = hist.bucket_index(value)
+            expected[index] = expected.get(index, 0) + 1
+        assert hist._buckets == expected
+
     def test_monotone_in_value(self) -> None:
         hist = LatencyHistogram()
         indices = [hist.bucket_index(v) for v in (0.1, 1, 5, 50, 500, 5e6)]
@@ -153,6 +170,6 @@ class TestRecorderIntegration:
         for value in values:
             recorder.record(value)
         assert recorder.histogram.count == len(values)
-        streaming = recorder.streaming_percentiles((99.0,))[99.0]
+        streaming = recorder.histogram.percentiles((99.0,))[99.0]
         exact = recorder.percentile(99.0)
         assert streaming == pytest.approx(exact, rel=recorder.histogram.growth - 1.0)

@@ -34,14 +34,12 @@ import numpy as np
 import pytest
 
 from repro.harness import experiments
-from repro.harness.runner import run_workload as runner_run_workload
 from repro.lsm import bloom
 from repro.lsm.bloom import BloomFilter, key_hashes
 from repro.lsm.config import LSMConfig
 from repro.lsm.db import DB, WriteBatch
 from repro.workload import spec as workloads
 
-from ._runner_oracle import run_workload_per_op
 from .pins import check
 
 GOLDEN_RUN_OPS = 2500
@@ -339,24 +337,3 @@ class TestBatchedGolden:
               (sorted(db.registry.counters().items()), db.clock.now()),
               elapsed_us=db.clock.now(),
               write_amp=db.metrics().write_amplification)
-
-
-class TestChunkedDispatchDifferential:
-    """Chunked runner dispatch must equal per-op dispatch exactly."""
-
-    @pytest.mark.parametrize("policy_name", ["UDC", "LDC"])
-    def test_chunked_equals_per_op(self, policy_name):
-        spec = workloads.rwb(num_operations=1500, key_space=700)
-        config = LSMConfig()
-        chunked = runner_run_workload(spec, _POLICIES[policy_name], config=config)
-        per_op = run_workload_per_op(spec, _POLICIES[policy_name], config=config)
-        assert _snapshot(chunked) == _snapshot(per_op)
-        assert list(chunked.latencies.values) == list(per_op.latencies.values)
-        assert list(chunked.read_latencies.values) == list(
-            per_op.read_latencies.values
-        )
-        assert list(chunked.write_latencies.values) == list(
-            per_op.write_latencies.values
-        )
-        assert chunked.timeline.points() == per_op.timeline.points()
-        assert chunked.metrics.counters == per_op.metrics.counters

@@ -247,13 +247,13 @@ def test_one_run_shell():
 
 def test_one_stack_path():
     """A request is a tuple row, the FIFO a ``deque``, the histogram has no
-    bucket memo, and the scheduler replays through one routine — the
-    replaced loops live only in ``tests/_recorder_oracle.py`` /
+    bucket memo, the recorders no shard-only query, and the scheduler
+    replays through one routine — the replaced replay lives only in
     ``tests/_pump_oracle.py``."""
     import collections
     import dataclasses
 
-    from repro.harness.latency import LatencyRecorder
+    from repro.harness.latency import LatencyRecorder, LatencyTimeline
     from repro.obs.histogram import LatencyHistogram
     from repro.sched.scheduler import CompactionScheduler
     from repro.serve import Request, RequestQueue
@@ -269,6 +269,8 @@ def test_one_stack_path():
         assert gone not in LatencyHistogram.__slots__
     for gone in ("_sum", "_min", "_max"):  # the histogram is the one ledger
         assert not hasattr(LatencyRecorder(), gone)
+    assert not hasattr(LatencyRecorder, "streaming_percentiles")
+    assert not hasattr(LatencyTimeline, "merge")
     for gone in ("_earliest_runnable", "_next_start", "_run_chunk"):
         assert not hasattr(CompactionScheduler, gone)
 

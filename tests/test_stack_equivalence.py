@@ -1,39 +1,27 @@
-"""Pair-runs: the composed stack's one-pass routines against their oracles.
+"""Pair-run: the composed stack's serve loop against its oracle.
 
-Two replacements, each compared with the routine it replaced (the
-third, the scheduler's run replay, is pair-run step for step by
+The serve loop that serves a request inline is compared with
+``tests/_serve_oracle.py``'s per-request loop, over the parent's per-chunk
+replay too (the replay itself is pair-run step for step by
 ``tests/test_sched_properties.py`` against ``tests/_pump_oracle.py``):
-
-* the serve loop that serves a request inline — against
-  ``tests/_serve_oracle.py``'s per-request loop, over the parent's FTL
-  and per-chunk replay too: the same ``ServeResult.fingerprint()``,
-  ledger, recorders and trace events, over seeds, rates, queue depths
-  that reject, back-pressure on and off and at slowdown and stop, flash
-  on and off and 0, 1 or 3 background threads;
-* the FTL programming a block run — against ``tests/_flash_oracle.py``'s
-  page-at-a-time programming: every table, counter and gauge after every
-  write and trim, GC relocations, a full device and crash points inside
-  GC charges included.
+the same ``ServeResult.fingerprint()``, ledger, recorders and trace
+events, over seeds, rates, queue depths that reject, back-pressure on
+and off and at slowdown and stop, flash on and off and 0, 1 or 3
+background threads.
 """
-
-from dataclasses import replace
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro import DeviceConfig, FlashSpec, RingBufferSink, SimulatedSSD, Tracer
-from repro.errors import ReproError
-from repro.faults.plan import FaultPlan
+from repro import DeviceConfig, FlashSpec, RingBufferSink, Tracer
 from repro.harness.runner import build_db
 from repro.lsm.config import LSMConfig
 from repro.serve import ServeSpec, poisson_arrivals, serve_workload
-from repro.ssd.metrics import GC_READ, GC_WRITE
 from repro.workload.spec import rwb, scn_rwb, wo
 from repro.workload.ycsb import OP_PUT, OP_RMW, Operation, WorkloadGenerator
 
 from tests.conftest import with_deletes
 
 from . import _serve_oracle as serve_oracle
-from ._flash_oracle import OracleFTL, ftl_state
 from ._pump_oracle import ChunkReplayScheduler
 
 PAIRS = settings(
@@ -43,9 +31,6 @@ PAIRS = settings(
 )
 
 
-# ----------------------------------------------------------------------
-# The serve loop
-# ----------------------------------------------------------------------
 def serve_config(bg_threads: int, throttle: bool) -> LSMConfig:
     """A tiny tree; with ``throttle`` Level 0 slows down at 3 files and
     stops at 5, so admission back-pressures at both states."""
@@ -133,8 +118,8 @@ class TestServeLoop:
 
 
 def serve_pair(spec, serve, ops, bg_threads, throttle, flash):
-    """Serve ``ops`` through this tree and through the parent's stack (serve
-    loop, FTL, replay) from the same arrivals; assert the outcomes equal.  Returns
+    """Serve ``ops`` through this tree and through the parent's serve loop
+    and replay from the same arrivals; assert the outcomes equal.  Returns
     this tree's result and the throttle states its admissions saw."""
     outcomes, states = [], set()
     for oracle in (False, True):
@@ -144,11 +129,8 @@ def serve_pair(spec, serve, ops, bg_threads, throttle, flash):
             profile=DeviceConfig(flash=FLASH) if flash else DeviceConfig(),
             tracer=Tracer([sink]),
         )
-        if oracle:
-            if flash:
-                OracleFTL.install(db.device)
-            if bg_threads:
-                ChunkReplayScheduler.install(db)
+        if oracle and bg_threads:
+            ChunkReplayScheduler.install(db)
         for op in WorkloadGenerator(spec).preload_operations():
             db.put(op.key, op.value)
         db.policy.maybe_compact()
@@ -173,89 +155,3 @@ def serve_pair(spec, serve, ops, bg_threads, throttle, flash):
         db.check_invariants()
     assert outcomes[0] == outcomes[1]
     return result, states
-
-
-# ----------------------------------------------------------------------
-# The FTL
-# ----------------------------------------------------------------------
-TINY = FlashSpec(page_bytes=256, pages_per_block=4, logical_bytes=8 * 1024,
-                 over_provisioning=0.25, gc_reserve_blocks=2)
-
-ftl_ops = st.lists(
-    st.one_of(
-        st.tuples(st.just("write"), st.integers(0, 5),
-                  st.integers(1, 24 * TINY.page_bytes)),
-        st.tuples(st.just("stream"), st.integers(0, 1),
-                  st.integers(1, 3 * TINY.page_bytes)),
-        st.tuples(st.just("trim"), st.integers(0, 5), st.just(0)),
-    ),
-    min_size=1,
-    max_size=60,
-)
-
-
-def ftl_step(device, kind, owner, nbytes):
-    try:
-        if kind == "write":
-            device.write(nbytes, "flush_write", sequential=True, owner=owner)
-        elif kind == "stream":
-            device.write(nbytes, "wal_write", sequential=True,
-                         owner=("wal", owner), stream=True)
-        else:
-            device.trim(owner)
-    except ReproError as error:  # a full device, an injected crash
-        return type(error).__name__, str(error)
-    return None
-
-
-class TestFlashBlockRun:
-    @given(
-        ops=ftl_ops,
-        gc_policy=st.sampled_from(("greedy", "cost_benefit")),
-        crash=st.one_of(
-            st.none(),
-            st.tuples(st.integers(1, 6), st.sampled_from((GC_READ, GC_WRITE))),
-        ),
-    )
-    @settings(max_examples=80, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    def test_block_runs_are_the_page_loop(self, ops, gc_policy, crash):
-        spec = replace(TINY, gc_policy=gc_policy)
-        devices = []
-        for oracle in (False, True):
-            plan = None if crash is None else FaultPlan().crash_at(
-                crash[0], category=crash[1])
-            device = SimulatedSSD(DeviceConfig(flash=spec), fault_plan=plan)
-            if oracle:
-                OracleFTL.install(device)
-            devices.append(device)
-        new, old = devices
-        for kind, owner, nbytes in ops:
-            assert ftl_step(new, kind, owner, nbytes) == ftl_step(old, kind, owner, nbytes)
-            assert ftl_state(new.flash) == ftl_state(old.flash)
-
-    def test_a_fixed_schedule_relocates_crashes_in_gc_and_fills_up(self):
-        """Churn that keeps seven five-page owners live on a 48-page
-        device, so GC relocates (and, crashed at its second write, stops
-        mid-charge) and at times finds nothing to reclaim — both FTLs alike."""
-        schedule = []
-        for n in range(40):
-            schedule.append(("write", n, 5 * TINY.page_bytes))
-            if n >= 7:
-                schedule.append(("trim", n - 7, 0))
-        devices = [
-            SimulatedSSD(DeviceConfig(flash=TINY),
-                         fault_plan=FaultPlan().crash_at(2, category=GC_WRITE))
-            for _ in range(2)
-        ]
-        new, old = devices
-        OracleFTL.install(old)
-        raised = set()
-        for step in schedule:
-            outcome = ftl_step(new, *step)
-            assert outcome == ftl_step(old, *step)
-            assert ftl_state(new.flash) == ftl_state(old.flash)
-            if outcome:
-                raised.add(outcome[0])
-        assert new.registry.counter("flash.gc_pages_relocated") > 0
-        assert raised == {"SimulatedCrash", "FlashFullError"}
