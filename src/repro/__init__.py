@@ -70,7 +70,6 @@ from .lsm import (
     available_policies,
     get_spec,
     make_policy,
-    register_policy,
 )
 from .obs import (
     JsonLinesSink,
@@ -84,15 +83,11 @@ from .obs import (
 from .sched import CompactionScheduler, DeviceChannel
 from .serve import (
     RequestQueue,
-    ServeResult,
     ServeSpec,
     serve_workload,
 )
 from .ssd import (
-    BALANCED_FLASH,
     ENTERPRISE_PCIE,
-    HDD,
-    SATA_SSD,
     DeviceConfig,
     FlashSpec,
     FlashTranslationLayer,
@@ -113,9 +108,7 @@ __all__ = [
     "available_policies",
     "get_spec",
     "make_policy",
-    "register_policy",
     "ServeSpec",
-    "ServeResult",
     "RequestQueue",
     "serve_workload",
     "Slice",
@@ -131,9 +124,6 @@ __all__ = [
     "FlashTranslationLayer",
     "get_profile",
     "ENTERPRISE_PCIE",
-    "SATA_SSD",
-    "BALANCED_FLASH",
-    "HDD",
     "Tracer",
     "TraceEvent",
     "RingBufferSink",

@@ -265,8 +265,6 @@ def _show_btree(out: Dict[str, Dict[str, float]]) -> None:
 
 
 def _run_describe(args: argparse.Namespace) -> None:
-    if args.keys < 1:
-        raise ConfigError("key_space must be positive")
     db = DB(policy="ldc")
     rng = random.Random(0)
     for _ in range(min(args.ops, 20_000)):
@@ -462,13 +460,10 @@ def _run_crashtest(args: argparse.Namespace) -> int:
     read corruptions and requires all of them to be detected via CRC.
     ``--flash`` mounts a deliberately tiny FTL geometry under the store
     so crash points land inside GC relocations too.  Exit status 0 only
-    when both passes hold.  A stride that is not positive fails before
-    either pass.  The corruption pass runs first, so a workload that
-    cannot seed it fails before the sweep; its summary still prints
+    when both passes hold.  The corruption pass runs first, so a workload
+    that cannot seed it fails before the sweep; its summary still prints
     second.
     """
-    if args.every <= 0:
-        raise ConfigError("stride must be positive")
 
     def progress(done: int, total: int) -> None:
         if done % 200 == 0 or done == total:
@@ -647,10 +642,11 @@ EXPERIMENTS: Dict[str, Callable[[argparse.Namespace], Optional[int]]] = {
 
 #: ``(--ops, --keys)`` defaults of the subcommands that do not take the
 #: figures' 20000 / 8000; ``paper_scale`` derives its key space from
-#: ``--ops`` and ignores ``--keys``.
+#: ``--ops`` and ignores ``--keys`` (whose default, like every size,
+#: must still be positive).
 _SIZE_DEFAULTS = {
     "crashtest": (2_000, 200),
-    "paper_scale": (experiments.PAPER_SCALE_OPS, 0),
+    "paper_scale": (experiments.PAPER_SCALE_OPS, 8_000),
 }
 
 def build_parser() -> argparse.ArgumentParser:
@@ -858,6 +854,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     # holds for this call only.
     workers = experiments.default_workers()
     try:
+        for count, message in ((args.ops, "num_operations must be positive"),
+                               (args.keys, "key_space must be positive"),
+                               (args.every, "stride must be positive")):
+            if count < 1:
+                raise ConfigError(message)
         if args.workers is not None:
             experiments.set_default_workers(args.workers)
         return handler(args) or 0

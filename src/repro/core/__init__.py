@@ -12,11 +12,10 @@
 
 from .adaptive import AdaptiveThreshold
 from .frozen import FrozenRegion
-from .primitives import LDCLinkMergeMovement, LDCUnitSelector
+from .primitives import LDCLinkMergeMovement
 from .slice import Slice, attach_slice
 
 __all__ = [
-    "LDCUnitSelector",
     "LDCLinkMergeMovement",
     "Slice",
     "attach_slice",

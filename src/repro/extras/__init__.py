@@ -9,16 +9,10 @@ accumulate more data in small partitions for less write amplification".
 can be measured rather than asserted.
 """
 
-from .partitioned_btree import (
-    BTreeLeaf,
-    EagerAbsorb,
-    LinkedAbsorb,
-    PartitionedBTree,
-)
+from .partitioned_btree import EagerAbsorb, LinkedAbsorb, PartitionedBTree
 
 __all__ = [
     "PartitionedBTree",
-    "BTreeLeaf",
     "EagerAbsorb",
     "LinkedAbsorb",
 ]

@@ -17,10 +17,6 @@ layer, which itself imports this package, and keeping the heavy module
 out of ``repro.faults`` breaks that cycle.
 """
 
-from .plan import DEFAULT_CORRUPTION_MASK, CrashSpec, FaultPlan
+from .plan import FaultPlan
 
-__all__ = [
-    "FaultPlan",
-    "CrashSpec",
-    "DEFAULT_CORRUPTION_MASK",
-]
+__all__ = ["FaultPlan"]

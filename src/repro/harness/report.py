@@ -44,8 +44,3 @@ def _fmt(cell: object) -> str:
 
 def mib(nbytes: float) -> float:
     return nbytes / 2**20
-
-
-def paper_row(label: str, paper_value: str, measured_value: str) -> str:
-    """One 'paper vs measured' comparison line."""
-    return f"  {label:<40} paper: {paper_value:<18} measured: {measured_value}"

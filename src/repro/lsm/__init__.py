@@ -4,11 +4,11 @@ Exposes the database facade, configuration, and the building blocks the
 paper's LDC policy plugs into.
 """
 
-from .bloom import BloomFilter, theoretical_fpr
+from .bloom import BloomFilter
 from .cache import BlockCache
 from .config import KIB, MIB, LSMConfig
 from .db import DB, WriteBatch
-from .keys import clamp_range, in_range, key_successor, ranges_overlap
+from .keys import in_range, key_successor
 from .memtable import MemTable
 from .record import (
     KIND_DELETE,
@@ -26,7 +26,6 @@ from .compaction import (
     available_policies,
     get_spec,
     make_policy,
-    register_policy,
 )
 
 __all__ = [
@@ -39,7 +38,6 @@ __all__ = [
     "SSTable",
     "BloomFilter",
     "BlockCache",
-    "theoretical_fpr",
     "VersionSet",
     "WriteAheadLog",
     "KVRecord",
@@ -49,12 +47,9 @@ __all__ = [
     "delete_record",
     "key_successor",
     "in_range",
-    "ranges_overlap",
-    "clamp_range",
     "CompactionPolicy",
     "PolicySpec",
     "available_policies",
     "get_spec",
     "make_policy",
-    "register_policy",
 ]

@@ -12,38 +12,26 @@ docs/DESIGN_SPACE.md ties each registered composition to the part of
 the paper it models.
 """
 
+# MAX_ROUNDS_PER_PASS is not exported; the chunk-replay oracle under
+# tests/ imports it from here, and is kept unedited until it retires.
 from .base import CompactionPolicy, MAX_ROUNDS_PER_PASS, MaintenanceEngine
 from .primitives import (
     CandidateSelector,
     DataMovement,
-    Layout,
-    Trigger,
     known_primitives,
     register_primitive,
 )
-from .spec import (
-    DEFAULT_POLICY,
-    PolicySpec,
-    available_policies,
-    get_spec,
-    make_policy,
-    register_policy,
-)
+from .spec import PolicySpec, available_policies, get_spec, make_policy
 
 __all__ = [
     "CompactionPolicy",
     "PolicySpec",
-    "DEFAULT_POLICY",
     "available_policies",
     "get_spec",
     "make_policy",
-    "register_policy",
-    "Trigger",
     "CandidateSelector",
     "DataMovement",
-    "Layout",
     "register_primitive",
     "known_primitives",
-    "MAX_ROUNDS_PER_PASS",
     "MaintenanceEngine",
 ]

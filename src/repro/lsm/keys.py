@@ -26,20 +26,6 @@ def in_range(key: bytes, lo: Optional[bytes], hi: Optional[bytes]) -> bool:
     return True
 
 
-def ranges_overlap(
-    a_lo: Optional[bytes],
-    a_hi: Optional[bytes],
-    b_lo: Optional[bytes],
-    b_hi: Optional[bytes],
-) -> bool:
-    """True if half-open intervals ``[a_lo, a_hi)`` and ``[b_lo, b_hi)`` meet."""
-    if a_hi is not None and b_lo is not None and a_hi <= b_lo:
-        return False
-    if b_hi is not None and a_lo is not None and b_hi <= a_lo:
-        return False
-    return True
-
-
 def clamp_range(
     lo: Optional[bytes],
     hi: Optional[bytes],

@@ -4,7 +4,6 @@ from .amplification import (
     ldc_read_amplification,
     ldc_write_amplification,
     optimal_fanout_search,
-    tree_height,
     udc_read_amplification,
     udc_write_amplification,
 )
@@ -22,7 +21,6 @@ from .throughput import (
 )
 
 __all__ = [
-    "tree_height",
     "udc_write_amplification",
     "ldc_write_amplification",
     "udc_read_amplification",

@@ -36,28 +36,20 @@ from .events import (
     EV_TRIVIAL_MOVE,
     TraceEvent,
 )
-from .histogram import DEFAULT_PERCENTILES, LatencyHistogram
+from .histogram import LatencyHistogram
 from .registry import MetricsRegistry
 from .snapshot import MetricsSnapshot
-from .tracer import (
-    JsonLinesSink,
-    RingBufferSink,
-    Tracer,
-    TraceSink,
-    summarize_events,
-)
+from .tracer import JsonLinesSink, RingBufferSink, Tracer, summarize_events
 
 __all__ = [
     "TraceEvent",
     "Tracer",
-    "TraceSink",
     "RingBufferSink",
     "JsonLinesSink",
     "summarize_events",
     "MetricsRegistry",
     "MetricsSnapshot",
     "LatencyHistogram",
-    "DEFAULT_PERCENTILES",
     "ALL_EVENT_KINDS",
     "EV_FLUSH",
     "EV_COMPACTION_ROUND",

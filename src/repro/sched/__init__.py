@@ -9,12 +9,7 @@ LevelDB-style L0 slowdown/stop throttling.  With the default
 ``bg_threads=0`` nothing here runs.
 """
 
-from .scheduler import BackgroundThread, CompactionScheduler, CompactionTask
+from .scheduler import CompactionScheduler
 from ..ssd.clock import DeviceChannel
 
-__all__ = [
-    "BackgroundThread",
-    "CompactionScheduler",
-    "CompactionTask",
-    "DeviceChannel",
-]
+__all__ = ["CompactionScheduler", "DeviceChannel"]

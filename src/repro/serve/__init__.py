@@ -8,22 +8,12 @@ the regime where compaction interference turns into SLO violations.
 See ``docs/SERVING.md`` for the model and its caveats.
 """
 
-from .arrivals import PoissonProcess, poisson_arrivals
-from .queue import QueueStats, Request, RequestQueue
-from .server import (
-    WRITE_KINDS,
-    ServeResult,
-    ServeSpec,
-    serve_workload,
-)
+from .arrivals import poisson_arrivals
+from .queue import RequestQueue
+from .server import ServeSpec, serve_workload
 
 __all__ = [
-    "WRITE_KINDS",
-    "PoissonProcess",
-    "QueueStats",
-    "Request",
     "RequestQueue",
-    "ServeResult",
     "ServeSpec",
     "poisson_arrivals",
     "serve_workload",

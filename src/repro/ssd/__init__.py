@@ -14,7 +14,6 @@ from .flash import (
     FlashTranslationLayer,
 )
 from .metrics import (
-    ALL_CATEGORIES,
     COMPACTION_READ,
     COMPACTION_WRITE,
     FLUSH_WRITE,
@@ -24,27 +23,14 @@ from .metrics import (
     USER_SCAN,
     WAL_WRITE,
 )
-from .profile import (
-    BALANCED_FLASH,
-    ENTERPRISE_PCIE,
-    HDD,
-    PROFILES,
-    SATA_SSD,
-    SSDProfile,
-    get_profile,
-)
+from .profile import ENTERPRISE_PCIE, SSDProfile, get_profile
 
 __all__ = [
     "SimClock",
     "SimulatedSSD",
     "SSDProfile",
     "get_profile",
-    "PROFILES",
     "ENTERPRISE_PCIE",
-    "SATA_SSD",
-    "BALANCED_FLASH",
-    "HDD",
-    "ALL_CATEGORIES",
     "USER_READ",
     "USER_SCAN",
     "WAL_WRITE",

@@ -23,18 +23,6 @@ COMPACTION_WRITE = "compaction_write"
 GC_READ = "gc_read"
 GC_WRITE = "gc_write"
 
-ALL_CATEGORIES: Tuple[str, ...] = (
-    USER_READ,
-    USER_SCAN,
-    WAL_WRITE,
-    WAL_READ,
-    FLUSH_WRITE,
-    COMPACTION_READ,
-    COMPACTION_WRITE,
-    GC_READ,
-    GC_WRITE,
-)
-
 
 def category_keys(direction: str, category: str) -> Tuple[str, str, str]:
     """The ``(ops, bytes, time_us)`` counter keys of one I/O stream."""

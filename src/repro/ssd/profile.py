@@ -107,8 +107,10 @@ SATA_SSD = SSDProfile(
     write_overhead_us=90.0,
 )
 
-#: Hypothetical device with symmetric read/write performance.  Used by the
-#: asymmetry ablation: on such a device LDC's read-for-write trade buys less.
+#: Hypothetical device with symmetric read/write performance: on such a
+#: device LDC's read-for-write trade buys less.  Reachable by name
+#: (``repro explore --profiles balanced-flash``); the asymmetry ablation
+#: scales ``ENTERPRISE_PCIE``'s write bandwidth instead.
 BALANCED_FLASH = SSDProfile(
     name="balanced-flash",
     read_bandwidth_mbps=500.0,

@@ -1,26 +1,15 @@
 """YCSB-like workload generation (the paper's Table III)."""
 
-from .keydist import (
-    KeyDistribution,
-    UniformKeys,
-    ZipfKeys,
-    make_distribution,
-)
+from .keydist import make_distribution
 from .spec import (
-    DIST_UNIFORM,
-    DIST_ZIPF,
-    PAPER_KEY_BYTES,
-    PAPER_SCAN_LENGTH,
     PAPER_VALUE_BYTES,
     TABLE_III,
     WorkloadSpec,
     rh,
     ro,
     rwb,
-    scn_rh,
     scn_rwb,
     scn_wh,
-    wh,
     wo,
 )
 from .ycsb import (
@@ -39,22 +28,13 @@ __all__ = [
     "Operation",
     "TABLE_III",
     "wo",
-    "wh",
     "rwb",
     "rh",
     "ro",
     "scn_wh",
     "scn_rwb",
-    "scn_rh",
-    "KeyDistribution",
-    "UniformKeys",
-    "ZipfKeys",
     "make_distribution",
-    "DIST_UNIFORM",
-    "DIST_ZIPF",
-    "PAPER_KEY_BYTES",
     "PAPER_VALUE_BYTES",
-    "PAPER_SCAN_LENGTH",
     "OP_PUT",
     "OP_GET",
     "OP_SCAN",

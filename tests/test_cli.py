@@ -245,6 +245,9 @@ class TestErrorTyping:
             ("fig10a --ops 0", "num_operations must be positive"),
             ("paper_scale --ops 0", "num_operations must be positive"),
             ("crashtest --every 0", "stride must be positive"),
+            ("crashtest --keys 0", "key_space must be positive"),
+            ("crashtest --ops 0", "num_operations must be positive"),
+            ("describe --ops -5", "num_operations must be positive"),
             # No store this small flushes, so no block is ever read.
             ("crashtest --ops 500 --keys 60", "performed no reads"),
         ],

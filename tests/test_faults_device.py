@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import ConfigError, SimulatedCrash
-from repro.faults import CrashSpec, FaultPlan
+from repro.faults import FaultPlan
+from repro.faults.plan import CrashSpec
 from repro.ssd.device import SimulatedSSD
 from repro.ssd.metrics import FLUSH_WRITE, USER_READ, WAL_WRITE
 from repro.ssd.profile import ENTERPRISE_PCIE

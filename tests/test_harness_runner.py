@@ -4,7 +4,7 @@ import pickle
 
 import pytest
 
-from repro.harness.report import format_table, mib, paper_row
+from repro.harness.report import format_table, mib
 from repro.harness.runner import build_db, run_workload
 from repro.lsm.config import LSMConfig
 from repro.workload import OP_RMW, Operation, WorkloadGenerator, ro, rwb, scn_rwb, wo
@@ -211,7 +211,3 @@ class TestReportHelpers:
 
     def test_mib(self):
         assert mib(2**20) == 1.0
-
-    def test_paper_row(self):
-        row = paper_row("P99.9", "469.66us", "123.4us")
-        assert "paper" in row and "measured" in row

@@ -25,7 +25,7 @@ round, and that its output files lay out no block until something reads
 one.  ``TestStackTax`` pins what the wrappers around the engine — serve
 loop, arrival merge, scheduler replay, FTL programming, recorders — add
 to a served request, a replayed chunk, a programmed page and a recorded
-batch (against ``tests/_serve_oracle.py`` and ``tests/_pump_oracle.py``).
+batch (the chunk replay against ``tests/_pump_oracle.py``).
 """
 
 import cProfile
@@ -62,7 +62,6 @@ from repro.workload.spec import rwb
 from repro.workload.ycsb import WorkloadGenerator
 
 from . import _ldc_oracle as ldc_oracle
-from . import _serve_oracle as serve_oracle
 from . import _write_oracle as write_oracle
 from ._lookup_oracle import oracle_get
 from ._pump_oracle import ChunkReplayScheduler
@@ -860,16 +859,18 @@ class TestStackTax:
     a heap pop and push per arrival, ``serve_one`` / ``_execute`` /
     ``offer`` / ``pop`` / ``complete`` / ``admission_bound`` per request,
     a selection and two counter reads per replayed chunk and a
-    ``_next_page`` per programmed page (32.0, ``tests/_serve_oracle.py``,
+    ``_next_page`` per programmed page (32.0, the per-request loop over
     ``tests/_pump_oracle.ChunkReplayScheduler`` and the page-at-a-time
     FTL).  Counts, never timings.
     """
 
-    @staticmethod
-    def stack_calls_per_request(serve_workload, files=STACK_FILES) -> float:
+    def test_stack_layers_cost_at_most_20_calls_per_served_request(self):
         """Open-loop Poisson serve over ``bg_threads=1`` + mounted flash:
-        calls of functions in the stack's ``files`` plus the builtins they
-        call directly, per request."""
+        calls of functions in the stack's files plus the builtins they call
+        directly, per request.  Measured 10.4: a ``take``, a ledger row, a
+        depth check and a ``push`` per request, a write's throttle read,
+        the scheduler's poll.  The per-request loop and heap merge measured
+        28.9 over this tree's scheduler and FTL (32.0 over the parent's)."""
         spec = rwb(num_operations=4_000, key_space=1_500, preload_keys=1_500,
                    seed=11)
         serve = ServeSpec(arrival="poisson", rate_ops_s=8_000.0,
@@ -889,23 +890,14 @@ class TestStackTax:
         for entry in profiler.getstats():
             code = entry.code
             if isinstance(code, str) or not any(
-                part in code.co_filename.replace("\\", "/") for part in files
+                part in code.co_filename.replace("\\", "/") for part in STACK_FILES
             ):
                 continue
             stack += entry.callcount + sum(
                 sub.callcount for sub in entry.calls or ()
                 if isinstance(sub.code, str)
             )
-        return stack / 4_000
-
-    def test_stack_layers_cost_at_most_20_calls_per_served_request(self):
-        """Measured 10.4: a ``take``, a ledger row, a depth check and a
-        ``push`` per request, a write's throttle read, the scheduler's poll.
-        The per-request loop and heap merge measure 28.9 over this tree's
-        scheduler and FTL (32.0 over the parent's)."""
-        assert self.stack_calls_per_request(serve_workload) <= 20
-        oracle_files = STACK_FILES + ("/tests/_serve_oracle.py",)
-        assert self.stack_calls_per_request(serve_oracle.serve_workload, oracle_files) > 20
+        assert stack / 4_000 <= 20
 
     def test_idle_scheduler_costs_comparisons_only(self):
         """Nothing in flight, policy idle: ``on_operation`` calls nothing

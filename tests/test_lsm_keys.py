@@ -2,7 +2,7 @@
 
 from hypothesis import given, strategies as st
 
-from repro.lsm.keys import clamp_range, in_range, key_successor, ranges_overlap
+from repro.lsm.keys import clamp_range, in_range, key_successor
 
 keys = st.binary(min_size=1, max_size=8)
 maybe_key = st.one_of(st.none(), keys)
@@ -44,32 +44,6 @@ class TestInRange:
     def test_matches_naive_definition(self, key, lo, hi):
         expected = (lo is None or key >= lo) and (hi is None or key < hi)
         assert in_range(key, lo, hi) == expected
-
-
-class TestRangesOverlap:
-    def test_disjoint(self):
-        assert not ranges_overlap(b"a", b"b", b"b", b"c")
-
-    def test_touching_is_disjoint_for_half_open(self):
-        assert not ranges_overlap(b"a", b"m", b"m", b"z")
-
-    def test_nested(self):
-        assert ranges_overlap(b"a", b"z", b"m", b"n")
-
-    def test_unbounded_overlaps_everything(self):
-        assert ranges_overlap(None, None, b"q", b"r")
-
-    @given(maybe_key, maybe_key, maybe_key, maybe_key, keys)
-    def test_witness_implies_overlap(self, a_lo, a_hi, b_lo, b_hi, witness):
-        """Any key in both ranges proves they overlap."""
-        if in_range(witness, a_lo, a_hi) and in_range(witness, b_lo, b_hi):
-            assert ranges_overlap(a_lo, a_hi, b_lo, b_hi)
-
-    @given(maybe_key, maybe_key, maybe_key, maybe_key)
-    def test_symmetry(self, a_lo, a_hi, b_lo, b_hi):
-        assert ranges_overlap(a_lo, a_hi, b_lo, b_hi) == ranges_overlap(
-            b_lo, b_hi, a_lo, a_hi
-        )
 
 
 class TestClampRange:

@@ -16,12 +16,12 @@ from repro.model import (
     optimal_fanout_search,
     paper_example_2c3,
     total_throughput,
-    tree_height,
     udc_read_amplification,
     udc_vs_ldc_tail_ratio,
     udc_write_amplification,
     write_tail_latency_us,
 )
+from repro.model.amplification import tree_height
 
 GIB = float(2**30)
 MIB = float(2**20)

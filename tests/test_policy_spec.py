@@ -18,10 +18,9 @@ from repro import (
     available_policies,
     get_spec,
     make_policy,
-    register_policy,
 )
 from repro.errors import ConfigError
-from repro.lsm.compaction.spec import _REGISTRY
+from repro.lsm.compaction.spec import _REGISTRY, register_policy
 from repro.lsm.config import LSMConfig
 
 EXPECTED_POLICIES = ("delayed", "ldc", "tiered", "udc")
@@ -54,9 +53,7 @@ def doc_example(heading: str) -> dict:
 
 def doc_example_spec() -> PolicySpec:
     """Run docs/DESIGN_SPACE.md's ``PolicySpec`` example; return its spec."""
-    spec = doc_example("PolicySpec")["spec"]
-    _REGISTRY.pop(spec.name)
-    return spec
+    return doc_example("PolicySpec")["spec"]
 
 
 class TestRegistry:

@@ -32,22 +32,52 @@ last wrappers only tests called (no ``DB.multi_get``, no
 write path's forks (one WAL append, one memtable insert: no batched
 append or sorted bulk load), the CPU cost knob (no ``CostModel`` or
 ``LSMConfig.costs``) and the record helpers only tests called.
+
+And what is exported is what the repository uses: every name in an
+``__all__`` has a user in ``src/``, ``examples/``, ``benchmarks/`` or
+``bench/`` besides its own module and the package ``__init__`` files, or
+an entry in :data:`ALLOWED` that says why not.  A name only tests need is
+imported from its module; one nothing but its own tests called is gone.
 """
 
 import ast
 import dataclasses
 import importlib
+import importlib.util
 import inspect
 import pathlib
 import pkgutil
+import tokenize
 
 import pytest
 
 import repro
 from repro.lsm.compaction import CompactionPolicy
 
-PACKAGES = ("repro", "repro.lsm", "repro.lsm.compaction", "repro.core",
-            "repro.harness", "repro.serve")
+#: Every ``repro`` module with an ``__all__`` (``repro`` itself first).
+PACKAGES = tuple(
+    name
+    for name in ("repro", *(info.name for info in pkgutil.walk_packages(
+        repro.__path__, "repro.") if info.name != "repro.__main__"))
+    if hasattr(importlib.import_module(name), "__all__")
+)
+
+#: Where a user of an exported name may live.
+USER_TREES = ("src", "examples", "benchmarks", "bench")
+
+#: Exported names with no user outside ``tests/``, and why each stays.
+ALLOWED = {
+    "AdmissionError": "the base of both admission refusals (QueueFullError, "
+                      "BackpressureError): a serve caller catches either with it",
+    **dict.fromkeys(
+        ("udc_read_amplification", "ldc_read_amplification",
+         "optimal_fanout_search", "lsm_write_throughput", "lsm_read_throughput",
+         "paper_example_2c3", "compaction_round_bytes", "ldc_round_bytes",
+         "write_tail_latency_us", "udc_vs_ldc_tail_ratio"),
+        "the analytical model's unclaimed formulas: ROADMAP item 24 turns "
+        "each into a claim row or deletes it",
+    ),
+}
 
 
 @pytest.mark.parametrize("package", PACKAGES)
@@ -195,7 +225,8 @@ def test_one_run_shell():
     from repro import cli
     from repro.faults.crashtest import run_crashtest
     from repro.harness.runner import RunResult, run_workload
-    from repro.serve import ServeResult, serve_workload
+    from repro.serve import serve_workload
+    from repro.serve.server import ServeResult
 
     gone = {"ShardTask", "ShardedRunReport", "ShardedServeReport",
             "merge_shard_results", "merge_serve_results", "PolicyFactory",
@@ -256,7 +287,8 @@ def test_one_stack_path():
     from repro.harness.latency import LatencyRecorder, LatencyTimeline
     from repro.obs.histogram import LatencyHistogram
     from repro.sched.scheduler import CompactionScheduler
-    from repro.serve import Request, RequestQueue
+    from repro.serve import RequestQueue
+    from repro.serve.queue import Request
 
     assert not dataclasses.is_dataclass(Request) and issubclass(Request, tuple)
     assert Request._fields == ("arrival_us", "operation")
@@ -410,7 +442,8 @@ def test_only_the_traffic_that_runs():
     import repro.serve
     from repro import errors, workload
     from repro.errors import BackpressureError, ConfigError, WorkloadError
-    from repro.serve import ServeResult, ServeSpec, arrivals, queue, server
+    from repro.serve import ServeSpec, arrivals, queue, server
+    from repro.serve.server import ServeResult
     from repro.workload import keydist, spec, ycsb
 
     gone = {"Tenant", "TenantServeStats", "OnOffProcess", "DiurnalProcess",
@@ -492,13 +525,70 @@ def test_only_the_engine_surface_that_runs():
 def exported_names() -> dict:
     """Every name in any ``repro`` module's ``__all__``, with its modules."""
     exported = {}
-    for info in pkgutil.walk_packages(repro.__path__, "repro."):
-        if info.name == "repro.__main__":
-            continue
-        module = importlib.import_module(info.name)
-        for name in getattr(module, "__all__", ()):
-            exported.setdefault(name, []).append(info.name)
+    for package in PACKAGES:
+        for name in importlib.import_module(package).__all__:
+            exported.setdefault(name, []).append(package)
     return exported
+
+
+def home_file(package: str, name: str) -> pathlib.Path:
+    """The module that binds ``name`` for ``package``: the package
+    ``__init__`` files' ``from ... import`` chain, followed to its end."""
+    path = pathlib.Path(importlib.import_module(package).__file__)
+    while path.name == "__init__.py":
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ImportFrom) and name in {
+                alias.asname or alias.name for alias in node.names
+            }:
+                package = importlib.util.resolve_name(
+                    "." * node.level + (node.module or ""), package)
+                if node.module is None:  # ``from . import <submodule>``
+                    package += "." + name
+                break
+        else:
+            return path  # bound by the ``__init__`` itself
+        path = pathlib.Path(importlib.import_module(package).__file__)
+    return path
+
+
+def identifiers_by_file() -> dict:
+    """The identifiers each Python file of the user trees spells (names and
+    attributes; strings and comments do not count), package ``__init__``
+    files left out."""
+    root = pathlib.Path(repro.__file__).resolve().parents[2]
+    found = {}
+    for tree in USER_TREES:
+        for path in sorted((root / tree).rglob("*.py")):
+            if path.name != "__init__.py":
+                with open(path, encoding="utf-8") as handle:
+                    found[path] = {
+                        token.string for token in tokenize.generate_tokens(handle.readline)
+                        if token.type == tokenize.NAME
+                    }
+    return found
+
+
+def unused_exports() -> dict:
+    """Each exported name no file of the user trees spells, bar its own
+    module, with the packages that export it."""
+    files = identifiers_by_file()
+    unused = {}
+    for name, packages in exported_names().items():
+        homes = {home_file(package, name).resolve() for package in packages}
+        if not any(name in names for path, names in files.items()
+                   if path not in homes):
+            unused[name] = packages
+    return unused
+
+
+def test_every_exported_name_has_a_user_outside_tests():
+    """A name only tests import is imported from its module, not exported;
+    one nothing but its own tests calls is deleted with them."""
+    assert all(reason.strip() for reason in ALLOWED.values())
+    unused = unused_exports()
+    assert {name: packages for name, packages in unused.items()
+            if name not in ALLOWED} == {}
+    assert set(ALLOWED) <= set(unused), "a used name needs no ALLOWED entry"
 
 
 def test_only_the_faults_crashtest_injects():

@@ -1,4 +1,4 @@
-"""Frozen answers of six replaced routines.
+"""Frozen answers of seven replaced routines.
 
 Each replacement below was pair-run against the routine it replaced (kept
 under ``tests/`` as a reference) until both had gone unedited long enough
@@ -28,7 +28,16 @@ the replaced routine's answer to the whole corpus.
   device and crash points inside GC charges;
 * ``runner`` — the chunked measurement loop: every operation kind,
   chunk boundaries, stall attribution with a background thread, sampled
-  recorders.
+  recorders;
+* ``serve`` / ``serve_threaded`` — the one-pass serve loop (against the
+  per-request loop it replaced, over the chunk replay of
+  ``tests/_pump_oracle.py`` with threads): every throttle x flash x scans
+  cell at drawn rates (2k-80k ops/s), queue depths (1-12), read-modify-
+  write strides, seeds and SLOs, with zero threads and with one and
+  three, plus write bursts that fill the queue and back-pressure at
+  slowdown and stop; each answer includes the store's contents, which
+  the pair-run did not compare.  The threaded runs are a case of their
+  own, so a change to the background replay re-pins that case alone.
 
 Re-pin on purpose with ``PYTHONPATH=src python -m tests.pins --write
 "<reason>"``.
@@ -46,13 +55,13 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from repro import DeviceConfig, FlashSpec, SimulatedSSD
+from repro import DeviceConfig, FlashSpec, RingBufferSink, SimulatedSSD, Tracer
 from repro.core.primitives import LDCLinkMergeMovement
 from repro.errors import ReproError
 from repro.faults.plan import FaultPlan
 from repro.harness import latency
 from repro.harness.latency import LatencyRecorder, LatencyTimeline
-from repro.harness.runner import run_workload
+from repro.harness.runner import prepare_db, run_workload
 from repro.lsm.bloom import BloomFilter, key_hashes
 from repro.lsm.compaction.columnar import merge_windows
 from repro.lsm.config import LSMConfig
@@ -60,8 +69,9 @@ from repro.lsm.record import delete_record, put_record
 from repro.lsm.sstable import SSTable
 from repro.lsm.version import VersionSet
 from repro.obs.histogram import LatencyHistogram
+from repro.serve import ServeSpec, serve_workload
 from repro.ssd.metrics import GC_READ, GC_WRITE
-from repro.workload.spec import rwb, scn_rwb
+from repro.workload.spec import rwb, scn_rwb, wo
 from repro.workload.ycsb import OP_PUT, OP_RMW, Operation, WorkloadGenerator
 
 from tests.conftest import with_deletes
@@ -561,6 +571,134 @@ def runner_answers() -> list:
     return answers
 
 
+# ----------------------------------------------------------------------
+# serve: the one-pass serve loop over rates, depths, throttling and flash
+# ----------------------------------------------------------------------
+SERVE_FLASH = FlashSpec(page_bytes=512, pages_per_block=8, logical_bytes=1 << 20)
+
+
+def serve_config(bg_threads: int, throttle: bool) -> LSMConfig:
+    """A tiny tree; with ``throttle`` Level 0 slows down at 3 files and
+    stops at 5, so admission back-pressures at both states."""
+    triggers = (
+        dict(l0_compaction_trigger=2, l0_slowdown_trigger=3, l0_stop_trigger=5)
+        if throttle else {}
+    )
+    return LSMConfig(
+        memtable_bytes=2048, sstable_target_bytes=2048, block_bytes=512,
+        fan_out=4, level1_capacity_bytes=4096, max_levels=6,
+        bg_threads=bg_threads, **triggers,
+    )
+
+
+def serve_operations(spec, rmw_every: int) -> list:
+    """The spec's stream with every tenth put made a delete, then every
+    ``rmw_every``-th operation that is still a put a read-modify-write."""
+    ops = with_deletes(WorkloadGenerator(spec).operations(), 10)
+    if rmw_every:
+        ops = [
+            Operation(OP_RMW, op.key, op.value if n % 2 else None)
+            if op.kind == OP_PUT and not n % rmw_every else op
+            for n, op in enumerate(ops)
+        ]
+    return ops
+
+
+def serve_outcome(result, sink, db) -> tuple:
+    """What a serve run computed: the result, its recorders, the trace and
+    the store's contents."""
+
+    def recorder(rec):
+        hist = rec.histogram
+        return (list(rec.values), len(rec), hist.count, hist.total,
+                hist._min, hist._max, sorted(hist._buckets.items()))
+
+    return (
+        result.fingerprint(),
+        result.summary(),
+        result.slo_violations,
+        [recorder(r) for r in (result.wait_latencies, result.service_latencies,
+                               result.total_latencies)],
+        [(e.kind, e.t_us, e.fields) for e in sink.events],
+        list(db.logical_items()),
+    )
+
+
+def serve_run(spec, serve, ops, bg_threads, throttle, flash) -> tuple:
+    """Serve ``ops`` on a preloaded, traced LDC store; the outcome."""
+    sink = RingBufferSink()
+    db = prepare_db(
+        "ldc", WorkloadGenerator(spec).preload_operations(),
+        serve_config(bg_threads, throttle),
+        DeviceConfig(flash=SERVE_FLASH) if flash else DeviceConfig(),
+        tracer=Tracer([sink]),
+    )
+    result = serve_workload(spec, "ldc", serve, db=db, operations=ops)
+    db.check_invariants()
+    return serve_outcome(result, sink, db)
+
+
+def serve_cases(rng, bg_threads: tuple) -> list:
+    """Every throttle x flash x scans cell once per thread count, with the
+    rate (2k-80k ops/s, log-uniform), queue depth (1-12), read-modify-write
+    stride, seed and SLO (20-3,000 us) drawn.  The first four cases sit on
+    the edges: depth 1 at 80k ops/s, depth 12 at 2k, depth 1 under a 20 us
+    SLO, and 80k ops/s under a 3,000 us SLO."""
+    cases = []
+    for threads in bg_threads:
+        for cell in range(8):
+            throttle, flash, scans = bool(cell & 4), bool(cell & 2), bool(cell & 1)
+            cases.append(dict(
+                rate=2_000.0 * 40 ** rng.random(),
+                queue_depth=rng.randint(1, 12), throttle=throttle, flash=flash,
+                bg_threads=threads, scans=scans, rmw_every=rng.choice((0, 5)),
+                seed=rng.randint(0, 2**16), slo_us=20.0 * 150 ** rng.random(),
+            ))
+    edges = (dict(queue_depth=1, rate=80_000.0), dict(queue_depth=12, rate=2_000.0),
+             dict(queue_depth=1, slo_us=20.0), dict(rate=80_000.0, slo_us=3_000.0))
+    for case, edge in zip(cases, edges):
+        case.update(edge)
+    return cases
+
+
+def serve_case_answer(case) -> tuple:
+    make = scn_rwb if case["scans"] else rwb
+    spec = make(num_operations=240, key_space=120, preload_keys=120,
+                value_bytes=90, key_bytes=12, scan_length=8, seed=case["seed"])
+    serve = ServeSpec(rate_ops_s=case["rate"], seed=case["seed"],
+                      queue_depth=case["queue_depth"], slo_us=case["slo_us"])
+    return serve_run(spec, serve, serve_operations(spec, case["rmw_every"]),
+                     case["bg_threads"], case["throttle"], case["flash"])
+
+
+def write_burst(bg_threads: int, flash: bool, rate: float, queue_depth: int,
+                seed: int) -> tuple:
+    """300-byte puts fast enough to fill Level 0: with a background thread
+    the queue fills, and admission back-pressures at slowdown and stop."""
+    spec = wo(num_operations=1_500, key_space=300, preload_keys=300,
+              value_bytes=300, key_bytes=12, seed=seed)
+    serve = ServeSpec(rate_ops_s=rate, queue_depth=queue_depth, seed=seed)
+    return serve_run(spec, serve, list(WorkloadGenerator(spec).operations()),
+                     bg_threads, True, flash)
+
+
+def serve_answers() -> list:
+    answers = [serve_case_answer(case)
+               for case in serve_cases(random.Random(16), (0,))]
+    answers.append(write_burst(0, True, 20_000.0, 3, 5))
+    return answers
+
+
+def serve_threaded_answers() -> list:
+    """The same cells over one and three background threads, and two write
+    bursts that reject at a full queue and back-pressure."""
+    answers = [serve_case_answer(case)
+               for case in serve_cases(random.Random(17), (1, 3))]
+    answers.append(write_burst(1, True, 20_000.0, 3, 5))
+    answers.append(write_burst(3, False, 40_000.0, 6, 9))
+    return answers
+
+
 CORPORA = {
     "version": version_answers,
     "merge": merge_answers,
@@ -568,6 +706,8 @@ CORPORA = {
     "bloom": bloom_answers,
     "flash": flash_answers,
     "runner": runner_answers,
+    "serve": serve_answers,
+    "serve_threaded": serve_threaded_answers,
 }
 PIN_CASES = [f"retired_oracles/{name}" for name in CORPORA]
 

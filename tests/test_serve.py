@@ -9,23 +9,24 @@ decomposition and its SLO accounting.
 import numpy as np
 import pytest
 
-from repro import BackpressureError, ConfigError, DB, QueueFullError
+from repro import (
+    BackpressureError,
+    ConfigError,
+    DB,
+    DeviceConfig,
+    FlashSpec,
+    QueueFullError,
+)
 from repro.errors import AdmissionError
 from repro.harness.latency import LatencyRecorder
-from repro.harness.runner import run_workload
+from repro.harness.runner import prepare_db, run_workload
 from repro.lsm.config import LSMConfig
-from repro.serve import (
-    WRITE_KINDS,
-    PoissonProcess,
-    Request,
-    RequestQueue,
-    ServeSpec,
-    poisson_arrivals,
-    serve_workload,
-)
-from repro.serve.server import RECORD_BATCH, _write_admission
-from repro.workload import rwb
-from repro.workload.ycsb import OP_GET, Operation
+from repro.serve import RequestQueue, ServeSpec, poisson_arrivals, serve_workload
+from repro.serve.arrivals import PoissonProcess
+from repro.serve.queue import Request
+from repro.serve.server import RECORD_BATCH, WRITE_KINDS, _write_admission
+from repro.workload import rwb, wo
+from repro.workload.ycsb import OP_GET, Operation, WorkloadGenerator
 
 
 def rng(seed: int = 0) -> np.random.Generator:
@@ -316,6 +317,33 @@ class TestServeWorkload:
         assert result.rejection_rate > 0.0
         # Rejections count as SLO violations.
         assert result.slo_violation_rate >= result.rejection_rate
+
+    def test_a_fixed_pair_rejects_and_back_pressures_at_both_states(self):
+        """A full queue, then back-pressure at slowdown and at stop.  (Each
+        operation first replays the background work its idle gap owes, so
+        90-byte values no longer fill Level 0 to the stop trigger at any
+        rate; 300-byte values do, from 15k to 25k ops/s.)"""
+        spec = wo(num_operations=1_500, key_space=300, preload_keys=300,
+                  value_bytes=300, key_bytes=12, seed=5)
+        config = tiny_config(bg_threads=1, l0_compaction_trigger=2,
+                             l0_slowdown_trigger=3, l0_stop_trigger=5)
+        flash = FlashSpec(page_bytes=512, pages_per_block=8, logical_bytes=1 << 20)
+        db = prepare_db("ldc", WorkloadGenerator(spec).preload_operations(),
+                        config, DeviceConfig(flash=flash))
+        states = set()
+        throttle_state = db.throttle_state
+
+        def noting():
+            state = throttle_state()
+            states.add(state)
+            return state
+
+        db.throttle_state = noting
+        serve = ServeSpec(rate_ops_s=20_000.0, queue_depth=3, seed=5)
+        result = serve_workload(spec, "ldc", serve, db=db)
+        assert result.rejected_full > 0
+        assert result.rejected_backpressure > 0
+        assert states == {"none", "slowdown", "stop"}
 
     @pytest.mark.parametrize(
         "serve",

@@ -28,7 +28,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.errors import ConfigError, QueueFullError
-from repro.serve import PoissonProcess, Request, RequestQueue, poisson_arrivals
+from repro.serve import RequestQueue, poisson_arrivals
+from repro.serve.arrivals import PoissonProcess
+from repro.serve.queue import Request
 from repro.workload.ycsb import OP_GET, Operation
 
 LOOSE = settings(
