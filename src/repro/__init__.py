@@ -48,15 +48,12 @@ b'hello'
 
 from .core import AdaptiveThreshold, FrozenRegion, Slice
 from .errors import (
-    AdmissionError,
-    BackpressureError,
     ClosedError,
     CompactionError,
     ConfigError,
     DeviceError,
     EngineError,
     FlashFullError,
-    QueueFullError,
     ReproError,
     UnknownPolicyError,
     WorkloadError,
@@ -82,7 +79,6 @@ from .obs import (
 )
 from .sched import CompactionScheduler, DeviceChannel
 from .serve import (
-    RequestQueue,
     ServeSpec,
     serve_workload,
 )
@@ -109,7 +105,6 @@ __all__ = [
     "get_spec",
     "make_policy",
     "ServeSpec",
-    "RequestQueue",
     "serve_workload",
     "Slice",
     "FrozenRegion",
@@ -132,9 +127,6 @@ __all__ = [
     "MetricsSnapshot",
     "LatencyHistogram",
     "ReproError",
-    "AdmissionError",
-    "QueueFullError",
-    "BackpressureError",
     "ConfigError",
     "DeviceError",
     "FlashFullError",

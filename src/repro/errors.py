@@ -122,36 +122,3 @@ class UnknownPolicyError(ConfigError):
 
 class WorkloadError(ReproError):
     """A workload specification is malformed."""
-
-
-class AdmissionError(ReproError):
-    """A request was refused at the serving layer's admission gate.
-
-    Base class for the open-loop front-end's typed rejections
-    (:mod:`repro.serve`): callers that need the distinction catch the
-    subclasses, callers that only care about "was it admitted" catch
-    this.
-
-    Attributes
-    ----------
-    depth:
-        Queue depth observed at the admission decision.
-    """
-
-    def __init__(self, message: str, depth: int = 0) -> None:
-        super().__init__(message)
-        self.depth = depth
-
-
-class QueueFullError(AdmissionError):
-    """The bounded request queue was at capacity when the request arrived."""
-
-
-class BackpressureError(AdmissionError):
-    """A write was refused because the engine signalled L0 back-pressure.
-
-    Raised by the serving layer when the store's Level-0 file count has
-    crossed the stop trigger (:meth:`repro.lsm.db.DB.throttle_state`):
-    instead of letting the request stall inside the engine and inflate
-    every queued request behind it, the front-end sheds it at admission.
-    """

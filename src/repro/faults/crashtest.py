@@ -183,6 +183,14 @@ def _execute_batch(store: DB, entries) -> None:
 # ----------------------------------------------------------------------
 # Store construction
 # ----------------------------------------------------------------------
+def _require_positive(**counts: int) -> None:
+    """Raise :class:`~repro.errors.ConfigError` for a count below 1: a
+    sweep over no operations, keys or crash points checks nothing."""
+    for name, value in counts.items():
+        if value < 1:
+            raise ConfigError(f"{name} must be positive, got {value!r}")
+
+
 def _store_policy(policy: object) -> object:
     """``policy`` as every store of a sweep may receive it.
 
@@ -499,8 +507,7 @@ def run_crashtest(
     crash-point schedule.  ``progress`` (points_done, points_total) is
     called after each crash point — the CLI uses it for a live counter.
     """
-    if stride <= 0:
-        raise ConfigError("stride must be positive")
+    _require_positive(num_ops=num_ops, num_keys=num_keys, stride=stride)
     policy = _store_policy(policy)
     config = config if config is not None else default_config()
     operations = build_operations(num_ops, num_keys, seed, value_bytes)
@@ -552,6 +559,9 @@ def run_corruption_test(
     :class:`~repro.errors.CorruptionError` and none to slip past a
     decode path (``faults.corruptions_missed`` must stay zero).
     """
+    _require_positive(
+        num_ops=num_ops, num_keys=num_keys, corruptions=corruptions
+    )
     policy = _store_policy(policy)  # the probe and the swept store
     config = config if config is not None else default_config()
     operations = build_operations(num_ops, num_keys, seed, value_bytes)

@@ -181,9 +181,12 @@ def prepare_db(
     profile: "SSDProfile | DeviceConfig" = ENTERPRISE_PCIE,
     tracer: Optional[Tracer] = None,
 ) -> DB:
-    """Build a store, load ``preload`` into it, drain maintenance and
-    reset the counters: everything measured afterwards is the measured
-    phase's alone (the load is traced too, separated by the reset)."""
+    """Build a store, load ``preload`` into it, run one
+    ``policy.maybe_compact()`` pass and reset the counters: everything
+    counted afterwards is the measured phase's alone (the load is traced
+    too, separated by the reset).  Work already handed to background
+    threads is not drained here (no ``db.sched.drain()``); that drain
+    lands with ROADMAP item 11, since it moves one-thread runs' pins."""
     db = build_db(policy, config=config, profile=profile, tracer=tracer)
     for operation in preload:
         db.put(operation.key, operation.value)

@@ -9,11 +9,9 @@ See ``docs/SERVING.md`` for the model and its caveats.
 """
 
 from .arrivals import poisson_arrivals
-from .queue import RequestQueue
 from .server import ServeSpec, serve_workload
 
 __all__ = [
-    "RequestQueue",
     "ServeSpec",
     "poisson_arrivals",
     "serve_workload",

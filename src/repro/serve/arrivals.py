@@ -12,9 +12,8 @@ contract as the workload generator: the stream is derived from a
 ``numpy`` :class:`~numpy.random.SeedSequence`, so a seed fully determines
 every arrival timestamp on every platform.
 
-:class:`PoissonProcess` — memoryless arrivals at a constant rate, the
-M/·/1 baseline of every queueing model — is the one process;
-:func:`poisson_arrivals` draws a run's timestamps from it.
+:func:`poisson_arrivals` — memoryless arrivals at a constant rate, the
+M/·/1 baseline of every queueing model — is the one process.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from __future__ import annotations
 import math
 import numbers
 from itertools import accumulate, chain, islice, repeat, starmap
-from typing import Iterator, List
+from typing import List
 
 import numpy as np
 
@@ -50,45 +49,22 @@ def require_positive(name: str, value: object) -> None:
         raise ConfigError(f"{name} must be a finite positive number, got {value!r}")
 
 
-class PoissonProcess:
-    """Homogeneous Poisson arrivals: i.i.d. exponential inter-arrival gaps.
-
-    :meth:`arrivals` accumulates :meth:`intervals` into absolute virtual
-    timestamps; the property suite pins the contract that the n-th
-    arrival timestamp equals the running sum of the first n intervals,
-    accumulated in order.
-    """
-
-    #: Gaps drawn per generator call: a block draw consumes the bit
-    #: stream exactly like that many scalar draws, so the sequence is the
-    #: same one (pinned by ``tests/test_serve_properties.py``).
-    _BLOCK = 4096
-
-    def __init__(self, rate_ops_s: float) -> None:
-        require_positive("arrival rate", rate_ops_s)
-        self.rate_ops_s = rate_ops_s
-
-    @property
-    def mean_interval_us(self) -> float:
-        """Long-run average gap between arrivals."""
-        return 1e6 / self.rate_ops_s
-
-    def intervals(self, rng: np.random.Generator) -> Iterator[float]:
-        """Gaps drawn a block at a time and chained at C level: no Python
-        frame runs per gap."""
-        blocks = starmap(rng.exponential, repeat((self.mean_interval_us, self._BLOCK)))
-        return chain.from_iterable(map(np.ndarray.tolist, blocks))
-
-    def arrivals(self, rng: np.random.Generator) -> Iterator[float]:
-        """Absolute arrival timestamps: the running sum of the intervals,
-        accumulated in order at C level (``0.0 + gap`` is ``gap`` for the
-        first one, so the sums are the per-gap loop's bit for bit)."""
-        return accumulate(self.intervals(rng))
+#: Gaps drawn per generator call: a block draw consumes the bit stream
+#: exactly like that many scalar draws, so the sequence is the same one
+#: (pinned by ``tests/test_serve_properties.py``).
+_BLOCK = 4096
 
 
 def poisson_arrivals(rate_ops_s: float, seed: int, limit: int) -> List[float]:
     """The first ``limit`` arrival timestamps at ``rate_ops_s``, a pure
     function of ``(rate_ops_s, seed)``.
+
+    Homogeneous Poisson arrivals: i.i.d. exponential gaps with mean
+    ``1e6 / rate_ops_s`` us, drawn :data:`_BLOCK` at a time and chained,
+    then accumulated in order into absolute timestamps (``0.0 + gap`` is
+    ``gap`` for the first one, so the n-th timestamp is the running sum of
+    the first n gaps, bit for bit).  The whole stream is C iterators: no
+    Python frame runs per arrival.
 
     The generator is seeded from the first child of
     ``SeedSequence(seed)``, not from the seed itself: that is the stream
@@ -97,6 +73,9 @@ def poisson_arrivals(rate_ops_s: float, seed: int, limit: int) -> List[float]:
     """
     require_count("seed", seed, minimum=0)
     require_count("limit", limit, minimum=0)
+    require_positive("arrival rate", rate_ops_s)
     child = np.random.SeedSequence(seed).spawn(1)[0]
     rng = np.random.Generator(np.random.PCG64(child))
-    return list(islice(PoissonProcess(rate_ops_s).arrivals(rng), limit))
+    blocks = starmap(rng.exponential, repeat((1e6 / rate_ops_s, _BLOCK)))
+    gaps = chain.from_iterable(map(np.ndarray.tolist, blocks))
+    return list(islice(accumulate(gaps), limit))

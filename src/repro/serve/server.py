@@ -3,7 +3,7 @@
 This is the front-end that turns the closed-loop simulator into a
 *service*: requests arrive from a deterministic arrival process
 (:mod:`repro.serve.arrivals`) at absolute virtual timestamps, wait in a
-bounded :class:`~repro.serve.queue.RequestQueue`, and are served one at
+bounded FIFO queue (a ``deque`` the loop owns), and are served one at
 a time by a DB on its own virtual clock.  Each completed request records
 **queue wait** and **service time** separately, so the report can show
 how much of the client-perceived p99/p99.9 is queueing behind compaction
@@ -19,16 +19,17 @@ is exactly the window in which background compaction threads
 the scheduler hide compaction, and saturation is what exposes it.
 
 **Back-pressure.**  Admission consults
-:meth:`~repro.lsm.db.DB.throttle_state` before offering a write to the
-queue: at ``"slowdown"`` the effective queue bound for writes halves
-(shed early, keep waits bounded), at ``"stop"`` writes are refused with
-a typed :class:`~repro.errors.BackpressureError` — the engine's L0
-throttle propagated to the front door instead of silently inflating
-every queued request behind a stalled write.
+:meth:`~repro.lsm.db.DB.throttle_state` before queueing a write: at
+``"slowdown"`` the effective queue bound for writes halves (shed early,
+keep waits bounded), at ``"stop"`` writes are refused and counted in
+``rejected_backpressure`` — the engine's L0 throttle propagated to the
+front door instead of silently inflating every queued request behind a
+stalled write.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import chain, repeat
 from math import inf
@@ -36,8 +37,7 @@ from operator import lt
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .arrivals import poisson_arrivals, require_count, require_positive
-from .queue import RequestQueue
-from ..errors import BackpressureError, ConfigError, WorkloadError
+from ..errors import ConfigError, ReproError, WorkloadError
 from ..harness.latency import LatencyRecorder, LatencyTimeline
 from ..harness.runner import counter_view, prepare_db
 from ..lsm.config import LSMConfig
@@ -235,17 +235,15 @@ def serve_workload(
     )
 
 
-def _write_admission(db: DB, serve: ServeSpec) -> Optional[int]:
-    """The admission decision for one arriving write.
+def _write_admission(db: DB, serve: ServeSpec) -> int:
+    """The queue bound one arriving write is admitted under.
 
-    Returns the effective queue bound to offer under (``None`` = the
-    configured capacity), or raises
-    :class:`~repro.errors.BackpressureError` when the engine's L0
-    throttle is at ``"stop"``.  At ``"slowdown"`` the bound halves —
-    shed early while the engine is degraded instead of queueing work it
-    cannot absorb.  Only the :data:`WRITE_KINDS` reach it: a read is
-    never back-pressured — L0 throttling is a write-path signal — so it
-    never pays for the decision.
+    ``serve.queue_depth`` while the engine's L0 throttle is at
+    ``"none"``; half of it, never below 1, at ``"slowdown"`` — shed early
+    while the engine is degraded instead of queueing work it cannot
+    absorb; and 0, refused, at ``"stop"``.  Only the :data:`WRITE_KINDS`
+    reach it: a read is never back-pressured — L0 throttling is a
+    write-path signal — so it never pays for the decision.
 
     The throttle signal reflects the engine as of the most recently
     *served* request: the virtual clock only advances when a request is
@@ -255,10 +253,10 @@ def _write_admission(db: DB, serve: ServeSpec) -> Optional[int]:
     """
     state = db.throttle_state()
     if state == "stop":
-        raise BackpressureError("write refused: engine L0 throttle is at 'stop'")
+        return 0
     if state == "slowdown":
         return max(1, serve.queue_depth // 2)
-    return None
+    return serve.queue_depth
 
 
 def _serve_open_loop(
@@ -279,12 +277,14 @@ def _serve_open_loop(
     arrival instant; the engine's throttle state, which only writes
     consult (:func:`_write_admission`), is as of the last
     completion.  A last arrival at ``inf`` drains the queue through the
-    same body.  The queue's ledger is booked, and checked, once at the
-    end, and SLO violations are counted once over the totals.
+    same body.  The loop's counts are checked once at the end (every
+    arrival admitted or rejected, every admitted request completed), and
+    SLO violations are counted once over the totals.
     """
-    queue = RequestQueue(serve.queue_depth)
-    waiting, push, take = queue.waiting, queue.push, queue.take
-    capacity = queue.capacity
+    # The FIFO: (arrival_us, operation) rows in arrival order.
+    waiting = deque()
+    push, take = waiting.append, waiting.popleft
+    capacity = serve.queue_depth
     wait_rec = LatencyRecorder()
     service_rec = LatencyRecorder()
     total_rec = LatencyRecorder()
@@ -318,7 +318,7 @@ def _serve_open_loop(
         total_rec.record_many(totals)
         timeline.record_many(zip(begins, totals, stalls))
 
-    seq = rejected_full = rejected_backpressure = 0
+    seq = admitted = rejected_full = rejected_backpressure = 0
     for arrival_rel_us, operation in chain(zip(arrivals, operations), _LAST_ARRIVAL):
         arrival_us = origin_us + arrival_rel_us
         while waiting and clock._now_us < arrival_us:
@@ -362,25 +362,25 @@ def _serve_open_loop(
             record_batch()
         bound = capacity
         if operation[0] in WRITE_KINDS:
-            try:
-                effective = _write_admission(db, serve)
-            except BackpressureError:
+            bound = _write_admission(db, serve)
+            if not bound:
                 rejected_backpressure += 1
                 continue
-            if effective is not None:
-                bound = queue.bound(effective)
         if len(waiting) >= bound:
             rejected_full += 1
             continue
+        admitted += 1
         push((arrival_us, operation))
     record_batch()
     elapsed = clock.now() - start_time
     completed = len(total_rec)
-    queue.book(
-        arrived=seq,
-        rejected=rejected_full + rejected_backpressure,
-        completed=completed,
-    )
+    rejected = rejected_full + rejected_backpressure
+    if seq != admitted + rejected or admitted != completed:
+        raise ReproError(
+            f"serve ledger does not balance: {seq} arrived, {admitted} "
+            f"admitted, {rejected_full} + {rejected_backpressure} rejected, "
+            f"{completed} completed, {len(waiting)} left queued"
+        )
     return ServeResult(
         workload=workload_name,
         policy=db.policy.name,
@@ -388,8 +388,8 @@ def _serve_open_loop(
         offered_rate_ops_s=float(serve.rate_ops_s),
         queue_depth=serve.queue_depth,
         slo_us=serve.slo_us,
-        arrived=queue.stats.arrived,
-        admitted=queue.stats.admitted,
+        arrived=seq,
+        admitted=admitted,
         rejected_full=rejected_full,
         rejected_backpressure=rejected_backpressure,
         completed=completed,

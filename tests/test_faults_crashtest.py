@@ -162,6 +162,36 @@ class TestPolicyCheck:
             entry(3.5, num_ops=50, num_keys=20)
 
 
+class TestSizeCheck:
+    """A sweep over no operations, keys or corruptions checks nothing: both
+    entry points refuse one before building a workload or a store (0 keys
+    used to raise ``ValueError`` from ``randrange``, 0 operations to report
+    PASS over no crash point, 0 corruptions ``ZeroDivisionError`` and -3 a
+    corruption on every read)."""
+
+    @pytest.fixture(autouse=True)
+    def nothing_is_built(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a workload before checking sizes")
+
+        monkeypatch.setattr(crashtest, "build_operations", refuse)
+
+    @pytest.mark.parametrize("entry", TestPolicyCheck.ENTRIES)
+    @pytest.mark.parametrize(
+        "sizes, name",
+        [({"num_ops": 0}, "num_ops"), ({"num_keys": 0}, "num_keys"),
+         ({"num_ops": -5}, "num_ops")],
+    )
+    def test_no_operations_or_keys_is_a_config_error(self, entry, sizes, name):
+        with pytest.raises(ConfigError, match=f"^{name} must be positive"):
+            entry("udc", **sizes)
+
+    @pytest.mark.parametrize("corruptions", [0, -3])
+    def test_no_corruptions_is_a_config_error(self, corruptions):
+        with pytest.raises(ConfigError, match="^corruptions must be positive"):
+            crashtest.run_corruption_test("udc", corruptions=corruptions)
+
+
 class TestBatchAtomicity:
     """The oracle's all-or-nothing check on the batch in flight at a crash."""
 

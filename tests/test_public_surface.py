@@ -31,7 +31,13 @@ last wrappers only tests called (no ``DB.multi_get``, no
 ``ServeSpec.backpressure`` and no public ``admission_bound``); and the
 write path's forks (one WAL append, one memtable insert: no batched
 append or sorted bulk load), the CPU cost knob (no ``CostModel`` or
-``LSMConfig.costs``) and the record helpers only tests called.
+``LSMConfig.costs``) and the record helpers only tests called; and the
+serving queue object (no ``repro.serve.queue``: ``RequestQueue``,
+``QueueStats`` and ``Request`` went, the serve loop owns a ``deque`` and
+checks its own counts), the Poisson process class (``poisson_arrivals``
+draws the stream itself) and the admission exceptions no caller could
+receive (``AdmissionError``, ``QueueFullError``, ``BackpressureError``: a
+refusal is counted in ``ServeResult``, never raised).
 
 And what is exported is what the repository uses: every name in an
 ``__all__`` has a user in ``src/``, ``examples/``, ``benchmarks/`` or
@@ -67,8 +73,6 @@ USER_TREES = ("src", "examples", "benchmarks", "bench")
 
 #: Exported names with no user outside ``tests/``, and why each stays.
 ALLOWED = {
-    "AdmissionError": "the base of both admission refusals (QueueFullError, "
-                      "BackpressureError): a serve caller catches either with it",
     **dict.fromkeys(
         ("udc_read_amplification", "ldc_read_amplification",
          "optimal_fanout_search", "lsm_write_throughput", "lsm_read_throughput",
@@ -114,7 +118,7 @@ def test_composed_policy_is_the_only_exported_policy_class(package):
           "keys", "memtable", "record", "sstable", "stats", "version", "wal"}),
         ("repro.obs",
          {"events", "histogram", "registry", "snapshot", "tracer"}),
-        ("repro.serve", {"arrivals", "queue", "server"}),
+        ("repro.serve", {"arrivals", "server"}),
     ],
 )
 def test_module_inventory(package, modules):
@@ -277,25 +281,28 @@ def test_one_run_shell():
 
 
 def test_one_stack_path():
-    """A request is a tuple row, the FIFO a ``deque``, the histogram has no
-    bucket memo, the recorders no shard-only query, and the scheduler
-    replays through one routine — the replaced replay lives only in
-    ``tests/_pump_oracle.py``."""
+    """The FIFO is a ``deque`` the serve loop owns, a refusal is a count
+    rather than an exception, the histogram has no bucket memo, the
+    recorders no shard-only query, and the scheduler replays through one
+    routine — the replaced replay lives only in ``tests/_pump_oracle.py``."""
     import collections
-    import dataclasses
 
+    import repro.errors
     from repro.harness.latency import LatencyRecorder, LatencyTimeline
     from repro.obs.histogram import LatencyHistogram
     from repro.sched.scheduler import CompactionScheduler
-    from repro.serve import RequestQueue
-    from repro.serve.queue import Request
+    from repro.serve import arrivals, server
 
-    assert not dataclasses.is_dataclass(Request) and issubclass(Request, tuple)
-    assert Request._fields == ("arrival_us", "operation")
-    assert Request._field_defaults == {}
-    assert Request(arrival_us=2.0, operation=None) == (2.0, None)
-    assert isinstance(RequestQueue(4).waiting, collections.deque)
-    assert not hasattr(RequestQueue(4), "_fifo_head")
+    assert server.deque is collections.deque
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.serve.queue")
+    for module, gone in (
+        (server, ("RequestQueue", "Request")),
+        (arrivals, ("PoissonProcess",)),
+        (repro.errors, ("AdmissionError", "QueueFullError", "BackpressureError")),
+    ):
+        for name in gone:
+            assert not hasattr(module, name), (module.__name__, name)
     for gone in ("_index_cache", "_INDEX_CACHE_MAX"):
         assert not hasattr(LatencyHistogram(), gone)
         assert gone not in LatencyHistogram.__slots__
@@ -441,8 +448,8 @@ def test_only_the_traffic_that_runs():
 
     import repro.serve
     from repro import errors, workload
-    from repro.errors import BackpressureError, ConfigError, WorkloadError
-    from repro.serve import ServeSpec, arrivals, queue, server
+    from repro.errors import ConfigError, WorkloadError
+    from repro.serve import ServeSpec, arrivals, server
     from repro.serve.server import ServeResult
     from repro.workload import keydist, spec, ycsb
 
@@ -451,8 +458,9 @@ def test_only_the_traffic_that_runs():
             "Arrival", "make_arrival_process", "split_rate",
             "merge_tenant_arrivals", "DISCIPLINES", "check_discipline",
             "_tenant_stats", "_serve_result", "record_trace", "write_trace",
-            "read_trace", "replay"}
-    for module in (repro, repro.serve, arrivals, queue, server, workload):
+            "read_trace", "replay", "_push_priority", "_take_priority",
+            "discipline"}
+    for module in (repro, repro.serve, arrivals, server, workload):
         assert not gone & set(getattr(module, "__all__", ())), module.__name__
         for name in gone:
             assert not hasattr(module, name), (module.__name__, name)
@@ -462,9 +470,6 @@ def test_only_the_traffic_that_runs():
         "arrival", "rate_ops_s", "queue_depth", "slo_us", "seed"]
     for name in ("tenant_stats", "discipline", "tenant_metrics"):
         assert not hasattr(ServeResult, name), name
-    for name in ("_push_priority", "_take_priority", "discipline"):
-        assert not hasattr(queue.RequestQueue(4), name), name
-    assert not hasattr(BackpressureError("refused"), "tenant")
 
     for name in ("ycsb_a", "ycsb_b", "ycsb_c", "ycsb_d", "ycsb_e"):
         assert not hasattr(workload, name) and not hasattr(ycsb, name), name

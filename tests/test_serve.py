@@ -1,40 +1,31 @@
 """Unit tests for the open-loop serving layer (repro.serve).
 
-Covers the Poisson arrival stream (rate, determinism), the bounded
-request queue (FIFO order, rejection, conservation ledger), admission
+Covers the Poisson arrival stream (rate, determinism), the serve loop's
+bounded request queue (FIFO order, rejection, its count check), admission
 control with engine back-pressure, the serving loop's wait/service
 decomposition and its SLO accounting.
 """
 
+from collections import deque
+from itertools import accumulate
+
 import numpy as np
 import pytest
 
-from repro import (
-    BackpressureError,
-    ConfigError,
-    DB,
-    DeviceConfig,
-    FlashSpec,
-    QueueFullError,
-)
-from repro.errors import AdmissionError
+from repro import ConfigError, DB, DeviceConfig, FlashSpec, ReproError
 from repro.harness.latency import LatencyRecorder
 from repro.harness.runner import prepare_db, run_workload
 from repro.lsm.config import LSMConfig
-from repro.serve import RequestQueue, ServeSpec, poisson_arrivals, serve_workload
-from repro.serve.arrivals import PoissonProcess
-from repro.serve.queue import Request
+from repro.serve import ServeSpec, poisson_arrivals, serve_workload, server
 from repro.serve.server import RECORD_BATCH, WRITE_KINDS, _write_admission
 from repro.workload import rwb, wo
-from repro.workload.ycsb import OP_GET, Operation, WorkloadGenerator
+from repro.workload.ycsb import OP_GET, OP_PUT, Operation, WorkloadGenerator
 
 
-def rng(seed: int = 0) -> np.random.Generator:
-    return np.random.default_rng(seed)
-
-
-def take(iterator, count):
-    return [next(iterator) for _ in range(count)]
+def child_stream(seed: int) -> np.random.Generator:
+    """The generator ``poisson_arrivals`` draws from for ``seed``."""
+    child = np.random.SeedSequence(seed).spawn(1)[0]
+    return np.random.Generator(np.random.PCG64(child))
 
 
 # ----------------------------------------------------------------------
@@ -64,7 +55,7 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="rate"):
             ServeSpec(rate_ops_s=rate)
         with pytest.raises(ConfigError, match="rate"):
-            PoissonProcess(rate)
+            poisson_arrivals(rate, 1, 1)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, True])
     def test_seed_is_a_non_negative_int(self, seed):
@@ -80,11 +71,6 @@ class TestConfigValidation:
         """2.5 used to return three arrivals."""
         with pytest.raises(ConfigError, match="limit"):
             poisson_arrivals(1_000.0, 1, limit)
-
-    @pytest.mark.parametrize("capacity", [2.5, True, 0])
-    def test_queue_capacity_is_a_positive_int(self, capacity):
-        with pytest.raises(ConfigError, match="capacity"):
-            RequestQueue(capacity)
 
     def test_unknown_arrival_kind_fails_at_construction(self):
         with pytest.raises(ConfigError, match="known: poisson$"):
@@ -103,95 +89,22 @@ class TestArrivalProcesses:
                 ServeSpec(arrival=arrival)
 
     def test_poisson_mean_rate(self):
-        process = PoissonProcess(10_000.0)
-        gaps = take(process.intervals(rng()), 20_000)
+        gaps = np.diff(poisson_arrivals(10_000.0, 0, 20_000), prepend=0.0)
         assert np.mean(gaps) == pytest.approx(100.0, rel=0.05)
 
     def test_arrivals_are_interval_prefix_sums(self):
-        process = PoissonProcess(5_000.0)
-        gaps = take(process.intervals(rng(3)), 100)
-        stamps = take(process.arrivals(rng(3)), 100)
+        gaps = child_stream(3).exponential(200.0, 100)
+        stamps = poisson_arrivals(5_000.0, 3, 100)
         assert stamps == pytest.approx(np.cumsum(gaps))
 
     def test_stream_is_the_first_child_of_the_seed(self):
         """One stream, drawn from ``SeedSequence(seed).spawn(1)[0]`` — the
         stream a one-tenant population drew — not from the seed itself."""
         stamps = poisson_arrivals(8_000.0, 13, 300)
-        child = np.random.SeedSequence(13).spawn(1)[0]
-        spawned = PoissonProcess(8_000.0).arrivals(
-            np.random.Generator(np.random.PCG64(child)))
-        assert stamps == take(spawned, 300)
-        unspawned = PoissonProcess(8_000.0).arrivals(
-            np.random.Generator(np.random.PCG64(np.random.SeedSequence(13))))
-        assert stamps != take(unspawned, 300)
-
-
-# ----------------------------------------------------------------------
-# Request queue
-# ----------------------------------------------------------------------
-def request(index: int) -> Request:
-    """The ``index``-th arrival: FIFO order is ``arrival_us`` order."""
-    return Request(arrival_us=float(index), operation=Operation(OP_GET, b"k"))
-
-
-class TestRequestQueue:
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            RequestQueue(0)
-
-    def test_fifo_order(self):
-        queue = RequestQueue(8)
-        for seq in range(5):
-            queue.offer(request(seq))
-        assert [queue.pop().arrival_us for _ in range(5)] == [0, 1, 2, 3, 4]
-
-    def test_rejects_when_full(self):
-        queue = RequestQueue(2)
-        queue.offer(request(0))
-        queue.offer(request(1))
-        with pytest.raises(QueueFullError) as excinfo:
-            queue.offer(request(2))
-        assert excinfo.value.depth == 2
-        assert isinstance(excinfo.value, AdmissionError)
-        assert queue.stats.rejected == 1
-
-    def test_effective_capacity_shrinks_bound(self):
-        queue = RequestQueue(8)
-        queue.offer(request(0))
-        with pytest.raises(QueueFullError):
-            queue.offer(request(1), effective_capacity=1)
-        # The shrunken bound never exceeds the configured capacity.
-        queue.offer(request(2), effective_capacity=100)
-
-    def test_conservation_ledger(self):
-        queue = RequestQueue(2)
-        queue.offer(request(0))
-        queue.offer(request(1))
-        with pytest.raises(QueueFullError):
-            queue.offer(request(2))
-        queue.reject_external()
-        queue.pop()
-        queue.complete()
-        assert queue.stats.arrived == 4
-        assert queue.stats.admitted == 2
-        assert queue.stats.rejected == 2
-        assert queue.stats.completed == 1
-        queue.stats.check_conservation(queue.depth)
-
-    def test_pop_empty_raises(self):
-        with pytest.raises(ConfigError):
-            RequestQueue(2).pop()
-
-    def test_fifo_compaction_keeps_order(self):
-        queue = RequestQueue(10_000)
-        for seq in range(6_000):
-            queue.offer(request(seq))
-        popped = [queue.pop().arrival_us for _ in range(5_000)]
-        assert popped == list(range(5_000))
-        for seq in range(6_000, 6_100):
-            queue.offer(request(seq))
-        rest = [queue.pop().arrival_us for _ in range(queue.depth)]
-        assert rest == list(range(5_000, 6_100))
+        spawned = child_stream(13).exponential(125.0, 300).tolist()
+        assert stamps == list(accumulate(spawned))
+        unspawned = np.random.default_rng(13).exponential(125.0, 300).tolist()
+        assert stamps != list(accumulate(unspawned))
 
 
 # ----------------------------------------------------------------------
@@ -244,12 +157,10 @@ class TestAdmissionControl:
     def test_fresh_store_is_unthrottled(self):
         assert DB(policy="udc", config=tiny_config()).throttle_state() == "none"
 
-    def test_stop_raises_backpressure_for_writes_only(self):
+    def test_stop_refuses_writes_with_a_zero_bound(self):
         db = db_at_throttle("stop")
         serve = ServeSpec(rate_ops_s=1000.0, queue_depth=8)
-        with pytest.raises(BackpressureError) as excinfo:
-            _write_admission(db, serve)
-        assert isinstance(excinfo.value, AdmissionError)
+        assert _write_admission(db, serve) == 0
         # A read never reaches admission: the serve loop gates WRITE_KINDS.
         assert OP_GET not in WRITE_KINDS
 
@@ -257,11 +168,89 @@ class TestAdmissionControl:
         db = db_at_throttle("slowdown")
         serve = ServeSpec(rate_ops_s=1000.0, queue_depth=8)
         assert _write_admission(db, serve) == 4
+        # ... never below 1: a depth-1 queue still admits a write.
+        assert _write_admission(db, ServeSpec(queue_depth=1)) == 1
 
     def test_unthrottled_store_imposes_no_bound(self):
+        """No bound beyond the configured depth."""
         db = db_at_throttle("none")
         serve = ServeSpec(rate_ops_s=1000.0, queue_depth=8)
-        assert _write_admission(db, serve) is None
+        assert _write_admission(db, serve) == 8
+
+
+# ----------------------------------------------------------------------
+# The serve loop's request queue
+# ----------------------------------------------------------------------
+def burst(db: DB, operations, queue_depth: int):
+    """Serve ``operations`` all arriving at the measured phase's first
+    instant: the server serves nothing before the last arrival (at ``inf``),
+    so every admission sees the depth the earlier arrivals left."""
+    return serve_workload(
+        SPEC, "udc", ServeSpec(queue_depth=queue_depth), db=db,
+        operations=operations, arrivals=[0.0] * len(operations),
+    )
+
+
+def gets(count: int):
+    return [Operation(OP_GET, b"k%04d" % index) for index in range(count)]
+
+
+def put(index: int) -> Operation:
+    return Operation(OP_PUT, b"p%04d" % index, b"v" * 100)
+
+
+class TestRequestQueue:
+    """The bounded FIFO the serve loop owns (a ``deque``), seen through
+    whole runs."""
+
+    def test_fifo_order(self):
+        db = db_at_throttle("none")
+        served = []
+        get = db.get
+        db.get = lambda key: served.append(key) or get(key)
+        operations = gets(40)
+        result = burst(db, operations, queue_depth=64)
+        assert served == [operation.key for operation in operations]
+        assert result.completed == 40
+
+    def test_rejects_when_full(self):
+        result = burst(db_at_throttle("none"), gets(5), queue_depth=2)
+        assert (result.arrived, result.admitted, result.rejected_full,
+                result.rejected_backpressure, result.completed) == (5, 2, 3, 0, 2)
+
+    def test_effective_capacity_shrinks_bound(self):
+        """At slowdown, writes are admitted under half the depth, reads under
+        all of it."""
+        operations = [put(0), put(1), put(2), *gets(3)]
+        result = burst(db_at_throttle("slowdown"), operations, queue_depth=4)
+        # put, put admitted; put refused at depth 2; get, get admitted;
+        # the last get finds the queue at its depth of 4.
+        assert (result.admitted, result.rejected_full,
+                result.rejected_backpressure) == (4, 2, 0)
+
+    def test_conservation_ledger(self):
+        """At stop, a write is counted in ``rejected_backpressure``, not
+        raised; the counts fill ``ServeResult`` and balance."""
+        operations = [put(0), *gets(3)]
+        result = burst(db_at_throttle("stop"), operations, queue_depth=2)
+        assert (result.arrived, result.admitted, result.rejected_full,
+                result.rejected_backpressure, result.completed) == (4, 2, 1, 1, 2)
+        assert result.rejected == 2
+        assert result.arrived == result.admitted + result.rejected
+        assert result.admitted == result.completed == len(result.total_latencies)
+
+    def test_an_unbalanced_ledger_is_a_typed_error(self, monkeypatch):
+        """The end-of-run count check fires: a queue that loses what it is
+        given leaves admitted requests never completed."""
+
+        class LosingDeque(deque):
+            def append(self, row):
+                pass
+
+        monkeypatch.setattr(server, "deque", LosingDeque)
+        with pytest.raises(ReproError, match="serve ledger does not balance: "
+                           "3 arrived, 3 admitted, 0 \\+ 0 rejected, 0 completed"):
+            burst(db_at_throttle("none"), gets(3), queue_depth=8)
 
 
 # ----------------------------------------------------------------------

@@ -7,12 +7,14 @@ examples of the unit suite:
    ``(rate, seed)``: same seed ⇒ identical timestamps, different seed ⇒
    a different sequence, and the timestamps only grow.
 2. **Interval/arrival consistency** — the n-th arrival timestamp equals
-   the running sum of the first n inter-arrival gaps drawn from an
-   identically-seeded generator: the virtual clock advances by exactly
-   the gaps, nothing else.
-3. **Conservation** — under any interleaving of offers, pops and
-   completions, the queue ledger balances: every arrival is admitted or
-   rejected, every admitted request is completed or still queued.
+   the running sum of the first n inter-arrival gaps drawn one at a time
+   from the same seeded generator, and the consecutive differences are
+   those gaps across the 4,096-gap block boundary: the virtual clock
+   advances by exactly the gaps, nothing else.
+3. **Conservation** — over any tiny serve run (rate, queue depth, seed,
+   zero or one background thread) the ledger balances: every arrival is
+   admitted or rejected, and every admitted request completes once the
+   last arrival has drained the queue.
 4. **M/D/1 wait monotonicity** — with deterministic service, raising the
    offered load (holding the arrival sample paths comparable) never
    reduces the mean queue wait.  This is the queueing-theory sanity
@@ -27,11 +29,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.errors import ConfigError, QueueFullError
-from repro.serve import RequestQueue, poisson_arrivals
-from repro.serve.arrivals import PoissonProcess
-from repro.serve.queue import Request
-from repro.workload.ycsb import OP_GET, Operation
+from repro.lsm.config import LSMConfig
+from repro.serve import ServeSpec, poisson_arrivals, serve_workload
+from repro.workload import rwb, wo
 
 LOOSE = settings(
     max_examples=25,
@@ -75,6 +75,16 @@ class TestSeededDeterminism:
 # ----------------------------------------------------------------------
 # 2. Arrivals are the running sum of the intervals
 # ----------------------------------------------------------------------
+def scalar_gaps(rate: float, seed: int):
+    """The gaps ``poisson_arrivals`` accumulates, drawn one at a time from
+    the first child of ``SeedSequence(seed)``."""
+    child = np.random.SeedSequence(seed).spawn(1)[0]
+    rng = np.random.Generator(np.random.PCG64(child))
+    scale_us = 1e6 / rate
+    while True:
+        yield float(rng.exponential(scale_us))
+
+
 class TestIntervalArrivalConsistency:
     @given(
         seed=st.integers(min_value=0, max_value=2**31 - 1),
@@ -83,17 +93,12 @@ class TestIntervalArrivalConsistency:
     )
     @LOOSE
     def test_nth_arrival_is_prefix_sum(self, seed, rate, count):
-        process = PoissonProcess(rate)
-        gap_rng = np.random.default_rng(seed)
-        stamp_rng = np.random.default_rng(seed)
-        gaps = process.intervals(gap_rng)
-        stamps = process.arrivals(stamp_rng)
         running = 0.0
-        for _ in range(count):
-            gap = next(gaps)
+        for stamp, gap in zip(poisson_arrivals(rate, seed, count),
+                              scalar_gaps(rate, seed)):
             assert gap >= 0.0
             running += gap
-            assert next(stamps) == running
+            assert stamp == running
 
     @given(
         seed=st.integers(min_value=0, max_value=2**31 - 1),
@@ -101,94 +106,81 @@ class TestIntervalArrivalConsistency:
     )
     @settings(max_examples=10, deadline=None)
     def test_poisson_block_draws_are_the_scalar_stream(self, seed, rate):
-        """``PoissonProcess`` draws 4,096 gaps per generator call; the gaps
-        are the ones scalar draws from the same PCG64 stream give, across
-        block boundaries."""
-        process = PoissonProcess(rate)
-        blocked = process.intervals(
-            np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        """``poisson_arrivals`` draws 4,096 gaps per generator call; its
+        consecutive differences are the gaps scalar draws from the same
+        PCG64 stream give, across block boundaries (to the rounding of
+        the timestamps they are taken from)."""
+        count = 2 * 4096 + 50
+        stamps = poisson_arrivals(rate, seed, count)
+        gaps = list(itertools.islice(scalar_gaps(rate, seed), count))
+        assert np.diff(stamps, prepend=0.0) == pytest.approx(
+            gaps, rel=0.0, abs=1e-12 * stamps[-1]
         )
-        scalar_rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(seed))
-        )
-        scale_us = process.mean_interval_us
-        for _ in range(2 * 4096 + 50):
-            assert next(blocked) == float(scalar_rng.exponential(scale_us))
 
 
 # ----------------------------------------------------------------------
-# 3. Conservation under arbitrary interleavings
+# 3. Conservation over whole serve runs
 # ----------------------------------------------------------------------
-def _request(index: int) -> Request:
-    """The ``index``-th arrival: FIFO order is ``arrival_us`` order."""
-    return Request(arrival_us=float(index), operation=Operation(OP_GET, b"k"))
+def assert_ledger_balances(result, arrivals: int) -> None:
+    assert result.arrived == arrivals
+    assert result.arrived == (
+        result.admitted + result.rejected_full + result.rejected_backpressure
+    )
+    assert result.admitted == result.completed == len(result.total_latencies)
+
+
+#: Writes of 300-byte values into a store whose Level 0 stops at 5 files:
+#: with one background thread, a run reaches both throttle states.
+BURST = wo(num_operations=1_500, key_space=300, preload_keys=300,
+           value_bytes=300, key_bytes=12, seed=5)
+
+
+def burst_config(bg_threads: int) -> LSMConfig:
+    return LSMConfig(memtable_bytes=2048, sstable_target_bytes=2048,
+                     block_bytes=512, fan_out=4, level1_capacity_bytes=4096,
+                     max_levels=6, bg_threads=bg_threads,
+                     l0_compaction_trigger=2, l0_slowdown_trigger=3,
+                     l0_stop_trigger=5)
 
 
 class TestConservation:
     @given(
-        events=st.lists(
-            st.sampled_from(("offer", "serve", "external")),
-            min_size=1,
-            max_size=300,
-        ),
-        capacity=st.integers(min_value=1, max_value=8),
+        rate=st.floats(min_value=2_000.0, max_value=80_000.0),
+        queue_depth=st.integers(min_value=1, max_value=8),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        bg_threads=st.sampled_from((0, 1)),
     )
     @LOOSE
-    def test_ledger_balances_at_every_step(self, events, capacity):
-        queue = RequestQueue(capacity)
-        in_flight = 0
-        seq = 0
-        for action in events:
-            if action == "offer":
-                try:
-                    queue.offer(_request(seq))
-                except Exception:
-                    pass
-                seq += 1
-            elif action == "external":
-                queue.reject_external()
-            elif queue.depth:
-                queue.pop()
-                in_flight += 1
-            if in_flight:  # a popped request completes before the next event
-                queue.complete()
-                in_flight -= 1
-            queue.stats.check_conservation(queue.depth)
-        stats = queue.stats
-        assert stats.arrived == stats.admitted + stats.rejected
-        assert stats.admitted == stats.completed + queue.depth
+    def test_every_tiny_serve_run_balances(self, rate, queue_depth, seed,
+                                           bg_threads):
+        """Every arrival is admitted or rejected, and every admitted request
+        completes."""
+        spec = rwb(num_operations=150, key_space=100, preload_keys=100,
+                   value_bytes=300, key_bytes=12, seed=seed % 1000)
+        serve = ServeSpec(rate_ops_s=rate, queue_depth=queue_depth, seed=seed)
+        result = serve_workload(spec, "ldc", serve,
+                                config=burst_config(bg_threads))
+        assert_ledger_balances(result, spec.num_operations)
+
+    def test_a_burst_rejecting_both_ways_balances(self):
+        """The property's directed case: a run that rejects at a full queue
+        and at the L0 stop trigger, so the check is not vacuous."""
+        serve = ServeSpec(rate_ops_s=20_000.0, queue_depth=3, seed=5)
+        result = serve_workload(BURST, "ldc", serve, config=burst_config(1))
+        assert result.rejected_full > 0
+        assert result.rejected_backpressure > 0
+        assert_ledger_balances(result, BURST.num_operations)
 
     def test_ledger_balances_past_ten_thousand_pops(self):
-        """The long-run case the hand-rolled list-with-head FIFO carried a
-        compaction branch for (drained prefix > 4096): on the deque-backed
-        queue the rule holds at every step of a 12k-pop saw-tooth, order is
-        arrival order throughout, and a rejection reports the depth it saw."""
-        queue = RequestQueue(64)
-        rng = np.random.default_rng(5)
-        seq = 0
-        popped = []
-        while len(popped) < 12_000:
-            for _ in range(int(rng.integers(1, 90))):
-                try:
-                    queue.offer(_request(seq))
-                except QueueFullError as error:
-                    assert error.depth == queue.depth == 64
-                    assert str(error) == (
-                        "request queue full (depth 64 >= bound 64)"
-                    )
-                seq += 1
-                queue.stats.check_conservation(queue.depth)
-            for _ in range(int(rng.integers(1, 90))):
-                if not queue.depth:
-                    break
-                popped.append(queue.pop().arrival_us)
-                queue.complete()
-                queue.stats.check_conservation(len(queue))
-        assert popped == sorted(popped)
-        assert queue.stats.rejected > 0
-        assert queue.stats.admitted == len(popped) + queue.depth
-        with pytest.raises(ConfigError, match="pop from an empty request queue"):
-            RequestQueue(4).pop()
+        """The long run: over 11k requests popped from the loop's deque, with
+        rejections at a full queue between them."""
+        spec = rwb(num_operations=12_000, key_space=300, preload_keys=300,
+                   value_bytes=300, key_bytes=12, seed=5)
+        serve = ServeSpec(rate_ops_s=20_000.0, queue_depth=3, seed=5)
+        result = serve_workload(spec, "ldc", serve, config=burst_config(1))
+        assert result.completed > 10_000
+        assert result.rejected_full > 0
+        assert_ledger_balances(result, spec.num_operations)
 
 
 # ----------------------------------------------------------------------
@@ -228,11 +220,7 @@ class TestLongRunMeanRate:
     )
     def test_mean_interarrival_matches_configured_rate(self, seed):
         rate = 10_000.0
-        rng = np.random.default_rng(seed)
-        gaps = np.fromiter(
-            itertools.islice(PoissonProcess(rate).intervals(rng), 60_000),
-            dtype=float,
-        )
+        gaps = np.diff(poisson_arrivals(rate, seed, 60_000), prepend=0.0)
         assert float(np.mean(gaps)) == pytest.approx(1e6 / rate, rel=0.08)
 
 
