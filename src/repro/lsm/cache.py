@@ -55,19 +55,10 @@ class BlockCache:
         self._entries: "OrderedDict[_BlockKey, int]" = OrderedDict()
         self._used_bytes = 0
 
-    def lookup(self, file_id: int, block_index: int) -> bool:
-        """True (and refresh recency) if the block is resident."""
-        key = (file_id, block_index)
-        if key in self._entries:
-            self._entries.move_to_end(key)
-            self.registry.add("cache.hits")
-            return True
-        self.registry.add("cache.misses")
-        return False
-
     def probe(self, file_id: int, block_index: int) -> bool:
-        """:meth:`lookup` minus the count; the engine's reads report totals
-        once per point lookup or scan (:meth:`count_probes`)."""
+        """True (and refresh recency) if the block is resident.  Counts
+        nothing: the engine's reads report totals once per point lookup
+        or scan (:meth:`count_probes`)."""
         key = (file_id, block_index)
         if key in self._entries:
             self._entries.move_to_end(key)

@@ -519,7 +519,7 @@ class DB:
             # — the golden virtual-time contract — and routes by
             # responsibility range, not raw range: linked slices can hold
             # keys outside their carrier file's own [min, max].  The bisect
-            # is VersionSet.find_responsible_file, inlined.
+            # is VersionSet.responsible_index, inlined.
             max_keys = version._max_keys
             for level in range(overlapping, len(levels)):
                 clock._now_us += INDEX_LOOKUP_US

@@ -74,7 +74,8 @@ def merge_streams(
     ``last_key`` is None when the streams ran out before ``count``.  The
     units each stream had to open are left in ``streams``.  That set is
     what a record-at-a-time merge that refills the winning source before
-    it yields would have opened (``tests/_scan_oracle.cursor_scan``): a
+    it yields would have opened (the ``retired_oracles/scan`` pin of
+    ``tests/test_retired_oracles.py`` holds it for a corpus of scans): a
     level's next file is reached once no key of its open unit lies past
     ``last_key``, even when the scan ends right there — unless a single
     stream held records to begin with, which is read lazily.

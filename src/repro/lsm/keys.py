@@ -24,19 +24,3 @@ def in_range(key: bytes, lo: Optional[bytes], hi: Optional[bytes]) -> bool:
     if hi is not None and key >= hi:
         return False
     return True
-
-
-def clamp_range(
-    lo: Optional[bytes],
-    hi: Optional[bytes],
-    outer_lo: Optional[bytes],
-    outer_hi: Optional[bytes],
-) -> tuple[Optional[bytes], Optional[bytes]]:
-    """Intersect ``[lo, hi)`` with ``[outer_lo, outer_hi)``."""
-    new_lo = lo
-    if outer_lo is not None and (new_lo is None or outer_lo > new_lo):
-        new_lo = outer_lo
-    new_hi = hi
-    if outer_hi is not None and (new_hi is None or outer_hi < new_hi):
-        new_hi = outer_hi
-    return new_lo, new_hi

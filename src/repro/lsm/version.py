@@ -212,27 +212,20 @@ class VersionSet:
             stop += 1
         return files[start:stop]
 
-    def find_responsible_file(self, level: int, key: bytes) -> Optional[SSTable]:
-        """The file whose *responsibility range* covers ``key``.
+    def responsible_index(self, level: int, key: bytes) -> int:
+        """Index of the file whose *responsibility range* covers ``key``,
+        on a non-empty sorted level.
 
         Responsibility ranges (Example 3.2) tile the whole key space:
         file ``j`` owns ``(max_key(j-1), max_key(j)]``, the first file
         extending to the smallest key and the last to the largest.  LDC
         attaches slices by responsibility, so a slice on file F may cover
-        keys *outside* F's own ``[min, max]`` — lookups must therefore
-        route by responsibility, not by raw range, or gap keys would skip
-        the slices holding their newest versions.  ``DB._lookup`` runs this
-        bisect inline, once per sorted level of every point lookup.
+        keys *outside* F's own ``[min, max]`` — reads must therefore route
+        by responsibility, not by raw range, or gap keys would skip the
+        slices holding their newest versions.  A scan starts each sorted
+        level here, and ``DB._lookup`` runs the same bisect inline, once
+        per sorted level of every point lookup.
         """
-        if level == 0 or not self.sorted_levels:
-            raise EngineError(
-                "find_responsible_file is undefined for overlapping levels"
-            )
-        files = self.levels[level]
-        return files[self.responsible_index(level, key)] if files else None
-
-    def responsible_index(self, level: int, key: bytes) -> int:
-        """Index of :meth:`find_responsible_file`'s answer (non-empty level)."""
         max_keys = self._max_keys[level]
         return min(bisect_left(max_keys, key), len(max_keys) - 1)
 

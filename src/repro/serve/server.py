@@ -245,11 +245,9 @@ def _write_admission(db: DB, serve: ServeSpec) -> int:
     reach it: a read is never back-pressured — L0 throttling is a
     write-path signal — so it never pays for the decision.
 
-    The throttle signal reflects the engine as of the most recently
-    *served* request: the virtual clock only advances when a request is
-    executed, so after an idle gap the L0 state consulted here is the
-    one the previous completion left behind, not a hypothetical state
-    at the arrival instant.
+    The throttle signal reflects the engine as the last served request
+    left it, caught up to the arrival only when the loop finds the
+    server idle at ``"stop"`` (see :func:`_serve_open_loop`).
     """
     state = db.throttle_state()
     if state == "stop":
@@ -275,9 +273,13 @@ def _serve_open_loop(
     one ledger row ``(wait, service, total, begin, stall)`` is appended.
     Admission therefore sees the queue *depth* as it stands at the
     arrival instant; the engine's throttle state, which only writes
-    consult (:func:`_write_admission`), is as of the last
-    completion.  A last arrival at ``inf`` drains the queue through the
-    same body.  The loop's counts are checked once at the end (every
+    consult (:func:`_write_admission`), is as the last served request
+    left it.  A write that reads ``"stop"`` with nothing queued finds
+    the server idle: the clock jumps to its arrival and the maintenance
+    step a served write runs (``db.sched.on_operation()``) catches the
+    engine up before admission is decided again — otherwise nothing
+    would move the clock and every later write would be refused.  A
+    last arrival at ``inf`` drains the queue through the same body.  The loop's counts are checked once at the end (every
     arrival admitted or rejected, every admitted request completed), and
     SLO violations are counted once over the totals.
     """
@@ -363,6 +365,13 @@ def _serve_open_loop(
         bound = capacity
         if operation[0] in WRITE_KINDS:
             bound = _write_admission(db, serve)
+            if not bound and not waiting and clock._now_us < arrival_us:
+                # Idle at stop: no queued request will move the clock, so
+                # jump to the arrival and run the maintenance step a
+                # served write runs before deciding again.
+                clock._now_us = arrival_us
+                db.sched.on_operation()
+                bound = _write_admission(db, serve)
             if not bound:
                 rejected_backpressure += 1
                 continue

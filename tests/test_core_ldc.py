@@ -262,6 +262,43 @@ class TestSpaceManagement:
         fill(db, 4000, 1000)
         assert db.metrics().get("engine.forced_merges") > 0
 
+    @pytest.mark.parametrize("bg_threads", (0, 1))
+    def test_forced_merges_take_the_table_linked_first(self, bg_threads):
+        """A tiny cap makes most rounds a forced merge; each one takes the
+        linked table whose first slice has the smallest ``link_seq``."""
+        config = LSMConfig(
+            memtable_bytes=512, sstable_target_bytes=512, block_bytes=128,
+            fan_out=3, level1_capacity_bytes=1024, max_levels=5,
+            frozen_space_limit_ratio=0.02, bg_threads=bg_threads,
+        )
+        db = DB(config=config, policy=get_spec("ldc").derive(threshold=6))
+        policy, movement = db.policy, db.policy.movement
+        bump, merge = policy.bump, movement.merge
+        forcing, picks = [], []
+
+        def noted_bump(name, amount=1):
+            if name == "forced_merges":
+                forcing.append(name)
+            bump(name, amount)
+
+        def checked_merge(target):
+            if forcing:
+                forcing.clear()
+                first = min(
+                    movement._linked_tables.values(),
+                    key=lambda table: table.slice_links[0].link_seq,
+                )
+                picks.append(target is first)
+            merge(target)
+
+        policy.bump, movement.merge = noted_bump, checked_merge
+        rng = random.Random(4)
+        for _ in range(2_500):
+            db.put(b"key-%04d" % rng.randrange(200), b"t" * 32)
+        assert len(picks) == db.metrics()["engine.forced_merges"] > 50
+        assert all(picks)
+        db.check_invariants()
+
     def test_extra_space_is_frozen_region(self, ldc_db):
         fill(ldc_db, 2000, 500)
         policy = ldc_db.policy

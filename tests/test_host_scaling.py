@@ -8,18 +8,16 @@ exactly, so nothing here depends on how fast the machine is.
 The bookkeeping they pin used to rescan a level (or every flash owner,
 or the whole block cache) per compaction round or per request; the
 bounds below fail on any return to that — LDC's frozen-space victim and
-link-source picks included (the latter against ``tests/_ldc_oracle.py``).
-``TestCallsPerPut`` pins what a put that neither flushes nor compacts
-pays, against the write path it replaced (``tests/_write_oracle.py``).
-``TestCallsPerGet`` pins the
-point lookup the same way — what a get pays per Bloom probe — against the
-per-probe routine it replaced (``tests/_lookup_oracle.py``),
+link-source picks included.  ``TestCallsPerPut`` pins what a put that
+neither flushes nor compacts pays.  ``TestCallsPerGet`` pins the point
+lookup — what a get pays per Bloom probe — against the call count of the
+per-probe routine it replaced, frozen as a constant;
 ``TestCallsPerBuild`` that a Bloom filter build pays per filter, not per
 key, and ``TestStageCost`` what mounting a device stage (trace sink,
 fault plan, flash) adds to a put and a get, ``TestLedgerCost`` that counting an
 operation costs no call of its own.  ``TestCallsPerScan`` pins what a scan pays
-per record returned and per block charged, against the record-at-a-time
-scan it replaced (``tests/_scan_oracle.cursor_scan``).  ``TestCallsPerMerge``
+per record returned and per block charged, against the frozen call count
+of the record-at-a-time scan it replaced.  ``TestCallsPerMerge``
 pins that a compaction merge pays per input window, not per record or heap
 round, and that its output files lay out no block until something reads
 one.  ``TestStackTax`` pins what the wrappers around the engine — serve
@@ -61,11 +59,7 @@ from repro.ssd.metrics import FLUSH_WRITE, WAL_WRITE
 from repro.workload.spec import rwb
 from repro.workload.ycsb import WorkloadGenerator
 
-from . import _ldc_oracle as ldc_oracle
-from . import _write_oracle as write_oracle
-from ._lookup_oracle import oracle_get
 from ._pump_oracle import ChunkReplayScheduler
-from ._scan_oracle import cursor_scan
 
 CONFIG = LSMConfig(max_levels=4)
 LEVEL = 2
@@ -209,8 +203,9 @@ class TestLevelQueriesTouchFewFiles:
             assert picked == [files[linked - 1]]
 
     def test_pick_link_source(self):
-        """Past the pointer to the first link-free file; the sorted filter
-        it replaced read every file of the level."""
+        """Past the pointer to the first link-free file, wrapping to the
+        level's first; the sorted filter it replaced read every file of
+        the level."""
         version = big_level()
         selector = LDCUnitSelector()
         selector.db = SimpleNamespace(version=version)
@@ -224,8 +219,6 @@ class TestLevelQueriesTouchFewFiles:
             answer_size=6,
         )
         assert picked == [files[806]]
-        oracle = ldc_oracle.pick_link_source
-        assert touched_by(lambda: oracle(selector, LEVEL)) == FILES
         # Wrapping past the last file, to the first link-free one.
         version.compact_pointer[LEVEL] = files[-1].max_key
         files[0].slice_links = [None]
@@ -234,7 +227,7 @@ class TestLevelQueriesTouchFewFiles:
             lambda: picked.append(selector._pick_link_source(LEVEL)),
             answer_size=2,
         )
-        assert picked == [files[1]] == [oracle(selector, LEVEL)]
+        assert picked == [files[1]]
 
 
 def profiled_names(run) -> Counter:
@@ -317,29 +310,26 @@ class TestCallsPerPut:
     ``len`` against the slowdown trigger, ``WriteAheadLog.append`` with
     ``device.write`` (three counter reads) and one ``list.extend``,
     ``MemTable.add`` (one ``dict.get``) and four counter reads: 18 calls,
-    for UDC and LDC alike.  The write path it replaced
-    (``tests/_write_oracle.py``) made 30: ``_check_open``, ``_check_key``
-    with two ``isinstance``, ``_next_sequence``, ``put_record``, the
-    policy's ``on_operation``, ``_maybe_stall``, ``clock.advance``,
-    the maintenance poll past a closed idle gate, and an ``_append_unit``
-    frame building a ``_Unit``.
+    for UDC and LDC alike.  The write path it replaced made 30:
+    ``_check_open``, ``_check_key`` with two ``isinstance``,
+    ``_next_sequence``, ``put_record``, the policy's ``on_operation``,
+    ``_maybe_stall``, ``clock.advance``, the maintenance poll past a closed
+    idle gate, and an ``_append_unit`` frame building a ``_Unit``.
     """
 
     @staticmethod
-    def quiet_put_calls(policy: str, put) -> list:
+    def quiet_put_calls(policy: str) -> list:
         """Calls of each put that found the idle gate closed and did not flush."""
         db = DB(config=LSMConfig(), policy=policy)
-        if put is not DB.put:
-            write_oracle.install(db)
         rng = random.Random(5)
         value = b"v" * 1024
         for _ in range(3_000):
-            put(db, key_of(rng.randrange(6_000)), value)
+            db.put(key_of(rng.randrange(6_000)), value)
         calls = []
         for _ in range(2_000):
             idle = db.policy._maintenance_idle
             flushes = db.metrics().get("engine.flush_count")
-            made = calls_made(partial(put, db, key_of(rng.randrange(6_000)), value))
+            made = calls_made(partial(db.put, key_of(rng.randrange(6_000)), value))
             if idle and db.metrics().get("engine.flush_count") == flushes:
                 calls.append(made)
         db.check_invariants()
@@ -348,9 +338,8 @@ class TestCallsPerPut:
 
     @pytest.mark.parametrize("policy", ("udc", "ldc"))
     def test_at_most_20_calls(self, policy):
-        calls = self.quiet_put_calls(policy, DB.put)
+        calls = self.quiet_put_calls(policy)
         assert max(calls) <= 20, Counter(calls)
-        assert set(self.quiet_put_calls(policy, write_oracle.put)) == {30}
 
 
 def interleaved_windows(streams: int, per_stream: int) -> list:
@@ -506,38 +495,39 @@ def turned_away_keys(db: DB) -> list:
 
 
 class TestCallsPerGet:
-    """A get pays per lookup, not per probe — counted against the oracle.
+    """A get pays per lookup, not per probe.
 
-    ``tests/_lookup_oracle.oracle_get`` is the per-probe lookup this
-    replaced; both run on identically built stores, so the bounds do not
-    depend on the shape of the tree.  All four fail on the old routine.
+    The ratios are to the per-probe lookup this replaced, run on the same
+    deterministic store and stream before it was deleted: its calls per
+    get are :data:`PER_PROBE_CALLS_PER_GET`.  Every bound below failed on
+    that routine.
     """
 
-    @staticmethod
-    def ratio(policy: str, keys: int) -> float:
-        new, old = loaded_store(policy, keys), loaded_store(policy, keys)
+    #: policy -> (keys, the per-probe lookup's profiled calls per get).
+    PER_PROBE_CALLS_PER_GET = {"ldc": (16_000, 117.085), "udc": (4_000, 79.025)}
+
+    def ratio(self, policy: str) -> float:
+        keys, per_probe_calls = self.PER_PROBE_CALLS_PER_GET[policy]
+        db = loaded_store(policy, keys)
         rng = random.Random(9)
         stream = [key_of(rng.randrange(keys)) for _ in range(1_000)]
         if policy == "ldc":
             links = [
                 len(table.slice_links)
-                for table in new.version.all_tables()
+                for table in db.version.all_tables()
                 if table.slice_links
             ]
             assert sum(links) >= 4 * len(links) > 0, links
-        calls = calls_per_get(new.get, stream)
-        oracle_calls = calls_per_get(partial(oracle_get, old), stream)
-        assert new.metrics().counters == old.metrics().counters
-        return calls / oracle_calls
+        return calls_per_get(db.get, stream) / per_probe_calls
 
     def test_ldc_get_costs_under_six_tenths_of_the_per_probe_lookup(self):
         """Measured 0.44 on a store with 4.4 links per linked file: 16 000
         keys, since at 8 000 a linked file holds 2.7."""
-        assert self.ratio("ldc", 16_000) <= 0.6
+        assert self.ratio("ldc") <= 0.6
 
     def test_udc_get_costs_under_eight_tenths_of_the_per_probe_lookup(self):
-        """Measured 0.60: three probes a get leave less per-probe cost to fold."""
-        assert self.ratio("udc", 4_000) <= 0.8
+        """Measured 0.57: three probes a get leave less per-probe cost to fold."""
+        assert self.ratio("udc") <= 0.8
 
     def test_one_more_covering_slice_costs_at_most_three_calls(self):
         """The marginal probe is ``may_contain`` and nothing else.
@@ -556,12 +546,6 @@ class TestCallsPerGet:
         ) / 4
         assert many.metrics().get("engine.bloom_negative_skips") == 2 * 8 * len(stream)
         assert marginal <= 3, marginal
-        few, many = linked_target(4), linked_target(8)
-        oracle_marginal = (
-            calls_per_get(partial(oracle_get, many), stream)
-            - calls_per_get(partial(oracle_get, few), stream)
-        ) / 4
-        assert oracle_marginal >= 7, oracle_marginal
 
     def test_one_hash_pair_per_get_however_many_filters(self, monkeypatch):
         db = linked_target(8)
@@ -630,32 +614,35 @@ class TestCallsPerScan:
     """A scan pays per source window and per charged range, not per record
     or per block.
 
-    Twin stores, the same scans: one through ``DB.scan``, one through
-    ``cursor_scan`` — a heap step, a generator resumption and a
-    ``clock.advance`` per record, a probe plus an install (and two counter
-    adds when it evicts) per block.  Measured 0.316 / 0.290 of its calls
-    per 100-record scan (UDC 378 of 1 194, LDC 493 of 1 699) and 0.51 /
-    1.29 calls per extra record returned, which is what the extra ranges
-    cost.  With a cache call per block and a ``count_probes`` per range
-    (``tests/_scan_oracle.window_scan``) it was 0.372 / 0.368 (444 and
-    626 calls) and 1.01 / 2.30; the record-at-a-time scan paid 8.3 /
-    12.0 per extra record.  Every bound fails on either: the cursor
-    oracle's ratio to itself is 1.
+    The ratio is to the record-at-a-time scan this replaced — a heap
+    step, a generator resumption and a ``clock.advance`` per record, a
+    probe plus an install (and two counter adds when it evicts) per block
+    — run on the same store and starts before it was deleted: its calls
+    per 100-record scan are :data:`RECORD_AT_A_TIME_CALLS_PER_SCAN`.
+    ``DB.scan`` measured 0.315 / 0.287 of them (UDC 376 of 1 194, LDC 465
+    of 1 622) and 0.51 / 1.29 calls per extra record returned, which is
+    what the extra ranges cost.  With a cache call per block and a
+    ``count_probes`` per range it was 0.372 / 0.368 (444 and 626 calls)
+    and 1.01 / 2.30; the record-at-a-time scan paid 8.3 / 12.0 per extra
+    record.  Every bound fails on either.
     """
 
     STARTS = [key_of(number) for number in range(37, 7_500, 149)]
-    #: policy -> (calls per scan / the oracle's, calls per extra record).
+    #: policy -> (calls per scan / the record-at-a-time scan's, calls per
+    #: extra record).
     BOUNDS = {"udc": (0.34, 0.8), "ldc": (0.32, 1.8)}
+    #: policy -> the record-at-a-time scan's profiled calls per scan.
+    RECORD_AT_A_TIME_CALLS_PER_SCAN = {"udc": 1194.4705882352941,
+                                       "ldc": 1621.6078431372548}
 
     def test_calls_per_scan_against_the_record_at_a_time_scan(self, policy):
-        new, old = scan_mix_store(policy), scan_mix_store(policy)
+        db = scan_mix_store(policy)
         if policy == "ldc":
-            assert any(table.slice_links for table in new.version.all_tables())
-        calls = calls_per_scan(new.scan, self.STARTS, 100)
-        oracle_calls = calls_per_scan(partial(cursor_scan, old), self.STARTS, 100)
-        assert new.metrics().counters == old.metrics().counters
-        assert new.metrics()["cache.evictions"] > len(self.STARTS)
-        assert calls <= self.BOUNDS[policy][0] * oracle_calls, (calls, oracle_calls)
+            assert any(table.slice_links for table in db.version.all_tables())
+        calls = calls_per_scan(db.scan, self.STARTS, 100)
+        assert db.metrics()["cache.evictions"] > len(self.STARTS)
+        frozen = self.RECORD_AT_A_TIME_CALLS_PER_SCAN[policy]
+        assert calls <= self.BOUNDS[policy][0] * frozen, (calls, frozen)
 
     def test_an_extra_record_returned_costs_a_share_of_a_block(self, policy):
         db = scan_mix_store(policy)

@@ -13,8 +13,6 @@ from repro.obs.snapshot import MetricsSnapshot
 
 from tests.conftest import key_of
 
-from . import _scan_oracle as scan_oracle
-
 #: LDC with T_s held at 10 over the fan-out-4 configs below.
 LDC_TS10 = get_spec("ldc").derive(threshold=10)
 
@@ -31,9 +29,11 @@ class TestBlockCacheUnit:
 
     def test_miss_then_hit(self):
         cache = BlockCache(1024)
-        assert not cache.lookup(1, 0)
+        assert not cache.probe(1, 0)
         cache.insert(1, 0, 100)
-        assert cache.lookup(1, 0)
+        assert cache.probe(1, 0)
+        assert cache.registry.counters() == {}  # a probe counts nothing
+        cache.count_probes(1, 1)
         assert tally(cache, "hits") == 1 and tally(cache, "misses") == 1
 
     def test_lru_eviction_order(self):
@@ -41,12 +41,12 @@ class TestBlockCacheUnit:
         cache.insert(1, 0, 100)
         cache.insert(1, 1, 100)
         cache.insert(1, 2, 100)
-        cache.lookup(1, 0)  # refresh block 0
+        cache.probe(1, 0)  # refresh block 0
         cache.insert(1, 3, 100)  # evicts block 1 (LRU)
-        assert cache.lookup(1, 0)
-        assert not cache.lookup(1, 1)
-        assert cache.lookup(1, 2)
-        assert cache.lookup(1, 3)
+        assert cache.probe(1, 0)
+        assert not cache.probe(1, 1)
+        assert cache.probe(1, 2)
+        assert cache.probe(1, 3)
 
     def test_capacity_respected(self):
         cache = BlockCache(500)
@@ -59,7 +59,7 @@ class TestBlockCacheUnit:
         cache = BlockCache(100)
         cache.insert(1, 0, 1000)
         assert len(cache) == 0
-        assert not cache.lookup(1, 0)
+        assert not cache.probe(1, 0)
 
     def test_reinsert_updates_size(self):
         cache = BlockCache(1000)
@@ -71,16 +71,16 @@ class TestBlockCacheUnit:
     def test_files_do_not_collide(self):
         cache = BlockCache(1000)
         cache.insert(1, 0, 100)
-        assert not cache.lookup(2, 0)
+        assert not cache.probe(2, 0)
 
     def test_hit_ratio(self):
         cache = BlockCache(1000)
         assert MetricsSnapshot.capture(cache.registry, 0.0).cache_hit_ratio == 0.0
         cache.insert(1, 0, 10)
-        cache.lookup(1, 0)
-        cache.lookup(1, 1)
-        # one miss from the failed lookup above plus the hit
-        assert 0.0 < MetricsSnapshot.capture(cache.registry, 0.0).cache_hit_ratio < 1.0
+        hits = [cache.probe(1, 0), cache.probe(1, 1)]
+        cache.count_probes(sum(hits), hits.count(False))
+        # one miss from the failed probe above plus the hit
+        assert MetricsSnapshot.capture(cache.registry, 0.0).cache_hit_ratio == 0.5
 
     def test_evict_file_frees_all_its_blocks(self):
         cache = BlockCache(10_000)
@@ -91,8 +91,8 @@ class TestBlockCacheUnit:
         assert freed == 200
         assert cache.used_bytes == 100
         assert len(cache) == 1
-        assert not cache.lookup(1, 0)
-        assert cache.lookup(2, 0)
+        assert not cache.probe(1, 0)
+        assert cache.probe(2, 0)
 
     def test_evict_unknown_file_is_noop(self):
         cache = BlockCache(1000)
@@ -283,7 +283,7 @@ class TestEvictionCounters:
         cache = BlockCache(300)
         cache.insert(1, 0, 100)
         cache.insert(1, 1, 100)
-        cache.lookup(1, 0)
+        cache.probe(1, 0)
         # No capacity pressure yet: the keys must not exist (the batched
         # fingerprint suite hashes every registry counter).
         assert "cache.evictions" not in cache.registry.counters()
@@ -420,24 +420,22 @@ class TestFetch:
     ):
         """Any ranges, some failing mid-range, each tallied per scan of
         ``ranges_per_scan`` ranges: the same LRU order, bytes, counters
-        and clock order of hits and reads as the per-block ``fetch`` it
-        replaced (``tests/_scan_oracle.py``) and as ``probe`` + ``insert``."""
-        caches = [BlockCache(capacity) for _ in range(3)]
-        ranged, per_block, two_step = caches
+        and clock order of hits and reads as a per-block loop of ``probe``
+        + ``insert``."""
+        caches = [BlockCache(capacity) for _ in range(2)]
+        ranged, two_step = caches
         for at in range(0, len(ranges), ranges_per_scan):
             tallies = [[0, 0, 0, 0] for _ in caches]
             for file_id, first, length, fail_run in ranges[at:at + ranges_per_scan]:
                 end = first + length
                 logs = [range_read(cache, step, file_id, first, end, sizes, fail_run, tally)
                         for cache, step, tally in zip(
-                            caches, (None, scan_oracle.fetch, probe_then_insert), tallies)]
-                assert logs[0] == logs[1] == logs[2]
-                assert ranged.cached_blocks() == per_block.cached_blocks()
+                            caches, (None, probe_then_insert), tallies)]
+                assert logs[0] == logs[1]
                 assert ranged.cached_blocks() == two_step.cached_blocks()
-                assert ranged.used_bytes == per_block.used_bytes == two_step.used_bytes
+                assert ranged.used_bytes == two_step.used_bytes
             for cache, counts in zip(caches, tallies):
                 cache.count_probes(*counts)
-            assert ranged.registry.counters() == per_block.registry.counters()
             assert ranged.registry.counters() == two_step.registry.counters()
 
     def test_range_that_raises_still_flushes_its_tally(self, monkeypatch):

@@ -1,10 +1,5 @@
-"""Unit and property tests for the read-side merges.
-
-``merge_streams`` is the window merge scans run through;
-``merge_records`` is the record-at-a-time merge it replaced, which lives
-on in ``tests/_scan_oracle.py`` as the reference and keeps its own unit
-tests here — an oracle is only as good as it is right.
-"""
+"""Unit and property tests for ``merge_streams``, the window merge scans
+run through."""
 
 import sys
 
@@ -13,8 +8,6 @@ from hypothesis import given, settings, strategies as st
 from repro.lsm.iterators import merge_streams, unit_windows
 from repro.lsm.memtable import MemTable
 from repro.lsm.record import delete_record, put_record
-
-from ._scan_oracle import merge_records
 
 
 class File:
@@ -125,10 +118,14 @@ class TestMergeStreams:
         st.integers(1, 3),
     )
     @settings(max_examples=60)
-    def test_matches_the_record_at_a_time_merge(self, raw_sources, count, split):
-        """Any set of sorted one-version-per-key runs, cut into units, any count."""
+    def test_matches_the_newest_record_per_key(self, raw_sources, count, split):
+        """Any set of sorted one-version-per-key runs, cut into units, any
+        count, against a model: the max-seq record per key, in key order."""
         sources = _sorted_sources(raw_sources)
-        merged = list(merge_records(sources))
+        newest = {}
+        for record in sorted(record for records in sources for record in records):
+            newest[record.key] = record  # the highest seq of a key sorts last
+        merged = [newest[key] for key in sorted(newest)]
         live = [record for record in merged if not record.is_tombstone]
         streams = []
         for records in sources:
@@ -161,88 +158,3 @@ def _sorted_sources(raw_sources) -> list:
             )  # last one wins within the source
         sources.append([per_key[key] for key in sorted(per_key)])
     return sources
-
-
-class TestMergeRecords:
-    def test_empty_sources(self):
-        assert list(merge_records([])) == []
-        assert list(merge_records([[], []])) == []
-
-    def test_single_source_passthrough(self):
-        records = [put_record(b"a", b"1", 1), put_record(b"b", b"2", 2)]
-        assert list(merge_records([records])) == records
-
-    def test_interleaves_sorted(self):
-        first = [put_record(b"a", b"1", 1), put_record(b"c", b"3", 3)]
-        second = [put_record(b"b", b"2", 2), put_record(b"d", b"4", 4)]
-        merged = list(merge_records([first, second]))
-        assert [r.key for r in merged] == [b"a", b"b", b"c", b"d"]
-
-    def test_newest_version_wins_across_sources(self):
-        old = [put_record(b"k", b"old", 1)]
-        new = [put_record(b"k", b"new", 9)]
-        assert list(merge_records([old, new])) == new
-        assert list(merge_records([new, old])) == new
-
-    def test_three_way_version_conflict(self):
-        sources = [
-            [put_record(b"k", b"v1", 1)],
-            [put_record(b"k", b"v5", 5)],
-            [put_record(b"k", b"v3", 3)],
-        ]
-        merged = list(merge_records(sources))
-        assert len(merged) == 1
-        assert merged[0].value == b"v5"
-
-    def test_tombstones_not_filtered(self):
-        sources = [[delete_record(b"k", 5)], [put_record(b"k", b"v", 1)]]
-        merged = list(merge_records(sources))
-        assert merged[0].is_tombstone
-
-    def test_generators_accepted(self):
-        def gen():
-            yield put_record(b"a", b"1", 1)
-            yield put_record(b"b", b"2", 2)
-
-        merged = list(merge_records([gen(), iter([put_record(b"aa", b"x", 3)])]))
-        assert [r.key for r in merged] == [b"a", b"aa", b"b"]
-
-    @given(
-        st.lists(
-            st.lists(
-                st.tuples(st.integers(0, 50), st.booleans()),
-                max_size=40,
-            ),
-            min_size=1,
-            max_size=6,
-        )
-    )
-    @settings(max_examples=40)
-    def test_matches_dict_semantics(self, raw_sources):
-        """Merging any set of sorted one-version-per-key streams equals
-        taking the max-seq record per key."""
-        seq = 0
-        sources = []
-        expected = {}
-        for raw in raw_sources:
-            per_key = {}
-            for key_index, is_delete in raw:
-                seq += 1
-                key = str(key_index).zfill(4).encode()
-                record = (
-                    delete_record(key, seq)
-                    if is_delete
-                    else put_record(key, str(seq).encode(), seq)
-                )
-                per_key[key] = record  # last one wins within the source
-            stream = [per_key[key] for key in sorted(per_key)]
-            sources.append(stream)
-            for record in stream:
-                if (
-                    record.key not in expected
-                    or record.seq > expected[record.key].seq
-                ):
-                    expected[record.key] = record
-        merged = list(merge_records(sources))
-        assert [r.key for r in merged] == sorted(expected)
-        assert {r.key: r for r in merged} == expected

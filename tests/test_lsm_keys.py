@@ -2,7 +2,7 @@
 
 from hypothesis import given, strategies as st
 
-from repro.lsm.keys import clamp_range, in_range, key_successor
+from repro.lsm.keys import in_range, key_successor
 
 keys = st.binary(min_size=1, max_size=8)
 maybe_key = st.one_of(st.none(), keys)
@@ -44,20 +44,3 @@ class TestInRange:
     def test_matches_naive_definition(self, key, lo, hi):
         expected = (lo is None or key >= lo) and (hi is None or key < hi)
         assert in_range(key, lo, hi) == expected
-
-
-class TestClampRange:
-    def test_identity_with_unbounded_outer(self):
-        assert clamp_range(b"a", b"z", None, None) == (b"a", b"z")
-
-    def test_clamps_both_sides(self):
-        assert clamp_range(b"a", b"z", b"c", b"m") == (b"c", b"m")
-
-    def test_inner_tighter_than_outer(self):
-        assert clamp_range(b"d", b"f", b"a", b"z") == (b"d", b"f")
-
-    @given(maybe_key, maybe_key, maybe_key, maybe_key, keys)
-    def test_membership_is_conjunction(self, lo, hi, outer_lo, outer_hi, key):
-        clamped_lo, clamped_hi = clamp_range(lo, hi, outer_lo, outer_hi)
-        expected = in_range(key, lo, hi) and in_range(key, outer_lo, outer_hi)
-        assert in_range(key, clamped_lo, clamped_hi) == expected

@@ -166,7 +166,7 @@ class TestOverlapQueries:
         version.add_file(1, b)
 
         def routed_and_covered(key):
-            table = version.find_responsible_file(1, key)
+            table = version.files(1)[version.responsible_index(1, key)]
             return table, table.covers_key(key)
 
         assert routed_and_covered(b"000005") == (a, True)
@@ -174,25 +174,17 @@ class TestOverlapQueries:
         assert routed_and_covered(b"000015") == (b, False)  # gap
         assert routed_and_covered(b"999999") == (b, False)  # past the end
 
-    def test_find_responsible_file_tiles_key_space(self, version):
+    def test_responsible_index_tiles_key_space(self, version):
         """Every key has a responsible file: gaps belong to the right
         neighbour, keys past the end to the last file (Example 3.2)."""
-        a = table_over(10, 20)
-        b = table_over(30, 40)
-        version.add_file(1, a)
-        version.add_file(1, b)
-        assert version.find_responsible_file(1, b"000000") is a  # below all
-        assert version.find_responsible_file(1, b"000015") is a  # inside a
-        assert version.find_responsible_file(1, b"000025") is b  # gap -> right
-        assert version.find_responsible_file(1, b"000035") is b  # inside b
-        assert version.find_responsible_file(1, b"999999") is b  # past end
-
-    def test_find_responsible_file_empty_level(self, version):
-        assert version.find_responsible_file(1, b"k") is None
-
-    def test_find_responsible_file_rejected_on_level0(self, version):
-        with pytest.raises(EngineError):
-            version.find_responsible_file(0, b"x")
+        version.add_file(1, table_over(10, 20))
+        version.add_file(1, table_over(30, 40))
+        assert version.responsible_index(1, b"000000") == 0  # below all
+        assert version.responsible_index(1, b"000015") == 0  # inside the first
+        assert version.responsible_index(1, b"000019") == 0  # its max key
+        assert version.responsible_index(1, b"000025") == 1  # gap -> right
+        assert version.responsible_index(1, b"000035") == 1  # inside the second
+        assert version.responsible_index(1, b"999999") == 1  # past the end
 
 
 class TestScoring:
@@ -274,5 +266,3 @@ class TestInvariants:
         version.add_file(1, table_over(5, 15))
         version.check_invariants()
         assert version.num_files(1) == 2
-        with pytest.raises(EngineError):
-            version.find_responsible_file(1, b"000007")

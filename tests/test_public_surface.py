@@ -4,8 +4,8 @@ Every exported name resolves, and what was removed stays removed: the
 policy shims (one way to build a policy — the registry — so the only
 exported policy class is the composition engine itself), the second
 benchmark system (the module inventories below have no slot for it) and
-the record-at-a-time scan merge (one read-side merge in ``src/``; the old
-one is ``tests/_scan_oracle.py``) and the experiment shell's second ways
+the record-at-a-time scan merge (one read-side merge in ``src/``) and the
+experiment shell's second ways
 to name a policy (factory functions, a factory field on ``GridTask``),
 and the run shell's second runners, fan-out, closed loop, report classes
 and policy factories (one protocol, one fan-out, two loops, two results),
@@ -37,7 +37,10 @@ serving queue object (no ``repro.serve.queue``: ``RequestQueue``,
 checks its own counts), the Poisson process class (``poisson_arrivals``
 draws the stream itself) and the admission exceptions no caller could
 receive (``AdmissionError``, ``QueueFullError``, ``BackpressureError``: a
-refusal is counted in ``ServeResult``, never raised).
+refusal is counted in ``ServeResult``, never raised); and the three
+methods only the retired get and scan routines called (one cache probe:
+no counting ``BlockCache.lookup``; one responsibility bisect: no
+``VersionSet.find_responsible_file``; no ``lsm.keys.clamp_range``).
 
 And what is exported is what the repository uses: every name in an
 ``__all__`` has a user in ``src/``, ``examples/``, ``benchmarks/`` or
@@ -129,9 +132,10 @@ def test_module_inventory(package, modules):
 def test_one_read_side_merge():
     """Scans and ``logical_items`` share ``merge_streams``; nothing else is left."""
     from repro.core.slice import Slice
-    from repro.lsm import iterators, sstable
+    from repro.lsm import iterators, keys, sstable
     from repro.lsm.cache import BlockCache
     from repro.lsm.memtable import MemTable
+    from repro.lsm.version import VersionSet
 
     functions = {
         name
@@ -146,10 +150,12 @@ def test_one_read_side_merge():
         (sstable.SSTable, ("records_in_range", "blocks_in_range")),
         (Slice, ("records_in_range", "scan_block_bytes")),
         (MemTable, ("iter_from",)),
-        # A charged range is one cache call (the per-block loop is
-        # tests/_scan_oracle.window_scan's).
-        (BlockCache, ("fetch",)),
+        # A charged range is one cache call, a get's block one probe.
+        (BlockCache, ("fetch", "lookup")),
         (repro.DB, ("_charge_range_read",)),
+        # A get and a scan route by responsible_index alone.
+        (VersionSet, ("find_responsible_file",)),
+        (keys, ("clamp_range",)),
     ):
         for name in gone:
             assert not hasattr(owner, name), (owner, name)

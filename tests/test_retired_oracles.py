@@ -1,4 +1,4 @@
-"""Frozen answers of seven replaced routines.
+"""Frozen answers of eleven replaced routines.
 
 Each replacement below was pair-run against the routine it replaced (kept
 under ``tests/`` as a reference) until both had gone unedited long enough
@@ -37,7 +37,42 @@ the replaced routine's answer to the whole corpus.
   three, plus write bursts that fill the queue and back-pressure at
   slowdown and stop; each answer includes the store's contents, which
   the pair-run did not compare.  The threaded runs are a case of their
-  own, so a change to the background replay re-pins that case alone.
+  own, so a change to the background replay re-pins that case alone;
+* ``ldc`` — LDC's link-source pick past the compact pointer and slice
+  pricing over the cached index window (against the level scans and
+  re-bisecting they replaced): 24 stores, zero and one thread,
+  frozen-space caps of 0.02 (most rounds forced merges), 0.1 and 0.5,
+  drawn ``T_s`` (2-5) and value sizes (0-96 bytes); after every write,
+  the rounds it ran (each link's frozen file, each merge's target and
+  its ``run_sizes``), every level's link source, every linked slice's
+  price and the level layout;
+* ``lookup`` — the per-lookup get (against the per-probe one): UDC, LDC,
+  tiered and delayed x no cache, 4 KB and 1 MB x plain, flash under a
+  thread and a clean fault plan x tracer on and off, over stored, gap,
+  far and deleted keys; deep trees read key by key, LDC's with every
+  frozen filter answering "maybe" (slices wider than their sources) and
+  after churn that leaves keys two slices of a carrier hold; a corrupt
+  block read;
+* ``write`` — the one-frame write path and flat log (against the old
+  methods and the unit-list log): UDC, LDC and tiered x zero and one
+  thread, Level 0 slowing writes at two files and stopping them at
+  three; drawn puts, deletes, batches, flushes, crashes tearing a put
+  or a batch at 0, half and all of its bytes, and recoveries; a
+  persistently failing append, refused writes and the adaptive
+  controller; after every step the log image (records, bytes, count,
+  torn state and checksum);
+* ``scan`` — the window merge with one cache call per range (against the
+  cursor, all-sources and per-block scans): UDC, LDC, tiered and delayed
+  x no cache, 1 KB, 4 KB and 1 MB x plain, a clean fault plan and flash
+  under a thread, plus caches of 100 and 300 bytes; drawn scans,
+  deep-tree edge cases and scans ending on each file's last key, each
+  answer holding ``engine.scan_sources`` and the units the merge opened.
+
+The four engine corpora digest each step's clock, every counter and
+gauge and, where the store has them, the block cache's residency in LRU
+order and the trace events; and they hold the store's contents (after
+every write step, at the end of every other case), which a wrong
+read-modify-write would change where a counter might not.
 
 Re-pin on purpose with ``PYTHONPATH=src python -m tests.pins --write
 "<reason>"``.
@@ -55,7 +90,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from repro import DeviceConfig, FlashSpec, RingBufferSink, SimulatedSSD, Tracer
+from repro import DB, DeviceConfig, FlashSpec, RingBufferSink, SimulatedSSD, Tracer, get_spec
 from repro.core.primitives import LDCLinkMergeMovement
 from repro.errors import ReproError
 from repro.faults.plan import FaultPlan
@@ -63,14 +98,17 @@ from repro.harness import latency
 from repro.harness.latency import LatencyRecorder, LatencyTimeline
 from repro.harness.runner import prepare_db, run_workload
 from repro.lsm.bloom import BloomFilter, key_hashes
+from repro.lsm import iterators
 from repro.lsm.compaction.columnar import merge_windows
 from repro.lsm.config import LSMConfig
+from repro.lsm.db import WriteBatch
 from repro.lsm.record import delete_record, put_record
 from repro.lsm.sstable import SSTable
 from repro.lsm.version import VersionSet
 from repro.obs.histogram import LatencyHistogram
 from repro.serve import ServeSpec, serve_workload
-from repro.ssd.metrics import GC_READ, GC_WRITE
+from repro.ssd.metrics import COMPACTION_READ, GC_READ, GC_WRITE, WAL_WRITE
+from repro.ssd.profile import ENTERPRISE_PCIE
 from repro.workload.spec import rwb, scn_rwb, wo
 from repro.workload.ycsb import OP_PUT, OP_RMW, Operation, WorkloadGenerator
 
@@ -699,6 +737,594 @@ def serve_threaded_answers() -> list:
     return answers
 
 
+# ----------------------------------------------------------------------
+# Engine corpora: tiny stores, their state digested after every step
+# ----------------------------------------------------------------------
+#: 512-byte memtables and files, 128-byte blocks: deep trees in a few
+#: hundred writes.
+TINY_TREE = dict(memtable_bytes=512, sstable_target_bytes=512, block_bytes=128,
+                 fan_out=3, level1_capacity_bytes=1024, max_levels=5)
+
+
+def tiny_tree(**fields) -> LSMConfig:
+    return LSMConfig(**{**TINY_TREE, **fields})
+
+
+def numbered(index: int) -> bytes:
+    return b"%06d" % index
+
+
+def level_files(db) -> list:
+    return [[table.file_id for table in files] for files in db.version.levels]
+
+
+class Watch:
+    """One store's state after each step, as a digest: the step's answer,
+    the clock, every counter and gauge, the block cache's residency in LRU
+    order and the trace events emitted since the previous step."""
+
+    def __init__(self, db) -> None:
+        self.db = db
+        self.seen = 0
+
+    def __call__(self, *answer) -> str:
+        db = self.db
+        events = [event for sink in db.tracer._sinks for event in sink.events]
+        fresh = [(event.kind, event.t_us, sorted(event.fields.items()))
+                 for event in events[self.seen:]]
+        self.seen = len(events)
+        cache = db.block_cache
+        return digest((
+            answer, db.clock.now(),
+            sorted(db.registry.counters().items()),
+            sorted(db.registry.gauges().items()),
+            None if cache is None else list(cache._entries.items()),
+            fresh,
+        ))
+
+
+def error_outcome(call):
+    """``("ok", result)``, or the type and text of the error raised."""
+    try:
+        return "ok", call()
+    except (ReproError, TypeError) as error:
+        return type(error).__name__, str(error)
+
+
+# ----------------------------------------------------------------------
+# ldc: LDC's link-source picks, slice prices and rounds, write by write
+# ----------------------------------------------------------------------
+LDC_INDEX = 200
+
+
+def ldc_store(frozen_ratio: float, bg_threads: int, threshold: int):
+    return DB(config=tiny_tree(frozen_space_limit_ratio=frozen_ratio,
+                               bg_threads=bg_threads),
+              policy=get_spec("ldc").derive(threshold=threshold))
+
+
+def round_log(db) -> list:
+    """Log each link's source, each merge's target and each merge read."""
+    log = []
+    movement = db.policy.movement
+    link, merge, read_runs = movement.link, movement.merge, db.device.read_runs
+
+    def logged_link(source, level):
+        log.append(("link", level, source.file_id))
+        link(source, level)
+
+    def logged_merge(target):
+        log.append(("merge", target.file_id, target.linked_bytes))
+        merge(target)
+
+    def logged_read_runs(run_sizes, category, **kwargs):
+        if category == COMPACTION_READ:
+            log.append(("runs", tuple(run_sizes)))
+        return read_runs(run_sizes, category, **kwargs)
+
+    movement.link, movement.merge = logged_link, logged_merge
+    db.device.read_runs = logged_read_runs
+    return log
+
+
+def ldc_case(rng, bg_threads: int, frozen_ratio: float) -> list:
+    """300 puts, then 1-120 drawn ones with value sizes 0-96 bytes; after
+    each, the rounds it ran, the layout, every level's link source and
+    every linked slice's price."""
+    db = ldc_store(frozen_ratio, bg_threads, rng.randint(2, 5))
+    log = round_log(db)
+    movement, selector = db.policy.movement, db.policy.selector
+    fill = random.Random(rng.randint(0, 3))
+    writes = [(fill.randrange(LDC_INDEX), 40) for _ in range(300)]
+    writes += [(rng.randrange(LDC_INDEX + 1), rng.choice((0, 24, 48, 96)))
+               for _ in range(rng.randint(1, 120))]
+    answers, seen = [], 0
+    for index, size in writes:
+        db.put(numbered(index), b"w" * size)
+        sources = [selector._pick_link_source(level)
+                   for level in range(db.version.num_levels - 1)]
+        answers.append(digest((
+            db.clock.now(), sorted(db.registry.counters().items()),
+            sorted(db.registry.gauges().items()), level_files(db),
+            list(movement._linked_tables), log[seen:],
+            [None if table is None else table.file_id for table in sources],
+            [(table.file_id, [piece.read_block_bytes() for piece in table.slice_links])
+             for table in movement._linked_tables.values()],
+        )))
+        seen = len(log)
+    db.check_invariants()
+    answers.append(list(db.logical_items()))
+    return answers
+
+
+def ldc_answers() -> list:
+    rng = random.Random(31)
+    return [ldc_case(rng, bg_threads, (0.02, 0.1, 0.5)[case % 3])
+            for bg_threads in (0, 1) for case in range(12)]
+
+
+# ----------------------------------------------------------------------
+# lookup: point gets over every policy, cache, device and tracer
+# ----------------------------------------------------------------------
+#: Stored keys are the even indices up to here; odd ones are gap keys.
+GET_INDEX = 120
+GET_FLASH = FlashSpec(page_bytes=512, pages_per_block=16, logical_bytes=256 * 1024)
+
+
+def lookup_store(policy: str, cache_bytes: int, device: str, traced: bool):
+    """``device``: ``plain``; ``flash``, an FTL under one background
+    thread; or ``faulty``, CRC-verified reads through a clean fault plan."""
+    flash = device == "flash"
+    return DB(
+        config=tiny_tree(block_cache_bytes=cache_bytes, bg_threads=int(flash)),
+        policy=policy,
+        tracer=Tracer([RingBufferSink()]) if traced else None,
+        fault_plan=FaultPlan() if device == "faulty" else None,
+        **({"profile": DeviceConfig(flash=GET_FLASH)} if flash else {}),
+    )
+
+
+def overwrite(db, rng, puts: int, model: dict, tag: bytes = b"seed") -> None:
+    for index in rng.choices(range(0, GET_INDEX + 1, 2), k=puts):
+        key = numbered(index)
+        model[key] = b"%s-%03d" % (tag, index) + b"s" * 25
+        db.put(key, model[key])
+
+
+def gets(db, watch, keys, model: dict) -> list:
+    answers = []
+    for key in keys:
+        got = error_outcome(lambda: db.get(key))
+        assert got == ("ok", model.get(key)), key
+        answers.append(watch(key, got))
+    return answers
+
+
+def lookup_cell(rng, policy, cache_bytes, device, traced) -> list:
+    """150 seeded overwrites, then drawn puts, deletes and gets of stored,
+    gap and far keys, then every seventh key."""
+    db = lookup_store(policy, cache_bytes, device, traced)
+    watch, model = Watch(db), {}
+    overwrite(db, random.Random(5), 150, model)
+    answers = [watch()]
+    for _ in range(rng.randrange(81)):
+        pick = rng.random()
+        if pick < 0.5:
+            answers += gets(db, watch, [numbered(rng.randrange(GET_INDEX + 5))], model)
+            continue
+        key = numbered(2 * rng.randrange(GET_INDEX // 2 + 1))
+        if pick < 0.75:
+            model[key] = rng.randbytes(rng.randint(1, 40))
+            db.put(key, model[key])
+        else:
+            model.pop(key, None)
+            db.delete(key)
+        answers.append(watch())
+    answers += gets(db, watch, map(numbered, range(0, GET_INDEX + 5, 7)), model)
+    db.check_invariants()
+    return answers + [list(db.logical_items())]
+
+
+def deep_store(policy: str, cache_bytes: int, device: str = "plain") -> tuple:
+    """Three rounds of 120 overwrites, flushed: a store, its watch, its model."""
+    db = lookup_store(policy, cache_bytes, device, True)
+    model = {}
+    rng = random.Random(7)
+    for _ in range(3):
+        overwrite(db, rng, 120, model)
+    db.flush()
+    return db, Watch(db), model
+
+
+def every_key(model: dict) -> list:
+    """Stored and gap keys, the last key and past it, far keys."""
+    keys = [numbered(index) for index in range(GET_INDEX + 5)]
+    return keys + [b"\x00", max(model) + b"\x00", numbered(10_000)]
+
+
+def deep_answers(policy: str, cache_bytes: int) -> list:
+    """Every key of a deep tree, over a cold and a warm cache; then
+    tombstones read in the memtable and pushed down the tree.  Under LDC
+    also every key with each frozen file's filter answering "maybe" (a
+    slice wider than its source), and after churn leaves keys that two
+    slices of one carrier hold, some as tombstones."""
+    db, watch, model = deep_store(policy, cache_bytes)
+    answers = gets(db, watch, every_key(model) * 2, model)
+    doomed = sorted(model)[10:30]
+    for key in doomed:
+        db.delete(key)
+        del model[key]
+    answers += gets(db, watch, doomed, model)
+    db.flush()
+    overwrite(db, random.Random(9), 60, model)
+    answers += gets(db, watch, doomed, model)
+    if policy == "ldc":
+        rng = random.Random(3)
+        for step in range(600):
+            key = numbered(rng.randrange(0, GET_INDEX + 1, 2))
+            if rng.random() < 0.2:
+                db.delete(key)
+                model.pop(key, None)
+            else:
+                model[key] = b"churn-%03d" % step
+                db.put(key, model[key])
+        answers += gets(db, watch, every_key(model), model)
+        for table in db.version.all_tables():
+            for piece in table.slice_links:
+                piece.source._bloom = BloomFilter((), 0)  # disabled: "maybe"
+        answers += gets(db, watch, every_key(model), model)
+    db.check_invariants()
+    return answers + [list(db.logical_items())]
+
+
+def corrupt_get(policy: str, cache_bytes: int) -> list:
+    """A get whose block read delivers flipped bits, then the same get."""
+    db, watch, model = deep_store(policy, cache_bytes, "faulty")
+    key = sorted(model)[len(model) // 2]
+    faults = db.device.faults
+    faults.corrupt_read(faults.read_count + 1)
+    return [watch(error_outcome(lambda: db.get(key)))] + gets(db, watch, [key], model)
+
+
+def lookup_answers() -> list:
+    rng = random.Random(37)
+    answers = [
+        lookup_cell(rng, policy, cache_bytes, device, traced)
+        for policy in ("udc", "ldc", "tiered", "delayed")
+        for cache_bytes in (0, 4096, 1 << 20)
+        for device in ("plain", "flash", "faulty")
+        for traced in (False, True)
+    ]
+    answers += [deep_answers(policy, cache_bytes)
+                for policy in ("udc", "ldc", "tiered", "delayed")
+                for cache_bytes in (0, 4096)]
+    answers += [corrupt_get(policy, cache_bytes)
+                for policy in ("udc", "ldc") for cache_bytes in (0, 4096)]
+    return answers
+
+
+# ----------------------------------------------------------------------
+# write: puts, deletes, batches, flushes, throttles, crashes and replay
+# ----------------------------------------------------------------------
+WRITE_INDEX = 60
+#: Three one-page blocks and a one-block GC reserve: five 51-byte appends
+#: stream three 64-byte pages, and the next append's page finds only the
+#: reserve left and nothing for GC to reclaim.
+FULL_AFTER_FIVE = FlashSpec(page_bytes=64, pages_per_block=1, logical_bytes=192,
+                            over_provisioning=0.0, gc_reserve_blocks=1)
+
+
+def write_store(policy: str, bg_threads: int = 0, faulty: bool = True,
+                adaptive: bool = False, flash=None):
+    """Level 0 slows writes at two files and stops them at three."""
+    return DB(
+        config=tiny_tree(l0_compaction_trigger=2, l0_slowdown_trigger=2,
+                         l0_stop_trigger=3, l0_slowdown_delay_us=40.0,
+                         bg_threads=bg_threads),
+        policy=get_spec(policy).derive(adaptive=True) if adaptive else policy,
+        profile=DeviceConfig(flash=flash),
+        tracer=Tracer([RingBufferSink()]),
+        fault_plan=FaultPlan() if faulty else None,
+    )
+
+
+def wal_image(wal):
+    """The log's durable image: records, torn appends, bytes, count, CRC."""
+    if wal is None:
+        return None
+    return (list(wal._records), wal._torn, wal.unflushed_bytes,
+            wal.unflushed_count, wal.has_torn_tail, wal.checksum())
+
+
+class Writer:
+    """Drives one store; after each step, its outcome and what it left:
+    the watched state, the last sequence, the log image, the level
+    layout and the store's contents."""
+
+    def __init__(self, db) -> None:
+        self.db = db
+        self.watch = Watch(db)
+        self.answers = []
+
+    def step(self, call):
+        got = error_outcome(call)
+        db = self.db
+        self.answers.append(self.watch(
+            got, db.last_sequence, wal_image(db._wal), level_files(db),
+            list(db.logical_items()),
+        ))
+        return got
+
+    def put(self, index, value):
+        return self.step(lambda: self.db.put(numbered(index), value))
+
+    def delete(self, index):
+        return self.step(lambda: self.db.delete(numbered(index)))
+
+    def batch(self, entries):
+        batch = WriteBatch()
+        batch.entries = [(numbered(index), value) for index, value in entries]
+        return self.step(lambda: self.db.write_batch(batch))
+
+    def crash_next_append(self, torn_fraction: float) -> None:
+        faults = self.db.device.faults
+        faults.crash_at(faults.category_counts.get(WAL_WRITE, 0) + 1,
+                        category=WAL_WRITE, torn_fraction=torn_fraction)
+
+    def recover(self):
+        return self.step(self.db.crash_and_recover)
+
+
+def drawn_value(rng) -> bytes:
+    if rng.random() < 0.5:
+        return rng.randbytes(rng.randrange(41))
+    return b"v" * (24 * rng.randrange(4))
+
+
+def drawn_writes(rng, policy: str, bg_threads: int) -> list:
+    """120 puts, then up to 60 drawn puts, deletes, batches (small, or 20-30
+    100-byte values), flushes, crashes tearing a put or a batch at 0, half
+    or all of its bytes, and recoveries; a last recovery."""
+    writer = Writer(write_store(policy, bg_threads))
+    for _ in range(120):
+        writer.put(rng.randrange(WRITE_INDEX), b"p" * rng.randrange(60))
+    for _ in range(rng.randrange(61)):
+        kind = rng.choice(("put", "put", "delete", "batch", "flush", "crash", "recover"))
+        if kind == "put":
+            writer.put(rng.randint(0, WRITE_INDEX), drawn_value(rng))
+        elif kind == "delete":
+            writer.delete(rng.randint(0, WRITE_INDEX))
+        elif kind == "batch":
+            if rng.random() < 0.5:
+                writer.batch([(rng.randint(0, WRITE_INDEX),
+                               None if rng.random() < 0.5 else drawn_value(rng))
+                              for _ in range(rng.randrange(7))])
+            else:
+                writer.batch([(rng.randint(0, WRITE_INDEX), b"b" * 100)
+                              for _ in range(rng.randint(20, 30))])
+        elif kind == "flush":
+            writer.step(writer.db.flush)
+        elif kind == "crash":
+            writer.crash_next_append(rng.choice((0.0, 0.5, 1.0)))
+            if rng.random() < 0.5:
+                writer.batch([(1, b"a"), (2, None)])
+            else:
+                writer.put(3, b"c" * 30)
+        else:
+            writer.recover()
+    writer.recover()
+    writer.db.check_invariants()
+    return writer.answers
+
+
+def throttled_stream(policy: str, bg_threads: int) -> list:
+    """300 writes, every 17th a delete and every 50th a 30-entry batch:
+    Level 0 slows writes down and stops them."""
+    writer = Writer(write_store(policy, bg_threads, faulty=False))
+    rng = random.Random(11)
+    for step in range(300):
+        index = rng.randrange(WRITE_INDEX)
+        if step % 17 == 0:
+            writer.delete(index)
+        elif step % 50 == 0:
+            writer.batch([(rng.randrange(WRITE_INDEX), b"b" * 100) for _ in range(30)])
+        else:
+            writer.put(index, b"w" * rng.randrange(80))
+    return writer.answers
+
+
+def torn_append(torn_fraction: float, batch: bool) -> list:
+    """A crash tears an append; writes go on, and recovery drops only it."""
+    writer = Writer(write_store("ldc"))
+    for index in range(10):
+        writer.put(index, b"x" * 30)
+    writer.crash_next_append(torn_fraction)
+    if batch:
+        writer.batch([(1, b"y"), (2, None)])
+    else:
+        writer.put(1, b"y" * 30)
+    writer.put(4, b"z")
+    writer.recover()
+    return writer.answers
+
+
+def failing_append(batch: bool) -> list:
+    """The device gives up on an append (it is full): a torn unit."""
+    writer = Writer(write_store("udc", flash=FULL_AFTER_FIVE))
+    for index in range(5):
+        writer.put(index, b"x" * 30)
+    if batch:
+        writer.batch([(1, b"y"), (2, b"z")])
+    else:
+        writer.put(1, b"y" * 30)
+    writer.recover()
+    return writer.answers
+
+
+def write_answers() -> list:
+    rng = random.Random(41)
+    answers = [drawn_writes(rng, policy, bg_threads)
+               for policy in ("udc", "ldc", "tiered") for bg_threads in (0, 1)
+               for _ in range(3)]
+    answers += [throttled_stream(policy, bg_threads)
+                for policy in ("udc", "ldc", "tiered") for bg_threads in (0, 1)]
+    answers += [torn_append(torn, batch)
+                for torn in (0.0, 0.5, 1.0) for batch in (False, True)]
+    answers += [failing_append(batch) for batch in (False, True)]
+    rejected = Writer(write_store("udc", faulty=False))
+    rejected.put(1, b"v")
+    rejected.step(lambda: rejected.db.put(b"", b"v"))
+    rejected.step(lambda: rejected.db.put("text", b"v"))
+    rejected.put(2, "text")
+    rejected.step(lambda: rejected.db.delete(b""))
+    rejected.batch([(3, "text")])
+    answers.append(rejected.answers)
+    adaptive = Writer(write_store("ldc", faulty=False, adaptive=True))
+    rng = random.Random(3)
+    for _ in range(600):
+        adaptive.put(rng.randrange(WRITE_INDEX), b"a" * 40)
+    controller = adaptive.db.policy.movement._adaptive
+    answers.append((adaptive.answers, controller.write_ratio, controller._pending_ops))
+    return answers
+
+
+# ----------------------------------------------------------------------
+# scan: range scans over every policy, cache and device stack
+# ----------------------------------------------------------------------
+SCAN_FLASH = FlashSpec(page_bytes=256, pages_per_block=16, logical_bytes=256 * 1024)
+
+
+def scan_store(policy: str, cache_bytes: int, stack: str):
+    """``stack``: ``plain``; ``plan``, every read CRC-verified through a
+    clean fault plan; or ``flash+sched``, an FTL under one background
+    thread."""
+    flash = stack == "flash+sched"
+    return DB(
+        config=tiny_tree(block_cache_bytes=cache_bytes, bg_threads=int(flash)),
+        policy=policy,
+        profile=DeviceConfig(flash=SCAN_FLASH) if flash else ENTERPRISE_PCIE,
+        fault_plan=FaultPlan() if stack == "plan" else None,
+    )
+
+
+def opened_units(streams) -> list:
+    """Each stream's next file and the windows of every unit it opened."""
+    return [(index, [[(pos, stop, start, getattr(table, "file_id", None))
+                      for _, _, pos, stop, start, table in unit] for unit in units])
+            for units, _, index in streams]
+
+
+class Scanner:
+    """Scans one store; per scan, the merge's own answer and the units it
+    opened (on a fresh stream set), the results and the watched state."""
+
+    def __init__(self, db) -> None:
+        self.db = db
+        self.watch = Watch(db)
+        self.answers = []
+
+    def scan(self, start: bytes, count: int) -> list:
+        db = self.db
+        streams = db._scan_streams(start)
+        merged = iterators.merge_streams(streams, start, count)
+        got = db.scan(start, count)
+        self.answers.append(self.watch(start, count, merged, opened_units(streams), got))
+        return got
+
+
+def drawn_scans(rng, policy: str, cache_bytes: int, stack: str) -> list:
+    """150 seeded puts, then up to 200 drawn puts, deletes and scans from
+    stored, gap and far keys for 1 to 10,000 records; a full scan."""
+    scanner = Scanner(scan_store(policy, cache_bytes, stack))
+    db, model = scanner.db, {}
+    fill = random.Random(5)
+    for index in fill.choices(range(0, GET_INDEX + 1, 2), k=150):
+        model[numbered(index)] = b"seed-%03d" % index + b"s" * 25
+        db.put(numbered(index), model[numbered(index)])
+    for _ in range(rng.randrange(201)):
+        pick = rng.random()
+        if pick < 0.4:
+            start, count = numbered(rng.randrange(GET_INDEX + 5)), rng.choice((1, 2, 5, 17, 10_000))
+            expected = sorted(item for item in model.items() if item[0] >= start)
+            assert scanner.scan(start, count) == expected[:count]
+            continue
+        key = numbered(2 * rng.randrange(GET_INDEX // 2 + 1))
+        if pick < 0.75:
+            model[key] = rng.randbytes(rng.randint(1, 40))
+            db.put(key, model[key])
+        else:
+            model.pop(key, None)
+            db.delete(key)
+    assert scanner.scan(b"0", 10_000) == sorted(model.items())
+    db.check_invariants()
+    return scanner.answers + [list(db.logical_items())]
+
+
+def deep_scans(policy: str, cache_bytes: int, stack: str) -> list:
+    """A deep tree with a run of tombstones: gap keys, the last key and
+    past it, counts larger than the store, scans that end just before the
+    run and that cross it."""
+    scanner = Scanner(scan_store(policy, cache_bytes, stack))
+    db, live = scanner.db, {}
+    rng = random.Random(7)
+    for _ in range(3):
+        for index in rng.sample(range(0, 400, 2), 200):
+            live[numbered(index)] = b"v%04d" % rng.randrange(10_000) + b"x" * 30
+            db.put(numbered(index), live[numbered(index)])
+    for index in range(100, 140, 2):
+        db.delete(numbered(index))
+        live.pop(numbered(index), None)
+    ordered = sorted(live.items())
+    last = ordered[-1][0]
+    for start, count in [(numbered(51), 10), (b"0", 10_000), (last, 5),
+                         (last + b"\x00", 5), (numbered(10_000), 3),
+                         (numbered(90), 5), (numbered(90), 6), (numbered(101), 1)]:
+        expected = [item for item in ordered if item[0] >= start][:count]
+        assert scanner.scan(start, count) == expected, (start, count)
+    db.check_invariants()
+    return scanner.answers
+
+
+def boundary_scans(policy: str, cache_bytes: int, stack: str) -> list:
+    """Scans that end on each file's last key, from it, its neighbour and
+    afar, and one record further."""
+    scanner = Scanner(scan_store(policy, cache_bytes, stack))
+    db, live = scanner.db, set()
+    rng = random.Random(13)
+    for _ in range(2):
+        for index in rng.sample(range(0, 300, 2), 150):
+            db.put(numbered(index), b"w%04d" % index + b"z" * 28)
+            live.add(numbered(index))
+    ordered = sorted(live)
+    boundaries = sorted({table.max_key for table in db.version.all_tables()} & live)
+    assert len(boundaries) >= 3
+    for boundary in boundaries:
+        position = ordered.index(boundary)
+        for back in (0, 1, 7):
+            first = max(0, position - back)
+            count = position - first + 1
+            assert scanner.scan(ordered[first], count)[-1][0] == boundary
+            scanner.scan(ordered[first], count + 1)
+    return scanner.answers
+
+
+def scan_answers() -> list:
+    rng = random.Random(43)
+    cells = [(policy, cache_bytes, stack)
+             for policy in ("udc", "ldc", "tiered", "delayed")
+             for cache_bytes in (0, 1024, 4096, 1 << 20)
+             for stack in ("plain", "plan", "flash+sched")]
+    answers = []
+    for cell in cells:
+        answers += [drawn_scans(rng, *cell), deep_scans(*cell), boundary_scans(*cell)]
+    # Caches smaller than a block (100 B) and than two (300 B): an
+    # install evicts a block further along the same range.
+    answers += [drawn_scans(rng, policy, cache_bytes, "plain")
+                for policy in ("udc", "ldc", "tiered", "delayed")
+                for cache_bytes in (100, 300)]
+    return answers
+
+
 CORPORA = {
     "version": version_answers,
     "merge": merge_answers,
@@ -708,6 +1334,10 @@ CORPORA = {
     "runner": runner_answers,
     "serve": serve_answers,
     "serve_threaded": serve_threaded_answers,
+    "ldc": ldc_answers,
+    "lookup": lookup_answers,
+    "write": write_answers,
+    "scan": scan_answers,
 }
 PIN_CASES = [f"retired_oracles/{name}" for name in CORPORA]
 

@@ -307,12 +307,11 @@ class TestServeWorkload:
         # Rejections count as SLO violations.
         assert result.slo_violation_rate >= result.rejection_rate
 
-    def test_a_fixed_pair_rejects_and_back_pressures_at_both_states(self):
-        """A full queue, then back-pressure at slowdown and at stop.  (Each
-        operation first replays the background work its idle gap owes, so
-        90-byte values no longer fill Level 0 to the stop trigger at any
-        rate; 300-byte values do, from 15k to 25k ops/s.)"""
-        spec = wo(num_operations=1_500, key_space=300, preload_keys=300,
+    @staticmethod
+    def write_burst(num_operations: int) -> tuple:
+        """300-byte puts at 20k ops/s into a depth-3 queue, one thread:
+        the result and the throttle states admission read."""
+        spec = wo(num_operations=num_operations, key_space=300, preload_keys=300,
                   value_bytes=300, key_bytes=12, seed=5)
         config = tiny_config(bg_threads=1, l0_compaction_trigger=2,
                              l0_slowdown_trigger=3, l0_stop_trigger=5)
@@ -329,10 +328,30 @@ class TestServeWorkload:
 
         db.throttle_state = noting
         serve = ServeSpec(rate_ops_s=20_000.0, queue_depth=3, seed=5)
-        result = serve_workload(spec, "ldc", serve, db=db)
+        return serve_workload(spec, "ldc", serve, db=db), states
+
+    def test_a_fixed_pair_rejects_and_back_pressures_at_both_states(self):
+        """A full queue, then back-pressure at slowdown and at stop.  (Each
+        operation first replays the background work its idle gap owes, so
+        90-byte values no longer fill Level 0 to the stop trigger at any
+        rate; 300-byte values do, from 15k to 25k ops/s.)"""
+        result, states = self.write_burst(1_500)
         assert result.rejected_full > 0
         assert result.rejected_backpressure > 0
         assert states == {"none", "slowdown", "stop"}
+
+    def test_an_idle_server_at_stop_wakes_at_the_next_write(self):
+        """A write refused at stop with nothing queued finds the server
+        idle: the clock moves to its arrival and the background thread
+        catches up, so later writes are admitted and the run lasts as long
+        as its arrivals.  (When admission read the state the last served
+        request left, this run admitted 29 writes and stopped its clock at
+        14,606 us.)"""
+        result, _ = self.write_burst(12_000)
+        last_arrival = poisson_arrivals(20_000.0, 5, 12_000)[-1]
+        assert last_arrival > 590_000
+        assert result.admitted > 29
+        assert result.elapsed_us >= last_arrival
 
     @pytest.mark.parametrize(
         "serve",
