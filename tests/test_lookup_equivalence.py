@@ -1,5 +1,8 @@
-"""Directed point lookups: what ``DB.get`` does with linked slices and
-corrupt blocks, and where it refuses to run.
+"""Directed point lookups: absent, far and deleted keys, what ``DB.get``
+does with linked slices and corrupt blocks, and where it refuses to run.
+
+The file keeps the name it had when these cases also ran beside the
+per-probe oracle; they now run on one store each.
 
 The get's charges over every policy, cache, device and tracer are frozen
 in ``tests/test_retired_oracles.py`` (``retired_oracles/lookup``); the
@@ -76,14 +79,20 @@ def deep_store(policy, cache_bytes: int = 4096, faulty: bool = False) -> tuple:
         tracer=Tracer([RingBufferSink()]),
         fault_plan=FaultPlan() if faulty else None,
     )
-    rng = random.Random(7)
-    model = {}
-    for _ in range(3):
-        for index in rng.choices(range(0, MAX_INDEX + 1, 2), k=120):
-            model[make_key(index)] = b"seed-%03d" % index + b"s" * 25
-            db.put(make_key(index), model[make_key(index)])
+    model = load(db, seed=7, puts=120, rounds=3)
     db.flush()
     return db, model
+
+
+def load(db: DB, seed: int, puts: int, rounds: int = 1) -> dict:
+    """Random overwrites of the even keys: a multi-level tree."""
+    rng = random.Random(seed)
+    model = {}
+    for _ in range(rounds):
+        for index in rng.choices(range(0, MAX_INDEX + 1, 2), k=puts):
+            model[make_key(index)] = b"seed-%03d" % index + b"s" * 25
+            db.put(make_key(index), model[make_key(index)])
+    return model
 
 
 def linked_files(db: DB):
@@ -94,6 +103,39 @@ def linked_files(db: DB):
         for position, table in enumerate(db.version.files(level))
         if table.slice_links
     ]
+
+
+@pytest.mark.parametrize("policy", ("udc", "ldc", "tiered", "delayed"))
+class TestDirectedKeys:
+    def test_absent_gap_and_far_keys(self, policy):
+        db, model = deep_store(policy)
+        last = max(model)
+        cases = [
+            make_key(51),  # absent, between two stored keys
+            make_key(1),  # absent, left of most files
+            last,  # the last stored key
+            last + b"\x00",  # just past it: beyond the last file of a level
+            make_key(10_000),  # far past it
+            b"\x00",  # before every file
+        ]
+        for key in cases + cases:  # again, over a warm cache
+            assert db.get(key) == model.get(key), key
+
+    def test_tombstones_shadow_older_versions(self, policy):
+        db, model = deep_store(policy)
+        doomed = sorted(model)[10:30]
+        for key in doomed:
+            db.delete(key)
+            del model[key]
+        for key in doomed:  # tombstones still in the memtable / Level 0
+            assert db.get(key) is None
+        db.flush()
+        # Push the tombstones down the tree; some doomed keys come back.
+        model.update(load(db, seed=9, puts=60))
+        assert any(key not in model for key in doomed)
+        for key in doomed:
+            assert db.get(key) == model.get(key)
+        db.check_invariants()
 
 
 class TestDirectedSlices:

@@ -6,6 +6,8 @@ The scan's results and charges over every policy, cache and device
 stack, with the merge's opened units, are frozen in
 ``tests/test_retired_oracles.py`` (``retired_oracles/scan``); the cases
 here check behaviour against hand-built trees and the store's own state.
+The file keeps the name it had when these cases also ran beside the scan
+oracles.
 """
 
 import random
@@ -289,7 +291,8 @@ class TestVerifiedReads:
                 db.put(make_key(index), b"payload-%04d" % index + b"y" * 24)
         return db
 
-    def test_a_clean_plan_charges_what_no_plan_charges(self, policy, cache_bytes):
+    def test_clean_device_charges_identically(self, policy, cache_bytes):
+        """A clean fault plan charges what a store with no plan charges."""
         verified = self.loaded(policy, cache_bytes)
         plain = self.loaded(policy, cache_bytes, plan=False)
         for start in (0, 37, 150, 299, 500):

@@ -4,7 +4,9 @@ and WAL replay against a model of the log.
 The write path's charges and log image after every step, over UDC, LDC
 and tiered with zero and one background thread, are frozen in
 ``tests/test_retired_oracles.py`` (``retired_oracles/write``); the cases
-here check behaviour against models and the store's own state.
+here check behaviour against models and the store's own state.  The
+file keeps the name it had when these cases also ran beside the old
+write path.
 """
 
 import random
@@ -128,7 +130,9 @@ class TestDirected:
 
     @pytest.mark.parametrize("torn_fraction", (0.0, 0.5, 1.0))
     @pytest.mark.parametrize("batch", (False, True))
-    def test_a_torn_append_is_dropped_at_recovery(self, torn_fraction, batch):
+    def test_crashed_appends_tear_the_same_image(self, torn_fraction, batch):
+        """At every torn fraction the recovered image is the same: only
+        the torn append is dropped."""
         db = build("ldc", faulty=True)
         for index in range(10):
             db.put(make_key(index), b"x" * 30)
