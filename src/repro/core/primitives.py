@@ -455,7 +455,7 @@ class LDCLinkMergeMovement(DataMovement):
     def check_invariants(self) -> None:
         """Cross-check movement bookkeeping (used by tests).
 
-        Also what a point lookup trusts.  ``DB._lookup_unit`` skips a
+        Also what a point lookup trusts.  ``DB._lookup`` skips a
         slice whose key span misses the key, so each linked slice is
         non-empty and its ``min_key`` / ``max_key`` are its window's first
         and last keys.  It stops at the first slice that holds the key, so

@@ -4,8 +4,9 @@ The paper's measurement protocol (§IV-A), written down once:
 
 1. :func:`prepare_db` builds a fresh DB with the requested compaction
    policy over a fresh simulated device, loads the preload stream
-   (read-bearing workloads run against a populated store), drains
-   maintenance and resets the statistics;
+   (read-bearing workloads run against a populated store), runs one
+   ``policy.maybe_compact()`` pass and resets the statistics (work already
+   handed to background threads is not drained);
 2. :func:`execute_operations` runs the measured operations, recording each
    one's virtual-time latency (split by kind) and the Fig. 1-style timeline;
 3. the :class:`RunResult` carries throughput, percentiles, the metrics

@@ -40,7 +40,8 @@ class BlockCache:
     is shared in.  Capacity-pressure evictions are counted too
     (``cache.evictions`` / ``cache.evicted_bytes``), created lazily on
     the first eviction; :meth:`evict_file` drops are deliberate and not
-    counted.
+    counted.  The reads tally their outcomes and :meth:`count_probes`
+    writes all four counters, once per point lookup or scan.
     """
 
     def __init__(
@@ -135,45 +136,50 @@ class BlockCache:
             tally[3] += freed
 
     def count_probes(
-        self, hits: int, misses: int, evictions: int = 0, evicted_bytes: int = 0
+        self, hits: int, misses: int, evictions: int, evicted_bytes: int
     ) -> None:
-        """Count a batch of :meth:`probe` / :meth:`fetch_range` outcomes.
+        """Count a point lookup's or a scan's cache outcomes, in place.
 
-        Zeros create no counter: the eviction pair stays lazily created
-        on the first real LRU eviction (see :meth:`insert`).  Called once
-        per point lookup and once per scan, also when it raised.
+        The one writer of the four ``cache.*`` counters, called once per
+        lookup and once per scan, also when it raised.  Zeros create no
+        counter: the eviction pair is created by the first real LRU
+        eviction, so runs whose working set fits the cache keep an
+        identical counter set (the batched fingerprints hash every
+        registry key).
         """
+        counters = self.registry._counters
         if evictions:
-            self.registry.add("cache.evictions", evictions)
-            self.registry.add("cache.evicted_bytes", evicted_bytes)
+            counters["cache.evictions"] = counters.get("cache.evictions", 0) + evictions
+            counters["cache.evicted_bytes"] = (
+                counters.get("cache.evicted_bytes", 0) + evicted_bytes
+            )
         if hits:
-            self.registry.add("cache.hits", hits)
+            counters["cache.hits"] = counters.get("cache.hits", 0) + hits
         if misses:
-            self.registry.add("cache.misses", misses)
+            counters["cache.misses"] = counters.get("cache.misses", 0) + misses
 
-    def insert(self, file_id: int, block_index: int, nbytes: int) -> None:
-        """Install a block read from the device, evicting LRU as needed."""
+    def insert(
+        self, file_id: int, block_index: int, nbytes: int, tally: List[int]
+    ) -> None:
+        """Install a block read from the device, evicting LRU as needed.
+
+        Evictions are added to ``tally[3:5]`` — the point lookup's
+        ``[skips, hits, misses, evictions, evicted_bytes]`` — for
+        :meth:`count_probes`; the registry is not touched.
+        """
         if nbytes > self.capacity_bytes:
             return  # a block larger than the cache can never be resident
         key = (file_id, block_index)
-        previous = self._entries.pop(key, None)
-        if previous is not None:
-            self._used_bytes -= previous
-        self._entries[key] = nbytes
+        entries = self._entries
+        if key in entries:  # a re-install goes to the MRU end at its new size
+            self._used_bytes -= entries.pop(key)
+        entries[key] = nbytes
         self._used_bytes += nbytes
-        evicted_blocks = 0
-        evicted_bytes = 0
         while self._used_bytes > self.capacity_bytes:
-            _, evicted = self._entries.popitem(last=False)
+            _, evicted = entries.popitem(last=False)
             self._used_bytes -= evicted
-            evicted_blocks += 1
-            evicted_bytes += evicted
-        if evicted_blocks:
-            # Lazily created on the first real LRU eviction: runs whose
-            # working set fits the cache keep an identical counter set
-            # (the batched fingerprints hash every registry key).
-            self.registry.add("cache.evictions", evicted_blocks)
-            self.registry.add("cache.evicted_bytes", evicted_bytes)
+            tally[3] += 1
+            tally[4] += evicted
 
     def evict_file(self, file_id: int, num_blocks: int) -> int:
         """Drop the resident blocks of a ``num_blocks``-block file; returns bytes freed.

@@ -481,15 +481,24 @@ class DB:
     def _lookup(self, key: bytes) -> Optional[KVRecord]:
         """The newest record stored under ``key`` (tombstones included).
 
-        What depends on the key alone is worked out here, once, and handed
-        to every probe: the Bloom hash pair, and a tally of filter skips
-        and cache hits/misses that reaches the registry when the lookup
-        ends.  The constant CPU charges are added to the clock in place,
-        one float add per charge in probe order — never summed, never
-        moved past a block read, because a device read behind a
+        One walk down the levels.  An overlapping level (Level 0, every
+        level of a tiered tree) probes each file whose own range holds the
+        key, newest first; a sorted level charges its index probe, even
+        when empty, and probes its one responsible file.  A probed file
+        checks its linked slices newest link first, each only when the key
+        lies in the slice's own key span, then itself.  The first source
+        holding the key answers, tombstone included: a later link holds
+        newer data than an earlier one, every slice newer data than its
+        file (``LDCLinkMergeMovement.check_invariants``).
+
+        The Bloom hash pair is computed once, and filter skips and cache
+        outcomes are tallied and reach the registry when the lookup ends.
+        The constant CPU charges are added to the clock in place, one
+        float add per charge in probe order — never summed, never moved
+        past a block read, because a device read behind a
         :class:`~repro.ssd.clock.DeviceChannel` reads the clock.  That is
         ``clock.advance`` only while no capture diverts charges, hence the
-        guard; the costs are non-negative constants.
+        guard.
         """
         clock = self.clock
         if clock._capture is not None:
@@ -499,35 +508,65 @@ class DB:
         if record is not None:
             return record
         hashes = key_hashes(key)
-        tally = [0, 0, 0]  # Bloom-negative skips, cache hits, cache misses
-        lookup_unit = self._lookup_unit
+        # Bloom-negative skips, cache hits, misses, evictions, evicted bytes.
+        tally = [0, 0, 0, 0, 0]
+        read_block = self._read_block
         version = self.version
         levels = version.levels
-        # Overlapping levels — Level 0, and every level of a tiered tree —
-        # hold files in append order with increasing ids, so reversed()
-        # gives newest-first without a per-lookup sort.
+        max_keys = version._max_keys
         overlapping = 1 if version.sorted_levels else len(levels)
         try:
-            for level in range(overlapping):
-                for table in reversed(levels[level]):
-                    if not table.min_key <= key <= table.max_key:
+            for level, files in enumerate(levels):
+                if level < overlapping:
+                    # Append order with increasing ids: reversed() is
+                    # newest-first without a per-lookup sort.
+                    tables = reversed(files)
+                else:
+                    # Routed by responsibility range, not raw range: linked
+                    # slices can hold keys outside their file's own
+                    # [min, max].  VersionSet.responsible_index, inlined:
+                    # the last file answers past every max_key.
+                    clock._now_us += INDEX_LOOKUP_US
+                    if not files:
                         continue
-                    record = lookup_unit(key, hashes, table, tally)
-                    if record is not None:
-                        return record
-            # Sorted levels.  Each charges its index probe even when empty
-            # — the golden virtual-time contract — and routes by
-            # responsibility range, not raw range: linked slices can hold
-            # keys outside their carrier file's own [min, max].  The bisect
-            # is VersionSet.responsible_index, inlined.
-            max_keys = version._max_keys
-            for level in range(overlapping, len(levels)):
-                clock._now_us += INDEX_LOOKUP_US
-                files = levels[level]
-                if files:
                     index = bisect_left(max_keys[level], key)
-                    table = files[index] if index < len(files) else files[-1]
-                    record = lookup_unit(key, hashes, table, tally)
+                    tables = files[index:index + 1] or files[-1:]
+                for table in tables:
+                    inside = table.min_key <= key <= table.max_key
+                    if not inside and level < overlapping:
+                        continue
+                    if table.slice_links:
+                        # Direct slot reads skip the lazily-built accessors
+                        # on the hot path; they still build on first use.
+                        links = table._links_newest
+                        if links is None:
+                            links = table.links_newest_first()
+                        for piece in links:
+                            if not piece.min_key <= key <= piece.max_key:
+                                continue
+                            clock._now_us += BLOOM_CHECK_US
+                            source = piece.source
+                            bloom = source._bloom
+                            if bloom is None:
+                                bloom = source.bloom
+                            if not bloom.may_contain(key, hashes):
+                                tally[0] += 1
+                                continue
+                            record = read_block(source, key, tally)
+                            if record is not None:
+                                return record
+                    if not inside:
+                        # The key fell in this file's responsibility gap:
+                        # only its slices (checked above) could hold it.
+                        continue
+                    clock._now_us += BLOOM_CHECK_US
+                    bloom = table._bloom
+                    if bloom is None:
+                        bloom = table.bloom
+                    if not bloom.may_contain(key, hashes):
+                        tally[0] += 1
+                        continue
+                    record = read_block(table, key, tally)
                     if record is not None:
                         return record
             return None
@@ -535,69 +574,14 @@ class DB:
             # Also on a CorruptionError: what was probed before it counts.
             # Zeros create no counter (the registry's key set is hashed
             # by the batched-API fingerprints).
-            skips, hits, misses = tally
+            skips, hits, misses, evictions, evicted_bytes = tally
             if skips:
                 counters = self._counters
                 counters["engine.bloom_negative_skips"] = (
                     counters.get("engine.bloom_negative_skips", 0) + skips
                 )
             if hits or misses:
-                self.block_cache.count_probes(hits, misses)
-
-    def _lookup_unit(
-        self, key: bytes, hashes: Tuple[int, int], table: SSTable, tally: List[int]
-    ) -> Optional[KVRecord]:
-        """Check one level-resident SSTable and its linked slices.
-
-        Slices are checked newest link first, through the frozen files'
-        Bloom filters (the mechanism Figs. 12c/f and 13 study).  Like a
-        file, a slice is probed only when the key lies inside its own key
-        span ``[min_key, max_key]`` — narrower than its responsibility
-        range ``[lo, hi)``, and exact: the slice holds no key outside it —
-        so a skipped slice costs no filter check.  The first slice that
-        holds the key answers — tombstone included: a
-        later link holds strictly newer data than an earlier one, and
-        every slice newer data than the table, so the table is read only
-        when no slice holds the key.  LDC's movement checks that order
-        (``LDCLinkMergeMovement.check_invariants``).
-
-        ``hashes`` / ``tally`` are the per-lookup state of :meth:`_lookup`,
-        whose capture guard also covers the in-place clock charges here.
-        """
-        clock = self.clock
-        if table.slice_links:
-            # Direct slot reads skip the lazily-built ``links_newest_first``
-            # / ``bloom`` accessors on the hot path; they still build on
-            # first use.
-            links = table._links_newest
-            if links is None:
-                links = table.links_newest_first()
-            for piece in links:
-                if not piece.min_key <= key <= piece.max_key:
-                    continue
-                clock._now_us += BLOOM_CHECK_US
-                source = piece.source
-                bloom = source._bloom
-                if bloom is None:
-                    bloom = source.bloom
-                if not bloom.may_contain(key, hashes):
-                    tally[0] += 1
-                    continue
-                record = self._read_block(source, key, tally)
-                if record is not None:
-                    return record
-        if not table.min_key <= key <= table.max_key:
-            # The key fell in this file's responsibility gap: only the
-            # slices (checked above) could have held it.
-            return None
-        clock._now_us += BLOOM_CHECK_US
-        bloom = table._bloom
-        if bloom is None:
-            bloom = table.bloom
-        if not bloom.may_contain(key, hashes):
-            tally[0] += 1
-            return None
-        return self._read_block(table, key, tally)
+                self.block_cache.count_probes(hits, misses, evictions, evicted_bytes)
 
     def _read_block(
         self, table: SSTable, key: bytes, tally: List[int]
@@ -610,7 +594,8 @@ class DB:
         Only device reads count toward the Fig. 13 block-read statistic.
         A key outside the file's own range — reachable through a slice
         wider than its source, on a Bloom false positive — has no block:
-        nothing is read and nothing charged.
+        nothing is read and nothing charged.  Cache outcomes go into
+        :meth:`_lookup`'s five-slot ``tally``.
         """
         located = table.locate(key)
         if located is None:
@@ -646,7 +631,7 @@ class DB:
             counters.get("engine.sstable_blocks_read", 0) + 1
         )
         if cache is not None:
-            cache.insert(table.file_id, block_index, nbytes)
+            cache.insert(table.file_id, block_index, nbytes, tally)
         return record
 
     def _verify_block_read(self, table: SSTable, block_indices) -> None:

@@ -179,9 +179,9 @@ class TestDirectedSlices:
                 table._bloom = ALWAYS_MAYBE
         before = observable_state(db)
         for source, key in found:
-            tally = [0, 0, 0]
+            tally = [0, 0, 0, 0, 0]  # _lookup's: skips, cache outcomes
             assert db._read_block(source, key, tally) is None
-            assert tally == [0, 0, 0]
+            assert tally == [0, 0, 0, 0, 0]
         assert observable_state(db) == before
         for _source, key in found:
             assert db.get(key) == model.get(key)

@@ -29,20 +29,24 @@ class TestBlockCacheUnit:
 
     def test_miss_then_hit(self):
         cache = BlockCache(1024)
+        counts = [0] * 5  # a point lookup's tally
         assert not cache.probe(1, 0)
-        cache.insert(1, 0, 100)
+        cache.insert(1, 0, 100, counts)
         assert cache.probe(1, 0)
-        assert cache.registry.counters() == {}  # a probe counts nothing
-        cache.count_probes(1, 1)
+        # Neither a probe nor an install counts: the reads tally.
+        assert cache.registry.counters() == {} and counts == [0] * 5
+        cache.count_probes(1, 1, 0, 0)
         assert tally(cache, "hits") == 1 and tally(cache, "misses") == 1
 
     def test_lru_eviction_order(self):
         cache = BlockCache(300)
-        cache.insert(1, 0, 100)
-        cache.insert(1, 1, 100)
-        cache.insert(1, 2, 100)
+        counts = [0] * 5  # a point lookup's tally
+        cache.insert(1, 0, 100, counts)
+        cache.insert(1, 1, 100, counts)
+        cache.insert(1, 2, 100, counts)
         cache.probe(1, 0)  # refresh block 0
-        cache.insert(1, 3, 100)  # evicts block 1 (LRU)
+        cache.insert(1, 3, 100, counts)  # evicts block 1 (LRU)
+        assert counts == [0, 0, 0, 1, 100]
         assert cache.probe(1, 0)
         assert not cache.probe(1, 1)
         assert cache.probe(1, 2)
@@ -50,43 +54,49 @@ class TestBlockCacheUnit:
 
     def test_capacity_respected(self):
         cache = BlockCache(500)
+        counts = [0] * 5  # a point lookup's tally
         for index in range(50):
-            cache.insert(1, index, 100)
+            cache.insert(1, index, 100, counts)
         assert cache.used_bytes <= 500
         assert len(cache) <= 5
 
     def test_oversized_block_not_cached(self):
         cache = BlockCache(100)
-        cache.insert(1, 0, 1000)
+        counts = [0] * 5  # a point lookup's tally
+        cache.insert(1, 0, 1000, counts)
         assert len(cache) == 0
         assert not cache.probe(1, 0)
 
     def test_reinsert_updates_size(self):
         cache = BlockCache(1000)
-        cache.insert(1, 0, 100)
-        cache.insert(1, 0, 300)
+        counts = [0] * 5  # a point lookup's tally
+        cache.insert(1, 0, 100, counts)
+        cache.insert(1, 0, 300, counts)
         assert cache.used_bytes == 300
         assert len(cache) == 1
 
     def test_files_do_not_collide(self):
         cache = BlockCache(1000)
-        cache.insert(1, 0, 100)
+        counts = [0] * 5  # a point lookup's tally
+        cache.insert(1, 0, 100, counts)
         assert not cache.probe(2, 0)
 
     def test_hit_ratio(self):
         cache = BlockCache(1000)
+        counts = [0] * 5  # a point lookup's tally
         assert MetricsSnapshot.capture(cache.registry, 0.0).cache_hit_ratio == 0.0
-        cache.insert(1, 0, 10)
+        cache.insert(1, 0, 10, counts)
         hits = [cache.probe(1, 0), cache.probe(1, 1)]
-        cache.count_probes(sum(hits), hits.count(False))
+        cache.count_probes(sum(hits), hits.count(False), 0, 0)
         # one miss from the failed probe above plus the hit
         assert MetricsSnapshot.capture(cache.registry, 0.0).cache_hit_ratio == 0.5
 
     def test_evict_file_frees_all_its_blocks(self):
         cache = BlockCache(10_000)
-        cache.insert(1, 0, 100)
-        cache.insert(1, 1, 100)
-        cache.insert(2, 0, 100)
+        counts = [0] * 5  # a point lookup's tally
+        cache.insert(1, 0, 100, counts)
+        cache.insert(1, 1, 100, counts)
+        cache.insert(2, 0, 100, counts)
         freed = cache.evict_file(1, 2)
         assert freed == 200
         assert cache.used_bytes == 100
@@ -96,13 +106,15 @@ class TestBlockCacheUnit:
 
     def test_evict_unknown_file_is_noop(self):
         cache = BlockCache(1000)
-        cache.insert(1, 0, 100)
+        counts = [0] * 5  # a point lookup's tally
+        cache.insert(1, 0, 100, counts)
         assert cache.evict_file(99, 4) == 0
         assert cache.used_bytes == 100
 
     def test_evict_does_not_count_as_miss(self):
         cache = BlockCache(1000)
-        cache.insert(1, 0, 100)
+        counts = [0] * 5  # a point lookup's tally
+        cache.insert(1, 0, 100, counts)
         hits, misses = tally(cache, "hits"), tally(cache, "misses")
         cache.evict_file(1, 1)
         assert (tally(cache, "hits"), tally(cache, "misses")) == (hits, misses)
@@ -116,8 +128,9 @@ class TestBlockCacheUnit:
     @settings(max_examples=30)
     def test_capacity_invariant_property(self, inserts):
         cache = BlockCache(512)
+        counts = [0] * 5  # a point lookup's tally
         for file_id, block, nbytes in inserts:
-            cache.insert(file_id, block, nbytes)
+            cache.insert(file_id, block, nbytes, counts)
             assert cache.used_bytes <= 512
 
     @given(
@@ -137,10 +150,11 @@ class TestBlockCacheUnit:
     @settings(max_examples=30)
     def test_evict_keeps_accounting_consistent(self, actions):
         cache = BlockCache(2048)
+        counts = [0] * 5  # a point lookup's tally
         for action in actions:
             if action[0] == "insert":
                 _, file_id, block, nbytes = action
-                cache.insert(file_id, block, nbytes)
+                cache.insert(file_id, block, nbytes, counts)
             else:
                 cache.evict_file(action[1], 9)  # blocks are drawn from 0..8
             assert cache.used_bytes == sum(cache._entries.values())
@@ -255,11 +269,11 @@ class TestCacheInEngine:
         db.check_invariants()
         assert len(db.block_cache) > 0
         table = next(iter(db.version.all_tables()))
-        db.block_cache.insert(table.file_id, table.num_blocks, 64)
+        db.block_cache.insert(table.file_id, table.num_blocks, 64, [0] * 5)
         with pytest.raises(EngineError, match=f"block {table.num_blocks} of file"):
             db.check_invariants()
         db.block_cache.evict_file(table.file_id, table.num_blocks + 1)
-        db.block_cache.insert(10**9, 0, 64)
+        db.block_cache.insert(10**9, 0, 64, [0] * 5)
         with pytest.raises(EngineError, match="dead files"):
             db.check_invariants()
 
@@ -277,13 +291,19 @@ class TestCacheInEngine:
 
 
 class TestEvictionCounters:
-    """``cache.evictions`` / ``cache.evicted_bytes``: lazy, LRU-only."""
+    """``cache.evictions`` / ``cache.evicted_bytes``: lazy, LRU-only.
+
+    ``insert`` adds its evictions to the caller's tally (``counts[3:5]``);
+    they reach the registry through ``count_probes``, as a lookup's do.
+    """
 
     def test_counters_absent_until_first_eviction(self):
         cache = BlockCache(300)
-        cache.insert(1, 0, 100)
-        cache.insert(1, 1, 100)
+        counts = [0] * 5  # a point lookup's tally
+        cache.insert(1, 0, 100, counts)
+        cache.insert(1, 1, 100, counts)
         cache.probe(1, 0)
+        cache.count_probes(*counts[1:])
         # No capacity pressure yet: the keys must not exist (the batched
         # fingerprint suite hashes every registry counter).
         assert "cache.evictions" not in cache.registry.counters()
@@ -292,25 +312,34 @@ class TestEvictionCounters:
 
     def test_lru_eviction_counted(self):
         cache = BlockCache(300)
-        cache.insert(1, 0, 100)
-        cache.insert(1, 1, 100)
-        cache.insert(1, 2, 250)  # 450 used: evicts (1,0) then (1,1)
+        counts = [0] * 5  # a point lookup's tally
+        cache.insert(1, 0, 100, counts)
+        cache.insert(1, 1, 100, counts)
+        cache.insert(1, 2, 250, counts)  # 450 used: evicts (1,0) then (1,1)
+        assert counts == [0, 0, 0, 2, 200]
+        assert cache.registry.counters() == {}  # insert writes no counter
+        cache.count_probes(*counts[1:])
         assert tally(cache, "evictions") == 2
         assert tally(cache, "evicted_bytes") == 200
         assert "cache.evictions" in cache.registry.counters()
 
     def test_evict_file_not_counted(self):
         cache = BlockCache(1024)
-        cache.insert(1, 0, 100)
-        cache.insert(2, 0, 100)
+        counts = [0] * 5  # a point lookup's tally
+        cache.insert(1, 0, 100, counts)
+        cache.insert(2, 0, 100, counts)
         cache.evict_file(1, 1)
+        assert counts == [0] * 5
+        cache.count_probes(*counts[1:])
         assert "cache.evictions" not in cache.registry.counters()
         assert tally(cache, "evictions") == 0
 
     def test_counters_reset_with_registry(self):
         cache = BlockCache(150)
-        cache.insert(1, 0, 100)
-        cache.insert(1, 1, 100)  # evicts (1,0)
+        counts = [0] * 5  # a point lookup's tally
+        cache.insert(1, 0, 100, counts)
+        cache.insert(1, 1, 100, counts)  # evicts (1,0)
+        cache.count_probes(*counts[1:])
         assert tally(cache, "evictions") == 1
         cache.registry.reset()
         assert tally(cache, "evictions") == 0 and tally(cache, "evicted_bytes") == 0
@@ -341,8 +370,9 @@ class TestFetch:
 
     def test_hit_refreshes_recency_and_installs_nothing(self):
         cache = BlockCache(300)
-        cache.insert(1, 0, 100)
-        cache.insert(1, 1, 100)
+        counts = [0] * 5  # a point lookup's tally
+        cache.insert(1, 0, 100, counts)
+        cache.insert(1, 1, 100, counts)
         tally = [0, 0, 0, 0]
         assert self.fetch(cache, 1, 0, 1, [100, 100], tally) == (1, [])
         assert cache.cached_blocks() == [(1, 1), (1, 0)]  # (1, 0) is now newest
@@ -351,8 +381,9 @@ class TestFetch:
 
     def test_miss_installs_and_can_evict_the_lru_block(self):
         cache = BlockCache(300)
-        cache.insert(1, 0, 100)
-        cache.insert(1, 1, 100)
+        counts = [0] * 5  # a point lookup's tally
+        cache.insert(1, 0, 100, counts)
+        cache.insert(1, 1, 100, counts)
         sizes = [100, 100, 250]
         tally = [0, 0, 0, 0]
         assert self.fetch(cache, 1, 2, 3, sizes, tally) == (0, [(2, 3, 250, 0)])
@@ -362,7 +393,8 @@ class TestFetch:
 
     def test_oversize_block_is_a_miss_that_is_never_resident(self):
         cache = BlockCache(100)
-        cache.insert(1, 0, 60)
+        counts = [0] * 5  # a point lookup's tally
+        cache.insert(1, 0, 60, counts)
         tally = [0, 0, 0, 0]
         for _ in range(2):
             assert self.fetch(cache, 1, 1, 2, [60, 101], tally) == (0, [(1, 2, 101, 0)])
@@ -373,8 +405,9 @@ class TestFetch:
         """Miss, miss, hit, hit, miss, hit: the closing hit of a run is
         charged after that run, the hits before it with it."""
         cache = BlockCache(1000)
+        counts = [0] * 5  # a point lookup's tally
         for block in (2, 3, 5):
-            cache.insert(1, block, 10)
+            cache.insert(1, block, 10, counts)
         tally = [0, 0, 0, 0]
         hits, runs = self.fetch(cache, 1, 0, 6, [10] * 6, tally)
         assert runs == [(0, 2, 20, 0), (4, 5, 10, 2)]
@@ -397,7 +430,7 @@ class TestFetch:
             "cache.evictions": 1,
             "cache.evicted_bytes": 100,
         }
-        cache.count_probes(0, 0)  # zeros create nothing and add nothing
+        cache.count_probes(0, 0, 0, 0)  # zeros create nothing and add nothing
         assert (tally(cache, "evictions"), tally(cache, "evicted_bytes")) == (1, 100)
 
     @given(
@@ -421,10 +454,12 @@ class TestFetch:
         """Any ranges, some failing mid-range, each tallied per scan of
         ``ranges_per_scan`` ranges: the same LRU order, bytes, counters
         and clock order of hits and reads as a per-block loop of ``probe``
-        + ``insert``."""
+        + ``insert``.  Both only tally (``insert`` its evictions too); the
+        registry moves once per scan, through ``count_probes``."""
         caches = [BlockCache(capacity) for _ in range(2)]
         ranged, two_step = caches
         for at in range(0, len(ranges), ranges_per_scan):
+            counted = [cache.registry.counters() for cache in caches]
             tallies = [[0, 0, 0, 0] for _ in caches]
             for file_id, first, length, fail_run in ranges[at:at + ranges_per_scan]:
                 end = first + length
@@ -434,6 +469,7 @@ class TestFetch:
                 assert logs[0] == logs[1]
                 assert ranged.cached_blocks() == two_step.cached_blocks()
                 assert ranged.used_bytes == two_step.used_bytes
+            assert [cache.registry.counters() for cache in caches] == counted
             for cache, counts in zip(caches, tallies):
                 cache.count_probes(*counts)
             assert ranged.registry.counters() == two_step.registry.counters()
@@ -479,11 +515,11 @@ class TestFetch:
 
 
 def probe_then_insert(cache, file_id, block, nbytes, evicted) -> bool:
-    """A per-block step out of ``probe`` and ``insert`` (which counts its own
-    evictions, so ``evicted`` stays empty)."""
+    """A per-block step out of ``probe`` and ``insert``, which adds its
+    evictions to ``evicted[3:5]`` (a point lookup's tally layout)."""
     if cache.probe(file_id, block):
         return True
-    cache.insert(file_id, block, nbytes)
+    cache.insert(file_id, block, nbytes, evicted)
     return False
 
 
@@ -509,7 +545,7 @@ def range_read(cache, step, file_id, first, end, sizes, fail_run, tally) -> list
 
             log.extend(["hit"] * cache.fetch_range(file_id, first, end, sizes, read_run, tally))
             return log
-        evicted = [0, 0]
+        evicted = [0] * 5
         hits = misses = run_bytes = run_start = 0
         try:
             for block in range(first, end):
@@ -527,7 +563,7 @@ def range_read(cache, step, file_id, first, end, sizes, fail_run, tally) -> list
             if run_bytes:
                 read(run_start, end, run_bytes)
         finally:
-            for index, count in enumerate((hits, misses, *evicted)):
+            for index, count in enumerate((hits, misses, *evicted[3:])):
                 tally[index] += count
     except RunFailed:
         log.append("raised")
